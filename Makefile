@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench bench-serve bench-kernel-baseline fuzz cover serve-smoke cluster-smoke crash-smoke chaos
+.PHONY: check build vet test race bench benchmark bench-serve bench-kernel-baseline fuzz cover serve-smoke cluster-smoke crash-smoke chaos
 
 ## check: everything CI runs — vet, build, full tests, race tests.
 check: vet build test race
@@ -26,6 +26,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench 'Speedup|EnforceSparsity|TopK' -benchtime 1x ./...
 
+# The repo's standing benchmark (BENCHMARK.json): four in-process workloads
+# plus the per-layer budget; see bench/README.md.
+benchmark:
+	$(GO) run ./bench
+
 # Serving-layer regression gate: the GA evaluation-kernel microbenchmarks
 # (Benchmark{Kernel,ScoreAll} vs BENCH_kernel.json, via cmd/benchstatgate),
 # then the cheap swappbench scenarios (cache-hot, shared-base-warm) — both
@@ -41,10 +46,13 @@ bench-kernel-baseline:
 		./internal/core ./internal/ga > /tmp/kernel_bench.txt
 	$(GO) run ./cmd/benchstatgate -baseline BENCH_kernel.json -update /tmp/kernel_bench.txt
 
-# Short mutation pass over the persistence decoders (CI runs the same).
+# Short mutation pass over the persistence decoders, the WAL scanner and
+# the job-journal replay (CI runs the same).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s ./internal/cluster
 
 # End-to-end smoke of the swappd service: start it, health-check, one
 # real cached /v1/project round-trip (second call must hit), clean drain —
@@ -58,9 +66,10 @@ serve-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-# Durability smoke: swappd with -data-dir, async job SIGKILLed mid-GA-search,
-# restart on the same dir must replay the journal, resume from checkpoints,
-# and finish byte-identical to an uninterrupted control run.
+# Durability smoke: swappd with -data-dir, async job SIGKILLed while
+# running, restart on the same dir must replay the journal, re-run the job
+# under its original ID, and finish byte-identical to an uninterrupted
+# control run.
 crash-smoke:
 	./scripts/crash_smoke.sh
 

@@ -68,7 +68,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive failures tripping the circuit breaker (0 = default 5, negative = off)")
 		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-circuit rejection window before a probe (0 = default 10s)")
 		layered     = fs.Bool("layered-cache", true, "share characterisations, profiles and surrogates across requests (does not affect the numbers)")
-		warmStart   = fs.Bool("warm-start", false, "seed GA surrogate searches from the nearest cached surrogate (CAN change the numbers; recorded in the quality block)")
 		self        = fs.String("self", "", "this replica's advertised base URL in peer-aware mode (e.g. http://10.0.0.1:8080)")
 		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables consistent-hash request routing")
 		gossip      = fs.Bool("gossip", true, "run SWIM-style health gossip over -peers so the ring follows live membership; false pins the static -peers ring (fallback mode)")
@@ -77,11 +76,11 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		gossipProbe = fs.Duration("gossip-probe-timeout", 0, "single gossip probe deadline (0 = interval/2)")
 		jobsActive  = fs.Int("jobs-active", 0, "max concurrently running async jobs (0 = default 2)")
 		jobsQueued  = fs.Int("jobs-queued", 0, "async jobs waiting beyond the running ones (0 = default 4x active)")
-		jobsResumes = fs.Int("jobs-resumes", 0, "checkpoint resumes after a failed job attempt (0 = default 1, negative = off)")
-		jobsTimeout = fs.Duration("jobs-timeout", 0, "end-to-end async job deadline across resume attempts (0 = default 30m)")
+		jobsResumes = fs.Int("jobs-resumes", 0, "from-scratch retries after a failed job attempt (0 = default 1, negative = off)")
+		jobsTimeout = fs.Duration("jobs-timeout", 0, "end-to-end async job deadline across retry attempts (0 = default 30m)")
 		jobsRetain  = fs.Int("jobs-retain", 0, "finished async jobs kept for polling (0 = default 64)")
 		jobsAge     = fs.Duration("jobs-retain-age", 0, "additionally evict finished async jobs older than this (0 = count-based retention only)")
-		dataDir     = fs.String("data-dir", "", "durable state directory: WAL job journal + store snapshot; on restart, unfinished jobs resume from their journalled checkpoints (empty = in-memory only)")
+		dataDir     = fs.String("data-dir", "", "durable state directory: WAL job journal + store snapshot; on restart, unfinished jobs are re-run from their journalled payloads under their original IDs (empty = in-memory only)")
 		walSync     = fs.Duration("wal-sync", 0, "batch journal fsyncs to at most one per interval (0 = sync every record, the kill -9-safe default)")
 		snapOnDrain = fs.Bool("snapshot-on-drain", false, "export the layered store to -data-dir on drain so the next start warms up from disk")
 		faults      = fs.String("faults", os.Getenv("SWAPP_FAULTS"),
@@ -115,7 +114,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		Eval:             evalOverride,
 
 		DisableLayeredCache: !*layered,
-		WarmStart:           *warmStart,
 
 		Self:               *self,
 		Peers:              splitPeers(*peers),
@@ -165,9 +163,9 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	}
 
 	// Drain: flip readiness so load balancers stop routing here, hand
-	// unfinished async jobs (with their checkpoint seeds) to their groups'
-	// new ring owners, stop gossip and submissions, then let in-flight
-	// requests finish under the grace deadline.
+	// unfinished async jobs to their groups' new ring owners, stop gossip
+	// and submissions, then let in-flight requests finish under the grace
+	// deadline.
 	fmt.Fprintln(stderr, "swappd: signal received, draining")
 	srv.SetDraining(true)
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)

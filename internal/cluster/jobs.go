@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/ga"
 	"repro/internal/obs"
 )
 
@@ -23,25 +22,18 @@ const (
 	JobDone    JobState = "done"
 	JobFailed  JobState = "failed"
 	// JobHandedOff marks a job cancelled by a draining replica after its
-	// checkpoint was shipped to the group's new owner: finished here,
-	// resumed elsewhere.
+	// payload was shipped to the group's new owner: finished here, re-run
+	// elsewhere.
 	JobHandedOff JobState = "handed_off"
 )
 
 // Snapshot is one per-generation progress observation from a running GA
 // search: which ensemble member, which generation, and the best fitness so
-// far. The best genome travels with it internally as the job's resumable
-// checkpoint but is not serialised — clients track convergence, the
-// manager tracks restart state.
+// far.
 type Snapshot struct {
 	Member      int     `json:"member"`
 	Generation  int     `json:"generation"`
 	BestFitness float64 `json:"best_fitness"`
-
-	// Best is the member's best genome at this generation — the checkpoint
-	// material. Must be safe for the manager to retain (cloned by the
-	// producer).
-	Best []float64 `json:"-"`
 }
 
 // Event is one item on a job's subscription stream.
@@ -55,40 +47,24 @@ type Event struct {
 	// State accompanies the terminal event.
 	State JobState `json:"state,omitempty"`
 	// Target accompanies handed_off events: the URL of the replica the
-	// job's checkpoint was shipped to, where the resumed search can be
-	// followed. Empty when the drain found no live peer to ship to.
+	// job was shipped to, where the re-run search can be followed. Empty
+	// when the drain found no live peer to ship to.
 	Target string `json:"target,omitempty"`
 }
 
-// Resume carries a resumed attempt's starting state.
-type Resume struct {
-	// Seeds are the newest per-member best genomes, in member order — the
-	// legacy warm-resume material (ga Seeds path; approximate, recorded as
-	// a GAResume quality defect downstream).
-	Seeds [][]float64
-	// Checkpoints are the newest full per-member evolution states, indexed
-	// by ensemble member (nil members start cold) — the exact-resume
-	// material. When non-empty they take precedence over Seeds downstream
-	// and reproduce the uninterrupted search bit for bit.
-	Checkpoints []*ga.Checkpoint
-}
-
-// Tap receives a running attempt's observations. Both callbacks are safe
-// for concurrent use and strictly passive.
+// Tap receives a running attempt's observations. The callback is safe for
+// concurrent use and strictly passive.
 type Tap struct {
 	// Progress receives one snapshot per evolved GA generation per member.
 	Progress func(Snapshot)
-	// Checkpoint receives each member's full evolution state per
-	// generation — the durable-journal material for kill -9 recovery.
-	Checkpoint func(member int, cp *ga.Checkpoint)
 }
 
-// RunFunc executes one attempt of a job's evaluation. resume is zero on a
-// cold first attempt and carries the job's checkpoint state on resume
-// attempts (and on the first attempt of adopted or recovered jobs); tap's
-// callbacks must be called from at most the attempt's own goroutines. The
+// RunFunc executes one attempt of a job's evaluation, from scratch: an
+// evaluation is a pure function of the job's payload, so a retry, an
+// adopted handoff and a journal-recovered job all just run it again. tap's
+// callback must be called from at most the attempt's own goroutines. The
 // returned bytes are the job's result document, served verbatim.
-type RunFunc func(ctx context.Context, resume Resume, tap Tap) ([]byte, error)
+type RunFunc func(ctx context.Context, tap Tap) ([]byte, error)
 
 // ErrJobQueueFull rejects a submission when the backlog is at capacity.
 var ErrJobQueueFull = errors.New("cluster: job queue full")
@@ -105,9 +81,8 @@ type ManagerConfig struct {
 	// 4×MaxActive): at most MaxActive+MaxQueued unfinished jobs exist at
 	// once. Submissions beyond that fail with ErrJobQueueFull.
 	MaxQueued int
-	// MaxResumes bounds checkpoint-resume attempts after a failed run
-	// (default 1). Each resume re-runs the evaluation with the latest
-	// checkpoint genomes as GA seeds.
+	// MaxResumes bounds retry attempts after a failed run (default 1).
+	// Each retry re-runs the evaluation from scratch.
 	MaxResumes int
 	// Retain bounds finished jobs kept for polling (default 64; oldest
 	// finished evicted first).
@@ -117,15 +92,14 @@ type ManagerConfig struct {
 	// default — disables age-based eviction, keeping the pure count-based
 	// retention behaviour.
 	RetainAge time.Duration
-	// Journal, when non-nil, receives one durable record per submission,
-	// captured checkpoint, and terminal state, so a restarted process can
-	// resurrect unfinished jobs (see Journal). nil disables journalling.
+	// Journal, when non-nil, receives one durable record per submission
+	// and per terminal state, so a restarted process can resurrect
+	// unfinished jobs (see Journal). nil disables journalling.
 	Journal *Journal
 	// HistoryCap bounds retained progress snapshots per job (default 256,
-	// oldest dropped). The checkpoint always reflects the newest snapshot
-	// per member regardless of history eviction.
+	// oldest dropped).
 	HistoryCap int
-	// Timeout bounds one job end to end, across resume attempts
+	// Timeout bounds one job end to end, across retry attempts
 	// (default 30m).
 	Timeout time.Duration
 	// Obs receives jobs.active / jobs.queued gauges and jobs.completed /
@@ -135,7 +109,7 @@ type ManagerConfig struct {
 
 // Manager owns the replica's async jobs: bounded admission, background
 // execution with panic containment, per-generation progress fan-out, and
-// checkpoint resume built on the GA's warm-start seeds.
+// a bounded retry of failed attempts.
 type Manager struct {
 	cfg ManagerConfig
 	obs *obs.Scope
@@ -257,15 +231,12 @@ type Job struct {
 	Group   string
 	Payload []byte
 
-	mu         sync.Mutex
-	state      JobState
-	history    []Snapshot
-	snapshots  int               // total observed, including evicted
-	checkpoint map[int][]float64 // member → newest best genome
-	ckpts      map[int]*ga.Checkpoint
-	preSeeded  bool   // checkpoint preloaded at submit (adopted handoff)
-	handedOff  bool   // drained: finish as JobHandedOff, never resume here
-	handoffTo  string // replica the checkpoint was shipped to
+	mu        sync.Mutex
+	state     JobState
+	history   []Snapshot
+	snapshots int    // total observed, including evicted
+	handedOff bool   // drained: finish as JobHandedOff, never retry here
+	handoffTo string // replica the payload was shipped to
 	// handoffMarked reports the drain decided the forwarding address (it
 	// may be empty — no live peer); until then a handed-off job's
 	// subscribers stay attached, waiting for the terminal handed_off event
@@ -305,15 +276,14 @@ type JobStatus struct {
 	// HasResult reports a retrievable result document (see the manager's
 	// Result accessor); the document itself is served by the jobs API.
 	HasResult bool `json:"has_result"`
-	// HandoffTarget names the replica a handed-off job's checkpoint was
-	// shipped to — the place to poll for the resumed search.
+	// HandoffTarget names the replica a handed-off job was shipped to —
+	// the place to poll for the re-run search.
 	HandoffTarget string `json:"handoff_target,omitempty"`
 }
 
 // JobSpec describes one submission beyond its op: the routing group and
-// original payload (handoff material), and optional preloaded resume state
-// — an adopted handoff or a journal-recovered job resumes from it on its
-// very first attempt instead of restarting the search.
+// original payload — the whole of a job's transferable and recoverable
+// state, since an evaluation is re-run from its payload, never resumed.
 type JobSpec struct {
 	// ID, when non-empty, pins the job's identity — recovered and adopted
 	// jobs keep their original IDs so clients' job URLs survive. Empty for
@@ -322,16 +292,11 @@ type JobSpec struct {
 	Op      string
 	Group   string
 	Payload []byte
-	// Seeds are newest best genomes per member (approximate resume).
-	Seeds [][]float64
-	// Checkpoints are full per-member evolution states (exact resume),
-	// indexed by member; they take precedence over Seeds downstream.
-	Checkpoints []*ga.Checkpoint
 }
 
 // Submit enqueues one evaluation and returns its job immediately. The
-// evaluation runs in the background: queued until a slot frees, resumed
-// from its checkpoint on failure, finished exactly once.
+// evaluation runs in the background: queued until a slot frees, retried
+// on failure, finished exactly once.
 func (m *Manager) Submit(op string, run RunFunc) (*Job, error) {
 	return m.SubmitJob(JobSpec{Op: op}, run)
 }
@@ -361,27 +326,13 @@ func (m *Manager) SubmitJob(spec JobSpec, run RunFunc) (*Job, error) {
 		}
 	}
 	j := &Job{
-		ID:         id,
-		Op:         spec.Op,
-		Group:      spec.Group,
-		Payload:    spec.Payload,
-		state:      JobQueued,
-		checkpoint: map[int][]float64{},
-		ckpts:      map[int]*ga.Checkpoint{},
-		done:       make(chan struct{}),
-		subs:       map[int]chan Event{},
-	}
-	for i, s := range spec.Seeds {
-		if len(s) > 0 {
-			j.checkpoint[i] = append([]float64(nil), s...)
-			j.preSeeded = true
-		}
-	}
-	for i, cp := range spec.Checkpoints {
-		if cp != nil {
-			j.ckpts[i] = cp
-			j.preSeeded = true
-		}
+		ID:      id,
+		Op:      spec.Op,
+		Group:   spec.Group,
+		Payload: spec.Payload,
+		state:   JobQueued,
+		done:    make(chan struct{}),
+		subs:    map[int]chan Event{},
 	}
 	m.mu.Lock()
 	if existing, ok := m.jobs[id]; ok {
@@ -394,10 +345,8 @@ func (m *Manager) SubmitJob(spec JobSpec, run RunFunc) (*Job, error) {
 	m.evictLocked()
 	m.mu.Unlock()
 	m.obs.Gauge("jobs.queued", float64(m.queued.Load()))
-	m.cfg.Journal.RecordSubmit(JobSpec{
-		ID: j.ID, Op: spec.Op, Group: spec.Group,
-		Payload: spec.Payload, Seeds: spec.Seeds, Checkpoints: spec.Checkpoints,
-	})
+	spec.ID = j.ID
+	m.cfg.Journal.RecordSubmit(spec)
 
 	go m.execute(j, run)
 	return j, nil
@@ -437,7 +386,7 @@ func (m *Manager) evictLocked() {
 }
 
 // execute runs one job to completion: take a slot, attempt the evaluation,
-// resume from the checkpoint on failure, publish the outcome.
+// retry on failure, publish the outcome.
 func (m *Manager) execute(j *Job, run RunFunc) {
 	// The backlog counter decrements only when the job finishes, so the
 	// admission bound (MaxActive+MaxQueued unfinished jobs) is exact — a
@@ -456,37 +405,27 @@ func (m *Manager) execute(j *Job, run RunFunc) {
 
 	j.mu.Lock()
 	if j.handedOff {
-		// Drained while still queued: the checkpoint (empty or preloaded)
-		// has been shipped; never start the attempt here.
+		// Drained while still queued: the payload has been shipped; never
+		// start the attempt here.
 		j.mu.Unlock()
 		m.finish(j, nil, context.Canceled)
 		return
 	}
 	j.cancel = cancel
 	j.state = JobRunning
-	preSeeded := j.preSeeded
 	j.mu.Unlock()
 
-	tap := Tap{
-		Progress:   func(s Snapshot) { m.record(j, s) },
-		Checkpoint: func(member int, cp *ga.Checkpoint) { m.recordCheckpoint(j, member, cp) },
-	}
+	tap := Tap{Progress: func(s Snapshot) { m.record(j, s) }}
 	var result []byte
 	var err error
 	for attempt := 0; ; attempt++ {
-		var resume Resume
-		if attempt > 0 || preSeeded {
-			// Resume attempts — and adopted or recovered jobs on their
-			// first attempt — search from the newest checkpoint state.
-			resume = j.resumeState()
-		}
 		j.mu.Lock()
 		j.attempts = attempt + 1
 		if attempt > 0 {
 			j.resumed = true
 		}
 		j.mu.Unlock()
-		result, err = m.attempt(ctx, run, resume, tap)
+		result, err = m.attempt(ctx, run, tap)
 		if err == nil || attempt >= m.cfg.MaxResumes || ctx.Err() != nil || j.isHandedOff() {
 			break
 		}
@@ -573,28 +512,24 @@ func (j *Job) terminalEventLocked() Event {
 }
 
 // attempt runs one evaluation attempt with panic containment: a panicking
-// worker becomes a failed attempt — and therefore a checkpoint resume —
-// not a dead manager goroutine.
-func (m *Manager) attempt(ctx context.Context, run RunFunc, resume Resume, tap Tap) (result []byte, err error) {
+// worker becomes a failed attempt — and therefore a retry — not a dead
+// manager goroutine.
+func (m *Manager) attempt(ctx context.Context, run RunFunc, tap Tap) (result []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			result, err = nil, fmt.Errorf("cluster: job worker panicked: %v", v)
 		}
 	}()
-	return run(ctx, resume, tap)
+	return run(ctx, tap)
 }
 
-// record stores one progress snapshot: history tail, checkpoint update,
-// live fan-out.
+// record stores one progress snapshot: history tail, live fan-out.
 func (m *Manager) record(j *Job, s Snapshot) {
 	j.mu.Lock()
 	j.snapshots++
 	j.history = append(j.history, s)
 	if len(j.history) > m.cfg.HistoryCap {
 		j.history = j.history[len(j.history)-m.cfg.HistoryCap:]
-	}
-	if len(s.Best) > 0 {
-		j.checkpoint[s.Member] = s.Best
 	}
 	snap := s
 	ev := Event{Type: "progress", Snapshot: &snap}
@@ -605,67 +540,6 @@ func (m *Manager) record(j *Job, s Snapshot) {
 		}
 	}
 	j.mu.Unlock()
-}
-
-// recordCheckpoint stores one member's full evolution state (newest wins)
-// and journals it. Checkpoints are immutable once produced (the GA clones
-// them), so retaining the pointer is safe.
-func (m *Manager) recordCheckpoint(j *Job, member int, cp *ga.Checkpoint) {
-	if cp == nil || member < 0 {
-		return
-	}
-	j.mu.Lock()
-	j.ckpts[member] = cp
-	j.mu.Unlock()
-	m.cfg.Journal.RecordCheckpoint(j.ID, member, cp)
-}
-
-// resumeState assembles a resume attempt's starting state: the full
-// checkpoints when the job has them, the legacy seeds always.
-func (j *Job) resumeState() Resume {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return Resume{Seeds: j.checkpointSeedsLocked(), Checkpoints: j.checkpointStatesLocked()}
-}
-
-// checkpointStatesLocked densifies the per-member checkpoints by member
-// index (nil members cold); nil when the job has none.
-func (j *Job) checkpointStatesLocked() []*ga.Checkpoint {
-	if len(j.ckpts) == 0 {
-		return nil
-	}
-	maxMember := 0
-	for m := range j.ckpts {
-		if m > maxMember {
-			maxMember = m
-		}
-	}
-	out := make([]*ga.Checkpoint, maxMember+1)
-	for m, cp := range j.ckpts {
-		out[m] = cp
-	}
-	return out
-}
-
-// checkpointSeedsLocked flattens the newest per-member best genomes, in
-// member order — the ga.Config.Seeds payload for a resume attempt. Callers
-// hold j.mu.
-func (j *Job) checkpointSeedsLocked() [][]float64 {
-	members := make([]int, 0, len(j.checkpoint))
-	for m := range j.checkpoint {
-		members = append(members, m)
-	}
-	// Insertion sort: member counts are tiny (the GA ensemble is 3).
-	for i := 1; i < len(members); i++ {
-		for k := i; k > 0 && members[k] < members[k-1]; k-- {
-			members[k], members[k-1] = members[k-1], members[k]
-		}
-	}
-	seeds := make([][]float64, 0, len(members))
-	for _, m := range members {
-		seeds = append(seeds, j.checkpoint[m])
-	}
-	return seeds
 }
 
 // Get returns the job with the given id.
@@ -752,25 +626,19 @@ func (m *Manager) Close() {
 }
 
 // Handoff is one drained job's transferable state: everything the group's
-// new owner needs to resubmit the search and resume it from the newest
-// checkpoint instead of generation zero. Checkpoints carry the exact
-// evolution state when the search produced it; Seeds remain for peers that
-// only support the approximate path.
+// new owner needs to resubmit the search under the same ID.
 type Handoff struct {
-	ID          string           `json:"id"`
-	Op          string           `json:"op"`
-	Group       string           `json:"group,omitempty"`
-	Payload     []byte           `json:"payload,omitempty"`
-	Seeds       [][]float64      `json:"seeds,omitempty"`
-	Checkpoints []*ga.Checkpoint `json:"checkpoints,omitempty"`
+	ID      string `json:"id"`
+	Op      string `json:"op"`
+	Group   string `json:"group,omitempty"`
+	Payload []byte `json:"payload,omitempty"`
 }
 
 // DrainForHandoff prepares the manager for shutdown: submissions stop,
 // every unfinished job is cancelled and marked handed off, and its
-// transferable state — op, original payload, newest checkpoint seeds — is
-// returned for the serving layer to ship to each group's new owner.
-// Finished jobs are untouched; calling twice returns nothing the second
-// time.
+// transferable state — op, group, original payload — is returned for the
+// serving layer to ship to each group's new owner. Finished jobs are
+// untouched; calling twice returns nothing the second time.
 func (m *Manager) DrainForHandoff() []Handoff {
 	m.closing.Store(true)
 	m.mu.Lock()
@@ -793,9 +661,7 @@ func (m *Manager) DrainForHandoff() []Handoff {
 		cancel := j.cancel
 		out = append(out, Handoff{
 			ID: j.ID, Op: j.Op, Group: j.Group,
-			Payload:     append([]byte(nil), j.Payload...),
-			Seeds:       j.checkpointSeedsLocked(),
-			Checkpoints: j.checkpointStatesLocked(),
+			Payload: append([]byte(nil), j.Payload...),
 		})
 		j.mu.Unlock()
 		if cancel != nil {
@@ -805,7 +671,7 @@ func (m *Manager) DrainForHandoff() []Handoff {
 	return out
 }
 
-// MarkHandoffTarget records where a drained job's checkpoint was shipped —
+// MarkHandoffTarget records where a drained job was shipped —
 // for the status document's handoff_target field — and releases the job's
 // subscribers with the terminal handed_off event carrying that target. The
 // drain MUST call this for every drained job, with an empty target when no

@@ -7,12 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ga"
 	"repro/internal/obs"
 )
 
 // blockUntilCancelled is a job body that parks until the drain cancels it.
-func blockUntilCancelled(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
+func blockUntilCancelled(ctx context.Context, tap Tap) ([]byte, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
@@ -25,8 +24,8 @@ func blockUntilCancelled(ctx context.Context, resume Resume, tap Tap) ([]byte, e
 func TestJobHandedOffTerminalEventCarriesTarget(t *testing.T) {
 	m := NewManager(ManagerConfig{})
 	started := make(chan struct{})
-	j, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
-		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 4, Best: []float64{1, 2}})
+	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 4})
 		close(started)
 		<-ctx.Done()
 		return nil, ctx.Err()
@@ -114,7 +113,7 @@ func TestJobRetainAgeSweep(t *testing.T) {
 	var offset atomic.Int64
 	m.now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
 
-	quick, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
+	quick, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
 		return []byte("ok"), nil
 	})
 	if err != nil {
@@ -163,7 +162,7 @@ func TestJobRetainAgeSweep(t *testing.T) {
 // resurrected numeric IDs so fresh submissions can never collide.
 func TestJobSpecIDPreservation(t *testing.T) {
 	m := NewManager(ManagerConfig{})
-	quick := func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
+	quick := func(ctx context.Context, tap Tap) ([]byte, error) {
 		return []byte("ok"), nil
 	}
 	j, err := m.SubmitJob(JobSpec{ID: "job-7", Op: "project"}, quick)
@@ -188,72 +187,20 @@ func TestJobSpecIDPreservation(t *testing.T) {
 	waitDone(t, fresh)
 }
 
-// TestJobFirstAttemptResumesFromSpecCheckpoints: preloaded full checkpoints
-// (adopted handoffs, journal recoveries) reach the very first attempt.
-func TestJobFirstAttemptResumesFromSpecCheckpoints(t *testing.T) {
-	m := NewManager(ManagerConfig{})
-	var got atomic.Int64
-	j, err := m.SubmitJob(JobSpec{
-		Op:          "project",
-		Checkpoints: []*ga.Checkpoint{testCkpt(5)},
-	}, func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
-		if len(resume.Checkpoints) == 1 && resume.Checkpoints[0] != nil {
-			got.Store(int64(resume.Checkpoints[0].Gen))
-		}
-		return []byte("ok"), nil
-	})
-	if err != nil {
-		t.Fatalf("SubmitJob: %v", err)
-	}
-	waitDone(t, j)
-	if got.Load() != 5 {
-		t.Errorf("first attempt saw checkpoint gen %d, want 5", got.Load())
-	}
-}
-
-// TestDrainForHandoffCarriesCheckpoints: the handoff ships the newest full
-// per-member evolution state alongside the legacy seeds.
-func TestDrainForHandoffCarriesCheckpoints(t *testing.T) {
-	m := NewManager(ManagerConfig{})
-	recorded := make(chan struct{})
-	j, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
-		tap.Progress(Snapshot{Member: 0, Generation: 3, BestFitness: 1, Best: []float64{9, 9}})
-		tap.Checkpoint(0, testCkpt(3))
-		close(recorded)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	<-recorded
-	hands := m.DrainForHandoff()
-	if len(hands) != 1 {
-		t.Fatalf("DrainForHandoff = %d, want 1", len(hands))
-	}
-	h := hands[0]
-	if len(h.Checkpoints) != 1 || h.Checkpoints[0] == nil || h.Checkpoints[0].Gen != 3 {
-		t.Errorf("handoff checkpoints = %+v, want member 0 at gen 3", h.Checkpoints)
-	}
-	if len(h.Seeds) != 1 || h.Seeds[0][0] != 9 {
-		t.Errorf("handoff seeds = %+v, want the newest genome", h.Seeds)
-	}
-	m.MarkHandoffTarget(j.ID, "")
-	waitDone(t, j)
-}
-
 // TestManagerJournalLifecycle wires a real journal through the manager: a
-// submission and its checkpoints are journalled as they happen, recovery
-// mid-run sees the pending job with its newest state, and the terminal
-// record retires it.
+// submission is journalled as it happens, recovery mid-run sees the pending
+// job, the terminal record retires it, and a clean job costs exactly two
+// records however much progress it streams.
 func TestManagerJournalLifecycle(t *testing.T) {
 	jl := openTestJournal(t, t.TempDir(), nil)
 	defer jl.Close()
 	m := NewManager(ManagerConfig{Journal: jl})
 	recorded := make(chan struct{})
 	release := make(chan struct{})
-	j, err := m.SubmitJob(JobSpec{Op: "project", Group: "g1"}, func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
-		tap.Checkpoint(1, testCkpt(2))
+	j, err := m.SubmitJob(JobSpec{Op: "project", Group: "g1"}, func(ctx context.Context, tap Tap) ([]byte, error) {
+		for gen := 0; gen < 8; gen++ {
+			tap.Progress(Snapshot{Member: 1, Generation: gen, BestFitness: 1})
+		}
 		close(recorded)
 		<-release
 		return []byte("ok"), nil
@@ -270,9 +217,6 @@ func TestManagerJournalLifecycle(t *testing.T) {
 	if len(pending) != 1 || pending[0].ID != j.ID || pending[0].Group != "g1" {
 		t.Fatalf("mid-run recovery = %+v, want the live job", pending)
 	}
-	if len(pending[0].Checkpoints) != 2 || pending[0].Checkpoints[1] == nil || pending[0].Checkpoints[1].Gen != 2 {
-		t.Errorf("recovered checkpoints = %+v, want member 1 at gen 2", pending[0].Checkpoints)
-	}
 
 	close(release)
 	waitDone(t, j)
@@ -282,5 +226,8 @@ func TestManagerJournalLifecycle(t *testing.T) {
 	}
 	if len(after) != 0 {
 		t.Errorf("post-done recovery = %+v, want none", after)
+	}
+	if n := jl.Stats().Records; n != 2 {
+		t.Errorf("a clean job journalled %d records, want exactly 2 (submit, done)", n)
 	}
 }

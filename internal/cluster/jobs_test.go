@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -39,12 +40,9 @@ func waitDone(t *testing.T, j *Job) {
 
 func TestJobSubmitProgressResult(t *testing.T) {
 	m := NewManager(ManagerConfig{})
-	j, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
-		if resume.Seeds != nil || resume.Checkpoints != nil {
-			return nil, errors.New("first attempt must not receive resume state")
-		}
+	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
 		for gen := 0; gen < 4; gen++ {
-			tap.Progress(Snapshot{Member: 0, Generation: gen, BestFitness: float64(10 - gen), Best: []float64{float64(gen)}})
+			tap.Progress(Snapshot{Member: 0, Generation: gen, BestFitness: float64(10 - gen)})
 		}
 		return []byte(`{"ok":true}` + "\n"), nil
 	})
@@ -78,23 +76,33 @@ func TestJobSubmitProgressResult(t *testing.T) {
 	}
 }
 
-// A worker panic must become a failed attempt that resumes from the
-// checkpoint — the second attempt sees the best genomes the first attempt
-// reported before dying.
-func TestJobPanicResumesFromCheckpoint(t *testing.T) {
+// A worker panic must become a failed attempt that is retried from
+// scratch: the job finishes on its second attempt with exactly the bytes a
+// never-panicking run of the same pure evaluation returns.
+func TestJobPanicRetriesFromScratch(t *testing.T) {
 	m := NewManager(ManagerConfig{})
+	eval := func(tap Tap) []byte {
+		tap.Progress(Snapshot{Member: 1, Generation: 0, BestFitness: 5})
+		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 9})
+		return []byte("the projection")
+	}
+	control, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+		return eval(tap), nil
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitDone(t, control)
+	want, _ := control.Result()
+
 	var attempts int
-	var gotSeeds [][]float64
-	j, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
+	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
 		attempts++
+		out := eval(tap)
 		if attempts == 1 {
-			tap.Progress(Snapshot{Member: 1, Generation: 0, BestFitness: 5, Best: []float64{1, 1}})
-			tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 9, Best: []float64{0, 0}})
-			tap.Progress(Snapshot{Member: 0, Generation: 1, BestFitness: 3, Best: []float64{0, 7}})
 			panic("worker blew up")
 		}
-		gotSeeds = resume.Seeds
-		return []byte("resumed"), nil
+		return out, nil
 	})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -106,17 +114,13 @@ func TestJobPanicResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("state = %s resumed = %v attempts = %d, want done true 2 (error %q)",
 			st.State, st.Resumed, st.Attempts, st.Error)
 	}
-	// Checkpoint keeps the newest genome per member, in member order.
-	want := [][]float64{{0, 7}, {1, 1}}
-	if len(gotSeeds) != len(want) {
-		t.Fatalf("resume seeds = %v, want %v", gotSeeds, want)
+	got, ok := j.Result()
+	if !ok || !bytes.Equal(got, want) {
+		t.Errorf("retried result = %q, want the control's %q", got, want)
 	}
-	for i := range want {
-		for k := range want[i] {
-			if gotSeeds[i][k] != want[i][k] {
-				t.Fatalf("resume seeds = %v, want %v", gotSeeds, want)
-			}
-		}
+	// Both attempts streamed their progress: the retry starts over.
+	if st.Snapshots != 4 {
+		t.Errorf("snapshots = %d, want 4 (two per attempt)", st.Snapshots)
 	}
 }
 
@@ -124,7 +128,7 @@ func TestJobPanicResumesFromCheckpoint(t *testing.T) {
 func TestJobFailsAfterResumeBudget(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxResumes: 2})
 	var attempts int
-	j, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
+	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
 		attempts++
 		return nil, fmt.Errorf("attempt %d failed", attempts)
 	})
@@ -151,11 +155,11 @@ func TestJobSubscribeReplayAndLive(t *testing.T) {
 	m := NewManager(ManagerConfig{})
 	release := make(chan struct{})
 	started := make(chan struct{})
-	j, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
-		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 2, Best: []float64{1}})
+	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 2})
 		close(started)
 		<-release
-		tap.Progress(Snapshot{Member: 0, Generation: 1, BestFitness: 1, Best: []float64{2}})
+		tap.Progress(Snapshot{Member: 0, Generation: 1, BestFitness: 1})
 		return []byte("ok"), nil
 	})
 	if err != nil {
@@ -197,7 +201,7 @@ func TestJobSubscribeReplayAndLive(t *testing.T) {
 func TestJobQueueFull(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxActive: 1, MaxQueued: 1})
 	block := make(chan struct{})
-	run := func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
+	run := func(ctx context.Context, tap Tap) ([]byte, error) {
 		<-block
 		return []byte("ok"), nil
 	}
@@ -224,7 +228,7 @@ func TestJobRetentionEviction(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxActive: 1, MaxQueued: 8, Retain: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
+		j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
 			return []byte("ok"), nil
 		})
 		if err != nil {
@@ -246,14 +250,14 @@ func TestJobRetentionEviction(t *testing.T) {
 func TestJobConcurrentProgressChaos(t *testing.T) {
 	m := NewManager(ManagerConfig{HistoryCap: 32})
 	const members, gens = 4, 50
-	j, err := m.Submit("project", func(ctx context.Context, resume Resume, tap Tap) ([]byte, error) {
+	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
 		var wg sync.WaitGroup
 		for mem := 0; mem < members; mem++ {
 			wg.Add(1)
 			go func(mem int) {
 				defer wg.Done()
 				for gen := 0; gen < gens; gen++ {
-					tap.Progress(Snapshot{Member: mem, Generation: gen, BestFitness: float64(gen), Best: []float64{float64(mem), float64(gen)}})
+					tap.Progress(Snapshot{Member: mem, Generation: gen, BestFitness: float64(gen)})
 				}
 			}(mem)
 		}

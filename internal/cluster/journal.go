@@ -5,48 +5,47 @@ import (
 	"fmt"
 
 	"repro/internal/durable"
-	"repro/internal/ga"
 	"repro/internal/obs"
 )
 
 // Journal is the job manager's durable lifecycle log: one WAL record per
-// submission, per captured GA checkpoint, and per terminal state. A
-// restarted replica replays the log, finds every job that was submitted but
-// never finished, and resubmits it with its newest per-member checkpoints —
-// the kill -9 recovery path.
+// submission and one per terminal state. A restarted replica replays the
+// log, finds every job that was submitted but never finished, and
+// resubmits it from its payload under its original ID — the kill -9
+// recovery path. An evaluation is a pure function of its payload, so the
+// re-run result is byte-identical to the one the crash interrupted.
 //
 // Journalling is strictly best-effort on the write side: a record that
-// cannot be marshalled (a checkpoint carrying an infinite fitness has no
-// JSON form) or appended (disk full, injected fault) is dropped and counted
-// as jobs.journal_drops rather than failing the job — durability must never
-// make the serving path less available. The read side is the opposite:
-// Recover trusts nothing beyond what the WAL's checksums admitted.
+// cannot be appended (disk full, injected fault, closed log) is dropped and
+// counted as jobs.journal_drops rather than failing the job — durability
+// must never make the serving path less available. The read side is the
+// opposite: Recover trusts nothing beyond what the WAL's checksums
+// admitted.
 type Journal struct {
 	wal *durable.WAL
 	obs *obs.Scope
 }
 
 // journalRecord is the WAL body wire form, one JSON object per record.
+// Journals written by earlier releases also hold per-generation search
+// state (extra record types, extra submit fields); decoding ignores both.
 type journalRecord struct {
-	// Type is "submit", "ckpt", or "done".
+	// Type is "submit" or "done".
 	Type string `json:"type"`
 	ID   string `json:"id"`
 
 	// Submission material (Type "submit").
-	Op      string      `json:"op,omitempty"`
-	Group   string      `json:"group,omitempty"`
-	Payload []byte      `json:"payload,omitempty"`
-	Seeds   [][]float64 `json:"seeds,omitempty"`
-	// Ckpts carries preloaded checkpoints on submit records (adopted
-	// handoffs, compacted recoveries).
-	Ckpts []*ga.Checkpoint `json:"ckpts,omitempty"`
-
-	// Checkpoint material (Type "ckpt").
-	Member int            `json:"member,omitempty"`
-	Ckpt   *ga.Checkpoint `json:"ckpt,omitempty"`
+	Op      string `json:"op,omitempty"`
+	Group   string `json:"group,omitempty"`
+	Payload []byte `json:"payload,omitempty"`
 
 	// Terminal state (Type "done").
 	State JobState `json:"state,omitempty"`
+}
+
+// submitRecord is the journal form of one submission.
+func submitRecord(spec JobSpec) journalRecord {
+	return journalRecord{Type: "submit", ID: spec.ID, Op: spec.Op, Group: spec.Group, Payload: spec.Payload}
 }
 
 // OpenJournal opens (or creates) the job journal in dir, recovering any
@@ -74,18 +73,9 @@ func (jl *Journal) append(rec journalRecord) {
 	}
 }
 
-// RecordSubmit journals one admitted submission, including any preloaded
-// checkpoints (adopted handoffs resume exactly even across a crash).
+// RecordSubmit journals one admitted submission.
 func (jl *Journal) RecordSubmit(spec JobSpec) {
-	jl.append(journalRecord{
-		Type: "submit", ID: spec.ID, Op: spec.Op, Group: spec.Group,
-		Payload: spec.Payload, Seeds: spec.Seeds, Ckpts: spec.Checkpoints,
-	})
-}
-
-// RecordCheckpoint journals one member's newest evolution state.
-func (jl *Journal) RecordCheckpoint(id string, member int, cp *ga.Checkpoint) {
-	jl.append(journalRecord{Type: "ckpt", ID: id, Member: member, Ckpt: cp})
+	jl.append(submitRecord(spec))
 }
 
 // RecordDone journals a job's terminal state; recovery skips the job.
@@ -94,17 +84,16 @@ func (jl *Journal) RecordDone(id string, state JobState) {
 }
 
 // Recover replays the journal and returns every job that was submitted but
-// never reached a terminal state, in submission order, each with the newest
-// journalled checkpoint per member merged in (later records win). Replay is
+// never reached a terminal state, in submission order. Replay is
 // idempotent by construction: a duplicate submit of a known ID is ignored,
-// a ckpt or done for an unknown ID is ignored, so recovering twice — or
-// recovering a log that was itself written by a recovered process — yields
-// the same pending set.
+// as is a done for an unknown ID and a record of any other type, so
+// recovering twice — or recovering a log that was itself written by a
+// recovered process — yields the same pending set.
 func (jl *Journal) Recover() ([]JobSpec, error) {
 	if jl == nil {
 		return nil, nil
 	}
-	pending := map[string]*JobSpec{}
+	pending := map[string]JobSpec{}
 	var order []string
 	err := jl.wal.Replay(func(body []byte) error {
 		var rec journalRecord
@@ -116,20 +105,8 @@ func (jl *Journal) Recover() ([]JobSpec, error) {
 			if _, ok := pending[rec.ID]; ok {
 				return nil
 			}
-			pending[rec.ID] = &JobSpec{
-				ID: rec.ID, Op: rec.Op, Group: rec.Group,
-				Payload: rec.Payload, Seeds: rec.Seeds, Checkpoints: rec.Ckpts,
-			}
+			pending[rec.ID] = JobSpec{ID: rec.ID, Op: rec.Op, Group: rec.Group, Payload: rec.Payload}
 			order = append(order, rec.ID)
-		case "ckpt":
-			spec, ok := pending[rec.ID]
-			if !ok || rec.Ckpt == nil || rec.Member < 0 {
-				return nil
-			}
-			for len(spec.Checkpoints) <= rec.Member {
-				spec.Checkpoints = append(spec.Checkpoints, nil)
-			}
-			spec.Checkpoints[rec.Member] = rec.Ckpt
 		case "done":
 			delete(pending, rec.ID)
 		}
@@ -141,25 +118,22 @@ func (jl *Journal) Recover() ([]JobSpec, error) {
 	out := make([]JobSpec, 0, len(pending))
 	for _, id := range order {
 		if spec, ok := pending[id]; ok {
-			out = append(out, *spec)
+			out = append(out, spec)
 		}
 	}
 	return out, nil
 }
 
 // Compact rewrites the journal down to one submit record per still-pending
-// job (checkpoints folded in), dropping the finished jobs' history — the
-// startup and drain housekeeping that keeps replay time bounded.
+// job, dropping the finished jobs' history — the startup and drain
+// housekeeping that keeps replay time bounded.
 func (jl *Journal) Compact(pending []JobSpec) error {
 	if jl == nil {
 		return nil
 	}
 	records := make([][]byte, 0, len(pending))
 	for _, spec := range pending {
-		body, err := json.Marshal(journalRecord{
-			Type: "submit", ID: spec.ID, Op: spec.Op, Group: spec.Group,
-			Payload: spec.Payload, Seeds: spec.Seeds, Ckpts: spec.Checkpoints,
-		})
+		body, err := json.Marshal(submitRecord(spec))
 		if err != nil {
 			jl.obs.Count("jobs.journal_drops", 1)
 			continue

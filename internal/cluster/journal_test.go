@@ -1,25 +1,16 @@
 package cluster
 
 import (
-	"math"
+	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/durable"
-	"repro/internal/ga"
 	"repro/internal/obs"
 )
-
-// testCkpt builds a small, JSON-clean GA checkpoint.
-func testCkpt(gen int) *ga.Checkpoint {
-	return &ga.Checkpoint{
-		Gen: gen, RNG: uint64(1000 + gen),
-		Pop:  [][]float64{{1, 2}, {3, 4}},
-		Best: []float64{1, 2}, BestFitness: float64(gen) / 10,
-		History: []float64{0.9, 0.5},
-	}
-}
 
 func openTestJournal(t *testing.T, dir string, scope *obs.Scope) *Journal {
 	t.Helper()
@@ -32,17 +23,14 @@ func openTestJournal(t *testing.T, dir string, scope *obs.Scope) *Journal {
 
 // TestJournalRecoverPendingJobs is the restart contract: replay returns
 // exactly the jobs that were submitted but never finished, in submission
-// order, each carrying the newest journalled checkpoint per member.
+// order, each with its submission material.
 func TestJournalRecoverPendingJobs(t *testing.T) {
 	dir := t.TempDir()
 	jl := openTestJournal(t, dir, nil)
 	jl.RecordSubmit(JobSpec{ID: "job-1", Op: "project", Group: "g1", Payload: []byte(`{"a":1}`)})
 	jl.RecordSubmit(JobSpec{ID: "job-2", Op: "validate", Group: "g2"})
 	jl.RecordSubmit(JobSpec{ID: "job-3", Op: "project", Group: "g1"})
-	jl.RecordCheckpoint("job-1", 0, testCkpt(1))
-	jl.RecordCheckpoint("job-1", 2, testCkpt(4))
-	jl.RecordCheckpoint("job-1", 0, testCkpt(2)) // newer state for member 0
-	jl.RecordCheckpoint("job-9", 0, testCkpt(9)) // unknown job: ignored
+	jl.RecordDone("job-9", JobDone) // unknown job: ignored
 	jl.RecordDone("job-2", JobDone)
 	if err := jl.Close(); err != nil {
 		t.Fatal(err)
@@ -60,13 +48,6 @@ func TestJournalRecoverPendingJobs(t *testing.T) {
 	j1 := pending[0]
 	if j1.Op != "project" || j1.Group != "g1" || string(j1.Payload) != `{"a":1}` {
 		t.Errorf("job-1 submission material lost: %+v", j1)
-	}
-	if len(j1.Checkpoints) != 3 || j1.Checkpoints[1] != nil {
-		t.Fatalf("job-1 checkpoints = %+v, want members 0 and 2 with a nil gap", j1.Checkpoints)
-	}
-	if j1.Checkpoints[0].Gen != 2 || j1.Checkpoints[2].Gen != 4 {
-		t.Errorf("checkpoint gens = %d, %d; want the newest per member (2, 4)",
-			j1.Checkpoints[0].Gen, j1.Checkpoints[2].Gen)
 	}
 	// Replay is idempotent: a second recovery sees the same pending set.
 	again, err := jl2.Recover()
@@ -111,7 +92,7 @@ func TestJournalRecoverAfterTornTail(t *testing.T) {
 }
 
 // TestJournalCompact folds history down to the pending submits so replay
-// time stays bounded, preserving checkpoints through the rewrite.
+// time stays bounded.
 func TestJournalCompact(t *testing.T) {
 	dir := t.TempDir()
 	jl := openTestJournal(t, dir, nil)
@@ -121,7 +102,6 @@ func TestJournalCompact(t *testing.T) {
 		jl.RecordDone(id, JobDone)
 	}
 	jl.RecordSubmit(JobSpec{ID: "job-live", Op: "project"})
-	jl.RecordCheckpoint("job-live", 0, testCkpt(7))
 	pending, err := jl.Recover()
 	if err != nil || len(pending) != 1 {
 		t.Fatalf("Recover = %+v, %v", pending, err)
@@ -141,35 +121,8 @@ func TestJournalCompact(t *testing.T) {
 	if len(after) != 1 || after[0].ID != "job-live" {
 		t.Fatalf("post-compact pending = %+v", after)
 	}
-	if len(after[0].Checkpoints) != 1 || after[0].Checkpoints[0].Gen != 7 {
-		t.Errorf("checkpoint lost in compaction: %+v", after[0].Checkpoints)
-	}
 	if st := jl2.Stats(); st.Replayed != 1 {
 		t.Errorf("compacted log replayed %d records, want exactly the 1 pending submit", st.Replayed)
-	}
-}
-
-// TestJournalDropsUnmarshalableCheckpoint: a checkpoint carrying ±Inf has
-// no JSON form; journalling must degrade to a counted drop, never an error
-// on the job path, and recovery must still see the job (without the bad
-// checkpoint).
-func TestJournalDropsUnmarshalableCheckpoint(t *testing.T) {
-	scope := obs.New("test")
-	jl := openTestJournal(t, t.TempDir(), scope)
-	defer jl.Close()
-	jl.RecordSubmit(JobSpec{ID: "job-1", Op: "project"})
-	bad := testCkpt(1)
-	bad.BestFitness = math.Inf(1)
-	jl.RecordCheckpoint("job-1", 0, bad)
-	if n, _ := scope.Metrics().Counter("jobs.journal_drops"); n != 1 {
-		t.Errorf("jobs.journal_drops = %d, want 1", n)
-	}
-	pending, err := jl.Recover()
-	if err != nil || len(pending) != 1 {
-		t.Fatalf("Recover = %+v, %v", pending, err)
-	}
-	if len(pending[0].Checkpoints) != 0 {
-		t.Errorf("dropped checkpoint resurfaced: %+v", pending[0].Checkpoints)
 	}
 }
 
@@ -177,7 +130,6 @@ func TestJournalDropsUnmarshalableCheckpoint(t *testing.T) {
 func TestJournalNilSafety(t *testing.T) {
 	var jl *Journal
 	jl.RecordSubmit(JobSpec{ID: "job-1"})
-	jl.RecordCheckpoint("job-1", 0, testCkpt(1))
 	jl.RecordDone("job-1", JobDone)
 	if pending, err := jl.Recover(); err != nil || pending != nil {
 		t.Errorf("nil Recover = %+v, %v", pending, err)
@@ -191,4 +143,136 @@ func TestJournalNilSafety(t *testing.T) {
 	if err := jl.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}
+}
+
+// legacyJournal copies the committed PR-12-format journal — written by the
+// last release that journalled per-generation search state: a finished job,
+// then an adopted job whose submit carries resume material followed by four
+// search-state records and no terminal record, then one search-state record
+// for an ID never submitted — into a scratch directory.
+func legacyJournal(t testing.TB) string {
+	t.Helper()
+	const seg = "wal-00000001.seg"
+	body, err := os.ReadFile(filepath.Join("testdata", "journal-pr12", seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, seg), body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestJournalRecoversLegacyFormat: a journal written before recovery became
+// "resubmit the payload" still recovers exactly its one unfinished job —
+// same ID, same payload, the extra fields and record types ignored — and
+// that job resubmits under its ID and compacts to a single record.
+func TestJournalRecoversLegacyFormat(t *testing.T) {
+	dir := legacyJournal(t)
+	jl := openTestJournal(t, dir, nil)
+	if st := jl.Stats(); st.Truncated != 0 || st.Corrupt != 0 {
+		t.Fatalf("fixture did not open clean: %+v", st)
+	}
+	pending, err := jl.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := jl.Stats().Replayed; n != 8 {
+		t.Fatalf("fixture replayed %d records, want its 8", n)
+	}
+	const payload = `{"op":"project","request":{"bench":"LU-MZ","class":"C","ranks":16,"base":"hydra","target":"power6-575"}}`
+	if len(pending) != 1 {
+		t.Fatalf("pending = %+v, want exactly job-7", pending)
+	}
+	got := pending[0]
+	if got.ID != "job-7" || got.Op != "project" || got.Group != "hydra|power6-575" || string(got.Payload) != payload {
+		t.Fatalf("recovered spec = %+v (payload %s)", got, got.Payload)
+	}
+	if err := jl.Compact(pending); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	jl2 := openTestJournal(t, dir, nil)
+	defer jl2.Close()
+	again, err := jl2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := jl2.Stats().Replayed; n != 1 || len(again) != 1 || again[0].ID != "job-7" || !bytes.Equal(again[0].Payload, got.Payload) {
+		t.Fatalf("compacted journal replayed %d records → %+v, want job-7 alone", n, again)
+	}
+	m := NewManager(ManagerConfig{Journal: jl2})
+	j, err := m.SubmitJob(again[0], func(ctx context.Context, tap Tap) ([]byte, error) {
+		return []byte("ok"), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID != "job-7" {
+		t.Errorf("resubmitted as %q, want the original job-7", j.ID)
+	}
+	waitDone(t, j)
+	if left, err := jl2.Recover(); err != nil || len(left) != 0 {
+		t.Errorf("after the resubmitted job finished: pending %+v, %v", left, err)
+	}
+}
+
+// FuzzJournalRecover appends arbitrary record bodies to a valid WAL and
+// recovers it: hostile bodies never panic or fail the replay, and every
+// recovered spec has an ID. The seeds are the legacy fixture's own records.
+func FuzzJournalRecover(f *testing.F) {
+	seedLog, err := durable.Open(legacyJournal(f), durable.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var prev []byte
+	if err := seedLog.Replay(func(rec []byte) error {
+		f.Add(prev, append([]byte(nil), rec...))
+		prev = append([]byte(nil), rec...)
+		return nil
+	}); err != nil {
+		f.Fatal(err)
+	}
+	seedLog.Close()
+	f.Add([]byte(`{"type":"submit","id":""}`), []byte(`{"type":"done"}`))
+	f.Add([]byte(`{"type":"submit","id":"a","payload":"!!"}`), []byte(`[1,2]`))
+	f.Add([]byte(`{"type":7,"id":{}}`), []byte{0xff, 0x00})
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		// No fsync per record: the fuzzer is after the decoder, not the disk.
+		open := func(dir string) *Journal {
+			jl, err := OpenJournal(dir, durable.Options{SyncEvery: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return jl
+		}
+		dir := t.TempDir()
+		crashed := open(dir)
+		for _, body := range [][]byte{a, b, a} {
+			if err := crashed.wal.Append(body); err != nil {
+				t.Skip(err) // an over-long record is the WAL's to reject
+			}
+		}
+		if err := crashed.Close(); err != nil {
+			t.Fatal(err)
+		}
+		jl := open(dir)
+		defer jl.Close()
+		pending, err := jl.Recover()
+		if err != nil {
+			t.Fatalf("Recover on arbitrary bodies: %v", err)
+		}
+		for _, spec := range pending {
+			if spec.ID == "" {
+				t.Fatalf("recovered a spec without an ID: %+v", spec)
+			}
+		}
+		if err := jl.Compact(pending); err != nil {
+			t.Fatalf("Compact of the recovered set: %v", err)
+		}
+	})
 }

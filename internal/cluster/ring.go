@@ -1,7 +1,7 @@
 // Package cluster is the scale-out substrate behind a sharded swappd
 // deployment: a consistent-hash ring that assigns normalised request
 // groups to replicas, and an async job manager for expensive GA searches
-// with per-generation progress snapshots and resumable checkpoints.
+// with per-generation progress snapshots and a bounded retry.
 //
 // The ring answers one question deterministically on every replica: which
 // replica owns a (base, target) request group? All replicas are configured

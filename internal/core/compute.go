@@ -253,62 +253,28 @@ func (p *Pipeline) ProjectComputeOpts(app *AppModel, ci int, opts ComputeOptions
 // projectComputeCtx is the store-aware entry to the §2.3 compute
 // projection: with a layer store and the default options it resolves the
 // whole finished projection through the surrogate layer — one entry per
-// (base, app, target, characterisation count, warm flag), shared by every
-// request that differs only in the projected core count — and otherwise
-// computes fresh. Degraded-mode fallbacks (pool intersection, GA
-// quarantine, warm start) are recorded on rec (nil-safe); entries replay
-// the defects recorded when they were filled, so a served projection is
-// indistinguishable from a computed one.
+// (base, app, target, characterisation count), shared by every request
+// that differs only in the projected core count — and otherwise computes
+// fresh. Degraded-mode fallbacks (pool intersection, GA quarantine) are
+// recorded on rec (nil-safe); entries replay the defects recorded when
+// they were filled, so a served projection is indistinguishable from a
+// computed one.
 func (p *Pipeline) projectComputeCtx(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, opts ComputeOptions, rec *quality.Report) (*ComputeProjection, error) {
-	// An exact checkpoint resume continues each ensemble member's
-	// evolution mid-stream and reproduces the uninterrupted computation
-	// bit for bit, so — unlike seed resume below — it records no defect.
-	// It still computes fresh: its per-member state replaces the cached
-	// surrogate artifact wholesale, so reading or publishing the clean
-	// content-addressed entries would be wrong in both directions.
-	if len(p.resumeCheckpoints) > 0 {
-		proj, _, err := p.computeSurrogate(ctx, parent, app, ci, opts, rec, nil, p.resumeCheckpoints)
-		return proj, err
-	}
-	// A resumed search starts from externally supplied checkpoint genomes,
-	// which — like any seeding — can change the projected numbers, so it
-	// must neither read nor publish the clean content-addressed surrogate
-	// entries. It computes fresh and carries a GAResume defect instead.
-	if len(p.resumeSeeds) > 0 {
-		rec.Add(quality.Defect{
-			Code: quality.GAResume, Component: quality.Compute, Severity: quality.Minor,
-			Detail: fmt.Sprintf("surrogate search resumed from %d checkpoint genomes", len(p.resumeSeeds)),
-		})
-		proj, _, err := p.computeSurrogate(ctx, parent, app, ci, opts, rec, p.resumeSeeds, nil)
-		return proj, err
-	}
 	st := p.storeFor()
 	if st == nil || opts != (ComputeOptions{}) {
-		proj, _, err := p.computeSurrogate(ctx, parent, app, ci, opts, rec, nil, nil)
-		return proj, err
+		return p.computeSurrogate(ctx, parent, app, ci, opts, rec)
 	}
-	var seeds [][]float64
-	var seedCi int
-	if p.warmStart {
-		seeds, seedCi, _ = st.NearestSurrogateSeeds(p.Base.Name, app.Name(), p.Target.Name, ci)
-	}
-	e, err := st.surrogateAt(ctx, p.Base.Name, app.Name(), p.Target.Name, ci, p.warmStart, func() (*surrogateEntry, error) {
+	e, err := st.surrogateAt(ctx, p.Base.Name, app.Name(), p.Target.Name, ci, func() (*surrogateEntry, error) {
 		// The fill is shared and detached: it runs under the pipeline's
 		// own scope and an unbounded context, so the filling request's
 		// deadline or span lifetime cannot truncate an artifact other
 		// requests will reuse.
 		sub := quality.NewReport()
-		if len(seeds) > 0 {
-			sub.Add(quality.Defect{
-				Code: quality.GAWarmStart, Component: quality.Compute, Severity: quality.Minor,
-				Detail: fmt.Sprintf("surrogate search warm-started from the cached surrogate at %d ranks", seedCi),
-			})
-		}
-		proj, genomes, err := p.computeSurrogate(context.Background(), p.Obs, app, ci, opts, sub, seeds, nil)
+		proj, err := p.computeSurrogate(context.Background(), p.Obs, app, ci, opts, sub)
 		if err != nil {
 			return nil, err
 		}
-		return &surrogateEntry{cp: proj, defects: sub.Defects(), genomes: genomes}, nil
+		return &surrogateEntry{cp: proj, defects: sub.Defects()}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -320,16 +286,11 @@ func (p *Pipeline) projectComputeCtx(ctx context.Context, parent *obs.Scope, app
 // computeSurrogate is the §2.3 implementation, with its span attached
 // under parent (p.Obs for direct calls, the enclosing projection's span
 // when called from project). ctx is checked before each GA ensemble
-// member, the expensive stage of the compute projection. seeds, when
-// non-empty, warm-start each ensemble member's initial population. The
-// second return value is the ensemble's usable best genomes, in member
-// order — the warm-start seed material for neighbouring searches. cps,
-// when non-nil, carries per-member exact-resume checkpoints (indexed by
-// ensemble member; nil members start cold).
-func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, opts ComputeOptions, rec *quality.Report, seeds [][]float64, cps []*ga.Checkpoint) (*ComputeProjection, [][]float64, error) {
+// member, the expensive stage of the compute projection.
+func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, opts ComputeOptions, rec *quality.Report) (*ComputeProjection, error) {
 	cp, ok := app.Counters[ci]
 	if !ok {
-		return nil, nil, fmt.Errorf("core: no counters at %d ranks for %s", ci, app.Name())
+		return nil, fmt.Errorf("core: no counters at %d ranks for %s", ci, app.Name())
 	}
 	scales := metricScales(p.SpecBase)
 
@@ -356,7 +317,7 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 		}
 	}
 	if len(names) < 2 {
-		return nil, nil, fmt.Errorf("core: surrogate pool too small: base and target share %d benchmarks", len(names))
+		return nil, fmt.Errorf("core: surrogate pool too small: base and target share %d benchmarks", len(names))
 	}
 	pool := make([][]float64, len(names))
 	for i, name := range names {
@@ -374,8 +335,7 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 	const memberPenalty = 1.0
 	kern := NewEvalKernel(pool, appVec, weights, memberPenalty)
 	if opts.UseNNLS {
-		proj, err := p.nnlsProjection(app, ci, pool, appVec, weights, groupW, names)
-		return proj, nil, err
+		return p.nnlsProjection(app, ci, pool, appVec, weights, groupW, names)
 	}
 
 	// The GA is stochastic; an ensemble of independent runs stabilises
@@ -388,12 +348,6 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 	sp := parent.Child(fmt.Sprintf("core.compute.%s@%d", app.Name(), ci))
 	defer sp.End()
 	const ensemble = 3
-	// A warm-started member may stop once its best has stalled this many
-	// generations: the seeded population starts near a converged optimum,
-	// so the full generation budget is mostly dead work. Cold runs always
-	// use the full budget — early stopping there would change the bytes
-	// of every existing projection.
-	const warmStallGenerations = 25
 	members := make([]*ga.Result, ensemble)
 	err := par.ForEachW(par.Workers(p.Workers), ensemble, func(w, e int) error {
 		if err := ctx.Err(); err != nil {
@@ -420,23 +374,10 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 			Workers: gaWorkers,
 			Obs:     ms,
 		}
-		if len(seeds) > 0 {
-			cfg.Seeds = seeds
-			cfg.StallGenerations = warmStallGenerations
-		}
-		if e < len(cps) && cps[e] != nil {
-			cfg.Resume = cps[e]
-		}
 		if p.onGAProgress != nil {
 			member := e
-			cfg.OnGeneration = func(gen int, best float64, genome []float64) {
-				p.onGAProgress(member, gen, best, genome)
-			}
-		}
-		if p.onGACheckpoint != nil {
-			member := e
-			cfg.OnCheckpoint = func(cp *ga.Checkpoint) {
-				p.onGACheckpoint(member, cp)
+			cfg.OnGeneration = func(gen int, best float64) {
+				p.onGAProgress(member, gen, best)
 			}
 		}
 		res, err := ga.Run(cfg)
@@ -447,13 +388,12 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var bestGenome []float64
 	bestFitness := math.Inf(1)
 	var ratioSum, ratioWeight float64
 	var quarantined, unusable int
-	var bestGenomes [][]float64
 	for _, res := range members {
 		quarantined += res.Quarantined
 		// A member whose whole population was quarantined (every fitness
@@ -480,7 +420,6 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 			unusable++
 			continue
 		}
-		bestGenomes = append(bestGenomes, res.Best)
 		rw := 1 / (res.BestFitness + 1e-6)
 		ratioSum += rw * targetMix / baseMix
 		ratioWeight += rw
@@ -490,7 +429,7 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 		}
 	}
 	if ratioWeight <= 0 {
-		return nil, nil, fmt.Errorf("core: surrogate search failed: all %d GA ensemble members quarantined", ensemble)
+		return nil, fmt.Errorf("core: surrogate search failed: all %d GA ensemble members quarantined", ensemble)
 	}
 	if quarantined > 0 {
 		sev := quality.Minor
@@ -535,7 +474,7 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 	}
 	sp.Count("core.compute_projections", 1)
 	sp.Observe("core.compute_ratio", proj.SpeedupRatio())
-	return proj, bestGenomes, nil
+	return proj, nil
 }
 
 // CCSM — Compute Component Strong Scaling Model (§3.2): a power-law fit of

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/faultinject"
-	"repro/internal/ga"
 	"repro/internal/hpm"
 	"repro/internal/imb"
 	"repro/internal/mpiprof"
@@ -74,21 +73,9 @@ type Pipeline struct {
 	// when the request disabled it, supplied external Data, or — checked
 	// again at each use — while fault injection is armed.
 	store *Store
-	// warmStart opts the surrogate search into seeding from the store's
-	// nearest cached surrogate (see Options.WarmStart).
-	warmStart bool
 	// onGAProgress taps the surrogate search's per-generation progress
 	// (see Options.OnGAProgress).
-	onGAProgress func(member, gen int, best float64, genome []float64)
-	// resumeSeeds, when non-empty, seed the surrogate search directly —
-	// the async-job checkpoint-resume path (see Options.SurrogateSeeds).
-	resumeSeeds [][]float64
-	// onGACheckpoint taps the surrogate search's full per-generation
-	// evolution state (see Options.OnGACheckpoint).
-	onGACheckpoint func(member int, cp *ga.Checkpoint)
-	// resumeCheckpoints, when non-empty, restore the surrogate search's
-	// ensemble members mid-evolution (see Options.SurrogateCheckpoints).
-	resumeCheckpoints []*ga.Checkpoint
+	onGAProgress func(member, gen int, best float64)
 }
 
 // storeFor returns the layer store to use right now: nil while fault
@@ -139,47 +126,12 @@ type Options struct {
 	// or while fault injection is armed — degraded inputs must never
 	// populate the clean content-addressed keys.
 	Store *Store
-	// WarmStart opts the GA surrogate search into seeding its initial
-	// population from the Store's nearest cached surrogate for the same
-	// (base, app, target). Unlike the store itself this CAN change the
-	// projected numbers (the search explores from a different generation
-	// 0), so it is off by default and recorded in the projection's
-	// Quality report when it fires. Requires Store.
-	WarmStart bool
 	// OnGAProgress, when non-nil, observes the surrogate search: it is
 	// called once per evolved GA generation per ensemble member with the
-	// member index, generation, running best fitness, and a clone of the
-	// running best genome (safe to retain — it is the checkpoint material
-	// for resumable async jobs). Strictly passive: projections are
-	// byte-identical with the callback set or nil. Members run
-	// concurrently, so the callback must be safe for concurrent calls.
-	OnGAProgress func(member, gen int, best float64, genome []float64)
-	// SurrogateSeeds, when non-empty, seed every surrogate search's
-	// initial GA population directly — the async-job checkpoint-resume
-	// path, where a failed search restarts from its last per-generation
-	// checkpoint instead of from scratch. Like WarmStart this CAN change
-	// the projected numbers, so resumed searches bypass the Store's clean
-	// content-addressed keys and record a GAResume defect in the Quality
-	// report.
-	SurrogateSeeds [][]float64
-	// OnGACheckpoint, when non-nil, receives each ensemble member's FULL
-	// evolution state after every evolved generation (see ga.Checkpoint) —
-	// the durability tap for crash-recoverable jobs, where OnGAProgress's
-	// best-genome snapshots are not enough to continue a search exactly.
-	// Strictly passive and byte-identical with the callback set or nil;
-	// members run concurrently, so it must be safe for concurrent calls.
-	OnGACheckpoint func(member int, cp *ga.Checkpoint)
-	// SurrogateCheckpoints, when non-empty, restore the surrogate
-	// search's ensemble members from checkpoints captured by
-	// OnGACheckpoint (indexed by member; nil members start cold). Unlike
-	// SurrogateSeeds this is the EXACT resume path: the continued search
-	// reproduces the uninterrupted run bit for bit, so it records no
-	// quality defect — but it still computes fresh rather than reading
-	// the surrogate layer, since its per-member state replaces the cached
-	// artifact wholesale. Takes precedence over SurrogateSeeds. Only
-	// meaningful for searches that were started cold (a warm-started
-	// member's stall cutoff is not reconstructed).
-	SurrogateCheckpoints []*ga.Checkpoint
+	// member index, generation and running best fitness. Strictly passive:
+	// projections are byte-identical with the callback set or nil. Members
+	// run concurrently, so the callback must be safe for concurrent calls.
+	OnGAProgress func(member, gen int, best float64)
 }
 
 // NewPipeline gathers benchmark data for a machine pair at the given job
@@ -210,18 +162,14 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 		return nil, err
 	}
 	p := &Pipeline{
-		Base:              base,
-		Target:            target,
-		Workers:           opts.Workers,
-		Obs:               opts.Obs,
-		IMBBase:           map[int]*imb.Table{},
-		IMBTarget:         map[int]*imb.Table{},
-		store:             opts.Store,
-		warmStart:         opts.WarmStart,
-		onGAProgress:      opts.OnGAProgress,
-		resumeSeeds:       opts.SurrogateSeeds,
-		onGACheckpoint:    opts.OnGACheckpoint,
-		resumeCheckpoints: opts.SurrogateCheckpoints,
+		Base:         base,
+		Target:       target,
+		Workers:      opts.Workers,
+		Obs:          opts.Obs,
+		IMBBase:      map[int]*imb.Table{},
+		IMBTarget:    map[int]*imb.Table{},
+		store:        opts.Store,
+		onGAProgress: opts.OnGAProgress,
 	}
 	if opts.Data != nil {
 		// External data bypasses the store for this pipeline's whole

@@ -167,11 +167,7 @@ func (l *layer) putIfAbsent(key string, val any) {
 	for l.ll.Len() > l.max {
 		oldest := l.ll.Back()
 		l.ll.Remove(oldest)
-		ev := oldest.Value.(*layerEntry).key
-		delete(l.entries, ev)
-		if l.onEvict != nil {
-			l.onEvict(ev)
-		}
+		delete(l.entries, oldest.Value.(*layerEntry).key)
 	}
 	size := l.ll.Len()
 	l.mu.Unlock()

@@ -34,7 +34,7 @@ import (
 //	                  profile + hardware-counter observation — shared by
 //	                  every request for the app on that base, whatever the
 //	                  target machine or requested core count
-//	surrogate         per (base, app, class, target, char count, warm):
+//	surrogate         per (base, app, class, target, char count):
 //	                  the finished §2.3 compute projection with its GA
 //	                  by-products — shared by requests differing only in
 //	                  the projected core count Ck
@@ -63,10 +63,6 @@ type Store struct {
 	// artifacts is the replication vault: rendered result bytes pushed by
 	// ring peers, keyed and checksummed so a double push is a no-op.
 	artifacts *artifactVault
-
-	// warmIdx indexes the surrogate layer's keys by (base, app, target)
-	// group for the GA warm-start's nearest-neighbour seed lookup.
-	warmIdx warmIndex
 }
 
 // StoreConfig parameterises NewStore. The zero value is usable.
@@ -109,14 +105,12 @@ func NewStore(cfg StoreConfig) *Store {
 	if prefix == "" {
 		prefix = "core.store"
 	}
-	s := &Store{
+	return &Store{
 		chars:     newLayer(prefix+".characterisation", cfg.CharacterisationCap, cfg.Obs),
 		profiles:  newLayer(prefix+".profile", cfg.ProfileCap, cfg.Obs),
 		surrogate: newLayer(prefix+".surrogate", cfg.SurrogateCap, cfg.Obs),
 		artifacts: newArtifactVault(prefix+".artifact", cfg.ArtifactCap, cfg.Obs),
 	}
-	s.surrogate.onEvict = s.warmIdx.remove
-	return s
 }
 
 // Sizes reports the current entry count per layer (diagnostics, tests).
@@ -140,8 +134,8 @@ func profileKey(base *arch.Machine, b nas.Benchmark, c nas.Class, ranks int) str
 	return fmt.Sprintf("profile|%q|%q|%c|%d", base.Name, string(b), c, ranks)
 }
 
-func surrogateKey(base, app, target string, ci int, warm bool) string {
-	return fmt.Sprintf("surrogate|%q|%q|%q|%d|%t", base, app, target, ci, warm)
+func surrogateKey(base, app, target string, ci int) string {
+	return fmt.Sprintf("surrogate|%q|%q|%q|%d", base, app, target, ci)
 }
 
 // specSuite resolves one machine's SPEC CPU2006 result set through the
@@ -194,27 +188,19 @@ func (s *Store) profileAt(ctx context.Context, base *arch.Machine, b nas.Benchma
 }
 
 // surrogateEntry is one surrogate-layer entry: the finished compute
-// projection, the quality defects its computation recorded (replayed into
-// every projection served from the entry, keeping served output identical
-// to computed output), and the GA ensemble's best genomes — the seed
-// material for warm-starting neighbouring searches.
+// projection and the quality defects its computation recorded (replayed
+// into every projection served from the entry, keeping served output
+// identical to computed output).
 type surrogateEntry struct {
 	cp      *ComputeProjection
 	defects []quality.Defect
-	genomes [][]float64
 }
 
 // surrogateAt resolves one finished compute projection through the
-// surrogate layer, registering filled entries in the warm-start index.
-func (s *Store) surrogateAt(ctx context.Context, base, app, target string, ci int, warm bool, fill func() (*surrogateEntry, error)) (*surrogateEntry, error) {
-	key := surrogateKey(base, app, target, ci, warm)
-	v, err := s.surrogate.getOrFill(ctx, key, func() (any, error) {
-		e, err := fill()
-		if err != nil {
-			return nil, err
-		}
-		s.warmIdx.add(base, app, target, ci, key, e.genomes)
-		return e, nil
+// surrogate layer.
+func (s *Store) surrogateAt(ctx context.Context, base, app, target string, ci int, fill func() (*surrogateEntry, error)) (*surrogateEntry, error) {
+	v, err := s.surrogate.getOrFill(ctx, surrogateKey(base, app, target, ci), func() (any, error) {
+		return fill()
 	})
 	if err != nil {
 		return nil, err
@@ -222,97 +208,11 @@ func (s *Store) surrogateAt(ctx context.Context, base, app, target string, ci in
 	return v.(*surrogateEntry), nil
 }
 
-// NearestSurrogateSeeds returns the GA genomes of the cached surrogate
-// whose characterisation count is closest to ci for the (base, app,
-// target) group, preferring the smaller count on ties. ok is false when
-// the group has no cached entries at a different count (an exact-count
-// entry is served whole by the surrogate layer, not re-searched).
-func (s *Store) NearestSurrogateSeeds(base, app, target string, ci int) (genomes [][]float64, fromCi int, ok bool) {
-	return s.warmIdx.nearest(base, app, target, ci)
-}
-
-// warmIndex maps (base, app, target) groups to the characterisation counts
-// with cached surrogates, mirroring the surrogate layer (entries leave the
-// index when the LRU evicts them).
-type warmIndex struct {
-	mu     sync.Mutex
-	groups map[string]map[int]warmSeed // group key → ci → seeds
-}
-
-type warmSeed struct {
-	layerKey string
-	genomes  [][]float64
-}
-
-func warmGroupKey(base, app, target string) string {
-	return fmt.Sprintf("%q|%q|%q", base, app, target)
-}
-
-func (w *warmIndex) add(base, app, target string, ci int, layerKey string, genomes [][]float64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.groups == nil {
-		w.groups = map[string]map[int]warmSeed{}
-	}
-	g := w.groups[warmGroupKey(base, app, target)]
-	if g == nil {
-		g = map[int]warmSeed{}
-		w.groups[warmGroupKey(base, app, target)] = g
-	}
-	g[ci] = warmSeed{layerKey: layerKey, genomes: genomes}
-}
-
-// remove drops the index entry backing an evicted surrogate-layer key.
-func (w *warmIndex) remove(layerKey string) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for gk, g := range w.groups {
-		for ci, seed := range g {
-			if seed.layerKey == layerKey {
-				delete(g, ci)
-				if len(g) == 0 {
-					delete(w.groups, gk)
-				}
-				return
-			}
-		}
-	}
-}
-
-func (w *warmIndex) nearest(base, app, target string, ci int) ([][]float64, int, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	g := w.groups[warmGroupKey(base, app, target)]
-	if len(g) == 0 {
-		return nil, 0, false
-	}
-	cis := make([]int, 0, len(g))
-	for c := range g {
-		if c != ci {
-			cis = append(cis, c)
-		}
-	}
-	if len(cis) == 0 {
-		return nil, 0, false
-	}
-	sort.Ints(cis)
-	best := cis[0]
-	for _, c := range cis[1:] {
-		if abs(c-ci) < abs(best-ci) {
-			best = c
-		}
-	}
-	return g[best].genomes, best, true
-}
-
 // layer is one LRU + singleflight store. Values are opaque and immutable
 // once published.
 type layer struct {
 	name string
 	obs  *obs.Scope
-	// onEvict, when set, observes evicted keys (under the layer lock:
-	// callbacks must not call back into the layer).
-	onEvict func(key string)
 
 	mu       sync.Mutex
 	max      int
@@ -383,11 +283,7 @@ func (l *layer) getOrFill(ctx context.Context, key string, fill func() (any, err
 				for l.ll.Len() > l.max {
 					oldest := l.ll.Back()
 					l.ll.Remove(oldest)
-					ev := oldest.Value.(*layerEntry).key
-					delete(l.entries, ev)
-					if l.onEvict != nil {
-						l.onEvict(ev)
-					}
+					delete(l.entries, oldest.Value.(*layerEntry).key)
 				}
 			}
 		}
@@ -474,7 +370,7 @@ func (s *Store) GetArtifact(key string) ([]byte, bool) {
 }
 
 // ExportArtifacts snapshots the whole vault, oldest first, for transfer to
-// another replica (the drain path ships it alongside job checkpoints).
+// another replica (the drain path ships it alongside job payloads).
 func (s *Store) ExportArtifacts() []Artifact {
 	if s == nil {
 		return nil

@@ -159,12 +159,11 @@ func TestLayerKeysCollisionFree(t *testing.T) {
 		profileKey(m(`a|b`), nas.Benchmark("c"), 'C', 16),
 		profileKey(m(`a`), nas.Benchmark("b|c"), 'C', 16),
 		profileKey(m(`a`), nas.Benchmark(`b"|"c`), 'C', 16),
-		surrogateKey(`a|b`, `c`, `d`, 16, false),
-		surrogateKey(`a`, `b|c`, `d`, 16, false),
-		surrogateKey(`a`, `b`, `c|d`, 16, false),
-		surrogateKey(`a`, `b`, `d`, 16, false),
-		surrogateKey(`a`, `b`, `d`, 16, true),
-		surrogateKey(`a`, `b`, `d`, 1, false),
+		surrogateKey(`a|b`, `c`, `d`, 16),
+		surrogateKey(`a`, `b|c`, `d`, 16),
+		surrogateKey(`a`, `b`, `c|d`, 16),
+		surrogateKey(`a`, `b`, `d`, 16),
+		surrogateKey(`a`, `b`, `d`, 1),
 	}
 	seen := map[string]int{}
 	for i, k := range keys {
@@ -178,8 +177,7 @@ func TestLayerKeysCollisionFree(t *testing.T) {
 // TestStoreGroupedFillConcurrentEvictionChaos hammers the grouped-fill
 // path the batch endpoint rides: many goroutines resolving overlapping
 // external group keys through CharacterisationFill while other goroutines
-// churn a tiny surrogate layer through fill + eviction (pruning the warm
-// index underneath). Under -race this proves the locking; the assertions
+// churn a tiny surrogate layer through fill + eviction. Under -race this proves the locking; the assertions
 // prove each group key still fills exactly once and every caller observes
 // its own group's artifact.
 func TestStoreGroupedFillConcurrentEvictionChaos(t *testing.T) {
@@ -213,22 +211,19 @@ func TestStoreGroupedFillConcurrentEvictionChaos(t *testing.T) {
 			}
 		}(g)
 	}
-	// Concurrent surrogate churn: fills beyond the cap force evictions and
-	// warm-index pruning while the grouped fills run.
+	// Concurrent surrogate churn: fills beyond the cap force evictions
+	// while the grouped fills run.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for ci := 1; ci <= 16; ci++ {
-				_, err := s.surrogateAt(context.Background(), "base", "app", fmt.Sprintf("tgt-%d", g), ci, false,
-					func() (*surrogateEntry, error) {
-						return &surrogateEntry{genomes: [][]float64{{float64(ci)}}}, nil
-					})
+				_, err := s.surrogateAt(context.Background(), "base", "app", fmt.Sprintf("tgt-%d", g), ci,
+					func() (*surrogateEntry, error) { return &surrogateEntry{}, nil })
 				if err != nil {
 					t.Errorf("surrogateAt: %v", err)
 					return
 				}
-				s.NearestSurrogateSeeds("base", "app", fmt.Sprintf("tgt-%d", g), ci+1)
 			}
 		}(g)
 	}
@@ -276,39 +271,5 @@ func TestCharacterisationFillKeyNamespace(t *testing.T) {
 		if v != "external:"+key {
 			t.Errorf("external key %q returned %v", key, v)
 		}
-	}
-}
-
-// TestStoreEvictionPrunesWarmIndex proves the warm-start index mirrors the
-// surrogate layer: when the LRU evicts an entry, its seeds leave the index
-// too, so warm-starts never resurrect genomes the store no longer holds.
-func TestStoreEvictionPrunesWarmIndex(t *testing.T) {
-	s := NewStore(StoreConfig{SurrogateCap: 2})
-	fill := func(ci int) func() (*surrogateEntry, error) {
-		return func() (*surrogateEntry, error) {
-			return &surrogateEntry{genomes: [][]float64{{float64(ci)}}}, nil
-		}
-	}
-	for _, ci := range []int{3, 4, 5} { // cap 2: filling ci=5 evicts ci=3
-		if _, err := s.surrogateAt(context.Background(), "base", "app", "tgt", ci, false, fill(ci)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, n := s.Sizes(); n != 2 {
-		t.Fatalf("surrogate layer holds %d entries, want 2", n)
-	}
-	genomes, fromCi, ok := s.NearestSurrogateSeeds("base", "app", "tgt", 3)
-	if !ok {
-		t.Fatal("no seeds for a group with resident entries")
-	}
-	if fromCi == 3 {
-		t.Fatalf("warm index served the evicted ci=3 entry")
-	}
-	if fromCi != 4 || genomes[0][0] != 4 {
-		t.Errorf("nearest to 3 = ci %d (genome %v), want resident ci 4", fromCi, genomes)
-	}
-	// An exact-count match is excluded: the surrogate layer serves it whole.
-	if _, fromCi, ok := s.NearestSurrogateSeeds("base", "app", "tgt", 4); !ok || fromCi != 5 {
-		t.Errorf("nearest to 4 = ci %d ok=%v, want the other resident entry ci 5", fromCi, ok)
 	}
 }

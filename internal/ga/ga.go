@@ -54,43 +54,6 @@ type Config struct {
 	MutationRate *float64
 	// Seed makes the run reproducible; required.
 	Seed string
-	// Seeds, when non-empty, are injected into the initial population in
-	// place of its first random genomes (cloned, clamped to GenomeLen and
-	// non-negative, sparsity-enforced) — the warm-start path, biasing
-	// generation 0 toward a region a neighbouring search already found
-	// good. The RNG stream is untouched: the random initial population is
-	// generated exactly as without seeds and then overwritten, so a run
-	// with Seeds nil is byte-identical to one before this field existed,
-	// and a seeded run is deterministic in (Seed, Seeds) at every worker
-	// count.
-	Seeds [][]float64
-	// StallGenerations, when positive, stops the evolution early once the
-	// best fitness has not improved for that many consecutive
-	// generations — the warm-start path's convergence cutoff, where the
-	// seeded population is expected to converge in a fraction of the
-	// generation budget. 0 — the default — runs all Generations.
-	StallGenerations int
-	// OnCheckpoint, when non-nil, receives the complete evolution state
-	// after every evolved generation (after OnGeneration): population,
-	// RNG position, running best, stall counter, history — everything a
-	// later Run needs to continue this run mid-stream. The checkpoint is
-	// fully cloned and safe to retain or serialise. Strictly passive:
-	// the evolution is byte-identical with the callback set or nil. This
-	// is the durability tap for crash-recoverable searches; unlike the
-	// Seeds warm-start path, resuming from a Checkpoint reproduces the
-	// uninterrupted run's result exactly.
-	OnCheckpoint func(cp *Checkpoint)
-	// Resume, when non-nil, restores a run from a Checkpoint captured by
-	// an identically configured earlier run: initial-population
-	// generation is skipped, the RNG continues from the recorded
-	// position, and evolution proceeds from the next generation. The
-	// resumed Result (Best, BestFitness, History, Generations) is
-	// bit-identical to what the uninterrupted run would have returned —
-	// fitnesses are re-derived from the pure fitness function, never
-	// trusted from the checkpoint. Takes precedence over Seeds. A
-	// checkpoint whose shape disagrees with the config (population size,
-	// genome length, generation bounds) is rejected with an error.
-	Resume *Checkpoint
 	// Fitness scores a genome; lower is better. Genomes are always
 	// non-negative. Exactly one of Fitness and FitnessW is required. It
 	// must be a pure function of the genome and safe for concurrent calls
@@ -110,12 +73,11 @@ type Config struct {
 	Workers int
 	// OnGeneration, when non-nil, observes the run: it is called once per
 	// evolved generation — after the generation's children are scored —
-	// with the generation index, the running best fitness, and a clone of
-	// the running best genome (safe to retain). It is called from Run's
-	// own goroutine, strictly passive: the evolution is byte-identical
-	// with the callback set or nil. This is the progress/checkpoint tap
-	// for async job streaming and resumable searches.
-	OnGeneration func(gen int, best float64, bestGenome []float64)
+	// with the generation index and the running best fitness. It is called
+	// from Run's own goroutine, strictly passive: the evolution is
+	// byte-identical with the callback set or nil. This is the progress
+	// tap for async job streaming.
+	OnGeneration func(gen int, best float64)
 	// Obs, when non-nil, receives a "ga.run" span and the run's metrics
 	// (ga.evaluations, ga.cache_hits, ga.generations, ga.best_fitness,
 	// ga.generation_seconds). Observability never alters the evolution:
@@ -195,81 +157,6 @@ type Result struct {
 	// fitness under minimisation — instead of killing the run. The
 	// offending genome stays in the population but cannot win selection.
 	Quarantined int
-	// Generations is the number of generations actually evolved —
-	// Config.Generations unless StallGenerations cut the run short.
-	Generations int
-}
-
-// Checkpoint is the complete evolution state at one generation boundary —
-// everything Run needs to continue the search exactly where it stopped.
-// Fitnesses are deliberately absent: they are a pure function of the
-// genomes and are re-derived on resume, so a tampered or stale checkpoint
-// can reposition a search but never inject wrong scores.
-//
-// The JSON form is the wire/disk format used by the durability layer (the
-// swappd job journal). encoding/json renders float64 values in their
-// shortest exactly-round-tripping form, so a decoded checkpoint resumes
-// bit-identically.
-type Checkpoint struct {
-	// Gen is the 0-based index of the last evolved generation this state
-	// reflects; a resumed run continues at Gen+1.
-	Gen int `json:"gen"`
-	// RNG is the seeded source's position after Gen's draws (see
-	// rng.Source.State).
-	RNG uint64 `json:"rng"`
-	// Pop is the full population, in order — order is load-bearing:
-	// elite tie-breaking is positional.
-	Pop [][]float64 `json:"pop"`
-	// Best / BestFitness are the running best genome and score.
-	Best        []float64 `json:"best"`
-	BestFitness float64   `json:"best_fitness"`
-	// Stalled is the consecutive-non-improving-generation counter feeding
-	// StallGenerations.
-	Stalled int `json:"stalled"`
-	// History is Result.History up to and including Gen.
-	History []float64 `json:"history"`
-}
-
-// validate rejects a checkpoint whose shape cannot have come from a run
-// with this (defaulted) config.
-func (cp *Checkpoint) validate(cfg Config) error {
-	if len(cp.Pop) != cfg.PopSize {
-		return fmt.Errorf("ga: resume checkpoint population %d does not match PopSize %d", len(cp.Pop), cfg.PopSize)
-	}
-	for i, g := range cp.Pop {
-		if len(g) != cfg.GenomeLen {
-			return fmt.Errorf("ga: resume checkpoint genome %d has length %d, want %d", i, len(g), cfg.GenomeLen)
-		}
-	}
-	if len(cp.Best) != cfg.GenomeLen {
-		return fmt.Errorf("ga: resume checkpoint best genome has length %d, want %d", len(cp.Best), cfg.GenomeLen)
-	}
-	if cp.Gen < 0 || cp.Gen >= cfg.Generations {
-		return fmt.Errorf("ga: resume checkpoint generation %d outside [0, %d)", cp.Gen, cfg.Generations)
-	}
-	// History holds the initial population's entry plus one per evolved
-	// generation.
-	if len(cp.History) != cp.Gen+2 {
-		return fmt.Errorf("ga: resume checkpoint history has %d entries, want %d", len(cp.History), cp.Gen+2)
-	}
-	return nil
-}
-
-// checkpointOf clones the running state into a retainable Checkpoint.
-func checkpointOf(gen int, rngState uint64, pop []individual, best individual, stalled int, history []float64) *Checkpoint {
-	cp := &Checkpoint{
-		Gen:         gen,
-		RNG:         rngState,
-		Pop:         make([][]float64, len(pop)),
-		Best:        clone(best.genome),
-		BestFitness: best.fitness,
-		Stalled:     stalled,
-		History:     append([]float64(nil), history...),
-	}
-	for i := range pop {
-		cp.Pop[i] = clone(pop[i].genome)
-	}
-	return cp
 }
 
 // individual pairs a genome with its cached score.
@@ -490,99 +377,40 @@ func Run(cfg Config) (*Result, error) {
 
 	genomes := make([][]float64, cfg.PopSize)
 	pop := make([]individual, cfg.PopSize)
-	var best individual
-	stalled := 0
-	startGen := 0
-	if cp := cfg.Resume; cp != nil {
-		// Exact resume: the checkpointed population is copied into the
-		// arena in order (elite tie-breaking is positional) and re-scored —
-		// fitness is pure, so the scores, and the memo later generations
-		// dedupe against, are re-derived rather than trusted from disk.
-		// The RNG continues from the recorded position, so every later
-		// tournament, crossover, and mutation draw matches the
-		// uninterrupted run's.
-		if err := cp.validate(cfg); err != nil {
-			return nil, err
+	// Initial population: sparse random genomes, generated serially from
+	// the seeded RNG, then scored as one batch.
+	for i := range genomes {
+		g := carve(cur, i)
+		active := cfg.MaxActive
+		if active <= 0 || active > cfg.GenomeLen {
+			active = cfg.GenomeLen
 		}
-		src = rng.Restore(cp.RNG)
-		for i := range genomes {
-			g := carve(cur, i)
-			copy(g, cp.Pop[i])
-			genomes[i] = g
+		// Activate a random subset with random weights.
+		n := 1 + src.Intn(active)
+		for _, idx := range src.Perm(cfg.GenomeLen)[:n] {
+			g[idx] = src.Float64()
 		}
-		fits := ev.scoreAll(genomes)
-		for i := range pop {
-			pop[i] = individual{genome: genomes[i], fitness: fits[i]}
-		}
-		best = individual{genome: clone(cp.Best)}
-		best.fitness = ev.scoreAll([][]float64{best.genome})[0]
-		stalled = cp.Stalled
-		res.History = append(res.History, cp.History...)
-		res.Generations = cp.Gen + 1
-		startGen = cp.Gen + 1
-	} else {
-		// Initial population: sparse random genomes, generated serially
-		// from the seeded RNG, then scored as one batch.
-		for i := range genomes {
-			g := carve(cur, i)
-			active := cfg.MaxActive
-			if active <= 0 || active > cfg.GenomeLen {
-				active = cfg.GenomeLen
-			}
-			// Activate a random subset with random weights.
-			n := 1 + src.Intn(active)
-			for _, idx := range src.Perm(cfg.GenomeLen)[:n] {
-				g[idx] = src.Float64()
-			}
-			genomes[i] = g
-		}
-		// Warm start: overwrite the first random genomes with the injected
-		// seeds — after the random generation above, so the RNG stream (and
-		// therefore every later tournament, crossover, and mutation draw) is
-		// identical with and without seeds.
-		for i, s := range cfg.Seeds {
-			if i >= len(genomes) {
-				break
-			}
-			g := genomes[i]
-			for j := range g {
-				g[j] = 0
-			}
-			for j := 0; j < len(s) && j < len(g); j++ {
-				if s[j] > 0 && !math.IsInf(s[j], 1) && !math.IsNaN(s[j]) {
-					g[j] = s[j]
-				}
-			}
-			sparsityScratch = enforceSparsityScratch(g, cfg.MaxActive, sparsityScratch[:0])
-		}
-		fits := ev.scoreAll(genomes)
-		for i := range pop {
-			pop[i] = individual{genome: genomes[i], fitness: fits[i]}
-		}
-
-		// The running best is cloned out of the arena: its slot will be
-		// overwritten two generations later.
-		b0 := bestOf(pop)
-		best = individual{genome: clone(b0.genome), fitness: b0.fitness}
-		res.History = append(res.History, best.fitness)
+		genomes[i] = g
 	}
+	fits := ev.scoreAll(genomes)
+	for i := range pop {
+		pop[i] = individual{genome: genomes[i], fitness: fits[i]}
+	}
+
+	// The running best is cloned out of the arena: its slot will be
+	// overwritten two generations later.
+	b0 := bestOf(pop)
+	best := individual{genome: clone(b0.genome), fitness: b0.fitness}
+	res.History = append(res.History, best.fitness)
 
 	next := make([]individual, 0, cfg.PopSize)
 	children := make([][]float64, 0, cfg.PopSize)
 	obsOn := sp.Enabled()
-	for gen := startGen; gen < cfg.Generations; gen++ {
-		// The stall cutoff sits at the loop top so that resuming from a
-		// final (already-stalled) checkpoint reproduces the finished run
-		// instead of evolving past its end; for an uninterrupted run this
-		// is the same break the previous bottom-of-loop check performed.
-		if cfg.StallGenerations > 0 && stalled >= cfg.StallGenerations {
-			break
-		}
+	for gen := 0; gen < cfg.Generations; gen++ {
 		var genStart time.Time
 		if obsOn {
 			genStart = time.Now()
 		}
-		res.Generations = gen + 1
 		nextArena := 1 - cur
 		next = next[:0]
 		// Elitism: copy the best unchanged — their fitness travels with
@@ -614,16 +442,10 @@ func Run(cfg Config) (*Result, error) {
 		cur = nextArena
 		if b := bestOf(pop); b.fitness < best.fitness {
 			best = individual{genome: clone(b.genome), fitness: b.fitness}
-			stalled = 0
-		} else {
-			stalled++
 		}
 		res.History = append(res.History, best.fitness)
 		if cfg.OnGeneration != nil {
-			cfg.OnGeneration(gen, best.fitness, clone(best.genome))
-		}
-		if cfg.OnCheckpoint != nil {
-			cfg.OnCheckpoint(checkpointOf(gen, src.State(), pop, best, stalled, res.History))
+			cfg.OnGeneration(gen, best.fitness)
 		}
 		if obsOn {
 			// Per-generation stats: wall time and running best, both

@@ -64,16 +64,6 @@ const (
 	// panicked (or were fault-injected) and were quarantined with worst
 	// fitness instead of killing the run.
 	GAQuarantine Code = "ga-quarantine"
-	// GAWarmStart: the surrogate search was warm-started from a cached
-	// neighbouring surrogate instead of a purely random initial
-	// population — an opt-in serving-mode optimisation whose outcome
-	// depends on which prior requests populated the store.
-	GAWarmStart Code = "ga-warm-start"
-	// GAResume: the surrogate search was resumed from an async job's
-	// per-generation checkpoint genomes after a failed attempt, instead of
-	// starting from a purely random initial population. Resumed searches
-	// bypass the clean content-addressed surrogate store.
-	GAResume Code = "ga-resume"
 	// WaitScaleDefault: the wait-scale blend had no usable compute ratio
 	// and defaulted to 1 (base WaitTime carried over unscaled).
 	WaitScaleDefault Code = "wait-scale-default"

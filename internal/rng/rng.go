@@ -54,18 +54,6 @@ func (s *Source) Derive(child string) *Source {
 	return &Source{state: v}
 }
 
-// State exports the source's current stream position. Together with
-// Restore it makes a stream resumable: Restore(s.State()) continues
-// exactly where s would have — the checkpoint material for exact
-// mid-computation recovery.
-func (s *Source) State() uint64 { return s.state }
-
-// Restore returns a Source positioned at a previously exported State().
-// Unlike New it performs no key hashing and no zero-state adjustment: the
-// argument IS the state, so the restored stream is bit-identical to the
-// exporter's continuation.
-func Restore(state uint64) *Source { return &Source{state: state} }
-
 // next advances the SplitMix64 state and returns 64 pseudo-random bits.
 func (s *Source) next() uint64 {
 	s.state += 0x9e3779b97f4a7c15

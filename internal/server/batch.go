@@ -176,7 +176,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // runBatchItem evaluates one batch member locally, mirroring its endpoint's
 // semantics: same cache key, same rendered bytes, same error statuses.
 func (s *Server) runBatchItem(parent context.Context, wk batchWork) batchEntry {
-	key := digest(wk.spec.op, wk.req, s.cfg.WarmStart)
+	key := digest(wk.spec.op, wk.req)
 	// Warm failover, same order as the single endpoints: a replicated
 	// result from a (possibly dead) owner serves before any computation.
 	if body, ok := s.replicaBytes(key, wk.spec.endpoint); ok {

@@ -19,12 +19,9 @@ type cacheKey [sha256.Size]byte
 // numbers. Workers and Obs are excluded (the projection is byte-identical
 // across them, by the engine's determinism contract), as is the caller's
 // deadline — a request that times out for one client must still be
-// serveable from cache for the next. warm IS included: a warm-started
-// search explores from a different generation 0 and may produce different
-// bytes, so warm and cold results never share an entry. Requests must be
-// normalised first so that a defaulted and an explicit base share an
-// entry.
-func digest(op string, req swapp.Request, warm bool) cacheKey {
+// serveable from cache for the next. Requests must be normalised first so
+// that a defaulted and an explicit base share an entry.
+func digest(op string, req swapp.Request) cacheKey {
 	var buf [96]byte
 	b := buf[:0]
 	b = append(b, op...)
@@ -38,9 +35,6 @@ func digest(op string, req swapp.Request, warm bool) cacheKey {
 	b = append(b, byte(req.Class))
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(req.Ranks), 10)
-	if warm {
-		b = append(b, "|warm"...)
-	}
 	return sha256.Sum256(b)
 }
 

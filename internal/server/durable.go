@@ -17,12 +17,13 @@ import (
 //	DataDir/journal/        WAL segments of the job journal
 //	DataDir/store.snapshot  layered-store spill (JSON core.StoreSnapshot)
 //
-// The journal makes async jobs survive kill -9: every submission, GA
-// checkpoint, and terminal state is one WAL record, so a restarted
-// process replays the log, resubmits whatever never finished, and
-// resumes each search from its newest checkpoints — byte-identical to
-// the uninterrupted run. The snapshot is pure amortisation: a cache
-// spill written at drain and imported (checksum-verified) at startup.
+// The journal makes async jobs survive kill -9: every submission and
+// terminal state is one WAL record, so a restarted process replays the
+// log and resubmits whatever never finished from its payload — an
+// evaluation is a pure function of its request, so the re-run is
+// byte-identical to the uninterrupted run. The snapshot is pure
+// amortisation: a cache spill written at drain and imported
+// (checksum-verified) at startup.
 
 // snapshotFile is the layered-store spill under DataDir.
 const snapshotFile = "store.snapshot"
@@ -32,7 +33,7 @@ const snapshotFile = "store.snapshot"
 // serving path stays byte-identical with durability off. Startup order:
 // open (and torn-tail-recover) the journal, import the store snapshot if
 // one exists, then replay the journal and resubmit every unfinished job
-// with its original ID and newest checkpoints (counted jobs.recovered).
+// under its original ID (counted jobs.recovered).
 func NewDurable(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return New(cfg), nil
@@ -52,17 +53,16 @@ func NewDurable(cfg Config) (*Server, error) {
 	s.loadSnapshot()
 	if err := s.recoverJobs(); err != nil {
 		s.Close()
-		_ = jl.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
 // recoverJobs replays the journal, compacts it down to the still-pending
-// submissions, and resubmits each pending job with its original ID and
-// newest per-member checkpoints. A job whose payload no longer parses —
-// or that the admission bound rejects — is dropped and counted; recovery
-// must never wedge startup on one bad record.
+// submissions, and resubmits each pending job under its original ID. A
+// job whose payload no longer parses — or that the admission bound
+// rejects — is dropped and counted; recovery must never wedge startup on
+// one bad record.
 func (s *Server) recoverJobs() error {
 	pending, err := s.journal.Recover()
 	if err != nil {

@@ -7,18 +7,16 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	swapp "repro"
 	"repro/internal/cluster"
-	"repro/internal/ga"
 	"repro/internal/obs"
 )
 
-// jobBody is the async-job submission used by the durability tests: a real
-// (small) projection whose GA search produces per-generation checkpoints.
+// jobBodyLU is the async-job submission used by the durability tests: a
+// real (small) projection whose GA search streams per-generation progress.
 const jobBodyLU = `{"op":"project","request":{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":16}}`
 
 // resultBytes fetches a finished job's result document.
@@ -40,11 +38,10 @@ func resultBytes(t *testing.T, url, id string) []byte {
 }
 
 // TestDurableCrashRecoveryByteIdentical is the kill -9 acceptance arc, in
-// process: a real projection job is interrupted mid-GA-search with its
-// journal already holding early checkpoints (the eval wedges, which is what
-// a SIGKILL looks like to the WAL — records stop, no terminal state), a
-// fresh server opens the same data dir, resurrects the job under its
-// original ID, resumes each ensemble member from its journalled checkpoint,
+// process: a real projection job is interrupted mid-GA-search (the eval
+// wedges, which is what a SIGKILL looks like to the WAL — a submit record,
+// no terminal state), a fresh server opens the same data dir, resurrects
+// the job under its original ID, re-runs it from its journalled payload,
 // and produces a result document byte-identical to an uninterrupted run.
 func TestDurableCrashRecoveryByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -59,24 +56,17 @@ func TestDurableCrashRecoveryByteIdentical(t *testing.T) {
 	}
 	want := resultBytes(t, tsCtrl.URL, ctrlSt.ID)
 
-	// Crash run: every ensemble member wedges forever right after its
-	// second checkpoint is journalled.
+	// Crash run: the search wedges forever at its first reported
+	// generation.
 	dir := t.TempDir()
 	block := make(chan struct{})
 	defer close(block)
-	wedged := make(chan struct{}, 8)
-	var counts sync.Map
+	wedged := make(chan struct{})
+	var once sync.Once
 	crashEval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		inner := req.OnGACheckpoint
-		req.OnGACheckpoint = func(member int, cp *ga.Checkpoint) {
-			if inner != nil {
-				inner(member, cp)
-			}
-			v, _ := counts.LoadOrStore(member, new(atomic.Int32))
-			if v.(*atomic.Int32).Add(1) == 2 {
-				wedged <- struct{}{}
-				<-block
-			}
+		req.OnGAProgress = func(member, gen int, best float64) {
+			once.Do(func() { close(wedged) })
+			<-block
 		}
 		return swapp.ProjectContext(ctx, req)
 	}
@@ -86,12 +76,10 @@ func TestDurableCrashRecoveryByteIdentical(t *testing.T) {
 	}
 	ts1 := newHTTPServer(t, s1)
 	st := submitJob(t, ts1.URL, jobBodyLU)
-	for i := 0; i < 3; i++ { // the GA ensemble is 3 members
-		select {
-		case <-wedged:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("only %d/3 ensemble members reached their checkpoint", i)
-		}
+	select {
+	case <-wedged:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the job never reached its GA search")
 	}
 	// s1 is now "dead": its evaluation goroutines are wedged and will never
 	// write another journal record or terminal state. No drain, no handoff.
@@ -188,5 +176,37 @@ func TestDurableSnapshotRoundTrip(t *testing.T) {
 	}
 	if n, _ := failScope.Metrics().Counter("server.snapshot_load_fails"); n != 1 {
 		t.Errorf("server.snapshot_load_fails = %d, want 1", n)
+	}
+}
+
+// TestDurableCloseReleasesJournal: Close closes the journal, not just syncs
+// it — reopening one data dir over and over must not accumulate WAL
+// descriptors — and closing twice is harmless.
+func TestDurableCloseReleasesJournal(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd to count descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	dir := t.TempDir()
+	cycle := func() {
+		s, err := NewDurable(Config{Workers: 1, DataDir: dir, Eval: func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+			return stubResult(req), nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		s.Close()
+	}
+	cycle() // settle one-time descriptors (the data dir itself leaves none)
+	before := openFDs()
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if after := openFDs(); after > before {
+		t.Errorf("16 open/close cycles grew the descriptor table from %d to %d", before, after)
 	}
 }

@@ -24,8 +24,8 @@ type jobRequest struct {
 // handleJobSubmit serves POST /v1/jobs: validate the embedded request,
 // enqueue it on the job manager, and answer 202 with the job's status
 // document. The evaluation runs in the background with per-generation GA
-// progress recorded as snapshots; a failed or panicked attempt resumes
-// from the newest per-member checkpoint genomes.
+// progress recorded as snapshots; a failed or panicked attempt is re-run
+// from scratch, up to the retry budget.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/jobs", 1)
@@ -80,15 +80,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 
 // jobRun builds the background attempt function for one submitted job:
 // each attempt takes a worker slot (jobs share the admission pool with
-// synchronous requests), runs the evaluation with the GA progress and
-// checkpoint taps wired to the job's streams, and — on resume attempts —
-// restores the surrogate search from the newest full checkpoints (exact,
-// bit-identical to an uninterrupted run) when the job has them, falling
-// back to checkpoint genomes as GA seeds otherwise. Job results bypass
-// the result LRU: a seed-resumed search is not byte-comparable with a
-// cold one, so its document must never shadow the deterministic cache.
+// synchronous requests) and runs the evaluation from scratch with the GA
+// progress tap wired to the job's streams. Job results bypass the result
+// LRU: a job streams per-generation progress, which a cache hit cannot
+// produce.
 func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
-	return func(ctx context.Context, resume cluster.Resume, tap cluster.Tap) ([]byte, error) {
+	return func(ctx context.Context, tap cluster.Tap) ([]byte, error) {
 		if err := s.admit(ctx); err != nil {
 			return nil, err
 		}
@@ -99,15 +96,11 @@ func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
 		evalReq.Workers = s.cfg.EvalWorkers
 		evalReq.StageTimeout = s.cfg.StageTimeout
 		evalReq.Store = s.store
-		evalReq.WarmStart = s.cfg.WarmStart
-		evalReq.ResumeSeeds = resume.Seeds
-		evalReq.ResumeCheckpoints = resume.Checkpoints
 		if tap.Progress != nil {
-			evalReq.OnGAProgress = func(member, gen int, best float64, genome []float64) {
-				tap.Progress(cluster.Snapshot{Member: member, Generation: gen, BestFitness: best, Best: genome})
+			evalReq.OnGAProgress = func(member, gen int, best float64) {
+				tap.Progress(cluster.Snapshot{Member: member, Generation: gen, BestFitness: best})
 			}
 		}
-		evalReq.OnGACheckpoint = tap.Checkpoint
 		res, err := s.runEval(ctx, spec.op, evalReq)
 		if err != nil {
 			return nil, err
@@ -117,10 +110,9 @@ func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
 }
 
 // handleJobHandoff serves POST /v1/jobs/handoff: adopt a job drained by a
-// shutting-down peer. The payload is the peer's original submission body
-// and the seeds its newest checkpoint genomes — the adopted job's first
-// attempt resumes the GA from them via the ResumeSeeds path instead of
-// restarting at generation zero.
+// shutting-down peer. The payload is the peer's original submission body;
+// the adopted job re-runs it from scratch, which by the purity contract
+// yields the bytes the peer would have served.
 func (s *Server) handleJobHandoff(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/jobs/handoff", 1)
@@ -156,11 +148,9 @@ func (s *Server) handleJobHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job, err := s.jobs.SubmitJob(cluster.JobSpec{
-		Op:          op,
-		Group:       h.Group,
-		Payload:     h.Payload,
-		Seeds:       h.Seeds,
-		Checkpoints: h.Checkpoints,
+		Op:      op,
+		Group:   h.Group,
+		Payload: h.Payload,
 	}, s.jobRun(spec, req))
 	if err != nil {
 		w.Header().Set("Retry-After", "1")

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -74,7 +73,7 @@ func TestJobsSubmitProgressSSEResult(t *testing.T) {
 	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
 		for g := 0; g < gens; g++ {
 			if req.OnGAProgress != nil {
-				req.OnGAProgress(0, g, float64(10-g), []float64{float64(g), 1})
+				req.OnGAProgress(0, g, float64(10-g))
 			}
 		}
 		return stubResult(req), nil
@@ -153,28 +152,22 @@ func TestJobsSubmitProgressSSEResult(t *testing.T) {
 	}
 }
 
-// TestJobPanicCheckpointResume is the resilience satellite: the first
-// attempt reports checkpoints then panics mid-search; the manager resumes
-// the job with those genomes as the surrogate seeds and the second attempt
-// completes. The job finishes done, marked resumed, with the worker panic
-// contained.
-func TestJobPanicCheckpointResume(t *testing.T) {
+// TestJobPanicRetryByteIdentical is the resilience satellite: the first
+// attempt reports progress then panics mid-search; the manager contains
+// the panic and re-runs the evaluation from scratch. The job finishes
+// done on its second attempt, marked resumed, with a result document
+// byte-identical to the synchronous endpoint's body.
+func TestJobPanicRetryByteIdentical(t *testing.T) {
 	var attempts atomic.Int64
-	var gotSeeds atomic.Value // [][]float64 seen by the resume attempt
 	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		switch attempts.Add(1) {
-		case 1:
-			if len(req.ResumeSeeds) != 0 {
-				t.Errorf("first attempt carried %d resume seeds", len(req.ResumeSeeds))
+		if req.OnGAProgress != nil { // a job attempt, not the synchronous control
+			req.OnGAProgress(1, 0, 9)
+			req.OnGAProgress(0, 0, 8)
+			if attempts.Add(1) == 1 {
+				panic("injected worker fault")
 			}
-			req.OnGAProgress(1, 0, 9, []float64{1, 0})
-			req.OnGAProgress(0, 0, 8, []float64{0, 0})
-			req.OnGAProgress(0, 1, 7, []float64{0, 7})
-			panic("injected worker fault")
-		default:
-			gotSeeds.Store(req.ResumeSeeds)
-			return stubResult(req), nil
 		}
+		return stubResult(req), nil
 	}
 	s := New(Config{Workers: 2, Eval: eval})
 	ts := newHTTPServer(t, s)
@@ -182,26 +175,25 @@ func TestJobPanicCheckpointResume(t *testing.T) {
 	st := submitJob(t, ts.URL, `{"op":"project","request":`+reqBT+`}`)
 	final := waitJobDone(t, ts.URL, st.ID)
 	if final.State != cluster.JobDone {
-		t.Fatalf("job state = %s (%s), want done after resume", final.State, final.Error)
+		t.Fatalf("job state = %s (%s), want done after the retry", final.State, final.Error)
 	}
 	if final.Attempts != 2 || !final.Resumed {
 		t.Errorf("job reports attempts=%d resumed=%v, want 2/true", final.Attempts, final.Resumed)
 	}
-	seeds, _ := gotSeeds.Load().([][]float64)
-	want := [][]float64{{0, 7}, {1, 0}} // newest genome per member, member order
-	if fmt.Sprint(seeds) != fmt.Sprint(want) {
-		t.Errorf("resume attempt seeded with %v, want %v", seeds, want)
-	}
 	if attempts.Load() != 2 {
 		t.Errorf("evaluation ran %d times, want 2", attempts.Load())
 	}
-	// The resumed result is served, and the deterministic result cache was
-	// never polluted by the job path.
-	if code, err := httpGet(ts.URL + "/v1/jobs/" + st.ID + "/result"); err != nil || code != 200 {
-		t.Errorf("result fetch = %d, %v", code, err)
-	}
+	// The deterministic result cache was never touched by the job path…
 	if n := s.CacheLen(); n != 0 {
 		t.Errorf("job execution left %d entries in the synchronous result cache", n)
+	}
+	// …and the retried job serves exactly the synchronous endpoint's bytes.
+	code, _, want := post(t, ts.URL+"/v1/project", reqBT)
+	if code != 200 {
+		t.Fatalf("synchronous control status = %d: %s", code, want)
+	}
+	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, want) {
+		t.Errorf("retried job result differs from the synchronous endpoint:\njob:  %s\nsync: %s", got, want)
 	}
 }
 

@@ -246,10 +246,9 @@ func (s *Server) SetMembership(alive []string) {
 }
 
 // Handoff drains the async job manager for shutdown: every unfinished job
-// is cancelled and its transferable state — op, original payload, newest
-// checkpoint seeds — shipped to the replica that now owns its group, which
-// resumes the search from the seeds via the ResumeSeeds path instead of
-// restarting it. Returns how many jobs were handed off successfully.
+// is cancelled and its transferable state — op, group, original payload —
+// shipped to the replica that now owns its group, which re-runs the search
+// from the payload. Returns how many jobs were handed off successfully.
 func (s *Server) Handoff(ctx context.Context) int {
 	hands := s.jobs.DrainForHandoff()
 	sent := 0

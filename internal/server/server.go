@@ -96,12 +96,6 @@ type Config struct {
 	// cache-cold benchmarking and as an escape hatch; off (store enabled)
 	// by default.
 	DisableLayeredCache bool
-	// WarmStart opts evaluations into GA warm-starting from the layered
-	// store's nearest cached surrogate (see swapp.Request.WarmStart).
-	// Warm-started projections can differ from cold ones, so the flag
-	// enters the cache key: warm and cold results never share an entry.
-	// Off by default; requires the layered cache.
-	WarmStart bool
 	// Obs receives the serving metrics (server.requests, server.inflight,
 	// per-layer cache counters server.cache.result_hits /
 	// server.cache.characterisation_hits / server.cache.profile_hits /
@@ -162,9 +156,9 @@ type Config struct {
 	// under DataDir/journal plus the layered store's snapshot file. Only
 	// NewDurable honours it — with DataDir set it replays the journal at
 	// startup, resurrecting jobs a crashed process left unfinished
-	// (counted as jobs.recovered) and resuming them from their newest
-	// journalled checkpoints. Empty (the default) keeps the fully
-	// in-memory behaviour, byte-identical to pre-durability builds.
+	// (counted as jobs.recovered) by resubmitting their journalled
+	// payloads under their original IDs. Empty (the default) keeps the
+	// fully in-memory behaviour, byte-identical to pre-durability builds.
 	DataDir string
 	// WALSyncEvery batches the journal's fsyncs (see durable.Options);
 	// 0 — the default — syncs every record, the safe choice for kill -9
@@ -282,15 +276,16 @@ func New(cfg Config) *Server {
 }
 
 // Close stops the gossip loop and accepting async job submissions, and
-// flushes the durable job journal; running jobs finish on their own.
-// Serving endpoints are unaffected (the HTTP listener's Shutdown handles
-// those).
+// flushes and closes the durable job journal; running jobs finish on their
+// own (a terminal record that races the close is dropped and counted, and
+// the job is simply re-run on the next start). Serving endpoints are
+// unaffected (the HTTP listener's Shutdown handles those). Idempotent.
 func (s *Server) Close() {
 	if s.gossipCancel != nil {
 		s.gossipCancel()
 	}
 	s.jobs.Close()
-	_ = s.journal.Sync()
+	_ = s.journal.Close()
 }
 
 // SetDraining flips the readiness state: once draining, /readyz answers
@@ -403,7 +398,7 @@ func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Resu
 
 		// Fast path: a finished result needs no deadline machinery — serve
 		// the memoised bytes without allocating a timer context.
-		key := digest(op, req, s.cfg.WarmStart)
+		key := digest(op, req)
 		start := time.Now()
 		if res, ok := s.cache.get(key); ok {
 			s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
@@ -557,7 +552,6 @@ func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swap
 	evalReq.Workers = s.cfg.EvalWorkers
 	evalReq.StageTimeout = s.cfg.StageTimeout
 	evalReq.Store = s.store
-	evalReq.WarmStart = s.cfg.WarmStart
 	if s.cfg.TraceRequests {
 		sp := s.obs.Child(fmt.Sprintf("server.%s.%s.%c@%d:%s", op, evalReq.Bench, evalReq.Class, evalReq.Ranks, evalReq.Target))
 		evalReq.Obs = sp

@@ -33,7 +33,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/figures"
-	"repro/internal/ga"
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/obs"
@@ -107,40 +106,13 @@ type Request struct {
 	// with or without a store — and ignored when Data supplies external
 	// benchmark data or while fault injection is armed.
 	Store *core.Store
-	// WarmStart opts the GA surrogate search into seeding its initial
-	// population from Store's nearest cached surrogate for the same
-	// (base, app, target). Unlike Store itself this CAN change the
-	// projected numbers — the search explores from a different
-	// generation 0, and the outcome depends on which prior requests
-	// populated the store — so it is off by default and recorded in the
-	// projection's Quality report when it fires. Requires Store.
-	WarmStart bool
 	// OnGAProgress, when non-nil, taps the GA surrogate search's
 	// per-generation progress (member index, generation, running best
-	// fitness, cloned best genome — the checkpoint material for resumable
-	// async jobs). Strictly passive; must be safe for concurrent calls
+	// fitness). Strictly passive; must be safe for concurrent calls
 	// (ensemble members run in parallel). Progress only fires when the
 	// search actually runs — a projection served whole from Store
 	// completes without generations.
-	OnGAProgress func(member, gen int, best float64, genome []float64)
-	// ResumeSeeds, when non-empty, seed the GA surrogate search's initial
-	// population directly — the async-job checkpoint-resume path. Like
-	// WarmStart this CAN change the projected numbers, so resumed
-	// searches bypass Store's content-addressed surrogate entries and
-	// record a GAResume defect in the projection's Quality report.
-	ResumeSeeds [][]float64
-	// OnGACheckpoint, when non-nil, receives each GA ensemble member's
-	// full evolution state after every evolved generation — the
-	// durability tap for crash-recoverable jobs (see ga.Checkpoint).
-	// Strictly passive; must be safe for concurrent calls.
-	OnGACheckpoint func(member int, cp *ga.Checkpoint)
-	// ResumeCheckpoints, when non-empty, restore the GA ensemble members
-	// from checkpoints captured by OnGACheckpoint (indexed by member; nil
-	// members start cold). This is the EXACT resume path: for a search
-	// that started cold under the same request, the result is
-	// bit-identical to the uninterrupted run's, so no quality defect is
-	// recorded. Takes precedence over ResumeSeeds.
-	ResumeCheckpoints []*ga.Checkpoint
+	OnGAProgress func(member, gen int, best float64)
 }
 
 // withDefaults validates and fills the request.
@@ -297,9 +269,7 @@ func prepare(ctx context.Context, req Request) (*core.Pipeline, *core.AppModel, 
 		var err error
 		pipe, err = core.NewPipelineCtx(c, base, target, counts,
 			core.Options{Workers: req.Workers, Obs: req.Obs, Data: req.Data,
-				Store: req.Store, WarmStart: req.WarmStart,
-				OnGAProgress: req.OnGAProgress, SurrogateSeeds: req.ResumeSeeds,
-				OnGACheckpoint: req.OnGACheckpoint, SurrogateCheckpoints: req.ResumeCheckpoints})
+				Store: req.Store, OnGAProgress: req.OnGAProgress})
 		return err
 	}); err != nil {
 		return nil, nil, err

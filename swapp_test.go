@@ -1,12 +1,8 @@
 package swapp
 
 import (
-	"reflect"
 	"strings"
-	"sync"
 	"testing"
-
-	"repro/internal/ga"
 )
 
 func TestMachines(t *testing.T) {
@@ -63,58 +59,6 @@ func TestProjectEndToEnd(t *testing.T) {
 	}
 	if p.Total != p.ComputeTime+p.CommTime {
 		t.Error("total must be the component sum")
-	}
-}
-
-// TestProjectCheckpointResumeByteIdentical pins the crash-recovery arc at
-// the public API: a request tapped with OnGACheckpoint projects the same
-// bytes as an untapped one, and a request resumed from mid-evolution
-// checkpoints reproduces the uninterrupted projection exactly — the
-// property swappd's kill -9 recovery rests on.
-func TestProjectCheckpointResumeByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline in -short mode")
-	}
-	var mu sync.Mutex
-	latest := map[int]*ga.Checkpoint{}
-	ref, err := Project(Request{
-		Target: TargetPower6,
-		Bench:  LU, Class: ClassC, Ranks: 16,
-		OnGACheckpoint: func(member int, cp *ga.Checkpoint) {
-			mu.Lock()
-			latest[member] = cp
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(latest) == 0 {
-		t.Fatal("OnGACheckpoint never fired")
-	}
-	maxMember := 0
-	for m := range latest {
-		if m > maxMember {
-			maxMember = m
-		}
-	}
-	cps := make([]*ga.Checkpoint, maxMember+1)
-	for m, cp := range latest {
-		cps[m] = cp
-	}
-	res, err := Project(Request{
-		Target: TargetPower6,
-		Bench:  LU, Class: ClassC, Ranks: 16,
-		ResumeCheckpoints: cps,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Projection, ref.Projection) {
-		t.Errorf("resumed projection diverged:\n got %+v\nwant %+v", res.Projection, ref.Projection)
-	}
-	if res.String() != ref.String() {
-		t.Errorf("rendered result diverged:\n got %s\nwant %s", res, ref)
 	}
 }
 
