@@ -23,8 +23,12 @@ test:
 race:
 	$(GO) test -race -short -timeout 1800s ./...
 
+# The second line is the simulator's one-line check: BenchmarkHandoff is
+# ns and allocs per process switch, BenchmarkSpawnRun's allocs/op ÷ 64 the
+# allocations per short-lived process.
 bench:
 	$(GO) test -run '^$$' -bench 'Speedup|EnforceSparsity|TopK' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'Handoff|SpawnRun' -benchmem ./internal/des
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
 # plus the per-layer budget; see bench/README.md.

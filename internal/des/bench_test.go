@@ -1,0 +1,50 @@
+package des
+
+import "testing"
+
+// BenchmarkHandoff is the cost of one process switch: two processes
+// ping-ponging one-shot signals, two hand-offs per round trip. ns/op and
+// allocs/op are per hand-off.
+func BenchmarkHandoff(b *testing.B) {
+	rounds := (b.N + 1) / 2
+	k := NewKernel()
+	ping := make([]*Signal, rounds)
+	pong := make([]*Signal, rounds)
+	for i := range ping {
+		ping[i], pong[i] = k.NewSignalKind("ping", i), k.NewSignalKind("pong", i)
+	}
+	k.Spawn("a", func(p *Proc) {
+		for i := range ping {
+			ping[i].Fire()
+			p.WaitSignal(pong[i])
+		}
+	})
+	k.Spawn("b", func(p *Proc) {
+		for i := range ping {
+			p.WaitSignal(ping[i])
+			pong[i].Fire()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkSpawnRun is the cost of short-lived processes, the shape of an
+// IMB table: one op is a 64-process kernel whose processes each advance
+// once and exit. allocs/op ÷ 64 is the per-process allocation count.
+func BenchmarkSpawnRun(b *testing.B) {
+	body := func(p *Proc) { p.Advance(1) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := NewKernel()
+		for r := 0; r < 64; r++ {
+			k.SpawnKind("rank", r, body)
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,15 +1,21 @@
 // Package des is a process-oriented discrete-event simulation kernel: the
 // substrate under the MPI simulator. Each simulated process (an MPI rank)
-// is a goroutine that advances a shared virtual clock by blocking on the
-// kernel; the kernel runs exactly one goroutine at a time and orders all
-// wakeups by (virtual time, sequence), so simulations are fully
-// deterministic regardless of Go's scheduler.
+// runs on a runtime coroutine (iter.Pull) that the kernel resumes and the
+// process yields from: a hand-off is a direct coroutine switch on the
+// caller's thread, never a trip through Go's scheduler. The kernel runs
+// exactly one process at a time and orders all wakeups by (virtual time,
+// sequence), so simulations are fully deterministic at any GOMAXPROCS.
 //
 // The programming model is the classic coroutine style: a process calls
 // Advance to burn virtual time (compute), and WaitSignal to block until
 // another process or a scheduled event fires a Signal (communication). The
 // kernel detects global deadlock — an empty event queue with processes
 // still blocked — and reports who was stuck.
+//
+// Processes are short-lived and many (an IMB table spawns ~20 k ranks), so
+// coroutines outlive them: one that finishes a body parks on a bounded
+// package-level free list and the next process to start, in any kernel,
+// takes it. See coro.
 //
 // The kernel is a hot path: one NAS characterisation or IMB sweep pushes
 // tens of millions of events through it, so the event loop is built not to
@@ -24,8 +30,10 @@ package des
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/units"
 )
@@ -82,6 +90,10 @@ type Kernel struct {
 	live   int
 	failed error
 	slab   []Signal // signal arena: NewSignal carves from here
+
+	// abandoning tells a process resumed by abandonBlocked to unwind
+	// instead of carrying on; see Proc.block.
+	abandoning bool
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -151,14 +163,6 @@ func (k *Kernel) FireAt(s *Signal, delay units.Seconds) {
 	k.push(event{at: k.now + delay, sig: s})
 }
 
-// scheduleWake wakes p at now+delay without allocating a callback.
-func (k *Kernel) scheduleWake(delay units.Seconds, p *Proc) {
-	if delay < 0 {
-		delay = 0
-	}
-	k.push(event{at: k.now + delay, proc: p})
-}
-
 // Proc is the handle a simulated process uses to interact with the kernel.
 type Proc struct {
 	k      *Kernel
@@ -166,8 +170,8 @@ type Proc struct {
 	kind   string
 	nameID int // -1: kind IS the full name; else rendered as kind+nameID
 	state  procState
-	resume chan bool // true = run, false = abort
-	yield  chan struct{}
+	fn     func(*Proc)
+	co     *coro // the coroutine running fn: set at first wake, nil once done
 
 	// Blocked-reason data, rendered only by deadlock reports.
 	waitKind waitKind
@@ -211,8 +215,8 @@ type errAborted struct{}
 func (p *Proc) block(kind waitKind, dt units.Seconds, sig *Signal) {
 	p.state = stateBlocked
 	p.waitKind, p.waitDt, p.waitSig = kind, dt, sig
-	p.yield <- struct{}{}
-	if run := <-p.resume; !run {
+	p.co.yield(struct{}{})
+	if p.k.abandoning {
 		panic(errAborted{})
 	}
 	p.state = stateRunning
@@ -220,13 +224,26 @@ func (p *Proc) block(kind waitKind, dt units.Seconds, sig *Signal) {
 }
 
 // Advance burns dt of virtual time as local work (compute). Negative dt is
-// clamped to zero; a zero advance still yields, giving same-time events a
-// chance to run in deterministic order.
+// clamped to zero; a zero advance still yields to events already queued for
+// the current time, in deterministic order.
+//
+// When nothing is queued at or before now+dt, this process's own wake would
+// be the very next event popped, so Advance moves the clock and returns
+// without pushing, popping or switching. The comparison is strict: an event
+// queued at exactly now+dt was pushed earlier, holds a smaller seq and must
+// run first, so that case takes the full path and (time, seq) order is
+// exactly what it would be without the shortcut.
 func (p *Proc) Advance(dt units.Seconds) {
 	if dt < 0 {
 		dt = 0
 	}
-	p.k.scheduleWake(dt, p)
+	k := p.k
+	at := k.now + dt
+	if len(k.events) == 0 || k.events[0].at > at {
+		k.now = at
+		return
+	}
+	k.push(event{at: at, proc: p})
 	p.block(waitAdvance, dt, nil)
 }
 
@@ -240,14 +257,106 @@ func (p *Proc) WaitSignal(s *Signal) {
 	p.block(waitSignal, 0, s)
 }
 
-// wake marks p runnable and transfers control to it until it blocks again.
-// Must be called from kernel context.
+// wake transfers control to p until it blocks again or finishes, giving it
+// a coroutine if this is its first wake and taking the coroutine back if it
+// was its last. Must be called from kernel context.
 func (k *Kernel) wake(p *Proc) {
 	if p.state == stateDone {
 		return
 	}
-	p.resume <- true
-	<-p.yield
+	if p.co == nil {
+		p.co = acquireCoro()
+		p.co.p = p
+	}
+	co := p.co
+	co.next()
+	if p.state == stateDone {
+		p.co = nil
+		releaseCoro(co)
+	}
+}
+
+// coro is a runtime coroutine that runs process bodies, one after another:
+// run a body, park, be handed the next body — possibly by another kernel on
+// another goroutine. Reuse is what makes coroutines affordable here: a bare
+// iter.Pull per process would nearly double a cold projection's allocations.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process to run at the next resume
+}
+
+// freeCoroCap bounds the free list, and with it the goroutines and stack
+// memory the package holds while idle. 512 is four 128-rank worlds — the
+// largest the pipeline simulates — so with up to four kernels in flight
+// every process after the first world's starts on a recycled coroutine;
+// more concurrency than that still works and only recycles less. DESIGN.md
+// §15 has the measured cost.
+const freeCoroCap = 512
+
+// freeCoros holds parked coroutines between processes.
+var freeCoros struct {
+	sync.Mutex
+	list []*coro
+}
+
+// acquireCoro takes a parked coroutine, or starts one if none is parked.
+func acquireCoro() *coro {
+	freeCoros.Lock()
+	defer freeCoros.Unlock()
+	if n := len(freeCoros.list); n > 0 {
+		c := freeCoros.list[n-1]
+		freeCoros.list = freeCoros.list[:n-1]
+		return c
+	}
+	c := &coro{}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// releaseCoro parks c for the next process, or ends it if the list is full.
+func releaseCoro(c *coro) {
+	freeCoros.Lock()
+	full := len(freeCoros.list) == freeCoroCap
+	if !full {
+		freeCoros.list = append(freeCoros.list, c)
+	}
+	freeCoros.Unlock()
+	if full {
+		c.stop()
+	}
+}
+
+// loop is the coroutine body: run the assigned process, park, repeat. The
+// park's yield returns false only when releaseCoro stops a surplus coroutine.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
+}
+
+// run executes c.p's body to completion, absorbing its panics so the
+// coroutine survives to run another.
+func (c *coro) run() {
+	p := c.p
+	c.p = nil
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(errAborted); !ok {
+				// A real bug in simulation code: surface it.
+				p.k.failed = fmt.Errorf("des: process %s panicked: %v", p.Name(), r)
+			}
+		}
+		p.state = stateDone
+		p.k.live--
+	}()
+	p.state = stateRunning
+	p.fn(p)
 }
 
 // Signal is a one-shot broadcast: processes wait on it, someone fires it.
@@ -312,12 +421,13 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
+	k := s.k
 	if s.w0 != nil {
-		s.k.scheduleWake(0, s.w0)
+		k.push(event{at: k.now, proc: s.w0})
 		s.w0 = nil
 	}
 	for _, w := range s.more {
-		s.k.scheduleWake(0, w)
+		k.push(event{at: k.now, proc: w})
 	}
 	s.more = nil
 }
@@ -342,33 +452,12 @@ func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
 		kind:   kind,
 		nameID: nameID,
 		state:  stateReady,
-		resume: make(chan bool),
-		yield:  make(chan struct{}),
+		fn:     fn,
 	}
 	k.procs = append(k.procs, p)
 	k.live++
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(errAborted); !ok {
-					// A real bug in simulation code: surface it.
-					k.failed = fmt.Errorf("des: process %s panicked: %v", p.Name(), r)
-				}
-			}
-			p.state = stateDone
-			k.live--
-			// Final handshake: whoever resumed us (wake or
-			// abandonBlocked) is waiting on this yield.
-			p.yield <- struct{}{}
-		}()
-		if run := <-p.resume; !run {
-			panic(errAborted{})
-		}
-		p.state = stateRunning
-		fn(p)
-	}()
 	// First resume event at t=0, in spawn order.
-	k.scheduleWake(0, p)
+	k.push(event{at: k.now, proc: p})
 	return p
 }
 
@@ -379,6 +468,7 @@ func (k *Kernel) Run() error {
 	for len(k.events) > 0 {
 		e := k.pop()
 		if e.at < k.now {
+			k.abandonBlocked()
 			return fmt.Errorf("des: time went backwards: %v < %v", e.at, k.now)
 		}
 		k.now = e.at
@@ -416,12 +506,19 @@ func (k *Kernel) blockedReport() string {
 	return strings.Join(lines, "\n")
 }
 
-// abandonBlocked unwinds every parked goroutine so Run leaks nothing.
+// abandonBlocked ends every unfinished process so Run leaves nothing
+// parked: a blocked one is resumed with the abandoning flag up, unwinds
+// through its deferred calls and hands its coroutine back; one that never
+// started has nothing to unwind.
 func (k *Kernel) abandonBlocked() {
+	k.abandoning = true
 	for _, p := range k.procs {
-		if p.state == stateBlocked || p.state == stateReady {
-			p.resume <- false // triggers errAborted panic in the process
-			<-p.yield
+		switch p.state {
+		case stateBlocked:
+			k.wake(p)
+		case stateReady:
+			p.state = stateDone
+			k.live--
 		}
 	}
 }

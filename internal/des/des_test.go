@@ -3,7 +3,10 @@ package des
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -188,7 +191,7 @@ func TestPanicInProcessSurfaces(t *testing.T) {
 		p.WaitSignal(p.Kernel().NewSignal("forever"))
 	})
 	err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "boom") {
+	if err == nil || err.Error() != "des: process bad panicked: boom" {
 		t.Fatalf("process panic must surface, got %v", err)
 	}
 }
@@ -309,4 +312,224 @@ func TestZeroAdvanceYieldsButKeepsTime(t *testing.T) {
 	if k.Now() != 0 {
 		t.Error("zero advances must not move the clock")
 	}
+}
+
+func TestAdvanceReturnsDirectlyWhenItsWakeIsNext(t *testing.T) {
+	k := NewKernel()
+	k.Spawn("p", func(p *Proc) {
+		pushed := k.seq
+		p.Advance(1.5) // empty queue
+		k.Schedule(2, func() {})
+		p.Advance(1) // queue top strictly later
+		if k.seq != pushed+1 {
+			t.Errorf("advances with nothing due first pushed %d events, want only the timer", k.seq-pushed)
+		}
+		if p.Now() != 2.5 {
+			t.Errorf("clock = %v, want 2.5", p.Now())
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 3.5 {
+		t.Errorf("kernel time = %v, want 3.5 (the timer)", k.Now())
+	}
+}
+
+func TestAdvanceYieldsToEventDueAtItsWakeTime(t *testing.T) {
+	k := NewKernel()
+	order := ""
+	k.Spawn("p", func(p *Proc) {
+		k.Schedule(1, func() { order += "timer " })
+		p.Advance(1) // the timer was queued first: it runs first
+		order += "p"
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if order != "timer p" {
+		t.Errorf("order = %q, want timer before p", order)
+	}
+}
+
+// drainFreeCoros stops every parked coroutine, so a test can tell exactly
+// which ones its own kernels park.
+func drainFreeCoros() {
+	freeCoros.Lock()
+	list := freeCoros.list
+	freeCoros.list = nil
+	freeCoros.Unlock()
+	for _, c := range list {
+		c.stop()
+	}
+}
+
+func parkedCoros() int {
+	freeCoros.Lock()
+	defer freeCoros.Unlock()
+	return len(freeCoros.list)
+}
+
+func TestTimeBackwardsAbandonsParkedProcesses(t *testing.T) {
+	drainFreeCoros()
+	k := NewKernel()
+	unwound := false
+	k.Spawn("sleeper", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Advance(10)
+		t.Error("sleeper resumed after the kernel failed")
+	})
+	k.Spawn("vandal", func(p *Proc) {
+		p.Advance(1)
+		k.events[0].at = 0.5 // the sleeper's wake, now in the past
+	})
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "time went backwards") {
+		t.Fatalf("corrupted queue must be reported, got %v", err)
+	}
+	if !unwound {
+		t.Error("parked process was not unwound")
+	}
+	for _, p := range k.procs {
+		if p.state != stateDone || p.co != nil {
+			t.Errorf("%s left in state %d holding coroutine %p", p.Name(), p.state, p.co)
+		}
+	}
+	if k.live != 0 {
+		t.Errorf("live = %d after Run, want 0", k.live)
+	}
+	if got := parkedCoros(); got != 2 {
+		t.Errorf("%d coroutines back on the free list, want both", got)
+	}
+}
+
+// endings are the three ways a kernel's Run can end.
+var endings = []struct {
+	name    string
+	spawn   func(k *Kernel)
+	wantErr string
+}{
+	{"normally", func(k *Kernel) {
+		s := k.NewSignal("go")
+		k.Spawn("w", func(p *Proc) { p.WaitSignal(s) })
+		k.Spawn("f", func(p *Proc) { p.Advance(1); s.Fire() })
+	}, ""},
+	{"by deadlock", func(k *Kernel) {
+		k.Spawn("stuck", func(p *Proc) { p.WaitSignal(k.NewSignal("never")) })
+		k.Spawn("slept", func(p *Proc) { p.Advance(1); p.WaitSignal(k.NewSignal("never")) })
+	}, "des: deadlock"},
+	{"by panic", func(k *Kernel) {
+		k.Spawn("bystander", func(p *Proc) { p.WaitSignal(k.NewSignal("forever")) })
+		k.Spawn("bad", func(p *Proc) { panic("boom") })
+		k.Spawn("unstarted", func(p *Proc) { p.Advance(2) })
+	}, "des: process bad panicked: boom"},
+}
+
+func runEnding(t *testing.T, i int) {
+	t.Helper()
+	e := endings[i%len(endings)]
+	k := NewKernel()
+	e.spawn(k)
+	err := k.Run()
+	switch {
+	case e.wantErr == "" && err != nil:
+		t.Fatalf("kernel %d ending %s: %v", i, e.name, err)
+	case e.wantErr != "" && (err == nil || !strings.HasPrefix(err.Error(), e.wantErr)):
+		t.Fatalf("kernel %d ending %s: got %v, want %s…", i, e.name, err, e.wantErr)
+	}
+}
+
+func TestGoroutinesBoundedAcrossKernelLifecycles(t *testing.T) {
+	before, parkedBefore := runtime.NumGoroutine(), parkedCoros()
+	for i := 0; i < 2000; i++ {
+		runEnding(t, i)
+	}
+	// One kernel wider than the free list: the surplus must be stopped,
+	// not parked and not leaked.
+	k := NewKernel()
+	s := k.NewSignal("go")
+	for i := 0; i < freeCoroCap+100; i++ {
+		k.SpawnKind("w", i, func(p *Proc) { p.WaitSignal(s) })
+	}
+	k.Spawn("f", func(p *Proc) { s.Fire() })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	after, parked := runtime.NumGoroutine(), parkedCoros()
+	if parked != freeCoroCap {
+		t.Errorf("%d coroutines parked after a %d-process kernel, want the cap %d", parked, freeCoroCap+100, freeCoroCap)
+	}
+	if after > before+freeCoroCap {
+		t.Errorf("goroutines %d → %d, more than the free list's %d above the start", before, after, freeCoroCap)
+	}
+	if leaked := (after - parked) - (before - parkedBefore); leaked > 0 {
+		t.Errorf("%d goroutines outside the free list outlived their kernels", leaked)
+	}
+}
+
+func TestCoroutineReusedAfterUnwinding(t *testing.T) {
+	for _, first := range []int{1, 2} { // deadlock (aborted body), panic
+		drainFreeCoros()
+		runEnding(t, first)
+		freeCoros.Lock()
+		parked := append([]*coro(nil), freeCoros.list...)
+		freeCoros.Unlock()
+		if len(parked) == 0 {
+			t.Fatalf("ending %s parked no coroutine", endings[first].name)
+		}
+
+		// The next kernel must pick those same coroutines up and run
+		// clean bodies on them, blocking and all.
+		k := NewKernel()
+		s := k.NewSignal("go")
+		var ran []*coro
+		var end float64
+		for i := range parked {
+			k.SpawnKind("next", i, func(p *Proc) {
+				ran = append(ran, p.co)
+				p.WaitSignal(s)
+				p.Advance(1)
+				end = p.Now()
+			})
+		}
+		k.Spawn("f", func(p *Proc) { p.Advance(2); s.Fire() })
+		if err := k.Run(); err != nil {
+			t.Fatalf("after ending %s: %v", endings[first].name, err)
+		}
+		if end != 3 {
+			t.Errorf("after ending %s: reused coroutines finished at %v, want 3", endings[first].name, end)
+		}
+		for _, c := range ran {
+			if !slices.Contains(parked, c) {
+				t.Errorf("after ending %s: a process ran on a fresh coroutine with %d parked", endings[first].name, len(parked))
+			}
+		}
+	}
+}
+
+func TestKernelsShareFreeListConcurrently(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 60; i++ {
+				k := NewKernel()
+				var total float64
+				for r := 0; r < 16; r++ {
+					k.SpawnKind("p", r, func(p *Proc) {
+						for j := 0; j < 4; j++ {
+							p.Advance(0.25)
+						}
+						total += p.Now()
+					})
+				}
+				if err := k.Run(); err != nil || total != 16 {
+					t.Errorf("concurrent kernel: total %v, err %v", total, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

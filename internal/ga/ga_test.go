@@ -2,6 +2,7 @@ package ga
 
 import (
 	"math"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -181,12 +182,12 @@ func TestMemoizationSkipsDuplicates(t *testing.T) {
 	// With crossover and mutation both disabled, every child is a byte
 	// copy of a previous individual: only the initial population is ever
 	// scored, however many generations run.
-	calls := 0
+	var calls atomic.Int64 // Fitness runs on the parallel evaluator's workers
 	res, err := Run(Config{
 		GenomeLen: 4, Seed: "memo", PopSize: 16, Generations: 25,
 		CrossoverRate: Rate(0), MutationRate: Rate(0),
 		Fitness: func(g []float64) float64 {
-			calls++
+			calls.Add(1)
 			return sphere(make([]float64, 4))(g)
 		},
 	})
@@ -196,8 +197,8 @@ func TestMemoizationSkipsDuplicates(t *testing.T) {
 	if res.Evaluations > 16 {
 		t.Errorf("evaluations = %d, want <= 16 (duplicates must hit the memo cache)", res.Evaluations)
 	}
-	if calls != res.Evaluations {
-		t.Errorf("fitness called %d times but Evaluations = %d", calls, res.Evaluations)
+	if calls.Load() != int64(res.Evaluations) {
+		t.Errorf("fitness called %d times but Evaluations = %d", calls.Load(), res.Evaluations)
 	}
 }
 
