@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race bench benchmark bench-serve bench-kernel-baseline fuzz cover serve-smoke cluster-smoke crash-smoke chaos
+.PHONY: check build vet test race bench benchmark fuzz cover serve-smoke cluster-smoke crash-smoke chaos
 
 ## check: everything CI runs — vet, build, full tests, race tests.
 check: vet build test race
@@ -25,30 +25,18 @@ race:
 
 # The second line is the simulator's one-line check: BenchmarkHandoff is
 # ns and allocs per process switch, BenchmarkSpawnRun's allocs/op ÷ 64 the
-# allocations per short-lived process.
+# allocations per short-lived process. The third is the peer-hop number:
+# one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
+# in-process ring.
 bench:
 	$(GO) test -run '^$$' -bench 'Speedup|EnforceSparsity|TopK' -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'Handoff|SpawnRun' -benchmem ./internal/des
+	$(GO) test -run '^$$' -bench 'RingBatch' -benchmem ./internal/server
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
 # plus the per-layer budget; see bench/README.md.
 benchmark:
 	$(GO) run ./bench
-
-# Serving-layer regression gate: the GA evaluation-kernel microbenchmarks
-# (Benchmark{Kernel,ScoreAll} vs BENCH_kernel.json, via cmd/benchstatgate),
-# then the cheap swappbench scenarios (cache-hot, shared-base-warm) — both
-# fail on >20% regressions vs their committed baselines. Regenerate the
-# serving baseline with: go run ./cmd/swappbench -out BENCH_swappd.json
-bench-serve:
-	./scripts/bench_gate.sh
-
-# Rewrite BENCH_kernel.json from a fresh (longer, steadier) benchmark run
-# on this host. Commit the result.
-bench-kernel-baseline:
-	$(GO) test -run '^$$' -bench 'BenchmarkKernel$$|BenchmarkScoreAll' -benchmem -benchtime 1s -count 3 \
-		./internal/core ./internal/ga > /tmp/kernel_bench.txt
-	$(GO) run ./cmd/benchstatgate -baseline BENCH_kernel.json -update /tmp/kernel_bench.txt
 
 # Short mutation pass over the persistence decoders, the WAL scanner and
 # the job-journal replay (CI runs the same).

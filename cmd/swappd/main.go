@@ -67,7 +67,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		stageTO     = fs.Duration("stage-timeout", 0, "per-stage evaluation budget, distinct from the request deadline (0 = off)")
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive failures tripping the circuit breaker (0 = default 5, negative = off)")
 		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-circuit rejection window before a probe (0 = default 10s)")
-		layered     = fs.Bool("layered-cache", true, "share characterisations, profiles and surrogates across requests (does not affect the numbers)")
 		self        = fs.String("self", "", "this replica's advertised base URL in peer-aware mode (e.g. http://10.0.0.1:8080)")
 		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables consistent-hash request routing")
 		gossip      = fs.Bool("gossip", true, "run SWIM-style health gossip over -peers so the ring follows live membership; false pins the static -peers ring (fallback mode)")
@@ -112,8 +111,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
 		Eval:             evalOverride,
-
-		DisableLayeredCache: !*layered,
 
 		Self:               *self,
 		Peers:              splitPeers(*peers),

@@ -38,8 +38,8 @@ func benchKernelFixture(benches, metrics int) (*EvalKernel, [][]float64) {
 }
 
 // BenchmarkKernel is the per-genome objective: one EvalKernel.Objective
-// call on a surrogate-search-shaped problem. Gated by bench_gate.sh via
-// BENCH_kernel.json — allocs/op must stay 0.
+// call on a surrogate-search-shaped problem. TestKernelObjectiveZeroAllocs
+// holds its allocs/op at 0.
 func BenchmarkKernel(b *testing.B) {
 	kern, genomes := benchKernelFixture(29, 52)
 	scratch := kern.NewScratch()
@@ -48,6 +48,22 @@ func BenchmarkKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink += kern.Objective(genomes[i%len(genomes)], scratch)
+	}
+	_ = sink
+}
+
+// TestKernelObjectiveZeroAllocs pins the GA's inner loop at zero
+// allocations per genome, on BenchmarkKernel's fixture.
+func TestKernelObjectiveZeroAllocs(t *testing.T) {
+	kern, genomes := benchKernelFixture(29, 52)
+	scratch := kern.NewScratch()
+	var sink float64
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		sink += kern.Objective(genomes[i%len(genomes)], scratch)
+		i++
+	}); n != 0 {
+		t.Errorf("EvalKernel.Objective allocates %v times per call, want 0", n)
 	}
 	_ = sink
 }

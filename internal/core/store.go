@@ -249,7 +249,8 @@ func newLayer(name string, max int, scope *obs.Scope) *layer {
 // in-flight fill, or electing this caller the leader. The leader's fill
 // runs in its own goroutine, detached from ctx: the waiter below may give
 // up at its deadline, but the shared fill runs to completion so every
-// other request still gets the artifact. Failed fills are not cached.
+// other request still gets the artifact. Failed fills are not cached; a
+// fill that panics is a failed fill (see runFill).
 func (l *layer) getOrFill(ctx context.Context, key string, fill func() (any, error)) (any, error) {
 	l.mu.Lock()
 	if el, ok := l.entries[key]; ok {
@@ -270,7 +271,7 @@ func (l *layer) getOrFill(ctx context.Context, key string, fill func() (any, err
 	l.obs.Count(l.name+"_misses", 1)
 
 	go func() {
-		v, err := fill()
+		v, err := l.runFill(fill)
 		l.mu.Lock()
 		f.val, f.err = v, err
 		delete(l.inflight, key)
@@ -293,6 +294,18 @@ func (l *layer) getOrFill(ctx context.Context, key string, fill func() (any, err
 		close(f.done)
 	}()
 	return f.wait(ctx)
+}
+
+// runFill runs one fill with panic isolation. The fill's goroutine is
+// outside every caller's recover, so a panic escaping it would end the
+// process; here it becomes the error every waiter receives instead.
+func (l *layer) runFill(fill func() (any, error)) (v any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			v, err = nil, fmt.Errorf("core: %s fill panicked: %v", l.name, p)
+		}
+	}()
+	return fill()
 }
 
 // wait blocks for the fill under the caller's context.

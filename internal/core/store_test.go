@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/nas"
+	"repro/internal/obs"
 	"repro/internal/spec"
 )
 
@@ -100,6 +102,53 @@ func TestLayerFailedFillNotCached(t *testing.T) {
 	v, err := l.getOrFill(context.Background(), "k", func() (any, error) { return "ok", nil })
 	if err != nil || v != "ok" {
 		t.Fatalf("retry after failed fill = %v, %v", v, err)
+	}
+}
+
+// TestLayerFillPanicIsAnError proves a panicking fill is a failed fill, not
+// a dead process: the leader and every joined waiter get the panic as an
+// error, nothing is cached, and the next request for the key fills afresh.
+func TestLayerFillPanicIsAnError(t *testing.T) {
+	scope := obs.New("test")
+	defer scope.End()
+	l := newLayer("test.profile", 8, scope)
+	const callers = 8
+	started, release := make(chan struct{}), make(chan struct{})
+	errs := make(chan error, callers)
+	call := func() {
+		_, err := l.getOrFill(context.Background(), "k", func() (any, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+		errs <- err
+	}
+	go call()
+	<-started
+	for i := 1; i < callers; i++ {
+		go call()
+	}
+	// A joiner is counted as a hit once it holds the in-flight fill.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if n, _ := scope.Metrics().Counter("test.profile_hits"); n == callers-1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("waiters never joined the in-flight fill")
+		}
+	}
+	close(release)
+	for i := 0; i < callers; i++ {
+		if err := <-errs; err == nil || !strings.Contains(err.Error(), "test.profile fill panicked: boom") {
+			t.Errorf("caller %d: err = %v, want the fill's panic", i, err)
+		}
+	}
+	if l.len() != 0 {
+		t.Fatalf("panicked fill was cached (%d entries)", l.len())
+	}
+	v, err := l.getOrFill(context.Background(), "k", func() (any, error) { return "ok", nil })
+	if err != nil || v != "ok" {
+		t.Fatalf("retry after panicked fill = %v, %v", v, err)
 	}
 }
 

@@ -262,9 +262,9 @@ func cheapFitness(g []float64) float64 {
 
 // BenchmarkScoreAll measures one evaluator batch. "miss" scores fresh
 // genomes (hash + insert + fitness dispatch + index readback); "hit"
-// rescores a fully memoized batch (pure probe + readback). Both are gated
-// by bench_gate.sh via BENCH_kernel.json; the hit path must stay
-// allocation-free and the miss path's allocs are the memo inserts alone.
+// rescores a fully memoized batch (pure probe + readback). The hit path
+// must stay allocation-free (TestScoreAllHitZeroAllocs) and the miss path's
+// allocs are the memo inserts alone.
 func BenchmarkScoreAll(b *testing.B) {
 	const genomeLen = 29
 	b.Run("miss", func(b *testing.B) {
@@ -292,6 +292,24 @@ func BenchmarkScoreAll(b *testing.B) {
 			ev.scoreAll(batches[i%len(batches)])
 		}
 	})
+}
+
+// TestScoreAllHitZeroAllocs pins a fully memoized batch at zero
+// allocations, on BenchmarkScoreAll/hit's fixture.
+func TestScoreAllHitZeroAllocs(t *testing.T) {
+	const genomeLen = 29
+	batches := benchScoreAllBatches(16, 62, genomeLen)
+	ev := newBenchEvaluator(genomeLen)
+	for _, gs := range batches {
+		ev.scoreAll(gs)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		ev.scoreAll(batches[i%len(batches)])
+		i++
+	}); n != 0 {
+		t.Errorf("scoreAll on a memoized batch allocates %v times, want 0", n)
+	}
 }
 
 func newBenchEvaluator(genomeLen int) *evaluator {

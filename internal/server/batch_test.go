@@ -59,13 +59,13 @@ func (e *groupedEval) fn(ctx context.Context, op string, req swapp.Request) (*sw
 }
 
 // batchBody builds a /v1/batch payload from items.
-func batchBody(t *testing.T, items ...string) string {
+func batchBody(t testing.TB, items ...string) string {
 	t.Helper()
 	return fmt.Sprintf(`{"requests":[%s]}`, strings.Join(items, ","))
 }
 
 // decodeBatch parses a /v1/batch response body.
-func decodeBatch(t *testing.T, body []byte) batchResponse {
+func decodeBatch(t testing.TB, body []byte) batchResponse {
 	t.Helper()
 	var resp batchResponse
 	if err := json.Unmarshal(body, &resp); err != nil {

@@ -129,18 +129,25 @@ func (c *cache) renderedBytes(key cacheKey, ep int, res *swapp.Result, render fu
 	return b, nil
 }
 
-// join returns the in-flight call for key, creating it if absent. leader
-// is true for the creator, who must run the evaluation and finish it;
-// everyone else waits on call.done.
-func (c *cache) join(key cacheKey) (cl *call, leader bool) {
+// lookup resolves key in one critical section: a finished result (cl nil,
+// entry refreshed in the LRU), the in-flight call to wait on, or — for
+// the caller that finds neither — a new call it must run and finish as
+// leader. Checking the LRU and the in-flight table under one lock is what
+// makes the leader unique: a finish between two separate checks would show
+// a second caller a miss and an empty table.
+func (c *cache) lookup(key cacheKey) (res *swapp.Result, cl *call, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.ll.MoveToFront(el)
+		return el.Value.(*entry).res, nil, false
+	}
 	if cl, ok := c.inflight[key]; ok {
-		return cl, false
+		return nil, cl, false
 	}
 	cl = &call{done: make(chan struct{})}
 	c.inflight[key] = cl
-	return cl, true
+	return nil, cl, true
 }
 
 // finish publishes the leader's outcome: successful results enter the LRU,

@@ -57,7 +57,7 @@ func (c *clusterReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // newCluster starts n peer-wired replicas. Listeners come up first (their
 // URLs are the ring's node names), then each Server is built knowing the
 // full membership.
-func newCluster(t *testing.T, n int) ([]*clusterReplica, *testClock) {
+func newCluster(t testing.TB, n int) ([]*clusterReplica, *testClock) {
 	t.Helper()
 	clock := &testClock{}
 	reps := make([]*clusterReplica, n)
@@ -108,6 +108,49 @@ func ownerOf(t *testing.T, reps []*clusterReplica, body string) string {
 func counter(scope *obs.Scope, name string) int64 {
 	v, _ := scope.Metrics().Counter(name)
 	return v
+}
+
+// ringBatch is six requests spanning three ring groups, the same at every
+// replica count, so ring size is BenchmarkRingBatch's only variable.
+var ringBatch = []string{
+	`{"target":"bgp","bench":"BT-MZ","class":"C","ranks":16}`,
+	`{"target":"bgp","bench":"SP-MZ","class":"C","ranks":16}`,
+	`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`,
+	`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":32}`,
+	`{"target":"westmere-x5670","bench":"LU-MZ","class":"C","ranks":16}`,
+	`{"target":"westmere-x5670","bench":"SP-MZ","class":"C","ranks":32}`,
+}
+
+// BenchmarkRingBatch is the peer-hop number: one grouped /v1/batch sent to
+// replica 0 of a 2-, 4- and 8-replica ring whose owners already hold every
+// result, so an iteration is grouping, forwarding and assembly — no
+// evaluation. As the ring grows more groups land off-node.
+func BenchmarkRingBatch(b *testing.B) {
+	for _, n := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
+			reps, _ := newCluster(b, n)
+			body := batchBody(b, ringBatch...)
+			code, _, out := post(b, reps[0].url+"/v1/batch", body)
+			if code != 200 {
+				b.Fatalf("priming batch status = %d: %s", code, out)
+			}
+			for i, e := range decodeBatch(b, out).Results {
+				if e.Status != 200 {
+					b.Fatalf("priming batch entry %d failed: %d %s", i, e.Status, e.Error)
+				}
+			}
+			for _, rep := range reps {
+				rep.srv.WaitReplication()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if code, _, out := post(b, reps[0].url+"/v1/batch", body); code != 200 {
+					b.Fatalf("batch status = %d: %s", code, out)
+				}
+			}
+		})
+	}
 }
 
 // TestClusterRoutingDeterminism proves every replica resolves the same

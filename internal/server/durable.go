@@ -111,9 +111,6 @@ func (s *Server) resubmitRecovered(spec cluster.JobSpec) bool {
 // mis-keyed entries are rejected and counted by the store); an unreadable
 // snapshot file degrades to a cold cache, never a failed startup.
 func (s *Server) loadSnapshot() {
-	if s.store == nil {
-		return
-	}
 	body, err := os.ReadFile(filepath.Join(s.cfg.DataDir, snapshotFile))
 	if errors.Is(err, os.ErrNotExist) {
 		return
@@ -133,10 +130,9 @@ func (s *Server) loadSnapshot() {
 
 // SaveSnapshot exports the layered store to DataDir/store.snapshot,
 // atomically (tmp file, fsync, rename) so a crash mid-save leaves the
-// previous snapshot intact. A no-op without a DataDir or with the
-// layered cache disabled.
+// previous snapshot intact. A no-op without a DataDir.
 func (s *Server) SaveSnapshot() error {
-	if s.store == nil || s.cfg.DataDir == "" {
+	if s.cfg.DataDir == "" {
 		return nil
 	}
 	body, err := json.Marshal(s.store.ExportSnapshot())

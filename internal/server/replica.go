@@ -47,7 +47,7 @@ func replicaVaultKey(keyHex, endpoint string) string {
 // replicaBytes looks up the replicated wire bytes for (key, endpoint) in
 // the local vault, counting a replica hit when found.
 func (s *Server) replicaBytes(key cacheKey, endpoint string) ([]byte, bool) {
-	if s.peers == nil || s.store == nil {
+	if s.peers == nil {
 		return nil, false
 	}
 	body, ok := s.store.GetArtifact(replicaVaultKey(hex.EncodeToString(key[:]), endpoint))
@@ -80,7 +80,7 @@ func (s *Server) replicaServe(w http.ResponseWriter, key cacheKey, endpoint stri
 // it); rendering reuses the cache's memoised bytes, so the hot path pays
 // one map lookup.
 func (s *Server) maybeReplicate(key cacheKey, ep int, endpoint string, res *swapp.Result, req swapp.Request, render func(*swapp.Result) ([]byte, error)) {
-	if s.peers == nil || s.store == nil {
+	if s.peers == nil {
 		return
 	}
 	gk := cluster.GroupKey(req.Base, req.Target)
@@ -133,10 +133,6 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, errors.New("/v1/replicate requires POST"))
-		return
-	}
-	if s.store == nil {
-		writeError(w, http.StatusServiceUnavailable, errors.New("layered cache disabled; not accepting replicas"))
 		return
 	}
 	var msg replicaMsg
@@ -234,15 +230,6 @@ func (s *Server) Membership() []string {
 		return nil
 	}
 	return s.peers.membership()
-}
-
-// SetMembership rebuilds the routing ring over the given alive membership
-// — the gossip OnChange hook, also callable directly by tests.
-func (s *Server) SetMembership(alive []string) {
-	if s.peers == nil {
-		return
-	}
-	s.peers.setMembership(alive)
 }
 
 // Handoff drains the async job manager for shutdown: every unfinished job

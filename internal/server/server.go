@@ -27,7 +27,7 @@
 // in target machine or core count ("shared-base warm" traffic) skip the
 // expensive stages they have in common instead of recomputing the world.
 // The store is purely an amortisation: projections stay byte-identical
-// with it on, off, cold, or warm.
+// with it cold or warm.
 package server
 
 import (
@@ -90,12 +90,6 @@ type Config struct {
 	// to swapp.Request.Workers (0 = GOMAXPROCS). It does not enter the
 	// cache key: the projection is byte-identical at any value.
 	EvalWorkers int
-	// DisableLayeredCache turns off the shared core.Store, so every
-	// evaluation recomputes its characterisations, profiles, and
-	// surrogates from scratch. The result LRU still applies. Useful for
-	// cache-cold benchmarking and as an escape hatch; off (store enabled)
-	// by default.
-	DisableLayeredCache bool
 	// Obs receives the serving metrics (server.requests, server.inflight,
 	// per-layer cache counters server.cache.result_hits /
 	// server.cache.characterisation_hits / server.cache.profile_hits /
@@ -183,7 +177,7 @@ type Server struct {
 	obs     *obs.Scope
 	eval    EvalFunc
 	cache   *cache
-	store   *core.Store      // shared layered artifact cache; nil when disabled
+	store   *core.Store      // shared layered artifact cache
 	breaker *breaker         // nil when disabled
 	peers   *peerSet         // nil when peer-aware mode is off
 	jobs    *cluster.Manager // async jobs API
@@ -234,10 +228,8 @@ func New(cfg Config) *Server {
 		obs:   cfg.Obs,
 		eval:  cfg.Eval,
 		cache: newCache(cfg.CacheSize),
+		store: core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache"}),
 		sem:   make(chan struct{}, cfg.Workers),
-	}
-	if !cfg.DisableLayeredCache {
-		s.store = core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache"})
 	}
 	if cfg.BreakerThreshold > 0 {
 		s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.nowFn)
@@ -523,10 +515,10 @@ func retryAfterSeconds(d time.Duration) string {
 // leader — pass admission control and run the evaluation through the
 // shared layered store. hit reports a result-cache hit.
 func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request) (res *swapp.Result, hit bool, err error) {
-	if res, ok := s.cache.get(key); ok {
+	res, cl, leader := s.cache.lookup(key)
+	if cl == nil {
 		return res, true, nil
 	}
-	cl, leader := s.cache.join(key)
 	if !leader {
 		// Someone is already computing this result; wait for them under
 		// our own deadline.
@@ -641,13 +633,3 @@ func writeError(w http.ResponseWriter, status int, err error) {
 
 // CacheLen reports the number of cached results (tests, /readyz probes).
 func (s *Server) CacheLen() int { return s.cache.len() }
-
-// StoreSizes reports the layered store's per-layer entry counts
-// (characterisations, profiles, surrogates). All zero when the layered
-// cache is disabled.
-func (s *Server) StoreSizes() (chars, profiles, surrogates int) {
-	if s.store == nil {
-		return 0, 0, 0
-	}
-	return s.store.Sizes()
-}

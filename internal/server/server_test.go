@@ -79,7 +79,7 @@ func newTestServer(t *testing.T, cfg Config, eval *stubEval) (*Server, *httptest
 }
 
 // post sends one API request and returns status, headers and body.
-func post(t *testing.T, url, body string) (int, http.Header, []byte) {
+func post(t testing.TB, url, body string) (int, http.Header, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -206,6 +206,38 @@ func TestSingleflightCollapsesConcurrentDuplicates(t *testing.T) {
 		}
 		if !bytes.Equal(bodies[i], bodies[0]) {
 			t.Errorf("request %d: body differs from leader's", i)
+		}
+	}
+}
+
+// A result is evaluated once however its requests interleave: a caller that
+// arrives just as the leader finishes must see the cached result, not a miss
+// and an empty in-flight table. The stub returns at once, so each round's
+// leader finishes while the other callers are still arriving.
+func TestEvaluateElectsOneLeader(t *testing.T) {
+	eval := &stubEval{}
+	s, _ := newTestServer(t, Config{Workers: 2}, eval)
+
+	const callers, rounds = 64, 200
+	for round := 1; round <= rounds; round++ {
+		req := swapp.Request{Base: "hydra", Target: "power6-575", Bench: "BT-MZ", Class: 'C', Ranks: round}
+		key := digest(opProject, req)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, _, err := s.evaluate(context.Background(), opProject, key, req); err != nil {
+					t.Errorf("round %d: %v", round, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if n := eval.calls.Load(); n != int64(round) {
+			t.Fatalf("round %d: %d evaluations so far, want one per key (%d)", round, n, round)
 		}
 	}
 }

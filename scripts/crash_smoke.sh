@@ -5,9 +5,10 @@
 #   1. run a control job on a plain in-memory instance and keep its result
 #      bytes as the reference,
 #   2. start a replica with -data-dir, submit the same job, wait until it is
-#      running with its submission in the WAL (a cold LU-MZ.C@16 job is
-#      seconds of characterisation — plenty to catch), and SIGKILL the
-#      process — no drain, no flush, the real crash case,
+#      running with its submission in the WAL (a cold BT-MZ.C@64 job is
+#      seconds of characterisation — plenty to catch, where the 0.2 s
+#      LU-MZ.C@16 finishes between two polls), and SIGKILL the process —
+#      no drain, no flush, the real crash case,
 #   3. restart swappd on the same data dir and require the journal replay
 #      to resurrect the job under its original ID (jobs.recovered >= 1),
 #      re-run it from its journalled payload, and finish with a result
@@ -26,7 +27,7 @@ trap cleanup EXIT
 go build -o "$tmp/swappd" ./cmd/swappd
 
 # The job: a real cold projection; identical across all three runs.
-job='{"op":"project","request":{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":16}}'
+job='{"op":"project","request":{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":64}}'
 
 start_daemon() { # start_daemon <logname> [extra swappd args...]
     local log=$1; shift
