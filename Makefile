@@ -1,15 +1,19 @@
 GO ?= go
 
-.PHONY: check build vet test race bench benchmark fuzz cover serve-smoke cluster-smoke crash-smoke chaos
+.PHONY: check build vet fmt test race bench benchmark fuzz cover serve-smoke cluster-smoke crash-smoke chaos
 
-## check: everything CI runs — vet, build, full tests, race tests.
-check: vet build test race
+## check: everything CI runs — vet, format, build, full tests, race tests.
+check: vet fmt build test race
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l prints the files it would rewrite; any name is a failure.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
 
 # -shuffle=on randomises test (and subtest) execution order, so hidden
 # inter-test dependencies surface in CI instead of in a refactor.
@@ -24,13 +28,14 @@ race:
 	$(GO) test -race -short -timeout 1800s ./...
 
 # The second line is the simulator's one-line check: BenchmarkHandoff is
-# ns and allocs per process switch, BenchmarkSpawnRun's allocs/op ÷ 64 the
-# allocations per short-lived process. The third is the peer-hop number:
+# ns and allocs per process switch, BenchmarkSpawnRun's allocs/op the cost
+# of a one-shot 64-process kernel, BenchmarkResetRun's (~0) the same kernel
+# reused through Reset. The third is the peer-hop number:
 # one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
 # in-process ring.
 bench:
 	$(GO) test -run '^$$' -bench 'Speedup|EnforceSparsity|TopK' -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench 'Handoff|SpawnRun' -benchmem ./internal/des
+	$(GO) test -run '^$$' -bench 'Handoff|SpawnRun|ResetRun' -benchmem ./internal/des
 	$(GO) test -run '^$$' -bench 'RingBatch' -benchmem ./internal/server
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads

@@ -48,3 +48,22 @@ func BenchmarkSpawnRun(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkResetRun is BenchmarkSpawnRun on one kernel, Reset between ops:
+// what a caller that runs many simulations back to back pays per run. In
+// steady state the arenas, both queues and the coroutines are all reused,
+// so allocs/op is ~0 against BenchmarkSpawnRun's one per process and more.
+func BenchmarkResetRun(b *testing.B) {
+	body := func(p *Proc) { p.Advance(1) }
+	k := NewKernel()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k.Reset()
+		for r := 0; r < 64; r++ {
+			k.SpawnKind("rank", r, body)
+		}
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

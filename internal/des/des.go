@@ -19,13 +19,22 @@
 //
 // The kernel is a hot path: one NAS characterisation or IMB sweep pushes
 // tens of millions of events through it, so the event loop is built not to
-// allocate. Events are values in a hand-rolled binary heap (no
-// container/heap interface boxing, no per-event pointers), the two
-// dominant event kinds — wake a process, fire a signal — are encoded as
-// struct fields instead of closures, signals are carved out of
-// kernel-owned slabs with lazily formatted names, and a process's blocked
-// reason is kept as typed fields that are only rendered if a deadlock
-// report actually needs them.
+// allocate. Events are four-word values in a hand-rolled binary heap (no
+// container/heap interface boxing, no per-event pointers), and whatever is
+// queued for the current time skips the heap for a FIFO (see Kernel); the
+// two event kinds — wake a process, fire a signal — are struct fields, not
+// closures; signals and processes are carved from kernel-owned arenas with
+// lazily formatted names; and a process's blocked reason is kept as typed
+// fields that are only rendered if a deadlock report actually needs them.
+//
+// A kernel is single-owner: one goroutine builds it, runs it and, if it
+// has more simulations to run, calls Reset and starts over on the same
+// memory — the cheap way to run hundreds of small simulations back to back
+// (an IMB table is ~300). Reset kills everything the kernel handed out:
+// every Proc and Signal from before it is storage about to be handed out
+// again, and using one is a bug nothing detects. A kernel that is never
+// Reset keeps no memory it is done with — its arenas retain chunks only
+// from the first Reset on; Arena says why.
 package des
 
 import (
@@ -38,16 +47,20 @@ import (
 	"repro/internal/units"
 )
 
-// event is a scheduled occurrence. Exactly one of proc, sig and fn is set:
-// wake proc, fire sig, or run the generic callback. The split keeps the
-// two hot kinds closure-free — a wake or a fire is two words copied into
-// the heap, not a heap-allocated func value.
-type event struct {
-	at   units.Seconds
-	seq  uint64 // tie-break: FIFO within equal timestamps
+// due is what an event does when its time comes. Exactly one field is set:
+// wake proc or fire sig — data, not a closure, so queueing one allocates
+// nothing.
+type due struct {
 	proc *Proc
 	sig  *Signal
-	fn   func()
+}
+
+// event is a due scheduled for a time later than the one it was pushed at.
+// Four words: the heap moves these around, so size is speed.
+type event struct {
+	at  units.Seconds
+	seq uint64 // tie-break: push order within equal timestamps
+	due
 }
 
 // before orders events by (at, seq); seq is unique, so this is total.
@@ -78,18 +91,30 @@ const (
 	waitSignal
 )
 
-// sigSlabSize is how many signals one kernel-owned slab holds.
-const sigSlabSize = 256
-
-// Kernel owns the virtual clock, the event queue and the processes.
+// Kernel owns the virtual clock, the event queues and the processes.
+//
+// Pending work sits in two queues that together are one (at, seq) order.
+// Anything pushed for the current time — every Signal.Fire wake, every
+// spawn, a zero-delay FireAt: about a quarter of all pushes — goes on a
+// FIFO and never pays for the heap; the rest goes on the heap. At any
+// moment every heap event due now was pushed at an earlier time (pushed
+// now, it would be on the FIFO), so it holds a smaller seq than every FIFO
+// entry: Run takes the heap's events due now first, then the FIFO in push
+// order, then advances the clock.
 type Kernel struct {
 	now    units.Seconds
 	seq    uint64
-	events []event // binary min-heap on (at, seq)
+	events []event // binary min-heap on (at, seq): events due after the time they were pushed at
+	fifo   []due   // pushed for the current time, in push order, from head on
+	head   int
 	procs  []*Proc
 	live   int
 	failed error
-	slab   []Signal // signal arena: NewSignal carves from here
+
+	// Signals and Procs are carved from kernel-owned arenas; Reset rewinds
+	// them.
+	sigs    Arena[Signal]
+	procMem Arena[Proc]
 
 	// abandoning tells a process resumed by abandonBlocked to unwind
 	// instead of carrying on; see Proc.block.
@@ -99,68 +124,84 @@ type Kernel struct {
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel { return &Kernel{} }
 
+// Reset returns the kernel to the state NewKernel left it in — time zero,
+// no processes, no signals, nothing queued — keeping its memory. It may be
+// called once Run has returned, however it ended, by the one goroutine that
+// owns the kernel. Every Proc and Signal the kernel handed out before is
+// dead: their storage is handed out again.
+func (k *Kernel) Reset() {
+	clear(k.events)
+	clear(k.fifo)
+	clear(k.procs)
+	k.events, k.fifo, k.procs = k.events[:0], k.fifo[:0], k.procs[:0]
+	k.now, k.seq, k.head, k.live, k.failed, k.abandoning = 0, 0, 0, 0, nil, false
+	k.sigs.Rewind()
+	k.procMem.Rewind()
+}
+
 // Now returns the current virtual time.
 func (k *Kernel) Now() units.Seconds { return k.now }
 
-// push inserts an event into the heap.
-func (k *Kernel) push(e event) {
+// push queues d for time at ≥ now: on the FIFO when that is the current
+// time, on the heap otherwise.
+func (k *Kernel) push(at units.Seconds, d due) {
+	if at == k.now {
+		k.fifo = append(k.fifo, d)
+		return
+	}
 	k.seq++
-	e.seq = k.seq
+	e := event{at: at, seq: k.seq, due: d}
 	q := append(k.events, e)
-	for i := len(q) - 1; i > 0; {
+	i := len(q) - 1
+	for i > 0 {
 		p := (i - 1) / 2
-		if !q[i].before(&q[p]) {
+		if !e.before(&q[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
+	q[i] = e
 	k.events = q
 }
 
-// pop removes and returns the earliest event.
+// pop removes and returns the earliest heap event, sifting the hole it
+// leaves down to where the last event fits: one copy per level, not a swap.
 func (k *Kernel) pop() event {
 	q := k.events
 	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q[n] = event{} // clear pointers for the GC
 	q = q[:n]
-	for i := 0; ; {
-		m := i
-		if l := 2*i + 1; l < n && q[l].before(&q[m]) {
-			m = l
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(&q[c]) {
+				c = r
+			}
+			if !q[c].before(&last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
 		}
-		if r := 2*i + 2; r < n && q[r].before(&q[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
+		q[i] = last
 	}
 	k.events = q
 	return top
 }
 
-// Schedule runs fn in kernel context at now+delay. Negative delays are
-// clamped to zero. fn must not block; it may fire signals and schedule
-// further events.
-func (k *Kernel) Schedule(delay units.Seconds, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	k.push(event{at: k.now + delay, fn: fn})
-}
-
-// FireAt fires s at now+delay (clamped to now), without allocating a
-// callback: the closure-free fast path for message-arrival events.
+// FireAt fires s at now+delay (clamped to now).
 func (k *Kernel) FireAt(s *Signal, delay units.Seconds) {
 	if delay < 0 {
 		delay = 0
 	}
-	k.push(event{at: k.now + delay, sig: s})
+	k.push(k.now+delay, due{sig: s})
 }
 
 // Proc is the handle a simulated process uses to interact with the kernel.
@@ -227,23 +268,24 @@ func (p *Proc) block(kind waitKind, dt units.Seconds, sig *Signal) {
 // clamped to zero; a zero advance still yields to events already queued for
 // the current time, in deterministic order.
 //
-// When nothing is queued at or before now+dt, this process's own wake would
-// be the very next event popped, so Advance moves the clock and returns
-// without pushing, popping or switching. The comparison is strict: an event
-// queued at exactly now+dt was pushed earlier, holds a smaller seq and must
-// run first, so that case takes the full path and (time, seq) order is
-// exactly what it would be without the shortcut.
+// When nothing is queued at or before now+dt — the FIFO is empty and the
+// heap's top is later — this process's own wake would be the very next
+// thing run, so Advance moves the clock and returns without pushing,
+// popping or switching. The comparison is strict: an event queued at
+// exactly now+dt was pushed earlier, holds a smaller seq and must run
+// first, so that case takes the full path and (time, seq) order is exactly
+// what it would be without the shortcut.
 func (p *Proc) Advance(dt units.Seconds) {
 	if dt < 0 {
 		dt = 0
 	}
 	k := p.k
 	at := k.now + dt
-	if len(k.events) == 0 || k.events[0].at > at {
+	if k.head == len(k.fifo) && (len(k.events) == 0 || k.events[0].at > at) {
 		k.now = at
 		return
 	}
-	k.push(event{at: at, proc: p})
+	k.push(at, due{proc: p})
 	p.block(waitAdvance, dt, nil)
 }
 
@@ -383,13 +425,9 @@ func (k *Kernel) NewSignal(name string) *Signal { return k.newSignal(name, -1) }
 // allocation-free spelling of NewSignal(fmt.Sprintf("%s#%d", kind, id)).
 func (k *Kernel) NewSignalKind(kind string, id int) *Signal { return k.newSignal(kind, id) }
 
-// newSignal carves a signal from the kernel's slab.
+// newSignal carves a signal from the kernel's arena.
 func (k *Kernel) newSignal(kind string, id int) *Signal {
-	if len(k.slab) == 0 {
-		k.slab = make([]Signal, sigSlabSize)
-	}
-	s := &k.slab[0]
-	k.slab = k.slab[1:]
+	s := k.sigs.New()
 	s.k, s.kind, s.id = k, kind, id
 	return s
 }
@@ -423,11 +461,11 @@ func (s *Signal) Fire() {
 	s.fired = true
 	k := s.k
 	if s.w0 != nil {
-		k.push(event{at: k.now, proc: s.w0})
+		k.fifo = append(k.fifo, due{proc: s.w0})
 		s.w0 = nil
 	}
 	for _, w := range s.more {
-		k.push(event{at: k.now, proc: w})
+		k.fifo = append(k.fifo, due{proc: w})
 	}
 	s.more = nil
 }
@@ -446,7 +484,8 @@ func (k *Kernel) SpawnKind(kind string, id int, fn func(*Proc)) *Proc {
 }
 
 func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
-	p := &Proc{
+	p := k.procMem.New()
+	*p = Proc{
 		k:      k,
 		id:     len(k.procs),
 		kind:   kind,
@@ -456,8 +495,8 @@ func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
 	}
 	k.procs = append(k.procs, p)
 	k.live++
-	// First resume event at t=0, in spawn order.
-	k.push(event{at: k.now, proc: p})
+	// First resume at t=0, in spawn order.
+	k.fifo = append(k.fifo, due{proc: p})
 	return p
 }
 
@@ -465,33 +504,43 @@ func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
 // error on deadlock (blocked processes with an empty event queue) or if a
 // process panicked.
 func (k *Kernel) Run() error {
-	for len(k.events) > 0 {
-		e := k.pop()
-		if e.at < k.now {
-			k.abandonBlocked()
-			return fmt.Errorf("des: time went backwards: %v < %v", e.at, k.now)
-		}
-		k.now = e.at
+	for {
+		var d due
 		switch {
-		case e.proc != nil:
-			k.wake(e.proc)
-		case e.sig != nil:
-			e.sig.Fire()
+		case len(k.events) > 0 && k.events[0].at <= k.now:
+			e := k.pop()
+			if e.at < k.now {
+				k.abandonBlocked()
+				return fmt.Errorf("des: time went backwards: %v < %v", e.at, k.now)
+			}
+			d = e.due
+		case k.head < len(k.fifo):
+			d = k.fifo[k.head]
+			k.fifo[k.head] = due{} // clear pointers for the GC
+			if k.head++; k.head == len(k.fifo) {
+				k.fifo, k.head = k.fifo[:0], 0
+			}
+		case len(k.events) > 0:
+			e := k.pop()
+			k.now, d = e.at, e.due
+		case k.live > 0:
+			stuck := k.blockedReport()
+			k.abandonBlocked()
+			return fmt.Errorf("des: deadlock at t=%s with %d blocked processes:\n%s",
+				units.FormatSeconds(k.now), k.live, stuck)
 		default:
-			e.fn()
+			return nil
+		}
+		if d.proc != nil {
+			k.wake(d.proc)
+		} else {
+			d.sig.Fire()
 		}
 		if k.failed != nil {
 			k.abandonBlocked()
 			return k.failed
 		}
 	}
-	if k.live > 0 {
-		stuck := k.blockedReport()
-		k.abandonBlocked()
-		return fmt.Errorf("des: deadlock at t=%s with %d blocked processes:\n%s",
-			units.FormatSeconds(k.now), k.live, stuck)
-	}
-	return nil
 }
 
 // blockedReport lists still-blocked processes and what they wait on.

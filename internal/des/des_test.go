@@ -154,7 +154,7 @@ func TestScheduledEventFiresSignal(t *testing.T) {
 	s := k.NewSignal("timer")
 	var woke float64
 	k.Spawn("p", func(p *Proc) {
-		p.Kernel().Schedule(2.5, func() { s.Fire() })
+		p.Kernel().FireAt(s, 2.5)
 		p.WaitSignal(s)
 		woke = p.Now()
 	})
@@ -318,11 +318,12 @@ func TestAdvanceReturnsDirectlyWhenItsWakeIsNext(t *testing.T) {
 	k := NewKernel()
 	k.Spawn("p", func(p *Proc) {
 		pushed := k.seq
-		p.Advance(1.5) // empty queue
-		k.Schedule(2, func() {})
-		p.Advance(1) // queue top strictly later
-		if k.seq != pushed+1 {
-			t.Errorf("advances with nothing due first pushed %d events, want only the timer", k.seq-pushed)
+		p.Advance(1.5) // empty queues
+		k.FireAt(k.NewSignal("timer"), 2)
+		p.Advance(1) // heap top strictly later
+		if k.seq != pushed+1 || k.head != len(k.fifo) {
+			t.Errorf("advances with nothing due first queued %d heap events and %d FIFO entries, want only the timer",
+				k.seq-pushed, len(k.fifo)-k.head)
 		}
 		if p.Now() != 2.5 {
 			t.Errorf("clock = %v, want 2.5", p.Now())
@@ -338,17 +339,16 @@ func TestAdvanceReturnsDirectlyWhenItsWakeIsNext(t *testing.T) {
 
 func TestAdvanceYieldsToEventDueAtItsWakeTime(t *testing.T) {
 	k := NewKernel()
-	order := ""
+	timer := k.NewSignal("timer")
 	k.Spawn("p", func(p *Proc) {
-		k.Schedule(1, func() { order += "timer " })
-		p.Advance(1) // the timer was queued first: it runs first
-		order += "p"
+		k.FireAt(timer, 1)
+		p.Advance(1) // the timer was queued first: it fires first
+		if !timer.Fired() {
+			t.Error("advance returned before a timer queued earlier for the same time fired")
+		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
-	}
-	if order != "timer p" {
-		t.Errorf("order = %q, want timer before p", order)
 	}
 }
 
@@ -427,8 +427,12 @@ var endings = []struct {
 
 func runEnding(t *testing.T, i int) {
 	t.Helper()
+	runEndingOn(t, NewKernel(), i)
+}
+
+func runEndingOn(t *testing.T, k *Kernel, i int) {
+	t.Helper()
 	e := endings[i%len(endings)]
-	k := NewKernel()
 	e.spawn(k)
 	err := k.Run()
 	switch {
@@ -464,6 +468,57 @@ func TestGoroutinesBoundedAcrossKernelLifecycles(t *testing.T) {
 	}
 	if leaked := (after - parked) - (before - parkedBefore); leaked > 0 {
 		t.Errorf("%d goroutines outside the free list outlived their kernels", leaked)
+	}
+}
+
+func TestResetAfterEveryEnding(t *testing.T) {
+	k := NewKernel()
+	k.Reset() // legal on a fresh kernel
+	for i := 0; i < 4*len(endings); i++ {
+		runEndingOn(t, k, i)
+		k.Reset()
+		if k.Now() != 0 || k.live != 0 || len(k.procs) != 0 || len(k.events) != 0 || len(k.fifo) != 0 || k.failed != nil {
+			t.Fatalf("after ending %s, Reset left now=%v live=%d procs=%d heap=%d fifo=%d failed=%v",
+				endings[i%len(endings)].name, k.Now(), k.live, len(k.procs), len(k.events), len(k.fifo), k.failed)
+		}
+	}
+	// Spawned but never run: Reset drops the processes without starting them.
+	k.Spawn("unrun", func(p *Proc) { t.Error("a process dropped by Reset ran") })
+	k.Reset()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestArenaKeepsChunksOnlyOnceRewound(t *testing.T) {
+	var a Arena[Signal]
+	for i := 0; i < 3*arenaChunk; i++ {
+		a.New().fired = true
+	}
+	if len(a.chunks) != 0 {
+		t.Fatalf("an arena that was never rewound kept %d chunks", len(a.chunks))
+	}
+	a.Rewind()
+	first := a.New()
+	first.fired = true
+	for i := 1; i < 2*arenaChunk; i++ {
+		a.New().fired = true
+	}
+	if len(a.chunks) != 2 {
+		t.Fatalf("after a rewind the arena kept %d chunks of the 2 it carved", len(a.chunks))
+	}
+	a.Rewind()
+	for i := 0; i < 2*arenaChunk; i++ {
+		s := a.New()
+		if i == 0 && s != first {
+			t.Error("a rewound arena did not hand its first chunk out again")
+		}
+		if s.fired {
+			t.Fatalf("record %d of a rewound arena was not zeroed", i)
+		}
+	}
+	if len(a.chunks) != 2 {
+		t.Errorf("re-carving kept chunks allocated: %d chunks, want 2", len(a.chunks))
 	}
 }
 

@@ -239,12 +239,30 @@ func (t *Table) Routines() []mpi.Routine {
 	return out
 }
 
+// measureFunc runs program on every rank of a clean world of the table's
+// machine and rank count and returns the makespan.
+type measureFunc func(program func(r *mpi.Rank)) (units.Seconds, error)
+
 // Run executes the full suite on machine m with the given rank count and
-// size grid (nil for DefaultSizes) and returns the parameter table.
+// size grid (nil for DefaultSizes) and returns the parameter table. Its
+// few hundred measurements are independent simulations run one after
+// another on one world, reset before each.
 func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 	if ranks < 2 {
 		return nil, fmt.Errorf("imb: need at least 2 ranks, got %d", ranks)
 	}
+	w, err := mpi.NewWorld(m, ranks)
+	if err != nil {
+		return nil, err
+	}
+	return run(m, ranks, sizes, func(program func(r *mpi.Rank)) (units.Seconds, error) {
+		w.Reset()
+		return w.Run(program)
+	})
+}
+
+// run is Run over any way of taking one measurement.
+func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (*Table, error) {
 	if sizes == nil {
 		sizes = DefaultSizes()
 	}
@@ -268,7 +286,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 	for _, size := range sizes {
 		size := size
 		// --- blocking point-to-point: PingPong (half round trip). ---
-		pp, err := measure(m, ranks, func(r *mpi.Rank) {
+		pp, err := measure(func(r *mpi.Rank) {
 			partner := pairDistant(r.ID(), ranks)
 			if partner < 0 {
 				return
@@ -290,7 +308,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		put(mpi.RoutineRecv, size, pp/(2*iterations))
 
 		// --- PingPing: both partners send simultaneously. ---
-		pping, err := measure(m, ranks, func(r *mpi.Rank) {
+		pping, err := measure(func(r *mpi.Rank) {
 			partner := pairDistant(r.ID(), ranks)
 			if partner < 0 {
 				return
@@ -307,7 +325,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		put(PingPing, size, pping/iterations)
 
 		// --- Exchange: both ring neighbours, IMB's halo pattern. ---
-		exch, err := measure(m, ranks, func(r *mpi.Rank) {
+		exch, err := measure(func(r *mpi.Rank) {
 			next := (r.ID() + 1) % r.Size()
 			prev := (r.ID() + r.Size() - 1) % r.Size()
 			for i := 0; i < iterations; i++ {
@@ -324,7 +342,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		put(Exchange, size, exch/iterations)
 
 		// --- Sendrecv ring. ---
-		sr, err := measure(m, ranks, func(r *mpi.Rank) {
+		sr, err := measure(func(r *mpi.Rank) {
 			next := (r.ID() + 1) % r.Size()
 			prev := (r.ID() + r.Size() - 1) % r.Size()
 			for i := 0; i < iterations; i++ {
@@ -349,7 +367,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		}
 		for _, c := range colls {
 			c := c
-			el, err := measure(m, ranks, func(r *mpi.Rank) {
+			el, err := measure(func(r *mpi.Rank) {
 				for i := 0; i < iterations; i++ {
 					c.op(r)
 				}
@@ -363,14 +381,14 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 		// --- multi-Sendrecv: x in-flight Isend/Irecv pairs + Waitall,
 		// measured for same-node pairs and (when the job spans nodes)
 		// cross-node pairs — IMB's intra/inter cluster modes. ---
-		a, b, err := multiSendrecvFit(m, ranks, size, pairAdjacent)
+		a, b, err := multiSendrecvFit(measure, ranks, size, pairAdjacent)
 		if err != nil {
 			return nil, fmt.Errorf("imb: multi-Sendrecv intra fit at %d B: %w", size, err)
 		}
 		t.NBIntra.Overhead = a
 		t.NBIntra.InFlight[size] = b
 		if multiNode {
-			a, b, err = multiSendrecvFit(m, ranks, size, pairDistant)
+			a, b, err = multiSendrecvFit(measure, ranks, size, pairDistant)
 			if err != nil {
 				return nil, fmt.Errorf("imb: multi-Sendrecv inter fit at %d B: %w", size, err)
 			}
@@ -380,7 +398,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 	}
 
 	// --- Barrier (size-independent). ---
-	bar, err := measure(m, ranks, func(r *mpi.Rank) {
+	bar, err := measure(func(r *mpi.Rank) {
 		for i := 0; i < iterations; i++ {
 			r.Barrier()
 		}
@@ -424,17 +442,18 @@ func pairAdjacent(id, ranks int) int {
 
 // multiSendrecvFit measures the multi-Sendrecv benchmark over the x sweep
 // with the given pairing and returns the Eq. 1 (overhead, in-flight) fit.
-func multiSendrecvFit(m *arch.Machine, ranks int, size units.Bytes, pairing func(id, ranks int) int) (a, b units.Seconds, err error) {
+func multiSendrecvFit(measure measureFunc, ranks int, size units.Bytes, pairing func(id, ranks int) int) (a, b units.Seconds, err error) {
 	var xTimes []float64
 	for _, x := range multiXs {
 		x := x
-		el, err := measure(m, ranks, func(r *mpi.Rank) {
+		el, err := measure(func(r *mpi.Rank) {
 			partner := pairing(r.ID(), ranks)
 			if partner < 0 {
 				return
 			}
+			reqs := make([]*mpi.Request, 0, 2*x)
 			for i := 0; i < iterations; i++ {
-				reqs := make([]*mpi.Request, 0, 2*x)
+				reqs = reqs[:0]
 				for j := 0; j < x; j++ {
 					reqs = append(reqs, r.Isend(partner, size, i*x+j))
 					reqs = append(reqs, r.Irecv(partner, size, i*x+j))
@@ -462,15 +481,6 @@ func multiSendrecvFit(m *arch.Machine, ranks int, size units.Bytes, pairing func
 		b = xTimes[0] // degenerate fit: fall back to the x=1 time
 	}
 	return a, b, nil
-}
-
-// measure runs program on a fresh world and returns the makespan.
-func measure(m *arch.Machine, ranks int, program func(r *mpi.Rank)) (units.Seconds, error) {
-	w, err := mpi.NewWorld(m, ranks)
-	if err != nil {
-		return 0, err
-	}
-	return w.Run(program)
 }
 
 // BarrierTime is a convenience accessor for the size-independent barrier

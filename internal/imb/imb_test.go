@@ -1,6 +1,7 @@
 package imb
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -248,4 +249,54 @@ func TestInterpSizeSkipsNonPositive(t *testing.T) {
 	if v := interpSize(grid, all, 2048); v != 0 {
 		t.Errorf("all-non-positive table should yield 0, got %v", v)
 	}
+}
+
+// measureFresh is the reference way to take a measurement, and how Run took
+// every one before it reused a world: a new mpi.World each time.
+func measureFresh(m *arch.Machine, ranks int) measureFunc {
+	return func(program func(r *mpi.Rank)) (units.Seconds, error) {
+		w, err := mpi.NewWorld(m, ranks)
+		if err != nil {
+			return 0, err
+		}
+		return w.Run(program)
+	}
+}
+
+// TestReusedWorldMatchesFreshWorlds holds Run, which resets one world
+// between its measurements, bitwise to the same suite on fresh worlds: on
+// one node, on two (so the inter fit runs), and with a rank sitting out.
+func TestReusedWorldMatchesFreshWorlds(t *testing.T) {
+	for _, c := range []struct {
+		machine string
+		ranks   int
+	}{{arch.Hydra, 16}, {arch.Hydra, 32}, {arch.BlueGene, 13}} {
+		m := arch.MustGet(c.machine)
+		got, err := Run(m, c.ranks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := run(m, c.ranks, nil, measureFresh(m, c.ranks))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s@%d: table from the reused world differs from the fresh-world reference", c.machine, c.ranks)
+		}
+	}
+}
+
+// TestIMBRunAllocs pins what reusing the world bought: a 16-rank table
+// took 29 730 allocations when every measurement built its own world.
+func TestIMBRunAllocs(t *testing.T) {
+	m := arch.MustGet(arch.Hydra)
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Run(m, 16, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10000 {
+		t.Errorf("imb.Run(hydra, 16) made %.0f allocations, want at most 10000", allocs)
+	}
+	t.Logf("%.0f allocations", allocs)
 }

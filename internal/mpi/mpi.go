@@ -19,9 +19,20 @@
 //
 // An Observer hook receives every compute advance and routine completion;
 // internal/mpiprof builds the paper's MPI profile from it.
+//
+// A World runs one program. To run another on the same machine and rank
+// count, Reset it rather than building a new one: the world keeps its rank
+// handles, request arena, match lists and kernel, and a benchmark suite's
+// few hundred measurements cost the allocations of one. A World has a
+// single owner — whoever calls Run calls Reset — and Reset kills every
+// Request (and the kernel's every Proc and Signal) handed out before it.
+// Run refuses a world that has run and was not Reset. Memory is retained
+// only from the first Reset on, so a one-shot world (every application
+// run) still lets its dead requests be collected while it runs.
 package mpi
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/arch"
@@ -101,76 +112,41 @@ type Observer interface {
 	OnRoutine(rank int, ev RoutineEvent)
 }
 
-// matchKey identifies a point-to-point matching queue.
-type matchKey struct {
-	src, dst, tag int
-}
+// pending is a posted-but-unmatched operation on a matchList: a receive
+// waiting for its send, or a send that arrived before its receive.
+type pending struct {
+	src, tag int
+	post     units.Seconds // when the operation was posted (after overhead)
+	req      *Request
 
-// pendingSend is a posted-but-unmatched send.
-type pendingSend struct {
-	size    units.Bytes
-	post    units.Seconds // sender ready time (after overhead)
-	arrival units.Seconds // eager only: when the payload lands at dst
+	// Sends only.
+	arrival units.Seconds // eager: when the payload lands at the destination
 	eager   bool
-	req     *Request
-	srcRank int
-	dstRank int
 }
 
-// pendingRecv is a posted-but-unmatched receive.
-type pendingRecv struct {
-	post units.Seconds
-	req  *Request
-}
+// matchList holds one destination rank's unmatched receives, or its
+// unmatched sends, in post order. Matching is what MPI libraries do: scan
+// for the oldest entry with the wanted (source, tag). Entries are values, so
+// an unmatched operation costs no allocation and a scan reads one run of
+// memory. The lists are short: a lookup reads 0.5 entries on average in an
+// IMB table, 1–3 in the class-C applications and 28 in the worst job the
+// pipeline runs (BT-MZ.D on 16 ranks, 250 entries at its longest), where
+// it still beats the map of queues it replaced. DESIGN.md §15.
+type matchList []pending
 
-// sendQueue is a FIFO of unmatched sends for one matchKey. Pops advance a
-// head index instead of reslicing, and a drained queue rewinds to reuse its
-// backing array. Benchmark loops mint a fresh tag (hence a fresh matchKey)
-// per message, so drained queues are recycled through a World freelist
-// rather than left under their key — the map churns keys but the queue
-// structs and their backing arrays are reused, and the steady state of a
-// million-message loop allocates nothing.
-type sendQueue struct {
-	items []*pendingSend
-	head  int
-}
-
-func (q *sendQueue) push(ps *pendingSend) { q.items = append(q.items, ps) }
-
-func (q *sendQueue) pop() *pendingSend {
-	if q.head == len(q.items) {
-		return nil
+// take removes and returns the oldest entry posted for (src, tag).
+func (l *matchList) take(src, tag int) (pending, bool) {
+	q := *l
+	for i := range q {
+		if q[i].src == src && q[i].tag == tag {
+			p := q[i]
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = pending{} // clear pointers for the GC
+			*l = q[:len(q)-1]
+			return p, true
+		}
 	}
-	ps := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return ps
-}
-
-// recvQueue is sendQueue for unmatched receives.
-type recvQueue struct {
-	items []*pendingRecv
-	head  int
-}
-
-func (q *recvQueue) push(rq *pendingRecv) { q.items = append(q.items, rq) }
-
-func (q *recvQueue) pop() *pendingRecv {
-	if q.head == len(q.items) {
-		return nil
-	}
-	rq := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return rq
+	return pending{}, false
 }
 
 // Request is a non-blocking operation handle.
@@ -206,65 +182,28 @@ type World struct {
 	rxFree  []units.Seconds // per-node NIC reception availability
 	shmFree []units.Seconds // per-node shared-memory transport availability
 
-	sends map[matchKey]*sendQueue
-	recvs map[matchKey]*recvQueue
+	// Point-to-point matching state, indexed by destination rank.
+	posted     []matchList // receives waiting for their send
+	unexpected []matchList // sends that arrived before their receive
 
 	colls   map[int]*collOp // collective sequence → state
 	signals int             // unique signal naming
 
-	// Slab arenas for the per-message bookkeeping records. A simulated
-	// job mints one Request and one pending record per message — tens of
-	// millions per characterisation — so they are carved out of chunked
-	// arenas instead of allocated individually: one allocation per
-	// arenaChunk records, all released together when the World dies.
-	reqSlab  []Request
-	sendSlab []pendingSend
-	recvSlab []pendingRecv
+	// A simulated job mints one Request per message — millions per
+	// characterisation — so they are carved from an arena.
+	reqs des.Arena[Request]
 
-	// Freelists of drained match queues (see sendQueue).
-	sendQFree []*sendQueue
-	recvQFree []*recvQueue
+	ranks   []Rank        // the rank handles, reused by every Run
+	program func(r *Rank) // what the current Run executes on every rank
+	ran     bool          // Run has been called since NewWorld or Reset
 
 	obs Observer
 }
-
-// arenaChunk is how many records one arena slab holds.
-const arenaChunk = 128
 
 // peerScratchSeed is the per-rank starting capacity (in peers) of the
 // scratch slice backing RoutineEvent.Peers; Waitall grows it only when a
 // single call waits on more requests than this.
 const peerScratchSeed = 32
-
-// newRequest carves a Request from the world's arena.
-func (w *World) newRequest() *Request {
-	if len(w.reqSlab) == 0 {
-		w.reqSlab = make([]Request, arenaChunk)
-	}
-	r := &w.reqSlab[0]
-	w.reqSlab = w.reqSlab[1:]
-	return r
-}
-
-// newPendingSend carves a pendingSend from the world's arena.
-func (w *World) newPendingSend() *pendingSend {
-	if len(w.sendSlab) == 0 {
-		w.sendSlab = make([]pendingSend, arenaChunk)
-	}
-	p := &w.sendSlab[0]
-	w.sendSlab = w.sendSlab[1:]
-	return p
-}
-
-// newPendingRecv carves a pendingRecv from the world's arena.
-func (w *World) newPendingRecv() *pendingRecv {
-	if len(w.recvSlab) == 0 {
-		w.recvSlab = make([]pendingRecv, arenaChunk)
-	}
-	p := &w.recvSlab[0]
-	w.recvSlab = w.recvSlab[1:]
-	return p
-}
 
 // NewWorld creates a job of size ranks on machine m with one task per
 // core, densely packed onto nodes.
@@ -292,18 +231,33 @@ func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 	}
 	model := netmodel.NewPlaced(m, m.CoresPerNode/threadsPerRank)
 	nodes := (size + model.RanksPerNode - 1) / model.RanksPerNode
-	return &World{
-		Machine: m,
-		Model:   model,
-		kernel:  des.NewKernel(),
-		size:    size,
-		txFree:  make([]units.Seconds, nodes),
-		rxFree:  make([]units.Seconds, nodes),
-		shmFree: make([]units.Seconds, nodes),
-		sends:   map[matchKey]*sendQueue{},
-		recvs:   map[matchKey]*recvQueue{},
-		colls:   map[int]*collOp{},
-	}, nil
+	w := &World{
+		Machine:    m,
+		Model:      model,
+		kernel:     des.NewKernel(),
+		size:       size,
+		txFree:     make([]units.Seconds, nodes),
+		rxFree:     make([]units.Seconds, nodes),
+		shmFree:    make([]units.Seconds, nodes),
+		posted:     make([]matchList, size),
+		unexpected: make([]matchList, size),
+		colls:      map[int]*collOp{},
+		ranks:      make([]Rank, size),
+	}
+	// One allocation for all rank handles and one for all their peer
+	// scratches; process names render lazily via SpawnKind.
+	peerSlab := make([]int, size*peerScratchSeed)
+	for i := range w.ranks {
+		rank := &w.ranks[i]
+		rank.w = w
+		rank.id = i
+		rank.peerScratch = peerSlab[i*peerScratchSeed : i*peerScratchSeed : (i+1)*peerScratchSeed]
+		rank.start = func(p *des.Proc) {
+			rank.proc = p
+			w.program(rank)
+		}
+	}
+	return w, nil
 }
 
 // SetObserver installs the profiling hook. Must be called before Run.
@@ -314,26 +268,47 @@ func (w *World) Size() int { return w.size }
 
 // Run executes program on every rank and drives the simulation to
 // completion, returning the job's makespan (the virtual time when the last
-// rank finishes).
+// rank finishes). A world runs once; Reset makes it runnable again.
 func (w *World) Run(program func(r *Rank)) (units.Seconds, error) {
-	// One allocation for all rank handles and one for all their peer
-	// scratches; process names render lazily via SpawnKind.
-	ranks := make([]Rank, w.size)
-	peerSlab := make([]int, w.size*peerScratchSeed)
-	for i := 0; i < w.size; i++ {
-		rank := &ranks[i]
-		rank.w = w
-		rank.id = i
-		rank.peerScratch = peerSlab[i*peerScratchSeed : i*peerScratchSeed : (i+1)*peerScratchSeed]
-		w.kernel.SpawnKind("rank", i, func(p *des.Proc) {
-			rank.proc = p
-			program(rank)
-		})
+	if w.ran {
+		return 0, errors.New("mpi: world already ran; call Reset first")
+	}
+	w.ran = true
+	w.program = program
+	for i := range w.ranks {
+		w.kernel.SpawnKind("rank", i, w.ranks[i].start)
 	}
 	if err := w.kernel.Run(); err != nil {
 		return 0, err
 	}
 	return w.kernel.Now(), nil
+}
+
+// Reset returns the world to the state NewWorld left it in — clock at zero,
+// idle NICs, nothing posted, no collective in progress — keeping its memory,
+// so one world can run many programs back to back for the allocations of
+// one. It is legal on a fresh world and after any Run, whether that ended
+// cleanly, deadlocked, failed, or left eager sends nobody received. The
+// observer stays installed.
+//
+// Every Request a previous Run handed out is dead. Memory is kept from the
+// first Reset on: a world that is never Reset lets what its messages used
+// be collected while it runs (see des.Arena).
+func (w *World) Reset() {
+	w.kernel.Reset()
+	clear(w.txFree)
+	clear(w.rxFree)
+	clear(w.shmFree)
+	for i := range w.posted {
+		w.posted[i], w.unexpected[i] = w.posted[i][:0], w.unexpected[i][:0]
+	}
+	clear(w.colls)
+	w.signals = 0
+	w.reqs.Rewind()
+	for i := range w.ranks {
+		w.ranks[i].collSeq = 0
+	}
+	w.ran = false
 }
 
 // newSignal mints a uniquely named signal. The name is formatted lazily
@@ -345,9 +320,10 @@ func (w *World) newSignal(kind string) *des.Signal {
 
 // Rank is the per-process MPI handle.
 type Rank struct {
-	w    *World
-	id   int
-	proc *des.Proc
+	w     *World
+	id    int
+	proc  *des.Proc
+	start func(p *des.Proc) // the process body: runs w.program on this rank
 
 	collSeq int
 
@@ -450,29 +426,27 @@ func (r *Rank) isend(dst int, size units.Bytes, tag int, report bool) *Request {
 	start := r.Now()
 	cost := w.Model.P2P(r.id, dst, size)
 	r.proc.Advance(cost.LibOverhead)
-	req := w.newRequest()
+	req := w.reqs.New()
 	*req = Request{done: w.newSignal("send"), size: size, peer: dst, isSend: true}
 
-	key := matchKey{src: r.id, dst: dst, tag: tag}
+	rq, matched := w.posted[dst].take(r.id, tag)
+	send := pending{src: r.id, tag: tag, post: r.Now(), req: req}
 	if cost.Rendezvous {
-		ps := w.newPendingSend()
-		*ps = pendingSend{size: size, post: r.Now(), eager: false, req: req, srcRank: r.id, dstRank: dst}
-		if rq := w.popRecv(key); rq != nil {
-			w.completeRendezvous(ps, rq, key)
+		if matched {
+			w.completeRendezvous(dst, send, rq)
 		} else {
-			w.pushSend(key, ps)
+			w.unexpected[dst] = append(w.unexpected[dst], send)
 		}
 	} else {
 		// Eager: the payload flies now; the send completes once the
 		// NIC has swallowed it (independent of the receiver).
 		arrival, injected := w.launchTransfer(r.id, dst, size, r.Now())
 		w.fireAt(req.done, injected)
-		if rq := w.popRecv(key); rq != nil {
+		if matched {
 			w.fireAt(rq.req.done, arrival)
 		} else {
-			ps := w.newPendingSend()
-			*ps = pendingSend{size: size, post: r.Now(), arrival: arrival, eager: true, req: req, srcRank: r.id, dstRank: dst}
-			w.pushSend(key, ps)
+			send.arrival, send.eager = arrival, true
+			w.unexpected[dst] = append(w.unexpected[dst], send)
 		}
 	}
 	if report {
@@ -495,25 +469,20 @@ func (r *Rank) irecv(src int, size units.Bytes, tag int, report bool) *Request {
 	start := r.Now()
 	cost := w.Model.P2P(src, r.id, size)
 	r.proc.Advance(cost.LibOverhead)
-	req := w.newRequest()
+	req := w.reqs.New()
 	*req = Request{done: w.newSignal("recv"), size: size, peer: src}
 
-	key := matchKey{src: src, dst: r.id, tag: tag}
-	if ps := w.popSend(key); ps != nil {
-		if ps.eager {
-			done := ps.arrival
-			if t := r.Now(); t > done {
-				done = t
-			}
-			w.fireAt(req.done, done)
-		} else {
-			matched := pendingRecv{post: r.Now(), req: req}
-			w.completeRendezvous(ps, &matched, key)
+	recv := pending{src: src, tag: tag, post: r.Now(), req: req}
+	if send, ok := w.unexpected[r.id].take(src, tag); !ok {
+		w.posted[r.id] = append(w.posted[r.id], recv)
+	} else if send.eager {
+		done := send.arrival
+		if t := r.Now(); t > done {
+			done = t
 		}
+		w.fireAt(req.done, done)
 	} else {
-		rq := w.newPendingRecv()
-		*rq = pendingRecv{post: r.Now(), req: req}
-		w.pushRecv(key, rq)
+		w.completeRendezvous(r.id, send, recv)
 	}
 	if report {
 		r.reportP2P(RoutineIrecv, size, 1, r.Now()-start, src)
@@ -523,75 +492,17 @@ func (r *Rank) irecv(src int, size units.Bytes, tag int, report bool) *Request {
 
 // completeRendezvous schedules the handshake + transfer for a matched
 // rendezvous pair and fires both requests at arrival.
-func (w *World) completeRendezvous(ps *pendingSend, rq *pendingRecv, key matchKey) {
-	cost := w.Model.P2P(key.src, key.dst, ps.size)
-	both := ps.post
-	if rq.post > both {
-		both = rq.post
+func (w *World) completeRendezvous(dst int, send, recv pending) {
+	size := send.req.size
+	cost := w.Model.P2P(send.src, dst, size)
+	both := send.post
+	if recv.post > both {
+		both = recv.post
 	}
 	ready := both + cost.Handshake
-	arrival, _ := w.launchTransfer(key.src, key.dst, ps.size, ready)
-	w.fireAt(ps.req.done, arrival)
-	w.fireAt(rq.req.done, arrival)
-}
-
-// pushSend enqueues an unmatched send for key.
-func (w *World) pushSend(key matchKey, ps *pendingSend) {
-	q := w.sends[key]
-	if q == nil {
-		if n := len(w.sendQFree); n > 0 {
-			q = w.sendQFree[n-1]
-			w.sendQFree = w.sendQFree[:n-1]
-		} else {
-			q = &sendQueue{items: make([]*pendingSend, 0, 4)}
-		}
-		w.sends[key] = q
-	}
-	q.push(ps)
-}
-
-// pushRecv enqueues an unmatched recv for key.
-func (w *World) pushRecv(key matchKey, rq *pendingRecv) {
-	q := w.recvs[key]
-	if q == nil {
-		if n := len(w.recvQFree); n > 0 {
-			q = w.recvQFree[n-1]
-			w.recvQFree = w.recvQFree[:n-1]
-		} else {
-			q = &recvQueue{items: make([]*pendingRecv, 0, 4)}
-		}
-		w.recvs[key] = q
-	}
-	q.push(rq)
-}
-
-// popSend removes and returns the oldest unmatched send for key, or nil.
-// A drained queue goes back on the freelist and its key is released.
-func (w *World) popSend(key matchKey) *pendingSend {
-	q := w.sends[key]
-	if q == nil {
-		return nil
-	}
-	ps := q.pop()
-	if ps != nil && len(q.items) == 0 {
-		delete(w.sends, key)
-		w.sendQFree = append(w.sendQFree, q)
-	}
-	return ps
-}
-
-// popRecv removes and returns the oldest unmatched recv for key, or nil.
-func (w *World) popRecv(key matchKey) *pendingRecv {
-	q := w.recvs[key]
-	if q == nil {
-		return nil
-	}
-	rq := q.pop()
-	if rq != nil && len(q.items) == 0 {
-		delete(w.recvs, key)
-		w.recvQFree = append(w.recvQFree, q)
-	}
-	return rq
+	arrival, _ := w.launchTransfer(send.src, dst, size, ready)
+	w.fireAt(send.req.done, arrival)
+	w.fireAt(recv.req.done, arrival)
 }
 
 // Waitall blocks until every request completes.

@@ -458,3 +458,88 @@ func TestInvalidRankPanicsSurface(t *testing.T) {
 		t.Fatalf("invalid rank must surface as an error, got %v", err)
 	}
 }
+
+// pendingCounts returns how many sends and receives sit unmatched.
+func (w *World) pendingCounts() (sends, recvs int) {
+	for i := range w.posted {
+		sends += len(w.unexpected[i])
+		recvs += len(w.posted[i])
+	}
+	return sends, recvs
+}
+
+// ring is a 1 MiB Sendrecv around every rank, the run the Reset tests
+// repeat.
+func ring(r *Rank) {
+	r.Sendrecv((r.ID()+1)%r.Size(), units.MiB, (r.ID()+r.Size()-1)%r.Size(), units.MiB, 0)
+}
+
+func TestRunTwiceWithoutResetIsRefused(t *testing.T) {
+	w := world(t, arch.Hydra, 4)
+	first, err := w.Run(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A second Run used to simulate on the first one's clock, NIC free
+	// times and match lists and return an absolute time: twice the makespan.
+	if _, err := w.Run(ring); err == nil || err.Error() != "mpi: world already ran; call Reset first" {
+		t.Fatalf("second Run on a used world: got %v, want a refusal", err)
+	}
+	w.Reset()
+	if again, err := w.Run(ring); err != nil || again != first {
+		t.Errorf("after Reset: makespan %v, err %v; want %v as on the fresh world", again, err, first)
+	}
+}
+
+func TestResetAfterAnyEnding(t *testing.T) {
+	want, err := world(t, arch.Hydra, 4).Run(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	endings := []struct {
+		name    string
+		program func(r *Rank)
+		wantErr string
+	}{
+		{"a clean run", ring, ""},
+		{"a deadlocked run", func(r *Rank) {
+			r.Barrier()
+			if r.ID() == 0 {
+				r.Isend(1, units.MiB, 7) // rendezvous: stays on the match list
+				r.Recv(1, 64, 0)         // nobody sends
+			}
+		}, "deadlock"},
+		{"a run that left eager sends unmatched", func(r *Rank) {
+			r.Compute(1e-3)
+			if r.ID() != 0 {
+				r.Isend(0, 64, r.ID()) // nobody receives
+			}
+		}, ""},
+		{"a run that panicked mid-collective", func(r *Rank) {
+			if r.ID() == 0 {
+				r.Barrier()
+			} else {
+				r.Allreduce(8)
+			}
+		}, "collective mismatch"},
+	}
+	w := world(t, arch.Hydra, 4)
+	w.Reset() // legal on a fresh world too
+	for _, e := range endings {
+		_, err := w.Run(e.program)
+		switch {
+		case e.wantErr == "" && err != nil:
+			t.Fatalf("%s: %v", e.name, err)
+		case e.wantErr != "" && (err == nil || !strings.Contains(err.Error(), e.wantErr)):
+			t.Fatalf("%s: got %v, want %s", e.name, err, e.wantErr)
+		}
+		w.Reset()
+		if sends, recvs := w.pendingCounts(); sends != 0 || recvs != 0 || len(w.colls) != 0 {
+			t.Errorf("after %s, Reset left %d sends, %d recvs, %d collectives pending", e.name, sends, recvs, len(w.colls))
+		}
+		if got, err := w.Run(ring); err != nil || got != want {
+			t.Errorf("after %s and Reset: makespan %v, err %v; want %v as on a fresh world", e.name, got, err, want)
+		}
+		w.Reset()
+	}
+}

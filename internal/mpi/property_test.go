@@ -207,10 +207,17 @@ func (o *logObserver) digest() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// run simulates the program and returns its world, log and outcome.
+// run simulates the program on a fresh world and returns that world, the
+// log and the outcome.
 func (pg *program) run(t *testing.T) (*World, *logObserver, units.Seconds, error) {
 	t.Helper()
 	w := world(t, pg.machine, pg.ranks)
+	obs, makespan, err := pg.runOn(w)
+	return w, obs, makespan, err
+}
+
+// runOn simulates the program on w, which must be fresh or reset.
+func (pg *program) runOn(w *World) (*logObserver, units.Seconds, error) {
 	obs := &logObserver{w: w}
 	w.SetObserver(obs)
 	makespan, err := w.Run(func(r *Rank) {
@@ -218,7 +225,7 @@ func (pg *program) run(t *testing.T) (*World, *logObserver, units.Seconds, error
 			pg.plan[i].exec(r)
 		}
 	})
-	return w, obs, makespan, err
+	return obs, makespan, err
 }
 
 const propSeeds = 60
@@ -261,9 +268,9 @@ func TestRandomProgramsConserveMessagesAndTime(t *testing.T) {
 			}
 		}
 		// ... and nothing is left half-matched inside the world.
-		if len(w.sends) != 0 || len(w.recvs) != 0 || len(w.colls) != 0 {
+		if sends, recvs := w.pendingCounts(); sends != 0 || recvs != 0 || len(w.colls) != 0 {
 			t.Errorf("seed %d: %d sends, %d recvs, %d collectives left pending",
-				seed, len(w.sends), len(w.recvs), len(w.colls))
+				seed, sends, recvs, len(w.colls))
 		}
 
 		// Clocks never run backwards, per rank or globally, and the
@@ -287,17 +294,69 @@ func TestRandomProgramsConserveMessagesAndTime(t *testing.T) {
 
 func TestRandomProgramsUnmatchedRecvNamesStuckRank(t *testing.T) {
 	for seed := 1; seed <= propSeeds; seed++ {
-		pg := genProgram(seed)
-		pick := rng.New(fmt.Sprintf("mpi-property-stray-%d", seed))
-		step, rank := pick.Intn(len(pg.plan)), pick.Intn(pg.ranks)
-		pg.plan[step].stray = rank
+		pg, rank := genProgram(seed).strayed(seed)
 		_, _, _, err := pg.run(t)
 		if err == nil {
-			t.Fatalf("seed %d: unmatched Recv on rank %d at step %d went unnoticed", seed, rank, step)
+			t.Fatalf("seed %d: unmatched Recv on rank %d went unnoticed", seed, rank)
 		}
 		if msg := err.Error(); !strings.Contains(msg, "deadlock") ||
 			!strings.Contains(msg, fmt.Sprintf("  rank%d: waiting on signal:recv#", rank)) {
 			t.Errorf("seed %d: deadlock report must name rank %d and its recv:\n%v", seed, rank, err)
+		}
+	}
+}
+
+// strayed returns the program with an unanswered Recv planted in it, and
+// the rank that posts it.
+func (pg *program) strayed(seed int) (*program, int) {
+	pick := rng.New(fmt.Sprintf("mpi-property-stray-%d", seed))
+	step, rank := pick.Intn(len(pg.plan)), pick.Intn(pg.ranks)
+	cp := *pg
+	cp.plan = append([]op(nil), pg.plan...)
+	cp.plan[step].stray = rank
+	return &cp, rank
+}
+
+// TestRandomProgramsSameOnResetWorld runs the programs back to back on one
+// reused world per rank count and holds each to what a fresh world gives:
+// the same makespan and the same observer log, whether the program before
+// it on that world ended cleanly or deadlocked — and a deadlock on the
+// reused world reads exactly as on a fresh one.
+func TestRandomProgramsSameOnResetWorld(t *testing.T) {
+	reused := map[int]*World{}
+	for seed := 1; seed <= propSeeds; seed++ {
+		pg := genProgram(seed)
+		w := reused[pg.ranks]
+		if w == nil {
+			w = world(t, pg.machine, pg.ranks)
+			reused[pg.ranks] = w
+		}
+		pg.machine = w.Machine.Name // a world keeps its machine; the plan does not care
+
+		_, fresh, want, err := pg.run(t)
+		if err != nil {
+			t.Fatalf("seed %d (%s, %d ranks): %v", seed, pg.machine, pg.ranks, err)
+		}
+		w.Reset()
+		obs, got, err := pg.runOn(w)
+		if err != nil {
+			t.Fatalf("seed %d on the reused world: %v", seed, err)
+		}
+		if got != want || obs.digest() != fresh.digest() {
+			t.Errorf("seed %d: reused world gave makespan %v, log %s; fresh world %v, %s",
+				seed, got, obs.digest(), want, fresh.digest())
+		}
+
+		// Every other seed leaves a deadlock behind for the next program.
+		if seed%2 == 0 {
+			continue
+		}
+		bad, _ := pg.strayed(seed)
+		_, _, _, wantErr := bad.run(t)
+		w.Reset()
+		_, _, gotErr := bad.runOn(w)
+		if wantErr == nil || gotErr == nil || gotErr.Error() != wantErr.Error() {
+			t.Errorf("seed %d: deadlock on the reused world reads\n%v\non a fresh world\n%v", seed, gotErr, wantErr)
 		}
 	}
 }
