@@ -43,13 +43,15 @@ bench:
 benchmark:
 	$(GO) run ./bench
 
-# Short mutation pass over the persistence decoders, the WAL scanner and
-# the job-journal replay (CI runs the same).
+# Short mutation pass over the persistence decoders, the WAL scanner, the
+# job-journal replay and the characterisation files under -data-dir (CI
+# runs the same).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzCharFile$$' -fuzztime 10s ./internal/core
 
 # End-to-end smoke of the swappd service: start it, health-check, one
 # real cached /v1/project round-trip (second call must hit), clean drain —
@@ -63,10 +65,11 @@ serve-smoke:
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
-# Durability smoke: swappd with -data-dir, async job SIGKILLed while
-# running, restart on the same dir must replay the journal, re-run the job
-# under its original ID, and finish byte-identical to an uninterrupted
-# control run.
+# Durability smoke: swappd with -data-dir, one async job SIGKILLed while
+# running and another SIGTERMed; each restart on the same dir must replay
+# the journal, re-run the job under its original ID with its
+# characterisation read back from disk, and finish byte-identical to an
+# uninterrupted control run.
 crash-smoke:
 	./scripts/crash_smoke.sh
 

@@ -17,6 +17,13 @@
 // forward each (base, target) group to its owning replica (see DESIGN.md
 // §13); a dead peer degrades to local computation.
 //
+// With -data-dir set, each benchmark characterisation is written to disk
+// as it is built and every job submission is journalled. A replica stops
+// one way — SIGTERM cancels unfinished jobs and exits, kill -9 just exits —
+// and comes back one way: restarted on the same directory it reads its
+// characterisation back instead of re-simulating it and re-runs the jobs
+// that never finished under their original IDs (see DESIGN.md §17).
+//
 // Example:
 //
 //	curl -s -X POST localhost:8080/v1/project \
@@ -75,13 +82,12 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		gossipProbe = fs.Duration("gossip-probe-timeout", 0, "single gossip probe deadline (0 = interval/2)")
 		jobsActive  = fs.Int("jobs-active", 0, "max concurrently running async jobs (0 = default 2)")
 		jobsQueued  = fs.Int("jobs-queued", 0, "async jobs waiting beyond the running ones (0 = default 4x active)")
-		jobsResumes = fs.Int("jobs-resumes", 0, "from-scratch retries after a failed job attempt (0 = default 1, negative = off)")
+		jobsRetries = fs.Int("jobs-retries", 0, "from-scratch retries after a failed job attempt (0 = default 1, negative = off)")
 		jobsTimeout = fs.Duration("jobs-timeout", 0, "end-to-end async job deadline across retry attempts (0 = default 30m)")
 		jobsRetain  = fs.Int("jobs-retain", 0, "finished async jobs kept for polling (0 = default 64)")
 		jobsAge     = fs.Duration("jobs-retain-age", 0, "additionally evict finished async jobs older than this (0 = count-based retention only)")
-		dataDir     = fs.String("data-dir", "", "durable state directory: WAL job journal + store snapshot; on restart, unfinished jobs are re-run from their journalled payloads under their original IDs (empty = in-memory only)")
+		dataDir     = fs.String("data-dir", "", "durable state directory: benchmark characterisation, written as it is built, and the WAL job journal; a restart on it — after SIGTERM or kill -9 alike — reads the characterisation back and re-runs unfinished jobs under their original IDs (empty = in-memory only)")
 		walSync     = fs.Duration("wal-sync", 0, "batch journal fsyncs to at most one per interval (0 = sync every record, the kill -9-safe default)")
-		snapOnDrain = fs.Bool("snapshot-on-drain", false, "export the layered store to -data-dir on drain so the next start warms up from disk")
 		faults      = fs.String("faults", os.Getenv("SWAPP_FAULTS"),
 			"fault-injection spec, e.g. 'server.eval=panic#1' (default $SWAPP_FAULTS; testing only)")
 	)
@@ -120,14 +126,13 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 
 		JobsMaxActive:  *jobsActive,
 		JobsMaxQueued:  *jobsQueued,
-		JobsMaxResumes: *jobsResumes,
+		JobsMaxRetries: *jobsRetries,
 		JobsTimeout:    *jobsTimeout,
 		JobsRetain:     *jobsRetain,
 		JobsRetainAge:  *jobsAge,
 
-		DataDir:         *dataDir,
-		WALSyncEvery:    *walSync,
-		SnapshotOnDrain: *snapOnDrain,
+		DataDir:      *dataDir,
+		WALSyncEvery: *walSync,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "swappd: %v\n", err)
@@ -159,22 +164,14 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	case <-sig:
 	}
 
-	// Drain: flip readiness so load balancers stop routing here, hand
-	// unfinished async jobs to their groups' new ring owners, stop gossip
-	// and submissions, then let in-flight requests finish under the grace
-	// deadline.
+	// Drain: flip readiness so load balancers stop routing here, stop
+	// gossip and job submissions and cancel unfinished jobs (a restart on
+	// -data-dir re-runs them; without one their clients resubmit), then let
+	// in-flight requests finish under the grace deadline.
 	fmt.Fprintln(stderr, "swappd: signal received, draining")
 	srv.SetDraining(true)
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)
 	defer cancel()
-	if n := srv.Handoff(ctx); n > 0 {
-		fmt.Fprintf(stderr, "swappd: handed off %d job(s)\n", n)
-	}
-	if *snapOnDrain {
-		if err := srv.SaveSnapshot(); err != nil {
-			fmt.Fprintf(stderr, "swappd: %v\n", err)
-		}
-	}
 	srv.Close()
 	if err := hs.Shutdown(ctx); err != nil {
 		fmt.Fprintf(stderr, "swappd: drain incomplete: %v\n", err)

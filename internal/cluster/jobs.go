@@ -21,10 +21,6 @@ const (
 	JobRunning JobState = "running"
 	JobDone    JobState = "done"
 	JobFailed  JobState = "failed"
-	// JobHandedOff marks a job cancelled by a draining replica after its
-	// payload was shipped to the group's new owner: finished here, re-run
-	// elsewhere.
-	JobHandedOff JobState = "handed_off"
 )
 
 // Snapshot is one per-generation progress observation from a running GA
@@ -39,17 +35,12 @@ type Snapshot struct {
 // Event is one item on a job's subscription stream.
 type Event struct {
 	// Type is "progress" while the job runs, then exactly one terminal
-	// event: "done" for done/failed jobs, "handed_off" for jobs drained to
-	// another replica.
+	// "done" event, whether the job succeeded or failed.
 	Type string `json:"type"`
 	// Snapshot accompanies progress events.
 	Snapshot *Snapshot `json:"snapshot,omitempty"`
 	// State accompanies the terminal event.
 	State JobState `json:"state,omitempty"`
-	// Target accompanies handed_off events: the URL of the replica the
-	// job was shipped to, where the re-run search can be followed. Empty
-	// when the drain found no live peer to ship to.
-	Target string `json:"target,omitempty"`
 }
 
 // Tap receives a running attempt's observations. The callback is safe for
@@ -60,14 +51,21 @@ type Tap struct {
 }
 
 // RunFunc executes one attempt of a job's evaluation, from scratch: an
-// evaluation is a pure function of the job's payload, so a retry, an
-// adopted handoff and a journal-recovered job all just run it again. tap's
-// callback must be called from at most the attempt's own goroutines. The
-// returned bytes are the job's result document, served verbatim.
+// evaluation is a pure function of the job's payload, so a retry and a
+// journal-recovered job both just run it again. tap's callback must be
+// called from at most the attempt's own goroutines. The returned bytes are
+// the job's result document, served verbatim.
 type RunFunc func(ctx context.Context, tap Tap) ([]byte, error)
 
 // ErrJobQueueFull rejects a submission when the backlog is at capacity.
 var ErrJobQueueFull = errors.New("cluster: job queue full")
+
+// ErrJobsClosed rejects a submission to a manager that has been closed:
+// unlike a full queue, retrying this replica will not help.
+var ErrJobsClosed = errors.New("cluster: shutting down")
+
+// errShutdown is the failure Close gives every job it cancels.
+var errShutdown = errors.New("replica shut down before the job finished")
 
 // ErrJobUnknown reports a lookup for an absent (or evicted) job.
 var ErrJobUnknown = errors.New("cluster: unknown job")
@@ -81,9 +79,9 @@ type ManagerConfig struct {
 	// 4×MaxActive): at most MaxActive+MaxQueued unfinished jobs exist at
 	// once. Submissions beyond that fail with ErrJobQueueFull.
 	MaxQueued int
-	// MaxResumes bounds retry attempts after a failed run (default 1).
+	// MaxRetries bounds retry attempts after a failed run (default 1).
 	// Each retry re-runs the evaluation from scratch.
-	MaxResumes int
+	MaxRetries int
 	// Retain bounds finished jobs kept for polling (default 64; oldest
 	// finished evicted first).
 	Retain int
@@ -93,8 +91,9 @@ type ManagerConfig struct {
 	// retention behaviour.
 	RetainAge time.Duration
 	// Journal, when non-nil, receives one durable record per submission
-	// and per terminal state, so a restarted process can resurrect
-	// unfinished jobs (see Journal). nil disables journalling.
+	// and one per terminal state a job reached on its own, so a restarted
+	// process can resurrect unfinished jobs (see Journal). nil disables
+	// journalling.
 	Journal *Journal
 	// HistoryCap bounds retained progress snapshots per job (default 256,
 	// oldest dropped).
@@ -103,7 +102,7 @@ type ManagerConfig struct {
 	// (default 30m).
 	Timeout time.Duration
 	// Obs receives jobs.active / jobs.queued gauges and jobs.completed /
-	// jobs.failed / jobs.resumed counters. nil disables metrics.
+	// jobs.failed / jobs.retries counters. nil disables metrics.
 	Obs *obs.Scope
 }
 
@@ -114,17 +113,18 @@ type Manager struct {
 	cfg ManagerConfig
 	obs *obs.Scope
 
-	sem     chan struct{}
-	queued  atomic.Int64
-	active  atomic.Int64
-	nextID  atomic.Int64
-	closing atomic.Bool
+	sem    chan struct{}
+	queued atomic.Int64
+	active atomic.Int64
+	nextID atomic.Int64
 
-	// now is the clock (tests override); janitorStop ends the RetainAge
-	// sweeper.
-	now         func() time.Time
-	janitorStop chan struct{}
-	stopOnce    sync.Once
+	// ctx is the parent of every job's context; Close cancels it, which
+	// also ends the RetainAge sweeper and refuses further submissions.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	// now is the clock (tests override).
+	now func() time.Time
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -139,10 +139,10 @@ func NewManager(cfg ManagerConfig) *Manager {
 	if cfg.MaxQueued <= 0 {
 		cfg.MaxQueued = 4 * cfg.MaxActive
 	}
-	if cfg.MaxResumes < 0 {
-		cfg.MaxResumes = 0
-	} else if cfg.MaxResumes == 0 {
-		cfg.MaxResumes = 1
+	if cfg.MaxRetries < 0 {
+		cfg.MaxRetries = 0
+	} else if cfg.MaxRetries == 0 {
+		cfg.MaxRetries = 1
 	}
 	if cfg.Retain <= 0 {
 		cfg.Retain = 64
@@ -154,13 +154,13 @@ func NewManager(cfg ManagerConfig) *Manager {
 		cfg.Timeout = 30 * time.Minute
 	}
 	m := &Manager{
-		cfg:         cfg,
-		obs:         cfg.Obs,
-		sem:         make(chan struct{}, cfg.MaxActive),
-		jobs:        map[string]*Job{},
-		now:         time.Now,
-		janitorStop: make(chan struct{}),
+		cfg:  cfg,
+		obs:  cfg.Obs,
+		sem:  make(chan struct{}, cfg.MaxActive),
+		jobs: map[string]*Job{},
+		now:  time.Now,
 	}
+	m.ctx, m.cancel = context.WithCancel(context.Background())
 	if cfg.RetainAge > 0 {
 		interval := cfg.RetainAge / 4
 		if interval < 50*time.Millisecond {
@@ -180,7 +180,7 @@ func (m *Manager) janitor(interval time.Duration) {
 	defer t.Stop()
 	for {
 		select {
-		case <-m.janitorStop:
+		case <-m.ctx.Done():
 			return
 		case <-t.C:
 			m.SweepAged()
@@ -190,8 +190,7 @@ func (m *Manager) janitor(interval time.Duration) {
 
 // SweepAged evicts finished jobs whose terminal state is older than
 // RetainAge, returning how many were dropped (counted as jobs.aged_out).
-// Running and queued jobs are never touched, nor are handed-off jobs still
-// waiting for their forwarding address.
+// Running and queued jobs are never touched.
 func (m *Manager) SweepAged() int {
 	if m.cfg.RetainAge <= 0 {
 		return 0
@@ -203,7 +202,7 @@ func (m *Manager) SweepAged() int {
 	for _, id := range m.order {
 		j := m.jobs[id]
 		j.mu.Lock()
-		old := j.evictableLocked() && j.finishedAt.Before(cutoff)
+		old := j.finished && j.finishedAt.Before(cutoff)
 		j.mu.Unlock()
 		if old {
 			delete(m.jobs, id)
@@ -226,39 +225,23 @@ type Job struct {
 	ID string
 	Op string
 	// Group is the job's (base, target) routing key and Payload its
-	// original submission body — together the material a draining replica
-	// ships so the group's new owner can resubmit the job verbatim.
+	// original submission body, which the journal keeps so a restarted
+	// replica can resubmit the job verbatim.
 	Group   string
 	Payload []byte
 
-	mu        sync.Mutex
-	state     JobState
-	history   []Snapshot
-	snapshots int    // total observed, including evicted
-	handedOff bool   // drained: finish as JobHandedOff, never retry here
-	handoffTo string // replica the payload was shipped to
-	// handoffMarked reports the drain decided the forwarding address (it
-	// may be empty — no live peer); until then a handed-off job's
-	// subscribers stay attached, waiting for the terminal handed_off event
-	// to carry the target.
-	handoffMarked bool
-	terminalSent  bool // the single terminal event went out, streams closed
-	finished      bool
-	finishedAt    time.Time
-	cancel        context.CancelFunc
-	attempts      int
-	resumed       bool
-	result        []byte
-	errMsg        string
-	done          chan struct{}
-	subs          map[int]chan Event
-	nextSub       int
-}
-
-// evictableLocked reports the job can leave the retention window: it is
-// finished, and — if handed off — its terminal event has been released.
-func (j *Job) evictableLocked() bool {
-	return j.finished && (j.state != JobHandedOff || j.handoffMarked)
+	mu         sync.Mutex
+	state      JobState
+	history    []Snapshot
+	snapshots  int // total observed, including evicted
+	finished   bool
+	finishedAt time.Time
+	attempts   int
+	result     []byte
+	errMsg     string
+	done       chan struct{}
+	subs       map[int]chan Event
+	nextSub    int
 }
 
 // JobStatus is the JSON-ready view of a job, served by GET /v1/jobs/{id}.
@@ -267,7 +250,6 @@ type JobStatus struct {
 	Op       string   `json:"op"`
 	State    JobState `json:"state"`
 	Attempts int      `json:"attempts"`
-	Resumed  bool     `json:"resumed,omitempty"`
 	// Snapshots counts every progress observation; Progress is the
 	// retained tail.
 	Snapshots int        `json:"snapshots"`
@@ -276,18 +258,15 @@ type JobStatus struct {
 	// HasResult reports a retrievable result document (see the manager's
 	// Result accessor); the document itself is served by the jobs API.
 	HasResult bool `json:"has_result"`
-	// HandoffTarget names the replica a handed-off job was shipped to —
-	// the place to poll for the re-run search.
-	HandoffTarget string `json:"handoff_target,omitempty"`
 }
 
 // JobSpec describes one submission beyond its op: the routing group and
-// original payload — the whole of a job's transferable and recoverable
-// state, since an evaluation is re-run from its payload, never resumed.
+// original payload — the whole of a job's recoverable state, since an
+// evaluation is re-run from its payload, never resumed.
 type JobSpec struct {
-	// ID, when non-empty, pins the job's identity — recovered and adopted
-	// jobs keep their original IDs so clients' job URLs survive. Empty for
-	// fresh submissions (the manager assigns job-N).
+	// ID, when non-empty, pins the job's identity — recovered jobs keep
+	// their original IDs so clients' job URLs survive. Empty for fresh
+	// submissions (the manager assigns job-N).
 	ID      string
 	Op      string
 	Group   string
@@ -305,8 +284,8 @@ func (m *Manager) Submit(op string, run RunFunc) (*Job, error) {
 // spec whose ID is already live returns the existing job unchanged — the
 // idempotence journal recovery leans on.
 func (m *Manager) SubmitJob(spec JobSpec, run RunFunc) (*Job, error) {
-	if m.closing.Load() {
-		return nil, ErrJobQueueFull
+	if m.ctx.Err() != nil {
+		return nil, ErrJobsClosed
 	}
 	if m.queued.Add(1) > int64(m.cfg.MaxQueued+m.cfg.MaxActive) {
 		m.queued.Add(-1)
@@ -370,9 +349,9 @@ func (m *Manager) evictLocked() {
 		for i, id := range m.order {
 			j := m.jobs[id]
 			j.mu.Lock()
-			evictable := j.evictableLocked()
+			finished := j.finished
 			j.mu.Unlock()
-			if evictable {
+			if finished {
 				delete(m.jobs, id)
 				m.order = append(m.order[:i], m.order[i+1:]...)
 				evicted = true
@@ -386,7 +365,9 @@ func (m *Manager) evictLocked() {
 }
 
 // execute runs one job to completion: take a slot, attempt the evaluation,
-// retry on failure, publish the outcome.
+// retry on failure, publish the outcome. Close cuts it short wherever it
+// is — waiting for a slot or mid-attempt — and the job ends failed with
+// errShutdown.
 func (m *Manager) execute(j *Job, run RunFunc) {
 	// The backlog counter decrements only when the job finishes, so the
 	// admission bound (MaxActive+MaxQueued unfinished jobs) is exact — a
@@ -395,23 +376,20 @@ func (m *Manager) execute(j *Job, run RunFunc) {
 		m.queued.Add(-1)
 		m.obs.Gauge("jobs.queued", float64(m.queued.Load()))
 	}()
-	m.sem <- struct{}{}
+	select {
+	case m.sem <- struct{}{}:
+	case <-m.ctx.Done():
+		m.finish(j, nil, errShutdown)
+		return
+	}
 	defer func() { <-m.sem }()
 	m.obs.Gauge("jobs.active", float64(m.active.Add(1)))
 	defer func() { m.obs.Gauge("jobs.active", float64(m.active.Add(-1))) }()
 
-	ctx, cancel := context.WithTimeout(context.Background(), m.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(m.ctx, m.cfg.Timeout)
 	defer cancel()
 
 	j.mu.Lock()
-	if j.handedOff {
-		// Drained while still queued: the payload has been shipped; never
-		// start the attempt here.
-		j.mu.Unlock()
-		m.finish(j, nil, context.Canceled)
-		return
-	}
-	j.cancel = cancel
 	j.state = JobRunning
 	j.mu.Unlock()
 
@@ -421,94 +399,60 @@ func (m *Manager) execute(j *Job, run RunFunc) {
 	for attempt := 0; ; attempt++ {
 		j.mu.Lock()
 		j.attempts = attempt + 1
-		if attempt > 0 {
-			j.resumed = true
-		}
 		j.mu.Unlock()
 		result, err = m.attempt(ctx, run, tap)
-		if err == nil || attempt >= m.cfg.MaxResumes || ctx.Err() != nil || j.isHandedOff() {
+		if err == nil || attempt >= m.cfg.MaxRetries || ctx.Err() != nil {
 			break
 		}
-		m.obs.Count("jobs.resumed", 1)
+		m.obs.Count("jobs.retries", 1)
+	}
+	if err != nil && m.ctx.Err() != nil {
+		err = errShutdown
 	}
 	m.finish(j, result, err)
 }
 
-// isHandedOff reports whether the job was drained for handoff.
-func (j *Job) isHandedOff() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.handedOff
-}
-
-// finish publishes a job's terminal state and releases every subscriber —
-// except that a handed-off job whose forwarding address is not yet decided
-// keeps its subscribers attached: the terminal handed_off event must carry
-// the target URL, so it waits for MarkHandoffTarget.
+// finish publishes a job's terminal state, sends every subscriber the
+// stream's single terminal event and closes it. All subscriber sends and
+// closes happen under j.mu (non-blocking on buffered channels), so a
+// concurrent Subscribe can never observe a half-closed stream.
+//
+// A job Close cancelled gets no done record: the journal is left holding
+// exactly what kill -9 would have left — a submit with no terminal state —
+// so the next start on the same journal re-runs it under its original ID.
 func (m *Manager) finish(j *Job, result []byte, err error) {
 	j.mu.Lock()
-	switch {
-	case j.handedOff:
-		// The handoff wins even over a result that raced the cancellation:
-		// the new owner recomputes deterministically, and two authorities
-		// for one job would be worse than none.
-		j.state = JobHandedOff
-	case err != nil:
+	if err != nil {
 		j.state = JobFailed
 		j.errMsg = err.Error()
-	default:
+	} else {
 		j.state = JobDone
 		j.result = result
 	}
 	j.finished = true
 	j.finishedAt = m.now()
 	state := j.state
-	if state != JobHandedOff || j.handoffMarked {
-		j.emitTerminalLocked()
-	}
-	j.mu.Unlock()
-
-	switch state {
-	case JobHandedOff:
-		m.obs.Count("jobs.handed_off", 1)
-	case JobFailed:
-		m.obs.Count("jobs.failed", 1)
-	default:
-		m.obs.Count("jobs.completed", 1)
-	}
-	m.cfg.Journal.RecordDone(j.ID, state)
-	close(j.done)
-}
-
-// emitTerminalLocked sends the stream's single terminal event and closes
-// every subscriber. All subscriber sends and closes happen under j.mu
-// (non-blocking on buffered channels), so a concurrent Subscribe can never
-// observe a half-closed stream. Idempotent; callers hold j.mu.
-func (j *Job) emitTerminalLocked() {
-	if j.terminalSent {
-		return
-	}
-	j.terminalSent = true
-	ev := j.terminalEventLocked()
 	for _, ch := range j.subs {
 		// A full channel is a slow consumer; it gets the terminal event
 		// best-effort before close.
 		select {
-		case ch <- ev:
+		case ch <- Event{Type: "done", State: state}:
 		default:
 		}
 		close(ch)
 	}
 	j.subs = map[int]chan Event{}
-}
+	j.mu.Unlock()
 
-// terminalEventLocked builds the stream's terminal event for the job's
-// current state. Callers hold j.mu.
-func (j *Job) terminalEventLocked() Event {
-	if j.state == JobHandedOff {
-		return Event{Type: "handed_off", State: JobHandedOff, Target: j.handoffTo}
+	if state == JobFailed {
+		m.obs.Count("jobs.failed", 1)
+	} else {
+		m.obs.Count("jobs.completed", 1)
 	}
-	return Event{Type: "done", State: j.state}
+	if !errors.Is(err, errShutdown) {
+		m.cfg.Journal.RecordDone(j.ID, state)
+	}
+	close(j.done)
 }
 
 // attempt runs one evaluation attempt with panic containment: a panicking
@@ -559,10 +503,9 @@ func (j *Job) Status() JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.ID, Op: j.Op, State: j.state,
-		Attempts: j.attempts, Resumed: j.resumed,
+		Attempts:  j.attempts,
 		Snapshots: j.snapshots, Error: j.errMsg,
-		HasResult:     j.result != nil,
-		HandoffTarget: j.handoffTo,
+		HasResult: j.result != nil,
 	}
 	st.Progress = append(st.Progress, j.history...)
 	return st
@@ -584,21 +527,18 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Subscribe attaches a live event stream: the retained history replays
 // first (as progress events), then live snapshots, then exactly one
-// terminal event ("done", or "handed_off" with the forwarding target)
-// before close — unless the job already finished, in which case the stream
-// is history + terminal. A handed-off job whose forwarding address is
-// still being decided attaches live and gets the terminal event when the
-// drain resolves it. cancel detaches early (the channel is closed).
+// terminal "done" event before close — unless the job already finished, in
+// which case the stream is history + terminal. cancel detaches early (the
+// channel is closed).
 func (j *Job) Subscribe() (<-chan Event, func()) {
 	j.mu.Lock()
 	replay := append([]Snapshot(nil), j.history...)
-	released := j.finished && (j.state != JobHandedOff || j.handoffMarked)
 	ch := make(chan Event, len(replay)+64)
 	for i := range replay {
 		ch <- Event{Type: "progress", Snapshot: &replay[i]}
 	}
-	if released {
-		ch <- j.terminalEventLocked()
+	if j.finished {
+		ch <- Event{Type: "done", State: j.state}
 		close(ch)
 		j.mu.Unlock()
 		return ch, func() {}
@@ -618,76 +558,10 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 	return ch, cancel
 }
 
-// Close stops accepting submissions and the retention janitor. Running
-// jobs finish on their own.
-func (m *Manager) Close() {
-	m.closing.Store(true)
-	m.stopOnce.Do(func() { close(m.janitorStop) })
-}
-
-// Handoff is one drained job's transferable state: everything the group's
-// new owner needs to resubmit the search under the same ID.
-type Handoff struct {
-	ID      string `json:"id"`
-	Op      string `json:"op"`
-	Group   string `json:"group,omitempty"`
-	Payload []byte `json:"payload,omitempty"`
-}
-
-// DrainForHandoff prepares the manager for shutdown: submissions stop,
-// every unfinished job is cancelled and marked handed off, and its
-// transferable state — op, group, original payload — is returned for the
-// serving layer to ship to each group's new owner. Finished jobs are
-// untouched; calling twice returns nothing the second time.
-func (m *Manager) DrainForHandoff() []Handoff {
-	m.closing.Store(true)
-	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	m.mu.Unlock()
-	var out []Handoff
-	for _, id := range ids {
-		m.mu.Lock()
-		j := m.jobs[id]
-		m.mu.Unlock()
-		if j == nil {
-			continue
-		}
-		j.mu.Lock()
-		if j.handedOff || (j.state != JobQueued && j.state != JobRunning) {
-			j.mu.Unlock()
-			continue
-		}
-		j.handedOff = true
-		cancel := j.cancel
-		out = append(out, Handoff{
-			ID: j.ID, Op: j.Op, Group: j.Group,
-			Payload: append([]byte(nil), j.Payload...),
-		})
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-	}
-	return out
-}
-
-// MarkHandoffTarget records where a drained job was shipped —
-// for the status document's handoff_target field — and releases the job's
-// subscribers with the terminal handed_off event carrying that target. The
-// drain MUST call this for every drained job, with an empty target when no
-// peer adopted it, or handed-off jobs' event streams never close.
-func (m *Manager) MarkHandoffTarget(id, target string) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.handoffTo = target
-	j.handoffMarked = true
-	if j.finished {
-		j.emitTerminalLocked()
-	}
-	j.mu.Unlock()
-}
+// Close is the manager's one way down: submissions stop (ErrJobsClosed),
+// the retention janitor stops, and every unfinished job — running or still
+// queued — is cancelled. Each ends failed with "replica shut down before
+// the job finished", its subscribers get the ordinary terminal event, and
+// no done record is journalled for it (see finish). Close does not wait for
+// the cancelled attempts to unwind. Idempotent.
+func (m *Manager) Close() { m.cancel() }

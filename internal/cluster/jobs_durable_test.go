@@ -10,101 +10,132 @@ import (
 	"repro/internal/obs"
 )
 
-// blockUntilCancelled is a job body that parks until the drain cancels it.
+// blockUntilCancelled is a job body that parks until its context ends.
 func blockUntilCancelled(ctx context.Context, tap Tap) ([]byte, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
 
-// TestJobHandedOffTerminalEventCarriesTarget pins the drain/SSE contract: a
-// subscriber attached while the job is handed off must stay attached until
-// the drain resolves the forwarding address, then receive exactly one
-// terminal handed_off event carrying the target URL before the stream
-// closes.
-func TestJobHandedOffTerminalEventCarriesTarget(t *testing.T) {
-	m := NewManager(ManagerConfig{})
+// TestCloseFailsUnfinishedJobs pins the one way down: Close cancels the
+// running job and the queued one alike, each ends failed with the shutdown
+// message, each stream gets exactly one ordinary done event and closes,
+// retention treats them as any finished job — and the journal is left as
+// kill -9 would have left it, both submits and no done, so Recover returns
+// both in submission order.
+func TestCloseFailsUnfinishedJobs(t *testing.T) {
+	jl := openTestJournal(t, t.TempDir(), nil)
+	defer jl.Close()
+	scope := obs.New("test")
+	m := NewManager(ManagerConfig{MaxActive: 1, RetainAge: time.Hour, Journal: jl, Obs: scope})
+	base := time.Unix(1700000000, 0)
+	var offset atomic.Int64
+	m.now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
+
 	started := make(chan struct{})
-	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+	running, err := m.SubmitJob(JobSpec{Op: "project", Group: "g1"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 4})
 		close(started)
-		<-ctx.Done()
-		return nil, ctx.Err()
+		return blockUntilCancelled(ctx, tap)
 	})
 	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		t.Fatalf("SubmitJob: %v", err)
 	}
 	<-started
-	ch, cancel := j.Subscribe()
-	defer cancel()
-
-	if got := m.DrainForHandoff(); len(got) != 1 {
-		t.Fatalf("DrainForHandoff = %d jobs, want 1", len(got))
+	queued, err := m.SubmitJob(JobSpec{Op: "validate", Group: "g2"}, blockUntilCancelled)
+	if err != nil {
+		t.Fatalf("SubmitJob: %v", err)
 	}
-	waitDone(t, j)
+	if st := queued.Status(); st.State != JobQueued {
+		t.Fatalf("second job is %s, want queued behind MaxActive 1", st.State)
+	}
+	runCh, runCancel := running.Subscribe()
+	defer runCancel()
+	queuedCh, queuedCancel := queued.Subscribe()
+	defer queuedCancel()
 
-	// The job is finished (handed off) but unmarked: no terminal event may
-	// have gone out and the stream must still be open.
-	for open := true; open; {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				t.Fatal("stream closed before MarkHandoffTarget resolved the target")
-			}
-			if ev.Type != "progress" {
-				t.Fatalf("premature terminal event %+v before the target was known", ev)
-			}
-		default:
-			open = false
+	m.Close()
+	m.Close() // idempotent
+
+	for _, tc := range []struct {
+		job      *Job
+		ch       <-chan Event
+		progress int
+	}{{running, runCh, 1}, {queued, queuedCh, 0}} {
+		waitDone(t, tc.job)
+		st := tc.job.Status()
+		if st.State != JobFailed || st.Error != "replica shut down before the job finished" {
+			t.Errorf("%s: state = %s error = %q, want failed with the shutdown message", tc.job.ID, st.State, st.Error)
+		}
+		events := drainEvents(t, tc.ch)
+		if len(events) != tc.progress+1 {
+			t.Fatalf("%s: events = %+v, want %d progress + one done", tc.job.ID, events, tc.progress)
+		}
+		if term := events[len(events)-1]; term.Type != "done" || term.State != JobFailed {
+			t.Errorf("%s: terminal event = %+v, want done/failed", tc.job.ID, term)
 		}
 	}
-
-	const target = "http://peer-2:8080"
-	m.MarkHandoffTarget(j.ID, target)
-	events := drainEvents(t, ch)
-	if len(events) != 1 {
-		t.Fatalf("post-mark events = %+v, want exactly the terminal one", events)
-	}
-	term := events[0]
-	if term.Type != "handed_off" || term.State != JobHandedOff || term.Target != target {
-		t.Errorf("terminal = %+v, want handed_off/%s/%s", term, JobHandedOff, target)
-	}
-	if st := j.Status(); st.State != JobHandedOff || st.HandoffTarget != target {
-		t.Errorf("status = %s target %q, want handed_off %q", st.State, st.HandoffTarget, target)
+	if n, _ := scope.Metrics().Counter("jobs.failed"); n != 2 {
+		t.Errorf("jobs.failed = %d, want 2", n)
 	}
 
-	// A late subscriber sees the same logical stream: history, then the
-	// terminal handed_off with the target.
-	late, lateCancel := j.Subscribe()
-	defer lateCancel()
-	lateEvents := drainEvents(t, late)
-	if n := len(lateEvents); n != 2 || lateEvents[n-1].Type != "handed_off" || lateEvents[n-1].Target != target {
-		t.Errorf("late subscription = %+v, want progress + handed_off(%s)", lateEvents, target)
+	if n := jl.Stats().Records; n != 2 {
+		t.Errorf("journal holds %d records, want the two submits and no done", n)
+	}
+	pending, err := jl.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 2 || pending[0].ID != running.ID || pending[1].ID != queued.ID || pending[1].Op != "validate" {
+		t.Errorf("Recover = %+v, want both jobs in submission order", pending)
+	}
+
+	offset.Store(int64(2 * time.Hour))
+	if n := m.SweepAged(); n != 2 {
+		t.Errorf("sweep evicted %d shut-down jobs, want 2", n)
 	}
 }
 
-// TestJobMarkHandoffEmptyTargetReleases: a drain that found no live peer
-// must still release subscribers — the terminal event just carries no
-// target.
-func TestJobMarkHandoffEmptyTargetReleases(t *testing.T) {
-	m := NewManager(ManagerConfig{})
-	j, err := m.Submit("project", blockUntilCancelled)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	ch, cancel := j.Subscribe()
-	defer cancel()
-	m.DrainForHandoff()
-	waitDone(t, j)
-	m.MarkHandoffTarget(j.ID, "")
-	events := drainEvents(t, ch)
-	if len(events) != 1 || events[0].Type != "handed_off" || events[0].Target != "" {
-		t.Errorf("events = %+v, want one targetless handed_off", events)
+// TestOwnFailuresStillJournalDone is the other side of Close's silence: a
+// job that fails on its own, or runs into its own deadline, reached a
+// terminal state and must journal it, or every restart would re-run a job
+// that can only fail again.
+func TestOwnFailuresStillJournalDone(t *testing.T) {
+	for name, tc := range map[string]struct {
+		cfg ManagerConfig
+		run RunFunc
+	}{
+		"fails": {ManagerConfig{MaxRetries: -1}, func(ctx context.Context, tap Tap) ([]byte, error) {
+			return nil, errors.New("no such machine")
+		}},
+		"times-out": {ManagerConfig{Timeout: 10 * time.Millisecond}, blockUntilCancelled},
+	} {
+		t.Run(name, func(t *testing.T) {
+			jl := openTestJournal(t, t.TempDir(), nil)
+			defer jl.Close()
+			tc.cfg.Journal = jl
+			m := NewManager(tc.cfg)
+			defer m.Close()
+			j, err := m.Submit("project", tc.run)
+			if err != nil {
+				t.Fatalf("Submit: %v", err)
+			}
+			waitDone(t, j)
+			if st := j.Status(); st.State != JobFailed {
+				t.Fatalf("state = %s, want failed", st.State)
+			}
+			pending, err := jl.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pending) != 0 || jl.Stats().Records != 2 {
+				t.Errorf("pending = %+v, %d records; want none pending, submit + done", pending, jl.Stats().Records)
+			}
+		})
 	}
 }
 
 // TestJobRetainAgeSweep: the age janitor's sweep evicts finished jobs past
-// RetainAge, never running jobs, and never handed-off jobs still waiting
-// for their forwarding address.
+// RetainAge and never running ones.
 func TestJobRetainAgeSweep(t *testing.T) {
 	scope := obs.New("test")
 	m := NewManager(ManagerConfig{RetainAge: time.Hour, Obs: scope})
@@ -141,23 +172,9 @@ func TestJobRetainAgeSweep(t *testing.T) {
 	if n, _ := scope.Metrics().Counter("jobs.aged_out"); n != 1 {
 		t.Errorf("jobs.aged_out = %d, want 1", n)
 	}
-
-	// Hand the running job off but do not resolve the target: it is
-	// finished yet must survive the sweep until the mark releases it.
-	m.DrainForHandoff()
-	waitDone(t, slow)
-	offset.Store(int64(4 * time.Hour))
-	if n := m.SweepAged(); n != 0 {
-		t.Fatalf("sweep evicted %d handed-off jobs awaiting their target", n)
-	}
-	m.MarkHandoffTarget(slow.ID, "")
-	offset.Store(int64(8 * time.Hour))
-	if n := m.SweepAged(); n != 1 {
-		t.Errorf("sweep after mark evicted %d, want 1", n)
-	}
 }
 
-// TestJobSpecIDPreservation: recovered and adopted jobs keep their IDs,
+// TestJobSpecIDPreservation: recovered jobs keep their IDs,
 // duplicate live IDs are idempotent, and the ID counter jumps past
 // resurrected numeric IDs so fresh submissions can never collide.
 func TestJobSpecIDPreservation(t *testing.T) {

@@ -55,8 +55,8 @@ func TestJobSubmitProgressResult(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("state = %s (error %q), want done", st.State, st.Error)
 	}
-	if st.Attempts != 1 || st.Resumed {
-		t.Errorf("attempts = %d resumed = %v, want 1 false", st.Attempts, st.Resumed)
+	if st.Attempts != 1 {
+		t.Errorf("attempts = %d, want 1", st.Attempts)
 	}
 	if st.Snapshots != 4 || len(st.Progress) != 4 {
 		t.Errorf("snapshots = %d progress = %d, want 4, 4", st.Snapshots, len(st.Progress))
@@ -110,9 +110,8 @@ func TestJobPanicRetriesFromScratch(t *testing.T) {
 	waitDone(t, j)
 
 	st := j.Status()
-	if st.State != JobDone || !st.Resumed || st.Attempts != 2 {
-		t.Fatalf("state = %s resumed = %v attempts = %d, want done true 2 (error %q)",
-			st.State, st.Resumed, st.Attempts, st.Error)
+	if st.State != JobDone || st.Attempts != 2 {
+		t.Fatalf("state = %s attempts = %d, want done 2 (error %q)", st.State, st.Attempts, st.Error)
 	}
 	got, ok := j.Result()
 	if !ok || !bytes.Equal(got, want) {
@@ -124,9 +123,9 @@ func TestJobPanicRetriesFromScratch(t *testing.T) {
 	}
 }
 
-// A job that fails every attempt ends failed after MaxResumes+1 attempts.
+// A job that fails every attempt ends failed after MaxRetries+1 attempts.
 func TestJobFailsAfterResumeBudget(t *testing.T) {
-	m := NewManager(ManagerConfig{MaxResumes: 2})
+	m := NewManager(ManagerConfig{MaxRetries: 2})
 	var attempts int
 	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
 		attempts++
@@ -198,6 +197,8 @@ func TestJobSubscribeReplayAndLive(t *testing.T) {
 
 // Admission is bounded: beyond MaxActive+MaxQueued concurrent jobs,
 // Submit fails fast with ErrJobQueueFull instead of queueing unboundedly.
+// A closed manager gives the other answer, ErrJobsClosed: retrying it
+// cannot help.
 func TestJobQueueFull(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxActive: 1, MaxQueued: 1})
 	block := make(chan struct{})
@@ -217,8 +218,8 @@ func TestJobQueueFull(t *testing.T) {
 	waitDone(t, j1)
 
 	m.Close()
-	if _, err := m.Submit("project", run); !errors.Is(err, ErrJobQueueFull) {
-		t.Errorf("submit after Close err = %v, want ErrJobQueueFull", err)
+	if _, err := m.Submit("project", run); !errors.Is(err, ErrJobsClosed) || errors.Is(err, ErrJobQueueFull) {
+		t.Errorf("submit after Close err = %v, want ErrJobsClosed", err)
 	}
 }
 

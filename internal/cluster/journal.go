@@ -9,11 +9,13 @@ import (
 )
 
 // Journal is the job manager's durable lifecycle log: one WAL record per
-// submission and one per terminal state. A restarted replica replays the
-// log, finds every job that was submitted but never finished, and
-// resubmits it from its payload under its original ID — the kill -9
-// recovery path. An evaluation is a pure function of its payload, so the
-// re-run result is byte-identical to the one the crash interrupted.
+// submission and one per terminal state a job reached on its own. A
+// restarted replica replays the log, finds every job that was submitted
+// but never finished — because the process was killed, or because
+// Manager.Close cancelled it — and resubmits it from its payload under its
+// original ID: the one recovery path. An evaluation is a pure function of
+// its payload, so the re-run result is byte-identical to the one the stop
+// interrupted.
 //
 // Journalling is strictly best-effort on the write side: a record that
 // cannot be appended (disk full, injected fault, closed log) is dropped and
@@ -125,8 +127,8 @@ func (jl *Journal) Recover() ([]JobSpec, error) {
 }
 
 // Compact rewrites the journal down to one submit record per still-pending
-// job, dropping the finished jobs' history — the startup and drain
-// housekeeping that keeps replay time bounded.
+// job, dropping the finished jobs' history — the startup housekeeping that
+// keeps replay time bounded.
 func (jl *Journal) Compact(pending []JobSpec) error {
 	if jl == nil {
 		return nil
@@ -141,14 +143,6 @@ func (jl *Journal) Compact(pending []JobSpec) error {
 		records = append(records, body)
 	}
 	return jl.wal.Compact(records)
-}
-
-// Sync forces the batched WAL writes to disk (the drain path's last act).
-func (jl *Journal) Sync() error {
-	if jl == nil {
-		return nil
-	}
-	return jl.wal.Sync()
 }
 
 // Stats exposes the underlying WAL's counters.

@@ -137,9 +137,6 @@ func TestJournalNilSafety(t *testing.T) {
 	if err := jl.Compact(nil); err != nil {
 		t.Errorf("nil Compact: %v", err)
 	}
-	if err := jl.Sync(); err != nil {
-		t.Errorf("nil Sync: %v", err)
-	}
 	if err := jl.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
 	}

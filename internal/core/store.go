@@ -6,8 +6,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/arch"
@@ -63,6 +61,10 @@ type Store struct {
 	// artifacts is the replication vault: rendered result bytes pushed by
 	// ring peers, keyed and checksummed so a double push is a no-op.
 	artifacts *artifactVault
+
+	// dir, when non-empty, holds the characterisation layer's files (see
+	// charfile.go).
+	dir string
 }
 
 // StoreConfig parameterises NewStore. The zero value is usable.
@@ -77,9 +79,18 @@ type StoreConfig struct {
 	// ArtifactCap bounds the replication vault, in entries (default 1024).
 	// A vault entry is one rendered result body replicated from a ring peer.
 	ArtifactCap int
+	// Dir, when non-empty, is an existing directory the characterisation
+	// layer writes each SPEC result set and IMB table through to as it is
+	// built, and reads back on a later miss — across restarts, whatever
+	// ended the previous process. One file per (machine, suite[, count]),
+	// ~28 KB for an IMB table; nothing is ever evicted. Empty keeps the
+	// store purely in memory.
+	Dir string
 	// Obs receives the per-layer counters and size gauges
 	// (<prefix>.characterisation_hits / _misses / _size, likewise for
-	// profile and surrogate). nil disables metrics, not the store.
+	// profile and surrogate; with Dir, characterisation_disk_hits /
+	// _disk_writes / _disk_rejects / _disk_write_fails). nil disables
+	// metrics, not the store.
 	Obs *obs.Scope
 	// MetricPrefix overrides the default "core.store" metric prefix —
 	// swappd mounts the store under its own "server.cache" namespace so
@@ -110,6 +121,7 @@ func NewStore(cfg StoreConfig) *Store {
 		profiles:  newLayer(prefix+".profile", cfg.ProfileCap, cfg.Obs),
 		surrogate: newLayer(prefix+".surrogate", cfg.SurrogateCap, cfg.Obs),
 		artifacts: newArtifactVault(prefix+".artifact", cfg.ArtifactCap, cfg.Obs),
+		dir:       cfg.Dir,
 	}
 }
 
@@ -141,7 +153,8 @@ func surrogateKey(base, app, target string, ci int) string {
 // specSuite resolves one machine's SPEC CPU2006 result set through the
 // characterisation layer.
 func (s *Store) specSuite(ctx context.Context, m *arch.Machine, fill func() (map[string]spec.Result, error)) (map[string]spec.Result, error) {
-	v, err := s.chars.getOrFill(ctx, specKey(m), func() (any, error) { return fill() })
+	key := specKey(m)
+	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (any, error) { return fill() }))
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +164,8 @@ func (s *Store) specSuite(ctx context.Context, m *arch.Machine, fill func() (map
 // imbTable resolves one (machine, core count) IMB table through the
 // characterisation layer.
 func (s *Store) imbTable(ctx context.Context, m *arch.Machine, count int, fill func() (*imb.Table, error)) (*imb.Table, error) {
-	v, err := s.chars.getOrFill(ctx, imbKey(m, count), func() (any, error) { return fill() })
+	key := imbKey(m, count)
+	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (any, error) { return fill() }))
 	if err != nil {
 		return nil, err
 	}
@@ -324,31 +338,7 @@ func (l *layer) len() int {
 	return l.ll.Len()
 }
 
-// DebugKeys lists a layer's resident keys (tests). layerName is one of
-// "characterisation", "profile", "surrogate".
-func (s *Store) DebugKeys(layerName string) []string {
-	var l *layer
-	switch {
-	case strings.HasSuffix(s.chars.name, "."+layerName):
-		l = s.chars
-	case strings.HasSuffix(s.profiles.name, "."+layerName):
-		l = s.profiles
-	case strings.HasSuffix(s.surrogate.name, "."+layerName):
-		l = s.surrogate
-	default:
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.entries))
-	for k := range l.entries {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Artifact is one replication-vault entry exported for transfer: the vault
+// Artifact is one replication-vault entry in transfer form: the vault
 // key, the hex sha256 of Body, and the rendered result bytes themselves.
 // Replicating rendered bytes (not decoded Go objects) is what keeps the
 // byte-identity invariant trivially true on the serving path: the successor
@@ -380,15 +370,6 @@ func (s *Store) GetArtifact(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return s.artifacts.get(key)
-}
-
-// ExportArtifacts snapshots the whole vault, oldest first, for transfer to
-// another replica (the drain path ships it alongside job payloads).
-func (s *Store) ExportArtifacts() []Artifact {
-	if s == nil {
-		return nil
-	}
-	return s.artifacts.export()
 }
 
 // ImportArtifact verifies sumHex against the body and stores it; a
@@ -481,17 +462,6 @@ func (v *artifactVault) get(key string) ([]byte, bool) {
 	v.mu.Unlock()
 	v.obs.Count(v.name+"_hits", 1)
 	return body, true
-}
-
-func (v *artifactVault) export() []Artifact {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	out := make([]Artifact, 0, v.ll.Len())
-	for el := v.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*vaultEntry)
-		out = append(out, Artifact{Key: e.key, Sum: hex.EncodeToString(e.sum[:]), Body: e.body})
-	}
-	return out
 }
 
 func (v *artifactVault) importOne(a Artifact) (bool, error) {

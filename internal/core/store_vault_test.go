@@ -77,44 +77,6 @@ func TestArtifactVaultConflictOverwrites(t *testing.T) {
 	}
 }
 
-// TestArtifactExportImportRoundtrip ships a vault to a fresh store the way
-// the drain path would: export oldest-first, import with checksums intact,
-// and land byte-identical entries.
-func TestArtifactExportImportRoundtrip(t *testing.T) {
-	src := NewStore(StoreConfig{})
-	bodies := map[string][]byte{
-		"first":  []byte(`{"a":1}` + "\n"),
-		"second": []byte(`{"b":2}` + "\n"),
-		"third":  []byte(`{"c":3}` + "\n"),
-	}
-	for _, key := range []string{"first", "second", "third"} {
-		src.PutArtifact(key, bodies[key])
-	}
-	arts := src.ExportArtifacts()
-	if len(arts) != 3 {
-		t.Fatalf("exported %d artifacts, want 3", len(arts))
-	}
-	if arts[0].Key != "first" {
-		t.Errorf("export order starts at %q, want oldest entry \"first\"", arts[0].Key)
-	}
-	dst := NewStore(StoreConfig{})
-	for _, a := range arts {
-		if want := sha256.Sum256(a.Body); a.Sum != hex.EncodeToString(want[:]) {
-			t.Fatalf("export produced a bad checksum for %q", a.Key)
-		}
-		stored, err := dst.ImportArtifact(a)
-		if err != nil || !stored {
-			t.Fatalf("importing %q: stored=%t err=%v", a.Key, stored, err)
-		}
-	}
-	for key, want := range bodies {
-		got, ok := dst.GetArtifact(key)
-		if !ok || !bytes.Equal(got, want) {
-			t.Errorf("imported %q = %q, %t; want %q", key, got, ok, want)
-		}
-	}
-}
-
 // TestArtifactImportChecksumReject proves a corrupted transfer cannot land:
 // the mismatch is an error, counted, and the vault stays empty. An empty
 // sum skips verification (trusted local transfers).
@@ -147,9 +109,6 @@ func TestArtifactNilStore(t *testing.T) {
 	}
 	if _, ok := s.GetArtifact("k"); ok {
 		t.Error("nil store returned an artifact")
-	}
-	if got := s.ExportArtifacts(); got != nil {
-		t.Errorf("nil store exported %d artifacts", len(got))
 	}
 	if stored, err := s.ImportArtifact(Artifact{Key: "k", Body: []byte("x")}); stored || err != nil {
 		t.Errorf("nil store import: stored=%t err=%v", stored, err)

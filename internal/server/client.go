@@ -158,7 +158,7 @@ func (c *Client) postRawAttempts(ctx context.Context, path string, payload []byt
 				lastErr = rerr
 				break
 			}
-			// Any 2xx is success: /v1/jobs/handoff answers 202 Accepted.
+			// Any 2xx is success: /v1/jobs answers 202 Accepted.
 			if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 				return body, resp.Header, nil
 			}

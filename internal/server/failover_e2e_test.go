@@ -2,19 +2,14 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"io"
-	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	swapp "repro"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 )
@@ -182,142 +177,6 @@ func TestClusterWarmFailoverReplicaServes(t *testing.T) {
 	if n := succ.eval.calls.Load() + third.eval.calls.Load(); n != 0 {
 		t.Errorf("survivors ran %d evaluations; warm failover should run none", n)
 	}
-}
-
-// TestClusterJobHandoffResumesElsewhere drains a replica mid-search the way
-// SIGTERM does: the blocked job's payload ships to the group's ring owner,
-// whose adopted job re-runs it and serves a result byte-identical to the
-// same job on a single-process control.
-func TestClusterJobHandoffResumesElsewhere(t *testing.T) {
-	body := `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`
-	jobBody := `{"request":` + body + `}`
-	stub := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		return stubResult(req), nil
-	}
-	ctrl := New(Config{Workers: 2, Eval: stub})
-	defer ctrl.Close()
-	tsCtrl := newHTTPServer(t, ctrl)
-	ctrlSt := submitJob(t, tsCtrl.URL, jobBody)
-	if final := waitJobDone(t, tsCtrl.URL, ctrlSt.ID); final.State != cluster.JobDone {
-		t.Fatalf("control job state = %s (%s)", final.State, final.Error)
-	}
-	want := resultBytes(t, tsCtrl.URL, ctrlSt.ID)
-
-	// The first evaluation anywhere on the ring — the drainer's — reports
-	// one generation, then holds the search until the drain cancels it;
-	// every later one (the adopter's) runs clean.
-	started := make(chan struct{})
-	var first sync.Once
-	evalFn := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		held := false
-		first.Do(func() { held = true })
-		if !held {
-			return stubResult(req), nil
-		}
-		if req.OnGAProgress != nil {
-			req.OnGAProgress(0, 1, 0.5)
-		}
-		close(started)
-		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-
-	clock := &testClock{}
-	reps := make([]*clusterReplica, 3)
-	urls := make([]string, len(reps))
-	for i := range reps {
-		reps[i] = &clusterReplica{}
-		ts := httptest.NewServer(reps[i])
-		t.Cleanup(ts.Close)
-		reps[i].url = ts.URL
-		urls[i] = ts.URL
-	}
-	for i, rep := range reps {
-		peers := make([]string, 0, len(reps)-1)
-		for k, u := range urls {
-			if k != i {
-				peers = append(peers, u)
-			}
-		}
-		rep.scope = obs.New("test")
-		rep.srv = New(Config{Workers: 4, Obs: rep.scope, Eval: evalFn,
-			Self: rep.url, Peers: peers, nowFn: clock.now})
-		rep.handler.Store(rep.srv.Handler())
-	}
-
-	gk := groupKeyOf(t, body)
-	drainer := reps[0]
-	ring := cluster.NewRing(urls)
-	targetURL := ring.Owner(gk)
-	if targetURL == drainer.url {
-		targetURL = ring.NextOwner(gk, drainer.url)
-	}
-	target := byURL(t, reps, targetURL)
-
-	st := submitJob(t, drainer.url, jobBody)
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("job never started")
-	}
-
-	// Drain: exactly one job ships, to the group's ring owner.
-	if n := drainer.srv.Handoff(context.Background()); n != 1 {
-		t.Fatalf("Handoff moved %d jobs, want 1", n)
-	}
-	// The drainer's status names both the outcome and the forwarding
-	// address; the terminal state lands once the cancelled attempt unwinds.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		js := jobStatusOf(t, drainer, st.ID)
-		if js.State == cluster.JobHandedOff {
-			if js.HandoffTarget != targetURL {
-				t.Errorf("handoff_target = %q, want %q", js.HandoffTarget, targetURL)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drained job state = %q, want %q", js.State, cluster.JobHandedOff)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := counter(drainer.scope, "cluster.job_handoffs"); n != 1 {
-		t.Errorf("cluster.job_handoffs = %d, want 1", n)
-	}
-	if n := counter(target.scope, "cluster.jobs_adopted"); n != 1 {
-		t.Errorf("cluster.jobs_adopted on the target = %d, want 1", n)
-	}
-	// And the adopted job — the target's first — runs to completion on the
-	// new owner with exactly the control's bytes.
-	const adoptedID = "job-1"
-	if final := waitJobDone(t, target.url, adoptedID); final.State != cluster.JobDone {
-		t.Fatalf("adopted job state = %s (%s), want done", final.State, final.Error)
-	}
-	if got := resultBytes(t, target.url, adoptedID); !bytes.Equal(got, want) {
-		t.Errorf("adopted job result differs from the single-process control:\nadopted: %s\ncontrol: %s", got, want)
-	}
-}
-
-// jobStatusOf fetches one job's status document from a replica.
-func jobStatusOf(t *testing.T, rep *clusterReplica, id string) cluster.JobStatus {
-	t.Helper()
-	resp, err := http.Get(rep.url + "/v1/jobs/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 {
-		t.Fatalf("job status fetch = %d: %s", resp.StatusCode, body)
-	}
-	var js cluster.JobStatus
-	if err := json.Unmarshal(body, &js); err != nil {
-		t.Fatal(err)
-	}
-	return js
 }
 
 // TestReplicateIdempotent drives the wire contract of POST /v1/replicate:

@@ -41,22 +41,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
 		return
 	}
-	op := jreq.Op
-	if op == "" {
-		op = "project"
-	}
-	spec, ok := endpoints[op]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown op %q", jreq.Op))
-		return
-	}
-	req, err := evalRequest(jreq.Request)
+	op, spec, req, err := jreq.resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	// The job carries its routing group and a re-marshalled submission body
-	// so a draining replica can hand the search to the group's new owner.
+	// The job carries a re-marshalled submission body: the journal keeps it,
+	// and a restarted replica re-runs the job from it.
 	payload, err := json.Marshal(jobRequest{Op: op, Request: jreq.Request})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -68,7 +59,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Payload: payload,
 	}, s.jobRun(spec, req))
 	if err != nil {
-		w.Header().Set("Retry-After", "1")
+		// A full queue drains, so the client is told to come back; a
+		// replica that is shutting down is not worth retrying.
+		if !errors.Is(err, cluster.ErrJobsClosed) {
+			w.Header().Set("Retry-After", "1")
+		}
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
 	}
@@ -76,6 +71,22 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(job.Status())
+}
+
+// resolve turns a decoded submission into what running it needs: the op
+// with its default applied, the endpoint semantics, and the validated
+// evaluation request. Fresh submissions and journal recovery share it.
+func (jreq jobRequest) resolve() (op string, spec endpointSpec, req swapp.Request, err error) {
+	op = jreq.Op
+	if op == "" {
+		op = "project"
+	}
+	spec, ok := endpoints[op]
+	if !ok {
+		return "", endpointSpec{}, swapp.Request{}, fmt.Errorf("unknown op %q", jreq.Op)
+	}
+	req, err = evalRequest(jreq.Request)
+	return op, spec, req, err
 }
 
 // jobRun builds the background attempt function for one submitted job:
@@ -107,61 +118,6 @@ func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
 		}
 		return spec.render(res)
 	}
-}
-
-// handleJobHandoff serves POST /v1/jobs/handoff: adopt a job drained by a
-// shutting-down peer. The payload is the peer's original submission body;
-// the adopted job re-runs it from scratch, which by the purity contract
-// yields the bytes the peer would have served.
-func (s *Server) handleJobHandoff(w http.ResponseWriter, r *http.Request) {
-	s.obs.Count("server.requests", 1)
-	s.obs.Count("server.requests./v1/jobs/handoff", 1)
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("/v1/jobs/handoff requires POST"))
-		return
-	}
-	var h cluster.Handoff
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&h); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding handoff: %w", err))
-		return
-	}
-	var jreq jobRequest
-	if err := json.Unmarshal(h.Payload, &jreq); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding handoff payload: %w", err))
-		return
-	}
-	op := jreq.Op
-	if op == "" {
-		op = "project"
-	}
-	spec, ok := endpoints[op]
-	if !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown op %q", jreq.Op))
-		return
-	}
-	req, err := evalRequest(jreq.Request)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	job, err := s.jobs.SubmitJob(cluster.JobSpec{
-		Op:      op,
-		Group:   h.Group,
-		Payload: h.Payload,
-	}, s.jobRun(spec, req))
-	if err != nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	s.obs.Count("cluster.jobs_adopted", 1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(job.Status())
 }
 
 // handleJob serves the per-job GETs:
@@ -211,9 +167,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // serveJobEvents streams a job's progress as Server-Sent Events: the
 // retained history replays first, then live snapshots, then exactly one
-// terminal event — "done", or "handed_off" carrying the forwarding target
-// for jobs drained to another replica — closes the stream. Each event is
-// one `data:` line holding the cluster.Event JSON.
+// terminal "done" event closes the stream. Each event is one `data:` line
+// holding the cluster.Event JSON.
 func (s *Server) serveJobEvents(w http.ResponseWriter, r *http.Request, job *cluster.Job) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -240,7 +195,7 @@ func (s *Server) serveJobEvents(w http.ResponseWriter, r *http.Request, job *clu
 			}
 			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b)
 			flusher.Flush()
-			if ev.Type == "done" || ev.Type == "handed_off" {
+			if ev.Type == "done" {
 				return
 			}
 		case <-r.Context().Done():

@@ -94,8 +94,8 @@ func TestJobsSubmitProgressSSEResult(t *testing.T) {
 			t.Errorf("snapshot %d = %+v", g, snap)
 		}
 	}
-	if final.Attempts != 1 || final.Resumed {
-		t.Errorf("clean job reports attempts=%d resumed=%v", final.Attempts, final.Resumed)
+	if final.Attempts != 1 {
+		t.Errorf("clean job reports attempts=%d", final.Attempts)
 	}
 
 	// SSE on a finished job: history replay then one done event.
@@ -155,8 +155,7 @@ func TestJobsSubmitProgressSSEResult(t *testing.T) {
 // TestJobPanicRetryByteIdentical is the resilience satellite: the first
 // attempt reports progress then panics mid-search; the manager contains
 // the panic and re-runs the evaluation from scratch. The job finishes
-// done on its second attempt, marked resumed, with a result document
-// byte-identical to the synchronous endpoint's body.
+// done on its second attempt with a result document byte-identical to the synchronous endpoint's body.
 func TestJobPanicRetryByteIdentical(t *testing.T) {
 	var attempts atomic.Int64
 	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
@@ -177,8 +176,8 @@ func TestJobPanicRetryByteIdentical(t *testing.T) {
 	if final.State != cluster.JobDone {
 		t.Fatalf("job state = %s (%s), want done after the retry", final.State, final.Error)
 	}
-	if final.Attempts != 2 || !final.Resumed {
-		t.Errorf("job reports attempts=%d resumed=%v, want 2/true", final.Attempts, final.Resumed)
+	if final.Attempts != 2 {
+		t.Errorf("job reports attempts=%d, want 2", final.Attempts)
 	}
 	if attempts.Load() != 2 {
 		t.Errorf("evaluation ran %d times, want 2", attempts.Load())
@@ -236,11 +235,22 @@ func TestJobsAPIValidation(t *testing.T) {
 	if code, err := httpGet(ts.URL + "/v1/jobs/" + st.ID + "/confetti"); err != nil || code != 404 {
 		t.Errorf("unknown sub-resource = %d, %v", code, err)
 	}
+	// The retired drain route is now just a non-GET under /v1/jobs/: 405
+	// with Allow, no retry hint. Pinned because it is what a not yet
+	// upgraded peer's drain sees when it tries to ship a job here — it
+	// counts a failed handoff and its client resubmits.
+	code, hdr, out := post(t, ts.URL+"/v1/jobs/handoff", `{"id":"job-1","op":"project","payload":"e30="}`)
+	if code != http.StatusMethodNotAllowed || hdr.Get("Allow") != http.MethodGet || hdr.Get("Retry-After") != "" {
+		t.Errorf("POST /v1/jobs/handoff = %d (Allow %q, Retry-After %q): %s; want a plain 405",
+			code, hdr.Get("Allow"), hdr.Get("Retry-After"), out)
+	}
 }
 
 // TestJobsQueueFullRejects proves the jobs API has the same explicit
 // overload behaviour as the synchronous path: submissions beyond the
-// active+queued budget answer 503 with Retry-After.
+// active+queued budget answer 503 with Retry-After. A replica that is
+// shutting down answers 503 too, but without the hint: there will be
+// nothing here to retry.
 func TestJobsQueueFullRejects(t *testing.T) {
 	gate := make(chan struct{})
 	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
@@ -260,5 +270,12 @@ func TestJobsQueueFullRejects(t *testing.T) {
 	code, hdr, _ := post(t, ts.URL+"/v1/jobs", `{"request":`+reqBT+`}`)
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Errorf("over-budget submit = %d (Retry-After %q), want 503 with a hint", code, hdr.Get("Retry-After"))
+	}
+
+	s.Close()
+	code, hdr, out := post(t, ts.URL+"/v1/jobs", `{"request":`+reqBT+`}`)
+	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") != "" || !strings.Contains(string(out), "shutting down") {
+		t.Errorf("submit to a closing replica = %d (Retry-After %q): %s; want 503 \"shutting down\" without a hint",
+			code, hdr.Get("Retry-After"), out)
 	}
 }

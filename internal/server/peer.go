@@ -130,26 +130,6 @@ func (p *peerSet) membership() []string {
 	return p.routing.Nodes()
 }
 
-// handoffTarget resolves where a draining replica ships a job for one
-// group: the group's owner if that is someone else, otherwise the replica
-// that inherits the group once this one leaves. nil when the ring has no
-// other member.
-func (p *peerSet) handoffTarget(groupKey string) *peerClient {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	addr := p.routing.Owner(groupKey)
-	if addr == p.self {
-		addr = p.routing.NextOwner(groupKey, p.self)
-	}
-	if addr == "" || addr == p.self {
-		return nil
-	}
-	if _, ok := p.clients[addr]; !ok {
-		p.clients[addr] = p.newClient(addr)
-	}
-	return p.clients[addr]
-}
-
 // successor resolves the replication target for a locally owned group: the
 // replica that would inherit the group if this one left the ring. nil when
 // the ring has no other member.

@@ -231,45 +231,3 @@ func (s *Server) Membership() []string {
 	}
 	return s.peers.membership()
 }
-
-// Handoff drains the async job manager for shutdown: every unfinished job
-// is cancelled and its transferable state — op, group, original payload —
-// shipped to the replica that now owns its group, which re-runs the search
-// from the payload. Returns how many jobs were handed off successfully.
-func (s *Server) Handoff(ctx context.Context) int {
-	hands := s.jobs.DrainForHandoff()
-	sent := 0
-	for _, h := range hands {
-		// Every drained job must resolve its forwarding address — possibly
-		// to "none" — so its subscribers' terminal handed_off event can go
-		// out and their streams close.
-		target := ""
-		if s.peers != nil {
-			if pc := s.peers.handoffTarget(h.Group); pc != nil {
-				if err := s.shipHandoff(ctx, pc, h); err != nil {
-					s.obs.Count("cluster.job_handoff_fails", 1)
-				} else {
-					target = pc.addr
-					s.obs.Count("cluster.job_handoffs", 1)
-					sent++
-				}
-			} else {
-				s.obs.Count("cluster.job_handoff_drops", 1)
-			}
-		}
-		s.jobs.MarkHandoffTarget(h.ID, target)
-	}
-	return sent
-}
-
-// shipHandoff posts one drained job's transferable state to its new owner.
-func (s *Server) shipHandoff(ctx context.Context, pc *peerClient, h cluster.Handoff) error {
-	payload, err := json.Marshal(h)
-	if err != nil {
-		return err
-	}
-	hctx, cancel := context.WithTimeout(ctx, replicatePushTimeout)
-	defer cancel()
-	_, _, err = pc.client.PostRaw(hctx, "/v1/jobs/handoff", payload, nil)
-	return err
-}

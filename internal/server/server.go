@@ -136,39 +136,39 @@ type Config struct {
 	// declared dead (default 3×GossipInterval).
 	GossipProbeTimeout time.Duration
 	GossipSuspectAfter time.Duration
-	// JobsMaxActive / JobsMaxQueued / JobsMaxResumes / JobsTimeout /
+	// JobsMaxActive / JobsMaxQueued / JobsMaxRetries / JobsTimeout /
 	// JobsRetain / JobsRetainAge parameterise the async jobs API (zero
 	// values take the cluster.ManagerConfig defaults; JobsRetainAge 0
 	// keeps the pure count-based retention).
 	JobsMaxActive  int
 	JobsMaxQueued  int
-	JobsMaxResumes int
+	JobsMaxRetries int
 	JobsTimeout    time.Duration
 	JobsRetain     int
 	JobsRetainAge  time.Duration
 	// DataDir roots the server's durable state: a WAL-backed job journal
-	// under DataDir/journal plus the layered store's snapshot file. Only
+	// under DataDir/journal and the characterisation layer's files under
+	// DataDir/characterisation, written as each table is built. Only
 	// NewDurable honours it — with DataDir set it replays the journal at
-	// startup, resurrecting jobs a crashed process left unfinished
-	// (counted as jobs.recovered) by resubmitting their journalled
-	// payloads under their original IDs. Empty (the default) keeps the
-	// fully in-memory behaviour, byte-identical to pre-durability builds.
+	// startup, re-running the jobs the previous process left unfinished,
+	// killed or closed (counted as jobs.recovered), from their journalled
+	// payloads under their original IDs, and the first request for each
+	// table reads it from disk instead of re-simulating it. Empty (the
+	// default) keeps the fully in-memory behaviour, byte-identical to
+	// pre-durability builds.
 	DataDir string
 	// WALSyncEvery batches the journal's fsyncs (see durable.Options);
 	// 0 — the default — syncs every record, the safe choice for kill -9
 	// recovery.
 	WALSyncEvery time.Duration
-	// SnapshotOnDrain exports the layered store (characterisations and
-	// artifact vault) to DataDir on drain, so a restarted replica warms
-	// up from disk instead of recomputing the world.
-	SnapshotOnDrain bool
 	// Eval overrides the evaluation function (tests).
 	Eval EvalFunc
 	// nowFn overrides the breaker's clock (tests).
 	nowFn func() time.Time
-	// journal is plumbed by NewDurable into the job manager; New leaves
-	// it nil (journalling off).
+	// journal and charDir are plumbed by NewDurable into the job manager
+	// and the layered store; New leaves them zero (nothing on disk).
 	journal *cluster.Journal
+	charDir string
 }
 
 // Server is the projection service. Create with New, expose via Handler.
@@ -228,7 +228,7 @@ func New(cfg Config) *Server {
 		obs:   cfg.Obs,
 		eval:  cfg.Eval,
 		cache: newCache(cfg.CacheSize),
-		store: core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache"}),
+		store: core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache", Dir: cfg.charDir}),
 		sem:   make(chan struct{}, cfg.Workers),
 	}
 	if cfg.BreakerThreshold > 0 {
@@ -257,7 +257,7 @@ func New(cfg Config) *Server {
 	s.jobs = cluster.NewManager(cluster.ManagerConfig{
 		MaxActive:  cfg.JobsMaxActive,
 		MaxQueued:  cfg.JobsMaxQueued,
-		MaxResumes: cfg.JobsMaxResumes,
+		MaxRetries: cfg.JobsMaxRetries,
 		Timeout:    cfg.JobsTimeout,
 		Retain:     cfg.JobsRetain,
 		RetainAge:  cfg.JobsRetainAge,
@@ -267,11 +267,15 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Close stops the gossip loop and accepting async job submissions, and
-// flushes and closes the durable job journal; running jobs finish on their
-// own (a terminal record that races the close is dropped and counted, and
-// the job is simply re-run on the next start). Serving endpoints are
-// unaffected (the HTTP listener's Shutdown handles those). Idempotent.
+// Close is the replica's one way down: it stops the gossip loop, stops
+// accepting async job submissions, cancels every unfinished job (each ends
+// failed, with no terminal record — see cluster.Manager.Close) and flushes
+// and closes the durable job journal. What it leaves in DataDir is what
+// kill -9 would have left, so NewDurable on the same directory is the one
+// way back from either: unfinished jobs re-run under their original IDs.
+// Without a DataDir the client resubmits to any live replica. Serving
+// endpoints are unaffected (the HTTP listener's Shutdown handles those).
+// Idempotent.
 func (s *Server) Close() {
 	if s.gossipCancel != nil {
 		s.gossipCancel()
@@ -295,7 +299,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/v1/jobs/handoff", s.handleJobHandoff)
 	mux.HandleFunc("/v1/replicate", s.handleReplicate)
 	mux.HandleFunc("/v1/gossip/ping", s.handleGossipPing)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# crash_smoke.sh — end-to-end kill -9 recovery smoke test of the durable
-# swappd (DESIGN.md §17): build swappd, then
+# crash_smoke.sh — end-to-end down-and-back smoke test of the durable
+# swappd (DESIGN.md §17), for both ways a replica stops: build swappd, then
 #
-#   1. run a control job on a plain in-memory instance and keep its result
-#      bytes as the reference,
+#   1. run two control jobs (two targets) on a plain in-memory instance and
+#      keep their result bytes as the references,
 #   2. start a replica with -data-dir, submit the same job, wait until it is
 #      running with its submission in the WAL (a cold BT-MZ.C@64 job is
 #      seconds of characterisation — plenty to catch, where the 0.2 s
@@ -12,7 +12,15 @@
 #   3. restart swappd on the same data dir and require the journal replay
 #      to resurrect the job under its original ID (jobs.recovered >= 1),
 #      re-run it from its journalled payload, and finish with a result
-#      document byte-identical to the control run.
+#      document byte-identical to the control run,
+#   4. submit the second job (another target, so its characterisation is
+#      cold) and SIGTERM the replica while it is running: the drain must
+#      exit 0 well inside -grace without waiting for the job,
+#   5. restart once more: the same job ID must finish done, byte-identical
+#      to its control — the same way back as after the kill -9 — with the
+#      characterisation read from the data dir, not re-simulated
+#      (characterisation_disk_hits >= 10 once the first request has been
+#      served from it too). The times are printed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -26,8 +34,10 @@ trap cleanup EXIT
 
 go build -o "$tmp/swappd" ./cmd/swappd
 
-# The job: a real cold projection; identical across all three runs.
-job='{"op":"project","request":{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":64}}'
+# The jobs: real cold projections; each identical across all its runs.
+req='{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":64}'
+job="{\"op\":\"project\",\"request\":$req}"
+job2='{"op":"project","request":{"target":"bgp","bench":"BT-MZ","class":"C","ranks":64}}'
 
 start_daemon() { # start_daemon <logname> [extra swappd args...]
     local log=$1; shift
@@ -58,8 +68,8 @@ else:
 ' "$1" "$2" || echo 0
 }
 
-submit_job() { # -> job id on stdout
-    curl -fsS -m 10 -X POST "http://$addr/v1/jobs" -d "$job" |
+submit_job() { # submit_job [body] -> job id on stdout
+    curl -fsS -m 10 -X POST "http://$addr/v1/jobs" -d "${1:-$job}" |
         python3 -c 'import json, sys; print(json.load(sys.stdin)["id"])'
 }
 
@@ -74,7 +84,7 @@ wait_done() { # wait_done <id> <tries>
         state=$(job_state "$1")
         case "$state" in
         done) return 0 ;;
-        failed | cancelled | handed_off)
+        failed)
             echo "crash-smoke: job $1 ended as '$state', want done" >&2
             return 1
             ;;
@@ -85,11 +95,33 @@ wait_done() { # wait_done <id> <tries>
     return 1
 }
 
-# --- Control: the same job, uninterrupted, in memory -----------------------
+now_ms() { date +%s%3N; }
+
+# await_running <id>: poll until the job is running with its submission in
+# the journal, so the signal that follows lands mid-flight.
+await_running() {
+    local state="" records=0
+    for _ in $(seq 1 100); do
+        state=$(job_state "$1")
+        records=$(metric counters durable.wal_records)
+        [ "$state" != queued ] && [ "$records" -ge 1 ] && break
+        sleep 0.05
+    done
+    [ "$state" = running ] && [ "$records" -ge 1 ] || {
+        echo "crash-smoke: job $1 is '$state' with $records journal record(s); want running with >= 1 to stop it mid-flight" >&2
+        exit 1
+    }
+    echo "$records"
+}
+
+# --- Control: the same jobs, uninterrupted, in memory ----------------------
 start_daemon control
 ctrl_id=$(submit_job)
 wait_done "$ctrl_id" 300
 curl -fsS -m 10 "http://$addr/v1/jobs/$ctrl_id/result" -o "$tmp/control.json"
+ctrl2_id=$(submit_job "$job2")
+wait_done "$ctrl2_id" 300
+curl -fsS -m 10 "http://$addr/v1/jobs/$ctrl2_id/result" -o "$tmp/control2.json"
 kill -TERM "$pid" && wait "$pid" || {
     echo "crash-smoke: control drain exited non-zero" >&2
     exit 1
@@ -100,19 +132,7 @@ echo "crash-smoke: control result captured ($(wc -c <"$tmp/control.json") bytes)
 # --- Crash: durable replica, killed mid-job ---------------------------------
 start_daemon crash -data-dir "$tmp/data"
 crash_id=$(submit_job)
-
-# Wait until the job is running and its submission is in the journal.
-state="" records=0
-for _ in $(seq 1 100); do
-    state=$(job_state "$crash_id")
-    records=$(metric counters durable.wal_records)
-    [ "$state" != queued ] && [ "$records" -ge 1 ] && break
-    sleep 0.05
-done
-[ "$state" = running ] && [ "$records" -ge 1 ] || {
-    echo "crash-smoke: job is '$state' with $records journal record(s); want running with >= 1 to kill it mid-flight" >&2
-    exit 1
-}
+records=$(await_running "$crash_id")
 kill -KILL "$pid"
 wait "$pid" 2>/dev/null || true
 pid=""
@@ -138,9 +158,54 @@ cmp -s "$tmp/control.json" "$tmp/recovered.json" || {
     diff <(head -c 400 "$tmp/control.json") <(head -c 400 "$tmp/recovered.json") >&2 || true
     exit 1
 }
+echo "crash-smoke: kill -9 arc ok (journal replay, same ID re-run, byte-identical result)"
+
+# --- SIGTERM mid-job: the same way down, minus the violence ----------------
+term_id=$(submit_job "$job2")
+await_running "$term_id" >/dev/null
+t0=$(now_ms)
 kill -TERM "$pid" && wait "$pid" || {
-    echo "crash-smoke: recovery drain exited non-zero" >&2
+    echo "crash-smoke: SIGTERM drain with a job running exited non-zero" >&2
+    cat "$tmp/recover.err" >&2
     exit 1
 }
 pid=""
-echo "crash-smoke: ok (kill -9 mid-job, journal replay, same ID re-run, byte-identical result)"
+drain_ms=$(($(now_ms) - t0))
+[ "$drain_ms" -lt 10000 ] || {
+    echo "crash-smoke: drain took ${drain_ms} ms; it must not wait for the running job" >&2
+    exit 1
+}
+echo "crash-smoke: SIGTERMed with job $term_id running; drained and exited 0 in ${drain_ms} ms"
+
+# --- And the same way back ---------------------------------------------------
+t0=$(now_ms)
+start_daemon restart -data-dir "$tmp/data"
+recovered=$(metric counters jobs.recovered)
+[ "$recovered" -ge 1 ] || {
+    echo "crash-smoke: after SIGTERM, jobs.recovered = $recovered, want >= 1" >&2
+    cat "$tmp/restart.err" >&2
+    exit 1
+}
+wait_done "$term_id" 300
+echo "crash-smoke: job $term_id re-run after SIGTERM: restart to done in $(($(now_ms) - t0)) ms"
+curl -fsS -m 10 "http://$addr/v1/jobs/$term_id/result" -o "$tmp/restarted.json"
+cmp -s "$tmp/control2.json" "$tmp/restarted.json" || {
+    echo "crash-smoke: result after SIGTERM and restart differs from the uninterrupted control" >&2
+    exit 1
+}
+# The first job's request, on this process for the first time: every table
+# it needs is on disk.
+t0=$(now_ms)
+curl -fsS -m 60 -X POST "http://$addr/v1/project" -d "$req" -o /dev/null
+echo "crash-smoke: first /v1/project of the first job's request on this start: $(($(now_ms) - t0)) ms"
+disk_hits=$(metric counters server.cache.characterisation_disk_hits)
+[ "$disk_hits" -ge 10 ] || {
+    echo "crash-smoke: characterisation_disk_hits = $disk_hits on the last start, want >= 10 (5 per machine read back, none re-simulated)" >&2
+    exit 1
+}
+kill -TERM "$pid" && wait "$pid" || {
+    echo "crash-smoke: final drain exited non-zero" >&2
+    exit 1
+}
+pid=""
+echo "crash-smoke: ok (kill -9 and SIGTERM mid-job: same ID re-run, byte-identical results, $disk_hits characterisation tables read from disk)"
