@@ -30,13 +30,13 @@ race:
 # The second line is the simulator's one-line check: BenchmarkHandoff is
 # ns and allocs per process switch, BenchmarkSpawnRun's allocs/op the cost
 # of a one-shot 64-process kernel, BenchmarkResetRun's (~0) the same kernel
-# reused through Reset. The third is the peer-hop number:
-# one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
-# in-process ring.
+# reused through Reset. The third is the serving layer: the peer-hop number
+# (one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
+# in-process ring) and one 64-item all-hit /v1/batch through the handler.
 bench:
 	$(GO) test -run '^$$' -bench 'Speedup|EnforceSparsity|TopK' -benchtime 1x ./...
 	$(GO) test -run '^$$' -bench 'Handoff|SpawnRun|ResetRun' -benchmem ./internal/des
-	$(GO) test -run '^$$' -bench 'RingBatch' -benchmem ./internal/server
+	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
 # plus the per-layer budget; see bench/README.md.
@@ -44,14 +44,17 @@ benchmark:
 	$(GO) run ./bench
 
 # Short mutation pass over the persistence decoders, the WAL scanner, the
-# job-journal replay and the characterisation files under -data-dir (CI
-# runs the same).
+# job-journal replay, the characterisation files under -data-dir and the
+# /v1/batch request decoder (CI runs the same). The last one's inputs are
+# kilobytes of JSON: left at its default the minimiser spends the whole
+# smoke shrinking the first interesting one byte by byte.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzCharFile$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 # End-to-end smoke of the swappd service: start it, health-check, one
 # real cached /v1/project round-trip (second call must hit), clean drain —

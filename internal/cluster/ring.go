@@ -17,7 +17,6 @@ package cluster
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"strconv"
 )
@@ -25,10 +24,15 @@ import (
 // GroupKey is the normalised routing (and batch-grouping) key for one
 // request: the (base, target) machine pair. Requests sharing it share the
 // expensive characterisation artifacts, so both the batch planner and the
-// ring route by it. Components are %q-quoted, so distinct pairs can never
-// collapse onto one key.
+// ring route by it. Components are quoted as fmt's %q quotes them, so
+// distinct pairs can never collapse onto one key; the bytes are pinned
+// (ring ownership hashes them), only fmt's per-call cost is gone.
 func GroupKey(base, target string) string {
-	return fmt.Sprintf("%q|%q", base, target)
+	var buf [64]byte
+	b := strconv.AppendQuote(buf[:0], base)
+	b = append(b, '|')
+	b = strconv.AppendQuote(b, target)
+	return string(b)
 }
 
 // vnodesPerNode is the number of ring positions each node occupies.

@@ -99,3 +99,18 @@ func TestGroupKeyCollisionFree(t *testing.T) {
 		t.Fatal("GroupKey must be order-sensitive")
 	}
 }
+
+// TestGroupKeyBytesPinned: ring ownership hashes GroupKey's bytes, so they
+// must stay what fmt's %q|%q produced when every deployed ring was built —
+// for names that need quoting as much as for the ones in the machine table.
+func TestGroupKeyBytesPinned(t *testing.T) {
+	names := []string{"", "hydra", "power6-575", `hy"dra`, `back\slash`, "tab\tnl\n\x00\x7f", "π-cluster ☃", "\xff\xfe", " ",
+		"a-name-long-enough-to-outgrow-any-buffer-the-key-is-first-built-in-0123456789"}
+	for _, base := range names {
+		for _, target := range names {
+			if got, want := GroupKey(base, target), fmt.Sprintf("%q|%q", base, target); got != want {
+				t.Errorf("GroupKey(%q, %q) = %s, want %s", base, target, got, want)
+			}
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -61,6 +62,11 @@ type batchEntry struct {
 	Status int             `json:"status"`
 	Body   json.RawMessage `json:"body,omitempty"`
 	Error  string          `json:"error,omitempty"`
+
+	// rendered marks a Body this process's own renderers produced (the
+	// result cache's memoised bytes). It never crosses the wire: an entry
+	// decoded from a peer's reply has it false.
+	rendered bool
 }
 
 // batchResponse is the /v1/batch reply. Groups reports how many distinct
@@ -135,11 +141,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		groups[key] = append(groups[key], batchWork{idx: i, spec: spec, body: item.APIRequest, req: req})
 	}
 
-	// Evaluate group by group, members concurrently: concurrent members of
-	// one group collapse onto a single characterisation fill (store
-	// singleflight), which is the point of batching. The batch-level
-	// semaphore keeps one batch from flooding the admission queue and
-	// rejecting itself.
+	// Evaluate group by group. A member this replica already holds is
+	// answered inline — a cached batch item costs what a cached hit costs —
+	// and the misses run concurrently: concurrent members of one group
+	// collapse onto a single characterisation fill (store singleflight),
+	// which is the point of batching. The batch-level semaphore keeps one
+	// batch from flooding the admission queue and rejecting itself. One
+	// WaitGroup joins the groups and the misses: a group adds its misses
+	// before its own Done, so the count cannot touch zero early.
 	forwarded := r.Header.Get(forwardedHeader) != ""
 	sem := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
@@ -150,17 +159,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if s.peers != nil && !forwarded && s.forwardBatchGroup(r, gkey, members, entries) {
 				return
 			}
-			var mwg sync.WaitGroup
 			for _, wk := range members {
-				mwg.Add(1)
-				go func(wk batchWork) {
-					defer mwg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					entries[wk.idx] = s.runBatchItem(r.Context(), wk)
-				}(wk)
+				s.runBatchItem(r.Context(), wk, sem, &wg, &entries[wk.idx])
 			}
-			mwg.Wait()
 		}(gkey, members)
 	}
 	wg.Wait()
@@ -169,42 +170,124 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		entries[i].Index = i
 	}
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(batchResponse{Results: entries, Groups: len(groups)})
+	buf := batchBufPool.Get().(*[]byte)
+	*buf = appendBatchResponse((*buf)[:0], entries, len(groups))
+	_, _ = w.Write(*buf)
+	batchBufPool.Put(buf)
 }
 
-// runBatchItem evaluates one batch member locally, mirroring its endpoint's
-// semantics: same cache key, same rendered bytes, same error statuses.
-func (s *Server) runBatchItem(parent context.Context, wk batchWork) batchEntry {
+// runBatchItem resolves one batch member into *out, mirroring its
+// endpoint's semantics — same cache key, same rendered bytes, same error
+// statuses. Cached, else compute: a replicated or memoised result is
+// answered on the caller's goroutine, and only a miss is handed to a
+// goroutine of its own, joined through wg.
+func (s *Server) runBatchItem(parent context.Context, wk batchWork, sem chan struct{}, wg *sync.WaitGroup, out *batchEntry) {
 	key := digest(wk.spec.op, wk.req)
 	// Warm failover, same order as the single endpoints: a replicated
 	// result from a (possibly dead) owner serves before any computation.
 	if body, ok := s.replicaBytes(key, wk.spec.endpoint); ok {
-		return batchEntry{Index: wk.idx, Status: http.StatusOK, Body: json.RawMessage(bytes.TrimSuffix(body, []byte("\n")))}
+		*out = batchEntry{Status: http.StatusOK, Body: bytes.TrimSuffix(body, []byte("\n"))}
+		return
 	}
+	if res, ok := s.cache.get(key); ok {
+		s.obs.Count("server.cache.result_hits", 1)
+		*out = s.renderBatchItem(key, wk, res)
+		return
+	}
+	wg.Add(1)
+	go s.computeBatchItem(parent, key, wk, sem, wg, out)
+}
+
+// computeBatchItem is runBatchItem's miss arm: take a slot of the batch
+// semaphore, evaluate under the item's own deadline (or join whoever
+// already is), then render and replicate as the item's endpoint would.
+func (s *Server) computeBatchItem(parent context.Context, key cacheKey, wk batchWork, sem chan struct{}, wg *sync.WaitGroup, out *batchEntry) {
+	defer wg.Done()
+	sem <- struct{}{}
+	defer func() { <-sem }()
 	ctx, cancel := context.WithTimeout(parent, s.timeoutFor(wk.body))
 	defer cancel()
 	res, hit, err := s.evaluate(ctx, wk.spec.op, key, wk.req)
 	if err != nil {
 		status, _ := s.errorStatus(err)
-		return batchEntry{Index: wk.idx, Status: status, Error: err.Error()}
+		*out = batchEntry{Status: status, Error: err.Error()}
+		return
 	}
 	if hit {
+		// Finished by someone else since runBatchItem looked.
 		s.obs.Count("server.cache.result_hits", 1)
 	} else {
 		s.obs.Count("server.cache.result_misses", 1)
 	}
-	out, err := s.cache.renderedBytes(key, wk.spec.ep, res, wk.spec.render)
-	if err != nil {
-		s.obs.Count("server.errors", 1)
-		return batchEntry{Index: wk.idx, Status: http.StatusInternalServerError, Error: err.Error()}
-	}
+	*out = s.renderBatchItem(key, wk, res)
 	if !hit {
 		s.maybeReplicate(key, wk.spec.ep, wk.spec.endpoint, res, wk.req, wk.spec.render)
 	}
-	// The endpoints terminate their documents with '\n'; embedded JSON
-	// cannot carry it, so entries hold the document body alone.
-	return batchEntry{Index: wk.idx, Status: http.StatusOK, Body: json.RawMessage(bytes.TrimSuffix(out, []byte("\n")))}
+}
+
+// renderBatchItem turns a finished result into its entry through the
+// cache's memoised bytes. The endpoints terminate their documents with
+// '\n'; embedded JSON cannot carry it, so entries hold the document body
+// alone.
+func (s *Server) renderBatchItem(key cacheKey, wk batchWork, res *swapp.Result) batchEntry {
+	out, err := s.cache.renderedBytes(key, wk.spec.ep, res, wk.spec.render)
+	if err != nil {
+		s.obs.Count("server.errors", 1)
+		return batchEntry{Status: http.StatusInternalServerError, Error: err.Error()}
+	}
+	return batchEntry{Status: http.StatusOK, Body: bytes.TrimSuffix(out, []byte("\n")), rendered: true}
+}
+
+// batchBufPool recycles /v1/batch response buffers (the sync.Pool idiom of
+// internal/report): a sweep's responses run to hundreds of kilobytes, and a
+// fresh slice per response would cost more memory than the encoder it
+// replaces.
+var batchBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendBatchResponse appends the /v1/batch reply — byte for byte what
+// json.Encoder writes for batchResponse{entries, groups}, trailing newline
+// included — to buf. entries must be non-nil.
+//
+// Who is spliced and who is compacted is the trust boundary. A rendered
+// body is json.Encoder output of this process: compact, HTML-escaped, and
+// so a fixed point of the compaction the encoder would apply to it again
+// (TestRenderedBytesAreCanonical) — it is copied verbatim. Every other
+// body crossed a wire (a replica vault, a peer's reply) and goes through
+// json.Marshal, which validates, compacts and escapes it; one that fails
+// becomes that entry's 502, never a blank response.
+func appendBatchResponse(buf []byte, entries []batchEntry, groups int) []byte {
+	buf = append(buf, `{"results":[`...)
+	for i := range entries {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		e := &entries[i]
+		status, errText := e.Status, e.Error
+		body := []byte(e.Body)
+		if len(body) > 0 && !e.rendered {
+			var err error
+			if body, err = json.Marshal(e.Body); err != nil {
+				body, status, errText = nil, http.StatusBadGateway, fmt.Sprintf("batch: entry body is not JSON: %v", err)
+			}
+		}
+		buf = append(buf, `{"index":`...)
+		buf = strconv.AppendInt(buf, int64(e.Index), 10)
+		buf = append(buf, `,"status":`...)
+		buf = strconv.AppendInt(buf, int64(status), 10)
+		if len(body) > 0 {
+			buf = append(buf, `,"body":`...)
+			buf = append(buf, body...)
+		}
+		if errText != "" {
+			quoted, _ := json.Marshal(errText) // a string always marshals
+			buf = append(buf, `,"error":`...)
+			buf = append(buf, quoted...)
+		}
+		buf = append(buf, '}')
+	}
+	buf = append(buf, `],"groups":`...)
+	buf = strconv.AppendInt(buf, int64(groups), 10)
+	return append(buf, "}\n"...)
 }
 
 // forwardBatchGroup relays one whole group to its owning replica as a

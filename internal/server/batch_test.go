@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +16,7 @@ import (
 
 	swapp "repro"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -148,26 +152,32 @@ func TestBatchAmortisesCharacterisation(t *testing.T) {
 
 // TestBatchSharesResultCacheWithEndpoints proves the batch path addresses
 // the same result cache as the single endpoints: a batch after an
-// individual request is all hits, and vice versa.
+// individual request hits on that request and misses on its neighbours,
+// counted exactly as the endpoints count them.
 func TestBatchSharesResultCacheWithEndpoints(t *testing.T) {
 	eval := &groupedEval{}
-	s := New(Config{Workers: 2, Eval: eval.fn})
+	scope := obs.New("test")
+	s := New(Config{Workers: 2, Obs: scope, Eval: eval.fn})
 	ts := newHTTPServer(t, s)
 
 	_, hdr, individual := post(t, ts.URL+"/v1/project", reqBT)
 	if hdr.Get("X-Cache") != "miss" {
 		t.Fatalf("first individual request X-Cache = %q", hdr.Get("X-Cache"))
 	}
-	code, _, body := post(t, ts.URL+"/v1/batch", batchBody(t, reqBT))
+	other := `{"target":"bgp","bench":"SP-MZ","class":"C","ranks":16}`
+	code, _, body := post(t, ts.URL+"/v1/batch", batchBody(t, other, reqBT, `{"op":"surrogate",`+reqBT[1:]))
 	if code != 200 {
 		t.Fatalf("batch status = %d: %s", code, body)
 	}
 	resp := decodeBatch(t, body)
-	if n := eval.calls.Load(); n != 1 {
-		t.Errorf("batch after identical individual request ran %d evaluations, want 1", n)
+	if n := eval.calls.Load(); n != 2 {
+		t.Errorf("individual request plus a batch of it, its surrogate and one new request ran %d evaluations, want 2", n)
 	}
-	if !bytes.Equal(resp.Results[0].Body, bytes.TrimSuffix(individual, []byte("\n"))) {
+	if !bytes.Equal(resp.Results[1].Body, bytes.TrimSuffix(individual, []byte("\n"))) {
 		t.Error("cached batch entry differs from the individual response")
+	}
+	if hits, misses := counter(scope, "server.cache.result_hits"), counter(scope, "server.cache.result_misses"); hits != 2 || misses != 2 {
+		t.Errorf("result cache counted %d hits and %d misses, want 2 and 2", hits, misses)
 	}
 }
 
@@ -227,5 +237,231 @@ func TestBatchEnvelopeValidation(t *testing.T) {
 	}
 	if resp != 405 {
 		t.Errorf("GET /v1/batch = %d, want 405", resp)
+	}
+}
+
+// hostileResult is stubResult on a request whose strings need every escape
+// encoding/json applies — quotes, backslashes, HTML characters, U+2028 — plus
+// a validation, so each renderer's output carries the escaping the batch
+// assembler splices rather than redoes.
+func hostileResult() *swapp.Result {
+	res := stubResult(swapp.Request{Target: "p<6>&\u2028\"575\\", Bench: "BT-MZ", Class: 'C', Ranks: 16})
+	res.Validation = &core.Validation{Proj: res.Projection, MeasuredTotal: 1.5, ErrCombined: -3.25}
+	return res
+}
+
+// renderedBody is one renderer's document as a batch entry carries it.
+func renderedBody(t testing.TB, render func(*swapp.Result) ([]byte, error)) json.RawMessage {
+	t.Helper()
+	out, err := render(hostileResult())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasSuffix(out, []byte("\n")) {
+		t.Fatalf("renderer output does not end in a newline: %q", out)
+	}
+	return bytes.TrimSuffix(out, []byte("\n"))
+}
+
+// TestRenderedBytesAreCanonical pins the property the splice relies on:
+// what this process's renderers emit is a fixed point of the compaction and
+// escaping encoding/json applies to an embedded RawMessage, so copying it
+// verbatim and re-encoding it give the same bytes.
+func TestRenderedBytesAreCanonical(t *testing.T) {
+	for op, spec := range endpoints {
+		body := renderedBody(t, spec.render)
+		again, err := json.Marshal(body)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if !bytes.Equal(again, body) {
+			t.Errorf("%s: rendered bytes are not a fixed point of json.Marshal:\nrendered:  %s\nre-encoded: %s", op, body, again)
+		}
+	}
+}
+
+// TestBatchResponseMatchesEncodingJSON holds the assembler to encoding/json
+// as the oracle: whatever the entries, appendBatchResponse writes the bytes
+// json.Encoder writes for the same batchResponse.
+func TestBatchResponseMatchesEncodingJSON(t *testing.T) {
+	project := renderedBody(t, renderProject)
+	validate := renderedBody(t, renderValidate)
+	surrogate := renderedBody(t, renderSurrogate)
+	many := make([]batchEntry, maxBatchItems)
+	for i := range many {
+		many[i] = batchEntry{Index: i, Status: 200, Body: project, rendered: i%2 == 0}
+	}
+	for name, entries := range map[string][]batchEntry{
+		"none": {},
+		"spliced": {
+			{Index: 0, Status: 200, Body: project, rendered: true},
+			{Index: 1, Status: 200, Body: validate, rendered: true},
+			{Index: 2, Status: 200, Body: surrogate, rendered: true},
+		},
+		"untrusted": {
+			{Index: 0, Status: 200, Body: json.RawMessage(" {\t\"a\" : [ 1 , 2 ] ,\n \"b\" : \"<x>&\u2028\u2029\" } \n")},
+			{Index: 1, Status: 200, Body: project},
+			{Index: 2, Status: 200, Body: json.RawMessage(`null`)},
+			{Index: 3, Status: 200, Body: json.RawMessage(` 42 `)},
+		},
+		"errors": {
+			{Index: 10, Status: 400, Error: `unknown op "tele\port"`},
+			{Index: 11, Status: 500, Error: "control \x00\x1f\n\t bytes, <html> & \u2028, invalid \xff\xfe UTF-8"},
+			{Index: 123, Status: 504},
+			{Index: 255, Status: 502, Body: json.RawMessage(`{"partial" : true}`), Error: "body and error"},
+			{Index: 256, Status: 200, Body: json.RawMessage{}, Error: ""},
+		},
+		"full": many,
+	} {
+		for _, groups := range []int{0, 3, 12} {
+			var want bytes.Buffer
+			if err := json.NewEncoder(&want).Encode(batchResponse{Results: entries, Groups: groups}); err != nil {
+				t.Fatalf("%s: oracle: %v", name, err)
+			}
+			got := appendBatchResponse(nil, entries, groups)
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("%s, %d groups: assembler differs from encoding/json:\ngot:  %s\nwant: %s", name, groups, got, want.Bytes())
+			}
+		}
+	}
+}
+
+// TestBadReplicaBodyDoesNotBlankBatch: a replica body that is not JSON must
+// neither enter the vault through /v1/replicate nor — if one is there
+// anyway — take the rest of a batch down with it. The batch answers 200
+// with that entry alone a 502.
+func TestBadReplicaBodyDoesNotBlankBatch(t *testing.T) {
+	scope := obs.New("test")
+	s := New(Config{Workers: 2, Obs: scope, Eval: (&stubEval{}).fn,
+		Self: "http://self.invalid", Peers: []string{"http://peer.invalid"}})
+	h := s.Handler()
+	postLocal := func(path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.Header.Set(forwardedHeader, "test") // computed where it lands
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	key := digest(opProject, requestOf(t, reqBT))
+	garbage := []byte("<html>not json</html>\n")
+	sum := sha256.Sum256(garbage)
+	msg := replicaMsg{
+		Key:      hex.EncodeToString(key[:]),
+		Endpoint: "/v1/project",
+		Sum:      hex.EncodeToString(sum[:]),
+		Body:     garbage,
+	}
+
+	// The vault as a replica without the /v1/replicate check left it.
+	if _, err := s.store.ImportArtifact(core.Artifact{Key: replicaVaultKey(msg.Key, msg.Endpoint), Sum: msg.Sum, Body: garbage}); err != nil {
+		t.Fatal(err)
+	}
+	healthy := `{"target":"bgp","bench":"SP-MZ","class":"C","ranks":16}`
+	rec := postLocal("/v1/batch", batchBody(t, healthy, reqBT))
+	if rec.Code != 200 || rec.Body.Len() == 0 {
+		t.Fatalf("batch holding a bad replica body: status %d, len(body) == %d", rec.Code, rec.Body.Len())
+	}
+	resp := decodeBatch(t, rec.Body.Bytes())
+	if len(resp.Results) != 2 {
+		t.Fatalf("batch returned %d results, want 2", len(resp.Results))
+	}
+	if e := resp.Results[0]; e.Index != 0 || e.Status != 200 || len(e.Body) == 0 {
+		t.Errorf("healthy entry = index %d status %d (%s), want its 200", e.Index, e.Status, e.Error)
+	}
+	if e := resp.Results[1]; e.Index != 1 || e.Status != http.StatusBadGateway || e.Error == "" || len(e.Body) != 0 {
+		t.Errorf("bad-body entry = index %d status %d error %q body %q, want a 502 with a message and no body", e.Index, e.Status, e.Error, e.Body)
+	}
+
+	// And the front door: checksum-valid is not enough to be stored.
+	msg.Key = strings.Repeat("cd", sha256.Size)
+	payload, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := postLocal("/v1/replicate", string(payload)); rec.Code != 400 {
+		t.Errorf("non-JSON replica push: %d %s, want 400", rec.Code, rec.Body)
+	}
+	if n := counter(scope, "cluster.replica_rejects"); n != 1 {
+		t.Errorf("cluster.replica_rejects = %d, want 1", n)
+	}
+	if n := s.store.ArtifactCount(); n != 1 {
+		t.Errorf("rejected push changed the vault: %d entries, want 1", n)
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps the status and drops
+// the body, so a measurement through Handler() counts the handler alone.
+type discardWriter struct {
+	hdr    http.Header
+	status int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.hdr }
+func (w *discardWriter) WriteHeader(status int)      { w.status = status }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+
+// newHitBatch primes a stub-backed server with a 64-item /v1/batch — nine
+// keys over three groups and all three ops, repeated — and returns a
+// function serving that batch again, every item now a result-cache hit,
+// through Handler() into a discardWriter.
+func newHitBatch(tb testing.TB) (serve func()) {
+	tb.Helper()
+	eval := &stubEval{}
+	h := New(Config{Workers: 4, Eval: eval.fn}).Handler()
+	var keys []string
+	for _, target := range []string{"power6-575", "bgp", "westmere-x5670"} {
+		for i, bench := range []string{"BT-MZ", "SP-MZ", "LU-MZ"} {
+			keys = append(keys, fmt.Sprintf(`{"op":%q,"target":%q,"bench":%q,"class":"C","ranks":16}`,
+				[]string{"project", "validate", "surrogate"}[i], target, bench))
+		}
+	}
+	items := make([]string, 64)
+	for i := range items {
+		items[i] = keys[i*7%len(keys)]
+	}
+	body := []byte(batchBody(tb, items...))
+	req := httptest.NewRequest(http.MethodPost, "/v1/batch", nil)
+	rd := bytes.NewReader(nil)
+	serve = func() {
+		rd.Reset(body)
+		req.Body = io.NopCloser(rd)
+		w := discardWriter{hdr: http.Header{}}
+		h.ServeHTTP(&w, req)
+		if w.status != 0 && w.status != 200 {
+			tb.Fatalf("batch status = %d", w.status)
+		}
+	}
+	serve()
+	primed := eval.calls.Load()
+	serve()
+	if n := eval.calls.Load(); n != primed {
+		tb.Fatalf("primed batch still ran %d evaluations", n-primed)
+	}
+	return serve
+}
+
+// TestBatchHitAllocs pins what an all-hit batch allocates, handler-side
+// (375 when written). What is left per item is the request itself — its
+// strings out of encoding/json, its group key, the engine's normalisation;
+// lookup, rendering and assembly add a handful per batch. It was 955 when
+// every entry was re-compacted through json.Encoder and every hit took a
+// goroutine, a timer and a formatted group key.
+func TestBatchHitAllocs(t *testing.T) {
+	serve := newHitBatch(t)
+	if allocs := testing.AllocsPerRun(50, serve); allocs > 480 {
+		t.Errorf("an all-hit 64-item batch allocates %.0f times, want <= 480", allocs)
+	}
+}
+
+// BenchmarkBatchHit is the hot-batch number in isolation: one primed
+// 64-item all-hit /v1/batch through the handler (TestBatchHitAllocs'
+// fixture).
+func BenchmarkBatchHit(b *testing.B) {
+	serve := newHitBatch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve()
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	swapp "repro"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 )
@@ -85,9 +86,8 @@ func newCluster(t testing.TB, n int) ([]*clusterReplica, *testClock) {
 	return reps, clock
 }
 
-// owner resolves which replica URL owns a request body's group, the same
-// way every replica does.
-func ownerOf(t *testing.T, reps []*clusterReplica, body string) string {
+// requestOf normalises a request body the way every handler does.
+func requestOf(t *testing.T, body string) swapp.Request {
 	t.Helper()
 	var api APIRequest
 	if err := json.Unmarshal([]byte(body), &api); err != nil {
@@ -97,11 +97,18 @@ func ownerOf(t *testing.T, reps []*clusterReplica, body string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return req
+}
+
+// owner resolves which replica URL owns a request body's group, the same
+// way every replica does.
+func ownerOf(t *testing.T, reps []*clusterReplica, body string) string {
+	t.Helper()
 	urls := make([]string, len(reps))
 	for i, r := range reps {
 		urls[i] = r.url
 	}
-	return cluster.NewRing(urls).Owner(cluster.GroupKey(req.Base, req.Target))
+	return cluster.NewRing(urls).Owner(groupKeyOf(t, body))
 }
 
 // counter reads one obs counter, defaulting to 0.
@@ -362,5 +369,85 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 	}
 	if counter(receiver.scope, "cluster.ring_moves") <= moves {
 		t.Error("rejoin did not heal the reachable ring")
+	}
+}
+
+// TestClusterBatchOrderOwnerReplicaCache pins the order a batch group
+// resolves in on a non-owner, which answering cached members inline must
+// not have disturbed: the live owner first, even when this replica's own
+// LRU could answer; then the replica vault; the local result cache and
+// computation last.
+func TestClusterBatchOrderOwnerReplicaCache(t *testing.T) {
+	reps, clock := newCluster(t, 2)
+	bodies := []string{
+		`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`,
+		`{"target":"power6-575","bench":"SP-MZ","class":"C","ranks":32}`,
+	}
+	batch := batchBody(t, bodies...)
+	owner := byURL(t, reps, ownerOf(t, reps, bodies[0]))
+	other := reps[0]
+	if other == owner {
+		other = reps[1]
+	}
+	members := int64(len(bodies))
+	submit := func(phase string) []batchEntry {
+		t.Helper()
+		code, _, out := post(t, other.url+"/v1/batch", batch)
+		if code != 200 {
+			t.Fatalf("%s: batch status = %d: %s", phase, code, out)
+		}
+		resp := decodeBatch(t, out)
+		for i, e := range resp.Results {
+			if e.Status != 200 {
+				t.Fatalf("%s: entry %d failed: %d %s", phase, i, e.Status, e.Error)
+			}
+		}
+		return resp.Results
+	}
+
+	// Owner down: the non-owner falls back, computes the group itself and
+	// keeps the results in its own LRU.
+	owner.killed.Store(true)
+	submit("owner down")
+	if n := other.eval.calls.Load(); n != members {
+		t.Fatalf("fallback ran %d evaluations, want %d", n, members)
+	}
+
+	// Owner back: the group is forwarded whole all the same — the local
+	// LRU is not consulted ahead of the ring.
+	owner.killed.Store(false)
+	clock.advance(time.Minute)
+	fromOwner := submit("owner back")
+	if n := counter(other.scope, "cluster.forwards"); n != members {
+		t.Errorf("cluster.forwards = %d, want %d (the whole group)", n, members)
+	}
+	if n := counter(other.scope, "server.cache.result_hits"); n != 0 {
+		t.Errorf("non-owner answered %d members from its own LRU with the owner alive", n)
+	}
+	if n := owner.eval.calls.Load(); n != members {
+		t.Errorf("owner ran %d evaluations, want %d", n, members)
+	}
+	owner.srv.WaitReplication()
+	if n := counter(other.scope, "cluster.replica_stores"); n != members {
+		t.Fatalf("successor stored %d replicas, want %d", n, members)
+	}
+
+	// Owner down again: the replicated bytes answer before the local LRU,
+	// and they are the owner's bytes.
+	owner.killed.Store(true)
+	fromVault := submit("owner down again")
+	if n := counter(other.scope, "cluster.replica_hits"); n != members {
+		t.Errorf("cluster.replica_hits = %d, want %d", n, members)
+	}
+	if n := counter(other.scope, "server.cache.result_hits"); n != 0 {
+		t.Errorf("local LRU answered %d members ahead of the replica vault", n)
+	}
+	if n := other.eval.calls.Load(); n != members {
+		t.Errorf("non-owner ran %d evaluations in all, want the first fallback's %d", n, members)
+	}
+	for i := range fromVault {
+		if !bytes.Equal(fromVault[i].Body, fromOwner[i].Body) {
+			t.Errorf("entry %d from the replica vault differs from the owner's:\nvault: %s\nowner: %s", i, fromVault[i].Body, fromOwner[i].Body)
+		}
 	}
 }

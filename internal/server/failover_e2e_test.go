@@ -56,14 +56,7 @@ func newGossipCluster(t *testing.T, n int) []*clusterReplica {
 // replica does.
 func groupKeyOf(t *testing.T, body string) string {
 	t.Helper()
-	var api APIRequest
-	if err := json.Unmarshal([]byte(body), &api); err != nil {
-		t.Fatal(err)
-	}
-	req, err := evalRequest(api)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := requestOf(t, body)
 	return cluster.GroupKey(req.Base, req.Target)
 }
 

@@ -125,8 +125,9 @@ func (s *Server) WaitReplication() { s.replWG.Wait() }
 // handleReplicate serves POST /v1/replicate: verify the checksum and store
 // the pushed bytes in the artifact vault. Idempotent by construction — a
 // duplicate of a resident artifact changes neither counters' meaning nor
-// the vault size (counted as cluster.replica_dups); a checksum mismatch is
-// rejected so a corrupted push can never poison the serving path.
+// the vault size (counted as cluster.replica_dups); a checksum mismatch or
+// a body that is not JSON is rejected, so neither a corrupted push nor a
+// faithful push of garbage can poison the serving path.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/replicate", 1)
@@ -144,6 +145,11 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(msg.Key) != 2*sha256.Size || msg.Endpoint == "" || len(msg.Body) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("replica needs key, endpoint, and body"))
+		return
+	}
+	if !json.Valid(msg.Body) {
+		s.obs.Count("cluster.replica_rejects", 1)
+		writeError(w, http.StatusBadRequest, errors.New("replica body is not JSON"))
 		return
 	}
 	stored, err := s.store.ImportArtifact(core.Artifact{
