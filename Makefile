@@ -45,9 +45,10 @@ benchmark:
 
 # Short mutation pass over the persistence decoders, the WAL scanner, the
 # job-journal replay, the characterisation files under -data-dir and the
-# /v1/batch request decoder (CI runs the same). The last one's inputs are
-# kilobytes of JSON: left at its default the minimiser spends the whole
-# smoke shrinking the first interesting one byte by byte.
+# /v1/batch and /v1/replicate request decoders (CI runs the same). The last
+# two's inputs are kilobytes of JSON and up: left at its default the
+# minimiser spends the whole smoke shrinking the first interesting one byte
+# by byte.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzCharFile$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzReplicateRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 # End-to-end smoke of the swappd service: start it, health-check, one
 # real cached /v1/project round-trip (second call must hit), clean drain —

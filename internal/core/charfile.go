@@ -12,9 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/imb"
 	"repro/internal/persist"
-	"repro/internal/spec"
 )
 
 // Characterisation on disk. A Store given a directory (StoreConfig.Dir)
@@ -27,7 +25,7 @@ import (
 //
 // Profiles and surrogates are not persisted: they are cheap next to
 // characterisation and their in-memory values carry live pointers with no
-// stable wire form. Nor are ext| entries, whose values are opaque here.
+// stable wire form.
 
 // charEpoch is part of every file's address. Bump it whenever the
 // simulator's characterisation output changes for an unchanged machine
@@ -64,12 +62,12 @@ func charAddress(key string, m *arch.Machine, epoch int) string {
 // file is counted (<layer>_disk_rejects) and overwritten by the fill that
 // follows, a failed write is counted (<layer>_disk_write_fails) and retried
 // by the next fill of the key.
-func (s *Store) throughDisk(key string, m *arch.Machine, fill func() (any, error)) func() (any, error) {
+func (s *Store) throughDisk(key string, m *arch.Machine, fill func() (charValue, error)) func() (charValue, error) {
 	if s.dir == "" {
 		return fill
 	}
 	l := s.chars
-	return func() (any, error) {
+	return func() (charValue, error) {
 		path := filepath.Join(s.dir, charAddress(key, m, charEpoch))
 		v, err := readCharFile(path, key)
 		switch {
@@ -84,7 +82,7 @@ func (s *Store) throughDisk(key string, m *arch.Machine, fill func() (any, error
 		}
 		v, err = fill()
 		if err != nil {
-			return nil, err
+			return charValue{}, err
 		}
 		if err := writeCharFile(path, key, m.Name, v); err != nil {
 			l.obs.Count(l.name+"_disk_write_fails", 1)
@@ -101,40 +99,40 @@ func (s *Store) throughDisk(key string, m *arch.Machine, fill func() (any, error
 // decoded content must equal both the recorded key and the key asked for —
 // so a file can never publish data under a key it does not match, whatever
 // address it was found at.
-func readCharFile(path, key string) (any, error) {
+func readCharFile(path, key string) (charValue, error) {
+	var val charValue
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return val, err
 	}
 	var c CharArtifact
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("core: characterisation file: %w", err)
+		return val, fmt.Errorf("core: characterisation file: %w", err)
 	}
 	if sum := sha256.Sum256(c.Body); c.Sum != hex.EncodeToString(sum[:]) {
-		return nil, errors.New("core: characterisation file: checksum mismatch")
+		return val, errors.New("core: characterisation file: checksum mismatch")
 	}
-	var val any
 	var contentKey string
 	switch {
 	case strings.HasPrefix(c.Key, "spec|"):
 		machine, results, err := persist.UnmarshalSpec(c.Body)
 		if err != nil {
-			return nil, err
+			return val, err
 		}
-		val, contentKey = results, specKey(&arch.Machine{Name: machine})
+		val.spec, contentKey = results, specKey(&arch.Machine{Name: machine})
 	case strings.HasPrefix(c.Key, "imb|"):
 		t, err := persist.UnmarshalIMB(c.Body)
 		if err != nil {
-			return nil, err
+			return val, err
 		}
-		val, contentKey = t, imbKey(&arch.Machine{Name: t.Machine}, t.Ranks)
+		val.imb, contentKey = t, imbKey(&arch.Machine{Name: t.Machine}, t.Ranks)
 	default:
-		return nil, fmt.Errorf("core: characterisation file: unknown key %q", c.Key)
+		return val, fmt.Errorf("core: characterisation file: unknown key %q", c.Key)
 	}
 	if c.Key != contentKey || c.Key != key {
-		return nil, fmt.Errorf("core: characterisation file holds %q (recorded as %q), want %q", contentKey, c.Key, key)
+		return charValue{}, fmt.Errorf("core: characterisation file holds %q (recorded as %q), want %q", contentKey, c.Key, key)
 	}
 	return val, nil
 }
@@ -143,16 +141,13 @@ func readCharFile(path, key string) (any, error) {
 // replaces the file at path atomically: tmp file, fsync, rename, so a crash
 // mid-write leaves the previous file or none, never a torn one under the
 // final name.
-func writeCharFile(path, key, machine string, v any) error {
+func writeCharFile(path, key, machine string, v charValue) error {
 	var body []byte
 	var err error
-	switch v := v.(type) {
-	case map[string]spec.Result:
-		body, err = persist.MarshalSpec(machine, v)
-	case *imb.Table:
-		body, err = persist.MarshalIMB(v)
-	default:
-		err = fmt.Errorf("core: no file form for %T", v)
+	if v.imb != nil {
+		body, err = persist.MarshalIMB(v.imb)
+	} else {
+		body, err = persist.MarshalSpec(machine, v.spec)
 	}
 	if err != nil {
 		return err

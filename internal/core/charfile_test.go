@@ -343,7 +343,7 @@ func FuzzCharFile(f *testing.F) {
 	dir := f.TempDir()
 	fst, scope := diskStore(dir)
 	errFill := errors.New("the fill ran")
-	fill := func() (any, error) { return nil, errFill }
+	fill := func() (charValue, error) { return charValue{}, errFill }
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, key := range []string{specKey(m), imbKey(m, 2)} {
 			path := filepath.Join(dir, charAddress(key, m, charEpoch))
@@ -362,19 +362,19 @@ func FuzzCharFile(f *testing.F) {
 			if hits != hits0+1 || rejects != rejects0 {
 				t.Fatalf("file served with disk hits +%d rejects +%d, want +1/+0", hits-hits0, rejects-rejects0)
 			}
-			switch v := v.(type) {
-			case map[string]spec.Result:
+			switch {
+			case v.spec != nil && v.imb == nil:
 				// The machine name is in the file, not the value: all the
 				// value can say is which suite it belongs to.
 				if key != specKey(m) {
 					t.Fatalf("file published a SPEC result set under %q", key)
 				}
-			case *imb.Table:
-				if derived := imbKey(&arch.Machine{Name: v.Machine}, v.Ranks); derived != key {
+			case v.imb != nil && v.spec == nil:
+				if derived := imbKey(&arch.Machine{Name: v.imb.Machine}, v.imb.Ranks); derived != key {
 					t.Fatalf("file published %q under %q", derived, key)
 				}
 			default:
-				t.Fatalf("published a %T", v)
+				t.Fatalf("published %+v", v)
 			}
 		}
 	})

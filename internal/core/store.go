@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -10,6 +9,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/imb"
+	"repro/internal/lru"
 	"repro/internal/mpiprof"
 	"repro/internal/nas"
 	"repro/internal/obs"
@@ -43,10 +43,9 @@ import (
 // computed from scratch. Values are immutable once published and safe to
 // share: the pipeline copies before any mutation (see applyInjectedDrops).
 //
-// Each layer is an LRU with singleflight fill: concurrent requests for a
-// missing key elect one leader whose fill runs detached from any request
-// context, so an aborted request cannot poison or cancel a fill that
-// other requests are waiting on. Hits, misses, and sizes are published
+// Each layer is an lru.Cache whose fills run detached from any request
+// context (see layer), so an aborted request cannot poison or cancel a fill
+// that other requests are waiting on. Hits, misses, and sizes are published
 // per layer through the configured obs scope (and from there expvar).
 //
 // A Store is optional everywhere: nil disables all layers. The pipeline
@@ -54,9 +53,9 @@ import (
 // supplied external benchmark data — degraded artifacts must never be
 // published under the clean content-addressed keys.
 type Store struct {
-	chars     *layer
-	profiles  *layer
-	surrogate *layer
+	chars     *layer[charValue]
+	profiles  *layer[*ProfileArtifact]
+	surrogate *layer[*surrogateEntry]
 
 	// artifacts is the replication vault: rendered result bytes pushed by
 	// ring peers, keyed and checksummed so a double push is a no-op.
@@ -117,10 +116,10 @@ func NewStore(cfg StoreConfig) *Store {
 		prefix = "core.store"
 	}
 	return &Store{
-		chars:     newLayer(prefix+".characterisation", cfg.CharacterisationCap, cfg.Obs),
-		profiles:  newLayer(prefix+".profile", cfg.ProfileCap, cfg.Obs),
-		surrogate: newLayer(prefix+".surrogate", cfg.SurrogateCap, cfg.Obs),
-		artifacts: newArtifactVault(prefix+".artifact", cfg.ArtifactCap, cfg.Obs),
+		chars:     newLayer[charValue](prefix+".characterisation", cfg.CharacterisationCap, cfg.Obs),
+		profiles:  newLayer[*ProfileArtifact](prefix+".profile", cfg.ProfileCap, cfg.Obs),
+		surrogate: newLayer[*surrogateEntry](prefix+".surrogate", cfg.SurrogateCap, cfg.Obs),
+		artifacts: &artifactVault{name: prefix + ".artifact", obs: cfg.Obs, cache: lru.New[string, vaultEntry](cfg.ArtifactCap)},
 		dir:       cfg.Dir,
 	}
 }
@@ -150,38 +149,34 @@ func surrogateKey(base, app, target string, ci int) string {
 	return fmt.Sprintf("surrogate|%q|%q|%q|%d", base, app, target, ci)
 }
 
+// charValue is one characterisation-layer value: a machine's SPEC result
+// set under a spec| key, or one IMB table under an imb| key. Both live in
+// one layer because they share its bound, its counters and its files.
+type charValue struct {
+	spec map[string]spec.Result
+	imb  *imb.Table
+}
+
 // specSuite resolves one machine's SPEC CPU2006 result set through the
 // characterisation layer.
 func (s *Store) specSuite(ctx context.Context, m *arch.Machine, fill func() (map[string]spec.Result, error)) (map[string]spec.Result, error) {
 	key := specKey(m)
-	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (any, error) { return fill() }))
-	if err != nil {
-		return nil, err
-	}
-	return v.(map[string]spec.Result), nil
+	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (charValue, error) {
+		r, err := fill()
+		return charValue{spec: r}, err
+	}))
+	return v.spec, err
 }
 
 // imbTable resolves one (machine, core count) IMB table through the
 // characterisation layer.
 func (s *Store) imbTable(ctx context.Context, m *arch.Machine, count int, fill func() (*imb.Table, error)) (*imb.Table, error) {
 	key := imbKey(m, count)
-	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (any, error) { return fill() }))
-	if err != nil {
-		return nil, err
-	}
-	return v.(*imb.Table), nil
-}
-
-// CharacterisationFill resolves an externally keyed artifact through the
-// characterisation layer: LRU hit, singleflight join, or a leader fill
-// detached from ctx, counted on the layer's existing hit/miss counters.
-// It is the grouped-fill hook for the batch endpoint — K requests sharing
-// a (base, target) group resolve the group's shared work through one key,
-// so the per-layer counters prove the amortisation. Keys live in their own
-// "ext|" namespace and can never collide with the pipeline's spec|/imb|
-// artifacts.
-func (s *Store) CharacterisationFill(ctx context.Context, key string, fill func() (any, error)) (any, error) {
-	return s.chars.getOrFill(ctx, fmt.Sprintf("ext|%q", key), fill)
+	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (charValue, error) {
+		t, err := fill()
+		return charValue{imb: t}, err
+	}))
+	return v.imb, err
 }
 
 // ProfileArtifact is one profile-layer entry: the application's base-machine
@@ -194,11 +189,7 @@ type ProfileArtifact struct {
 // profileAt resolves one (base, app, class, ranks) observation through the
 // profile layer.
 func (s *Store) profileAt(ctx context.Context, base *arch.Machine, b nas.Benchmark, c nas.Class, ranks int, fill func() (*ProfileArtifact, error)) (*ProfileArtifact, error) {
-	v, err := s.profiles.getOrFill(ctx, profileKey(base, b, c, ranks), func() (any, error) { return fill() })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*ProfileArtifact), nil
+	return s.profiles.getOrFill(ctx, profileKey(base, b, c, ranks), fill)
 }
 
 // surrogateEntry is one surrogate-layer entry: the finished compute
@@ -213,130 +204,59 @@ type surrogateEntry struct {
 // surrogateAt resolves one finished compute projection through the
 // surrogate layer.
 func (s *Store) surrogateAt(ctx context.Context, base, app, target string, ci int, fill func() (*surrogateEntry, error)) (*surrogateEntry, error) {
-	v, err := s.surrogate.getOrFill(ctx, surrogateKey(base, app, target, ci), func() (any, error) {
-		return fill()
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*surrogateEntry), nil
+	return s.surrogate.getOrFill(ctx, surrogateKey(base, app, target, ci), fill)
 }
 
-// layer is one LRU + singleflight store. Values are opaque and immutable
-// once published.
-type layer struct {
-	name string
-	obs  *obs.Scope
-
-	mu       sync.Mutex
-	max      int
-	ll       *list.List               // front = most recently used
-	entries  map[string]*list.Element // element value is *layerEntry
-	inflight map[string]*layerFill
+// layer is one store layer: an lru.Cache plus what the store adds to it —
+// fills that run detached from the request that started them, a panicking
+// fill turned into an error, and the per-layer counters. Values are
+// immutable once published.
+type layer[V any] struct {
+	name  string
+	obs   *obs.Scope
+	cache *lru.Cache[string, V]
 }
 
-type layerEntry struct {
-	key string
-	val any
+func newLayer[V any](name string, max int, scope *obs.Scope) *layer[V] {
+	return &layer[V]{name: name, obs: scope, cache: lru.New[string, V](max)}
 }
 
-// layerFill is one in-flight fill, shared by every concurrent request for
-// its key. done closes exactly once, after val/err are set.
-type layerFill struct {
-	done chan struct{}
-	val  any
-	err  error
-}
-
-func newLayer(name string, max int, scope *obs.Scope) *layer {
-	return &layer{
-		name:     name,
-		obs:      scope,
-		max:      max,
-		ll:       list.New(),
-		entries:  map[string]*list.Element{},
-		inflight: map[string]*layerFill{},
-	}
-}
-
-// getOrFill returns the value for key, serving the LRU, joining an
-// in-flight fill, or electing this caller the leader. The leader's fill
-// runs in its own goroutine, detached from ctx: the waiter below may give
-// up at its deadline, but the shared fill runs to completion so every
-// other request still gets the artifact. Failed fills are not cached; a
-// fill that panics is a failed fill (see runFill).
-func (l *layer) getOrFill(ctx context.Context, key string, fill func() (any, error)) (any, error) {
-	l.mu.Lock()
-	if el, ok := l.entries[key]; ok {
-		l.ll.MoveToFront(el)
-		v := el.Value.(*layerEntry).val
-		l.mu.Unlock()
+// getOrFill returns the value for key: cached, from the fill already in
+// flight (both counted as hits), or by starting the fill as its leader.
+// The leader's fill runs in its own goroutine, detached from ctx: any
+// caller may give up at its deadline, but the shared fill runs to
+// completion so every other request still gets the artifact. Failed fills
+// are not cached; a fill that panics is a failed fill (see runFill).
+func (l *layer[V]) getOrFill(ctx context.Context, key string, fill func() (V, error)) (V, error) {
+	v, flight, leader := l.cache.Lookup(key)
+	if !leader {
 		l.obs.Count(l.name+"_hits", 1)
-		return v, nil
+		if flight == nil {
+			return v, nil
+		}
+		return flight.Wait(ctx)
 	}
-	if f, ok := l.inflight[key]; ok {
-		l.mu.Unlock()
-		l.obs.Count(l.name+"_hits", 1)
-		return f.wait(ctx)
-	}
-	f := &layerFill{done: make(chan struct{})}
-	l.inflight[key] = f
-	l.mu.Unlock()
 	l.obs.Count(l.name+"_misses", 1)
-
 	go func() {
 		v, err := l.runFill(fill)
-		l.mu.Lock()
-		f.val, f.err = v, err
-		delete(l.inflight, key)
-		if err == nil {
-			if el, ok := l.entries[key]; ok {
-				l.ll.MoveToFront(el)
-				el.Value.(*layerEntry).val = v
-			} else {
-				l.entries[key] = l.ll.PushFront(&layerEntry{key: key, val: v})
-				for l.ll.Len() > l.max {
-					oldest := l.ll.Back()
-					l.ll.Remove(oldest)
-					delete(l.entries, oldest.Value.(*layerEntry).key)
-				}
-			}
-		}
-		size := l.ll.Len()
-		l.mu.Unlock()
-		l.obs.Gauge(l.name+"_size", float64(size))
-		close(f.done)
+		l.obs.Gauge(l.name+"_size", float64(l.cache.Finish(key, v, err)))
 	}()
-	return f.wait(ctx)
+	return flight.Wait(ctx)
 }
 
 // runFill runs one fill with panic isolation. The fill's goroutine is
 // outside every caller's recover, so a panic escaping it would end the
 // process; here it becomes the error every waiter receives instead.
-func (l *layer) runFill(fill func() (any, error)) (v any, err error) {
+func (l *layer[V]) runFill(fill func() (V, error)) (v V, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			v, err = nil, fmt.Errorf("core: %s fill panicked: %v", l.name, p)
+			err = fmt.Errorf("core: %s fill panicked: %v", l.name, p)
 		}
 	}()
 	return fill()
 }
 
-// wait blocks for the fill under the caller's context.
-func (f *layerFill) wait(ctx context.Context) (any, error) {
-	select {
-	case <-f.done:
-		return f.val, f.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-func (l *layer) len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ll.Len()
-}
+func (l *layer[V]) len() int { return l.cache.Len() }
 
 // Artifact is one replication-vault entry in transfer form: the vault
 // key, the hex sha256 of Body, and the rendered result bytes themselves.
@@ -360,7 +280,7 @@ func (s *Store) PutArtifact(key string, body []byte) bool {
 	if s == nil {
 		return false
 	}
-	return s.artifacts.put(key, body)
+	return s.artifacts.put(key, sha256.Sum256(body), body)
 }
 
 // GetArtifact returns the vault bytes for key. The returned slice is the
@@ -380,7 +300,12 @@ func (s *Store) ImportArtifact(a Artifact) (bool, error) {
 	if s == nil {
 		return false, nil
 	}
-	return s.artifacts.importOne(a)
+	sum := sha256.Sum256(a.Body)
+	if a.Sum != "" && a.Sum != hex.EncodeToString(sum[:]) {
+		s.artifacts.obs.Count(s.artifacts.name+"_rejects", 1)
+		return false, fmt.Errorf("artifact %q checksum mismatch", a.Key)
+	}
+	return s.artifacts.put(a.Key, sum, a.Body), nil
 }
 
 // ArtifactCount reports the vault's entry count (diagnostics, tests).
@@ -388,93 +313,52 @@ func (s *Store) ArtifactCount() int {
 	if s == nil {
 		return 0
 	}
-	return s.artifacts.len()
+	return s.artifacts.cache.Len()
 }
 
 // artifactVault is the content-addressed byte store behind peer
-// replication: an LRU of (key, sha256, body) entries. Unlike the layers it
-// has no fill machinery — entries arrive whole over the wire.
+// replication: an lru.Cache of (sha256, body) entries plus the dup /
+// conflict / checksum policy. It never fills — entries arrive whole over
+// the wire.
 type artifactVault struct {
-	name string
-	obs  *obs.Scope
-
-	mu      sync.Mutex
-	max     int
-	ll      *list.List               // front = most recently used
-	entries map[string]*list.Element // element value is *vaultEntry
+	name  string
+	obs   *obs.Scope
+	cache *lru.Cache[string, vaultEntry]
+	// putMu makes put's compare-then-store one step against other puts.
+	putMu sync.Mutex
 }
 
 type vaultEntry struct {
-	key  string
 	sum  [sha256.Size]byte
 	body []byte
 }
 
-func newArtifactVault(name string, max int, scope *obs.Scope) *artifactVault {
-	return &artifactVault{
-		name:    name,
-		obs:     scope,
-		max:     max,
-		ll:      list.New(),
-		entries: map[string]*list.Element{},
+// put stores body, whose sha256 is sum, under key.
+func (v *artifactVault) put(key string, sum [sha256.Size]byte, body []byte) bool {
+	v.putMu.Lock()
+	defer v.putMu.Unlock()
+	var dup bool
+	found := v.cache.Update(key, func(e *vaultEntry) { dup = e.sum == sum })
+	if dup {
+		v.obs.Count(v.name+"_dups", 1)
+		return false
 	}
-}
-
-func (v *artifactVault) put(key string, body []byte) bool {
-	sum := sha256.Sum256(body)
-	v.mu.Lock()
-	if el, ok := v.entries[key]; ok {
-		e := el.Value.(*vaultEntry)
-		if e.sum == sum {
-			v.mu.Unlock()
-			v.obs.Count(v.name+"_dups", 1)
-			return false
-		}
-		e.sum, e.body = sum, append([]byte(nil), body...)
-		v.ll.MoveToFront(el)
-		v.mu.Unlock()
+	size := v.cache.Put(key, vaultEntry{sum: sum, body: append([]byte(nil), body...)})
+	if found {
 		v.obs.Count(v.name+"_conflicts", 1)
 		return true
 	}
-	v.entries[key] = v.ll.PushFront(&vaultEntry{key: key, sum: sum, body: append([]byte(nil), body...)})
-	for v.ll.Len() > v.max {
-		oldest := v.ll.Back()
-		v.ll.Remove(oldest)
-		delete(v.entries, oldest.Value.(*vaultEntry).key)
-	}
-	size := v.ll.Len()
-	v.mu.Unlock()
 	v.obs.Count(v.name+"_stores", 1)
 	v.obs.Gauge(v.name+"_size", float64(size))
 	return true
 }
 
 func (v *artifactVault) get(key string) ([]byte, bool) {
-	v.mu.Lock()
-	el, ok := v.entries[key]
+	e, ok := v.cache.Get(key)
 	if !ok {
-		v.mu.Unlock()
 		v.obs.Count(v.name+"_misses", 1)
 		return nil, false
 	}
-	v.ll.MoveToFront(el)
-	body := el.Value.(*vaultEntry).body
-	v.mu.Unlock()
 	v.obs.Count(v.name+"_hits", 1)
-	return body, true
-}
-
-func (v *artifactVault) importOne(a Artifact) (bool, error) {
-	sum := sha256.Sum256(a.Body)
-	if a.Sum != "" && a.Sum != hex.EncodeToString(sum[:]) {
-		v.obs.Count(v.name+"_rejects", 1)
-		return false, fmt.Errorf("artifact %q checksum mismatch", a.Key)
-	}
-	return v.put(a.Key, a.Body), nil
-}
-
-func (v *artifactVault) len() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.ll.Len()
+	return e.body, true
 }

@@ -12,14 +12,13 @@ import (
 	"repro/internal/arch"
 	"repro/internal/nas"
 	"repro/internal/obs"
-	"repro/internal/spec"
 )
 
 // TestLayerSingleflightConcurrentFill proves the singleflight contract
 // under -race: any number of concurrent requests for one missing key run
 // the fill exactly once and all observe its value.
 func TestLayerSingleflightConcurrentFill(t *testing.T) {
-	l := newLayer("test.characterisation", 8, nil)
+	l := newLayer[any]("test.characterisation", 8, nil)
 	var fills atomic.Int64
 	const goroutines = 32
 	results := make([]any, goroutines)
@@ -59,7 +58,7 @@ func TestLayerSingleflightConcurrentFill(t *testing.T) {
 // filled for its own key. Run under -race this also proves the locking.
 func TestLayerConcurrentEviction(t *testing.T) {
 	const cap = 4
-	l := newLayer("test.profile", cap, nil)
+	l := newLayer[any]("test.profile", cap, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -91,7 +90,7 @@ func TestLayerConcurrentEviction(t *testing.T) {
 // TestLayerFailedFillNotCached proves an erroring fill leaves no entry
 // behind — the next request retries instead of serving a poisoned value.
 func TestLayerFailedFillNotCached(t *testing.T) {
-	l := newLayer("test.surrogate", 8, nil)
+	l := newLayer[any]("test.surrogate", 8, nil)
 	wantErr := fmt.Errorf("boom")
 	if _, err := l.getOrFill(context.Background(), "k", func() (any, error) { return nil, wantErr }); err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
@@ -111,7 +110,7 @@ func TestLayerFailedFillNotCached(t *testing.T) {
 func TestLayerFillPanicIsAnError(t *testing.T) {
 	scope := obs.New("test")
 	defer scope.End()
-	l := newLayer("test.profile", 8, scope)
+	l := newLayer[any]("test.profile", 8, scope)
 	const callers = 8
 	started, release := make(chan struct{}), make(chan struct{})
 	errs := make(chan error, callers)
@@ -157,7 +156,7 @@ func TestLayerFillPanicIsAnError(t *testing.T) {
 // but the artifact still lands in the layer for the next request — which
 // must not re-run the fill.
 func TestLayerFillDetachedFromCaller(t *testing.T) {
-	l := newLayer("test.characterisation", 8, nil)
+	l := newLayer[any]("test.characterisation", 8, nil)
 	var fills atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // the caller has already given up
@@ -223,102 +222,48 @@ func TestLayerKeysCollisionFree(t *testing.T) {
 	}
 }
 
-// TestStoreGroupedFillConcurrentEvictionChaos hammers the grouped-fill
-// path the batch endpoint rides: many goroutines resolving overlapping
-// external group keys through CharacterisationFill while other goroutines
-// churn a tiny surrogate layer through fill + eviction. Under -race this proves the locking; the assertions
-// prove each group key still fills exactly once and every caller observes
-// its own group's artifact.
-func TestStoreGroupedFillConcurrentEvictionChaos(t *testing.T) {
-	s := NewStore(StoreConfig{SurrogateCap: 2})
-	const groups = 4
-	var fills [groups]atomic.Int64
+// TestStoreConcurrentEvictionUnderFill churns two tiny typed layers through
+// fill + eviction from many goroutines at once, through the Store's own
+// accessors: under -race this proves the locking; the assertions prove the
+// bounds hold and every caller observes the artifact filled for its own key.
+func TestStoreConcurrentEvictionUnderFill(t *testing.T) {
+	s := NewStore(StoreConfig{SurrogateCap: 2, ProfileCap: 2})
+	base := &arch.Machine{Name: "base"}
 	var wg sync.WaitGroup
-	// Batch-style concurrent grouped fills: 8 goroutines × 32 lookups over
-	// 4 group keys.
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 32; i++ {
-				grp := (g + i) % groups
-				key := fmt.Sprintf("%q|%q", "base", fmt.Sprintf("target-%d", grp))
-				want := "group:" + key
-				v, err := s.CharacterisationFill(context.Background(), key, func() (any, error) {
-					fills[grp].Add(1)
-					time.Sleep(time.Millisecond) // widen the race window
-					return want, nil
-				})
-				if err != nil {
-					t.Errorf("CharacterisationFill(%s): %v", key, err)
-					return
-				}
-				if v != want {
-					t.Errorf("CharacterisationFill(%s) = %v, want %v", key, v, want)
+			for ci := 1; ci <= 16; ci++ {
+				want := &surrogateEntry{}
+				got, err := s.surrogateAt(context.Background(), "base", "app", fmt.Sprintf("tgt-%d", g), ci,
+					func() (*surrogateEntry, error) {
+						time.Sleep(time.Millisecond) // widen the race window
+						return want, nil
+					})
+				if err != nil || got != want {
+					t.Errorf("surrogateAt(tgt-%d, %d) = %p, %v; want %p", g, ci, got, err, want)
 					return
 				}
 			}
 		}(g)
-	}
-	// Concurrent surrogate churn: fills beyond the cap force evictions
-	// while the grouped fills run.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for ci := 1; ci <= 16; ci++ {
-				_, err := s.surrogateAt(context.Background(), "base", "app", fmt.Sprintf("tgt-%d", g), ci,
-					func() (*surrogateEntry, error) { return &surrogateEntry{}, nil })
-				if err != nil {
-					t.Errorf("surrogateAt: %v", err)
+			for i := 0; i < 32; i++ {
+				ranks := 1 + (g+i)%6 // 6 keys > cap, shared across goroutines
+				got, err := s.profileAt(context.Background(), base, nas.BT, nas.ClassC, ranks,
+					func() (*ProfileArtifact, error) {
+						return &ProfileArtifact{Counters: &CounterPair{Ranks: ranks}}, nil
+					})
+				if err != nil || got.Counters.Ranks != ranks {
+					t.Errorf("profileAt(%d) = %+v, %v", ranks, got, err)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	for grp := range fills {
-		if n := fills[grp].Load(); n != 1 {
-			t.Errorf("group %d filled %d times, want 1 (amortisation broken)", grp, n)
-		}
-	}
-	chars, _, surrogates := s.Sizes()
-	if chars != groups {
-		t.Errorf("characterisation layer holds %d entries, want %d", chars, groups)
-	}
-	if surrogates > 2 {
-		t.Errorf("surrogate layer holds %d entries, cap is 2", surrogates)
-	}
-}
-
-// TestCharacterisationFillKeyNamespace proves external group keys live in
-// their own namespace: a hostile external key can never collide with the
-// pipeline's spec|/imb| artifacts, and distinct external keys stay
-// distinct.
-func TestCharacterisationFillKeyNamespace(t *testing.T) {
-	s := NewStore(StoreConfig{})
-	m := &arch.Machine{Name: "hydra"}
-	// Seed the layer with a real spec artifact, then attack its key.
-	if _, err := s.specSuite(context.Background(), m, func() (map[string]spec.Result, error) {
-		return map[string]spec.Result{}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	hostile := []string{specKey(m), imbKey(m, 16), `ext|"x"`}
-	for _, key := range hostile {
-		filled := false
-		v, err := s.CharacterisationFill(context.Background(), key, func() (any, error) {
-			filled = true
-			return "external:" + key, nil
-		})
-		if err != nil {
-			t.Fatalf("CharacterisationFill(%q): %v", key, err)
-		}
-		if !filled {
-			t.Errorf("external key %q hit a pipeline artifact (namespace breached)", key)
-		}
-		if v != "external:"+key {
-			t.Errorf("external key %q returned %v", key, v)
-		}
+	if _, profiles, surrogates := s.Sizes(); profiles > 2 || surrogates > 2 {
+		t.Errorf("layers hold %d profiles and %d surrogates, cap is 2 each", profiles, surrogates)
 	}
 }

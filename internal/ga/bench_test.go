@@ -250,8 +250,8 @@ func benchScoreAllBatches(nBatches, batch, genomeLen int) [][][]float64 {
 }
 
 // cheapFitness stands in for the EvalKernel objective: a few flops, no
-// allocations — so the benchmark measures scoreAll's own overhead (hash,
-// memo, dispatch, readback), not the objective.
+// allocations — so the benchmark measures scoreAll's own overhead
+// (dispatch, readback), not the objective.
 func cheapFitness(g []float64) float64 {
 	var s float64
 	for i, v := range g {
@@ -260,64 +260,33 @@ func cheapFitness(g []float64) float64 {
 	return s
 }
 
-// BenchmarkScoreAll measures one evaluator batch. "miss" scores fresh
-// genomes (hash + insert + fitness dispatch + index readback); "hit"
-// rescores a fully memoized batch (pure probe + readback). The hit path
-// must stay allocation-free (TestScoreAllHitZeroAllocs) and the miss path's
-// allocs are the memo inserts alone.
-func BenchmarkScoreAll(b *testing.B) {
-	const genomeLen = 29
-	b.Run("miss", func(b *testing.B) {
-		batches := benchScoreAllBatches(512, 62, genomeLen)
-		ev := newBenchEvaluator(genomeLen)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if i%len(batches) == 0 {
-				// Fresh memo each sweep so every batch keeps missing.
-				ev = newBenchEvaluator(genomeLen)
-			}
-			ev.scoreAll(batches[i%len(batches)])
-		}
-	})
-	b.Run("hit", func(b *testing.B) {
-		batches := benchScoreAllBatches(16, 62, genomeLen)
-		ev := newBenchEvaluator(genomeLen)
-		for _, gs := range batches {
-			ev.scoreAll(gs)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ev.scoreAll(batches[i%len(batches)])
-		}
-	})
+func newBenchEvaluator() *evaluator {
+	return newEvaluator(func(_ int, g []float64) float64 { return cheapFitness(g) }, 1, nil)
 }
 
-// TestScoreAllHitZeroAllocs pins a fully memoized batch at zero
-// allocations, on BenchmarkScoreAll/hit's fixture.
-func TestScoreAllHitZeroAllocs(t *testing.T) {
-	const genomeLen = 29
-	batches := benchScoreAllBatches(16, 62, genomeLen)
-	ev := newBenchEvaluator(genomeLen)
-	for _, gs := range batches {
-		ev.scoreAll(gs)
+// BenchmarkScoreAll measures one evaluator batch at the generation shape.
+func BenchmarkScoreAll(b *testing.B) {
+	batches := benchScoreAllBatches(16, 62, 29)
+	ev := newBenchEvaluator()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.scoreAll(batches[i%len(batches)])
 	}
-	i := 0
+}
+
+// TestScoreAllSteadyStateAllocs pins a batch on a warmed evaluator at zero
+// allocations on the serial path: the out scratch and the pool closure are
+// both reused.
+func TestScoreAllSteadyStateAllocs(t *testing.T) {
+	batches := benchScoreAllBatches(16, 62, 29)
+	ev := newBenchEvaluator()
+	ev.scoreAll(batches[0])
+	i := 1
 	if n := testing.AllocsPerRun(200, func() {
 		ev.scoreAll(batches[i%len(batches)])
 		i++
 	}); n != 0 {
-		t.Errorf("scoreAll on a memoized batch allocates %v times, want 0", n)
-	}
-}
-
-func newBenchEvaluator(genomeLen int) *evaluator {
-	return &evaluator{
-		fn:        func(_ int, g []float64) float64 { return cheapFitness(g) },
-		workers:   1,
-		genomeLen: genomeLen,
-		hash:      genomeHash,
-		index:     make(map[uint64]int32, 256),
+		t.Errorf("scoreAll on a warmed evaluator allocates %v times, want 0", n)
 	}
 }

@@ -12,10 +12,9 @@
 // result is byte-identical to the serial path: every candidate genome is
 // generated serially from the seeded RNG first, and only then scored
 // concurrently, so the RNG stream — and therefore the evolution — never
-// depends on scheduling. A 64-bit hash memo (collision-checked against the
-// genome's float bits) ensures duplicate genomes (e.g. children that
-// escaped both crossover and mutation) are never re-scored, and keeps
-// Result.Evaluations independent of the worker count.
+// depends on scheduling. Every genome handed to the evaluator is scored —
+// fitness is pure, so the few duplicates just score the same again — which
+// keeps Result.Evaluations independent of the worker count too.
 package ga
 
 import (
@@ -79,7 +78,7 @@ type Config struct {
 	// tap for async job streaming.
 	OnGeneration func(gen int, best float64)
 	// Obs, when non-nil, receives a "ga.run" span and the run's metrics
-	// (ga.evaluations, ga.cache_hits, ga.generations, ga.best_fitness,
+	// (ga.evaluations, ga.generations, ga.best_fitness,
 	// ga.generation_seconds). Observability never alters the evolution:
 	// the result is byte-identical with Obs set or nil.
 	Obs *obs.Scope
@@ -144,14 +143,10 @@ type Result struct {
 	// History records the best score per generation (including the
 	// initial population as entry 0).
 	History []float64
-	// Evaluations counts distinct fitness calls. Memoization makes it
-	// independent of Workers: a genome already scored — in this or any
-	// earlier generation — costs nothing.
+	// Evaluations counts the scores requested: the initial population plus
+	// every generation's children (elites carry their score). It does not
+	// depend on Workers.
 	Evaluations int
-	// CacheHits counts genome scores served by the memo instead of a
-	// fitness call (duplicates within a batch count as hits).
-	// Evaluations + CacheHits is the total number of scores requested.
-	CacheHits int
 	// Quarantined counts fitness evaluations that panicked (or were
 	// fault-injected to fail) and were scored +Inf — the worst possible
 	// fitness under minimisation — instead of killing the run. The
@@ -165,110 +160,34 @@ type individual struct {
 	fitness float64
 }
 
-// evaluator scores genome batches on a worker pool with memoization. It is
-// used from a single goroutine; only the fitness calls it issues run
-// concurrently.
-//
-// The memo is a 64-bit hash index: a genome hashes to a bucket head in
-// index, buckets chain through memoEntry.next, and every probe is
-// collision-checked against the stored genome's float bits — a hash
-// collision costs one extra comparison, never a wrong score. Scored
-// genomes live in one flat slab (entry i's genome at i×genomeLen), so the
-// memo's steady-state cost is appends to three flat slices; no string
-// keys are ever materialised. The batch scratch (jobs, idx, out) is
-// reused across generations.
+// evaluator scores genome batches on a worker pool. It is used from a
+// single goroutine; only the fitness calls it issues run concurrently.
 type evaluator struct {
-	fn        func(slot int, g []float64) float64
-	workers   int
-	genomeLen int
-	// hash maps a genome to its memo bucket. Overridable (before first
-	// use) so tests can force collisions; the default is genomeHash.
-	hash        func([]float64) uint64
+	fn          func(slot int, g []float64) float64
+	workers     int
 	evals       int
-	hits        int
 	quarantined atomic.Int64
 	obs         *obs.Scope
 
-	index   map[uint64]int32
-	entries []memoEntry
-	slab    []float64
-
-	jobs []int32 // entry indices awaiting a fitness call this batch
-	idx  []int32 // per-input entry index, recorded at dispatch
-	out  []float64
+	batch [][]float64 // the genomes being scored
+	out   []float64   // their scores; reused across batches
+	// scoreOne scores batch[i] into out[i] on pool slot w. Built once per
+	// evaluator: a closure literal per batch would escape to the heap.
+	scoreOne func(w, i int) error
 }
 
-// memoEntry is one scored (or being-scored) genome. Its genome lives in
-// the evaluator slab at the entry's own index.
-type memoEntry struct {
-	fitness float64
-	next    int32 // next entry in the same hash bucket, -1 ends the chain
-}
-
-// genomeHash is the default memo hash: word-at-a-time FNV-1a over the
-// genome's float bits. Dispersion only has to separate chain neighbours —
-// every lookup is verified against the full genome anyway.
-func genomeHash(g []float64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range g {
-		h ^= math.Float64bits(v)
-		h *= prime64
+func newEvaluator(fn func(slot int, g []float64) float64, workers int, sp *obs.Scope) *evaluator {
+	e := &evaluator{fn: fn, workers: workers, obs: sp}
+	e.scoreOne = func(w, i int) error {
+		e.out[i] = e.safeScore(w, e.batch[i])
+		return nil
 	}
-	return h
-}
-
-// genomeOf returns entry i's genome slice in the slab.
-func (e *evaluator) genomeOf(i int32) []float64 {
-	return e.slab[int(i)*e.genomeLen : (int(i)+1)*e.genomeLen]
-}
-
-// lookup returns the memo entry index holding g, or -1. Bit-exact
-// comparison: the memo distinguishes genomes exactly as the old byte-key
-// did.
-func (e *evaluator) lookup(h uint64, g []float64) int32 {
-	head, ok := e.index[h]
-	if !ok {
-		return -1
-	}
-	for i := head; i >= 0; i = e.entries[i].next {
-		stored := e.genomeOf(i)
-		match := true
-		for j := range g {
-			if math.Float64bits(stored[j]) != math.Float64bits(g[j]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
-		}
-	}
-	return -1
-}
-
-// insert adds g to the memo (fitness still unset) and returns its entry
-// index.
-func (e *evaluator) insert(h uint64, g []float64) int32 {
-	i := int32(len(e.entries))
-	next := int32(-1)
-	if head, ok := e.index[h]; ok {
-		next = head
-	}
-	e.entries = append(e.entries, memoEntry{next: next})
-	e.slab = append(e.slab, g...)
-	e.index[h] = i
-	return i
+	return e
 }
 
 // safeScore scores one genome, quarantining failures: a panicking fitness
 // function (or an armed "ga.eval" fault) yields +Inf — the worst score
 // under minimisation — so one bad chromosome cannot kill the whole search.
-// The quarantine score is memoized like any other, keeping the evolution
-// deterministic at every worker count.
 func (e *evaluator) safeScore(slot int, g []float64) (f float64) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -283,53 +202,21 @@ func (e *evaluator) safeScore(slot int, g []float64) (f float64) {
 	return e.fn(slot, g)
 }
 
-// scoreAll returns the fitness of each genome. Each input is hashed and
-// probed exactly once: unseen genomes enter the memo immediately (so
-// in-batch duplicates dedupe against the same entry), their entry indices
-// are recorded as the batch's jobs, scored concurrently on the pool, and
-// read back by the per-input indices recorded at dispatch — no second key
-// pass. The returned slice is the evaluator's reusable scratch: it is
-// valid until the next scoreAll call.
+// scoreAll returns the fitness of each genome, scored concurrently on the
+// pool (inline on slot 0 when workers <= 1 — the legacy serial path);
+// workers write disjoint elements. The returned slice is the evaluator's
+// reusable scratch: it is valid until the next scoreAll call.
 func (e *evaluator) scoreAll(genomes [][]float64) []float64 {
-	e.jobs = e.jobs[:0]
-	if cap(e.idx) < len(genomes) {
-		e.idx = make([]int32, len(genomes))
-	}
-	idx := e.idx[:len(genomes)]
-	for i, g := range genomes {
-		h := e.hash(g)
-		ei := e.lookup(h, g)
-		if ei < 0 {
-			ei = e.insert(h, g)
-			e.jobs = append(e.jobs, ei)
-		}
-		idx[i] = ei
-	}
-	jobs := e.jobs
-	e.evals += len(jobs)
-	e.hits += len(genomes) - len(jobs)
-	// Batch-level counters only: the per-evaluation hot path stays
-	// untouched, so the disabled layer costs two nil checks per batch.
-	e.obs.Count("ga.evaluations", int64(len(jobs)))
-	e.obs.Count("ga.cache_hits", int64(len(genomes)-len(jobs)))
-	// par.ForEachW runs inline (slot 0) when workers <= 1 — the legacy
-	// serial path. Workers write disjoint entries; the entries slice is
-	// not resized while they run. The guard keeps a fully memoized batch
-	// allocation-free: the closure literal itself would otherwise escape.
-	if len(jobs) > 0 {
-		_ = par.ForEachW(e.workers, len(jobs), func(w, i int) error {
-			e.entries[jobs[i]].fitness = e.safeScore(w, e.genomeOf(jobs[i]))
-			return nil
-		})
-	}
+	e.evals += len(genomes)
+	// Batch-level counter only: the per-evaluation hot path stays
+	// untouched, so the disabled layer costs one nil check per batch.
+	e.obs.Count("ga.evaluations", int64(len(genomes)))
 	if cap(e.out) < len(genomes) {
 		e.out = make([]float64, len(genomes))
 	}
-	out := e.out[:len(genomes)]
-	for i, ei := range idx {
-		out[i] = e.entries[ei].fitness
-	}
-	return out
+	e.batch, e.out = genomes, e.out[:len(genomes)]
+	_ = par.ForEachW(e.workers, len(genomes), e.scoreOne)
+	return e.out
 }
 
 // Run evolves a population and returns the best genome found.
@@ -349,14 +236,7 @@ func Run(cfg Config) (*Result, error) {
 		plain := cfg.Fitness
 		fn = func(_ int, g []float64) float64 { return plain(g) }
 	}
-	ev := &evaluator{
-		fn:        fn,
-		workers:   par.Workers(cfg.Workers),
-		genomeLen: cfg.GenomeLen,
-		hash:      genomeHash,
-		index:     make(map[uint64]int32, cfg.PopSize*2),
-		obs:       sp,
-	}
+	ev := newEvaluator(fn, par.Workers(cfg.Workers), sp)
 
 	// Genomes live in two flat ping-pong arenas: each generation's
 	// population is carved out of one arena while its parents occupy the
@@ -458,7 +338,6 @@ func Run(cfg Config) (*Result, error) {
 	res.Best = best.genome
 	res.BestFitness = best.fitness
 	res.Evaluations = ev.evals
-	res.CacheHits = ev.hits
 	res.Quarantined = int(ev.quarantined.Load())
 	if res.Quarantined > 0 {
 		sp.Count("ga.quarantined", int64(res.Quarantined))

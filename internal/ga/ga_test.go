@@ -2,7 +2,6 @@ package ga
 
 import (
 	"math"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -170,35 +169,10 @@ func TestEvaluationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At most the initial 16 + 10 generations × (16-2 fresh children):
-	// elites are never re-scored, and memoization may shave off children
-	// that duplicate an already-scored genome.
+	// elites are never re-scored.
 	max := 16 + 10*14
 	if res.Evaluations > max || res.Evaluations < 16 {
 		t.Errorf("evaluations = %d, want within [16, %d]", res.Evaluations, max)
-	}
-}
-
-func TestMemoizationSkipsDuplicates(t *testing.T) {
-	// With crossover and mutation both disabled, every child is a byte
-	// copy of a previous individual: only the initial population is ever
-	// scored, however many generations run.
-	var calls atomic.Int64 // Fitness runs on the parallel evaluator's workers
-	res, err := Run(Config{
-		GenomeLen: 4, Seed: "memo", PopSize: 16, Generations: 25,
-		CrossoverRate: Rate(0), MutationRate: Rate(0),
-		Fitness: func(g []float64) float64 {
-			calls.Add(1)
-			return sphere(make([]float64, 4))(g)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Evaluations > 16 {
-		t.Errorf("evaluations = %d, want <= 16 (duplicates must hit the memo cache)", res.Evaluations)
-	}
-	if calls.Load() != int64(res.Evaluations) {
-		t.Errorf("fitness called %d times but Evaluations = %d", calls.Load(), res.Evaluations)
 	}
 }
 
@@ -257,7 +231,7 @@ func TestRateValidation(t *testing.T) {
 func TestParallelMatchesSerial(t *testing.T) {
 	// The determinism contract: Workers must not change anything — Best,
 	// BestFitness, History and Evaluations are byte-identical because
-	// genomes are generated serially and scored via a dedup+memo batch.
+	// genomes are generated serially and scored as a batch.
 	for _, seed := range []string{"par-a", "par-b", "par-c", "par-d"} {
 		base := Config{
 			GenomeLen: 12, MaxActive: 5, Seed: seed,
@@ -340,5 +314,54 @@ func TestSparsityKeepsLargestGenes(t *testing.T) {
 		if math.Abs(g[i]-want[i]) > 1e-12 {
 			t.Fatalf("enforceSparsity = %v, want %v", g, want)
 		}
+	}
+}
+
+// TestFitnessWEquivalence: routing the same objective through FitnessW
+// (slot-aware) must reproduce the Fitness path byte for byte, at every
+// worker count, with slots staying in range.
+func TestFitnessWEquivalence(t *testing.T) {
+	obj := sphere([]float64{0.3, 0, 0.7, 0, 0.1, 0.9})
+	base := Config{
+		GenomeLen: 6, MaxActive: 3, Seed: "fitnessw", PopSize: 16, Generations: 30,
+		Fitness: obj,
+	}
+	want, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg := base
+		cfg.Fitness = nil
+		cfg.Workers = workers
+		maxSlot := workers
+		cfg.FitnessW = func(slot int, g []float64) float64 {
+			if slot < 0 || slot >= maxSlot {
+				t.Errorf("slot %d outside [0,%d)", slot, maxSlot)
+			}
+			return obj(g)
+		}
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.BestFitness) != math.Float64bits(want.BestFitness) {
+			t.Errorf("workers=%d: FitnessW best %v != Fitness best %v", workers, got.BestFitness, want.BestFitness)
+		}
+		if got.Evaluations != want.Evaluations {
+			t.Errorf("workers=%d: evaluations %d != %d", workers, got.Evaluations, want.Evaluations)
+		}
+	}
+}
+
+// TestFitnessExclusive: setting both objectives is a config error.
+func TestFitnessExclusive(t *testing.T) {
+	_, err := Run(Config{
+		GenomeLen: 2, Seed: "s",
+		Fitness:  func(g []float64) float64 { return 0 },
+		FitnessW: func(_ int, g []float64) float64 { return 0 },
+	})
+	if err == nil {
+		t.Fatal("Run accepted both Fitness and FitnessW")
 	}
 }

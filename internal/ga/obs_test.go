@@ -9,8 +9,8 @@ import (
 
 // TestObsMetricsMatchResult pins the acceptance contract: the observability
 // counters report exactly what Result reports — ga.evaluations equals
-// Result.Evaluations, ga.cache_hits equals Result.CacheHits, and
-// ga.generations equals the configured generation count.
+// Result.Evaluations and ga.generations equals the configured generation
+// count.
 func TestObsMetricsMatchResult(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		root := obs.New("test")
@@ -30,17 +30,13 @@ func TestObsMetricsMatchResult(t *testing.T) {
 		if v, ok := m.Counter("ga.evaluations"); !ok || v != int64(res.Evaluations) {
 			t.Errorf("workers=%d: ga.evaluations = %d, Result.Evaluations = %d", workers, v, res.Evaluations)
 		}
-		if v, ok := m.Counter("ga.cache_hits"); !ok || v != int64(res.CacheHits) {
-			t.Errorf("workers=%d: ga.cache_hits = %d, Result.CacheHits = %d", workers, v, res.CacheHits)
-		}
 		if v, ok := m.Counter("ga.generations"); !ok || v != 25 {
 			t.Errorf("workers=%d: ga.generations = %d, want 25", workers, v)
 		}
-		// Evaluations + CacheHits is every score the run requested: the
-		// initial population plus one batch per generation.
-		if res.Evaluations+res.CacheHits != 16+25*(16-2) {
-			t.Errorf("workers=%d: evaluations %d + hits %d != total scores %d",
-				workers, res.Evaluations, res.CacheHits, 16+25*(16-2))
+		// Evaluations is every score the run requested: the initial
+		// population plus one batch of children per generation.
+		if res.Evaluations != 16+25*(16-2) {
+			t.Errorf("workers=%d: evaluations %d != total scores %d", workers, res.Evaluations, 16+25*(16-2))
 		}
 		// The final best must appear in the histogram exactly once.
 		h, ok := m.Histogram("ga.best_fitness")

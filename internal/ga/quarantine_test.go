@@ -49,9 +49,9 @@ func TestQuarantineSurvivesPanickingFitness(t *testing.T) {
 	}
 }
 
-// TestQuarantineDeterministicAcrossWorkers pins that quarantine scoring is
-// memoized like any other score: serial and concurrent runs evolve
-// identically, panics included.
+// TestQuarantineDeterministicAcrossWorkers pins that a quarantine score is
+// a score like any other: serial and concurrent runs evolve identically,
+// panics included.
 func TestQuarantineDeterministicAcrossWorkers(t *testing.T) {
 	serial, err := Run(quarantineConfig(1))
 	if err != nil {

@@ -189,9 +189,9 @@ func (s *Server) runBatchItem(parent context.Context, wk batchWork, sem chan str
 		*out = batchEntry{Status: http.StatusOK, Body: bytes.TrimSuffix(body, []byte("\n"))}
 		return
 	}
-	if res, ok := s.cache.get(key); ok {
+	if e, ok := s.cache.Get(key); ok {
 		s.obs.Count("server.cache.result_hits", 1)
-		*out = s.renderBatchItem(key, wk, res)
+		*out = s.renderBatchItem(key, wk, e.res)
 		return
 	}
 	wg.Add(1)
@@ -230,7 +230,7 @@ func (s *Server) computeBatchItem(parent context.Context, key cacheKey, wk batch
 // '\n'; embedded JSON cannot carry it, so entries hold the document body
 // alone.
 func (s *Server) renderBatchItem(key cacheKey, wk batchWork, res *swapp.Result) batchEntry {
-	out, err := s.cache.renderedBytes(key, wk.spec.ep, res, wk.spec.render)
+	out, err := s.renderedBytes(key, wk.spec.ep, res, wk.spec.render)
 	if err != nil {
 		s.obs.Count("server.errors", 1)
 		return batchEntry{Status: http.StatusInternalServerError, Error: err.Error()}
@@ -295,7 +295,7 @@ func appendBatchResponse(buf []byte, entries []batchEntry, groups int) []byte {
 // batch's indexes. It reports whether the group was served; any failure
 // counts a fallback and sends the group to local computation.
 func (s *Server) forwardBatchGroup(r *http.Request, gkey string, members []batchWork, entries []batchEntry) bool {
-	owner, pc := s.peers.route(gkey)
+	_, pc := s.peers.route(gkey)
 	if pc == nil {
 		return false
 	}
@@ -314,8 +314,7 @@ func (s *Server) forwardBatchGroup(r *http.Request, gkey string, members []batch
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	out, _, err := pc.client.PostRaw(ctx, "/v1/batch", payload, http.Header{forwardedHeader: []string{s.cfg.Self}})
-	s.peers.observe(owner, err)
+	out, _, err := pc.PostRaw(ctx, "/v1/batch", payload, http.Header{forwardedHeader: []string{s.cfg.Self}})
 	if err != nil {
 		s.obs.Count("cluster.fallbacks", 1)
 		return false

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,11 +10,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
+	"time"
 
 	swapp "repro"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
@@ -38,30 +36,6 @@ func httpGet(url string) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// groupedEval is an EvalFunc that routes its characterisation through the
-// layered store's grouped-fill hook, the way the real pipeline shares
-// per-machine characterisations: every request for one (base, target)
-// group resolves the same store key, so the per-layer hit/miss counters
-// expose exactly how many times the expensive stage actually ran.
-type groupedEval struct {
-	calls atomic.Int64
-	fills atomic.Int64
-}
-
-func (e *groupedEval) fn(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-	e.calls.Add(1)
-	if req.Store != nil {
-		key := cluster.GroupKey(req.Base, req.Target)
-		if _, err := req.Store.CharacterisationFill(ctx, key, func() (any, error) {
-			e.fills.Add(1)
-			return "characterisation:" + key, nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return stubResult(req), nil
-}
-
 // batchBody builds a /v1/batch payload from items.
 func batchBody(t testing.TB, items ...string) string {
 	t.Helper()
@@ -78,35 +52,34 @@ func decodeBatch(t testing.TB, body []byte) batchResponse {
 	return resp
 }
 
-// TestBatchAmortisesCharacterisation is the tentpole's proof: K requests
-// sharing a (base, target) group, submitted as one batch, run the
-// characterisation stage exactly once — one miss on the store's
-// characterisation layer, K-1 hits — while each response stays
-// byte-identical to the one its own endpoint serves for the same request.
+// TestBatchAmortisesCharacterisation runs the real engine: K requests that
+// share a (base, target) group, submitted as one batch, characterise their
+// machines once between them — the store's characterisation layer misses
+// exactly as often as it does for one such request served alone — while
+// each entry stays byte-identical to the document its own endpoint serves.
 func TestBatchAmortisesCharacterisation(t *testing.T) {
-	eval := &groupedEval{}
 	scope := obs.New("test")
-	s := New(Config{Workers: 4, Obs: scope, Eval: eval.fn})
-	ts := newHTTPServer(t, s)
+	ts := newHTTPServer(t, New(Config{Workers: 2, Obs: scope, DefaultTimeout: 5 * time.Minute}))
 
-	// An individually-served control server with an identical stub, for
-	// the byte-identity comparison.
-	ctlEval := &groupedEval{}
-	ctl := New(Config{Workers: 4, Eval: ctlEval.fn})
-	ctlTS := newHTTPServer(t, ctl)
+	// The control serves one of the requests alone, then the rest.
+	ctlScope := obs.New("test")
+	ctlTS := newHTTPServer(t, New(Config{Workers: 2, Obs: ctlScope, DefaultTimeout: 5 * time.Minute}))
 
-	// Group A: three benches on one (base, target). Group B: one more
-	// target. Plus one explicit validate on group A.
-	items := []struct {
-		op   string
-		body string
-	}{
-		{"project", `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`},
-		{"project", `{"target":"power6-575","bench":"SP-MZ","class":"C","ranks":16}`},
-		{"project", `{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":16}`},
-		{"validate", `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":32}`},
-		{"surrogate", `{"target":"bgp","bench":"BT-MZ","class":"C","ranks":16}`},
+	// LU-MZ.C at 16 ranks is the cheapest full pipeline run; every item
+	// characterises hydra and power6-575 at the same core counts.
+	const lu = `{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":16}`
+	items := []struct{ op, body string }{
+		{"project", lu},
+		{"validate", lu},
+		{"surrogate", lu},
+		{"project", `{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":8}`},
 	}
+	_, _, first := post(t, ctlTS.URL+"/v1/project", lu)
+	alone := counter(ctlScope, "server.cache.characterisation_misses")
+	if alone == 0 {
+		t.Fatalf("control request characterised nothing: %s", first)
+	}
+
 	reqs := make([]string, len(items))
 	for i, it := range items {
 		reqs[i] = fmt.Sprintf(`{"op":%q,%s`, it.op, it.body[1:])
@@ -119,20 +92,14 @@ func TestBatchAmortisesCharacterisation(t *testing.T) {
 	if len(resp.Results) != len(items) {
 		t.Fatalf("batch returned %d results, want %d", len(resp.Results), len(items))
 	}
-	if resp.Groups != 2 {
-		t.Errorf("batch decomposed into %d groups, want 2", resp.Groups)
+	if resp.Groups != 1 {
+		t.Errorf("batch decomposed into %d groups, want 1", resp.Groups)
 	}
-
-	// Amortisation: one characterisation fill per group, ever.
-	if n := eval.fills.Load(); n != 2 {
-		t.Errorf("characterisation ran %d times for 2 groups (amortisation broken)", n)
+	if misses := counter(scope, "server.cache.characterisation_misses"); misses != alone {
+		t.Errorf("batch of %d missed the characterisation layer %d times, one request alone %d (amortisation broken)", len(items), misses, alone)
 	}
-	m := scope.Metrics()
-	if misses, _ := m.Counter("server.cache.characterisation_misses"); misses != 2 {
-		t.Errorf("characterisation layer misses = %d, want exactly 2 (one per group)", misses)
-	}
-	if hits, _ := m.Counter("server.cache.characterisation_hits"); hits != int64(len(items)-2) {
-		t.Errorf("characterisation layer hits = %d, want %d", hits, len(items)-2)
+	if hits := counter(scope, "server.cache.characterisation_hits"); hits == 0 {
+		t.Error("no item of the batch was served characterisation another item built")
 	}
 
 	// Byte-identity: each entry matches its own endpoint's document on the
@@ -155,7 +122,7 @@ func TestBatchAmortisesCharacterisation(t *testing.T) {
 // individual request hits on that request and misses on its neighbours,
 // counted exactly as the endpoints count them.
 func TestBatchSharesResultCacheWithEndpoints(t *testing.T) {
-	eval := &groupedEval{}
+	eval := &stubEval{}
 	scope := obs.New("test")
 	s := New(Config{Workers: 2, Obs: scope, Eval: eval.fn})
 	ts := newHTTPServer(t, s)
@@ -185,7 +152,7 @@ func TestBatchSharesResultCacheWithEndpoints(t *testing.T) {
 // malformed item reports its own 400 without failing the batch or its
 // healthy neighbours.
 func TestBatchItemErrorsAreEntries(t *testing.T) {
-	eval := &groupedEval{}
+	eval := &stubEval{}
 	s := New(Config{Workers: 2, Eval: eval.fn})
 	ts := newHTTPServer(t, s)
 
@@ -211,7 +178,7 @@ func TestBatchItemErrorsAreEntries(t *testing.T) {
 // TestBatchEnvelopeValidation proves only malformed envelopes fail the
 // whole request.
 func TestBatchEnvelopeValidation(t *testing.T) {
-	eval := &groupedEval{}
+	eval := &stubEval{}
 	s := New(Config{Workers: 2, Eval: eval.fn})
 	ts := newHTTPServer(t, s)
 

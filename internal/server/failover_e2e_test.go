@@ -5,8 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -36,7 +39,7 @@ func newGossipCluster(t *testing.T, n int) []*clusterReplica {
 				peers = append(peers, u)
 			}
 		}
-		rep.eval = &groupedEval{}
+		rep.eval = &stubEval{}
 		rep.scope = obs.New("test")
 		rep.srv = New(Config{Workers: 4, Obs: rep.scope, Eval: rep.eval.fn,
 			Self: rep.url, Peers: peers, nowFn: clock.now,
@@ -174,8 +177,8 @@ func TestClusterWarmFailoverReplicaServes(t *testing.T) {
 
 // TestReplicateIdempotent drives the wire contract of POST /v1/replicate:
 // the first push stores, an identical re-push is a counted no-op that
-// leaves the vault size alone, and a corrupted push is rejected without
-// landing.
+// leaves the vault size alone, and a corrupted, unsummed or oversized push
+// is rejected without landing.
 func TestReplicateIdempotent(t *testing.T) {
 	scope := obs.New("test")
 	s := New(Config{Workers: 2, Obs: scope, Eval: (&stubEval{}).fn})
@@ -222,14 +225,81 @@ func TestReplicateIdempotent(t *testing.T) {
 	if n := counter(scope, "cluster.replica_rejects"); n != 1 {
 		t.Errorf("cluster.replica_rejects = %d, want 1", n)
 	}
-	// Nor a malformed key.
+	// Nor a malformed key, nor a body nobody summed.
 	short := msg
 	short.Key = "abc"
 	payload, _ = json.Marshal(short)
 	if code, _, _ = post(t, ts.URL+"/v1/replicate", string(payload)); code != 400 {
 		t.Fatalf("short-key push accepted with status %d", code)
 	}
+	unsummed := msg
+	unsummed.Key, unsummed.Sum = strings.Repeat("cd", sha256.Size), ""
+	payload, _ = json.Marshal(unsummed)
+	if code, _, _ = post(t, ts.URL+"/v1/replicate", string(payload)); code != 400 {
+		t.Fatalf("unsummed push accepted with status %d", code)
+	}
+	// Nor a body the vault's entry bound says nothing about: checksum-valid
+	// JSON, 2 MiB of it.
+	huge := msg
+	huge.Key = strings.Repeat("ef", sha256.Size)
+	huge.Body = []byte(`"` + strings.Repeat("x", 2<<20) + `"`)
+	hugeSum := sha256.Sum256(huge.Body)
+	huge.Sum = hex.EncodeToString(hugeSum[:])
+	payload, _ = json.Marshal(huge)
+	if code, _, out = post(t, ts.URL+"/v1/replicate", string(payload)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB push: %d %.80s, want 413", code, out)
+	}
+	if n := counter(scope, "cluster.replica_rejects"); n != 2 {
+		t.Errorf("cluster.replica_rejects = %d, want 2", n)
+	}
 	if n := s.store.ArtifactCount(); n != 1 {
 		t.Errorf("rejected pushes changed the vault: %d entries, want 1", n)
+	}
+}
+
+// TestGossipPingOnlyProbesMembers: the indirect probe is a GET this server
+// makes on a caller's say-so, so it goes to configured cluster members and
+// nowhere else — and the route does not exist on a server with no cluster.
+func TestGossipPingOnlyProbesMembers(t *testing.T) {
+	listener := func(hits *atomic.Int64) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { hits.Add(1) }))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	var memberHits, bystanderHits atomic.Int64
+	member, bystander := listener(&memberHits), listener(&bystanderHits)
+
+	scope := obs.New("test")
+	ts := newHTTPServer(t, New(Config{Workers: 1, Obs: scope, Eval: (&stubEval{}).fn,
+		Self: "http://self.invalid", Peers: []string{member}}))
+	ping := func(target string) int {
+		t.Helper()
+		code, err := httpGet(ts.URL + "/v1/gossip/ping?target=" + url.QueryEscape(target))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return code
+	}
+	if code := ping(member); code != 200 || memberHits.Load() != 1 {
+		t.Errorf("ping of a member: status %d after %d probes, want 200 after 1", code, memberHits.Load())
+	}
+	for _, target := range []string{bystander, bystander + "/v1/project?x=", ""} {
+		if code := ping(target); code != 400 {
+			t.Errorf("ping of non-member %q: status %d, want 400", target, code)
+		}
+	}
+	if n := bystanderHits.Load(); n != 0 {
+		t.Errorf("a non-member received %d requests from the ping route", n)
+	}
+	if n := counter(scope, "cluster.gossip_ping_rejects"); n != 3 {
+		t.Errorf("cluster.gossip_ping_rejects = %d, want 3", n)
+	}
+
+	alone := newHTTPServer(t, New(Config{Workers: 1, Eval: (&stubEval{}).fn}))
+	if code, err := httpGet(alone.URL + "/v1/gossip/ping?target=" + url.QueryEscape(bystander)); err != nil || code != 404 {
+		t.Errorf("ping on a server with no cluster: %d, %v; want 404", code, err)
+	}
+	if n := bystanderHits.Load(); n != 0 {
+		t.Errorf("a server with no cluster probed a bystander %d times", n)
 	}
 }

@@ -26,10 +26,12 @@ const peerHeader = "X-Swapp-Peer"
 // simply not counted in cluster.ring_moves.
 const maxTrackedGroups = 4096
 
-// peerSet is a replica's view of the cluster: the deterministic full ring
-// every replica computes identically (routing preference), one breaker-
-// guarded client per peer (failure isolation), and the reachability
-// bookkeeping behind the cluster.* counters.
+// peerSet is a replica's view of the cluster: the ring every replica with
+// the same membership computes identically (routing preference) and one
+// breaker-guarded client per peer (failure isolation). There is one ring:
+// it starts over the configured membership and only setMembership — the
+// gossip detector's hook — ever replaces it, so a static -peers cluster is
+// the gossip-fed one that never hears an update.
 //
 // Ownership is a preference, not a correctness requirement: when a group's
 // owner is unreachable the request degrades to local computation — every
@@ -38,26 +40,16 @@ const maxTrackedGroups = 4096
 // layered store fills once per group and serves every forwarded request
 // (the peer cache fill).
 type peerSet struct {
-	self  string
-	obs   *obs.Scope
-	full  *cluster.Ring // over the whole configured membership, self included
-	nowFn func() time.Time
+	self       string
+	obs        *obs.Scope
+	configured []string // the configured membership, self included, sorted
+	nowFn      func() time.Time
 
-	mu        sync.Mutex
-	clients   map[string]*peerClient
-	routing   *cluster.Ring   // over the current (gossip-fed) membership; = full in static mode
-	reachable *cluster.Ring   // over self + peers currently believed up
-	tracked   map[string]bool // group keys seen, for ring_moves accounting
-	keys      []string
-}
-
-// peerClient is the forwarding path to one peer, with its own breaker: a
-// dead peer fails fast after a few attempts instead of charging connect
-// timeouts to every request routed its way.
-type peerClient struct {
-	addr   string
-	client *Client
-	down   bool
+	mu      sync.Mutex
+	clients map[string]*Client // forwarding path per peer address
+	routing *cluster.Ring      // over the current membership
+	tracked map[string]bool    // group keys seen, for ring_moves accounting
+	keys    []string
 }
 
 // newPeerSet wires clients for every peer address except self. nowFn is the
@@ -66,35 +58,32 @@ func newPeerSet(self string, peers []string, scope *obs.Scope, nowFn func() time
 	p := &peerSet{
 		self:    self,
 		obs:     scope,
-		full:    cluster.NewRing(append(append([]string(nil), peers...), self)),
+		routing: cluster.NewRing(append(append([]string(nil), peers...), self)),
 		nowFn:   nowFn,
-		clients: map[string]*peerClient{},
+		clients: map[string]*Client{},
 		tracked: map[string]bool{},
 	}
-	for _, addr := range p.full.Nodes() {
-		if addr == self {
-			continue
+	p.configured = p.routing.Nodes()
+	for _, addr := range p.configured {
+		if addr != self {
+			p.clients[addr] = p.newClient(addr)
 		}
-		p.clients[addr] = p.newClient(addr)
 	}
-	p.routing = p.full
-	p.reachable = p.full
 	return p
 }
 
-// newClient wires the breaker-guarded forwarding path to one peer address.
-func (p *peerSet) newClient(addr string) *peerClient {
-	return &peerClient{
-		addr: addr,
-		client: &Client{
-			BaseURL: addr,
-			// Forwarding must degrade to local computation quickly: one
-			// retry with short backoff, then the caller falls back.
-			MaxRetries:  1,
-			BaseBackoff: 50 * time.Millisecond,
-			MaxBackoff:  500 * time.Millisecond,
-			breaker:     newBreaker(3, 5*time.Second, p.nowFn),
-		},
+// newClient wires the forwarding path to one peer address, with its own
+// breaker: a dead peer fails fast after a few attempts instead of charging
+// connect timeouts to every request routed its way.
+func (p *peerSet) newClient(addr string) *Client {
+	return &Client{
+		BaseURL: addr,
+		// Forwarding must degrade to local computation quickly: one
+		// retry with short backoff, then the caller falls back.
+		MaxRetries:  1,
+		BaseBackoff: 50 * time.Millisecond,
+		MaxBackoff:  500 * time.Millisecond,
+		breaker:     newBreaker(3, 5*time.Second, p.nowFn),
 	}
 }
 
@@ -133,7 +122,7 @@ func (p *peerSet) membership() []string {
 // successor resolves the replication target for a locally owned group: the
 // replica that would inherit the group if this one left the ring. nil when
 // the ring has no other member.
-func (p *peerSet) successor(groupKey string) *peerClient {
+func (p *peerSet) successor(groupKey string) *Client {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	addr := p.routing.NextOwner(groupKey, p.self)
@@ -146,10 +135,10 @@ func (p *peerSet) successor(groupKey string) *peerClient {
 	return p.clients[addr]
 }
 
-// route resolves a group key: the owning address from the full ring, and
+// route resolves a group key: the owning address on the routing ring, and
 // the peer client to forward through — nil when the key is owned locally
 // (or the membership is degenerate) and the caller should compute here.
-func (p *peerSet) route(groupKey string) (owner string, pc *peerClient) {
+func (p *peerSet) route(groupKey string) (owner string, pc *Client) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if !p.tracked[groupKey] && len(p.keys) < maxTrackedGroups {
@@ -161,39 +150,6 @@ func (p *peerSet) route(groupKey string) (owner string, pc *peerClient) {
 		return owner, nil
 	}
 	return owner, p.clients[owner]
-}
-
-// observe records a forwarding outcome for reachability accounting. An
-// up↔down transition rebuilds the reachable ring and counts how many
-// tracked group keys changed owner under it (cluster.ring_moves) — the
-// fraction of the keyspace whose cache locality the transition disturbed.
-// Context cancellations say nothing about the peer and are ignored.
-func (p *peerSet) observe(addr string, err error) {
-	if err != nil && (err == context.Canceled || err == context.DeadlineExceeded) {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pc := p.clients[addr]
-	if pc == nil {
-		return
-	}
-	down := err != nil
-	if pc.down == down {
-		return
-	}
-	pc.down = down
-	up := []string{p.self}
-	for a, c := range p.clients {
-		if !c.down {
-			up = append(up, a)
-		}
-	}
-	next := cluster.NewRing(up)
-	if moved := cluster.Moved(p.reachable, next, p.keys); moved > 0 {
-		p.obs.Count("cluster.ring_moves", int64(moved))
-	}
-	p.reachable = next
 }
 
 // timeoutFor resolves one request's evaluation deadline from its body,
@@ -224,8 +180,7 @@ func (s *Server) forwardEval(w http.ResponseWriter, r *http.Request, endpoint st
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(body))
 	defer cancel()
-	out, respHdr, err := pc.client.PostRaw(ctx, endpoint, payload, http.Header{forwardedHeader: []string{s.cfg.Self}})
-	s.peers.observe(owner, err)
+	out, respHdr, err := pc.PostRaw(ctx, endpoint, payload, http.Header{forwardedHeader: []string{s.cfg.Self}})
 	if err != nil {
 		s.obs.Count("cluster.fallbacks", 1)
 		return false
@@ -250,5 +205,5 @@ func (s *Server) Peers() []string {
 	if s.peers == nil {
 		return nil
 	}
-	return s.peers.full.Nodes()
+	return append([]string(nil), s.peers.configured...)
 }

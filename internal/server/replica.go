@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"time"
 
 	swapp "repro"
@@ -28,6 +29,11 @@ import (
 // is an optimisation: a push that cannot land quickly is dropped (counted)
 // rather than retried forever — the fallback is plain recomputation.
 const replicatePushTimeout = 5 * time.Second
+
+// maxReplicaBytes bounds one POST /v1/replicate body. The vault is bounded
+// in entries, so this is what bounds it in bytes; a rendered projection is
+// 2–5 KB.
+const maxReplicaBytes = 1 << 20
 
 // replicaMsg is the POST /v1/replicate body: the result-cache key (hex),
 // the producing endpoint, a sha256 of the body, and the rendered bytes.
@@ -91,7 +97,7 @@ func (s *Server) maybeReplicate(key cacheKey, ep int, endpoint string, res *swap
 	if succ == nil {
 		return
 	}
-	body, err := s.cache.renderedBytes(key, ep, res, render)
+	body, err := s.renderedBytes(key, ep, res, render)
 	if err != nil {
 		return
 	}
@@ -110,7 +116,7 @@ func (s *Server) maybeReplicate(key cacheKey, ep int, endpoint string, res *swap
 		defer s.replWG.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), replicatePushTimeout)
 		defer cancel()
-		if _, _, err := succ.client.PostRaw(ctx, "/v1/replicate", payload, nil); err != nil {
+		if _, _, err := succ.PostRaw(ctx, "/v1/replicate", payload, nil); err != nil {
 			s.obs.Count("cluster.replica_push_fails", 1)
 			return
 		}
@@ -127,7 +133,8 @@ func (s *Server) WaitReplication() { s.replWG.Wait() }
 // duplicate of a resident artifact changes neither counters' meaning nor
 // the vault size (counted as cluster.replica_dups); a checksum mismatch or
 // a body that is not JSON is rejected, so neither a corrupted push nor a
-// faithful push of garbage can poison the serving path.
+// faithful push of garbage can poison the serving path; a body over
+// maxReplicaBytes is 413.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/replicate", 1)
@@ -137,14 +144,20 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg replicaMsg
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&msg); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			s.obs.Count("cluster.replica_rejects", 1)
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("replica body exceeds %d bytes", maxReplicaBytes))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding replica: %w", err))
 		return
 	}
-	if len(msg.Key) != 2*sha256.Size || msg.Endpoint == "" || len(msg.Body) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("replica needs key, endpoint, and body"))
+	if len(msg.Key) != 2*sha256.Size || msg.Endpoint == "" || msg.Sum == "" || len(msg.Body) == 0 {
+		writeError(w, http.StatusBadRequest, errors.New("replica needs key, endpoint, sum, and body"))
 		return
 	}
 	if !json.Valid(msg.Body) {
@@ -211,11 +224,14 @@ func indirectPing(ctx context.Context, via, target string) error {
 
 // handleGossipPing serves GET /v1/gossip/ping?target=...: health-check the
 // target for a peer whose own direct link may be broken, answering 200 if
-// the target's /healthz responds and 502 otherwise.
+// the target's /healthz responds and 502 otherwise. Only a configured
+// cluster member is ever probed — anything else is 400, or this route would
+// send a GET wherever any caller pointed it. Registered in peer mode only.
 func (s *Server) handleGossipPing(w http.ResponseWriter, r *http.Request) {
 	target := r.URL.Query().Get("target")
-	if target == "" {
-		writeError(w, http.StatusBadRequest, errors.New("gossip ping needs a target"))
+	if !slices.Contains(s.peers.configured, target) {
+		s.obs.Count("cluster.gossip_ping_rejects", 1)
+		writeError(w, http.StatusBadRequest, errors.New("gossip ping needs a target that is a cluster member"))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), replicatePushTimeout)

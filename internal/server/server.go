@@ -45,6 +45,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/lru"
 	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -128,8 +129,8 @@ type Config struct {
 	// failure detector over the configured membership: each interval one
 	// peer is probed (direct /healthz, then indirect via other peers), and
 	// alive-view changes rebuild the routing ring without restarts — dead
-	// replicas leave the ring, rejoining ones return. Zero keeps the
-	// static-membership behaviour (the documented fallback).
+	// replicas leave the ring, rejoining ones return. Zero keeps the ring
+	// over the configured membership for good (the documented fallback).
 	GossipInterval time.Duration
 	// GossipProbeTimeout bounds one probe (default GossipInterval/2) and
 	// GossipSuspectAfter is the suspicion grace period before a peer is
@@ -176,7 +177,7 @@ type Server struct {
 	cfg     Config
 	obs     *obs.Scope
 	eval    EvalFunc
-	cache   *cache
+	cache   *resultCache
 	store   *core.Store      // shared layered artifact cache
 	breaker *breaker         // nil when disabled
 	peers   *peerSet         // nil when peer-aware mode is off
@@ -227,7 +228,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		obs:   cfg.Obs,
 		eval:  cfg.Eval,
-		cache: newCache(cfg.CacheSize),
+		cache: lru.New[cacheKey, entry](cfg.CacheSize),
 		store: core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache", Dir: cfg.charDir}),
 		sem:   make(chan struct{}, cfg.Workers),
 	}
@@ -300,7 +301,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	mux.HandleFunc("/v1/replicate", s.handleReplicate)
-	mux.HandleFunc("/v1/gossip/ping", s.handleGossipPing)
+	if s.peers != nil {
+		mux.HandleFunc("/v1/gossip/ping", s.handleGossipPing)
+	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -395,9 +398,9 @@ func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Resu
 		// the memoised bytes without allocating a timer context.
 		key := digest(op, req)
 		start := time.Now()
-		if res, ok := s.cache.get(key); ok {
+		if e, ok := s.cache.Get(key); ok {
 			s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
-			s.writeResult(w, key, ep, res, true, render)
+			s.writeResult(w, key, ep, e.res, true, render)
 			return
 		}
 
@@ -483,7 +486,7 @@ func (s *Server) writeResult(w http.ResponseWriter, key cacheKey, ep int, res *s
 	} else {
 		s.obs.Count("server.cache.result_misses", 1)
 	}
-	out, err := s.cache.renderedBytes(key, ep, res, render)
+	out, err := s.renderedBytes(key, ep, res, render)
 	if err != nil {
 		s.obs.Count("server.errors", 1)
 		writeError(w, http.StatusInternalServerError, err)
@@ -518,28 +521,24 @@ func retryAfterSeconds(d time.Duration) string {
 // leader — pass admission control and run the evaluation through the
 // shared layered store. hit reports a result-cache hit.
 func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request) (res *swapp.Result, hit bool, err error) {
-	res, cl, leader := s.cache.lookup(key)
-	if cl == nil {
-		return res, true, nil
+	e, flight, leader := s.cache.Lookup(key)
+	if flight == nil {
+		return e.res, true, nil
 	}
 	if !leader {
 		// Someone is already computing this result; wait for them under
 		// our own deadline.
-		select {
-		case <-cl.done:
-			return cl.res, false, cl.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
+		e, err := flight.Wait(ctx)
+		return e.res, false, err
 	}
 	if ra, ok := s.breaker.allow(); !ok {
 		err := &breakerOpenError{retryAfter: ra}
-		s.cache.finish(key, cl, nil, err)
+		s.cache.Finish(key, entry{}, err)
 		return nil, false, err
 	}
 	if err := s.admit(ctx); err != nil {
 		s.breaker.record(err) // queue-full and ctx errors are neutral
-		s.cache.finish(key, cl, nil, err)
+		s.cache.Finish(key, entry{}, err)
 		return nil, false, err
 	}
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(1)))
@@ -556,8 +555,7 @@ func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swap
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(-1)))
 	<-s.sem
 	s.breaker.record(err)
-	n := s.cache.finish(key, cl, res, err)
-	s.obs.Gauge("server.cache.result_size", float64(n))
+	s.obs.Gauge("server.cache.result_size", float64(s.cache.Finish(key, entry{res: res}, err)))
 	return res, false, err
 }
 
@@ -635,4 +633,4 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 // CacheLen reports the number of cached results (tests, /readyz probes).
-func (s *Server) CacheLen() int { return s.cache.len() }
+func (s *Server) CacheLen() int { return s.cache.Len() }
