@@ -45,10 +45,10 @@ benchmark:
 
 # Short mutation pass over the persistence decoders, the WAL scanner, the
 # job-journal replay, the characterisation files under -data-dir and the
-# /v1/batch and /v1/replicate request decoders (CI runs the same). The last
-# two's inputs are kilobytes of JSON and up: left at its default the
-# minimiser spends the whole smoke shrinking the first interesting one byte
-# by byte.
+# three HTTP request decoders — /v1/batch, /v1/replicate and the single
+# endpoints' APIRequest (CI runs the same). The batch and replicate inputs
+# are kilobytes of JSON and up: left at its default the minimiser spends the
+# whole smoke shrinking the first interesting one byte by byte.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCharFile$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzReplicateRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 # End-to-end smoke of the swappd service: start it, health-check, one
 # real cached /v1/project round-trip (second call must hit), clean drain —

@@ -14,15 +14,15 @@
 //	GET  /healthz /readyz /metrics /metrics.json /debug/pprof/
 //
 // With -self and -peers set, replicas form a consistent-hash ring and
-// forward each (base, target) group to its owning replica (see DESIGN.md
-// §13); a dead peer degrades to local computation.
+// forward what they do not hold to each (base, target) group's owning
+// replica (see DESIGN.md §10.3); a dead peer degrades to local computation.
 //
 // With -data-dir set, each benchmark characterisation is written to disk
 // as it is built and every job submission is journalled. A replica stops
 // one way — SIGTERM cancels unfinished jobs and exits, kill -9 just exits —
 // and comes back one way: restarted on the same directory it reads its
 // characterisation back instead of re-simulating it and re-runs the jobs
-// that never finished under their original IDs (see DESIGN.md §17).
+// that never finished under their original IDs (see DESIGN.md §10.7).
 //
 // Example:
 //
@@ -70,14 +70,12 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		maxTimeout  = fs.Duration("max-timeout", 10*time.Minute, "upper bound on client-requested deadlines")
 		evalWorkers = fs.Int("eval-workers", 0, "engine worker pool per evaluation (0 = GOMAXPROCS); does not affect the numbers")
 		grace       = fs.Duration("grace", 30*time.Second, "drain deadline after SIGTERM/SIGINT")
-		traceReqs   = fs.Bool("trace-requests", false, "record a span per evaluation (grows memory on long runs)")
 		stageTO     = fs.Duration("stage-timeout", 0, "per-stage evaluation budget, distinct from the request deadline (0 = off)")
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive failures tripping the circuit breaker (0 = default 5, negative = off)")
 		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-circuit rejection window before a probe (0 = default 10s)")
 		self        = fs.String("self", "", "this replica's advertised base URL in peer-aware mode (e.g. http://10.0.0.1:8080)")
 		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables consistent-hash request routing")
-		gossip      = fs.Bool("gossip", true, "run SWIM-style health gossip over -peers so the ring follows live membership; false pins the static -peers ring (fallback mode)")
-		gossipEvery = fs.Duration("gossip-interval", time.Second, "gossip probe cadence")
+		gossipEvery = fs.Duration("gossip-interval", time.Second, "SWIM-style health gossip probe cadence over -peers, so the ring follows live membership (0 = off: the ring stays on the static -peers list)")
 		gossipSusp  = fs.Duration("gossip-suspect", 0, "suspicion grace before a peer is declared dead (0 = 3x interval)")
 		gossipProbe = fs.Duration("gossip-probe-timeout", 0, "single gossip probe deadline (0 = interval/2)")
 		jobsActive  = fs.Int("jobs-active", 0, "max concurrently running async jobs (0 = default 2)")
@@ -112,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		MaxTimeout:       *maxTimeout,
 		EvalWorkers:      *evalWorkers,
 		Obs:              scope,
-		TraceRequests:    *traceReqs,
 		StageTimeout:     *stageTO,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
@@ -120,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 
 		Self:               *self,
 		Peers:              splitPeers(*peers),
-		GossipInterval:     gossipInterval(*gossip, *gossipEvery),
+		GossipInterval:     *gossipEvery,
 		GossipSuspectAfter: *gossipSusp,
 		GossipProbeTimeout: *gossipProbe,
 
@@ -179,15 +176,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	}
 	fmt.Fprintln(stderr, "swappd: drained")
 	return 0
-}
-
-// gossipInterval resolves the -gossip / -gossip-interval pair: zero (static
-// membership) unless gossip mode is on.
-func gossipInterval(enabled bool, every time.Duration) time.Duration {
-	if !enabled {
-		return 0
-	}
-	return every
 }
 
 // splitPeers parses the comma-separated -peers list, dropping empties so a

@@ -169,3 +169,51 @@ func TestListenFailure(t *testing.T) {
 		t.Errorf("bad address: exit %d, want 1 (stderr %q)", code, errOut.String())
 	}
 }
+
+// TestREADMEFlagTableIsComplete keeps README's swappd flag table honest in
+// both directions: every flag `swappd -h` lists has a row, and every row
+// names a flag that still exists.
+func TestREADMEFlagTableIsComplete(t *testing.T) {
+	var out, usage bytes.Buffer
+	if code := run([]string{"-h"}, &out, &usage, nil); code != 2 {
+		t.Fatalf("swappd -h: exit %d, want 2", code)
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(usage.String(), "\n") {
+		if name, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(name, " ")
+			flags[name] = true
+		}
+	}
+	if len(flags) != 25 {
+		t.Errorf("swappd -h lists %d flags, want 25; a new flag needs a reason, a removed one a smaller number here", len(flags))
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "### `swappd` flags\n")
+	if !ok {
+		t.Fatal("README.md has no \"### `swappd` flags\" section")
+	}
+	table, _, _ = strings.Cut(table, "\n#")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		if name, ok := strings.CutPrefix(line, "| `-"); ok {
+			name, _, _ = strings.Cut(name, "`")
+			name, _, _ = strings.Cut(name, " ")
+			rows[name] = true
+		}
+	}
+	for name := range flags {
+		if !rows[name] {
+			t.Errorf("README's swappd flag table has no row for -%s", name)
+		}
+	}
+	for name := range rows {
+		if !flags[name] {
+			t.Errorf("README's swappd flag table documents -%s, which swappd -h does not list", name)
+		}
+	}
+}

@@ -224,10 +224,8 @@ func (m *Manager) SweepAged() int {
 type Job struct {
 	ID string
 	Op string
-	// Group is the job's (base, target) routing key and Payload its
-	// original submission body, which the journal keeps so a restarted
-	// replica can resubmit the job verbatim.
-	Group   string
+	// Payload is the job's original submission body, which the journal
+	// keeps so a restarted replica can resubmit the job verbatim.
 	Payload []byte
 
 	mu         sync.Mutex
@@ -260,16 +258,15 @@ type JobStatus struct {
 	HasResult bool `json:"has_result"`
 }
 
-// JobSpec describes one submission beyond its op: the routing group and
-// original payload — the whole of a job's recoverable state, since an
-// evaluation is re-run from its payload, never resumed.
+// JobSpec describes one submission: its op and original payload — the
+// whole of a job's recoverable state, since an evaluation is re-run from
+// its payload, never resumed.
 type JobSpec struct {
 	// ID, when non-empty, pins the job's identity — recovered jobs keep
 	// their original IDs so clients' job URLs survive. Empty for fresh
 	// submissions (the manager assigns job-N).
 	ID      string
 	Op      string
-	Group   string
 	Payload []byte
 }
 
@@ -307,7 +304,6 @@ func (m *Manager) SubmitJob(spec JobSpec, run RunFunc) (*Job, error) {
 	j := &Job{
 		ID:      id,
 		Op:      spec.Op,
-		Group:   spec.Group,
 		Payload: spec.Payload,
 		state:   JobQueued,
 		done:    make(chan struct{}),

@@ -32,7 +32,7 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 	m.now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
 
 	started := make(chan struct{})
-	running, err := m.SubmitJob(JobSpec{Op: "project", Group: "g1"}, func(ctx context.Context, tap Tap) ([]byte, error) {
+	running, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 4})
 		close(started)
 		return blockUntilCancelled(ctx, tap)
@@ -41,7 +41,7 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 		t.Fatalf("SubmitJob: %v", err)
 	}
 	<-started
-	queued, err := m.SubmitJob(JobSpec{Op: "validate", Group: "g2"}, blockUntilCancelled)
+	queued, err := m.SubmitJob(JobSpec{Op: "validate"}, blockUntilCancelled)
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
@@ -214,7 +214,7 @@ func TestManagerJournalLifecycle(t *testing.T) {
 	m := NewManager(ManagerConfig{Journal: jl})
 	recorded := make(chan struct{})
 	release := make(chan struct{})
-	j, err := m.SubmitJob(JobSpec{Op: "project", Group: "g1"}, func(ctx context.Context, tap Tap) ([]byte, error) {
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 		for gen := 0; gen < 8; gen++ {
 			tap.Progress(Snapshot{Member: 1, Generation: gen, BestFitness: 1})
 		}
@@ -231,7 +231,7 @@ func TestManagerJournalLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 1 || pending[0].ID != j.ID || pending[0].Group != "g1" {
+	if len(pending) != 1 || pending[0].ID != j.ID {
 		t.Fatalf("mid-run recovery = %+v, want the live job", pending)
 	}
 

@@ -30,7 +30,8 @@ type Journal struct {
 
 // journalRecord is the WAL body wire form, one JSON object per record.
 // Journals written by earlier releases also hold per-generation search
-// state (extra record types, extra submit fields); decoding ignores both.
+// state and a routing group (extra record types, extra submit fields);
+// decoding ignores both.
 type journalRecord struct {
 	// Type is "submit" or "done".
 	Type string `json:"type"`
@@ -38,7 +39,6 @@ type journalRecord struct {
 
 	// Submission material (Type "submit").
 	Op      string `json:"op,omitempty"`
-	Group   string `json:"group,omitempty"`
 	Payload []byte `json:"payload,omitempty"`
 
 	// Terminal state (Type "done").
@@ -47,7 +47,7 @@ type journalRecord struct {
 
 // submitRecord is the journal form of one submission.
 func submitRecord(spec JobSpec) journalRecord {
-	return journalRecord{Type: "submit", ID: spec.ID, Op: spec.Op, Group: spec.Group, Payload: spec.Payload}
+	return journalRecord{Type: "submit", ID: spec.ID, Op: spec.Op, Payload: spec.Payload}
 }
 
 // OpenJournal opens (or creates) the job journal in dir, recovering any
@@ -107,7 +107,7 @@ func (jl *Journal) Recover() ([]JobSpec, error) {
 			if _, ok := pending[rec.ID]; ok {
 				return nil
 			}
-			pending[rec.ID] = JobSpec{ID: rec.ID, Op: rec.Op, Group: rec.Group, Payload: rec.Payload}
+			pending[rec.ID] = JobSpec{ID: rec.ID, Op: rec.Op, Payload: rec.Payload}
 			order = append(order, rec.ID)
 		case "done":
 			delete(pending, rec.ID)

@@ -27,9 +27,9 @@ func openTestJournal(t *testing.T, dir string, scope *obs.Scope) *Journal {
 func TestJournalRecoverPendingJobs(t *testing.T) {
 	dir := t.TempDir()
 	jl := openTestJournal(t, dir, nil)
-	jl.RecordSubmit(JobSpec{ID: "job-1", Op: "project", Group: "g1", Payload: []byte(`{"a":1}`)})
-	jl.RecordSubmit(JobSpec{ID: "job-2", Op: "validate", Group: "g2"})
-	jl.RecordSubmit(JobSpec{ID: "job-3", Op: "project", Group: "g1"})
+	jl.RecordSubmit(JobSpec{ID: "job-1", Op: "project", Payload: []byte(`{"a":1}`)})
+	jl.RecordSubmit(JobSpec{ID: "job-2", Op: "validate"})
+	jl.RecordSubmit(JobSpec{ID: "job-3", Op: "project"})
 	jl.RecordDone("job-9", JobDone) // unknown job: ignored
 	jl.RecordDone("job-2", JobDone)
 	if err := jl.Close(); err != nil {
@@ -46,7 +46,7 @@ func TestJournalRecoverPendingJobs(t *testing.T) {
 		t.Fatalf("pending = %+v, want job-1 then job-3", pending)
 	}
 	j1 := pending[0]
-	if j1.Op != "project" || j1.Group != "g1" || string(j1.Payload) != `{"a":1}` {
+	if j1.Op != "project" || string(j1.Payload) != `{"a":1}` {
 		t.Errorf("job-1 submission material lost: %+v", j1)
 	}
 	// Replay is idempotent: a second recovery sees the same pending set.
@@ -183,7 +183,7 @@ func TestJournalRecoversLegacyFormat(t *testing.T) {
 		t.Fatalf("pending = %+v, want exactly job-7", pending)
 	}
 	got := pending[0]
-	if got.ID != "job-7" || got.Op != "project" || got.Group != "hydra|power6-575" || string(got.Payload) != payload {
+	if got.ID != "job-7" || got.Op != "project" || string(got.Payload) != payload {
 		t.Fatalf("recovered spec = %+v (payload %s)", got, got.Payload)
 	}
 	if err := jl.Compact(pending); err != nil {

@@ -334,7 +334,7 @@ type coro struct {
 // largest the pipeline simulates — so with up to four kernels in flight
 // every process after the first world's starts on a recycled coroutine;
 // more concurrency than that still works and only recycles less. DESIGN.md
-// §15 has the measured cost.
+// §12 has the measured cost.
 const freeCoroCap = 512
 
 // freeCoros holds parked coroutines between processes.

@@ -1,6 +1,7 @@
 // Package durable is swappd's crash-durability layer: a CRC32C-framed,
-// segment-rotated, append-only write-ahead log plus the snapshot helpers
-// the server builds on (job journal, artifact-vault spill).
+// segment-rotated, append-only write-ahead log. Its one user is the job
+// journal (internal/cluster); benchmark characterisation is persisted
+// separately, one file per table (internal/core).
 //
 // Frame format, little-endian:
 //
@@ -175,7 +176,7 @@ func (w *WAL) scan() error {
 		return err
 	}
 	for si, seg := range segs {
-		valid, reason, err := w.validPrefix(filepath.Join(w.dir, segName(seg)))
+		valid, reason, err := w.readFrames(filepath.Join(w.dir, segName(seg)), nil)
 		if err != nil {
 			return err
 		}
@@ -201,35 +202,38 @@ func (w *WAL) scan() error {
 	return nil
 }
 
-// validPrefix scans one segment file and returns the byte offset of its
-// valid frame prefix. reason is "" when the whole file is valid,
-// otherwise a short description of the first bad frame (corruption is
-// counted here).
-func (w *WAL) validPrefix(path string) (valid int64, reason string, err error) {
+// readFrames is the one frame reader: it walks one segment file front to
+// back, verifying each frame (length bounds, full body, CRC32C) and handing
+// its body to fn (nil: verify only). valid is the byte offset of the
+// verified prefix; reason is "" when the file ends cleanly on a frame
+// boundary, otherwise a short description of the first bad frame (a
+// checksum mismatch is counted as corruption here). fn's slice is only
+// valid for the duration of the call; an error from fn, or an I/O error
+// other than running out of file, stops the walk and is returned.
+func (w *WAL) readFrames(path string, fn func(rec []byte) error) (valid int64, reason string, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, "", fmt.Errorf("durable: open segment for scan: %w", err)
+		return 0, "", fmt.Errorf("durable: open segment: %w", err)
 	}
 	defer f.Close()
-	var off int64
 	var hdr [frameHeader]byte
 	var body []byte
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
-				return off, "", nil // clean end
+				return valid, "", nil // clean end
 			}
 			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return off, "short header", nil
+				return valid, "short header", nil
 			}
-			return 0, "", fmt.Errorf("durable: scan segment: %w", err)
+			return valid, "", fmt.Errorf("durable: read segment: %w", err)
 		}
 		length := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if length == 0 || length > MaxRecordBytes {
 			// A zero length would loop forever on zero-filled tails; an
 			// implausible one is damage, not an allocation request.
-			return off, "implausible length", nil
+			return valid, "implausible length", nil
 		}
 		if int(length) > cap(body) {
 			body = make([]byte, length)
@@ -237,26 +241,33 @@ func (w *WAL) validPrefix(path string) (valid int64, reason string, err error) {
 		body = body[:length]
 		if _, err := io.ReadFull(f, body); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return off, "short body", nil
+				return valid, "short body", nil
 			}
-			return 0, "", fmt.Errorf("durable: scan segment: %w", err)
+			return valid, "", fmt.Errorf("durable: read segment: %w", err)
 		}
-		if fault := faultinject.FireIO("durable.wal.replay"); fault != nil && fault.Mode == faultinject.ModeCorrupt && length > 0 {
+		if fault := faultinject.FireIO("durable.wal.replay"); fault != nil && fault.Mode == faultinject.ModeCorrupt {
 			body[int(length)/2] ^= 1
 		}
 		if crc32.Checksum(body, castagnoli) != want {
 			w.corrupt.Add(1)
 			w.opts.Obs.Count("durable.wal_corrupt", 1)
-			return off, "checksum mismatch", nil
+			return valid, "checksum mismatch", nil
 		}
-		off += frameHeader + int64(length)
+		if fn != nil {
+			if err := fn(body); err != nil {
+				return valid, "", err
+			}
+		}
+		valid += frameHeader + int64(length)
 	}
 }
 
 // Replay streams every record (in append order, across segments) to fn.
 // It must only be called on a freshly Opened log, before new appends are
 // interleaved with the replay read. fn's slice is only valid for the
-// duration of the call.
+// duration of the call. Open's scan already cut the log at its first bad
+// frame; one that appears since (or is injected) ends the replay there —
+// the chain is broken — without an error.
 func (w *WAL) Replay(fn func(rec []byte) error) error {
 	w.mu.Lock()
 	segs := append([]int(nil), w.segments...)
@@ -264,48 +275,16 @@ func (w *WAL) Replay(fn func(rec []byte) error) error {
 	if err := faultinject.Fire("durable.wal.replay"); err != nil {
 		return err
 	}
-	var hdr [frameHeader]byte
-	var body []byte
+	deliver := func(rec []byte) error {
+		w.replayed.Add(1)
+		w.opts.Obs.Count("durable.wal_replayed", 1)
+		return fn(rec)
+	}
 	for _, seg := range segs {
-		f, err := os.Open(filepath.Join(w.dir, segName(seg)))
-		if err != nil {
-			return fmt.Errorf("durable: open segment for replay: %w", err)
+		_, reason, err := w.readFrames(filepath.Join(w.dir, segName(seg)), deliver)
+		if err != nil || reason != "" {
+			return err
 		}
-		for {
-			if _, err := io.ReadFull(f, hdr[:]); err != nil {
-				if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-					break
-				}
-				f.Close()
-				return fmt.Errorf("durable: replay: %w", err)
-			}
-			length := binary.LittleEndian.Uint32(hdr[0:4])
-			want := binary.LittleEndian.Uint32(hdr[4:8])
-			if length == 0 || length > MaxRecordBytes {
-				break // scan already cut here on Open; be defensive anyway
-			}
-			if int(length) > cap(body) {
-				body = make([]byte, length)
-			}
-			body = body[:length]
-			if _, err := io.ReadFull(f, body); err != nil {
-				break
-			}
-			if crc32.Checksum(body, castagnoli) != want {
-				// Damage that appeared after Open's scan (or injected):
-				// reject the record and stop — the chain is broken.
-				w.corrupt.Add(1)
-				w.opts.Obs.Count("durable.wal_corrupt", 1)
-				break
-			}
-			w.replayed.Add(1)
-			w.opts.Obs.Count("durable.wal_replayed", 1)
-			if err := fn(body); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		f.Close()
 	}
 	return nil
 }

@@ -131,7 +131,7 @@ type pending struct {
 // memory. The lists are short: a lookup reads 0.5 entries on average in an
 // IMB table, 1–3 in the class-C applications and 28 in the worst job the
 // pipeline runs (BT-MZ.D on 16 ranks, 250 entries at its longest), where
-// it still beats the map of queues it replaced. DESIGN.md §15.
+// it still beats the map of queues it replaced. DESIGN.md §12.
 type matchList []pending
 
 // take removes and returns the oldest entry posted for (src, tag).

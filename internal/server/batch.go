@@ -77,7 +77,7 @@ type batchResponse struct {
 	Groups  int          `json:"groups"`
 }
 
-// batchWork is one validated item awaiting evaluation.
+// batchWork is one validated item awaiting its answer.
 type batchWork struct {
 	idx  int
 	spec endpointSpec
@@ -86,11 +86,12 @@ type batchWork struct {
 }
 
 // handleBatch serves POST /v1/batch: decode every item, group them by
-// normalised (base, target) key, and evaluate group by group — each group
-// forwarded whole to its owning replica in peer-aware mode, or run locally
-// with its members sharing one characterisation fill through the layered
-// store. Item failures are per-entry statuses; the batch itself only fails
-// on malformed envelopes.
+// normalised (base, target) key, and answer group by group in the order
+// every delivery shares — members held here inline, the rest forwarded
+// together to the group's owning replica in peer-aware mode, and whatever
+// the owner did not answer computed locally, its members sharing one
+// characterisation fill through the layered store. Item failures are
+// per-entry statuses; the batch itself only fails on malformed envelopes.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/batch", 1)
@@ -137,18 +138,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			entries[i] = batchEntry{Index: i, Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
-		key := cluster.GroupKey(req.Base, req.Target)
-		groups[key] = append(groups[key], batchWork{idx: i, spec: spec, body: item.APIRequest, req: req})
+		gkey := cluster.GroupKey(req.Base, req.Target)
+		groups[gkey] = append(groups[gkey], batchWork{idx: i, spec: spec, body: item.APIRequest, req: req})
 	}
 
-	// Evaluate group by group. A member this replica already holds is
-	// answered inline — a cached batch item costs what a cached hit costs —
-	// and the misses run concurrently: concurrent members of one group
-	// collapse onto a single characterisation fill (store singleflight),
-	// which is the point of batching. The batch-level semaphore keeps one
-	// batch from flooding the admission queue and rejecting itself. One
-	// WaitGroup joins the groups and the misses: a group adds its misses
-	// before its own Done, so the count cannot touch zero early.
+	// A member this replica already holds is answered inline — a cached
+	// batch item costs what a cached hit costs — and only the members still
+	// open go to the owner or, failing that, to goroutines of their own:
+	// concurrent members of one group collapse onto a single
+	// characterisation fill (store singleflight), which is the point of
+	// batching. The batch-level semaphore keeps one batch from flooding the
+	// admission queue and rejecting itself. One WaitGroup joins the groups
+	// and the misses: a group adds its misses before its own Done, so the
+	// count cannot touch zero early.
 	forwarded := r.Header.Get(forwardedHeader) != ""
 	sem := make(chan struct{}, s.cfg.Workers)
 	var wg sync.WaitGroup
@@ -156,11 +158,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(gkey string, members []batchWork) {
 			defer wg.Done()
-			if s.peers != nil && !forwarded && s.forwardBatchGroup(r, gkey, members, entries) {
+			open := members[:0]
+			for _, wk := range members {
+				if doc, oc, ok := s.held(digest(wk.spec.op, wk.req), wk.spec); ok {
+					entries[wk.idx] = answeredEntry(doc, oc)
+				} else {
+					open = append(open, wk)
+				}
+			}
+			if len(open) == 0 || (s.peers != nil && !forwarded && s.forwardBatchGroup(r, gkey, open, entries)) {
 				return
 			}
-			for _, wk := range members {
-				s.runBatchItem(r.Context(), wk, sem, &wg, &entries[wk.idx])
+			wg.Add(len(open))
+			for _, wk := range open {
+				go func(wk batchWork) {
+					defer wg.Done()
+					sem <- struct{}{}
+					defer func() { <-sem }()
+					entries[wk.idx] = s.computeBatchItem(r.Context(), wk)
+				}(wk)
 			}
 		}(gkey, members)
 	}
@@ -176,66 +192,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	batchBufPool.Put(buf)
 }
 
-// runBatchItem resolves one batch member into *out, mirroring its
-// endpoint's semantics — same cache key, same rendered bytes, same error
-// statuses. Cached, else compute: a replicated or memoised result is
-// answered on the caller's goroutine, and only a miss is handed to a
-// goroutine of its own, joined through wg.
-func (s *Server) runBatchItem(parent context.Context, wk batchWork, sem chan struct{}, wg *sync.WaitGroup, out *batchEntry) {
-	key := digest(wk.spec.op, wk.req)
-	// Warm failover, same order as the single endpoints: a replicated
-	// result from a (possibly dead) owner serves before any computation.
-	if body, ok := s.replicaBytes(key, wk.spec.endpoint); ok {
-		*out = batchEntry{Status: http.StatusOK, Body: bytes.TrimSuffix(body, []byte("\n"))}
-		return
-	}
-	if e, ok := s.cache.Get(key); ok {
-		s.obs.Count("server.cache.result_hits", 1)
-		*out = s.renderBatchItem(key, wk, e.res)
-		return
-	}
-	wg.Add(1)
-	go s.computeBatchItem(parent, key, wk, sem, wg, out)
+// answeredEntry wraps a member's document as its entry. The endpoints
+// terminate their documents with '\n'; embedded JSON cannot carry it, so
+// entries hold the document body alone. Everything but a vault answer was
+// rendered by this process (see appendBatchResponse).
+func answeredEntry(doc []byte, oc outcome) batchEntry {
+	return batchEntry{Status: http.StatusOK, Body: bytes.TrimSuffix(doc, []byte("\n")), rendered: oc != outcomeReplica}
 }
 
-// computeBatchItem is runBatchItem's miss arm: take a slot of the batch
-// semaphore, evaluate under the item's own deadline (or join whoever
-// already is), then render and replicate as the item's endpoint would.
-func (s *Server) computeBatchItem(parent context.Context, key cacheKey, wk batchWork, sem chan struct{}, wg *sync.WaitGroup, out *batchEntry) {
-	defer wg.Done()
-	sem <- struct{}{}
-	defer func() { <-sem }()
+// computeBatchItem is an open member's miss arm: compute under the item's
+// own deadline, with its endpoint's error statuses.
+func (s *Server) computeBatchItem(parent context.Context, wk batchWork) batchEntry {
 	ctx, cancel := context.WithTimeout(parent, s.timeoutFor(wk.body))
 	defer cancel()
-	res, hit, err := s.evaluate(ctx, wk.spec.op, key, wk.req)
+	doc, oc, err := s.compute(ctx, digest(wk.spec.op, wk.req), wk.spec, wk.req, nil)
 	if err != nil {
 		status, _ := s.errorStatus(err)
-		*out = batchEntry{Status: status, Error: err.Error()}
-		return
+		return batchEntry{Status: status, Error: err.Error()}
 	}
-	if hit {
-		// Finished by someone else since runBatchItem looked.
-		s.obs.Count("server.cache.result_hits", 1)
-	} else {
-		s.obs.Count("server.cache.result_misses", 1)
-	}
-	*out = s.renderBatchItem(key, wk, res)
-	if !hit {
-		s.maybeReplicate(key, wk.spec.ep, wk.spec.endpoint, res, wk.req, wk.spec.render)
-	}
-}
-
-// renderBatchItem turns a finished result into its entry through the
-// cache's memoised bytes. The endpoints terminate their documents with
-// '\n'; embedded JSON cannot carry it, so entries hold the document body
-// alone.
-func (s *Server) renderBatchItem(key cacheKey, wk batchWork, res *swapp.Result) batchEntry {
-	out, err := s.renderedBytes(key, wk.spec.ep, res, wk.spec.render)
-	if err != nil {
-		s.obs.Count("server.errors", 1)
-		return batchEntry{Status: http.StatusInternalServerError, Error: err.Error()}
-	}
-	return batchEntry{Status: http.StatusOK, Body: bytes.TrimSuffix(out, []byte("\n")), rendered: true}
+	return answeredEntry(doc, oc)
 }
 
 // batchBufPool recycles /v1/batch response buffers (the sync.Pool idiom of
@@ -290,10 +265,10 @@ func appendBatchResponse(buf []byte, entries []batchEntry, groups int) []byte {
 	return append(buf, "}\n"...)
 }
 
-// forwardBatchGroup relays one whole group to its owning replica as a
-// nested /v1/batch call, mapping the peer's positional results back to this
-// batch's indexes. It reports whether the group was served; any failure
-// counts a fallback and sends the group to local computation.
+// forwardBatchGroup relays a group's open members to its owning replica as
+// one nested /v1/batch call, mapping the peer's positional results back to
+// this batch's indexes. It reports whether they were served; any failure
+// counts a fallback and sends them to local computation.
 func (s *Server) forwardBatchGroup(r *http.Request, gkey string, members []batchWork, entries []batchEntry) bool {
 	_, pc := s.peers.route(gkey)
 	if pc == nil {

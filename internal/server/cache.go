@@ -52,29 +52,8 @@ const (
 type resultCache = lru.Cache[cacheKey, entry]
 
 // entry is one resultCache value: the result, immutable once published,
-// plus its rendered wire bytes per endpoint — rendered at most once per
-// (entry, endpoint) and served as-is on every later hit, so the hot path
-// never re-marshals a projection.
+// plus its rendered wire bytes per endpoint (see Server.render).
 type entry struct {
 	res      *swapp.Result
 	rendered [numEndpoints][]byte
-}
-
-// renderedBytes returns the wire bytes for (key, ep), rendering via render
-// at most once per slot: a hit serves the stored bytes with zero
-// marshalling work. Rendering runs outside the lock (it is a pure function
-// of the immutable result); concurrent first-renders produce identical
-// bytes, so last-write-wins is benign. When the entry has been evicted the
-// bytes are rendered and returned uncached.
-func (s *Server) renderedBytes(key cacheKey, ep int, res *swapp.Result, render func(*swapp.Result) ([]byte, error)) ([]byte, error) {
-	e, ok := s.cache.Get(key)
-	if ok && e.rendered[ep] != nil {
-		return e.rendered[ep], nil
-	}
-	b, err := render(res)
-	if err != nil || !ok {
-		return b, err
-	}
-	s.cache.Update(key, func(e *entry) { e.rendered[ep] = b })
-	return b, nil
 }

@@ -164,7 +164,8 @@ func BenchmarkRingBatch(b *testing.B) {
 // owner for every group: a request lands on the owner's evaluator no
 // matter which replica receives it, responses are byte-identical from
 // every entry point, and the X-Swapp-Peer header names the owner exactly
-// when the receiver forwarded.
+// when the receiver forwarded — which a non-owner does unless the owner's
+// replicated bytes got there first.
 func TestClusterRoutingDeterminism(t *testing.T) {
 	reps, _ := newCluster(t, 3)
 	requests := []string{
@@ -190,8 +191,8 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 			if rep.url == owner && peer != "" {
 				t.Errorf("owner replica %d forwarded to %q", i, peer)
 			}
-			if rep.url != owner && peer != owner {
-				t.Errorf("replica %d: X-Swapp-Peer = %q, want owner %q", i, peer, owner)
+			if replica := peer == "" && hdr.Get("X-Cache") == "replica"; rep.url != owner && peer != owner && !replica {
+				t.Errorf("replica %d: X-Swapp-Peer = %q (X-Cache %q), want owner %q or the owner's replicated bytes", i, peer, hdr.Get("X-Cache"), owner)
 			}
 		}
 	}
@@ -220,11 +221,18 @@ func TestClusterPeerCacheFill(t *testing.T) {
 	reps, _ := newCluster(t, 3)
 	body := `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`
 	owner := ownerOf(t, reps, body)
+	// The sender is the replica that neither owns the group nor succeeds its
+	// owner: the successor is pushed the owner's bytes after the first fill
+	// and would answer the second request from its vault, with no forward.
+	urls := make([]string, len(reps))
+	for i, rep := range reps {
+		urls[i] = rep.url
+	}
+	succ := cluster.NewRing(urls).NextOwner(groupKeyOf(t, body), owner)
 	var sender *clusterReplica
 	for _, rep := range reps {
-		if rep.url != owner {
+		if rep.url != owner && rep.url != succ {
 			sender = rep
-			break
 		}
 	}
 	_, hdr1, _ := post(t, sender.url+"/v1/project", body)
@@ -296,22 +304,12 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 		`{"base":"bgp","target":"hydra","bench":"SP-MZ","class":"C","ranks":16}`,
 		`{"base":"power6-575","target":"bgp","bench":"LU-MZ","class":"C","ranks":16}`,
 	}
-	// Receiver: replica 0. Victim: the owner of some group that is not the
-	// receiver, so its groups genuinely needed forwarding.
+	// Victim: the owner of the first group. Receiver: any other replica, so
+	// the victim's groups genuinely need forwarding.
+	victim := byURL(t, reps, ownerOf(t, reps, bodies[0]))
 	receiver := reps[0]
-	var victim *clusterReplica
-	for _, body := range bodies {
-		if owner := ownerOf(t, reps, body); owner != receiver.url {
-			for _, rep := range reps {
-				if rep.url == owner {
-					victim = rep
-				}
-			}
-			break
-		}
-	}
-	if victim == nil {
-		t.Fatal("no group hashed off the receiver; add targets")
+	if receiver == victim {
+		receiver = reps[1]
 	}
 
 	// Healthy pass: the batch spreads across the ring.
@@ -345,17 +343,22 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 			t.Errorf("entry %d differs from the single-process run:\ncluster: %s\nsingle:  %s", i, e.Body, want)
 		}
 	}
-	if counter(receiver.scope, "cluster.fallbacks") == 0 {
-		t.Error("dead peer produced no fallbacks")
+	// What the victim owned is held where it replicated to, recomputed
+	// where it did not.
+	if counter(receiver.scope, "cluster.fallbacks")+counter(receiver.scope, "cluster.replica_hits") == 0 {
+		t.Error("the dead peer's groups were neither served from its replicated bytes nor recomputed")
 	}
 
 	// Rejoin: the next forward to the recovered replica succeeds again.
 	// Ageing the clock past the peer breaker's cooldown lets its half-open
 	// probe through.
+	// A fresh key of the victim's group: the receiver now holds the old ones
+	// and would not ask anyone for them.
 	victim.killed.Store(false)
 	clock.advance(time.Minute)
 	served := counter(victim.scope, "server.requests./v1/batch")
-	code, _, out = post(t, receiver.url+"/v1/batch", batchBody(t, bodies...))
+	fresh := batchBody(t, strings.Replace(bodies[0], `"ranks":16`, `"ranks":8`, 1))
+	code, _, out = post(t, receiver.url+"/v1/batch", fresh)
 	if code != 200 {
 		t.Fatalf("post-rejoin batch status = %d: %s", code, out)
 	}
@@ -374,82 +377,145 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 	}
 }
 
-// TestClusterBatchOrderOwnerReplicaCache pins the order a batch group
-// resolves in on a non-owner, which answering cached members inline must
-// not have disturbed: the live owner first, even when this replica's own
-// LRU could answer; then the replica vault; the local result cache and
-// computation last.
-func TestClusterBatchOrderOwnerReplicaCache(t *testing.T) {
-	reps, clock := newCluster(t, 2)
+// TestClusterHeldOwnerCompute pins the one order every delivery resolves in
+// — held here, else the group's owner, else compute — by running the same
+// arc through the single endpoint, a batch and async jobs on a 2-replica
+// ring, always asking the replica that does not own the group. A held
+// document is never fetched over the wire, the LRU's or the vault's; the
+// owner is asked for open members only; and nothing is evaluated twice
+// anywhere. Jobs take the same path minus the owner hop.
+func TestClusterHeldOwnerCompute(t *testing.T) {
 	bodies := []string{
 		`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`,
 		`{"target":"power6-575","bench":"SP-MZ","class":"C","ranks":32}`,
+		`{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":16}`,
+		`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":64}`,
 	}
-	batch := batchBody(t, bodies...)
-	owner := byURL(t, reps, ownerOf(t, reps, bodies[0]))
-	other := reps[0]
-	if other == owner {
-		other = reps[1]
-	}
-	members := int64(len(bodies))
-	submit := func(phase string) []batchEntry {
-		t.Helper()
-		code, _, out := post(t, other.url+"/v1/batch", batch)
-		if code != 200 {
-			t.Fatalf("%s: batch status = %d: %s", phase, code, out)
-		}
-		resp := decodeBatch(t, out)
-		for i, e := range resp.Results {
-			if e.Status != 200 {
-				t.Fatalf("%s: entry %d failed: %d %s", phase, i, e.Status, e.Error)
+	// ask delivers bodies[i] for each i in idx at rep and returns the
+	// documents, newline-terminated as the endpoint serves them.
+	type askFunc func(t *testing.T, rep *clusterReplica, idx ...int) [][]byte
+	for _, d := range []struct {
+		name     string
+		forwards bool // does this delivery send open members to the owner?
+		ask      askFunc
+	}{
+		{"single", true, func(t *testing.T, rep *clusterReplica, idx ...int) [][]byte {
+			docs := make([][]byte, len(idx))
+			for k, i := range idx {
+				code, _, out := post(t, rep.url+"/v1/project", bodies[i])
+				if code != 200 {
+					t.Fatalf("body %d: status %d: %s", i, code, out)
+				}
+				docs[k] = out
 			}
-		}
-		return resp.Results
-	}
+			return docs
+		}},
+		{"batch", true, func(t *testing.T, rep *clusterReplica, idx ...int) [][]byte {
+			items := make([]string, len(idx))
+			for k, i := range idx {
+				items[k] = bodies[i]
+			}
+			code, _, out := post(t, rep.url+"/v1/batch", batchBody(t, items...))
+			if code != 200 {
+				t.Fatalf("batch status = %d: %s", code, out)
+			}
+			docs := make([][]byte, len(idx))
+			for k, e := range decodeBatch(t, out).Results {
+				if e.Status != 200 {
+					t.Fatalf("body %d: entry failed: %d %s", idx[k], e.Status, e.Error)
+				}
+				docs[k] = append(append([]byte(nil), e.Body...), '\n')
+			}
+			return docs
+		}},
+		{"job", false, func(t *testing.T, rep *clusterReplica, idx ...int) [][]byte {
+			docs := make([][]byte, len(idx))
+			for k, i := range idx {
+				st := submitJob(t, rep.url, `{"request":`+bodies[i]+`}`)
+				if final := waitJobDone(t, rep.url, st.ID); final.State != cluster.JobDone {
+					t.Fatalf("body %d: job %s (%s)", i, final.State, final.Error)
+				}
+				docs[k] = resultBytes(t, rep.url, st.ID)
+			}
+			return docs
+		}},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			reps, clock := newCluster(t, 2)
+			owner := byURL(t, reps, ownerOf(t, reps, bodies[0]))
+			other := reps[0]
+			if other == owner {
+				other = reps[1]
+			}
+			evals := func(phase string, atOther, atOwner int64) {
+				t.Helper()
+				if a, b := other.eval.calls.Load(), owner.eval.calls.Load(); a != atOther || b != atOwner {
+					t.Errorf("%s: non-owner ran %d evaluations and the owner %d, want %d and %d", phase, a, b, atOther, atOwner)
+				}
+			}
 
-	// Owner down: the non-owner falls back, computes the group itself and
-	// keeps the results in its own LRU.
-	owner.killed.Store(true)
-	submit("owner down")
-	if n := other.eval.calls.Load(); n != members {
-		t.Fatalf("fallback ran %d evaluations, want %d", n, members)
-	}
+			// Compute: with the owner unreachable, the non-owner fills two
+			// keys itself and keeps them in its LRU.
+			owner.killed.Store(true)
+			first := d.ask(t, other, 0, 1)
+			evals("owner down", 2, 0)
+			if d.forwards && counter(other.scope, "cluster.fallbacks") == 0 {
+				t.Error("owner down: the failed forwards counted no fallback")
+			}
 
-	// Owner back: the group is forwarded whole all the same — the local
-	// LRU is not consulted ahead of the ring.
-	owner.killed.Store(false)
-	clock.advance(time.Minute)
-	fromOwner := submit("owner back")
-	if n := counter(other.scope, "cluster.forwards"); n != members {
-		t.Errorf("cluster.forwards = %d, want %d (the whole group)", n, members)
-	}
-	if n := counter(other.scope, "server.cache.result_hits"); n != 0 {
-		t.Errorf("non-owner answered %d members from its own LRU with the owner alive", n)
-	}
-	if n := owner.eval.calls.Load(); n != members {
-		t.Errorf("owner ran %d evaluations, want %d", n, members)
-	}
-	owner.srv.WaitReplication()
-	if n := counter(other.scope, "cluster.replica_stores"); n != members {
-		t.Fatalf("successor stored %d replicas, want %d", n, members)
-	}
+			// The owner comes back and fills a third key, which lands in the
+			// non-owner's vault: the non-owner is the group's ring successor.
+			owner.killed.Store(false)
+			clock.advance(time.Minute)
+			code, _, fromOwner := post(t, owner.url+"/v1/project", bodies[2])
+			if code != 200 {
+				t.Fatalf("owner's own request: status %d: %s", code, fromOwner)
+			}
+			owner.srv.WaitReplication()
+			if n := counter(other.scope, "cluster.replica_stores"); n != 1 {
+				t.Fatalf("successor stored %d replicas, want 1", n)
+			}
 
-	// Owner down again: the replicated bytes answer before the local LRU,
-	// and they are the owner's bytes.
-	owner.killed.Store(true)
-	fromVault := submit("owner down again")
-	if n := counter(other.scope, "cluster.replica_hits"); n != members {
-		t.Errorf("cluster.replica_hits = %d, want %d", n, members)
-	}
-	if n := counter(other.scope, "server.cache.result_hits"); n != 0 {
-		t.Errorf("local LRU answered %d members ahead of the replica vault", n)
-	}
-	if n := other.eval.calls.Load(); n != members {
-		t.Errorf("non-owner ran %d evaluations in all, want the first fallback's %d", n, members)
-	}
-	for i := range fromVault {
-		if !bytes.Equal(fromVault[i].Body, fromOwner[i].Body) {
-			t.Errorf("entry %d from the replica vault differs from the owner's:\nvault: %s\nowner: %s", i, fromVault[i].Body, fromOwner[i].Body)
-		}
+			// Held: all three are answered where they are asked, the owner
+			// alive and unconsulted — two from the LRU, one from the vault,
+			// byte for byte what the owner served.
+			hits := counter(other.scope, "server.cache.result_hits")
+			held := d.ask(t, other, 0, 1, 2)
+			evals("held", 2, 1)
+			if n := counter(other.scope, "cluster.forwards"); n != 0 {
+				t.Errorf("held: cluster.forwards = %d, want 0", n)
+			}
+			if n := counter(other.scope, "server.cache.result_hits") - hits; n != 2 {
+				t.Errorf("held: the LRU answered %d members, want 2", n)
+			}
+			if n := counter(other.scope, "cluster.replica_hits"); n != 1 {
+				t.Errorf("held: cluster.replica_hits = %d, want 1", n)
+			}
+			if !bytes.Equal(held[0], first[0]) || !bytes.Equal(held[1], first[1]) {
+				t.Error("held: the LRU's bytes differ from the ones computed")
+			}
+			if !bytes.Equal(held[2], fromOwner) {
+				t.Errorf("held: the vault's bytes differ from the owner's:\nvault: %s\nowner: %s", held[2], fromOwner)
+			}
+
+			// Owner: of a held key and a new one, only the new one is open,
+			// and only an open member crosses the wire. A job computes it
+			// here instead.
+			d.ask(t, other, 0, 3)
+			if d.forwards {
+				evals("one open member", 2, 2)
+				if n := counter(other.scope, "cluster.forwards"); n != 1 {
+					t.Errorf("one open member: cluster.forwards = %d, want 1", n)
+				}
+			} else {
+				evals("one open member", 3, 1)
+				if n := counter(other.scope, "cluster.forwards"); n != 0 {
+					t.Errorf("a job was forwarded: cluster.forwards = %d", n)
+				}
+			}
+			if n := other.eval.calls.Load() + owner.eval.calls.Load(); n != int64(len(bodies)) {
+				t.Errorf("the ring ran %d evaluations for %d distinct keys", n, len(bodies))
+			}
+		})
 	}
 }

@@ -125,3 +125,51 @@ func FuzzReplicateRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzEvalRequest: the three single endpoints decode the same APIRequest.
+// Arbitrary bytes posted to any of them never panic the handler, are
+// answered 200 or 400 with one JSON line, and a 200 is a pure function of
+// the bytes sent: the same bytes again get the same document, this time
+// from the result cache.
+func FuzzEvalRequest(f *testing.F) {
+	f.Add([]byte(reqBT))
+	f.Add([]byte(`{"base":"bgp","target":"hydra","bench":"SP-MZ","class":"D","ranks":64,"timeout_ms":250}`))
+	f.Add([]byte(reqBT[:len(reqBT)-1] + `,"bogus":1}`))                                              // unknown field
+	f.Add([]byte(reqBT + ` trailing`))                                                               // the decoder stops at the value's end
+	f.Add([]byte(`{"target":"power6-575","bench":"BT-MZ","class":"Ç","ranks":16}`))                  // multi-byte class
+	f.Add([]byte(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":9223372036854775807}`)) // huge ranks
+	f.Add([]byte(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":1e99}`))
+	f.Add([]byte(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16,"timeout_ms":9223372036854775807}`))
+	f.Add([]byte(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16,"timeout_ms":-1}`))
+	f.Add([]byte(`{"target":"power6-575","ben`))
+	f.Add([]byte(`null`))
+
+	h := New(Config{Workers: 2, Eval: (&stubEval{}).fn}).Handler()
+	serve := func(path string, data []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(data)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, path := range []string{"/v1/project", "/v1/validate", "/v1/surrogate"} {
+			rec := serve(path, data)
+			out := rec.Body.Bytes()
+			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: status = %d: %s", path, rec.Code, out)
+			}
+			if !json.Valid(out) || !bytes.HasSuffix(out, []byte("\n")) || bytes.Count(out, []byte("\n")) != 1 {
+				t.Fatalf("%s: status %d with a body that is not one JSON line: %q", path, rec.Code, out)
+			}
+			if rec.Code != http.StatusOK {
+				continue
+			}
+			again := serve(path, data)
+			if again.Code != http.StatusOK || !bytes.Equal(again.Body.Bytes(), out) {
+				t.Fatalf("%s: the same bytes again got %d %q, first %q", path, again.Code, again.Body.Bytes(), out)
+			}
+			if xc := again.Header().Get("X-Cache"); xc != "hit" {
+				t.Fatalf("%s: the second identical request was X-Cache %q, want hit", path, xc)
+			}
+		}
+	})
+}

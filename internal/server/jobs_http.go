@@ -23,9 +23,9 @@ type jobRequest struct {
 
 // handleJobSubmit serves POST /v1/jobs: validate the embedded request,
 // enqueue it on the job manager, and answer 202 with the job's status
-// document. The evaluation runs in the background with per-generation GA
-// progress recorded as snapshots; a failed or panicked attempt is re-run
-// from scratch, up to the retry budget.
+// document. The job resolves in the background (see jobRun), per-generation
+// GA progress recorded as snapshots when it computes; a failed or panicked
+// attempt is re-run from scratch, up to the retry budget.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/jobs", 1)
@@ -53,11 +53,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	job, err := s.jobs.SubmitJob(cluster.JobSpec{
-		Op:      op,
-		Group:   cluster.GroupKey(req.Base, req.Target),
-		Payload: payload,
-	}, s.jobRun(spec, req))
+	job, err := s.jobs.SubmitJob(cluster.JobSpec{Op: op, Payload: payload}, s.jobRun(spec, req))
 	if err != nil {
 		// A full queue drains, so the client is told to come back; a
 		// replica that is shutting down is not worth retrying.
@@ -89,34 +85,28 @@ func (jreq jobRequest) resolve() (op string, spec endpointSpec, req swapp.Reques
 	return op, spec, req, err
 }
 
-// jobRun builds the background attempt function for one submitted job:
-// each attempt takes a worker slot (jobs share the admission pool with
-// synchronous requests) and runs the evaluation from scratch with the GA
-// progress tap wired to the job's streams. Job results bypass the result
-// LRU: a job streams per-generation progress, which a cache hit cannot
-// produce.
+// jobRun builds the background attempt function for one submitted job: the
+// path every delivery takes, minus the owner hop — held, else compute with
+// the GA progress tap wired to the job's streams. A job whose result this
+// replica holds therefore finishes at once, with no progress events and the
+// endpoint's bytes; a computed job leaves its result in the LRU for the
+// next caller; and attempts share the sync path's admission pool, breaker
+// and single-flight (a job that joins an evaluation already running streams
+// no progress either).
 func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
+	key := digest(spec.op, req)
 	return func(ctx context.Context, tap cluster.Tap) ([]byte, error) {
-		if err := s.admit(ctx); err != nil {
-			return nil, err
+		if doc, _, ok := s.held(key, spec); ok {
+			return doc, nil
 		}
-		defer func() { <-s.sem }()
-		s.obs.Gauge("server.inflight", float64(s.inflight.Add(1)))
-		defer func() { s.obs.Gauge("server.inflight", float64(s.inflight.Add(-1))) }()
-		evalReq := req
-		evalReq.Workers = s.cfg.EvalWorkers
-		evalReq.StageTimeout = s.cfg.StageTimeout
-		evalReq.Store = s.store
+		var progress progressFunc
 		if tap.Progress != nil {
-			evalReq.OnGAProgress = func(member, gen int, best float64) {
+			progress = func(member, gen int, best float64) {
 				tap.Progress(cluster.Snapshot{Member: member, Generation: gen, BestFitness: best})
 			}
 		}
-		res, err := s.runEval(ctx, spec.op, evalReq)
-		if err != nil {
-			return nil, err
-		}
-		return spec.render(res)
+		doc, _, err := s.compute(ctx, key, spec, req, progress)
+		return doc, err
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -182,9 +184,10 @@ func TestJobPanicRetryByteIdentical(t *testing.T) {
 	if attempts.Load() != 2 {
 		t.Errorf("evaluation ran %d times, want 2", attempts.Load())
 	}
-	// The deterministic result cache was never touched by the job path…
-	if n := s.CacheLen(); n != 0 {
-		t.Errorf("job execution left %d entries in the synchronous result cache", n)
+	// The failed attempt cached nothing, the retry's result is the cache's
+	// one entry…
+	if n := s.CacheLen(); n != 1 {
+		t.Errorf("a retried job left %d entries in the result cache, want 1", n)
 	}
 	// …and the retried job serves exactly the synchronous endpoint's bytes.
 	code, _, want := post(t, ts.URL+"/v1/project", reqBT)
@@ -277,5 +280,107 @@ func TestJobsQueueFullRejects(t *testing.T) {
 	if code != http.StatusServiceUnavailable || hdr.Get("Retry-After") != "" || !strings.Contains(string(out), "shutting down") {
 		t.Errorf("submit to a closing replica = %d (Retry-After %q): %s; want 503 \"shutting down\" without a hint",
 			code, hdr.Get("Retry-After"), out)
+	}
+}
+
+// progressEval is a stub evaluation that reports gens GA generations when
+// its caller tapped the search — which only a computing job does.
+func progressEval(gens int, calls *atomic.Int64) EvalFunc {
+	return func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		calls.Add(1)
+		for g := 0; g < gens && req.OnGAProgress != nil; g++ {
+			req.OnGAProgress(0, g, float64(10-g))
+		}
+		return stubResult(req), nil
+	}
+}
+
+// TestJobForHeldResultFinishesWithoutProgress: a job takes the path the
+// synchronous endpoints take, so a result this replica already holds is the
+// job's result — no second evaluation, no progress to stream, the endpoint's
+// bytes.
+func TestJobForHeldResultFinishesWithoutProgress(t *testing.T) {
+	var calls atomic.Int64
+	s := New(Config{Workers: 2, Eval: progressEval(4, &calls)})
+	ts := newHTTPServer(t, s)
+
+	code, hdr, want := post(t, ts.URL+"/v1/project", reqBT)
+	if code != 200 || hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("priming request: status %d, X-Cache %q", code, hdr.Get("X-Cache"))
+	}
+	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
+	final := waitJobDone(t, ts.URL, st.ID)
+	if final.State != cluster.JobDone || final.Snapshots != 0 || final.Attempts != 1 {
+		t.Errorf("job for a held result = %s after %d attempts with %d snapshots (%s), want done, 1, 0",
+			final.State, final.Attempts, final.Snapshots, final.Error)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("the job re-ran a held result: %d evaluations, want 1", n)
+	}
+	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, want) {
+		t.Errorf("job result differs from the endpoint that filled the cache:\njob:  %s\nsync: %s", got, want)
+	}
+}
+
+// TestComputedJobFillsResultCache: what a job computes it leaves in the
+// result LRU, so the follow-up synchronous request is a hit.
+func TestComputedJobFillsResultCache(t *testing.T) {
+	const gens = 4
+	var calls atomic.Int64
+	s := New(Config{Workers: 2, Eval: progressEval(gens, &calls)})
+	ts := newHTTPServer(t, s)
+
+	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone || final.Snapshots != gens {
+		t.Fatalf("computing job = %s with %d snapshots (%s), want done with %d", final.State, final.Snapshots, final.Error, gens)
+	}
+	code, hdr, sync := post(t, ts.URL+"/v1/project", reqBT)
+	if code != 200 || hdr.Get("X-Cache") != "hit" {
+		t.Errorf("request after the job: status %d, X-Cache %q, want a hit", code, hdr.Get("X-Cache"))
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("job then request ran %d evaluations, want 1", n)
+	}
+	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, sync) {
+		t.Errorf("job result differs from the hit it produced:\njob:  %s\nsync: %s", got, sync)
+	}
+}
+
+// TestJobsShareTheBreaker: job attempts go through the breaker the
+// synchronous path goes through. Their failures count toward its threshold
+// exactly as a failed request does, and a job submitted while it is open
+// fails fast with the breaker's message instead of evaluating.
+func TestJobsShareTheBreaker(t *testing.T) {
+	var calls atomic.Int64
+	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		calls.Add(1)
+		return nil, errors.New("pipeline broken")
+	}
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	s := New(Config{Workers: 2, Eval: eval, BreakerThreshold: 3, BreakerCooldown: time.Hour, nowFn: clk.now})
+	ts := newHTTPServer(t, s)
+	body := func(ranks int) string {
+		return fmt.Sprintf(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":%d}`, ranks)
+	}
+
+	// One failed request and one job's two failed attempts make three.
+	if code, _, out := post(t, ts.URL+"/v1/project", body(16)); code != http.StatusInternalServerError {
+		t.Fatalf("failing request: status %d: %s", code, out)
+	}
+	st := submitJob(t, ts.URL, `{"request":`+body(32)+`}`)
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobFailed || final.Attempts != 2 || !strings.Contains(final.Error, "pipeline broken") {
+		t.Fatalf("failing job = %s after %d attempts (%q), want failed after 2 with the pipeline's error", final.State, final.Attempts, final.Error)
+	}
+	if code, hdr, out := post(t, ts.URL+"/v1/project", body(64)); code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+		t.Fatalf("request after three failures: status %d (Retry-After %q): %s; want the open breaker's 503", code, hdr.Get("Retry-After"), out)
+	}
+
+	st = submitJob(t, ts.URL, `{"request":`+body(128)+`}`)
+	final := waitJobDone(t, ts.URL, st.ID)
+	if final.State != cluster.JobFailed || !strings.Contains(final.Error, "circuit breaker open") {
+		t.Errorf("job against an open breaker = %s (%q), want failed with the breaker's message", final.State, final.Error)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("%d evaluations ran, want the 3 that opened the breaker", n)
 	}
 }

@@ -165,38 +165,33 @@ func (s *Server) timeoutFor(body APIRequest) time.Duration {
 	return timeout
 }
 
-// forwardEval relays one single-request evaluation to its group's owner,
-// writing the peer's bytes verbatim. It reports whether the response was
-// served; on any forwarding failure it counts a fallback and returns false
-// so the caller computes locally — a dead peer degrades, never errors.
-func (s *Server) forwardEval(w http.ResponseWriter, r *http.Request, endpoint string, body APIRequest, req swapp.Request) bool {
+// forwardEval relays one single-request evaluation to its group's owner and
+// returns the peer's bytes verbatim, the owner's own outcome and its
+// address. ok is false when the group is owned here or the forward failed;
+// a failure counts a fallback and the caller computes locally — a dead peer
+// degrades, never errors.
+func (s *Server) forwardEval(r *http.Request, endpoint string, body APIRequest, req swapp.Request) (doc []byte, oc outcome, owner string, ok bool) {
 	owner, pc := s.peers.route(cluster.GroupKey(req.Base, req.Target))
 	if pc == nil {
-		return false
+		return nil, "", "", false
 	}
 	payload, err := json.Marshal(body)
 	if err != nil {
-		return false
+		return nil, "", "", false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(body))
 	defer cancel()
-	out, respHdr, err := pc.PostRaw(ctx, endpoint, payload, http.Header{forwardedHeader: []string{s.cfg.Self}})
+	doc, respHdr, err := pc.PostRaw(ctx, endpoint, payload, http.Header{forwardedHeader: []string{s.cfg.Self}})
 	if err != nil {
 		s.obs.Count("cluster.fallbacks", 1)
-		return false
+		return nil, "", "", false
 	}
 	s.obs.Count("cluster.forwards", 1)
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set(peerHeader, owner)
-	if xc := respHdr.Get("X-Cache"); xc != "" {
-		if xc == "hit" {
-			s.obs.Count("cluster.peer_hits", 1)
-		}
-		h.Set("X-Cache", xc)
+	oc = outcome(respHdr.Get("X-Cache"))
+	if oc == outcomeHit {
+		s.obs.Count("cluster.peer_hits", 1)
 	}
-	_, _ = w.Write(out)
-	return true
+	return doc, oc, owner, true
 }
 
 // Peers reports the configured cluster membership (empty when peer-aware

@@ -45,47 +45,17 @@ type replicaMsg struct {
 }
 
 // replicaVaultKey namespaces one replicated result in the store's artifact
-// vault.
+// vault. Server.held is the vault's one reader.
 func replicaVaultKey(keyHex, endpoint string) string {
 	return fmt.Sprintf("replica|%s|%q", keyHex, endpoint)
-}
-
-// replicaBytes looks up the replicated wire bytes for (key, endpoint) in
-// the local vault, counting a replica hit when found.
-func (s *Server) replicaBytes(key cacheKey, endpoint string) ([]byte, bool) {
-	if s.peers == nil {
-		return nil, false
-	}
-	body, ok := s.store.GetArtifact(replicaVaultKey(hex.EncodeToString(key[:]), endpoint))
-	if !ok {
-		return nil, false
-	}
-	s.obs.Count("cluster.replica_hits", 1)
-	return body, true
-}
-
-// replicaServe writes a replicated result verbatim, reporting whether one
-// was found. The bytes are exactly what the dead owner rendered, so the
-// response is byte-identical to the owner's — the warm-failover contract.
-func (s *Server) replicaServe(w http.ResponseWriter, key cacheKey, endpoint string) bool {
-	body, ok := s.replicaBytes(key, endpoint)
-	if !ok {
-		return false
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Cache", "replica")
-	_, _ = w.Write(body)
-	return true
 }
 
 // maybeReplicate pushes a freshly computed result's rendered bytes to the
 // group's ring successor. Only locally owned groups replicate — a fallback
 // computation on a non-owner is already a degraded path and its successor
 // would be wrong. The push runs in the background (WaitReplication joins
-// it); rendering reuses the cache's memoised bytes, so the hot path pays
-// one map lookup.
-func (s *Server) maybeReplicate(key cacheKey, ep int, endpoint string, res *swapp.Result, req swapp.Request, render func(*swapp.Result) ([]byte, error)) {
+// it).
+func (s *Server) maybeReplicate(key cacheKey, endpoint string, req swapp.Request, body []byte) {
 	if s.peers == nil {
 		return
 	}
@@ -95,10 +65,6 @@ func (s *Server) maybeReplicate(key cacheKey, ep int, endpoint string, res *swap
 	}
 	succ := s.peers.successor(gk)
 	if succ == nil {
-		return
-	}
-	body, err := s.renderedBytes(key, ep, res, render)
-	if err != nil {
 		return
 	}
 	sum := sha256.Sum256(body)

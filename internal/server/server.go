@@ -32,6 +32,7 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -94,14 +95,9 @@ type Config struct {
 	// Obs receives the serving metrics (server.requests, server.inflight,
 	// per-layer cache counters server.cache.result_hits /
 	// server.cache.characterisation_hits / server.cache.profile_hits /
-	// server.cache.surrogate_hits with their _misses and _size twins, …)
-	// and, with TraceRequests, a child span per evaluation. nil disables
-	// both.
+	// server.cache.surrogate_hits with their _misses and _size twins, …).
+	// nil disables them.
 	Obs *obs.Scope
-	// TraceRequests attaches a span per evaluation under Obs. Off by
-	// default: a long-running server would grow the span tree without
-	// bound.
-	TraceRequests bool
 	// StageTimeout bounds each pipeline stage of an evaluation
 	// separately from the request deadline, so one wedged stage cannot
 	// consume a whole generous request budget (0 disables; surfaces as
@@ -294,9 +290,9 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // /metrics, /trace.json) is mounted alongside the API when Obs is set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/project", s.handleEval(opProject, "/v1/project", epProject, renderProject))
-	mux.HandleFunc("/v1/validate", s.handleEval(opValidate, "/v1/validate", epValidate, renderValidate))
-	mux.HandleFunc("/v1/surrogate", s.handleEval(opProject, "/v1/surrogate", epSurrogate, renderSurrogate))
+	for _, spec := range endpoints {
+		mux.HandleFunc(spec.endpoint, s.handleEval(spec))
+	}
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
@@ -363,11 +359,12 @@ type apiError struct {
 var errQueueFull = errors.New("server: admission queue full")
 
 // handleEval builds the handler for one evaluation endpoint: decode,
-// normalise, cache/singleflight/admit, evaluate, render. endpoint is the
-// registered path and ep its rendered-bytes slot; both are fixed at
-// registration so the hot path never rebuilds counter names per request.
-func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Result) ([]byte, error)) http.HandlerFunc {
-	reqCounter := "server.requests." + endpoint
+// normalise, then the one resolution order every delivery shares — held
+// here, else the group's owner, else compute — and one place that writes
+// the answer. spec is fixed at registration so the hot path never rebuilds
+// counter names per request.
+func (s *Server) handleEval(spec endpointSpec) http.HandlerFunc {
+	reqCounter := "server.requests." + spec.endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.obs.Count("server.requests", 1)
 		s.obs.Count(reqCounter, 1)
@@ -378,7 +375,7 @@ func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Resu
 		}
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
-			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", endpoint))
+			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", spec.endpoint))
 			return
 		}
 		var body APIRequest
@@ -394,37 +391,21 @@ func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Resu
 			return
 		}
 
-		// Fast path: a finished result needs no deadline machinery — serve
-		// the memoised bytes without allocating a timer context.
-		key := digest(op, req)
+		key := digest(spec.op, req)
 		start := time.Now()
-		if e, ok := s.cache.Get(key); ok {
-			s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
-			s.writeResult(w, key, ep, e.res, true, render)
-			return
-		}
-
+		doc, oc, ok := s.held(key, spec)
+		var peer string
 		// Peer-aware mode: a group owned by another replica is forwarded
 		// there (unless this request was itself forwarded — the loop
 		// guard). A failed forward falls through to local computation.
-		if s.peers != nil && r.Header.Get(forwardedHeader) == "" {
-			if s.forwardEval(w, r, endpoint, body, req) {
-				s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
-				return
-			}
+		if !ok && s.peers != nil && r.Header.Get(forwardedHeader) == "" {
+			doc, oc, peer, ok = s.forwardEval(r, spec.endpoint, body, req)
 		}
-
-		// Warm failover: before computing, serve bytes a (possibly dead)
-		// owner replicated here — byte-identical by construction.
-		if s.replicaServe(w, key, endpoint) {
-			s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
-			return
+		if !ok {
+			ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(body))
+			doc, oc, err = s.compute(ctx, key, spec, req, nil)
+			cancel()
 		}
-
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(body))
-		defer cancel()
-
-		res, hit, err := s.evaluate(ctx, op, key, req)
 		s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
 		if err != nil {
 			status, retryAfter := s.errorStatus(err)
@@ -434,10 +415,15 @@ func (s *Server) handleEval(op, endpoint string, ep int, render func(*swapp.Resu
 			writeError(w, status, err)
 			return
 		}
-		s.writeResult(w, key, ep, res, hit, render)
-		if !hit {
-			s.maybeReplicate(key, ep, endpoint, res, req, render)
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		if peer != "" {
+			h.Set(peerHeader, peer)
 		}
+		if oc != "" {
+			h.Set("X-Cache", string(oc))
+		}
+		_, _ = w.Write(doc)
 	}
 }
 
@@ -478,30 +464,6 @@ func (s *Server) errorStatus(err error) (status int, retryAfter string) {
 	}
 }
 
-// writeResult serves one finished result: per-layer hit/miss accounting,
-// memoised rendering, headers, body.
-func (s *Server) writeResult(w http.ResponseWriter, key cacheKey, ep int, res *swapp.Result, hit bool, render func(*swapp.Result) ([]byte, error)) {
-	if hit {
-		s.obs.Count("server.cache.result_hits", 1)
-	} else {
-		s.obs.Count("server.cache.result_misses", 1)
-	}
-	out, err := s.renderedBytes(key, ep, res, render)
-	if err != nil {
-		s.obs.Count("server.errors", 1)
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	if hit {
-		h.Set("X-Cache", "hit")
-	} else {
-		h.Set("X-Cache", "miss")
-	}
-	_, _ = w.Write(out)
-}
-
 // statusClientClosedRequest is nginx's conventional code for a request
 // cancelled by its client; net/http has no named constant for it.
 const statusClientClosedRequest = 499
@@ -516,47 +478,124 @@ func retryAfterSeconds(d time.Duration) string {
 	return fmt.Sprintf("%d", secs)
 }
 
+// outcome says where an answered document came from. It is the X-Cache
+// value of the reply; a forwarded reply carries its owner's.
+type outcome string
+
+const (
+	outcomeHit     outcome = "hit"     // this replica's result LRU
+	outcomeReplica outcome = "replica" // the vault: bytes an owner rendered and pushed here
+	outcomeMiss    outcome = "miss"    // evaluated, or joined an evaluation, for this caller
+)
+
+// progressFunc is the GA's per-generation tap (swapp.Request.OnGAProgress).
+type progressFunc func(member, generation int, best float64)
+
+// held answers from what this replica already has — its result LRU, then
+// the replica vault — on the caller's goroutine: no context, no timer, no
+// admission, and outside peer mode no allocation. A projection is a pure
+// function of its request, so the bytes are the same wherever they come
+// from and the cheapest source goes first; ownership (peer.go) only decides
+// where a miss is filled. Every delivery — single endpoint, batch member,
+// async job — asks here before anything else.
+func (s *Server) held(key cacheKey, spec endpointSpec) ([]byte, outcome, bool) {
+	if e, ok := s.cache.Get(key); ok {
+		// A result that will not render is not held: compute reports why.
+		if doc, err := s.render(key, spec, e, outcomeHit); err == nil {
+			return doc, outcomeHit, true
+		}
+	}
+	if s.peers != nil {
+		// Warm failover: bytes a (possibly dead) owner rendered and pushed
+		// here, served verbatim.
+		if doc, ok := s.store.GetArtifact(replicaVaultKey(hex.EncodeToString(key[:]), spec.endpoint)); ok {
+			s.obs.Count("cluster.replica_hits", 1)
+			return doc, outcomeReplica, true
+		}
+	}
+	return nil, "", false
+}
+
+// compute is the one miss arm: evaluate (or join whoever already is), render
+// through the entry's memoised slot, and push a fresh fill to the group's
+// ring successor. progress, when non-nil, taps the GA search if this caller
+// ends up leading the evaluation.
+func (s *Server) compute(ctx context.Context, key cacheKey, spec endpointSpec, req swapp.Request, progress progressFunc) ([]byte, outcome, error) {
+	e, oc, err := s.evaluate(ctx, spec.op, key, req, progress)
+	if err != nil {
+		return nil, "", err
+	}
+	doc, err := s.render(key, spec, e, oc)
+	if err != nil {
+		return nil, "", fmt.Errorf("server: rendering %s: %w", spec.endpoint, err)
+	}
+	if oc == outcomeMiss {
+		s.maybeReplicate(key, spec.endpoint, req, doc)
+	}
+	return doc, oc, nil
+}
+
+// render returns the wire bytes of a finished result for spec's endpoint
+// and counts the result cache's verdict on it. The bytes are rendered at
+// most once per (entry, endpoint) and served as-is on every later hit, so
+// the hot path never re-marshals a projection. Rendering runs outside the
+// cache's lock (it is a pure function of the immutable result); concurrent
+// first renders produce identical bytes, so last-write-wins is benign, and
+// an entry evicted meanwhile is rendered uncached.
+func (s *Server) render(key cacheKey, spec endpointSpec, e entry, oc outcome) ([]byte, error) {
+	doc := e.rendered[spec.ep]
+	if doc == nil {
+		var err error
+		if doc, err = spec.render(e.res); err != nil {
+			return nil, err
+		}
+		s.cache.Update(key, func(e *entry) { e.rendered[spec.ep] = doc })
+	}
+	if oc == outcomeHit {
+		s.obs.Count("server.cache.result_hits", 1)
+	} else {
+		s.obs.Count("server.cache.result_misses", 1)
+	}
+	return doc, nil
+}
+
 // evaluate resolves one (op, request) under its precomputed cache key:
-// serve a finished result, join an in-flight evaluation, or become the
-// leader — pass admission control and run the evaluation through the
-// shared layered store. hit reports a result-cache hit.
-func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request) (res *swapp.Result, hit bool, err error) {
+// return a finished result, join an in-flight evaluation, or become the
+// leader — pass the breaker and admission control and run the evaluation
+// through the shared layered store. Only a leader's progress is tapped.
+func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request, progress progressFunc) (entry, outcome, error) {
 	e, flight, leader := s.cache.Lookup(key)
 	if flight == nil {
-		return e.res, true, nil
+		return e, outcomeHit, nil
 	}
 	if !leader {
 		// Someone is already computing this result; wait for them under
 		// our own deadline.
 		e, err := flight.Wait(ctx)
-		return e.res, false, err
+		return e, outcomeMiss, err
 	}
 	if ra, ok := s.breaker.allow(); !ok {
 		err := &breakerOpenError{retryAfter: ra}
 		s.cache.Finish(key, entry{}, err)
-		return nil, false, err
+		return entry{}, "", err
 	}
 	if err := s.admit(ctx); err != nil {
 		s.breaker.record(err) // queue-full and ctx errors are neutral
 		s.cache.Finish(key, entry{}, err)
-		return nil, false, err
+		return entry{}, "", err
 	}
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(1)))
-	evalReq := req
-	evalReq.Workers = s.cfg.EvalWorkers
-	evalReq.StageTimeout = s.cfg.StageTimeout
-	evalReq.Store = s.store
-	if s.cfg.TraceRequests {
-		sp := s.obs.Child(fmt.Sprintf("server.%s.%s.%c@%d:%s", op, evalReq.Bench, evalReq.Class, evalReq.Ranks, evalReq.Target))
-		evalReq.Obs = sp
-		defer sp.End()
-	}
-	res, err = s.runEval(ctx, op, evalReq)
+	req.Workers = s.cfg.EvalWorkers
+	req.StageTimeout = s.cfg.StageTimeout
+	req.Store = s.store
+	req.OnGAProgress = progress
+	res, err := s.runEval(ctx, op, req)
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(-1)))
 	<-s.sem
 	s.breaker.record(err)
-	s.obs.Gauge("server.cache.result_size", float64(s.cache.Finish(key, entry{res: res}, err)))
-	return res, false, err
+	e = entry{res: res}
+	s.obs.Gauge("server.cache.result_size", float64(s.cache.Finish(key, e, err)))
+	return e, outcomeMiss, err
 }
 
 // runEval runs one evaluation with panic isolation: a panic anywhere in

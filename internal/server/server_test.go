@@ -229,7 +229,7 @@ func TestEvaluateElectsOneLeader(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, _, err := s.evaluate(context.Background(), opProject, key, req); err != nil {
+				if _, _, err := s.evaluate(context.Background(), opProject, key, req, nil); err != nil {
 					t.Errorf("round %d: %v", round, err)
 				}
 			}()

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — end-to-end smoke test of swappd's peer-aware mode with
-# gossip membership and warm failover (DESIGN.md §13, §16): build swappd,
+# gossip membership and warm failover (DESIGN.md §10.3, §10.5): build swappd,
 # start three replicas wired into one consistent-hash ring running the SWIM
 # detector at smoke cadence, run a grouped /v1/batch round-trip through one
 # node, then:

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # crash_smoke.sh — end-to-end down-and-back smoke test of the durable
-# swappd (DESIGN.md §17), for both ways a replica stops: build swappd, then
+# swappd (DESIGN.md §10.7), for both ways a replica stops: build swappd, then
 #
 #   1. run two control jobs (two targets) on a plain in-memory instance and
 #      keep their result bytes as the references,
