@@ -66,8 +66,10 @@ serve-smoke:
 	./scripts/serve_smoke.sh
 
 # Peer-aware smoke: 3 swappd replicas on one consistent-hash ring, a
-# grouped /v1/batch round-trip, two peers crashed (survivor must answer
-# byte-identically via local fallback), rejoin, SIGTERM clean drain.
+# grouped /v1/batch round-trip, a warm result's owner SIGKILLed (both
+# survivors must at once answer its exact bytes from the successor's
+# vault), its breaker opened by three more forwards, the owner restarted
+# and forwarded to again within the cooldown, SIGTERM clean drain.
 cluster-smoke:
 	./scripts/cluster_smoke.sh
 
@@ -80,7 +82,8 @@ crash-smoke:
 	./scripts/crash_smoke.sh
 
 # Fault-tolerance suite under the race detector with shuffled order:
-# injected faults, recovered panics, breaker trips, GA quarantine,
+# injected faults, recovered panics, breaker trips, the ring's seeded
+# kill/cut/rejoin schedules (TestRingChaosSchedules), GA quarantine,
 # degraded-input projections. Fast — the heavy grids are elsewhere.
 chaos:
 	$(GO) test -race -shuffle=on -timeout 600s \

@@ -15,7 +15,8 @@
 //
 // With -self and -peers set, replicas form a consistent-hash ring and
 // forward what they do not hold to each (base, target) group's owning
-// replica (see DESIGN.md §10.3); a dead peer degrades to local computation.
+// replica (see DESIGN.md §10.3); a dead peer's groups go to the next replica
+// in ring order, the same one from every entry point.
 //
 // With -data-dir set, each benchmark characterisation is written to disk
 // as it is built and every job submission is journalled. A replica stops
@@ -74,16 +75,12 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive failures tripping the circuit breaker (0 = default 5, negative = off)")
 		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-circuit rejection window before a probe (0 = default 10s)")
 		self        = fs.String("self", "", "this replica's advertised base URL in peer-aware mode (e.g. http://10.0.0.1:8080)")
-		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables consistent-hash request routing")
-		gossipEvery = fs.Duration("gossip-interval", time.Second, "SWIM-style health gossip probe cadence over -peers, so the ring follows live membership (0 = off: the ring stays on the static -peers list)")
-		gossipSusp  = fs.Duration("gossip-suspect", 0, "suspicion grace before a peer is declared dead (0 = 3x interval)")
-		gossipProbe = fs.Duration("gossip-probe-timeout", 0, "single gossip probe deadline (0 = interval/2)")
+		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables consistent-hash request routing (an unreachable replica is routed past, and found again, on its own)")
 		jobsActive  = fs.Int("jobs-active", 0, "max concurrently running async jobs (0 = default 2)")
 		jobsQueued  = fs.Int("jobs-queued", 0, "async jobs waiting beyond the running ones (0 = default 4x active)")
 		jobsRetries = fs.Int("jobs-retries", 0, "from-scratch retries after a failed job attempt (0 = default 1, negative = off)")
 		jobsTimeout = fs.Duration("jobs-timeout", 0, "end-to-end async job deadline across retry attempts (0 = default 30m)")
 		jobsRetain  = fs.Int("jobs-retain", 0, "finished async jobs kept for polling (0 = default 64)")
-		jobsAge     = fs.Duration("jobs-retain-age", 0, "additionally evict finished async jobs older than this (0 = count-based retention only)")
 		dataDir     = fs.String("data-dir", "", "durable state directory: benchmark characterisation, written as it is built, and the WAL job journal; a restart on it — after SIGTERM or kill -9 alike — reads the characterisation back and re-runs unfinished jobs under their original IDs (empty = in-memory only)")
 		walSync     = fs.Duration("wal-sync", 0, "batch journal fsyncs to at most one per interval (0 = sync every record, the kill -9-safe default)")
 		faults      = fs.String("faults", os.Getenv("SWAPP_FAULTS"),
@@ -115,18 +112,14 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		BreakerCooldown:  *brkCooldown,
 		Eval:             evalOverride,
 
-		Self:               *self,
-		Peers:              splitPeers(*peers),
-		GossipInterval:     *gossipEvery,
-		GossipSuspectAfter: *gossipSusp,
-		GossipProbeTimeout: *gossipProbe,
+		Self:  *self,
+		Peers: splitPeers(*peers),
 
 		JobsMaxActive:  *jobsActive,
 		JobsMaxQueued:  *jobsQueued,
 		JobsMaxRetries: *jobsRetries,
 		JobsTimeout:    *jobsTimeout,
 		JobsRetain:     *jobsRetain,
-		JobsRetainAge:  *jobsAge,
 
 		DataDir:      *dataDir,
 		WALSyncEvery: *walSync,
@@ -161,10 +154,10 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	case <-sig:
 	}
 
-	// Drain: flip readiness so load balancers stop routing here, stop
-	// gossip and job submissions and cancel unfinished jobs (a restart on
-	// -data-dir re-runs them; without one their clients resubmit), then let
-	// in-flight requests finish under the grace deadline.
+	// Drain: flip readiness so load balancers stop routing here, stop job
+	// submissions and cancel unfinished jobs (a restart on -data-dir re-runs
+	// them; without one their clients resubmit), then let in-flight requests
+	// finish under the grace deadline.
 	fmt.Fprintln(stderr, "swappd: signal received, draining")
 	srv.SetDraining(true)
 	ctx, cancel := context.WithTimeout(context.Background(), *grace)

@@ -85,11 +85,6 @@ type ManagerConfig struct {
 	// Retain bounds finished jobs kept for polling (default 64; oldest
 	// finished evicted first).
 	Retain int
-	// RetainAge additionally bounds how long a finished job is kept: a
-	// background janitor evicts finished jobs older than this. 0 — the
-	// default — disables age-based eviction, keeping the pure count-based
-	// retention behaviour.
-	RetainAge time.Duration
 	// Journal, when non-nil, receives one durable record per submission
 	// and one per terminal state a job reached on its own, so a restarted
 	// process can resurrect unfinished jobs (see Journal). nil disables
@@ -119,12 +114,9 @@ type Manager struct {
 	nextID atomic.Int64
 
 	// ctx is the parent of every job's context; Close cancels it, which
-	// also ends the RetainAge sweeper and refuses further submissions.
+	// also refuses further submissions.
 	ctx    context.Context
 	cancel context.CancelFunc
-
-	// now is the clock (tests override).
-	now func() time.Time
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -158,65 +150,9 @@ func NewManager(cfg ManagerConfig) *Manager {
 		obs:  cfg.Obs,
 		sem:  make(chan struct{}, cfg.MaxActive),
 		jobs: map[string]*Job{},
-		now:  time.Now,
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
-	if cfg.RetainAge > 0 {
-		interval := cfg.RetainAge / 4
-		if interval < 50*time.Millisecond {
-			interval = 50 * time.Millisecond
-		}
-		if interval > 30*time.Second {
-			interval = 30 * time.Second
-		}
-		go m.janitor(interval)
-	}
 	return m
-}
-
-// janitor periodically evicts finished jobs past RetainAge until Close.
-func (m *Manager) janitor(interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case <-t.C:
-			m.SweepAged()
-		}
-	}
-}
-
-// SweepAged evicts finished jobs whose terminal state is older than
-// RetainAge, returning how many were dropped (counted as jobs.aged_out).
-// Running and queued jobs are never touched.
-func (m *Manager) SweepAged() int {
-	if m.cfg.RetainAge <= 0 {
-		return 0
-	}
-	cutoff := m.now().Add(-m.cfg.RetainAge)
-	m.mu.Lock()
-	var evicted int
-	kept := m.order[:0]
-	for _, id := range m.order {
-		j := m.jobs[id]
-		j.mu.Lock()
-		old := j.finished && j.finishedAt.Before(cutoff)
-		j.mu.Unlock()
-		if old {
-			delete(m.jobs, id)
-			evicted++
-			continue
-		}
-		kept = append(kept, id)
-	}
-	m.order = kept
-	m.mu.Unlock()
-	if evicted > 0 {
-		m.obs.Count("jobs.aged_out", int64(evicted))
-	}
-	return evicted
 }
 
 // Job is one asynchronous evaluation. All fields are guarded by mu; read
@@ -228,18 +164,17 @@ type Job struct {
 	// keeps so a restarted replica can resubmit the job verbatim.
 	Payload []byte
 
-	mu         sync.Mutex
-	state      JobState
-	history    []Snapshot
-	snapshots  int // total observed, including evicted
-	finished   bool
-	finishedAt time.Time
-	attempts   int
-	result     []byte
-	errMsg     string
-	done       chan struct{}
-	subs       map[int]chan Event
-	nextSub    int
+	mu        sync.Mutex
+	state     JobState
+	history   []Snapshot
+	snapshots int // total observed, including evicted
+	finished  bool
+	attempts  int
+	result    []byte
+	errMsg    string
+	done      chan struct{}
+	subs      map[int]chan Event
+	nextSub   int
 }
 
 // JobStatus is the JSON-ready view of a job, served by GET /v1/jobs/{id}.
@@ -426,7 +361,6 @@ func (m *Manager) finish(j *Job, result []byte, err error) {
 		j.result = result
 	}
 	j.finished = true
-	j.finishedAt = m.now()
 	state := j.state
 	for _, ch := range j.subs {
 		// A full channel is a slow consumer; it gets the terminal event
@@ -554,8 +488,8 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 	return ch, cancel
 }
 
-// Close is the manager's one way down: submissions stop (ErrJobsClosed),
-// the retention janitor stops, and every unfinished job — running or still
+// Close is the manager's one way down: submissions stop (ErrJobsClosed)
+// and every unfinished job — running or still
 // queued — is cancelled. Each ends failed with "replica shut down before
 // the job finished", its subscribers get the ordinary terminal event, and
 // no done record is journalled for it (see finish). Close does not wait for

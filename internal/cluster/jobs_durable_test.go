@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,10 +25,7 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 	jl := openTestJournal(t, t.TempDir(), nil)
 	defer jl.Close()
 	scope := obs.New("test")
-	m := NewManager(ManagerConfig{MaxActive: 1, RetainAge: time.Hour, Journal: jl, Obs: scope})
-	base := time.Unix(1700000000, 0)
-	var offset atomic.Int64
-	m.now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
+	m := NewManager(ManagerConfig{MaxActive: 1, Retain: 1, Journal: jl, Obs: scope})
 
 	started := make(chan struct{})
 	running, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
@@ -89,9 +85,16 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 		t.Errorf("Recover = %+v, want both jobs in submission order", pending)
 	}
 
-	offset.Store(int64(2 * time.Hour))
-	if n := m.SweepAged(); n != 2 {
-		t.Errorf("sweep evicted %d shut-down jobs, want 2", n)
+	// With room for one finished job, the count-based eviction every
+	// submission runs drops the older shut-down job and keeps the newer.
+	m.mu.Lock()
+	m.evictLocked()
+	m.mu.Unlock()
+	if _, err := m.Get(running.ID); !errors.Is(err, ErrJobUnknown) {
+		t.Errorf("the older shut-down job outlived Retain 1: Get err = %v", err)
+	}
+	if _, err := m.Get(queued.ID); err != nil {
+		t.Errorf("the newer shut-down job was evicted within Retain 1: %v", err)
 	}
 }
 
@@ -131,46 +134,6 @@ func TestOwnFailuresStillJournalDone(t *testing.T) {
 				t.Errorf("pending = %+v, %d records; want none pending, submit + done", pending, jl.Stats().Records)
 			}
 		})
-	}
-}
-
-// TestJobRetainAgeSweep: the age janitor's sweep evicts finished jobs past
-// RetainAge and never running ones.
-func TestJobRetainAgeSweep(t *testing.T) {
-	scope := obs.New("test")
-	m := NewManager(ManagerConfig{RetainAge: time.Hour, Obs: scope})
-	defer m.Close()
-	base := time.Unix(1700000000, 0)
-	var offset atomic.Int64
-	m.now = func() time.Time { return base.Add(time.Duration(offset.Load())) }
-
-	quick, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
-		return []byte("ok"), nil
-	})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitDone(t, quick)
-	slow, err := m.Submit("project", blockUntilCancelled)
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-
-	if n := m.SweepAged(); n != 0 {
-		t.Fatalf("sweep before aging evicted %d", n)
-	}
-	offset.Store(int64(2 * time.Hour))
-	if n := m.SweepAged(); n != 1 {
-		t.Fatalf("sweep after aging evicted %d, want 1 (the finished job)", n)
-	}
-	if _, err := m.Get(quick.ID); !errors.Is(err, ErrJobUnknown) {
-		t.Errorf("aged finished job still present: %v", err)
-	}
-	if _, err := m.Get(slow.ID); err != nil {
-		t.Errorf("running job must never age out: %v", err)
-	}
-	if n, _ := scope.Metrics().Counter("jobs.aged_out"); n != 1 {
-		t.Errorf("jobs.aged_out = %d, want 1", n)
 	}
 }
 

@@ -3,20 +3,23 @@
 // groups to replicas, and an async job manager for expensive GA searches
 // with per-generation progress snapshots and a bounded retry.
 //
-// The ring answers one question deterministically on every replica: which
-// replica owns a (base, target) request group? All replicas are configured
-// with the same peer list, so they all compute the same answer and a group's
-// characterisation work concentrates on its owner — the owner's layered
-// store fills once and every forwarded request reuses it (the peer cache
-// fill). Ownership is a routing preference, not a correctness requirement:
-// a replica that cannot reach a group's owner computes locally and stays
-// byte-identical, because every projection is a pure function of its
-// request.
+// The ring answers one question deterministically on every replica: in which
+// order do the replicas take a (base, target) request group? All replicas are
+// configured with the same peer list, so they all compute the same order and
+// a group's characterisation work concentrates on the first replica of it
+// that can be reached — its layered store fills once and every forwarded
+// request reuses it (the peer cache fill). The ring is never rebuilt: a
+// replica that cannot reach a group's owner asks the next one in the order,
+// which is where a ring without the owner would have sent it. The order is a
+// routing preference, not a correctness requirement: wherever a request ends
+// up it is answered byte-identically, because every projection is a pure
+// function of its request.
 package cluster
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -45,9 +48,10 @@ const vnodesPerNode = 64
 //
 // Hashing is sha256-based and endianness-pinned, so every replica — and
 // every future process — computes identical ownership for identical
-// membership. Adding or removing one node moves only the keys that node's
-// arcs cover (about 1/n of the keyspace), never reshuffling the rest: the
-// property that makes peer caches survive membership changes.
+// membership. Leaving one node out moves only the keys that node's arcs
+// cover (about 1/n of the keyspace), never reshuffling the rest: the
+// property that lets callers walk past an unreachable node (Preference)
+// without disturbing anyone else's groups.
 type Ring struct {
 	points []ringPoint // sorted by hash
 	nodes  []string    // sorted, deduplicated membership
@@ -116,24 +120,28 @@ func (r *Ring) Owner(key string) string {
 	return r.points[i].node
 }
 
-// NextOwner returns the node that would own key if excluding were removed
-// from the ring: the first ring point at or after the key's hash whose node
-// differs from excluding, wrapping. It is the replication successor — the
-// replica that inherits a group when its owner dies — and is "" when the
-// ring holds no other node.
-func (r *Ring) NextOwner(key, excluding string) string {
+// Preference returns key's preference order: the ring's distinct nodes in
+// ring order from the key's position, wrapping. Its first element is
+// Owner(key), and for any set of dead nodes the first element outside the
+// set is NewRing(survivors).Owner(key) — a ring over the survivors is this
+// ring minus the dead nodes' points — so a caller that walks the order past
+// the nodes it cannot reach lands where a ring rebuilt without them would
+// have routed, and every caller skipping the same nodes lands on the same
+// one. Empty on an empty ring.
+func (r *Ring) Preference(key string) []string {
 	if len(r.points) == 0 {
-		return ""
+		return nil
 	}
 	h := hashKey(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	for k := 0; k < len(r.points); k++ {
-		p := r.points[(start+k)%len(r.points)]
-		if p.node != excluding {
-			return p.node
+	order := make([]string, 0, len(r.nodes))
+	for k := 0; len(order) < len(r.nodes); k++ {
+		node := r.points[(start+k)%len(r.points)].node
+		if !slices.Contains(order, node) {
+			order = append(order, node)
 		}
 	}
-	return ""
+	return order
 }
 
 // Nodes returns the ring's membership, sorted.
@@ -143,22 +151,3 @@ func (r *Ring) Nodes() []string {
 
 // Len reports the number of member nodes.
 func (r *Ring) Len() int { return len(r.nodes) }
-
-// Moved counts how many of the given keys change owner between two rings —
-// the cluster.ring_moves accounting when membership (or reachability)
-// changes. Either ring may be nil (owning nothing).
-func Moved(from, to *Ring, keys []string) int {
-	owner := func(r *Ring, k string) string {
-		if r == nil {
-			return ""
-		}
-		return r.Owner(k)
-	}
-	n := 0
-	for _, k := range keys {
-		if owner(from, k) != owner(to, k) {
-			n++
-		}
-	}
-	return n
-}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -29,18 +31,23 @@ func TestRingDeterministicAcrossPermutations(t *testing.T) {
 	}
 }
 
-// Removing one node must move only the keys that node owned; every other
-// key keeps its owner (the consistent-hashing minimal-movement property).
+// Leaving one node out must move only the keys that node owned, each to the
+// node its preference order names second; every other key keeps its owner
+// (the consistent-hashing minimal-movement property, which is what lets a
+// caller skip an unreachable node without a ring being rebuilt).
 func TestRingMinimalMovementOnNodeLoss(t *testing.T) {
 	full := NewRing([]string{"http://a:1", "http://b:2", "http://c:3"})
 	without := NewRing([]string{"http://a:1", "http://c:3"})
-	keys := testKeys(500)
 	moved := 0
-	for _, k := range keys {
-		before, after := full.Owner(k), without.Owner(k)
+	for _, k := range testKeys(500) {
+		order := full.Preference(k)
+		before, after := order[0], without.Owner(k)
+		if before != full.Owner(k) {
+			t.Fatalf("key %q: Preference starts at %q, Owner is %q", k, before, full.Owner(k))
+		}
 		if before == "http://b:2" {
-			if after == "http://b:2" {
-				t.Fatalf("key %q still owned by removed node", k)
+			if after != order[1] {
+				t.Fatalf("key %q of the removed node went to %q, its preference order %v names %q next", k, after, order, order[1])
 			}
 			moved++
 			continue
@@ -52,8 +59,73 @@ func TestRingMinimalMovementOnNodeLoss(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("removed node owned no test keys; distribution is broken")
 	}
-	if got := Moved(full, without, keys); got != moved {
-		t.Errorf("Moved = %d, want %d", got, moved)
+}
+
+// TestPreferenceWalkIsTheRebuiltRing is the proof the server's routing leans
+// on: over seeded memberships of 1–8 nodes, every dead subset and 1 000 keys,
+// the first preferred node outside the dead set is exactly the owner on a
+// ring built from the survivors; the order holds each member once; and it
+// does not depend on how the membership was written down.
+func TestPreferenceWalkIsTheRebuiltRing(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	keys := testKeys(1000)
+	for n := 1; n <= 8; n++ {
+		nodes := make([]string, n)
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("http://10.0.%d.%d:%d", rng.Intn(256), rng.Intn(256), 1024+rng.Intn(60000))
+		}
+		full := NewRing(nodes)
+		shuffled := append([]string(nil), nodes...)
+		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		permuted := NewRing(append(shuffled, nodes[0]))
+
+		orders := make([][]string, len(keys))
+		for i, k := range keys {
+			order := full.Preference(k)
+			orders[i] = order
+			if len(order) != n {
+				t.Fatalf("n=%d key %q: order %v has %d entries, want each of the %d members once", n, k, order, len(order), n)
+			}
+			seen := map[string]bool{}
+			for _, node := range order {
+				if seen[node] || !slices.Contains(nodes, node) {
+					t.Fatalf("n=%d key %q: order %v repeats or invents %q", n, k, order, node)
+				}
+				seen[node] = true
+			}
+			if !slices.Equal(order, permuted.Preference(k)) {
+				t.Fatalf("n=%d key %q: order depends on how the membership was listed: %v vs %v", n, k, order, permuted.Preference(k))
+			}
+		}
+		// Every dead subset, the empty one (Owner itself) and the full one
+		// (nobody left) included.
+		for dead := 0; dead < 1<<n; dead++ {
+			var survivors []string
+			isDead := map[string]bool{}
+			for i, node := range nodes {
+				if dead&(1<<i) != 0 {
+					isDead[node] = true
+				} else {
+					survivors = append(survivors, node)
+				}
+			}
+			rebuilt := NewRing(survivors)
+			for i, k := range keys {
+				walked := ""
+				for _, node := range orders[i] {
+					if !isDead[node] {
+						walked = node
+						break
+					}
+				}
+				if want := rebuilt.Owner(k); walked != want {
+					t.Fatalf("n=%d dead=%b key %q: the walk lands on %q, a ring over the survivors on %q", n, dead, k, walked, want)
+				}
+			}
+		}
+	}
+	if got := NewRing(nil).Preference("k"); len(got) != 0 {
+		t.Errorf("empty ring preference = %v, want none", got)
 	}
 }
 

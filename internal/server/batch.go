@@ -106,10 +106,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var breq batchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding batch: %w", err))
+	if decodeBody(w, r, maxBatchBytes, "batch", &breq) != 0 {
 		return
 	}
 	if len(breq.Requests) == 0 {
@@ -265,15 +262,11 @@ func appendBatchResponse(buf []byte, entries []batchEntry, groups int) []byte {
 	return append(buf, "}\n"...)
 }
 
-// forwardBatchGroup relays a group's open members to its owning replica as
-// one nested /v1/batch call, mapping the peer's positional results back to
-// this batch's indexes. It reports whether they were served; any failure
-// counts a fallback and sends them to local computation.
+// forwardBatchGroup relays a group's open members along the group's
+// preference order as one nested /v1/batch call, mapping the answering peer's
+// positional results back to this batch's indexes. It reports whether they
+// were served; false sends them to local computation.
 func (s *Server) forwardBatchGroup(r *http.Request, gkey string, members []batchWork, entries []batchEntry) bool {
-	_, pc := s.peers.route(gkey)
-	if pc == nil {
-		return false
-	}
 	sub := batchRequest{Requests: make([]batchItem, len(members))}
 	timeout := time.Duration(0)
 	for i, wk := range members {
@@ -289,9 +282,8 @@ func (s *Server) forwardBatchGroup(r *http.Request, gkey string, members []batch
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-	out, _, err := pc.PostRaw(ctx, "/v1/batch", payload, http.Header{forwardedHeader: []string{s.cfg.Self}})
-	if err != nil {
-		s.obs.Count("cluster.fallbacks", 1)
+	out, _, _, ok := s.forward(ctx, gkey, "/v1/batch", payload)
+	if !ok {
 		return false
 	}
 	var resp batchResponse

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -23,7 +24,8 @@ import (
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
-	// HTTP is the underlying client (default http.DefaultClient).
+	// HTTP is the underlying client (default http.DefaultClient; the
+	// peer-forwarding layer sets one with a short dial timeout).
 	HTTP *http.Client
 	// MaxRetries bounds the retries after the first attempt (default 3,
 	// so up to 4 attempts; negative disables retrying).
@@ -45,8 +47,8 @@ type Client struct {
 	// keeps failing: while open, Do-style methods fail fast with a
 	// breakerOpenError instead of attempting the network at all, until the
 	// cooldown lets a probe through. The peer-forwarding layer arms one
-	// per peer so a dead replica degrades to local computation without
-	// paying connect timeouts on every request.
+	// per peer so a dead replica is walked past without paying connect
+	// timeouts on every request.
 	breaker *breaker
 }
 
@@ -106,9 +108,26 @@ func (c *Client) PostRaw(ctx context.Context, path string, payload []byte, heade
 		}
 	}
 	body, hdr, err := c.postRawAttempts(ctx, path, payload, header)
-	c.breaker.record(err)
+	switch {
+	case err == nil:
+		c.breaker.record(nil)
+	case ctx.Err() != nil:
+		// The caller's own cancellation or deadline is no verdict on the
+		// destination.
+		c.breaker.record(ctx.Err())
+	default:
+		c.breaker.record(errDestination)
+	}
 	return body, hdr, err
 }
+
+// errDestination is what the breaker is told of any call that failed while
+// its caller was still waiting. The error itself cannot be trusted to say
+// so: a connect that timed out satisfies errors.Is(err,
+// context.DeadlineExceeded) — net's timeout errors answer to it — which the
+// breaker's own rules read as the caller's deadline, so a destination that
+// drops packets would never open its breaker.
+var errDestination = errors.New("server: call failed at its destination")
 
 // postRawAttempts is the raw retry loop, without breaker accounting.
 func (c *Client) postRawAttempts(ctx context.Context, path string, payload []byte, header http.Header) ([]byte, http.Header, error) {

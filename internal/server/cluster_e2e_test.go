@@ -17,30 +17,35 @@ import (
 	"repro/internal/obs"
 )
 
-// testClock is a real clock with an adjustable forward offset, so tests can
-// age peer breakers past their cooldown without sleeping.
+// testClock stands still until a test advances it, so peer breakers age past
+// their cooldown exactly when a test says so — never because a run was slow.
 type testClock struct{ offset atomic.Int64 }
 
-func (c *testClock) now() time.Time { return time.Now().Add(time.Duration(c.offset.Load())) }
+func (c *testClock) now() time.Time {
+	return time.Unix(1_700_000_000, 0).Add(time.Duration(c.offset.Load()))
+}
 
 func (c *testClock) advance(d time.Duration) { c.offset.Add(int64(d)) }
 
 // clusterReplica is one in-process peer-aware replica: a real Server wired
-// to real peers over loopback HTTP, plus a kill switch that drops every
-// connection at the transport — the failure mode a crashed replica
-// presents to the survivors.
+// to real peers over loopback HTTP, plus two faults at the listener — a kill
+// switch that drops every connection, the failure mode a crashed replica
+// presents to the survivors, and a one-way cut that drops only what one
+// named peer relays here.
 type clusterReplica struct {
-	url   string
+	url   string // where the listener is
+	name  string // what the ring calls this replica; the url unless startCluster was given names
 	srv   *Server
 	eval  *stubEval
 	scope *obs.Scope
 
 	killed  atomic.Bool
+	cutFrom atomic.Value // string: the peer whose forwards are dropped, "" for none
 	handler atomic.Value // http.Handler
 }
 
 func (c *clusterReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if c.killed.Load() {
+	if from := r.Header.Get(forwardedHeader); c.killed.Load() || (from != "" && from == c.cutFrom.Load()) {
 		hj, ok := w.(http.Hijacker)
 		if !ok {
 			panic("test listener not hijackable")
@@ -55,33 +60,53 @@ func (c *clusterReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.handler.Load().(http.Handler).ServeHTTP(w, r)
 }
 
-// newCluster starts n peer-wired replicas. Listeners come up first (their
-// URLs are the ring's node names), then each Server is built knowing the
-// full membership.
+// boot builds the replica's Server — again, empty, after a simulated restart
+// — knowing the full membership, and points its peer clients at the peers'
+// listeners, which is a no-op unless the ring's names are not URLs.
+func (c *clusterReplica) boot(reps []*clusterReplica, clock *testClock) {
+	var peers []string
+	for _, rep := range reps {
+		if rep != c {
+			peers = append(peers, rep.name)
+		}
+	}
+	c.srv = New(Config{Workers: 4, Obs: c.scope, Eval: c.eval.fn,
+		Self: c.name, Peers: peers, nowFn: clock.now})
+	for _, rep := range reps {
+		if rep != c {
+			c.srv.peers.clients[rep.name].BaseURL = rep.url
+		}
+	}
+	c.handler.Store(c.srv.Handler())
+}
+
+// newCluster starts n peer-wired replicas whose ring names are their
+// listeners' URLs, so which replica owns what differs from run to run.
 func newCluster(t testing.TB, n int) ([]*clusterReplica, *testClock) {
 	t.Helper()
+	return startCluster(t, make([]string, n))
+}
+
+// startCluster starts one peer-wired replica per name. Listeners come up
+// first, then each Server is built knowing the full membership. An empty
+// name is replaced by the listener's URL; given names pin the ring's
+// geometry, and with it every count a test takes, across runs.
+func startCluster(t testing.TB, names []string) ([]*clusterReplica, *testClock) {
+	t.Helper()
 	clock := &testClock{}
-	reps := make([]*clusterReplica, n)
-	urls := make([]string, n)
-	for i := range reps {
-		reps[i] = &clusterReplica{}
+	reps := make([]*clusterReplica, len(names))
+	for i, name := range names {
+		reps[i] = &clusterReplica{name: name, eval: &stubEval{}, scope: obs.New("test")}
+		reps[i].cutFrom.Store("")
 		ts := httptest.NewServer(reps[i])
 		t.Cleanup(ts.Close)
 		reps[i].url = ts.URL
-		urls[i] = ts.URL
-	}
-	for i, rep := range reps {
-		peers := make([]string, 0, n-1)
-		for k, u := range urls {
-			if k != i {
-				peers = append(peers, u)
-			}
+		if name == "" {
+			reps[i].name = ts.URL
 		}
-		rep.eval = &stubEval{}
-		rep.scope = obs.New("test")
-		rep.srv = New(Config{Workers: 4, Obs: rep.scope, Eval: rep.eval.fn,
-			Self: rep.url, Peers: peers, nowFn: clock.now})
-		rep.handler.Store(rep.srv.Handler())
+	}
+	for _, rep := range reps {
+		rep.boot(reps, clock)
 	}
 	return reps, clock
 }
@@ -100,15 +125,27 @@ func requestOf(t *testing.T, body string) swapp.Request {
 	return req
 }
 
-// owner resolves which replica URL owns a request body's group, the same
-// way every replica does.
+// preferenceOf lists the replicas in the preference order of a request
+// body's group, resolved the way every replica does.
+func preferenceOf(t *testing.T, reps []*clusterReplica, body string) []*clusterReplica {
+	t.Helper()
+	byName := map[string]*clusterReplica{}
+	var names []string
+	for _, r := range reps {
+		byName[r.name] = r
+		names = append(names, r.name)
+	}
+	var order []*clusterReplica
+	for _, name := range cluster.NewRing(names).Preference(groupKeyOf(t, body)) {
+		order = append(order, byName[name])
+	}
+	return order
+}
+
+// ownerOf resolves which replica URL owns a request body's group.
 func ownerOf(t *testing.T, reps []*clusterReplica, body string) string {
 	t.Helper()
-	urls := make([]string, len(reps))
-	for i, r := range reps {
-		urls[i] = r.url
-	}
-	return cluster.NewRing(urls).Owner(groupKeyOf(t, body))
+	return preferenceOf(t, reps, body)[0].url
 }
 
 // counter reads one obs counter, defaulting to 0.
@@ -220,21 +257,10 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 func TestClusterPeerCacheFill(t *testing.T) {
 	reps, _ := newCluster(t, 3)
 	body := `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`
-	owner := ownerOf(t, reps, body)
 	// The sender is the replica that neither owns the group nor succeeds its
 	// owner: the successor is pushed the owner's bytes after the first fill
 	// and would answer the second request from its vault, with no forward.
-	urls := make([]string, len(reps))
-	for i, rep := range reps {
-		urls[i] = rep.url
-	}
-	succ := cluster.NewRing(urls).NextOwner(groupKeyOf(t, body), owner)
-	var sender *clusterReplica
-	for _, rep := range reps {
-		if rep.url != owner && rep.url != succ {
-			sender = rep
-		}
-	}
+	sender := preferenceOf(t, reps, body)[2]
 	_, hdr1, _ := post(t, sender.url+"/v1/project", body)
 	_, hdr2, _ := post(t, sender.url+"/v1/project", body)
 	if hdr1.Get("X-Cache") != "miss" || hdr2.Get("X-Cache") != "hit" {
@@ -306,7 +332,7 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 	}
 	// Victim: the owner of the first group. Receiver: any other replica, so
 	// the victim's groups genuinely need forwarding.
-	victim := byURL(t, reps, ownerOf(t, reps, bodies[0]))
+	victim := preferenceOf(t, reps, bodies[0])[0]
 	receiver := reps[0]
 	if receiver == victim {
 		receiver = reps[1]
@@ -326,8 +352,9 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 		t.Error("healthy batch forwarded nothing; victim selection is wrong")
 	}
 
-	// Kill the victim and resubmit: every group it owned degrades to local
-	// computation on the receiver.
+	// Kill the victim and resubmit: every group it owned goes to the next
+	// replica in the group's preference order, or is computed here when that
+	// is the receiver.
 	victim.killed.Store(true)
 	code, _, out = post(t, receiver.url+"/v1/batch", batchBody(t, bodies...))
 	if code != 200 {
@@ -369,11 +396,6 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 	}
 	if counter(victim.scope, "server.requests./v1/batch") <= served {
 		t.Error("nothing was forwarded to the rejoined replica")
-	}
-	// With gossip off nothing ever replaces the ring: a failed forward is a
-	// fallback, not a membership change.
-	if n := counter(receiver.scope, "cluster.ring_moves"); n != 0 {
-		t.Errorf("cluster.ring_moves = %d on a static ring, want 0", n)
 	}
 }
 
@@ -442,7 +464,7 @@ func TestClusterHeldOwnerCompute(t *testing.T) {
 	} {
 		t.Run(d.name, func(t *testing.T) {
 			reps, clock := newCluster(t, 2)
-			owner := byURL(t, reps, ownerOf(t, reps, bodies[0]))
+			owner := preferenceOf(t, reps, bodies[0])[0]
 			other := reps[0]
 			if other == owner {
 				other = reps[1]

@@ -13,9 +13,10 @@ import (
 
 // FuzzBatchRequest: /v1/batch is the widest decoder the network can reach.
 // Arbitrary bytes posted to it never panic the handler (a recovered panic
-// would answer 500), are either refused whole with a 400 or answered 200,
-// always with a JSON document ending in a newline, and a 200 accounts for
-// every submitted item, in order — whatever each item's own status.
+// would answer 500), are either refused whole with a 400 — a 413 past
+// maxBatchBytes — or answered 200, always with a JSON document ending in a
+// newline, and a 200 accounts for every submitted item, in order — whatever
+// each item's own status.
 func FuzzBatchRequest(f *testing.F) {
 	var hot []string
 	for i := 0; i < 64; i++ {
@@ -27,13 +28,20 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"requests":[{}` + strings.Repeat(",{}", maxBatchItems) + `]}`)) // 257: small, for the minimiser
 	f.Add([]byte(`{"requests":[` + reqBT + `,{"target":"bgp","ben`))
 	f.Add([]byte(`{"requests":[{"op":"validate","target":"bgp","bench":"SP-MZ","class":"D","ranks":-3,"timeout_ms":1},{},null]} trailing`))
+	f.Add([]byte(`{"requests":[` + reqBT + strings.Repeat(" ", maxBatchBytes) + `]}`)) // ends past the bound
 
 	h := New(Config{Workers: 2, Eval: (&stubEval{}).fn}).Handler()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(data)))
 		out := rec.Body.Bytes()
-		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+		switch rec.Code {
+		case http.StatusOK, http.StatusBadRequest:
+		case http.StatusRequestEntityTooLarge:
+			if len(data) <= maxBatchBytes {
+				t.Fatalf("413 for %d bytes, the bound is %d", len(data), maxBatchBytes)
+			}
+		default:
 			t.Fatalf("status = %d: %s", rec.Code, out)
 		}
 		if !json.Valid(out) || !bytes.HasSuffix(out, []byte("\n")) {
@@ -128,9 +136,9 @@ func FuzzReplicateRequest(f *testing.F) {
 
 // FuzzEvalRequest: the three single endpoints decode the same APIRequest.
 // Arbitrary bytes posted to any of them never panic the handler, are
-// answered 200 or 400 with one JSON line, and a 200 is a pure function of
-// the bytes sent: the same bytes again get the same document, this time
-// from the result cache.
+// answered 200 or 400 — 413 past maxRequestBytes — with one JSON line, and a
+// 200 is a pure function of the bytes sent: the same bytes again get the
+// same document, this time from the result cache.
 func FuzzEvalRequest(f *testing.F) {
 	f.Add([]byte(reqBT))
 	f.Add([]byte(`{"base":"bgp","target":"hydra","bench":"SP-MZ","class":"D","ranks":64,"timeout_ms":250}`))
@@ -143,6 +151,7 @@ func FuzzEvalRequest(f *testing.F) {
 	f.Add([]byte(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16,"timeout_ms":-1}`))
 	f.Add([]byte(`{"target":"power6-575","ben`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(reqBT[:len(reqBT)-1] + strings.Repeat(" ", maxRequestBytes) + `}`)) // ends past the bound
 
 	h := New(Config{Workers: 2, Eval: (&stubEval{}).fn}).Handler()
 	serve := func(path string, data []byte) *httptest.ResponseRecorder {
@@ -154,7 +163,13 @@ func FuzzEvalRequest(f *testing.F) {
 		for _, path := range []string{"/v1/project", "/v1/validate", "/v1/surrogate"} {
 			rec := serve(path, data)
 			out := rec.Body.Bytes()
-			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest {
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest:
+			case http.StatusRequestEntityTooLarge:
+				if len(data) <= maxRequestBytes {
+					t.Fatalf("%s: 413 for %d bytes, the bound is %d", path, len(data), maxRequestBytes)
+				}
+			default:
 				t.Fatalf("%s: status = %d: %s", path, rec.Code, out)
 			}
 			if !json.Valid(out) || !bytes.HasSuffix(out, []byte("\n")) || bytes.Count(out, []byte("\n")) != 1 {

@@ -35,10 +35,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var jreq jobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&jreq); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding job request: %w", err))
+	if decodeBody(w, r, maxRequestBytes, "job request", &jreq) != 0 {
 		return
 	}
 	op, spec, req, err := jreq.resolve()

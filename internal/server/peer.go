@@ -3,153 +3,112 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
-	"sync"
 	"time"
 
 	swapp "repro"
 	"repro/internal/cluster"
-	"repro/internal/obs"
 )
 
-// forwardedHeader marks a request relayed by a peer replica. Its presence
-// is the loop guard: a forwarded request is always computed locally, never
-// re-forwarded, so a stale or disagreeing ring cannot bounce a request
-// around the cluster.
+// forwardedHeader marks a request relayed by a peer replica, naming the
+// relayer. Its presence is the loop guard: a forwarded request is always
+// computed locally, never re-forwarded, so replicas that disagree about who
+// is reachable cannot bounce a request around the cluster.
 const forwardedHeader = "X-Swapp-Forwarded"
 
-// peerHeader, on a response, names the replica that actually computed it.
+// peerHeader, on a response, names the replica that answered the forward.
 const peerHeader = "X-Swapp-Peer"
 
-// maxTrackedGroups bounds the group keys retained for ring-movement
-// accounting. Tracking is metrics-only; beyond the bound new groups are
-// simply not counted in cluster.ring_moves.
-const maxTrackedGroups = 4096
+// peerDialTimeout bounds connecting to a peer. A replica that silently
+// drops packets must cost a forward about as much as one that refuses the
+// connection, or its breaker would take minutes to hear three failures;
+// replicas share a network, where a connect that has not answered in half a
+// second will not.
+const peerDialTimeout = 500 * time.Millisecond
 
-// peerSet is a replica's view of the cluster: the ring every replica with
-// the same membership computes identically (routing preference) and one
-// breaker-guarded client per peer (failure isolation). There is one ring:
-// it starts over the configured membership and only setMembership — the
-// gossip detector's hook — ever replaces it, so a static -peers cluster is
-// the gossip-fed one that never hears an update.
-//
-// Ownership is a preference, not a correctness requirement: when a group's
-// owner is unreachable the request degrades to local computation — every
-// projection is a pure function of its request, so the bytes are identical
-// wherever they are computed. The owner's value is concentration: its
-// layered store fills once per group and serves every forwarded request
-// (the peer cache fill).
-type peerSet struct {
-	self       string
-	obs        *obs.Scope
-	configured []string // the configured membership, self included, sorted
-	nowFn      func() time.Time
-
-	mu      sync.Mutex
-	clients map[string]*Client // forwarding path per peer address
-	routing *cluster.Ring      // over the current membership
-	tracked map[string]bool    // group keys seen, for ring_moves accounting
-	keys    []string
+// peerTransport is http.DefaultTransport with every dial bounded by
+// peerDialTimeout.
+func peerTransport(dial func(ctx context.Context, network, addr string) (net.Conn, error)) *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		ctx, cancel := context.WithTimeout(ctx, peerDialTimeout)
+		defer cancel()
+		return dial(ctx, network, addr)
+	}
+	return t
 }
 
-// newPeerSet wires clients for every peer address except self. nowFn is the
-// breaker clock (injectable in tests).
-func newPeerSet(self string, peers []string, scope *obs.Scope, nowFn func() time.Time) *peerSet {
+// peerHTTP is the one HTTP client every peer call in the process goes
+// through.
+var peerHTTP = &http.Client{Transport: peerTransport((&net.Dialer{KeepAlive: 30 * time.Second}).DialContext)}
+
+// peerSet is a replica's view of the cluster, fixed at construction: the
+// ring every replica with the same -peers computes identically, and one
+// breaker-guarded client per peer. The breaker is the only failure detector
+// there is: three failed calls open it, an open breaker fails fast for its
+// cooldown, and the one call it then lets through — a real forward — is how
+// a returning peer is found again.
+//
+// A group's preference order (cluster.Ring.Preference) is a preference, not
+// a correctness requirement: every projection is a pure function of its
+// request, so the bytes are identical wherever they are computed. Its value
+// is concentration: every replica that cannot reach a group's owner asks the
+// same next node, whose layered store then fills once per group and whose
+// vault already holds what the owner pushed (the peer cache fill).
+type peerSet struct {
+	self    string
+	ring    *cluster.Ring
+	clients map[string]*Client // per configured peer; read-only after newPeerSet
+}
+
+// newPeerSet wires a client for every peer address except self. nowFn is the
+// breakers' clock (injectable in tests).
+func newPeerSet(self string, peers []string, nowFn func() time.Time) *peerSet {
 	p := &peerSet{
 		self:    self,
-		obs:     scope,
-		routing: cluster.NewRing(append(append([]string(nil), peers...), self)),
-		nowFn:   nowFn,
+		ring:    cluster.NewRing(append(append([]string(nil), peers...), self)),
 		clients: map[string]*Client{},
-		tracked: map[string]bool{},
 	}
-	p.configured = p.routing.Nodes()
-	for _, addr := range p.configured {
-		if addr != self {
-			p.clients[addr] = p.newClient(addr)
+	for _, addr := range p.ring.Nodes() {
+		if addr == self {
+			continue
+		}
+		p.clients[addr] = &Client{
+			BaseURL: addr,
+			HTTP:    peerHTTP,
+			// A forward must give way to the next candidate quickly: one
+			// retry with short backoff, then the walk moves on.
+			MaxRetries:  1,
+			BaseBackoff: 50 * time.Millisecond,
+			MaxBackoff:  500 * time.Millisecond,
+			breaker:     newBreaker(3, 5*time.Second, nowFn),
 		}
 	}
 	return p
 }
 
-// newClient wires the forwarding path to one peer address, with its own
-// breaker: a dead peer fails fast after a few attempts instead of charging
-// connect timeouts to every request routed its way.
-func (p *peerSet) newClient(addr string) *Client {
-	return &Client{
-		BaseURL: addr,
-		// Forwarding must degrade to local computation quickly: one
-		// retry with short backoff, then the caller falls back.
-		MaxRetries:  1,
-		BaseBackoff: 50 * time.Millisecond,
-		MaxBackoff:  500 * time.Millisecond,
-		breaker:     newBreaker(3, 5*time.Second, p.nowFn),
-	}
-}
-
-// setMembership replaces the routing ring with one over the given alive
-// membership (self always included) — the gossip detector's OnChange hook.
-// Group keys whose owner moved under the rebuild are counted as
-// cluster.ring_moves; clients for newly seen addresses are wired lazily,
-// and clients for departed peers are kept (a rejoin reuses the breaker's
-// recovery machinery instead of forgetting its history).
-func (p *peerSet) setMembership(alive []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	next := cluster.NewRing(append(append([]string(nil), alive...), p.self))
-	for _, addr := range next.Nodes() {
-		if addr == p.self {
-			continue
+// forward relays one request — a single evaluation or a group's nested batch
+// — along its group's preference order and returns the first candidate's
+// successful reply with that candidate's address. Reaching this replica in
+// the order — nobody ahead of it answered, or nobody is ahead — means compute
+// here: ok is false. Every other candidate gets one PostRaw — an open breaker
+// fails it fast — and a failure counts a fallback and moves on, so an
+// unreachable owner's groups land on the node a ring rebuilt without it would
+// have named, from every entry point alike.
+func (s *Server) forward(ctx context.Context, groupKey, path string, payload []byte) (body []byte, hdr http.Header, peer string, ok bool) {
+	relayed := http.Header{forwardedHeader: []string{s.peers.self}}
+	for _, addr := range s.peers.ring.Preference(groupKey) {
+		if addr == s.peers.self {
+			break
 		}
-		if _, ok := p.clients[addr]; !ok {
-			p.clients[addr] = p.newClient(addr)
+		body, hdr, err := s.peers.clients[addr].PostRaw(ctx, path, payload, relayed)
+		if err == nil {
+			return body, hdr, addr, true
 		}
+		s.obs.Count("cluster.fallbacks", 1)
 	}
-	if moved := cluster.Moved(p.routing, next, p.keys); moved > 0 {
-		p.obs.Count("cluster.ring_moves", int64(moved))
-	}
-	p.routing = next
-	p.obs.Gauge("cluster.ring_size", float64(next.Len()))
-}
-
-// membership reports the routing ring's current member addresses.
-func (p *peerSet) membership() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.routing.Nodes()
-}
-
-// successor resolves the replication target for a locally owned group: the
-// replica that would inherit the group if this one left the ring. nil when
-// the ring has no other member.
-func (p *peerSet) successor(groupKey string) *Client {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	addr := p.routing.NextOwner(groupKey, p.self)
-	if addr == "" || addr == p.self {
-		return nil
-	}
-	if _, ok := p.clients[addr]; !ok {
-		p.clients[addr] = p.newClient(addr)
-	}
-	return p.clients[addr]
-}
-
-// route resolves a group key: the owning address on the routing ring, and
-// the peer client to forward through — nil when the key is owned locally
-// (or the membership is degenerate) and the caller should compute here.
-func (p *peerSet) route(groupKey string) (owner string, pc *Client) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.tracked[groupKey] && len(p.keys) < maxTrackedGroups {
-		p.tracked[groupKey] = true
-		p.keys = append(p.keys, groupKey)
-	}
-	owner = p.routing.Owner(groupKey)
-	if owner == "" || owner == p.self {
-		return owner, nil
-	}
-	return owner, p.clients[owner]
+	return nil, nil, "", false
 }
 
 // timeoutFor resolves one request's evaluation deadline from its body,
@@ -165,25 +124,19 @@ func (s *Server) timeoutFor(body APIRequest) time.Duration {
 	return timeout
 }
 
-// forwardEval relays one single-request evaluation to its group's owner and
-// returns the peer's bytes verbatim, the owner's own outcome and its
-// address. ok is false when the group is owned here or the forward failed;
-// a failure counts a fallback and the caller computes locally — a dead peer
-// degrades, never errors.
-func (s *Server) forwardEval(r *http.Request, endpoint string, body APIRequest, req swapp.Request) (doc []byte, oc outcome, owner string, ok bool) {
-	owner, pc := s.peers.route(cluster.GroupKey(req.Base, req.Target))
-	if pc == nil {
-		return nil, "", "", false
-	}
+// forwardEval relays one single-request evaluation along its group's
+// preference order and returns the answering peer's bytes verbatim, that
+// peer's own outcome and its address. ok is false when the request is to be
+// computed here — a dead peer degrades, never errors.
+func (s *Server) forwardEval(r *http.Request, endpoint string, body APIRequest, req swapp.Request) (doc []byte, oc outcome, peer string, ok bool) {
 	payload, err := json.Marshal(body)
 	if err != nil {
 		return nil, "", "", false
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(body))
 	defer cancel()
-	doc, respHdr, err := pc.PostRaw(ctx, endpoint, payload, http.Header{forwardedHeader: []string{s.cfg.Self}})
-	if err != nil {
-		s.obs.Count("cluster.fallbacks", 1)
+	doc, respHdr, peer, ok := s.forward(ctx, cluster.GroupKey(req.Base, req.Target), endpoint, payload)
+	if !ok {
 		return nil, "", "", false
 	}
 	s.obs.Count("cluster.forwards", 1)
@@ -191,7 +144,7 @@ func (s *Server) forwardEval(r *http.Request, endpoint string, body APIRequest, 
 	if oc == outcomeHit {
 		s.obs.Count("cluster.peer_hits", 1)
 	}
-	return doc, oc, owner, true
+	return doc, oc, peer, true
 }
 
 // Peers reports the configured cluster membership (empty when peer-aware
@@ -200,5 +153,5 @@ func (s *Server) Peers() []string {
 	if s.peers == nil {
 		return nil
 	}
-	return append([]string(nil), s.peers.configured...)
+	return s.peers.ring.Nodes()
 }

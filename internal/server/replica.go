@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"slices"
 	"time"
 
@@ -17,13 +16,12 @@ import (
 	"repro/internal/core"
 )
 
-// Warm failover: when an owner finishes a fill it pushes the rendered
-// result bytes to its ring successor (the replica that inherits the group
-// if the owner leaves), content-addressed so a duplicate push is a no-op.
-// When gossip later removes the dead owner and the ring reassigns the
-// group, the successor serves the replicated bytes — byte-identical, no
-// recomputation — counted as cluster.replica_hits against the cold-path
-// cluster.fallbacks.
+// Warm failover: a replica that finishes a fill pushes the rendered result
+// bytes to the node after it in the group's preference order — the node
+// every entry point's walk tries next once this one stops answering —
+// content-addressed so a duplicate push is a no-op. When this replica dies
+// that node serves the replicated bytes — byte-identical, no recomputation —
+// counted as cluster.replica_hits against the cold-path cluster.fallbacks.
 
 // replicatePushTimeout bounds one background replication push. Replication
 // is an optimisation: a push that cannot land quickly is dropped (counted)
@@ -50,21 +48,19 @@ func replicaVaultKey(keyHex, endpoint string) string {
 	return fmt.Sprintf("replica|%s|%q", keyHex, endpoint)
 }
 
-// maybeReplicate pushes a freshly computed result's rendered bytes to the
-// group's ring successor. Only locally owned groups replicate — a fallback
-// computation on a non-owner is already a degraded path and its successor
-// would be wrong. The push runs in the background (WaitReplication joins
-// it).
+// maybeReplicate pushes a freshly computed result's rendered bytes down the
+// group's preference order from this replica: to the node after it, or — when
+// that one cannot be reached — the one after that, which is where every
+// entry point's walk would go on to. The last node in the order has nobody
+// the walk would try after it and pushes nowhere. The push runs in the
+// background (WaitReplication joins it).
 func (s *Server) maybeReplicate(key cacheKey, endpoint string, req swapp.Request, body []byte) {
 	if s.peers == nil {
 		return
 	}
-	gk := cluster.GroupKey(req.Base, req.Target)
-	if owner, pc := s.peers.route(gk); pc != nil || owner == "" {
-		return
-	}
-	succ := s.peers.successor(gk)
-	if succ == nil {
+	order := s.peers.ring.Preference(cluster.GroupKey(req.Base, req.Target))
+	after := order[slices.Index(order, s.peers.self)+1:]
+	if len(after) == 0 {
 		return
 	}
 	sum := sha256.Sum256(body)
@@ -82,11 +78,13 @@ func (s *Server) maybeReplicate(key cacheKey, endpoint string, req swapp.Request
 		defer s.replWG.Done()
 		ctx, cancel := context.WithTimeout(context.Background(), replicatePushTimeout)
 		defer cancel()
-		if _, _, err := succ.PostRaw(ctx, "/v1/replicate", payload, nil); err != nil {
+		for _, addr := range after {
+			if _, _, err := s.peers.clients[addr].PostRaw(ctx, "/v1/replicate", payload, nil); err == nil {
+				s.obs.Count("cluster.replica_pushes", 1)
+				return
+			}
 			s.obs.Count("cluster.replica_push_fails", 1)
-			return
 		}
-		s.obs.Count("cluster.replica_pushes", 1)
 	}()
 }
 
@@ -110,16 +108,10 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var msg replicaMsg
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxReplicaBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&msg); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+	if status := decodeBody(w, r, maxReplicaBytes, "replica", &msg); status != 0 {
+		if status == http.StatusRequestEntityTooLarge {
 			s.obs.Count("cluster.replica_rejects", 1)
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("replica body exceeds %d bytes", maxReplicaBytes))
-			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding replica: %w", err))
 		return
 	}
 	if len(msg.Key) != 2*sha256.Size || msg.Endpoint == "" || msg.Sum == "" || len(msg.Body) == 0 {
@@ -148,74 +140,4 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"stored\":%t}\n", stored)
-}
-
-// probeHealthz is the gossip direct probe: GET addr/healthz must answer
-// 200 within the probe context.
-func probeHealthz(ctx context.Context, addr string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: HTTP %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// indirectPing is the gossip indirect probe: ask via to health-check
-// target on our behalf (GET via/v1/gossip/ping?target=...). Distinguishes
-// a dead target from a broken direct link.
-func indirectPing(ctx context.Context, via, target string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		via+"/v1/gossip/ping?target="+url.QueryEscape(target), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("gossip ping via %s: HTTP %d", via, resp.StatusCode)
-	}
-	return nil
-}
-
-// handleGossipPing serves GET /v1/gossip/ping?target=...: health-check the
-// target for a peer whose own direct link may be broken, answering 200 if
-// the target's /healthz responds and 502 otherwise. Only a configured
-// cluster member is ever probed — anything else is 400, or this route would
-// send a GET wherever any caller pointed it. Registered in peer mode only.
-func (s *Server) handleGossipPing(w http.ResponseWriter, r *http.Request) {
-	target := r.URL.Query().Get("target")
-	if !slices.Contains(s.peers.configured, target) {
-		s.obs.Count("cluster.gossip_ping_rejects", 1)
-		writeError(w, http.StatusBadRequest, errors.New("gossip ping needs a target that is a cluster member"))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), replicatePushTimeout)
-	defer cancel()
-	if err := probeHealthz(ctx, target); err != nil {
-		writeError(w, http.StatusBadGateway, err)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-// Membership reports the routing ring's current member addresses (gossip
-// view in gossip mode, configured membership otherwise); nil when
-// peer-aware mode is off.
-func (s *Server) Membership() []string {
-	if s.peers == nil {
-		return nil
-	}
-	return s.peers.membership()
 }

@@ -113,36 +113,24 @@ type Config struct {
 	// Self is this replica's advertised base URL (e.g.
 	// "http://127.0.0.1:8080") and Peers the other replicas' base URLs.
 	// When both are set the server runs peer-aware: a consistent-hash ring
-	// over the full membership assigns each (base, target) group an owning
-	// replica, and requests whose group hashes elsewhere are forwarded
-	// there — concentrating each group's layered-store fills on one
-	// replica — falling back to local computation when the owner is
-	// unreachable. Forwarded requests carry X-Swapp-Forwarded and are
-	// always computed locally (no multi-hop routing).
+	// over the full membership gives each (base, target) group an order of
+	// preference among the replicas, and a request this replica does not
+	// hold is forwarded to the first of them that answers — concentrating
+	// each group's layered-store fills on one replica — or computed here
+	// once the order reaches this replica. The ring is fixed; a per-peer
+	// breaker is what routes past a dead replica and finds it again.
+	// Forwarded requests carry X-Swapp-Forwarded and are always computed
+	// where they land (no multi-hop routing).
 	Self  string
 	Peers []string
-	// GossipInterval, when positive in peer-aware mode, runs a SWIM-style
-	// failure detector over the configured membership: each interval one
-	// peer is probed (direct /healthz, then indirect via other peers), and
-	// alive-view changes rebuild the routing ring without restarts — dead
-	// replicas leave the ring, rejoining ones return. Zero keeps the ring
-	// over the configured membership for good (the documented fallback).
-	GossipInterval time.Duration
-	// GossipProbeTimeout bounds one probe (default GossipInterval/2) and
-	// GossipSuspectAfter is the suspicion grace period before a peer is
-	// declared dead (default 3×GossipInterval).
-	GossipProbeTimeout time.Duration
-	GossipSuspectAfter time.Duration
 	// JobsMaxActive / JobsMaxQueued / JobsMaxRetries / JobsTimeout /
-	// JobsRetain / JobsRetainAge parameterise the async jobs API (zero
-	// values take the cluster.ManagerConfig defaults; JobsRetainAge 0
-	// keeps the pure count-based retention).
+	// JobsRetain parameterise the async jobs API (zero values take the
+	// cluster.ManagerConfig defaults).
 	JobsMaxActive  int
 	JobsMaxQueued  int
 	JobsMaxRetries int
 	JobsTimeout    time.Duration
 	JobsRetain     int
-	JobsRetainAge  time.Duration
 	// DataDir roots the server's durable state: a WAL-backed job journal
 	// under DataDir/journal and the characterisation layer's files under
 	// DataDir/characterisation, written as each table is built. Only
@@ -181,9 +169,7 @@ type Server struct {
 
 	journal *cluster.Journal // durable job journal; nil without DataDir
 
-	gossip       *cluster.Gossip    // nil in static-membership mode
-	gossipCancel context.CancelFunc // stops the gossip loop (Close)
-	replWG       sync.WaitGroup     // in-flight replication pushes
+	replWG sync.WaitGroup // in-flight replication pushes
 
 	sem      chan struct{} // worker slots
 	queued   atomic.Int64  // arrivals between admission and a slot
@@ -232,23 +218,7 @@ func New(cfg Config) *Server {
 		s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.nowFn)
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
-		s.peers = newPeerSet(cfg.Self, cfg.Peers, cfg.Obs, cfg.nowFn)
-		if cfg.GossipInterval > 0 {
-			s.gossip = cluster.NewGossip(cluster.GossipConfig{
-				Self:          cfg.Self,
-				Peers:         cfg.Peers,
-				ProbeInterval: cfg.GossipInterval,
-				ProbeTimeout:  cfg.GossipProbeTimeout,
-				SuspectAfter:  cfg.GossipSuspectAfter,
-				Probe:         probeHealthz,
-				IndirectProbe: indirectPing,
-				OnChange:      s.peers.setMembership,
-				Obs:           cfg.Obs,
-			})
-			gctx, cancel := context.WithCancel(context.Background())
-			s.gossipCancel = cancel
-			go s.gossip.Run(gctx)
-		}
+		s.peers = newPeerSet(cfg.Self, cfg.Peers, cfg.nowFn)
 	}
 	s.journal = cfg.journal
 	s.jobs = cluster.NewManager(cluster.ManagerConfig{
@@ -257,26 +227,22 @@ func New(cfg Config) *Server {
 		MaxRetries: cfg.JobsMaxRetries,
 		Timeout:    cfg.JobsTimeout,
 		Retain:     cfg.JobsRetain,
-		RetainAge:  cfg.JobsRetainAge,
 		Journal:    cfg.journal,
 		Obs:        cfg.Obs,
 	})
 	return s
 }
 
-// Close is the replica's one way down: it stops the gossip loop, stops
-// accepting async job submissions, cancels every unfinished job (each ends
-// failed, with no terminal record — see cluster.Manager.Close) and flushes
-// and closes the durable job journal. What it leaves in DataDir is what
+// Close is the replica's one way down: it stops accepting async job
+// submissions, cancels every unfinished job (each ends failed, with no
+// terminal record — see cluster.Manager.Close) and flushes and closes the
+// durable job journal. What it leaves in DataDir is what
 // kill -9 would have left, so NewDurable on the same directory is the one
 // way back from either: unfinished jobs re-run under their original IDs.
 // Without a DataDir the client resubmits to any live replica. Serving
 // endpoints are unaffected (the HTTP listener's Shutdown handles those).
 // Idempotent.
 func (s *Server) Close() {
-	if s.gossipCancel != nil {
-		s.gossipCancel()
-	}
 	s.jobs.Close()
 	_ = s.journal.Close()
 }
@@ -297,9 +263,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
 	mux.HandleFunc("/v1/replicate", s.handleReplicate)
-	if s.peers != nil {
-		mux.HandleFunc("/v1/gossip/ping", s.handleGossipPing)
-	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -379,10 +342,7 @@ func (s *Server) handleEval(spec endpointSpec) http.HandlerFunc {
 			return
 		}
 		var body APIRequest
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&body); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		if decodeBody(w, r, maxRequestBytes, "request", &body) != 0 {
 			return
 		}
 		req, err := evalRequest(body)
@@ -658,6 +618,34 @@ func renderSurrogate(res *swapp.Result) ([]byte, error) {
 	return report.MarshalJSONLine(surrogateResponse{
 		App: j.App, Target: j.Target, Ranks: j.Ranks, Compute: j.Compute,
 	})
+}
+
+// Bounds on what a handler will read of a request body before refusing it
+// with 413. A single request or a job submission is a few hundred bytes, a
+// full 256-item batch some tens of kilobytes.
+const (
+	maxRequestBytes = 64 << 10
+	maxBatchBytes   = 1 << 20
+)
+
+// decodeBody strictly decodes the request's JSON body, at most limit bytes
+// of it, into v. On failure it has answered — 413 for a body over the limit,
+// 400 for one that does not decode — and returns the status it sent; 0 means
+// v is filled.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) int {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return 0
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status, err = http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	writeError(w, status, fmt.Errorf("decoding %s: %w", what, err))
+	return status
 }
 
 // writeError emits the JSON error body with the given status.

@@ -387,6 +387,50 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizeBodiesRefused: every decoder the network can reach stops
+// reading at its bound and answers 413 with one JSON error line — before
+// decoding, so a batch of a million empty items is refused for its size, not
+// counted and then refused for its length — while a body padded up to the
+// bound is still served. (/v1/replicate's bound: TestReplicateIdempotent.)
+func TestOversizeBodiesRefused(t *testing.T) {
+	eval := &stubEval{}
+	_, ts := newTestServer(t, Config{Workers: 1}, eval)
+	job := `{"request":` + reqBT + `}`
+	for _, tc := range []struct {
+		path, body string
+		limit      int
+		okStatus   int
+	}{
+		{"/v1/project", reqBT, maxRequestBytes, http.StatusOK},
+		{"/v1/validate", reqBT, maxRequestBytes, http.StatusOK},
+		{"/v1/surrogate", reqBT, maxRequestBytes, http.StatusOK},
+		{"/v1/jobs", job, maxRequestBytes, http.StatusAccepted},
+		{"/v1/batch", batchBody(t, reqBT), maxBatchBytes, http.StatusOK},
+	} {
+		// Leading whitespace is legal JSON: padded to the bound the value is
+		// read whole, one byte more and its end lies beyond the bound.
+		fits := strings.Repeat(" ", tc.limit-len(tc.body)) + tc.body
+		if code, _, out := post(t, ts.URL+tc.path, fits); code != tc.okStatus {
+			t.Errorf("%s: a %d-byte body got %d %.120s, want %d", tc.path, len(fits), code, out, tc.okStatus)
+		}
+		code, _, out := post(t, ts.URL+tc.path, " "+fits)
+		if code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: a %d-byte body got %d %.120s, want 413", tc.path, len(fits)+1, code, out)
+		}
+		var e apiError
+		if err := json.Unmarshal(out, &e); err != nil || e.Error == "" || bytes.Count(out, []byte("\n")) != 1 {
+			t.Errorf("%s: 413 body is not one JSON error line: %q", tc.path, out)
+		}
+	}
+	flood := `{"requests":[{}` + strings.Repeat(",{}", maxBatchBytes/3) + `]}`
+	if code, _, out := post(t, ts.URL+"/v1/batch", flood); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("a batch of %d empty items got %d %.120s, want 413", maxBatchBytes/3+1, code, out)
+	}
+	if n := eval.calls.Load(); n != 2 {
+		t.Errorf("the evaluator ran %d times, want 2: the five bodies that fit are one projection and one validation", n)
+	}
+}
+
 func TestHealthAndReadiness(t *testing.T) {
 	eval := &stubEval{}
 	s, ts := newTestServer(t, Config{Workers: 1}, eval)

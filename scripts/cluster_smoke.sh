@@ -1,19 +1,21 @@
 #!/usr/bin/env bash
-# cluster_smoke.sh — end-to-end smoke test of swappd's peer-aware mode with
-# gossip membership and warm failover (DESIGN.md §10.3, §10.5): build swappd,
-# start three replicas wired into one consistent-hash ring running the SWIM
-# detector at smoke cadence, run a grouped /v1/batch round-trip through one
-# node, then:
+# cluster_smoke.sh — end-to-end smoke test of swappd's peer-aware mode: the
+# preference walk past a dead replica and warm failover (DESIGN.md §10.3,
+# §10.5). Build swappd, start three replicas wired into one consistent-hash
+# ring, run a grouped /v1/batch round-trip through one node, then:
 #
 #   1. compute one result on its ring owner (found via X-Swapp-Peer) so the
 #      owner replicates the rendered bytes to its successor,
-#   2. SIGKILL that owner, wait for gossip to shrink the survivors' rings,
-#      and require a survivor to answer byte-identically from the replica
-#      vault — asserted through cluster.replica_hits in /debug/vars,
+#   2. SIGKILL that owner and, at once, require both survivors to answer
+#      byte-identically from the successor's replica vault — asserted
+#      through X-Cache: replica and cluster.replica_hits in /debug/vars,
 #   3. re-run the grouped batch on a survivor, byte-identical to the
 #      healthy run,
-#   4. restart the killed replica and wait for gossip to heal the ring back
-#      to three members without any restarts elsewhere,
+#   4. open the survivor's breaker for the dead owner with three fresh keys
+#      of its group (each answered all the same), restart the killed
+#      replica and poll until a fresh key is answered by it again
+#      (X-Swapp-Peer) — the breaker's probe, within its 5 s cooldown, no
+#      restarts elsewhere,
 #   5. drain everything with SIGTERM and require clean exits.
 set -euo pipefail
 
@@ -53,10 +55,8 @@ start_replica() { # start_replica <index>
         [ "$k" = "$i" ] && continue
         peers="${peers:+$peers,}${urls[$k]}"
     done
-    # Gossip at smoke cadence: membership changes land in ~1s instead of
-    # the production detector's several seconds.
     "$tmp/swappd" -addr "127.0.0.1:$port" -self "${urls[$i]}" -peers "$peers" \
-        -gossip-interval 200ms >"$tmp/out$i.log" 2>"$tmp/err$i.log" &
+        >"$tmp/out$i.log" 2>"$tmp/err$i.log" &
     pids[$i]=$!
 }
 # wait_for bounds every polling loop in this script: re-run a predicate
@@ -87,14 +87,10 @@ else:
     print(0)
 ' "$2" "$3" || echo 0
 }
-gauge_is() { [ "$(metric "$1" gauges "$2")" = "$3" ]; }
-wait_gauge() { # wait_gauge <base-url> <name> <want> <what>
-    wait_for 100 "$4 ($2=$3 at $1)" gauge_is "$1" "$2" "$3"
-}
 
 start_replica 1; start_replica 2; start_replica 3
 wait_healthy "$p1"; wait_healthy "$p2"; wait_healthy "$p3"
-echo "cluster-smoke: 3 replicas up ($u1 $u2 $u3), gossip at 200ms"
+echo "cluster-smoke: 3 replicas up ($u1 $u2 $u3)"
 
 # Four requests hashing to two (base, target) groups: the batch endpoint
 # must dedupe the characterisation work per group and the ring must route
@@ -146,18 +142,15 @@ replicated() {
 wait_for 100 "replica $owner to replicate the warm result to a survivor (cluster.replica_stores >= 1)" replicated
 echo "cluster-smoke: warm result computed on replica $owner and replicated"
 
-# SIGKILL the owner — no drain, the crash case — and wait for gossip to
-# evict it from both survivors' routing rings.
+# SIGKILL the owner — no drain, the crash case.
 kill -KILL "${pids[$owner]}"
 wait "${pids[$owner]}" 2>/dev/null || true
 pids[$owner]=""
-for k in "${survivors[@]}"; do
-    wait_gauge "${urls[$k]}" cluster.ring_size 2 "gossip to evict the dead owner"
-done
-echo "cluster-smoke: gossip evicted the dead owner from both survivors"
 
-# Every surviving entry point must now answer the warm request with the
-# dead owner's exact bytes, served from the replica vault, not recomputed.
+# Every surviving entry point must answer the warm request right away with
+# the dead owner's exact bytes, served from the replica vault, not
+# recomputed: the successor from its own vault, the other survivor by
+# walking past the refused connection to the successor.
 for k in "${survivors[@]}"; do
     curl -fsS -m 120 -D "$tmp/fo$k.hdr" -X POST "${urls[$k]}/v1/project" -d "$req" -o "$tmp/fo$k.json"
     cmp -s "$tmp/warm.json" "$tmp/fo$k.json" || {
@@ -181,18 +174,40 @@ cmp -s "$tmp/batch1.json" "$tmp/batch2.json" || {
     echo "cluster-smoke: failover batch differs from the healthy one" >&2; exit 1; }
 echo "cluster-smoke: survivor answered the batch byte-identically after the crash"
 
-# Rejoin: restart the crashed owner and require gossip to heal both
-# survivors' rings back to three members — no restarts, no operator action.
+# Fresh keys of the dead owner's group, asked at a survivor: each is a
+# failed forward that walks on (the successor computes it, or the survivor
+# itself when it is the successor), and three of them open the survivor's
+# breaker for the owner.
+ranks=0
+ask_fresh() { # one fresh key of the owner's group at survivor s1; headers in $tmp/fresh.hdr
+    ranks=$((ranks + 1))
+    curl -fsS -m 120 -D "$tmp/fresh.hdr" -o /dev/null -X POST "${urls[$s1]}/v1/project" \
+        -d "{\"target\":\"westmere-x5670\",\"bench\":\"SP-MZ\",\"class\":\"C\",\"ranks\":$ranks}"
+}
+for _ in 1 2 3; do
+    ask_fresh || { echo "cluster-smoke: a fresh key of the dead owner's group failed at replica $s1" >&2; exit 1; }
+done
+fallbacks=$(metric "${urls[$s1]}" counters cluster.fallbacks)
+[ "$fallbacks" -ge 3 ] || { echo "cluster-smoke: cluster.fallbacks = $fallbacks at replica $s1, want >= 3" >&2; exit 1; }
+echo "cluster-smoke: replica $s1 walked past the dead owner (fallbacks=$fallbacks)"
+
+# Rejoin: restart the crashed owner — no restarts elsewhere, no operator
+# action — and keep asking until a fresh key is answered by the owner again.
+# The survivor's breaker for the owner is open; its one probe after the 5 s
+# cooldown is one of these requests.
 start_replica "$owner"
 wait_healthy "${ports[$owner]}"
-for k in "${survivors[@]}"; do
-    wait_gauge "${urls[$k]}" cluster.ring_size 3 "gossip to readmit the rejoined replica"
-done
+forwarded_to_owner() {
+    ask_fresh || return 1
+    [ "$(awk 'tolower($1)=="x-swapp-peer:"{print $2}' "$tmp/fresh.hdr" | tr -d '\r')" = "$owner_url" ]
+}
+wait_for 100 "replica $s1 to forward the owner's group to the restarted owner again (X-Swapp-Peer: $owner_url)" forwarded_to_owner
+echo "cluster-smoke: replica $s1 forwards to the restarted owner again (after $ranks requests)"
 curl -fsS -m 120 -X POST "$u1/v1/batch" -d "$batch" -o "$tmp/batch3.json"
 check_batch "$tmp/batch3.json"
 cmp -s "$tmp/batch1.json" "$tmp/batch3.json" || {
     echo "cluster-smoke: post-rejoin batch differs from the healthy one" >&2; exit 1; }
-echo "cluster-smoke: replica rejoined via gossip, batch ok"
+echo "cluster-smoke: post-rejoin batch ok"
 
 # Clean drain everywhere.
 for i in 1 2 3; do
@@ -204,4 +219,4 @@ for i in 1 2 3; do
     grep -q drained "$tmp/err$i.log" || {
         echo "cluster-smoke: replica $i missing drain log" >&2; exit 1; }
 done
-echo "cluster-smoke: ok (routing, gossip failover, warm replica serve, rejoin, clean drain)"
+echo "cluster-smoke: ok (routing, failover walk, warm replica serve, rejoin, clean drain)"
