@@ -27,14 +27,16 @@ test:
 race:
 	$(GO) test -race -short -timeout 1800s ./...
 
-# The second line is the simulator's one-line check: BenchmarkHandoff is
+# Micro-checks only; timings have one entry point, `make benchmark`. The first
+# line is the GA's: serial vs pooled scoring and the two selection kernels
+# against their naive forms. The second is the simulator's: BenchmarkHandoff is
 # ns and allocs per process switch, BenchmarkSpawnRun's allocs/op the cost
 # of a one-shot 64-process kernel, BenchmarkResetRun's (~0) the same kernel
 # reused through Reset. The third is the serving layer: the peer-hop number
 # (one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
 # in-process ring) and one 64-item all-hit /v1/batch through the handler.
 bench:
-	$(GO) test -run '^$$' -bench 'Speedup|EnforceSparsity|TopK' -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench 'RunSpeedup|EnforceSparsity|TopK' -benchtime 1x ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|SpawnRun|ResetRun' -benchmem ./internal/des
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 
@@ -61,7 +63,8 @@ fuzz:
 
 # End-to-end smoke of the swappd service: start it, health-check, one
 # real cached /v1/project round-trip (second call must hit), clean drain —
-# then again with -faults arming an evaluation panic: 500, stay up, retry.
+# then again with -faults arming an evaluation panic: 500, stay up, and the
+# client's identical second request is served (nothing retries in place).
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -83,7 +86,8 @@ crash-smoke:
 
 # Fault-tolerance suite under the race detector with shuffled order:
 # injected faults, recovered panics, breaker trips, the ring's seeded
-# kill/cut/rejoin schedules (TestRingChaosSchedules), GA quarantine,
+# kill/cut/rejoin schedules (TestRingChaosSchedules: bytes, per-replica
+# evaluation counts and their sum over the schedules all asserted), GA quarantine,
 # degraded-input projections. Fast — the heavy grids are elsewhere.
 chaos:
 	$(GO) test -race -shuffle=on -timeout 600s \

@@ -2,23 +2,22 @@ package swapp
 
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (go test -bench=.) and measures the ablations DESIGN.md calls
-// out plus the simulator's own throughput. Scientific outcomes (error
-// percentages) are attached to each benchmark as custom metrics, so one
-// run both exercises the code paths and reports the reproduction numbers.
+// out. Scientific outcomes (error percentages) are attached to each benchmark
+// as custom metrics, so one run both exercises the code paths and reports the
+// reproduction numbers. Timings have one entry point, `go run ./bench`: the
+// engine's, the simulator's and the matcher's are its walk.*, des.handoff_ns
+// and mpi.sendrecv_ns.
 //
 // The expensive artifacts — benchmark pipelines, app characterisations,
 // validations — are computed once per process in untimed setup and shared.
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/figures"
 	"repro/internal/imb"
 	"repro/internal/mpi"
@@ -354,144 +353,7 @@ func BenchmarkAblationScalingModel(b *testing.B) {
 	b.ReportMetric(errOf(proj.ComputeTime/proj.Gamma), "without_gamma|err|%")
 }
 
-// --- parallel evaluation engine ---------------------------------------------------
-
-// The engine's contract is that Workers only changes wall-clock time,
-// never output (see DESIGN.md, "Parallelism & determinism"). These benches
-// time the serial path against the pooled path back to back and attach the
-// ratio as a metric: ~1x on a single-core host, approaching the core count
-// at GOMAXPROCS >= 4.
-
-func benchNewPipeline(b *testing.B, workers int) {
-	base := arch.MustGet(arch.Hydra)
-	tgt := arch.MustGet(arch.Power6)
-	for i := 0; i < b.N; i++ {
-		if _, err := core.NewPipelineOpts(base, tgt, []int{4, 8, 16}, core.Options{Workers: workers}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkNewPipelineSerial(b *testing.B)   { benchNewPipeline(b, 1) }
-func BenchmarkNewPipelineParallel(b *testing.B) { benchNewPipeline(b, 0) }
-
-// skipSpeedupOnOneProc guards the serial-vs-pooled speedup benchmarks:
-// at GOMAXPROCS=1 the pooled path has no second scheduler thread to run
-// on, so the ratio measures goroutine overhead (~1x of pure noise), not
-// speedup, and recording it would pollute committed baselines.
-func skipSpeedupOnOneProc(b *testing.B) {
-	b.Helper()
-	if runtime.GOMAXPROCS(0) == 1 {
-		b.Skip("speedup ratio is meaningless at GOMAXPROCS=1 (the pooled path cannot parallelise); rerun with GOMAXPROCS>=2")
-	}
-}
-
-func BenchmarkNewPipelineSpeedup(b *testing.B) {
-	skipSpeedupOnOneProc(b)
-	base := arch.MustGet(arch.Hydra)
-	tgt := arch.MustGet(arch.Power6)
-	counts := []int{4, 8, 16}
-	var serial, parallel time.Duration
-	for i := 0; i < b.N; i++ {
-		t0 := time.Now()
-		if _, err := core.NewPipelineOpts(base, tgt, counts, core.Options{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-		serial += time.Since(t0)
-		t1 := time.Now()
-		if _, err := core.NewPipelineOpts(base, tgt, counts, core.Options{Workers: 0}); err != nil {
-			b.Fatal(err)
-		}
-		parallel += time.Since(t1)
-	}
-	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup")
-}
-
-// benchFigureEngine times one full figure evaluation on a fresh runner
-// (nothing cached) at a given pool size.
-func benchFigureEngine(b *testing.B, workers int, gen func(*figures.Runner) error) time.Duration {
-	b.Helper()
-	r := figures.NewRunner()
-	r.Workers = workers
-	t0 := time.Now()
-	if err := gen(r); err != nil {
-		b.Fatal(err)
-	}
-	return time.Since(t0)
-}
-
-func BenchmarkLUFigureSpeedup(b *testing.B) {
-	skipSpeedupOnOneProc(b)
-	// Figure 6 end to end — three machine-pair pipelines, three app
-	// characterisations, six validation cells — serial vs pooled.
-	lu := func(r *figures.Runner) error { _, err := r.LUFigure(); return err }
-	var serial, parallel time.Duration
-	for i := 0; i < b.N; i++ {
-		serial += benchFigureEngine(b, 1, lu)
-		parallel += benchFigureEngine(b, 0, lu)
-	}
-	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup")
-}
-
-func BenchmarkAllFiguresSpeedup(b *testing.B) {
-	skipSpeedupOnOneProc(b)
-	// The paper's entire evaluation grid (Figures 3-9, 54 cells) on a
-	// fresh runner, serial vs pooled. Expensive: minutes per iteration.
-	all := func(r *figures.Runner) error { _, err := r.AllFigures(); return err }
-	var serial, parallel time.Duration
-	for i := 0; i < b.N; i++ {
-		serial += benchFigureEngine(b, 1, all)
-		parallel += benchFigureEngine(b, 0, all)
-	}
-	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup")
-}
-
-// --- simulator throughput ---------------------------------------------------------
-
-func BenchmarkDESThroughput(b *testing.B) {
-	// Raw event-processing rate of the discrete-event kernel.
-	const procs, steps = 64, 100
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		k := des.NewKernel()
-		for p := 0; p < procs; p++ {
-			k.Spawn(fmt.Sprintf("p%d", p), func(pr *des.Proc) {
-				for s := 0; s < steps; s++ {
-					pr.Advance(1e-6)
-				}
-			})
-		}
-		if err := k.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(procs*steps), "events/op")
-}
-
-func BenchmarkMPIMatch(b *testing.B) {
-	// Message-matching cost: a ring exchange with tag matching across 64
-	// ranks on the base machine.
-	base := arch.MustGet(arch.Hydra)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w, err := mpi.NewWorld(base, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := w.Run(func(r *mpi.Rank) {
-			next := (r.ID() + 1) % r.Size()
-			prev := (r.ID() + r.Size() - 1) % r.Size()
-			for step := 0; step < 20; step++ {
-				s := r.Isend(next, 4096, step)
-				v := r.Irecv(prev, 4096, step)
-				r.Waitall(s, v)
-			}
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(64*20*2, "messages/op")
-}
+// --- profiler host cost ----------------------------------------------------------
 
 func BenchmarkProfilerHostCost(b *testing.B) {
 	// Host-side cost of the profiling observer itself.

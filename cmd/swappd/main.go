@@ -78,8 +78,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables consistent-hash request routing (an unreachable replica is routed past, and found again, on its own)")
 		jobsActive  = fs.Int("jobs-active", 0, "max concurrently running async jobs (0 = default 2)")
 		jobsQueued  = fs.Int("jobs-queued", 0, "async jobs waiting beyond the running ones (0 = default 4x active)")
-		jobsRetries = fs.Int("jobs-retries", 0, "from-scratch retries after a failed job attempt (0 = default 1, negative = off)")
-		jobsTimeout = fs.Duration("jobs-timeout", 0, "end-to-end async job deadline across retry attempts (0 = default 30m)")
+		jobsTimeout = fs.Duration("jobs-timeout", 0, "async job deadline (0 = default 30m)")
 		jobsRetain  = fs.Int("jobs-retain", 0, "finished async jobs kept for polling (0 = default 64)")
 		dataDir     = fs.String("data-dir", "", "durable state directory: benchmark characterisation, written as it is built, and the WAL job journal; a restart on it — after SIGTERM or kill -9 alike — reads the characterisation back and re-runs unfinished jobs under their original IDs (empty = in-memory only)")
 		walSync     = fs.Duration("wal-sync", 0, "batch journal fsyncs to at most one per interval (0 = sync every record, the kill -9-safe default)")
@@ -115,11 +114,10 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		Self:  *self,
 		Peers: splitPeers(*peers),
 
-		JobsMaxActive:  *jobsActive,
-		JobsMaxQueued:  *jobsQueued,
-		JobsMaxRetries: *jobsRetries,
-		JobsTimeout:    *jobsTimeout,
-		JobsRetain:     *jobsRetain,
+		JobsMaxActive: *jobsActive,
+		JobsMaxQueued: *jobsQueued,
+		JobsTimeout:   *jobsTimeout,
+		JobsRetain:    *jobsRetain,
 
 		DataDir:      *dataDir,
 		WALSyncEvery: *walSync,

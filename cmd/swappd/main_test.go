@@ -185,8 +185,8 @@ func TestREADMEFlagTableIsComplete(t *testing.T) {
 			flags[name] = true
 		}
 	}
-	if len(flags) != 21 {
-		t.Errorf("swappd -h lists %d flags, want 21; a new flag needs a reason, a removed one a smaller number here", len(flags))
+	if len(flags) != 20 {
+		t.Errorf("swappd -h lists %d flags, want 20; a new flag needs a reason, a removed one a smaller number here", len(flags))
 	}
 
 	readme, err := os.ReadFile("../../README.md")

@@ -43,18 +43,18 @@ type Event struct {
 	State JobState `json:"state,omitempty"`
 }
 
-// Tap receives a running attempt's observations. The callback is safe for
+// Tap receives a running job's observations. The callback is safe for
 // concurrent use and strictly passive.
 type Tap struct {
 	// Progress receives one snapshot per evolved GA generation per member.
 	Progress func(Snapshot)
 }
 
-// RunFunc executes one attempt of a job's evaluation, from scratch: an
-// evaluation is a pure function of the job's payload, so a retry and a
-// journal-recovered job both just run it again. tap's callback must be
-// called from at most the attempt's own goroutines. The returned bytes are
-// the job's result document, served verbatim.
+// RunFunc executes a job's evaluation, from scratch: an evaluation is a pure
+// function of the job's payload, so a journal-recovered job — or a client
+// resubmitting a failed one — just runs it again. tap's callback must be
+// called from at most the run's own goroutines. The returned bytes are the
+// job's result document, served verbatim.
 type RunFunc func(ctx context.Context, tap Tap) ([]byte, error)
 
 // ErrJobQueueFull rejects a submission when the backlog is at capacity.
@@ -79,9 +79,6 @@ type ManagerConfig struct {
 	// 4×MaxActive): at most MaxActive+MaxQueued unfinished jobs exist at
 	// once. Submissions beyond that fail with ErrJobQueueFull.
 	MaxQueued int
-	// MaxRetries bounds retry attempts after a failed run (default 1).
-	// Each retry re-runs the evaluation from scratch.
-	MaxRetries int
 	// Retain bounds finished jobs kept for polling (default 64; oldest
 	// finished evicted first).
 	Retain int
@@ -93,17 +90,17 @@ type ManagerConfig struct {
 	// HistoryCap bounds retained progress snapshots per job (default 256,
 	// oldest dropped).
 	HistoryCap int
-	// Timeout bounds one job end to end, across retry attempts
-	// (default 30m).
+	// Timeout is a job's deadline, from taking a slot (default 30m).
 	Timeout time.Duration
 	// Obs receives jobs.active / jobs.queued gauges and jobs.completed /
-	// jobs.failed / jobs.retries counters. nil disables metrics.
+	// jobs.failed counters. nil disables metrics.
 	Obs *obs.Scope
 }
 
 // Manager owns the replica's async jobs: bounded admission, background
-// execution with panic containment, per-generation progress fan-out, and
-// a bounded retry of failed attempts.
+// execution with panic containment, and per-generation progress fan-out. A
+// job is one attempt: nothing a second run of a pure function could change
+// is worth re-running it in place for.
 type Manager struct {
 	cfg ManagerConfig
 	obs *obs.Scope
@@ -130,11 +127,6 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	if cfg.MaxQueued <= 0 {
 		cfg.MaxQueued = 4 * cfg.MaxActive
-	}
-	if cfg.MaxRetries < 0 {
-		cfg.MaxRetries = 0
-	} else if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 1
 	}
 	if cfg.Retain <= 0 {
 		cfg.Retain = 64
@@ -169,7 +161,6 @@ type Job struct {
 	history   []Snapshot
 	snapshots int // total observed, including evicted
 	finished  bool
-	attempts  int
 	result    []byte
 	errMsg    string
 	done      chan struct{}
@@ -179,10 +170,9 @@ type Job struct {
 
 // JobStatus is the JSON-ready view of a job, served by GET /v1/jobs/{id}.
 type JobStatus struct {
-	ID       string   `json:"id"`
-	Op       string   `json:"op"`
-	State    JobState `json:"state"`
-	Attempts int      `json:"attempts"`
+	ID    string   `json:"id"`
+	Op    string   `json:"op"`
+	State JobState `json:"state"`
 	// Snapshots counts every progress observation; Progress is the
 	// retained tail.
 	Snapshots int        `json:"snapshots"`
@@ -206,8 +196,8 @@ type JobSpec struct {
 }
 
 // Submit enqueues one evaluation and returns its job immediately. The
-// evaluation runs in the background: queued until a slot frees, retried
-// on failure, finished exactly once.
+// evaluation runs in the background: queued until a slot frees, run once,
+// finished exactly once.
 func (m *Manager) Submit(op string, run RunFunc) (*Job, error) {
 	return m.SubmitJob(JobSpec{Op: op}, run)
 }
@@ -295,10 +285,9 @@ func (m *Manager) evictLocked() {
 	}
 }
 
-// execute runs one job to completion: take a slot, attempt the evaluation,
-// retry on failure, publish the outcome. Close cuts it short wherever it
-// is — waiting for a slot or mid-attempt — and the job ends failed with
-// errShutdown.
+// execute runs one job to completion: take a slot, run the evaluation once,
+// publish the outcome. Close cuts it short wherever it is — waiting for a
+// slot or mid-run — and the job ends failed with errShutdown.
 func (m *Manager) execute(j *Job, run RunFunc) {
 	// The backlog counter decrements only when the job finishes, so the
 	// admission bound (MaxActive+MaxQueued unfinished jobs) is exact — a
@@ -324,19 +313,7 @@ func (m *Manager) execute(j *Job, run RunFunc) {
 	j.state = JobRunning
 	j.mu.Unlock()
 
-	tap := Tap{Progress: func(s Snapshot) { m.record(j, s) }}
-	var result []byte
-	var err error
-	for attempt := 0; ; attempt++ {
-		j.mu.Lock()
-		j.attempts = attempt + 1
-		j.mu.Unlock()
-		result, err = m.attempt(ctx, run, tap)
-		if err == nil || attempt >= m.cfg.MaxRetries || ctx.Err() != nil {
-			break
-		}
-		m.obs.Count("jobs.retries", 1)
-	}
+	result, err := m.attempt(ctx, run, Tap{Progress: func(s Snapshot) { m.record(j, s) }})
 	if err != nil && m.ctx.Err() != nil {
 		err = errShutdown
 	}
@@ -385,9 +362,8 @@ func (m *Manager) finish(j *Job, result []byte, err error) {
 	close(j.done)
 }
 
-// attempt runs one evaluation attempt with panic containment: a panicking
-// worker becomes a failed attempt — and therefore a retry — not a dead
-// manager goroutine.
+// attempt runs the evaluation with panic containment: a panicking worker
+// becomes a failed job, not a dead manager goroutine.
 func (m *Manager) attempt(ctx context.Context, run RunFunc, tap Tap) (result []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -433,7 +409,6 @@ func (j *Job) Status() JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.ID, Op: j.Op, State: j.state,
-		Attempts:  j.attempts,
 		Snapshots: j.snapshots, Error: j.errMsg,
 		HasResult: j.result != nil,
 	}
@@ -493,5 +468,5 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 // queued — is cancelled. Each ends failed with "replica shut down before
 // the job finished", its subscribers get the ordinary terminal event, and
 // no done record is journalled for it (see finish). Close does not wait for
-// the cancelled attempts to unwind. Idempotent.
+// the cancelled runs to unwind. Idempotent.
 func (m *Manager) Close() { m.cancel() }

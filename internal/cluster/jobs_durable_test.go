@@ -107,7 +107,7 @@ func TestOwnFailuresStillJournalDone(t *testing.T) {
 		cfg ManagerConfig
 		run RunFunc
 	}{
-		"fails": {ManagerConfig{MaxRetries: -1}, func(ctx context.Context, tap Tap) ([]byte, error) {
+		"fails": {ManagerConfig{}, func(ctx context.Context, tap Tap) ([]byte, error) {
 			return nil, errors.New("no such machine")
 		}},
 		"times-out": {ManagerConfig{Timeout: 10 * time.Millisecond}, blockUntilCancelled},

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -55,9 +53,6 @@ func TestJobSubmitProgressResult(t *testing.T) {
 	if st.State != JobDone {
 		t.Fatalf("state = %s (error %q), want done", st.State, st.Error)
 	}
-	if st.Attempts != 1 {
-		t.Errorf("attempts = %d, want 1", st.Attempts)
-	}
 	if st.Snapshots != 4 || len(st.Progress) != 4 {
 		t.Errorf("snapshots = %d progress = %d, want 4, 4", st.Snapshots, len(st.Progress))
 	}
@@ -76,74 +71,46 @@ func TestJobSubmitProgressResult(t *testing.T) {
 	}
 }
 
-// A worker panic must become a failed attempt that is retried from
-// scratch: the job finishes on its second attempt with exactly the bytes a
-// never-panicking run of the same pure evaluation returns.
-func TestJobPanicRetriesFromScratch(t *testing.T) {
+// TestJobPanicFailsThenResubmitRuns: a job is one attempt. A worker panic is
+// contained — the job ends failed with the panic's message, having run once,
+// and exposes no result — and the manager lives on: submitting the same pure
+// evaluation again runs it from scratch to exactly the bytes a
+// never-panicking run returns.
+func TestJobPanicFailsThenResubmitRuns(t *testing.T) {
 	m := NewManager(ManagerConfig{})
-	eval := func(tap Tap) []byte {
+	runs := 0
+	run := func(ctx context.Context, tap Tap) ([]byte, error) {
+		runs++
 		tap.Progress(Snapshot{Member: 1, Generation: 0, BestFitness: 5})
 		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 9})
-		return []byte("the projection")
-	}
-	control, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
-		return eval(tap), nil
-	})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	waitDone(t, control)
-	want, _ := control.Result()
-
-	var attempts int
-	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
-		attempts++
-		out := eval(tap)
-		if attempts == 1 {
+		if runs == 1 {
 			panic("worker blew up")
 		}
-		return out, nil
-	})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
+		return []byte("the projection"), nil
 	}
-	waitDone(t, j)
-
-	st := j.Status()
-	if st.State != JobDone || st.Attempts != 2 {
-		t.Fatalf("state = %s attempts = %d, want done 2 (error %q)", st.State, st.Attempts, st.Error)
-	}
-	got, ok := j.Result()
-	if !ok || !bytes.Equal(got, want) {
-		t.Errorf("retried result = %q, want the control's %q", got, want)
-	}
-	// Both attempts streamed their progress: the retry starts over.
-	if st.Snapshots != 4 {
-		t.Errorf("snapshots = %d, want 4 (two per attempt)", st.Snapshots)
-	}
-}
-
-// A job that fails every attempt ends failed after MaxRetries+1 attempts.
-func TestJobFailsAfterResumeBudget(t *testing.T) {
-	m := NewManager(ManagerConfig{MaxRetries: 2})
-	var attempts int
-	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
-		attempts++
-		return nil, fmt.Errorf("attempt %d failed", attempts)
-	})
+	j, err := m.Submit("project", run)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitDone(t, j)
 	st := j.Status()
-	if st.State != JobFailed || st.Attempts != 3 {
-		t.Fatalf("state = %s attempts = %d, want failed 3", st.State, st.Attempts)
+	if st.State != JobFailed || st.Error != "cluster: job worker panicked: worker blew up" {
+		t.Fatalf("state = %s (error %q), want failed with the panic's message", st.State, st.Error)
 	}
-	if st.Error != "attempt 3 failed" {
-		t.Errorf("error = %q, want the last attempt's", st.Error)
+	if runs != 1 || st.Snapshots != 2 {
+		t.Errorf("the panicking job ran %d times and streamed %d snapshots, want 1 and 2: nothing is retried in place", runs, st.Snapshots)
 	}
 	if _, ok := j.Result(); ok {
 		t.Error("failed job must not expose a result")
+	}
+
+	again, err := m.Submit("project", run)
+	if err != nil {
+		t.Fatalf("Submit after a panic: %v", err)
+	}
+	waitDone(t, again)
+	if got, ok := again.Result(); !ok || string(got) != "the projection" || again.Status().Snapshots != 2 {
+		t.Errorf("resubmitted job = %q, %v with %d snapshots (%+v), want the projection and its own 2", got, ok, again.Status().Snapshots, again.Status())
 	}
 }
 

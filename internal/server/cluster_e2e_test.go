@@ -61,8 +61,8 @@ func (c *clusterReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // boot builds the replica's Server — again, empty, after a simulated restart
-// — knowing the full membership, and points its peer clients at the peers'
-// listeners, which is a no-op unless the ring's names are not URLs.
+// — knowing the full membership, and points its peers at their listeners,
+// which is a no-op unless the ring's names are not URLs.
 func (c *clusterReplica) boot(reps []*clusterReplica, clock *testClock) {
 	var peers []string
 	for _, rep := range reps {
@@ -74,7 +74,7 @@ func (c *clusterReplica) boot(reps []*clusterReplica, clock *testClock) {
 		Self: c.name, Peers: peers, nowFn: clock.now})
 	for _, rep := range reps {
 		if rep != c {
-			c.srv.peers.clients[rep.name].BaseURL = rep.url
+			c.srv.peers.peers[rep.name].url = rep.url
 		}
 	}
 	c.handler.Store(c.srv.Handler())

@@ -24,8 +24,8 @@ type jobRequest struct {
 // handleJobSubmit serves POST /v1/jobs: validate the embedded request,
 // enqueue it on the job manager, and answer 202 with the job's status
 // document. The job resolves in the background (see jobRun), per-generation
-// GA progress recorded as snapshots when it computes; a failed or panicked
-// attempt is re-run from scratch, up to the retry budget.
+// GA progress recorded as snapshots when it computes. It is one attempt: a
+// failed or panicked evaluation ends the job failed, and its client resubmits.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/jobs", 1)
@@ -82,14 +82,14 @@ func (jreq jobRequest) resolve() (op string, spec endpointSpec, req swapp.Reques
 	return op, spec, req, err
 }
 
-// jobRun builds the background attempt function for one submitted job: the
+// jobRun builds the background run function for one submitted job: the
 // path every delivery takes, minus the owner hop — held, else compute with
 // the GA progress tap wired to the job's streams. A job whose result this
 // replica holds therefore finishes at once, with no progress events and the
 // endpoint's bytes; a computed job leaves its result in the LRU for the
-// next caller; and attempts share the sync path's admission pool, breaker
-// and single-flight (a job that joins an evaluation already running streams
-// no progress either).
+// next caller; and jobs share the sync path's admission pool, breaker and
+// single-flight (a job that joins an evaluation already running streams no
+// progress either).
 func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
 	key := digest(spec.op, req)
 	return func(ctx context.Context, tap cluster.Tap) ([]byte, error) {

@@ -96,9 +96,6 @@ func TestJobsSubmitProgressSSEResult(t *testing.T) {
 			t.Errorf("snapshot %d = %+v", g, snap)
 		}
 	}
-	if final.Attempts != 1 {
-		t.Errorf("clean job reports attempts=%d", final.Attempts)
-	}
 
 	// SSE on a finished job: history replay then one done event.
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
@@ -154,17 +151,18 @@ func TestJobsSubmitProgressSSEResult(t *testing.T) {
 	}
 }
 
-// TestJobPanicRetryByteIdentical is the resilience satellite: the first
-// attempt reports progress then panics mid-search; the manager contains
-// the panic and re-runs the evaluation from scratch. The job finishes
-// done on its second attempt with a result document byte-identical to the synchronous endpoint's body.
-func TestJobPanicRetryByteIdentical(t *testing.T) {
-	var attempts atomic.Int64
+// TestJobPanicFailsThenResubmitByteIdentical: a job is one attempt. An
+// evaluation that reports progress then panics mid-search ends its job failed
+// with the panic's message — contained: the daemon serves on, and the failed
+// attempt cached nothing. Recovery is the client's: resubmitting the same
+// request runs it from scratch to exactly the synchronous endpoint's bytes.
+func TestJobPanicFailsThenResubmitByteIdentical(t *testing.T) {
+	var runs atomic.Int64
 	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		if req.OnGAProgress != nil { // a job attempt, not the synchronous control
+		if req.OnGAProgress != nil { // a job's run, not the synchronous control
 			req.OnGAProgress(1, 0, 9)
 			req.OnGAProgress(0, 0, 8)
-			if attempts.Add(1) == 1 {
+			if runs.Add(1) == 1 {
 				panic("injected worker fault")
 			}
 		}
@@ -175,27 +173,28 @@ func TestJobPanicRetryByteIdentical(t *testing.T) {
 
 	st := submitJob(t, ts.URL, `{"op":"project","request":`+reqBT+`}`)
 	final := waitJobDone(t, ts.URL, st.ID)
-	if final.State != cluster.JobDone {
-		t.Fatalf("job state = %s (%s), want done after the retry", final.State, final.Error)
+	if final.State != cluster.JobFailed || !strings.Contains(final.Error, "injected worker fault") {
+		t.Fatalf("job state = %s (%q), want failed with the panic's message", final.State, final.Error)
 	}
-	if final.Attempts != 2 {
-		t.Errorf("job reports attempts=%d, want 2", final.Attempts)
+	if runs.Load() != 1 {
+		t.Errorf("the panicking evaluation ran %d times, want once: nothing is retried in place", runs.Load())
 	}
-	if attempts.Load() != 2 {
-		t.Errorf("evaluation ran %d times, want 2", attempts.Load())
+	if n := s.CacheLen(); n != 0 {
+		t.Errorf("a failed job left %d entries in the result cache, want 0", n)
 	}
-	// The failed attempt cached nothing, the retry's result is the cache's
-	// one entry…
-	if n := s.CacheLen(); n != 1 {
-		t.Errorf("a retried job left %d entries in the result cache, want 1", n)
+
+	// The same request again is a new job, which finds nothing held, runs
+	// from scratch and serves exactly the synchronous endpoint's bytes.
+	again := submitJob(t, ts.URL, `{"op":"project","request":`+reqBT+`}`)
+	if final := waitJobDone(t, ts.URL, again.ID); final.State != cluster.JobDone || final.Snapshots != 2 {
+		t.Fatalf("resubmitted job = %s with %d snapshots (%s), want done with its own 2", final.State, final.Snapshots, final.Error)
 	}
-	// …and the retried job serves exactly the synchronous endpoint's bytes.
-	code, _, want := post(t, ts.URL+"/v1/project", reqBT)
-	if code != 200 {
-		t.Fatalf("synchronous control status = %d: %s", code, want)
+	code, hdr, want := post(t, ts.URL+"/v1/project", reqBT)
+	if code != 200 || hdr.Get("X-Cache") != "hit" {
+		t.Fatalf("synchronous request after the job: status %d, X-Cache %q: %s", code, hdr.Get("X-Cache"), want)
 	}
-	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, want) {
-		t.Errorf("retried job result differs from the synchronous endpoint:\njob:  %s\nsync: %s", got, want)
+	if got := resultBytes(t, ts.URL, again.ID); !bytes.Equal(got, want) {
+		t.Errorf("resubmitted job result differs from the synchronous endpoint:\njob:  %s\nsync: %s", got, want)
 	}
 }
 
@@ -310,9 +309,9 @@ func TestJobForHeldResultFinishesWithoutProgress(t *testing.T) {
 	}
 	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
 	final := waitJobDone(t, ts.URL, st.ID)
-	if final.State != cluster.JobDone || final.Snapshots != 0 || final.Attempts != 1 {
-		t.Errorf("job for a held result = %s after %d attempts with %d snapshots (%s), want done, 1, 0",
-			final.State, final.Attempts, final.Snapshots, final.Error)
+	if final.State != cluster.JobDone || final.Snapshots != 0 {
+		t.Errorf("job for a held result = %s with %d snapshots (%s), want done, 0",
+			final.State, final.Snapshots, final.Error)
 	}
 	if n := calls.Load(); n != 1 {
 		t.Errorf("the job re-ran a held result: %d evaluations, want 1", n)
@@ -346,8 +345,8 @@ func TestComputedJobFillsResultCache(t *testing.T) {
 	}
 }
 
-// TestJobsShareTheBreaker: job attempts go through the breaker the
-// synchronous path goes through. Their failures count toward its threshold
+// TestJobsShareTheBreaker: jobs go through the breaker the synchronous path
+// goes through. Their failures count toward its threshold
 // exactly as a failed request does, and a job submitted while it is open
 // fails fast with the breaker's message instead of evaluating.
 func TestJobsShareTheBreaker(t *testing.T) {
@@ -363,19 +362,21 @@ func TestJobsShareTheBreaker(t *testing.T) {
 		return fmt.Sprintf(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":%d}`, ranks)
 	}
 
-	// One failed request and one job's two failed attempts make three.
+	// One failed request and two failed jobs make three.
 	if code, _, out := post(t, ts.URL+"/v1/project", body(16)); code != http.StatusInternalServerError {
 		t.Fatalf("failing request: status %d: %s", code, out)
 	}
-	st := submitJob(t, ts.URL, `{"request":`+body(32)+`}`)
-	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobFailed || final.Attempts != 2 || !strings.Contains(final.Error, "pipeline broken") {
-		t.Fatalf("failing job = %s after %d attempts (%q), want failed after 2 with the pipeline's error", final.State, final.Attempts, final.Error)
+	for _, ranks := range []int{32, 64} {
+		st := submitJob(t, ts.URL, `{"request":`+body(ranks)+`}`)
+		if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobFailed || !strings.Contains(final.Error, "pipeline broken") {
+			t.Fatalf("failing job = %s (%q), want failed with the pipeline's error", final.State, final.Error)
+		}
 	}
-	if code, hdr, out := post(t, ts.URL+"/v1/project", body(64)); code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
+	if code, hdr, out := post(t, ts.URL+"/v1/project", body(128)); code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
 		t.Fatalf("request after three failures: status %d (Retry-After %q): %s; want the open breaker's 503", code, hdr.Get("Retry-After"), out)
 	}
 
-	st = submitJob(t, ts.URL, `{"request":`+body(128)+`}`)
+	st := submitJob(t, ts.URL, `{"request":`+body(256)+`}`)
 	final := waitJobDone(t, ts.URL, st.ID)
 	if final.State != cluster.JobFailed || !strings.Contains(final.Error, "circuit breaker open") {
 		t.Errorf("job against an open breaker = %s (%q), want failed with the breaker's message", final.State, final.Error)

@@ -1,8 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"time"
@@ -43,12 +47,25 @@ func peerTransport(dial func(ctx context.Context, network, addr string) (net.Con
 // through.
 var peerHTTP = &http.Client{Transport: peerTransport((&net.Dialer{KeepAlive: 30 * time.Second}).DialContext)}
 
+// maxPeerReplyBytes bounds what a peer call reads of its reply. The largest
+// legitimate one is a forwarded 256-item group at 2–5 KB a document; whatever
+// answers at a peer's address with more than this is not a replica, and its
+// reply is a failed call, not a heap's worth of bytes.
+const maxPeerReplyBytes = 8 << 20
+
+// remote is one other replica: where it listens, and the breaker every call
+// to it goes through.
+type remote struct {
+	url     string
+	breaker *breaker
+}
+
 // peerSet is a replica's view of the cluster, fixed at construction: the
 // ring every replica with the same -peers computes identically, and one
-// breaker-guarded client per peer. The breaker is the only failure detector
-// there is: three failed calls open it, an open breaker fails fast for its
-// cooldown, and the one call it then lets through — a real forward — is how
-// a returning peer is found again.
+// breaker per peer. The breaker is the only failure detector there is: three
+// failed calls open it, an open breaker fails fast for its cooldown, and the
+// one call it then lets through — a real forward — is how a returning peer is
+// found again.
 //
 // A group's preference order (cluster.Ring.Preference) is a preference, not
 // a correctness requirement: every projection is a pure function of its
@@ -57,52 +74,101 @@ var peerHTTP = &http.Client{Transport: peerTransport((&net.Dialer{KeepAlive: 30 
 // same next node, whose layered store then fills once per group and whose
 // vault already holds what the owner pushed (the peer cache fill).
 type peerSet struct {
-	self    string
-	ring    *cluster.Ring
-	clients map[string]*Client // per configured peer; read-only after newPeerSet
+	self  string
+	ring  *cluster.Ring
+	http  *http.Client
+	peers map[string]*remote // by ring name; read-only after newPeerSet
 }
 
-// newPeerSet wires a client for every peer address except self. nowFn is the
+// newPeerSet wires a breaker for every peer address except self. nowFn is the
 // breakers' clock (injectable in tests).
 func newPeerSet(self string, peers []string, nowFn func() time.Time) *peerSet {
 	p := &peerSet{
-		self:    self,
-		ring:    cluster.NewRing(append(append([]string(nil), peers...), self)),
-		clients: map[string]*Client{},
+		self:  self,
+		ring:  cluster.NewRing(append(append([]string(nil), peers...), self)),
+		http:  peerHTTP,
+		peers: map[string]*remote{},
 	}
 	for _, addr := range p.ring.Nodes() {
-		if addr == self {
-			continue
-		}
-		p.clients[addr] = &Client{
-			BaseURL: addr,
-			HTTP:    peerHTTP,
-			// A forward must give way to the next candidate quickly: one
-			// retry with short backoff, then the walk moves on.
-			MaxRetries:  1,
-			BaseBackoff: 50 * time.Millisecond,
-			MaxBackoff:  500 * time.Millisecond,
-			breaker:     newBreaker(3, 5*time.Second, nowFn),
+		if addr != self {
+			p.peers[addr] = &remote{url: addr, breaker: newBreaker(3, 5*time.Second, nowFn)}
 		}
 	}
 	return p
+}
+
+// errDestination is what the breaker is told of any call that failed while
+// its caller was still waiting. The error itself cannot be trusted to say
+// so: a connect that timed out satisfies errors.Is(err,
+// context.DeadlineExceeded) — net's timeout errors answer to it — which the
+// breaker's own rules read as the caller's deadline, so a destination that
+// drops packets would never open its breaker.
+var errDestination = errors.New("server: call failed at its destination")
+
+// post is the one call a replica makes to a peer, and it is one attempt: POST
+// the payload, read at most maxPeerReplyBytes of the reply, and return a 2xx
+// reply's body and headers verbatim — a replica relaying a peer's rendered
+// bytes must pass them through untouched to preserve byte-identity. Anything
+// else is an error, and nothing is retried here: the caller's walk down the
+// preference order is the retry, and the peer's breaker — which fails the call
+// fast, with no network traffic, while it is open — is the back-off. The
+// breaker hears errDestination of any failure while the caller is still
+// waiting; the caller's own cancellation or deadline is no verdict on the
+// peer. A forward is marked as one (forwardedHeader); a replication push is not.
+func (p *peerSet) post(ctx context.Context, addr, path string, payload []byte, forward bool) (body []byte, hdr http.Header, err error) {
+	to := p.peers[addr]
+	if ra, ok := to.breaker.allow(); !ok {
+		return nil, nil, &breakerOpenError{retryAfter: ra}
+	}
+	defer func() {
+		switch {
+		case err == nil:
+			to.breaker.record(nil)
+		case ctx.Err() != nil:
+			to.breaker.record(ctx.Err())
+		default:
+			to.breaker.record(errDestination)
+		}
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, to.url+path, bytes.NewReader(payload))
+	if err != nil {
+		return nil, nil, err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if forward {
+		req.Header.Set(forwardedHeader, p.self)
+	}
+	resp, err := p.http.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(io.LimitReader(resp.Body, maxPeerReplyBytes+1))
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("server: reading peer %s's reply to %s: %w", addr, path, err)
+	case resp.StatusCode < 200 || resp.StatusCode >= 300:
+		return nil, nil, fmt.Errorf("server: peer %s answered %s with HTTP %d", addr, path, resp.StatusCode)
+	case len(body) > maxPeerReplyBytes:
+		return nil, nil, fmt.Errorf("server: peer %s answered %s with more than %d bytes", addr, path, maxPeerReplyBytes)
+	}
+	return body, resp.Header, nil
 }
 
 // forward relays one request — a single evaluation or a group's nested batch
 // — along its group's preference order and returns the first candidate's
 // successful reply with that candidate's address. Reaching this replica in
 // the order — nobody ahead of it answered, or nobody is ahead — means compute
-// here: ok is false. Every other candidate gets one PostRaw — an open breaker
-// fails it fast — and a failure counts a fallback and moves on, so an
+// here: ok is false. Every other candidate gets one call — an open breaker
+// fails it fast — and a failure counts a fallback and moves on at once, so an
 // unreachable owner's groups land on the node a ring rebuilt without it would
 // have named, from every entry point alike.
 func (s *Server) forward(ctx context.Context, groupKey, path string, payload []byte) (body []byte, hdr http.Header, peer string, ok bool) {
-	relayed := http.Header{forwardedHeader: []string{s.peers.self}}
 	for _, addr := range s.peers.ring.Preference(groupKey) {
 		if addr == s.peers.self {
 			break
 		}
-		body, hdr, err := s.peers.clients[addr].PostRaw(ctx, path, payload, relayed)
+		body, hdr, err := s.peers.post(ctx, addr, path, payload, true)
 		if err == nil {
 			return body, hdr, addr, true
 		}

@@ -79,7 +79,7 @@ func (s *Server) maybeReplicate(key cacheKey, endpoint string, req swapp.Request
 		ctx, cancel := context.WithTimeout(context.Background(), replicatePushTimeout)
 		defer cancel()
 		for _, addr := range after {
-			if _, _, err := s.peers.clients[addr].PostRaw(ctx, "/v1/replicate", payload, nil); err == nil {
+			if _, _, err := s.peers.post(ctx, addr, "/v1/replicate", payload, false); err == nil {
 				s.obs.Count("cluster.replica_pushes", 1)
 				return
 			}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -18,8 +17,8 @@ import (
 // repeat exactly — the bytes served and the evaluations run. Everything that
 // could make a count depend on the run is pinned: the ring's names are fixed
 // strings (so its geometry is), the clock only moves when a schedule advances
-// it, forwarding's back-off sleeps are skipped, and replication is joined
-// after every step.
+// it, and replication is joined after every step. Nothing sleeps: a peer call
+// is one attempt.
 //
 // Beside the ring runs a model of it — who is reachable, who holds what, what
 // each peer breaker has seen — that predicts, for every delivery, which
@@ -110,8 +109,8 @@ func newChaosModel(reps []*clusterReplica) *chaosModel {
 		m.brk[i] = make([]modelBreaker, n)
 	}
 	// The breaker's two numbers are the server's to choose, not the model's.
-	for _, c := range reps[0].srv.peers.clients {
-		m.threshold, m.cooldown = c.breaker.threshold, c.breaker.cooldown
+	for _, p := range reps[0].srv.peers.peers {
+		m.threshold, m.cooldown = p.breaker.threshold, p.breaker.cooldown
 	}
 	return m
 }
@@ -141,8 +140,8 @@ func (m *chaosModel) racy() bool {
 	return false
 }
 
-// call is one PostRaw from a replica to a peer, forward or replication push,
-// through that peer's breaker.
+// call is one peer call from a replica to a peer, forward or replication
+// push, through that peer's breaker.
 func (m *chaosModel) call(from, to int, forward bool) bool {
 	b := &m.brk[from][to]
 	probe := m.probeDue(b)
@@ -324,7 +323,7 @@ type chaosRing struct {
 func newChaosRing(t *testing.T, n int) *chaosRing {
 	names := make([]string, n)
 	for i := range names {
-		// Never dialled — boot points every client at its peer's listener —
+		// Never dialled — boot points every peer at its listener —
 		// and loopback if it ever were. Under these names the three groups
 		// have three owners on the 3-ring (orders 210, 021, 120) and two on
 		// the 4-ring (3210, 3021, 1203).
@@ -332,9 +331,6 @@ func newChaosRing(t *testing.T, n int) *chaosRing {
 	}
 	r := &chaosRing{t: t, asked: map[int]bool{}}
 	r.reps, r.clock = startCluster(t, names)
-	for i := range r.reps {
-		r.skipBackoff(i)
-	}
 	r.model = newChaosModel(r.reps)
 	ctl := newHTTPServer(t, New(Config{Workers: 4, Eval: (&stubEval{}).fn}))
 	for key := 0; key < chaosKeys; key++ {
@@ -345,13 +341,6 @@ func newChaosRing(t *testing.T, n int) *chaosRing {
 		r.want = append(r.want, doc)
 	}
 	return r
-}
-
-// skipBackoff makes replica i's forwards retry without sleeping.
-func (r *chaosRing) skipBackoff(i int) {
-	for _, c := range r.reps[i].srv.peers.clients {
-		c.Sleep = func(ctx context.Context, _ time.Duration) error { return ctx.Err() }
-	}
 }
 
 func (r *chaosRing) failf(format string, args ...any) {
@@ -381,7 +370,6 @@ func (r *chaosRing) run(s chaosStep) {
 	case "restart":
 		entry.srv.Close()
 		entry.boot(r.reps, r.clock)
-		r.skipBackoff(s.at)
 		entry.killed.Store(false)
 	case "cut":
 		r.reps[s.to].cutFrom.Store(entry.name)
@@ -460,30 +448,39 @@ func (r *chaosRing) total() (n int64) {
 }
 
 // TestRingChaosSchedules runs, on 3- and 4-replica rings, the failover arc
-// and then the seeded schedules, logging each one's evaluation total — the
-// number a change to routing or replication is judged on (CHANGES.md, PR 21,
-// has the table against gossip membership). Every fourth seed is fault-free,
-// and every eighth also job-free: there the ring must run exactly one
-// evaluation per distinct key, plus one per job submitted where its key was
-// not held. -short runs four seeds per ring size.
+// and then the seeded schedules, logging each one's evaluation total and
+// asserting their sum — the number a change to routing or replication is
+// judged on, so such a change states its price in this file's diff (CHANGES.md
+// has the history: 1 075 and 948 under gossip membership, 942 since PR 21).
+// Every fourth seed is fault-free, and every eighth also job-free: there the
+// ring must run exactly one evaluation per distinct key, plus one per job
+// submitted where its key was not held. -short runs four seeds per ring size.
 func TestRingChaosSchedules(t *testing.T) {
-	seeds := 24
+	seeds, want := 24, int64(942)
 	if testing.Short() {
-		seeds = 4
+		seeds, want = 4, 169
 	}
+	ran, sum := 0, int64(0)
 	for _, n := range []int{3, 4} {
 		t.Run(fmt.Sprintf("replicas=%d", n), func(t *testing.T) {
 			t.Run("failover-arc", func(t *testing.T) { chaosFailoverArc(t, n) })
 			for seed := 1; seed <= seeds; seed++ {
-				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { chaosSchedule(t, n, seed) })
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+					sum += chaosSchedule(t, n, seed)
+					ran++
+				})
 			}
 		})
+	}
+	// A -run filter that picks some schedules out has no sum to hold.
+	if ran == 2*seeds && sum != want {
+		t.Errorf("the %d schedules ran %d evaluations in all, want %d", ran, sum, want)
 	}
 }
 
 // chaosSchedule runs one seeded schedule: forty steps, then every key at
-// every replica still standing.
-func chaosSchedule(t *testing.T, n, seed int) {
+// every replica still standing. It returns the ring-wide evaluation count.
+func chaosSchedule(t *testing.T, n, seed int) int64 {
 	r := newChaosRing(t, n)
 	rng := rand.New(rand.NewSource(int64(seed)))
 	faults, jobs := seed%4 != 0, seed%8 != 0
@@ -514,6 +511,7 @@ func chaosSchedule(t *testing.T, n, seed int) {
 	}
 	t.Logf("eval.calls total %d (per replica %v) for %d deliveries and a sweep of all %d keys at every live replica; faults=%t jobs=%t",
 		r.total(), r.model.evals, deliveries, chaosKeys, faults, jobs)
+	return r.total()
 }
 
 // chaosFailoverArc walks the two arcs warm failover exists for and asserts

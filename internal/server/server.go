@@ -123,14 +123,13 @@ type Config struct {
 	// where they land (no multi-hop routing).
 	Self  string
 	Peers []string
-	// JobsMaxActive / JobsMaxQueued / JobsMaxRetries / JobsTimeout /
-	// JobsRetain parameterise the async jobs API (zero values take the
-	// cluster.ManagerConfig defaults).
-	JobsMaxActive  int
-	JobsMaxQueued  int
-	JobsMaxRetries int
-	JobsTimeout    time.Duration
-	JobsRetain     int
+	// JobsMaxActive / JobsMaxQueued / JobsTimeout / JobsRetain parameterise
+	// the async jobs API (zero values take the cluster.ManagerConfig
+	// defaults).
+	JobsMaxActive int
+	JobsMaxQueued int
+	JobsTimeout   time.Duration
+	JobsRetain    int
 	// DataDir roots the server's durable state: a WAL-backed job journal
 	// under DataDir/journal and the characterisation layer's files under
 	// DataDir/characterisation, written as each table is built. Only
@@ -222,13 +221,12 @@ func New(cfg Config) *Server {
 	}
 	s.journal = cfg.journal
 	s.jobs = cluster.NewManager(cluster.ManagerConfig{
-		MaxActive:  cfg.JobsMaxActive,
-		MaxQueued:  cfg.JobsMaxQueued,
-		MaxRetries: cfg.JobsMaxRetries,
-		Timeout:    cfg.JobsTimeout,
-		Retain:     cfg.JobsRetain,
-		Journal:    cfg.journal,
-		Obs:        cfg.Obs,
+		MaxActive: cfg.JobsMaxActive,
+		MaxQueued: cfg.JobsMaxQueued,
+		Timeout:   cfg.JobsTimeout,
+		Retain:    cfg.JobsRetain,
+		Journal:   cfg.journal,
+		Obs:       cfg.Obs,
 	})
 	return s
 }
@@ -301,7 +299,7 @@ func (s *Server) recovered(next http.Handler) http.Handler {
 	})
 }
 
-// APIRequest is the JSON body of the /v1 endpoints, shared with Client.
+// APIRequest is the JSON body of the /v1 endpoints.
 type APIRequest struct {
 	Base   string `json:"base,omitempty"`
 	Target string `json:"target"`
@@ -520,29 +518,45 @@ func (s *Server) render(key cacheKey, spec endpointSpec, e entry, oc outcome) ([
 }
 
 // evaluate resolves one (op, request) under its precomputed cache key:
-// return a finished result, join an in-flight evaluation, or become the
-// leader — pass the breaker and admission control and run the evaluation
-// through the shared layered store. Only a leader's progress is tapped.
+// return a finished result, join an in-flight evaluation, or lead one.
+//
+// A leader's failure fails its followers, with one exception: a leader that
+// gave up on its own caller's behalf — the client hung up, its timeout_ms ran
+// out — has said nothing about the request, so a follower whose own context
+// is still alive asks again, and may lead.
 func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request, progress progressFunc) (entry, outcome, error) {
-	e, flight, leader := s.cache.Lookup(key)
-	if flight == nil {
-		return e, outcomeHit, nil
-	}
-	if !leader {
+	for {
+		e, flight, leader := s.cache.Lookup(key)
+		if flight == nil {
+			return e, outcomeHit, nil
+		}
+		if leader {
+			e, err := s.lead(ctx, op, key, req, progress)
+			return e, outcomeMiss, err
+		}
 		// Someone is already computing this result; wait for them under
 		// our own deadline.
 		e, err := flight.Wait(ctx)
-		return e, outcomeMiss, err
+		if gaveUp := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded); !gaveUp || ctx.Err() != nil {
+			return e, outcomeMiss, err
+		}
 	}
+}
+
+// lead runs the evaluation its caller was elected to lead: pass the breaker
+// and admission control, run it through the shared layered store with the
+// caller's progress tap, and finish the flight — whatever happens — so every
+// follower is released.
+func (s *Server) lead(ctx context.Context, op string, key cacheKey, req swapp.Request, progress progressFunc) (entry, error) {
 	if ra, ok := s.breaker.allow(); !ok {
 		err := &breakerOpenError{retryAfter: ra}
 		s.cache.Finish(key, entry{}, err)
-		return entry{}, "", err
+		return entry{}, err
 	}
 	if err := s.admit(ctx); err != nil {
 		s.breaker.record(err) // queue-full and ctx errors are neutral
 		s.cache.Finish(key, entry{}, err)
-		return entry{}, "", err
+		return entry{}, err
 	}
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(1)))
 	req.Workers = s.cfg.EvalWorkers
@@ -553,9 +567,9 @@ func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swap
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(-1)))
 	<-s.sem
 	s.breaker.record(err)
-	e = entry{res: res}
+	e := entry{res: res}
 	s.obs.Gauge("server.cache.result_size", float64(s.cache.Finish(key, e, err)))
-	return e, outcomeMiss, err
+	return e, err
 }
 
 // runEval runs one evaluation with panic isolation: a panic anywhere in

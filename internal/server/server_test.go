@@ -15,6 +15,7 @@ import (
 	"time"
 
 	swapp "repro"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -240,6 +241,98 @@ func TestEvaluateElectsOneLeader(t *testing.T) {
 			t.Fatalf("round %d: %d evaluations so far, want one per key (%d)", round, n, round)
 		}
 	}
+}
+
+// TestFollowerSurvivesLeaderGivingUp: a leader that gives up on its own
+// caller's behalf — the client hung up, its timeout_ms ran out — has said
+// nothing about the request, so a caller that joined its evaluation and is
+// still waiting must not inherit the 499 or the 504: it asks again, leads, and
+// is answered with the bytes a lone request gets.
+func TestFollowerSurvivesLeaderGivingUp(t *testing.T) {
+	_, ctl := newTestServer(t, Config{Workers: 2}, &stubEval{})
+	_, _, want := post(t, ctl.URL+"/v1/project", reqBT)
+
+	// ask is post for goroutines other than the test's own: it reports a
+	// failed request as status 0 instead of ending the test.
+	ask := func(url, body string) (int, []byte) {
+		resp, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, nil
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
+
+	t.Run("leader client hangs up", func(t *testing.T) {
+		eval := &stubEval{gate: make(chan struct{})}
+		scope := obs.New("test")
+		_, ts := newTestServer(t, Config{Workers: 2, Obs: scope}, eval)
+
+		leaderCtx, hangUp := context.WithCancel(context.Background())
+		defer hangUp()
+		leaderGone := make(chan struct{})
+		go func() {
+			defer close(leaderGone)
+			req, _ := http.NewRequestWithContext(leaderCtx, http.MethodPost, ts.URL+"/v1/project", strings.NewReader(reqBT))
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		waitFor(t, func() bool { return eval.calls.Load() == 1 }) // the leader is evaluating
+
+		type reply struct {
+			code int
+			body []byte
+		}
+		follower := make(chan reply, 1)
+		go func() {
+			code, body := ask(ts.URL+"/v1/project", reqBT)
+			follower <- reply{code, body}
+		}()
+		waitFor(t, func() bool { return counter(scope, "server.requests") == 2 })
+		// Joining a flight is observable nowhere; like
+		// TestPanickingLeaderReleasesFollowers, give the handler time to. A
+		// follower that had not joined would lead at once and pass untested.
+		time.Sleep(50 * time.Millisecond)
+
+		hangUp()
+		<-leaderGone
+		// The follower leads a second evaluation; only then is the gate
+		// opened, so the leader cannot have finished instead of giving up.
+		waitFor(t, func() bool { return eval.calls.Load() == 2 })
+		close(eval.gate)
+		if got := <-follower; got.code != 200 || !bytes.Equal(got.body, want) {
+			t.Errorf("the follower got %d %s, want 200 and the control's bytes", got.code, got.body)
+		}
+		if n := eval.calls.Load(); n != 2 {
+			t.Errorf("%d evaluations ran, want 2: the leader's and the follower's", n)
+		}
+	})
+
+	t.Run("leader deadline runs out under a job", func(t *testing.T) {
+		eval := &stubEval{gate: make(chan struct{})}
+		_, ts := newTestServer(t, Config{Workers: 2}, eval)
+
+		leader := make(chan int, 1)
+		go func() {
+			code, _ := ask(ts.URL+"/v1/project", strings.Replace(reqBT, "}", `,"timeout_ms":300}`, 1))
+			leader <- code
+		}()
+		waitFor(t, func() bool { return eval.calls.Load() == 1 })
+		st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
+		if code := <-leader; code != http.StatusGatewayTimeout {
+			t.Fatalf("the leader's status = %d, want its own 504", code)
+		}
+		waitFor(t, func() bool { return eval.calls.Load() == 2 })
+		close(eval.gate)
+		if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone {
+			t.Fatalf("the job that joined a leader with a short deadline = %s (%s), want done", final.State, final.Error)
+		}
+		if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, want) {
+			t.Errorf("job result differs from the synchronous endpoint:\njob:  %s\nsync: %s", got, want)
+		}
+	})
 }
 
 func TestDeadlineExpiryReturnsPromptly(t *testing.T) {
