@@ -2,7 +2,7 @@ GO ?= go
 
 .PHONY: check build vet fmt test race bench benchmark fuzz cover serve-smoke cluster-smoke crash-smoke chaos
 
-## check: everything CI runs — vet, format, build, full tests, race tests.
+## check: vet, format, build, full tests, race tests — CI's first step.
 check: vet fmt build test race
 
 build:
@@ -47,10 +47,11 @@ benchmark:
 
 # Short mutation pass over the persistence decoders, the WAL scanner, the
 # job-journal replay, the characterisation files under -data-dir and the
-# three HTTP request decoders — /v1/batch, /v1/replicate and the single
-# endpoints' APIRequest (CI runs the same). The batch and replicate inputs
-# are kilobytes of JSON and up: left at its default the minimiser spends the
-# whole smoke shrinking the first interesting one byte by byte.
+# two HTTP request decoders — /v1/batch and the single endpoints'
+# APIRequest: native corpora plus 10s of mutation per target. This is the
+# one list of fuzz targets; CI runs `make fuzz`. The batch inputs are
+# kilobytes of JSON: left at its default the minimiser spends the whole
+# smoke shrinking the first interesting one byte by byte.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
@@ -58,7 +59,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzCharFile$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzReplicateRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 # End-to-end smoke of the swappd service: start it, health-check, one
@@ -70,8 +70,8 @@ serve-smoke:
 
 # Peer-aware smoke: 3 swappd replicas on one consistent-hash ring, a
 # grouped /v1/batch round-trip, a warm result's owner SIGKILLed (both
-# survivors must at once answer its exact bytes from the successor's
-# vault), its breaker opened by three more forwards, the owner restarted
+# survivors must at once answer its exact bytes — one recomputation, then
+# hits), its breaker opened by three more forwards, the owner restarted
 # and forwarded to again within the cooldown, SIGTERM clean drain.
 cluster-smoke:
 	./scripts/cluster_smoke.sh

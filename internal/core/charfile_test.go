@@ -25,9 +25,15 @@ func diskStore(dir string) (*Store, *obs.Scope) {
 	return NewStore(StoreConfig{Dir: dir, Obs: scope}), scope
 }
 
+// counter reads one obs counter, defaulting to 0.
+func counter(scope *obs.Scope, name string) int64 {
+	v, _ := scope.Metrics().Counter(name)
+	return v
+}
+
 // diskCounters reads the characterisation layer's four disk counters.
 func diskCounters(scope *obs.Scope) (hits, writes, rejects, writeFails int64) {
-	c := func(name string) int64 { return vaultCounter(scope, "core.store.characterisation_disk_"+name) }
+	c := func(name string) int64 { return counter(scope, "core.store.characterisation_disk_"+name) }
 	return c("hits"), c("writes"), c("rejects"), c("write_fails")
 }
 
@@ -96,7 +102,7 @@ func TestCharDiskRoundTrip(t *testing.T) {
 		t.Fatalf("second store: disk hits=%d writes=%d rejects=%d write_fails=%d, want %d/0/0/0", hits, writes, rejects, fails, entries)
 	}
 	// A disk hit is still a layer miss: the fill ran, it resolved from disk.
-	if n := vaultCounter(scope2, "core.store.characterisation_misses"); n != entries {
+	if n := counter(scope2, "core.store.characterisation_misses"); n != entries {
 		t.Errorf("second store counted %d layer misses, want %d", n, entries)
 	}
 	if !reflect.DeepEqual(p2.SpecBase, p1.SpecBase) || !reflect.DeepEqual(p2.SpecTarget, p1.SpecTarget) {

@@ -2,10 +2,7 @@ package core
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"repro/internal/arch"
 	"repro/internal/imb"
@@ -57,10 +54,6 @@ type Store struct {
 	profiles  *layer[*ProfileArtifact]
 	surrogate *layer[*surrogateEntry]
 
-	// artifacts is the replication vault: rendered result bytes pushed by
-	// ring peers, keyed and checksummed so a double push is a no-op.
-	artifacts *artifactVault
-
 	// dir, when non-empty, holds the characterisation layer's files (see
 	// charfile.go).
 	dir string
@@ -75,9 +68,6 @@ type StoreConfig struct {
 	CharacterisationCap int
 	ProfileCap          int
 	SurrogateCap        int
-	// ArtifactCap bounds the replication vault, in entries (default 1024).
-	// A vault entry is one rendered result body replicated from a ring peer.
-	ArtifactCap int
 	// Dir, when non-empty, is an existing directory the characterisation
 	// layer writes each SPEC result set and IMB table through to as it is
 	// built, and reads back on a later miss — across restarts, whatever
@@ -108,9 +98,6 @@ func NewStore(cfg StoreConfig) *Store {
 	if cfg.SurrogateCap <= 0 {
 		cfg.SurrogateCap = 512
 	}
-	if cfg.ArtifactCap <= 0 {
-		cfg.ArtifactCap = 1024
-	}
 	prefix := cfg.MetricPrefix
 	if prefix == "" {
 		prefix = "core.store"
@@ -119,7 +106,6 @@ func NewStore(cfg StoreConfig) *Store {
 		chars:     newLayer[charValue](prefix+".characterisation", cfg.CharacterisationCap, cfg.Obs),
 		profiles:  newLayer[*ProfileArtifact](prefix+".profile", cfg.ProfileCap, cfg.Obs),
 		surrogate: newLayer[*surrogateEntry](prefix+".surrogate", cfg.SurrogateCap, cfg.Obs),
-		artifacts: &artifactVault{name: prefix + ".artifact", obs: cfg.Obs, cache: lru.New[string, vaultEntry](cfg.ArtifactCap)},
 		dir:       cfg.Dir,
 	}
 }
@@ -257,108 +243,3 @@ func (l *layer[V]) runFill(fill func() (V, error)) (v V, err error) {
 }
 
 func (l *layer[V]) len() int { return l.cache.Len() }
-
-// Artifact is one replication-vault entry in transfer form: the vault
-// key, the hex sha256 of Body, and the rendered result bytes themselves.
-// Replicating rendered bytes (not decoded Go objects) is what keeps the
-// byte-identity invariant trivially true on the serving path: the successor
-// writes exactly what the dead owner would have written.
-type Artifact struct {
-	Key  string `json:"key"`
-	Sum  string `json:"sum"`
-	Body []byte `json:"body"`
-}
-
-// PutArtifact stores body under key in the replication vault. The vault is
-// content-addressed: a re-push of the same key with the same bytes is a
-// no-op counted as <prefix>.artifact_dups — neither the size gauge nor the
-// LRU order moves, which is what makes the owner's push retry-safe. A key
-// colliding with different bytes (possible only across incompatible
-// builds) overwrites and is counted as artifact_conflicts. Returns whether
-// the put changed the vault.
-func (s *Store) PutArtifact(key string, body []byte) bool {
-	if s == nil {
-		return false
-	}
-	return s.artifacts.put(key, sha256.Sum256(body), body)
-}
-
-// GetArtifact returns the vault bytes for key. The returned slice is the
-// stored one and must be treated as immutable.
-func (s *Store) GetArtifact(key string) ([]byte, bool) {
-	if s == nil {
-		return nil, false
-	}
-	return s.artifacts.get(key)
-}
-
-// ImportArtifact verifies sumHex against the body and stores it; a
-// mismatch is rejected (counted as artifact_rejects) so a corrupted
-// transfer can never poison the serving path. Returns whether the import
-// changed the vault.
-func (s *Store) ImportArtifact(a Artifact) (bool, error) {
-	if s == nil {
-		return false, nil
-	}
-	sum := sha256.Sum256(a.Body)
-	if a.Sum != "" && a.Sum != hex.EncodeToString(sum[:]) {
-		s.artifacts.obs.Count(s.artifacts.name+"_rejects", 1)
-		return false, fmt.Errorf("artifact %q checksum mismatch", a.Key)
-	}
-	return s.artifacts.put(a.Key, sum, a.Body), nil
-}
-
-// ArtifactCount reports the vault's entry count (diagnostics, tests).
-func (s *Store) ArtifactCount() int {
-	if s == nil {
-		return 0
-	}
-	return s.artifacts.cache.Len()
-}
-
-// artifactVault is the content-addressed byte store behind peer
-// replication: an lru.Cache of (sha256, body) entries plus the dup /
-// conflict / checksum policy. It never fills — entries arrive whole over
-// the wire.
-type artifactVault struct {
-	name  string
-	obs   *obs.Scope
-	cache *lru.Cache[string, vaultEntry]
-	// putMu makes put's compare-then-store one step against other puts.
-	putMu sync.Mutex
-}
-
-type vaultEntry struct {
-	sum  [sha256.Size]byte
-	body []byte
-}
-
-// put stores body, whose sha256 is sum, under key.
-func (v *artifactVault) put(key string, sum [sha256.Size]byte, body []byte) bool {
-	v.putMu.Lock()
-	defer v.putMu.Unlock()
-	var dup bool
-	found := v.cache.Update(key, func(e *vaultEntry) { dup = e.sum == sum })
-	if dup {
-		v.obs.Count(v.name+"_dups", 1)
-		return false
-	}
-	size := v.cache.Put(key, vaultEntry{sum: sum, body: append([]byte(nil), body...)})
-	if found {
-		v.obs.Count(v.name+"_conflicts", 1)
-		return true
-	}
-	v.obs.Count(v.name+"_stores", 1)
-	v.obs.Gauge(v.name+"_size", float64(size))
-	return true
-}
-
-func (v *artifactVault) get(key string) ([]byte, bool) {
-	e, ok := v.cache.Get(key)
-	if !ok {
-		v.obs.Count(v.name+"_misses", 1)
-		return nil, false
-	}
-	v.obs.Count(v.name+"_hits", 1)
-	return e.body, true
-}

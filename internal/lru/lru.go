@@ -1,7 +1,7 @@
 // Package lru is the one cache implementation behind swappd's caches: the
-// server's result cache, the core store's three artifact layers and its
-// replication vault. It is a bounded least-recently-used map with a
-// single-flight table beside it. What it guarantees, for every user:
+// server's result cache and the core store's three artifact layers. It is a
+// bounded least-recently-used map with a single-flight table beside it. What
+// it guarantees, for every user:
 //
 //   - At most max entries; inserting beyond that evicts the least recently
 //     used. Get, Put, a Lookup hit and Finish refresh recency; Update does

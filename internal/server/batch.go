@@ -157,8 +157,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			open := members[:0]
 			for _, wk := range members {
-				if doc, oc, ok := s.held(digest(wk.spec.op, wk.req), wk.spec); ok {
-					entries[wk.idx] = answeredEntry(doc, oc)
+				if doc, ok := s.held(digest(wk.spec.op, wk.req), wk.spec); ok {
+					entries[wk.idx] = answeredEntry(doc)
 				} else {
 					open = append(open, wk)
 				}
@@ -191,10 +191,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // answeredEntry wraps a member's document as its entry. The endpoints
 // terminate their documents with '\n'; embedded JSON cannot carry it, so
-// entries hold the document body alone. Everything but a vault answer was
-// rendered by this process (see appendBatchResponse).
-func answeredEntry(doc []byte, oc outcome) batchEntry {
-	return batchEntry{Status: http.StatusOK, Body: bytes.TrimSuffix(doc, []byte("\n")), rendered: oc != outcomeReplica}
+// entries hold the document body alone. What this replica holds or computes
+// it rendered itself (see appendBatchResponse).
+func answeredEntry(doc []byte) batchEntry {
+	return batchEntry{Status: http.StatusOK, Body: bytes.TrimSuffix(doc, []byte("\n")), rendered: true}
 }
 
 // computeBatchItem is an open member's miss arm: compute under the item's
@@ -202,12 +202,12 @@ func answeredEntry(doc []byte, oc outcome) batchEntry {
 func (s *Server) computeBatchItem(parent context.Context, wk batchWork) batchEntry {
 	ctx, cancel := context.WithTimeout(parent, s.timeoutFor(wk.body))
 	defer cancel()
-	doc, oc, err := s.compute(ctx, digest(wk.spec.op, wk.req), wk.spec, wk.req, nil)
+	doc, _, err := s.compute(ctx, digest(wk.spec.op, wk.req), wk.spec, wk.req, nil)
 	if err != nil {
 		status, _ := s.errorStatus(err)
 		return batchEntry{Status: status, Error: err.Error()}
 	}
-	return answeredEntry(doc, oc)
+	return answeredEntry(doc)
 }
 
 // batchBufPool recycles /v1/batch response buffers (the sync.Pool idiom of
@@ -224,9 +224,9 @@ var batchBufPool = sync.Pool{New: func() any { return new([]byte) }}
 // body is json.Encoder output of this process: compact, HTML-escaped, and
 // so a fixed point of the compaction the encoder would apply to it again
 // (TestRenderedBytesAreCanonical) — it is copied verbatim. Every other
-// body crossed a wire (a replica vault, a peer's reply) and goes through
-// json.Marshal, which validates, compacts and escapes it; one that fails
-// becomes that entry's 502, never a blank response.
+// body crossed a wire (a peer's reply) and goes through json.Marshal, which
+// validates, compacts and escapes it; one that fails becomes that entry's
+// 502, never a blank response.
 func appendBatchResponse(buf []byte, entries []batchEntry, groups int) []byte {
 	buf = append(buf, `{"results":[`...)
 	for i := range entries {

@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -290,70 +288,6 @@ func TestBatchResponseMatchesEncodingJSON(t *testing.T) {
 				t.Errorf("%s, %d groups: assembler differs from encoding/json:\ngot:  %s\nwant: %s", name, groups, got, want.Bytes())
 			}
 		}
-	}
-}
-
-// TestBadReplicaBodyDoesNotBlankBatch: a replica body that is not JSON must
-// neither enter the vault through /v1/replicate nor — if one is there
-// anyway — take the rest of a batch down with it. The batch answers 200
-// with that entry alone a 502.
-func TestBadReplicaBodyDoesNotBlankBatch(t *testing.T) {
-	scope := obs.New("test")
-	s := New(Config{Workers: 2, Obs: scope, Eval: (&stubEval{}).fn,
-		Self: "http://self.invalid", Peers: []string{"http://peer.invalid"}})
-	h := s.Handler()
-	postLocal := func(path, body string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
-		req.Header.Set(forwardedHeader, "test") // computed where it lands
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-
-	key := digest(opProject, requestOf(t, reqBT))
-	garbage := []byte("<html>not json</html>\n")
-	sum := sha256.Sum256(garbage)
-	msg := replicaMsg{
-		Key:      hex.EncodeToString(key[:]),
-		Endpoint: "/v1/project",
-		Sum:      hex.EncodeToString(sum[:]),
-		Body:     garbage,
-	}
-
-	// The vault as a replica without the /v1/replicate check left it.
-	if _, err := s.store.ImportArtifact(core.Artifact{Key: replicaVaultKey(msg.Key, msg.Endpoint), Sum: msg.Sum, Body: garbage}); err != nil {
-		t.Fatal(err)
-	}
-	healthy := `{"target":"bgp","bench":"SP-MZ","class":"C","ranks":16}`
-	rec := postLocal("/v1/batch", batchBody(t, healthy, reqBT))
-	if rec.Code != 200 || rec.Body.Len() == 0 {
-		t.Fatalf("batch holding a bad replica body: status %d, len(body) == %d", rec.Code, rec.Body.Len())
-	}
-	resp := decodeBatch(t, rec.Body.Bytes())
-	if len(resp.Results) != 2 {
-		t.Fatalf("batch returned %d results, want 2", len(resp.Results))
-	}
-	if e := resp.Results[0]; e.Index != 0 || e.Status != 200 || len(e.Body) == 0 {
-		t.Errorf("healthy entry = index %d status %d (%s), want its 200", e.Index, e.Status, e.Error)
-	}
-	if e := resp.Results[1]; e.Index != 1 || e.Status != http.StatusBadGateway || e.Error == "" || len(e.Body) != 0 {
-		t.Errorf("bad-body entry = index %d status %d error %q body %q, want a 502 with a message and no body", e.Index, e.Status, e.Error, e.Body)
-	}
-
-	// And the front door: checksum-valid is not enough to be stored.
-	msg.Key = strings.Repeat("cd", sha256.Size)
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec := postLocal("/v1/replicate", string(payload)); rec.Code != 400 {
-		t.Errorf("non-JSON replica push: %d %s, want 400", rec.Code, rec.Body)
-	}
-	if n := counter(scope, "cluster.replica_rejects"); n != 1 {
-		t.Errorf("cluster.replica_rejects = %d, want 1", n)
-	}
-	if n := s.store.ArtifactCount(); n != 1 {
-		t.Errorf("rejected push changed the vault: %d entries, want 1", n)
 	}
 }
 

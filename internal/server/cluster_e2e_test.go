@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -136,7 +138,8 @@ func preferenceOf(t *testing.T, reps []*clusterReplica, body string) []*clusterR
 		names = append(names, r.name)
 	}
 	var order []*clusterReplica
-	for _, name := range cluster.NewRing(names).Preference(groupKeyOf(t, body)) {
+	req := requestOf(t, body)
+	for _, name := range cluster.NewRing(names).Preference(cluster.GroupKey(req.Base, req.Target)) {
 		order = append(order, byName[name])
 	}
 	return order
@@ -183,9 +186,6 @@ func BenchmarkRingBatch(b *testing.B) {
 					b.Fatalf("priming batch entry %d failed: %d %s", i, e.Status, e.Error)
 				}
 			}
-			for _, rep := range reps {
-				rep.srv.WaitReplication()
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -201,8 +201,8 @@ func BenchmarkRingBatch(b *testing.B) {
 // owner for every group: a request lands on the owner's evaluator no
 // matter which replica receives it, responses are byte-identical from
 // every entry point, and the X-Swapp-Peer header names the owner exactly
-// when the receiver forwarded — which a non-owner does unless the owner's
-// replicated bytes got there first.
+// when the receiver is not the owner — a non-owner holds nothing of the
+// owner's and forwards every time.
 func TestClusterRoutingDeterminism(t *testing.T) {
 	reps, _ := newCluster(t, 3)
 	requests := []string{
@@ -228,8 +228,8 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 			if rep.url == owner && peer != "" {
 				t.Errorf("owner replica %d forwarded to %q", i, peer)
 			}
-			if replica := peer == "" && hdr.Get("X-Cache") == "replica"; rep.url != owner && peer != owner && !replica {
-				t.Errorf("replica %d: X-Swapp-Peer = %q (X-Cache %q), want owner %q or the owner's replicated bytes", i, peer, hdr.Get("X-Cache"), owner)
+			if rep.url != owner && peer != owner {
+				t.Errorf("replica %d: X-Swapp-Peer = %q (X-Cache %q), want owner %q", i, peer, hdr.Get("X-Cache"), owner)
 			}
 		}
 	}
@@ -257,10 +257,7 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 func TestClusterPeerCacheFill(t *testing.T) {
 	reps, _ := newCluster(t, 3)
 	body := `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`
-	// The sender is the replica that neither owns the group nor succeeds its
-	// owner: the successor is pushed the owner's bytes after the first fill
-	// and would answer the second request from its vault, with no forward.
-	sender := preferenceOf(t, reps, body)[2]
+	sender := preferenceOf(t, reps, body)[1] // any replica but the owner
 	_, hdr1, _ := post(t, sender.url+"/v1/project", body)
 	_, hdr2, _ := post(t, sender.url+"/v1/project", body)
 	if hdr1.Get("X-Cache") != "miss" || hdr2.Get("X-Cache") != "hit" {
@@ -370,17 +367,16 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 			t.Errorf("entry %d differs from the single-process run:\ncluster: %s\nsingle:  %s", i, e.Body, want)
 		}
 	}
-	// What the victim owned is held where it replicated to, recomputed
-	// where it did not.
-	if counter(receiver.scope, "cluster.fallbacks")+counter(receiver.scope, "cluster.replica_hits") == 0 {
-		t.Error("the dead peer's groups were neither served from its replicated bytes nor recomputed")
+	// What the victim owned was recomputed past it.
+	if counter(receiver.scope, "cluster.fallbacks") == 0 {
+		t.Error("the dead peer's groups cost no fallback")
 	}
 
 	// Rejoin: the next forward to the recovered replica succeeds again.
 	// Ageing the clock past the peer breaker's cooldown lets its half-open
 	// probe through.
-	// A fresh key of the victim's group: the receiver now holds the old ones
-	// and would not ask anyone for them.
+	// A fresh key of the victim's group: the receiver may hold the old ones
+	// by now and would not ask anyone for them.
 	victim.killed.Store(false)
 	clock.advance(time.Minute)
 	served := counter(victim.scope, "server.requests./v1/batch")
@@ -403,15 +399,14 @@ func TestClusterBatchFaultInjectionFailover(t *testing.T) {
 // — held here, else the group's owner, else compute — by running the same
 // arc through the single endpoint, a batch and async jobs on a 2-replica
 // ring, always asking the replica that does not own the group. A held
-// document is never fetched over the wire, the LRU's or the vault's; the
-// owner is asked for open members only; and nothing is evaluated twice
-// anywhere. Jobs take the same path minus the owner hop.
+// document is never fetched over the wire; the owner is asked for open
+// members only, and what it answers is relayed, not kept; and nothing is
+// evaluated twice anywhere. Jobs take the same path minus the owner hop.
 func TestClusterHeldOwnerCompute(t *testing.T) {
 	bodies := []string{
 		`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`,
 		`{"target":"power6-575","bench":"SP-MZ","class":"C","ranks":32}`,
 		`{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":16}`,
-		`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":64}`,
 	}
 	// ask delivers bodies[i] for each i in idx at rep and returns the
 	// documents, newline-terminated as the endpoint serves them.
@@ -475,6 +470,12 @@ func TestClusterHeldOwnerCompute(t *testing.T) {
 					t.Errorf("%s: non-owner ran %d evaluations and the owner %d, want %d and %d", phase, a, b, atOther, atOwner)
 				}
 			}
+			forwards := func(phase string, want int64) {
+				t.Helper()
+				if n := counter(other.scope, "cluster.forwards"); n != want {
+					t.Errorf("%s: cluster.forwards = %d, want %d", phase, n, want)
+				}
+			}
 
 			// Compute: with the owner unreachable, the non-owner fills two
 			// keys itself and keeps them in its LRU.
@@ -485,59 +486,79 @@ func TestClusterHeldOwnerCompute(t *testing.T) {
 				t.Error("owner down: the failed forwards counted no fallback")
 			}
 
-			// The owner comes back and fills a third key, which lands in the
-			// non-owner's vault: the non-owner is the group's ring successor.
+			// Held: the owner is back, alive and unconsulted — both are
+			// answered where they are asked, byte for byte what was computed.
 			owner.killed.Store(false)
 			clock.advance(time.Minute)
-			code, _, fromOwner := post(t, owner.url+"/v1/project", bodies[2])
-			if code != 200 {
-				t.Fatalf("owner's own request: status %d: %s", code, fromOwner)
-			}
-			owner.srv.WaitReplication()
-			if n := counter(other.scope, "cluster.replica_stores"); n != 1 {
-				t.Fatalf("successor stored %d replicas, want 1", n)
-			}
-
-			// Held: all three are answered where they are asked, the owner
-			// alive and unconsulted — two from the LRU, one from the vault,
-			// byte for byte what the owner served.
 			hits := counter(other.scope, "server.cache.result_hits")
-			held := d.ask(t, other, 0, 1, 2)
-			evals("held", 2, 1)
-			if n := counter(other.scope, "cluster.forwards"); n != 0 {
-				t.Errorf("held: cluster.forwards = %d, want 0", n)
-			}
+			held := d.ask(t, other, 0, 1)
+			evals("held", 2, 0)
+			forwards("held", 0)
 			if n := counter(other.scope, "server.cache.result_hits") - hits; n != 2 {
 				t.Errorf("held: the LRU answered %d members, want 2", n)
-			}
-			if n := counter(other.scope, "cluster.replica_hits"); n != 1 {
-				t.Errorf("held: cluster.replica_hits = %d, want 1", n)
 			}
 			if !bytes.Equal(held[0], first[0]) || !bytes.Equal(held[1], first[1]) {
 				t.Error("held: the LRU's bytes differ from the ones computed")
 			}
-			if !bytes.Equal(held[2], fromOwner) {
-				t.Errorf("held: the vault's bytes differ from the owner's:\nvault: %s\nowner: %s", held[2], fromOwner)
-			}
 
 			// Owner: of a held key and a new one, only the new one is open,
-			// and only an open member crosses the wire. A job computes it
-			// here instead.
-			d.ask(t, other, 0, 3)
+			// and only an open member crosses the wire — again the next time,
+			// since the owner's answer is relayed and not kept. A job computes
+			// it here instead, and from then on holds it.
+			d.ask(t, other, 0, 2)
+			d.ask(t, other, 0, 2)
 			if d.forwards {
-				evals("one open member", 2, 2)
-				if n := counter(other.scope, "cluster.forwards"); n != 1 {
-					t.Errorf("one open member: cluster.forwards = %d, want 1", n)
-				}
+				evals("one open member", 2, 1)
+				forwards("one open member, twice", 2)
 			} else {
-				evals("one open member", 3, 1)
-				if n := counter(other.scope, "cluster.forwards"); n != 0 {
-					t.Errorf("a job was forwarded: cluster.forwards = %d", n)
-				}
+				evals("one open member", 3, 0)
+				forwards("a job", 0)
 			}
 			if n := other.eval.calls.Load() + owner.eval.calls.Load(); n != int64(len(bodies)) {
 				t.Errorf("the ring ran %d evaluations for %d distinct keys", n, len(bodies))
 			}
 		})
+	}
+}
+
+// TestRingServesOnlyItsOwnAnswers: a replica serves what it computed itself
+// or what a configured peer answered to its own forward — there is no route
+// by which anyone else can put a document in its way. POST /v1/replicate
+// with a well-formed result push for a request is 404, and that request is
+// then evaluated once and answered with the single-process control's bytes.
+func TestRingServesOnlyItsOwnAnswers(t *testing.T) {
+	ctl := newHTTPServer(t, New(Config{Workers: 4, Eval: (&stubEval{}).fn}))
+	_, _, want := post(t, ctl.URL+"/v1/project", reqBT)
+
+	reps, _ := newCluster(t, 3)
+	owner := preferenceOf(t, reps, reqBT)[0]
+	key := digest(opProject, requestOf(t, reqBT))
+	planted := []byte(`{"app":"planted"}` + "\n")
+	sum := sha256.Sum256(planted)
+	push, err := json.Marshal(map[string]any{
+		"key":      hex.EncodeToString(key[:]),
+		"endpoint": "/v1/project",
+		"sum":      hex.EncodeToString(sum[:]),
+		"body":     planted,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, out := post(t, owner.url+"/v1/replicate", string(push)); code != http.StatusNotFound {
+		t.Errorf("POST /v1/replicate on a ring member: %d %s, want 404", code, out)
+	}
+	if code, _, out := post(t, ctl.URL+"/v1/replicate", string(push)); code != http.StatusNotFound {
+		t.Errorf("POST /v1/replicate without -peers: %d %s, want 404", code, out)
+	}
+
+	code, hdr, got := post(t, owner.url+"/v1/project", reqBT)
+	if code != 200 || hdr.Get("X-Cache") != "miss" {
+		t.Fatalf("status %d, X-Cache %q: %s; want a 200 miss", code, hdr.Get("X-Cache"), got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the ring member served\n%s, the control\n%s", got, want)
+	}
+	if n := owner.eval.calls.Load(); n != 1 {
+		t.Errorf("the ring member ran %d evaluations, want 1", n)
 	}
 }

@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -66,70 +64,6 @@ func FuzzBatchRequest(f *testing.F) {
 			if e.Index != i {
 				t.Fatalf("results[%d].index = %d", i, e.Index)
 			}
-		}
-	})
-}
-
-// FuzzReplicateRequest: /v1/replicate is the one route that writes what a
-// peer sends into what this server later serves. Arbitrary bytes posted to
-// it never panic the handler, are answered 200, 400 or 413 with one JSON
-// line, and change the vault only on {"stored":true} — after which the vault
-// holds, under the pushed key, valid JSON whose sha256 is the pushed sum.
-func FuzzReplicateRequest(f *testing.F) {
-	push := func(body []byte, edit func(*replicaMsg)) []byte {
-		sum := sha256.Sum256(body)
-		msg := replicaMsg{Key: strings.Repeat("ab", sha256.Size), Endpoint: "/v1/project", Sum: hex.EncodeToString(sum[:]), Body: body}
-		if edit != nil {
-			edit(&msg)
-		}
-		out, err := json.Marshal(msg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return out
-	}
-	valid := push([]byte(`{"projection":42}`+"\n"), nil)
-	f.Add(valid)
-	f.Add(push([]byte(`{"projection":42}`), func(m *replicaMsg) { m.Sum = hex.EncodeToString(make([]byte, sha256.Size)) }))
-	f.Add(push([]byte("<html>not json</html>\n"), nil))
-	f.Add(append(valid[:len(valid)-1:len(valid)-1], `,"mode":"fast"}`...))
-	f.Add(push([]byte(`"`+strings.Repeat("x", maxReplicaBytes)+`"`), nil))
-
-	s := New(Config{Workers: 2, Eval: (&stubEval{}).fn})
-	h := s.Handler()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := s.store.ArtifactCount()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/replicate", bytes.NewReader(data)))
-		out := rec.Body.Bytes()
-		switch rec.Code {
-		case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-		default:
-			t.Fatalf("status = %d: %s", rec.Code, out)
-		}
-		if !json.Valid(out) || !bytes.HasSuffix(out, []byte("\n")) {
-			t.Fatalf("status %d with a body that is not one JSON line: %q", rec.Code, out)
-		}
-		after := s.store.ArtifactCount()
-		if string(out) != "{\"stored\":true}\n" {
-			if after != before {
-				t.Fatalf("vault went from %d to %d entries on %d %s", before, after, rec.Code, out)
-			}
-			if rec.Code == http.StatusOK && string(out) != "{\"stored\":false}\n" {
-				t.Fatalf("200 with %q", out)
-			}
-			return
-		}
-		var msg replicaMsg
-		if err := json.NewDecoder(bytes.NewReader(data)).Decode(&msg); err != nil {
-			t.Fatalf("stored a push that does not decode: %v", err)
-		}
-		got, ok := s.store.GetArtifact(replicaVaultKey(msg.Key, msg.Endpoint))
-		if !ok {
-			t.Fatalf("stored:true but the vault has nothing under %q %q", msg.Key, msg.Endpoint)
-		}
-		if sum := sha256.Sum256(got); !json.Valid(got) || hex.EncodeToString(sum[:]) != msg.Sum {
-			t.Fatalf("vault holds %q under sum %q", got, msg.Sum)
 		}
 	})
 }

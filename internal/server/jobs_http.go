@@ -93,7 +93,7 @@ func (jreq jobRequest) resolve() (op string, spec endpointSpec, req swapp.Reques
 func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
 	key := digest(spec.op, req)
 	return func(ctx context.Context, tap cluster.Tap) ([]byte, error) {
-		if doc, _, ok := s.held(key, spec); ok {
+		if doc, ok := s.held(key, spec); ok {
 			return doc, nil
 		}
 		var progress progressFunc

@@ -72,7 +72,7 @@ type remote struct {
 // request, so the bytes are identical wherever they are computed. Its value
 // is concentration: every replica that cannot reach a group's owner asks the
 // same next node, whose layered store then fills once per group and whose
-// vault already holds what the owner pushed (the peer cache fill).
+// result LRU then answers every later ask (the peer cache fill).
 type peerSet struct {
 	self  string
 	ring  *cluster.Ring
@@ -114,8 +114,8 @@ var errDestination = errors.New("server: call failed at its destination")
 // fast, with no network traffic, while it is open — is the back-off. The
 // breaker hears errDestination of any failure while the caller is still
 // waiting; the caller's own cancellation or deadline is no verdict on the
-// peer. A forward is marked as one (forwardedHeader); a replication push is not.
-func (p *peerSet) post(ctx context.Context, addr, path string, payload []byte, forward bool) (body []byte, hdr http.Header, err error) {
+// peer. Every peer call is a forward and is marked as one (forwardedHeader).
+func (p *peerSet) post(ctx context.Context, addr, path string, payload []byte) (body []byte, hdr http.Header, err error) {
 	to := p.peers[addr]
 	if ra, ok := to.breaker.allow(); !ok {
 		return nil, nil, &breakerOpenError{retryAfter: ra}
@@ -135,9 +135,7 @@ func (p *peerSet) post(ctx context.Context, addr, path string, payload []byte, f
 		return nil, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if forward {
-		req.Header.Set(forwardedHeader, p.self)
-	}
+	req.Header.Set(forwardedHeader, p.self)
 	resp, err := p.http.Do(req)
 	if err != nil {
 		return nil, nil, err
@@ -168,7 +166,7 @@ func (s *Server) forward(ctx context.Context, groupKey, path string, payload []b
 		if addr == s.peers.self {
 			break
 		}
-		body, hdr, err := s.peers.post(ctx, addr, path, payload, true)
+		body, hdr, err := s.peers.post(ctx, addr, path, payload)
 		if err == nil {
 			return body, hdr, addr, true
 		}
@@ -192,8 +190,9 @@ func (s *Server) timeoutFor(body APIRequest) time.Duration {
 
 // forwardEval relays one single-request evaluation along its group's
 // preference order and returns the answering peer's bytes verbatim, that
-// peer's own outcome and its address. ok is false when the request is to be
-// computed here — a dead peer degrades, never errors.
+// peer's own outcome — hit only if it says exactly that, miss whatever else
+// it says — and its address. ok is false when the request is to be computed
+// here — a dead peer degrades, never errors.
 func (s *Server) forwardEval(r *http.Request, endpoint string, body APIRequest, req swapp.Request) (doc []byte, oc outcome, peer string, ok bool) {
 	payload, err := json.Marshal(body)
 	if err != nil {
@@ -206,8 +205,9 @@ func (s *Server) forwardEval(r *http.Request, endpoint string, body APIRequest, 
 		return nil, "", "", false
 	}
 	s.obs.Count("cluster.forwards", 1)
-	oc = outcome(respHdr.Get("X-Cache"))
-	if oc == outcomeHit {
+	oc = outcomeMiss
+	if outcome(respHdr.Get("X-Cache")) == outcomeHit {
+		oc = outcomeHit
 		s.obs.Count("cluster.peer_hits", 1)
 	}
 	return doc, oc, peer, true

@@ -82,7 +82,7 @@ func TestPeerCallIsOneAttempt(t *testing.T) {
 			}()
 
 			start := time.Now()
-			body, hdr, err := p.post(ctx, ts.URL, "/v1/project", []byte(reqBT), true)
+			body, hdr, err := p.post(ctx, ts.URL, "/v1/project", []byte(reqBT))
 			if d := time.Since(start); d > time.Second {
 				t.Errorf("the call took %v: one attempt waits for nothing but its reply", d)
 			}
@@ -136,6 +136,43 @@ func TestForwardDoesNotWaitOutABusyOwner(t *testing.T) {
 	}
 	if n := asked.Load(); n != 1 {
 		t.Errorf("the busy owner was asked %d times, want once", n)
+	}
+}
+
+// TestForwardedOutcomeIsHitOrMiss: X-Cache has two values whoever answered. The
+// answering peer's header is read, not relayed: exactly "hit" is a hit (and
+// counts a peer hit), anything else — a value this build does not know, none at
+// all — is reported as a miss.
+func TestForwardedOutcomeIsHitOrMiss(t *testing.T) {
+	reps, _ := newCluster(t, 2)
+	order := preferenceOf(t, reps, reqBT)
+	owner, entry := order[0], order[1]
+	const doc = `{"app":"BT-MZ.C"}` + "\n"
+	for i, tc := range []struct{ peerSays, want string }{
+		{"hit", "hit"},
+		{"miss", "miss"},
+		{"replica", "miss"},
+		{"", "miss"},
+	} {
+		owner.handler.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if tc.peerSays != "" {
+				w.Header()["X-Cache"] = []string{tc.peerSays}
+			}
+			fmt.Fprint(w, doc)
+		}))
+		code, hdr, out := post(t, entry.url+"/v1/project", reqBT)
+		if code != 200 || string(out) != doc || hdr.Get(peerHeader) != owner.url {
+			t.Fatalf("peer says %q: status %d from %q: %s; want the owner's reply relayed", tc.peerSays, code, hdr.Get(peerHeader), out)
+		}
+		if got := hdr.Values("X-Cache"); len(got) != 1 || got[0] != tc.want {
+			t.Errorf("peer says %q: X-Cache = %q, want %q", tc.peerSays, got, tc.want)
+		}
+		if n := counter(entry.scope, "cluster.forwards"); n != int64(i+1) {
+			t.Errorf("peer says %q: cluster.forwards = %d, want %d", tc.peerSays, n, i+1)
+		}
+	}
+	if n := counter(entry.scope, "cluster.peer_hits"); n != 1 {
+		t.Errorf("cluster.peer_hits = %d, want 1", n)
 	}
 }
 

@@ -16,14 +16,14 @@ import (
 // faults against a real in-process ring, judged on the two quantities that
 // repeat exactly — the bytes served and the evaluations run. Everything that
 // could make a count depend on the run is pinned: the ring's names are fixed
-// strings (so its geometry is), the clock only moves when a schedule advances
-// it, and replication is joined after every step. Nothing sleeps: a peer call
-// is one attempt.
+// strings (so its geometry is) and the clock only moves when a schedule
+// advances it. Nothing sleeps and nothing runs in the background: a peer call
+// is one attempt, made while its client waits.
 //
 // Beside the ring runs a model of it — who is reachable, who holds what, what
 // each peer breaker has seen — that predicts, for every delivery, which
 // replica answers and how many evaluations every replica has run. The model
-// is a page of routing rules, the ones DESIGN.md §10.3 and §10.5 state; a ring
+// is a page of routing rules, the ones DESIGN.md §10.2 and §10.3 state; a ring
 // that disagrees with it has a bug or the rules have changed.
 
 // chaosTargets are the three (hydra, target) groups the schedules ask about,
@@ -75,16 +75,16 @@ type modelBreaker struct {
 
 // chaosModel is the ring as its rules describe it.
 type chaosModel struct {
-	pref       [][]int // per group: replica indexes in preference order
-	alive      []bool
-	cutAt      int // forwards from cutAt to cutTo are dropped; -1 for no cut
-	cutTo      int
-	lru, vault []map[int]bool // per replica: the keys it holds
-	brk        [][]modelBreaker
-	now        time.Duration
-	evals      []int64 // per replica: evaluations run so far
-	threshold  int
-	cooldown   time.Duration
+	pref      [][]int // per group: replica indexes in preference order
+	alive     []bool
+	cutAt     int // forwards from cutAt to cutTo are dropped; -1 for no cut
+	cutTo     int
+	lru       []map[int]bool // per replica: the keys it holds — those it computed
+	brk       [][]modelBreaker
+	now       time.Duration
+	evals     []int64 // per replica: evaluations run so far
+	threshold int
+	cooldown  time.Duration
 }
 
 func newChaosModel(reps []*clusterReplica) *chaosModel {
@@ -105,7 +105,6 @@ func newChaosModel(reps []*clusterReplica) *chaosModel {
 	for i := range reps {
 		m.alive[i] = true
 		m.lru = append(m.lru, map[int]bool{})
-		m.vault = append(m.vault, map[int]bool{})
 		m.brk[i] = make([]modelBreaker, n)
 	}
 	// The breaker's two numbers are the server's to choose, not the model's.
@@ -122,14 +121,11 @@ func (m *chaosModel) probeDue(b *modelBreaker) bool {
 }
 
 // racy reports whether concurrent calls could land on one breaker with
-// different fates — a cut fails forwards but not replication pushes, a due
-// probe admits one caller and refuses the rest — in which case a schedule
-// delivers a batch one item at a time: which caller wins such a race costs a
-// duplicate fill, never a byte, but the count would no longer repeat.
+// different fates — a due probe admits one caller and refuses the rest — in
+// which case a schedule delivers a batch one item at a time: which caller wins
+// such a race costs a duplicate fill, never a byte, but the count would no
+// longer repeat. (A cut is not such a case: every call across it fails.)
 func (m *chaosModel) racy() bool {
-	if m.cutAt >= 0 {
-		return true
-	}
 	for i := range m.brk {
 		for k := range m.brk[i] {
 			if m.probeDue(&m.brk[i][k]) {
@@ -140,15 +136,15 @@ func (m *chaosModel) racy() bool {
 	return false
 }
 
-// call is one peer call from a replica to a peer, forward or replication
-// push, through that peer's breaker.
-func (m *chaosModel) call(from, to int, forward bool) bool {
+// call is one peer call — a forward — from a replica to a peer, through that
+// peer's breaker.
+func (m *chaosModel) call(from, to int) bool {
 	b := &m.brk[from][to]
 	probe := m.probeDue(b)
 	if b.open && !probe {
 		return false
 	}
-	if m.alive[to] && !(forward && from == m.cutAt && to == m.cutTo) {
+	if m.alive[to] && !(from == m.cutAt && to == m.cutTo) {
 		*b = modelBreaker{}
 		return true
 	}
@@ -159,27 +155,16 @@ func (m *chaosModel) call(from, to int, forward bool) bool {
 }
 
 // held reports whether a replica can answer a key from what it has.
-func (m *chaosModel) held(at, key int) bool { return m.lru[at][key] || m.vault[at][key] }
+func (m *chaosModel) held(at, key int) bool { return m.lru[at][key] }
 
 // answer is a replica resolving a key it was asked for and may not pass on:
-// held, else computed — which also pushes the bytes to the first node after
-// it in the group's preference order that takes them.
+// held, else computed and from then on held.
 func (m *chaosModel) answer(at, key int) outcome {
-	switch {
-	case m.lru[at][key]:
+	if m.lru[at][key] {
 		return outcomeHit
-	case m.vault[at][key]:
-		return outcomeReplica
 	}
 	m.evals[at]++
 	m.lru[at][key] = true
-	order := m.pref[chaosGroup(key)]
-	for _, next := range order[slices.Index(order, at)+1:] {
-		if m.call(at, next, false) {
-			m.vault[next][key] = true
-			break
-		}
-	}
 	return outcomeMiss
 }
 
@@ -188,7 +173,7 @@ func (m *chaosModel) answer(at, key int) outcome {
 // accepts a forward, else the entry itself.
 func (m *chaosModel) route(entry, group int) int {
 	for _, c := range m.pref[group] {
-		if c == entry || m.call(entry, c, true) {
+		if c == entry || m.call(entry, c) {
 			return c
 		}
 	}
@@ -205,7 +190,7 @@ func (m *chaosModel) apply(s chaosStep) (server int, oc outcome) {
 		m.alive[s.at] = true
 	case "restart": // back, with nothing: a new process
 		m.alive[s.at] = true
-		m.lru[s.at], m.vault[s.at] = map[int]bool{}, map[int]bool{}
+		m.lru[s.at] = map[int]bool{}
 		m.brk[s.at] = make([]modelBreaker, len(m.alive))
 	case "cut":
 		m.cutAt, m.cutTo = s.at, s.to
@@ -421,9 +406,6 @@ func (r *chaosRing) run(s chaosStep) {
 	if s.op != "single" {
 		r.model.apply(s)
 	}
-	for _, rep := range r.reps {
-		rep.srv.WaitReplication()
-	}
 	for i, rep := range r.reps {
 		if got := rep.eval.calls.Load(); got != r.model.evals[i] {
 			r.failf("after %v replica %d has run %d evaluations, the model says %d (all: %v)", s, i, got, r.model.evals[i], r.model.evals)
@@ -449,16 +431,20 @@ func (r *chaosRing) total() (n int64) {
 
 // TestRingChaosSchedules runs, on 3- and 4-replica rings, the failover arc
 // and then the seeded schedules, logging each one's evaluation total and
-// asserting their sum — the number a change to routing or replication is
-// judged on, so such a change states its price in this file's diff (CHANGES.md
-// has the history: 1 075 and 948 under gossip membership, 942 since PR 21).
-// Every fourth seed is fault-free, and every eighth also job-free: there the
-// ring must run exactly one evaluation per distinct key, plus one per job
-// submitted where its key was not held. -short runs four seeds per ring size.
+// asserting their sum — the number a change to routing is judged on, so such
+// a change states its price in this file's diff. The history, over the same
+// 48 schedules (117 kills, 51 cuts, 44 restarts): 1 075 and 948 under gossip
+// membership, 942 with every result pushed to its ring successor (PR 21), and
+// 1 146 since that push was deleted — 1.74 warm recomputes per kill, about a
+// tenth of one cold characterisation fill, which is what an owner's death now
+// costs and all it costs. Every fourth seed is fault-free, and every eighth
+// also job-free: there the ring must run exactly one evaluation per distinct
+// key, plus one per job submitted where its key was not held. -short runs four
+// seeds per ring size.
 func TestRingChaosSchedules(t *testing.T) {
-	seeds, want := 24, int64(942)
+	seeds, want := 24, int64(1146)
 	if testing.Short() {
-		seeds, want = 4, 169
+		seeds, want = 4, 199
 	}
 	ran, sum := 0, int64(0)
 	for _, n := range []int{3, 4} {
@@ -514,31 +500,32 @@ func chaosSchedule(t *testing.T, n, seed int) int64 {
 	return r.total()
 }
 
-// chaosFailoverArc walks the two arcs warm failover exists for and asserts
-// them outright, not only through the model. Kill: every key the dead owner
-// computed is served from the next node's vault at every surviving entry
-// point, with no evaluation anywhere. Double kill: what that successor
-// computed while it stood in is served from the vault of the node after it.
+// chaosFailoverArc walks the arc an owner's death now is and asserts it
+// outright, not only through the model. Kill: each key the dead owner had
+// computed costs exactly one evaluation ring-wide — at the successor,
+// whichever survivor is asked first — and then none. Double kill: likewise
+// for what that successor computed while it stood in, at the node after it.
 func chaosFailoverArc(t *testing.T, n int) {
 	r := newChaosRing(t, n)
 	order := r.model.pref[0]
 	owner, succ, third, last := order[0], order[1], order[2], order[n-1]
 	warm, fresh := []int{0, 1}, []int{2, 3} // keys of group 0
 
-	// askEverywhere asks for keys one at a time at every live replica and
-	// returns what that cost in evaluations and how often holder's vault
-	// answered.
-	askEverywhere := func(keys []int, holder int) (evals, vaultHits int64) {
+	// askEverywhere asks for keys one at a time at every live replica —
+	// first at the far end of the order, so that what the landing replica
+	// evaluates it was forwarded — and returns what that cost in evaluations
+	// ring-wide and at the replica the walk should land on.
+	askEverywhere := func(keys []int, landing int) (evals, atLanding int64) {
 		t.Helper()
-		evals, vaultHits = r.total(), counter(r.reps[holder].scope, "cluster.replica_hits")
-		for i, alive := range r.model.alive {
-			for _, key := range keys {
-				if alive {
+		evals, atLanding = r.total(), r.reps[landing].eval.calls.Load()
+		for k := range r.reps {
+			if i := (last + k) % n; r.model.alive[i] {
+				for _, key := range keys {
 					r.run(chaosStep{op: "single", at: i, keys: []int{key}})
 				}
 			}
 		}
-		return r.total() - evals, counter(r.reps[holder].scope, "cluster.replica_hits") - vaultHits
+		return r.total() - evals, r.reps[landing].eval.calls.Load() - atLanding
 	}
 
 	r.run(chaosStep{op: "batch", at: last, keys: warm})
@@ -546,20 +533,23 @@ func chaosFailoverArc(t *testing.T, n int) {
 		t.Fatalf("the owner ran %d evaluations warming %d keys", got, len(warm))
 	}
 	r.run(chaosStep{op: "kill", at: owner})
-	evals, hits := askEverywhere(warm, succ)
-	if want := int64(len(warm) * (n - 1)); evals != 0 || hits != want {
-		t.Errorf("after the kill: %d evaluations and %d answers from the successor's vault, want 0 and %d", evals, hits, want)
+	// One evaluation per key, then asked again everywhere: nothing more.
+	for pass, want := range []int64{int64(len(warm)), 0} {
+		if evals, atSucc := askEverywhere(warm, succ); evals != want || atSucc != want {
+			t.Errorf("after the kill, pass %d: %d evaluations, %d of them at the successor, want %d and %d", pass, evals, atSucc, want, want)
+		}
 	}
 
 	// The successor stands in for fresh keys, then dies too.
 	r.run(chaosStep{op: "batch", at: last, keys: fresh})
-	if got := r.reps[succ].eval.calls.Load(); got != int64(len(fresh)) {
-		t.Fatalf("the successor ran %d evaluations standing in for %d keys", got, len(fresh))
+	if got := r.reps[succ].eval.calls.Load(); got != int64(len(warm)+len(fresh)) {
+		t.Fatalf("the successor has run %d evaluations standing in for %d keys", got, len(warm)+len(fresh))
 	}
 	r.run(chaosStep{op: "kill", at: succ})
-	evals, hits = askEverywhere(fresh, third)
-	if want := int64(len(fresh) * (n - 2)); evals != 0 || hits != want {
-		t.Errorf("after the double kill: %d evaluations and %d answers from the next node's vault, want 0 and %d", evals, hits, want)
+	for pass, want := range []int64{int64(len(fresh)), 0} {
+		if evals, atThird := askEverywhere(fresh, third); evals != want || atThird != want {
+			t.Errorf("after the double kill, pass %d: %d evaluations, %d of them at the next node, want %d and %d", pass, evals, atThird, want, want)
+		}
 	}
 	t.Logf("eval.calls total %d (per replica %v)", r.total(), r.model.evals)
 }

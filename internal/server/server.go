@@ -32,13 +32,11 @@ package server
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -168,8 +166,6 @@ type Server struct {
 
 	journal *cluster.Journal // durable job journal; nil without DataDir
 
-	replWG sync.WaitGroup // in-flight replication pushes
-
 	sem      chan struct{} // worker slots
 	queued   atomic.Int64  // arrivals between admission and a slot
 	inflight atomic.Int64  // running evaluations
@@ -260,7 +256,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("/v1/jobs/", s.handleJob)
-	mux.HandleFunc("/v1/replicate", s.handleReplicate)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
@@ -351,8 +346,8 @@ func (s *Server) handleEval(spec endpointSpec) http.HandlerFunc {
 
 		key := digest(spec.op, req)
 		start := time.Now()
-		doc, oc, ok := s.held(key, spec)
-		var peer string
+		doc, ok := s.held(key, spec)
+		oc, peer := outcomeHit, ""
 		// Peer-aware mode: a group owned by another replica is forwarded
 		// there (unless this request was itself forwarded — the loop
 		// guard). A failed forward falls through to local computation.
@@ -378,9 +373,7 @@ func (s *Server) handleEval(spec endpointSpec) http.HandlerFunc {
 		if peer != "" {
 			h.Set(peerHeader, peer)
 		}
-		if oc != "" {
-			h.Set("X-Cache", string(oc))
-		}
+		h.Set("X-Cache", string(oc))
 		_, _ = w.Write(doc)
 	}
 }
@@ -441,43 +434,31 @@ func retryAfterSeconds(d time.Duration) string {
 type outcome string
 
 const (
-	outcomeHit     outcome = "hit"     // this replica's result LRU
-	outcomeReplica outcome = "replica" // the vault: bytes an owner rendered and pushed here
-	outcomeMiss    outcome = "miss"    // evaluated, or joined an evaluation, for this caller
+	outcomeHit  outcome = "hit"  // this replica's result LRU
+	outcomeMiss outcome = "miss" // evaluated, or joined an evaluation, for this caller
 )
 
 // progressFunc is the GA's per-generation tap (swapp.Request.OnGAProgress).
 type progressFunc func(member, generation int, best float64)
 
-// held answers from what this replica already has — its result LRU, then
-// the replica vault — on the caller's goroutine: no context, no timer, no
-// admission, and outside peer mode no allocation. A projection is a pure
-// function of its request, so the bytes are the same wherever they come
-// from and the cheapest source goes first; ownership (peer.go) only decides
-// where a miss is filled. Every delivery — single endpoint, batch member,
-// async job — asks here before anything else.
-func (s *Server) held(key cacheKey, spec endpointSpec) ([]byte, outcome, bool) {
-	if e, ok := s.cache.Get(key); ok {
-		// A result that will not render is not held: compute reports why.
-		if doc, err := s.render(key, spec, e, outcomeHit); err == nil {
-			return doc, outcomeHit, true
-		}
+// held answers from what this replica already has — its result LRU, one
+// read — on the caller's goroutine: no context, no timer, no admission, no
+// allocation. A replica holds only what it computed itself; ownership
+// (peer.go) only decides where a miss is filled. Every delivery — single
+// endpoint, batch member, async job — asks here before anything else.
+func (s *Server) held(key cacheKey, spec endpointSpec) ([]byte, bool) {
+	e, ok := s.cache.Get(key)
+	if !ok {
+		return nil, false
 	}
-	if s.peers != nil {
-		// Warm failover: bytes a (possibly dead) owner rendered and pushed
-		// here, served verbatim.
-		if doc, ok := s.store.GetArtifact(replicaVaultKey(hex.EncodeToString(key[:]), spec.endpoint)); ok {
-			s.obs.Count("cluster.replica_hits", 1)
-			return doc, outcomeReplica, true
-		}
-	}
-	return nil, "", false
+	// A result that will not render is not held: compute reports why.
+	doc, err := s.render(key, spec, e, outcomeHit)
+	return doc, err == nil
 }
 
-// compute is the one miss arm: evaluate (or join whoever already is), render
-// through the entry's memoised slot, and push a fresh fill to the group's
-// ring successor. progress, when non-nil, taps the GA search if this caller
-// ends up leading the evaluation.
+// compute is the one miss arm: evaluate (or join whoever already is) and
+// render through the entry's memoised slot. progress, when non-nil, taps the
+// GA search if this caller ends up leading the evaluation.
 func (s *Server) compute(ctx context.Context, key cacheKey, spec endpointSpec, req swapp.Request, progress progressFunc) ([]byte, outcome, error) {
 	e, oc, err := s.evaluate(ctx, spec.op, key, req, progress)
 	if err != nil {
@@ -486,9 +467,6 @@ func (s *Server) compute(ctx context.Context, key cacheKey, spec endpointSpec, r
 	doc, err := s.render(key, spec, e, oc)
 	if err != nil {
 		return nil, "", fmt.Errorf("server: rendering %s: %w", spec.endpoint, err)
-	}
-	if oc == outcomeMiss {
-		s.maybeReplicate(key, spec.endpoint, req, doc)
 	}
 	return doc, oc, nil
 }

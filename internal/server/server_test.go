@@ -484,7 +484,7 @@ func TestBadRequests(t *testing.T) {
 // reading at its bound and answers 413 with one JSON error line — before
 // decoding, so a batch of a million empty items is refused for its size, not
 // counted and then refused for its length — while a body padded up to the
-// bound is still served. (/v1/replicate's bound: TestReplicateIdempotent.)
+// bound is still served.
 func TestOversizeBodiesRefused(t *testing.T) {
 	eval := &stubEval{}
 	_, ts := newTestServer(t, Config{Workers: 1}, eval)

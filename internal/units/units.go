@@ -1,13 +1,12 @@
 // Package units provides small shared helpers for formatting and
 // manipulating the quantities that flow through the simulator: simulated
-// time (seconds as float64), byte counts, rates, and the power-of-two
-// message-size grids that the IMB-style benchmarks sweep.
+// time (seconds as float64), byte counts, and the power-of-two message-size
+// grids that the IMB-style benchmarks sweep.
 package units
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Seconds is simulated wall-clock time. All simulator-internal math uses
@@ -62,22 +61,6 @@ func FormatBytes(b Bytes) string {
 	}
 }
 
-// FormatRate renders a bandwidth in bytes/second with a suitable prefix,
-// chosen by magnitude so negative rates keep their natural prefix.
-func FormatRate(bytesPerSec float64) string {
-	abs := math.Abs(bytesPerSec)
-	switch {
-	case abs < 1e3:
-		return fmt.Sprintf("%.3gB/s", bytesPerSec)
-	case abs < 1e6:
-		return fmt.Sprintf("%.3gKB/s", bytesPerSec/1e3)
-	case abs < 1e9:
-		return fmt.Sprintf("%.3gMB/s", bytesPerSec/1e6)
-	default:
-		return fmt.Sprintf("%.3gGB/s", bytesPerSec/1e9)
-	}
-}
-
 // Pow2Sizes returns the ascending power-of-two size grid {min, 2min, …, max}
 // (inclusive on both ends when max is itself on the grid). It is the sweep
 // used by the IMB-style benchmarks. min must be ≥ 1 and ≤ max.
@@ -93,51 +76,4 @@ func Pow2Sizes(min, max Bytes) []Bytes {
 		}
 	}
 	return out
-}
-
-// NearestGridSizes returns the two grid sizes bracketing size for
-// interpolation. The grid is expected ascending; an unsorted grid is
-// detected (one O(n) scan) and a sorted copy is searched instead, so a
-// caller slipping in raw sweep data still gets correct brackets rather
-// than whatever a misapplied binary search lands on. If size is below the
-// grid both returns are the first entry; above, both are the last.
-func NearestGridSizes(grid []Bytes, size Bytes) (lo, hi Bytes) {
-	if len(grid) == 0 {
-		panic("units: empty grid")
-	}
-	if !sort.SliceIsSorted(grid, func(i, j int) bool { return grid[i] < grid[j] }) {
-		sorted := append([]Bytes(nil), grid...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		grid = sorted
-	}
-	i := sort.Search(len(grid), func(i int) bool { return grid[i] >= size })
-	switch {
-	case i == 0:
-		return grid[0], grid[0]
-	case i == len(grid):
-		return grid[len(grid)-1], grid[len(grid)-1]
-	case grid[i] == size:
-		return grid[i], grid[i]
-	default:
-		return grid[i-1], grid[i]
-	}
-}
-
-// Clamp bounds x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// Percent expresses part/whole as a percentage, returning 0 when whole is 0.
-func Percent(part, whole float64) float64 {
-	if whole == 0 {
-		return 0
-	}
-	return 100 * part / whole
 }

@@ -2,7 +2,6 @@ package units
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -62,32 +61,6 @@ func TestFormatBytes(t *testing.T) {
 	for _, c := range cases {
 		if got := FormatBytes(c.in); got != c.want {
 			t.Errorf("FormatBytes(%d) = %q, want %q", c.in, got, c.want)
-		}
-	}
-}
-
-func TestFormatRate(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want string
-	}{
-		{0, "0B/s"},
-		{500, "500B/s"},
-		{2e9, "2GB/s"},
-		{1234567, "1.23MB/s"},
-		// Exactly-1 boundaries promote to the next prefix.
-		{1e3, "1KB/s"},
-		{1e6, "1MB/s"},
-		{1e9, "1GB/s"},
-		// Negative rates keep the magnitude's prefix (previously every
-		// negative value fell through to the B/s branch).
-		{-500, "-500B/s"},
-		{-2e9, "-2GB/s"},
-		{-1234567, "-1.23MB/s"},
-	}
-	for _, c := range cases {
-		if got := FormatRate(c.in); got != c.want {
-			t.Errorf("FormatRate(%v) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }
@@ -170,106 +143,5 @@ func TestPow2SizesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestNearestGridSizes(t *testing.T) {
-	grid := []Bytes{1, 2, 4, 8}
-	cases := []struct {
-		size   Bytes
-		lo, hi Bytes
-	}{
-		{0, 1, 1},
-		{1, 1, 1},
-		{3, 2, 4},
-		{8, 8, 8},
-		{100, 8, 8},
-	}
-	for _, c := range cases {
-		lo, hi := NearestGridSizes(grid, c.size)
-		if lo != c.lo || hi != c.hi {
-			t.Errorf("NearestGridSizes(%d) = (%d,%d), want (%d,%d)", c.size, lo, hi, c.lo, c.hi)
-		}
-	}
-}
-
-// TestNearestGridSizesEdges covers the degenerate grids callers can hand
-// in: a single-entry grid (every query collapses to it) and an unsorted
-// grid (the lookup must sort defensively rather than binary-search garbage).
-func TestNearestGridSizesEdges(t *testing.T) {
-	t.Run("one-element grid", func(t *testing.T) {
-		grid := []Bytes{64}
-		for _, size := range []Bytes{0, 1, 63, 64, 65, math.MaxInt64} {
-			lo, hi := NearestGridSizes(grid, size)
-			if lo != 64 || hi != 64 {
-				t.Errorf("NearestGridSizes([64], %d) = (%d,%d), want (64,64)", size, lo, hi)
-			}
-		}
-	})
-	t.Run("unsorted grid", func(t *testing.T) {
-		grid := []Bytes{8, 1, 4, 2}
-		cases := []struct {
-			size   Bytes
-			lo, hi Bytes
-		}{
-			{0, 1, 1},
-			{3, 2, 4},
-			{4, 4, 4},
-			{100, 8, 8},
-		}
-		for _, c := range cases {
-			lo, hi := NearestGridSizes(grid, c.size)
-			if lo != c.lo || hi != c.hi {
-				t.Errorf("NearestGridSizes(%v, %d) = (%d,%d), want (%d,%d)", grid, c.size, lo, hi, c.lo, c.hi)
-			}
-		}
-		// The caller's slice must not be reordered in place.
-		want := []Bytes{8, 1, 4, 2}
-		for i := range want {
-			if grid[i] != want[i] {
-				t.Fatalf("input grid mutated: %v", grid)
-			}
-		}
-	})
-}
-
-// Property: the bracket always contains or bounds the query.
-func TestNearestGridSizesProperty(t *testing.T) {
-	grid := Pow2Sizes(1, 1<<20)
-	f := func(q uint32) bool {
-		size := Bytes(q % (2 << 20))
-		lo, hi := NearestGridSizes(grid, size)
-		if lo > hi {
-			return false
-		}
-		i := sort.Search(len(grid), func(i int) bool { return grid[i] >= lo })
-		if grid[i] != lo {
-			return false
-		}
-		if size >= grid[0] && size <= grid[len(grid)-1] {
-			return lo <= size && size <= hi
-		}
-		return lo == hi
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Error("Clamp misbehaves")
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if Percent(1, 4) != 25 {
-		t.Error("Percent(1,4) != 25")
-	}
-	if Percent(1, 0) != 0 {
-		t.Error("Percent with zero whole should be 0")
-	}
-	if math.IsNaN(Percent(0, 0)) {
-		t.Error("Percent(0,0) must not be NaN")
 	}
 }

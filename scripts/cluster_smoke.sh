@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — end-to-end smoke test of swappd's peer-aware mode: the
-# preference walk past a dead replica and warm failover (DESIGN.md §10.3,
-# §10.5). Build swappd, start three replicas wired into one consistent-hash
-# ring, run a grouped /v1/batch round-trip through one node, then:
+# preference walk past a dead replica, which recomputes what it held
+# (DESIGN.md §10.3). Build swappd, start three replicas wired into one
+# consistent-hash ring, run a grouped /v1/batch round-trip through one node,
+# then:
 #
-#   1. compute one result on its ring owner (found via X-Swapp-Peer) so the
-#      owner replicates the rendered bytes to its successor,
-#   2. SIGKILL that owner and, at once, require both survivors to answer
-#      byte-identically from the successor's replica vault — asserted
-#      through X-Cache: replica and cluster.replica_hits in /debug/vars,
+#   1. compute one result on its ring owner (found via X-Swapp-Peer),
+#   2. SIGKILL that owner and, at once, require both survivors to answer its
+#      exact bytes by recomputation — the first ask an X-Cache: miss, every
+#      one after it a hit, each cmp-equal to the pre-kill body,
 #   3. re-run the grouped batch on a survivor, byte-identical to the
 #      healthy run,
 #   4. open the survivor's breaker for the dead owner with three fresh keys
@@ -117,7 +117,7 @@ curl -fsS -m 120 -X POST "$u1/v1/batch" -d "$batch" -o "$tmp/batch1.json"
 check_batch "$tmp/batch1.json"
 echo "cluster-smoke: grouped batch round-trip ok"
 
-# --- Warm failover ---------------------------------------------------------
+# --- Failover --------------------------------------------------------------
 # Compute one result through replica 1; X-Swapp-Peer names the owner when
 # the request was forwarded, silence means replica 1 owns the group itself.
 req='{"target":"westmere-x5670","bench":"BT-MZ","class":"C","ranks":16}'
@@ -129,18 +129,7 @@ for k in 1 2 3; do [ "${urls[$k]}" = "$owner_url" ] && owner=$k; done
 [ "$owner" != 0 ] || { echo "cluster-smoke: unrecognised owner $owner_url" >&2; exit 1; }
 survivors=()
 for k in 1 2 3; do [ "$k" != "$owner" ] && survivors+=("$k"); done
-
-# The owner's replication push is asynchronous: wait until the rendered
-# bytes landed in a survivor's vault before pulling the plug.
-replicated() {
-    local stored=0 k
-    for k in "${survivors[@]}"; do
-        stored=$((stored + $(metric "${urls[$k]}" counters cluster.replica_stores)))
-    done
-    [ "$stored" -ge 1 ]
-}
-wait_for 100 "replica $owner to replicate the warm result to a survivor (cluster.replica_stores >= 1)" replicated
-echo "cluster-smoke: warm result computed on replica $owner and replicated"
+echo "cluster-smoke: warm result computed on replica $owner"
 
 # SIGKILL the owner — no drain, the crash case.
 kill -KILL "${pids[$owner]}"
@@ -148,23 +137,21 @@ wait "${pids[$owner]}" 2>/dev/null || true
 pids[$owner]=""
 
 # Every surviving entry point must answer the warm request right away with
-# the dead owner's exact bytes, served from the replica vault, not
-# recomputed: the successor from its own vault, the other survivor by
-# walking past the refused connection to the successor.
-for k in "${survivors[@]}"; do
-    curl -fsS -m 120 -D "$tmp/fo$k.hdr" -X POST "${urls[$k]}/v1/project" -d "$req" -o "$tmp/fo$k.json"
-    cmp -s "$tmp/warm.json" "$tmp/fo$k.json" || {
-        echo "cluster-smoke: replica $k served different bytes than the dead owner" >&2; exit 1; }
-    grep -qi '^x-cache: replica' "$tmp/fo$k.hdr" || {
-        echo "cluster-smoke: replica $k response not marked X-Cache: replica" >&2
-        cat "$tmp/fo$k.hdr" >&2; exit 1; }
-done
-hits=0
-for k in "${survivors[@]}"; do
-    hits=$((hits + $(metric "${urls[$k]}" counters cluster.replica_hits)))
-done
-[ "$hits" -ge 1 ] || { echo "cluster-smoke: cluster.replica_hits = $hits, want >= 1" >&2; exit 1; }
-echo "cluster-smoke: warm failover served byte-identically (replica_hits=$hits)"
+# the dead owner's exact bytes. Nobody else holds them: the first ask is
+# recomputed where the walk past the refused connection lands (X-Cache:
+# miss), and from then on that node's LRU answers, at either entry point.
+ask_survivor() { # ask_survivor <index> <want X-Cache>
+    curl -fsS -m 120 -D "$tmp/fo.hdr" -X POST "${urls[$1]}/v1/project" -d "$req" -o "$tmp/fo.json"
+    cmp -s "$tmp/warm.json" "$tmp/fo.json" || {
+        echo "cluster-smoke: replica $1 served different bytes than the dead owner" >&2; exit 1; }
+    grep -qi "^x-cache: $2" "$tmp/fo.hdr" || {
+        echo "cluster-smoke: replica $1 response not marked X-Cache: $2" >&2
+        cat "$tmp/fo.hdr" >&2; exit 1; }
+}
+ask_survivor "${survivors[0]}" miss
+ask_survivor "${survivors[0]}" hit
+ask_survivor "${survivors[1]}" hit
+echo "cluster-smoke: both survivors answer the dead owner's bytes (one recomputation, then hits)"
 
 # The grouped batch still answers byte-identically through a survivor.
 s1=${survivors[0]}
@@ -219,4 +206,4 @@ for i in 1 2 3; do
     grep -q drained "$tmp/err$i.log" || {
         echo "cluster-smoke: replica $i missing drain log" >&2; exit 1; }
 done
-echo "cluster-smoke: ok (routing, failover walk, warm replica serve, rejoin, clean drain)"
+echo "cluster-smoke: ok (routing, failover walk, recompute past a dead owner, rejoin, clean drain)"
