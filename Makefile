@@ -30,14 +30,16 @@ race:
 # Micro-checks only; timings have one entry point, `make benchmark`. The first
 # line is the GA's: serial vs pooled scoring and the two selection kernels
 # against their naive forms. The second is the simulator's: BenchmarkHandoff is
-# ns and allocs per process switch, BenchmarkSpawnRun's allocs/op the cost
-# of a one-shot 64-process kernel, BenchmarkResetRun's (~0) the same kernel
-# reused through Reset. The third is the serving layer: the peer-hop number
-# (one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
-# in-process ring) and one 64-item all-hit /v1/batch through the handler.
+# ns and allocs per process switch, BenchmarkTimedFire ns and allocs per timed
+# fire (waited: a heap event and a switch; unwaited: a stamp, ~10x cheaper),
+# BenchmarkSpawnRun's allocs/op the cost of a one-shot 64-process kernel,
+# BenchmarkResetRun's (~0) the same kernel reused through Reset. The third is
+# the serving layer: the peer-hop number (one grouped /v1/batch against primed
+# owners on a 2-, 4- and 8-replica in-process ring) and one 64-item all-hit
+# /v1/batch through the handler.
 bench:
 	$(GO) test -run '^$$' -bench 'RunSpeedup|EnforceSparsity|TopK' -benchtime 1x ./internal/ga
-	$(GO) test -run '^$$' -bench 'Handoff|SpawnRun|ResetRun' -benchmem ./internal/des
+	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads

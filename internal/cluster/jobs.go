@@ -325,26 +325,42 @@ func (m *Manager) execute(j *Job, run RunFunc) {
 // closes happen under j.mu (non-blocking on buffered channels), so a
 // concurrent Subscribe can never observe a half-closed stream.
 //
-// A job Close cancelled gets no done record: the journal is left holding
-// exactly what kill -9 would have left — a submit with no terminal state —
-// so the next start on the same journal re-runs it under its original ID.
+// The done record is written before any of that: whoever sees the job end
+// may stop the replica at once, and what a client saw finished must not
+// run again on the next start. A job Close cancelled gets no done record:
+// the journal is left holding exactly what kill -9 would have left — a
+// submit with no terminal state — so the next start on the same journal
+// re-runs it under its original ID.
 func (m *Manager) finish(j *Job, result []byte, err error) {
-	j.mu.Lock()
+	state := JobDone
 	if err != nil {
-		j.state = JobFailed
+		state = JobFailed
+	}
+	if !errors.Is(err, errShutdown) {
+		m.cfg.Journal.RecordDone(j.ID, state)
+	}
+
+	j.mu.Lock()
+	j.state, j.finished = state, true
+	if err != nil {
 		j.errMsg = err.Error()
 	} else {
-		j.state = JobDone
 		j.result = result
 	}
-	j.finished = true
-	state := j.state
 	for _, ch := range j.subs {
-		// A full channel is a slow consumer; it gets the terminal event
-		// best-effort before close.
+		// A full channel is a slow consumer: it loses its oldest queued
+		// progress event, never the terminal one — a stream that closes
+		// without "done" reads as a job that vanished. Every send happens
+		// under j.mu, so once one event is out the send cannot block.
+		done := Event{Type: "done", State: state}
 		select {
-		case ch <- Event{Type: "done", State: state}:
+		case ch <- done:
 		default:
+			select {
+			case <-ch:
+			default:
+			}
+			ch <- done
 		}
 		close(ch)
 	}
@@ -355,9 +371,6 @@ func (m *Manager) finish(j *Job, result []byte, err error) {
 		m.obs.Count("jobs.failed", 1)
 	} else {
 		m.obs.Count("jobs.completed", 1)
-	}
-	if !errors.Is(err, errShutdown) {
-		m.cfg.Journal.RecordDone(j.ID, state)
 	}
 	close(j.done)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -13,6 +14,35 @@ import (
 func blockUntilCancelled(ctx context.Context, tap Tap) ([]byte, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
+}
+
+// TestDoneIsJournalledBeforeItIsSeen: whoever sees a job end may stop the
+// replica at once (the benchmark's job probe does), so by the time the
+// stream says done the journal already holds the done record — even with
+// every append slowed down.
+func TestDoneIsJournalledBeforeItIsSeen(t *testing.T) {
+	jl := openTestJournal(t, t.TempDir(), nil)
+	defer jl.Close()
+	m := NewManager(ManagerConfig{Journal: jl})
+	release := make(chan struct{})
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
+		<-release
+		return []byte("ok"), nil
+	})
+	if err != nil {
+		t.Fatalf("SubmitJob: %v", err)
+	}
+	ch, cancel := j.Subscribe()
+	defer cancel()
+	defer faultinject.Disarm()
+	if err := faultinject.Arm("durable.wal.append=delay:50ms"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	events := drainEvents(t, ch)
+	if n := jl.Stats().Records; n != 2 || len(events) == 0 || events[len(events)-1].Type != "done" {
+		t.Fatalf("when the stream closed (%d events) the journal held %d records, want the submit and the done", len(events), n)
+	}
 }
 
 // TestCloseFailsUnfinishedJobs pins the one way down: Close cancels the

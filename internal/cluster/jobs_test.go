@@ -162,6 +162,39 @@ func TestJobSubscribeReplayAndLive(t *testing.T) {
 	}
 }
 
+// A subscriber that falls behind loses progress events, never the terminal
+// one: a job reporting more snapshots than the stream buffers while nobody
+// reads still ends the stream with done.
+func TestJobSlowSubscriberStillGetsDone(t *testing.T) {
+	m := NewManager(ManagerConfig{})
+	subscribed := make(chan struct{})
+	started := make(chan struct{})
+	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+		close(started)
+		<-subscribed
+		for gen := 0; gen < 200; gen++ {
+			tap.Progress(Snapshot{Generation: gen})
+		}
+		return []byte("ok"), nil
+	})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-started
+	ch, cancel := j.Subscribe()
+	defer cancel()
+	close(subscribed)
+	waitDone(t, j) // nothing has read the stream yet
+	events := drainEvents(t, ch)
+	var last Event
+	if len(events) > 0 {
+		last = events[len(events)-1]
+	}
+	if last.Type != "done" || last.State != JobDone {
+		t.Fatalf("a slow subscriber's %d events end with %+v, want done", len(events), last)
+	}
+}
+
 // Admission is bounded: beyond MaxActive+MaxQueued concurrent jobs,
 // Submit fails fast with ErrJobQueueFull instead of queueing unboundedly.
 // A closed manager gives the other answer, ErrJobsClosed: retrying it

@@ -32,6 +32,39 @@ func BenchmarkHandoff(b *testing.B) {
 	}
 }
 
+// BenchmarkTimedFire is the cost of one timed fire, from FireAt to the
+// process that waits on it carrying on: "waited" waits before the fire is
+// due (a heap event, a switch away and back), "unwaited" gets to its wait
+// only once the fire's time has passed — an Isend's completion by the time
+// its rank reaches Waitall — which costs a stamp and no heap event or
+// switch at all. ns/op and allocs/op are per fire.
+func BenchmarkTimedFire(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		after float64 // how far the process advances between FireAt and WaitSignal
+	}{{"waited", 0}, {"unwaited", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			k := NewKernel()
+			sigs := make([]*Signal, b.N)
+			for i := range sigs {
+				sigs[i] = k.NewSignalKind("t", i)
+			}
+			k.Spawn("p", func(p *Proc) {
+				for _, s := range sigs {
+					k.FireAt(s, 1)
+					p.Advance(bc.after)
+					p.WaitSignal(s)
+				}
+			})
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := k.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // BenchmarkSpawnRun is the cost of short-lived processes, the shape of an
 // IMB table: one op is a 64-process kernel whose processes each advance
 // once and exit. allocs/op ÷ 64 is the per-process allocation count.

@@ -19,13 +19,18 @@
 //
 // The kernel is a hot path: one NAS characterisation or IMB sweep pushes
 // tens of millions of events through it, so the event loop is built not to
-// allocate. Events are four-word values in a hand-rolled binary heap (no
-// container/heap interface boxing, no per-event pointers), and whatever is
-// queued for the current time skips the heap for a FIFO (see Kernel); the
-// two event kinds — wake a process, fire a signal — are struct fields, not
-// closures; signals and processes are carved from kernel-owned arenas with
-// lazily formatted names; and a process's blocked reason is kept as typed
-// fields that are only rendered if a deadlock report actually needs them.
+// allocate and not to queue what nobody waits on. Events are four-word
+// values in a hand-rolled binary heap (no container/heap interface boxing,
+// no per-event pointers), and whatever is queued for the current time skips
+// the heap for a FIFO (see Kernel). A timed fire of a signal nobody waits
+// on yet — a send's completion, fired long before its rank's Waitall gets
+// to it — skips the heap too: FireAt stamps its (time, seq) on the signal,
+// and the heap sees it only if a process waits before that time (see
+// Signal). The two event kinds — wake a process, fire a signal — are
+// struct fields, not closures; signals and processes are carved from
+// kernel-owned arenas with lazily formatted names; and a process's blocked
+// reason is kept as typed fields that are only rendered if a deadlock
+// report actually needs them.
 //
 // A kernel is single-owner: one goroutine builds it, runs it and, if it
 // has more simulations to run, calls Reset and starts over on the same
@@ -55,11 +60,11 @@ type due struct {
 	sig  *Signal
 }
 
-// event is a due scheduled for a time later than the one it was pushed at.
-// Four words: the heap moves these around, so size is speed.
+// event is a due scheduled for a time later than the one it took its seq
+// at. Four words: the heap moves these around, so size is speed.
 type event struct {
 	at  units.Seconds
-	seq uint64 // tie-break: push order within equal timestamps
+	seq uint64 // tie-break: push (or FireAt stamp) order within equal timestamps
 	due
 }
 
@@ -97,24 +102,39 @@ const (
 // Anything pushed for the current time — every Signal.Fire wake, every
 // spawn, a zero-delay FireAt: about a quarter of all pushes — goes on a
 // FIFO and never pays for the heap; the rest goes on the heap. At any
-// moment every heap event due now was pushed at an earlier time (pushed
-// now, it would be on the FIFO), so it holds a smaller seq than every FIFO
-// entry: Run takes the heap's events due now first, then the FIFO in push
-// order, then advances the clock.
+// moment every heap event due now took its seq at an earlier time (pushed
+// then, or stamped then and pushed by a later wait), so it precedes every
+// FIFO entry: Run takes the heap's events due now first, then the FIFO in
+// push order, then advances the clock.
+//
+// A third kind of pending work sits on no queue: a timed fire stamped on a
+// signal nobody waits on (FireAt). It takes its seq when it is stamped, as
+// a push would, so order is unchanged when a wait later pushes it and
+// clears the stamp. Until then it only has to answer "has it fired yet?",
+// which is whether its (at, seq) is behind the work running now (see
+// passed). Firing a signal nobody waits on changes nothing but that
+// answer, so an unwaited stamp never needs to run at all — only the clock
+// must still reach it, which Run sees to when the queues drain.
 type Kernel struct {
 	now    units.Seconds
 	seq    uint64
-	events []event // binary min-heap on (at, seq): events due after the time they were pushed at
-	fifo   []due   // pushed for the current time, in push order, from head on
+	cur    uint64        // seq of the heap event running now; 0 while FIFO or Advance-shortcut work runs
+	last   units.Seconds // latest time any timed fire was due: where Run ends at the earliest
+	events []event       // binary min-heap on (at, seq): events due after the time they took their seq at
+	fifo   []due         // pushed for the current time, in push order, from head on
 	head   int
 	procs  []*Proc
 	live   int
 	failed error
 
 	// Signals and Procs are carved from kernel-owned arenas; Reset rewinds
-	// them.
+	// them. Waiters beyond a signal's first go on a list from lists, which
+	// Fire and Reset hand back to free: a collective's 64 waiters reuse
+	// the last one's storage instead of growing their own.
 	sigs    Arena[Signal]
 	procMem Arena[Proc]
+	lists   [][]*Proc
+	free    []uint32 // indexes+1 of the lists no signal holds
 
 	// abandoning tells a process resumed by abandonBlocked to unwind
 	// instead of carrying on; see Proc.block.
@@ -134,13 +154,28 @@ func (k *Kernel) Reset() {
 	clear(k.fifo)
 	clear(k.procs)
 	k.events, k.fifo, k.procs = k.events[:0], k.fifo[:0], k.procs[:0]
-	k.now, k.seq, k.head, k.live, k.failed, k.abandoning = 0, 0, 0, 0, nil, false
+	k.now, k.seq, k.cur, k.last = 0, 0, 0, 0
+	k.head, k.live, k.failed, k.abandoning = 0, 0, nil, false
+	k.free = k.free[:0]
+	for i := range k.lists {
+		clear(k.lists[i])
+		k.lists[i] = k.lists[i][:0]
+		k.free = append(k.free, uint32(i+1))
+	}
 	k.sigs.Rewind()
 	k.procMem.Rewind()
 }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() units.Seconds { return k.now }
+
+// passed reports whether work due at (at, seq) comes before the work
+// running now: it is earlier, or due now and ahead of the running heap
+// event. Work run from the FIFO or by an Advance shortcut comes after
+// everything due at or before now (cur is 0).
+func (k *Kernel) passed(at units.Seconds, seq uint64) bool {
+	return at < k.now || at == k.now && (k.cur == 0 || seq < k.cur)
+}
 
 // push queues d for time at ≥ now: on the FIFO when that is the current
 // time, on the heap otherwise.
@@ -150,7 +185,12 @@ func (k *Kernel) push(at units.Seconds, d due) {
 		return
 	}
 	k.seq++
-	e := event{at: at, seq: k.seq, due: d}
+	k.heapPush(event{at: at, seq: k.seq, due: d})
+}
+
+// heapPush adds e to the heap, sifting the hole it opens up to where e
+// fits.
+func (k *Kernel) heapPush(e event) {
 	q := append(k.events, e)
 	i := len(q) - 1
 	for i > 0 {
@@ -196,12 +236,25 @@ func (k *Kernel) pop() event {
 	return top
 }
 
-// FireAt fires s at now+delay (clamped to now).
+// FireAt fires s at now+delay (clamped to now). A later fire of a signal
+// nobody waits on yet is stamped on the signal instead of queued: it takes
+// its seq now, as a push would, and enters the heap only if a process
+// waits for it first (WaitSignal). Of several such fires the earliest is
+// the one that fires s; the others would change nothing but the clock.
 func (k *Kernel) FireAt(s *Signal, delay units.Seconds) {
-	if delay < 0 {
-		delay = 0
+	at := k.now + max(delay, 0)
+	if at == k.now {
+		k.fifo = append(k.fifo, due{sig: s})
+		return
 	}
-	k.push(k.now+delay, due{sig: s})
+	k.seq++
+	k.last = max(k.last, at)
+	switch {
+	case s.w0 != nil:
+		k.heapPush(event{at: at, seq: k.seq, due: due{sig: s}})
+	case !s.fired && (s.seq == 0 || at < s.at):
+		s.at, s.seq = at, k.seq
+	}
 }
 
 // Proc is the handle a simulated process uses to interact with the kernel.
@@ -282,7 +335,7 @@ func (p *Proc) Advance(dt units.Seconds) {
 	k := p.k
 	at := k.now + dt
 	if k.head == len(k.fifo) && (len(k.events) == 0 || k.events[0].at > at) {
-		k.now = at
+		k.now, k.cur = at, 0
 		return
 	}
 	k.push(at, due{proc: p})
@@ -290,10 +343,15 @@ func (p *Proc) Advance(dt units.Seconds) {
 }
 
 // WaitSignal blocks until s fires. If s already fired it returns
-// immediately without yielding.
+// immediately without yielding. A timed fire stamped on s enters the heap
+// here, under the seq FireAt gave it.
 func (p *Proc) WaitSignal(s *Signal) {
-	if s.fired {
+	if s.Fired() {
 		return
+	}
+	if s.seq != 0 {
+		p.k.heapPush(event{at: s.at, seq: s.seq, due: due{sig: s}})
+		s.seq = 0 // the heap fires s now
 	}
 	s.addWaiter(p)
 	p.block(waitSignal, 0, s)
@@ -405,17 +463,26 @@ func (c *coro) run() {
 // Once fired it stays fired.
 //
 // Signals are carved from kernel-owned slabs and named lazily: simulation
-// code mints millions of them, and almost none ever shows its name.
+// code mints millions of them, and almost none ever shows its name. For
+// the same reason a Signal is kept to 64 bytes (TestSignalSize): a
+// one-shot world carves fresh chunks of them, so every byte is paid per
+// message.
 type Signal struct {
-	k     *Kernel
-	kind  string
-	id    int // -1: kind IS the full name; else rendered as kind#id
-	fired bool
+	k    *Kernel
+	kind string
+	id   int // -1: kind IS the full name; else rendered as kind#id
+
+	// A timed fire stamped by FireAt and not pushed (seq 0: none): due at
+	// (at, seq), and fired — as far as anyone can tell — once passed.
+	at  units.Seconds
+	seq uint64
 
 	// Waiter storage: the single-waiter case (every point-to-point
-	// request) stays inline; collectives overflow into the slice.
-	w0   *Proc
-	more []*Proc
+	// request) stays inline; the rest of a collective's waiters go on a
+	// kernel-owned list, more-1 its index (0: none).
+	w0    *Proc
+	more  uint32
+	fired bool
 }
 
 // NewSignal creates a named, unfired signal owned by the kernel.
@@ -441,15 +508,29 @@ func (s *Signal) Name() string {
 }
 
 // Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
+func (s *Signal) Fired() bool {
+	if !s.fired && s.seq != 0 && s.k.passed(s.at, s.seq) {
+		s.fired = true
+	}
+	return s.fired
+}
 
 // addWaiter registers p to be woken when the signal fires.
 func (s *Signal) addWaiter(p *Proc) {
-	if s.w0 == nil && len(s.more) == 0 {
+	if s.w0 == nil {
 		s.w0 = p
 		return
 	}
-	s.more = append(s.more, p)
+	k := s.k
+	if s.more == 0 {
+		if n := len(k.free); n > 0 {
+			s.more, k.free = k.free[n-1], k.free[:n-1]
+		} else {
+			k.lists = append(k.lists, nil)
+			s.more = uint32(len(k.lists))
+		}
+	}
+	k.lists[s.more-1] = append(k.lists[s.more-1], p)
 }
 
 // Fire marks the signal fired and schedules every waiter to resume at the
@@ -464,10 +545,16 @@ func (s *Signal) Fire() {
 		k.fifo = append(k.fifo, due{proc: s.w0})
 		s.w0 = nil
 	}
-	for _, w := range s.more {
-		k.fifo = append(k.fifo, due{proc: w})
+	if s.more != 0 {
+		l := k.lists[s.more-1]
+		for _, w := range l {
+			k.fifo = append(k.fifo, due{proc: w})
+		}
+		clear(l)
+		k.lists[s.more-1] = l[:0]
+		k.free = append(k.free, s.more)
+		s.more = 0
 	}
-	s.more = nil
 }
 
 // Spawn registers a process to start at virtual time zero. It must be
@@ -502,7 +589,8 @@ func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
 
 // Run drives the simulation until every process finishes. It returns an
 // error on deadlock (blocked processes with an empty event queue) or if a
-// process panicked.
+// process panicked. When every process finishes, and on deadlock, the
+// clock ends no earlier than the last timed fire, waited for or not.
 func (k *Kernel) Run() error {
 	for {
 		var d due
@@ -513,22 +601,24 @@ func (k *Kernel) Run() error {
 				k.abandonBlocked()
 				return fmt.Errorf("des: time went backwards: %v < %v", e.at, k.now)
 			}
-			d = e.due
+			d, k.cur = e.due, e.seq
 		case k.head < len(k.fifo):
-			d = k.fifo[k.head]
+			d, k.cur = k.fifo[k.head], 0
 			k.fifo[k.head] = due{} // clear pointers for the GC
 			if k.head++; k.head == len(k.fifo) {
 				k.fifo, k.head = k.fifo[:0], 0
 			}
 		case len(k.events) > 0:
 			e := k.pop()
-			k.now, d = e.at, e.due
+			k.now, k.cur, d = e.at, e.seq, e.due
 		case k.live > 0:
+			k.now, k.cur = max(k.now, k.last), 0
 			stuck := k.blockedReport()
 			k.abandonBlocked()
 			return fmt.Errorf("des: deadlock at t=%s with %d blocked processes:\n%s",
 				units.FormatSeconds(k.now), k.live, stuck)
 		default:
+			k.now, k.cur = max(k.now, k.last), 0
 			return nil
 		}
 		if d.proc != nil {

@@ -23,6 +23,7 @@ const (
 	stFireAt                  // FireAt(sig, dt)
 	stFire                    // sig.Fire()
 	stWait                    // WaitSignal(sig)
+	stFired                   // log sig.Fired()
 )
 
 type step struct {
@@ -39,8 +40,9 @@ type orderProgram struct {
 }
 
 // kernelRun executes pg on the kernel and returns "t proc step" per step
-// executed, and whether the run deadlocked.
-func kernelRun(t *testing.T, k *Kernel, pg orderProgram) (log []string, deadlocked bool) {
+// executed (and "sN fired=b" after an stFired), whether the run
+// deadlocked, and the clock Run left.
+func kernelRun(t *testing.T, k *Kernel, pg orderProgram) (log []string, deadlocked bool, end units.Seconds) {
 	t.Helper()
 	sigs := make([]*Signal, pg.sigs)
 	for i := range sigs {
@@ -59,6 +61,8 @@ func kernelRun(t *testing.T, k *Kernel, pg orderProgram) (log []string, deadlock
 					sigs[st.sig].Fire()
 				case stWait:
 					p.WaitSignal(sigs[st.sig])
+				case stFired:
+					log = append(log, fmt.Sprintf("s%d fired=%v", st.sig, sigs[st.sig].Fired()))
 				}
 			}
 		})
@@ -67,12 +71,13 @@ func kernelRun(t *testing.T, k *Kernel, pg orderProgram) (log []string, deadlock
 	if err != nil && !strings.HasPrefix(err.Error(), "des: deadlock") {
 		t.Fatalf("%s: %v", pg.name, err)
 	}
-	return log, err != nil
+	return log, err != nil, k.Now()
 }
 
 // oracleRun is the specification: every pending event in one list, the
-// least (at, push order) taken each time, no shortcuts.
-func oracleRun(pg orderProgram) (log []string, deadlocked bool) {
+// least (at, push order) taken each time, no shortcuts — and the clock
+// stops at the last event taken, waited for or not.
+func oracleRun(pg orderProgram) (log []string, deadlocked bool, end units.Seconds) {
 	type pend struct {
 		at    units.Seconds
 		order int
@@ -137,16 +142,18 @@ func oracleRun(pg orderProgram) (log []string, deadlocked bool) {
 					waiters[st.sig] = append(waiters[st.sig], id)
 					blocked = true
 				}
+			case stFired:
+				log = append(log, fmt.Sprintf("s%d fired=%v", st.sig, fired[st.sig]))
 			}
 		}
 	}
 	// With nothing left to run, whoever still waits on a signal is stuck.
 	for _, ws := range waiters {
 		if len(ws) > 0 {
-			return log, true
+			return log, true, now
 		}
 	}
-	return log, false
+	return log, false, now
 }
 
 // orderPrograms are the hand-written cases: each names the tie it is about.
@@ -192,6 +199,31 @@ var orderPrograms = []orderProgram{
 		{{kind: stAdvance, dt: 1}, {kind: stFire, sig: 1}},
 		{{kind: stWait, sig: 1}, {kind: stAdvance}},
 	}},
+	{name: "an unwaited timed fire reads fired once passed and still ends the run", sigs: 1, procs: [][]step{
+		{{kind: stFireAt, sig: 0, dt: 3}, {kind: stFired}, {kind: stAdvance, dt: 1}, {kind: stFired}},
+		{{kind: stAdvance, dt: 3}, {kind: stFired}},
+		{{kind: stAdvance, dt: 2}, {kind: stAdvance, dt: 1}, {kind: stFired}},
+	}},
+	{name: "a fire stamped for T sorts among the heap events due at T by its seq", sigs: 1, procs: [][]step{
+		{{kind: stAdvance, dt: 1}, {kind: stFired}, {kind: stWait}, {kind: stFired}},
+		{{kind: stFireAt, dt: 1}},
+		{{kind: stAdvance, dt: 1}, {kind: stFired}},
+	}},
+	{name: "an Advance shortcut lands after every fire stamped for its time", sigs: 1, procs: [][]step{
+		{{kind: stAdvance, dt: 1}, {kind: stFireAt, dt: 1}, {kind: stAdvance, dt: 1}, {kind: stFired}},
+		{},
+	}},
+	{name: "of two timed fires the earlier fires, the later still moves the clock", sigs: 1, procs: [][]step{
+		{{kind: stFireAt, dt: 3}, {kind: stFireAt, dt: 1}, {kind: stWait}, {kind: stFired}},
+		{{kind: stAdvance, dt: 2}, {kind: stFireAt, dt: 1}, {kind: stFired}},
+	}},
+	{name: "a timed fire of a fired signal changes only the clock", sigs: 1, procs: [][]step{
+		{{kind: stFire}, {kind: stFireAt, dt: 2}, {kind: stFired}, {kind: stWait}},
+	}},
+	{name: "a deadlock is reported at the last timed fire", sigs: 2, procs: [][]step{
+		{{kind: stFireAt, sig: 1, dt: 4}, {kind: stWait}},
+		{{kind: stAdvance, dt: 1}, {kind: stFired, sig: 1}},
+	}},
 }
 
 // randomOrderProgram draws a program whose times are small integers, so
@@ -203,7 +235,7 @@ func randomOrderProgram(seed int) orderProgram {
 		var steps []step
 		for s, m := 0, src.Intn(10); s < m; s++ {
 			steps = append(steps, step{
-				kind: stepKind(src.Intn(4)),
+				kind: stepKind(src.Intn(5)),
 				sig:  src.Intn(pg.sigs),
 				dt:   units.Seconds(src.Intn(4) - 1), // -1 clamps, 0 ties
 			})
@@ -220,17 +252,70 @@ func TestSameTimeOrderMatchesOracle(t *testing.T) {
 	}
 	reused := NewKernel()
 	for _, pg := range programs {
-		want, wantStuck := oracleRun(pg)
-		got, gotStuck := kernelRun(t, NewKernel(), pg)
-		if !slices.Equal(got, want) || gotStuck != wantStuck {
-			t.Fatalf("%s:\nkernel (deadlock %v) %v\noracle (deadlock %v) %v", pg.name, gotStuck, got, wantStuck, want)
+		want, wantStuck, wantEnd := oracleRun(pg)
+		got, gotStuck, gotEnd := kernelRun(t, NewKernel(), pg)
+		if !slices.Equal(got, want) || gotStuck != wantStuck || gotEnd != wantEnd {
+			t.Fatalf("%s:\nkernel (deadlock %v, end %v) %v\noracle (deadlock %v, end %v) %v",
+				pg.name, gotStuck, gotEnd, got, wantStuck, wantEnd, want)
 		}
 		// The same on a kernel that has run every earlier program.
 		reused.Reset()
-		got, gotStuck = kernelRun(t, reused, pg)
-		if !slices.Equal(got, want) || gotStuck != wantStuck {
-			t.Fatalf("%s on a reset kernel:\nkernel (deadlock %v) %v\noracle (deadlock %v) %v", pg.name, gotStuck, got, wantStuck, want)
+		got, gotStuck, gotEnd = kernelRun(t, reused, pg)
+		if !slices.Equal(got, want) || gotStuck != wantStuck || gotEnd != wantEnd {
+			t.Fatalf("%s on a reset kernel:\nkernel (deadlock %v, end %v) %v\noracle (deadlock %v, end %v) %v",
+				pg.name, gotStuck, gotEnd, got, wantStuck, wantEnd, want)
 		}
+	}
+}
+
+// TestUnwaitedFireStaysOffTheHeap is the white-box half of the deferred
+// fire: no heap event until someone waits, then exactly the one a push
+// would have made.
+func TestUnwaitedFireStaysOffTheHeap(t *testing.T) {
+	k := NewKernel()
+	s := k.NewSignal("timer")
+	var stamped uint64
+	k.Spawn("waiter", func(p *Proc) {
+		k.FireAt(s, 2)
+		if len(k.events) != 0 {
+			t.Fatalf("a timed fire nobody waits on queued %d heap events", len(k.events))
+		}
+		stamped = k.seq
+		k.FireAt(k.NewSignal("spare"), 1) // takes a later seq
+		p.WaitSignal(s)
+		if p.Now() != 2 {
+			t.Errorf("woke at %v, want 2", p.Now())
+		}
+	})
+	k.Spawn("watcher", func(p *Proc) {
+		// The waiter has waited: its stamp is the heap's one event.
+		if len(k.events) != 1 || k.events[0].at != 2 || k.events[0].seq != stamped || k.events[0].sig != s {
+			t.Fatalf("heap after the wait = %+v, want one fire of s at 2 under seq %d", k.events, stamped)
+		}
+		p.WaitSignal(s) // a second waiter pushes nothing more
+		if len(k.events) != 0 {
+			t.Errorf("%d heap events left after the fire", len(k.events))
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Nobody ever waits: the heap stays empty and Run still ends at t=2.
+	k.Reset()
+	s = k.NewSignal("unheard")
+	k.Spawn("p", func(p *Proc) {
+		k.FireAt(s, 2)
+		p.Advance(1)
+		if s.Fired() || len(k.events) != 0 {
+			t.Errorf("at t=1: fired %v, %d heap events; want false, 0", s.Fired(), len(k.events))
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 2 || !s.Fired() {
+		t.Errorf("Run ended at %v with fired %v, want 2 and true", k.Now(), s.Fired())
 	}
 }
 

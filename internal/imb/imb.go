@@ -42,8 +42,11 @@ const (
 // deterministic, so a handful suffices to average out pipeline fill.
 const iterations = 4
 
-// multiXs are the in-flight depths multi-Sendrecv sweeps for the Eq. 1 fit.
-var multiXs = []int{1, 2, 4, 8}
+// multiXs are the in-flight depths multi-Sendrecv sweeps for the Eq. 1 fit,
+// maxMultiX the largest.
+var multiXs = []int{1, 2, 4, maxMultiX}
+
+const maxMultiX = 8
 
 // NBFit is one Eq. 1 parameterisation of the non-blocking
 // Isend/Irecv/Waitall path, fitted from multi-Sendrecv:
@@ -451,9 +454,11 @@ func multiSendrecvFit(measure measureFunc, ranks int, size units.Bytes, pairing 
 			if partner < 0 {
 				return
 			}
-			reqs := make([]*mpi.Request, 0, 2*x)
+			// On the stack: Waitall does not keep its slice, and this
+			// body runs once per rank per measurement.
+			var buf [2 * maxMultiX]*mpi.Request
 			for i := 0; i < iterations; i++ {
-				reqs = reqs[:0]
+				reqs := buf[:0]
 				for j := 0; j < x; j++ {
 					reqs = append(reqs, r.Isend(partner, size, i*x+j))
 					reqs = append(reqs, r.Irecv(partner, size, i*x+j))

@@ -287,7 +287,10 @@ func TestReusedWorldMatchesFreshWorlds(t *testing.T) {
 }
 
 // TestIMBRunAllocs pins what reusing the world bought: a 16-rank table
-// took 29 730 allocations when every measurement built its own world.
+// took 29 730 allocations when every measurement built its own world, and
+// 4 150 with a request slice per rank per multi-Sendrecv measurement, a
+// heap collOp per collective and a growing waiter slice per collective
+// signal; ~630 is what is left.
 func TestIMBRunAllocs(t *testing.T) {
 	m := arch.MustGet(arch.Hydra)
 	allocs := testing.AllocsPerRun(3, func() {
@@ -295,8 +298,8 @@ func TestIMBRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 10000 {
-		t.Errorf("imb.Run(hydra, 16) made %.0f allocations, want at most 10000", allocs)
+	if allocs > 1000 {
+		t.Errorf("imb.Run(hydra, 16) made %.0f allocations, want at most 1000", allocs)
 	}
 	t.Logf("%.0f allocations", allocs)
 }

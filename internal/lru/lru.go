@@ -4,8 +4,9 @@
 // it guarantees, for every user:
 //
 //   - At most max entries; inserting beyond that evicts the least recently
-//     used. Get, Put, a Lookup hit and Finish refresh recency; Update does
-//     not.
+//     used. Get, a Lookup hit and Finish refresh recency; Update does not.
+//   - Values enter only through a flight: Lookup elects the leader, Finish
+//     caches what it produced.
 //   - Lookup decides hit, join or lead in one critical section, so a key
 //     has at most one leader at a time — a Finish landing between a
 //     separate "is it cached" and "is it in flight" check would otherwise
@@ -77,15 +78,6 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	return c.get(k)
 }
 
-// Put caches v under k as the most recently used entry, replacing any
-// previous value, and returns the resulting entry count.
-func (c *Cache[K, V]) Put(k K, v V) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.put(k, v)
-	return len(c.entries)
-}
-
 // Update calls fn on the value cached under k, in place and under the
 // cache's lock, and reports whether k was cached; an absent (or evicted)
 // key is left absent and fn is not called. Recency is untouched. fn must
@@ -118,10 +110,10 @@ func (c *Cache[K, V]) Lookup(k K) (v V, f *Flight[V], leader bool) {
 	return v, f, true
 }
 
-// Finish ends the flight its caller leads for k: a nil err caches v as Put
-// does, a non-nil err caches nothing; either way the flight leaves the
-// table and every waiter is released with (v, err). It returns the
-// resulting entry count.
+// Finish ends the flight its caller leads for k: a nil err caches v as the
+// most recently used entry, a non-nil err caches nothing; either way the
+// flight leaves the table and every waiter is released with (v, err). It
+// returns the resulting entry count.
 func (c *Cache[K, V]) Finish(k K, v V, err error) int {
 	c.mu.Lock()
 	f := c.flights[k]
@@ -148,7 +140,8 @@ func (f *Flight[V]) Wait(ctx context.Context) (V, error) {
 	}
 }
 
-// get and put are Get and Put with c.mu held.
+// get is Get with c.mu held; put caches v under k as the most recently used
+// entry, replacing any previous value, with c.mu held.
 
 func (c *Cache[K, V]) get(k K) (v V, ok bool) {
 	n, ok := c.entries[k]

@@ -54,22 +54,38 @@ func TestLookupElectsOneLeader(t *testing.T) {
 	}
 }
 
-// TestEvictionOrder: the least recently used entry goes first; Get, Put and
-// a Lookup hit refresh recency, Update does not; an evicted key is absent to
-// Update and comes back through Put.
+// put inserts as the cache's users do, through a flight: lead one for k
+// and finish it with v; if k is cached, the Lookup is a hit that refreshes
+// it and Update overwrites it in place. It returns the entry count.
+func put[K comparable, V any](t *testing.T, c *Cache[K, V], k K, v V) int {
+	t.Helper()
+	_, f, leader := c.Lookup(k)
+	switch {
+	case leader:
+		return c.Finish(k, v, nil)
+	case f != nil:
+		t.Fatalf("put(%v): a flight is already running", k)
+	}
+	c.Update(k, func(p *V) { *p = v })
+	return c.Len()
+}
+
+// TestEvictionOrder: the least recently used entry goes first; Get, a
+// Lookup hit and Finish refresh recency, Update does not; an evicted key is
+// absent to Update and comes back through a new flight.
 func TestEvictionOrder(t *testing.T) {
 	c := New[string, int](3)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Put("c", 3) // recency: c b a
+	put(t, c, "a", 1)
+	put(t, c, "b", 2)
+	put(t, c, "c", 3) // recency: c b a
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing before any eviction")
 	} // a c b
 	if !c.Update("b", func(v *int) { *v = 20 }) {
 		t.Fatal("Update missed a cached key")
 	} // unchanged: a c b
-	if n := c.Put("d", 4); n != 3 { // evicts b: d a c
-		t.Fatalf("Put returned %d entries, want 3", n)
+	if n := put(t, c, "d", 4); n != 3 { // evicts b: d a c
+		t.Fatalf("Finish returned %d entries, want 3", n)
 	}
 	if _, ok := c.Get("b"); ok {
 		t.Error("Update refreshed recency: b outlived c")
@@ -80,9 +96,9 @@ func TestEvictionOrder(t *testing.T) {
 	if v, f, _ := c.Lookup("c"); f != nil || v != 3 { // c d a
 		t.Fatalf("Lookup(c) = %d, flight %v; want the cached 3", v, f)
 	}
-	c.Put("b", 2)  // evicts a: b c d
-	c.Put("d", 40) // replaces in place: d b c
-	c.Put("e", 5)  // evicts c: e d b
+	put(t, c, "b", 2)  // evicts a: b c d
+	put(t, c, "d", 40) // a hit, overwritten in place: d b c
+	put(t, c, "e", 5)  // evicts c: e d b
 	for key, want := range map[string]int{"b": 2, "d": 40, "e": 5} {
 		if v, ok := c.Get(key); !ok || v != want {
 			t.Errorf("Get(%s) = %d, %t; want %d", key, v, ok, want)
@@ -96,7 +112,7 @@ func TestEvictionOrder(t *testing.T) {
 	if c.Len() != 3 {
 		t.Errorf("Len = %d, want 3", c.Len())
 	}
-	if one := New[string, int](0); one.Put("x", 1) != 1 || one.Put("y", 2) != 1 {
+	if one := New[string, int](0); put(t, one, "x", 1) != 1 || put(t, one, "y", 2) != 1 {
 		t.Error("a cache built with max < 1 does not hold exactly one entry")
 	}
 }
@@ -178,7 +194,10 @@ func TestConcurrentChurn(t *testing.T) {
 				k := (g + i) % 12
 				switch i % 3 {
 				case 0:
-					c.Put(k, k*10)
+					if v, ok := c.Get(k); ok && v != k*10 {
+						t.Errorf("key %d held %d", k, v)
+						return
+					}
 				case 1:
 					c.Update(k, func(v *int) { *v = k * 10 })
 				default:
@@ -216,7 +235,7 @@ func TestGetHitZeroAllocs(t *testing.T) {
 	var ak [32]byte
 	for i := byte(0); i < 8; i++ {
 		ak[0] = i
-		arr.Put(ak, big{})
+		put(t, arr, ak, big{})
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		ak[0] = (ak[0] + 1) % 8
@@ -230,7 +249,7 @@ func TestGetHitZeroAllocs(t *testing.T) {
 	str := New[string, *int](8)
 	keys := []string{"spec|\"hydra\"", "imb|\"hydra\"|16", "imb|\"hydra\"|32"}
 	for _, k := range keys {
-		str.Put(k, new(int))
+		put(t, str, k, new(int))
 	}
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {

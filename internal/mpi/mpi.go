@@ -157,7 +157,10 @@ type Request struct {
 	isSend bool
 }
 
-// collOp tracks one in-progress collective.
+// collOp tracks one in-progress collective; a zero one (done nil) is a
+// free slot. A world needs two: collectives synchronise, so no rank can
+// enter seq+2 before every rank has entered seq+1 — by which time all have
+// entered seq, and its slot, seq&1, is free again.
 type collOp struct {
 	routine Routine
 	size    units.Bytes
@@ -186,8 +189,8 @@ type World struct {
 	posted     []matchList // receives waiting for their send
 	unexpected []matchList // sends that arrived before their receive
 
-	colls   map[int]*collOp // collective sequence → state
-	signals int             // unique signal naming
+	colls   [2]collOp // the collective of sequence number seq is colls[seq&1]
+	signals int       // unique signal naming
 
 	// A simulated job mints one Request per message — millions per
 	// characterisation — so they are carved from an arena.
@@ -241,7 +244,6 @@ func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 		shmFree:    make([]units.Seconds, nodes),
 		posted:     make([]matchList, size),
 		unexpected: make([]matchList, size),
-		colls:      map[int]*collOp{},
 		ranks:      make([]Rank, size),
 	}
 	// One allocation for all rank handles and one for all their peer
@@ -302,7 +304,7 @@ func (w *World) Reset() {
 	for i := range w.posted {
 		w.posted[i], w.unexpected[i] = w.posted[i][:0], w.unexpected[i][:0]
 	}
-	clear(w.colls)
+	w.colls = [2]collOp{}
 	w.signals = 0
 	w.reqs.Rewind()
 	for i := range w.ranks {
@@ -569,10 +571,9 @@ func (r *Rank) collective(rt Routine, size units.Bytes, cost units.Seconds) {
 	seq := r.collSeq
 	r.collSeq++
 
-	op, ok := w.colls[seq]
-	if !ok {
-		op = &collOp{routine: rt, size: size, done: w.newSignal("coll")}
-		w.colls[seq] = op
+	op := &w.colls[seq&1]
+	if op.done == nil {
+		*op = collOp{routine: rt, size: size, done: w.newSignal("coll")}
 	}
 	if op.routine != rt {
 		panic(fmt.Sprintf("mpi: collective mismatch at seq %d: rank %d called %s, others %s",
@@ -582,12 +583,12 @@ func (r *Rank) collective(rt Routine, size units.Bytes, cost units.Seconds) {
 	if t := r.Now(); t > op.last {
 		op.last = t
 	}
+	done := op.done
 	if op.arrived == w.size {
-		finish := op.last + cost
-		delete(w.colls, seq)
-		w.fireAt(op.done, finish)
+		w.fireAt(done, op.last+cost)
+		*op = collOp{}
 	}
-	r.proc.WaitSignal(op.done)
+	r.proc.WaitSignal(done)
 	r.report(rt, size, 1, r.Now()-start)
 }
 

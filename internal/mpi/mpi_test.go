@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -272,17 +273,25 @@ func TestCollectiveCostGrowsWithSize(t *testing.T) {
 	}
 }
 
+// TestCollectiveMismatchPanics: in either of the two slots, and in a slot
+// an earlier collective has used and freed.
 func TestCollectiveMismatchPanics(t *testing.T) {
-	w := world(t, arch.Hydra, 2)
-	_, err := w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Barrier()
-		} else {
-			r.Allreduce(8)
+	for seq := 0; seq < 4; seq++ {
+		w := world(t, arch.Hydra, 2)
+		_, err := w.Run(func(r *Rank) {
+			for i := 0; i < seq; i++ {
+				r.Bcast(0, 8)
+			}
+			if r.ID() == 0 {
+				r.Barrier()
+			} else {
+				r.Allreduce(8)
+			}
+		})
+		want := fmt.Sprintf("collective mismatch at seq %d", seq)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("mismatched collectives must fail loudly with %q, got %v", want, err)
 		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "collective mismatch") {
-		t.Fatalf("mismatched collectives must fail loudly, got %v", err)
 	}
 }
 
@@ -468,6 +477,16 @@ func (w *World) pendingCounts() (sends, recvs int) {
 	return sends, recvs
 }
 
+// liveColls counts the collective slots in use.
+func (w *World) liveColls() (n int) {
+	for i := range w.colls {
+		if w.colls[i].done != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // ring is a 1 MiB Sendrecv around every rank, the run the Reset tests
 // repeat.
 func ring(r *Rank) {
@@ -534,8 +553,8 @@ func TestResetAfterAnyEnding(t *testing.T) {
 			t.Fatalf("%s: got %v, want %s", e.name, err, e.wantErr)
 		}
 		w.Reset()
-		if sends, recvs := w.pendingCounts(); sends != 0 || recvs != 0 || len(w.colls) != 0 {
-			t.Errorf("after %s, Reset left %d sends, %d recvs, %d collectives pending", e.name, sends, recvs, len(w.colls))
+		if sends, recvs := w.pendingCounts(); sends != 0 || recvs != 0 || w.liveColls() != 0 {
+			t.Errorf("after %s, Reset left %d sends, %d recvs, %d collectives pending", e.name, sends, recvs, w.liveColls())
 		}
 		if got, err := w.Run(ring); err != nil || got != want {
 			t.Errorf("after %s and Reset: makespan %v, err %v; want %v as on a fresh world", e.name, got, err, want)

@@ -268,9 +268,9 @@ func TestRandomProgramsConserveMessagesAndTime(t *testing.T) {
 			}
 		}
 		// ... and nothing is left half-matched inside the world.
-		if sends, recvs := w.pendingCounts(); sends != 0 || recvs != 0 || len(w.colls) != 0 {
+		if sends, recvs := w.pendingCounts(); sends != 0 || recvs != 0 || w.liveColls() != 0 {
 			t.Errorf("seed %d: %d sends, %d recvs, %d collectives left pending",
-				seed, sends, recvs, len(w.colls))
+				seed, sends, recvs, w.liveColls())
 		}
 
 		// Clocks never run backwards, per rank or globally, and the
