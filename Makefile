@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build vet fmt test race bench benchmark fuzz cover serve-smoke cluster-smoke crash-smoke chaos
+.PHONY: check build vet fmt invariants test race bench benchmark fuzz cover serve-smoke cluster-smoke crash-smoke chaos
 
-## check: vet, format, build, full tests, race tests — CI's first step.
-check: vet fmt build test race
+## check: vet, format, standing greps, build, full tests, race tests — CI's first step.
+check: vet fmt invariants build test race
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,22 @@ vet:
 # gofmt -l prints the files it would rewrite; any name is a failure.
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l . lists:"; echo "$$out"; exit 1; fi
+
+# Standing greps over non-test Go under internal/ cmd/ swapp.go, printing the
+# offending lines: no ticker (nothing in the process runs on a timer of its
+# own), and exactly one site each for the result-cache lookup, admission, the
+# evaluation call, the store's wiring and the outgoing peer request.
+INVARIANT_SRC = internal cmd swapp.go
+invariants:
+	@fail=0; \
+	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' -e 'time.NewTicker' -e 'time.Tick(' $(INVARIANT_SRC)); \
+	if [ -n "$$hits" ]; then echo "invariants: a ticker in non-test Go:"; echo "$$hits"; fail=1; fi; \
+	for pat in 's.cache.Lookup(' 's.admit(' 's.runEval(' 'Store = s.store' 'http.NewRequest'; do \
+		hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' -e "$$pat" $(INVARIANT_SRC)); \
+		n=$$(printf '%s' "$$hits" | grep -c .); \
+		if [ "$$n" -ne 1 ]; then echo "invariants: '$$pat' at $$n sites, want 1:"; echo "$$hits"; fail=1; fi; \
+	done; \
+	exit $$fail
 
 # -shuffle=on randomises test (and subtest) execution order, so hidden
 # inter-test dependencies surface in CI instead of in a refactor.

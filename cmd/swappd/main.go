@@ -71,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		maxTimeout  = fs.Duration("max-timeout", 10*time.Minute, "upper bound on client-requested deadlines")
 		evalWorkers = fs.Int("eval-workers", 0, "engine worker pool per evaluation (0 = GOMAXPROCS); does not affect the numbers")
 		grace       = fs.Duration("grace", 30*time.Second, "drain deadline after SIGTERM/SIGINT")
-		stageTO     = fs.Duration("stage-timeout", 0, "per-stage evaluation budget, distinct from the request deadline (0 = off)")
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive failures tripping the circuit breaker (0 = default 5, negative = off)")
 		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-circuit rejection window before a probe (0 = default 10s)")
 		self        = fs.String("self", "", "this replica's advertised base URL in peer-aware mode (e.g. http://10.0.0.1:8080)")
@@ -106,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		MaxTimeout:       *maxTimeout,
 		EvalWorkers:      *evalWorkers,
 		Obs:              scope,
-		StageTimeout:     *stageTO,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
 		Eval:             evalOverride,

@@ -23,9 +23,8 @@ import (
 // shutdown, so a process that was killed and one that was closed restart
 // the same way.
 //
-// Profiles and surrogates are not persisted: they are cheap next to
-// characterisation and their in-memory values carry live pointers with no
-// stable wire form.
+// Profiles are not persisted: they are cheap next to characterisation and
+// their in-memory values carry live pointers with no stable wire form.
 
 // charEpoch is part of every file's address. Bump it whenever the
 // simulator's characterisation output changes for an unchanged machine

@@ -247,46 +247,14 @@ func (p *Pipeline) ProjectCompute(app *AppModel, ci int) (*ComputeProjection, er
 
 // ProjectComputeOpts is ProjectCompute with ablation switches.
 func (p *Pipeline) ProjectComputeOpts(app *AppModel, ci int, opts ComputeOptions) (*ComputeProjection, error) {
-	return p.projectComputeCtx(context.Background(), p.Obs, app, ci, opts, nil)
-}
-
-// projectComputeCtx is the store-aware entry to the §2.3 compute
-// projection: with a layer store and the default options it resolves the
-// whole finished projection through the surrogate layer — one entry per
-// (base, app, target, characterisation count), shared by every request
-// that differs only in the projected core count — and otherwise computes
-// fresh. Degraded-mode fallbacks (pool intersection, GA quarantine) are
-// recorded on rec (nil-safe); entries replay the defects recorded when
-// they were filled, so a served projection is indistinguishable from a
-// computed one.
-func (p *Pipeline) projectComputeCtx(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, opts ComputeOptions, rec *quality.Report) (*ComputeProjection, error) {
-	st := p.storeFor()
-	if st == nil || opts != (ComputeOptions{}) {
-		return p.computeSurrogate(ctx, parent, app, ci, opts, rec)
-	}
-	e, err := st.surrogateAt(ctx, p.Base.Name, app.Name(), p.Target.Name, ci, func() (*surrogateEntry, error) {
-		// The fill is shared and detached: it runs under the pipeline's
-		// own scope and an unbounded context, so the filling request's
-		// deadline or span lifetime cannot truncate an artifact other
-		// requests will reuse.
-		sub := quality.NewReport()
-		proj, err := p.computeSurrogate(context.Background(), p.Obs, app, ci, opts, sub)
-		if err != nil {
-			return nil, err
-		}
-		return &surrogateEntry{cp: proj, defects: sub.Defects()}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	rec.AddAll(e.defects)
-	return e.cp, nil
+	return p.computeSurrogate(context.Background(), p.Obs, app, ci, opts, nil)
 }
 
 // computeSurrogate is the §2.3 implementation, with its span attached
 // under parent (p.Obs for direct calls, the enclosing projection's span
 // when called from project). ctx is checked before each GA ensemble
-// member, the expensive stage of the compute projection.
+// member, the expensive stage of the compute projection. Degraded-mode
+// fallbacks (GA quarantine) are recorded on rec (nil-safe).
 func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, opts ComputeOptions, rec *quality.Report) (*ComputeProjection, error) {
 	cp, ok := app.Counters[ci]
 	if !ok {

@@ -111,6 +111,9 @@ func TestCharacterizeApp(t *testing.T) {
 	if app.nearestCount(16) != 16 {
 		t.Error("exact count must be preferred")
 	}
+	if app.nearestCount(1) != 4 {
+		t.Errorf("nearestCount(1) = %d, want the smallest profiled count, 4", app.nearestCount(1))
+	}
 }
 
 func TestProjectCompute(t *testing.T) {

@@ -68,10 +68,10 @@ type Pipeline struct {
 	// report; empty for data gathered by running the benchmarks in-process.
 	Defects []quality.Defect
 
-	// store, when non-nil, is the layered artifact cache characterisation,
-	// profiling, and the surrogate search resolve through (see Store). nil
-	// when the request disabled it, supplied external Data, or — checked
-	// again at each use — while fault injection is armed.
+	// store, when non-nil, is the layered artifact cache characterisation
+	// and profiling resolve through (see Store). nil when the request
+	// disabled it, supplied external Data, or — checked again at each use
+	// — while fault injection is armed.
 	store *Store
 	// onGAProgress taps the surrogate search's per-generation progress
 	// (see Options.OnGAProgress).
@@ -118,17 +118,18 @@ type Options struct {
 	// PipelineData.
 	Data *PipelineData
 	// Store, when non-nil, is a layered artifact cache shared across
-	// pipelines (and therefore requests): machine characterisations,
-	// application profiles, and finished compute surrogates are resolved
-	// through it instead of recomputed. Every stored artifact is a pure
+	// pipelines (and therefore requests): machine characterisations and
+	// application profiles are resolved through it instead of recomputed;
+	// the GA surrogate search always runs. Every stored artifact is a pure
 	// function of its key, so projections are byte-identical with or
 	// without a store. Ignored when Data supplies external benchmark data
 	// or while fault injection is armed — degraded inputs must never
 	// populate the clean content-addressed keys.
 	Store *Store
 	// OnGAProgress, when non-nil, observes the surrogate search: it is
-	// called once per evolved GA generation per ensemble member with the
-	// member index, generation and running best fitness. Strictly passive:
+	// called once per evolved GA generation per ensemble member of every
+	// projection through this pipeline, with the member index, generation
+	// and running best fitness. Strictly passive:
 	// projections are byte-identical with the callback set or nil. Members
 	// run concurrently, so the callback must be safe for concurrent calls.
 	OnGAProgress func(member, gen int, best float64)

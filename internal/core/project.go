@@ -81,7 +81,7 @@ func (p *Pipeline) project(ctx context.Context, parent *obs.Scope, app *AppModel
 	rec := quality.NewReport()
 	rec.AddAll(p.Defects)
 
-	comp, err := p.projectComputeCtx(ctx, sp, app, ci, ComputeOptions{}, rec)
+	comp, err := p.computeSurrogate(ctx, sp, app, ci, ComputeOptions{}, rec)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/mpiprof"
 	"repro/internal/nas"
 	"repro/internal/obs"
-	"repro/internal/quality"
 	"repro/internal/spec"
 )
 
@@ -19,8 +18,8 @@ import (
 // shared across every request whose key matches, regardless of what else
 // the requests differ in.
 //
-// The layers mirror the pipeline's real reuse structure (the paper's whole
-// premise is that benchmark characterisations are reusable artifacts):
+// The layers are the artifacts the paper calls reusable (§2.2: benchmark
+// characterisations and the application's base-machine profiles):
 //
 //	characterisation  per (machine, suite[, core count]): the SPEC CPU2006
 //	                  result set and the per-count IMB tables — shared by
@@ -29,10 +28,10 @@ import (
 //	                  profile + hardware-counter observation — shared by
 //	                  every request for the app on that base, whatever the
 //	                  target machine or requested core count
-//	surrogate         per (base, app, class, target, char count):
-//	                  the finished §2.3 compute projection with its GA
-//	                  by-products — shared by requests differing only in
-//	                  the projected core count Ck
+//
+// The §2.3 compute projection is not stored: it is characterised at the
+// requested count itself whenever that count is profile-able, so its key
+// would be the result cache's key without the op.
 //
 // Every artifact is a pure function of its key (the substrate is a
 // deterministic simulation and measurement noise is key-seeded), so a
@@ -50,24 +49,24 @@ import (
 // supplied external benchmark data — degraded artifacts must never be
 // published under the clean content-addressed keys.
 type Store struct {
-	chars     *layer[charValue]
-	profiles  *layer[*ProfileArtifact]
-	surrogate *layer[*surrogateEntry]
+	chars    *layer[charValue]
+	profiles *layer[*ProfileArtifact]
 
 	// dir, when non-empty, holds the characterisation layer's files (see
 	// charfile.go).
 	dir string
 }
 
+// The layers' bounds, in entries. A characterisation entry is one SPEC
+// suite run or one per-count IMB table, a profile entry one (app, ranks)
+// observation.
+const (
+	charCap    = 64
+	profileCap = 512
+)
+
 // StoreConfig parameterises NewStore. The zero value is usable.
 type StoreConfig struct {
-	// CharacterisationCap, ProfileCap and SurrogateCap bound the layers,
-	// in entries (defaults 64, 512, 512). A SPEC entry is one suite run,
-	// an IMB entry one per-count table, a profile entry one (app, ranks)
-	// observation, a surrogate entry one finished compute projection.
-	CharacterisationCap int
-	ProfileCap          int
-	SurrogateCap        int
 	// Dir, when non-empty, is an existing directory the characterisation
 	// layer writes each SPEC result set and IMB table through to as it is
 	// built, and reads back on a later miss — across restarts, whatever
@@ -77,7 +76,7 @@ type StoreConfig struct {
 	Dir string
 	// Obs receives the per-layer counters and size gauges
 	// (<prefix>.characterisation_hits / _misses / _size, likewise for
-	// profile and surrogate; with Dir, characterisation_disk_hits /
+	// profile; with Dir, characterisation_disk_hits /
 	// _disk_writes / _disk_rejects / _disk_write_fails). nil disables
 	// metrics, not the store.
 	Obs *obs.Scope
@@ -89,30 +88,20 @@ type StoreConfig struct {
 
 // NewStore builds an empty layered store.
 func NewStore(cfg StoreConfig) *Store {
-	if cfg.CharacterisationCap <= 0 {
-		cfg.CharacterisationCap = 64
-	}
-	if cfg.ProfileCap <= 0 {
-		cfg.ProfileCap = 512
-	}
-	if cfg.SurrogateCap <= 0 {
-		cfg.SurrogateCap = 512
-	}
 	prefix := cfg.MetricPrefix
 	if prefix == "" {
 		prefix = "core.store"
 	}
 	return &Store{
-		chars:     newLayer[charValue](prefix+".characterisation", cfg.CharacterisationCap, cfg.Obs),
-		profiles:  newLayer[*ProfileArtifact](prefix+".profile", cfg.ProfileCap, cfg.Obs),
-		surrogate: newLayer[*surrogateEntry](prefix+".surrogate", cfg.SurrogateCap, cfg.Obs),
-		dir:       cfg.Dir,
+		chars:    newLayer[charValue](prefix+".characterisation", charCap, cfg.Obs),
+		profiles: newLayer[*ProfileArtifact](prefix+".profile", profileCap, cfg.Obs),
+		dir:      cfg.Dir,
 	}
 }
 
 // Sizes reports the current entry count per layer (diagnostics, tests).
-func (s *Store) Sizes() (chars, profiles, surrogates int) {
-	return s.chars.len(), s.profiles.len(), s.surrogate.len()
+func (s *Store) Sizes() (chars, profiles int) {
+	return s.chars.len(), s.profiles.len()
 }
 
 // Layer keys quote every variable-length component, so no two distinct
@@ -129,10 +118,6 @@ func imbKey(m *arch.Machine, count int) string {
 
 func profileKey(base *arch.Machine, b nas.Benchmark, c nas.Class, ranks int) string {
 	return fmt.Sprintf("profile|%q|%q|%c|%d", base.Name, string(b), c, ranks)
-}
-
-func surrogateKey(base, app, target string, ci int) string {
-	return fmt.Sprintf("surrogate|%q|%q|%q|%d", base, app, target, ci)
 }
 
 // charValue is one characterisation-layer value: a machine's SPEC result
@@ -176,21 +161,6 @@ type ProfileArtifact struct {
 // profile layer.
 func (s *Store) profileAt(ctx context.Context, base *arch.Machine, b nas.Benchmark, c nas.Class, ranks int, fill func() (*ProfileArtifact, error)) (*ProfileArtifact, error) {
 	return s.profiles.getOrFill(ctx, profileKey(base, b, c, ranks), fill)
-}
-
-// surrogateEntry is one surrogate-layer entry: the finished compute
-// projection and the quality defects its computation recorded (replayed
-// into every projection served from the entry, keeping served output
-// identical to computed output).
-type surrogateEntry struct {
-	cp      *ComputeProjection
-	defects []quality.Defect
-}
-
-// surrogateAt resolves one finished compute projection through the
-// surrogate layer.
-func (s *Store) surrogateAt(ctx context.Context, base, app, target string, ci int, fill func() (*surrogateEntry, error)) (*surrogateEntry, error) {
-	return s.surrogate.getOrFill(ctx, surrogateKey(base, app, target, ci), fill)
 }
 
 // layer is one store layer: an lru.Cache plus what the store adds to it —

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/imb"
 	"repro/internal/nas"
 	"repro/internal/obs"
 )
@@ -90,7 +91,7 @@ func TestLayerConcurrentEviction(t *testing.T) {
 // TestLayerFailedFillNotCached proves an erroring fill leaves no entry
 // behind — the next request retries instead of serving a poisoned value.
 func TestLayerFailedFillNotCached(t *testing.T) {
-	l := newLayer[any]("test.surrogate", 8, nil)
+	l := newLayer[any]("test.profile", 8, nil)
 	wantErr := fmt.Errorf("boom")
 	if _, err := l.getOrFill(context.Background(), "k", func() (any, error) { return nil, wantErr }); err != wantErr {
 		t.Fatalf("err = %v, want %v", err, wantErr)
@@ -207,11 +208,6 @@ func TestLayerKeysCollisionFree(t *testing.T) {
 		profileKey(m(`a|b`), nas.Benchmark("c"), 'C', 16),
 		profileKey(m(`a`), nas.Benchmark("b|c"), 'C', 16),
 		profileKey(m(`a`), nas.Benchmark(`b"|"c`), 'C', 16),
-		surrogateKey(`a|b`, `c`, `d`, 16),
-		surrogateKey(`a`, `b|c`, `d`, 16),
-		surrogateKey(`a`, `b`, `c|d`, 16),
-		surrogateKey(`a`, `b`, `d`, 16),
-		surrogateKey(`a`, `b`, `d`, 1),
 	}
 	seen := map[string]int{}
 	for i, k := range keys {
@@ -227,22 +223,27 @@ func TestLayerKeysCollisionFree(t *testing.T) {
 // accessors: under -race this proves the locking; the assertions prove the
 // bounds hold and every caller observes the artifact filled for its own key.
 func TestStoreConcurrentEvictionUnderFill(t *testing.T) {
-	s := NewStore(StoreConfig{SurrogateCap: 2, ProfileCap: 2})
+	// The layers' real bounds are constants; two-entry layers make the
+	// churn cheap.
+	s := &Store{
+		chars:    newLayer[charValue]("test.characterisation", 2, nil),
+		profiles: newLayer[*ProfileArtifact]("test.profile", 2, nil),
+	}
 	base := &arch.Machine{Name: "base"}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(2)
 		go func(g int) {
 			defer wg.Done()
-			for ci := 1; ci <= 16; ci++ {
-				want := &surrogateEntry{}
-				got, err := s.surrogateAt(context.Background(), "base", "app", fmt.Sprintf("tgt-%d", g), ci,
-					func() (*surrogateEntry, error) {
-						time.Sleep(time.Millisecond) // widen the race window
-						return want, nil
-					})
+			m := &arch.Machine{Name: fmt.Sprintf("m-%d", g)}
+			for count := 1; count <= 16; count++ {
+				want := &imb.Table{}
+				got, err := s.imbTable(context.Background(), m, count, func() (*imb.Table, error) {
+					time.Sleep(time.Millisecond) // widen the race window
+					return want, nil
+				})
 				if err != nil || got != want {
-					t.Errorf("surrogateAt(tgt-%d, %d) = %p, %v; want %p", g, ci, got, err, want)
+					t.Errorf("imbTable(m-%d, %d) = %p, %v; want %p", g, count, got, err, want)
 					return
 				}
 			}
@@ -263,7 +264,7 @@ func TestStoreConcurrentEvictionUnderFill(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if _, profiles, surrogates := s.Sizes(); profiles > 2 || surrogates > 2 {
-		t.Errorf("layers hold %d profiles and %d surrogates, cap is 2 each", profiles, surrogates)
+	if chars, profiles := s.Sizes(); chars > 2 || profiles > 2 {
+		t.Errorf("layers hold %d characterisations and %d profiles, cap is 2 each", chars, profiles)
 	}
 }

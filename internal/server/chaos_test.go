@@ -213,27 +213,6 @@ func TestBreakerOpensAfterRepeatedFailures(t *testing.T) {
 	}
 }
 
-// TestStageTimeoutMapsTo504 proves a stage-budget overrun surfaces as a
-// gateway timeout, distinct from a plain 500.
-func TestStageTimeoutMapsTo504(t *testing.T) {
-	slow := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		if req.StageTimeout != 20*time.Millisecond {
-			return nil, fmt.Errorf("StageTimeout not forwarded: %v", req.StageTimeout)
-		}
-		// Emulate what swapp.Request.stage returns when a stage blows its
-		// budget while the request deadline is still healthy.
-		return nil, fmt.Errorf("swapp: stage %q exceeded its %v budget: %w", "project", req.StageTimeout, swapp.ErrStageTimeout)
-	}
-	s := New(Config{Workers: 1, StageTimeout: 20 * time.Millisecond, Eval: slow})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	resp := postEval(t, ts.URL, chaosBody)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("stage timeout: status %d, want 504", resp.StatusCode)
-	}
-}
-
 // metricValue reads one counter out of the scope's metrics snapshot.
 func metricValue(t *testing.T, scope *obs.Scope, name string) int64 {
 	t.Helper()

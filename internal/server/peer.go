@@ -176,11 +176,16 @@ func (s *Server) forward(ctx context.Context, groupKey, path string, payload []b
 }
 
 // timeoutFor resolves one request's evaluation deadline from its body,
-// applying the server default and maximum.
+// applying the server default and maximum. The clamp is taken in
+// milliseconds, before converting: past ~9.2e12 ms the product overflows
+// time.Duration into an already-expired deadline.
 func (s *Server) timeoutFor(body APIRequest) time.Duration {
 	timeout := s.cfg.DefaultTimeout
 	if body.TimeoutMS > 0 {
-		timeout = time.Duration(body.TimeoutMS) * time.Millisecond
+		timeout = s.cfg.MaxTimeout
+		if ms := int64(body.TimeoutMS); ms <= s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout

@@ -22,12 +22,12 @@
 // Caching is layered to match the pipeline's reuse structure. The result
 // LRU (above) answers exact repeats, including the rendered wire bytes so
 // a hit never re-marshals. Beneath it a core.Store — shared across every
-// evaluation — caches per-machine benchmark characterisations, per-app
-// profiles, and finished compute surrogates, so requests that differ only
-// in target machine or core count ("shared-base warm" traffic) skip the
-// expensive stages they have in common instead of recomputing the world.
-// The store is purely an amortisation: projections stay byte-identical
-// with it cold or warm.
+// evaluation — caches per-machine benchmark characterisations and per-app
+// profiles, so requests that differ only in target machine or core count
+// ("shared-base warm" traffic) skip the expensive stages they have in
+// common instead of recomputing the world; the GA surrogate search runs
+// in every evaluation. The store is purely an amortisation: projections
+// stay byte-identical with it cold or warm.
 package server
 
 import (
@@ -92,15 +92,9 @@ type Config struct {
 	EvalWorkers int
 	// Obs receives the serving metrics (server.requests, server.inflight,
 	// per-layer cache counters server.cache.result_hits /
-	// server.cache.characterisation_hits / server.cache.profile_hits /
-	// server.cache.surrogate_hits with their _misses and _size twins, …).
-	// nil disables them.
+	// server.cache.characterisation_hits / server.cache.profile_hits with
+	// their _misses and _size twins, …). nil disables them.
 	Obs *obs.Scope
-	// StageTimeout bounds each pipeline stage of an evaluation
-	// separately from the request deadline, so one wedged stage cannot
-	// consume a whole generous request budget (0 disables; surfaces as
-	// 504 with swapp.ErrStageTimeout in the body).
-	StageTimeout time.Duration
 	// BreakerThreshold is the consecutive evaluation failures that trip
 	// the circuit breaker (default 5; negative disables the breaker).
 	// Cancellations, client deadlines, and queue rejections never count.
@@ -404,7 +398,7 @@ func (s *Server) errorStatus(err error) (status int, retryAfter string) {
 	case errors.As(err, &boe):
 		s.obs.Count("server.breaker_rejected", 1)
 		return http.StatusServiceUnavailable, retryAfterSeconds(boe.retryAfter)
-	case errors.Is(err, swapp.ErrStageTimeout), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout, ""
 	case errors.Is(err, context.Canceled):
 		// Client went away; the status is for the log line only.
@@ -538,7 +532,6 @@ func (s *Server) lead(ctx context.Context, op string, key cacheKey, req swapp.Re
 	}
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(1)))
 	req.Workers = s.cfg.EvalWorkers
-	req.StageTimeout = s.cfg.StageTimeout
 	req.Store = s.store
 	req.OnGAProgress = progress
 	res, err := s.runEval(ctx, op, req)

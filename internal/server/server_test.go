@@ -365,6 +365,31 @@ func TestDeadlineExpiryReturnsPromptly(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutIsClamped: a timeout_ms too large for time.Duration is
+// clamped to the server maximum, not wrapped into an already-expired
+// deadline. Each try gets a fresh server, so none is a result-cache hit, and
+// an evaluation that honours its context, so an expired deadline cannot
+// slip through admission's select by chance.
+func TestHugeTimeoutIsClamped(t *testing.T) {
+	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return stubResult(req), nil
+	}
+	for _, ms := range []string{"10000000000000", "4611686018427387904", "9223372036854775807"} {
+		body := strings.Replace(reqBT, "}", `,"timeout_ms":`+ms+`}`, 1)
+		for try := 0; try < 20; try++ {
+			ts := httptest.NewServer(New(Config{Workers: 1, Eval: eval}).Handler())
+			code, _, out := post(t, ts.URL+"/v1/project", body)
+			ts.Close()
+			if code != http.StatusOK {
+				t.Fatalf("timeout_ms %s, try %d: status %d %s, want 200", ms, try, code, out)
+			}
+		}
+	}
+}
+
 func TestQueueSaturationReturns503(t *testing.T) {
 	eval := &stubEval{gate: make(chan struct{})}
 	scope := obs.New("test")

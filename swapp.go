@@ -25,10 +25,8 @@ package swapp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -85,33 +83,25 @@ type Request struct {
 	// default — costs nothing, and the projection is byte-identical with
 	// observability on or off.
 	Obs *obs.Scope
-	// StageTimeout, when positive, bounds each pipeline stage (benchmark
-	// gathering, characterisation, projection, validation) individually,
-	// in addition to any deadline on the request's context. A stage that
-	// overruns fails with an error wrapping ErrStageTimeout, which
-	// distinguishes "one stage hung" from "the whole request timed out".
-	// Zero — the default — imposes no per-stage bound.
-	StageTimeout time.Duration
 	// Data, when non-nil, supplies pre-measured benchmark data instead of
 	// running the suites in-process (see core.PipelineData) — the paper's
 	// real workflow, and the degraded-input path: partial data flows
 	// through with recorded defects instead of failing.
 	Data *core.PipelineData
 	// Store, when non-nil, is a layered artifact cache shared across
-	// requests (see core.NewStore): machine characterisations, app
-	// profiles, and finished compute surrogates are resolved through it
-	// instead of recomputed, amortising the pipeline's cost across every
-	// request that shares a machine, an app, or a (base, app, target)
-	// triple. Purely an amortisation — the projection is byte-identical
-	// with or without a store — and ignored when Data supplies external
-	// benchmark data or while fault injection is armed.
+	// requests (see core.NewStore): machine characterisations and app
+	// profiles are resolved through it instead of recomputed, amortising
+	// the pipeline's cost across every request that shares a machine or
+	// an (app, base) pair. Purely an amortisation — the projection is
+	// byte-identical with or without a store — and ignored when Data
+	// supplies external benchmark data or while fault injection is armed.
 	Store *core.Store
 	// OnGAProgress, when non-nil, taps the GA surrogate search's
 	// per-generation progress (member index, generation, running best
-	// fitness). Strictly passive; must be safe for concurrent calls
-	// (ensemble members run in parallel). Progress only fires when the
-	// search actually runs — a projection served whole from Store
-	// completes without generations.
+	// fitness). It fires whenever the request is computed, with or
+	// without a Store: the search runs in every projection. Strictly
+	// passive; must be safe for concurrent calls (ensemble members run in
+	// parallel).
 	OnGAProgress func(member, gen int, best float64)
 }
 
@@ -145,29 +135,6 @@ func (r Request) withDefaults() (Request, error) {
 // request contents should normalise first, so that equivalent requests
 // share an entry.
 func (r Request) Normalized() (Request, error) { return r.withDefaults() }
-
-// ErrStageTimeout marks a pipeline stage that overran the request's
-// per-stage budget (Request.StageTimeout) while the request as a whole
-// still had time left. Services use errors.Is against it to distinguish a
-// hung stage from an expired request deadline.
-var ErrStageTimeout = errors.New("swapp: stage timeout exceeded")
-
-// stage runs one pipeline stage under the per-stage budget. With no budget
-// set it is a direct call. When the stage's own deadline fires while the
-// request context is still alive, the context error is converted into an
-// ErrStageTimeout-wrapping error naming the stage.
-func (r Request) stage(ctx context.Context, name string, f func(context.Context) error) error {
-	if r.StageTimeout <= 0 {
-		return f(ctx)
-	}
-	sctx, cancel := context.WithTimeout(ctx, r.StageTimeout)
-	defer cancel()
-	err := f(sctx)
-	if err != nil && errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil {
-		return fmt.Errorf("swapp: stage %q exceeded its %v budget: %w", name, r.StageTimeout, ErrStageTimeout)
-	}
-	return err
-}
 
 // Result is a finished projection, optionally with its validation against
 // a measured run.
@@ -218,12 +185,8 @@ func ProjectContext(ctx context.Context, req Request) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var proj *core.Projection
-	if err := req.stage(ctx, "project", func(c context.Context) error {
-		var err error
-		proj, err = pipe.ProjectCtx(c, app, req.Ranks)
-		return err
-	}); err != nil {
+	proj, err := pipe.ProjectCtx(ctx, app, req.Ranks)
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Request: req, Projection: proj}, nil
@@ -247,39 +210,26 @@ func ProjectAndValidateContext(ctx context.Context, req Request) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	var v *core.Validation
-	if err := req.stage(ctx, "validate", func(c context.Context) error {
-		var err error
-		v, err = pipe.ValidateCtx(c, app, req.Ranks)
-		return err
-	}); err != nil {
+	v, err := pipe.ValidateCtx(ctx, app, req.Ranks)
+	if err != nil {
 		return nil, err
 	}
 	return &Result{Request: req, Projection: v.Proj, Validation: v}, nil
 }
 
-// prepare builds the pipeline and app model for a request, each stage
-// under the request's per-stage budget.
+// prepare builds the pipeline and app model for a request.
 func prepare(ctx context.Context, req Request) (*core.Pipeline, *core.AppModel, error) {
 	base := arch.MustGet(req.Base)
 	target := arch.MustGet(req.Target)
 	counts := charCountsFor(req.Bench, req.Class, req.Ranks)
-	var pipe *core.Pipeline
-	if err := req.stage(ctx, "pipeline", func(c context.Context) error {
-		var err error
-		pipe, err = core.NewPipelineCtx(c, base, target, counts,
-			core.Options{Workers: req.Workers, Obs: req.Obs, Data: req.Data,
-				Store: req.Store, OnGAProgress: req.OnGAProgress})
-		return err
-	}); err != nil {
+	pipe, err := core.NewPipelineCtx(ctx, base, target, counts,
+		core.Options{Workers: req.Workers, Obs: req.Obs, Data: req.Data,
+			Store: req.Store, OnGAProgress: req.OnGAProgress})
+	if err != nil {
 		return nil, nil, err
 	}
-	var app *core.AppModel
-	if err := req.stage(ctx, "characterize", func(c context.Context) error {
-		var err error
-		app, err = pipe.CharacterizeAppCtx(c, req.Bench, req.Class, counts)
-		return err
-	}); err != nil {
+	app, err := pipe.CharacterizeAppCtx(ctx, req.Bench, req.Class, counts)
+	if err != nil {
 		return nil, nil, err
 	}
 	return pipe, app, nil

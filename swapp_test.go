@@ -1,8 +1,14 @@
 package swapp
 
 import (
+	"context"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/nas"
 )
 
 func TestMachines(t *testing.T) {
@@ -91,6 +97,36 @@ func TestProjectAndValidateEndToEnd(t *testing.T) {
 	}
 }
 
+// TestComputedProjectionReportsGAProgress: a request that is computed runs
+// its own GA search and reports it to its own OnGAProgress, even when a
+// shared Store already holds every artifact an earlier request of the same
+// cell filled.
+func TestComputedProjectionReportsGAProgress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full pipeline in -short mode")
+	}
+	req := Request{Target: TargetPower6, Bench: LU, Class: ClassC, Ranks: 16, Store: core.NewStore(core.StoreConfig{})}
+	if _, err := ProjectContext(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	gens := map[int]int{}
+	req.OnGAProgress = func(member, gen int, best float64) {
+		mu.Lock()
+		gens[member]++
+		mu.Unlock()
+	}
+	if _, err := ProjectAndValidateContext(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	const ensemble = 3
+	for m := 0; m < ensemble; m++ {
+		if gens[m] < 1 {
+			t.Errorf("ensemble member %d reported %d generations, want ≥ 1 (all: %v)", m, gens[m], gens)
+		}
+	}
+}
+
 func TestCharCountsFor(t *testing.T) {
 	counts := charCountsFor(BT, ClassC, 96)
 	want := map[int]bool{16: true, 32: true, 64: true, 96: true, 128: true}
@@ -111,6 +147,27 @@ func TestCharCountsFor(t *testing.T) {
 	for _, c := range lu {
 		if c > 16 {
 			t.Errorf("LU-MZ cannot profile at %d ranks", c)
+		}
+	}
+
+	// Every accepted count from 2 up is itself profiled, so the compute
+	// projection is characterised at the requested count: the pipeline's
+	// nearestCount(Ck) is Ck. Only Ck = 1 borrows a count — the smallest,
+	// every profiled count being ≥ 2.
+	for _, b := range []nas.Benchmark{BT, SP, LU} {
+		for _, c := range []nas.Class{ClassC, ClassD} {
+			for ranks := 2; ranks <= nas.MaxRanks(b, c); ranks++ {
+				if counts := charCountsFor(b, c, ranks); !slices.Contains(counts, ranks) {
+					t.Fatalf("charCountsFor(%s, %c, %d) = %v, lacks the requested count", b, c, ranks, counts)
+				}
+			}
+			want := 16
+			if b == LU {
+				want = 4
+			}
+			if counts := charCountsFor(b, c, 1); counts[0] != want || slices.Contains(counts, 1) {
+				t.Errorf("charCountsFor(%s, %c, 1) = %v; a 1-rank request must borrow %d", b, c, counts, want)
+			}
 		}
 	}
 }
