@@ -64,13 +64,15 @@ benchmark:
 	$(GO) run ./bench
 
 # Short mutation pass over the persistence decoders, the WAL scanner, the
-# job-journal replay, the characterisation files under -data-dir and the
+# job-journal replay, the characterisation files under -data-dir, the
 # two HTTP request decoders — /v1/batch and the single endpoints'
-# APIRequest: native corpora plus 10s of mutation per target. This is the
-# one list of fuzz targets; CI runs `make fuzz`. The batch inputs are
-# kilobytes of JSON: left at its default the minimiser spends the whole
-# smoke shrinking the first interesting one byte by byte.
+# APIRequest — and IMB's grouped tables against whole-world simulation
+# (any machine, any rank count): native corpora plus 10s of mutation per
+# target. This is the one list of fuzz targets; CI runs `make fuzz`. The
+# batch inputs are kilobytes of JSON: left at its default the minimiser
+# spends the whole smoke shrinking the first interesting one byte by byte.
 fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupedTable$$' -fuzztime 10s ./internal/imb
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/durable

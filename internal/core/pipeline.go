@@ -231,8 +231,10 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 	}
 	imbBase := make([]*imb.Table, len(counts))
 	imbTarget := make([]*imb.Table, len(counts))
-	for i, c := range counts {
-		i, c := i, c
+	// Largest tables first: Go blocks at the limit, so queue order is start
+	// order, and the biggest table started last would set the makespan.
+	for i := len(counts) - 1; i >= 0; i-- {
+		i, c := i, counts[i]
 		if p.IMBBase[c] == nil {
 			g.Go(func() error {
 				if err := ctx.Err(); err != nil {

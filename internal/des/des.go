@@ -12,7 +12,7 @@
 // kernel detects global deadlock — an empty event queue with processes
 // still blocked — and reports who was stuck.
 //
-// Processes are short-lived and many (an IMB table spawns ~20 k ranks), so
+// Processes are short-lived and many (a 64-rank IMB table spawns ~13 k), so
 // coroutines outlive them: one that finishes a body parks on a bounded
 // package-level free list and the next process to start, in any kernel,
 // takes it. See coro.

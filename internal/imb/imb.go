@@ -16,10 +16,12 @@ package imb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/mpi"
+	"repro/internal/netmodel"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -106,15 +108,22 @@ func (t *Table) TransferNB(size units.Bytes, xIntra, xInter float64) units.Secon
 	return t.NBOverhead() + xIntra*t.InFlightIntra(size) + xInter*t.InFlightInter(size)
 }
 
+// stackGrid is the longest size grid a lookup serves without allocating;
+// DefaultSizes has 19.
+const stackGrid = 32
+
 // interpSize log-log interpolates a size-keyed table. Non-positive samples
 // are skipped rather than substituted: log-log needs positive values, and a
 // placeholder like 1e-12 would bend the fitted curve through an absurd
 // point, poisoning every query between the zero sample's neighbours. The
 // persist decoders already reject non-positive timings on load, but tables
 // built directly by Run (or by hand in tests) bypass that validation.
+//
+// Every comm lookup of a projection lands here, so a grid of up to
+// stackGrid sizes is gathered on the stack; a longer one allocates.
 func interpSize(grid []units.Bytes, m map[units.Bytes]units.Seconds, size units.Bytes) units.Seconds {
-	xs := make([]float64, 0, len(grid))
-	ys := make([]float64, 0, len(grid))
+	var xb, yb [stackGrid]float64
+	xs, ys := xb[:0], yb[:0]
 	for _, s := range grid {
 		v, ok := m[s]
 		if !ok || v <= 0 {
@@ -143,16 +152,16 @@ func gridGap(grid []units.Bytes, m map[units.Bytes]units.Seconds, size units.Byt
 	if len(grid) == 0 || len(m) == 0 {
 		return false
 	}
-	covered := make([]bool, len(grid))
+	var cb [stackGrid]bool // as in interpSize
+	covered := cb[:0]
 	all := true
 	any := false
-	for i, s := range grid {
-		if v, ok := m[s]; ok && v > 0 {
-			covered[i] = true
-			any = true
-		} else {
-			all = false
-		}
+	for _, s := range grid {
+		v, ok := m[s]
+		ok = ok && v > 0
+		covered = append(covered, ok)
+		any = any || ok
+		all = all && ok
 	}
 	if all {
 		return false
@@ -242,14 +251,18 @@ func (t *Table) Routines() []mpi.Routine {
 	return out
 }
 
-// measureFunc runs program on every rank of a clean world of the table's
-// machine and rank count and returns the makespan.
-type measureFunc func(program func(r *mpi.Rank)) (units.Seconds, error)
+// measureFunc simulates program on a clean world of the table's machine and
+// rank count and returns the makespan. With groups nil every rank runs it;
+// otherwise it may run each group of ranks alone and return the slowest
+// group's makespan — the same number, for groups from planGroups.
+type measureFunc func(groups [][]int, program func(r *mpi.Rank)) (units.Seconds, error)
 
 // Run executes the full suite on machine m with the given rank count and
 // size grid (nil for DefaultSizes) and returns the parameter table. Its
 // few hundred measurements are independent simulations run one after
-// another on one world, reset before each.
+// another on one world, reset before each. A pairwise benchmark simulates
+// one group of ranks per distinct shape rather than the whole world (see
+// planGroups): hydra's 64-rank table spawns 13 440 ranks, not 20 736.
 func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 	if ranks < 2 {
 		return nil, fmt.Errorf("imb: need at least 2 ranks, got %d", ranks)
@@ -258,9 +271,21 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return run(m, ranks, sizes, func(program func(r *mpi.Rank)) (units.Seconds, error) {
-		w.Reset()
-		return w.Run(program)
+	return run(m, ranks, sizes, func(groups [][]int, program func(r *mpi.Rank)) (units.Seconds, error) {
+		if groups == nil {
+			w.Reset()
+			return w.Run(program)
+		}
+		var span units.Seconds
+		for _, ids := range groups {
+			w.Reset()
+			el, err := w.RunRanks(ids, program)
+			if err != nil {
+				return 0, err
+			}
+			span = max(span, el)
+		}
+		return span, nil
 	})
 }
 
@@ -278,6 +303,9 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 		NBInter: NBFit{InFlight: map[units.Bytes]units.Seconds{}},
 	}
 	multiNode := m.NodesFor(ranks) > 1
+	md := netmodel.New(m)
+	distant := planGroups(md, ranks, pairDistant)
+	adjacent := planGroups(md, ranks, pairAdjacent)
 
 	put := func(rt mpi.Routine, size units.Bytes, v units.Seconds) {
 		if t.PerOp[rt] == nil {
@@ -289,7 +317,7 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 	for _, size := range sizes {
 		size := size
 		// --- blocking point-to-point: PingPong (half round trip). ---
-		pp, err := measure(func(r *mpi.Rank) {
+		pp, err := measure(distant, func(r *mpi.Rank) {
 			partner := pairDistant(r.ID(), ranks)
 			if partner < 0 {
 				return
@@ -311,7 +339,7 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 		put(mpi.RoutineRecv, size, pp/(2*iterations))
 
 		// --- PingPing: both partners send simultaneously. ---
-		pping, err := measure(func(r *mpi.Rank) {
+		pping, err := measure(distant, func(r *mpi.Rank) {
 			partner := pairDistant(r.ID(), ranks)
 			if partner < 0 {
 				return
@@ -328,7 +356,7 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 		put(PingPing, size, pping/iterations)
 
 		// --- Exchange: both ring neighbours, IMB's halo pattern. ---
-		exch, err := measure(func(r *mpi.Rank) {
+		exch, err := measure(nil, func(r *mpi.Rank) {
 			next := (r.ID() + 1) % r.Size()
 			prev := (r.ID() + r.Size() - 1) % r.Size()
 			for i := 0; i < iterations; i++ {
@@ -345,7 +373,7 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 		put(Exchange, size, exch/iterations)
 
 		// --- Sendrecv ring. ---
-		sr, err := measure(func(r *mpi.Rank) {
+		sr, err := measure(nil, func(r *mpi.Rank) {
 			next := (r.ID() + 1) % r.Size()
 			prev := (r.ID() + r.Size() - 1) % r.Size()
 			for i := 0; i < iterations; i++ {
@@ -370,7 +398,7 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 		}
 		for _, c := range colls {
 			c := c
-			el, err := measure(func(r *mpi.Rank) {
+			el, err := measure(nil, func(r *mpi.Rank) {
 				for i := 0; i < iterations; i++ {
 					c.op(r)
 				}
@@ -384,14 +412,14 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 		// --- multi-Sendrecv: x in-flight Isend/Irecv pairs + Waitall,
 		// measured for same-node pairs and (when the job spans nodes)
 		// cross-node pairs — IMB's intra/inter cluster modes. ---
-		a, b, err := multiSendrecvFit(measure, ranks, size, pairAdjacent)
+		a, b, err := multiSendrecvFit(measure, adjacent, ranks, size, pairAdjacent)
 		if err != nil {
 			return nil, fmt.Errorf("imb: multi-Sendrecv intra fit at %d B: %w", size, err)
 		}
 		t.NBIntra.Overhead = a
 		t.NBIntra.InFlight[size] = b
 		if multiNode {
-			a, b, err = multiSendrecvFit(measure, ranks, size, pairDistant)
+			a, b, err = multiSendrecvFit(measure, distant, ranks, size, pairDistant)
 			if err != nil {
 				return nil, fmt.Errorf("imb: multi-Sendrecv inter fit at %d B: %w", size, err)
 			}
@@ -401,7 +429,7 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 	}
 
 	// --- Barrier (size-independent). ---
-	bar, err := measure(func(r *mpi.Rank) {
+	bar, err := measure(nil, func(r *mpi.Rank) {
 		for i := 0; i < iterations; i++ {
 			r.Barrier()
 		}
@@ -443,13 +471,101 @@ func pairAdjacent(id, ranks int) int {
 	return id - 1
 }
 
+// planGroups splits a pairwise benchmark — every rank talks only to
+// pairing(id) — into independent groups and returns one ascending rank set
+// per distinct group shape: the groups measureFunc needs to simulate.
+//
+// A group is a connected set of nodes under "a rank's node is joined to its
+// partner's", with every rank on them. Two groups share no message, and no
+// NIC or shared-memory bus (those are per node), so a group run alone has
+// exactly the history it has inside the full run, and the full makespan is
+// the slowest group's. A group's shape is, per rank in ascending order, its
+// partner's position and its node's position in the group, then the hops
+// between every ordered pair of its nodes: all netmodel.P2P prices, so
+// groups of one shape have bit-identical histories. Groups in which nobody
+// has a partner finish at time 0 and are left out.
+func planGroups(md *netmodel.Model, ranks int, pairing func(id, ranks int) int) [][]int {
+	nodes := md.NodeOf(ranks-1) + 1
+	// One slab for every scratch slice below: the nodes' roots, the
+	// group's ranks and nodes, each rank's and node's position in them,
+	// and the group's shape.
+	slab := make([]int, 3*nodes+2*ranks+1+2*ranks+nodes*nodes)
+	root, slab := slab[:nodes], slab[nodes:]
+	members, pos, slab := slab[:0:ranks], slab[ranks:2*ranks], slab[2*ranks:]
+	gnodes, nodeAt, shape := slab[:0:nodes], slab[nodes:2*nodes], slab[2*nodes:2*nodes]
+
+	// Union-find over nodes; a group's root is its lowest node.
+	for n := range root {
+		root[n] = n
+	}
+	find := func(n int) int {
+		for root[n] != n {
+			root[n] = root[root[n]]
+			n = root[n]
+		}
+		return n
+	}
+	for id := 0; id < ranks; id++ {
+		if p := pairing(id, ranks); p >= 0 {
+			a, b := find(md.NodeOf(id)), find(md.NodeOf(p))
+			root[max(a, b)] = min(a, b)
+		}
+	}
+	for n := range root {
+		root[n] = find(n)
+	}
+
+	var shapes, reps [][]int
+	for r := range root {
+		if root[r] != r {
+			continue
+		}
+		members, gnodes = members[:0], gnodes[:0]
+		for n := r; n < nodes; n++ {
+			if root[n] != r {
+				continue
+			}
+			nodeAt[n] = len(gnodes)
+			gnodes = append(gnodes, n)
+			for id := n * md.RanksPerNode; id < min((n+1)*md.RanksPerNode, ranks); id++ {
+				pos[id] = len(members)
+				members = append(members, id)
+			}
+		}
+		paired := false
+		shape = append(shape[:0], len(members))
+		for _, id := range members {
+			p := pairing(id, ranks)
+			if p >= 0 {
+				paired = true
+				p = pos[p]
+			}
+			shape = append(shape, p, nodeAt[md.NodeOf(id)])
+		}
+		if !paired {
+			continue
+		}
+		for _, a := range gnodes {
+			for _, b := range gnodes {
+				shape = append(shape, md.Topo.Hops(a, b))
+			}
+		}
+		if !slices.ContainsFunc(shapes, func(s []int) bool { return slices.Equal(s, shape) }) {
+			shapes = append(shapes, slices.Clone(shape))
+			reps = append(reps, slices.Clone(members))
+		}
+	}
+	return reps
+}
+
 // multiSendrecvFit measures the multi-Sendrecv benchmark over the x sweep
-// with the given pairing and returns the Eq. 1 (overhead, in-flight) fit.
-func multiSendrecvFit(measure measureFunc, ranks int, size units.Bytes, pairing func(id, ranks int) int) (a, b units.Seconds, err error) {
+// with the given pairing, and its groups, and returns the Eq. 1
+// (overhead, in-flight) fit.
+func multiSendrecvFit(measure measureFunc, groups [][]int, ranks int, size units.Bytes, pairing func(id, ranks int) int) (a, b units.Seconds, err error) {
 	var xTimes []float64
 	for _, x := range multiXs {
 		x := x
-		el, err := measure(func(r *mpi.Rank) {
+		el, err := measure(groups, func(r *mpi.Rank) {
 			partner := pairing(r.ID(), ranks)
 			if partner < 0 {
 				return

@@ -252,9 +252,10 @@ func TestInterpSizeSkipsNonPositive(t *testing.T) {
 }
 
 // measureFresh is the reference way to take a measurement, and how Run took
-// every one before it reused a world: a new mpi.World each time.
+// every one before it reused a world and split pairwise benchmarks into
+// groups: a new mpi.World each time, every rank running.
 func measureFresh(m *arch.Machine, ranks int) measureFunc {
-	return func(program func(r *mpi.Rank)) (units.Seconds, error) {
+	return func(_ [][]int, program func(r *mpi.Rank)) (units.Seconds, error) {
 		w, err := mpi.NewWorld(m, ranks)
 		if err != nil {
 			return 0, err
@@ -264,13 +265,15 @@ func measureFresh(m *arch.Machine, ranks int) measureFunc {
 }
 
 // TestReusedWorldMatchesFreshWorlds holds Run, which resets one world
-// between its measurements, bitwise to the same suite on fresh worlds: on
-// one node, on two (so the inter fit runs), and with a rank sitting out.
+// between its measurements and runs a pairwise benchmark one group shape at
+// a time, bitwise to the same suite on fresh, whole worlds: on one node, on
+// two (so the inter fit runs), with a rank sitting out, and with groups of
+// two hop shapes.
 func TestReusedWorldMatchesFreshWorlds(t *testing.T) {
 	for _, c := range []struct {
 		machine string
 		ranks   int
-	}{{arch.Hydra, 16}, {arch.Hydra, 32}, {arch.BlueGene, 13}} {
+	}{{arch.Hydra, 16}, {arch.Hydra, 32}, {arch.BlueGene, 13}, {arch.BlueGene, 48}} {
 		m := arch.MustGet(c.machine)
 		got, err := Run(m, c.ranks, nil)
 		if err != nil {
@@ -290,16 +293,88 @@ func TestReusedWorldMatchesFreshWorlds(t *testing.T) {
 // took 29 730 allocations when every measurement built its own world, and
 // 4 150 with a request slice per rank per multi-Sendrecv measurement, a
 // heap collOp per collective and a growing waiter slice per collective
-// signal; ~630 is what is left.
+// signal; ~630 is what is left. The 128-rank bounds are the counts before
+// pairwise benchmarks ran by group (1 314 and 1 338): the group plans are
+// built from slices, once per table, and must not cost more than they
+// save. BG/P at 128 ranks has the most groups.
 func TestIMBRunAllocs(t *testing.T) {
-	m := arch.MustGet(arch.Hydra)
-	allocs := testing.AllocsPerRun(3, func() {
-		if _, err := Run(m, 16, nil); err != nil {
+	for _, c := range []struct {
+		machine string
+		ranks   int
+		max     float64
+	}{{arch.Hydra, 16, 1000}, {arch.Hydra, 128, 1314}, {arch.BlueGene, 128, 1338}} {
+		m := arch.MustGet(c.machine)
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := Run(m, c.ranks, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("imb.Run(%s, %d) made %.0f allocations, want at most %.0f", c.machine, c.ranks, allocs, c.max)
+		}
+		t.Logf("%s@%d: %.0f allocations", c.machine, c.ranks, allocs)
+	}
+}
+
+// TestLookupsDoNotAllocate pins the four lookups every comm projection
+// makes, on a DefaultSizes table, whole and with holes in its grid.
+func TestLookupsDoNotAllocate(t *testing.T) {
+	whole, err := Run(arch.MustGet(arch.Hydra), 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []*Table{whole, whole.TruncatedAbove(64 * units.KiB)} {
+		lookups := map[string]func(){
+			"Time":        func() { _, _ = tab.Time(mpi.RoutineSendrecv, 100*units.KiB) },
+			"TransferNB":  func() { _ = tab.TransferNB(100*units.KiB, 2, 3) },
+			"CoverageGap": func() { _ = tab.CoverageGap(mpi.RoutineSendrecv, 100*units.KiB) },
+			"NBGap":       func() { _ = tab.NBGap(100 * units.KiB) },
+		}
+		for name, f := range lookups {
+			if allocs := testing.AllocsPerRun(10, f); allocs != 0 {
+				t.Errorf("%s made %.0f allocations, want 0", name, allocs)
+			}
+		}
+	}
+}
+
+// FuzzGroupedTable holds Run to the whole-world reference on any machine
+// and rank count, on a grid with eager and rendezvous sizes on every
+// machine. The seeds are the shapes grouping has to get right: one node,
+// full nodes, a partial last node with an odd rank sitting out, groups of
+// two hop shapes, and one group chained across every node.
+func FuzzGroupedTable(f *testing.F) {
+	machines := []string{arch.Hydra, arch.Power6, arch.BlueGene, arch.Westmere}
+	for _, s := range []struct {
+		machine uint8
+		ranks   uint8
+	}{
+		// One node; full nodes.
+		{0, 16}, {0, 64}, {1, 128},
+		// A partial last node, an odd rank out.
+		{2, 13}, {0, 17}, {3, 25},
+		// Two hop shapes; one chained group.
+		{2, 48}, {2, 96}, {3, 128},
+	} {
+		f.Add(s.machine, s.ranks)
+	}
+	sizes := []units.Bytes{8, 1 * units.KiB, 16 * units.KiB, 64 * units.KiB}
+	f.Fuzz(func(t *testing.T, machine, ranks uint8) {
+		m := arch.MustGet(machines[int(machine)%len(machines)])
+		n := int(ranks)
+		if n < 2 || n > 128 {
+			n = 2 + n%127
+		}
+		got, err := Run(m, n, sizes)
+		if err != nil {
 			t.Fatal(err)
 		}
+		want, err := run(m, n, sizes, measureFresh(m, n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s@%d: grouped table differs from the whole-world reference", m.Name, n)
+		}
 	})
-	if allocs > 1000 {
-		t.Errorf("imb.Run(hydra, 16) made %.0f allocations, want at most 1000", allocs)
-	}
-	t.Logf("%.0f allocations", allocs)
 }

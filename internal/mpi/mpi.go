@@ -272,13 +272,40 @@ func (w *World) Size() int { return w.size }
 // completion, returning the job's makespan (the virtual time when the last
 // rank finishes). A world runs once; Reset makes it runnable again.
 func (w *World) Run(program func(r *Rank)) (units.Seconds, error) {
+	return w.run(nil, program)
+}
+
+// RunRanks is Run on the listed ranks only, ids strictly ascending; the
+// rest of the world stays idle. It is for programs whose ranks fall into
+// groups that share no message, node or collective, so a group run alone
+// has exactly the history it has inside the full run. A listed rank that
+// waits on an unlisted one deadlocks, and Run reports the deadlock.
+func (w *World) RunRanks(ids []int, program func(r *Rank)) (units.Seconds, error) {
+	for i, id := range ids {
+		if id < 0 || id >= w.size || i > 0 && id <= ids[i-1] {
+			return 0, fmt.Errorf("mpi: RunRanks ids must ascend strictly within [0, %d), got %v", w.size, ids)
+		}
+	}
+	return w.run(ids, program)
+}
+
+// run spawns program on ids (nil: every rank) and runs the kernel.
+func (w *World) run(ids []int, program func(r *Rank)) (units.Seconds, error) {
 	if w.ran {
 		return 0, errors.New("mpi: world already ran; call Reset first")
 	}
 	w.ran = true
 	w.program = program
-	for i := range w.ranks {
-		w.kernel.SpawnKind("rank", i, w.ranks[i].start)
+	n := len(ids)
+	if ids == nil {
+		n = w.size
+	}
+	for i := 0; i < n; i++ {
+		id := i
+		if ids != nil {
+			id = ids[i]
+		}
+		w.kernel.SpawnKind("rank", id, w.ranks[id].start)
 	}
 	if err := w.kernel.Run(); err != nil {
 		return 0, err

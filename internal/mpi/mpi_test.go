@@ -510,6 +510,68 @@ func TestRunTwiceWithoutResetIsRefused(t *testing.T) {
 	}
 }
 
+// pingPongPairs has rank i exchange 1 MiB with i^1 and back. Pairs on one
+// node contend for its shared-memory bus, so a node's ranks are the unit
+// that may run alone.
+func pingPongPairs(r *Rank) {
+	partner := r.ID() ^ 1
+	if partner >= r.Size() {
+		return
+	}
+	if r.ID() < partner {
+		r.Send(partner, units.MiB, 0)
+		r.Recv(partner, units.MiB, 1)
+	} else {
+		r.Recv(partner, units.MiB, 0)
+		r.Send(partner, units.MiB, 1)
+	}
+}
+
+func TestRunRanksRunsAGroupAsInTheFullRun(t *testing.T) {
+	// Two BG/P nodes of four ranks; each node's pairs talk only inside it.
+	full, err := world(t, arch.BlueGene, 8).Run(pingPongPairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := world(t, arch.BlueGene, 8).RunRanks([]int{4, 5, 6, 7}, pingPongPairs)
+	if err != nil || alone != full {
+		t.Errorf("node 1 alone: makespan %v, err %v; want %v as in the full run", alone, err, full)
+	}
+}
+
+func TestRunRanksWrongPlanFailsLoudly(t *testing.T) {
+	want, err := world(t, arch.Hydra, 4).Run(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := world(t, arch.Hydra, 4)
+	// Rank 0's partner, rank 1, is not listed: rank 0 waits forever.
+	_, err = w.RunRanks([]int{0, 2, 3}, pingPongPairs)
+	if err == nil || !strings.Contains(err.Error(), "deadlock") || !strings.Contains(err.Error(), "rank0: waiting on") {
+		t.Fatalf("a listed rank with an unlisted partner: got %v, want a deadlock naming rank0", err)
+	}
+	if strings.Contains(err.Error(), "rank2") || strings.Contains(err.Error(), "rank3") {
+		t.Errorf("the deadlock report names ranks that finished: %v", err)
+	}
+	w.Reset()
+	if got, err := w.Run(ring); err != nil || got != want {
+		t.Errorf("after the deadlock and Reset: makespan %v, err %v; want %v as on a fresh world", got, err, want)
+	}
+}
+
+func TestRunRanksRejectsBadIds(t *testing.T) {
+	w := world(t, arch.Hydra, 4)
+	for _, ids := range [][]int{{-1, 0}, {2, 4}, {1, 1}, {0, 2, 2}, {3, 1}} {
+		if _, err := w.RunRanks(ids, pingPongPairs); err == nil || !strings.Contains(err.Error(), "RunRanks") {
+			t.Errorf("RunRanks(%v): got %v, want a refusal", ids, err)
+		}
+	}
+	// A refused call runs nothing, so the world needs no Reset.
+	if _, err := w.RunRanks([]int{0, 1}, pingPongPairs); err != nil {
+		t.Errorf("valid ids after refusals: %v", err)
+	}
+}
+
 func TestResetAfterAnyEnding(t *testing.T) {
 	want, err := world(t, arch.Hydra, 4).Run(ring)
 	if err != nil {

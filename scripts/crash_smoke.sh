@@ -6,15 +6,17 @@
 #      keep their result bytes as the references,
 #   2. start a replica with -data-dir, submit the same job, wait until it is
 #      running with its submission in the WAL (a cold BT-MZ.C@64 job is
-#      seconds of characterisation — plenty to catch, where the 0.2 s
-#      LU-MZ.C@16 finishes between two polls), and SIGKILL the process —
+#      ~0.5 s of characterisation on two cores — enough to catch, where the
+#      0.2 s LU-MZ.C@16 finishes between two polls), and SIGKILL the process —
 #      no drain, no flush, the real crash case,
 #   3. restart swappd on the same data dir and require the journal replay
 #      to resurrect the job under its original ID (jobs.recovered >= 1),
 #      re-run it from its journalled payload, and finish with a result
 #      document byte-identical to the control run,
-#   4. submit the second job (another target, so its characterisation is
-#      cold) and SIGTERM the replica while it is running: the drain must
+#   4. submit the second job (another base and target, so every table and
+#      profile it needs is cold: ~0.8 s, where a second target alone is
+#      ~0.2 s and can finish between two polls) and SIGTERM the replica
+#      while it is running: the drain must
 #      exit 0 well inside -grace without waiting for the job,
 #   5. restart once more: the same job ID must finish done, byte-identical
 #      to its control — the same way back as after the kill -9 — with the
@@ -37,7 +39,7 @@ go build -o "$tmp/swappd" ./cmd/swappd
 # The jobs: real cold projections; each identical across all its runs.
 req='{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":64}'
 job="{\"op\":\"project\",\"request\":$req}"
-job2='{"op":"project","request":{"target":"bgp","bench":"BT-MZ","class":"C","ranks":64}}'
+job2='{"op":"project","request":{"base":"westmere-x5670","target":"bgp","bench":"BT-MZ","class":"D","ranks":128}}'
 
 start_daemon() { # start_daemon <logname> [extra swappd args...]
     local log=$1; shift
