@@ -17,8 +17,11 @@ fmt:
 
 # Standing greps over non-test Go under internal/ cmd/ swapp.go, printing the
 # offending lines: no ticker (nothing in the process runs on a timer of its
-# own), and exactly one site each for the result-cache lookup, admission, the
-# evaluation call, the store's wiring and the outgoing peer request.
+# own); exactly one site each for the result-cache lookup, admission, the
+# evaluation call, the store's wiring and the outgoing peer request; one
+# definition of the characterisation-count policy (core's); and sync.Once
+# only where it runs something once and caches no value (internal/par,
+# internal/obs/http.go) — a cached value belongs in an lru.Cache.
 INVARIANT_SRC = internal cmd swapp.go
 invariants:
 	@fail=0; \
@@ -29,6 +32,11 @@ invariants:
 		n=$$(printf '%s' "$$hits" | grep -c .); \
 		if [ "$$n" -ne 1 ]; then echo "invariants: '$$pat' at $$n sites, want 1:"; echo "$$hits"; fail=1; fi; \
 	done; \
+	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' 'func [A-Za-z]*[Cc]harCounts' $(INVARIANT_SRC)); \
+	n=$$(printf '%s' "$$hits" | grep -c .); \
+	if [ "$$n" -ne 1 ]; then echo "invariants: the characterisation-count policy defined $$n times, want 1:"; echo "$$hits"; fail=1; fi; \
+	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'sync.Once' $(INVARIANT_SRC) | grep -v -e '^internal/par/' -e '^internal/obs/http.go:'); \
+	if [ -n "$$hits" ]; then echo "invariants: sync.Once outside internal/par and internal/obs/http.go:"; echo "$$hits"; fail=1; fi; \
 	exit $$fail
 
 # -shuffle=on randomises test (and subtest) execution order, so hidden

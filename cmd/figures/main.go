@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	figures -all            # everything (several minutes)
+//	figures -all            # everything (~6 s on 2 CPUs)
 //	figures -table1 -table2
 //	figures -fig 3 -fig 6   # selected figures
 //	figures -summary

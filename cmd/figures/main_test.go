@@ -57,3 +57,32 @@ func TestTable2Succeeds(t *testing.T) {
 		t.Errorf("stdout does not contain Table 2:\n%s", stdout.String())
 	}
 }
+
+// TestEvaluationMatchesReference pins the paper's evaluation: `figures
+// -all -q` must print, byte for byte, the block of the reference file from
+// Table 2 through the summary's overall-mean line (and the blank line
+// every artifact is followed by).
+func TestEvaluationMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the full evaluation grid; skipped with -short")
+	}
+	data, err := os.ReadFile("../../docs/evaluation_reference.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := string(data)
+	start := strings.Index(ref, "Table 2.")
+	last := strings.Index(ref, "overall mean |error| = ")
+	if start < 0 || last < start {
+		t.Fatal("reference file lacks the Table 2 … overall mean block")
+	}
+	want := ref[start:last+strings.IndexByte(ref[last:], '\n')+1] + "\n"
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-all", "-q"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d (stderr: %q)", code, stderr.String())
+	}
+	if got := stdout.String(); got != want {
+		t.Errorf("figures -all -q drifted from docs/evaluation_reference.txt.\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}

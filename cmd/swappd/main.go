@@ -87,6 +87,17 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// The ring needs both halves; either one alone would serve standalone
+	// without saying so.
+	peerList := splitPeers(*peers)
+	if (*self == "") != (len(peerList) == 0) {
+		missing := "-peers"
+		if *self == "" {
+			missing = "-self"
+		}
+		fmt.Fprintf(stderr, "swappd: peer-aware mode needs both -self and -peers; %s is missing\n", missing)
+		return 2
+	}
 	if err := faultinject.Arm(*faults); err != nil {
 		fmt.Fprintf(stderr, "swappd: %v\n", err)
 		return 2
@@ -110,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		Eval:             evalOverride,
 
 		Self:  *self,
-		Peers: splitPeers(*peers),
+		Peers: peerList,
 
 		JobsMaxActive: *jobsActive,
 		JobsMaxQueued: *jobsQueued,

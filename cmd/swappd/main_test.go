@@ -162,6 +162,31 @@ func TestBadFlags(t *testing.T) {
 	}
 }
 
+// TestHalfConfiguredRingIsRejected: -self without -peers, or -peers
+// without -self, exits 2 naming the missing flag instead of serving
+// standalone. The signal is already queued, so a run that starts serving
+// drains at once and returns 0.
+func TestHalfConfiguredRingIsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args    []string
+		missing string
+	}{
+		{[]string{"-peers", "http://127.0.0.1:1"}, "-self"},
+		{[]string{"-self", "http://127.0.0.1:1"}, "-peers"},
+		{[]string{"-self", "http://127.0.0.1:1", "-peers", ","}, "-peers"},
+	} {
+		sig := make(chan os.Signal, 1)
+		sig <- os.Interrupt
+		var out, errOut bytes.Buffer
+		args := append([]string{"-addr", "127.0.0.1:0"}, tc.args...)
+		if code := run(args, &out, &errOut, sig); code != 2 {
+			t.Errorf("%q: exit %d, want 2 (stderr %q)", tc.args, code, errOut.String())
+		} else if !strings.Contains(errOut.String(), tc.missing+" is missing") {
+			t.Errorf("%q: stderr %q does not name %s", tc.args, errOut.String(), tc.missing)
+		}
+	}
+}
+
 // TestListenFailure pins the error path for an unusable address.
 func TestListenFailure(t *testing.T) {
 	var out, errOut bytes.Buffer

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -516,5 +517,47 @@ func TestNewPipelineDedupesCounts(t *testing.T) {
 	}
 	if len(p.IMBBase) != 2 || len(p.IMBTarget) != 2 {
 		t.Errorf("duplicate rank counts not deduped: %d/%d tables", len(p.IMBBase), len(p.IMBTarget))
+	}
+}
+
+func TestCharCountsFor(t *testing.T) {
+	counts := charCountsFor(nas.BT, nas.ClassC, 96)
+	want := map[int]bool{16: true, 32: true, 64: true, 96: true, 128: true}
+	if len(counts) != len(want) {
+		t.Fatalf("charCountsFor = %v", counts)
+	}
+	for _, c := range counts {
+		if !want[c] {
+			t.Fatalf("unexpected count %d in %v", c, counts)
+		}
+	}
+	for i := 1; i < len(counts); i++ {
+		if counts[i] <= counts[i-1] {
+			t.Fatal("counts must be ascending")
+		}
+	}
+	if lu := charCountsFor(nas.LU, nas.ClassC, 16); !slices.Equal(lu, []int{4, 8, 16}) {
+		t.Errorf("LU-MZ counts = %v, want [4 8 16]: 16 zones, extended downward", lu)
+	}
+
+	// Every accepted count from 2 up is itself profiled, so the compute
+	// projection is characterised at the requested count: the pipeline's
+	// nearestCount(Ck) is Ck. Only Ck = 1 borrows a count — the smallest,
+	// every profiled count being ≥ 2.
+	for _, b := range nas.Benchmarks() {
+		for _, c := range nas.Classes() {
+			for ranks := 2; ranks <= nas.MaxRanks(b, c); ranks++ {
+				if counts := charCountsFor(b, c, ranks); !slices.Contains(counts, ranks) {
+					t.Fatalf("charCountsFor(%s, %c, %d) = %v, lacks the requested count", b, c, ranks, counts)
+				}
+			}
+			want := 16
+			if b == nas.LU {
+				want = 4
+			}
+			if counts := charCountsFor(b, c, 1); counts[0] != want || slices.Contains(counts, 1) {
+				t.Errorf("charCountsFor(%s, %c, 1) = %v; a 1-rank request must borrow %d", b, c, counts, want)
+			}
+		}
 	}
 }

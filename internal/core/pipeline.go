@@ -537,6 +537,49 @@ func (p *Pipeline) CharacterizeAppCtx(ctx context.Context, b nas.Benchmark, c na
 	return app, nil
 }
 
+// Prepare is the preparation step every evaluation runs, whoever asks —
+// the swapp library (and so swappd) and the figures runner: pick the
+// base-machine characterisation sweep for (b, c, ranks), gather the
+// pipeline's benchmark data at those counts, and characterise the
+// application on the base. With opts.Store set, each artifact is resolved
+// through the store, so evaluations sharing a machine or an (app, base)
+// pair pay for it once.
+func Prepare(ctx context.Context, base, target *arch.Machine, b nas.Benchmark, c nas.Class, ranks int, opts Options) (*Pipeline, *AppModel, error) {
+	counts := charCountsFor(b, c, ranks)
+	pipe, err := NewPipelineCtx(ctx, base, target, counts, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	app, err := pipe.CharacterizeAppCtx(ctx, b, c, counts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return pipe, app, nil
+}
+
+// charCountsFor picks the base-machine characterisation sweep for an
+// evaluation: the paper's counts, restricted to the benchmark's limits and
+// including the requested count when it is profile-able, extended downward
+// for LU-MZ so that its scaling models have enough points.
+func charCountsFor(b nas.Benchmark, c nas.Class, ranks int) []int {
+	max := nas.MaxRanks(b, c)
+	set := map[int]bool{}
+	for _, v := range []int{16, 32, 64, 128, ranks} {
+		if v >= 2 && v <= max {
+			set[v] = true
+		}
+	}
+	if b == nas.LU {
+		set[4], set[8] = true, true
+	}
+	var out []int
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
 // profileArtifact makes (or resolves through the profile layer) one
 // (app, class, ranks) observation on the base machine: the MPI profile
 // plus the ST/SMT counter pair. Both are pure functions of the key, so a

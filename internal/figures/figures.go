@@ -5,25 +5,29 @@
 // the summary statistics (per-system average error and standard deviation,
 // share of over-projections).
 //
-// A Runner caches the expensive artifacts — benchmark pipelines per
-// machine pair, application characterisations, and validations — so that
-// one process can assemble all figures without repeating work. It is safe
-// for concurrent use: the caches are single-flight (concurrent requests
-// for the same artifact share one computation), and AllFigures, Summarize,
-// BenchFigure and LUFigure evaluate their validation cells on a shared
-// bounded worker pool before assembling the output in the paper's fixed
-// order — so the emitted figures and statistics are byte-identical to a
-// serial run whatever Workers is set to.
+// A Runner evaluates each validation cell through core.Prepare — the
+// preparation step swapp's projections (and so swappd's /v1/validate) run —
+// against one core.Store it owns, so a benchmark characterisation or an
+// application profile shared by several cells and targets is simulated
+// once. Finished validations are memoised in an lru.Cache, single-flight,
+// so concurrent requests for a cell share one computation. It is safe for
+// concurrent use: AllFigures, Summarize, BenchFigure and LUFigure evaluate
+// their cells on a shared bounded worker pool before assembling the output
+// in the paper's fixed order — so the emitted figures and statistics are
+// byte-identical to a serial run whatever Workers is set to.
 package figures
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/lru"
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/obs"
@@ -84,33 +88,7 @@ var figureIDs = map[nas.Benchmark]map[string]string{
 // FigureID returns the paper's figure id for a (benchmark, target) pair.
 func FigureID(b nas.Benchmark, target string) string { return figureIDs[b][target] }
 
-// lazy is a single-flight cache cell: the first get runs the build
-// function once; concurrent and later gets share its outcome.
-type lazy[T any] struct {
-	once sync.Once
-	val  T
-	err  error
-}
-
-func (l *lazy[T]) get(build func() (T, error)) (T, error) {
-	l.once.Do(func() { l.val, l.err = build() })
-	return l.val, l.err
-}
-
-// cell returns (creating under the lock on first use) the cache cell for a
-// key.
-func cellFor[T any](mu *sync.Mutex, m map[string]*lazy[T], key string) *lazy[T] {
-	mu.Lock()
-	defer mu.Unlock()
-	e, ok := m[key]
-	if !ok {
-		e = &lazy[T]{}
-		m[key] = e
-	}
-	return e
-}
-
-// Runner executes and caches the full evaluation.
+// Runner executes the full evaluation, evaluating each cell once.
 type Runner struct {
 	Base string
 	// Verbose, if set, receives progress lines. The Runner serialises
@@ -123,24 +101,24 @@ type Runner struct {
 	Workers int
 	// Obs, when non-nil, instruments the evaluation: per-cell spans and
 	// timings (figures.cell_seconds), pipeline and characterisation spans
-	// via the underlying core.Pipeline, and the GA's counters. Figures are
-	// byte-identical with Obs set or nil.
+	// via core, the GA's counters, and the store's core.store.* counters.
+	// Set it before the first evaluation: the store reports to the scope
+	// set then. Figures are byte-identical with Obs set or nil.
 	Obs *obs.Scope
 
-	mu          sync.Mutex // guards the cache maps
-	logMu       sync.Mutex // serialises Verbose calls
-	pipelines   map[string]*lazy[*core.Pipeline]
-	apps        map[string]*lazy[*core.AppModel]
-	validations map[string]*lazy[*core.Validation]
+	logMu sync.Mutex // serialises Verbose calls
+	// store holds the characterisations and profiles every cell shares;
+	// it is built at the first evaluation (see storeFor).
+	store atomic.Pointer[core.Store]
+	// done memoises finished validations by cell.
+	done *lru.Cache[cellKey, *core.Validation]
 }
 
 // NewRunner creates a Runner projecting from the paper's base machine.
 func NewRunner() *Runner {
 	return &Runner{
-		Base:        arch.Hydra,
-		pipelines:   map[string]*lazy[*core.Pipeline]{},
-		apps:        map[string]*lazy[*core.AppModel]{},
-		validations: map[string]*lazy[*core.Validation]{},
+		Base: arch.Hydra,
+		done: lru.New[cellKey, *core.Validation](len(allCells())),
 	}
 }
 
@@ -153,89 +131,65 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// workers resolves the Runner's pool size.
-func (r *Runner) workers() int { return par.Workers(r.Workers) }
-
-// pipeline returns (building on first use) the benchmark pipeline for a
-// target. Concurrent callers for the same target share one build.
-func (r *Runner) pipeline(target string) (*core.Pipeline, error) {
-	e := cellFor(&r.mu, r.pipelines, target)
-	return e.get(func() (*core.Pipeline, error) {
-		base, err := arch.Get(r.Base)
-		if err != nil {
-			return nil, err
-		}
-		tgt, err := arch.Get(target)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("gathering benchmark data for %s → %s (SPEC + IMB)", r.Base, target)
-		// IMB tables at every core count any app profile uses.
-		counts := map[int]bool{}
-		for _, b := range nas.Benchmarks() {
-			for _, c := range charCounts(b) {
-				counts[c] = true
-			}
-		}
-		var list []int
-		for c := range counts {
-			list = append(list, c)
-		}
-		sort.Ints(list)
-		return core.NewPipelineOpts(base, tgt, list, core.Options{Workers: r.Workers, Obs: r.Obs})
-	})
-}
-
-// charCounts returns the base-machine core counts an app is characterised
-// at: the paper's sweep, extended downward for LU-MZ so that the scaling
-// models have enough points.
-func charCounts(b nas.Benchmark) []int {
-	if b == nas.LU {
-		return []int{4, 8, 16}
+// storeFor returns the Runner's store, building it on first use so that
+// its counters reach the Obs set by then. Racing first uses build one
+// store each and keep whichever was published first.
+func (r *Runner) storeFor() *core.Store {
+	if st := r.store.Load(); st != nil {
+		return st
 	}
-	return nas.PaperRankCounts(b)
+	r.store.CompareAndSwap(nil, core.NewStore(core.StoreConfig{Obs: r.Obs}))
+	return r.store.Load()
 }
 
-// app returns (characterising on first use) the AppModel for a benchmark
-// and class against a target's pipeline.
-func (r *Runner) app(target string, b nas.Benchmark, c nas.Class) (*core.AppModel, error) {
-	key := fmt.Sprintf("%s|%s|%c", target, b, c)
-	e := cellFor(&r.mu, r.apps, key)
-	return e.get(func() (*core.AppModel, error) {
-		p, err := r.pipeline(target)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("characterising %s.%c on %s", b, c, r.Base)
-		return p.CharacterizeApp(b, c, charCounts(b))
-	})
-}
+// errValidatePanicked is what waiters on a cell receive when its
+// evaluation panicked instead of returning.
+var errValidatePanicked = errors.New("figures: validation panicked")
 
 // Validate returns (computing on first use) the validation of one
-// experiment cell.
+// experiment cell. Concurrent callers for the same cell share one
+// computation.
 func (r *Runner) Validate(target string, b nas.Benchmark, c nas.Class, ck int) (*core.Validation, error) {
-	key := fmt.Sprintf("%s|%s|%c|%d", target, b, c, ck)
-	e := cellFor(&r.mu, r.validations, key)
-	return e.get(func() (*core.Validation, error) {
-		sp := r.Obs.Child("figures.cell." + key)
-		defer sp.End()
-		start := time.Now()
-		p, err := r.pipeline(target)
-		if err != nil {
-			return nil, err
-		}
-		a, err := r.app(target, b, c)
-		if err != nil {
-			return nil, err
-		}
-		r.logf("projecting %s.%c@%d onto %s and validating", b, c, ck, target)
-		v, err := p.Validate(a, ck)
-		if err == nil && sp.Enabled() {
-			sp.Count("figures.cells", 1)
-			sp.Observe("figures.cell_seconds", time.Since(start).Seconds())
-		}
-		return v, err
-	})
+	k := cellKey{target, b, c, ck}
+	v, flight, leader := r.done.Lookup(k)
+	if flight == nil {
+		return v, nil
+	}
+	if !leader {
+		return flight.Wait(context.TODO())
+	}
+	err := errValidatePanicked
+	defer func() { r.done.Finish(k, v, err) }()
+	v, err = r.validate(k)
+	return v, err
+}
+
+// validate evaluates one cell: core's preparation step through the
+// Runner's store, then the projection and the measured run on the target.
+func (r *Runner) validate(k cellKey) (*core.Validation, error) {
+	sp := r.Obs.Child(fmt.Sprintf("figures.cell.%s|%s|%c|%d", k.target, k.bench, k.class, k.ck))
+	defer sp.End()
+	start := time.Now()
+	base, err := arch.Get(r.Base)
+	if err != nil {
+		return nil, err
+	}
+	tgt, err := arch.Get(k.target)
+	if err != nil {
+		return nil, err
+	}
+	r.logf("projecting %s.%c@%d onto %s and validating", k.bench, k.class, k.ck, k.target)
+	p, a, err := core.Prepare(context.TODO(), base, tgt, k.bench, k.class, k.ck,
+		core.Options{Workers: r.Workers, Obs: sp, Store: r.storeFor()})
+	if err != nil {
+		return nil, err
+	}
+	v, err := p.Validate(a, k.ck)
+	if err == nil && sp.Enabled() {
+		sp.Count("figures.cells", 1)
+		sp.Observe("figures.cell_seconds", time.Since(start).Seconds())
+	}
+	return v, err
 }
 
 // cellKey identifies one experiment cell of the evaluation grid.
@@ -250,7 +204,7 @@ type cellKey struct {
 // stopping at the first error. Afterwards every cell is cached, so callers
 // can assemble output serially in any fixed order.
 func (r *Runner) prewarm(cells []cellKey) error {
-	return par.ForEach(r.workers(), len(cells), func(i int) error {
+	return par.ForEach(par.Workers(r.Workers), len(cells), func(i int) error {
 		k := cells[i]
 		_, err := r.Validate(k.target, k.bench, k.class, k.ck)
 		return err
@@ -268,21 +222,13 @@ func benchCells(b nas.Benchmark, target string) []cellKey {
 	return cells
 }
 
-// allCells is the full §4 grid in paper order, deduplicated.
+// allCells is the full §4 grid in paper order: each (benchmark, target)
+// figure's cells once.
 func allCells() []cellKey {
-	seen := map[cellKey]bool{}
 	var cells []cellKey
-	add := func(ks []cellKey) {
-		for _, k := range ks {
-			if !seen[k] {
-				seen[k] = true
-				cells = append(cells, k)
-			}
-		}
-	}
 	for _, target := range Targets() {
 		for _, b := range nas.Benchmarks() {
-			add(benchCells(b, target))
+			cells = append(cells, benchCells(b, target)...)
 		}
 	}
 	return cells
@@ -477,7 +423,8 @@ type Table1Row struct {
 	BcastMin, BcastMax     float64
 }
 
-// Table1 regenerates the paper's Table 1 on the base machine.
+// Table1 regenerates the paper's Table 1 on the base machine. A benchmark
+// the paper runs at one task count (LU-MZ) is profiled there once.
 func (r *Runner) Table1() ([]Table1Row, error) {
 	base, err := arch.Get(r.Base)
 	if err != nil {
@@ -490,10 +437,12 @@ func (r *Runner) Table1() ([]Table1Row, error) {
 			lo, hi := counts[0], counts[len(counts)-1]
 			r.logf("Table 1: profiling %s.%c at %d and %d tasks", b, class, lo, hi)
 			row := Table1Row{Bench: b, Class: class}
+			var res *nas.RunResult
 			for i, ranks := range []int{lo, hi} {
-				res, err := nas.Run(nas.Config{Bench: b, Class: class, Ranks: ranks}, base)
-				if err != nil {
-					return nil, err
+				if i == 0 || hi != lo {
+					if res, err = nas.Run(nas.Config{Bench: b, Class: class, Ranks: ranks}, base); err != nil {
+						return nil, err
+					}
 				}
 				pf := res.Profile
 				comm := 100 * pf.CommFraction()

@@ -7,19 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/nas"
 )
 
 // A single shared runner: each figure piece is expensive.
-var (
-	tOnce   sync.Once
-	tRunner *Runner
-)
-
-func runner() *Runner {
-	tOnce.Do(func() { tRunner = NewRunner() })
-	return tRunner
-}
+var shared = NewRunner()
 
 func TestFigureIDMapping(t *testing.T) {
 	cases := []struct {
@@ -56,7 +49,7 @@ func TestLUFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive in -short mode")
 	}
-	f, err := runner().LUFigure()
+	f, err := shared.LUFigure()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +80,7 @@ func TestValidateCachesResults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("expensive in -short mode")
 	}
-	r := runner()
+	r := shared
 	a, err := r.Validate(arch.Power6, nas.LU, nas.ClassC, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -102,18 +95,66 @@ func TestValidateCachesResults(t *testing.T) {
 }
 
 func TestRunnerParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("expensive in -short mode")
+	// Many goroutines asking one runner for the same cells race on its
+	// memo and its store: two LU cells on one target share every
+	// characterisation and differ in their profiles. This case stays in
+	// -short so that the race detector sees it; the full mode widens it
+	// to Figure 6's grid.
+	cells := []cellKey{{arch.Power6, nas.LU, nas.ClassC, 16}, {arch.Power6, nas.LU, nas.ClassD, 16}}
+	if !testing.Short() {
+		cells = luCells()
 	}
-	// Order-independence: a serial runner and a heavily parallel runner
-	// must emit byte-identical figures — cells are evaluated on a pool
-	// but assembled in the paper's fixed order, and every underlying
-	// measurement is a pure function of its key.
 	serial := NewRunner()
 	serial.Workers = 1
 	parallel := NewRunner()
 	parallel.Workers = 8
 
+	const callers = 8
+	got := make([][]*core.Validation, callers)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]*core.Validation, len(cells))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each caller starts at a different cell.
+			for j := range cells {
+				i := (g + j) % len(cells)
+				k := cells[i]
+				v, err := parallel.Validate(k.target, k.bench, k.class, k.ck)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[g][i] = v
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// Order-independence: every measurement is a pure function of its
+	// key, so the serial runner's validations equal the shared ones.
+	for i, k := range cells {
+		for g := range got {
+			if got[g][i] != got[0][i] {
+				t.Fatalf("%v: the memo returned distinct instances", k)
+			}
+		}
+		want, err := serial.Validate(k.target, k.bench, k.class, k.ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got[0][i]) {
+			t.Errorf("%v: validation differs between serial and parallel runners", k)
+		}
+	}
+	if testing.Short() {
+		return
+	}
+
+	// Figures are assembled in the paper's fixed order from the memo.
 	fs, err := serial.LUFigure()
 	if err != nil {
 		t.Fatal(err)
@@ -124,45 +165,6 @@ func TestRunnerParallelMatchesSerial(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fs, fp) {
 		t.Errorf("LU figure differs between serial and parallel runners:\nserial:   %+v\nparallel: %+v", fs, fp)
-	}
-
-	// Concurrent external use of one runner: hammer the same grid from
-	// many goroutines; the single-flight caches must return the shared
-	// instances.
-	var wg sync.WaitGroup
-	cells := luCells()
-	got := make([]*Figure, 4)
-	for i := range got {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, err := parallel.LUFigure()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i] = f
-		}()
-	}
-	wg.Wait()
-	for i := range got {
-		if got[i] == nil || !reflect.DeepEqual(got[i], fp) {
-			t.Fatalf("concurrent LUFigure call %d diverged", i)
-		}
-	}
-	for _, k := range cells {
-		a, err := parallel.Validate(k.target, k.bench, k.class, k.ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := parallel.Validate(k.target, k.bench, k.class, k.ck)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a != b {
-			t.Fatal("single-flight cache returned distinct instances")
-		}
 	}
 }
 
@@ -175,14 +177,5 @@ func TestVerboseHook(t *testing.T) {
 	r.logf("hello %s", "world")
 	if len(lines) != 1 || !strings.Contains(lines[0], "hello") {
 		t.Error("verbose hook not invoked")
-	}
-}
-
-func TestCharCounts(t *testing.T) {
-	if got := charCounts(nas.LU); len(got) != 3 || got[2] != 16 {
-		t.Errorf("LU char counts = %v", got)
-	}
-	if got := charCounts(nas.BT); len(got) != 4 || got[3] != 128 {
-		t.Errorf("BT char counts = %v", got)
 	}
 }

@@ -1,7 +1,8 @@
-// Package lru is the one cache implementation behind swappd's caches: the
-// server's result cache and the core store's three artifact layers. It is a
-// bounded least-recently-used map with a single-flight table beside it. What
-// it guarantees, for every user:
+// Package lru is the one cache implementation in the tree: the server's
+// result cache, the core store's two artifact layers and the figures
+// runner's memo of finished validations. It is a bounded least-recently-used
+// map with a single-flight table beside it. What it guarantees, for every
+// user:
 //
 //   - At most max entries; inserting beyond that evicts the least recently
 //     used. Get, a Lookup hit and Finish refresh recency; Update does not.

@@ -26,7 +26,6 @@ package swapp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -217,44 +216,11 @@ func ProjectAndValidateContext(ctx context.Context, req Request) (*Result, error
 	return &Result{Request: req, Projection: v.Proj, Validation: v}, nil
 }
 
-// prepare builds the pipeline and app model for a request.
+// prepare runs core's preparation step for a request.
 func prepare(ctx context.Context, req Request) (*core.Pipeline, *core.AppModel, error) {
-	base := arch.MustGet(req.Base)
-	target := arch.MustGet(req.Target)
-	counts := charCountsFor(req.Bench, req.Class, req.Ranks)
-	pipe, err := core.NewPipelineCtx(ctx, base, target, counts,
+	return core.Prepare(ctx, arch.MustGet(req.Base), arch.MustGet(req.Target), req.Bench, req.Class, req.Ranks,
 		core.Options{Workers: req.Workers, Obs: req.Obs, Data: req.Data,
 			Store: req.Store, OnGAProgress: req.OnGAProgress})
-	if err != nil {
-		return nil, nil, err
-	}
-	app, err := pipe.CharacterizeAppCtx(ctx, req.Bench, req.Class, counts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return pipe, app, nil
-}
-
-// charCountsFor picks the base-machine characterisation sweep for a
-// request: the paper's counts, restricted to the benchmark's limits and
-// including the requested count when it is profile-able.
-func charCountsFor(b nas.Benchmark, c nas.Class, ranks int) []int {
-	max := nas.MaxRanks(b, c)
-	set := map[int]bool{}
-	for _, v := range []int{16, 32, 64, 128, ranks} {
-		if v >= 2 && v <= max {
-			set[v] = true
-		}
-	}
-	if b == nas.LU {
-		set[4], set[8] = true, true
-	}
-	var out []int
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // NewEvaluation returns a figures.Runner for regenerating the paper's full

@@ -2,13 +2,11 @@ package swapp
 
 import (
 	"context"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/nas"
 )
 
 func TestMachines(t *testing.T) {
@@ -123,51 +121,6 @@ func TestComputedProjectionReportsGAProgress(t *testing.T) {
 	for m := 0; m < ensemble; m++ {
 		if gens[m] < 1 {
 			t.Errorf("ensemble member %d reported %d generations, want ≥ 1 (all: %v)", m, gens[m], gens)
-		}
-	}
-}
-
-func TestCharCountsFor(t *testing.T) {
-	counts := charCountsFor(BT, ClassC, 96)
-	want := map[int]bool{16: true, 32: true, 64: true, 96: true, 128: true}
-	if len(counts) != len(want) {
-		t.Fatalf("charCountsFor = %v", counts)
-	}
-	for _, c := range counts {
-		if !want[c] {
-			t.Fatalf("unexpected count %d in %v", c, counts)
-		}
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] <= counts[i-1] {
-			t.Fatal("counts must be ascending")
-		}
-	}
-	lu := charCountsFor(LU, ClassC, 16)
-	for _, c := range lu {
-		if c > 16 {
-			t.Errorf("LU-MZ cannot profile at %d ranks", c)
-		}
-	}
-
-	// Every accepted count from 2 up is itself profiled, so the compute
-	// projection is characterised at the requested count: the pipeline's
-	// nearestCount(Ck) is Ck. Only Ck = 1 borrows a count — the smallest,
-	// every profiled count being ≥ 2.
-	for _, b := range []nas.Benchmark{BT, SP, LU} {
-		for _, c := range []nas.Class{ClassC, ClassD} {
-			for ranks := 2; ranks <= nas.MaxRanks(b, c); ranks++ {
-				if counts := charCountsFor(b, c, ranks); !slices.Contains(counts, ranks) {
-					t.Fatalf("charCountsFor(%s, %c, %d) = %v, lacks the requested count", b, c, ranks, counts)
-				}
-			}
-			want := 16
-			if b == LU {
-				want = 4
-			}
-			if counts := charCountsFor(b, c, 1); counts[0] != want || slices.Contains(counts, 1) {
-				t.Errorf("charCountsFor(%s, %c, 1) = %v; a 1-rank request must borrow %d", b, c, counts, want)
-			}
 		}
 	}
 }
