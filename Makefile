@@ -19,9 +19,10 @@ fmt:
 # offending lines: no ticker (nothing in the process runs on a timer of its
 # own); exactly one site each for the result-cache lookup, admission, the
 # evaluation call, the store's wiring and the outgoing peer request; one
-# definition of the characterisation-count policy (core's); and sync.Once
+# definition of the characterisation-count policy (core's); sync.Once
 # only where it runs something once and caches no value (internal/par,
-# internal/obs/http.go) — a cached value belongs in an lru.Cache.
+# internal/obs/http.go) — a cached value belongs in an lru.Cache; and one
+# breaker construction, newPeerSet's — nothing breaks the evaluation's circuit.
 INVARIANT_SRC = internal cmd swapp.go
 invariants:
 	@fail=0; \
@@ -37,6 +38,9 @@ invariants:
 	if [ "$$n" -ne 1 ]; then echo "invariants: the characterisation-count policy defined $$n times, want 1:"; echo "$$hits"; fail=1; fi; \
 	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'sync.Once' $(INVARIANT_SRC) | grep -v -e '^internal/par/' -e '^internal/obs/http.go:'); \
 	if [ -n "$$hits" ]; then echo "invariants: sync.Once outside internal/par and internal/obs/http.go:"; echo "$$hits"; fail=1; fi; \
+	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'newBreaker(' $(INVARIANT_SRC) | grep -vF 'func newBreaker('); \
+	n=$$(printf '%s' "$$hits" | grep -c .); \
+	if [ "$$n" -ne 1 ] || ! printf '%s' "$$hits" | grep -q '^internal/server/peer.go:'; then echo "invariants: newBreaker( at $$n sites, want 1, newPeerSet's:"; echo "$$hits"; fail=1; fi; \
 	exit $$fail
 
 # -shuffle=on randomises test (and subtest) execution order, so hidden
@@ -113,13 +117,14 @@ crash-smoke:
 	./scripts/crash_smoke.sh
 
 # Fault-tolerance suite under the race detector with shuffled order:
-# injected faults, recovered panics, breaker trips, the ring's seeded
+# injected faults, recovered panics, peer breaker trips, failed evaluations
+# that refuse no later request, the ring's seeded
 # kill/cut/rejoin schedules (TestRingChaosSchedules: bytes, per-replica
 # evaluation counts and their sum over the schedules all asserted), GA quarantine,
 # degraded-input projections. Fast — the heavy grids are elsewhere.
 chaos:
 	$(GO) test -race -shuffle=on -timeout 600s \
-		-run 'Chaos|Fault|Inject|Panic|Breaker|Quarantine|Degraded|Lenient|Dropped|GridGap' ./...
+		-run 'Chaos|Fault|Inject|Panic|Breaker|RefuseNothing|Quarantine|Degraded|Lenient|Dropped|GridGap' ./...
 
 # Statement coverage of the -short suite; CI enforces a 72% floor.
 cover:

@@ -71,13 +71,10 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		maxTimeout  = fs.Duration("max-timeout", 10*time.Minute, "upper bound on client-requested deadlines")
 		evalWorkers = fs.Int("eval-workers", 0, "engine worker pool per evaluation (0 = GOMAXPROCS); does not affect the numbers")
 		grace       = fs.Duration("grace", 30*time.Second, "drain deadline after SIGTERM/SIGINT")
-		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive failures tripping the circuit breaker (0 = default 5, negative = off)")
-		brkCooldown = fs.Duration("breaker-cooldown", 0, "open-circuit rejection window before a probe (0 = default 10s)")
 		self        = fs.String("self", "", "this replica's advertised base URL in peer-aware mode (e.g. http://10.0.0.1:8080)")
 		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables consistent-hash request routing (an unreachable replica is routed past, and found again, on its own)")
 		jobsActive  = fs.Int("jobs-active", 0, "max concurrently running async jobs (0 = default 2)")
 		jobsQueued  = fs.Int("jobs-queued", 0, "async jobs waiting beyond the running ones (0 = default 4x active)")
-		jobsTimeout = fs.Duration("jobs-timeout", 0, "async job deadline (0 = default 30m)")
 		jobsRetain  = fs.Int("jobs-retain", 0, "finished async jobs kept for polling (0 = default 64)")
 		dataDir     = fs.String("data-dir", "", "durable state directory: benchmark characterisation, written as it is built, and the WAL job journal; a restart on it — after SIGTERM or kill -9 alike — reads the characterisation back and re-runs unfinished jobs under their original IDs (empty = in-memory only)")
 		walSync     = fs.Duration("wal-sync", 0, "batch journal fsyncs to at most one per interval (0 = sync every record, the kill -9-safe default)")
@@ -109,23 +106,20 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 	scope := obs.New("swappd")
 	defer scope.End()
 	srv, err := server.NewDurable(server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheSize:        *cacheSize,
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTimeout,
-		EvalWorkers:      *evalWorkers,
-		Obs:              scope,
-		BreakerThreshold: *brkThresh,
-		BreakerCooldown:  *brkCooldown,
-		Eval:             evalOverride,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheSize:      *cacheSize,
+		DefaultTimeout: *timeout,
+		MaxTimeout:     *maxTimeout,
+		EvalWorkers:    *evalWorkers,
+		Obs:            scope,
+		Eval:           evalOverride,
 
 		Self:  *self,
 		Peers: peerList,
 
 		JobsMaxActive: *jobsActive,
 		JobsMaxQueued: *jobsQueued,
-		JobsTimeout:   *jobsTimeout,
 		JobsRetain:    *jobsRetain,
 
 		DataDir:      *dataDir,

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -54,7 +53,8 @@ type Tap struct {
 // function of the job's payload, so a journal-recovered job — or a client
 // resubmitting a failed one — just runs it again. tap's callback must be
 // called from at most the run's own goroutines. The returned bytes are the
-// job's result document, served verbatim.
+// job's result document, served verbatim. The manager sets no deadline: ctx
+// ends only when Close cancels it, and a run bounds itself.
 type RunFunc func(ctx context.Context, tap Tap) ([]byte, error)
 
 // ErrJobQueueFull rejects a submission when the backlog is at capacity.
@@ -90,8 +90,6 @@ type ManagerConfig struct {
 	// HistoryCap bounds retained progress snapshots per job (default 256,
 	// oldest dropped).
 	HistoryCap int
-	// Timeout is a job's deadline, from taking a slot (default 30m).
-	Timeout time.Duration
 	// Obs receives jobs.active / jobs.queued gauges and jobs.completed /
 	// jobs.failed counters. nil disables metrics.
 	Obs *obs.Scope
@@ -133,9 +131,6 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	if cfg.HistoryCap <= 0 {
 		cfg.HistoryCap = 256
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Minute
 	}
 	m := &Manager{
 		cfg:  cfg,
@@ -306,14 +301,11 @@ func (m *Manager) execute(j *Job, run RunFunc) {
 	m.obs.Gauge("jobs.active", float64(m.active.Add(1)))
 	defer func() { m.obs.Gauge("jobs.active", float64(m.active.Add(-1))) }()
 
-	ctx, cancel := context.WithTimeout(m.ctx, m.cfg.Timeout)
-	defer cancel()
-
 	j.mu.Lock()
 	j.state = JobRunning
 	j.mu.Unlock()
 
-	result, err := m.attempt(ctx, run, Tap{Progress: func(s Snapshot) { m.record(j, s) }})
+	result, err := m.attempt(m.ctx, run, Tap{Progress: func(s Snapshot) { m.record(j, s) }})
 	if err != nil && m.ctx.Err() != nil {
 		err = errShutdown
 	}

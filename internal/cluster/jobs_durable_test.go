@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -129,26 +128,21 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 }
 
 // TestOwnFailuresStillJournalDone is the other side of Close's silence: a
-// job that fails on its own, or runs into its own deadline, reached a
-// terminal state and must journal it, or every restart would re-run a job
-// that can only fail again.
+// job that fails on its own — its own error, or its own deadline (the
+// server's TestJobDeadlineIsTheRequests) — reached a terminal state and must
+// journal it, or every restart would re-run a job that can only fail again.
 func TestOwnFailuresStillJournalDone(t *testing.T) {
-	for name, tc := range map[string]struct {
-		cfg ManagerConfig
-		run RunFunc
-	}{
-		"fails": {ManagerConfig{}, func(ctx context.Context, tap Tap) ([]byte, error) {
+	for name, run := range map[string]RunFunc{
+		"fails": func(ctx context.Context, tap Tap) ([]byte, error) {
 			return nil, errors.New("no such machine")
-		}},
-		"times-out": {ManagerConfig{Timeout: 10 * time.Millisecond}, blockUntilCancelled},
+		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			jl := openTestJournal(t, t.TempDir(), nil)
 			defer jl.Close()
-			tc.cfg.Journal = jl
-			m := NewManager(tc.cfg)
+			m := NewManager(ManagerConfig{Journal: jl})
 			defer m.Close()
-			j, err := m.Submit("project", tc.run)
+			j, err := m.Submit("project", run)
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
 			}

@@ -204,8 +204,7 @@ func (s *Server) computeBatchItem(parent context.Context, wk batchWork) batchEnt
 	defer cancel()
 	doc, _, err := s.compute(ctx, digest(wk.spec.op, wk.req), wk.spec, wk.req, nil)
 	if err != nil {
-		status, _ := s.errorStatus(err)
-		return batchEntry{Status: status, Error: err.Error()}
+		return batchEntry{Status: s.errorStatus(err), Error: err.Error()}
 	}
 	return answeredEntry(doc)
 }

@@ -3,30 +3,20 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
 
-// breakerOpenError rejects a request while the circuit breaker is open:
-// the pipeline has failed repeatedly and hammering it helps nobody.
-// RetryAfter is the suggested client backoff, surfaced as a Retry-After
-// header on the 503.
-type breakerOpenError struct {
-	retryAfter time.Duration
-}
+// errBreakerOpen fails a peer call fast, with no network traffic, while
+// that peer's breaker is open.
+var errBreakerOpen = errors.New("server: circuit breaker open")
 
-func (e *breakerOpenError) Error() string {
-	return fmt.Sprintf("server: circuit breaker open, retry in %v", e.retryAfter.Round(time.Second))
-}
-
-// breaker is a consecutive-failure circuit breaker around the evaluation
-// pipeline. Closed, it passes everything and counts consecutive failures;
-// at threshold it opens and rejects for cooldown; after cooldown it
-// half-opens and lets exactly one probe through — the probe's outcome
-// re-closes or re-opens the circuit. Context cancellations, client
-// deadlines, and admission-queue rejections are breaker-neutral: they say
-// nothing about the pipeline's health.
+// breaker is a consecutive-failure circuit breaker around the calls to one
+// peer. Closed, it passes everything and counts consecutive failures; at
+// threshold it opens and rejects for cooldown; after cooldown it half-opens
+// and lets exactly one probe through — the probe's outcome re-closes or
+// re-opens the circuit. The caller's own cancellation or deadline is
+// neutral: it says nothing about the peer.
 //
 // A nil *breaker is a disabled breaker: allow always passes, record is a
 // no-op.
@@ -57,38 +47,37 @@ func newBreaker(threshold int, cooldown time.Duration, now func() time.Time) *br
 	return &breaker{threshold: threshold, cooldown: cooldown, now: now}
 }
 
-// allow reports whether a request may proceed. When it may not, retryAfter
-// suggests how long the client should wait. The transition open→half-open
+// allow reports whether a call may proceed. The transition open→half-open
 // happens here: the first allow after the cooldown becomes the probe.
-func (b *breaker) allow() (retryAfter time.Duration, ok bool) {
+func (b *breaker) allow() bool {
 	if b == nil {
-		return 0, true
+		return true
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerClosed:
-		return 0, true
+		return true
 	case breakerOpen:
-		if remaining := b.openedAt.Add(b.cooldown).Sub(b.now()); remaining > 0 {
-			return remaining, false
+		if b.now().Before(b.openedAt.Add(b.cooldown)) {
+			return false
 		}
 		b.state = breakerHalfOpen
 		b.probing = true
-		return 0, true
+		return true
 	default: // half-open
 		if b.probing {
-			return b.cooldown, false
+			return false
 		}
 		b.probing = true
-		return 0, true
+		return true
 	}
 }
 
-// record reports one evaluation outcome. Neutral errors (cancellation,
-// deadline, queue-full) release a probe without a verdict; success closes
-// the circuit; a real failure counts toward the threshold and re-opens a
-// half-open circuit immediately.
+// record reports one call's outcome. A neutral error (the caller's
+// cancellation or deadline) releases a probe without a verdict; success
+// closes the circuit; a real failure counts toward the threshold and
+// re-opens a half-open circuit immediately.
 func (b *breaker) record(err error) {
 	if b == nil {
 		return
@@ -113,12 +102,8 @@ func (b *breaker) record(err error) {
 	}
 }
 
-// neutralErr reports whether an evaluation error says nothing about the
-// pipeline's health and must not move the breaker.
+// neutralErr reports whether a call's error is the caller's own giving up,
+// which says nothing about the peer and must not move its breaker.
 func neutralErr(err error) bool {
-	var boe *breakerOpenError
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, errQueueFull) ||
-		errors.As(err, &boe)
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -8,12 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	swapp "repro"
+	"repro/internal/cluster"
 	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
@@ -162,54 +162,34 @@ func TestPanickingLeaderReleasesFollowers(t *testing.T) {
 	}
 }
 
-// TestBreakerOpensAfterRepeatedFailures drives the breaker through a
-// full trip/probe/recover cycle over HTTP with an injected error fault
-// and a fake clock.
-func TestBreakerOpensAfterRepeatedFailures(t *testing.T) {
+// TestFailuresRefuseNothing: there is no breaker around the evaluation. A
+// run of failed evaluations — one client's bad input, say — is ten 500s and
+// nothing more: the next valid request is evaluated and answered 200, and so
+// is a job submitted after them.
+func TestFailuresRefuseNothing(t *testing.T) {
 	defer faultinject.Disarm()
-	if err := faultinject.Arm("server.eval=error#3"); err != nil {
+	if err := faultinject.Arm("server.eval=error#10"); err != nil {
 		t.Fatal(err)
 	}
-	clk := &fakeClock{t: time.Unix(1000, 0)}
 	eval := &stubEval{}
-	scope := obs.New("test")
-	cfg := Config{
-		Workers: 1, Obs: scope,
-		BreakerThreshold: 3, BreakerCooldown: 10 * time.Second,
-		nowFn: clk.now,
-	}
-	_, ts := newTestServer(t, cfg, eval)
+	_, ts := newTestServer(t, Config{Workers: 1}, eval)
 
-	// Three injected failures trip the breaker. Distinct ranks dodge the
-	// cache and singleflight.
-	for i := 0; i < 3; i++ {
-		body := fmt.Sprintf(`{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":%d}`, 16>>i)
+	// Distinct ranks dodge the cache and singleflight.
+	for ranks := 1; ranks <= 10; ranks++ {
+		body := fmt.Sprintf(`{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":%d}`, ranks)
 		if resp := postEval(t, ts.URL, body); resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("failure %d: status %d, want 500", i, resp.StatusCode)
+			t.Fatalf("failure %d: status %d, want 500", ranks, resp.StatusCode)
 		}
 	}
-	// Tripped: next request is rejected without evaluating.
-	resp := postEval(t, ts.URL, chaosBody)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("open breaker: status %d, want 503", resp.StatusCode)
-	}
-	ra, err := strconv.Atoi(resp.Header.Get("Retry-After"))
-	if err != nil || ra < 1 {
-		t.Errorf("open breaker Retry-After = %q, want >= 1s", resp.Header.Get("Retry-After"))
-	}
-	if eval.calls.Load() != 0 {
-		t.Errorf("breaker-rejected request reached the evaluator")
-	}
-
-	// After the cooldown the probe passes; the fault is exhausted so it
-	// succeeds and the circuit closes for everyone.
-	clk.advance(11 * time.Second)
 	if resp := postEval(t, ts.URL, chaosBody); resp.StatusCode != http.StatusOK {
-		t.Fatalf("probe after cooldown: status %d, want 200", resp.StatusCode)
+		t.Fatalf("request after ten failures: status %d, want 200", resp.StatusCode)
 	}
-	body := fmt.Sprintf(`{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":%d}`, 2)
-	if resp := postEval(t, ts.URL, body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-recovery request: status %d, want 200", resp.StatusCode)
+	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone {
+		t.Errorf("job after ten failures = %s (%q), want done", final.State, final.Error)
+	}
+	if n := eval.calls.Load(); n != 2 {
+		t.Errorf("%d evaluations reached the evaluator, want the request's and the job's", n)
 	}
 }
 

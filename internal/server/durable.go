@@ -97,6 +97,6 @@ func (s *Server) resubmitRecovered(spec cluster.JobSpec) bool {
 	if err != nil {
 		return false
 	}
-	_, err = s.jobs.SubmitJob(spec, s.jobRun(epSpec, req))
+	_, err = s.jobs.SubmitJob(spec, s.jobRun(epSpec, req, s.timeoutFor(jreq.Request)))
 	return err == nil
 }

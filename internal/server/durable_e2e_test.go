@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -168,6 +169,35 @@ func TestNewDurableWithoutDataDirIsNew(t *testing.T) {
 	ts := newHTTPServer(t, s)
 	if code, _, _ := post(t, ts.URL+"/v1/project", reqBT); code != 200 {
 		t.Errorf("project status = %d", code)
+	}
+}
+
+// TestJobDeadlineIsTheRequests: a job runs under its request's timeout_ms,
+// as a request or batch member does, from the moment it takes a slot. It
+// ends failed with the deadline's error and, having reached a terminal state
+// on its own, journals its done record, so no restart re-runs it.
+func TestJobDeadlineIsTheRequests(t *testing.T) {
+	s, err := NewDurable(Config{Workers: 1, DataDir: t.TempDir(), Eval: func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := newHTTPServer(t, s)
+	body := `{"request":{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16,"timeout_ms":50}}`
+	st := submitJob(t, ts.URL, body)
+	final := waitJobDone(t, ts.URL, st.ID)
+	if final.State != cluster.JobFailed || !strings.Contains(final.Error, context.DeadlineExceeded.Error()) {
+		t.Fatalf("job = %s (%q), want failed on its deadline", final.State, final.Error)
+	}
+	pending, err := s.journal.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pending) != 0 || s.journal.Stats().Records != 2 {
+		t.Errorf("pending = %+v, %d records; want none pending, submit + done", pending, s.journal.Stats().Records)
 	}
 }
 

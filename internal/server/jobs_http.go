@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"time"
 
 	swapp "repro"
 	"repro/internal/cluster"
@@ -50,7 +51,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	job, err := s.jobs.SubmitJob(cluster.JobSpec{Op: op, Payload: payload}, s.jobRun(spec, req))
+	job, err := s.jobs.SubmitJob(cluster.JobSpec{Op: op, Payload: payload}, s.jobRun(spec, req, s.timeoutFor(jreq.Request)))
 	if err != nil {
 		// A full queue drains, so the client is told to come back; a
 		// replica that is shutting down is not worth retrying.
@@ -84,13 +85,14 @@ func (jreq jobRequest) resolve() (op string, spec endpointSpec, req swapp.Reques
 
 // jobRun builds the background run function for one submitted job: the
 // path every delivery takes, minus the owner hop — held, else compute with
-// the GA progress tap wired to the job's streams. A job whose result this
-// replica holds therefore finishes at once, with no progress events and the
-// endpoint's bytes; a computed job leaves its result in the LRU for the
-// next caller; and jobs share the sync path's admission pool, breaker and
-// single-flight (a job that joins an evaluation already running streams no
-// progress either).
-func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
+// the GA progress tap wired to the job's streams, under the request's own
+// deadline (timeoutFor) from the moment the job takes a slot. A job whose
+// result this replica holds therefore finishes at once, with no progress
+// events and the endpoint's bytes; a computed job leaves its result in the
+// LRU for the next caller; and jobs share the sync path's admission pool,
+// deadline and single-flight (a job that joins an evaluation already running
+// streams no progress either).
+func (s *Server) jobRun(spec endpointSpec, req swapp.Request, timeout time.Duration) cluster.RunFunc {
 	key := digest(spec.op, req)
 	return func(ctx context.Context, tap cluster.Tap) ([]byte, error) {
 		if doc, ok := s.held(key, spec); ok {
@@ -102,6 +104,8 @@ func (s *Server) jobRun(spec endpointSpec, req swapp.Request) cluster.RunFunc {
 				tap.Progress(cluster.Snapshot{Member: member, Generation: gen, BestFitness: best})
 			}
 		}
+		ctx, cancel := context.WithTimeout(ctx, timeout)
+		defer cancel()
 		doc, _, err := s.compute(ctx, key, spec, req, progress)
 		return doc, err
 	}

@@ -5,8 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"sync/atomic"
@@ -342,46 +340,5 @@ func TestComputedJobFillsResultCache(t *testing.T) {
 	}
 	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, sync) {
 		t.Errorf("job result differs from the hit it produced:\njob:  %s\nsync: %s", got, sync)
-	}
-}
-
-// TestJobsShareTheBreaker: jobs go through the breaker the synchronous path
-// goes through. Their failures count toward its threshold
-// exactly as a failed request does, and a job submitted while it is open
-// fails fast with the breaker's message instead of evaluating.
-func TestJobsShareTheBreaker(t *testing.T) {
-	var calls atomic.Int64
-	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		calls.Add(1)
-		return nil, errors.New("pipeline broken")
-	}
-	clk := &fakeClock{t: time.Unix(1000, 0)}
-	s := New(Config{Workers: 2, Eval: eval, BreakerThreshold: 3, BreakerCooldown: time.Hour, nowFn: clk.now})
-	ts := newHTTPServer(t, s)
-	body := func(ranks int) string {
-		return fmt.Sprintf(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":%d}`, ranks)
-	}
-
-	// One failed request and two failed jobs make three.
-	if code, _, out := post(t, ts.URL+"/v1/project", body(16)); code != http.StatusInternalServerError {
-		t.Fatalf("failing request: status %d: %s", code, out)
-	}
-	for _, ranks := range []int{32, 64} {
-		st := submitJob(t, ts.URL, `{"request":`+body(ranks)+`}`)
-		if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobFailed || !strings.Contains(final.Error, "pipeline broken") {
-			t.Fatalf("failing job = %s (%q), want failed with the pipeline's error", final.State, final.Error)
-		}
-	}
-	if code, hdr, out := post(t, ts.URL+"/v1/project", body(128)); code != http.StatusServiceUnavailable || hdr.Get("Retry-After") == "" {
-		t.Fatalf("request after three failures: status %d (Retry-After %q): %s; want the open breaker's 503", code, hdr.Get("Retry-After"), out)
-	}
-
-	st := submitJob(t, ts.URL, `{"request":`+body(256)+`}`)
-	final := waitJobDone(t, ts.URL, st.ID)
-	if final.State != cluster.JobFailed || !strings.Contains(final.Error, "circuit breaker open") {
-		t.Errorf("job against an open breaker = %s (%q), want failed with the breaker's message", final.State, final.Error)
-	}
-	if n := calls.Load(); n != 3 {
-		t.Errorf("%d evaluations ran, want the 3 that opened the breaker", n)
 	}
 }

@@ -117,8 +117,8 @@ var errDestination = errors.New("server: call failed at its destination")
 // peer. Every peer call is a forward and is marked as one (forwardedHeader).
 func (p *peerSet) post(ctx context.Context, addr, path string, payload []byte) (body []byte, hdr http.Header, err error) {
 	to := p.peers[addr]
-	if ra, ok := to.breaker.allow(); !ok {
-		return nil, nil, &breakerOpenError{retryAfter: ra}
+	if !to.breaker.allow() {
+		return nil, nil, errBreakerOpen
 	}
 	defer func() {
 		switch {

@@ -97,9 +97,8 @@ func TestPeerCallIsOneAttempt(t *testing.T) {
 				t.Errorf("%d requests reached the listener, want %d", got, tc.wantRequests)
 			}
 			if tc.open {
-				var boe *breakerOpenError
-				if !errors.As(err, &boe) || brk.state != breakerOpen {
-					t.Errorf("err = %v with the breaker in state %d, want a breakerOpenError from a breaker still open", err, brk.state)
+				if !errors.Is(err, errBreakerOpen) || brk.state != breakerOpen {
+					t.Errorf("err = %v with the breaker in state %d, want errBreakerOpen from a breaker still open", err, brk.state)
 				}
 			} else if brk.failures != tc.wantFailures || brk.state != breakerClosed {
 				t.Errorf("the breaker counted %d failures (state %d), want %d and closed", brk.failures, brk.state, tc.wantFailures)

@@ -95,13 +95,6 @@ type Config struct {
 	// server.cache.characterisation_hits / server.cache.profile_hits with
 	// their _misses and _size twins, …). nil disables them.
 	Obs *obs.Scope
-	// BreakerThreshold is the consecutive evaluation failures that trip
-	// the circuit breaker (default 5; negative disables the breaker).
-	// Cancellations, client deadlines, and queue rejections never count.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker rejects with 503
-	// before letting a single probe through (default 10s).
-	BreakerCooldown time.Duration
 	// Self is this replica's advertised base URL (e.g.
 	// "http://127.0.0.1:8080") and Peers the other replicas' base URLs.
 	// When both are set the server runs peer-aware: a consistent-hash ring
@@ -115,12 +108,11 @@ type Config struct {
 	// where they land (no multi-hop routing).
 	Self  string
 	Peers []string
-	// JobsMaxActive / JobsMaxQueued / JobsTimeout / JobsRetain parameterise
-	// the async jobs API (zero values take the cluster.ManagerConfig
-	// defaults).
+	// JobsMaxActive / JobsMaxQueued / JobsRetain parameterise the async
+	// jobs API (zero values take the cluster.ManagerConfig defaults). A
+	// job's deadline is its request's timeout_ms, as for any request.
 	JobsMaxActive int
 	JobsMaxQueued int
-	JobsTimeout   time.Duration
 	JobsRetain    int
 	// DataDir roots the server's durable state: a WAL-backed job journal
 	// under DataDir/journal and the characterisation layer's files under
@@ -139,7 +131,7 @@ type Config struct {
 	WALSyncEvery time.Duration
 	// Eval overrides the evaluation function (tests).
 	Eval EvalFunc
-	// nowFn overrides the breaker's clock (tests).
+	// nowFn overrides the peer breakers' clock (tests).
 	nowFn func() time.Time
 	// journal and charDir are plumbed by NewDurable into the job manager
 	// and the layered store; New leaves them zero (nothing on disk).
@@ -149,14 +141,13 @@ type Config struct {
 
 // Server is the projection service. Create with New, expose via Handler.
 type Server struct {
-	cfg     Config
-	obs     *obs.Scope
-	eval    EvalFunc
-	cache   *resultCache
-	store   *core.Store      // shared layered artifact cache
-	breaker *breaker         // nil when disabled
-	peers   *peerSet         // nil when peer-aware mode is off
-	jobs    *cluster.Manager // async jobs API
+	cfg   Config
+	obs   *obs.Scope
+	eval  EvalFunc
+	cache *resultCache
+	store *core.Store      // shared layered artifact cache
+	peers *peerSet         // nil when peer-aware mode is off
+	jobs  *cluster.Manager // async jobs API
 
 	journal *cluster.Journal // durable job journal; nil without DataDir
 
@@ -186,12 +177,6 @@ func New(cfg Config) *Server {
 	if cfg.Eval == nil {
 		cfg.Eval = defaultEval
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 10 * time.Second
-	}
 	if cfg.nowFn == nil {
 		cfg.nowFn = time.Now
 	}
@@ -203,9 +188,6 @@ func New(cfg Config) *Server {
 		store: core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache", Dir: cfg.charDir}),
 		sem:   make(chan struct{}, cfg.Workers),
 	}
-	if cfg.BreakerThreshold > 0 {
-		s.breaker = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.nowFn)
-	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {
 		s.peers = newPeerSet(cfg.Self, cfg.Peers, cfg.nowFn)
 	}
@@ -213,7 +195,6 @@ func New(cfg Config) *Server {
 	s.jobs = cluster.NewManager(cluster.ManagerConfig{
 		MaxActive: cfg.JobsMaxActive,
 		MaxQueued: cfg.JobsMaxQueued,
-		Timeout:   cfg.JobsTimeout,
 		Retain:    cfg.JobsRetain,
 		Journal:   cfg.journal,
 		Obs:       cfg.Obs,
@@ -355,9 +336,9 @@ func (s *Server) handleEval(spec endpointSpec) http.HandlerFunc {
 		}
 		s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
 		if err != nil {
-			status, retryAfter := s.errorStatus(err)
-			if retryAfter != "" {
-				w.Header().Set("Retry-After", retryAfter)
+			status := s.errorStatus(err)
+			if status == http.StatusServiceUnavailable {
+				w.Header().Set("Retry-After", "1") // the admission queue drains
 			}
 			writeError(w, status, err)
 			return
@@ -386,42 +367,28 @@ func evalRequest(body APIRequest) (swapp.Request, error) {
 	}.Normalized()
 }
 
-// errorStatus maps an evaluation error to its HTTP status and Retry-After
-// hint (empty when none), counting the rejection/error metrics as a side
-// effect — shared by the single-request endpoints and the batch entries.
-func (s *Server) errorStatus(err error) (status int, retryAfter string) {
-	var boe *breakerOpenError
+// errorStatus maps an evaluation error to its HTTP status, counting the
+// rejection/error metrics as a side effect — shared by the single-request
+// endpoints and the batch entries. A full admission queue is the one 503.
+func (s *Server) errorStatus(err error) int {
 	switch {
 	case errors.Is(err, errQueueFull):
 		s.obs.Count("server.rejected", 1)
-		return http.StatusServiceUnavailable, "1"
-	case errors.As(err, &boe):
-		s.obs.Count("server.breaker_rejected", 1)
-		return http.StatusServiceUnavailable, retryAfterSeconds(boe.retryAfter)
+		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout, ""
+		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		// Client went away; the status is for the log line only.
-		return statusClientClosedRequest, ""
+		return statusClientClosedRequest
 	default:
 		s.obs.Count("server.errors", 1)
-		return http.StatusInternalServerError, ""
+		return http.StatusInternalServerError
 	}
 }
 
 // statusClientClosedRequest is nginx's conventional code for a request
 // cancelled by its client; net/http has no named constant for it.
 const statusClientClosedRequest = 499
-
-// retryAfterSeconds renders a backoff hint as a Retry-After header value:
-// whole seconds, rounded up, at least 1.
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
-}
 
 // outcome says where an answered document came from. It is the X-Cache
 // value of the reply; a forwarded reply carries its owner's.
@@ -515,18 +482,12 @@ func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swap
 	}
 }
 
-// lead runs the evaluation its caller was elected to lead: pass the breaker
-// and admission control, run it through the shared layered store with the
-// caller's progress tap, and finish the flight — whatever happens — so every
+// lead runs the evaluation its caller was elected to lead: pass admission
+// control, run it through the shared layered store with the caller's
+// progress tap, and finish the flight — whatever happens — so every
 // follower is released.
 func (s *Server) lead(ctx context.Context, op string, key cacheKey, req swapp.Request, progress progressFunc) (entry, error) {
-	if ra, ok := s.breaker.allow(); !ok {
-		err := &breakerOpenError{retryAfter: ra}
-		s.cache.Finish(key, entry{}, err)
-		return entry{}, err
-	}
 	if err := s.admit(ctx); err != nil {
-		s.breaker.record(err) // queue-full and ctx errors are neutral
 		s.cache.Finish(key, entry{}, err)
 		return entry{}, err
 	}
@@ -537,7 +498,6 @@ func (s *Server) lead(ctx context.Context, op string, key cacheKey, req swapp.Re
 	res, err := s.runEval(ctx, op, req)
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(-1)))
 	<-s.sem
-	s.breaker.record(err)
 	e := entry{res: res}
 	s.obs.Gauge("server.cache.result_size", float64(s.cache.Finish(key, e, err)))
 	return e, err

@@ -475,6 +475,7 @@ func TestBadRequests(t *testing.T) {
 		{"bad class", `{"target":"power6-575","bench":"BT-MZ","class":"CD","ranks":16}`},
 		{"unknown bench", `{"target":"power6-575","bench":"CG-MZ","class":"C","ranks":16}`},
 		{"ranks beyond limit", `{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":512}`},
+		{"ranks beyond the target's cores", `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":256}`},
 		{"base equals target", `{"base":"power6-575","target":"power6-575","bench":"BT-MZ","class":"C","ranks":16}`},
 		{"unknown field", `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16,"bogus":1}`},
 		{"malformed json", `{`},

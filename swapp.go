@@ -109,10 +109,12 @@ func (r Request) withDefaults() (Request, error) {
 	if r.Base == "" {
 		r.Base = BaseHydra
 	}
-	if _, err := arch.Get(r.Base); err != nil {
+	base, err := arch.Get(r.Base)
+	if err != nil {
 		return r, err
 	}
-	if _, err := arch.Get(r.Target); err != nil {
+	target, err := arch.Get(r.Target)
+	if err != nil {
 		return r, err
 	}
 	if r.Base == r.Target {
@@ -125,6 +127,13 @@ func (r Request) withDefaults() (Request, error) {
 		return r, fmt.Errorf("swapp: unknown benchmark/class %s.%c", r.Bench, r.Class)
 	} else if r.Ranks > max {
 		return r, fmt.Errorf("swapp: %s.%c supports at most %d ranks", r.Bench, r.Class, max)
+	}
+	// The application runs on the base and the benchmarks at Ck on both
+	// machines, so Ck must fit the smaller one.
+	for _, m := range []*arch.Machine{base, target} {
+		if r.Ranks > m.TotalCores {
+			return r, fmt.Errorf("swapp: %s has %d cores, fewer than %d ranks", m.Name, m.TotalCores, r.Ranks)
+		}
 	}
 	return r, nil
 }
