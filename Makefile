@@ -62,12 +62,16 @@ race:
 # fire (waited: a heap event and a switch; unwaited: a stamp, ~10x cheaper),
 # BenchmarkSpawnRun's allocs/op the cost of a one-shot 64-process kernel,
 # BenchmarkResetRun's (~0) the same kernel reused through Reset. The third is
-# the serving layer: the peer-hop number (one grouped /v1/batch against primed
-# owners on a 2-, 4- and 8-replica in-process ring) and one 64-item all-hit
-# /v1/batch through the handler.
+# one application run on the simulator (nas BenchmarkRun: BT-MZ.C@16 on Hydra,
+# profiler on): its B/op and allocs/op are what every profile costs the heap,
+# and stay flat in the run's timesteps because a wait frees its requests. The
+# fourth is the serving layer: the peer-hop number (one grouped /v1/batch
+# against primed owners on a 2-, 4- and 8-replica in-process ring) and one
+# 64-item all-hit /v1/batch through the handler.
 bench:
 	$(GO) test -run '^$$' -bench 'RunSpeedup|EnforceSparsity|TopK' -benchtime 1x ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
+	$(GO) test -run '^$$' -bench 'BenchmarkRun$$' -benchmem ./internal/nas
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads

@@ -37,9 +37,10 @@
 // memory — the cheap way to run hundreds of small simulations back to back
 // (an IMB table is ~300). Reset kills everything the kernel handed out:
 // every Proc and Signal from before it is storage about to be handed out
-// again, and using one is a bug nothing detects. A kernel that is never
-// Reset keeps no memory it is done with — its arenas retain chunks only
-// from the first Reset on; Arena says why.
+// again, and using one is a bug nothing detects. Release does the same for
+// one signal at a time, mid-run. A kernel that is never Reset keeps no
+// memory it is done with — its arenas retain chunks only from the first
+// Reset on; Arena says why.
 package des
 
 import (
@@ -463,10 +464,11 @@ func (c *coro) run() {
 // Once fired it stays fired.
 //
 // Signals are carved from kernel-owned slabs and named lazily: simulation
-// code mints millions of them, and almost none ever shows its name. For
-// the same reason a Signal is kept to 64 bytes (TestSignalSize): a
-// one-shot world carves fresh chunks of them, so every byte is paid per
-// message.
+// code mints millions of them, and almost none ever shows its name. A
+// signal that is done with can be handed back (Release), so a run that
+// releases each message's signal carves only as many as are in flight at
+// once. A Signal is kept to 64 bytes (TestSignalSize), one cache line:
+// every message writes one, and Release zeroes it whole.
 type Signal struct {
 	k    *Kernel
 	kind string
@@ -497,6 +499,19 @@ func (k *Kernel) newSignal(kind string, id int) *Signal {
 	s := k.sigs.New()
 	s.k, s.kind, s.id = k, kind, id
 	return s
+}
+
+// Release hands s's storage back to the kernel for the next signal. Release
+// only a signal that nothing can fire again or wait on again: one whose one
+// fire has run (or, stamped, has passed) and whose waiters all woke. A
+// released signal is dead; keeping a pointer to it is a bug nothing
+// detects, as after Reset. Release panics if s has not fired or still has
+// a waiter.
+func (k *Kernel) Release(s *Signal) {
+	if s.k != k || !s.Fired() || s.w0 != nil || s.more != 0 {
+		panic(fmt.Sprintf("des: Release of signal %s, which has not fired or is waited on", s.Name()))
+	}
+	k.sigs.Free(s)
 }
 
 // Name returns the signal's name, formatting it on first use.

@@ -491,11 +491,11 @@ func TestResetAfterEveryEnding(t *testing.T) {
 	}
 }
 
-// TestSignalSize: a one-shot world carves fresh Signal chunks, so a Signal
-// that grows costs every message; the heap moves events, so an event that
-// grows costs every push and pop. Adding the deferred fire's stamp as two
-// plain fields made a Signal 96 bytes and a cold projection allocate 5–15 %
-// more memory.
+// TestSignalSize: every message writes a Signal and Release zeroes it, so a
+// Signal that grows costs every message; the heap moves events, so an event
+// that grows costs every push and pop. Adding the deferred fire's stamp as
+// two plain fields made a Signal 96 bytes and, before signals were
+// released, a cold projection allocate 5–15 % more memory.
 func TestSignalSize(t *testing.T) {
 	if n := unsafe.Sizeof(Signal{}); n > 64 {
 		t.Errorf("Signal is %d bytes, want at most 64", n)
@@ -576,6 +576,131 @@ func TestArenaKeepsChunksOnlyOnceRewound(t *testing.T) {
 	}
 	if len(a.chunks) != 2 {
 		t.Errorf("re-carving kept chunks allocated: %d chunks, want 2", len(a.chunks))
+	}
+}
+
+func TestArenaFreeHandsRecordsBack(t *testing.T) {
+	var a Arena[Signal]
+	a.Rewind() // keep chunks, so the second Rewind re-carves this one
+	first, x, y := a.New(), a.New(), a.New()
+	x.kind, x.fired = "x", true
+	y.kind = "y"
+	a.Free(x)
+	a.Free(y)
+	if *x != (Signal{}) || *y != (Signal{}) {
+		t.Error("Free left a record's fields set")
+	}
+	if got := a.New(); got != y {
+		t.Error("New did not hand out the last freed record first")
+	}
+	if got := a.New(); got != x || *got != (Signal{}) {
+		t.Errorf("New handed out %p (%+v), want the freed record %p, zeroed", got, *got, x)
+	}
+	if got := a.New(); got == first || got == x || got == y {
+		t.Error("New handed out a live record once the freed ones were used")
+	}
+
+	a.Free(x)
+	a.Rewind()
+	if len(a.dead) != 0 {
+		t.Fatalf("Rewind kept %d freed records", len(a.dead))
+	}
+	if got := a.New(); got != first {
+		t.Error("after Rewind, New did not re-carve the kept chunk from its start")
+	}
+
+	// Freeing as fast as New carves needs no chunk beyond the first.
+	var b Arena[Signal]
+	if n := testing.AllocsPerRun(1000, func() { b.Free(b.New()) }); n != 0 {
+		t.Errorf("New after Free allocated %.0f times per pair, want 0", n)
+	}
+}
+
+// TestReleaseRecyclesSignals: a signal released after its wait is the next
+// one NewSignal hands out, zeroed, and a run that releases every signal it
+// waits on carves no more than are in flight.
+func TestReleaseRecyclesSignals(t *testing.T) {
+	k := NewKernel()
+	var got []*Signal
+	k.Spawn("p", func(p *Proc) {
+		for i := 0; i < 3*arenaChunk; i++ {
+			s := k.NewSignalKind("t", i)
+			got = append(got, s)
+			k.FireAt(s, 1)
+			if i%2 == 1 {
+				p.Advance(2) // the fire has passed: a stamp, no event
+			}
+			p.WaitSignal(s)
+			k.Release(s)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range got {
+		if s != got[0] {
+			t.Fatalf("signal %d is a new record, want the released one", i)
+		}
+	}
+	if k.Now() != 3*arenaChunk*1.5 {
+		t.Errorf("run ended at %v, want %v", k.Now(), 3*arenaChunk*1.5)
+	}
+}
+
+func TestReleasePanicsOnALiveSignal(t *testing.T) {
+	release := func(k *Kernel, s *Signal) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		k.Release(s)
+		return ""
+	}
+	k := NewKernel()
+	if msg := release(k, k.NewSignal("unfired")); !strings.Contains(msg, "unfired") {
+		t.Errorf("Release of an unfired signal: %q, want a panic naming it", msg)
+	}
+	stamped := k.NewSignal("stamped")
+	k.FireAt(stamped, 1)
+	if msg := release(k, stamped); !strings.Contains(msg, "stamped") {
+		t.Errorf("Release of a signal whose fire is still due: %q, want a panic", msg)
+	}
+	if msg := release(NewKernel(), k.NewSignal("foreign")); !strings.Contains(msg, "foreign") {
+		t.Errorf("Release on another kernel: %q, want a panic", msg)
+	}
+
+	// Waited on: inline, and on a waiter list.
+	for _, waiters := range []int{1, 3} {
+		k := NewKernel()
+		s := k.NewSignal("waited")
+		for i := 0; i < waiters; i++ {
+			k.SpawnKind("w", i, func(p *Proc) { p.WaitSignal(s) })
+		}
+		var msg string
+		k.Spawn("r", func(p *Proc) {
+			s.fired = true // as if fired, with the waiters not yet woken
+			msg = release(k, s)
+			s.fired = false
+			s.Fire()
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(msg, "waited") {
+			t.Errorf("Release of a signal with %d waiters: %q, want a panic", waiters, msg)
+		}
+	}
+
+	// Fired and woken: released, and its storage is the next signal's.
+	k = NewKernel()
+	s := k.NewSignal("done")
+	s.Fire()
+	if msg := release(k, s); msg != "" {
+		t.Fatalf("Release of a fired signal panicked: %s", msg)
+	}
+	if next := k.NewSignal("next"); next != s || next.Fired() {
+		t.Error("the released signal was not handed out next, unfired")
 	}
 }
 

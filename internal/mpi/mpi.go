@@ -26,9 +26,14 @@
 // few hundred measurements cost the allocations of one. A World has a
 // single owner — whoever calls Run calls Reset — and Reset kills every
 // Request (and the kernel's every Proc and Signal) handed out before it.
-// Run refuses a world that has run and was not Reset. Memory is retained
-// only from the first Reset on, so a one-shot world (every application
-// run) still lets its dead requests be collected while it runs.
+// Run refuses a world that has run and was not Reset.
+//
+// A request's wait ends its life, as MPI_Wait sets a completed handle to
+// MPI_REQUEST_NULL: the Request and its completion signal go back to the
+// world and the next message reuses them. A run therefore holds only the
+// requests in flight at once, however many timesteps it simulates, and a
+// one-shot world (every application run) recycles the same way a Reset one
+// does.
 package mpi
 
 import (
@@ -117,7 +122,7 @@ type Observer interface {
 type pending struct {
 	src, tag int
 	post     units.Seconds // when the operation was posted (after overhead)
-	req      *Request
+	req      *Request      // nil on an eager send's entry: nothing reads it again
 
 	// Sends only.
 	arrival units.Seconds // eager: when the payload lands at the destination
@@ -149,7 +154,9 @@ func (l *matchList) take(src, tag int) (pending, bool) {
 	return pending{}, false
 }
 
-// Request is a non-blocking operation handle.
+// Request is a non-blocking operation handle. It is dead once a wait on it
+// (Wait, Waitall) has returned: its storage is the next message's, so
+// waiting on it again is a bug.
 type Request struct {
 	done   *des.Signal
 	size   units.Bytes
@@ -193,7 +200,8 @@ type World struct {
 	signals int       // unique signal naming
 
 	// A simulated job mints one Request per message — millions per
-	// characterisation — so they are carved from an arena.
+	// characterisation — so they are carved from an arena, and each goes
+	// back to it at its wait (release).
 	reqs des.Arena[Request]
 
 	ranks   []Rank        // the rank handles, reused by every Run
@@ -474,7 +482,9 @@ func (r *Rank) isend(dst int, size units.Bytes, tag int, report bool) *Request {
 		if matched {
 			w.fireAt(rq.req.done, arrival)
 		} else {
-			send.arrival, send.eager = arrival, true
+			// The receive that takes this entry reads only its arrival,
+			// and req may be released at its wait before then.
+			send.arrival, send.eager, send.req = arrival, true, nil
 			w.unexpected[dst] = append(w.unexpected[dst], send)
 		}
 	}
@@ -534,7 +544,19 @@ func (w *World) completeRendezvous(dst int, send, recv pending) {
 	w.fireAt(recv.req.done, arrival)
 }
 
-// Waitall blocks until every request completes.
+// release ends a completed request's life: its signal and its record go
+// back to the kernel and the world for the next message to reuse. Once
+// released, a request reads as zero, so a second release of the same
+// handle (one listed twice in a Waitall) does nothing.
+func (w *World) release(rq *Request) {
+	if rq.done == nil {
+		return
+	}
+	w.kernel.Release(rq.done)
+	w.reqs.Free(rq)
+}
+
+// Waitall blocks until every request completes, then frees them all.
 func (r *Rank) Waitall(reqs ...*Request) {
 	start := r.Now()
 	var bytes units.Bytes
@@ -552,6 +574,9 @@ func (r *Rank) Waitall(reqs ...*Request) {
 	if r.w.obs != nil {
 		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineWaitall, Bytes: mean, Count: len(reqs), Elapsed: r.Now() - start, Peers: peers})
 	}
+	for _, rq := range reqs {
+		r.w.release(rq)
+	}
 }
 
 // Wait blocks until one request completes (Waitall of one, reported the
@@ -564,6 +589,7 @@ func (r *Rank) Send(dst int, size units.Bytes, tag int) {
 	req := r.isend(dst, size, tag, false)
 	r.proc.WaitSignal(req.done)
 	r.reportP2P(RoutineSend, size, 1, r.Now()-start, dst)
+	r.w.release(req)
 }
 
 // Recv is a blocking receive.
@@ -572,6 +598,7 @@ func (r *Rank) Recv(src int, size units.Bytes, tag int) {
 	req := r.irecv(src, size, tag, false)
 	r.proc.WaitSignal(req.done)
 	r.reportP2P(RoutineRecv, size, 1, r.Now()-start, src)
+	r.w.release(req)
 }
 
 // Sendrecv is a combined blocking exchange.
@@ -585,6 +612,8 @@ func (r *Rank) Sendrecv(dst int, sendSize units.Bytes, src int, recvSize units.B
 		r.peerScratch = append(r.peerScratch[:0], dst, src)
 		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineSendrecv, Bytes: sendSize, Count: 2, Elapsed: r.Now() - start, Peers: r.peerScratch})
 	}
+	r.w.release(sreq)
+	r.w.release(rreq)
 }
 
 // --- collectives ----------------------------------------------------------

@@ -97,9 +97,12 @@ func (inst *Instance) run(m *arch.Machine, profiled bool) (*RunResult, error) {
 		for i := 0; i < 3; i++ {
 			r.Bcast(0, 24)
 		}
+		// One request slice per rank, refilled every step: Waitall keeps
+		// neither the slice nor, once it returns, the requests.
+		reqs := make([]*mpi.Request, 0, len(inst.recvs[id])+len(inst.sends[id]))
 		for step := 0; step < spec.Steps; step++ {
 			// Boundary exchange: post receives, fire sends, wait.
-			reqs := make([]*mpi.Request, 0, len(inst.recvs[id])+len(inst.sends[id]))
+			reqs = reqs[:0]
 			for _, fm := range inst.recvs[id] {
 				reqs = append(reqs, r.Irecv(fm.peer, fm.bytes, fm.tag))
 			}
