@@ -63,15 +63,19 @@ race:
 # BenchmarkSpawnRun's allocs/op the cost of a one-shot 64-process kernel,
 # BenchmarkResetRun's (~0) the same kernel reused through Reset. The third is
 # one application run on the simulator (nas BenchmarkRun: BT-MZ.C@16 on Hydra,
-# profiler on): its B/op and allocs/op are what every profile costs the heap,
+# profiler on): its B/op and allocs/op are what every run costs the heap,
 # and stay flat in the run's timesteps because a wait frees its requests. The
-# fourth is the serving layer: the peer-hop number (one grouped /v1/batch
-# against primed owners on a 2-, 4- and 8-replica in-process ring) and one
-# 64-item all-hit /v1/batch through the handler.
+# fourth is the profiler's: BenchmarkProfilerHostCost is one steady-state
+# event (0 allocs), BenchmarkProfilerFirstSightings a fresh profiler fed a
+# recorded BT-MZ.C@64 stream and frozen — its allocs/op grow with (routine,
+# size) keys, not ranks. The fifth is the serving layer: the peer-hop number
+# (one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
+# in-process ring) and one 64-item all-hit /v1/batch through the handler.
 bench:
 	$(GO) test -run '^$$' -bench 'RunSpeedup|EnforceSparsity|TopK' -benchtime 1x ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
 	$(GO) test -run '^$$' -bench 'BenchmarkRun$$' -benchmem ./internal/nas
+	$(GO) test -run '^$$' -bench 'ProfilerHostCost|ProfilerFirstSightings' -benchmem ./internal/mpiprof
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
@@ -82,13 +86,15 @@ benchmark:
 # Short mutation pass over the persistence decoders, the WAL scanner, the
 # job-journal replay, the characterisation files under -data-dir, the
 # two HTTP request decoders — /v1/batch and the single endpoints'
-# APIRequest — and IMB's grouped tables against whole-world simulation
-# (any machine, any rank count): native corpora plus 10s of mutation per
+# APIRequest — IMB's grouped tables against whole-world simulation
+# (any machine, any rank count) and the MPI profiler against its
+# per-rank-map reference (any event stream): native corpora plus 10s of mutation per
 # target. This is the one list of fuzz targets; CI runs `make fuzz`. The
 # batch inputs are kilobytes of JSON: left at its default the minimiser
 # spends the whole smoke shrinking the first interesting one byte by byte.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupedTable$$' -fuzztime 10s ./internal/imb
+	$(GO) test -run '^$$' -fuzz '^FuzzProfilerMatchesReference$$' -fuzztime 10s ./internal/mpiprof
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/durable

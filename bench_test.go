@@ -20,8 +20,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/figures"
 	"repro/internal/imb"
-	"repro/internal/mpi"
-	"repro/internal/mpiprof"
 	"repro/internal/nas"
 	"repro/internal/report"
 	"repro/internal/units"
@@ -172,7 +170,7 @@ func BenchmarkRunUnprofiled(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := inst.RunBare(base); err != nil {
+		if _, err := inst.RunObserved(base, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -351,18 +349,4 @@ func BenchmarkAblationScalingModel(b *testing.B) {
 	}
 	b.ReportMetric(errOf(proj.ComputeTime), "with_gamma|err|%")
 	b.ReportMetric(errOf(proj.ComputeTime/proj.Gamma), "without_gamma|err|%")
-}
-
-// --- profiler host cost ----------------------------------------------------------
-
-func BenchmarkProfilerHostCost(b *testing.B) {
-	// Host-side cost of the profiling observer itself.
-	p := mpiprof.New(16)
-	ev := mpi.RoutineEvent{Routine: mpi.RoutineWaitall, Bytes: 64 * units.KiB,
-		Count: 8, Elapsed: 1e-3, Peers: []int{1, 2, 3, 4, 5, 6, 7, 8}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.OnRoutine(i%16, ev)
-		p.OnCompute(i%16, 1e-3)
-	}
 }

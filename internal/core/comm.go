@@ -218,20 +218,13 @@ func splitX(se *mpiprof.SizeEntry, cpn int) (xIntra, xInter float64) {
 	if se.Calls == 0 {
 		return 0, 0
 	}
-	// Sorted iteration: the float accumulation order must not depend on
-	// map iteration order, or the projection wobbles in the last ULP from
-	// run to run.
-	offs := make([]int, 0, len(se.Offsets))
-	for off := range se.Offsets {
-		offs = append(offs, off)
-	}
-	sort.Ints(offs)
+	// The histogram is in ascending offset order, so the float
+	// accumulation order is fixed.
 	var intra, inter float64
-	for _, off := range offs {
-		n := se.Offsets[off]
-		f := intraFraction(off, cpn)
-		intra += f * float64(n)
-		inter += (1 - f) * float64(n)
+	for _, oc := range se.Offsets {
+		f := intraFraction(oc.Offset, cpn)
+		intra += f * float64(oc.Count)
+		inter += (1 - f) * float64(oc.Count)
 	}
 	if intra == 0 && inter == 0 {
 		// No pattern recorded: assume everything crosses nodes.
@@ -284,8 +277,9 @@ func mapRoutineTransfer(rt mpi.Routine, agg *mpiprof.RoutineProfile, baseT, targ
 	}
 	switch rt {
 	case mpi.RoutineWaitall:
-		for _, size := range agg.SortedSizes() {
-			se := agg.Sizes[size]
+		for i := range agg.Sizes {
+			se := &agg.Sizes[i]
+			size := se.Bytes
 			bi, be := splitX(se, baseCPN)
 			ti, te := splitX(se, targetCPN)
 			gapCheck(size, true)
@@ -321,8 +315,9 @@ func mapRoutineTransfer(rt mpi.Routine, agg *mpiprof.RoutineProfile, baseT, targ
 		if rt == mpi.RoutineSend || rt == mpi.RoutineRecv {
 			imbRoutine = rt // PingPong table entries exist under Send/Recv
 		}
-		for _, size := range agg.SortedSizes() {
-			se := agg.Sizes[size]
+		for i := range agg.Sizes {
+			se := &agg.Sizes[i]
+			size := se.Bytes
 			bt, errB := baseT.Time(imbRoutine, size)
 			tt, errT := targetT.Time(imbRoutine, size)
 			if errB != nil || errT != nil {

@@ -30,27 +30,14 @@ func synthTable(machine string, ranks int, v units.Seconds) *imb.Table {
 	}
 }
 
-// synthProfile builds a job profile of `ranks` identical tasks, each with
-// one call of routine rt at 1 KiB costing elapsed seconds.
+// synthProfile profiles a job of `ranks` identical tasks, each with one
+// call of routine rt at 1 KiB costing elapsed seconds.
 func synthProfile(rt mpi.Routine, ranks int, elapsed units.Seconds) *mpiprof.Profile {
-	tasks := make([]*mpiprof.TaskProfile, ranks)
-	for i := range tasks {
-		tasks[i] = &mpiprof.TaskProfile{
-			Rank: i,
-			Comm: elapsed,
-			Routines: map[mpi.Routine]*mpiprof.RoutineProfile{
-				rt: {
-					Routine: rt,
-					Calls:   1,
-					Elapsed: elapsed,
-					Sizes: map[units.Bytes]*mpiprof.SizeEntry{
-						1024: {Bytes: 1024, Calls: 1, Messages: 1, Elapsed: elapsed},
-					},
-				},
-			},
-		}
+	p := mpiprof.New(ranks)
+	for r := 0; r < ranks; r++ {
+		p.OnRoutine(r, mpi.RoutineEvent{Routine: rt, Bytes: 1024, Count: 1, Elapsed: elapsed})
 	}
-	return &mpiprof.Profile{App: "synthetic", Machine: "synthetic", Makespan: elapsed, Tasks: tasks}
+	return p.Profile("synthetic", "synthetic", elapsed)
 }
 
 // synthPipeline wires hand-made IMB tables into a pipeline without running

@@ -381,10 +381,26 @@ func TestPctErr(t *testing.T) {
 	}
 }
 
+// waitallEntry profiles `calls` Waitall calls of `count` requests on rank
+// 0 of a 64-rank job, each waiting on peers, and returns the one size
+// entry they make.
+func waitallEntry(t *testing.T, calls, count int, peers []int) *mpiprof.SizeEntry {
+	t.Helper()
+	p := mpiprof.New(64)
+	for i := 0; i < calls; i++ {
+		p.OnRoutine(0, mpi.RoutineEvent{Routine: mpi.RoutineWaitall, Bytes: 1024, Count: count, Elapsed: 1e-3, Peers: peers})
+	}
+	sizes := p.Profile("synthetic", "synthetic", 1).RoutineAggregate(mpi.RoutineWaitall).Sizes
+	if len(sizes) != 1 {
+		t.Fatalf("want one size entry, got %+v", sizes)
+	}
+	return &sizes[0]
+}
+
 func TestSplitX(t *testing.T) {
 	// 50 calls, 400 messages at offset 1 (same node for cpn≥2) and 200 at
-	// offset 16.
-	se := &mpiprof.SizeEntry{Calls: 50, Messages: 600, Offsets: map[int]int{1: 400, 16: 200}}
+	// offset 16: each call waits on 8 requests with rank 1 and 4 with rank 16.
+	se := waitallEntry(t, 50, 12, []int{1, 1, 1, 1, 1, 1, 1, 1, 16, 16, 16, 16})
 	xi, xe := splitX(se, 16)
 	// offset1: frac 15/16 intra; offset16: 0 intra.
 	wantIntra := (400.0 * 15 / 16) / 50 / 2
@@ -398,7 +414,7 @@ func TestSplitX(t *testing.T) {
 		t.Error("wider nodes must increase the intra share")
 	}
 	// No pattern: assume everything inter.
-	bare := &mpiprof.SizeEntry{Calls: 10, Messages: 40}
+	bare := waitallEntry(t, 10, 4, nil)
 	xi0, xe0 := splitX(bare, 16)
 	if xi0 != 0 || xe0 != 2 {
 		t.Errorf("bare entry splitX = (%v,%v), want (0,2)", xi0, xe0)

@@ -9,47 +9,50 @@
 // The paper's profiler cost the application at most 0.05 % of its runtime;
 // this one costs nothing in simulated time (observation is outside the
 // virtual clock) and its host-time overhead is measured by a bench.
+//
+// The profiler accumulates job-wide: it allocates per (routine, message
+// size) key, not per rank. Only the floats whose summation order the
+// profile must reproduce are kept per rank — each task's compute and
+// communication time, and each key's elapsed time — and Profile sums them
+// in rank order once, when it freezes the result.
 package mpiprof
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/mpi"
 	"repro/internal/units"
 )
 
-// SizeEntry aggregates calls of one routine at one message size on one
-// task.
+// OffsetCount is one bin of a peer-offset histogram.
+type OffsetCount struct {
+	Offset int // wrapped ring distance |peer − rank|
+	Count  int // messages at that distance
+}
+
+// SizeEntry aggregates calls of one routine at one message size across
+// the job's tasks.
 type SizeEntry struct {
 	Bytes    units.Bytes
 	Calls    int
 	Messages int // requests involved (Waitall counts each waited request)
 	Elapsed  units.Seconds
 	// Offsets histograms the ring distance |peer − rank| (wrapped) of the
-	// messages — the communication pattern. A projection combines it with
-	// a target machine's node geometry to split intra-node from
-	// inter-node traffic.
-	Offsets map[int]int
+	// messages — the communication pattern — in ascending Offset order. A
+	// projection combines it with a target machine's node geometry to
+	// split intra-node from inter-node traffic.
+	Offsets []OffsetCount
 }
 
-// RoutineProfile aggregates one routine on one task.
+// RoutineProfile aggregates one routine across the job's tasks.
 type RoutineProfile struct {
 	Routine mpi.Routine
-	Sizes   map[units.Bytes]*SizeEntry
+	Sizes   []SizeEntry // ascending Bytes
 	Calls   int
 	Elapsed units.Seconds
-}
-
-// SortedSizes returns the message sizes in ascending order.
-func (rp *RoutineProfile) SortedSizes() []units.Bytes {
-	out := make([]units.Bytes, 0, len(rp.Sizes))
-	for s := range rp.Sizes {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // MeanMessagesPerCall is the average number of requests per call — the
@@ -65,12 +68,11 @@ func (rp *RoutineProfile) MeanMessagesPerCall() float64 {
 	return float64(msgs) / float64(rp.Calls)
 }
 
-// TaskProfile is the full profile of one rank.
+// TaskProfile is one rank's compute/communication split.
 type TaskProfile struct {
-	Rank     int
-	Compute  units.Seconds
-	Comm     units.Seconds
-	Routines map[mpi.Routine]*RoutineProfile
+	Rank    int
+	Compute units.Seconds
+	Comm    units.Seconds
 }
 
 // Total is the task's profiled busy time.
@@ -84,18 +86,61 @@ func (tp *TaskProfile) CommFraction() float64 {
 	return tp.Comm / tp.Total()
 }
 
-// Profiler is the mpi.Observer that accumulates the job profile.
+// Profiler is the mpi.Observer that accumulates the job profile. Feed it
+// no events after Profile.
 type Profiler struct {
-	tasks []*TaskProfile
+	tasks    []TaskProfile
+	index    map[mpi.Routine]int // routine → routines slot
+	routines []routineAcc        // in first-sighting order
+	keys     map[sizeKey]int     // (routine slot, bytes) → sizes slot
+	sizes    []sizeAcc           // in first-sighting order
+	slab     []units.Seconds     // backs the next per-rank columns
 }
+
+type sizeKey struct {
+	routine int // routines slot
+	bytes   units.Bytes
+}
+
+type routineAcc struct {
+	routine mpi.Routine
+	calls   int
+	elapsed []units.Seconds // per rank, each in event order
+}
+
+type sizeAcc struct {
+	key      sizeKey
+	calls    int
+	messages int
+	elapsed  []units.Seconds // per rank, each in event order
+	offsets  []OffsetCount   // first-sighting order until Profile sorts it
+}
+
+// slabColumns is how many per-rank columns one slab allocation backs.
+const slabColumns = 16
 
 // New creates a profiler for a job of the given rank count.
 func New(ranks int) *Profiler {
-	p := &Profiler{tasks: make([]*TaskProfile, ranks)}
+	p := &Profiler{
+		tasks: make([]TaskProfile, ranks),
+		index: map[mpi.Routine]int{},
+		keys:  map[sizeKey]int{},
+	}
 	for i := range p.tasks {
-		p.tasks[i] = &TaskProfile{Rank: i, Routines: map[mpi.Routine]*RoutineProfile{}}
+		p.tasks[i].Rank = i
 	}
 	return p
+}
+
+// column returns a zeroed per-rank column carved from the slab.
+func (p *Profiler) column() []units.Seconds {
+	n := len(p.tasks)
+	if len(p.slab) < n {
+		p.slab = make([]units.Seconds, slabColumns*n)
+	}
+	c := p.slab[:n:n]
+	p.slab = p.slab[n:]
+	return c
 }
 
 // OnCompute implements mpi.Observer.
@@ -105,23 +150,27 @@ func (p *Profiler) OnCompute(rank int, dt units.Seconds) {
 
 // OnRoutine implements mpi.Observer.
 func (p *Profiler) OnRoutine(rank int, ev mpi.RoutineEvent) {
-	tp := p.tasks[rank]
-	tp.Comm += ev.Elapsed
-	rp := tp.Routines[ev.Routine]
-	if rp == nil {
-		rp = &RoutineProfile{Routine: ev.Routine, Sizes: map[units.Bytes]*SizeEntry{}}
-		tp.Routines[ev.Routine] = rp
+	p.tasks[rank].Comm += ev.Elapsed
+	ri, ok := p.index[ev.Routine]
+	if !ok {
+		ri = len(p.routines)
+		p.index[ev.Routine] = ri
+		p.routines = append(p.routines, routineAcc{routine: ev.Routine, elapsed: p.column()})
 	}
-	rp.Calls++
-	rp.Elapsed += ev.Elapsed
-	se := rp.Sizes[ev.Bytes]
-	if se == nil {
-		se = &SizeEntry{Bytes: ev.Bytes}
-		rp.Sizes[ev.Bytes] = se
+	ra := &p.routines[ri]
+	ra.calls++
+	ra.elapsed[rank] += ev.Elapsed
+	k := sizeKey{ri, ev.Bytes}
+	si, ok := p.keys[k]
+	if !ok {
+		si = len(p.sizes)
+		p.keys[k] = si
+		p.sizes = append(p.sizes, sizeAcc{key: k, elapsed: p.column()})
 	}
-	se.Calls++
-	se.Messages += ev.Count
-	se.Elapsed += ev.Elapsed
+	sa := &p.sizes[si]
+	sa.calls++
+	sa.messages += ev.Count
+	sa.elapsed[rank] += ev.Elapsed
 	for _, peer := range ev.Peers {
 		off := peer - rank
 		if off < 0 {
@@ -130,25 +179,103 @@ func (p *Profiler) OnRoutine(rank int, ev mpi.RoutineEvent) {
 		if wrapped := len(p.tasks) - off; wrapped < off {
 			off = wrapped
 		}
-		if se.Offsets == nil {
-			se.Offsets = map[int]int{}
-		}
-		se.Offsets[off]++
+		sa.count(off)
 	}
 }
 
-// Profile freezes the accumulated data into the job-level profile.
+// count adds one message at ring distance off to the histogram.
+func (sa *sizeAcc) count(off int) {
+	for i := range sa.offsets {
+		if sa.offsets[i].Offset == off {
+			sa.offsets[i].Count++
+			return
+		}
+	}
+	sa.offsets = append(sa.offsets, OffsetCount{Offset: off, Count: 1})
+}
+
+// sum adds a per-rank column in rank order.
+func sum(col []units.Seconds) units.Seconds {
+	var s units.Seconds
+	for _, v := range col {
+		s += v
+	}
+	return s
+}
+
+// Profile freezes the accumulated data into the job-level profile: the
+// routine list in (class, name) order, one aggregate per routine with its
+// sizes ascending, each size's offsets ascending, and every elapsed time
+// summed across tasks in rank order.
 func (p *Profiler) Profile(app, machine string, makespan units.Seconds) *Profile {
-	return &Profile{App: app, Machine: machine, Makespan: makespan, Tasks: p.tasks}
+	// order lists the routine slots in (class, name) order; pos[slot] is a
+	// slot's place in it. Sizes sort by (routine place, bytes).
+	order := make([]int, len(p.routines))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		ra, rb := p.routines[a].routine, p.routines[b].routine
+		if c := cmp.Compare(mpi.ClassOf(ra), mpi.ClassOf(rb)); c != 0 {
+			return c
+		}
+		return cmp.Compare(ra, rb)
+	})
+	pos := make([]int, len(order))
+	for i, slot := range order {
+		pos[slot] = i
+	}
+	sizeOrder := make([]int, len(p.sizes))
+	for i := range sizeOrder {
+		sizeOrder[i] = i
+	}
+	slices.SortFunc(sizeOrder, func(a, b int) int {
+		ka, kb := p.sizes[a].key, p.sizes[b].key
+		if c := cmp.Compare(pos[ka.routine], pos[kb.routine]); c != 0 {
+			return c
+		}
+		return cmp.Compare(ka.bytes, kb.bytes)
+	})
+
+	pf := &Profile{
+		App: app, Machine: machine, Makespan: makespan, Tasks: p.tasks,
+		routines: make([]mpi.Routine, len(order)),
+		aggs:     make([]RoutineProfile, len(order)),
+		perRank:  make([][]units.Seconds, len(order)),
+	}
+	for i, slot := range order {
+		ra := &p.routines[slot]
+		pf.routines[i] = ra.routine
+		pf.aggs[i] = RoutineProfile{Routine: ra.routine, Calls: ra.calls, Elapsed: sum(ra.elapsed)}
+		pf.perRank[i] = ra.elapsed
+	}
+	// A routine's sizes are contiguous in sizeOrder, so each aggregate's
+	// Sizes is a window of one backing slice, extended entry by entry.
+	entries := make([]SizeEntry, len(sizeOrder))
+	for i, slot := range sizeOrder {
+		sa := &p.sizes[slot]
+		slices.SortFunc(sa.offsets, func(a, b OffsetCount) int { return cmp.Compare(a.Offset, b.Offset) })
+		entries[i] = SizeEntry{
+			Bytes: sa.key.bytes, Calls: sa.calls, Messages: sa.messages,
+			Elapsed: sum(sa.elapsed), Offsets: sa.offsets,
+		}
+		agg := &pf.aggs[pos[sa.key.routine]]
+		agg.Sizes = entries[i-len(agg.Sizes) : i+1 : i+1]
+	}
+	return pf
 }
 
 // Profile is the complete job profile: what the paper's projection pipeline
-// consumes from the base machine.
+// consumes from the base machine. It is read-only once built.
 type Profile struct {
 	App      string
 	Machine  string
 	Makespan units.Seconds
-	Tasks    []*TaskProfile
+	Tasks    []TaskProfile
+
+	routines []mpi.Routine     // (class, name) order
+	aggs     []RoutineProfile  // aligned with routines
+	perRank  [][]units.Seconds // aligned with routines: each rank's elapsed
 }
 
 // Ranks returns the task count.
@@ -157,8 +284,8 @@ func (pf *Profile) Ranks() int { return len(pf.Tasks) }
 // MeanCompute is the mean per-task compute time.
 func (pf *Profile) MeanCompute() units.Seconds {
 	var s units.Seconds
-	for _, tp := range pf.Tasks {
-		s += tp.Compute
+	for i := range pf.Tasks {
+		s += pf.Tasks[i].Compute
 	}
 	return s / units.Seconds(len(pf.Tasks))
 }
@@ -166,8 +293,8 @@ func (pf *Profile) MeanCompute() units.Seconds {
 // MeanComm is the mean per-task communication time.
 func (pf *Profile) MeanComm() units.Seconds {
 	var s units.Seconds
-	for _, tp := range pf.Tasks {
-		s += tp.Comm
+	for i := range pf.Tasks {
+		s += pf.Tasks[i].Comm
 	}
 	return s / units.Seconds(len(pf.Tasks))
 }
@@ -175,9 +302,9 @@ func (pf *Profile) MeanComm() units.Seconds {
 // CommFraction is the job-wide share of busy time spent in MPI.
 func (pf *Profile) CommFraction() float64 {
 	var comm, total units.Seconds
-	for _, tp := range pf.Tasks {
-		comm += tp.Comm
-		total += tp.Total()
+	for i := range pf.Tasks {
+		comm += pf.Tasks[i].Comm
+		total += pf.Tasks[i].Total()
 	}
 	if total == 0 {
 		return 0
@@ -186,64 +313,40 @@ func (pf *Profile) CommFraction() float64 {
 }
 
 // Routines lists every routine appearing in any task, in deterministic
-// (class, name) order.
-func (pf *Profile) Routines() []mpi.Routine {
-	set := map[mpi.Routine]bool{}
-	for _, tp := range pf.Tasks {
-		for rt := range tp.Routines {
-			set[rt] = true
-		}
-	}
-	out := make([]mpi.Routine, 0, len(set))
-	for rt := range set {
-		out = append(out, rt)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ci, cj := mpi.ClassOf(out[i]), mpi.ClassOf(out[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return out[i] < out[j]
-	})
-	return out
+// (class, name) order. The slice is shared: callers must not modify it.
+func (pf *Profile) Routines() []mpi.Routine { return pf.routines }
+
+// slot is rt's index in Routines, or -1.
+func (pf *Profile) slot(rt mpi.Routine) int {
+	return slices.Index(pf.routines, rt)
 }
 
-// RoutineAggregate sums a routine's profile across all tasks.
+// RoutineAggregate is a routine's profile summed across all tasks, frozen
+// when the profile was built. The aggregate is shared and read-only:
+// callers must not modify it or its slices. An absent routine aggregates
+// to an empty profile, not nil.
 func (pf *Profile) RoutineAggregate(rt mpi.Routine) *RoutineProfile {
-	agg := &RoutineProfile{Routine: rt, Sizes: map[units.Bytes]*SizeEntry{}}
-	for _, tp := range pf.Tasks {
-		rp := tp.Routines[rt]
-		if rp == nil {
-			continue
-		}
-		agg.Calls += rp.Calls
-		agg.Elapsed += rp.Elapsed
-		for b, se := range rp.Sizes {
-			dst := agg.Sizes[b]
-			if dst == nil {
-				dst = &SizeEntry{Bytes: b}
-				agg.Sizes[b] = dst
-			}
-			dst.Calls += se.Calls
-			dst.Messages += se.Messages
-			dst.Elapsed += se.Elapsed
-			for off, n := range se.Offsets {
-				if dst.Offsets == nil {
-					dst.Offsets = map[int]int{}
-				}
-				dst.Offsets[off] += n
-			}
-		}
+	if i := pf.slot(rt); i >= 0 {
+		return &pf.aggs[i]
 	}
-	return agg
+	return &RoutineProfile{Routine: rt}
+}
+
+// RankElapsed is one task's time inside routine rt (0 if it never called
+// it).
+func (pf *Profile) RankElapsed(rank int, rt mpi.Routine) units.Seconds {
+	if i := pf.slot(rt); i >= 0 {
+		return pf.perRank[i][rank]
+	}
+	return 0
 }
 
 // RoutineShare is a routine's share of total busy time, in percent — the
 // quantity Table 1 reports per routine.
 func (pf *Profile) RoutineShare(rt mpi.Routine) float64 {
 	var total units.Seconds
-	for _, tp := range pf.Tasks {
-		total += tp.Total()
+	for i := range pf.Tasks {
+		total += pf.Tasks[i].Total()
 	}
 	if total == 0 {
 		return 0
@@ -251,17 +354,15 @@ func (pf *Profile) RoutineShare(rt mpi.Routine) float64 {
 	return 100 * pf.RoutineAggregate(rt).Elapsed / total
 }
 
-// ClassElapsed sums MPI time per routine class across tasks. Routines are
-// visited in the deterministic Routines() order so that the per-class
+// ClassElapsed sums MPI time per routine class across tasks: routines in
+// Routines() order, each one's tasks in rank order, so that the per-class
 // float accumulation never depends on map iteration order.
 func (pf *Profile) ClassElapsed() map[mpi.Class]units.Seconds {
 	out := map[mpi.Class]units.Seconds{}
-	for _, rt := range pf.Routines() {
+	for i, rt := range pf.routines {
 		cls := mpi.ClassOf(rt)
-		for _, tp := range pf.Tasks {
-			if rp, ok := tp.Routines[rt]; ok {
-				out[cls] += rp.Elapsed
-			}
+		for _, e := range pf.perRank[i] {
+			out[cls] += e
 		}
 	}
 	return out
@@ -276,12 +377,11 @@ func (pf *Profile) String() string {
 		units.FormatSeconds(pf.MeanCompute()), 100*(1-pf.CommFraction()),
 		units.FormatSeconds(pf.MeanComm()), 100*pf.CommFraction())
 	fmt.Fprintf(&b, "%-14s %-10s %10s %12s %12s\n", "routine", "class", "calls", "elapsed", "share")
-	for _, rt := range pf.Routines() {
-		agg := pf.RoutineAggregate(rt)
+	for i, rt := range pf.routines {
+		agg := &pf.aggs[i]
 		fmt.Fprintf(&b, "%-14s %-10s %10d %12s %11.3f%%\n",
 			rt, mpi.ClassOf(rt), agg.Calls, units.FormatSeconds(agg.Elapsed), pf.RoutineShare(rt))
-		for _, size := range agg.SortedSizes() {
-			se := agg.Sizes[size]
+		for _, se := range agg.Sizes {
 			fmt.Fprintf(&b, "    %-12s %8d calls %12s\n",
 				units.FormatBytes(se.Bytes), se.Calls, units.FormatSeconds(se.Elapsed))
 		}

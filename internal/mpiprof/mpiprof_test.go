@@ -88,8 +88,10 @@ func TestRoutineAggregate(t *testing.T) {
 	if isend.Calls != 8*4 {
 		t.Errorf("Isend calls = %d, want 32", isend.Calls)
 	}
-	se := isend.Sizes[8*units.KiB]
-	if se == nil || se.Calls != 32 || se.Messages != 32 {
+	if len(isend.Sizes) != 1 {
+		t.Fatalf("Isend sizes = %+v, want one", isend.Sizes)
+	}
+	if se := isend.Sizes[0]; se.Bytes != 8*units.KiB || se.Calls != 32 || se.Messages != 32 {
 		t.Errorf("Isend size entry wrong: %+v", se)
 	}
 	wa := pf.RoutineAggregate(mpi.RoutineWaitall)
@@ -115,9 +117,9 @@ func TestSortedSizes(t *testing.T) {
 			r.Waitall(s, v)
 		}
 	})
-	sizes := pf.RoutineAggregate(mpi.RoutineIsend).SortedSizes()
-	if len(sizes) != 3 || sizes[0] != 64 || sizes[2] != 512*units.KiB {
-		t.Errorf("sorted sizes = %v", sizes)
+	sizes := pf.RoutineAggregate(mpi.RoutineIsend).Sizes
+	if len(sizes) != 3 || sizes[0].Bytes != 64 || sizes[1].Bytes != 1024 || sizes[2].Bytes != 512*units.KiB {
+		t.Errorf("sizes must ascend: %+v", sizes)
 	}
 }
 
@@ -183,12 +185,54 @@ func TestWaitTimeVisibleUnderImbalance(t *testing.T) {
 		v := r.Irecv(1-r.ID(), 256, 0)
 		r.Waitall(s, v)
 	})
-	wa0 := pf.Tasks[0].Routines[mpi.RoutineWaitall]
-	if wa0 == nil || wa0.Elapsed < 0.2 {
-		t.Fatalf("rank 0 Waitall should contain ~0.25s of wait, got %+v", wa0)
+	if wa0 := pf.RankElapsed(0, mpi.RoutineWaitall); wa0 < 0.2 {
+		t.Fatalf("rank 0 Waitall should contain ~0.25s of wait, got %v", wa0)
 	}
-	wa1 := pf.Tasks[1].Routines[mpi.RoutineWaitall]
-	if wa1.Elapsed > 0.01 {
-		t.Errorf("rank 1 (the late one) should barely wait, got %v", wa1.Elapsed)
+	if wa1 := pf.RankElapsed(1, mpi.RoutineWaitall); wa1 > 0.01 {
+		t.Errorf("rank 1 (the late one) should barely wait, got %v", wa1)
+	}
+	if pf.RankElapsed(0, mpi.RoutineAlltoall) != 0 {
+		t.Error("an absent routine must read zero")
+	}
+}
+
+// TestProfileAllocatesPerKey pins "per key, not per rank": the same
+// routine × size pattern profiled at 16 and at 128 ranks allocates within
+// a small constant of each other.
+func TestProfileAllocatesPerKey(t *testing.T) {
+	sizes := []units.Bytes{64, 1024, 8 * units.KiB, 64 * units.KiB}
+	allocs := func(ranks int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			p := New(ranks)
+			var peers [2]int
+			for r := 0; r < ranks; r++ {
+				peers[0], peers[1] = (r+1)%ranks, (r+ranks-1)%ranks
+				for _, size := range sizes {
+					p.OnRoutine(r, mpi.RoutineEvent{Routine: mpi.RoutineIsend, Bytes: size, Count: 1, Elapsed: 1e-6, Peers: peers[:1]})
+					p.OnRoutine(r, mpi.RoutineEvent{Routine: mpi.RoutineIrecv, Bytes: size, Count: 1, Elapsed: 1e-6, Peers: peers[1:]})
+					p.OnRoutine(r, mpi.RoutineEvent{Routine: mpi.RoutineWaitall, Bytes: size, Count: 2, Elapsed: 1e-4, Peers: peers[:]})
+				}
+				p.OnRoutine(r, mpi.RoutineEvent{Routine: mpi.RoutineAllreduce, Bytes: 8, Count: 1, Elapsed: 1e-5})
+				p.OnCompute(r, 1e-3)
+			}
+			p.Profile("shape", arch.Hydra, 1)
+		})
+	}
+	a16, a128 := allocs(16), allocs(128)
+	if a128 > a16+2 {
+		t.Errorf("profiling allocates with ranks: %v objects at 16 ranks, %v at 128", a16, a128)
+	}
+}
+
+// BenchmarkProfilerHostCost is the host-side cost of one steady-state
+// event: no first sighting, so it must not allocate.
+func BenchmarkProfilerHostCost(b *testing.B) {
+	p := New(16)
+	ev := mpi.RoutineEvent{Routine: mpi.RoutineWaitall, Bytes: 64 * units.KiB,
+		Count: 8, Elapsed: 1e-3, Peers: []int{1, 2, 3, 4, 5, 6, 7, 8}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p.OnRoutine(i%16, ev)
+		p.OnCompute(i%16, 1e-3)
 	}
 }

@@ -1,13 +1,17 @@
 package nas
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/arch"
 	"repro/internal/mpi"
+	"repro/internal/units"
 )
 
 func TestSpecFor(t *testing.T) {
@@ -339,5 +343,62 @@ func TestConfigString(t *testing.T) {
 	}
 	if c.Name() != "BT-MZ.D" {
 		t.Errorf("Name = %q", c.Name())
+	}
+}
+
+// TestProfileTextPinned pins the Table 1 text surface: the profile nasrun
+// prints for BT-MZ.C@16 on Hydra, by SHA-256.
+func TestProfileTextPinned(t *testing.T) {
+	res, err := Run(Config{Bench: BT, Class: ClassC, Ranks: 16}, arch.MustGet(arch.Hydra))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "129a8d415135aefd7624872960b312123493f28673987324688f530c6a9b0c91"
+	text := res.Profile.String()
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); got != want {
+		t.Errorf("profile text SHA-256 = %s, want %s:\n%s", got, want, text)
+	}
+}
+
+// TestExchangeListsSizedExactly: each rank's send and receive lists hold
+// its messages in zone-then-direction order — the order the rank posts
+// them, so every tag and event — exactly as appending face by face builds
+// them, and each list's capacity is its length.
+func TestExchangeListsSizedExactly(t *testing.T) {
+	for _, cfg := range []Config{
+		{Bench: BT, Class: ClassC, Ranks: 16}, {Bench: SP, Class: ClassC, Ranks: 64},
+		{Bench: BT, Class: ClassD, Ranks: 128}, {Bench: LU, Class: ClassC, Ranks: 16},
+	} {
+		inst, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := inst.Spec
+		sends, recvs := make([][]faceMsg, cfg.Ranks), make([][]faceMsg, cfg.Ranks)
+		for zi, z := range inst.Zones {
+			for d, dir := range [][3]int{{+1, 0, z.NY * z.NZ}, {-1, 0, z.NY * z.NZ}, {0, +1, z.NX * z.NZ}, {0, -1, z.NX * z.NZ}} {
+				ni := inst.zoneAt(z.I+dir[0], z.J+dir[1])
+				src, dst := inst.Owner[zi], inst.Owner[ni]
+				if ni == zi || src == dst {
+					continue
+				}
+				bytes := units.Bytes(dir[2]) * units.Bytes(s.GhostVars*s.WordBytes)
+				sends[src] = append(sends[src], faceMsg{peer: dst, bytes: bytes, tag: zi*4 + d})
+				recvs[dst] = append(recvs[dst], faceMsg{peer: src, bytes: bytes, tag: zi*4 + d})
+			}
+		}
+		for r := 0; r < cfg.Ranks; r++ {
+			for _, c := range []struct {
+				dir       string
+				got, want []faceMsg
+			}{{"sends", inst.sends[r], sends[r]}, {"recvs", inst.recvs[r], recvs[r]}} {
+				if !slices.Equal(c.got, c.want) {
+					t.Fatalf("%s rank %d %s = %v, want %v", cfg, r, c.dir, c.got, c.want)
+				}
+				if cap(c.got) != len(c.got) {
+					t.Errorf("%s rank %d %s: capacity %d for %d messages", cfg, r, c.dir, cap(c.got), len(c.got))
+				}
+			}
+		}
 	}
 }

@@ -26,24 +26,28 @@ type RunResult struct {
 // from the hardware-counter model, boundary exchanges and collectives run
 // through the MPI layer.
 func (inst *Instance) Run(m *arch.Machine) (*RunResult, error) {
-	return inst.run(m, true)
-}
-
-// RunBare is Run without the profiling observer — the baseline for
-// measuring the profiler's host-side overhead (the paper's §5 claim).
-func (inst *Instance) RunBare(m *arch.Machine) (units.Seconds, error) {
-	res, err := inst.run(m, false)
+	prof := mpiprof.New(inst.Cfg.Ranks)
+	makespan, err := inst.RunObserved(m, prof)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return res.Makespan, nil
+	return &RunResult{
+		Config:   inst.Cfg,
+		Machine:  m.Name,
+		Profile:  prof.Profile(inst.Cfg.String(), m.Name, makespan),
+		Makespan: makespan,
+	}, nil
 }
 
-func (inst *Instance) run(m *arch.Machine, profiled bool) (*RunResult, error) {
+// RunObserved executes the instance on machine m with obs (if not nil) as
+// the world's observer, and returns the makespan. Run is RunObserved with
+// the profiler as obs; with obs nil it is the baseline for measuring the
+// profiler's host-side overhead (the paper's §5 claim).
+func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seconds, error) {
 	ranks := inst.Cfg.Ranks
 	threads := inst.Cfg.ThreadsPerRank()
 	if ranks*threads > m.TotalCores {
-		return nil, fmt.Errorf("nas: %s needs %d cores; %s has %d",
+		return 0, fmt.Errorf("nas: %s needs %d cores; %s has %d",
 			inst.Cfg, ranks*threads, m.Name, m.TotalCores)
 	}
 
@@ -67,7 +71,7 @@ func (inst *Instance) run(m *arch.Machine, profiled bool) (*RunResult, error) {
 			ActiveTasksPerNode: active,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("nas: compute model for rank %d: %w", r, err)
+			return 0, fmt.Errorf("nas: compute model for rank %d: %w", r, err)
 		}
 		stepTime[r] = c.Runtime
 		if threads > 1 {
@@ -78,12 +82,10 @@ func (inst *Instance) run(m *arch.Machine, profiled bool) (*RunResult, error) {
 
 	world, err := mpi.NewWorldHybrid(m, ranks, threads)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var prof *mpiprof.Profiler
-	if profiled {
-		prof = mpiprof.New(ranks)
-		world.SetObserver(prof)
+	if obs != nil {
+		world.SetObserver(obs)
 	}
 
 	spec := inst.Spec
@@ -130,17 +132,9 @@ func (inst *Instance) run(m *arch.Machine, profiled bool) (*RunResult, error) {
 		r.Bcast(0, 8)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("nas: %s on %s: %w", inst.Cfg, m.Name, err)
+		return 0, fmt.Errorf("nas: %s on %s: %w", inst.Cfg, m.Name, err)
 	}
-	res := &RunResult{
-		Config:   inst.Cfg,
-		Machine:  m.Name,
-		Makespan: makespan,
-	}
-	if profiled {
-		res.Profile = prof.Profile(inst.Cfg.String(), m.Name, makespan)
-	}
-	return res, nil
+	return makespan, nil
 }
 
 // Run is a convenience wrapper: lay out and execute cfg on machine m.

@@ -158,15 +158,44 @@ func (inst *Instance) zoneAt(i, j int) int {
 }
 
 // buildExchanges derives the per-rank send/recv lists: one message per
-// directed zone face whose neighbour lives on another rank.
+// directed zone face whose neighbour lives on another rank. It walks the
+// faces twice — once to count each rank's messages, once to fill — so each
+// direction's lists share one exactly sized backing slice.
 func (inst *Instance) buildExchanges() {
-	s := inst.Spec
-	inst.sends = make([][]faceMsg, inst.Cfg.Ranks)
-	inst.recvs = make([][]faceMsg, inst.Cfg.Ranks)
-	wordBytes := units.Bytes(s.GhostVars * s.WordBytes)
+	ranks := inst.Cfg.Ranks
+	nsend, nrecv := make([]int, ranks), make([]int, ranks)
+	var total int
+	inst.forEachFace(func(src, dst int, _ faceMsg) {
+		nsend[src]++
+		nrecv[dst]++
+		total++
+	})
+	inst.sends = carve(nsend, make([]faceMsg, total))
+	inst.recvs = carve(nrecv, make([]faceMsg, total))
+	inst.forEachFace(func(src, dst int, m faceMsg) {
+		inst.sends[src] = append(inst.sends[src], m)
+		m.peer = src
+		inst.recvs[dst] = append(inst.recvs[dst], m)
+	})
+}
 
+// carve splits backing into empty per-rank lists of capacity counts[r].
+func carve(counts []int, backing []faceMsg) [][]faceMsg {
+	lists := make([][]faceMsg, len(counts))
+	for r, n := range counts {
+		lists[r], backing = backing[:0:n], backing[n:]
+	}
+	return lists
+}
+
+// forEachFace calls fn for every directed zone face that crosses a rank
+// boundary, in zone then direction order, with the message as its sender
+// lists it (peer = dst).
+func (inst *Instance) forEachFace(fn func(src, dst int, m faceMsg)) {
+	s := inst.Spec
+	wordBytes := units.Bytes(s.GhostVars * s.WordBytes)
 	for zi, z := range inst.Zones {
-		dirs := []struct {
+		dirs := [4]struct {
 			di, dj int
 			area   float64 // boundary points
 		}{
@@ -184,10 +213,7 @@ func (inst *Instance) buildExchanges() {
 			if src == dst {
 				continue // local copy, no MPI
 			}
-			bytes := units.Bytes(dir.area) * wordBytes
-			tag := zi*4 + d
-			inst.sends[src] = append(inst.sends[src], faceMsg{peer: dst, bytes: bytes, tag: tag})
-			inst.recvs[dst] = append(inst.recvs[dst], faceMsg{peer: src, bytes: bytes, tag: tag})
+			fn(src, dst, faceMsg{peer: dst, bytes: units.Bytes(dir.area) * wordBytes, tag: zi*4 + d})
 		}
 	}
 }
