@@ -71,12 +71,16 @@ race:
 # size) keys, not ranks. The fifth is the serving layer: the peer-hop number
 # (one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
 # in-process ring) and one 64-item all-hit /v1/batch through the handler.
+# The sixth is the validation's: BenchmarkValidateOverlap validates a
+# prepared LU-MZ.C@16 pipeline at Workers 1 and at the default back to back
+# and reports their wall-clock ratio as `overlap` (skipped at GOMAXPROCS=1).
 bench:
 	$(GO) test -run '^$$' -bench 'RunSpeedup|EnforceSparsity|TopK' -benchtime 1x ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
 	$(GO) test -run '^$$' -bench 'BenchmarkRun$$' -benchmem ./internal/nas
 	$(GO) test -run '^$$' -bench 'ProfilerHostCost|ProfilerFirstSightings' -benchmem ./internal/mpiprof
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
+	$(GO) test -run '^$$' -bench 'ValidateOverlap' -benchtime 20x ./internal/core
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
 # plus the per-layer budget; see bench/README.md.

@@ -44,8 +44,9 @@ type Pipeline struct {
 	Target *arch.Machine
 
 	// Workers bounds the pipeline's internal fan-out (benchmark
-	// characterisation, GA ensemble): 0 means runtime.GOMAXPROCS(0),
-	// 1 the serial path. Results are identical for every value.
+	// characterisation, GA ensemble, a validation's two halves): 0 means
+	// runtime.GOMAXPROCS(0), 1 the serial path. Results are identical for
+	// every value.
 	Workers int
 
 	// Obs, when non-nil, receives spans and metrics for every stage run

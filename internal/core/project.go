@@ -9,6 +9,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/quality"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -196,21 +197,37 @@ func (p *Pipeline) Validate(app *AppModel, ck int) (*Validation, error) {
 // ValidateCtx is Validate under a context: the projection honours ctx at
 // its stage boundaries and the measured target run is skipped if ctx has
 // already expired.
+//
+// Neither half reads the other, so they run as two indices of the
+// pipeline's pool: at Workers 1 the projection, then the measured run —
+// which never starts if the projection failed; above that, side by side.
+// Errors are reported in index order, so the projection's wins whenever
+// both fail, whatever the schedule (a recovered panic only when neither
+// returned an error). ValidateCtx returns once both have ended, and
+// everything after the barrier reads the two results serially.
 func (p *Pipeline) ValidateCtx(ctx context.Context, app *AppModel, ck int) (*Validation, error) {
 	sp := p.Obs.Child(fmt.Sprintf("core.validate.%s@%d", app.Name(), ck))
 	defer sp.End()
-	proj, err := p.project(ctx, sp, app, ck)
-	if err != nil {
-		return nil, err
+	var (
+		proj *Projection
+		res  *nas.RunResult
+		errs [2]error
+	)
+	poolErr := par.ForEachW(par.Workers(p.Workers), len(errs), func(_, i int) error {
+		if i == 0 {
+			proj, errs[0] = p.project(ctx, sp, app, ck)
+		} else {
+			res, errs[1] = p.measuredRun(ctx, sp, app, ck)
+		}
+		return errs[i]
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ms := sp.Child("measured-run." + p.Target.Name)
-	res, err := nas.Run(nas.Config{Bench: app.Bench, Class: app.Class, Ranks: ck}, p.Target)
-	ms.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: measured run on %s: %w", p.Target.Name, err)
+	if poolErr != nil {
+		return nil, poolErr
 	}
 	mp := res.Profile
 	ranks := units.Seconds(mp.Ranks())
@@ -239,4 +256,19 @@ func (p *Pipeline) ValidateCtx(ctx context.Context, app *AppModel, ck int) (*Val
 		v.ErrByClass[cls] = pctErr(projT, meas)
 	}
 	return v, nil
+}
+
+// measuredRun runs the application at ck on the target under a span
+// beneath parent, unless ctx has already expired.
+func (p *Pipeline) measuredRun(ctx context.Context, parent *obs.Scope, app *AppModel, ck int) (*nas.RunResult, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	sp := parent.Child("measured-run." + p.Target.Name)
+	defer sp.End()
+	res, err := nas.Run(nas.Config{Bench: app.Bench, Class: app.Class, Ranks: ck}, p.Target)
+	if err != nil {
+		return nil, fmt.Errorf("core: measured run on %s: %w", p.Target.Name, err)
+	}
+	return res, nil
 }

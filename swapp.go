@@ -72,9 +72,10 @@ type Request struct {
 	Class  nas.Class
 	Ranks  int
 	// Workers bounds the evaluation engine's concurrency (benchmark
-	// characterisation, application profiling, the GA surrogate search):
-	// 0 means runtime.GOMAXPROCS(0), 1 forces the serial path. The
-	// projection is byte-identical for every value.
+	// characterisation, application profiling, the GA surrogate search,
+	// and a validation's measured run beside its projection): 0 means
+	// runtime.GOMAXPROCS(0), 1 forces the serial path. The projection is
+	// byte-identical for every value.
 	Workers int
 	// Obs, when non-nil, instruments the projection: hierarchical spans
 	// across pipeline construction, characterisation and both projection
