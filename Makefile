@@ -21,8 +21,10 @@ fmt:
 # evaluation call, the store's wiring and the outgoing peer request; one
 # definition of the characterisation-count policy (core's); sync.Once
 # only where it runs something once and caches no value (internal/par,
-# internal/obs/http.go) — a cached value belongs in an lru.Cache; and one
-# breaker construction, newPeerSet's — nothing breaks the evaluation's circuit.
+# internal/obs/http.go) — a cached value belongs in an lru.Cache; one
+# breaker construction, newPeerSet's — nothing breaks the evaluation's circuit;
+# and a GA that starts no goroutine and imports no internal/par: a search
+# scores serially on its ensemble member's goroutine, and the ensemble is the pool.
 INVARIANT_SRC = internal cmd swapp.go
 invariants:
 	@fail=0; \
@@ -41,6 +43,8 @@ invariants:
 	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'newBreaker(' $(INVARIANT_SRC) | grep -vF 'func newBreaker('); \
 	n=$$(printf '%s' "$$hits" | grep -c .); \
 	if [ "$$n" -ne 1 ] || ! printf '%s' "$$hits" | grep -q '^internal/server/peer.go:'; then echo "invariants: newBreaker( at $$n sites, want 1, newPeerSet's:"; echo "$$hits"; fail=1; fi; \
+	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -e '^[[:space:]]*go[[:space:]]+[A-Za-z_(]' -e '"repro/internal/par"' internal/ga); \
+	if [ -n "$$hits" ]; then echo "invariants: a go statement or an internal/par import in non-test internal/ga:"; echo "$$hits"; fail=1; fi; \
 	exit $$fail
 
 # -shuffle=on randomises test (and subtest) execution order, so hidden
@@ -50,14 +54,16 @@ test:
 
 # The race detector slows the simulator ~10x; -short keeps the heaviest
 # figure-grid cases out while still exercising every parallel path
-# (the ga/core/figures parallel-vs-serial tests all run in -short mode
+# (the core/figures parallel-vs-serial tests all run in -short mode
 # except the full figures grid). A generous -timeout covers slow CI boxes.
 race:
 	$(GO) test -race -short -timeout 1800s ./...
 
 # Micro-checks only; timings have one entry point, `make benchmark`. The first
-# line is the GA's: serial vs pooled scoring and the two selection kernels
-# against their naive forms. The second is the simulator's: BenchmarkHandoff is
+# line is the GA's: one whole search at the surrogate-search shape
+# (BenchmarkRunSerial, the baseline to profile the search against), one
+# scoring batch on a warmed evaluator (BenchmarkScoreAll, 0 allocs) and the
+# two selection kernels against their naive forms. The second is the simulator's: BenchmarkHandoff is
 # ns and allocs per process switch, BenchmarkTimedFire ns and allocs per timed
 # fire (waited: a heap event and a switch; unwaited: a stamp, ~10x cheaper),
 # BenchmarkSpawnRun's allocs/op the cost of a one-shot 64-process kernel,
@@ -75,7 +81,7 @@ race:
 # prepared LU-MZ.C@16 pipeline at Workers 1 and at the default back to back
 # and reports their wall-clock ratio as `overlap` (skipped at GOMAXPROCS=1).
 bench:
-	$(GO) test -run '^$$' -bench 'RunSpeedup|EnforceSparsity|TopK' -benchtime 1x ./internal/ga
+	$(GO) test -run '^$$' -bench 'RunSerial|ScoreAll|EnforceSparsity|TopK' -benchmem ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
 	$(GO) test -run '^$$' -bench 'BenchmarkRun$$' -benchmem ./internal/nas
 	$(GO) test -run '^$$' -bench 'ProfilerHostCost|ProfilerFirstSightings' -benchmem ./internal/mpiprof

@@ -298,8 +298,8 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 	// is "benchmarks that have similar behavior as the HPC application",
 	// not an arbitrary combination that cancels to the right average).
 	// The objective is compiled once into an EvalKernel (see kernel.go)
-	// shared read-only by the whole ensemble; each member hands the GA a
-	// per-slot scratch row so concurrent evaluators never share state.
+	// shared read-only by the whole ensemble; each member's objective
+	// closes over a scratch row of its own, so members never share state.
 	const memberPenalty = 1.0
 	kern := NewEvalKernel(pool, appVec, weights, memberPenalty)
 	if opts.UseNNLS {
@@ -323,24 +323,17 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 		}
 		ms := sp.ChildW(fmt.Sprintf("ga.member.%d", e), w)
 		defer ms.End()
-		// The ensemble is already fanned out; keep each member's own
-		// evaluation serial to avoid oversubscription.
-		const gaWorkers = 1
-		// One scratch row per GA evaluation slot: the kernel itself is
-		// shared read-only across the ensemble.
-		scratch := make([][]float64, gaWorkers)
-		for s := range scratch {
-			scratch[s] = kern.NewScratch()
-		}
+		// The kernel is shared read-only across the ensemble; the scratch
+		// row is this member's own, and its GA scores serially.
+		scratch := kern.NewScratch()
 		cfg := ga.Config{
 			GenomeLen: len(names),
 			MaxActive: surrogateMaxSize,
 			Seed:      fmt.Sprintf("surrogate|%s|%s|%d|%d", app.Name(), p.Target.Name, ci, e),
-			FitnessW: func(slot int, genome []float64) float64 {
-				return kern.Objective(genome, scratch[slot])
+			Fitness: func(genome []float64) float64 {
+				return kern.Objective(genome, scratch)
 			},
-			Workers: gaWorkers,
-			Obs:     ms,
+			Obs: ms,
 		}
 		if p.onGAProgress != nil {
 			member := e

@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/mpiprof"
 	"repro/internal/nas"
+	"repro/internal/obs"
 	"repro/internal/quality"
 )
 
@@ -533,6 +535,33 @@ func TestNewPipelineDedupesCounts(t *testing.T) {
 	}
 	if len(p.IMBBase) != 2 || len(p.IMBTarget) != 2 {
 		t.Errorf("duplicate rank counts not deduped: %d/%d tables", len(p.IMBBase), len(p.IMBTarget))
+	}
+}
+
+// TestGatherStartOrder pins the gather's start order (DESIGN §12): both
+// SPEC suites, then each count's base and target IMB tables, largest count
+// first, so the biggest table never starts last and sets the makespan. At
+// Workers 1 start order is span order.
+func TestGatherStartOrder(t *testing.T) {
+	scope := obs.New("gather")
+	if _, err := NewPipelineOpts(arch.MustGet(arch.Hydra), arch.MustGet(arch.Power6),
+		[]int{8, 2, 4}, Options{Workers: 1, Obs: scope}); err != nil {
+		t.Fatal(err)
+	}
+	scope.End()
+	spans := scope.Trace().Spans
+	if len(spans) != 1 || !strings.HasPrefix(spans[0].Name, "core.pipeline.") {
+		t.Fatalf("root children = %+v, want one core.pipeline.* span", spans)
+	}
+	var got []string
+	for _, s := range spans[0].Spans {
+		got = append(got, s.Name)
+	}
+	want := []string{"spec.hydra", "spec.power6-575",
+		"imb.hydra.8", "imb.power6-575.8", "imb.hydra.4", "imb.power6-575.4",
+		"imb.hydra.2", "imb.power6-575.2"}
+	if !slices.Equal(got, want) {
+		t.Errorf("gather start order %v, want %v", got, want)
 	}
 }
 

@@ -34,8 +34,7 @@ import (
 // concurrent ensemble members; only the scratch row is per-caller.
 type EvalKernel struct {
 	metrics int       // metric dimensions per row (n)
-	benches int       // pool rows (k)
-	pool    []float64 // benches×metrics, row-major, normalised
+	pool    []float64 // benchmarks×metrics, row-major, normalised
 	app     []float64 // metrics
 	weights []float64 // metrics
 
@@ -52,7 +51,6 @@ func NewEvalKernel(pool [][]float64, app, weights []float64, memberPenalty float
 	n := len(app)
 	e := &EvalKernel{
 		metrics:       n,
-		benches:       len(pool),
 		pool:          make([]float64, len(pool)*n),
 		app:           append([]float64(nil), app...),
 		weights:       append([]float64(nil), weights...),
@@ -65,9 +63,6 @@ func NewEvalKernel(pool [][]float64, app, weights []float64, memberPenalty float
 	}
 	return e
 }
-
-// Benches returns the pool size (the genome length the kernel expects).
-func (e *EvalKernel) Benches() int { return e.benches }
 
 // NewScratch returns a combo row sized for Objective. Each concurrent
 // caller needs its own; it carries no state between calls.

@@ -197,13 +197,14 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 	sp := opts.Obs.Child(fmt.Sprintf("core.pipeline.%s->%s", base.Name, target.Name))
 	defer sp.End()
 
-	var g par.Group
-	g.SetLimit(par.Workers(opts.Workers))
-	// Base-side SPEC runs carry measurement noise (we ran them); the
-	// target numbers are published averages — modelled as noisy too.
-	// Parts already supplied via Options.Data are not re-run.
+	// One task per missing characterisation, in start order: ForEachW hands
+	// indices out in ascending order. Base-side SPEC runs carry measurement
+	// noise (we ran them); the target numbers are published averages —
+	// modelled as noisy too. Parts already supplied via Options.Data are
+	// not re-run.
+	tasks := make([]func() error, 0, 2+2*len(counts))
 	if p.SpecBase == nil {
-		g.Go(func() error {
+		tasks = append(tasks, func() error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -217,7 +218,7 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 		})
 	}
 	if p.SpecTarget == nil {
-		g.Go(func() error {
+		tasks = append(tasks, func() error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -232,12 +233,12 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 	}
 	imbBase := make([]*imb.Table, len(counts))
 	imbTarget := make([]*imb.Table, len(counts))
-	// Largest tables first: Go blocks at the limit, so queue order is start
-	// order, and the biggest table started last would set the makespan.
+	// Largest tables first: the biggest table started last would set the
+	// makespan.
 	for i := len(counts) - 1; i >= 0; i-- {
 		i, c := i, counts[i]
 		if p.IMBBase[c] == nil {
-			g.Go(func() error {
+			tasks = append(tasks, func() error {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -252,7 +253,7 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 			})
 		}
 		if p.IMBTarget[c] == nil {
-			g.Go(func() error {
+			tasks = append(tasks, func() error {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
@@ -267,7 +268,9 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 			})
 		}
 	}
-	if err := g.Wait(); err != nil {
+	if err := par.ForEachW(par.Workers(opts.Workers), len(tasks), func(_, i int) error {
+		return tasks[i]()
+	}); err != nil {
 		return nil, err
 	}
 	for i, c := range counts {

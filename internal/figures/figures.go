@@ -11,9 +11,9 @@
 // application profile shared by several cells and targets is simulated
 // once. Finished validations are memoised in an lru.Cache, single-flight,
 // so concurrent requests for a cell share one computation. It is safe for
-// concurrent use: AllFigures, Summarize, BenchFigure and LUFigure evaluate
-// their cells on a shared bounded worker pool before assembling the output
-// in the paper's fixed order — so the emitted figures and statistics are
+// concurrent use: Summarize, BenchFigure and LUFigure evaluate their cells
+// on a shared bounded worker pool before assembling the output in the
+// paper's fixed order — so the emitted figures and statistics are
 // byte-identical to a serial run whatever Workers is set to.
 package figures
 
@@ -94,8 +94,8 @@ type Runner struct {
 	// Verbose, if set, receives progress lines. The Runner serialises
 	// calls, so the hook need not be safe for concurrent use itself.
 	Verbose func(format string, args ...any)
-	// Workers bounds the evaluation pool shared by AllFigures, Summarize
-	// and the per-figure generators, and the pipelines' internal fan-out:
+	// Workers bounds the evaluation pool shared by Summarize and the
+	// per-figure generators, and the pipelines' internal fan-out:
 	// 0 means runtime.GOMAXPROCS(0), 1 the legacy serial path. Output is
 	// identical for every value.
 	Workers int
@@ -204,7 +204,7 @@ type cellKey struct {
 // stopping at the first error. Afterwards every cell is cached, so callers
 // can assemble output serially in any fixed order.
 func (r *Runner) prewarm(cells []cellKey) error {
-	return par.ForEach(par.Workers(r.Workers), len(cells), func(i int) error {
+	return par.ForEachW(par.Workers(r.Workers), len(cells), func(_, i int) error {
 		k := cells[i]
 		_, err := r.Validate(k.target, k.bench, k.class, k.ck)
 		return err
@@ -315,36 +315,6 @@ func (r *Runner) LUFigure() (*Figure, error) {
 		}
 	}
 	return f, nil
-}
-
-// AllFigures regenerates Figures 3–9 in paper order. The full evaluation
-// grid is computed on one shared worker pool first (every cell, across all
-// figures), then the figures are assembled serially from the cache.
-func (r *Runner) AllFigures() ([]*Figure, error) {
-	if err := r.prewarm(allCells()); err != nil {
-		return nil, err
-	}
-	var out []*Figure
-	for _, target := range Targets() {
-		f, err := r.BenchFigure(nas.BT, target)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	lu, err := r.LUFigure()
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, lu)
-	for _, target := range Targets() {
-		f, err := r.BenchFigure(nas.SP, target)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
 }
 
 // SystemSummary is one target's row of the paper's summary statistics.

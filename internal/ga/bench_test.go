@@ -3,9 +3,7 @@ package ga
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/rng"
 )
@@ -151,9 +149,8 @@ func benchTopK(b *testing.B, n, k int, fn func([]individual, int) []individual) 
 func BenchmarkTopK_n1024k32(b *testing.B)      { benchTopK(b, 1024, 32, topK) }
 func BenchmarkTopKNaive_n1024k32(b *testing.B) { benchTopK(b, 1024, 32, naiveTopK) }
 
-// heavyFitness emulates the surrogate-search fitness shape at a cost large
-// enough for the worker pool to matter: a weighted distance over a pool of
-// metric vectors.
+// heavyFitness emulates the surrogate-search fitness shape: a weighted
+// distance over a pool of metric vectors.
 func heavyFitness(poolSize, dims int) func([]float64) float64 {
 	pool := make([][]float64, poolSize)
 	for k := range pool {
@@ -174,13 +171,13 @@ func heavyFitness(poolSize, dims int) func([]float64) float64 {
 	}
 }
 
-func benchGA(b *testing.B, workers int) {
+// BenchmarkRunSerial is one search at the surrogate-search shape.
+func BenchmarkRunSerial(b *testing.B) {
 	cfg := Config{
 		GenomeLen: 29, MaxActive: 5,
 		PopSize: 64, Generations: 30,
 		Seed:    "bench-ga",
 		Fitness: heavyFitness(29, 512),
-		Workers: workers,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -188,46 +185,6 @@ func benchGA(b *testing.B, workers int) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkRunSerial(b *testing.B)   { benchGA(b, 1) }
-func BenchmarkRunParallel(b *testing.B) { benchGA(b, 0) }
-
-// BenchmarkRunSpeedup times the serial and pooled paths back to back and
-// reports the wall-clock ratio (>= ~1 on one core, approaching the core
-// count as GOMAXPROCS grows).
-func BenchmarkRunSpeedup(b *testing.B) {
-	// At GOMAXPROCS=1 the pooled path has no second scheduler thread, so
-	// the ratio is goroutine overhead, not speedup — skip rather than
-	// record a meaningless ~1x into baselines.
-	if runtime.GOMAXPROCS(0) == 1 {
-		b.Skip("speedup ratio is meaningless at GOMAXPROCS=1 (the pooled path cannot parallelise); rerun with GOMAXPROCS>=2")
-	}
-	cfg := Config{
-		GenomeLen: 29, MaxActive: 5,
-		PopSize: 64, Generations: 30,
-		Seed:    "bench-ga-speedup",
-		Fitness: heavyFitness(29, 512),
-	}
-	var serial, parallel time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := cfg
-		s.Workers = 1
-		t0 := time.Now()
-		if _, err := Run(s); err != nil {
-			b.Fatal(err)
-		}
-		serial += time.Since(t0)
-		p := cfg
-		p.Workers = 0
-		t1 := time.Now()
-		if _, err := Run(p); err != nil {
-			b.Fatal(err)
-		}
-		parallel += time.Since(t1)
-	}
-	b.ReportMetric(serial.Seconds()/parallel.Seconds(), "speedup")
 }
 
 // benchScoreAllBatches pre-generates sparse genome batches at the
@@ -261,7 +218,7 @@ func cheapFitness(g []float64) float64 {
 }
 
 func newBenchEvaluator() *evaluator {
-	return newEvaluator(func(_ int, g []float64) float64 { return cheapFitness(g) }, 1, nil)
+	return &evaluator{fn: cheapFitness, out: make([]float64, 62)}
 }
 
 // BenchmarkScoreAll measures one evaluator batch at the generation shape.
@@ -276,8 +233,7 @@ func BenchmarkScoreAll(b *testing.B) {
 }
 
 // TestScoreAllSteadyStateAllocs pins a batch on a warmed evaluator at zero
-// allocations on the serial path: the out scratch and the pool closure are
-// both reused.
+// allocations: the out scratch is reused.
 func TestScoreAllSteadyStateAllocs(t *testing.T) {
 	batches := benchScoreAllBatches(16, 62, 29)
 	ev := newBenchEvaluator()

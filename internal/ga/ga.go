@@ -7,25 +7,21 @@
 // blend crossover, Gaussian mutation with activate/deactivate moves for
 // sparsity control, and elitism — fully deterministic under a string seed.
 //
-// Fitness evaluation is the hot path and is embarrassingly parallel, so Run
-// scores each generation on a bounded worker pool (Config.Workers). The
-// result is byte-identical to the serial path: every candidate genome is
-// generated serially from the seeded RNG first, and only then scored
-// concurrently, so the RNG stream — and therefore the evolution — never
-// depends on scheduling. Every genome handed to the evaluator is scored —
-// fitness is pure, so the few duplicates just score the same again — which
-// keeps Result.Evaluations independent of the worker count too.
+// Run is serial: each generation's children are generated from the seeded
+// RNG first, then scored in order on Run's own goroutine, so Fitness may
+// keep scratch of its own. Parallelism lives one level up: core runs
+// independently seeded ensemble members side by side. Every genome handed
+// to the evaluator is scored (fitness is pure, so the few duplicates just
+// score the same again).
 package ga
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -53,23 +49,10 @@ type Config struct {
 	MutationRate *float64
 	// Seed makes the run reproducible; required.
 	Seed string
-	// Fitness scores a genome; lower is better. Genomes are always
-	// non-negative. Exactly one of Fitness and FitnessW is required. It
-	// must be a pure function of the genome and safe for concurrent calls
-	// when Workers != 1.
+	// Fitness scores a genome; lower is better; required. Genomes are
+	// always non-negative. It must be a pure function of the genome. It is
+	// called from one goroutine at a time, so it may reuse scratch.
 	Fitness func(genome []float64) float64
-	// FitnessW is Fitness with the evaluation slot passed in: slot
-	// identifies which of the pool's workers is calling, numbered
-	// 0..par.Workers(Workers)-1 (always 0 when Workers is 1). It lets an
-	// objective with per-call scratch — like core's EvalKernel — keep one
-	// scratch arena per slot instead of locking or allocating. The same
-	// purity and concurrency-safety rules as Fitness apply; the slot must
-	// not influence the returned score.
-	FitnessW func(slot int, genome []float64) float64
-	// Workers bounds the fitness-evaluation pool: 0 (the default) means
-	// runtime.GOMAXPROCS(0), 1 selects the legacy serial path. The
-	// result is identical for every value.
-	Workers int
 	// OnGeneration, when non-nil, observes the run: it is called once per
 	// evolved generation — after the generation's children are scored —
 	// with the generation index and the running best fitness. It is called
@@ -93,11 +76,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.GenomeLen <= 0 {
 		return c, fmt.Errorf("ga: GenomeLen must be positive")
 	}
-	if c.Fitness == nil && c.FitnessW == nil {
-		return c, fmt.Errorf("ga: Fitness (or FitnessW) is required")
-	}
-	if c.Fitness != nil && c.FitnessW != nil {
-		return c, fmt.Errorf("ga: Fitness and FitnessW are mutually exclusive")
+	if c.Fitness == nil {
+		return c, fmt.Errorf("ga: Fitness is required")
 	}
 	if c.Seed == "" {
 		return c, fmt.Errorf("ga: Seed is required for reproducibility")
@@ -144,8 +124,7 @@ type Result struct {
 	// initial population as entry 0).
 	History []float64
 	// Evaluations counts the scores requested: the initial population plus
-	// every generation's children (elites carry their score). It does not
-	// depend on Workers.
+	// every generation's children (elites carry their score).
 	Evaluations int
 	// Quarantined counts fitness evaluations that panicked (or were
 	// fault-injected to fail) and were scored +Inf — the worst possible
@@ -160,62 +139,44 @@ type individual struct {
 	fitness float64
 }
 
-// evaluator scores genome batches on a worker pool. It is used from a
-// single goroutine; only the fitness calls it issues run concurrently.
+// evaluator scores genome batches in order and counts what it scored.
 type evaluator struct {
-	fn          func(slot int, g []float64) float64
-	workers     int
+	fn          func(g []float64) float64
 	evals       int
-	quarantined atomic.Int64
+	quarantined int
 	obs         *obs.Scope
-
-	batch [][]float64 // the genomes being scored
-	out   []float64   // their scores; reused across batches
-	// scoreOne scores batch[i] into out[i] on pool slot w. Built once per
-	// evaluator: a closure literal per batch would escape to the heap.
-	scoreOne func(w, i int) error
-}
-
-func newEvaluator(fn func(slot int, g []float64) float64, workers int, sp *obs.Scope) *evaluator {
-	e := &evaluator{fn: fn, workers: workers, obs: sp}
-	e.scoreOne = func(w, i int) error {
-		e.out[i] = e.safeScore(w, e.batch[i])
-		return nil
-	}
-	return e
+	out         []float64 // the batch's scores; reused across batches
 }
 
 // safeScore scores one genome, quarantining failures: a panicking fitness
 // function (or an armed "ga.eval" fault) yields +Inf — the worst score
 // under minimisation — so one bad chromosome cannot kill the whole search.
-func (e *evaluator) safeScore(slot int, g []float64) (f float64) {
+func (e *evaluator) safeScore(g []float64) (f float64) {
 	defer func() {
 		if v := recover(); v != nil {
-			e.quarantined.Add(1)
+			e.quarantined++
 			f = math.Inf(1)
 		}
 	}()
 	if err := faultinject.Fire("ga.eval"); err != nil {
-		e.quarantined.Add(1)
+		e.quarantined++
 		return math.Inf(1)
 	}
-	return e.fn(slot, g)
+	return e.fn(g)
 }
 
-// scoreAll returns the fitness of each genome, scored concurrently on the
-// pool (inline on slot 0 when workers <= 1 — the legacy serial path);
-// workers write disjoint elements. The returned slice is the evaluator's
-// reusable scratch: it is valid until the next scoreAll call.
+// scoreAll returns the fitness of each genome; out must hold the batch.
+// The returned slice is the evaluator's reusable scratch: it is valid until
+// the next scoreAll call.
 func (e *evaluator) scoreAll(genomes [][]float64) []float64 {
 	e.evals += len(genomes)
 	// Batch-level counter only: the per-evaluation hot path stays
 	// untouched, so the disabled layer costs one nil check per batch.
 	e.obs.Count("ga.evaluations", int64(len(genomes)))
-	if cap(e.out) < len(genomes) {
-		e.out = make([]float64, len(genomes))
+	e.out = e.out[:len(genomes)]
+	for i, g := range genomes {
+		e.out[i] = e.safeScore(g)
 	}
-	e.batch, e.out = genomes, e.out[:len(genomes)]
-	_ = par.ForEachW(e.workers, len(genomes), e.scoreOne)
 	return e.out
 }
 
@@ -231,12 +192,8 @@ func Run(cfg Config) (*Result, error) {
 	src := rng.New("ga|" + cfg.Seed)
 	res := &Result{}
 	var sparsityScratch []gene
-	fn := cfg.FitnessW
-	if fn == nil {
-		plain := cfg.Fitness
-		fn = func(_ int, g []float64) float64 { return plain(g) }
-	}
-	ev := newEvaluator(fn, par.Workers(cfg.Workers), sp)
+	// The initial population is the largest batch, so out is sized once.
+	ev := &evaluator{fn: cfg.Fitness, obs: sp, out: make([]float64, cfg.PopSize)}
 
 	// Genomes live in two flat ping-pong arenas: each generation's
 	// population is carved out of one arena while its parents occupy the
@@ -257,8 +214,8 @@ func Run(cfg Config) (*Result, error) {
 
 	genomes := make([][]float64, cfg.PopSize)
 	pop := make([]individual, cfg.PopSize)
-	// Initial population: sparse random genomes, generated serially from
-	// the seeded RNG, then scored as one batch.
+	// Initial population: sparse random genomes from the seeded RNG,
+	// scored as one batch.
 	for i := range genomes {
 		g := carve(cur, i)
 		active := cfg.MaxActive
@@ -300,8 +257,7 @@ func Run(cfg Config) (*Result, error) {
 			copy(g, e.genome)
 			next = append(next, individual{genome: g, fitness: e.fitness})
 		}
-		// Generate every child serially first (the RNG stream must not
-		// depend on evaluation scheduling), then score them as a batch.
+		// Generate every child first, then score them as a batch.
 		children = children[:0]
 		for len(next)+len(children) < cfg.PopSize {
 			a := tournament(pop, cfg.TournamentK, src)
@@ -338,7 +294,7 @@ func Run(cfg Config) (*Result, error) {
 	res.Best = best.genome
 	res.BestFitness = best.fitness
 	res.Evaluations = ev.evals
-	res.Quarantined = int(ev.quarantined.Load())
+	res.Quarantined = ev.quarantined
 	if res.Quarantined > 0 {
 		sp.Count("ga.quarantined", int64(res.Quarantined))
 	}

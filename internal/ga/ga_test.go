@@ -2,6 +2,8 @@ package ga
 
 import (
 	"math"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -228,55 +230,6 @@ func TestRateValidation(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSerial(t *testing.T) {
-	// The determinism contract: Workers must not change anything — Best,
-	// BestFitness, History and Evaluations are byte-identical because
-	// genomes are generated serially and scored as a batch.
-	for _, seed := range []string{"par-a", "par-b", "par-c", "par-d"} {
-		base := Config{
-			GenomeLen: 12, MaxActive: 5, Seed: seed,
-			PopSize: 32, Generations: 40,
-			Fitness: sphere([]float64{0.1, 0, 0.3, 0, 0.5, 0, 0.7, 0, 0.2, 0, 0.4, 0}),
-		}
-		serial := base
-		serial.Workers = 1
-		want, err := Run(serial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{2, 8} {
-			cfg := base
-			cfg.Workers = workers
-			got, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.BestFitness != want.BestFitness {
-				t.Fatalf("seed %q workers %d: BestFitness %v != serial %v",
-					seed, workers, got.BestFitness, want.BestFitness)
-			}
-			if got.Evaluations != want.Evaluations {
-				t.Fatalf("seed %q workers %d: Evaluations %d != serial %d",
-					seed, workers, got.Evaluations, want.Evaluations)
-			}
-			for i := range want.Best {
-				if got.Best[i] != want.Best[i] {
-					t.Fatalf("seed %q workers %d: Best[%d] differs", seed, workers, i)
-				}
-			}
-			if len(got.History) != len(want.History) {
-				t.Fatalf("seed %q workers %d: history length differs", seed, workers)
-			}
-			for i := range want.History {
-				if got.History[i] != want.History[i] {
-					t.Fatalf("seed %q workers %d: History[%d] %v != %v",
-						seed, workers, i, got.History[i], want.History[i])
-				}
-			}
-		}
-	}
-}
-
 // Property: enforceSparsity never leaves more than the cap active and never
 // creates negatives.
 func TestEnforceSparsityProperty(t *testing.T) {
@@ -317,51 +270,25 @@ func TestSparsityKeepsLargestGenes(t *testing.T) {
 	}
 }
 
-// TestFitnessWEquivalence: routing the same objective through FitnessW
-// (slot-aware) must reproduce the Fitness path byte for byte, at every
-// worker count, with slots staying in range.
-func TestFitnessWEquivalence(t *testing.T) {
+// TestFitnessExclusive pins Fitness's contract: Run calls it from one
+// goroutine at a time, so an objective may reuse scratch without locking.
+func TestFitnessExclusive(t *testing.T) {
 	obj := sphere([]float64{0.3, 0, 0.7, 0, 0.1, 0.9})
-	base := Config{
-		GenomeLen: 6, MaxActive: 3, Seed: "fitnessw", PopSize: 16, Generations: 30,
-		Fitness: obj,
-	}
-	want, err := Run(base)
+	var inFlight atomic.Int32
+	scratch := make([]float64, 6)
+	_, err := Run(Config{
+		GenomeLen: 6, MaxActive: 3, Seed: "exclusive", PopSize: 16, Generations: 30,
+		Fitness: func(g []float64) float64 {
+			if inFlight.Add(1) != 1 {
+				t.Error("Fitness called while another call was in flight")
+			}
+			defer inFlight.Add(-1)
+			copy(scratch, g)
+			runtime.Gosched()
+			return obj(scratch)
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Fitness = nil
-		cfg.Workers = workers
-		maxSlot := workers
-		cfg.FitnessW = func(slot int, g []float64) float64 {
-			if slot < 0 || slot >= maxSlot {
-				t.Errorf("slot %d outside [0,%d)", slot, maxSlot)
-			}
-			return obj(g)
-		}
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got.BestFitness) != math.Float64bits(want.BestFitness) {
-			t.Errorf("workers=%d: FitnessW best %v != Fitness best %v", workers, got.BestFitness, want.BestFitness)
-		}
-		if got.Evaluations != want.Evaluations {
-			t.Errorf("workers=%d: evaluations %d != %d", workers, got.Evaluations, want.Evaluations)
-		}
-	}
-}
-
-// TestFitnessExclusive: setting both objectives is a config error.
-func TestFitnessExclusive(t *testing.T) {
-	_, err := Run(Config{
-		GenomeLen: 2, Seed: "s",
-		Fitness:  func(g []float64) float64 { return 0 },
-		FitnessW: func(_ int, g []float64) float64 { return 0 },
-	})
-	if err == nil {
-		t.Fatal("Run accepted both Fitness and FitnessW")
 	}
 }

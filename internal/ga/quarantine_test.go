@@ -9,14 +9,13 @@ import (
 
 // quarantineConfig is a small run whose fitness panics on genomes
 // activating gene 0 — a deterministic subset of the population.
-func quarantineConfig(workers int) Config {
+func quarantineConfig() Config {
 	return Config{
 		GenomeLen:   6,
 		MaxActive:   3,
 		PopSize:     16,
 		Generations: 10,
 		Seed:        "quarantine-test",
-		Workers:     workers,
 		Fitness: func(g []float64) float64 {
 			if g[0] > 0 {
 				panic("poisoned gene 0")
@@ -34,7 +33,7 @@ func quarantineConfig(workers int) Config {
 // kill the search: panicking evaluations score +Inf, the run completes,
 // and the winner avoids the poisoned region.
 func TestQuarantineSurvivesPanickingFitness(t *testing.T) {
-	res, err := Run(quarantineConfig(1))
+	res, err := Run(quarantineConfig())
 	if err != nil {
 		t.Fatalf("run with panicking fitness failed: %v", err)
 	}
@@ -46,34 +45,6 @@ func TestQuarantineSurvivesPanickingFitness(t *testing.T) {
 	}
 	if res.Best[0] > 0 {
 		t.Errorf("winner activates the poisoned gene: %v", res.Best)
-	}
-}
-
-// TestQuarantineDeterministicAcrossWorkers pins that a quarantine score is
-// a score like any other: serial and concurrent runs evolve identically,
-// panics included.
-func TestQuarantineDeterministicAcrossWorkers(t *testing.T) {
-	serial, err := Run(quarantineConfig(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := Run(quarantineConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.BestFitness != parallel.BestFitness {
-		t.Errorf("best fitness differs: serial %v, 8 workers %v", serial.BestFitness, parallel.BestFitness)
-	}
-	if len(serial.Best) != len(parallel.Best) {
-		t.Fatal("genome lengths differ")
-	}
-	for i := range serial.Best {
-		if serial.Best[i] != parallel.Best[i] {
-			t.Fatalf("best genome differs at gene %d: %v vs %v", i, serial.Best, parallel.Best)
-		}
-	}
-	if serial.Quarantined != parallel.Quarantined {
-		t.Errorf("quarantine count differs: serial %d, 8 workers %d", serial.Quarantined, parallel.Quarantined)
 	}
 }
 

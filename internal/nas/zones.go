@@ -218,9 +218,6 @@ func (inst *Instance) forEachFace(fn func(src, dst int, m faceMsg)) {
 	}
 }
 
-// RankWork returns rank r's per-timestep instruction count.
-func (inst *Instance) RankWork(r int) float64 { return inst.rankInstrStep[r] }
-
 // Imbalance is the max/mean ratio of per-rank work: 1 is perfect balance.
 func (inst *Instance) Imbalance() float64 {
 	var max, sum float64

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ import (
 // goroutine.
 func TestForEachPanicBecomesError(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 8, func(i int) error {
+		err := ForEachW(workers, 8, func(_, i int) error {
 			if i == 3 {
 				panic("boom at 3")
 			}
@@ -34,27 +35,27 @@ func TestForEachPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestGroupPanicBecomesError covers the Group path used by the pipeline's
-// fan-out: one panicking task yields a *PanicError from Wait while the
-// other tasks complete.
+// TestGroupPanicBecomesError covers a group of tasks in flight together:
+// one panicking task yields a *PanicError while its siblings, already
+// started, still complete. A barrier holds each task until all are in
+// flight, so the panic cannot stop a sibling from starting.
 func TestGroupPanicBecomesError(t *testing.T) {
-	var g Group
-	g.SetLimit(2)
-	done := make([]bool, 4)
-	for i := 0; i < 4; i++ {
-		i := i
-		g.Go(func() error {
-			if i == 1 {
-				panic(errors.New("task 1 died"))
-			}
-			done[i] = true
-			return nil
-		})
-	}
-	err := g.Wait()
+	const n = 4
+	done := make([]bool, n)
+	var started sync.WaitGroup
+	started.Add(n)
+	err := ForEachW(n, n, func(_, i int) error {
+		started.Done()
+		started.Wait()
+		if i == 1 {
+			panic(errors.New("task 1 died"))
+		}
+		done[i] = true
+		return nil
+	})
 	var pe *PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("Wait = %v, want *PanicError", err)
+		t.Fatalf("ForEachW = %v, want *PanicError", err)
 	}
 	for _, i := range []int{0, 2, 3} {
 		if !done[i] {
@@ -67,7 +68,7 @@ func TestGroupPanicBecomesError(t *testing.T) {
 // unwrapped: panic conversion must not intercept the error path.
 func TestPanicErrorKeepsRealErrors(t *testing.T) {
 	sentinel := errors.New("plain failure")
-	err := ForEach(4, 8, func(i int) error {
+	err := ForEachW(4, 8, func(_, i int) error {
 		if i == 2 {
 			return sentinel
 		}

@@ -1,7 +1,6 @@
-// Package par provides the small, dependency-free concurrency primitives
-// the evaluation engine is built on: an errgroup-style Group with a
-// concurrency limit and first-error propagation, and a bounded-worker
-// ForEach for index-addressed fan-out.
+// Package par provides the small, dependency-free fan-out the evaluation
+// engine is built on: ForEachW, a bounded-worker loop over an index space
+// with first-error propagation and panic isolation.
 //
 // The engine's determinism contract (see DESIGN.md, "Parallelism &
 // determinism") is that concurrency never touches random-number streams or
@@ -53,72 +52,20 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Group runs tasks on goroutines and waits for them, propagating the first
-// error. The zero value is ready to use and imposes no concurrency limit;
-// call SetLimit before the first Go to bound it. It is a stdlib-only
-// stand-in for golang.org/x/sync/errgroup.
-type Group struct {
-	wg   sync.WaitGroup
-	sem  chan struct{}
-	once sync.Once
-	err  error
-}
-
-// SetLimit bounds the number of concurrently running tasks to n (n <= 0
-// removes the limit). It must not be called after Go.
-func (g *Group) SetLimit(n int) {
-	if n <= 0 {
-		g.sem = nil
-		return
-	}
-	g.sem = make(chan struct{}, n)
-}
-
-// Go schedules f on its own goroutine, blocking first if the concurrency
-// limit is reached. The first non-nil error wins; later errors are dropped.
-// A panicking task is recovered into a *PanicError instead of crashing the
-// process from the pool goroutine.
-func (g *Group) Go(f func() error) {
-	if g.sem != nil {
-		g.sem <- struct{}{}
-	}
-	g.wg.Add(1)
-	go func() {
-		defer func() {
-			if g.sem != nil {
-				<-g.sem
-			}
-			g.wg.Done()
-		}()
-		if err := protect(f); err != nil {
-			g.once.Do(func() { g.err = err })
-		}
-	}()
-}
-
-// Wait blocks until every task scheduled with Go has returned, then
-// reports the first error.
-func (g *Group) Wait() error {
-	g.wg.Wait()
-	return g.err
-}
-
-// ForEach runs fn(i) for every i in [0, n) on at most workers goroutines
-// and returns the first error. workers <= 1 (or n == 1) runs inline on the
-// calling goroutine — the legacy serial path, with no goroutine overhead
-// and early exit on error. In the concurrent path an error stops workers
-// from taking new indices, but indices already in flight complete. A panic
-// in fn becomes a *PanicError on both paths, so a caller sees the same
-// failure shape at every worker count.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachW(workers, n, func(_, i int) error { return fn(i) })
-}
-
-// ForEachW is ForEach with the executing worker's pool slot passed to fn —
-// the hook observability layers use to attribute spans to workers. Slots
-// number 0..min(workers,n)-1; the inline serial path is slot 0. Which slot
-// runs which index is scheduling-dependent; everything else about the
-// contract matches ForEach.
+// ForEachW runs fn(worker, i) for every i in [0, n) on at most workers
+// goroutines and returns the first error. Indices are handed out in
+// ascending order, so index order is start order: a caller that wants its
+// longest tasks started first lists them first. workers <= 1 (or n == 1)
+// runs inline on the calling goroutine — the legacy serial path, with no
+// goroutine overhead and early exit on error. In the concurrent path an
+// error stops workers from taking new indices, but indices already in
+// flight complete. A panic in fn becomes a *PanicError on both paths, so a
+// caller sees the same failure shape at every worker count.
+//
+// worker is the executing pool slot, the hook observability layers use to
+// attribute spans to workers: slots number 0..min(workers,n)-1, and the
+// inline serial path is slot 0. Which slot runs which index is
+// scheduling-dependent.
 func ForEachW(workers, n int, fn func(worker, i int) error) error {
 	if n <= 0 {
 		return nil

@@ -24,52 +24,75 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
+// TestGroupRunsAll fans a group of tasks out on more workers than there are
+// tasks: the pool is clamped to the task count and every task runs once.
 func TestGroupRunsAll(t *testing.T) {
-	var g Group
-	var n atomic.Int64
-	for i := 0; i < 50; i++ {
-		g.Go(func() error {
-			n.Add(1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	const n = 50
+	var ran atomic.Int64
+	seen := make([]atomic.Int64, n)
+	if err := ForEachW(64, n, func(w, i int) error {
+		if w < 0 || w >= n {
+			t.Errorf("slot %d out of range [0,%d)", w, n)
+		}
+		ran.Add(1)
+		seen[i].Add(1)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if n.Load() != 50 {
-		t.Errorf("ran %d tasks, want 50", n.Load())
+	if ran.Load() != n {
+		t.Errorf("ran %d tasks, want %d", ran.Load(), n)
+	}
+	for i := range seen {
+		if seen[i].Load() != 1 {
+			t.Errorf("task %d ran %d times", i, seen[i].Load())
+		}
 	}
 }
 
+// TestGroupFirstError fails every task of a group at once: ForEachW
+// returns exactly one of the task errors, never nil and never a wrapper.
+// A barrier holds each task until all are in flight, so all of them fail.
 func TestGroupFirstError(t *testing.T) {
-	var g Group
-	boom := errors.New("boom")
-	g.Go(func() error { return nil })
-	g.Go(func() error { return boom })
-	g.Go(func() error { return errors.New("later") })
-	if err := g.Wait(); err == nil {
+	const n = 3
+	errs := []error{errors.New("e0"), errors.New("e1"), errors.New("e2")}
+	var started sync.WaitGroup
+	started.Add(n)
+	err := ForEachW(n, n, func(_, i int) error {
+		started.Done()
+		started.Wait()
+		return errs[i]
+	})
+	if err == nil {
 		t.Fatal("error dropped")
 	}
+	found := false
+	for _, e := range errs {
+		if err == e {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("err = %v, want one of the task errors", err)
+	}
 }
 
-func TestGroupLimit(t *testing.T) {
-	var g Group
-	g.SetLimit(2)
+// TestForEachWLimit pins the concurrency bound the characterisation
+// gather relies on: never more than workers tasks at once.
+func TestForEachWLimit(t *testing.T) {
 	var cur, max atomic.Int64
 	var mu sync.Mutex
-	for i := 0; i < 20; i++ {
-		g.Go(func() error {
-			c := cur.Add(1)
-			mu.Lock()
-			if c > max.Load() {
-				max.Store(c)
-			}
-			mu.Unlock()
-			cur.Add(-1)
-			return nil
-		})
-	}
-	if err := g.Wait(); err != nil {
+	if err := ForEachW(2, 20, func(_, i int) error {
+		c := cur.Add(1)
+		mu.Lock()
+		if c > max.Load() {
+			max.Store(c)
+		}
+		mu.Unlock()
+		runtime.Gosched()
+		cur.Add(-1)
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if max.Load() > 2 {
@@ -77,11 +100,51 @@ func TestGroupLimit(t *testing.T) {
 	}
 }
 
+// TestForEachWHandsOutAscending pins the start-order contract: indices are
+// handed out in ascending order, so with every worker busy the next index
+// to start is the lowest one not yet started. Each task blocks until the
+// test releases it, one at a time.
+func TestForEachWHandsOutAscending(t *testing.T) {
+	const workers, n = 3, 9
+	started := make(chan int, n)
+	release := make(chan struct{})
+	defer close(release) // on failure, lets every blocked task finish
+	done := make(chan error, 1)
+	go func() {
+		done <- ForEachW(workers, n, func(_, i int) error {
+			started <- i
+			<-release
+			return nil
+		})
+	}()
+	first := map[int]bool{}
+	for k := 0; k < workers; k++ {
+		first[<-started] = true
+	}
+	for i := 0; i < workers; i++ {
+		if !first[i] {
+			t.Fatalf("first %d starts %v, want indices 0..%d", workers, first, workers-1)
+		}
+	}
+	for want := workers; want < n; want++ {
+		release <- struct{}{}
+		if got := <-started; got != want {
+			t.Fatalf("started index %d after a release, want %d", got, want)
+		}
+	}
+	for k := 0; k < workers; k++ {
+		release <- struct{}{}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestForEachCoversEveryIndex(t *testing.T) {
 	for _, workers := range []int{1, 2, 8, 100} {
 		n := 137
 		seen := make([]atomic.Int64, n)
-		if err := ForEach(workers, n, func(i int) error {
+		if err := ForEachW(workers, n, func(_, i int) error {
 			seen[i].Add(1)
 			return nil
 		}); err != nil {
@@ -96,7 +159,7 @@ func TestForEachCoversEveryIndex(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := ForEachW(4, 0, func(int, int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,7 +167,7 @@ func TestForEachEmpty(t *testing.T) {
 func TestForEachPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4} {
-		err := ForEach(workers, 64, func(i int) error {
+		err := ForEachW(workers, 64, func(_, i int) error {
 			if i == 13 {
 				return boom
 			}
@@ -163,7 +226,7 @@ func TestForEachWSerialIsSlotZero(t *testing.T) {
 
 func TestForEachSerialStopsEarly(t *testing.T) {
 	var ran int
-	_ = ForEach(1, 100, func(i int) error {
+	_ = ForEachW(1, 100, func(_, i int) error {
 		ran++
 		if i == 5 {
 			return errors.New("stop")

@@ -2,8 +2,8 @@
 // descriptive statistics, linear and power-law least squares (for the CCSM
 // compute-scaling fit), straight-line extrapolation to a zero crossing (for
 // the ACSM cache-footprint model), log–log interpolation (for IMB parameter
-// tables), and small dense linear algebra including a non-negative
-// least-squares solver used as the GA ablation baseline.
+// tables), the weighted distance behind the surrogate-similarity metric,
+// and a non-negative least-squares solver used as the GA ablation baseline.
 //
 // Everything is stdlib-only, deterministic, and sized for the tiny systems
 // SWAPP solves (dozens of unknowns at most), so clarity beats asymptotics.
@@ -42,29 +42,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)))
 }
 
-// MeanAbs returns the mean of |xs|.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s / float64(len(xs))
-}
-
-// Min and Max return the extrema of a non-empty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest element of a non-empty slice.
 func Max(xs []float64) float64 {
 	m := xs[0]
@@ -74,21 +51,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Median returns the median of xs (0 for empty input). The input is not
-// modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	n := len(c)
-	if n%2 == 1 {
-		return c[n/2]
-	}
-	return (c[n/2-1] + c[n/2]) / 2
 }
 
 // LinearFit fits y ≈ a + b·x by ordinary least squares and returns (a, b).
@@ -180,23 +142,6 @@ func LogLogInterp(xs, ys []float64, x float64) float64 {
 	return math.Exp(y0 + f*(y1-y0))
 }
 
-// Dot returns the inner product of equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("stats: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	return math.Sqrt(Dot(v, v))
-}
-
 // WeightedDistance returns sqrt(Σ w_i (a_i − b_i)²): the rank-weighted
 // similarity metric SWAPP uses to compare an application's metric vector
 // against a candidate surrogate's.
@@ -210,95 +155,6 @@ func WeightedDistance(a, b, w []float64) float64 {
 		s += w[i] * d * d
 	}
 	return math.Sqrt(s)
-}
-
-// SolveLinear solves the dense square system A·x = b by Gaussian elimination
-// with partial pivoting. A is row-major, n×n, and is not modified.
-func SolveLinear(A [][]float64, b []float64) ([]float64, error) {
-	n := len(A)
-	if n == 0 || len(b) != n {
-		return nil, errors.New("stats: SolveLinear dimension mismatch")
-	}
-	// Working copies.
-	m := make([][]float64, n)
-	for i := range A {
-		if len(A[i]) != n {
-			return nil, errors.New("stats: SolveLinear needs a square matrix")
-		}
-		m[i] = append([]float64(nil), A[i]...)
-	}
-	x := append([]float64(nil), b...)
-
-	for col := 0; col < n; col++ {
-		// Partial pivot.
-		piv := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[piv][col]) {
-				piv = r
-			}
-		}
-		if math.Abs(m[piv][col]) < 1e-14 {
-			return nil, errors.New("stats: SolveLinear singular matrix")
-		}
-		m[col], m[piv] = m[piv], m[col]
-		x[col], x[piv] = x[piv], x[col]
-		inv := 1 / m[col][col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-			x[r] -= f * x[col]
-		}
-	}
-	for col := n - 1; col >= 0; col-- {
-		s := x[col]
-		for c := col + 1; c < n; c++ {
-			s -= m[col][c] * x[c]
-		}
-		x[col] = s / m[col][col]
-	}
-	return x, nil
-}
-
-// LeastSquares solves min ‖A·x − b‖₂ for a tall row-major matrix A (rows ≥
-// cols) via the normal equations. Adequate for the well-conditioned,
-// low-dimensional fits SWAPP performs.
-func LeastSquares(A [][]float64, b []float64) ([]float64, error) {
-	rows := len(A)
-	if rows == 0 || len(b) != rows {
-		return nil, errors.New("stats: LeastSquares dimension mismatch")
-	}
-	cols := len(A[0])
-	if cols == 0 || rows < cols {
-		return nil, errors.New("stats: LeastSquares needs rows ≥ cols ≥ 1")
-	}
-	ata := make([][]float64, cols)
-	atb := make([]float64, cols)
-	for i := 0; i < cols; i++ {
-		ata[i] = make([]float64, cols)
-	}
-	for r := 0; r < rows; r++ {
-		if len(A[r]) != cols {
-			return nil, errors.New("stats: LeastSquares ragged matrix")
-		}
-		for i := 0; i < cols; i++ {
-			atb[i] += A[r][i] * b[r]
-			for j := i; j < cols; j++ {
-				ata[i][j] += A[r][i] * A[r][j]
-			}
-		}
-	}
-	for i := 0; i < cols; i++ {
-		for j := 0; j < i; j++ {
-			ata[i][j] = ata[j][i]
-		}
-		ata[i][i] += 1e-12 // tiny ridge for numerical safety
-	}
-	return SolveLinear(ata, atb)
 }
 
 // NNLS solves min ‖A·x − b‖₂ subject to x ≥ 0 by projected gradient descent

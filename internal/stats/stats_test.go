@@ -21,19 +21,12 @@ func TestMeanStdDev(t *testing.T) {
 	}
 }
 
-func TestMeanAbsMinMaxMedian(t *testing.T) {
-	xs := []float64{-3, 1, 2}
-	if !approx(MeanAbs(xs), 2, 1e-12) {
-		t.Errorf("MeanAbs = %v", MeanAbs(xs))
+func TestMax(t *testing.T) {
+	if got := Max([]float64{-3, 1, 2}); got != 2 {
+		t.Errorf("Max = %v, want 2", got)
 	}
-	if Min(xs) != -3 || Max(xs) != 2 {
-		t.Error("Min/Max wrong")
-	}
-	if Median(xs) != 1 {
-		t.Errorf("Median = %v", Median(xs))
-	}
-	if Median([]float64{1, 2, 3, 4}) != 2.5 {
-		t.Error("even-length median wrong")
+	if got := Max([]float64{-3}); got != -3 {
+		t.Errorf("Max of one element = %v, want -3", got)
 	}
 }
 
@@ -149,15 +142,6 @@ func TestLogLogInterpBounded(t *testing.T) {
 	}
 }
 
-func TestDotNorm(t *testing.T) {
-	if Dot([]float64{1, 2, 3}, []float64{4, 5, 6}) != 32 {
-		t.Error("Dot wrong")
-	}
-	if !approx(Norm2([]float64{3, 4}), 5, 1e-12) {
-		t.Error("Norm2 wrong")
-	}
-}
-
 func TestWeightedDistance(t *testing.T) {
 	d := WeightedDistance([]float64{1, 0}, []float64{0, 0}, []float64{4, 9})
 	if !approx(d, 2, 1e-12) {
@@ -167,50 +151,6 @@ func TestWeightedDistance(t *testing.T) {
 	d = WeightedDistance([]float64{1, 100}, []float64{0, 0}, []float64{1, 0})
 	if !approx(d, 1, 1e-12) {
 		t.Errorf("zero-weight coordinate leaked: %v", d)
-	}
-}
-
-func TestSolveLinear(t *testing.T) {
-	A := [][]float64{{2, 1}, {1, 3}}
-	b := []float64{5, 10}
-	x, err := SolveLinear(A, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(x[0], 1, 1e-9) || !approx(x[1], 3, 1e-9) {
-		t.Errorf("SolveLinear = %v", x)
-	}
-}
-
-func TestSolveLinearSingular(t *testing.T) {
-	A := [][]float64{{1, 2}, {2, 4}}
-	if _, err := SolveLinear(A, []float64{1, 2}); err == nil {
-		t.Error("singular matrix must fail")
-	}
-}
-
-func TestSolveLinearNeedsPivoting(t *testing.T) {
-	// Leading zero forces a row swap.
-	A := [][]float64{{0, 1}, {1, 0}}
-	x, err := SolveLinear(A, []float64{7, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(x[0], 9, 1e-12) || !approx(x[1], 7, 1e-12) {
-		t.Errorf("pivot solve = %v", x)
-	}
-}
-
-func TestLeastSquaresOverdetermined(t *testing.T) {
-	// y = 2a + 3b with an exactly consistent overdetermined system.
-	A := [][]float64{{1, 0}, {0, 1}, {1, 1}, {2, 1}}
-	b := []float64{2, 3, 5, 7}
-	x, err := LeastSquares(A, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(x[0], 2, 1e-6) || !approx(x[1], 3, 1e-6) {
-		t.Errorf("LeastSquares = %v", x)
 	}
 }
 
@@ -228,8 +168,8 @@ func TestNNLSNonNegative(t *testing.T) {
 		}
 	}
 	// The constrained optimum must be no worse than the zero vector.
-	if Residual(A, x, b) > Norm2(b) {
-		t.Errorf("NNLS residual %v worse than trivial %v", Residual(A, x, b), Norm2(b))
+	if zero := Residual(A, make([]float64, len(x)), b); Residual(A, x, b) > zero {
+		t.Errorf("NNLS residual %v worse than trivial %v", Residual(A, x, b), zero)
 	}
 }
 
