@@ -60,8 +60,8 @@ race:
 	$(GO) test -race -short -timeout 1800s ./...
 
 # Micro-checks only; timings have one entry point, `make benchmark`. The first
-# line is the GA's: one whole search at the surrogate-search shape
-# (BenchmarkRunSerial, the baseline to profile the search against), one
+# line is the GA's: one whole search over a synthetic 512-dimension fitness
+# (BenchmarkRunSerial — objective-bound, so not the search's shape), one
 # scoring batch on a warmed evaluator (BenchmarkScoreAll, 0 allocs) and the
 # two selection kernels against their naive forms. The second is the simulator's: BenchmarkHandoff is
 # ns and allocs per process switch, BenchmarkTimedFire ns and allocs per timed
@@ -80,6 +80,10 @@ race:
 # The sixth is the validation's: BenchmarkValidateOverlap validates a
 # prepared LU-MZ.C@16 pipeline at Workers 1 and at the default back to back
 # and reports their wall-clock ratio as `overlap` (skipped at GOMAXPROCS=1).
+# The seventh is the search at its production shape: BenchmarkKernel is one
+# objective call (0 allocs), BenchmarkSearch one ga.Run with the surrogate
+# search's Config over that objective — the baseline to profile the search
+# against; its allocs/op do not grow with Generations.
 bench:
 	$(GO) test -run '^$$' -bench 'RunSerial|ScoreAll|EnforceSparsity|TopK' -benchmem ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
@@ -87,6 +91,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'ProfilerHostCost|ProfilerFirstSightings' -benchmem ./internal/mpiprof
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench 'ValidateOverlap' -benchtime 20x ./internal/core
+	$(GO) test -run '^$$' -bench 'Kernel$$|Search$$' -benchmem ./internal/core
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
 # plus the per-layer budget; see bench/README.md.

@@ -59,7 +59,7 @@ const surrogateMaxSize = 5
 // groupContributions relates each metric group to the application's
 // runtime on the base machine (§2.3 steps 2–3): the share of base-machine
 // cycles (or pressure) each group explains.
-func groupContributions(c *hpm.Counters, base *spec.Result) [6]float64 {
+func groupContributions(c *hpm.Counters) [6]float64 {
 	var g [6]float64
 	if c.CPI <= 0 {
 		return g
@@ -72,7 +72,6 @@ func groupContributions(c *hpm.Counters, base *spec.Result) [6]float64 {
 	// importance" to behaviour matching; emphasise it accordingly.
 	g[4] = 2 * c.CPIStallMem / c.CPI   // G5 cache reloads
 	g[5] = math.Min(1, c.MemBWGBs/4.0) // G6 bandwidth pressure
-	_ = base
 	// Normalise to a distribution.
 	var sum float64
 	for _, v := range g {
@@ -263,7 +262,7 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 	scales := metricScales(p.SpecBase)
 
 	// Steps 2–3: relate metrics to runtime, rank the groups.
-	groupW := groupContributions(&cp.ST, nil)
+	groupW := groupContributions(&cp.ST)
 	// Step 4: adjust the ranking to the target.
 	if !opts.SkipRankAdjustment {
 		groupW = adjustWeightsToTarget(groupW, p.SpecBase, p.SpecTarget, scales)
@@ -538,7 +537,7 @@ type MemberDistance struct {
 func DebugMemberDistances(p *Pipeline, app *AppModel, ci int) []MemberDistance {
 	cp := app.Counters[ci]
 	scales := metricScales(p.SpecBase)
-	groupW := groupContributions(&cp.ST, nil)
+	groupW := groupContributions(&cp.ST)
 	groupW = adjustWeightsToTarget(groupW, p.SpecBase, p.SpecTarget, scales)
 	weights := metricWeights(groupW)
 	appVec := normalize(cp.CharacterVector(), scales)

@@ -439,7 +439,7 @@ func TestIntraFraction(t *testing.T) {
 
 func TestGroupContributionsNormalised(t *testing.T) {
 	app := sharedLU(t)
-	g := groupContributions(&app.Counters[16].ST, nil)
+	g := groupContributions(&app.Counters[16].ST)
 	var sum float64
 	for _, v := range g {
 		if v < 0 {

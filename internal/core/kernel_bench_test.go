@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ga"
 	"repro/internal/rng"
 )
 
@@ -50,6 +51,31 @@ func BenchmarkKernel(b *testing.B) {
 		sink += kern.Objective(genomes[i%len(genomes)], scratch)
 	}
 	_ = sink
+}
+
+// BenchmarkSearch is one surrogate search at the production shape: the
+// ga.Config computeSurrogate builds — defaults for population and
+// generations, MaxActive surrogateMaxSize — scoring BenchmarkKernel's
+// objective. Its allocs/op are the search's own and do not grow with
+// Generations (ga.TestRunAllocsFlatInGenerations).
+func BenchmarkSearch(b *testing.B) {
+	kern, _ := benchKernelFixture(29, 52)
+	scratch := kern.NewScratch()
+	cfg := ga.Config{
+		GenomeLen: 29,
+		MaxActive: surrogateMaxSize,
+		Seed:      "bench-search",
+		Fitness: func(genome []float64) float64 {
+			return kern.Objective(genome, scratch)
+		},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ga.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // TestKernelObjectiveZeroAllocs pins the GA's inner loop at zero

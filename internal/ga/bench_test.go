@@ -83,6 +83,9 @@ func TestTopKMatchesNaiveFitnessSet(t *testing.T) {
 	// Tie-breaking differs (topK is position-stable, the selection sort
 	// was not), so compare the multiset of fitness values, which both must
 	// agree on, plus topK's own ordering guarantee.
+	// One scratch for every trial, as a run reuses it across generations:
+	// k grows and shrinks between trials.
+	var s topKScratch
 	src := rng.New("topk-oracle")
 	for trial := 0; trial < 100; trial++ {
 		n := 4 + src.Intn(60)
@@ -92,7 +95,10 @@ func TestTopKMatchesNaiveFitnessSet(t *testing.T) {
 			pop[i] = individual{fitness: float64(src.Intn(8))}
 		}
 		k := 1 + src.Intn(n)
-		a := topK(pop, k)
+		a := s.topK(pop, k)
+		if len(a) != k {
+			t.Fatalf("trial %d: topK returned %d individuals, want %d", trial, len(a), k)
+		}
 		b := naiveTopK(pop, k)
 		for i := range a {
 			if a[i].fitness != b[i].fitness {
@@ -146,7 +152,7 @@ func benchTopK(b *testing.B, n, k int, fn func([]individual, int) []individual) 
 	}
 }
 
-func BenchmarkTopK_n1024k32(b *testing.B)      { benchTopK(b, 1024, 32, topK) }
+func BenchmarkTopK_n1024k32(b *testing.B)      { benchTopK(b, 1024, 32, new(topKScratch).topK) }
 func BenchmarkTopKNaive_n1024k32(b *testing.B) { benchTopK(b, 1024, 32, naiveTopK) }
 
 // heavyFitness emulates the surrogate-search fitness shape: a weighted

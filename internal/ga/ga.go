@@ -189,17 +189,20 @@ func Run(cfg Config) (*Result, error) {
 	sp := cfg.Obs.Child("ga.run")
 	defer sp.End()
 
-	src := rng.New("ga|" + cfg.Seed)
-	res := &Result{}
-	var sparsityScratch []gene
+	src := rng.New("ga|", cfg.Seed)
+	// Every buffer is sized here, once: a run's allocations do not grow
+	// with its generations.
+	res := &Result{History: make([]float64, 0, cfg.Generations+1)}
+	sparsityScratch := make([]gene, 0, cfg.GenomeLen)
+	var elite topKScratch
 	// The initial population is the largest batch, so out is sized once.
 	ev := &evaluator{fn: cfg.Fitness, obs: sp, out: make([]float64, cfg.PopSize)}
 
 	// Genomes live in two flat ping-pong arenas: each generation's
 	// population is carved out of one arena while its parents occupy the
 	// other, so a whole run's populations cost two allocations instead of
-	// PopSize×Generations. Anything that outlives a generation — the
-	// running best, the returned Result — is cloned out of the arenas.
+	// PopSize×Generations. The running best outlives its generation, so it
+	// lives in a buffer of its own, which becomes res.Best.
 	var arenas [2][]float64
 	arenas[0] = make([]float64, cfg.PopSize*cfg.GenomeLen)
 	arenas[1] = make([]float64, cfg.PopSize*cfg.GenomeLen)
@@ -214,6 +217,7 @@ func Run(cfg Config) (*Result, error) {
 
 	genomes := make([][]float64, cfg.PopSize)
 	pop := make([]individual, cfg.PopSize)
+	perm := make([]int, cfg.GenomeLen)
 	// Initial population: sparse random genomes from the seeded RNG,
 	// scored as one batch.
 	for i := range genomes {
@@ -224,7 +228,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 		// Activate a random subset with random weights.
 		n := 1 + src.Intn(active)
-		for _, idx := range src.Perm(cfg.GenomeLen)[:n] {
+		src.PermInto(perm)
+		for _, idx := range perm[:n] {
 			g[idx] = src.Float64()
 		}
 		genomes[i] = g
@@ -234,8 +239,8 @@ func Run(cfg Config) (*Result, error) {
 		pop[i] = individual{genome: genomes[i], fitness: fits[i]}
 	}
 
-	// The running best is cloned out of the arena: its slot will be
-	// overwritten two generations later.
+	// The running best's arena slot will be overwritten two generations
+	// later; this clone is the one buffer it is copied into from now on.
 	b0 := bestOf(pop)
 	best := individual{genome: clone(b0.genome), fitness: b0.fitness}
 	res.History = append(res.History, best.fitness)
@@ -252,7 +257,7 @@ func Run(cfg Config) (*Result, error) {
 		next = next[:0]
 		// Elitism: copy the best unchanged — their fitness travels with
 		// them, so elites are never re-scored.
-		for _, e := range topK(pop, cfg.Elites) {
+		for _, e := range elite.topK(pop, cfg.Elites) {
 			g := carve(nextArena, len(next))
 			copy(g, e.genome)
 			next = append(next, individual{genome: g, fitness: e.fitness})
@@ -277,7 +282,8 @@ func Run(cfg Config) (*Result, error) {
 		pop, next = next, pop
 		cur = nextArena
 		if b := bestOf(pop); b.fitness < best.fitness {
-			best = individual{genome: clone(b.genome), fitness: b.fitness}
+			copy(best.genome, b.genome)
+			best.fitness = b.fitness
 		}
 		res.History = append(res.History, best.fitness)
 		if cfg.OnGeneration != nil {
@@ -316,18 +322,30 @@ func bestOf(pop []individual) individual {
 	return best
 }
 
+// topKScratch is topK's working memory — the heap and the result — grown on
+// first use and reused after, so a run's elitism allocates once, not once
+// per generation.
+type topKScratch struct {
+	heap []int
+	out  []individual
+}
+
 // topK returns the k fittest individuals in ascending (fitness, index)
 // order. Exact fitness ties are common — elitism and children that escape
 // both crossover and mutation fill the population with duplicates — so the
 // tie-break on position is part of the function's contract: the replaced
 // selection sort broke ties by its own swap history, which was
-// deterministic but not meaningful.
-func topK(pop []individual, k int) []individual {
+// deterministic but not meaningful. The result is s's scratch: it is valid
+// until the next topK call.
+func (s *topKScratch) topK(pop []individual, k int) []individual {
 	if k > len(pop) {
 		k = len(pop)
 	}
 	if k == 0 {
 		return nil
+	}
+	if cap(s.heap) < k {
+		s.heap, s.out = make([]int, 0, k), make([]individual, k)
 	}
 	// worse orders individuals by (fitness, index): a is worse than b when
 	// it would be evicted first from the elite set.
@@ -339,7 +357,7 @@ func topK(pop []individual, k int) []individual {
 	}
 	// Bounded max-heap of the k best seen so far: O(n log k) against the
 	// old O(n·k) selection scan, and no sort.Slice interface overhead.
-	heap := make([]int, 0, k)
+	heap := s.heap[:0]
 	down := func(i int) {
 		for {
 			m := i
@@ -374,7 +392,7 @@ func topK(pop []individual, k int) []individual {
 	}
 	// Pop worst-first to fill the result in ascending (fitness, index)
 	// order — exactly what a full sort-and-truncate would return.
-	out := make([]individual, len(heap))
+	out := s.out[:len(heap)]
 	for n := len(heap) - 1; n >= 0; n-- {
 		out[n] = pop[heap[0]]
 		heap[0] = heap[n]

@@ -292,3 +292,23 @@ func TestFitnessExclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRunAllocsFlatInGenerations pins that a run sizes every buffer once:
+// elitism's heap, the initial population's permutation, the running best
+// and History cost the same at 30 generations as at 120.
+func TestRunAllocsFlatInGenerations(t *testing.T) {
+	obj := sphere(make([]float64, 29))
+	allocs := func(gens int) float64 {
+		cfg := Config{GenomeLen: 29, MaxActive: 5, Generations: gens, Seed: "allocs", Fitness: obj}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(30), allocs(120)
+	if short != long {
+		t.Errorf("a run made %.0f allocations at 30 generations and %.0f at 120, want the same", short, long)
+	}
+	t.Logf("%.0f allocations per run", long)
+}

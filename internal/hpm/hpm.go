@@ -410,7 +410,7 @@ func applyNoise(c *Counters, sig *workload.Signature, cfg Config) {
 	if sigma > maxNoiseSigma {
 		sigma = maxNoiseSigma
 	}
-	src := rng.New("hpm-noise|" + sig.Name + "|" + cfg.Machine.Name + "|" + cfg.Mode.String() + "|" + cfg.NoiseKey)
+	src := rng.New("hpm-noise|", sig.Name, "|", cfg.Machine.Name, "|", cfg.Mode.String(), "|", cfg.NoiseKey)
 	jitter := func(v float64) float64 {
 		if v == 0 {
 			return 0

@@ -293,16 +293,17 @@ func TestReusedWorldMatchesFreshWorlds(t *testing.T) {
 // took 29 730 allocations when every measurement built its own world, and
 // 4 150 with a request slice per rank per multi-Sendrecv measurement, a
 // heap collOp per collective and a growing waiter slice per collective
-// signal; ~630 is what is left. The 128-rank bounds are the counts before
-// pairwise benchmarks ran by group (1 314 and 1 338): the group plans are
-// built from slices, once per table, and must not cost more than they
-// save. BG/P at 128 ranks has the most groups.
+// signal, and ~650 once pairwise benchmarks ran by group. Seeding every
+// match list from one slab per world took the tables to 605, 888 and 888
+// (from 652, 1 279 and 1 303): the bounds sit ~5 % above those, so match
+// lists that start empty again fail here. BG/P at 128 ranks has the most
+// groups.
 func TestIMBRunAllocs(t *testing.T) {
 	for _, c := range []struct {
 		machine string
 		ranks   int
 		max     float64
-	}{{arch.Hydra, 16, 1000}, {arch.Hydra, 128, 1314}, {arch.BlueGene, 128, 1338}} {
+	}{{arch.Hydra, 16, 640}, {arch.Hydra, 128, 930}, {arch.BlueGene, 128, 930}} {
 		m := arch.MustGet(c.machine)
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := Run(m, c.ranks, nil); err != nil {

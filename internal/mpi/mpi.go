@@ -216,6 +216,14 @@ type World struct {
 // single call waits on more requests than this.
 const peerScratchSeed = 32
 
+// matchListSeed is the starting capacity (in entries) of every rank's
+// posted and unexpected lists, carved from one slab per world; a list
+// grows past it only when more operations than this wait unmatched on one
+// rank at once. Eight is measured (DESIGN.md §12): the LU-MZ runs and
+// SP-MZ.C@128 never grow a list, and sixteen, which removes most of the
+// growth left, costs a cold projection more bytes than it saves.
+const matchListSeed = 8
+
 // NewWorld creates a job of size ranks on machine m with one task per
 // core, densely packed onto nodes.
 func NewWorld(m *arch.Machine, size int) (*World, error) {
@@ -254,14 +262,19 @@ func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 		unexpected: make([]matchList, size),
 		ranks:      make([]Rank, size),
 	}
-	// One allocation for all rank handles and one for all their peer
-	// scratches; process names render lazily via SpawnKind.
+	// One allocation for all rank handles, one for all their peer
+	// scratches and one for the starting capacity of all their match
+	// lists; process names render lazily via SpawnKind.
 	peerSlab := make([]int, size*peerScratchSeed)
+	matchSlab := make([]pending, 2*size*matchListSeed)
 	for i := range w.ranks {
 		rank := &w.ranks[i]
 		rank.w = w
 		rank.id = i
 		rank.peerScratch = peerSlab[i*peerScratchSeed : i*peerScratchSeed : (i+1)*peerScratchSeed]
+		lists := matchSlab[2*i*matchListSeed : (2*i+2)*matchListSeed]
+		w.posted[i] = lists[:0:matchListSeed]
+		w.unexpected[i] = lists[matchListSeed:matchListSeed:len(lists)]
 		rank.start = func(p *des.Proc) {
 			rank.proc = p
 			w.program(rank)

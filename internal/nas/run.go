@@ -2,6 +2,7 @@ package nas
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/arch"
 	"repro/internal/hpm"
@@ -90,11 +91,15 @@ func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seco
 
 	spec := inst.Spec
 	jitter := m.OSJitterSigma
+	// The per-rank key is osjitter|<config>|<machine>|<rank>; all but the
+	// rank is formatted once per run.
+	jitterKey := "osjitter|" + inst.Cfg.String() + "|" + m.Name + "|"
 	makespan, err := world.Run(func(r *mpi.Rank) {
 		id := r.ID()
 		// Per-rank OS-noise stream: every timestep's compute wiggles a
 		// little, turning boundary synchronization into WaitTime.
-		noise := rng.New(fmt.Sprintf("osjitter|%s|%s|%d", inst.Cfg, m.Name, id))
+		var idBuf [20]byte
+		noise := rng.New(jitterKey, string(strconv.AppendInt(idBuf[:0], int64(id), 10)))
 		// Initialization: parameter broadcast from rank 0.
 		for i := 0; i < 3; i++ {
 			r.Bcast(0, 24)

@@ -36,6 +36,7 @@ type Instance struct {
 	Zones []Zone
 	Owner []int // zone index → rank
 
+	name          string        // Cfg.Name(), formatted once: every rank signature carries it
 	rankInstrStep []float64     // per-rank instructions per timestep
 	rankFoot      []units.Bytes // per-rank resident footprint
 	sends         [][]faceMsg   // per-rank outgoing faces
@@ -59,7 +60,7 @@ func New(cfg Config) (*Instance, error) {
 		return nil, fmt.Errorf("nas: %s has only %d zones; cannot use %d ranks",
 			cfg.Name(), spec.Zones(), cfg.Ranks)
 	}
-	inst := &Instance{Cfg: cfg, Spec: spec}
+	inst := &Instance{Cfg: cfg, Spec: spec, name: cfg.Name()}
 	inst.buildZones()
 	inst.balance()
 	inst.buildExchanges()
@@ -254,7 +255,7 @@ func (inst *Instance) rankStepSignature(rank int) *workload.Signature {
 		foot = 1
 	}
 	return &workload.Signature{
-		Name:               inst.Cfg.Name(),
+		Name:               inst.name,
 		Instructions:       instr,
 		FPFraction:         s.FPFraction,
 		MemFraction:        s.MemFraction,

@@ -13,10 +13,7 @@
 // generator.
 package rng
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
 // Source is a small deterministic PRNG seeded from a string key.
 // The zero value is not usable; construct with New.
@@ -24,34 +21,28 @@ type Source struct {
 	state uint64
 }
 
-// New returns a Source whose stream is a pure function of key.
-func New(key string) *Source {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	s := h.Sum64()
+// FNV-1a 64 constants, as hash/fnv uses them.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// New returns a Source whose stream is a pure function of its key: the
+// concatenation of keyParts, so New("a|", "b") and New("a|b") are the same
+// stream. The key is hashed in place — FNV-1a 64, the value hash/fnv gives —
+// so a composite key costs no string and seeding costs no hasher.
+func New(keyParts ...string) *Source {
+	s := uint64(fnvOffset64)
+	for _, part := range keyParts {
+		for i := 0; i < len(part); i++ {
+			s ^= uint64(part[i])
+			s *= fnvPrime64
+		}
+	}
 	if s == 0 {
 		s = 0x9e3779b97f4a7c15 // avoid the degenerate all-zero state
 	}
 	return &Source{state: s}
-}
-
-// Derive returns a new independent Source keyed by the parent key's stream
-// position and the child key. Deriving the same child twice from sources at
-// the same position yields identical streams.
-func (s *Source) Derive(child string) *Source {
-	h := fnv.New64a()
-	var buf [8]byte
-	x := s.state
-	for i := range buf {
-		buf[i] = byte(x >> (8 * i))
-	}
-	_, _ = h.Write(buf[:])
-	_, _ = h.Write([]byte(child))
-	v := h.Sum64()
-	if v == 0 {
-		v = 0x9e3779b97f4a7c15
-	}
-	return &Source{state: v}
 }
 
 // next advances the SplitMix64 state and returns 64 pseudo-random bits.
@@ -111,14 +102,20 @@ func (s *Source) LogNormalFactor(sigma, limit float64) float64 {
 // Perm returns a deterministic pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
+	s.PermInto(p)
+	return p
+}
+
+// PermInto fills p with a pseudo-random permutation of [0, len(p)): the
+// permutation, and the draws it takes, that Perm(len(p)) would.
+func (s *Source) PermInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // Idiosyncrasy returns the stable multiplicative response factor for a
@@ -127,6 +124,6 @@ func (s *Source) Perm(n int) []int {
 // same pair always responds identically — machines have personalities, not
 // noise.
 func Idiosyncrasy(workload, machine string, sigma float64) float64 {
-	src := New("idio2|" + workload + "|" + machine)
+	src := New("idio2|", workload, "|", machine)
 	return src.LogNormalFactor(sigma, math.Exp(3*sigma))
 }

@@ -1,7 +1,10 @@
 package rng
 
 import (
+	"hash/fnv"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -28,16 +31,52 @@ func TestDifferentKeysDiffer(t *testing.T) {
 	}
 }
 
-func TestDeriveIndependence(t *testing.T) {
-	parent := New("p")
-	c1 := parent.Derive("a")
-	c2 := parent.Derive("a")
-	if c1.Uint64() != c2.Uint64() {
-		t.Fatal("Derive at same position must be reproducible")
+// TestNewMatchesHashFNV holds New's in-place hash to hash/fnv's FNV-1a 64
+// over the key's concatenated parts, zero guard included, so every stream
+// seeded before the hash was inlined is unchanged.
+func TestNewMatchesHashFNV(t *testing.T) {
+	for _, parts := range [][]string{
+		{},
+		{""},
+		{"ga|surrogate-0"},
+		{"hpm-noise|BT-MZ.C|hydra|ST|"},
+		{"idio2|", "bt-mz", "|", "power6"},
+		{"osjitter|BT-MZ.C×16|hydra|", "", "15"},
+		{"Größe|", "über|", "日本語"},
+	} {
+		h := fnv.New64a()
+		_, _ = h.Write([]byte(strings.Join(parts, "")))
+		want := h.Sum64()
+		if want == 0 {
+			want = 0x9e3779b97f4a7c15
+		}
+		if got := New(parts...).state; got != want {
+			t.Errorf("New(%q) state %#x, want hash/fnv's %#x", parts, got, want)
+		}
 	}
-	c3 := parent.Derive("b")
-	if c1.Uint64() == c3.Uint64() {
-		t.Fatal("different children should differ")
+}
+
+// TestNewDoesNotAllocate pins that seeding a stream from a composite key
+// builds no string and no hasher.
+func TestNewDoesNotAllocate(t *testing.T) {
+	prefix, id := "osjitter|BT-MZ.C×16|hydra|", "7"
+	var sink uint64
+	if allocs := testing.AllocsPerRun(100, func() {
+		sink += New(prefix, id).Uint64()
+	}); allocs != 0 {
+		t.Errorf("New made %.0f allocations, want 0", allocs)
+	}
+	_ = sink
+}
+
+func TestPermIntoMatchesPerm(t *testing.T) {
+	a, b := New("perm"), New("perm")
+	p := make([]int, 29)
+	for round := 0; round < 4; round++ {
+		b.PermInto(p)
+		if want := a.Perm(len(p)); !slices.Equal(p, want) {
+			t.Fatalf("round %d: PermInto %v, Perm %v", round, p, want)
+		}
 	}
 }
 
