@@ -83,7 +83,10 @@ race:
 # The seventh is the search at its production shape: BenchmarkKernel is one
 # objective call (0 allocs), BenchmarkSearch one ga.Run with the surrogate
 # search's Config over that objective — the baseline to profile the search
-# against; its allocs/op do not grow with Generations.
+# against; its allocs/op do not grow with Generations. The eighth is one whole
+# IMB table at 64 ranks on hydra and on power6-575 (imb BenchmarkRun): ns/op is
+# the simulator's cost of the largest row of a cold request's budget, and
+# B/op and allocs/op what a table costs the heap on one reused world.
 bench:
 	$(GO) test -run '^$$' -bench 'RunSerial|ScoreAll|EnforceSparsity|TopK' -benchmem ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
@@ -92,6 +95,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench 'ValidateOverlap' -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'Kernel$$|Search$$' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkRun$$' -benchmem ./internal/imb
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
 # plus the per-layer budget; see bench/README.md.

@@ -12,6 +12,18 @@
 // kernel detects global deadlock — an empty event queue with processes
 // still blocked — and reports who was stuck.
 //
+// A process can also hand the kernel the work it would do between waits,
+// as a Stepper: Hold runs the step at each of the process's wakes in place
+// of resuming its body, on the kernel's stack, and switches back only at
+// the wake the step reports done. Inside a step, Sleep and Await are
+// Advance and WaitSignal without the park — each reports whether the wait
+// is over or has queued its wake — and Advance and WaitSignal are Sleep
+// and Await plus the park, so each rule has one implementation. A wake
+// that runs a step is a function call instead of two coroutine switches;
+// it does what the body would have done at that wake, under the same clock
+// and tie-break, so no order moves. The mpi package makes a rank's queued
+// posts, and waits on them, this way.
+//
 // Processes are short-lived and many (a 64-rank IMB table spawns ~13 k), so
 // coroutines outlive them: one that finishes a body parks on a bounded
 // package-level free list and the next process to start, in any kernel,
@@ -78,7 +90,7 @@ func (e *event) before(o *event) bool {
 }
 
 // procState tracks where a process is in its lifecycle.
-type procState int
+type procState uint8
 
 const (
 	stateReady procState = iota
@@ -89,7 +101,7 @@ const (
 
 // waitKind is why a blocked process is parked, kept as data so the hot
 // path never formats a reason string; see Proc.waitReason.
-type waitKind int
+type waitKind uint8
 
 const (
 	waitStart waitKind = iota
@@ -259,14 +271,18 @@ func (k *Kernel) FireAt(s *Signal, delay units.Seconds) {
 }
 
 // Proc is the handle a simulated process uses to interact with the kernel.
+// It is kept to at most 96 bytes (TestProcSize): a 64-rank IMB table
+// spawns ~13 k.
 type Proc struct {
-	k      *Kernel
-	id     int
-	kind   string
-	nameID int // -1: kind IS the full name; else rendered as kind+nameID
+	k    *Kernel
+	kind string
+	fn   func(*Proc)
+	co   *coro   // the coroutine running fn: set at first wake, nil once done
+	step Stepper // what the kernel runs at this process's wakes while it holds; see Hold
+
+	id     int32
+	nameID int32 // -1: kind IS the full name; else rendered as kind+nameID
 	state  procState
-	fn     func(*Proc)
-	co     *coro // the coroutine running fn: set at first wake, nil once done
 
 	// Blocked-reason data, rendered only by deadlock reports.
 	waitKind waitKind
@@ -275,7 +291,7 @@ type Proc struct {
 }
 
 // ID returns the process index in spawn order.
-func (p *Proc) ID() int { return p.id }
+func (p *Proc) ID() int { return int(p.id) }
 
 // Name returns the process's spawn name, formatting it on first use.
 func (p *Proc) Name() string {
@@ -306,10 +322,10 @@ func (p *Proc) waitReason() string {
 // errAborted is the panic payload used to unwind abandoned processes.
 type errAborted struct{}
 
-// block parks the process until the kernel resumes it.
-func (p *Proc) block(kind waitKind, dt units.Seconds, sig *Signal) {
+// block parks the process until the kernel resumes it. Whatever queued
+// the wake (Sleep, Await) has set the blocked reason.
+func (p *Proc) block() {
 	p.state = stateBlocked
-	p.waitKind, p.waitDt, p.waitSig = kind, dt, sig
 	p.co.yield(struct{}{})
 	if p.k.abandoning {
 		panic(errAborted{})
@@ -320,16 +336,36 @@ func (p *Proc) block(kind waitKind, dt units.Seconds, sig *Signal) {
 
 // Advance burns dt of virtual time as local work (compute). Negative dt is
 // clamped to zero; a zero advance still yields to events already queued for
-// the current time, in deterministic order.
+// the current time, in deterministic order. It is Sleep, parking the
+// process where Sleep would report false.
+func (p *Proc) Advance(dt units.Seconds) { p.sleep(dt, true) }
+
+// WaitSignal blocks until s fires. If s already fired it returns
+// immediately without yielding. It is Await, parking the process where
+// Await would report false.
+func (p *Proc) WaitSignal(s *Signal) { p.await(s, true) }
+
+// Sleep is Advance for code that must not park: it reports true if dt has
+// already passed, and otherwise queues the process's wake for when it has
+// and reports false. Outside a Stepper, call Advance.
 //
 // When nothing is queued at or before now+dt — the FIFO is empty and the
 // heap's top is later — this process's own wake would be the very next
-// thing run, so Advance moves the clock and returns without pushing,
+// thing run, so Sleep moves the clock and reports true without pushing,
 // popping or switching. The comparison is strict: an event queued at
 // exactly now+dt was pushed earlier, holds a smaller seq and must run
-// first, so that case takes the full path and (time, seq) order is exactly
+// first, so that case queues the wake and (time, seq) order is exactly
 // what it would be without the shortcut.
-func (p *Proc) Advance(dt units.Seconds) {
+func (p *Proc) Sleep(dt units.Seconds) bool { return p.sleep(dt, false) }
+
+// Await is WaitSignal for code that must not park: it reports true if s
+// has fired, and otherwise queues the process's wake for when s fires and
+// reports false. A timed fire stamped on s enters the heap here, under the
+// seq FireAt gave it. Outside a Stepper, call WaitSignal.
+func (p *Proc) Await(s *Signal) bool { return p.await(s, false) }
+
+// sleep implements Sleep and, parking where Sleep reports false, Advance.
+func (p *Proc) sleep(dt units.Seconds, park bool) bool {
 	if dt < 0 {
 		dt = 0
 	}
@@ -337,33 +373,85 @@ func (p *Proc) Advance(dt units.Seconds) {
 	at := k.now + dt
 	if k.head == len(k.fifo) && (len(k.events) == 0 || k.events[0].at > at) {
 		k.now, k.cur = at, 0
-		return
+		return true
 	}
 	k.push(at, due{proc: p})
-	p.block(waitAdvance, dt, nil)
+	p.waitKind, p.waitDt = waitAdvance, dt
+	if park {
+		p.block()
+	}
+	return park
 }
 
-// WaitSignal blocks until s fires. If s already fired it returns
-// immediately without yielding. A timed fire stamped on s enters the heap
-// here, under the seq FireAt gave it.
-func (p *Proc) WaitSignal(s *Signal) {
+// await implements Await and, parking where Await reports false,
+// WaitSignal.
+func (p *Proc) await(s *Signal, park bool) bool {
 	if s.Fired() {
-		return
+		return true
 	}
 	if s.seq != 0 {
 		p.k.heapPush(event{at: s.at, seq: s.seq, due: due{sig: s}})
 		s.seq = 0 // the heap fires s now
 	}
 	s.addWaiter(p)
-	p.block(waitSignal, 0, s)
+	p.waitKind, p.waitSig = waitSignal, s
+	if park {
+		p.block()
+	}
+	return park
+}
+
+// A Stepper is work a process hands the kernel to run at its wakes; see
+// Hold.
+type Stepper interface {
+	// Step runs on behalf of the held process p, at one of its wakes. It
+	// may call p.Sleep and p.Await, and must return right after one of
+	// them reports false: its wake is queued. It reports whether the
+	// work is done, and the process's body may resume.
+	Step(p *Proc) (done bool)
+}
+
+// Hold runs s.Step now and then at each later wake of the process, in
+// place of resuming its body, until a step reports done; only then does the
+// body carry on. Sleep and Await in a step do what Advance and WaitSignal
+// would do in the body, under the same clock and tie-break, so a held
+// process does exactly what the same calls made from its body would — with
+// no switch to the body at the wakes in between. A panic in a step the
+// kernel runs fails Run naming the process, as one in a body does.
+func (p *Proc) Hold(s Stepper) {
+	if s.Step(p) {
+		return
+	}
+	p.step = s
+	p.block()
+}
+
+// runStep runs a held process's step at its wake, reporting whether it is
+// done; a panic in it becomes the kernel's failure, as one in a body does.
+func (k *Kernel) runStep(p *Proc) (done bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.failed = fmt.Errorf("des: process %s panicked: %v", p.Name(), r)
+		}
+	}()
+	return p.step.Step(p)
 }
 
 // wake transfers control to p until it blocks again or finishes, giving it
 // a coroutine if this is its first wake and taking the coroutine back if it
-// was its last. Must be called from kernel context.
+// was its last. A held process's step runs first, here on the kernel's
+// stack, and the body resumes only once the step is done — or, when the
+// kernel is abandoning its processes, at once, to unwind. Must be called
+// from kernel context.
 func (k *Kernel) wake(p *Proc) {
 	if p.state == stateDone {
 		return
+	}
+	if p.step != nil {
+		if !k.abandoning && !k.runStep(p) {
+			return
+		}
+		p.step = nil
 	}
 	if p.co == nil {
 		p.co = acquireCoro()
@@ -589,9 +677,9 @@ func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
 	p := k.procMem.New()
 	*p = Proc{
 		k:      k,
-		id:     len(k.procs),
+		id:     int32(len(k.procs)),
 		kind:   kind,
-		nameID: nameID,
+		nameID: int32(nameID),
 		state:  stateReady,
 		fn:     fn,
 	}

@@ -505,6 +505,84 @@ func TestSignalSize(t *testing.T) {
 	}
 }
 
+// TestProcSize: a 64-rank IMB table spawns ~13 k processes, so a Proc that
+// grows costs every one of them. Hold's step made room for itself by
+// narrowing the id, the name id, the state and the wait kind.
+func TestProcSize(t *testing.T) {
+	if n := unsafe.Sizeof(Proc{}); n > 96 {
+		t.Errorf("Proc is %d bytes, want at most 96", n)
+	}
+}
+
+// stepFunc adapts a function to Stepper for tests.
+type stepFunc func(p *Proc) bool
+
+func (f stepFunc) Step(p *Proc) bool { return f(p) }
+
+// TestPanicInAStepSurfaces: a step the kernel runs at a wake is not on the
+// process's coroutine, yet its panic is Run's error naming the process, and
+// the process and its bystander are unwound as after a body's panic.
+func TestPanicInAStepSurfaces(t *testing.T) {
+	k := NewKernel()
+	unwound := 0
+	k.Spawn("held", func(p *Proc) {
+		defer func() { unwound++ }()
+		calls := 0
+		p.Hold(stepFunc(func(p *Proc) bool {
+			if calls++; calls == 3 {
+				panic("boom")
+			}
+			return p.Sleep(1)
+		}))
+		t.Error("the body resumed after its step panicked")
+	})
+	// The ticker's wakes share the held process's times, so its sleeps
+	// never take the shortcut: the third step runs at a kernel wake.
+	k.Spawn("ticker", func(p *Proc) {
+		defer func() { unwound++ }()
+		for i := 0; i < 5; i++ {
+			p.Advance(1)
+		}
+	})
+	k.Spawn("bystander", func(p *Proc) {
+		defer func() { unwound++ }()
+		p.WaitSignal(p.Kernel().NewSignal("forever"))
+	})
+	err := k.Run()
+	if err == nil || err.Error() != "des: process held panicked: boom" {
+		t.Fatalf("a step's panic must surface, got %v", err)
+	}
+	if unwound != 3 || k.live != 0 {
+		t.Errorf("%d of 3 bodies unwound, %d processes live; want 3 and 0", unwound, k.live)
+	}
+}
+
+// TestDeadlockWhileHeld: a held process stuck on an Await is reported by
+// what it awaits, and abandoning it unwinds its body without running its
+// step again.
+func TestDeadlockWhileHeld(t *testing.T) {
+	k := NewKernel()
+	never := k.NewSignal("never")
+	calls, unwound := 0, false
+	k.Spawn("held", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Hold(stepFunc(func(p *Proc) bool {
+			if calls++; calls == 1 && !p.Sleep(1) {
+				return false
+			}
+			return p.Await(never)
+		}))
+	})
+	k.Spawn("other", func(p *Proc) { p.Advance(1) }) // no shortcut for the held Sleep
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "held: waiting on signal:never") {
+		t.Fatalf("deadlock must name the held process and its signal, got %v", err)
+	}
+	if calls != 2 || !unwound {
+		t.Errorf("step ran %d times, body unwound %v; want 2 and true", calls, unwound)
+	}
+}
+
 // TestWaiterListsAreRecycled: a fire hands its signal's waiter list back,
 // the next crowd reuses it, and Reset reclaims lists that never fired.
 func TestWaiterListsAreRecycled(t *testing.T) {

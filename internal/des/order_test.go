@@ -268,6 +268,102 @@ func TestSameTimeOrderMatchesOracle(t *testing.T) {
 	}
 }
 
+// heldRun is kernelRun with the processes that held says hold: such a
+// process hands its whole program to Hold, and the kernel runs it at the
+// process's wakes as a step, through Sleep and Await.
+func heldRun(t *testing.T, k *Kernel, pg orderProgram, held func(id int) bool) (log []string, deadlocked bool, end units.Seconds) {
+	t.Helper()
+	sigs := make([]*Signal, pg.sigs)
+	for i := range sigs {
+		sigs[i] = k.NewSignalKind("s", i)
+	}
+	for id, steps := range pg.procs {
+		pc, parked := 0, false
+		step := stepFunc(func(p *Proc) bool {
+			for ; pc < len(steps); pc++ {
+				if parked { // the wait at pc is over
+					parked = false
+					continue
+				}
+				st := steps[pc]
+				log = append(log, fmt.Sprintf("%v p%d.%d", p.Now(), id, pc))
+				switch st.kind {
+				case stAdvance:
+					parked = !p.Sleep(st.dt)
+				case stFireAt:
+					k.FireAt(sigs[st.sig], st.dt)
+				case stFire:
+					sigs[st.sig].Fire()
+				case stWait:
+					parked = !p.Await(sigs[st.sig])
+				case stFired:
+					log = append(log, fmt.Sprintf("s%d fired=%v", st.sig, sigs[st.sig].Fired()))
+				}
+				if parked {
+					return false
+				}
+			}
+			return true
+		})
+		k.SpawnKind("p", id, func(p *Proc) {
+			if held(id) {
+				p.Hold(step)
+				return
+			}
+			for pc := range steps {
+				st := steps[pc]
+				log = append(log, fmt.Sprintf("%v p%d.%d", p.Now(), id, pc))
+				switch st.kind {
+				case stAdvance:
+					p.Advance(st.dt)
+				case stFireAt:
+					k.FireAt(sigs[st.sig], st.dt)
+				case stFire:
+					sigs[st.sig].Fire()
+				case stWait:
+					p.WaitSignal(sigs[st.sig])
+				case stFired:
+					log = append(log, fmt.Sprintf("s%d fired=%v", st.sig, sigs[st.sig].Fired()))
+				}
+			}
+		})
+	}
+	err := k.Run()
+	if err != nil && !strings.HasPrefix(err.Error(), "des: deadlock") {
+		t.Fatalf("%s: %v", pg.name, err)
+	}
+	return log, err != nil, k.Now()
+}
+
+// TestHeldOrderMatchesOracle: a program run as Hold steps, by every process
+// or by every other one beside bodies, keeps the oracle's order, clock and
+// deadlocks — Sleep and Await are Advance and WaitSignal, minus the park.
+func TestHeldOrderMatchesOracle(t *testing.T) {
+	programs := slices.Clone(orderPrograms)
+	for seed := 1; seed <= 200; seed++ {
+		programs = append(programs, randomOrderProgram(seed))
+	}
+	modes := []struct {
+		name string
+		held func(id int) bool
+	}{
+		{"all held", func(int) bool { return true }},
+		{"even ids held", func(id int) bool { return id%2 == 0 }},
+	}
+	reused := NewKernel()
+	for _, pg := range programs {
+		want, wantStuck, wantEnd := oracleRun(pg)
+		for _, m := range modes {
+			reused.Reset()
+			got, gotStuck, gotEnd := heldRun(t, reused, pg, m.held)
+			if !slices.Equal(got, want) || gotStuck != wantStuck || gotEnd != wantEnd {
+				t.Fatalf("%s, %s:\nkernel (deadlock %v, end %v) %v\noracle (deadlock %v, end %v) %v",
+					pg.name, m.name, gotStuck, gotEnd, got, wantStuck, wantEnd, want)
+			}
+		}
+	}
+}
+
 // TestUnwaitedFireStaysOffTheHeap is the white-box half of the deferred
 // fire: no heap event until someone waits, then exactly the one a push
 // would have made.

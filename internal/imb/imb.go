@@ -412,14 +412,16 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 		// --- multi-Sendrecv: x in-flight Isend/Irecv pairs + Waitall,
 		// measured for same-node pairs and (when the job spans nodes)
 		// cross-node pairs — IMB's intra/inter cluster modes. ---
-		a, b, err := multiSendrecvFit(measure, adjacent, ranks, size, pairAdjacent)
+		a, b, err := multiSendrecvFit(measure, adjacent, ranks, size, pairAdjacent, nil)
 		if err != nil {
 			return nil, fmt.Errorf("imb: multi-Sendrecv intra fit at %d B: %w", size, err)
 		}
 		t.NBIntra.Overhead = a
 		t.NBIntra.InFlight[size] = b
 		if multiNode {
-			a, b, err = multiSendrecvFit(measure, distant, ranks, size, pairDistant)
+			// PingPing is the inter fit's x = 1 point: the same program
+			// (Isend, Irecv, Waitall, tag i) on the same distant groups.
+			a, b, err = multiSendrecvFit(measure, distant, ranks, size, pairDistant, []float64{pping / iterations})
 			if err != nil {
 				return nil, fmt.Errorf("imb: multi-Sendrecv inter fit at %d B: %w", size, err)
 			}
@@ -560,10 +562,12 @@ func planGroups(md *netmodel.Model, ranks int, pairing func(id, ranks int) int) 
 
 // multiSendrecvFit measures the multi-Sendrecv benchmark over the x sweep
 // with the given pairing, and its groups, and returns the Eq. 1
-// (overhead, in-flight) fit.
-func multiSendrecvFit(measure measureFunc, groups [][]int, ranks int, size units.Bytes, pairing func(id, ranks int) int) (a, b units.Seconds, err error) {
-	var xTimes []float64
-	for _, x := range multiXs {
+// (overhead, in-flight) fit. known holds the per-iteration times of the
+// sweep's first depths where another benchmark has already measured them.
+func multiSendrecvFit(measure measureFunc, groups [][]int, ranks int, size units.Bytes, pairing func(id, ranks int) int, known []float64) (a, b units.Seconds, err error) {
+	xTimes := make([]float64, 0, len(multiXs))
+	xTimes = append(xTimes, known...)
+	for _, x := range multiXs[len(known):] {
 		x := x
 		el, err := measure(groups, func(r *mpi.Rank) {
 			partner := pairing(r.ID(), ranks)

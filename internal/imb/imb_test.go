@@ -379,3 +379,21 @@ func FuzzGroupedTable(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkRun is one whole default-grid table at 64 ranks, the size the
+// pipeline characterises most: on hydra (four 16-way nodes, the inter fit
+// runs) and on power6-575 (two 32-way nodes). ns/op is a table's simulator
+// time; B/op and allocs/op what it costs the heap.
+func BenchmarkRun(b *testing.B) {
+	for _, machine := range []string{arch.Hydra, arch.Power6} {
+		b.Run(machine, func(b *testing.B) {
+			m := arch.MustGet(machine)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(m, 64, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -34,6 +34,28 @@
 // requests in flight at once, however many timesteps it simulates, and a
 // one-shot world (every application run) recycles the same way a Reset one
 // does.
+//
+// Posts are queued. Isend and Irecv check their peer, take a Request,
+// link it onto the rank's queue and return without touching the clock.
+// The rank's next call that waits or reads the clock — Waitall, Wait,
+// Send, Recv, Sendrecv, Compute, Now, a collective, or the end of its
+// body — makes the queued posts in order: each pays its library overhead,
+// then is matched, launched and reported to the Observer. When a
+// Waitall's list is exactly the queued posts, in order, the same
+// des.Proc.Hold step then waits on each of them, and so do Send, Recv and
+// Sendrecv; any other list is waited on once the posts are made. The
+// kernel runs the step at the rank's wakes, so the rank's coroutine is
+// resumed once per wait, not once per post and per unfinished request.
+//
+// Why that is exact: the code a rank runs between two MPI calls changes
+// no kernel state, so a post made at the rank's next wait is made at the
+// same wake, under the same clock and tie-break, as one made inside its
+// own call; the step does what the resumed body would have done, and a
+// wake that only parks again takes no sequence number. Every float, event
+// and observer call is where it was. The contract this rests on: a rank's
+// program talks to other ranks only through MPI. A program that signals
+// another rank through shared Go memory may see that write land before
+// the posts that preceded it in its own code.
 package mpi
 
 import (
@@ -156,12 +178,22 @@ func (l *matchList) take(src, tag int) (pending, bool) {
 
 // Request is a non-blocking operation handle. It is dead once a wait on it
 // (Wait, Waitall) has returned: its storage is the next message's, so
-// waiting on it again is a bug.
+// waiting on it again is a bug. It is kept to 32 bytes (TestRequestSize):
+// every message carves one.
 type Request struct {
-	done   *des.Signal
-	size   units.Bytes
-	peer   int
-	isSend bool
+	done *des.Signal // nil until the post is made
+	next *Request    // the next post in its rank's queue
+	size units.Bytes
+	peer int32 // a send's destination, or ^source for a receive
+	tag  int32
+}
+
+// remote returns the rank at the other end and whether q is a send.
+func (q *Request) remote() (peer int, send bool) {
+	if q.peer >= 0 {
+		return int(q.peer), true
+	}
+	return int(^q.peer), false
 }
 
 // collOp tracks one in-progress collective; a zero one (done nil) is a
@@ -278,6 +310,7 @@ func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 		rank.start = func(p *des.Proc) {
 			rank.proc = p
 			w.program(rank)
+			rank.flush()
 		}
 	}
 	return w, nil
@@ -357,6 +390,7 @@ func (w *World) Reset() {
 	w.reqs.Rewind()
 	for i := range w.ranks {
 		w.ranks[i].collSeq = 0
+		w.ranks[i].q = queue{}
 	}
 	w.ran = false
 }
@@ -376,10 +410,26 @@ type Rank struct {
 	start func(p *des.Proc) // the process body: runs w.program on this rank
 
 	collSeq int
+	q       queue // posts Isend and Irecv queued, not yet made
 
 	// peerScratch backs RoutineEvent.Peers for this rank's observer
 	// events; observers may not retain it (see Observer).
 	peerScratch []int
+}
+
+// queue is a rank's posts that Isend and Irecv have queued and nobody has
+// made yet, linked through Request.next from head to tail, and how far
+// step has got in making them and waiting on them. Outside a Hold every
+// queued post is unmade, so cursor is head.
+type queue struct {
+	head, tail *Request
+	cursor     *Request // the first post not made yet
+	// start is when the cursor post's overhead began and, once every post
+	// is made, when the last one was: a Waitall's start.
+	start units.Seconds
+	slept bool // the cursor post's overhead has passed
+	await bool // once made, the posts are waited on too
+	quiet bool // the posts are a blocking call's: report none
 }
 
 // ID returns this rank's index.
@@ -388,14 +438,18 @@ func (r *Rank) ID() int { return r.id }
 // Size returns the world size.
 func (r *Rank) Size() int { return r.w.size }
 
-// Now returns the current virtual time.
-func (r *Rank) Now() units.Seconds { return r.proc.Now() }
+// Now returns the current virtual time, once the queued posts are made.
+func (r *Rank) Now() units.Seconds {
+	r.flush()
+	return r.proc.Now()
+}
 
 // Compute burns dt of application compute time.
 func (r *Rank) Compute(dt units.Seconds) {
 	if dt < 0 {
 		dt = 0
 	}
+	r.flush()
 	r.proc.Advance(dt)
 	if r.w.obs != nil {
 		r.w.obs.OnCompute(r.id, dt)
@@ -461,27 +515,120 @@ func (w *World) fireAt(sig *des.Signal, t units.Seconds) {
 }
 
 // Isend posts a non-blocking send of size bytes to dst with tag and
-// returns its request.
+// returns its request. The post is queued: it is made — its overhead paid,
+// its message matched and launched, its observer event reported — by the
+// rank's next call that waits or reads the clock, exactly as if made here.
 func (r *Rank) Isend(dst int, size units.Bytes, tag int) *Request {
-	return r.isend(dst, size, tag, true)
+	return r.enqueue(r.to(dst), size, tag)
 }
 
-// isend implements Isend; report=false suppresses the observer event when
-// the call runs inside a blocking wrapper that reports under its own name.
-func (r *Rank) isend(dst int, size units.Bytes, tag int, report bool) *Request {
+// Irecv posts a non-blocking receive of size bytes from src with tag,
+// queued as Isend's post is.
+func (r *Rank) Irecv(src int, size units.Bytes, tag int) *Request {
+	return r.enqueue(r.from(src), size, tag)
+}
+
+// to checks a send's destination and returns it as a Request's peer.
+func (r *Rank) to(dst int) int32 {
 	if dst < 0 || dst >= r.w.size {
 		panic(fmt.Sprintf("mpi: Isend to invalid rank %d", dst))
 	}
-	w := r.w
-	start := r.Now()
-	cost := w.Model.P2P(r.id, dst, size)
-	r.proc.Advance(cost.LibOverhead)
-	req := w.reqs.New()
-	*req = Request{done: w.newSignal("send"), size: size, peer: dst, isSend: true}
+	return int32(dst)
+}
 
-	rq, matched := w.posted[dst].take(r.id, tag)
-	send := pending{src: r.id, tag: tag, post: r.Now(), req: req}
-	if cost.Rendezvous {
+// from checks a receive's source and returns it as a Request's peer.
+func (r *Rank) from(src int) int32 {
+	if src < 0 || src >= r.w.size {
+		panic(fmt.Sprintf("mpi: Irecv from invalid rank %d", src))
+	}
+	return ^int32(src)
+}
+
+// enqueue takes a request for a post to or from peer and queues it.
+func (r *Rank) enqueue(peer int32, size units.Bytes, tag int) *Request {
+	if int(int32(tag)) != tag {
+		panic(fmt.Sprintf("mpi: tag %d does not fit in 32 bits", tag))
+	}
+	q := r.w.reqs.New()
+	q.size, q.peer, q.tag = size, peer, int32(tag)
+	if r.q.tail == nil {
+		r.q.head, r.q.cursor = q, q
+	} else {
+		r.q.tail.next = q
+	}
+	r.q.tail = q
+	return q
+}
+
+// flush makes the queued posts, parking the rank until they are made.
+func (r *Rank) flush() {
+	if r.q.head != nil {
+		r.proc.Hold((*poster)(r))
+	}
+}
+
+// wait makes the queued posts and waits on each, in queue order, parking
+// the rank until the last has completed.
+func (r *Rank) wait() {
+	r.q.await = true
+	r.proc.Hold((*poster)(r))
+}
+
+// poster is a Rank as the des.Stepper that makes its queued posts: a type
+// of its own, so Step is not among Rank's methods.
+type poster Rank
+
+// Step makes the rank's queued posts in order and, if the queue is to be
+// waited on, waits on them in the same order; see step.
+func (s *poster) Step(p *des.Proc) bool { return (*Rank)(s).step(p) }
+
+// step is what the rank's body would do from its first post to the end of
+// its wait: pay each post's overhead and make it, then wait on each
+// request. It runs at the same wakes the body would, under the same clock,
+// and stops where the body would park, so every event, seq and observer
+// call is where the body's own calls would put it.
+func (r *Rank) step(p *des.Proc) bool {
+	q := &r.q
+	for rq := q.cursor; rq != nil; rq = q.cursor {
+		peer, send := rq.remote()
+		src, dst := r.id, peer
+		if !send {
+			src, dst = peer, r.id
+		}
+		cost := r.w.Model.P2P(src, dst, rq.size)
+		if !q.slept {
+			q.start = p.Now()
+			if !p.Sleep(cost.LibOverhead) {
+				q.slept = true
+				return false
+			}
+		}
+		q.slept, q.cursor = false, rq.next
+		if send {
+			r.makeSend(rq, dst, cost.Rendezvous)
+		} else {
+			r.makeRecv(rq, src)
+		}
+		q.start = p.Now()
+	}
+	for rq := q.head; q.await && rq != nil; rq = q.head {
+		if !p.Await(rq.done) {
+			return false
+		}
+		q.head = rq.next
+	}
+	*q = queue{start: q.start}
+	return true
+}
+
+// makeSend makes a queued send of req to dst.
+func (r *Rank) makeSend(req *Request, dst int, rendezvous bool) {
+	w := r.w
+	now := w.kernel.Now()
+	req.done = w.newSignal("send")
+	rq, matched := w.posted[dst].take(r.id, int(req.tag))
+	send := pending{src: r.id, tag: int(req.tag), post: now, req: req}
+	if rendezvous {
 		if matched {
 			w.completeRendezvous(dst, send, rq)
 		} else {
@@ -490,7 +637,7 @@ func (r *Rank) isend(dst int, size units.Bytes, tag int, report bool) *Request {
 	} else {
 		// Eager: the payload flies now; the send completes once the
 		// NIC has swallowed it (independent of the receiver).
-		arrival, injected := w.launchTransfer(r.id, dst, size, r.Now())
+		arrival, injected := w.launchTransfer(r.id, dst, req.size, now)
 		w.fireAt(req.done, injected)
 		if matched {
 			w.fireAt(rq.req.done, arrival)
@@ -501,45 +648,32 @@ func (r *Rank) isend(dst int, size units.Bytes, tag int, report bool) *Request {
 			w.unexpected[dst] = append(w.unexpected[dst], send)
 		}
 	}
-	if report {
-		r.reportP2P(RoutineIsend, size, 1, r.Now()-start, dst)
+	if !r.q.quiet {
+		r.reportP2P(RoutineIsend, req.size, 1, now-r.q.start, dst)
 	}
-	return req
 }
 
-// Irecv posts a non-blocking receive of size bytes from src with tag.
-func (r *Rank) Irecv(src int, size units.Bytes, tag int) *Request {
-	return r.irecv(src, size, tag, true)
-}
-
-// irecv implements Irecv; see isend for the report flag.
-func (r *Rank) irecv(src int, size units.Bytes, tag int, report bool) *Request {
-	if src < 0 || src >= r.w.size {
-		panic(fmt.Sprintf("mpi: Irecv from invalid rank %d", src))
-	}
+// makeRecv makes a queued receive of req from src.
+func (r *Rank) makeRecv(req *Request, src int) {
 	w := r.w
-	start := r.Now()
-	cost := w.Model.P2P(src, r.id, size)
-	r.proc.Advance(cost.LibOverhead)
-	req := w.reqs.New()
-	*req = Request{done: w.newSignal("recv"), size: size, peer: src}
-
-	recv := pending{src: src, tag: tag, post: r.Now(), req: req}
+	now := w.kernel.Now()
+	req.done = w.newSignal("recv")
+	tag := int(req.tag)
+	recv := pending{src: src, tag: tag, post: now, req: req}
 	if send, ok := w.unexpected[r.id].take(src, tag); !ok {
 		w.posted[r.id] = append(w.posted[r.id], recv)
 	} else if send.eager {
 		done := send.arrival
-		if t := r.Now(); t > done {
-			done = t
+		if now > done {
+			done = now
 		}
 		w.fireAt(req.done, done)
 	} else {
 		w.completeRendezvous(r.id, send, recv)
 	}
-	if report {
-		r.reportP2P(RoutineIrecv, size, 1, r.Now()-start, src)
+	if !r.q.quiet {
+		r.reportP2P(RoutineIrecv, req.size, 1, now-r.q.start, src)
 	}
-	return req
 }
 
 // completeRendezvous schedules the handshake + transfer for a matched
@@ -569,15 +703,28 @@ func (w *World) release(rq *Request) {
 	w.reqs.Free(rq)
 }
 
-// Waitall blocks until every request completes, then frees them all.
+// Waitall blocks until every request completes, then frees them all. When
+// reqs are exactly the queued posts, in order — every Waitall that follows
+// its own Isends and Irecvs — the posts are made and waited on in one
+// Hold; any other list is waited on once the queue is made.
 func (r *Rank) Waitall(reqs ...*Request) {
-	start := r.Now()
+	var start units.Seconds
+	if r.queued(reqs) {
+		r.wait()
+		start = r.q.start
+	} else {
+		r.flush()
+		start = r.proc.Now()
+		for _, rq := range reqs {
+			r.proc.WaitSignal(rq.done)
+		}
+	}
 	var bytes units.Bytes
 	peers := r.peerScratch[:0]
 	for _, rq := range reqs {
-		r.proc.WaitSignal(rq.done)
 		bytes += rq.size
-		peers = append(peers, rq.peer)
+		peer, _ := rq.remote()
+		peers = append(peers, peer)
 	}
 	r.peerScratch = peers
 	mean := units.Bytes(0)
@@ -585,11 +732,23 @@ func (r *Rank) Waitall(reqs ...*Request) {
 		mean = bytes / units.Bytes(len(reqs))
 	}
 	if r.w.obs != nil {
-		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineWaitall, Bytes: mean, Count: len(reqs), Elapsed: r.Now() - start, Peers: peers})
+		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineWaitall, Bytes: mean, Count: len(reqs), Elapsed: r.proc.Now() - start, Peers: peers})
 	}
 	for _, rq := range reqs {
 		r.w.release(rq)
 	}
+}
+
+// queued reports whether reqs are the queued posts, all of them, in order.
+func (r *Rank) queued(reqs []*Request) bool {
+	q := r.q.head
+	for _, rq := range reqs {
+		if rq != q {
+			return false
+		}
+		q = q.next
+	}
+	return q == nil && r.q.head != nil
 }
 
 // Wait blocks until one request completes (Waitall of one, reported the
@@ -598,32 +757,40 @@ func (r *Rank) Wait(rq *Request) { r.Waitall(rq) }
 
 // Send is a blocking standard-mode send.
 func (r *Rank) Send(dst int, size units.Bytes, tag int) {
-	start := r.Now()
-	req := r.isend(dst, size, tag, false)
-	r.proc.WaitSignal(req.done)
-	r.reportP2P(RoutineSend, size, 1, r.Now()-start, dst)
+	peer := r.to(dst)
+	r.flush()
+	start := r.proc.Now()
+	req := r.enqueue(peer, size, tag)
+	r.q.quiet = true
+	r.wait()
+	r.reportP2P(RoutineSend, size, 1, r.proc.Now()-start, dst)
 	r.w.release(req)
 }
 
 // Recv is a blocking receive.
 func (r *Rank) Recv(src int, size units.Bytes, tag int) {
-	start := r.Now()
-	req := r.irecv(src, size, tag, false)
-	r.proc.WaitSignal(req.done)
-	r.reportP2P(RoutineRecv, size, 1, r.Now()-start, src)
+	peer := r.from(src)
+	r.flush()
+	start := r.proc.Now()
+	req := r.enqueue(peer, size, tag)
+	r.q.quiet = true
+	r.wait()
+	r.reportP2P(RoutineRecv, size, 1, r.proc.Now()-start, src)
 	r.w.release(req)
 }
 
 // Sendrecv is a combined blocking exchange.
 func (r *Rank) Sendrecv(dst int, sendSize units.Bytes, src int, recvSize units.Bytes, tag int) {
-	start := r.Now()
-	sreq := r.isend(dst, sendSize, tag, false)
-	rreq := r.irecv(src, recvSize, tag, false)
-	r.proc.WaitSignal(sreq.done)
-	r.proc.WaitSignal(rreq.done)
+	to, from := r.to(dst), r.from(src)
+	r.flush()
+	start := r.proc.Now()
+	sreq := r.enqueue(to, sendSize, tag)
+	rreq := r.enqueue(from, recvSize, tag)
+	r.q.quiet = true
+	r.wait()
 	if r.w.obs != nil {
 		r.peerScratch = append(r.peerScratch[:0], dst, src)
-		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineSendrecv, Bytes: sendSize, Count: 2, Elapsed: r.Now() - start, Peers: r.peerScratch})
+		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineSendrecv, Bytes: sendSize, Count: 2, Elapsed: r.proc.Now() - start, Peers: r.peerScratch})
 	}
 	r.w.release(sreq)
 	r.w.release(rreq)
@@ -636,7 +803,8 @@ func (r *Rank) Sendrecv(dst int, sendSize units.Bytes, src int, recvSize units.B
 // together.
 func (r *Rank) collective(rt Routine, size units.Bytes, cost units.Seconds) {
 	w := r.w
-	start := r.Now()
+	r.flush()
+	start := r.proc.Now()
 	seq := r.collSeq
 	r.collSeq++
 
@@ -649,7 +817,7 @@ func (r *Rank) collective(rt Routine, size units.Bytes, cost units.Seconds) {
 			seq, r.id, rt, op.routine))
 	}
 	op.arrived++
-	if t := r.Now(); t > op.last {
+	if t := r.proc.Now(); t > op.last {
 		op.last = t
 	}
 	done := op.done
@@ -658,7 +826,7 @@ func (r *Rank) collective(rt Routine, size units.Bytes, cost units.Seconds) {
 		*op = collOp{}
 	}
 	r.proc.WaitSignal(done)
-	r.report(rt, size, 1, r.Now()-start)
+	r.report(rt, size, 1, r.proc.Now()-start)
 }
 
 // Bcast broadcasts size bytes from root to all ranks.

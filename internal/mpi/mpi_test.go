@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/arch"
 	"repro/internal/units"
@@ -513,14 +514,82 @@ func TestSendrecvExchange(t *testing.T) {
 }
 
 func TestInvalidRankPanicsSurface(t *testing.T) {
-	w := world(t, arch.Hydra, 2)
-	_, err := w.Run(func(r *Rank) {
-		if r.ID() == 0 {
-			r.Isend(5, 64, 0) // invalid destination
+	for _, c := range []struct {
+		call func(r *Rank)
+		want string
+	}{
+		{func(r *Rank) { r.Isend(5, 64, 0) }, "mpi: Isend to invalid rank 5"},
+		{func(r *Rank) { r.Recv(-1, 64, 0) }, "mpi: Irecv from invalid rank -1"},
+		// A Request keeps its tag in 32 bits.
+		{func(r *Rank) { r.Irecv(1, 64, 1<<40) }, "does not fit in 32 bits"},
+	} {
+		_, err := world(t, arch.Hydra, 2).Run(func(r *Rank) {
+			if r.ID() == 0 {
+				c.call(r)
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("got %v, want an error containing %q", err, c.want)
 		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "invalid rank") {
-		t.Fatalf("invalid rank must surface as an error, got %v", err)
+	}
+}
+
+// panicOnIsend panics inside the observer call of the n-th Isend the world
+// reports, remembering whose it was.
+type panicOnIsend struct {
+	n, seen int
+	rank    int
+}
+
+func (o *panicOnIsend) OnCompute(int, units.Seconds) {}
+
+func (o *panicOnIsend) OnRoutine(rank int, ev RoutineEvent) {
+	if ev.Routine != RoutineIsend {
+		return
+	}
+	if o.seen++; o.seen == o.n {
+		o.rank = rank
+		panic("observer gave up")
+	}
+}
+
+// TestPanicInAPostSurfaces: a panic raised while an Isend is made — here in
+// the observer, on the third — is Run's error, naming the rank, however the
+// simulator gets to making the post; and the world is usable after Reset.
+func TestPanicInAPostSurfaces(t *testing.T) {
+	w := world(t, arch.Hydra, 4)
+	obs := &panicOnIsend{n: 3}
+	w.SetObserver(obs)
+	exchange := func(r *Rank) {
+		next, prev := (r.ID()+1)%r.Size(), (r.ID()+r.Size()-1)%r.Size()
+		for i := 0; i < 3; i++ {
+			s := r.Isend(next, 4096, i)
+			v := r.Irecv(prev, 4096, i)
+			r.Waitall(s, v)
+		}
+	}
+	_, err := w.Run(exchange)
+	want := fmt.Sprintf("des: process rank%d panicked: observer gave up", obs.rank)
+	if err == nil || err.Error() != want {
+		t.Fatalf("Run returned %v, want %q", err, want)
+	}
+	w.Reset()
+	w.SetObserver(nil)
+	fresh, err := world(t, arch.Hydra, 4).Run(exchange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := w.Run(exchange); err != nil || got != fresh {
+		t.Errorf("after the panic and Reset: makespan %v, err %v; want %v as on a fresh world", got, err, fresh)
+	}
+}
+
+// TestRequestSize: every message carves a Request, so one that grows costs
+// every message. The queue's link fits in the bytes an int peer and a send
+// flag took: the peer is 32 bits, its sign the direction.
+func TestRequestSize(t *testing.T) {
+	if n := unsafe.Sizeof(Request{}); n != 32 {
+		t.Errorf("Request is %d bytes, want 32", n)
 	}
 }
 

@@ -179,6 +179,8 @@ type logEntry struct {
 	routine Routine
 	bytes   units.Bytes
 	peers   []int
+	count   int
+	elapsed units.Seconds
 }
 
 // logObserver records the full observer stream in delivery order. The
@@ -194,7 +196,7 @@ func (o *logObserver) OnCompute(rank int, dt units.Seconds) {
 
 func (o *logObserver) OnRoutine(rank int, ev RoutineEvent) {
 	o.log = append(o.log, logEntry{t: o.w.kernel.Now(), rank: rank, routine: ev.Routine,
-		bytes: ev.Bytes, peers: append([]int(nil), ev.Peers...)})
+		bytes: ev.Bytes, peers: append([]int(nil), ev.Peers...), count: ev.Count, elapsed: ev.Elapsed})
 }
 
 // digest is the SHA-256 of the (time, rank, routine, bytes) stream, times

@@ -75,9 +75,8 @@ submit_job() { # submit_job [body] -> job id on stdout
         python3 -c 'import json, sys; print(json.load(sys.stdin)["id"])'
 }
 
-job_state() { # job_state <id>
-    curl -fsS -m 5 "http://$addr/v1/jobs/$1" |
-        python3 -c 'import json, sys; print(json.load(sys.stdin)["state"])'
+job_state() { # job_state <id> — no interpreter start-up: await_running polls it
+    curl -fsS -m 5 "http://$addr/v1/jobs/$1" | grep -o '"state":"[a-z]*"' | head -1 | cut -d'"' -f4
 }
 
 wait_done() { # wait_done <id> <tries>
@@ -100,14 +99,17 @@ wait_done() { # wait_done <id> <tries>
 now_ms() { date +%s%3N; }
 
 # await_running <id>: poll until the job is running with its submission in
-# the journal, so the signal that follows lands mid-flight.
+# the journal, so the signal that follows lands mid-flight. Once the
+# submission is journalled a poll reads only the state, and the caller
+# signals right after the read that saw it running: a cold job runs for a
+# few tenths of a second, a few polls.
 await_running() {
     local state="" records=0
-    for _ in $(seq 1 100); do
+    for _ in $(seq 1 500); do
+        [ "$records" -ge 1 ] || records=$(metric counters durable.wal_records)
         state=$(job_state "$1")
-        records=$(metric counters durable.wal_records)
         [ "$state" != queued ] && [ "$records" -ge 1 ] && break
-        sleep 0.05
+        sleep 0.01
     done
     [ "$state" = running ] && [ "$records" -ge 1 ] || {
         echo "crash-smoke: job $1 is '$state' with $records journal record(s); want running with >= 1 to stop it mid-flight" >&2
