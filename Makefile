@@ -85,8 +85,12 @@ race:
 # search's Config over that objective — the baseline to profile the search
 # against; its allocs/op do not grow with Generations. The eighth is one whole
 # IMB table at 64 ranks on hydra and on power6-575 (imb BenchmarkRun): ns/op is
-# the simulator's cost of the largest row of a cold request's budget, and
-# B/op and allocs/op what a table costs the heap on one reused world.
+# the simulator's cost of one full table, and B/op and allocs/op what a
+# table costs the heap on one reused world. Beside it, imb BenchmarkSuite is
+# the largest row of a cold request's budget: one gather's served tables at
+# 128, 64, 32 and 16 ranks through one suite per machine (hydra, power6-575),
+# measuring only what prices NAS-MZ's routines and each pairwise group shape
+# once; simulations/op counts the worlds and groups it ran.
 bench:
 	$(GO) test -run '^$$' -bench 'RunSerial|ScoreAll|EnforceSparsity|TopK' -benchmem ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
@@ -95,7 +99,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench 'ValidateOverlap' -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'Kernel$$|Search$$' -benchmem ./internal/core
-	$(GO) test -run '^$$' -bench 'BenchmarkRun$$' -benchmem ./internal/imb
+	$(GO) test -run '^$$' -bench 'BenchmarkRun$$|BenchmarkSuite$$' -benchmem ./internal/imb
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
 # plus the per-layer budget; see bench/README.md.

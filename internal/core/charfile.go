@@ -32,7 +32,7 @@ import (
 // so files written by the old build are never found by the new one. Without
 // it a persisted table would break "byte-identical from cache or from
 // scratch" across builds.
-const charEpoch = 1
+const charEpoch = 2
 
 // CharArtifact is one characterisation-layer entry in its file form: the
 // layer key, the hex sha256 of Body, and the persist-marshalled payload
@@ -126,7 +126,7 @@ func readCharFile(path, key string) (charValue, error) {
 		if err != nil {
 			return val, err
 		}
-		val.imb, contentKey = t, imbKey(&arch.Machine{Name: t.Machine}, t.Ranks)
+		val.imb, contentKey = t, tableKey(t)
 	default:
 		return val, fmt.Errorf("core: characterisation file: unknown key %q", c.Key)
 	}

@@ -13,6 +13,8 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/imb"
+	"repro/internal/mpi"
+	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/persist"
 	"repro/internal/spec"
@@ -40,7 +42,7 @@ func diskCounters(scope *obs.Scope) (hits, writes, rejects, writeFails int64) {
 // fillIMB resolves m's IMB table at ranks through st with the real fill.
 func fillIMB(t testing.TB, st *Store, m *arch.Machine, ranks int) *imb.Table {
 	t.Helper()
-	tab, err := st.imbTable(context.Background(), m, ranks, func() (*imb.Table, error) { return imb.Run(m, ranks, nil) })
+	tab, err := st.imbTable(context.Background(), m, ranks, false, func() (*imb.Table, error) { return imb.Run(m, ranks, nil) })
 	if err != nil {
 		t.Fatalf("imbTable(%s, %d): %v", m.Name, ranks, err)
 	}
@@ -115,6 +117,43 @@ func TestCharDiskRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServedTableRoundTrip: a table a gather serves, which holds only
+// what prices NAS-MZ's routines, is written through as it is built and
+// read back by the next process's store — one disk hit, no reject, no
+// benchmark run — bit-identical.
+func TestServedTableRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	m := arch.MustGet(arch.Hydra)
+	const ranks = 32
+	gather := func(st *Store) *imb.Table {
+		t.Helper()
+		tab, err := gatherIMB(context.Background(), st, imb.NewSuite(m, nas.Routines()...), m, ranks, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	st1, scope1 := diskStore(dir)
+	want := gather(st1)
+	if _, ok := want.PerOp[mpi.RoutineSend]; ok {
+		t.Fatal("the served table measured PingPong")
+	}
+	if got, key := tableKey(want), imbKey(m, ranks, true); got != key {
+		t.Fatalf("the served table reads as %q, want %q", got, key)
+	}
+	if hits, writes, rejects, fails := diskCounters(scope1); hits != 0 || writes != 1 || rejects != 0 || fails != 0 {
+		t.Fatalf("first store: disk hits=%d writes=%d rejects=%d write_fails=%d, want 0/1/0/0", hits, writes, rejects, fails)
+	}
+	st2, scope2 := diskStore(dir)
+	got := gather(st2)
+	if hits, writes, rejects, fails := diskCounters(scope2); hits != 1 || writes != 0 || rejects != 0 || fails != 0 {
+		t.Fatalf("second store: disk hits=%d writes=%d rejects=%d write_fails=%d, want 1/0/0/0", hits, writes, rejects, fails)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("the served table read back differs from the one written")
+	}
+}
+
 // TestCharFileRejects pins the load gate and the write path's failure mode:
 // a file that cannot be trusted is a counted reject, never a published
 // value; the fill behind it still succeeds with the fresh value; and that
@@ -127,7 +166,7 @@ func TestCharFileRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := imbKey(m, ranks)
+	key := imbKey(m, ranks, false)
 	addr := charAddress(key, m, charEpoch)
 
 	// written returns a directory holding the one good file, and its bytes.
@@ -204,7 +243,7 @@ func TestCharFileRejects(t *testing.T) {
 		dir, _ := written(t)
 		st, _ := diskStore(dir)
 		fillIMB(t, st, m, 2)
-		other := charAddress(imbKey(m, 2), m, charEpoch)
+		other := charAddress(imbKey(m, 2, false), m, charEpoch)
 		if err := os.Rename(filepath.Join(dir, other), filepath.Join(dir, addr)); err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +255,7 @@ func TestCharFileRejects(t *testing.T) {
 		dir, _ := written(t)
 		st, _ := diskStore(dir)
 		fillIMB(t, st, m, 2)
-		other, err := os.ReadFile(filepath.Join(dir, charAddress(imbKey(m, 2), m, charEpoch)))
+		other, err := os.ReadFile(filepath.Join(dir, charAddress(imbKey(m, 2, false), m, charEpoch)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,16 +314,17 @@ func TestCharAddressCoversMachineAndEpoch(t *testing.T) {
 	if charAddress(key, m, charEpoch) == charAddress(key, m, charEpoch+1) {
 		t.Error("the epoch is not part of the address")
 	}
-	if charAddress(key, m, charEpoch) == charAddress(imbKey(m, 4), m, charEpoch) {
+	if charAddress(key, m, charEpoch) == charAddress(imbKey(m, 4, false), m, charEpoch) {
 		t.Error("the layer key is not part of the address")
 	}
 }
 
 // charEpochPin is the SHA-256 of hydra's SPEC result set followed by its
-// 32-rank IMB table (two nodes, so the inter-node fits are in it), both in
+// full 32-rank IMB table (two nodes, so the inter-node fits are in it) and
+// the 32-rank table a gather serves (NAS-MZ's routines only), all in
 // persist wire form, as the simulator produced them when charEpoch was last
 // set.
-const charEpochPin = "5683f3bf851e45e8e9e6dcde4db3121ca59a149b3f014d6785cf621d0afecbcc"
+const charEpochPin = "a0d17dd41b4a5669f5e47c71e41a1c045e72f45387e66763de7be35e4d7059b8"
 
 // TestCharEpochPinsSimulatorOutput fails when the simulator's
 // characterisation output changes, which is exactly when files written by
@@ -299,17 +339,19 @@ func TestCharEpochPinsSimulatorOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab, err := imb.Run(m, 32, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imbBody, err := persist.MarshalIMB(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := sha256.New()
 	h.Write(specBody)
-	h.Write(imbBody)
+	for _, s := range []*imb.Suite{imb.NewSuite(m), imb.NewSuite(m, nas.Routines()...)} {
+		tab, err := s.Table(32, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imbBody, err := persist.MarshalIMB(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(imbBody)
+	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != charEpochPin {
 		t.Errorf("characterisation output changed: sha256 %s, pinned %s at charEpoch %d.\n"+
 			"Files in every -data-dir were written by the old simulator: bump charEpoch in charfile.go "+
@@ -328,12 +370,12 @@ func FuzzCharFile(f *testing.F) {
 	fillSpec(f, st, m)
 	// A short size grid keeps the IMB seed small enough for the fuzzer to
 	// minimise what it finds; the file's shape is the same.
-	if _, err := st.imbTable(context.Background(), m, 2, func() (*imb.Table, error) {
+	if _, err := st.imbTable(context.Background(), m, 2, false, func() (*imb.Table, error) {
 		return imb.Run(m, 2, units.Pow2Sizes(64, 4*units.KiB))
 	}); err != nil {
 		f.Fatal(err)
 	}
-	for _, name := range []string{charAddress(specKey(m), m, charEpoch), charAddress(imbKey(m, 2), m, charEpoch)} {
+	for _, name := range []string{charAddress(specKey(m), m, charEpoch), charAddress(imbKey(m, 2, false), m, charEpoch)} {
 		data, err := os.ReadFile(filepath.Join(seedDir, name))
 		if err != nil {
 			f.Fatal(err)
@@ -351,7 +393,7 @@ func FuzzCharFile(f *testing.F) {
 	errFill := errors.New("the fill ran")
 	fill := func() (charValue, error) { return charValue{}, errFill }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, key := range []string{specKey(m), imbKey(m, 2)} {
+		for _, key := range []string{specKey(m), imbKey(m, 2, false)} {
 			path := filepath.Join(dir, charAddress(key, m, charEpoch))
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
@@ -376,7 +418,7 @@ func FuzzCharFile(f *testing.F) {
 					t.Fatalf("file published a SPEC result set under %q", key)
 				}
 			case v.imb != nil && v.spec == nil:
-				if derived := imbKey(&arch.Machine{Name: v.imb.Machine}, v.imb.Ranks); derived != key {
+				if derived := tableKey(v.imb); derived != key {
 					t.Fatalf("file published %q under %q", derived, key)
 				}
 			default:

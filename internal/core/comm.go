@@ -310,16 +310,13 @@ func mapRoutineTransfer(rt mpi.Routine, agg *mpiprof.RoutineProfile, baseT, targ
 		return base, target
 
 	default:
-		// Direct Eq. 3 lookup per message size.
-		imbRoutine := rt
-		if rt == mpi.RoutineSend || rt == mpi.RoutineRecv {
-			imbRoutine = rt // PingPong table entries exist under Send/Recv
-		}
+		// Direct Eq. 3 lookup per message size (PingPong's entries are
+		// under Send and Recv).
 		for i := range agg.Sizes {
 			se := &agg.Sizes[i]
 			size := se.Bytes
-			bt, errB := baseT.Time(imbRoutine, size)
-			tt, errT := targetT.Time(imbRoutine, size)
+			bt, errB := baseT.Time(rt, size)
+			tt, errT := targetT.Time(rt, size)
 			if errB != nil || errT != nil {
 				side := baseT.Machine
 				if errB == nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"slices"
@@ -603,6 +604,77 @@ func TestCharCountsFor(t *testing.T) {
 			if counts := charCountsFor(b, c, 1); counts[0] != want || slices.Contains(counts, 1) {
 				t.Errorf("charCountsFor(%s, %c, 1) = %v; a 1-rank request must borrow %d", b, c, counts, want)
 			}
+		}
+	}
+}
+
+// TestServedTablesPriceEveryRoutine: the tables Prepare's gather serves
+// measure only what prices nas.Routines(), and that is everything a
+// projection of any NAS-MZ benchmark and class looks up — no routine is
+// dropped or found missing — on one node (16 ranks) and across nodes (64
+// ranks, so the inter-node fits are served too).
+func TestServedTablesPriceEveryRoutine(t *testing.T) {
+	counts := []int{16, 64}
+	p, err := newPipeline(context.Background(), arch.MustGet(arch.Hydra), arch.MustGet(arch.Power6), counts, Options{}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ranks := range counts {
+		for _, b := range nas.Benchmarks() {
+			for _, c := range nas.Classes() {
+				if ranks > nas.MaxRanks(b, c) {
+					continue
+				}
+				app, err := p.CharacterizeApp(b, c, []int{ranks})
+				if err != nil {
+					t.Fatal(err)
+				}
+				proj, err := p.Project(app, ranks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range proj.Quality.Defects() {
+					if d.Code == quality.MissingIMBRoutine || d.Code == quality.DroppedMPIRoutine {
+						t.Errorf("%s.%s@%d: %s", b, c, ranks, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewPipelineGathersFullTables: NewPipeline is application-independent,
+// so its tables are the full suite's — imb.Run's, bytes and all, at a
+// multi-node count — even on a store a NAS-MZ gather has already filled
+// with its served tables at the same counts.
+func TestNewPipelineGathersFullTables(t *testing.T) {
+	base, tgt := arch.MustGet(arch.Hydra), arch.MustGet(arch.Power6)
+	const ranks = 64
+	st := NewStore(StoreConfig{})
+	served, err := newPipeline(context.Background(), base, tgt, []int{ranks}, Options{Store: st}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := served.IMBBase[ranks].PerOp[mpi.RoutineAllreduce]; ok {
+		t.Fatal("a served table measured Allreduce")
+	}
+	p, err := NewPipelineOpts(base, tgt, []int{32, ranks}, Options{Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []struct {
+		m   *arch.Machine
+		got *imb.Table
+	}{{base, p.IMBBase[ranks]}, {tgt, p.IMBTarget[ranks]}} {
+		if _, err := side.got.Time(mpi.RoutineAllreduce, 16); err != nil {
+			t.Errorf("%s@%d: %v", side.m.Name, ranks, err)
+		}
+		want, err := imb.Run(side.m, ranks, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(side.got, want) {
+			t.Errorf("%s@%d: NewPipeline's table differs from imb.Run's", side.m.Name, ranks)
 		}
 	}
 }

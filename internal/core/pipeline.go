@@ -25,6 +25,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/hpm"
 	"repro/internal/imb"
+	"repro/internal/mpi"
 	"repro/internal/mpiprof"
 	"repro/internal/nas"
 	"repro/internal/obs"
@@ -160,6 +161,13 @@ func NewPipelineOpts(base, target *arch.Machine, rankCounts []int, opts Options)
 // is the entry point long-running services use to honour per-request
 // deadlines.
 func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts []int, opts Options) (*Pipeline, error) {
+	return newPipeline(ctx, base, target, rankCounts, opts, false)
+}
+
+// newPipeline is NewPipelineCtx. With nasOnly its IMB tables measure only
+// what prices a NAS-MZ rank's routines (nas.Routines()), under their own
+// store key: that is Prepare's gather, which projects nothing else.
+func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []int, opts Options, nasOnly bool) (*Pipeline, error) {
 	if err := faultinject.Fire("core.pipeline"); err != nil {
 		return nil, err
 	}
@@ -233,8 +241,16 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 	}
 	imbBase := make([]*imb.Table, len(counts))
 	imbTarget := make([]*imb.Table, len(counts))
-	// Largest tables first: the biggest table started last would set the
-	// makespan.
+	// One suite per machine for the gather: its tables simulate each
+	// pairwise group shape once across counts. Largest tables first: the
+	// biggest table started last would set the makespan, and it measures
+	// the shapes the smaller ones reuse.
+	var routines []mpi.Routine
+	if nasOnly {
+		routines = nas.Routines()
+	}
+	baseSuite := imb.NewSuite(base, routines...)
+	targetSuite := imb.NewSuite(target, routines...)
 	for i := len(counts) - 1; i >= 0; i-- {
 		i, c := i, counts[i]
 		if p.IMBBase[c] == nil {
@@ -244,7 +260,7 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 				}
 				s := sp.Child(fmt.Sprintf("imb.%s.%d", base.Name, c))
 				defer s.End()
-				tb, err := gatherIMB(ctx, st, base, c)
+				tb, err := gatherIMB(ctx, st, baseSuite, base, c, nasOnly)
 				if err != nil {
 					return fmt.Errorf("core: IMB on base at %d ranks: %w", c, err)
 				}
@@ -259,7 +275,7 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 				}
 				s := sp.Child(fmt.Sprintf("imb.%s.%d", target.Name, c))
 				defer s.End()
-				tt, err := gatherIMB(ctx, st, target, c)
+				tt, err := gatherIMB(ctx, st, targetSuite, target, c, nasOnly)
 				if err != nil {
 					return fmt.Errorf("core: IMB on target at %d: %w", c, err)
 				}
@@ -299,14 +315,15 @@ func gatherSpec(ctx context.Context, st *Store, m *arch.Machine) (map[string]spe
 	})
 }
 
-// gatherIMB runs (or resolves through the characterisation layer) one
-// machine's IMB sweep at a core count.
-func gatherIMB(ctx context.Context, st *Store, m *arch.Machine, count int) (*imb.Table, error) {
+// gatherIMB builds (or resolves through the characterisation layer) one
+// table of machine m's suite s at a core count; nasOnly says s selects
+// nas.Routines(), which keys the table apart from the full suite's.
+func gatherIMB(ctx context.Context, st *Store, s *imb.Suite, m *arch.Machine, count int, nasOnly bool) (*imb.Table, error) {
 	if st == nil {
-		return imb.Run(m, count, nil)
+		return s.Table(count, nil)
 	}
-	return st.imbTable(ctx, m, count, func() (*imb.Table, error) {
-		return imb.Run(m, count, nil)
+	return st.imbTable(ctx, m, count, nasOnly, func() (*imb.Table, error) {
+		return s.Table(count, nil)
 	})
 }
 
@@ -545,12 +562,13 @@ func (p *Pipeline) CharacterizeAppCtx(ctx context.Context, b nas.Benchmark, c na
 // the swapp library (and so swappd) and the figures runner: pick the
 // base-machine characterisation sweep for (b, c, ranks), gather the
 // pipeline's benchmark data at those counts, and characterise the
-// application on the base. With opts.Store set, each artifact is resolved
-// through the store, so evaluations sharing a machine or an (app, base)
-// pair pay for it once.
+// application on the base. The pipeline's IMB tables measure only what
+// prices nas.Routines(), the only routines its projections look up. With
+// opts.Store set, each artifact is resolved through the store, so
+// evaluations sharing a machine or an (app, base) pair pay for it once.
 func Prepare(ctx context.Context, base, target *arch.Machine, b nas.Benchmark, c nas.Class, ranks int, opts Options) (*Pipeline, *AppModel, error) {
 	counts := charCountsFor(b, c, ranks)
-	pipe, err := NewPipelineCtx(ctx, base, target, counts, opts)
+	pipe, err := newPipeline(ctx, base, target, counts, opts, true)
 	if err != nil {
 		return nil, nil, err
 	}

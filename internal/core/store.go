@@ -112,12 +112,25 @@ func specKey(m *arch.Machine) string {
 	return fmt.Sprintf("spec|%q", m.Name)
 }
 
-func imbKey(m *arch.Machine, count int) string {
+// imbKey names machine m's full IMB table at count or, with nasOnly, the
+// table Prepare's gather serves, which measures only what prices
+// nas.Routines().
+func imbKey(m *arch.Machine, count int, nasOnly bool) string {
+	if nasOnly {
+		return fmt.Sprintf("imb|%q|%d|nas", m.Name, count)
+	}
 	return fmt.Sprintf("imb|%q|%d", m.Name, count)
 }
 
 func profileKey(base *arch.Machine, b nas.Benchmark, c nas.Class, ranks int) string {
 	return fmt.Sprintf("profile|%q|%q|%c|%d", base.Name, string(b), c, ranks)
+}
+
+// tableKey is the key table t belongs under, read from its content: only
+// the full suite measures Exchange.
+func tableKey(t *imb.Table) string {
+	_, full := t.PerOp[imb.Exchange]
+	return imbKey(&arch.Machine{Name: t.Machine}, t.Ranks, !full)
 }
 
 // charValue is one characterisation-layer value: a machine's SPEC result
@@ -139,10 +152,10 @@ func (s *Store) specSuite(ctx context.Context, m *arch.Machine, fill func() (map
 	return v.spec, err
 }
 
-// imbTable resolves one (machine, core count) IMB table through the
-// characterisation layer.
-func (s *Store) imbTable(ctx context.Context, m *arch.Machine, count int, fill func() (*imb.Table, error)) (*imb.Table, error) {
-	key := imbKey(m, count)
+// imbTable resolves one (machine, core count, selection) IMB table
+// through the characterisation layer.
+func (s *Store) imbTable(ctx context.Context, m *arch.Machine, count int, nasOnly bool, fill func() (*imb.Table, error)) (*imb.Table, error) {
+	key := imbKey(m, count, nasOnly)
 	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (charValue, error) {
 		t, err := fill()
 		return charValue{imb: t}, err

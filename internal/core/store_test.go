@@ -201,10 +201,11 @@ func TestLayerKeysCollisionFree(t *testing.T) {
 		specKey(m(`a|b`)),
 		specKey(m(`a`)),
 		specKey(m(`a"|"b`)),
-		imbKey(m(`a|b`), 16),
-		imbKey(m(`a`), 16),
-		imbKey(m(`a`), 1),
-		imbKey(m(`a|1`), 6), // would collide with ("a", 16) if unquoted
+		imbKey(m(`a|b`), 16, false),
+		imbKey(m(`a`), 16, false),
+		imbKey(m(`a`), 16, true),
+		imbKey(m(`a`), 1, false),
+		imbKey(m(`a|1`), 6, false), // would collide with ("a", 16) if unquoted
 		profileKey(m(`a|b`), nas.Benchmark("c"), 'C', 16),
 		profileKey(m(`a`), nas.Benchmark("b|c"), 'C', 16),
 		profileKey(m(`a`), nas.Benchmark(`b"|"c`), 'C', 16),
@@ -238,7 +239,7 @@ func TestStoreConcurrentEvictionUnderFill(t *testing.T) {
 			m := &arch.Machine{Name: fmt.Sprintf("m-%d", g)}
 			for count := 1; count <= 16; count++ {
 				want := &imb.Table{}
-				got, err := s.imbTable(context.Background(), m, count, func() (*imb.Table, error) {
+				got, err := s.imbTable(context.Background(), m, count, false, func() (*imb.Table, error) {
 					time.Sleep(time.Millisecond) // widen the race window
 					return want, nil
 				})

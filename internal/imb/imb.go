@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/arch"
 	"repro/internal/mpi"
@@ -251,37 +253,199 @@ func (t *Table) Routines() []mpi.Routine {
 	return out
 }
 
+// benchmark is one benchmark of the suite, as a bit of a selection.
+type benchmark uint16
+
+const (
+	pingPong      benchmark = 1 << iota // PerOp Send and Recv
+	pingPing                            // PerOp PingPing
+	exchange                            // PerOp Exchange
+	sendrecv                            // PerOp Sendrecv
+	bcast                               // PerOp Bcast
+	reduce                              // PerOp Reduce
+	allreduce                           // PerOp Allreduce
+	allgather                           // PerOp Allgather
+	alltoall                            // PerOp Alltoall
+	multiSendrecv                       // NBIntra and NBInter
+	barrier                             // PerOp Barrier
+
+	allBenchmarks = 1<<iota - 1
+)
+
+// pricedBy names the benchmark whose measurements price routine rt, 0 for
+// none. Exchange and PingPing price no routine: only the full suite
+// measures them.
+func pricedBy(rt mpi.Routine) benchmark {
+	switch rt {
+	case mpi.RoutineIsend, mpi.RoutineIrecv, mpi.RoutineWaitall:
+		return multiSendrecv
+	case mpi.RoutineSend, mpi.RoutineRecv:
+		return pingPong
+	case mpi.RoutineSendrecv:
+		return sendrecv
+	case mpi.RoutineBcast:
+		return bcast
+	case mpi.RoutineReduce:
+		return reduce
+	case mpi.RoutineAllreduce:
+		return allreduce
+	case mpi.RoutineAllgather:
+		return allgather
+	case mpi.RoutineAlltoall:
+		return alltoall
+	case mpi.RoutineBarrier:
+		return barrier
+	}
+	return 0
+}
+
+// pairing is how a pairwise benchmark matches ranks: distant (pairDistant)
+// or adjacent (pairAdjacent).
+type pairing uint8
+
+const (
+	distant pairing = iota
+	adjacent
+)
+
+func (p pairing) partner(id, ranks int) int {
+	if p == distant {
+		return pairDistant(id, ranks)
+	}
+	return pairAdjacent(id, ranks)
+}
+
+// cell names one measurement of a table up to its ranks: the benchmark,
+// the pairing and in-flight depth x of a pairwise one (zero otherwise),
+// and the message size.
+type cell struct {
+	bench benchmark
+	pair  pairing
+	x     int
+	size  units.Bytes
+}
+
+// groupKey names one group's makespan in a pairwise measurement: the cell
+// and the group's shape id in the suite.
+type groupKey struct {
+	cell
+	shape int
+}
+
+// group is one independent group of ranks in a pairwise benchmark (see
+// planGroups): its ranks, ascending, and its shape's id in the suite.
+type group struct {
+	ranks []int
+	shape int
+}
+
 // measureFunc simulates program on a clean world of the table's machine and
-// rank count and returns the makespan. With groups nil every rank runs it;
-// otherwise it may run each group of ranks alone and return the slowest
-// group's makespan — the same number, for groups from planGroups.
-type measureFunc func(groups [][]int, program func(r *mpi.Rank)) (units.Seconds, error)
+// rank count and returns the makespan of cell. With groups nil every rank
+// runs it; otherwise it may run each group of ranks alone and return the
+// slowest group's makespan — the same number, for groups from planGroups.
+type measureFunc func(c cell, groups []group, program func(r *mpi.Rank)) (units.Seconds, error)
+
+// Suite is one machine's IMB runs: the benchmarks that price its routines,
+// and every pairwise-group measurement its tables have made. A pairwise
+// benchmark is simulated one group of ranks per distinct shape rather than
+// as the whole world (see planGroups), and a group's history is a function
+// of its shape — its P2P prices — and not of the world's size, so a
+// group's makespan measured for one table is every other table's too: the
+// suite simulates each (benchmark, pairing, x, size, shape) once, whatever
+// rank counts it builds tables at. Its tables are the full suite's, less
+// the benchmarks it does not select.
+//
+// A Suite is safe for concurrent use. It keeps every group measurement it
+// has made: it is meant to live as long as one gather of tables.
+type Suite struct {
+	m   *arch.Machine
+	sel benchmark
+
+	mu     sync.Mutex
+	shapes [][]int                    // planGroups shapes; a shape id indexes it
+	memo   map[groupKey]units.Seconds // one group's makespan per key
+
+	sims atomic.Int64 // worlds and groups simulated, for benchmarks
+}
+
+// memoHint sizes a suite's memo when its first group is measured — not
+// before, so a suite whose tables all come from a store costs one small
+// allocation: at DefaultSizes a full table remembers 114–247 group
+// measurements, and a NAS-MZ gather's four served tables 152 (hydra) to 532
+// (westmere-x5670).
+const memoHint = 256
+
+// NewSuite returns a suite for machine m whose tables measure the
+// benchmarks that price routines: multi-Sendrecv's intra and inter Eq. 1
+// fits for Isend, Irecv and Waitall (with PingPing where the inter fit's
+// x = 1 needs it), PingPong for Send and Recv, and each collective's and
+// Barrier's own benchmark. A routine no benchmark prices is ignored. No
+// routines means the full suite.
+func NewSuite(m *arch.Machine, routines ...mpi.Routine) *Suite {
+	sel := benchmark(allBenchmarks)
+	if len(routines) > 0 {
+		sel = 0
+		for _, rt := range routines {
+			sel |= pricedBy(rt)
+		}
+	}
+	return newSuite(m, sel)
+}
+
+func newSuite(m *arch.Machine, sel benchmark) *Suite {
+	return &Suite{m: m, sel: sel}
+}
 
 // Run executes the full suite on machine m with the given rank count and
-// size grid (nil for DefaultSizes) and returns the parameter table. Its
-// few hundred measurements are independent simulations run one after
-// another on one world, reset before each. A pairwise benchmark simulates
-// one group of ranks per distinct shape rather than the whole world (see
-// planGroups): hydra's 64-rank table spawns 13 440 ranks, not 20 736.
+// size grid (nil for DefaultSizes) and returns the parameter table: a
+// one-table Suite. Its few hundred measurements are independent
+// simulations run one after another on one world, reset before each.
 func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
+	return NewSuite(m).Table(ranks, sizes)
+}
+
+// Table measures the suite's benchmarks at the given rank count and size
+// grid (nil for DefaultSizes) on one world, reset before each simulation.
+// A pairwise benchmark runs one group per distinct shape — hydra's full
+// 64-rank table spawns 13 440 ranks, not 20 736 — and a group whose
+// measurement another table of the suite has already made is not
+// simulated again: once a NAS-MZ suite has built hydra's 128-rank table,
+// its 64-, 32- and 16-rank tables simulate only their collectives.
+func (s *Suite) Table(ranks int, sizes []units.Bytes) (*Table, error) {
 	if ranks < 2 {
 		return nil, fmt.Errorf("imb: need at least 2 ranks, got %d", ranks)
 	}
-	w, err := mpi.NewWorld(m, ranks)
+	w, err := mpi.NewWorld(s.m, ranks)
 	if err != nil {
 		return nil, err
 	}
-	return run(m, ranks, sizes, func(groups [][]int, program func(r *mpi.Rank)) (units.Seconds, error) {
+	return s.table(ranks, sizes, func(c cell, groups []group, program func(r *mpi.Rank)) (units.Seconds, error) {
 		if groups == nil {
+			s.sims.Add(1)
 			w.Reset()
 			return w.Run(program)
 		}
 		var span units.Seconds
-		for _, ids := range groups {
-			w.Reset()
-			el, err := w.RunRanks(ids, program)
-			if err != nil {
-				return 0, err
+		for _, g := range groups {
+			k := groupKey{c, g.shape}
+			s.mu.Lock()
+			el, ok := s.memo[k]
+			s.mu.Unlock()
+			if !ok {
+				// Simulated outside the lock: two tables may both miss
+				// a key and both simulate it, to the same value.
+				s.sims.Add(1)
+				w.Reset()
+				var err error
+				if el, err = w.RunRanks(g.ranks, program); err != nil {
+					return 0, err
+				}
+				s.mu.Lock()
+				if s.memo == nil {
+					s.memo = make(map[groupKey]units.Seconds, memoHint)
+				}
+				s.memo[k] = el
+				s.mu.Unlock()
 			}
 			span = max(span, el)
 		}
@@ -289,23 +453,25 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 	})
 }
 
-// run is Run over any way of taking one measurement.
-func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (*Table, error) {
+// table builds one table of the suite's benchmarks over any way of taking
+// one measurement.
+func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Table, error) {
 	if sizes == nil {
 		sizes = DefaultSizes()
 	}
 	t := &Table{
-		Machine: m.Name,
+		Machine: s.m.Name,
 		Ranks:   ranks,
 		Sizes:   sizes,
 		PerOp:   map[mpi.Routine]map[units.Bytes]units.Seconds{},
 		NBIntra: NBFit{InFlight: map[units.Bytes]units.Seconds{}},
 		NBInter: NBFit{InFlight: map[units.Bytes]units.Seconds{}},
 	}
-	multiNode := m.NodesFor(ranks) > 1
-	md := netmodel.New(m)
-	distant := planGroups(md, ranks, pairDistant)
-	adjacent := planGroups(md, ranks, pairAdjacent)
+	has := func(b benchmark) bool { return s.sel&b != 0 }
+	multiNode := s.m.NodesFor(ranks) > 1
+	md := netmodel.New(s.m)
+	distantGroups := s.planGroups(md, ranks, distant)
+	adjacentGroups := s.planGroups(md, ranks, adjacent)
 
 	put := func(rt mpi.Routine, size units.Bytes, v units.Seconds) {
 		if t.PerOp[rt] == nil {
@@ -317,88 +483,105 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 	for _, size := range sizes {
 		size := size
 		// --- blocking point-to-point: PingPong (half round trip). ---
-		pp, err := measure(distant, func(r *mpi.Rank) {
-			partner := pairDistant(r.ID(), ranks)
-			if partner < 0 {
-				return
-			}
-			for i := 0; i < iterations; i++ {
-				if r.ID() < partner {
-					r.Send(partner, size, i)
-					r.Recv(partner, size, i)
-				} else {
-					r.Recv(partner, size, i)
-					r.Send(partner, size, i)
+		if has(pingPong) {
+			pp, err := measure(cell{bench: pingPong, pair: distant, size: size}, distantGroups, func(r *mpi.Rank) {
+				partner := pairDistant(r.ID(), ranks)
+				if partner < 0 {
+					return
 				}
+				for i := 0; i < iterations; i++ {
+					if r.ID() < partner {
+						r.Send(partner, size, i)
+						r.Recv(partner, size, i)
+					} else {
+						r.Recv(partner, size, i)
+						r.Send(partner, size, i)
+					}
+				}
+			})
+			if err != nil {
+				return nil, err
 			}
-		})
-		if err != nil {
-			return nil, err
+			put(mpi.RoutineSend, size, pp/(2*iterations))
+			put(mpi.RoutineRecv, size, pp/(2*iterations))
 		}
-		put(mpi.RoutineSend, size, pp/(2*iterations))
-		put(mpi.RoutineRecv, size, pp/(2*iterations))
 
-		// --- PingPing: both partners send simultaneously. ---
-		pping, err := measure(distant, func(r *mpi.Rank) {
-			partner := pairDistant(r.ID(), ranks)
-			if partner < 0 {
-				return
+		// --- PingPing: both partners send simultaneously. It is also
+		// the inter fit's x = 1 point. ---
+		var pping units.Seconds
+		if has(pingPing) || has(multiSendrecv) && multiNode {
+			el, err := measure(cell{bench: pingPing, pair: distant, size: size}, distantGroups, func(r *mpi.Rank) {
+				partner := pairDistant(r.ID(), ranks)
+				if partner < 0 {
+					return
+				}
+				for i := 0; i < iterations; i++ {
+					send := r.Isend(partner, size, i)
+					recv := r.Irecv(partner, size, i)
+					r.Waitall(send, recv)
+				}
+			})
+			if err != nil {
+				return nil, err
 			}
-			for i := 0; i < iterations; i++ {
-				s := r.Isend(partner, size, i)
-				v := r.Irecv(partner, size, i)
-				r.Waitall(s, v)
+			pping = el / iterations
+			if has(pingPing) {
+				put(PingPing, size, pping)
 			}
-		})
-		if err != nil {
-			return nil, err
 		}
-		put(PingPing, size, pping/iterations)
 
 		// --- Exchange: both ring neighbours, IMB's halo pattern. ---
-		exch, err := measure(nil, func(r *mpi.Rank) {
-			next := (r.ID() + 1) % r.Size()
-			prev := (r.ID() + r.Size() - 1) % r.Size()
-			for i := 0; i < iterations; i++ {
-				a := r.Irecv(prev, size, i)
-				b := r.Irecv(next, size, 100000+i)
-				c := r.Isend(next, size, i)
-				d := r.Isend(prev, size, 100000+i)
-				r.Waitall(a, b, c, d)
+		if has(exchange) {
+			exch, err := measure(cell{bench: exchange, size: size}, nil, func(r *mpi.Rank) {
+				next := (r.ID() + 1) % r.Size()
+				prev := (r.ID() + r.Size() - 1) % r.Size()
+				for i := 0; i < iterations; i++ {
+					a := r.Irecv(prev, size, i)
+					b := r.Irecv(next, size, 100000+i)
+					c := r.Isend(next, size, i)
+					d := r.Isend(prev, size, 100000+i)
+					r.Waitall(a, b, c, d)
+				}
+			})
+			if err != nil {
+				return nil, err
 			}
-		})
-		if err != nil {
-			return nil, err
+			put(Exchange, size, exch/iterations)
 		}
-		put(Exchange, size, exch/iterations)
 
 		// --- Sendrecv ring. ---
-		sr, err := measure(nil, func(r *mpi.Rank) {
-			next := (r.ID() + 1) % r.Size()
-			prev := (r.ID() + r.Size() - 1) % r.Size()
-			for i := 0; i < iterations; i++ {
-				r.Sendrecv(next, size, prev, size, i)
+		if has(sendrecv) {
+			sr, err := measure(cell{bench: sendrecv, size: size}, nil, func(r *mpi.Rank) {
+				next := (r.ID() + 1) % r.Size()
+				prev := (r.ID() + r.Size() - 1) % r.Size()
+				for i := 0; i < iterations; i++ {
+					r.Sendrecv(next, size, prev, size, i)
+				}
+			})
+			if err != nil {
+				return nil, err
 			}
-		})
-		if err != nil {
-			return nil, err
+			put(mpi.RoutineSendrecv, size, sr/iterations)
 		}
-		put(mpi.RoutineSendrecv, size, sr/iterations)
 
 		// --- collectives. ---
 		colls := []struct {
+			b  benchmark
 			rt mpi.Routine
 			op func(r *mpi.Rank)
 		}{
-			{mpi.RoutineBcast, func(r *mpi.Rank) { r.Bcast(0, size) }},
-			{mpi.RoutineReduce, func(r *mpi.Rank) { r.Reduce(0, size) }},
-			{mpi.RoutineAllreduce, func(r *mpi.Rank) { r.Allreduce(size) }},
-			{mpi.RoutineAllgather, func(r *mpi.Rank) { r.Allgather(size) }},
-			{mpi.RoutineAlltoall, func(r *mpi.Rank) { r.Alltoall(size) }},
+			{bcast, mpi.RoutineBcast, func(r *mpi.Rank) { r.Bcast(0, size) }},
+			{reduce, mpi.RoutineReduce, func(r *mpi.Rank) { r.Reduce(0, size) }},
+			{allreduce, mpi.RoutineAllreduce, func(r *mpi.Rank) { r.Allreduce(size) }},
+			{allgather, mpi.RoutineAllgather, func(r *mpi.Rank) { r.Allgather(size) }},
+			{alltoall, mpi.RoutineAlltoall, func(r *mpi.Rank) { r.Alltoall(size) }},
 		}
 		for _, c := range colls {
+			if !has(c.b) {
+				continue
+			}
 			c := c
-			el, err := measure(nil, func(r *mpi.Rank) {
+			el, err := measure(cell{bench: c.b, size: size}, nil, func(r *mpi.Rank) {
 				for i := 0; i < iterations; i++ {
 					c.op(r)
 				}
@@ -412,34 +595,38 @@ func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (
 		// --- multi-Sendrecv: x in-flight Isend/Irecv pairs + Waitall,
 		// measured for same-node pairs and (when the job spans nodes)
 		// cross-node pairs — IMB's intra/inter cluster modes. ---
-		a, b, err := multiSendrecvFit(measure, adjacent, ranks, size, pairAdjacent, nil)
-		if err != nil {
-			return nil, fmt.Errorf("imb: multi-Sendrecv intra fit at %d B: %w", size, err)
-		}
-		t.NBIntra.Overhead = a
-		t.NBIntra.InFlight[size] = b
-		if multiNode {
-			// PingPing is the inter fit's x = 1 point: the same program
-			// (Isend, Irecv, Waitall, tag i) on the same distant groups.
-			a, b, err = multiSendrecvFit(measure, distant, ranks, size, pairDistant, []float64{pping / iterations})
+		if has(multiSendrecv) {
+			a, b, err := multiSendrecvFit(measure, adjacentGroups, ranks, size, adjacent, nil)
 			if err != nil {
-				return nil, fmt.Errorf("imb: multi-Sendrecv inter fit at %d B: %w", size, err)
+				return nil, fmt.Errorf("imb: multi-Sendrecv intra fit at %d B: %w", size, err)
 			}
+			t.NBIntra.Overhead = a
+			t.NBIntra.InFlight[size] = b
+			if multiNode {
+				// PingPing is the inter fit's x = 1 point: the same program
+				// (Isend, Irecv, Waitall, tag i) on the same distant groups.
+				a, b, err = multiSendrecvFit(measure, distantGroups, ranks, size, distant, []float64{pping})
+				if err != nil {
+					return nil, fmt.Errorf("imb: multi-Sendrecv inter fit at %d B: %w", size, err)
+				}
+			}
+			t.NBInter.Overhead = a
+			t.NBInter.InFlight[size] = b
 		}
-		t.NBInter.Overhead = a
-		t.NBInter.InFlight[size] = b
 	}
 
 	// --- Barrier (size-independent). ---
-	bar, err := measure(nil, func(r *mpi.Rank) {
-		for i := 0; i < iterations; i++ {
-			r.Barrier()
+	if has(barrier) {
+		bar, err := measure(cell{bench: barrier}, nil, func(r *mpi.Rank) {
+			for i := 0; i < iterations; i++ {
+				r.Barrier()
+			}
+		})
+		if err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
+		put(mpi.RoutineBarrier, 0, bar/iterations)
 	}
-	put(mpi.RoutineBarrier, 0, bar/iterations)
 
 	return t, nil
 }
@@ -473,9 +660,10 @@ func pairAdjacent(id, ranks int) int {
 	return id - 1
 }
 
-// planGroups splits a pairwise benchmark — every rank talks only to
-// pairing(id) — into independent groups and returns one ascending rank set
-// per distinct group shape: the groups measureFunc needs to simulate.
+// planGroups splits a pairwise benchmark — every rank talks only to its
+// partner under pair — into independent groups and returns one ascending rank set
+// per distinct group shape, with the shape's id in the suite: the groups
+// measureFunc needs to simulate.
 //
 // A group is a connected set of nodes under "a rank's node is joined to its
 // partner's", with every rank on them. Two groups share no message, and no
@@ -486,7 +674,11 @@ func pairAdjacent(id, ranks int) int {
 // between every ordered pair of its nodes: all netmodel.P2P prices, so
 // groups of one shape have bit-identical histories. Groups in which nobody
 // has a partner finish at time 0 and are left out.
-func planGroups(md *netmodel.Model, ranks int, pairing func(id, ranks int) int) [][]int {
+//
+// Nothing in a shape depends on the world's size, so a shape found at one
+// rank count is the same shape at any other: the suite numbers shapes
+// across its tables (shapeID).
+func (s *Suite) planGroups(md *netmodel.Model, ranks int, pair pairing) []group {
 	nodes := md.NodeOf(ranks-1) + 1
 	// One slab for every scratch slice below: the nodes' roots, the
 	// group's ranks and nodes, each rank's and node's position in them,
@@ -508,7 +700,7 @@ func planGroups(md *netmodel.Model, ranks int, pairing func(id, ranks int) int) 
 		return n
 	}
 	for id := 0; id < ranks; id++ {
-		if p := pairing(id, ranks); p >= 0 {
+		if p := pair.partner(id, ranks); p >= 0 {
 			a, b := find(md.NodeOf(id)), find(md.NodeOf(p))
 			root[max(a, b)] = min(a, b)
 		}
@@ -517,7 +709,7 @@ func planGroups(md *netmodel.Model, ranks int, pairing func(id, ranks int) int) 
 		root[n] = find(n)
 	}
 
-	var shapes, reps [][]int
+	var groups []group
 	for r := range root {
 		if root[r] != r {
 			continue
@@ -537,7 +729,7 @@ func planGroups(md *netmodel.Model, ranks int, pairing func(id, ranks int) int) 
 		paired := false
 		shape = append(shape[:0], len(members))
 		for _, id := range members {
-			p := pairing(id, ranks)
+			p := pair.partner(id, ranks)
 			if p >= 0 {
 				paired = true
 				p = pos[p]
@@ -552,25 +744,39 @@ func planGroups(md *netmodel.Model, ranks int, pairing func(id, ranks int) int) 
 				shape = append(shape, md.Topo.Hops(a, b))
 			}
 		}
-		if !slices.ContainsFunc(shapes, func(s []int) bool { return slices.Equal(s, shape) }) {
-			shapes = append(shapes, slices.Clone(shape))
-			reps = append(reps, slices.Clone(members))
+		id := s.shapeID(shape)
+		if !slices.ContainsFunc(groups, func(g group) bool { return g.shape == id }) {
+			groups = append(groups, group{ranks: slices.Clone(members), shape: id})
 		}
 	}
-	return reps
+	return groups
+}
+
+// shapeID returns shape's index in the suite's list of shapes, adding a
+// copy of it if it is new.
+func (s *Suite) shapeID(shape []int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, sh := range s.shapes {
+		if slices.Equal(sh, shape) {
+			return i
+		}
+	}
+	s.shapes = append(s.shapes, slices.Clone(shape))
+	return len(s.shapes) - 1
 }
 
 // multiSendrecvFit measures the multi-Sendrecv benchmark over the x sweep
 // with the given pairing, and its groups, and returns the Eq. 1
 // (overhead, in-flight) fit. known holds the per-iteration times of the
 // sweep's first depths where another benchmark has already measured them.
-func multiSendrecvFit(measure measureFunc, groups [][]int, ranks int, size units.Bytes, pairing func(id, ranks int) int, known []float64) (a, b units.Seconds, err error) {
+func multiSendrecvFit(measure measureFunc, groups []group, ranks int, size units.Bytes, pair pairing, known []float64) (a, b units.Seconds, err error) {
 	xTimes := make([]float64, 0, len(multiXs))
 	xTimes = append(xTimes, known...)
 	for _, x := range multiXs[len(known):] {
 		x := x
-		el, err := measure(groups, func(r *mpi.Rank) {
-			partner := pairing(r.ID(), ranks)
+		el, err := measure(cell{bench: multiSendrecv, pair: pair, x: x, size: size}, groups, func(r *mpi.Rank) {
+			partner := pair.partner(r.ID(), ranks)
 			if partner < 0 {
 				return
 			}

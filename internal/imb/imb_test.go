@@ -2,10 +2,12 @@ package imb
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/mpi"
+	"repro/internal/nas"
 	"repro/internal/units"
 )
 
@@ -252,16 +254,22 @@ func TestInterpSizeSkipsNonPositive(t *testing.T) {
 }
 
 // measureFresh is the reference way to take a measurement, and how Run took
-// every one before it reused a world and split pairwise benchmarks into
-// groups: a new mpi.World each time, every rank running.
+// every one before it reused a world, split pairwise benchmarks into groups
+// and remembered groups across tables: a new mpi.World each time, every
+// rank running.
 func measureFresh(m *arch.Machine, ranks int) measureFunc {
-	return func(_ [][]int, program func(r *mpi.Rank)) (units.Seconds, error) {
+	return func(_ cell, _ []group, program func(r *mpi.Rank)) (units.Seconds, error) {
 		w, err := mpi.NewWorld(m, ranks)
 		if err != nil {
 			return 0, err
 		}
 		return w.Run(program)
 	}
+}
+
+// run is the full suite over any way of taking one measurement.
+func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (*Table, error) {
+	return NewSuite(m).table(ranks, sizes, measure)
 }
 
 // TestReusedWorldMatchesFreshWorlds holds Run, which resets one world
@@ -339,11 +347,42 @@ func TestLookupsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// FuzzGroupedTable holds Run to the whole-world reference on any machine
-// and rank count, on a grid with eager and rendezvous sizes on every
-// machine. The seeds are the shapes grouping has to get right: one node,
-// full nodes, a partial last node with an odd rank sitting out, groups of
-// two hop shapes, and one group chained across every node.
+// restrict is t less every benchmark sel leaves out: what a suite
+// selecting sel builds where the full suite builds t.
+func restrict(t *Table, sel benchmark) *Table {
+	cp := *t
+	cp.PerOp = map[mpi.Routine]map[units.Bytes]units.Seconds{}
+	for rt, m := range t.PerOp {
+		b := pricedBy(rt)
+		switch rt {
+		case PingPing:
+			b = pingPing
+		case Exchange:
+			b = exchange
+		}
+		if sel&b != 0 {
+			cp.PerOp[rt] = m
+		}
+	}
+	if sel&multiSendrecv == 0 {
+		cp.NBIntra = NBFit{InFlight: map[units.Bytes]units.Seconds{}}
+		cp.NBInter = NBFit{InFlight: map[units.Bytes]units.Seconds{}}
+	}
+	return &cp
+}
+
+// nasSelection is what a suite for nas.Routines() measures.
+const nasSelection = multiSendrecv | bcast | reduce
+
+// FuzzGroupedTable holds a suite's tables to the whole-world reference on
+// any machine, any two rank counts built in either order by one suite, and
+// any selection of benchmarks, on a grid with eager and rendezvous sizes
+// on every machine: each table must be the full fresh-world table less the
+// benchmarks the suite does not select. The seeds are the shapes grouping
+// has to get right — one node, full nodes, a partial last node with an
+// odd rank sitting out, groups of two hop shapes, one group chained across
+// every node — each built twice (the second time from the suite's memory
+// alone), and pairs of counts whose groups share shapes.
 func FuzzGroupedTable(f *testing.F) {
 	machines := []string{arch.Hydra, arch.Power6, arch.BlueGene, arch.Westmere}
 	for _, s := range []struct {
@@ -357,27 +396,109 @@ func FuzzGroupedTable(f *testing.F) {
 		// Two hop shapes; one chained group.
 		{2, 48}, {2, 96}, {3, 128},
 	} {
-		f.Add(s.machine, s.ranks)
+		f.Add(s.machine, s.ranks, s.ranks, uint16(0))
+	}
+	// Counts sharing shapes, largest first as a gather builds them and
+	// smallest first, with every benchmark and with a NAS-MZ selection.
+	for _, s := range []struct {
+		machine       uint8
+		first, second uint8
+	}{{0, 32, 128}, {1, 64, 128}, {2, 16, 64}, {3, 13, 48}} {
+		f.Add(s.machine, s.first, s.second, uint16(allBenchmarks))
+		f.Add(s.machine, s.second, s.first, uint16(nasSelection))
 	}
 	sizes := []units.Bytes{8, 1 * units.KiB, 16 * units.KiB, 64 * units.KiB}
-	f.Fuzz(func(t *testing.T, machine, ranks uint8) {
+	f.Fuzz(func(t *testing.T, machine, first, second uint8, mask uint16) {
 		m := arch.MustGet(machines[int(machine)%len(machines)])
-		n := int(ranks)
-		if n < 2 || n > 128 {
-			n = 2 + n%127
+		sel := benchmark(mask) & allBenchmarks
+		if sel == 0 {
+			sel = allBenchmarks
 		}
-		got, err := Run(m, n, sizes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := run(m, n, sizes, measureFresh(m, n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s@%d: grouped table differs from the whole-world reference", m.Name, n)
+		s := newSuite(m, sel)
+		for _, ranks := range []uint8{first, second} {
+			n := int(ranks)
+			if n < 2 || n > 128 {
+				n = 2 + n%127
+			}
+			got, err := s.Table(n, sizes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := run(m, n, sizes, measureFresh(m, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, restrict(want, sel)) {
+				t.Errorf("%s@%d (counts %d then %d, selection %#x): suite table differs from the whole-world reference", m.Name, n, first, second, sel)
+			}
 		}
 	})
+}
+
+// TestSuiteTablesConcurrently builds one suite's tables from several
+// goroutines at once (run it under -race): each must equal the same
+// selection's one-table suite.
+func TestSuiteTablesConcurrently(t *testing.T) {
+	m := arch.MustGet(arch.Hydra)
+	counts := []int{64, 48, 32, 16}
+	s := NewSuite(m, nas.Routines()...)
+	got := make([]*Table, len(counts))
+	errs := make([]error, len(counts))
+	var wg sync.WaitGroup
+	for i, ranks := range counts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = s.Table(ranks, smallSizes())
+		}()
+	}
+	wg.Wait()
+	for i, ranks := range counts {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		want, err := NewSuite(m, nas.Routines()...).Table(ranks, smallSizes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("hydra@%d: a table built beside others differs from a one-table suite's", ranks)
+		}
+	}
+}
+
+// servedCounts are the counts a BT-MZ.C gather builds, in its start order.
+var servedCounts = []int{128, 64, 32, 16}
+
+// TestSuiteSimulationsPerGather pins what one gather's two suites simulate
+// for NAS-MZ: hydra's and power6-575's tables at servedCounts, built in
+// that order by one suite per machine. Full tables, one suite each as Run
+// builds them, simulate 1 163 and 1 106 worlds and groups there; the
+// served suites measure only multi-Sendrecv, PingPing, Bcast and Reduce,
+// and a group whose shape another table has measured is not simulated
+// again.
+func TestSuiteSimulationsPerGather(t *testing.T) {
+	for _, c := range []struct {
+		machine    string
+		full, want int64
+	}{{arch.Hydra, 1163, 304}, {arch.Power6, 1106, 380}} {
+		m := arch.MustGet(c.machine)
+		var full int64
+		served := NewSuite(m, nas.Routines()...)
+		for _, ranks := range servedCounts {
+			one := NewSuite(m)
+			if _, err := one.Table(ranks, nil); err != nil {
+				t.Fatal(err)
+			}
+			full += one.sims.Load()
+			if _, err := served.Table(ranks, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := served.sims.Load(); full != c.full || got != c.want {
+			t.Errorf("%s: %d simulations for full tables and %d served, want %d and %d", c.machine, full, got, c.full, c.want)
+		}
+	}
 }
 
 // BenchmarkRun is one whole default-grid table at 64 ranks, the size the
@@ -394,6 +515,29 @@ func BenchmarkRun(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSuite is one gather's IMB tables for a NAS-MZ request on hydra
+// and on power6-575: the served tables at servedCounts through one suite
+// per machine. simulations/op counts the worlds and groups it ran.
+func BenchmarkSuite(b *testing.B) {
+	for _, machine := range []string{arch.Hydra, arch.Power6} {
+		b.Run(machine, func(b *testing.B) {
+			m := arch.MustGet(machine)
+			b.ReportAllocs()
+			var sims int64
+			for i := 0; i < b.N; i++ {
+				s := NewSuite(m, nas.Routines()...)
+				for _, ranks := range servedCounts {
+					if _, err := s.Table(ranks, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+				sims += s.sims.Load()
+			}
+			b.ReportMetric(float64(sims)/float64(b.N), "simulations/op")
 		})
 	}
 }

@@ -282,6 +282,27 @@ func TestRunSmall(t *testing.T) {
 	}
 }
 
+// TestRoutinesPinned holds Routines to what a profile records: the IMB
+// tables a projection is served measure only what prices these routines.
+func TestRoutinesPinned(t *testing.T) {
+	for _, cfg := range []Config{
+		{Bench: BT, Class: ClassC, Ranks: 16},
+		{Bench: LU, Class: ClassC, Ranks: 16},
+		{Bench: SP, Class: ClassC, Ranks: 16},
+		{Bench: LU, Class: ClassC, Ranks: 4},
+	} {
+		res, err := Run(cfg, arch.MustGet(arch.Hydra))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := slices.Clone(res.Profile.Routines())
+		slices.Sort(got)
+		if want := Routines(); !slices.Equal(got, want) {
+			t.Errorf("%s profiles %v, Routines() lists %v", cfg, got, want)
+		}
+	}
+}
+
 func TestRunDeterministic(t *testing.T) {
 	cfg := Config{Bench: LU, Class: ClassC, Ranks: 16}
 	a, err := Run(cfg, arch.MustGet(arch.Westmere))

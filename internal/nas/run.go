@@ -142,6 +142,12 @@ func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seco
 	return makespan, nil
 }
 
+// Routines lists the MPI routines a rank of RunObserved's program calls,
+// in name order. They are the same for every benchmark and class.
+func Routines() []mpi.Routine {
+	return []mpi.Routine{mpi.RoutineBcast, mpi.RoutineIrecv, mpi.RoutineIsend, mpi.RoutineReduce, mpi.RoutineWaitall}
+}
+
 // Run is a convenience wrapper: lay out and execute cfg on machine m.
 func Run(cfg Config, m *arch.Machine) (*RunResult, error) {
 	inst, err := New(cfg)

@@ -5,16 +5,17 @@
 #   1. run two control jobs (two targets) on a plain in-memory instance and
 #      keep their result bytes as the references,
 #   2. start a replica with -data-dir, submit the same job, wait until it is
-#      running with its submission in the WAL (a cold BT-MZ.C@64 job is
-#      ~0.5 s of characterisation on two cores — enough to catch, where the
-#      0.2 s LU-MZ.C@16 finishes between two polls), and SIGKILL the process —
-#      no drain, no flush, the real crash case,
+#      running with its submission in the WAL (a cold BT-MZ.D@128 job is
+#      ~0.5 s on two cores — enough to catch, where BT-MZ.C@64, ~0.2 s now
+#      that a gather's IMB tables measure only what a projection reads,
+#      finishes between two polls), and SIGKILL the process — no drain, no
+#      flush, the real crash case,
 #   3. restart swappd on the same data dir and require the journal replay
 #      to resurrect the job under its original ID (jobs.recovered >= 1),
 #      re-run it from its journalled payload, and finish with a result
 #      document byte-identical to the control run,
 #   4. submit the second job (another base and target, so every table and
-#      profile it needs is cold: ~0.8 s, where a second target alone is
+#      profile it needs is cold: ~0.6 s, where a second target alone is
 #      ~0.2 s and can finish between two polls) and SIGTERM the replica
 #      while it is running: the drain must
 #      exit 0 well inside -grace without waiting for the job,
@@ -37,7 +38,7 @@ trap cleanup EXIT
 go build -o "$tmp/swappd" ./cmd/swappd
 
 # The jobs: real cold projections; each identical across all its runs.
-req='{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":64}'
+req='{"target":"power6-575","bench":"BT-MZ","class":"D","ranks":128}'
 job="{\"op\":\"project\",\"request\":$req}"
 job2='{"op":"project","request":{"base":"westmere-x5670","target":"bgp","bench":"BT-MZ","class":"D","ranks":128}}'
 
