@@ -106,10 +106,10 @@ bench:
 benchmark:
 	$(GO) run ./bench
 
-# Short mutation pass over the persistence decoders, the WAL scanner, the
-# job-journal replay, the characterisation files under -data-dir, the
-# two HTTP request decoders — /v1/batch and the single endpoints'
-# APIRequest — IMB's grouped tables against whole-world simulation
+# Short mutation pass over the persistence decoders (strict, and the
+# lenient ones that read swapp's -spec-*/-imb-* files), the WAL scanner,
+# the job-journal replay, the two HTTP request decoders — /v1/batch and
+# the single endpoints' APIRequest — IMB's grouped tables against whole-world simulation
 # (any machine, any rank count) and the MPI profiler against its
 # per-rank-map reference (any event stream): native corpora plus 10s of mutation per
 # target. This is the one list of fuzz targets; CI runs `make fuzz`. The
@@ -120,9 +120,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzProfilerMatchesReference$$' -fuzztime 10s ./internal/mpiprof
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMBLenient$$' -fuzztime 10s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpecLenient$$' -fuzztime 10s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s ./internal/cluster
-	$(GO) test -run '^$$' -fuzz '^FuzzCharFile$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
@@ -143,9 +144,8 @@ cluster-smoke:
 
 # Durability smoke: swappd with -data-dir, one async job SIGKILLed while
 # running and another SIGTERMed; each restart on the same dir must replay
-# the journal, re-run the job under its original ID with its
-# characterisation read back from disk, and finish byte-identical to an
-# uninterrupted control run.
+# the journal, re-run the job under its original ID from a cold store, and
+# finish byte-identical to an uninterrupted control run.
 crash-smoke:
 	./scripts/crash_smoke.sh
 

@@ -18,11 +18,11 @@
 // replica (see DESIGN.md §10.3); a dead peer's groups go to the next replica
 // in ring order, the same one from every entry point.
 //
-// With -data-dir set, each benchmark characterisation is written to disk
-// as it is built and every job submission is journalled. A replica stops
-// one way — SIGTERM cancels unfinished jobs and exits, kill -9 just exits —
-// and comes back one way: restarted on the same directory it reads its
-// characterisation back instead of re-simulating it and re-runs the jobs
+// With -data-dir set, every job submission is journalled there; the
+// journal is all the directory holds. A replica stops one way — SIGTERM
+// cancels unfinished jobs and exits, kill -9 just exits — and comes back
+// one way: restarted on the same directory it starts cold, rebuilding
+// characterisation on demand as a fresh replica does, and re-runs the jobs
 // that never finished under their original IDs (see DESIGN.md §10.7).
 //
 // Example:
@@ -76,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		jobsActive  = fs.Int("jobs-active", 0, "max concurrently running async jobs (0 = default 2)")
 		jobsQueued  = fs.Int("jobs-queued", 0, "async jobs waiting beyond the running ones (0 = default 4x active)")
 		jobsRetain  = fs.Int("jobs-retain", 0, "finished async jobs kept for polling (0 = default 64)")
-		dataDir     = fs.String("data-dir", "", "durable state directory: benchmark characterisation, written as it is built, and the WAL job journal; a restart on it — after SIGTERM or kill -9 alike — reads the characterisation back and re-runs unfinished jobs under their original IDs (empty = in-memory only)")
+		dataDir     = fs.String("data-dir", "", "durable state directory: the WAL job journal; a restart on it — after SIGTERM or kill -9 alike — re-runs unfinished jobs under their original IDs, from a cold store (empty = in-memory only)")
 		walSync     = fs.Duration("wal-sync", 0, "batch journal fsyncs to at most one per interval (0 = sync every record, the kill -9-safe default)")
 		faults      = fs.String("faults", os.Getenv("SWAPP_FAULTS"),
 			"fault-injection spec, e.g. 'server.eval=panic#1' (default $SWAPP_FAULTS; testing only)")

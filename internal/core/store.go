@@ -38,6 +38,8 @@ import (
 // projection assembled from stored artifacts is byte-identical to one
 // computed from scratch. Values are immutable once published and safe to
 // share: the pipeline copies before any mutation (see applyInjectedDrops).
+// The store lives in memory only: a new process starts with it empty and
+// refills it on demand, so a restart is a cold start.
 //
 // Each layer is an lru.Cache whose fills run detached from any request
 // context (see layer), so an aborted request cannot poison or cancel a fill
@@ -51,10 +53,6 @@ import (
 type Store struct {
 	chars    *layer[charValue]
 	profiles *layer[*ProfileArtifact]
-
-	// dir, when non-empty, holds the characterisation layer's files (see
-	// charfile.go).
-	dir string
 }
 
 // The layers' bounds, in entries. A characterisation entry is one SPEC
@@ -67,18 +65,9 @@ const (
 
 // StoreConfig parameterises NewStore. The zero value is usable.
 type StoreConfig struct {
-	// Dir, when non-empty, is an existing directory the characterisation
-	// layer writes each SPEC result set and IMB table through to as it is
-	// built, and reads back on a later miss — across restarts, whatever
-	// ended the previous process. One file per (machine, suite[, count]),
-	// ~28 KB for an IMB table; nothing is ever evicted. Empty keeps the
-	// store purely in memory.
-	Dir string
 	// Obs receives the per-layer counters and size gauges
 	// (<prefix>.characterisation_hits / _misses / _size, likewise for
-	// profile; with Dir, characterisation_disk_hits /
-	// _disk_writes / _disk_rejects / _disk_write_fails). nil disables
-	// metrics, not the store.
+	// profile). nil disables metrics, not the store.
 	Obs *obs.Scope
 	// MetricPrefix overrides the default "core.store" metric prefix —
 	// swappd mounts the store under its own "server.cache" namespace so
@@ -95,7 +84,6 @@ func NewStore(cfg StoreConfig) *Store {
 	return &Store{
 		chars:    newLayer[charValue](prefix+".characterisation", charCap, cfg.Obs),
 		profiles: newLayer[*ProfileArtifact](prefix+".profile", profileCap, cfg.Obs),
-		dir:      cfg.Dir,
 	}
 }
 
@@ -126,16 +114,9 @@ func profileKey(base *arch.Machine, b nas.Benchmark, c nas.Class, ranks int) str
 	return fmt.Sprintf("profile|%q|%q|%c|%d", base.Name, string(b), c, ranks)
 }
 
-// tableKey is the key table t belongs under, read from its content: only
-// the full suite measures Exchange.
-func tableKey(t *imb.Table) string {
-	_, full := t.PerOp[imb.Exchange]
-	return imbKey(&arch.Machine{Name: t.Machine}, t.Ranks, !full)
-}
-
 // charValue is one characterisation-layer value: a machine's SPEC result
 // set under a spec| key, or one IMB table under an imb| key. Both live in
-// one layer because they share its bound, its counters and its files.
+// one layer because they share its bound and its counters.
 type charValue struct {
 	spec map[string]spec.Result
 	imb  *imb.Table
@@ -144,22 +125,20 @@ type charValue struct {
 // specSuite resolves one machine's SPEC CPU2006 result set through the
 // characterisation layer.
 func (s *Store) specSuite(ctx context.Context, m *arch.Machine, fill func() (map[string]spec.Result, error)) (map[string]spec.Result, error) {
-	key := specKey(m)
-	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (charValue, error) {
+	v, err := s.chars.getOrFill(ctx, specKey(m), func() (charValue, error) {
 		r, err := fill()
 		return charValue{spec: r}, err
-	}))
+	})
 	return v.spec, err
 }
 
 // imbTable resolves one (machine, core count, selection) IMB table
 // through the characterisation layer.
 func (s *Store) imbTable(ctx context.Context, m *arch.Machine, count int, nasOnly bool, fill func() (*imb.Table, error)) (*imb.Table, error) {
-	key := imbKey(m, count, nasOnly)
-	v, err := s.chars.getOrFill(ctx, key, s.throughDisk(key, m, func() (charValue, error) {
+	v, err := s.chars.getOrFill(ctx, imbKey(m, count, nasOnly), func() (charValue, error) {
 		t, err := fill()
 		return charValue{imb: t}, err
-	}))
+	})
 	return v.imb, err
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,6 +15,8 @@ import (
 	"repro/internal/imb"
 	"repro/internal/nas"
 	"repro/internal/obs"
+	"repro/internal/persist"
+	"repro/internal/spec"
 )
 
 // TestLayerSingleflightConcurrentFill proves the singleflight contract
@@ -267,5 +271,47 @@ func TestStoreConcurrentEvictionUnderFill(t *testing.T) {
 	wg.Wait()
 	if chars, profiles := s.Sizes(); chars > 2 || profiles > 2 {
 		t.Errorf("layers hold %d characterisations and %d profiles, cap is 2 each", chars, profiles)
+	}
+}
+
+// simulatorPin is the SHA-256 of hydra's SPEC result set followed by its
+// full 32-rank IMB table (two nodes, so the inter-node fits are in it) and
+// the 32-rank table a gather serves (NAS-MZ's routines only), all in
+// persist wire form, as the simulator produced them when the pin was last
+// recorded.
+const simulatorPin = "a0d17dd41b4a5669f5e47c71e41a1c045e72f45387e66763de7be35e4d7059b8"
+
+// TestCharEpochPinsSimulatorOutput fails when the simulator's
+// characterisation output changes for an unchanged machine description.
+// Every projection is built on these values, so such a change is a change
+// of behaviour: make it on purpose, and re-record this sum together with
+// the goldens (docs/evaluation_reference.txt) in the same change.
+func TestCharEpochPinsSimulatorOutput(t *testing.T) {
+	m := arch.MustGet(arch.Hydra)
+	results, err := spec.RunSuite(m, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specBody, err := persist.MarshalSpec(m.Name, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(specBody)
+	for _, s := range []*imb.Suite{imb.NewSuite(m), imb.NewSuite(m, nas.Routines()...)} {
+		tab, err := s.Table(32, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		imbBody, err := persist.MarshalIMB(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(imbBody)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != simulatorPin {
+		t.Errorf("characterisation output changed: sha256 %s, pinned %s.\n"+
+			"If the change is meant, re-record the sum in simulatorPin together with the goldens "+
+			"(docs/evaluation_reference.txt) in the same change.", got, simulatorPin)
 	}
 }

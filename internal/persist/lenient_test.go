@@ -28,13 +28,51 @@ func newIMBFixture() map[string]any {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// imbLenientFixtures is newIMBFixture clean and with each damage the
+// lenient IMB decoder repairs: an empty routine, a corrupt sample, a
+// duplicate routine, a single-point grid, a corrupt fit.
+func imbLenientFixtures(tb testing.TB) [][]byte {
+	bcast := func(samples ...map[string]any) map[string]any {
+		return map[string]any{"routine": "MPI_Bcast", "samples": samples}
+	}
+	sample := func(bytes int, seconds float64) map[string]any {
+		return map[string]any{"bytes": bytes, "seconds": seconds}
+	}
+	variants := []func(map[string]any){
+		func(map[string]any) {},
+		func(fix map[string]any) {
+			fix["per_op"] = append(fix["per_op"].([]map[string]any), map[string]any{"routine": "MPI_Allreduce", "samples": []map[string]any{}})
+		},
+		func(fix map[string]any) {
+			fix["per_op"] = []map[string]any{bcast(sample(1024, 1e-4), sample(2048, -5), sample(4096, 2e-4))}
+		},
+		func(fix map[string]any) {
+			fix["per_op"] = append(fix["per_op"].([]map[string]any), bcast(sample(1024, 9.9)))
+		},
+		func(fix map[string]any) {
+			fix["sizes"] = []int{1024}
+			fix["per_op"] = []map[string]any{bcast(sample(1024, 1e-4))}
+		},
+		func(fix map[string]any) {
+			fix["nb_inter"] = map[string]any{"overhead": -1, "in_flight": []map[string]any{sample(1024, 2e-5)}}
+		},
+	}
+	out := make([][]byte, len(variants))
+	for i, edit := range variants {
+		fix := newIMBFixture()
+		edit(fix)
+		out[i] = mustJSON(tb, fix)
+	}
+	return out
 }
 
 func codesOf(ds []quality.Defect) map[quality.Code]int {
@@ -163,6 +201,41 @@ func specFixture() map[string]any {
 		"machine": "hydra",
 		"results": []map[string]any{good("410.bwaves"), good("437.leslie3d")},
 	}
+}
+
+// specLenientFixtures is specFixture clean and with each damage the
+// lenient SPEC decoder repairs: a corrupt row, an absent and a corrupt
+// SMT group, a duplicate row, and every row corrupt.
+func specLenientFixtures(tb testing.TB) [][]byte {
+	corrupt := map[string]any{"bench": "470.lbm", "machine": "hydra",
+		"st": map[string]any{"instructions": -1.0}, "smt": map[string]any{}}
+	variants := []func(map[string]any){
+		func(map[string]any) {},
+		func(fix map[string]any) {
+			fix["results"] = append(fix["results"].([]map[string]any), corrupt)
+		},
+		func(fix map[string]any) {
+			fix["results"].([]map[string]any)[0]["smt"] = hpm.Counters{}
+		},
+		func(fix map[string]any) {
+			fix["results"].([]map[string]any)[0]["smt"] = map[string]any{"instructions": -1.0}
+		},
+		func(fix map[string]any) {
+			c := hpm.Counters{Instructions: 5, CPI: 5, Runtime: 5}
+			fix["results"] = append(fix["results"].([]map[string]any),
+				map[string]any{"bench": "410.bwaves", "machine": "hydra", "st": c, "smt": c})
+		},
+		func(fix map[string]any) {
+			fix["results"] = []map[string]any{corrupt}
+		},
+	}
+	out := make([][]byte, len(variants))
+	for i, edit := range variants {
+		fix := specFixture()
+		edit(fix)
+		out[i] = mustJSON(tb, fix)
+	}
+	return out
 }
 
 func TestSpecLenientCleanHasNoDefects(t *testing.T) {

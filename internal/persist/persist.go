@@ -118,7 +118,10 @@ func checkNBFit(what string, f nbFitJSON) error {
 // UnmarshalIMB decodes and validates an IMB table. Beyond syntactic JSON
 // errors it rejects semantic corruption that would otherwise load silently
 // and poison projections: non-monotone or non-positive size grids, negative
-// or non-finite seconds, and duplicate routine entries.
+// or non-finite seconds, and duplicate routine entries. No program decodes
+// through it any more: it stays only as the reference
+// TestLenientRoundTripMatchesStrict holds UnmarshalIMBLenient to on clean
+// data.
 func UnmarshalIMB(data []byte) (*imb.Table, error) {
 	var j imbTableJSON
 	if err := json.Unmarshal(data, &j); err != nil {
@@ -210,6 +213,9 @@ func checkCounters(what string, c *hpm.Counters) error {
 
 // UnmarshalSpec decodes and validates a SPEC result set, rejecting
 // duplicate benchmark entries and non-finite or negative counter values.
+// No program decodes through it any more: it stays only as the reference
+// TestLenientRoundTripMatchesStrict holds UnmarshalSpecLenient to on clean
+// data.
 func UnmarshalSpec(data []byte) (machine string, results map[string]spec.Result, err error) {
 	var j specSuiteJSON
 	if err := json.Unmarshal(data, &j); err != nil {

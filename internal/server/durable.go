@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/cluster"
@@ -12,38 +11,31 @@ import (
 
 // Durable state layout under Config.DataDir:
 //
-//	DataDir/journal/           WAL segments of the job journal
-//	DataDir/characterisation/  one file per SPEC result set and IMB table
+//	DataDir/journal/  WAL segments of the job journal
 //
-// The two halves persist different things for different reasons. The
-// characterisation files are the expensive, do-once artifact (§2.2): each
-// is written as its table is built and read back, verified, the first time
-// a later process misses on it (see core/charfile.go), so a restart costs
-// file reads where a cold start costs seconds of simulation. The journal
-// keeps the cheap part re-runnable: every submission and every terminal
-// state a job reached on its own is one WAL record, so a restarted process
-// replays the log and resubmits whatever never finished from its payload —
-// an evaluation is a pure function of its request, so the re-run is
-// byte-identical to the uninterrupted run. Neither half is written at
-// shutdown, so it does not matter how the previous process ended.
+// That is all of it. The journal keeps a job re-runnable: every submission
+// and every terminal state a job reached on its own is one WAL record, so
+// a restarted process replays the log and resubmits whatever never
+// finished from its payload — an evaluation is a pure function of its
+// request, so the re-run is byte-identical to the uninterrupted run.
+// Nothing is written at shutdown, so it does not matter how the previous
+// process ended. Characterisation (§2.2's do-once artifact) lives only in
+// the store's memory: a restart is a cold start, and the first request
+// for each machine pair rebuilds its tables on demand exactly as on a
+// fresh replica.
 //
-// A store.snapshot file left in DataDir by an earlier release is neither
-// read nor removed.
+// Files left in DataDir by an earlier release — a store.snapshot, a
+// characterisation/ directory of table files — are neither read nor
+// removed.
 
-// NewDurable builds a Server whose state survives process death, rooted
-// at cfg.DataDir. With an empty DataDir it is exactly New — the serving
-// path stays byte-identical with durability off. Startup order: open (and
-// torn-tail-recover) the journal, point the store at the characterisation
-// directory (no file is read until a request misses on it), then replay
-// the journal and resubmit every unfinished job under its original ID
-// (counted jobs.recovered).
+// NewDurable builds a Server whose jobs survive process death, rooted at
+// cfg.DataDir. With an empty DataDir it is exactly New — the serving path
+// stays byte-identical with durability off. Startup order: open (and
+// torn-tail-recover) the journal, then replay it and resubmit every
+// unfinished job under its original ID (counted jobs.recovered).
 func NewDurable(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return New(cfg), nil
-	}
-	cfg.charDir = filepath.Join(cfg.DataDir, "characterisation")
-	if err := os.MkdirAll(cfg.charDir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: create data dir: %w", err)
 	}
 	jl, err := cluster.OpenJournal(filepath.Join(cfg.DataDir, "journal"), durable.Options{
 		SyncEvery: cfg.WALSyncEvery,

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -41,9 +42,8 @@ func resultBytes(t *testing.T, url, id string) []byte {
 // in process, for both ways a replica stops. A real projection job is
 // interrupted mid-GA-search; a fresh server opens the same data dir,
 // resurrects the job under its original ID, re-runs it from its journalled
-// payload — reading the characterisation the first server wrote instead of
-// re-simulating it — and produces a result document byte-identical to an
-// uninterrupted run.
+// payload — from a cold store, as a fresh replica would — and produces a
+// result document byte-identical to an uninterrupted run.
 //
 //	kill   the eval wedges for good, which is what SIGKILL looks like to
 //	       the data dir: a submit record, no terminal state, no Close.
@@ -124,33 +124,37 @@ func interruptMidSearch(t *testing.T, dir string) (s *Server, url, id string) {
 
 // recoverAndCompare restarts on dir with the production eval and checks the
 // one way back: exactly one job recovered, under its original ID, finishing
-// with want's bytes, its characterisation read from disk rather than built.
+// with want's bytes.
 func recoverAndCompare(t *testing.T, dir, id string, want []byte) {
 	t.Helper()
-	scope := obs.New("test")
-	s2, err := NewDurable(Config{Workers: 2, EvalWorkers: 8, DataDir: dir, Obs: scope})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2, url := restartOn(t, dir, 1)
 	defer s2.Close()
-	if n := counter(scope, "jobs.recovered"); n != 1 {
-		t.Fatalf("jobs.recovered = %d, want 1", n)
-	}
-	ts2 := newHTTPServer(t, s2)
-	if got := jobStatus(t, ts2.URL, id); got.ID != id {
+	if got := jobStatus(t, url, id); got.ID != id {
 		t.Fatalf("recovered job lost its ID: %+v", got)
 	}
-	final := waitJobDone(t, ts2.URL, id)
+	final := waitJobDone(t, url, id)
 	if final.State != cluster.JobDone {
 		t.Fatalf("recovered job state = %s (%s), want done", final.State, final.Error)
 	}
-	if got := resultBytes(t, ts2.URL, id); !bytes.Equal(got, want) {
+	if got := resultBytes(t, url, id); !bytes.Equal(got, want) {
 		t.Errorf("recovered result differs from the uninterrupted run:\nrecovered: %s\ncontrol:   %s", got, want)
 	}
-	misses := counter(scope, "server.cache.characterisation_misses")
-	if hits, writes := counter(scope, "server.cache.characterisation_disk_hits"), counter(scope, "server.cache.characterisation_disk_writes"); hits != misses || writes != 0 || misses == 0 {
-		t.Errorf("restart: characterisation misses=%d disk hits=%d writes=%d, want every miss read from disk and nothing rebuilt", misses, hits, writes)
+}
+
+// restartOn opens a durable server with the production eval on dir and
+// checks it recovered exactly the given number of jobs.
+func restartOn(t *testing.T, dir string, recovered int64) (*Server, string) {
+	t.Helper()
+	scope := obs.New("test")
+	s, err := NewDurable(Config{Workers: 2, EvalWorkers: 8, DataDir: dir, Obs: scope})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if n := counter(scope, "jobs.recovered"); n != recovered {
+		s.Close()
+		t.Fatalf("jobs.recovered = %d, want %d", n, recovered)
+	}
+	return s, newHTTPServer(t, s).URL
 }
 
 // TestNewDurableWithoutDataDirIsNew: an empty DataDir must degrade to the
@@ -205,71 +209,118 @@ func TestJobDeadlineIsTheRequests(t *testing.T) {
 // at 64 ranks, hydra to power6-575 — ten characterisation entries.
 const reqBT64 = `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":64}`
 
-// TestDurableRestartReadsCharacterisationFromDisk: a server restarted on a
-// used data dir answers its first request without running a single SPEC
-// suite or IMB table — every characterisation miss resolves from a file the
-// previous process wrote as it built it — and the body is byte-identical to
-// a from-scratch control. It holds after an abandoned (never closed) first
-// server as after a clean Close: nothing is written at shutdown. The proof
-// is the counters; the logged times are the measurement, not the assertion.
-func TestDurableRestartReadsCharacterisationFromDisk(t *testing.T) {
+// projectBytes posts body to /v1/project and returns the 200's bytes.
+func projectBytes(t *testing.T, url, body string) []byte {
+	t.Helper()
+	code, _, got := post(t, url+"/v1/project", body)
+	if code != 200 {
+		t.Fatalf("project status = %d: %s", code, got)
+	}
+	return got
+}
+
+// TestDurableIgnoresOldCharacterisationDir: a data dir written by an
+// earlier build holds a characterisation/ directory of table files beside
+// its journal. A replica started on it reads none of them — one is corrupt
+// — and removes none: it recovers its journalled job and answers its first
+// request with bytes equal to a from-scratch control, after the previous
+// process was abandoned mid-job (kill -9) as after a clean Close.
+func TestDurableIgnoresOldCharacterisationDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real evaluations")
 	}
-	first := func(s *Server) ([]byte, time.Duration) {
-		t.Helper()
-		ts := newHTTPServer(t, s)
-		t0 := time.Now()
-		code, _, body := post(t, ts.URL+"/v1/project", reqBT64)
-		if code != 200 {
-			t.Fatalf("project status = %d: %s", code, body)
-		}
-		return body, time.Since(t0)
-	}
-	ctrl := New(Config{Workers: 2})
+	ctrl := New(Config{Workers: 2, EvalWorkers: 8})
 	defer ctrl.Close()
-	want, cold := first(ctrl)
-	t.Logf("first /v1/project, no data dir:               %v", cold.Round(time.Millisecond))
+	tsCtrl := newHTTPServer(t, ctrl)
+	want := projectBytes(t, tsCtrl.URL, reqBT64)
+	ctrlJob := submitJob(t, tsCtrl.URL, jobBodyLU)
+	if final := waitJobDone(t, tsCtrl.URL, ctrlJob.ID); final.State != cluster.JobDone {
+		t.Fatalf("control job state = %s (%s)", final.State, final.Error)
+	}
+	wantJob := resultBytes(t, tsCtrl.URL, ctrlJob.ID)
 
 	dir := t.TempDir()
-	scope1 := obs.New("test")
-	s1, err := NewDurable(Config{Workers: 2, DataDir: dir, Obs: scope1})
+	old := filepath.Join(dir, "characterisation")
+	files := map[string][]byte{
+		"3f9a0c7e5b21d4866a0f1b2c3d4e5f60718293a4b5c6d7e8f90a1b2c3d4e5f60":     []byte(`{"key":"imb|\"hydra\"|64|nas","sum":"00","body":"e30="}`),
+		"c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00":     {0xff, 0x00, '{', '"', 0x17},
+		"c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00c0ffee00.tmp": nil,
+	}
+	if err := os.Mkdir(old, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(old, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The first replica is abandoned with its job mid-search.
+	_, _, id := interruptMidSearch(t, dir)
+
+	s2, url := restartOn(t, dir, 1)
+	if final := waitJobDone(t, url, id); final.State != cluster.JobDone {
+		t.Fatalf("recovered job state = %s (%s), want done", final.State, final.Error)
+	}
+	if got := resultBytes(t, url, id); !bytes.Equal(got, wantJob) {
+		t.Error("after abandonment: the recovered job's result differs from the control's")
+	}
+	if got := projectBytes(t, url, reqBT64); !bytes.Equal(got, want) {
+		t.Error("after abandonment: the restarted replica served different bytes than the from-scratch control")
+	}
+	s2.Close()
+
+	// The job finished and journalled its done record: nothing to recover.
+	s3, url := restartOn(t, dir, 0)
+	defer s3.Close()
+	if got := projectBytes(t, url, reqBT64); !bytes.Equal(got, want) {
+		t.Error("after Close: the restarted replica served different bytes than the from-scratch control")
+	}
+
+	ents, err := os.ReadDir(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s1.Close()
-	got, took := first(s1)
-	t.Logf("first /v1/project, empty data dir:            %v", took.Round(time.Millisecond))
-	if !bytes.Equal(got, want) {
-		t.Error("writing characterisation through to disk changed the served bytes")
+	if len(ents) != len(files) {
+		t.Errorf("%s holds %d entries after the restarts, want the %d left in it", old, len(ents), len(files))
 	}
-	built := counter(scope1, "server.cache.characterisation_misses")
-	if writes := counter(scope1, "server.cache.characterisation_disk_writes"); built == 0 || writes != built {
-		t.Fatalf("first server: %d characterisation misses, %d disk writes; want every built entry written", built, writes)
+	for name, data := range files {
+		if got, err := os.ReadFile(filepath.Join(old, name)); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: %q, %v after the restarts; want it untouched", name, got, err)
+		}
 	}
+}
 
-	restart := func(after string) {
-		t.Helper()
-		scope := obs.New("test")
-		s, err := NewDurable(Config{Workers: 2, DataDir: dir, Obs: scope})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer s.Close()
-		got, took := first(s)
-		t.Logf("first /v1/project, restart after %-12s %v", after+":", took.Round(time.Millisecond))
-		if !bytes.Equal(got, want) {
-			t.Errorf("after %s: restarted server served different bytes than the from-scratch control", after)
-		}
-		hits := counter(scope, "server.cache.characterisation_disk_hits")
-		writes := counter(scope, "server.cache.characterisation_disk_writes")
-		rejects := counter(scope, "server.cache.characterisation_disk_rejects")
-		if hits != built || writes != 0 || rejects != 0 {
-			t.Errorf("after %s: disk hits=%d writes=%d rejects=%d, want %d/0/0 — some characterisation was rebuilt", after, hits, writes, rejects, built)
-		}
+// TestDurableDataDirHoldsOnlyJournal: the job journal is the data dir's
+// only content after a computed request and a computed job — nothing the
+// store builds reaches the disk.
+func TestDurableDataDirHoldsOnlyJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real evaluations")
 	}
-	restart("abandonment") // s1 is still open: nothing was flushed for us
-	restart("Close")       // the restart above has been closed
+	dir := t.TempDir()
+	s, err := NewDurable(Config{Workers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := newHTTPServer(t, s)
+	projectBytes(t, ts.URL, reqBT)
+	st := submitJob(t, ts.URL, jobBodyLU)
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone || final.Snapshots == 0 {
+		t.Fatalf("job = %s (%q) with %d snapshots, want done and computed", final.State, final.Error, final.Snapshots)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 || ents[0].Name() != "journal" || !ents[0].IsDir() {
+		names := make([]string, len(ents))
+		for i, e := range ents {
+			names[i] = e.Name()
+		}
+		t.Errorf("data dir holds %v, want only journal/", names)
+	}
 }
 
 // TestDurableCloseReleasesJournal: Close closes the journal, not just syncs

@@ -114,14 +114,13 @@ type Config struct {
 	JobsMaxActive int
 	JobsMaxQueued int
 	JobsRetain    int
-	// DataDir roots the server's durable state: a WAL-backed job journal
-	// under DataDir/journal and the characterisation layer's files under
-	// DataDir/characterisation, written as each table is built. Only
-	// NewDurable honours it — with DataDir set it replays the journal at
-	// startup, re-running the jobs the previous process left unfinished,
-	// killed or closed (counted as jobs.recovered), from their journalled
-	// payloads under their original IDs, and the first request for each
-	// table reads it from disk instead of re-simulating it. Empty (the
+	// DataDir roots the server's durable state, which is the job journal
+	// alone: a WAL under DataDir/journal. Only NewDurable honours it —
+	// with DataDir set it replays the journal at startup, re-running the
+	// jobs the previous process left unfinished, killed or closed (counted
+	// as jobs.recovered), from their journalled payloads under their
+	// original IDs. Characterisation is never on disk: a restarted server
+	// rebuilds it on demand exactly as a fresh one does. Empty (the
 	// default) keeps the fully in-memory behaviour, byte-identical to
 	// pre-durability builds.
 	DataDir string
@@ -133,10 +132,9 @@ type Config struct {
 	Eval EvalFunc
 	// nowFn overrides the peer breakers' clock (tests).
 	nowFn func() time.Time
-	// journal and charDir are plumbed by NewDurable into the job manager
-	// and the layered store; New leaves them zero (nothing on disk).
+	// journal is plumbed by NewDurable into the job manager; New leaves it
+	// nil (nothing on disk).
 	journal *cluster.Journal
-	charDir string
 }
 
 // Server is the projection service. Create with New, expose via Handler.
@@ -185,7 +183,7 @@ func New(cfg Config) *Server {
 		obs:   cfg.Obs,
 		eval:  cfg.Eval,
 		cache: lru.New[cacheKey, entry](cfg.CacheSize),
-		store: core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache", Dir: cfg.charDir}),
+		store: core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache"}),
 		sem:   make(chan struct{}, cfg.Workers),
 	}
 	if cfg.Self != "" && len(cfg.Peers) > 0 {

@@ -20,10 +20,10 @@
 #      while it is running: the drain must
 #      exit 0 well inside -grace without waiting for the job,
 #   5. restart once more: the same job ID must finish done, byte-identical
-#      to its control — the same way back as after the kill -9 — with the
-#      characterisation read from the data dir, not re-simulated
-#      (characterisation_disk_hits >= 10 once the first request has been
-#      served from it too). The times are printed.
+#      to its control — the same way back as after the kill -9. A restart
+#      is a cold start (the data dir holds only the journal), so the
+#      printed time of the first job's request on this process is a cold
+#      time. The times are printed.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -198,19 +198,14 @@ cmp -s "$tmp/control2.json" "$tmp/restarted.json" || {
     echo "crash-smoke: result after SIGTERM and restart differs from the uninterrupted control" >&2
     exit 1
 }
-# The first job's request, on this process for the first time: every table
-# it needs is on disk.
+# The first job's request, on this process for the first time: its
+# power6-575 tables were never built here, so this is a cold request.
 t0=$(now_ms)
 curl -fsS -m 60 -X POST "http://$addr/v1/project" -d "$req" -o /dev/null
-echo "crash-smoke: first /v1/project of the first job's request on this start: $(($(now_ms) - t0)) ms"
-disk_hits=$(metric counters server.cache.characterisation_disk_hits)
-[ "$disk_hits" -ge 10 ] || {
-    echo "crash-smoke: characterisation_disk_hits = $disk_hits on the last start, want >= 10 (5 per machine read back, none re-simulated)" >&2
-    exit 1
-}
+echo "crash-smoke: first /v1/project of the first job's request on this start (cold): $(($(now_ms) - t0)) ms"
 kill -TERM "$pid" && wait "$pid" || {
     echo "crash-smoke: final drain exited non-zero" >&2
     exit 1
 }
 pid=""
-echo "crash-smoke: ok (kill -9 and SIGTERM mid-job: same ID re-run, byte-identical results, $disk_hits characterisation tables read from disk)"
+echo "crash-smoke: ok (kill -9 and SIGTERM mid-job: same ID re-run, byte-identical results)"
