@@ -25,6 +25,10 @@ fmt:
 # breaker construction, newPeerSet's — nothing breaks the evaluation's circuit;
 # and a GA that starts no goroutine and imports no internal/par: a search
 # scores serially on its ensemble member's goroutine, and the ensemble is the pool.
+# The standing check these greps cannot make is a test: TestNoTestOnlyExports
+# (root package, run by `make test`, skipped under -short) type-checks the
+# module and fails on every exported internal/ symbol no non-test file uses,
+# bar an allowlist whose entries carry their reasons.
 INVARIANT_SRC = internal cmd swapp.go
 invariants:
 	@fail=0; \

@@ -190,14 +190,9 @@ type JobSpec struct {
 	Payload []byte
 }
 
-// Submit enqueues one evaluation and returns its job immediately. The
-// evaluation runs in the background: queued until a slot frees, run once,
-// finished exactly once.
-func (m *Manager) Submit(op string, run RunFunc) (*Job, error) {
-	return m.SubmitJob(JobSpec{Op: op}, run)
-}
-
-// SubmitJob is Submit with full job metadata (see JobSpec). Submitting a
+// SubmitJob enqueues one evaluation described by spec (see JobSpec) and
+// returns its job immediately. The evaluation runs in the background:
+// queued until a slot frees, run once, finished exactly once. Submitting a
 // spec whose ID is already live returns the existing job unchanged — the
 // idempotence journal recovery leans on.
 func (m *Manager) SubmitJob(spec JobSpec, run RunFunc) (*Job, error) {
@@ -431,9 +426,6 @@ func (j *Job) Result() ([]byte, bool) {
 	}
 	return j.result, true
 }
-
-// Done returns a channel closed when the job finishes (either way).
-func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Subscribe attaches a live event stream: the retained history replays
 // first (as progress events), then live snapshots, then exactly one

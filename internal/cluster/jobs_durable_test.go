@@ -20,7 +20,8 @@ func blockUntilCancelled(ctx context.Context, tap Tap) ([]byte, error) {
 // stream says done the journal already holds the done record — even with
 // every append slowed down.
 func TestDoneIsJournalledBeforeItIsSeen(t *testing.T) {
-	jl := openTestJournal(t, t.TempDir(), nil)
+	wal := obs.New("wal")
+	jl := openTestJournal(t, t.TempDir(), wal)
 	defer jl.Close()
 	m := NewManager(ManagerConfig{Journal: jl})
 	release := make(chan struct{})
@@ -39,7 +40,7 @@ func TestDoneIsJournalledBeforeItIsSeen(t *testing.T) {
 	}
 	close(release)
 	events := drainEvents(t, ch)
-	if n := jl.Stats().Records; n != 2 || len(events) == 0 || events[len(events)-1].Type != "done" {
+	if n := walCount(wal, "records"); n != 2 || len(events) == 0 || events[len(events)-1].Type != "done" {
 		t.Fatalf("when the stream closed (%d events) the journal held %d records, want the submit and the done", len(events), n)
 	}
 }
@@ -51,7 +52,8 @@ func TestDoneIsJournalledBeforeItIsSeen(t *testing.T) {
 // kill -9 would have left it, both submits and no done, so Recover returns
 // both in submission order.
 func TestCloseFailsUnfinishedJobs(t *testing.T) {
-	jl := openTestJournal(t, t.TempDir(), nil)
+	wal := obs.New("wal")
+	jl := openTestJournal(t, t.TempDir(), wal)
 	defer jl.Close()
 	scope := obs.New("test")
 	m := NewManager(ManagerConfig{MaxActive: 1, Retain: 1, Journal: jl, Obs: scope})
@@ -103,7 +105,7 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 		t.Errorf("jobs.failed = %d, want 2", n)
 	}
 
-	if n := jl.Stats().Records; n != 2 {
+	if n := walCount(wal, "records"); n != 2 {
 		t.Errorf("journal holds %d records, want the two submits and no done", n)
 	}
 	pending, err := jl.Recover()
@@ -138,11 +140,12 @@ func TestOwnFailuresStillJournalDone(t *testing.T) {
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
-			jl := openTestJournal(t, t.TempDir(), nil)
+			wal := obs.New("wal")
+			jl := openTestJournal(t, t.TempDir(), wal)
 			defer jl.Close()
 			m := NewManager(ManagerConfig{Journal: jl})
 			defer m.Close()
-			j, err := m.Submit("project", run)
+			j, err := m.SubmitJob(JobSpec{Op: "project"}, run)
 			if err != nil {
 				t.Fatalf("Submit: %v", err)
 			}
@@ -154,8 +157,8 @@ func TestOwnFailuresStillJournalDone(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(pending) != 0 || jl.Stats().Records != 2 {
-				t.Errorf("pending = %+v, %d records; want none pending, submit + done", pending, jl.Stats().Records)
+			if n := walCount(wal, "records"); len(pending) != 0 || n != 2 {
+				t.Errorf("pending = %+v, %d records; want none pending, submit + done", pending, n)
 			}
 		})
 	}
@@ -181,7 +184,7 @@ func TestJobSpecIDPreservation(t *testing.T) {
 	if err != nil || dup != j {
 		t.Errorf("duplicate ID returned %v, %v; want the existing job", dup, err)
 	}
-	fresh, err := m.Submit("project", quick)
+	fresh, err := m.SubmitJob(JobSpec{Op: "project"}, quick)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -196,7 +199,8 @@ func TestJobSpecIDPreservation(t *testing.T) {
 // job, the terminal record retires it, and a clean job costs exactly two
 // records however much progress it streams.
 func TestManagerJournalLifecycle(t *testing.T) {
-	jl := openTestJournal(t, t.TempDir(), nil)
+	wal := obs.New("wal")
+	jl := openTestJournal(t, t.TempDir(), wal)
 	defer jl.Close()
 	m := NewManager(ManagerConfig{Journal: jl})
 	recorded := make(chan struct{})
@@ -231,7 +235,7 @@ func TestManagerJournalLifecycle(t *testing.T) {
 	if len(after) != 0 {
 		t.Errorf("post-done recovery = %+v, want none", after)
 	}
-	if n := jl.Stats().Records; n != 2 {
+	if n := walCount(wal, "records"); n != 2 {
 		t.Errorf("a clean job journalled %d records, want exactly 2 (submit, done)", n)
 	}
 }

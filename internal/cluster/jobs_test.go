@@ -30,7 +30,7 @@ func drainEvents(t *testing.T, ch <-chan Event) []Event {
 func waitDone(t *testing.T, j *Job) {
 	t.Helper()
 	select {
-	case <-j.Done():
+	case <-j.done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("job did not finish")
 	}
@@ -38,7 +38,7 @@ func waitDone(t *testing.T, j *Job) {
 
 func TestJobSubmitProgressResult(t *testing.T) {
 	m := NewManager(ManagerConfig{})
-	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 		for gen := 0; gen < 4; gen++ {
 			tap.Progress(Snapshot{Member: 0, Generation: gen, BestFitness: float64(10 - gen)})
 		}
@@ -88,7 +88,7 @@ func TestJobPanicFailsThenResubmitRuns(t *testing.T) {
 		}
 		return []byte("the projection"), nil
 	}
-	j, err := m.Submit("project", run)
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, run)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -104,7 +104,7 @@ func TestJobPanicFailsThenResubmitRuns(t *testing.T) {
 		t.Error("failed job must not expose a result")
 	}
 
-	again, err := m.Submit("project", run)
+	again, err := m.SubmitJob(JobSpec{Op: "project"}, run)
 	if err != nil {
 		t.Fatalf("Submit after a panic: %v", err)
 	}
@@ -121,7 +121,7 @@ func TestJobSubscribeReplayAndLive(t *testing.T) {
 	m := NewManager(ManagerConfig{})
 	release := make(chan struct{})
 	started := make(chan struct{})
-	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 2})
 		close(started)
 		<-release
@@ -169,7 +169,7 @@ func TestJobSlowSubscriberStillGetsDone(t *testing.T) {
 	m := NewManager(ManagerConfig{})
 	subscribed := make(chan struct{})
 	started := make(chan struct{})
-	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 		close(started)
 		<-subscribed
 		for gen := 0; gen < 200; gen++ {
@@ -206,19 +206,19 @@ func TestJobQueueFull(t *testing.T) {
 		<-block
 		return []byte("ok"), nil
 	}
-	j1, err1 := m.Submit("project", run)
-	_, err2 := m.Submit("project", run)
+	j1, err1 := m.SubmitJob(JobSpec{Op: "project"}, run)
+	_, err2 := m.SubmitJob(JobSpec{Op: "project"}, run)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("first two submissions must admit: %v, %v", err1, err2)
 	}
-	if _, err := m.Submit("project", run); !errors.Is(err, ErrJobQueueFull) {
+	if _, err := m.SubmitJob(JobSpec{Op: "project"}, run); !errors.Is(err, ErrJobQueueFull) {
 		t.Fatalf("third submission err = %v, want ErrJobQueueFull", err)
 	}
 	close(block)
 	waitDone(t, j1)
 
 	m.Close()
-	if _, err := m.Submit("project", run); !errors.Is(err, ErrJobsClosed) || errors.Is(err, ErrJobQueueFull) {
+	if _, err := m.SubmitJob(JobSpec{Op: "project"}, run); !errors.Is(err, ErrJobsClosed) || errors.Is(err, ErrJobQueueFull) {
 		t.Errorf("submit after Close err = %v, want ErrJobsClosed", err)
 	}
 }
@@ -229,7 +229,7 @@ func TestJobRetentionEviction(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxActive: 1, MaxQueued: 8, Retain: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+		j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 			return []byte("ok"), nil
 		})
 		if err != nil {
@@ -251,7 +251,7 @@ func TestJobRetentionEviction(t *testing.T) {
 func TestJobConcurrentProgressChaos(t *testing.T) {
 	m := NewManager(ManagerConfig{HistoryCap: 32})
 	const members, gens = 4, 50
-	j, err := m.Submit("project", func(ctx context.Context, tap Tap) ([]byte, error) {
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 		var wg sync.WaitGroup
 		for mem := 0; mem < members; mem++ {
 			wg.Add(1)

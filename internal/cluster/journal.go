@@ -145,14 +145,6 @@ func (jl *Journal) Compact(pending []JobSpec) error {
 	return jl.wal.Compact(records)
 }
 
-// Stats exposes the underlying WAL's counters.
-func (jl *Journal) Stats() durable.Stats {
-	if jl == nil {
-		return durable.Stats{}
-	}
-	return jl.wal.Stats()
-}
-
 // Close flushes and closes the journal.
 func (jl *Journal) Close() error {
 	if jl == nil {

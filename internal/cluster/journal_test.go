@@ -21,6 +21,13 @@ func openTestJournal(t *testing.T, dir string, scope *obs.Scope) *Journal {
 	return jl
 }
 
+// walCount reads the counter durable.wal_<name> from the scope a journal
+// was opened with (0 if it never counted).
+func walCount(sc *obs.Scope, name string) int64 {
+	v, _ := sc.Metrics().Counter("durable.wal_" + name)
+	return v
+}
+
 // TestJournalRecoverPendingJobs is the restart contract: replay returns
 // exactly the jobs that were submitted but never finished, in submission
 // order, each with its submission material.
@@ -86,8 +93,8 @@ func TestJournalRecoverAfterTornTail(t *testing.T) {
 	if len(pending) != 0 {
 		t.Errorf("pending = %+v, want none (the torn record was the only live submit)", pending)
 	}
-	if st := jl2.Stats(); st.Truncated != 1 {
-		t.Errorf("wal truncations = %d, want 1", st.Truncated)
+	if n := walCount(scope, "truncated"); n != 1 {
+		t.Errorf("wal truncations = %d, want 1", n)
 	}
 }
 
@@ -112,7 +119,8 @@ func TestJournalCompact(t *testing.T) {
 	if err := jl.Close(); err != nil {
 		t.Fatal(err)
 	}
-	jl2 := openTestJournal(t, dir, nil)
+	wal := obs.New("wal")
+	jl2 := openTestJournal(t, dir, wal)
 	defer jl2.Close()
 	after, err := jl2.Recover()
 	if err != nil {
@@ -121,8 +129,8 @@ func TestJournalCompact(t *testing.T) {
 	if len(after) != 1 || after[0].ID != "job-live" {
 		t.Fatalf("post-compact pending = %+v", after)
 	}
-	if st := jl2.Stats(); st.Replayed != 1 {
-		t.Errorf("compacted log replayed %d records, want exactly the 1 pending submit", st.Replayed)
+	if n := walCount(wal, "replayed"); n != 1 {
+		t.Errorf("compacted log replayed %d records, want exactly the 1 pending submit", n)
 	}
 }
 
@@ -167,15 +175,16 @@ func legacyJournal(t testing.TB) string {
 // that job resubmits under its ID and compacts to a single record.
 func TestJournalRecoversLegacyFormat(t *testing.T) {
 	dir := legacyJournal(t)
-	jl := openTestJournal(t, dir, nil)
-	if st := jl.Stats(); st.Truncated != 0 || st.Corrupt != 0 {
-		t.Fatalf("fixture did not open clean: %+v", st)
+	wal := obs.New("wal")
+	jl := openTestJournal(t, dir, wal)
+	if tr, c := walCount(wal, "truncated"), walCount(wal, "corrupt"); tr != 0 || c != 0 {
+		t.Fatalf("fixture did not open clean: %d truncated, %d corrupt", tr, c)
 	}
 	pending, err := jl.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := jl.Stats().Replayed; n != 8 {
+	if n := walCount(wal, "replayed"); n != 8 {
 		t.Fatalf("fixture replayed %d records, want its 8", n)
 	}
 	const payload = `{"op":"project","request":{"bench":"LU-MZ","class":"C","ranks":16,"base":"hydra","target":"power6-575"}}`
@@ -193,13 +202,14 @@ func TestJournalRecoversLegacyFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jl2 := openTestJournal(t, dir, nil)
+	wal2 := obs.New("wal")
+	jl2 := openTestJournal(t, dir, wal2)
 	defer jl2.Close()
 	again, err := jl2.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := jl2.Stats().Replayed; n != 1 || len(again) != 1 || again[0].ID != "job-7" || !bytes.Equal(again[0].Payload, got.Payload) {
+	if n := walCount(wal2, "replayed"); n != 1 || len(again) != 1 || again[0].ID != "job-7" || !bytes.Equal(again[0].Payload, got.Payload) {
 		t.Fatalf("compacted journal replayed %d records → %+v, want job-7 alone", n, again)
 	}
 	m := NewManager(ManagerConfig{Journal: jl2})

@@ -106,25 +106,12 @@ func hashKey(key string) uint64 {
 	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// Owner returns the node owning key: the first ring point at or after the
-// key's hash, wrapping. "" on an empty ring.
-func (r *Ring) Owner(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := hashKey(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node
-}
-
 // Preference returns key's preference order: the ring's distinct nodes in
-// ring order from the key's position, wrapping. Its first element is
-// Owner(key), and for any set of dead nodes the first element outside the
-// set is NewRing(survivors).Owner(key) — a ring over the survivors is this
-// ring minus the dead nodes' points — so a caller that walks the order past
+// ring order from the key's position, wrapping. Its first element is the
+// key's owner, the node of the first ring point at or after the key's hash;
+// for any set of dead nodes the first element outside the set is the owner
+// on NewRing(survivors) — a ring over the survivors is this ring minus the
+// dead nodes' points — so a caller that walks the order past
 // the nodes it cannot reach lands where a ring rebuilt without them would
 // have routed, and every caller skipping the same nodes lands on the same
 // one. Empty on an empty ring.
@@ -148,6 +135,3 @@ func (r *Ring) Preference(key string) []string {
 func (r *Ring) Nodes() []string {
 	return append([]string(nil), r.nodes...)
 }
-
-// Len reports the number of member nodes.
-func (r *Ring) Len() int { return len(r.nodes) }

@@ -359,13 +359,10 @@ func TestValidateProducesErrors(t *testing.T) {
 	if v.MeasuredTotal <= 0 || v.MeasuredCompute <= 0 || v.MeasuredComm <= 0 {
 		t.Fatal("measured side incomplete")
 	}
-	if v.AbsErrCombined() != math.Abs(v.ErrCombined) {
-		t.Error("AbsErrCombined broken")
-	}
 	// The reproduction's whole point: projecting LU onto POWER6 must land
 	// within the paper's error regime (they report ≤15 %; allow slack).
-	if v.AbsErrCombined() > 25 {
-		t.Errorf("LU-MZ on POWER6 projects at %.1f%% error; expected the paper's regime", v.AbsErrCombined())
+	if math.Abs(v.ErrCombined) > 25 {
+		t.Errorf("LU-MZ on POWER6 projects at %.1f%% error; expected the paper's regime", math.Abs(v.ErrCombined))
 	}
 	if _, ok := v.ErrByClass[mpi.ClassP2PNB]; !ok {
 		t.Error("per-class errors missing")

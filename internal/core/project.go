@@ -172,10 +172,6 @@ type Validation struct {
 	ErrByClass  map[mpi.Class]float64
 }
 
-// AbsErrCombined is the |%| error of the combined projection — the
-// headline quantity of Figures 3–9.
-func (v *Validation) AbsErrCombined() float64 { return math.Abs(v.ErrCombined) }
-
 // pctErr is the signed percent error of projected vs measured.
 func pctErr(projected, measured units.Seconds) float64 {
 	if measured == 0 {

@@ -87,11 +87,6 @@ func NewStore(cfg StoreConfig) *Store {
 	}
 }
 
-// Sizes reports the current entry count per layer (diagnostics, tests).
-func (s *Store) Sizes() (chars, profiles int) {
-	return s.chars.len(), s.profiles.len()
-}
-
 // Layer keys quote every variable-length component, so no two distinct
 // normalised inputs can collapse onto one key (e.g. machine "a|b" with
 // suite "c" vs machine "a" with suite "b|c").
@@ -203,5 +198,3 @@ func (l *layer[V]) runFill(fill func() (V, error)) (v V, err error) {
 	}()
 	return fill()
 }
-
-func (l *layer[V]) len() int { return l.cache.Len() }

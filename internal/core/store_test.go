@@ -269,7 +269,7 @@ func TestStoreConcurrentEvictionUnderFill(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if chars, profiles := s.Sizes(); chars > 2 || profiles > 2 {
+	if chars, profiles := s.chars.len(), s.profiles.len(); chars > 2 || profiles > 2 {
 		t.Errorf("layers hold %d characterisations and %d profiles, cap is 2 each", chars, profiles)
 	}
 }
@@ -315,3 +315,6 @@ func TestCharEpochPinsSimulatorOutput(t *testing.T) {
 			"(docs/evaluation_reference.txt) in the same change.", got, simulatorPin)
 	}
 }
+
+// len is the number of entries the layer holds.
+func (l *layer[V]) len() int { return l.cache.Len() }

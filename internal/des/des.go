@@ -280,7 +280,6 @@ type Proc struct {
 	co   *coro   // the coroutine running fn: set at first wake, nil once done
 	step Stepper // what the kernel runs at this process's wakes while it holds; see Hold
 
-	id     int32
 	nameID int32 // -1: kind IS the full name; else rendered as kind+nameID
 	state  procState
 
@@ -289,9 +288,6 @@ type Proc struct {
 	waitDt   units.Seconds
 	waitSig  *Signal
 }
-
-// ID returns the process index in spawn order.
-func (p *Proc) ID() int { return int(p.id) }
 
 // Name returns the process's spawn name, formatting it on first use.
 func (p *Proc) Name() string {
@@ -303,9 +299,6 @@ func (p *Proc) Name() string {
 
 // Now returns the current virtual time.
 func (p *Proc) Now() units.Seconds { return p.k.now }
-
-// Kernel returns the owning kernel (for scheduling timed events).
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // waitReason renders what the process is blocked on, for deadlock reports.
 func (p *Proc) waitReason() string {
@@ -575,11 +568,8 @@ type Signal struct {
 	fired bool
 }
 
-// NewSignal creates a named, unfired signal owned by the kernel.
-func (k *Kernel) NewSignal(name string) *Signal { return k.newSignal(name, -1) }
-
 // NewSignalKind creates an unfired signal lazily named kind#id: the
-// allocation-free spelling of NewSignal(fmt.Sprintf("%s#%d", kind, id)).
+// allocation-free spelling of the name fmt.Sprintf("%s#%d", kind, id).
 func (k *Kernel) NewSignalKind(kind string, id int) *Signal { return k.newSignal(kind, id) }
 
 // newSignal carves a signal from the kernel's arena.
@@ -677,7 +667,6 @@ func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
 	p := k.procMem.New()
 	*p = Proc{
 		k:      k,
-		id:     int32(len(k.procs)),
 		kind:   kind,
 		nameID: int32(nameID),
 		state:  stateReady,

@@ -507,7 +507,7 @@ func TestSignalSize(t *testing.T) {
 
 // TestProcSize: a 64-rank IMB table spawns ~13 k processes, so a Proc that
 // grows costs every one of them. Hold's step made room for itself by
-// narrowing the id, the name id, the state and the wait kind.
+// narrowing the name id, the state and the wait kind.
 func TestProcSize(t *testing.T) {
 	if n := unsafe.Sizeof(Proc{}); n > 96 {
 		t.Errorf("Proc is %d bytes, want at most 96", n)
@@ -848,3 +848,9 @@ func TestKernelsShareFreeListConcurrently(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// NewSignal creates a named, unfired signal owned by the kernel.
+func (k *Kernel) NewSignal(name string) *Signal { return k.newSignal(name, -1) }
+
+// Kernel returns the owning kernel (for scheduling timed events).
+func (p *Proc) Kernel() *Kernel { return p.k }

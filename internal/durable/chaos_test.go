@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/obs"
 )
 
 // TestChaosWALShortWrite: an injected partial write fails the append,
@@ -27,13 +28,14 @@ func TestChaosWALShortWrite(t *testing.T) {
 	}
 	faultinject.Disarm()
 	w.Close()
-	got, w2 := replayAll(t, dir, Options{})
+	sc := obs.New("wal")
+	got, w2 := replayAll(t, dir, Options{Obs: sc})
 	defer w2.Close()
 	if len(got) != 2 || !bytes.Equal(got[0], []byte("acked-1")) || !bytes.Equal(got[1], []byte("acked-2")) {
 		t.Fatalf("survivors = %q, want the two acked records", got)
 	}
-	if w2.Stats().Truncated != 1 {
-		t.Errorf("truncated = %d, want 1", w2.Stats().Truncated)
+	if n := walCount(sc, "truncated"); n != 1 {
+		t.Errorf("truncated = %d, want 1", n)
 	}
 	// The recovered log keeps working.
 	appendAll(t, w2, []byte("after-recovery"))
@@ -61,13 +63,14 @@ func TestChaosWALENOSPC(t *testing.T) {
 	faultinject.Disarm()
 	appendAll(t, w, []byte("after"))
 	w.Close()
-	got, w2 := replayAll(t, dir, Options{})
+	sc := obs.New("wal")
+	got, w2 := replayAll(t, dir, Options{Obs: sc})
 	defer w2.Close()
 	if len(got) != 2 || !bytes.Equal(got[0], []byte("before")) || !bytes.Equal(got[1], []byte("after")) {
 		t.Fatalf("replay = %q, want [before after] with no torn frames", got)
 	}
-	if st := w2.Stats(); st.Truncated != 0 || st.Corrupt != 0 {
-		t.Errorf("enospc left damage behind: %+v", st)
+	if tr, c := walCount(sc, "truncated"), walCount(sc, "corrupt"); tr != 0 || c != 0 {
+		t.Errorf("enospc left damage behind: %d truncated, %d corrupt", tr, c)
 	}
 }
 
@@ -91,14 +94,14 @@ func TestChaosWALCorruptWrite(t *testing.T) {
 	faultinject.Disarm()
 	appendAll(t, w, []byte("shadowed"))
 	w.Close()
-	got, w2 := replayAll(t, dir, Options{})
+	sc := obs.New("wal")
+	got, w2 := replayAll(t, dir, Options{Obs: sc})
 	defer w2.Close()
 	if len(got) != 1 || !bytes.Equal(got[0], []byte("clean-1")) {
 		t.Fatalf("replay = %q, want only clean-1", got)
 	}
-	st := w2.Stats()
-	if st.Corrupt != 1 || st.Truncated != 1 {
-		t.Errorf("stats = %+v, want 1 corrupt + 1 truncated", st)
+	if c, tr := walCount(sc, "corrupt"), walCount(sc, "truncated"); c != 1 || tr != 1 {
+		t.Errorf("corrupt, truncated = %d, %d; want 1 corrupt + 1 truncated", c, tr)
 	}
 }
 
@@ -123,15 +126,15 @@ func TestChaosWALReplayCorruptInjection(t *testing.T) {
 	// Consume the injection budget on frames 1-2 passing clean? No:
 	// #1 fires on the first pass — the first frame scanned. The log is
 	// cut to zero records.
-	got, w2 := replayAll(t, dir, Options{})
+	sc := obs.New("wal")
+	got, w2 := replayAll(t, dir, Options{Obs: sc})
 	defer w2.Close()
 	faultinject.Disarm()
 	if len(got) != 0 {
 		t.Fatalf("replayed %q past an injected flip", got)
 	}
-	st := w2.Stats()
-	if st.Corrupt != 1 || st.Truncated != 1 {
-		t.Errorf("stats = %+v, want 1 corrupt + 1 truncated", st)
+	if c, tr := walCount(sc, "corrupt"), walCount(sc, "truncated"); c != 1 || tr != 1 {
+		t.Errorf("corrupt, truncated = %d, %d; want 1 corrupt + 1 truncated", c, tr)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package durable is swappd's crash-durability layer: a CRC32C-framed,
 // segment-rotated, append-only write-ahead log. Its one user is the job
-// journal (internal/cluster); benchmark characterisation is persisted
-// separately, one file per table (internal/core).
+// journal (internal/cluster), the only thing swappd keeps on disk:
+// characterisation is never persisted, so a restart is a cold start.
 //
 // Frame format, little-endian:
 //
@@ -40,7 +40,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/faultinject"
@@ -74,23 +73,12 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment once the current one
 	// reaches this size. 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// Obs, when non-nil, receives the recovery counters
-	// (durable.wal_records, _replayed, _truncated, _corrupt).
+	// Obs, when non-nil, receives the log's counters: durable.wal_records
+	// (records appended by this process), _replayed (records delivered to
+	// Replay callbacks), _truncated (Open cut the log at a bad frame) and
+	// _corrupt (frames rejected on a checksum mismatch, a subset of the
+	// damage _truncated covers: a short frame counts only as truncation).
 	Obs *obs.Scope
-}
-
-// Stats are the WAL's lifetime counters, mirrored to Options.Obs under
-// durable.wal_*.
-type Stats struct {
-	// Records appended (and fully written) by this process.
-	Records int64
-	// Replayed records delivered to Replay callbacks.
-	Replayed int64
-	// Truncated torn-tail events: Open cut the log at a bad frame.
-	Truncated int64
-	// Corrupt frames rejected on a checksum mismatch (a subset of the
-	// damage Truncated covers; short frames count only as truncation).
-	Corrupt int64
 }
 
 // WAL is an append-only segmented log. All methods are safe for
@@ -107,11 +95,6 @@ type WAL struct {
 	lastSync time.Time
 	dirty    bool // unsynced appends pending
 	closed   bool
-
-	records   atomic.Int64
-	replayed  atomic.Int64
-	truncated atomic.Int64
-	corrupt   atomic.Int64
 }
 
 // segName formats a segment file name.
@@ -194,7 +177,6 @@ func (w *WAL) scan() error {
 			}
 		}
 		segs = segs[:si+1]
-		w.truncated.Add(1)
 		w.opts.Obs.Count("durable.wal_truncated", 1)
 		break
 	}
@@ -249,7 +231,6 @@ func (w *WAL) readFrames(path string, fn func(rec []byte) error) (valid int64, r
 			body[int(length)/2] ^= 1
 		}
 		if crc32.Checksum(body, castagnoli) != want {
-			w.corrupt.Add(1)
 			w.opts.Obs.Count("durable.wal_corrupt", 1)
 			return valid, "checksum mismatch", nil
 		}
@@ -276,7 +257,6 @@ func (w *WAL) Replay(fn func(rec []byte) error) error {
 		return err
 	}
 	deliver := func(rec []byte) error {
-		w.replayed.Add(1)
 		w.opts.Obs.Count("durable.wal_replayed", 1)
 		return fn(rec)
 	}
@@ -341,7 +321,6 @@ func (w *WAL) Append(rec []byte) error {
 	}
 	w.size += int64(len(frame))
 	w.dirty = true
-	w.records.Add(1)
 	w.opts.Obs.Count("durable.wal_records", 1)
 	if w.size >= w.opts.SegmentBytes {
 		if err := w.rotateLocked(); err != nil {
@@ -352,16 +331,6 @@ func (w *WAL) Append(rec []byte) error {
 		return w.syncLocked()
 	}
 	return nil
-}
-
-// Sync flushes pending appends to stable storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return errors.New("durable: wal is closed")
-	}
-	return w.syncLocked()
 }
 
 func (w *WAL) syncLocked() error {
@@ -475,16 +444,6 @@ func (w *WAL) Compact(records [][]byte) error {
 	w.f, w.seg, w.size, w.dirty = nf, newSeg, size, false
 	w.segments = []int{newSeg}
 	return nil
-}
-
-// Stats returns the lifetime counters.
-func (w *WAL) Stats() Stats {
-	return Stats{
-		Records:   w.records.Load(),
-		Replayed:  w.replayed.Load(),
-		Truncated: w.truncated.Load(),
-		Corrupt:   w.corrupt.Load(),
-	}
 }
 
 // Close syncs and closes the log. Further appends fail.

@@ -7,9 +7,11 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
-// appendAll writes records and syncs.
+// appendAll writes records.
 func appendAll(t *testing.T, w *WAL, recs ...[]byte) {
 	t.Helper()
 	for _, r := range recs {
@@ -17,9 +19,13 @@ func appendAll(t *testing.T, w *WAL, recs ...[]byte) {
 			t.Fatalf("append: %v", err)
 		}
 	}
-	if err := w.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
+}
+
+// walCount reads the counter durable.wal_<name> from the scope a WAL was
+// opened with (0 if it never counted).
+func walCount(sc *obs.Scope, name string) int64 {
+	v, _ := sc.Metrics().Counter("durable.wal_" + name)
+	return v
 }
 
 // replayAll reopens the log at dir and returns every replayed record.
@@ -41,19 +47,21 @@ func replayAll(t *testing.T, dir string, opts Options) ([][]byte, *WAL) {
 
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{})
+	sc := obs.New("wal")
+	w, err := Open(dir, Options{Obs: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := [][]byte{[]byte("one"), []byte(`{"type":"submit","id":"job-1"}`), bytes.Repeat([]byte{0}, 1000)}
 	appendAll(t, w, want...)
-	if got := w.Stats().Records; got != 3 {
-		t.Errorf("Records = %d, want 3", got)
+	if got := walCount(sc, "records"); got != 3 {
+		t.Errorf("durable.wal_records = %d, want 3", got)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, w2 := replayAll(t, dir, Options{})
+	sc2 := obs.New("wal")
+	got, w2 := replayAll(t, dir, Options{Obs: sc2})
 	defer w2.Close()
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
@@ -63,9 +71,8 @@ func TestWALRoundTrip(t *testing.T) {
 			t.Errorf("record %d = %q, want %q", i, got[i], want[i])
 		}
 	}
-	st := w2.Stats()
-	if st.Replayed != 3 || st.Truncated != 0 || st.Corrupt != 0 {
-		t.Errorf("stats = %+v, want 3 replayed and a clean log", st)
+	if r, tr, c := walCount(sc2, "replayed"), walCount(sc2, "truncated"), walCount(sc2, "corrupt"); r != 3 || tr != 0 || c != 0 {
+		t.Errorf("replayed, truncated, corrupt = %d, %d, %d; want 3 replayed and a clean log", r, tr, c)
 	}
 }
 
@@ -115,7 +122,8 @@ func TestWALTornTail(t *testing.T) {
 			if err := os.Truncate(seg, frame3+tc.cut); err != nil {
 				t.Fatal(err)
 			}
-			got, w2 := replayAll(t, dir, Options{})
+			sc := obs.New("wal")
+			got, w2 := replayAll(t, dir, Options{Obs: sc})
 			defer w2.Close()
 			if len(got) != 2 {
 				t.Fatalf("replayed %d records, want 2", len(got))
@@ -123,12 +131,11 @@ func TestWALTornTail(t *testing.T) {
 			if !bytes.Equal(got[0], recs[0]) || !bytes.Equal(got[1], recs[1]) {
 				t.Errorf("surviving records %q, want %q", got, recs[:2])
 			}
-			st := w2.Stats()
-			if st.Truncated != 1 {
-				t.Errorf("durable.wal_truncated = %d, want 1", st.Truncated)
+			if n := walCount(sc, "truncated"); n != 1 {
+				t.Errorf("durable.wal_truncated = %d, want 1", n)
 			}
-			if st.Corrupt != 0 {
-				t.Errorf("durable.wal_corrupt = %d, want 0 (a short frame is a tear, not a checksum failure)", st.Corrupt)
+			if n := walCount(sc, "corrupt"); n != 0 {
+				t.Errorf("durable.wal_corrupt = %d, want 0 (a short frame is a tear, not a checksum failure)", n)
 			}
 			// The log must accept fresh appends after the cut, and the
 			// next replay must see old survivors then the new record.
@@ -162,14 +169,14 @@ func TestWALBitFlip(t *testing.T) {
 	if err := os.WriteFile(seg, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, w2 := replayAll(t, dir, Options{})
+	sc := obs.New("wal")
+	got, w2 := replayAll(t, dir, Options{Obs: sc})
 	defer w2.Close()
 	if len(got) != 1 || !bytes.Equal(got[0], []byte("alpha")) {
 		t.Fatalf("replayed %q, want only alpha", got)
 	}
-	st := w2.Stats()
-	if st.Corrupt != 1 || st.Truncated != 1 {
-		t.Errorf("stats = %+v, want 1 corrupt + 1 truncated", st)
+	if c, tr := walCount(sc, "corrupt"), walCount(sc, "truncated"); c != 1 || tr != 1 {
+		t.Errorf("corrupt, truncated = %d, %d; want 1 corrupt + 1 truncated", c, tr)
 	}
 }
 
@@ -192,13 +199,14 @@ func TestWALZeroFilledTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	got, w2 := replayAll(t, dir, Options{})
+	sc := obs.New("wal")
+	got, w2 := replayAll(t, dir, Options{Obs: sc})
 	defer w2.Close()
 	if len(got) != 1 {
 		t.Fatalf("replayed %d records, want 1", len(got))
 	}
-	if w2.Stats().Truncated != 1 {
-		t.Errorf("truncated = %d, want 1", w2.Stats().Truncated)
+	if n := walCount(sc, "truncated"); n != 1 {
+		t.Errorf("truncated = %d, want 1", n)
 	}
 }
 
@@ -300,7 +308,7 @@ func TestWALCompact(t *testing.T) {
 
 // TestWALSyncBatching: with a long SyncEvery, appends don't fsync each
 // time (observable only as "no error" here — the contract test is that
-// Sync and Close still force the flush and nothing is lost).
+// Close still forces the flush and nothing is lost).
 func TestWALSyncBatching(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{SyncEvery: time.Hour})

@@ -9,7 +9,7 @@ import (
 )
 
 // naiveEnforceSparsity is the O(n·overflow) loop the sort-based
-// enforceSparsity replaced: repeatedly scan for the smallest nonzero gene
+// enforceSparsityScratch replaced: repeatedly scan for the smallest nonzero gene
 // and zero it. Kept as the micro-benchmark baseline and as an oracle for
 // TestEnforceSparsityMatchesNaive.
 func naiveEnforceSparsity(g []float64, maxActive int) {
@@ -69,7 +69,7 @@ func TestEnforceSparsityMatchesNaive(t *testing.T) {
 		cap := 1 + src.Intn(8)
 		a := append([]float64(nil), g...)
 		b := append([]float64(nil), g...)
-		enforceSparsity(a, cap)
+		enforceSparsityScratch(a, cap, nil)
 		naiveEnforceSparsity(b, cap)
 		for i := range a {
 			if a[i] != b[i] {
@@ -133,9 +133,12 @@ func benchSparsity(b *testing.B, n int, fn func([]float64, int)) {
 	}
 }
 
-func BenchmarkEnforceSparsity_n64(b *testing.B)      { benchSparsity(b, 64, enforceSparsity) }
+// sortSparsity is the sort-based enforcement with no scratch buffer.
+func sortSparsity(g []float64, maxActive int) { enforceSparsityScratch(g, maxActive, nil) }
+
+func BenchmarkEnforceSparsity_n64(b *testing.B)      { benchSparsity(b, 64, sortSparsity) }
 func BenchmarkEnforceSparsityNaive_n64(b *testing.B) { benchSparsity(b, 64, naiveEnforceSparsity) }
-func BenchmarkEnforceSparsity_n1024(b *testing.B)    { benchSparsity(b, 1024, enforceSparsity) }
+func BenchmarkEnforceSparsity_n1024(b *testing.B)    { benchSparsity(b, 1024, sortSparsity) }
 func BenchmarkEnforceSparsityNaive_n1024(b *testing.B) {
 	benchSparsity(b, 1024, naiveEnforceSparsity)
 }

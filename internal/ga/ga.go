@@ -451,17 +451,12 @@ type gene struct {
 	i int
 }
 
-// enforceSparsity keeps only the maxActive largest genes: one sort of the
-// nonzero entries (value ascending, index breaking ties) and the overflow
-// is zeroed smallest-first — the same survivors as the repeated
-// minimum-scan this replaces, in O(n log n) instead of O(n·overflow).
-func enforceSparsity(g []float64, maxActive int) {
-	enforceSparsityScratch(g, maxActive, nil)
-}
-
-// enforceSparsityScratch is enforceSparsity with a caller-owned scratch
-// buffer, so the per-child nonzero list costs nothing on the GA's hot
-// path. It returns the (possibly grown) scratch for reuse.
+// enforceSparsityScratch keeps only the maxActive largest genes: one sort
+// of the nonzero entries (value ascending, index breaking ties) and the
+// overflow is zeroed smallest-first — the same survivors as the repeated
+// minimum-scan this replaces, in O(n log n) instead of O(n·overflow). The
+// nonzero list lives in a caller-owned scratch buffer, so it costs nothing
+// on the GA's hot path; the (possibly grown) scratch is returned for reuse.
 func enforceSparsityScratch(g []float64, maxActive int, scratch []gene) []gene {
 	if maxActive <= 0 {
 		return scratch

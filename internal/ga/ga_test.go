@@ -230,7 +230,7 @@ func TestRateValidation(t *testing.T) {
 	}
 }
 
-// Property: enforceSparsity never leaves more than the cap active and never
+// Property: enforceSparsityScratch never leaves more than the cap active and never
 // creates negatives.
 func TestEnforceSparsityProperty(t *testing.T) {
 	f := func(raw []uint8, capRaw uint8) bool {
@@ -242,7 +242,7 @@ func TestEnforceSparsityProperty(t *testing.T) {
 			g[i] = float64(r) / 64
 		}
 		cap := int(capRaw%8) + 1
-		enforceSparsity(g, cap)
+		enforceSparsityScratch(g, cap, nil)
 		active := 0
 		for _, v := range g {
 			if v < 0 {
@@ -261,11 +261,11 @@ func TestEnforceSparsityProperty(t *testing.T) {
 
 func TestSparsityKeepsLargestGenes(t *testing.T) {
 	g := []float64{0.9, 0.1, 0.5, 0, 0.7, 0.2}
-	enforceSparsity(g, 3)
+	enforceSparsityScratch(g, 3, nil)
 	want := []float64{0.9, 0, 0.5, 0, 0.7, 0}
 	for i := range want {
 		if math.Abs(g[i]-want[i]) > 1e-12 {
-			t.Fatalf("enforceSparsity = %v, want %v", g, want)
+			t.Fatalf("enforceSparsityScratch = %v, want %v", g, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -37,8 +38,11 @@ func TestObsMetricsMatchResult(t *testing.T) {
 		t.Errorf("evaluations %d != total scores %d", res.Evaluations, 16+25*(16-2))
 	}
 	// The final best must appear in the histogram exactly once.
-	h, ok := m.Histogram("ga.best_fitness")
-	if !ok || h.Count != 1 || h.Min != res.BestFitness || h.Max != res.BestFitness {
+	i := slices.IndexFunc(m.Histograms, func(h obs.HistogramValue) bool { return h.Name == "ga.best_fitness" })
+	if i < 0 {
+		t.Fatal("no ga.best_fitness histogram")
+	}
+	if h := m.Histograms[i]; h.Count != 1 || h.Min != res.BestFitness || h.Max != res.BestFitness {
 		t.Errorf("ga.best_fitness histogram %+v, want single %v", h, res.BestFitness)
 	}
 	// The trace must contain the ga.run span, closed within the root.

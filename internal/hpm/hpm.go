@@ -127,19 +127,6 @@ type Counters struct {
 // NumMetrics is the length of the flattened metric vector.
 const NumMetrics = 13
 
-// MetricNames lists the flattened metric vector's entries, in order, grouped
-// G1..G6.
-func MetricNames() []string {
-	return []string{
-		"g1.cpi_completion",
-		"g2.cpi_stall_mem", "g2.cpi_stall_branch", "g2.cpi_stall_trans",
-		"g3.fp_per_instr",
-		"g4.erat_miss_per_k", "g4.slb_miss_per_k", "g4.tlb_miss_per_k",
-		"g5.data_from_l2", "g5.data_from_l3", "g5.data_from_local", "g5.data_from_remote",
-		"g6.mem_bw_gbs",
-	}
-}
-
 // MetricGroupOf maps a flattened metric index to its group number (1..6).
 func MetricGroupOf(i int) int {
 	switch {
@@ -158,8 +145,8 @@ func MetricGroupOf(i int) int {
 	}
 }
 
-// Vector flattens the counters into the canonical 13-metric vector whose
-// layout MetricNames describes.
+// Vector flattens the counters into the canonical 13-metric vector, in
+// order and grouped G1..G6 (MetricGroupOf maps an entry to its group).
 func (c *Counters) Vector() []float64 {
 	return []float64{
 		c.CPICompletion,

@@ -318,3 +318,16 @@ func TestFasterClockWinsOnCacheResident(t *testing.T) {
 		t.Errorf("POWER6 %v should be much faster than BG/P %v on compute", p6.Runtime, bg.Runtime)
 	}
 }
+
+// MetricNames lists the flattened metric vector's entries, in order, grouped
+// G1..G6.
+func MetricNames() []string {
+	return []string{
+		"g1.cpi_completion",
+		"g2.cpi_stall_mem", "g2.cpi_stall_branch", "g2.cpi_stall_trans",
+		"g3.fp_per_instr",
+		"g4.erat_miss_per_k", "g4.slb_miss_per_k", "g4.tlb_miss_per_k",
+		"g5.data_from_l2", "g5.data_from_l3", "g5.data_from_local", "g5.data_from_remote",
+		"g6.mem_bw_gbs",
+	}
+}

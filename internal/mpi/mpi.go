@@ -37,13 +37,13 @@
 //
 // Posts are queued. Isend and Irecv check their peer, take a Request,
 // link it onto the rank's queue and return without touching the clock.
-// The rank's next call that waits or reads the clock — Waitall, Wait,
-// Send, Recv, Sendrecv, Compute, Now, a collective, or the end of its
-// body — makes the queued posts in order: each pays its library overhead,
-// then is matched, launched and reported to the Observer. When a
-// Waitall's list is exactly the queued posts, in order, the same
-// des.Proc.Hold step then waits on each of them, and so do Send, Recv and
-// Sendrecv; any other list is waited on once the posts are made. The
+// The rank's next call that waits or reads the clock — Waitall, Send,
+// Recv, Sendrecv, Compute, a collective, or the end of its body — makes
+// the queued posts in order: each pays its library overhead, then is
+// matched, launched and reported to the Observer. When a Waitall's list
+// is exactly the queued posts, in order, the same des.Proc.Hold step then
+// waits on each of them, and so do Send, Recv and Sendrecv; any other
+// list is waited on once the posts are made. The
 // kernel runs the step at the rank's wakes, so the rank's coroutine is
 // resumed once per wait, not once per post and per unfinished request.
 //
@@ -319,9 +319,6 @@ func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 // SetObserver installs the profiling hook. Must be called before Run.
 func (w *World) SetObserver(o Observer) { w.obs = o }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // Run executes program on every rank and drives the simulation to
 // completion, returning the job's makespan (the virtual time when the last
 // rank finishes). A world runs once; Reset makes it runnable again.
@@ -437,12 +434,6 @@ func (r *Rank) ID() int { return r.id }
 
 // Size returns the world size.
 func (r *Rank) Size() int { return r.w.size }
-
-// Now returns the current virtual time, once the queued posts are made.
-func (r *Rank) Now() units.Seconds {
-	r.flush()
-	return r.proc.Now()
-}
 
 // Compute burns dt of application compute time.
 func (r *Rank) Compute(dt units.Seconds) {
@@ -750,10 +741,6 @@ func (r *Rank) queued(reqs []*Request) bool {
 	}
 	return q == nil && r.q.head != nil
 }
-
-// Wait blocks until one request completes (Waitall of one, reported the
-// same way).
-func (r *Rank) Wait(rq *Request) { r.Waitall(rq) }
 
 // Send is a blocking standard-mode send.
 func (r *Rank) Send(dst int, size units.Bytes, tag int) {

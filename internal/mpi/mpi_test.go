@@ -749,3 +749,9 @@ func TestResetAfterAnyEnding(t *testing.T) {
 		w.Reset()
 	}
 }
+
+// Now returns the current virtual time, once the queued posts are made.
+func (r *Rank) Now() units.Seconds {
+	r.flush()
+	return r.proc.Now()
+}

@@ -55,19 +55,6 @@ type RoutineProfile struct {
 	Elapsed units.Seconds
 }
 
-// MeanMessagesPerCall is the average number of requests per call — the
-// paper's x in Eq. 1 for Waitall entries (1 for plain routines).
-func (rp *RoutineProfile) MeanMessagesPerCall() float64 {
-	if rp.Calls == 0 {
-		return 0
-	}
-	var msgs int
-	for _, e := range rp.Sizes {
-		msgs += e.Messages
-	}
-	return float64(msgs) / float64(rp.Calls)
-}
-
 // TaskProfile is one rank's compute/communication split.
 type TaskProfile struct {
 	Rank    int
@@ -77,14 +64,6 @@ type TaskProfile struct {
 
 // Total is the task's profiled busy time.
 func (tp *TaskProfile) Total() units.Seconds { return tp.Compute + tp.Comm }
-
-// CommFraction is the share of task time spent in MPI (including waits).
-func (tp *TaskProfile) CommFraction() float64 {
-	if tp.Total() == 0 {
-		return 0
-	}
-	return tp.Comm / tp.Total()
-}
 
 // Profiler is the mpi.Observer that accumulates the job profile. Feed it
 // no events after Profile.
@@ -330,15 +309,6 @@ func (pf *Profile) RoutineAggregate(rt mpi.Routine) *RoutineProfile {
 		return &pf.aggs[i]
 	}
 	return &RoutineProfile{Routine: rt}
-}
-
-// RankElapsed is one task's time inside routine rt (0 if it never called
-// it).
-func (pf *Profile) RankElapsed(rank int, rt mpi.Routine) units.Seconds {
-	if i := pf.slot(rt); i >= 0 {
-		return pf.perRank[i][rank]
-	}
-	return 0
 }
 
 // RoutineShare is a routine's share of total busy time, in percent — the

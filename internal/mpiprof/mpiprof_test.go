@@ -236,3 +236,16 @@ func BenchmarkProfilerHostCost(b *testing.B) {
 		p.OnCompute(i%16, 1e-3)
 	}
 }
+
+// MeanMessagesPerCall is the average number of requests per call — the
+// paper's x in Eq. 1 for Waitall entries (1 for plain routines).
+func (rp *RoutineProfile) MeanMessagesPerCall() float64 {
+	if rp.Calls == 0 {
+		return 0
+	}
+	var msgs int
+	for _, e := range rp.Sizes {
+		msgs += e.Messages
+	}
+	return float64(msgs) / float64(rp.Calls)
+}

@@ -77,19 +77,6 @@ type P2PCost struct {
 	Handshake  units.Seconds
 }
 
-// InFlight is the network-only transfer time of the message (excluding
-// library overhead and any rendezvous stall).
-func (c P2PCost) InFlight() units.Seconds { return c.Latency + c.Serialize }
-
-// Total is the full uncontended transfer time of a single message.
-func (c P2PCost) Total() units.Seconds {
-	t := c.LibOverhead + c.InFlight()
-	if c.Rendezvous {
-		t += c.Handshake
-	}
-	return t
-}
-
 // P2P prices one message of size bytes from src to dst (rank indices).
 func (md *Model) P2P(src, dst int, size units.Bytes) P2PCost {
 	net := &md.M.Net

@@ -213,3 +213,16 @@ func TestHybridPlacement(t *testing.T) {
 		t.Error("hybrid placement spans more nodes; collectives must cost more")
 	}
 }
+
+// InFlight is the network-only transfer time of the message (excluding
+// library overhead and any rendezvous stall).
+func (c P2PCost) InFlight() units.Seconds { return c.Latency + c.Serialize }
+
+// Total is the full uncontended transfer time of a single message.
+func (c P2PCost) Total() units.Seconds {
+	t := c.LibOverhead + c.InFlight()
+	if c.Rendezvous {
+		t += c.Handshake
+	}
+	return t
+}

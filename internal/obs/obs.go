@@ -54,14 +54,6 @@ func New(name string) *Scope {
 // record.
 func (s *Scope) Enabled() bool { return s != nil }
 
-// Name returns the span name ("" when disabled).
-func (s *Scope) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
-}
-
 // Child starts a child span. The returned scope shares the registry; close
 // it with End.
 func (s *Scope) Child(name string) *Scope { return s.ChildW(name, -1) }
@@ -233,16 +225,6 @@ func (m Metrics) Counter(name string) (int64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// Histogram looks a histogram up by name.
-func (m Metrics) Histogram(name string) (HistogramValue, bool) {
-	for _, h := range m.Histograms {
-		if h.Name == name {
-			return h, true
-		}
-	}
-	return HistogramValue{}, false
 }
 
 // WriteText renders the snapshot as aligned plain text, one metric per line.

@@ -221,3 +221,13 @@ func TestDebugServer(t *testing.T) {
 		t.Error("/debug/pprof/cmdline empty")
 	}
 }
+
+// Histogram looks a histogram up by name.
+func (m Metrics) Histogram(name string) (HistogramValue, bool) {
+	for _, h := range m.Histograms {
+		if h.Name == name {
+			return h, true
+		}
+	}
+	return HistogramValue{}, false
+}

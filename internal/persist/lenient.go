@@ -15,10 +15,10 @@ import (
 )
 
 // This file holds the lenient decoders behind degraded-mode projections
-// (DESIGN.md §11). The strict Unmarshal* functions reject any corruption;
-// these salvage what they can — dropping the corrupt rows, keeping the
-// first of duplicates, substituting the ST counters for an absent SMT
-// column — and return a quality.Defect per repair so the projection's
+// (DESIGN.md §11), the package's only decoders. Where the strict ones the
+// tests keep as their reference reject any corruption, these salvage what
+// they can — dropping the corrupt rows, keeping the first of duplicates,
+// substituting the ST counters for an absent SMT column — and return a quality.Defect per repair so the projection's
 // Quality block can report exactly what was worked around. Damage that
 // leaves nothing usable (unparseable JSON, an empty suite, a broken size
 // grid) is still a hard error: there is no projection to degrade to.

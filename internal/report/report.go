@@ -147,9 +147,6 @@ func Summary(s *figures.Summary) string {
 	return b.String()
 }
 
-// Duration formats a simulated duration for reports.
-func Duration(s units.Seconds) string { return units.FormatSeconds(s) }
-
 // commClassOrder fixes the rendering order of per-class validation errors:
 // map iteration order must never reach the output. It aliases the ClassOrder
 // shared with the JSON form.

@@ -121,9 +121,3 @@ func TestSummaryRenders(t *testing.T) {
 		}
 	}
 }
-
-func TestDuration(t *testing.T) {
-	if Duration(1.5) != "1.5s" {
-		t.Errorf("Duration = %q", Duration(1.5))
-	}
-}

@@ -54,9 +54,6 @@ func (s *Source) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (s *Source) Uint64() uint64 { return s.next() }
-
 // Float64 returns a uniform value in [0, 1).
 func (s *Source) Float64() float64 {
 	return float64(s.next()>>11) / (1 << 53)

@@ -205,3 +205,6 @@ func TestIdiosyncrasyMagnitude(t *testing.T) {
 		}
 	}
 }
+
+// Uint64 returns the next 64 pseudo-random bits.
+func (s *Source) Uint64() uint64 { return s.next() }

@@ -243,10 +243,10 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 		t.Errorf("cluster ran %d evaluations for %d distinct requests", total, len(requests))
 	}
 	// And the memberships agree.
-	want := fmt.Sprint(reps[0].srv.Peers())
+	want := fmt.Sprint(reps[0].srv.peers.ring.Nodes())
 	for i, rep := range reps[1:] {
-		if fmt.Sprint(rep.srv.Peers()) != want {
-			t.Errorf("replica %d sees membership %v, replica 0 sees %v", i+1, rep.srv.Peers(), want)
+		if fmt.Sprint(rep.srv.peers.ring.Nodes()) != want {
+			t.Errorf("replica %d sees membership %v, replica 0 sees %v", i+1, rep.srv.peers.ring.Nodes(), want)
 		}
 	}
 }

@@ -181,7 +181,8 @@ func TestNewDurableWithoutDataDirIsNew(t *testing.T) {
 // ends failed with the deadline's error and, having reached a terminal state
 // on its own, journals its done record, so no restart re-runs it.
 func TestJobDeadlineIsTheRequests(t *testing.T) {
-	s, err := NewDurable(Config{Workers: 1, DataDir: t.TempDir(), Eval: func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+	sc := obs.New("test")
+	s, err := NewDurable(Config{Workers: 1, DataDir: t.TempDir(), Obs: sc, Eval: func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}})
@@ -200,8 +201,8 @@ func TestJobDeadlineIsTheRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 0 || s.journal.Stats().Records != 2 {
-		t.Errorf("pending = %+v, %d records; want none pending, submit + done", pending, s.journal.Stats().Records)
+	if n, _ := sc.Metrics().Counter("durable.wal_records"); len(pending) != 0 || n != 2 {
+		t.Errorf("pending = %+v, %d records; want none pending, submit + done", pending, n)
 	}
 }
 

@@ -177,7 +177,7 @@ func TestJobPanicFailsThenResubmitByteIdentical(t *testing.T) {
 	if runs.Load() != 1 {
 		t.Errorf("the panicking evaluation ran %d times, want once: nothing is retried in place", runs.Load())
 	}
-	if n := s.CacheLen(); n != 0 {
+	if n := s.cache.Len(); n != 0 {
 		t.Errorf("a failed job left %d entries in the result cache, want 0", n)
 	}
 

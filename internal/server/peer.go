@@ -217,12 +217,3 @@ func (s *Server) forwardEval(r *http.Request, endpoint string, body APIRequest, 
 	}
 	return doc, oc, peer, true
 }
-
-// Peers reports the configured cluster membership (empty when peer-aware
-// mode is off) — diagnostics and tests.
-func (s *Server) Peers() []string {
-	if s.peers == nil {
-		return nil
-	}
-	return s.peers.ring.Nodes()
-}

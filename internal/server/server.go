@@ -601,6 +601,3 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	}
 	_, _ = w.Write(append(b, '\n'))
 }
-
-// CacheLen reports the number of cached results (tests, /readyz probes).
-func (s *Server) CacheLen() int { return s.cache.Len() }

@@ -608,7 +608,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	post(t, ts.URL+"/v1/project", body(32)) // cache: 32,16
 	post(t, ts.URL+"/v1/project", body(16)) // hit; cache: 16,32
 	post(t, ts.URL+"/v1/project", body(64)) // evicts 32; cache: 64,16
-	if got := s.CacheLen(); got != 2 {
+	if got := s.cache.Len(); got != 2 {
 		t.Fatalf("cache len = %d, want 2", got)
 	}
 	post(t, ts.URL+"/v1/project", body(16)) // still hit

@@ -96,19 +96,6 @@ var suite = []*Benchmark{
 	{sig("482.sphinx3", 1.3, 0.25, 0.41, 0.08, 0.018, 1.9, 180*units.MiB, 0.68, 0.25, 1.1), CFP},
 }
 
-// Suite returns the full 29-benchmark CPU2006 pool in SPEC numbering order.
-// The returned slice is shared; callers must not mutate it.
-func Suite() []*Benchmark { return suite }
-
-// Names returns all benchmark names in suite order.
-func Names() []string {
-	out := make([]string, len(suite))
-	for i, b := range suite {
-		out[i] = b.Name()
-	}
-	return out
-}
-
 // ByName finds a benchmark by its SPEC name.
 func ByName(name string) (*Benchmark, error) {
 	for _, b := range suite {
@@ -128,10 +115,6 @@ type Result struct {
 	ST  hpm.Counters
 	SMT hpm.Counters
 }
-
-// Runtime returns the ST throughput-mode runtime, the score SWAPP's Eq. 2
-// consumes.
-func (r *Result) Runtime() units.Seconds { return r.ST.Runtime }
 
 // CharacterVector concatenates the ST and SMT metric vectors — the
 // behaviour coordinates used for surrogate matching. The paper motivates

@@ -7,12 +7,13 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/hpm"
+	"repro/internal/units"
 )
 
 func TestSuiteComposition(t *testing.T) {
 	var cint, cfp int
 	seen := map[string]bool{}
-	for _, b := range Suite() {
+	for _, b := range suite {
 		if seen[b.Name()] {
 			t.Errorf("duplicate benchmark %s", b.Name())
 		}
@@ -38,7 +39,7 @@ func TestSuiteComposition(t *testing.T) {
 }
 
 func TestAllSignaturesValid(t *testing.T) {
-	for _, b := range Suite() {
+	for _, b := range suite {
 		if err := b.Sig.Validate(); err != nil {
 			t.Errorf("%s: %v", b.Name(), err)
 		}
@@ -59,12 +60,11 @@ func TestByName(t *testing.T) {
 }
 
 func TestNamesOrdered(t *testing.T) {
-	names := Names()
-	if len(names) != 29 {
-		t.Fatalf("len(Names) = %d", len(names))
+	if len(suite) != 29 {
+		t.Fatalf("len(suite) = %d", len(suite))
 	}
-	if names[0] != "400.perlbench" || names[len(names)-1] != "482.sphinx3" {
-		t.Errorf("suite ordering broken: %v … %v", names[0], names[len(names)-1])
+	if first, last := suite[0].Name(), suite[len(suite)-1].Name(); first != "400.perlbench" || last != "482.sphinx3" {
+		t.Errorf("suite ordering broken: %v … %v", first, last)
 	}
 }
 
@@ -171,9 +171,9 @@ func TestSortedNames(t *testing.T) {
 	if len(names) != 29 || names[0] != "400.perlbench" {
 		t.Errorf("SortedNames broken: %v", names[:3])
 	}
-	for i, n := range Names() {
-		if names[i] != n {
-			t.Fatalf("order diverges at %d: %s vs %s", i, names[i], n)
+	for i, b := range suite {
+		if names[i] != b.Name() {
+			t.Fatalf("order diverges at %d: %s vs %s", i, names[i], b.Name())
 		}
 	}
 }
@@ -200,9 +200,13 @@ func TestThroughputRuntimesPlausible(t *testing.T) {
 }
 
 func TestNameFormat(t *testing.T) {
-	for _, n := range Names() {
-		if !strings.Contains(n, ".") {
-			t.Errorf("benchmark %q missing SPEC number prefix", n)
+	for _, b := range suite {
+		if !strings.Contains(b.Name(), ".") {
+			t.Errorf("benchmark %q missing SPEC number prefix", b.Name())
 		}
 	}
 }
+
+// Runtime returns the ST throughput-mode runtime, the score SWAPP's Eq. 2
+// consumes.
+func (r *Result) Runtime() units.Seconds { return r.ST.Runtime }

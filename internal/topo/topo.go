@@ -1,7 +1,7 @@
 // Package topo models interconnect topologies at the granularity SWAPP's
 // communication substrate needs: given two node indices, how many network
-// hops separate them, and what the network's diameter and average distance
-// look like. Three families cover Table 2: switched fat-trees (InfiniBand),
+// hops separate them, and what the average distance over a job's placement
+// looks like. Three families cover Table 2: switched fat-trees (InfiniBand),
 // the HPS Federation multistage switch (Hydra), and BlueGene/P's 3-D torus.
 package topo
 
@@ -13,15 +13,11 @@ import (
 
 // Topology answers distance queries over node indices [0, Nodes).
 type Topology interface {
-	// Name identifies the topology instance.
-	Name() string
 	// Nodes is the number of endpoints.
 	Nodes() int
 	// Hops returns the switch/router hops between two nodes. Zero for
 	// a node to itself.
 	Hops(a, b int) int
-	// Diameter is the maximum hop count between any node pair.
-	Diameter() int
 }
 
 // AverageHops estimates the mean hop distance over the first n nodes of t
@@ -59,22 +55,18 @@ func AverageHops(t Topology, n int) float64 {
 // the given radix; leaves connect through a spine. Same-leaf traffic takes
 // 1 hop (through the leaf switch), cross-leaf traffic 3 (leaf–spine–leaf).
 type FatTree struct {
-	name      string
 	nodes     int
 	leafRadix int
 }
 
 // NewFatTree builds a fat-tree over nodes endpoints with leafRadix nodes
 // per leaf switch.
-func NewFatTree(name string, nodes, leafRadix int) *FatTree {
+func NewFatTree(nodes, leafRadix int) *FatTree {
 	if nodes <= 0 || leafRadix <= 0 {
 		panic("topo: bad fat-tree shape")
 	}
-	return &FatTree{name: name, nodes: nodes, leafRadix: leafRadix}
+	return &FatTree{nodes: nodes, leafRadix: leafRadix}
 }
-
-// Name implements Topology.
-func (f *FatTree) Name() string { return f.name }
 
 // Nodes implements Topology.
 func (f *FatTree) Nodes() int { return f.nodes }
@@ -90,32 +82,20 @@ func (f *FatTree) Hops(a, b int) int {
 	return 3
 }
 
-// Diameter implements Topology.
-func (f *FatTree) Diameter() int {
-	if f.nodes <= f.leafRadix {
-		return 1
-	}
-	return 3
-}
-
 // Torus3D is a 3-dimensional torus with wraparound links; hop distance is
 // the wrapped Manhattan distance. Node i maps to coordinates in row-major
 // (x fastest) order.
 type Torus3D struct {
-	name string
 	dims [3]int
 }
 
 // NewTorus3D builds an X×Y×Z torus.
-func NewTorus3D(name string, dims [3]int) *Torus3D {
+func NewTorus3D(dims [3]int) *Torus3D {
 	if dims[0] <= 0 || dims[1] <= 0 || dims[2] <= 0 {
 		panic("topo: bad torus dims")
 	}
-	return &Torus3D{name: name, dims: dims}
+	return &Torus3D{dims: dims}
 }
-
-// Name implements Topology.
-func (t *Torus3D) Name() string { return t.name }
 
 // Nodes implements Topology.
 func (t *Torus3D) Nodes() int { return t.dims[0] * t.dims[1] * t.dims[2] }
@@ -147,11 +127,6 @@ func (t *Torus3D) Hops(a, b int) int {
 	return wrapDist(ax, bx, t.dims[0]) + wrapDist(ay, by, t.dims[1]) + wrapDist(az, bz, t.dims[2])
 }
 
-// Diameter implements Topology.
-func (t *Torus3D) Diameter() int {
-	return t.dims[0]/2 + t.dims[1]/2 + t.dims[2]/2
-}
-
 // TreeDepth returns the depth of a balanced binary combining tree over n
 // nodes — the cost shape of BlueGene/P's dedicated collective network.
 func TreeDepth(n int) int {
@@ -169,13 +144,13 @@ func TreeDepth(n int) int {
 func For(m *arch.Machine) Topology {
 	switch m.Net.Kind {
 	case arch.TopoTorus3D:
-		return NewTorus3D(m.Net.Name, m.Net.TorusDims)
+		return NewTorus3D(m.Net.TorusDims)
 	case arch.TopoFatTree:
 		// Leaf radix ~ a 24-port switch half used for nodes.
-		return NewFatTree(m.Net.Name, m.Nodes(), 12)
+		return NewFatTree(m.Nodes(), 12)
 	case arch.TopoFederation:
 		// HPS: 16-way node groups through the multistage switch.
-		return NewFatTree(m.Net.Name, m.Nodes(), 16)
+		return NewFatTree(m.Nodes(), 16)
 	default:
 		panic(fmt.Sprintf("topo: unknown interconnect kind %q", m.Net.Kind))
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFatTreeHops(t *testing.T) {
-	f := NewFatTree("ib", 48, 12)
+	f := NewFatTree(48, 12)
 	if f.Hops(0, 0) != 0 {
 		t.Error("self distance must be 0")
 	}
@@ -21,14 +21,14 @@ func TestFatTreeHops(t *testing.T) {
 	if f.Diameter() != 3 {
 		t.Error("two-level diameter is 3")
 	}
-	small := NewFatTree("ib", 8, 12)
+	small := NewFatTree(8, 12)
 	if small.Diameter() != 1 {
 		t.Error("single-leaf system diameter is 1")
 	}
 }
 
 func TestTorusCoordsRoundTrip(t *testing.T) {
-	tor := NewTorus3D("torus", [3]int{4, 3, 2})
+	tor := NewTorus3D([3]int{4, 3, 2})
 	seen := map[[3]int]bool{}
 	for i := 0; i < tor.Nodes(); i++ {
 		x, y, z := tor.Coords(i)
@@ -47,7 +47,7 @@ func TestTorusCoordsRoundTrip(t *testing.T) {
 }
 
 func TestTorusWraparound(t *testing.T) {
-	tor := NewTorus3D("torus", [3]int{8, 8, 16})
+	tor := NewTorus3D([3]int{8, 8, 16})
 	// Nodes 0 and 7 on the x axis are 1 hop apart via wraparound.
 	if got := tor.Hops(0, 7); got != 1 {
 		t.Errorf("wrap distance = %d, want 1", got)
@@ -62,7 +62,7 @@ func TestTorusWraparound(t *testing.T) {
 
 // Properties: symmetry, identity, triangle inequality, diameter bound.
 func TestTorusMetricProperties(t *testing.T) {
-	tor := NewTorus3D("torus", [3]int{8, 8, 16})
+	tor := NewTorus3D([3]int{8, 8, 16})
 	n := tor.Nodes()
 	f := func(a, b, c uint16) bool {
 		x, y, z := int(a)%n, int(b)%n, int(c)%n
@@ -84,7 +84,7 @@ func TestTorusMetricProperties(t *testing.T) {
 }
 
 func TestFatTreeMetricProperties(t *testing.T) {
-	ft := NewFatTree("ib", 64, 12)
+	ft := NewFatTree(64, 12)
 	f := func(a, b uint16) bool {
 		x, y := int(a)%64, int(b)%64
 		if ft.Hops(x, y) != ft.Hops(y, x) {
@@ -107,7 +107,7 @@ func TestTreeDepth(t *testing.T) {
 }
 
 func TestAverageHops(t *testing.T) {
-	ft := NewFatTree("ib", 24, 12)
+	ft := NewFatTree(24, 12)
 	// Within one leaf: everything is 1 hop.
 	if avg := AverageHops(ft, 12); avg != 1 {
 		t.Errorf("single-leaf average = %v, want 1", avg)
@@ -146,9 +146,9 @@ func TestForBuildsFromMachines(t *testing.T) {
 
 func TestNewPanicsOnBadShapes(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewFatTree("x", 0, 12) },
-		func() { NewFatTree("x", 12, 0) },
-		func() { NewTorus3D("x", [3]int{0, 1, 1}) },
+		func() { NewFatTree(0, 12) },
+		func() { NewFatTree(12, 0) },
+		func() { NewTorus3D([3]int{0, 1, 1}) },
 	} {
 		func() {
 			defer func() {
@@ -159,4 +159,19 @@ func TestNewPanicsOnBadShapes(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// Diameter is the maximum hop count between any node pair: the bound the
+// Hops properties check against.
+func (f *FatTree) Diameter() int {
+	if f.nodes <= f.leafRadix {
+		return 1
+	}
+	return 3
+}
+
+// Diameter is the maximum hop count between any node pair: the bound the
+// Hops properties check against.
+func (t *Torus3D) Diameter() int {
+	return t.dims[0]/2 + t.dims[1]/2 + t.dims[2]/2
 }

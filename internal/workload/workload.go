@@ -150,38 +150,3 @@ func (s *Signature) Partitioned(ranks int) *Signature {
 	}
 	return &c
 }
-
-// Merge combines several signatures executed back-to-back into one
-// aggregate signature named name, with instruction-weighted mixes and the
-// largest footprint. It models a multi-kernel phase as a single observable
-// unit, the granularity at which hardware counters are collected.
-func Merge(name string, parts ...*Signature) *Signature {
-	if len(parts) == 0 {
-		panic("workload: Merge needs at least one part")
-	}
-	out := &Signature{Name: name}
-	var totalInstr float64
-	for _, p := range parts {
-		totalInstr += p.Instructions
-	}
-	if totalInstr <= 0 {
-		panic("workload: Merge with zero total instructions")
-	}
-	out.Instructions = totalInstr
-	for _, p := range parts {
-		w := p.Instructions / totalInstr
-		out.FPFraction += w * p.FPFraction
-		out.MemFraction += w * p.MemFraction
-		out.BranchFraction += w * p.BranchFraction
-		out.BranchMissRate += w * p.BranchMissRate
-		out.ILP += w * p.ILP
-		out.Alpha += w * p.Alpha
-		out.StreamFraction += w * p.StreamFraction
-		out.RemoteFraction += w * p.RemoteFraction
-		out.DialectSensitivity += w * p.DialectSensitivity
-		if p.Footprint > out.Footprint {
-			out.Footprint = p.Footprint
-		}
-	}
-	return out
-}

@@ -140,51 +140,3 @@ func TestPartitionedPanics(t *testing.T) {
 	}()
 	valid().Partitioned(0)
 }
-
-func TestMergeWeighting(t *testing.T) {
-	a, b := valid(), valid()
-	a.Name, b.Name = "a", "b"
-	a.Instructions, b.Instructions = 3e9, 1e9
-	a.FPFraction, b.FPFraction = 0.4, 0.0
-	b.MemFraction = 0.2
-	b.Footprint = 128 * units.MiB
-	m := Merge("ab", a, b)
-	if m.Instructions != 4e9 {
-		t.Errorf("merged instructions = %v", m.Instructions)
-	}
-	if math.Abs(m.FPFraction-0.3) > 1e-12 {
-		t.Errorf("merged FP fraction = %v, want 0.3", m.FPFraction)
-	}
-	if m.Footprint != 128*units.MiB {
-		t.Error("merged footprint must be the max")
-	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("merged signature invalid: %v", err)
-	}
-}
-
-// Property: merging a signature with itself preserves all per-instruction
-// behaviour.
-func TestMergeIdempotentProperty(t *testing.T) {
-	f := func(scale uint8) bool {
-		s := valid()
-		s.Instructions = float64(scale%100+1) * 1e6
-		m := Merge("m", s, s)
-		return m.Instructions == 2*s.Instructions &&
-			math.Abs(m.FPFraction-s.FPFraction) < 1e-12 &&
-			math.Abs(m.ILP-s.ILP) < 1e-12 &&
-			m.Footprint == s.Footprint
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMergePanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Merge() must panic with no parts")
-		}
-	}()
-	Merge("x")
-}

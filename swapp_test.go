@@ -2,6 +2,7 @@ package swapp
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -89,8 +90,8 @@ func TestProjectAndValidateEndToEnd(t *testing.T) {
 	// The reproduction's acceptance envelope: well inside the paper's
 	// error regime (they report ≤15 % max; we allow slack for this
 	// single case).
-	if v.AbsErrCombined() > 30 {
-		t.Errorf("projection error %.1f%% outside the acceptable regime", v.AbsErrCombined())
+	if math.Abs(v.ErrCombined) > 30 {
+		t.Errorf("projection error %.1f%% outside the acceptable regime", math.Abs(v.ErrCombined))
 	}
 	if !strings.Contains(res.String(), "measured") {
 		t.Error("validated result string must mention the measurement")
