@@ -93,8 +93,10 @@ race:
 # table costs the heap on one reused world. Beside it, imb BenchmarkSuite is
 # the largest row of a cold request's budget: one gather's served tables at
 # 128, 64, 32 and 16 ranks through one suite per machine (hydra, power6-575),
-# measuring only what prices NAS-MZ's routines and each pairwise group shape
-# once; simulations/op counts the worlds and groups it ran.
+# measuring only what prices NAS-MZ's routines and simulating only its
+# multi-Sendrecv fits (with PingPing), each pairwise group shape once — the
+# Bcast and Reduce cells are netmodel's closed forms; simulations/op counts
+# the worlds and groups it ran (hydra 152, power6-575 228).
 bench:
 	$(GO) test -run '^$$' -bench 'RunSerial|ScoreAll|EnforceSparsity|TopK' -benchmem ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
@@ -163,7 +165,11 @@ chaos:
 	$(GO) test -race -shuffle=on -timeout 600s \
 		-run 'Chaos|Fault|Inject|Panic|Breaker|RefuseNothing|Quarantine|Degraded|Lenient|Dropped|GridGap' ./...
 
-# Statement coverage of the -short suite; CI enforces a 72% floor.
+# Statement coverage of the -short suite, and the one coverage gate (CI runs
+# this target): below 82.3 % fails, 2 points under the 84.3 % the suite
+# measured when the floor was last raised.
 cover:
 	$(GO) test -short -count=1 -coverprofile=cover.out ./...
-	$(GO) tool cover -func=cover.out | tail -1
+	@total=$$($(GO) tool cover -func=cover.out | awk '/^total:/ {sub(/%/, "", $$NF); print $$NF}'); \
+	echo "total coverage: $$total% (floor 82.3%)"; \
+	awk -v t="$$total" 'BEGIN { if (t+0 < 82.3) { print "coverage below the 82.3% floor"; exit 1 } }'

@@ -87,9 +87,6 @@ type ManagerConfig struct {
 	// process can resurrect unfinished jobs (see Journal). nil disables
 	// journalling.
 	Journal *Journal
-	// HistoryCap bounds retained progress snapshots per job (default 256,
-	// oldest dropped).
-	HistoryCap int
 	// Obs receives jobs.active / jobs.queued gauges and jobs.completed /
 	// jobs.failed counters. nil disables metrics.
 	Obs *obs.Scope
@@ -128,9 +125,6 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	if cfg.Retain <= 0 {
 		cfg.Retain = 64
-	}
-	if cfg.HistoryCap <= 0 {
-		cfg.HistoryCap = 256
 	}
 	m := &Manager{
 		cfg:  cfg,
@@ -373,13 +367,17 @@ func (m *Manager) attempt(ctx context.Context, run RunFunc, tap Tap) (result []b
 	return run(ctx, tap)
 }
 
+// historyCap bounds the progress snapshots a job retains; the oldest are
+// dropped.
+const historyCap = 256
+
 // record stores one progress snapshot: history tail, live fan-out.
 func (m *Manager) record(j *Job, s Snapshot) {
 	j.mu.Lock()
 	j.snapshots++
 	j.history = append(j.history, s)
-	if len(j.history) > m.cfg.HistoryCap {
-		j.history = j.history[len(j.history)-m.cfg.HistoryCap:]
+	if len(j.history) > historyCap {
+		j.history = j.history[len(j.history)-historyCap:]
 	}
 	snap := s
 	ev := Event{Type: "progress", Snapshot: &snap}

@@ -249,8 +249,8 @@ func TestJobRetentionEviction(t *testing.T) {
 // Concurrent progress reporting, subscription churn, and status polling
 // must be race-free (this test earns its keep under -race).
 func TestJobConcurrentProgressChaos(t *testing.T) {
-	m := NewManager(ManagerConfig{HistoryCap: 32})
-	const members, gens = 4, 50
+	m := NewManager(ManagerConfig{})
+	const members, gens = 4, 100 // more snapshots than historyCap
 	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
 		var wg sync.WaitGroup
 		for mem := 0; mem < members; mem++ {
@@ -301,7 +301,7 @@ func TestJobConcurrentProgressChaos(t *testing.T) {
 	if st.Snapshots != members*gens {
 		t.Errorf("snapshots = %d, want %d", st.Snapshots, members*gens)
 	}
-	if len(st.Progress) != 32 {
-		t.Errorf("retained history = %d, want HistoryCap 32", len(st.Progress))
+	if len(st.Progress) != historyCap {
+		t.Errorf("retained history = %d, want historyCap %d", len(st.Progress), historyCap)
 	}
 }

@@ -465,17 +465,17 @@ func TestCorrelation(t *testing.T) {
 func TestParallelPipelineMatchesSerial(t *testing.T) {
 	// The whole evaluation engine's contract: every characterisation is a
 	// pure function of its (machine, workload) key, so the fan-out in
-	// NewPipelineOpts, CharacterizeApp and the GA ensemble must yield
+	// NewPipelineCtx, CharacterizeApp and the GA ensemble must yield
 	// byte-identical data whatever the worker count.
 	base := arch.MustGet(arch.Hydra)
 	tgt := arch.MustGet(arch.Power6)
 	counts := []int{4, 8, 16}
 
-	serial, err := NewPipelineOpts(base, tgt, counts, Options{Workers: 1})
+	serial, err := NewPipelineCtx(context.Background(), base, tgt, counts, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewPipelineOpts(base, tgt, counts, Options{Workers: 8})
+	parallel, err := NewPipelineCtx(context.Background(), base, tgt, counts, Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,7 +527,7 @@ func TestParallelPipelineMatchesSerial(t *testing.T) {
 func TestNewPipelineDedupesCounts(t *testing.T) {
 	base := arch.MustGet(arch.Hydra)
 	tgt := arch.MustGet(arch.BlueGene)
-	p, err := NewPipelineOpts(base, tgt, []int{8, 4, 8, 4}, Options{Workers: 4})
+	p, err := NewPipelineCtx(context.Background(), base, tgt, []int{8, 4, 8, 4}, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestNewPipelineDedupesCounts(t *testing.T) {
 // Workers 1 start order is span order.
 func TestGatherStartOrder(t *testing.T) {
 	scope := obs.New("gather")
-	if _, err := NewPipelineOpts(arch.MustGet(arch.Hydra), arch.MustGet(arch.Power6),
+	if _, err := NewPipelineCtx(context.Background(), arch.MustGet(arch.Hydra), arch.MustGet(arch.Power6),
 		[]int{8, 2, 4}, Options{Workers: 1, Obs: scope}); err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +655,7 @@ func TestNewPipelineGathersFullTables(t *testing.T) {
 	if _, ok := served.IMBBase[ranks].PerOp[mpi.RoutineAllreduce]; ok {
 		t.Fatal("a served table measured Allreduce")
 	}
-	p, err := NewPipelineOpts(base, tgt, []int{32, ranks}, Options{Store: st})
+	p, err := NewPipelineCtx(context.Background(), base, tgt, []int{32, ranks}, Options{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -174,7 +175,7 @@ func TestPipelineDataSkipsRuns(t *testing.T) {
 		IMBTarget:  map[int]*imb.Table{4: synthTable(tgt.Name, 4, 5e-5)},
 		Defects:    []quality.Defect{loaderDefect},
 	}
-	p, err := NewPipelineOpts(base, tgt, []int{4}, Options{Data: data})
+	p, err := NewPipelineCtx(context.Background(), base, tgt, []int{4}, Options{Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestInjectedSpecDrop(t *testing.T) {
 		IMBBase:    map[int]*imb.Table{4: synthTable(base.Name, 4, 1e-4)},
 		IMBTarget:  map[int]*imb.Table{4: synthTable(tgt.Name, 4, 5e-5)},
 	}
-	p, err := NewPipelineOpts(base, tgt, []int{4}, Options{Data: data})
+	p, err := NewPipelineCtx(context.Background(), base, tgt, []int{4}, Options{Data: data})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -141,25 +141,19 @@ type Options struct {
 // core counts. This is the expensive, application-independent setup the
 // paper assumes done once per machine pair.
 func NewPipeline(base, target *arch.Machine, rankCounts []int) (*Pipeline, error) {
-	return NewPipelineOpts(base, target, rankCounts, Options{})
+	return NewPipelineCtx(context.Background(), base, target, rankCounts, Options{})
 }
 
-// NewPipelineOpts is NewPipeline with explicit options. The independent
-// characterisations — SPEC on the base, SPEC on the target, and the IMB
-// sweep per (machine, core count) — run concurrently on a bounded pool
-// with first-error propagation; every run is a pure function of its
-// (machine, workload) key, so the gathered tables are identical to the
-// serial path's.
-func NewPipelineOpts(base, target *arch.Machine, rankCounts []int, opts Options) (*Pipeline, error) {
-	return NewPipelineCtx(context.Background(), base, target, rankCounts, opts)
-}
-
-// NewPipelineCtx is NewPipelineOpts under a context: construction checks
-// ctx at every stage boundary (each SPEC suite and each per-count IMB
-// sweep), so a cancelled or deadline-expired context aborts the gather
-// promptly with ctx.Err() instead of finishing minutes of dead work. This
-// is the entry point long-running services use to honour per-request
-// deadlines.
+// NewPipelineCtx is NewPipeline with explicit options, under a context. The
+// independent characterisations — SPEC on the base, SPEC on the target,
+// and the IMB sweep per (machine, core count) — run concurrently on a
+// bounded pool with first-error propagation; every run is a pure function
+// of its (machine, workload) key, so the gathered tables are identical to
+// the serial path's. Construction checks ctx at every stage boundary
+// (each SPEC suite and each per-count IMB sweep), so a cancelled or
+// deadline-expired context aborts the gather promptly with ctx.Err()
+// instead of finishing minutes of dead work. This is the entry point
+// long-running services use to honour per-request deadlines.
 func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts []int, opts Options) (*Pipeline, error) {
 	return newPipeline(ctx, base, target, rankCounts, opts, false)
 }

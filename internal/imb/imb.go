@@ -1,7 +1,11 @@
 // Package imb implements the Intel MPI Benchmarks suite of the paper —
 // PingPong, PingPing, Sendrecv, Exchange and the collective benchmarks —
 // plus the paper's custom multi-Sendrecv benchmark (§2.2), on top of the
-// discrete-event MPI simulator.
+// discrete-event MPI simulator. The point-to-point benchmarks are simulated.
+// The collective ones and Barrier are not: the simulator fires a collective
+// at its last arrival plus netmodel's cost, so their cells are that closed
+// form, which mpi's TestCollectivesAreClosedForm holds the simulation to bit
+// for bit.
 //
 // Its product is the Eq. 3 target-machine parameter table
 //
@@ -379,8 +383,8 @@ const memoHint = 256
 // benchmarks that price routines: multi-Sendrecv's intra and inter Eq. 1
 // fits for Isend, Irecv and Waitall (with PingPing where the inter fit's
 // x = 1 needs it), PingPong for Send and Recv, and each collective's and
-// Barrier's own benchmark. A routine no benchmark prices is ignored. No
-// routines means the full suite.
+// Barrier's own benchmark, a closed form. A routine no benchmark prices is
+// ignored. No routines means the full suite.
 func NewSuite(m *arch.Machine, routines ...mpi.Routine) *Suite {
 	sel := benchmark(allBenchmarks)
 	if len(routines) > 0 {
@@ -410,7 +414,8 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 // 64-rank table spawns 13 440 ranks, not 20 736 — and a group whose
 // measurement another table of the suite has already made is not
 // simulated again: once a NAS-MZ suite has built hydra's 128-rank table,
-// its 64-, 32- and 16-rank tables simulate only their collectives.
+// its 64-, 32- and 16-rank tables simulate nothing. The collective cells
+// are netmodel's closed forms and are never simulated.
 func (s *Suite) Table(ranks int, sizes []units.Bytes) (*Table, error) {
 	if ranks < 2 {
 		return nil, fmt.Errorf("imb: need at least 2 ranks, got %d", ranks)
@@ -478,6 +483,28 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 			t.PerOp[rt] = map[units.Bytes]units.Seconds{}
 		}
 		t.PerOp[rt][size] = v
+	}
+
+	// --- collectives and Barrier: md's closed forms (see the package doc). ---
+	for _, c := range []struct {
+		b    benchmark
+		rt   mpi.Routine
+		cost func(units.Bytes, int) units.Seconds
+	}{
+		{bcast, mpi.RoutineBcast, md.Bcast},
+		{reduce, mpi.RoutineReduce, md.Reduce},
+		{allreduce, mpi.RoutineAllreduce, md.Allreduce},
+		{allgather, mpi.RoutineAllgather, md.Allgather},
+		{alltoall, mpi.RoutineAlltoall, md.Alltoall},
+	} {
+		if has(c.b) {
+			for _, size := range sizes {
+				put(c.rt, size, c.cost(size, ranks))
+			}
+		}
+	}
+	if has(barrier) {
+		put(mpi.RoutineBarrier, 0, md.Barrier(ranks))
 	}
 
 	for _, size := range sizes {
@@ -564,34 +591,6 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 			put(mpi.RoutineSendrecv, size, sr/iterations)
 		}
 
-		// --- collectives. ---
-		colls := []struct {
-			b  benchmark
-			rt mpi.Routine
-			op func(r *mpi.Rank)
-		}{
-			{bcast, mpi.RoutineBcast, func(r *mpi.Rank) { r.Bcast(0, size) }},
-			{reduce, mpi.RoutineReduce, func(r *mpi.Rank) { r.Reduce(0, size) }},
-			{allreduce, mpi.RoutineAllreduce, func(r *mpi.Rank) { r.Allreduce(size) }},
-			{allgather, mpi.RoutineAllgather, func(r *mpi.Rank) { r.Allgather(size) }},
-			{alltoall, mpi.RoutineAlltoall, func(r *mpi.Rank) { r.Alltoall(size) }},
-		}
-		for _, c := range colls {
-			if !has(c.b) {
-				continue
-			}
-			c := c
-			el, err := measure(cell{bench: c.b, size: size}, nil, func(r *mpi.Rank) {
-				for i := 0; i < iterations; i++ {
-					c.op(r)
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			put(c.rt, size, el/iterations)
-		}
-
 		// --- multi-Sendrecv: x in-flight Isend/Irecv pairs + Waitall,
 		// measured for same-node pairs and (when the job spans nodes)
 		// cross-node pairs — IMB's intra/inter cluster modes. ---
@@ -613,19 +612,6 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 			t.NBInter.Overhead = a
 			t.NBInter.InFlight[size] = b
 		}
-	}
-
-	// --- Barrier (size-independent). ---
-	if has(barrier) {
-		bar, err := measure(cell{bench: barrier}, nil, func(r *mpi.Rank) {
-			for i := 0; i < iterations; i++ {
-				r.Barrier()
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		put(mpi.RoutineBarrier, 0, bar/iterations)
 	}
 
 	return t, nil

@@ -832,18 +832,3 @@ func (r *Rank) Reduce(root int, size units.Bytes) {
 func (r *Rank) Allreduce(size units.Bytes) {
 	r.collective(RoutineAllreduce, size, r.w.Model.Allreduce(size, r.w.size))
 }
-
-// Allgather gathers size bytes from every rank to all ranks.
-func (r *Rank) Allgather(size units.Bytes) {
-	r.collective(RoutineAllgather, size, r.w.Model.Allgather(size, r.w.size))
-}
-
-// Alltoall exchanges size bytes between every rank pair.
-func (r *Rank) Alltoall(size units.Bytes) {
-	r.collective(RoutineAlltoall, size, r.w.Model.Alltoall(size, r.w.size))
-}
-
-// Barrier synchronizes all ranks.
-func (r *Rank) Barrier() {
-	r.collective(RoutineBarrier, 0, r.w.Model.Barrier(r.w.size))
-}
