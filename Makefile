@@ -23,8 +23,10 @@ fmt:
 # only where it runs something once and caches no value (internal/par,
 # internal/obs/http.go) — a cached value belongs in an lru.Cache; one
 # breaker construction, newPeerSet's — nothing breaks the evaluation's circuit;
-# and a GA that starts no goroutine and imports no internal/par: a search
-# scores serially on its ensemble member's goroutine, and the ensemble is the pool.
+# a GA that starts no goroutine and imports no internal/par: a search
+# scores serially on its ensemble member's goroutine, and the ensemble is the pool;
+# and one faultinject.Enabled( call, swappd's startup warning — no engine
+# policy branches on whether fault injection is armed.
 # The standing check these greps cannot make is a test: TestNoTestOnlyExports
 # (root package, run by `make test`, skipped under -short) type-checks the
 # module and fails on every exported internal/ symbol no non-test file uses,
@@ -47,6 +49,9 @@ invariants:
 	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'newBreaker(' $(INVARIANT_SRC) | grep -vF 'func newBreaker('); \
 	n=$$(printf '%s' "$$hits" | grep -c .); \
 	if [ "$$n" -ne 1 ] || ! printf '%s' "$$hits" | grep -q '^internal/server/peer.go:'; then echo "invariants: newBreaker( at $$n sites, want 1, newPeerSet's:"; echo "$$hits"; fail=1; fi; \
+	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'faultinject.Enabled(' $(INVARIANT_SRC)); \
+	n=$$(printf '%s' "$$hits" | grep -c .); \
+	if [ "$$n" -ne 1 ] || ! printf '%s' "$$hits" | grep -q '^cmd/swappd/main.go:'; then echo "invariants: faultinject.Enabled( at $$n sites, want 1, swappd's warning:"; echo "$$hits"; fail=1; fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -e '^[[:space:]]*go[[:space:]]+[A-Za-z_(]' -e '"repro/internal/par"' internal/ga); \
 	if [ -n "$$hits" ]; then echo "invariants: a go statement or an internal/par import in non-test internal/ga:"; echo "$$hits"; fail=1; fi; \
 	exit $$fail

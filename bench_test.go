@@ -1,8 +1,9 @@
 package swapp
 
 // The benchmark harness regenerates every table and figure of the paper's
-// evaluation (go test -bench=.) and measures the ablations DESIGN.md calls
-// out. Scientific outcomes (error percentages) are attached to each benchmark
+// evaluation (go test -bench=.) and measures the communication and
+// scaling-model ablations DESIGN.md calls out (the compute ones are
+// internal/core's). Scientific outcomes (error percentages) are attached to each benchmark
 // as custom metrics, so one run both exercises the code paths and reports the
 // reproduction numbers. Timings have one entry point, `go run ./bench`: the
 // engine's, the simulator's and the matcher's are its walk.*, des.handoff_ns
@@ -195,13 +196,16 @@ func BenchmarkMultiSendrecv(b *testing.B) {
 }
 
 // --- Ablations -------------------------------------------------------------------
+//
+// The communication and scaling-model ablations. The compute projection's
+// (GA vs NNLS, rank adjustment on vs off) need the surrogate search's
+// internals and run in internal/core's benchmarks.
 
-// ablationFixture builds one (pipeline, app, measured compute ratio) case:
-// LU-MZ class C at 16 ranks onto POWER6.
+// ablationFixture builds one (pipeline, app) case: LU-MZ class C at 16
+// ranks onto POWER6.
 type ablationFixture struct {
-	pipe     *core.Pipeline
-	app      *core.AppModel
-	measured units.Seconds // measured per-task compute on the target
+	pipe *core.Pipeline
+	app  *core.AppModel
 }
 
 var (
@@ -213,13 +217,6 @@ var (
 func ablation(b *testing.B) *ablationFixture {
 	b.Helper()
 	ablOnce.Do(func() {
-		r := evalRunner()
-		v, err := r.Validate(arch.Power6, nas.LU, nas.ClassC, 16)
-		if err != nil {
-			ablErr = err
-			return
-		}
-		abl.measured = v.MeasuredCompute
 		pipe, err := core.NewPipeline(arch.MustGet(arch.Hydra), arch.MustGet(arch.Power6), []int{4, 8, 16})
 		if err != nil {
 			ablErr = err
@@ -236,54 +233,6 @@ func ablation(b *testing.B) *ablationFixture {
 		b.Fatal(ablErr)
 	}
 	return &abl
-}
-
-// computeErr is the |%| error of a compute projection vs the measured
-// per-task compute time.
-func computeErr(cp *core.ComputeProjection, measured units.Seconds) float64 {
-	e := 100 * (cp.TargetTime - measured) / measured
-	if e < 0 {
-		return -e
-	}
-	return e
-}
-
-func BenchmarkAblationGAvsNNLS(b *testing.B) {
-	fx := ablation(b)
-	var ga, nnls *core.ComputeProjection
-	var err error
-	for i := 0; i < b.N; i++ {
-		ga, err = fx.pipe.ProjectComputeOpts(fx.app, 16, core.ComputeOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nnls, err = fx.pipe.ProjectComputeOpts(fx.app, 16, core.ComputeOptions{UseNNLS: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(computeErr(ga, fx.measured), "ga|err|%")
-	b.ReportMetric(computeErr(nnls, fx.measured), "nnls|err|%")
-	b.ReportMetric(float64(len(ga.Surrogate)), "ga_members")
-	b.ReportMetric(float64(len(nnls.Surrogate)), "nnls_members")
-}
-
-func BenchmarkAblationRankAdjust(b *testing.B) {
-	fx := ablation(b)
-	var with, without *core.ComputeProjection
-	var err error
-	for i := 0; i < b.N; i++ {
-		with, err = fx.pipe.ProjectComputeOpts(fx.app, 16, core.ComputeOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		without, err = fx.pipe.ProjectComputeOpts(fx.app, 16, core.ComputeOptions{SkipRankAdjustment: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(computeErr(with, fx.measured), "adjusted|err|%")
-	b.ReportMetric(computeErr(without, fx.measured), "unadjusted|err|%")
 }
 
 func BenchmarkAblationWaitTime(b *testing.B) {

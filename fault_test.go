@@ -4,28 +4,50 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/arch"
+	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/imb"
 	"repro/internal/quality"
 	"repro/internal/report"
+	"repro/internal/spec"
+	"repro/internal/units"
 )
 
 // TestProjectSurvivesInjectedFaults is the engine half of the acceptance
-// scenario from DESIGN.md §11: with a corrupted SPEC row (dropped target
-// benchmark), a truncated target IMB size grid, and a panic in one GA
-// fitness evaluation all armed at once, a projection still completes and
-// reports the damage in its Quality block instead of failing or crashing.
+// scenario from DESIGN.md §11: published target data that arrives degraded
+// — a SPEC suite missing one row, IMB sweeps cut short above 64 KiB — fed
+// through Request.Data like any published data, with a panic armed in one
+// GA fitness evaluation. A projection still completes and reports the
+// damage in its Quality block instead of failing or crashing.
 func TestProjectSurvivesInjectedFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline in -short mode")
 	}
+	target := arch.MustGet(TargetPower6)
+	suite, err := spec.RunSuite(target, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delete(suite, spec.SortedNames(suite)[0])
+	tables := map[int]*imb.Table{}
+	for _, c := range []int{4, 8, 16} { // the counts LU-MZ.C@16 is characterised at
+		tb, err := imb.Run(target, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cutAbove(tb, 64*units.KiB)
+		tables[c] = tb
+	}
 	defer faultinject.Disarm()
-	if err := faultinject.Arm("core.spec.target=drop#1,core.imb.target=drop#1,ga.eval=panic#1"); err != nil {
+	if err := faultinject.Arm("ga.eval=panic#1"); err != nil {
 		t.Fatal(err)
 	}
 
 	res, err := Project(Request{
 		Target: TargetPower6,
 		Bench:  LU, Class: ClassC, Ranks: 16,
+		Data: &core.PipelineData{SpecTarget: suite, IMBTarget: tables},
 	})
 	if err != nil {
 		t.Fatalf("degraded projection must complete, got: %v", err)
@@ -36,7 +58,7 @@ func TestProjectSurvivesInjectedFaults(t *testing.T) {
 
 	q := res.Projection.Quality
 	if q.Empty() {
-		t.Fatal("three armed faults left an empty Quality block")
+		t.Fatal("degraded data and an armed fault left an empty Quality block")
 	}
 	codes := map[quality.Code]bool{}
 	for _, d := range q.Defects() {
@@ -44,6 +66,9 @@ func TestProjectSurvivesInjectedFaults(t *testing.T) {
 	}
 	if !codes[quality.MissingSpecBench] {
 		t.Errorf("dropped SPEC benchmark not recorded: %v", q.Defects())
+	}
+	if !codes[quality.IMBGridGap] {
+		t.Errorf("IMB lookups above the 64 KiB cut not recorded: %v", q.Defects())
 	}
 	if !codes[quality.GAQuarantine] {
 		t.Errorf("quarantined GA evaluation not recorded: %v", q.Defects())
@@ -75,5 +100,21 @@ func TestProjectSurvivesInjectedFaults(t *testing.T) {
 	}
 	if strings.Contains(clean.String(), "quality:") {
 		t.Error("clean run prints a quality section")
+	}
+}
+
+// cutAbove deletes t's samples above max in place and keeps its declared
+// size grid: the shape of a sweep that was cut short.
+func cutAbove(t *imb.Table, max units.Bytes) {
+	ms := []map[units.Bytes]units.Seconds{t.NBIntra.InFlight, t.NBInter.InFlight}
+	for _, m := range t.PerOp {
+		ms = append(ms, m)
+	}
+	for _, m := range ms {
+		for s := range m {
+			if s > max {
+				delete(m, s)
+			}
+		}
 	}
 }

@@ -226,71 +226,81 @@ func rankingOf(groupW [6]float64) [6]int {
 	return out
 }
 
-// ComputeOptions turns off individual steps of the §2.3 pipeline, for the
-// ablation benchmarks. The zero value is the full method.
-type ComputeOptions struct {
-	// SkipRankAdjustment disables step 4 (the base→target adjustment of
-	// the metric-group ranking).
-	SkipRankAdjustment bool
-	// UseNNLS replaces the GA surrogate search (step 5) with a dense
-	// non-negative least-squares fit over the whole pool.
-	UseNNLS bool
-}
-
 // ProjectCompute runs the §2.3 compute projection for the application
 // characterised at core count ci (which must be one of the profiled
 // counts).
 func (p *Pipeline) ProjectCompute(app *AppModel, ci int) (*ComputeProjection, error) {
-	return p.ProjectComputeOpts(app, ci, ComputeOptions{})
+	return p.computeSurrogate(context.Background(), p.Obs, app, ci, nil)
 }
 
-// ProjectComputeOpts is ProjectCompute with ablation switches.
-func (p *Pipeline) ProjectComputeOpts(app *AppModel, ci int, opts ComputeOptions) (*ComputeProjection, error) {
-	return p.computeSurrogate(context.Background(), p.Obs, app, ci, opts, nil)
+// surrogateSpace is what the §2.3 surrogate search ranges over for an
+// application characterised at one core count.
+type surrogateSpace struct {
+	cp *CounterPair
+	// scales are the pool's per-dimension normalisation (metricScales).
+	scales []float64
+	// names are the benchmarks measured on both machines, sorted; pool
+	// holds their normalised base-machine character vectors, in order.
+	names []string
+	pool  [][]float64
+	// appVec is the application's normalised character vector.
+	appVec []float64
+}
+
+// surrogateSpaceAt builds the search space for app's characterisation at
+// ci. The pool is the intersection of the two machines' benchmark sets: a
+// base-only benchmark has no target runtime and cannot contribute to the
+// ratio. On complete data the intersection IS the base pool, so this is the
+// identity there; a shrunk pool was already recorded as a MissingSpecBench
+// defect when the pipeline analysed its data.
+func (p *Pipeline) surrogateSpaceAt(app *AppModel, ci int) (surrogateSpace, error) {
+	cp, ok := app.Counters[ci]
+	if !ok {
+		return surrogateSpace{}, fmt.Errorf("core: no counters at %d ranks for %s", ci, app.Name())
+	}
+	s := surrogateSpace{cp: cp, scales: metricScales(p.SpecBase)}
+	for _, name := range spec.SortedNames(p.SpecBase) {
+		if _, ok := p.SpecTarget[name]; ok {
+			s.names = append(s.names, name)
+		}
+	}
+	if len(s.names) < 2 {
+		return surrogateSpace{}, fmt.Errorf("core: surrogate pool too small: base and target share %d benchmarks", len(s.names))
+	}
+	s.pool = make([][]float64, len(s.names))
+	for i, name := range s.names {
+		rb := p.SpecBase[name]
+		s.pool[i] = normalize(rb.CharacterVector(), s.scales)
+	}
+	s.appVec = normalize(cp.CharacterVector(), s.scales)
+	return s, nil
+}
+
+// groupWeights is §2.3 steps 2–4 for the characterisation s: relate the
+// metric groups to base-machine runtime, rank them, and adjust the ranking
+// to the target.
+func (p *Pipeline) groupWeights(s surrogateSpace) [6]float64 {
+	return adjustWeightsToTarget(groupContributions(&s.cp.ST), p.SpecBase, p.SpecTarget, s.scales)
 }
 
 // computeSurrogate is the §2.3 implementation, with its span attached
 // under parent (p.Obs for direct calls, the enclosing projection's span
-// when called from project). ctx is checked before each GA ensemble
-// member, the expensive stage of the compute projection. Degraded-mode
-// fallbacks (GA quarantine) are recorded on rec (nil-safe).
-func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, opts ComputeOptions, rec *quality.Report) (*ComputeProjection, error) {
-	cp, ok := app.Counters[ci]
-	if !ok {
-		return nil, fmt.Errorf("core: no counters at %d ranks for %s", ci, app.Name())
+// when called from project). Degraded-mode fallbacks (GA quarantine) are
+// recorded on rec (nil-safe).
+func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, rec *quality.Report) (*ComputeProjection, error) {
+	s, err := p.surrogateSpaceAt(app, ci)
+	if err != nil {
+		return nil, err
 	}
-	scales := metricScales(p.SpecBase)
+	return p.searchSurrogate(ctx, parent, app, ci, s, p.groupWeights(s), rec)
+}
 
-	// Steps 2–3: relate metrics to runtime, rank the groups.
-	groupW := groupContributions(&cp.ST)
-	// Step 4: adjust the ranking to the target.
-	if !opts.SkipRankAdjustment {
-		groupW = adjustWeightsToTarget(groupW, p.SpecBase, p.SpecTarget, scales)
-	}
-	weights := metricWeights(groupW)
-
-	appVec := normalize(cp.CharacterVector(), scales)
-
-	// Step 5: GA surrogate search over the pool. The pool is the
-	// intersection of the two machines' benchmark sets: a base-only
-	// benchmark has no target runtime and cannot contribute to the ratio.
-	// On complete data the intersection IS the base pool, so this is the
-	// identity there; a shrunk pool was already recorded as a
-	// MissingSpecBench defect when the pipeline analysed its data.
-	var names []string
-	for _, name := range spec.SortedNames(p.SpecBase) {
-		if _, ok := p.SpecTarget[name]; ok {
-			names = append(names, name)
-		}
-	}
-	if len(names) < 2 {
-		return nil, fmt.Errorf("core: surrogate pool too small: base and target share %d benchmarks", len(names))
-	}
-	pool := make([][]float64, len(names))
-	for i, name := range names {
-		rb := p.SpecBase[name]
-		pool[i] = normalize(rb.CharacterVector(), scales)
-	}
+// searchSurrogate is §2.3 step 5 and Eq. 2: the GA surrogate search over
+// s under the metric-group weights groupW, and the projected compute time.
+// ctx is checked before each GA ensemble member, the expensive stage of
+// the compute projection.
+func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, s surrogateSpace, groupW [6]float64, rec *quality.Report) (*ComputeProjection, error) {
+	names := s.names
 	// Fitness: the weighted mix must match the app's behaviour, and —
 	// because performance ratios do not mix linearly the way metrics do —
 	// each member must itself behave like the app (the paper's surrogate
@@ -300,10 +310,7 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 	// shared read-only by the whole ensemble; each member's objective
 	// closes over a scratch row of its own, so members never share state.
 	const memberPenalty = 1.0
-	kern := NewEvalKernel(pool, appVec, weights, memberPenalty)
-	if opts.UseNNLS {
-		return p.nnlsProjection(app, ci, pool, appVec, weights, groupW, names)
-	}
+	kern := NewEvalKernel(s.pool, s.appVec, metricWeights(groupW), memberPenalty)
 
 	// The GA is stochastic; an ensemble of independent runs stabilises
 	// the projected ratio. The best-fitness genome is reported as the
@@ -446,6 +453,9 @@ type CCSM struct {
 // FitCCSM fits the scaling model from the app's base profiles.
 func FitCCSM(app *AppModel) (*CCSM, error) {
 	xs, ys := app.computeTimes()
+	if len(xs) == 0 {
+		return nil, errNoCounts(app)
+	}
 	if len(xs) < 2 {
 		// A single observation cannot be fitted; assume ideal strong
 		// scaling, which is exact for a fixed-work-per-rank split.
@@ -499,7 +509,7 @@ func FitACSM(app *AppModel) *ACSM {
 			allZero = false
 		}
 	}
-	if allZero {
+	if allZero && len(ys) > 0 {
 		return &ACSM{Ch: float64(app.Counts[0]), Valid: true}
 	}
 	x0, err := stats.ZeroCrossing(xs, ys)
@@ -533,84 +543,22 @@ type MemberDistance struct {
 
 // DebugMemberDistances exposes the surrogate search's view of the pool for
 // diagnostics and reporting: each benchmark's distance to the app at the
-// given characterisation count, under the adjusted metric weighting.
+// given characterisation count, under the adjusted metric weighting. It is
+// nil where the search has no pool (no counters at ci, or fewer than two
+// benchmarks shared by base and target).
 func DebugMemberDistances(p *Pipeline, app *AppModel, ci int) []MemberDistance {
-	cp := app.Counters[ci]
-	scales := metricScales(p.SpecBase)
-	groupW := groupContributions(&cp.ST)
-	groupW = adjustWeightsToTarget(groupW, p.SpecBase, p.SpecTarget, scales)
-	weights := metricWeights(groupW)
-	appVec := normalize(cp.CharacterVector(), scales)
-	var out []MemberDistance
-	for _, name := range spec.SortedNames(p.SpecBase) {
-		rb := p.SpecBase[name]
-		rt, ok := p.SpecTarget[name]
-		if !ok {
-			continue // base-only benchmark: no target ratio to report
-		}
-		v := normalize(rb.CharacterVector(), scales)
-		out = append(out, MemberDistance{
+	s, err := p.surrogateSpaceAt(app, ci)
+	if err != nil {
+		return nil
+	}
+	weights := metricWeights(p.groupWeights(s))
+	out := make([]MemberDistance, len(s.names))
+	for k, name := range s.names {
+		out[k] = MemberDistance{
 			Bench: name,
-			Dist:  stats.WeightedDistance(v, appVec, weights),
-			Ratio: rt.ST.Runtime / rb.ST.Runtime,
-		})
+			Dist:  stats.WeightedDistance(s.pool[k], s.appVec, weights),
+			Ratio: p.SpecTarget[name].ST.Runtime / p.SpecBase[name].ST.Runtime,
+		}
 	}
 	return out
-}
-
-// nnlsProjection is the GA ablation baseline: a dense non-negative
-// least-squares fit of the app's weighted metric vector over the whole
-// pool, with no sparsity and no member-similarity pressure.
-func (p *Pipeline) nnlsProjection(app *AppModel, ci int, pool [][]float64, appVec, weights []float64, groupW [6]float64, names []string) (*ComputeProjection, error) {
-	// Row-weighted design matrix: rows are metric dimensions, columns
-	// benchmarks.
-	rows := len(appVec)
-	A := make([][]float64, rows)
-	b := make([]float64, rows)
-	for j := 0; j < rows; j++ {
-		w := math.Sqrt(weights[j])
-		A[j] = make([]float64, len(pool))
-		for k := range pool {
-			A[j][k] = w * pool[k][j]
-		}
-		b[j] = w * appVec[j]
-	}
-	x, err := stats.NNLS(A, b, 20000)
-	if err != nil {
-		return nil, err
-	}
-	var wsum float64
-	for _, v := range x {
-		wsum += v
-	}
-	if wsum <= 0 {
-		return nil, fmt.Errorf("core: NNLS found no support")
-	}
-	var baseMix, targetMix float64
-	var terms []SurrogateTerm
-	for k, v := range x {
-		if v <= 1e-9 {
-			continue
-		}
-		f := v / wsum
-		baseMix += f * p.SpecBase[names[k]].ST.Runtime
-		targetMix += f * p.SpecTarget[names[k]].ST.Runtime
-		terms = append(terms, SurrogateTerm{Bench: names[k], Weight: f})
-	}
-	sort.Slice(terms, func(a, b int) bool {
-		if terms[a].Weight != terms[b].Weight {
-			return terms[a].Weight > terms[b].Weight
-		}
-		return terms[a].Bench < terms[b].Bench
-	})
-	baseTime := app.baseComputeAt(ci)
-	return &ComputeProjection{
-		Surrogate:    terms,
-		Fitness:      stats.Residual(A, x, b),
-		CharCount:    ci,
-		BaseTime:     baseTime,
-		TargetTime:   baseTime * targetMix / baseMix,
-		GroupWeights: groupW,
-		Ranking:      rankingOf(groupW),
-	}, nil
 }

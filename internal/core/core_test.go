@@ -30,7 +30,7 @@ var (
 	appLUErr  error
 )
 
-func sharedPipes(t *testing.T) (*Pipeline, *Pipeline) {
+func sharedPipes(t testing.TB) (*Pipeline, *Pipeline) {
 	t.Helper()
 	pipeOnce.Do(func() {
 		base := arch.MustGet(arch.Hydra)
@@ -46,7 +46,7 @@ func sharedPipes(t *testing.T) (*Pipeline, *Pipeline) {
 	return pipeP6, pipeBG
 }
 
-func sharedLU(t *testing.T) *AppModel {
+func sharedLU(t testing.TB) *AppModel {
 	t.Helper()
 	p, _ := sharedPipes(t)
 	appLUOnce.Do(func() {

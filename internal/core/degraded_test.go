@@ -7,12 +7,11 @@ import (
 	"testing"
 
 	"repro/internal/arch"
-	"repro/internal/faultinject"
 	"repro/internal/imb"
 	"repro/internal/mpi"
+	"repro/internal/nas"
 	"repro/internal/quality"
 	"repro/internal/spec"
-	"repro/internal/units"
 )
 
 // defectCodes extracts the codes of a report for membership checks.
@@ -198,44 +197,9 @@ func TestPipelineDataSkipsRuns(t *testing.T) {
 	}
 }
 
-// TestInjectedSpecDrop proves the core.spec.target drop point shrinks the
-// target pool on a copy and the defect surfaces in the ledger.
-func TestInjectedSpecDrop(t *testing.T) {
-	defer faultinject.Disarm()
-	base := arch.MustGet(arch.Hydra)
-	tgt := arch.MustGet(arch.Power6)
-	full := map[string]spec.Result{"a": {}, "b": {}, "c": {}, "d": {}}
-	if err := faultinject.Arm("core.spec.target=drop#1"); err != nil {
-		t.Fatal(err)
-	}
-	data := &PipelineData{
-		SpecBase:   full,
-		SpecTarget: full,
-		IMBBase:    map[int]*imb.Table{4: synthTable(base.Name, 4, 1e-4)},
-		IMBTarget:  map[int]*imb.Table{4: synthTable(tgt.Name, 4, 5e-5)},
-	}
-	p, err := NewPipelineCtx(context.Background(), base, tgt, []int{4}, Options{Data: data})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.SpecTarget) != 3 {
-		t.Errorf("drop left %d target benchmarks, want 3", len(p.SpecTarget))
-	}
-	if len(full) != 4 {
-		t.Error("injected drop mutated the caller's map")
-	}
-	codes := map[quality.Code]bool{}
-	for _, d := range p.Defects {
-		codes[d.Code] = true
-	}
-	if !codes[quality.MissingSpecBench] {
-		t.Errorf("dropped benchmark not recorded: %v", p.Defects)
-	}
-}
-
 // TestGridGapHelpers pins the imb coverage helpers the defect recording is
 // built on (full-grid lookups never gap; truncated grids gap above the
-// cut; TruncatedAbove never mutates the original).
+// cut).
 func TestGridGapHelpers(t *testing.T) {
 	tb := synthTable("m", 4, 1e-4) // Bcast at sizes 1024 and 4096
 	if tb.CoverageGap(mpi.RoutineBcast, 2048) {
@@ -244,17 +208,37 @@ func TestGridGapHelpers(t *testing.T) {
 	if tb.CoverageGap(mpi.RoutineBcast, 1<<30) {
 		t.Error("fully covered grid must never gap (clamped above)")
 	}
-	cut := tb.TruncatedAbove(1024)
+	cut := synthTable("m", 4, 1e-4)
+	delete(cut.PerOp[mpi.RoutineBcast], 4096) // the sweep stopped at 1 KiB
 	if !cut.CoverageGap(mpi.RoutineBcast, 2048) {
 		t.Error("truncated grid must gap above the cut")
 	}
 	if cut.CoverageGap(mpi.RoutineBcast, 1024) {
 		t.Error("exactly-covered size must not gap")
 	}
-	if _, ok := tb.PerOp[mpi.RoutineBcast][units.Bytes(4096)]; !ok {
-		t.Error("TruncatedAbove mutated the source table")
-	}
 	if tb.CoverageGap(mpi.RoutineSendrecv, 1024) {
 		t.Error("absent routine is a missing-routine case, not a grid gap")
+	}
+}
+
+// TestEmptyAppModelIsAnError: a hand-built AppModel (examples/customapp
+// builds one) with no profiled core count is an error naming the app from
+// every projection entry point and from the CCSM fit, never an
+// index-out-of-range panic; the ACSM fit reports no transition.
+func TestEmptyAppModelIsAnError(t *testing.T) {
+	p := synthPipeline(4, 1e-4, 5e-5)
+	app := &AppModel{Bench: "ocean", Class: nas.ClassC}
+	for name, run := range map[string]func() error{
+		"Project":    func() error { _, err := p.Project(app, 16); return err },
+		"ProjectCtx": func() error { _, err := p.ProjectCtx(context.Background(), app, 16); return err },
+		"Validate":   func() error { _, err := p.Validate(app, 16); return err },
+		"FitCCSM":    func() error { _, err := FitCCSM(app); return err },
+	} {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "ocean.C has no profiled core counts") {
+			t.Errorf("%s on an app with no counts: err = %v, want one naming ocean.C", name, err)
+		}
+	}
+	if a := FitACSM(app); a.Valid {
+		t.Errorf("FitACSM on an app with no counts = %+v, want invalid", a)
 	}
 }

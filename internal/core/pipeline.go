@@ -71,23 +71,12 @@ type Pipeline struct {
 	Defects []quality.Defect
 
 	// store, when non-nil, is the layered artifact cache characterisation
-	// and profiling resolve through (see Store). nil when the request
-	// disabled it, supplied external Data, or — checked again at each use
-	// — while fault injection is armed.
+	// and profiling resolve through (see Store). nil when the caller gave
+	// none or supplied external Data.
 	store *Store
 	// onGAProgress taps the surrogate search's per-generation progress
 	// (see Options.OnGAProgress).
 	onGAProgress func(member, gen int, best float64)
-}
-
-// storeFor returns the layer store to use right now: nil while fault
-// injection is armed, so chaos runs can neither read clean artifacts into
-// a corrupted evaluation nor publish corrupted artifacts under clean keys.
-func (p *Pipeline) storeFor() *Store {
-	if p.store == nil || faultinject.Enabled() {
-		return nil
-	}
-	return p.store
 }
 
 // PipelineData supplies pre-measured benchmark data to NewPipeline instead
@@ -124,9 +113,8 @@ type Options struct {
 	// application profiles are resolved through it instead of recomputed;
 	// the GA surrogate search always runs. Every stored artifact is a pure
 	// function of its key, so projections are byte-identical with or
-	// without a store. Ignored when Data supplies external benchmark data
-	// or while fault injection is armed — degraded inputs must never
-	// populate the clean content-addressed keys.
+	// without a store. Ignored when Data supplies external benchmark data —
+	// degraded inputs must never populate the clean content-addressed keys.
 	Store *Store
 	// OnGAProgress, when non-nil, observes the surrogate search: it is
 	// called once per evolved GA generation per ensemble member of every
@@ -175,15 +163,12 @@ func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []i
 		store:        opts.Store,
 		onGAProgress: opts.OnGAProgress,
 	}
-	if opts.Data != nil {
+	var dataDefects []quality.Defect
+	if d := opts.Data; d != nil {
 		// External data bypasses the store for this pipeline's whole
 		// lifetime: partially-supplied or degraded inputs must neither
 		// poison the shared layers nor be silently completed from them.
 		p.store = nil
-	}
-	st := p.storeFor()
-	var dataDefects []quality.Defect
-	if d := opts.Data; d != nil {
 		p.SpecBase = d.SpecBase
 		p.SpecTarget = d.SpecTarget
 		for c, t := range d.IMBBase {
@@ -213,7 +198,7 @@ func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []i
 			c := sp.Child("spec." + base.Name)
 			defer c.End()
 			var err error
-			if p.SpecBase, err = gatherSpec(ctx, st, base); err != nil {
+			if p.SpecBase, err = gatherSpec(ctx, p.store, base); err != nil {
 				return fmt.Errorf("core: SPEC on base: %w", err)
 			}
 			return nil
@@ -227,7 +212,7 @@ func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []i
 			c := sp.Child("spec." + target.Name)
 			defer c.End()
 			var err error
-			if p.SpecTarget, err = gatherSpec(ctx, st, target); err != nil {
+			if p.SpecTarget, err = gatherSpec(ctx, p.store, target); err != nil {
 				return fmt.Errorf("core: SPEC on target: %w", err)
 			}
 			return nil
@@ -254,7 +239,7 @@ func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []i
 				}
 				s := sp.Child(fmt.Sprintf("imb.%s.%d", base.Name, c))
 				defer s.End()
-				tb, err := gatherIMB(ctx, st, baseSuite, base, c, nasOnly)
+				tb, err := gatherIMB(ctx, p.store, baseSuite, base, c, nasOnly)
 				if err != nil {
 					return fmt.Errorf("core: IMB on base at %d ranks: %w", c, err)
 				}
@@ -269,7 +254,7 @@ func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []i
 				}
 				s := sp.Child(fmt.Sprintf("imb.%s.%d", target.Name, c))
 				defer s.End()
-				tt, err := gatherIMB(ctx, st, targetSuite, target, c, nasOnly)
+				tt, err := gatherIMB(ctx, p.store, targetSuite, target, c, nasOnly)
 				if err != nil {
 					return fmt.Errorf("core: IMB on target at %d: %w", c, err)
 				}
@@ -291,7 +276,6 @@ func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []i
 			p.IMBTarget[c] = imbTarget[i]
 		}
 	}
-	p.applyInjectedDrops()
 	p.Defects = p.analyzeData(dataDefects)
 	return p, nil
 }
@@ -319,32 +303,6 @@ func gatherIMB(ctx context.Context, st *Store, s *imb.Suite, m *arch.Machine, co
 	return st.imbTable(ctx, m, count, nasOnly, func() (*imb.Table, error) {
 		return s.Table(count, nil)
 	})
-}
-
-// applyInjectedDrops corrupts the gathered target-side data when the
-// corresponding faultinject points are armed: chaos tests use these to
-// prove the degraded-mode fallbacks on real pipelines without hand-built
-// fixtures. Copies are mutated, never the gathered tables.
-func (p *Pipeline) applyInjectedDrops() {
-	if !faultinject.Enabled() {
-		return
-	}
-	if faultinject.ShouldDrop("core.spec.target") && len(p.SpecTarget) > 0 {
-		names := spec.SortedNames(p.SpecTarget)
-		cp := make(map[string]spec.Result, len(p.SpecTarget))
-		for k, v := range p.SpecTarget {
-			cp[k] = v
-		}
-		delete(cp, names[0])
-		p.SpecTarget = cp
-	}
-	if faultinject.ShouldDrop("core.imb.target") && len(p.IMBTarget) > 0 {
-		cp := make(map[int]*imb.Table, len(p.IMBTarget))
-		for c, t := range p.IMBTarget {
-			cp[c] = t.TruncatedAbove(64 * units.KiB)
-		}
-		p.IMBTarget = cp
-	}
 }
 
 // analyzeData inspects the assembled benchmark data for structural
@@ -524,7 +482,6 @@ func (p *Pipeline) CharacterizeAppCtx(ctx context.Context, b nas.Benchmark, c na
 	// a request that shares this app and base machine with any prior one
 	// finds the observations already made. The worker slot lands on the
 	// span, so a trace shows how well the pool was utilised.
-	st := p.storeFor()
 	profiles := make([]*mpiprof.Profile, len(app.Counts))
 	pairs := make([]*CounterPair, len(app.Counts))
 	err := par.ForEachW(par.Workers(p.Workers), len(app.Counts), func(w, i int) error {
@@ -534,7 +491,7 @@ func (p *Pipeline) CharacterizeAppCtx(ctx context.Context, b nas.Benchmark, c na
 		ranks := app.Counts[i]
 		s := sp.ChildW(fmt.Sprintf("profile.%d", ranks), w)
 		defer s.End()
-		art, err := p.profileArtifact(ctx, st, b, c, ranks)
+		art, err := p.profileArtifact(ctx, b, c, ranks)
 		if err != nil {
 			return err
 		}
@@ -600,7 +557,7 @@ func charCountsFor(b nas.Benchmark, c nas.Class, ranks int) []int {
 // (app, class, ranks) observation on the base machine: the MPI profile
 // plus the ST/SMT counter pair. Both are pure functions of the key, so a
 // stored artifact is identical to a fresh measurement.
-func (p *Pipeline) profileArtifact(ctx context.Context, st *Store, b nas.Benchmark, c nas.Class, ranks int) (*ProfileArtifact, error) {
+func (p *Pipeline) profileArtifact(ctx context.Context, b nas.Benchmark, c nas.Class, ranks int) (*ProfileArtifact, error) {
 	fill := func() (*ProfileArtifact, error) {
 		inst, err := nas.New(nas.Config{Bench: b, Class: c, Ranks: ranks})
 		if err != nil {
@@ -616,10 +573,10 @@ func (p *Pipeline) profileArtifact(ctx context.Context, st *Store, b nas.Benchma
 		}
 		return &ProfileArtifact{Profile: res.Profile, Counters: cp}, nil
 	}
-	if st == nil {
+	if p.store == nil {
 		return fill()
 	}
-	return st.profileAt(ctx, p.Base, b, c, ranks, fill)
+	return p.store.profileAt(ctx, p.Base, b, c, ranks, fill)
 }
 
 // measureCounters collects the ST and SMT hardware-counter observations of
@@ -655,8 +612,15 @@ func (p *Pipeline) measureCounters(inst *nas.Instance, ranks int) (*CounterPair,
 	return &CounterPair{Ranks: ranks, ST: st, SMT: smt}, nil
 }
 
+// errNoCounts is the error for an application with no profiled core count:
+// nothing of it can be projected or fitted. A hand-built AppModel may
+// have none.
+func errNoCounts(a *AppModel) error {
+	return fmt.Errorf("core: %s has no profiled core counts", a.Name())
+}
+
 // nearestCount returns the profiled core count closest to ck (ties toward
-// the smaller), preferring an exact match.
+// the smaller), preferring an exact match. a must have a profiled count.
 func (a *AppModel) nearestCount(ck int) int {
 	best := a.Counts[0]
 	for _, c := range a.Counts {

@@ -75,6 +75,9 @@ func (p *Pipeline) project(ctx context.Context, parent *obs.Scope, app *AppModel
 	if err := faultinject.Fire("core.project"); err != nil {
 		return nil, err
 	}
+	if len(app.Counts) == 0 {
+		return nil, errNoCounts(app)
+	}
 	ci := app.nearestCount(ck)
 
 	// The quality report travels through every stage of this projection;
@@ -82,7 +85,7 @@ func (p *Pipeline) project(ctx context.Context, parent *obs.Scope, app *AppModel
 	rec := quality.NewReport()
 	rec.AddAll(p.Defects)
 
-	comp, err := p.computeSurrogate(ctx, sp, app, ci, ComputeOptions{}, rec)
+	comp, err := p.computeSurrogate(ctx, sp, app, ci, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -202,6 +205,9 @@ func (p *Pipeline) Validate(app *AppModel, ck int) (*Validation, error) {
 // returned an error). ValidateCtx returns once both have ended, and
 // everything after the barrier reads the two results serially.
 func (p *Pipeline) ValidateCtx(ctx context.Context, app *AppModel, ck int) (*Validation, error) {
+	if len(app.Counts) == 0 {
+		return nil, errNoCounts(app) // nothing to project: run nothing
+	}
 	sp := p.Obs.Child(fmt.Sprintf("core.validate.%s@%d", app.Name(), ck))
 	defer sp.End()
 	var (

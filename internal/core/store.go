@@ -37,7 +37,7 @@ import (
 // deterministic simulation and measurement noise is key-seeded), so a
 // projection assembled from stored artifacts is byte-identical to one
 // computed from scratch. Values are immutable once published and safe to
-// share: the pipeline copies before any mutation (see applyInjectedDrops).
+// share: the pipeline only ever reads them.
 // The store lives in memory only: a new process starts with it empty and
 // refills it on demand, so a restart is a cold start.
 //
@@ -47,9 +47,9 @@ import (
 // per layer through the configured obs scope (and from there expvar).
 //
 // A Store is optional everywhere: nil disables all layers. The pipeline
-// also bypasses it while fault injection is armed or when the request
-// supplied external benchmark data — degraded artifacts must never be
-// published under the clean content-addressed keys.
+// also bypasses it when the request supplied external benchmark data —
+// degraded artifacts must never be published under the clean
+// content-addressed keys.
 type Store struct {
 	chars    *layer[charValue]
 	profiles *layer[*ProfileArtifact]

@@ -1,6 +1,6 @@
 // Package faultinject provides named fault-injection points for chaos
 // testing the projection engine and the swappd service. Production code
-// threads Fire/ShouldDrop calls through its interesting seams (persist
+// threads Fire calls through its interesting seams (persist
 // loading, pipeline stages, GA scoring, server handlers); a test or an
 // operator arms specific points with a spec string and the next passes
 // through those points misbehave on purpose.
@@ -16,15 +16,12 @@
 //	ga.eval=panic#1                    panic on the first pass only
 //	server.eval=error                  fail every pass with an injected error
 //	core.project=delay:150ms           sleep 150ms per pass
-//	core.spec.target=drop#1            caller-interpreted data corruption
 //
 // Modes:
 //
 //	panic        Fire panics with a recognizable "faultinject:" value
 //	error        Fire returns an *InjectedError
 //	delay:DUR    Fire sleeps DUR, then returns nil
-//	drop         Fire returns nil; ShouldDrop reports true (the call site
-//	             degrades its data — drops a row, truncates a grid, …)
 //	shortwrite:N FireIO reports a partial-write fault: the call site must
 //	             write only the first N bytes, then fail (a torn frame —
 //	             what a crash mid-write leaves behind)
@@ -60,7 +57,6 @@ const (
 	ModePanic Mode = "panic"
 	ModeError Mode = "error"
 	ModeDelay Mode = "delay"
-	ModeDrop  Mode = "drop"
 	// I/O-shaped modes, reported through FireIO.
 	ModeShortWrite Mode = "shortwrite"
 	ModeENOSPC     Mode = "enospc"
@@ -145,7 +141,7 @@ func Arm(spec string) error {
 		}
 		modeStr, arg, _ := strings.Cut(rhs, ":")
 		switch Mode(modeStr) {
-		case ModePanic, ModeError, ModeDrop, ModeENOSPC, ModeCorrupt:
+		case ModePanic, ModeError, ModeENOSPC, ModeCorrupt:
 			if arg != "" {
 				return fmt.Errorf("faultinject: mode %s takes no argument (%q)", modeStr, field)
 			}
@@ -216,14 +212,13 @@ func lookup(point string) *plan {
 
 // Fire is the panic/error/delay injection point. With nothing armed it
 // costs one atomic load and returns nil. With point armed it panics,
-// returns an *InjectedError, or sleeps according to the plan; drop mode
-// does nothing here (see ShouldDrop).
+// returns an *InjectedError, or sleeps according to the plan.
 func Fire(point string) error {
 	if !enabled.Load() {
 		return nil
 	}
 	p := lookup(point)
-	if p == nil || p.mode == ModeDrop || isIO(p.mode) || !p.take() {
+	if p == nil || isIO(p.mode) || !p.take() {
 		return nil
 	}
 	switch p.mode {
@@ -267,15 +262,4 @@ func FireIO(point string) *IOFault {
 		return nil
 	}
 	return &IOFault{Point: point, Mode: p.mode, N: p.n}
-}
-
-// ShouldDrop is the data-corruption injection point: it reports whether
-// the call site should degrade its data (drop a row, truncate a grid).
-// Only a plan armed with mode drop triggers it.
-func ShouldDrop(point string) bool {
-	if !enabled.Load() {
-		return false
-	}
-	p := lookup(point)
-	return p != nil && p.mode == ModeDrop && p.take()
 }

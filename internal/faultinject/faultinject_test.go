@@ -16,9 +16,6 @@ func TestDisarmedIsFree(t *testing.T) {
 	if err := Fire("anything"); err != nil {
 		t.Errorf("disarmed Fire = %v", err)
 	}
-	if ShouldDrop("anything") {
-		t.Error("disarmed ShouldDrop = true")
-	}
 }
 
 func TestArmEmptySpecIsNoop(t *testing.T) {
@@ -38,6 +35,7 @@ func TestArmParseErrors(t *testing.T) {
 		"p=",                  // empty mode
 		"=panic",              // empty point
 		"p=explode",           // unknown mode
+		"p=drop#1",            // no data-degrading mode: degraded data is supplied as data
 		"p=panic:arg",         // panic takes no argument
 		"p=delay:nonsense",    // bad duration
 		"p=delay:-5ms",        // negative delay
@@ -104,23 +102,6 @@ func TestDelayMode(t *testing.T) {
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Errorf("delay fired after %v, want >= 30ms", d)
-	}
-}
-
-func TestDropMode(t *testing.T) {
-	defer Disarm()
-	if err := Arm("core.spec.target=drop#2"); err != nil {
-		t.Fatal(err)
-	}
-	// Fire never triggers drop plans.
-	if err := Fire("core.spec.target"); err != nil {
-		t.Errorf("Fire on a drop plan = %v", err)
-	}
-	if !ShouldDrop("core.spec.target") || !ShouldDrop("core.spec.target") {
-		t.Error("drop#2 must trigger twice")
-	}
-	if ShouldDrop("core.spec.target") {
-		t.Error("drop#2 triggered a third time")
 	}
 }
 

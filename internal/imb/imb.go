@@ -211,42 +211,6 @@ func (t *Table) NBGap(size units.Bytes) bool {
 	return gridGap(t.Sizes, t.NBIntra.InFlight, size) || gridGap(t.Sizes, t.NBInter.InFlight, size)
 }
 
-// TruncatedAbove returns a deep copy of the table with every sample at a
-// message size strictly greater than max removed, while keeping the
-// declared Sizes grid intact — the shape of a sweep that was cut short,
-// used by fault injection and partial-data tests. Lookups above max then
-// clamp to the largest surviving sample and CoverageGap reports them.
-func (t *Table) TruncatedAbove(max units.Bytes) *Table {
-	cp := &Table{
-		Machine: t.Machine,
-		Ranks:   t.Ranks,
-		Sizes:   append([]units.Bytes(nil), t.Sizes...),
-		PerOp:   map[mpi.Routine]map[units.Bytes]units.Seconds{},
-		NBIntra: NBFit{Overhead: t.NBIntra.Overhead, InFlight: map[units.Bytes]units.Seconds{}},
-		NBInter: NBFit{Overhead: t.NBInter.Overhead, InFlight: map[units.Bytes]units.Seconds{}},
-	}
-	for rt, m := range t.PerOp {
-		nm := map[units.Bytes]units.Seconds{}
-		for s, v := range m {
-			if s <= max {
-				nm[s] = v
-			}
-		}
-		cp.PerOp[rt] = nm
-	}
-	for s, v := range t.NBIntra.InFlight {
-		if s <= max {
-			cp.NBIntra.InFlight[s] = v
-		}
-	}
-	for s, v := range t.NBInter.InFlight {
-		if s <= max {
-			cp.NBInter.InFlight[s] = v
-		}
-	}
-	return cp
-}
-
 // Routines lists the measured routines in deterministic order.
 func (t *Table) Routines() []mpi.Routine {
 	out := make([]mpi.Routine, 0, len(t.PerOp))

@@ -12,10 +12,10 @@ import (
 	"repro/internal/cluster"
 )
 
-// The ring's harness (ROADMAP item 5): seeded schedules of deliveries and
-// faults against a real in-process ring, judged on the two quantities that
-// repeat exactly — the bytes served and the evaluations run. Everything that
-// could make a count depend on the run is pinned: the ring's names are fixed
+// The ring's harness: seeded schedules of deliveries and faults against a
+// real in-process ring, judged on the two quantities that repeat exactly —
+// the bytes served and the evaluations run. Everything that could make a
+// count depend on the run is pinned: the ring's names are fixed
 // strings (so its geometry is) and the clock only moves when a schedule
 // advances it. Nothing sleeps and nothing runs in the background: a peer call
 // is one attempt, made while its client waits.

@@ -156,71 +156,3 @@ func WeightedDistance(a, b, w []float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// NNLS solves min ‖A·x − b‖₂ subject to x ≥ 0 by projected gradient descent
-// with an adaptive step. It is deliberately simple: SWAPP's ablation bench
-// compares the GA surrogate search against this dense non-negative fit.
-func NNLS(A [][]float64, b []float64, iters int) ([]float64, error) {
-	rows := len(A)
-	if rows == 0 || len(b) != rows {
-		return nil, errors.New("stats: NNLS dimension mismatch")
-	}
-	cols := len(A[0])
-	x := make([]float64, cols)
-	// Lipschitz estimate: ‖A‖_F² bounds the largest eigenvalue of AᵀA.
-	var frob float64
-	for r := range A {
-		if len(A[r]) != cols {
-			return nil, errors.New("stats: NNLS ragged matrix")
-		}
-		for c := range A[r] {
-			frob += A[r][c] * A[r][c]
-		}
-	}
-	if frob == 0 {
-		return x, nil
-	}
-	step := 1 / frob
-	res := make([]float64, rows)
-	grad := make([]float64, cols)
-	for it := 0; it < iters; it++ {
-		for r := 0; r < rows; r++ {
-			res[r] = -b[r]
-			for c := 0; c < cols; c++ {
-				res[r] += A[r][c] * x[c]
-			}
-		}
-		for c := 0; c < cols; c++ {
-			grad[c] = 0
-			for r := 0; r < rows; r++ {
-				grad[c] += A[r][c] * res[r]
-			}
-		}
-		var moved float64
-		for c := 0; c < cols; c++ {
-			nx := x[c] - step*grad[c]
-			if nx < 0 {
-				nx = 0
-			}
-			moved += math.Abs(nx - x[c])
-			x[c] = nx
-		}
-		if moved < 1e-12 {
-			break
-		}
-	}
-	return x, nil
-}
-
-// Residual returns ‖A·x − b‖₂.
-func Residual(A [][]float64, x, b []float64) float64 {
-	var s float64
-	for r := range A {
-		d := -b[r]
-		for c := range x {
-			d += A[r][c] * x[c]
-		}
-		s += d * d
-	}
-	return math.Sqrt(s)
-}

@@ -153,43 +153,3 @@ func TestWeightedDistance(t *testing.T) {
 		t.Errorf("zero-weight coordinate leaked: %v", d)
 	}
 }
-
-func TestNNLSNonNegative(t *testing.T) {
-	// The unconstrained solution would need a negative coefficient.
-	A := [][]float64{{1, 1}, {1, 2}, {1, 3}}
-	b := []float64{3, 2, 1}
-	x, err := NNLS(A, b, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range x {
-		if v < 0 {
-			t.Fatalf("NNLS produced negative coefficient: %v", x)
-		}
-	}
-	// The constrained optimum must be no worse than the zero vector.
-	if zero := Residual(A, make([]float64, len(x)), b); Residual(A, x, b) > zero {
-		t.Errorf("NNLS residual %v worse than trivial %v", Residual(A, x, b), zero)
-	}
-}
-
-func TestNNLSRecoversNonNegativeTruth(t *testing.T) {
-	A := [][]float64{{1, 0, 1}, {0, 1, 1}, {1, 1, 0}, {2, 0, 1}}
-	truth := []float64{0.5, 1.5, 2}
-	b := make([]float64, len(A))
-	for r := range A {
-		for c := range truth {
-			b[r] += A[r][c] * truth[c]
-		}
-	}
-	x, err := NNLS(A, b, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range truth {
-		if !approx(x[c], truth[c], 1e-3) {
-			t.Errorf("NNLS = %v, want %v", x, truth)
-			break
-		}
-	}
-}

@@ -94,7 +94,7 @@ type Request struct {
 	// the pipeline's cost across every request that shares a machine or
 	// an (app, base) pair. Purely an amortisation — the projection is
 	// byte-identical with or without a store — and ignored when Data
-	// supplies external benchmark data or while fault injection is armed.
+	// supplies external benchmark data.
 	Store *core.Store
 	// OnGAProgress, when non-nil, taps the GA surrogate search's
 	// per-generation progress (member index, generation, running best
