@@ -97,11 +97,13 @@ race:
 # the simulator's cost of one full table, and B/op and allocs/op what a
 # table costs the heap on one reused world. Beside it, imb BenchmarkSuite is
 # the largest row of a cold request's budget: one gather's served tables at
-# 128, 64, 32 and 16 ranks through one suite per machine (hydra, power6-575),
-# measuring only what prices NAS-MZ's routines and simulating only its
-# multi-Sendrecv fits (with PingPing), each pairwise group shape once — the
-# Bcast and Reduce cells are netmodel's closed forms; simulations/op counts
-# the worlds and groups it ran (hydra 152, power6-575 228).
+# 128, 64, 32 and 16 ranks through one suite per machine (hydra, power6-575,
+# westmere-x5670, bgp), measuring only what prices NAS-MZ's routines and
+# simulating only its multi-Sendrecv fits (with PingPing) at the 7 grid sizes
+# that bracket its messages (16 KiB-1 MiB), each pairwise group shape once —
+# the Bcast and Reduce cells are netmodel's closed forms; simulations/op
+# counts the worlds and groups it ran (hydra 56, power6-575 84,
+# westmere-x5670 196, bgp 112).
 bench:
 	$(GO) test -run '^$$' -bench 'RunSerial|ScoreAll|EnforceSparsity|TopK' -benchmem ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
@@ -121,7 +123,7 @@ benchmark:
 # lenient ones that read swapp's -spec-*/-imb-* files), the WAL scanner,
 # the job-journal replay, the two HTTP request decoders — /v1/batch and
 # the single endpoints' APIRequest — IMB's grouped tables against whole-world simulation
-# (any machine, any rank count) and the MPI profiler against its
+# (any machine, any rank count, any size span) and the MPI profiler against its
 # per-rank-map reference (any event stream): native corpora plus 10s of mutation per
 # target. This is the one list of fuzz targets; CI runs `make fuzz`. The
 # batch inputs are kilobytes of JSON: left at its default the minimiser

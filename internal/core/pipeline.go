@@ -25,7 +25,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/hpm"
 	"repro/internal/imb"
-	"repro/internal/mpi"
 	"repro/internal/mpiprof"
 	"repro/internal/nas"
 	"repro/internal/obs"
@@ -147,8 +146,11 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 }
 
 // newPipeline is NewPipelineCtx. With nasOnly its IMB tables measure only
-// what prices a NAS-MZ rank's routines (nas.Routines()), under their own
-// store key: that is Prepare's gather, which projects nothing else.
+// what prices a NAS-MZ rank's routines (nas.Routines()), at the sizes its
+// messages span (nas.MessageSpan()), under their own store key: that is
+// Prepare's gather, which projects nothing else. The span is the same for
+// every NAS-MZ app, so one served table per (machine, count) serves them
+// all.
 func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []int, opts Options, nasOnly bool) (*Pipeline, error) {
 	if err := faultinject.Fire("core.pipeline"); err != nil {
 		return nil, err
@@ -224,12 +226,12 @@ func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []i
 	// pairwise group shape once across counts. Largest tables first: the
 	// biggest table started last would set the makespan, and it measures
 	// the shapes the smaller ones reuse.
-	var routines []mpi.Routine
+	var demand imb.Demand
 	if nasOnly {
-		routines = nas.Routines()
+		demand = nasDemand()
 	}
-	baseSuite := imb.NewSuite(base, routines...)
-	targetSuite := imb.NewSuite(target, routines...)
+	baseSuite := imb.NewSuite(base, demand)
+	targetSuite := imb.NewSuite(target, demand)
 	for i := len(counts) - 1; i >= 0; i-- {
 		i, c := i, counts[i]
 		if p.IMBBase[c] == nil {
@@ -278,6 +280,13 @@ func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []i
 	}
 	p.Defects = p.analyzeData(dataDefects)
 	return p, nil
+}
+
+// nasDemand is what a NAS-MZ projection reads of an IMB table: the
+// routines a rank calls, at the sizes its messages span.
+func nasDemand() imb.Demand {
+	lo, hi := nas.MessageSpan()
+	return imb.Demand{Routines: nas.Routines(), MinBytes: lo, MaxBytes: hi}
 }
 
 // gatherSpec runs (or resolves through the characterisation layer) one

@@ -97,7 +97,7 @@ func specKey(m *arch.Machine) string {
 
 // imbKey names machine m's full IMB table at count or, with nasOnly, the
 // table Prepare's gather serves, which measures only what prices
-// nas.Routines().
+// nas.Routines() at the sizes nas.MessageSpan() brackets.
 func imbKey(m *arch.Machine, count int, nasOnly bool) string {
 	if nasOnly {
 		return fmt.Sprintf("imb|%q|%d|nas", m.Name, count)

@@ -314,20 +314,22 @@ type group struct {
 type measureFunc func(c cell, groups []group, program func(r *mpi.Rank)) (units.Seconds, error)
 
 // Suite is one machine's IMB runs: the benchmarks that price its routines,
-// and every pairwise-group measurement its tables have made. A pairwise
-// benchmark is simulated one group of ranks per distinct shape rather than
-// as the whole world (see planGroups), and a group's history is a function
-// of its shape — its P2P prices — and not of the world's size, so a
-// group's makespan measured for one table is every other table's too: the
-// suite simulates each (benchmark, pairing, x, size, shape) once, whatever
-// rank counts it builds tables at. Its tables are the full suite's, less
-// the benchmarks it does not select.
+// at the sizes they are read, and every pairwise-group measurement its
+// tables have made. A pairwise benchmark is simulated one group of ranks
+// per distinct shape rather than as the whole world (see planGroups), and a
+// group's history is a function of its shape — its P2P prices — and not of
+// the world's size, so a group's makespan measured for one table is every
+// other table's too: the suite simulates each (benchmark, pairing, x, size,
+// shape) once, whatever rank counts it builds tables at. Its tables are the
+// full suite's, less the benchmarks it does not select and the simulated
+// cells outside its span.
 //
 // A Suite is safe for concurrent use. It keeps every group measurement it
 // has made: it is meant to live as long as one gather of tables.
 type Suite struct {
-	m   *arch.Machine
-	sel benchmark
+	m      *arch.Machine
+	sel    benchmark
+	lo, hi units.Bytes // Demand's span; hi 0 for every size
 
 	mu     sync.Mutex
 	shapes [][]int                    // planGroups shapes; a shape id indexes it
@@ -339,29 +341,59 @@ type Suite struct {
 // memoHint sizes a suite's memo when its first group is measured — not
 // before, so a suite whose tables all come from a store costs one small
 // allocation: at DefaultSizes a full table remembers 114–247 group
-// measurements, and a NAS-MZ gather's four served tables 152 (hydra) to 532
+// measurements, and a NAS-MZ gather's four served tables 56 (hydra) to 196
 // (westmere-x5670).
 const memoHint = 256
 
-// NewSuite returns a suite for machine m whose tables measure the
-// benchmarks that price routines: multi-Sendrecv's intra and inter Eq. 1
-// fits for Isend, Irecv and Waitall (with PingPing where the inter fit's
-// x = 1 needs it), PingPong for Send and Recv, and each collective's and
-// Barrier's own benchmark, a closed form. A routine no benchmark prices is
-// ignored. No routines means the full suite.
-func NewSuite(m *arch.Machine, routines ...mpi.Routine) *Suite {
+// Demand is what a suite's tables are read for: the routines they price
+// and the message sizes they are looked up at. Its zero value is the full
+// suite at every size.
+type Demand struct {
+	// Routines selects the benchmarks that price them: multi-Sendrecv's
+	// intra and inter Eq. 1 fits for Isend, Irecv and Waitall (with
+	// PingPing where the inter fit's x = 1 needs it), PingPong for Send
+	// and Recv, and each collective's and Barrier's own benchmark, a
+	// closed form. A routine no benchmark prices is ignored. No routines
+	// means every benchmark.
+	Routines []mpi.Routine
+	// MinBytes and MaxBytes (MinBytes ≤ MaxBytes) span the message sizes
+	// the tables are read at; MaxBytes 0 means every size. The simulated
+	// benchmarks are then measured only from the largest grid size ≤
+	// MinBytes to the smallest ≥ MaxBytes — the pairs a lookup in the span
+	// interpolates between or clamps to, so it reads what a full table
+	// would — and at the grid's last size, whose fit sets Eq. 1's
+	// overheads. The closed-form cells are filled at every size.
+	MinBytes, MaxBytes units.Bytes
+}
+
+// NewSuite returns a suite for machine m whose tables measure what d asks.
+func NewSuite(m *arch.Machine, d Demand) *Suite {
 	sel := benchmark(allBenchmarks)
-	if len(routines) > 0 {
+	if len(d.Routines) > 0 {
 		sel = 0
-		for _, rt := range routines {
+		for _, rt := range d.Routines {
 			sel |= pricedBy(rt)
 		}
 	}
-	return newSuite(m, sel)
+	return &Suite{m: m, sel: sel, lo: d.MinBytes, hi: d.MaxBytes}
 }
 
-func newSuite(m *arch.Machine, sel benchmark) *Suite {
-	return &Suite{m: m, sel: sel}
+// span returns the indices of the first and last of sizes (ascending) that
+// the suite's span brackets.
+func (s *Suite) span(sizes []units.Bytes) (first, last int) {
+	first, last = 0, len(sizes)-1
+	if s.hi == 0 {
+		return first, last
+	}
+	for i, size := range sizes {
+		if size <= s.lo {
+			first = i
+		}
+	}
+	for i := last; i >= 0 && sizes[i] >= s.hi; i-- {
+		last = i
+	}
+	return first, last
 }
 
 // Run executes the full suite on machine m with the given rank count and
@@ -369,7 +401,7 @@ func newSuite(m *arch.Machine, sel benchmark) *Suite {
 // one-table Suite. Its few hundred measurements are independent
 // simulations run one after another on one world, reset before each.
 func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
-	return NewSuite(m).Table(ranks, sizes)
+	return NewSuite(m, Demand{}).Table(ranks, sizes)
 }
 
 // Table measures the suite's benchmarks at the given rank count and size
@@ -379,7 +411,9 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 // measurement another table of the suite has already made is not
 // simulated again: once a NAS-MZ suite has built hydra's 128-rank table,
 // its 64-, 32- and 16-rank tables simulate nothing. The collective cells
-// are netmodel's closed forms and are never simulated.
+// are netmodel's closed forms and are never simulated. A suite with a span
+// leaves the simulated benchmarks' cells outside it absent, while the
+// table's Sizes stay the declared grid.
 func (s *Suite) Table(ranks int, sizes []units.Bytes) (*Table, error) {
 	if ranks < 2 {
 		return nil, fmt.Errorf("imb: need at least 2 ranks, got %d", ranks)
@@ -471,8 +505,11 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 		put(mpi.RoutineBarrier, 0, md.Barrier(ranks))
 	}
 
-	for _, size := range sizes {
-		size := size
+	first, last := s.span(sizes)
+	for i, size := range sizes {
+		if (i < first || i > last) && i != len(sizes)-1 {
+			continue
+		}
 		// --- blocking point-to-point: PingPong (half round trip). ---
 		if has(pingPong) {
 			pp, err := measure(cell{bench: pingPong, pair: distant, size: size}, distantGroups, func(r *mpi.Rank) {

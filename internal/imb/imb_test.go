@@ -1,8 +1,11 @@
 package imb
 
 import (
+	"fmt"
+	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -270,7 +273,7 @@ func measureFresh(m *arch.Machine, ranks int) measureFunc {
 
 // run is the full suite over any way of taking one measurement.
 func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (*Table, error) {
-	return NewSuite(m).table(ranks, sizes, measure)
+	return NewSuite(m, Demand{}).table(ranks, sizes, measure)
 }
 
 // TestReusedWorldMatchesFreshWorlds holds Run, which resets one world
@@ -398,15 +401,57 @@ func restrict(t *Table, sel benchmark) *Table {
 // nasSelection is what a suite for nas.Routines() measures.
 const nasSelection = multiSendrecv | bcast | reduce
 
+// nasDemand is what a gather's suites are asked for: NAS-MZ's routines at
+// the sizes its messages span.
+func nasDemand() Demand {
+	lo, hi := nas.MessageSpan()
+	return Demand{Routines: nas.Routines(), MinBytes: lo, MaxBytes: hi}
+}
+
+// outside deletes, in place, t's simulated cells at the sizes a suite with
+// span [lo, hi] (hi 0 for none) does not simulate: every size below the
+// largest grid size ≤ lo and above the smallest ≥ hi, except the grid's
+// last. The closed-form cells stay.
+func outside(t *Table, lo, hi units.Bytes) {
+	if hi == 0 {
+		return
+	}
+	grid := t.Sizes
+	from, to := grid[0], grid[len(grid)-1]
+	for _, s := range grid {
+		if s <= lo {
+			from = s
+		}
+	}
+	if i := slices.IndexFunc(grid, func(s units.Bytes) bool { return s >= hi }); i >= 0 {
+		to = grid[i]
+	}
+	ms := []map[units.Bytes]units.Seconds{t.NBIntra.InFlight, t.NBInter.InFlight}
+	for _, rt := range []mpi.Routine{mpi.RoutineSend, mpi.RoutineRecv, mpi.RoutineSendrecv, PingPing, Exchange} {
+		if m := t.PerOp[rt]; m != nil {
+			ms = append(ms, m)
+		}
+	}
+	for _, m := range ms {
+		for s := range m {
+			if (s < from || s > to) && s != grid[len(grid)-1] {
+				delete(m, s)
+			}
+		}
+	}
+}
+
 // FuzzGroupedTable holds a suite's tables to the whole-world reference on
-// any machine, any two rank counts built in either order by one suite, and
-// any selection of benchmarks, on a grid with eager and rendezvous sizes
-// on every machine: each table must be the full fresh-world table less the
-// benchmarks the suite does not select. The seeds are the shapes grouping
-// has to get right — one node, full nodes, a partial last node with an
-// odd rank sitting out, groups of two hop shapes, one group chained across
+// any machine, any two rank counts built in either order by one suite, any
+// selection of benchmarks and any span of sizes, on a grid with eager and
+// rendezvous sizes on every machine: each table must be the full
+// fresh-world table less the benchmarks the suite does not select and the
+// simulated cells outside its span. The seeds are the shapes grouping has
+// to get right — one node, full nodes, a partial last node with an odd
+// rank sitting out, groups of two hop shapes, one group chained across
 // every node — each built twice (the second time from the suite's memory
-// alone), and pairs of counts whose groups share shapes.
+// alone), pairs of counts whose groups share shapes, and NAS-MZ's span, a
+// span between grid sizes and one that leaves the last size apart.
 func FuzzGroupedTable(f *testing.F) {
 	machines := []string{arch.Hydra, arch.Power6, arch.BlueGene, arch.Westmere}
 	for _, s := range []struct {
@@ -420,25 +465,29 @@ func FuzzGroupedTable(f *testing.F) {
 		// Two hop shapes; one chained group.
 		{2, 48}, {2, 96}, {3, 128},
 	} {
-		f.Add(s.machine, s.ranks, s.ranks, uint16(0))
+		f.Add(s.machine, s.ranks, s.ranks, uint16(0), uint32(0), uint32(0))
 	}
 	// Counts sharing shapes, largest first as a gather builds them and
-	// smallest first, with every benchmark and with a NAS-MZ selection.
+	// smallest first, with every benchmark and with a NAS-MZ selection
+	// over a span.
+	lo, hi := nas.MessageSpan()
 	for _, s := range []struct {
 		machine       uint8
 		first, second uint8
-	}{{0, 32, 128}, {1, 64, 128}, {2, 16, 64}, {3, 13, 48}} {
-		f.Add(s.machine, s.first, s.second, uint16(allBenchmarks))
-		f.Add(s.machine, s.second, s.first, uint16(nasSelection))
+		lo, hi        uint32
+	}{{0, 32, 128, uint32(lo), uint32(hi)}, {1, 64, 128, 2000, 20000}, {2, 16, 64, 1024, 1024}, {3, 13, 48, 8, 1000}} {
+		f.Add(s.machine, s.first, s.second, uint16(allBenchmarks), s.lo, s.hi)
+		f.Add(s.machine, s.second, s.first, uint16(nasSelection), s.lo, s.hi)
 	}
 	sizes := []units.Bytes{8, 1 * units.KiB, 16 * units.KiB, 64 * units.KiB}
-	f.Fuzz(func(t *testing.T, machine, first, second uint8, mask uint16) {
+	f.Fuzz(func(t *testing.T, machine, first, second uint8, mask uint16, lo, hi uint32) {
 		m := arch.MustGet(machines[int(machine)%len(machines)])
 		sel := benchmark(mask) & allBenchmarks
 		if sel == 0 {
 			sel = allBenchmarks
 		}
-		s := newSuite(m, sel)
+		lo, hi = min(lo, hi), max(lo, hi)
+		s := &Suite{m: m, sel: sel, lo: units.Bytes(lo), hi: units.Bytes(hi)}
 		for _, ranks := range []uint8{first, second} {
 			n := int(ranks)
 			if n < 2 || n > 128 {
@@ -452,8 +501,10 @@ func FuzzGroupedTable(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, restrict(want, sel)) {
-				t.Errorf("%s@%d (counts %d then %d, selection %#x): suite table differs from the whole-world reference", m.Name, n, first, second, sel)
+			want = restrict(want, sel)
+			outside(want, units.Bytes(lo), units.Bytes(hi))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s@%d (counts %d then %d, selection %#x, span %d–%d B): suite table differs from the whole-world reference", m.Name, n, first, second, sel, lo, hi)
 			}
 		}
 	})
@@ -465,7 +516,7 @@ func FuzzGroupedTable(f *testing.F) {
 func TestSuiteTablesConcurrently(t *testing.T) {
 	m := arch.MustGet(arch.Hydra)
 	counts := []int{64, 48, 32, 16}
-	s := NewSuite(m, nas.Routines()...)
+	s := NewSuite(m, nasDemand())
 	got := make([]*Table, len(counts))
 	errs := make([]error, len(counts))
 	var wg sync.WaitGroup
@@ -481,7 +532,7 @@ func TestSuiteTablesConcurrently(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		want, err := NewSuite(m, nas.Routines()...).Table(ranks, smallSizes())
+		want, err := NewSuite(m, nasDemand()).Table(ranks, smallSizes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -494,23 +545,24 @@ func TestSuiteTablesConcurrently(t *testing.T) {
 // servedCounts are the counts a BT-MZ.C gather builds, in its start order.
 var servedCounts = []int{128, 64, 32, 16}
 
-// TestSuiteSimulationsPerGather pins what one gather's two suites simulate
-// for NAS-MZ: hydra's and power6-575's tables at servedCounts, built in
-// that order by one suite per machine. Full tables, one suite each as Run
-// builds them, simulate 779 and 722 worlds and groups there; the served
-// suites measure only multi-Sendrecv and PingPing (Bcast and Reduce are
-// closed forms, not simulations), and a group whose shape another table has
-// measured is not simulated again.
+// TestSuiteSimulationsPerGather pins what one gather's suite simulates for
+// NAS-MZ on each machine: its tables at servedCounts, built in that order
+// by one suite. Full tables, one suite each as Run builds them, simulate
+// full worlds and groups; the served suites measure only multi-Sendrecv and
+// PingPing (Bcast and Reduce are closed forms, not simulations), only at
+// the 7 of DefaultSizes' 19 sizes that bracket NAS-MZ's messages, and a
+// group whose shape another table has measured is not simulated again.
+// Over the whole grid the same selection simulates 152, 228, 532 and 304.
 func TestSuiteSimulationsPerGather(t *testing.T) {
 	for _, c := range []struct {
 		machine    string
 		full, want int64
-	}{{arch.Hydra, 779, 152}, {arch.Power6, 722, 228}} {
+	}{{arch.Hydra, 779, 56}, {arch.Power6, 722, 84}, {arch.Westmere, 1140, 196}, {arch.BlueGene, 836, 112}} {
 		m := arch.MustGet(c.machine)
 		var full int64
-		served := NewSuite(m, nas.Routines()...)
+		served := NewSuite(m, nasDemand())
 		for _, ranks := range servedCounts {
-			one := NewSuite(m)
+			one := NewSuite(m, Demand{})
 			if _, err := one.Table(ranks, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -521,6 +573,91 @@ func TestSuiteSimulationsPerGather(t *testing.T) {
 		}
 		if got := served.sims.Load(); full != c.full || got != c.want {
 			t.Errorf("%s: %d simulations for full tables and %d served, want %d and %d", c.machine, full, got, c.full, c.want)
+		}
+	}
+}
+
+// TestServedSpanMatchesFullGrid holds a gather's tables, simulated only
+// over NAS-MZ's span, to the same suite's tables over the whole grid, on
+// every machine at servedCounts: every cell the span table simulates is
+// the full grid's, bit for bit, and exactly the 7 sizes from 16 KiB to
+// 1 MiB are simulated; the Eq. 1 overheads are equal; every Eq. 1 lookup
+// anywhere in the span — at both ends, at each NAS-MZ app's smallest and
+// largest face and at sizes between — reads the same bits; the Bcast and
+// Reduce lookups NAS-MZ makes (8–40 B) are equal; and NBGap is false in the
+// span and true below it.
+func TestServedSpanMatchesFullGrid(t *testing.T) {
+	lo, hi := nas.MessageSpan()
+	// Each NAS-MZ app's smallest and largest face: BT-MZ, SP-MZ and LU-MZ,
+	// classes C and D.
+	faces := []units.Bytes{20160, 129920, 43520, 269280, 44800, 67200, 103360, 138720, 179200, 268800, 826880, 1109760}
+	for s := float64(lo); s <= float64(hi); s *= 1.07 {
+		faces = append(faces, units.Bytes(s))
+	}
+	var simulated []units.Bytes
+	for _, s := range DefaultSizes() {
+		if s >= 16*units.KiB {
+			simulated = append(simulated, s)
+		}
+	}
+	for _, machine := range []string{arch.Hydra, arch.Power6, arch.Westmere, arch.BlueGene} {
+		m := arch.MustGet(machine)
+		span, grid := NewSuite(m, nasDemand()), NewSuite(m, Demand{Routines: nas.Routines()})
+		for _, ranks := range servedCounts {
+			got, err := span.Table(ranks, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := grid.Table(ranks, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s@%d", machine, ranks)
+			if !slices.Equal(got.Sizes, want.Sizes) || !reflect.DeepEqual(got.PerOp, want.PerOp) {
+				t.Errorf("%s: sizes or closed-form cells differ from the full grid's", name)
+			}
+			for _, fit := range []struct {
+				name      string
+				got, want NBFit
+			}{{"intra", got.NBIntra, want.NBIntra}, {"inter", got.NBInter, want.NBInter}} {
+				if fit.got.Overhead != fit.want.Overhead {
+					t.Errorf("%s: %s overhead %v, full grid %v", name, fit.name, fit.got.Overhead, fit.want.Overhead)
+				}
+				if keys := slices.Sorted(maps.Keys(fit.got.InFlight)); !slices.Equal(keys, simulated) {
+					t.Errorf("%s: %s fit simulated at %v, want %v", name, fit.name, keys, simulated)
+				}
+				for size, v := range fit.got.InFlight {
+					if v != fit.want.InFlight[size] {
+						t.Errorf("%s: %s in-flight at %d B is %v, full grid %v", name, fit.name, size, v, fit.want.InFlight[size])
+					}
+				}
+			}
+			for _, size := range faces {
+				if got.TransferNB(size, 1.5, 2.5) != want.TransferNB(size, 1.5, 2.5) ||
+					got.InFlightIntra(size) != want.InFlightIntra(size) || got.InFlightInter(size) != want.InFlightInter(size) {
+					t.Errorf("%s: Eq. 1 lookup at %d B differs from the full grid's", name, size)
+				}
+				if got.NBGap(size) {
+					t.Errorf("%s: NBGap at %d B, inside the span", name, size)
+				}
+			}
+			for _, rt := range []mpi.Routine{mpi.RoutineBcast, mpi.RoutineReduce} {
+				for _, size := range []units.Bytes{8, 24, 40} {
+					g, errG := got.Time(rt, size)
+					w, errW := want.Time(rt, size)
+					if errG != nil || errW != nil {
+						t.Fatal(errG, errW)
+					}
+					if g != w {
+						t.Errorf("%s: %s at %d B is %v, full grid %v", name, rt, size, g, w)
+					}
+				}
+			}
+			for _, size := range []units.Bytes{4, 1000, 8 * units.KiB, 12 * units.KiB} {
+				if !got.NBGap(size) {
+					t.Errorf("%s: no NBGap at %d B, below the span", name, size)
+				}
+			}
 		}
 	}
 }
@@ -543,17 +680,17 @@ func BenchmarkRun(b *testing.B) {
 	}
 }
 
-// BenchmarkSuite is one gather's IMB tables for a NAS-MZ request on hydra
-// and on power6-575: the served tables at servedCounts through one suite
-// per machine. simulations/op counts the worlds and groups it ran.
+// BenchmarkSuite is one gather's IMB tables for a NAS-MZ request on each
+// machine: the served tables at servedCounts through one suite.
+// simulations/op counts the worlds and groups it ran.
 func BenchmarkSuite(b *testing.B) {
-	for _, machine := range []string{arch.Hydra, arch.Power6} {
+	for _, machine := range []string{arch.Hydra, arch.Power6, arch.Westmere, arch.BlueGene} {
 		b.Run(machine, func(b *testing.B) {
 			m := arch.MustGet(machine)
 			b.ReportAllocs()
 			var sims int64
 			for i := 0; i < b.N; i++ {
-				s := NewSuite(m, nas.Routines()...)
+				s := NewSuite(m, nasDemand())
 				for _, ranks := range servedCounts {
 					if _, err := s.Table(ranks, nil); err != nil {
 						b.Fatal(err)
@@ -588,7 +725,7 @@ func TestMultiSendrecvSlopeLaw(t *testing.T) {
 		{arch.BlueGene, 4e-3, 3e-15, false},
 	} {
 		m := arch.MustGet(c.machine)
-		s := NewSuite(m, nas.Routines()...)
+		s := NewSuite(m, Demand{Routines: nas.Routines()})
 		var worstIntra, worstInter float64
 		for _, ranks := range []int{128, 64, 32, 16, 2} {
 			tab, err := s.Table(ranks, nil)

@@ -423,3 +423,45 @@ func TestExchangeListsSizedExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestMessageSpanCoversEveryRequest holds MessageSpan to every instance a
+// request can name — each benchmark and class at every rank count from 2 to
+// MaxRanks: every rank sends and receives at least one face (so no Waitall
+// is priced at 0 B), and every face lies inside the span; and both of the
+// span's ends are sent. The IMB tables a NAS-MZ
+// projection is served measure only the sizes bracketing the span, so this
+// is what keeps every lookup on a measured pair.
+func TestMessageSpanCoversEveryRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lays out ~2 600 instances")
+	}
+	lo, hi := MessageSpan()
+	if lo != 20160 || hi != 1109760 {
+		t.Errorf("MessageSpan() = %d, %d B, want 20160, 1109760", lo, hi)
+	}
+	var sawLo, sawHi bool
+	for _, b := range Benchmarks() {
+		for _, c := range Classes() {
+			for ranks := 2; ranks <= MaxRanks(b, c); ranks++ {
+				inst, err := New(Config{Bench: b, Class: c, Ranks: ranks})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < ranks; r++ {
+					if len(inst.sends[r]) == 0 || len(inst.recvs[r]) == 0 {
+						t.Fatalf("%s: rank %d sends %d and receives %d faces", inst.Cfg, r, len(inst.sends[r]), len(inst.recvs[r]))
+					}
+					for _, m := range inst.sends[r] {
+						if m.bytes < lo || m.bytes > hi {
+							t.Fatalf("%s: rank %d sends %d B, outside the span %d–%d B", inst.Cfg, r, m.bytes, lo, hi)
+						}
+						sawLo, sawHi = sawLo || m.bytes == lo, sawHi || m.bytes == hi
+					}
+				}
+			}
+		}
+	}
+	if !sawLo || !sawHi {
+		t.Errorf("no instance sends the span's ends: %d B sent %v, %d B sent %v", lo, sawLo, hi, sawHi)
+	}
+}

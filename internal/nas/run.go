@@ -2,6 +2,7 @@ package nas
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/arch"
@@ -146,6 +147,38 @@ func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seco
 // in name order. They are the same for every benchmark and class.
 func Routines() []mpi.Routine {
 	return []mpi.Routine{mpi.RoutineBcast, mpi.RoutineIrecv, mpi.RoutineIsend, mpi.RoutineReduce, mpi.RoutineWaitall}
+}
+
+// MessageSpan is the smallest and largest point-to-point message any
+// instance sends, over every benchmark, class and rank count: a zone
+// face's ghost layer. A face is sent whenever its two zones sit on
+// different ranks, so the span is that of every face of every zone — what
+// one zone per rank sends — and zone geometry alone fixes it. A Waitall's
+// mean message size lies inside it too.
+func MessageSpan() (lo, hi units.Bytes) { return spanLo, spanHi }
+
+var spanLo, spanHi = messageSpan()
+
+func messageSpan() (lo, hi units.Bytes) {
+	lo = math.MaxInt64
+	for _, b := range Benchmarks() {
+		for _, c := range Classes() {
+			spec, err := SpecFor(b, c)
+			if err != nil {
+				panic(err)
+			}
+			inst := &Instance{Spec: spec}
+			inst.buildZones()
+			inst.Owner = make([]int, len(inst.Zones))
+			for zi := range inst.Owner {
+				inst.Owner[zi] = zi
+			}
+			inst.forEachFace(func(_, _ int, m faceMsg) {
+				lo, hi = min(lo, m.bytes), max(hi, m.bytes)
+			})
+		}
+	}
+	return lo, hi
 }
 
 // Run is a convenience wrapper: lay out and execute cfg on machine m.
