@@ -1,6 +1,9 @@
 // Command imbrun runs the IMB benchmark suite (plus the paper's custom
 // multi-Sendrecv) on a simulated machine and prints the Eq. 3 parameter
-// table SWAPP's communication projection consumes.
+// table SWAPP's communication projection consumes: one column per measured
+// routine — IMB_PingPing, Allreduce, Bcast, Recv, Reduce, Send and Sendrecv,
+// the benchmarks that price a routine the simulated MPI runs (no Exchange,
+// Allgather, Alltoall or Barrier) — then the Eq. 1 non-blocking fit.
 //
 // Usage:
 //

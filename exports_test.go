@@ -31,6 +31,9 @@ var testOnlyAllowlist = map[string]string{
 	"core.DebugMemberDistances":        "kept for the surrogate-coverage diagnostic of ROADMAP item 8 (c)",
 	"lru.(*Cache).Len":                 "the core layer and server result-cache tests read a cache's exact occupancy through it; the _size gauges hold only the size at the last fill's end",
 	"workload.(*Signature).ScaledWork": "the hpm tests scale a signature's work through it",
+	"netmodel.(*Model).Allgather":      "mpi's test-only Allgather prices itself through it, and the pinned digests of TestRandomProgramsOrderPinned and TestQueuedPostsOrderPinned run that collective",
+	"netmodel.(*Model).Alltoall":       "mpi's test-only Alltoall prices itself through it, and the pinned digests of TestRandomProgramsOrderPinned and TestQueuedPostsOrderPinned run that collective",
+	"netmodel.(*Model).Barrier":        "mpi's test-only Barrier prices itself through it, and the pinned digests of TestRandomProgramsOrderPinned and TestQueuedPostsOrderPinned run that collective",
 }
 
 // TestNoTestOnlyExports fails on every exported internal/ symbol — a

@@ -297,18 +297,6 @@ func mapRoutineTransfer(rt mpi.Routine, agg *mpiprof.RoutineProfile, baseT, targ
 		}
 		return agg.Elapsed, agg.Elapsed * ratio
 
-	case mpi.RoutineBarrier:
-		if baseT.PerOp[mpi.RoutineBarrier] == nil || targetT.PerOp[mpi.RoutineBarrier] == nil {
-			rec.Add(quality.Defect{
-				Code: quality.DroppedMPIRoutine, Component: quality.Comm, Severity: quality.Major,
-				Detail: "MPI_Barrier not measured in the IMB tables; its elapsed treated as pure WaitTime",
-			})
-			return 0, 0
-		}
-		base = units.Seconds(agg.Calls) * baseT.BarrierTime()
-		target = units.Seconds(agg.Calls) * targetT.BarrierTime()
-		return base, target
-
 	default:
 		// Direct Eq. 3 lookup per message size (PingPong's entries are
 		// under Send and Recv).

@@ -279,9 +279,11 @@ func TestStoreConcurrentEvictionUnderFill(t *testing.T) {
 // servedPin that of the 32-rank table a gather serves (NAS-MZ's routines,
 // simulated only at the sizes bracketing its messages), all in persist
 // wire form, as the simulator produced them when the pins were last
-// recorded.
+// recorded. simulatorPin was last re-recorded when the full suite dropped
+// Exchange, Allgather, Alltoall and Barrier: it is the previous full
+// table's sum with those four rows deleted, every other cell unchanged.
 const (
-	simulatorPin = "5683f3bf851e45e8e9e6dcde4db3121ca59a149b3f014d6785cf621d0afecbcc"
+	simulatorPin = "e6aa7e7651e575b11dff8f221bb79d0e78da9ff37c806fcb08f446007cc1db63"
 	servedPin    = "5d5cc90e00ac63b50155dc954b4563bb8ed4954dae366d3c3f2f5fe6409e5761"
 )
 

@@ -1,11 +1,11 @@
-// Package imb implements the Intel MPI Benchmarks suite of the paper —
-// PingPong, PingPing, Sendrecv, Exchange and the collective benchmarks —
-// plus the paper's custom multi-Sendrecv benchmark (§2.2), on top of the
-// discrete-event MPI simulator. The point-to-point benchmarks are simulated.
-// The collective ones and Barrier are not: the simulator fires a collective
-// at its last arrival plus netmodel's cost, so their cells are that closed
-// form, which mpi's TestCollectivesAreClosedForm holds the simulation to bit
-// for bit.
+// Package imb implements the Intel MPI Benchmarks of the paper that price a
+// routine the MPI simulator runs — PingPong, PingPing, Sendrecv and the
+// Bcast, Reduce and Allreduce collectives — plus the paper's custom
+// multi-Sendrecv benchmark (§2.2), on top of the discrete-event MPI
+// simulator. The point-to-point benchmarks are simulated. The collective
+// ones are not: the simulator fires a collective at its last arrival plus
+// netmodel's cost, so their cells are that closed form, which mpi's
+// TestCollectivesAreClosedForm holds the simulation to bit for bit.
 //
 // Its product is the Eq. 3 target-machine parameter table
 //
@@ -36,15 +36,9 @@ import (
 // 1 MiB.
 func DefaultSizes() []units.Bytes { return units.Pow2Sizes(4, 1*units.MiB) }
 
-// Synthetic routine labels for IMB patterns that have no single MPI
-// routine name. They appear as PerOp table keys alongside the real
-// routines.
-const (
-	// PingPing is the simultaneous bidirectional point-to-point pattern.
-	PingPing mpi.Routine = "IMB_PingPing"
-	// Exchange is the two-neighbour halo pattern.
-	Exchange mpi.Routine = "IMB_Exchange"
-)
+// PingPing is the PerOp key of IMB's simultaneous bidirectional
+// point-to-point pattern, which has no single MPI routine name.
+const PingPing mpi.Routine = "IMB_PingPing"
 
 // iterations per (benchmark, size) measurement. The simulator is
 // deterministic, so a handful suffices to average out pipeline fill.
@@ -192,14 +186,10 @@ func gridGap(grid []units.Bytes, m map[units.Bytes]units.Seconds, size units.Byt
 // CoverageGap reports whether a Time lookup for routine at size had to
 // extrapolate across a hole in the declared size grid (a degraded answer
 // worth a quality defect). A routine absent from the table is not a grid
-// gap — that is a missing-routine defect, recorded elsewhere. Routines
-// measured off-grid (Barrier, at size 0) never report gaps.
+// gap — that is a missing-routine defect, recorded elsewhere.
 func (t *Table) CoverageGap(routine mpi.Routine, size units.Bytes) bool {
 	m, ok := t.PerOp[routine]
 	if !ok {
-		return false
-	}
-	if routine == mpi.RoutineBarrier {
 		return false
 	}
 	return gridGap(t.Sizes, m, size)
@@ -227,22 +217,17 @@ type benchmark uint16
 const (
 	pingPong      benchmark = 1 << iota // PerOp Send and Recv
 	pingPing                            // PerOp PingPing
-	exchange                            // PerOp Exchange
 	sendrecv                            // PerOp Sendrecv
 	bcast                               // PerOp Bcast
 	reduce                              // PerOp Reduce
 	allreduce                           // PerOp Allreduce
-	allgather                           // PerOp Allgather
-	alltoall                            // PerOp Alltoall
 	multiSendrecv                       // NBIntra and NBInter
-	barrier                             // PerOp Barrier
 
 	allBenchmarks = 1<<iota - 1
 )
 
 // pricedBy names the benchmark whose measurements price routine rt, 0 for
-// none. Exchange and PingPing price no routine: only the full suite
-// measures them.
+// none. PingPing prices no routine: only the full suite keeps its cells.
 func pricedBy(rt mpi.Routine) benchmark {
 	switch rt {
 	case mpi.RoutineIsend, mpi.RoutineIrecv, mpi.RoutineWaitall:
@@ -257,12 +242,6 @@ func pricedBy(rt mpi.Routine) benchmark {
 		return reduce
 	case mpi.RoutineAllreduce:
 		return allreduce
-	case mpi.RoutineAllgather:
-		return allgather
-	case mpi.RoutineAlltoall:
-		return alltoall
-	case mpi.RoutineBarrier:
-		return barrier
 	}
 	return 0
 }
@@ -352,9 +331,9 @@ type Demand struct {
 	// Routines selects the benchmarks that price them: multi-Sendrecv's
 	// intra and inter Eq. 1 fits for Isend, Irecv and Waitall (with
 	// PingPing where the inter fit's x = 1 needs it), PingPong for Send
-	// and Recv, and each collective's and Barrier's own benchmark, a
-	// closed form. A routine no benchmark prices is ignored. No routines
-	// means every benchmark.
+	// and Recv, Sendrecv's ring for Sendrecv, and each collective's own
+	// benchmark, a closed form. A routine no benchmark prices is ignored.
+	// No routines means every benchmark: the full suite.
 	Routines []mpi.Routine
 	// MinBytes and MaxBytes (MinBytes ≤ MaxBytes) span the message sizes
 	// the tables are read at; MaxBytes 0 means every size. The simulated
@@ -407,7 +386,7 @@ func Run(m *arch.Machine, ranks int, sizes []units.Bytes) (*Table, error) {
 // Table measures the suite's benchmarks at the given rank count and size
 // grid (nil for DefaultSizes) on one world, reset before each simulation.
 // A pairwise benchmark runs one group per distinct shape — hydra's full
-// 64-rank table spawns 13 440 ranks, not 20 736 — and a group whose
+// 64-rank table spawns 5 472 ranks, not 12 160 — and a group whose
 // measurement another table of the suite has already made is not
 // simulated again: once a NAS-MZ suite has built hydra's 128-rank table,
 // its 64-, 32- and 16-rank tables simulate nothing. The collective cells
@@ -483,7 +462,7 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 		t.PerOp[rt][size] = v
 	}
 
-	// --- collectives and Barrier: md's closed forms (see the package doc). ---
+	// --- collectives: md's closed forms (see the package doc). ---
 	for _, c := range []struct {
 		b    benchmark
 		rt   mpi.Routine
@@ -492,17 +471,12 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 		{bcast, mpi.RoutineBcast, md.Bcast},
 		{reduce, mpi.RoutineReduce, md.Reduce},
 		{allreduce, mpi.RoutineAllreduce, md.Allreduce},
-		{allgather, mpi.RoutineAllgather, md.Allgather},
-		{alltoall, mpi.RoutineAlltoall, md.Alltoall},
 	} {
 		if has(c.b) {
 			for _, size := range sizes {
 				put(c.rt, size, c.cost(size, ranks))
 			}
 		}
-	}
-	if has(barrier) {
-		put(mpi.RoutineBarrier, 0, md.Barrier(ranks))
 	}
 
 	first, last := s.span(sizes)
@@ -556,25 +530,6 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 			if has(pingPing) {
 				put(PingPing, size, pping)
 			}
-		}
-
-		// --- Exchange: both ring neighbours, IMB's halo pattern. ---
-		if has(exchange) {
-			exch, err := measure(cell{bench: exchange, size: size}, nil, func(r *mpi.Rank) {
-				next := (r.ID() + 1) % r.Size()
-				prev := (r.ID() + r.Size() - 1) % r.Size()
-				for i := 0; i < iterations; i++ {
-					a := r.Irecv(prev, size, i)
-					b := r.Irecv(next, size, 100000+i)
-					c := r.Isend(next, size, i)
-					d := r.Isend(prev, size, 100000+i)
-					r.Waitall(a, b, c, d)
-				}
-			})
-			if err != nil {
-				return nil, err
-			}
-			put(Exchange, size, exch/iterations)
 		}
 
 		// --- Sendrecv ring. ---
@@ -799,13 +754,4 @@ func multiSendrecvFit(measure measureFunc, groups []group, ranks int, size units
 		b = xTimes[0] // degenerate fit: fall back to the x=1 time
 	}
 	return a, b, nil
-}
-
-// BarrierTime is a convenience accessor for the size-independent barrier
-// measurement.
-func (t *Table) BarrierTime() units.Seconds {
-	if m, ok := t.PerOp[mpi.RoutineBarrier]; ok {
-		return m[0]
-	}
-	return 0
 }

@@ -8,6 +8,14 @@ import (
 	"repro/internal/units"
 )
 
+// The collectives only the simulator's tests call: no application runs
+// them, so no IMB table prices them.
+const (
+	RoutineAllgather Routine = "MPI_Allgather"
+	RoutineAlltoall  Routine = "MPI_Alltoall"
+	RoutineBarrier   Routine = "MPI_Barrier"
+)
+
 // Allgather gathers size bytes from every rank to all ranks.
 func (r *Rank) Allgather(size units.Bytes) {
 	r.collective(RoutineAllgather, size, r.w.Model.Allgather(size, r.w.size))

@@ -83,9 +83,6 @@ const (
 	RoutineBcast     Routine = "MPI_Bcast"
 	RoutineReduce    Routine = "MPI_Reduce"
 	RoutineAllreduce Routine = "MPI_Allreduce"
-	RoutineAllgather Routine = "MPI_Allgather"
-	RoutineAlltoall  Routine = "MPI_Alltoall"
-	RoutineBarrier   Routine = "MPI_Barrier"
 )
 
 // Class buckets routines the way the paper's figures do.

@@ -102,7 +102,7 @@ func TestRoutineAggregate(t *testing.T) {
 		t.Errorf("Waitall x = %v, want 2 (one send + one recv per call)", got)
 	}
 	// Unknown routine aggregates to empty, not nil.
-	if agg := pf.RoutineAggregate(mpi.RoutineAlltoall); agg.Calls != 0 {
+	if agg := pf.RoutineAggregate(mpi.Routine("MPI_Alltoall")); agg.Calls != 0 {
 		t.Error("absent routine must aggregate empty")
 	}
 }
@@ -191,7 +191,7 @@ func TestWaitTimeVisibleUnderImbalance(t *testing.T) {
 	if wa1 := pf.RankElapsed(1, mpi.RoutineWaitall); wa1 > 0.01 {
 		t.Errorf("rank 1 (the late one) should barely wait, got %v", wa1)
 	}
-	if pf.RankElapsed(0, mpi.RoutineAlltoall) != 0 {
+	if pf.RankElapsed(0, mpi.Routine("MPI_Alltoall")) != 0 {
 		t.Error("an absent routine must read zero")
 	}
 }

@@ -174,11 +174,11 @@ func TestFailuresRefuseNothing(t *testing.T) {
 	eval := &stubEval{}
 	_, ts := newTestServer(t, Config{Workers: 1}, eval)
 
-	// Distinct ranks dodge the cache and singleflight.
-	for ranks := 1; ranks <= 10; ranks++ {
-		body := fmt.Sprintf(`{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":%d}`, ranks)
+	// Distinct ranks, each a valid request, dodge the cache and singleflight.
+	for i := 1; i <= 10; i++ {
+		body := fmt.Sprintf(`{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":%d}`, i+1)
 		if resp := postEval(t, ts.URL, body); resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("failure %d: status %d, want 500", ranks, resp.StatusCode)
+			t.Fatalf("failure %d: status %d, want 500", i, resp.StatusCode)
 		}
 	}
 	if resp := postEval(t, ts.URL, chaosBody); resp.StatusCode != http.StatusOK {

@@ -245,18 +245,19 @@ func TestPeerBreakerOpensOnBlackHole(t *testing.T) {
 
 	// ask sends a fresh key of the group through the entry replica and
 	// returns who answered it and how many dials the black hole swallowed.
-	ranks := 0
+	// Request n asks for n+1 ranks: a request needs at least 2.
+	n := 0
 	ask := func() (peer string, dialled int64) {
 		t.Helper()
-		ranks++
+		n++
 		before := dials.Load()
-		body := fmt.Sprintf(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":%d}`, ranks)
+		body := fmt.Sprintf(`{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":%d}`, n+1)
 		code, hdr, out := post(t, entry.url+"/v1/project", body)
 		if code != 200 {
-			t.Fatalf("request %d: status %d: %s", ranks, code, out)
+			t.Fatalf("request %d: status %d: %s", n, code, out)
 		}
 		if _, _, want := post(t, succ.url+"/v1/project", body); !bytes.Equal(out, want) {
-			t.Errorf("request %d: bytes differ from the successor's own answer", ranks)
+			t.Errorf("request %d: bytes differ from the successor's own answer", n)
 		}
 		return hdr.Get(peerHeader), dials.Load() - before
 	}

@@ -472,6 +472,7 @@ func TestBadRequests(t *testing.T) {
 	}{
 		{"unknown target", `{"target":"cray-1","bench":"BT-MZ","class":"C","ranks":16}`},
 		{"zero ranks", `{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":0}`},
+		{"one rank", `{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":1}`},
 		{"bad class", `{"target":"power6-575","bench":"BT-MZ","class":"CD","ranks":16}`},
 		{"unknown bench", `{"target":"power6-575","bench":"CG-MZ","class":"C","ranks":16}`},
 		{"ranks beyond limit", `{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":512}`},

@@ -164,8 +164,8 @@ echo "cluster-smoke: survivor answered the batch byte-identically after the cras
 # Fresh keys of the dead owner's group, asked at a survivor: each is a
 # failed forward that walks on (the successor computes it, or the survivor
 # itself when it is the successor), and three of them open the survivor's
-# breaker for the owner.
-ranks=0
+# breaker for the owner. A key differs only in its rank count, from 2 up.
+ranks=1
 ask_fresh() { # one fresh key of the owner's group at survivor s1; headers in $tmp/fresh.hdr
     ranks=$((ranks + 1))
     curl -fsS -m 120 -D "$tmp/fresh.hdr" -o /dev/null -X POST "${urls[$s1]}/v1/project" \
@@ -189,7 +189,7 @@ forwarded_to_owner() {
     [ "$(awk 'tolower($1)=="x-swapp-peer:"{print $2}' "$tmp/fresh.hdr" | tr -d '\r')" = "$owner_url" ]
 }
 wait_for 100 "replica $s1 to forward the owner's group to the restarted owner again (X-Swapp-Peer: $owner_url)" forwarded_to_owner
-echo "cluster-smoke: replica $s1 forwards to the restarted owner again (after $ranks requests)"
+echo "cluster-smoke: replica $s1 forwards to the restarted owner again (after $((ranks - 1)) requests)"
 curl -fsS -m 120 -X POST "$u1/v1/batch" -d "$batch" -o "$tmp/batch3.json"
 check_batch "$tmp/batch3.json"
 cmp -s "$tmp/batch1.json" "$tmp/batch3.json" || {

@@ -2,8 +2,9 @@
 # serve_smoke.sh — end-to-end smoke test of the swappd projection service:
 # build it, start it on a free port, check /healthz, run one real
 # /v1/project round-trip twice, assert the second answer comes from the
-# cache with an identical body, then drain with SIGTERM and require a
-# clean exit.
+# cache with an identical body, ask /v1/validate and /v1/surrogate once
+# each for the same request, read /metrics.json, then drain with SIGTERM
+# and require a clean exit.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,12 +51,25 @@ grep -qi '^x-cache: hit' "$tmp/second.hdr" || {
 cmp -s "$tmp/first.json" "$tmp/second.json" || {
     echo "serve-smoke: cached body differs from the original" >&2; exit 1; }
 
+# The other two evaluation endpoints on the same request: /v1/validate adds
+# the measured run on the target, /v1/surrogate is the projection's Eq. 2
+# compute section alone (it shares /v1/project's cache entry).
+curl -fsS -X POST "http://$addr/v1/validate" -d "$req" -o "$tmp/validate.json"
+grep -q '"measured_total_seconds"' "$tmp/validate.json" || {
+    echo "serve-smoke: /v1/validate response carries no measured run" >&2; exit 1; }
+curl -fsS -X POST "http://$addr/v1/surrogate" -d "$req" -o "$tmp/surrogate.json"
+grep -q '"speedup_ratio"' "$tmp/surrogate.json" && ! grep -q '"total_seconds"' "$tmp/surrogate.json" || {
+    echo "serve-smoke: /v1/surrogate response is not the compute section alone" >&2; exit 1; }
+curl -fsS "http://$addr/metrics.json" -o "$tmp/metrics.json"
+grep -q '"server.cache.result_hits"' "$tmp/metrics.json" || {
+    echo "serve-smoke: /metrics.json does not count the cache hit" >&2; exit 1; }
+
 kill -TERM "$pid"
 wait "$pid" || { echo "serve-smoke: drain exited non-zero" >&2; exit 1; }
 pid=""
 grep -q drained "$tmp/err.log" || {
     echo "serve-smoke: missing drain log" >&2; exit 1; }
-echo "serve-smoke: ok (cached round-trip + clean drain)"
+echo "serve-smoke: ok (cached round-trip, validate, surrogate, metrics + clean drain)"
 
 # Second act: fault injection. Restart with one armed evaluation panic;
 # the first request must 500 without killing the daemon, health must stay

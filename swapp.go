@@ -121,8 +121,10 @@ func (r Request) withDefaults() (Request, error) {
 	if r.Base == r.Target {
 		return r, fmt.Errorf("swapp: target must differ from base (%s)", r.Base)
 	}
-	if r.Ranks <= 0 {
-		return r, fmt.Errorf("swapp: ranks must be positive")
+	// One rank sends nothing: there is no communication to project, and
+	// a power law fitted over profiled counts would invent some.
+	if r.Ranks < 2 {
+		return r, fmt.Errorf("swapp: ranks must be at least 2, got %d", r.Ranks)
 	}
 	if max := nas.MaxRanks(r.Bench, r.Class); max == 0 {
 		return r, fmt.Errorf("swapp: unknown benchmark/class %s.%c", r.Bench, r.Class)

@@ -25,6 +25,7 @@ func TestRequestValidation(t *testing.T) {
 		{"unknown base", Request{Base: "x", Target: TargetPower6, Bench: BT, Class: ClassC, Ranks: 16}},
 		{"target equals base", Request{Base: BaseHydra, Target: BaseHydra, Bench: BT, Class: ClassC, Ranks: 16}},
 		{"zero ranks", Request{Target: TargetPower6, Bench: BT, Class: ClassC, Ranks: 0}},
+		{"one rank", Request{Target: TargetPower6, Bench: LU, Class: ClassC, Ranks: 1}},
 		{"too many ranks", Request{Target: TargetPower6, Bench: LU, Class: ClassC, Ranks: 64}},
 		{"more ranks than the target's cores", Request{Target: TargetPower6, Bench: BT, Class: ClassC, Ranks: 256}},
 		{"more ranks than the base's cores", Request{Target: "bgp", Bench: BT, Class: ClassD, Ranks: 1024}},
