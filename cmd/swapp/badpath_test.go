@@ -36,6 +36,9 @@ func TestBadInputPaths(t *testing.T) {
 		{"corrupt imb", []string{"-imb-base", garbage}, garbage},
 		{"second imb path bad", []string{"-imb-base", garbage + "," + missing}, garbage},
 		{"unwritable trace", []string{"-trace", filepath.Join(dir, "no", "such", "dir", "t.json")}, "trace"},
+		// Request errors name no file; the library already prefixes them.
+		{"one rank", []string{"-ranks", "1"}, "ranks must be at least 2"},
+		{"base is target", []string{"-target", "hydra"}, "target must differ from base"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,14 +54,14 @@ func TestBadInputPaths(t *testing.T) {
 			if strings.Count(msg, "\n") != 0 {
 				t.Errorf("error not a single line:\n%s", msg)
 			}
-			if !strings.HasPrefix(msg, "swapp: ") {
-				t.Errorf("error missing the swapp: prefix: %q", msg)
+			if !strings.HasPrefix(msg, "swapp: ") || strings.Count(msg, "swapp: ") != 1 {
+				t.Errorf("error wants exactly one swapp: prefix: %q", msg)
 			}
 			if !strings.Contains(msg, tc.frag) {
 				t.Errorf("error %q does not mention %q", msg, tc.frag)
 			}
-			// The message must point at the offending file.
-			if tc.frag != "trace" && !strings.Contains(msg, dir) {
+			// A case that passes a file must point at the offending file.
+			if strings.Contains(strings.Join(tc.args, " "), dir) && !strings.Contains(msg, dir) {
 				t.Errorf("error %q does not name the file path", msg)
 			}
 		})

@@ -115,7 +115,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	scope.End()
 	if err != nil {
-		fmt.Fprintf(stderr, "swapp: %v\n", err)
+		// The library's request errors already carry the prefix.
+		fmt.Fprintf(stderr, "swapp: %s\n", strings.TrimPrefix(err.Error(), "swapp: "))
 		return 1
 	}
 

@@ -69,7 +69,7 @@ func BenchmarkAblationRankAdjust(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if without, err = p.searchSurrogate(context.Background(), p.Obs, app, 16, s, groupContributions(&s.cp.ST), nil); err != nil {
+		if without, err = p.searchSurrogate(context.Background(), p.Obs, app, 16, s, groupContributions(&s.cp.ST)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,11 +14,12 @@ import (
 )
 
 // TestArmedFaultsNeverPublish is why no store policy asks whether fault
-// injection is armed: no engine fault point can leave a wrong artifact in a
-// store. For every engine point in error#1 and panic#1 mode, LU-MZ.C@16
-// hydra→power6-575 runs through a store of its own while the point is armed
-// — failing, panicking or finishing degraded — and then, disarmed, through
-// that same store; its bytes must be those of a fresh store's run.
+// injection is armed: the engine's one fault point, core.project, cannot
+// leave a wrong artifact in a store. It fires after Prepare has filled the
+// store, so in error#1 and panic#1 mode LU-MZ.C@16 hydra→power6-575 runs
+// through a store of its own while the point is armed — failing or
+// panicking — and then, disarmed, through that same store; its bytes must
+// be those of a fresh store's run.
 func TestArmedFaultsNeverPublish(t *testing.T) {
 	project := func(st *core.Store) ([]byte, error) {
 		pipe, app, err := core.Prepare(context.Background(), arch.MustGet(arch.Hydra), arch.MustGet(arch.Power6),
@@ -37,7 +38,7 @@ func TestArmedFaultsNeverPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, point := range []string{"core.pipeline", "core.characterize", "core.project", "ga.eval"} {
+	for _, point := range []string{"core.project"} {
 		for _, mode := range []string{"error#1", "panic#1"} {
 			spec := point + "=" + mode
 			t.Run(spec, func(t *testing.T) {

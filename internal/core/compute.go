@@ -10,7 +10,6 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/quality"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/units"
@@ -230,7 +229,7 @@ func rankingOf(groupW [6]float64) [6]int {
 // characterised at core count ci (which must be one of the profiled
 // counts).
 func (p *Pipeline) ProjectCompute(app *AppModel, ci int) (*ComputeProjection, error) {
-	return p.computeSurrogate(context.Background(), p.Obs, app, ci, nil)
+	return p.computeSurrogate(context.Background(), p.Obs, app, ci)
 }
 
 // surrogateSpace is what the §2.3 surrogate search ranges over for an
@@ -285,21 +284,20 @@ func (p *Pipeline) groupWeights(s surrogateSpace) [6]float64 {
 
 // computeSurrogate is the §2.3 implementation, with its span attached
 // under parent (p.Obs for direct calls, the enclosing projection's span
-// when called from project). Degraded-mode fallbacks (GA quarantine) are
-// recorded on rec (nil-safe).
-func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, rec *quality.Report) (*ComputeProjection, error) {
+// when called from project).
+func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int) (*ComputeProjection, error) {
 	s, err := p.surrogateSpaceAt(app, ci)
 	if err != nil {
 		return nil, err
 	}
-	return p.searchSurrogate(ctx, parent, app, ci, s, p.groupWeights(s), rec)
+	return p.searchSurrogate(ctx, parent, app, ci, s, p.groupWeights(s))
 }
 
 // searchSurrogate is §2.3 step 5 and Eq. 2: the GA surrogate search over
 // s under the metric-group weights groupW, and the projected compute time.
 // ctx is checked before each GA ensemble member, the expensive stage of
 // the compute projection.
-func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, s surrogateSpace, groupW [6]float64, rec *quality.Report) (*ComputeProjection, error) {
+func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, s surrogateSpace, groupW [6]float64) (*ComputeProjection, error) {
 	names := s.names
 	// Fitness: the weighted mix must match the app's behaviour, and —
 	// because performance ratios do not mix linearly the way metrics do —
@@ -360,14 +358,10 @@ func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *
 	var bestGenome []float64
 	bestFitness := math.Inf(1)
 	var ratioSum, ratioWeight float64
-	var quarantined, unusable int
 	for _, res := range members {
-		quarantined += res.Quarantined
-		// A member whose whole population was quarantined (every fitness
-		// +Inf) has no meaningful surrogate: skip it rather than poison the
-		// ensemble mean with NaN.
+		// A member with a non-finite best fitness has no meaningful
+		// surrogate: skip it rather than poison the ensemble mean with NaN.
 		if math.IsInf(res.BestFitness, 1) || math.IsNaN(res.BestFitness) {
-			unusable++
 			continue
 		}
 		var wsum, baseMix, targetMix float64
@@ -384,7 +378,6 @@ func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *
 			targetMix += f * p.SpecTarget[name].ST.Runtime
 		}
 		if wsum <= 0 || baseMix <= 0 {
-			unusable++
 			continue
 		}
 		rw := 1 / (res.BestFitness + 1e-6)
@@ -396,18 +389,7 @@ func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *
 		}
 	}
 	if ratioWeight <= 0 {
-		return nil, fmt.Errorf("core: surrogate search failed: all %d GA ensemble members quarantined", ensemble)
-	}
-	if quarantined > 0 {
-		sev := quality.Minor
-		if unusable > 0 {
-			sev = quality.Major
-		}
-		rec.Add(quality.Defect{
-			Code: quality.GAQuarantine, Component: quality.Compute, Severity: sev,
-			Detail: fmt.Sprintf("%d fitness evaluations quarantined (worst score substituted); %d/%d ensemble members usable",
-				quarantined, ensemble-unusable, ensemble),
-		})
+		return nil, fmt.Errorf("core: surrogate search failed: none of %d GA ensemble members found a usable surrogate", ensemble)
 	}
 
 	// Normalise the best genome's coefficients for reporting (Eq. 2 with

@@ -22,7 +22,6 @@ import (
 	"strings"
 
 	"repro/internal/arch"
-	"repro/internal/faultinject"
 	"repro/internal/hpm"
 	"repro/internal/imb"
 	"repro/internal/mpiprof"
@@ -152,9 +151,6 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 // every NAS-MZ app, so one served table per (machine, count) serves them
 // all.
 func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []int, opts Options, nasOnly bool) (*Pipeline, error) {
-	if err := faultinject.Fire("core.pipeline"); err != nil {
-		return nil, err
-	}
 	p := &Pipeline{
 		Base:         base,
 		Target:       target,
@@ -482,9 +478,6 @@ func (p *Pipeline) CharacterizeAppCtx(ctx context.Context, b nas.Benchmark, c na
 	sort.Ints(app.Counts)
 	sp := p.Obs.Child("core.characterize." + app.Name())
 	defer sp.End()
-	if err := faultinject.Fire("core.characterize"); err != nil {
-		return nil, err
-	}
 	// Each core count's profile + counter runs are independent pure
 	// functions of (machine, workload, ranks) keys; fan them out and
 	// collect by index — or resolve them through the profile layer, where

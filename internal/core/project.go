@@ -72,6 +72,7 @@ func (p *Pipeline) project(ctx context.Context, parent *obs.Scope, app *AppModel
 	}
 	sp := parent.Child(fmt.Sprintf("core.project.%s@%d", app.Name(), ck))
 	defer sp.End()
+	// Armed by TestValidateErrorPrecedence and TestArmedFaultsNeverPublish.
 	if err := faultinject.Fire("core.project"); err != nil {
 		return nil, err
 	}
@@ -85,7 +86,7 @@ func (p *Pipeline) project(ctx context.Context, parent *obs.Scope, app *AppModel
 	rec := quality.NewReport()
 	rec.AddAll(p.Defects)
 
-	comp, err := p.computeSurrogate(ctx, sp, app, ci, rec)
+	comp, err := p.computeSurrogate(ctx, sp, app, ci)
 	if err != nil {
 		return nil, err
 	}

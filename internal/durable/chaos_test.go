@@ -154,3 +154,28 @@ func TestChaosWALSyncFailure(t *testing.T) {
 		t.Fatal("sync failure did not surface through Append")
 	}
 }
+
+// TestChaosWALReplayError: a replay whose read fails returns the error and
+// delivers nothing, and the log is untouched — the next replay delivers
+// every record.
+func TestChaosWALReplayError(t *testing.T) {
+	defer faultinject.Disarm()
+	dir := t.TempDir()
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	appendAll(t, w, []byte("a"), []byte("b"))
+	if err := faultinject.Arm("durable.wal.replay=error#1"); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	collect := func(rec []byte) error { got = append(got, string(rec)); return nil }
+	if err := w.Replay(collect); err == nil || len(got) != 0 {
+		t.Fatalf("failed replay: err %v, delivered %q; want an error and nothing", err, got)
+	}
+	if err := w.Replay(collect); err != nil || len(got) != 2 {
+		t.Fatalf("replay after the failure: err %v, delivered %q; want both records", err, got)
+	}
+}

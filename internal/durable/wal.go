@@ -227,6 +227,7 @@ func (w *WAL) readFrames(path string, fn func(rec []byte) error) (valid int64, r
 			}
 			return valid, "", fmt.Errorf("durable: read segment: %w", err)
 		}
+		// A bit flipped in the read: TestChaosWALReplayCorruptInjection.
 		if fault := faultinject.FireIO("durable.wal.replay"); fault != nil && fault.Mode == faultinject.ModeCorrupt {
 			body[int(length)/2] ^= 1
 		}
@@ -253,6 +254,7 @@ func (w *WAL) Replay(fn func(rec []byte) error) error {
 	w.mu.Lock()
 	segs := append([]int(nil), w.segments...)
 	w.mu.Unlock()
+	// A read that fails before any record: TestChaosWALReplayError.
 	if err := faultinject.Fire("durable.wal.replay"); err != nil {
 		return err
 	}
@@ -284,6 +286,7 @@ func (w *WAL) Append(rec []byte) error {
 	if w.closed {
 		return errors.New("durable: wal is closed")
 	}
+	// A slow or failing write: TestDoneIsJournalledBeforeItIsSeen arms a delay.
 	if err := faultinject.Fire("durable.wal.append"); err != nil {
 		return err
 	}
@@ -291,6 +294,7 @@ func (w *WAL) Append(rec []byte) error {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(rec)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(rec, castagnoli))
 	copy(frame[frameHeader:], rec)
+	// A torn, full or corrupted disk: TestChaosWALShortWrite, ENOSPC and CorruptWrite.
 	if fault := faultinject.FireIO("durable.wal.append"); fault != nil {
 		switch fault.Mode {
 		case faultinject.ModeENOSPC:
@@ -337,6 +341,7 @@ func (w *WAL) syncLocked() error {
 	if !w.dirty {
 		return nil
 	}
+	// A failing fsync: TestChaosWALSyncFailure.
 	if err := faultinject.Fire("durable.wal.sync"); err != nil {
 		return err
 	}

@@ -1,7 +1,11 @@
 // Package faultinject provides named fault-injection points for chaos
-// testing the projection engine and the swappd service. Production code
-// threads Fire calls through its interesting seams (persist
-// loading, pipeline stages, GA scoring, server handlers); a test or an
+// testing the swappd service. A point sits only where the world can fail
+// — the WAL's writes, syncs and reads (durable.wal.append, .sync,
+// .replay) and the evaluation a server runs for a request (server.eval)
+// — or where a standing contract has no other way to be tested
+// (core.project: a validation whose projection fails). Pure code, such as
+// the GA search or the data decoders, carries none: its failures are bugs
+// or bad input, and tests feed it bad input directly. A test or an
 // operator arms specific points with a spec string and the next passes
 // through those points misbehave on purpose.
 //
@@ -13,8 +17,8 @@
 //
 //	point=mode[:arg][#count]
 //
-//	ga.eval=panic#1                    panic on the first pass only
-//	server.eval=error                  fail every pass with an injected error
+//	server.eval=panic#1                panic on the first pass only
+//	durable.wal.sync=error             fail every pass with an injected error
 //	core.project=delay:150ms           sleep 150ms per pass
 //
 // Modes:

@@ -51,7 +51,7 @@ func TestArmParseErrors(t *testing.T) {
 
 func TestPanicMode(t *testing.T) {
 	defer Disarm()
-	if err := Arm("ga.eval=panic#1"); err != nil {
+	if err := Arm("server.eval=panic#1"); err != nil {
 		t.Fatal(err)
 	}
 	func() {
@@ -59,14 +59,14 @@ func TestPanicMode(t *testing.T) {
 			v := recover()
 			if v == nil {
 				t.Error("armed panic point did not panic")
-			} else if !strings.Contains(v.(string), "ga.eval") {
+			} else if !strings.Contains(v.(string), "server.eval") {
 				t.Errorf("panic value %q does not name the point", v)
 			}
 		}()
-		Fire("ga.eval")
+		Fire("server.eval")
 	}()
 	// #1: the second pass is clean.
-	if err := Fire("ga.eval"); err != nil {
+	if err := Fire("server.eval"); err != nil {
 		t.Errorf("exhausted point fired again: %v", err)
 	}
 	// Unarmed points never fire.

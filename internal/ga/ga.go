@@ -20,7 +20,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/rng"
 )
@@ -51,7 +50,8 @@ type Config struct {
 	Seed string
 	// Fitness scores a genome; lower is better; required. Genomes are
 	// always non-negative. It must be a pure function of the genome. It is
-	// called from one goroutine at a time, so it may reuse scratch.
+	// called from one goroutine at a time, so it may reuse scratch. Run
+	// recovers nothing: a panic in Fitness leaves Run as that panic.
 	Fitness func(genome []float64) float64
 	// OnGeneration, when non-nil, observes the run: it is called once per
 	// evolved generation — after the generation's children are scored —
@@ -126,11 +126,6 @@ type Result struct {
 	// Evaluations counts the scores requested: the initial population plus
 	// every generation's children (elites carry their score).
 	Evaluations int
-	// Quarantined counts fitness evaluations that panicked (or were
-	// fault-injected to fail) and were scored +Inf — the worst possible
-	// fitness under minimisation — instead of killing the run. The
-	// offending genome stays in the population but cannot win selection.
-	Quarantined int
 }
 
 // individual pairs a genome with its cached score.
@@ -141,28 +136,10 @@ type individual struct {
 
 // evaluator scores genome batches in order and counts what it scored.
 type evaluator struct {
-	fn          func(g []float64) float64
-	evals       int
-	quarantined int
-	obs         *obs.Scope
-	out         []float64 // the batch's scores; reused across batches
-}
-
-// safeScore scores one genome, quarantining failures: a panicking fitness
-// function (or an armed "ga.eval" fault) yields +Inf — the worst score
-// under minimisation — so one bad chromosome cannot kill the whole search.
-func (e *evaluator) safeScore(g []float64) (f float64) {
-	defer func() {
-		if v := recover(); v != nil {
-			e.quarantined++
-			f = math.Inf(1)
-		}
-	}()
-	if err := faultinject.Fire("ga.eval"); err != nil {
-		e.quarantined++
-		return math.Inf(1)
-	}
-	return e.fn(g)
+	fn    func(g []float64) float64
+	evals int
+	obs   *obs.Scope
+	out   []float64 // the batch's scores; reused across batches
 }
 
 // scoreAll returns the fitness of each genome; out must hold the batch.
@@ -175,7 +152,7 @@ func (e *evaluator) scoreAll(genomes [][]float64) []float64 {
 	e.obs.Count("ga.evaluations", int64(len(genomes)))
 	e.out = e.out[:len(genomes)]
 	for i, g := range genomes {
-		e.out[i] = e.safeScore(g)
+		e.out[i] = e.fn(g)
 	}
 	return e.out
 }
@@ -300,10 +277,6 @@ func Run(cfg Config) (*Result, error) {
 	res.Best = best.genome
 	res.BestFitness = best.fitness
 	res.Evaluations = ev.evals
-	res.Quarantined = ev.quarantined
-	if res.Quarantined > 0 {
-		sp.Count("ga.quarantined", int64(res.Quarantined))
-	}
 	sp.Observe("ga.best_fitness", res.BestFitness)
 	return res, nil
 }

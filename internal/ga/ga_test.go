@@ -293,6 +293,20 @@ func TestFitnessExclusive(t *testing.T) {
 	}
 }
 
+// TestFitnessPanicPropagates pins that ga recovers nothing: a panicking
+// Fitness is a bug in the objective, and it leaves Run as that panic
+// rather than as a run that scored the genome out of the search.
+func TestFitnessPanicPropagates(t *testing.T) {
+	defer func() {
+		if v := recover(); v != "bad objective" {
+			t.Errorf("Run recovered %v, want the fitness's panic", v)
+		}
+	}()
+	Run(Config{GenomeLen: 4, PopSize: 8, Generations: 3, Seed: "panics",
+		Fitness: func([]float64) float64 { panic("bad objective") }})
+	t.Error("Run returned after its Fitness panicked")
+}
+
 // TestRunAllocsFlatInGenerations pins that a run sizes every buffer once:
 // elitism's heap, the initial population's permutation, the running best
 // and History cost the same at 30 generations as at 120.

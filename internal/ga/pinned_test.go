@@ -6,12 +6,10 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
-
-	"repro/internal/faultinject"
 )
 
 // resultDigest hashes every bit of a Result: Float64bits of Best,
-// BestFitness and History, then Evaluations and Quarantined.
+// BestFitness and History, then Evaluations and a trailing zero word.
 func resultDigest(r *Result) string {
 	h := sha256.New()
 	var buf [8]byte
@@ -29,20 +27,20 @@ func resultDigest(r *Result) string {
 		put(math.Float64bits(f))
 	}
 	put(uint64(r.Evaluations))
-	put(uint64(r.Quarantined))
+	// The trailing word is where the retired quarantine count was hashed;
+	// it stays, always 0, so the recorded digests stay comparable.
+	put(0)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestRunPinned holds seeded runs to recorded digests: the RNG stream,
-// every fitness, the evaluation count and the quarantine count must stay
-// bit-equal through any rework of Run. The cases cover an unlimited
-// genome, a sparsity cap, a panicking fitness and an armed ga.eval fault.
+// every fitness and the evaluation count must stay bit-equal through any
+// rework of Run. The cases cover an unlimited genome and a sparsity cap.
 func TestRunPinned(t *testing.T) {
 	cases := []struct {
-		name  string
-		cfg   Config
-		fault string
-		want  string
+		name string
+		cfg  Config
+		want string
 	}{
 		{
 			name: "dense",
@@ -56,34 +54,15 @@ func TestRunPinned(t *testing.T) {
 				Fitness: sphere([]float64{0.1, 0, 0.3, 0, 0.5, 0, 0.7, 0, 0.2, 0, 0.4, 0})},
 			want: "c3178d4a1446feff9c8752404cd5cde355d3143e25ceaf5abbe494db16260d86",
 		},
-		{
-			name: "panicking-fitness",
-			cfg:  quarantineConfig(),
-			want: "60138563c259380e41e1c5b2931e4471af2330f0206be7a50a3d9dafae72418b",
-		},
-		{
-			name: "armed-ga.eval",
-			cfg: Config{GenomeLen: 8, MaxActive: 3, PopSize: 12, Generations: 15, Seed: "pinned-armed",
-				Fitness: sphere([]float64{0.5, 0, 0.25, 0, 0.75, 0, 0, 0.1})},
-			fault: "ga.eval=panic#1",
-			want:  "c3e933724a003c33f6c89f3ecff292e30902383eedacc585b612feb3a70c0c48",
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.fault != "" {
-				defer faultinject.Disarm()
-				if err := faultinject.Arm(tc.fault); err != nil {
-					t.Fatal(err)
-				}
-			}
 			res, err := Run(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := resultDigest(res); got != tc.want {
-				t.Errorf("digest %s, want %s (evaluations %d, quarantined %d)",
-					got, tc.want, res.Evaluations, res.Quarantined)
+				t.Errorf("digest %s, want %s (evaluations %d)", got, tc.want, res.Evaluations)
 			}
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/faultinject"
 	"repro/internal/hpm"
 	"repro/internal/imb"
 	"repro/internal/mpi"
@@ -25,9 +24,6 @@ import (
 
 // UnmarshalIMBLenient decodes an IMB table, salvaging partial data.
 func UnmarshalIMBLenient(data []byte) (*imb.Table, []quality.Defect, error) {
-	if err := faultinject.Fire("persist.unmarshal.imb"); err != nil {
-		return nil, nil, err
-	}
 	var defects []quality.Defect
 	add := func(code quality.Code, sev quality.Severity, format string, args ...any) {
 		defects = append(defects, quality.Defect{
@@ -120,9 +116,6 @@ func UnmarshalIMBLenient(data []byte) (*imb.Table, []quality.Defect, error) {
 
 // UnmarshalSpecLenient decodes a SPEC result set, salvaging partial data.
 func UnmarshalSpecLenient(data []byte) (machine string, results map[string]spec.Result, defects []quality.Defect, err error) {
-	if err := faultinject.Fire("persist.unmarshal.spec"); err != nil {
-		return "", nil, nil, err
-	}
 	add := func(code quality.Code, sev quality.Severity, format string, args ...any) {
 		defects = append(defects, quality.Defect{
 			Code: code, Component: quality.Data, Severity: sev,

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/hpm"
 	"repro/internal/quality"
 	"repro/internal/spec"
@@ -317,19 +316,6 @@ func TestSpecLenientAllRowsCorruptIsHardError(t *testing.T) {
 	}}
 	if _, _, _, err := UnmarshalSpecLenient(mustJSON(t, fix)); err == nil {
 		t.Error("suite with zero usable rows accepted")
-	}
-}
-
-func TestLenientFaultPoints(t *testing.T) {
-	defer faultinject.Disarm()
-	if err := faultinject.Arm("persist.unmarshal.imb=error,persist.unmarshal.spec=error"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := UnmarshalIMBLenient(mustJSON(t, newIMBFixture())); err == nil {
-		t.Error("persist.unmarshal.imb point did not fire")
-	}
-	if _, _, _, err := UnmarshalSpecLenient(mustJSON(t, specFixture())); err == nil {
-		t.Error("persist.unmarshal.spec point did not fire")
 	}
 }
 

@@ -60,10 +60,6 @@ const (
 	// benchmark tables. Fallback: its elapsed time is treated as pure
 	// WaitTime and scaled by the wait-scale factor.
 	DroppedMPIRoutine Code = "dropped-mpi-routine"
-	// GAQuarantine: one or more surrogate-search fitness evaluations
-	// panicked (or were fault-injected) and were quarantined with worst
-	// fitness instead of killing the run.
-	GAQuarantine Code = "ga-quarantine"
 	// WaitScaleDefault: the wait-scale blend had no usable compute ratio
 	// and defaulted to 1 (base WaitTime carried over unscaled).
 	WaitScaleDefault Code = "wait-scale-default"

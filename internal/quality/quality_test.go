@@ -7,7 +7,7 @@ import (
 
 func TestNilReportIsSafeAndEmpty(t *testing.T) {
 	var r *Report
-	r.Add(Defect{Code: GAQuarantine, Component: Compute, Severity: Minor})
+	r.Add(Defect{Code: MissingCounterGroup, Component: Compute, Severity: Minor})
 	r.AddAll([]Defect{{Code: IMBGridGap}})
 	if !r.Empty() {
 		t.Error("nil report must be empty")
@@ -44,11 +44,11 @@ func TestDefectsSortedDeterministically(t *testing.T) {
 	r.Add(Defect{Code: WaitScaleDefault, Component: Comm, Severity: Minor, Detail: "z"})
 	r.Add(Defect{Code: DroppedMPIRoutine, Component: Comm, Severity: Major, Detail: "a"})
 	r.Add(Defect{Code: MissingSpecBench, Component: Data, Severity: Minor, Detail: "m"})
-	r.Add(Defect{Code: GAQuarantine, Component: Compute, Severity: Minor, Detail: "q"})
+	r.Add(Defect{Code: MissingCounterGroup, Component: Compute, Severity: Minor, Detail: "q"})
 	// Components sort lexically (comm < compute < data), severity major
 	// first within a component.
 	ds := r.Defects()
-	want := []Code{DroppedMPIRoutine, WaitScaleDefault, GAQuarantine, MissingSpecBench}
+	want := []Code{DroppedMPIRoutine, WaitScaleDefault, MissingCounterGroup, MissingSpecBench}
 	if len(ds) != len(want) {
 		t.Fatalf("got %d defects, want %d", len(ds), len(want))
 	}
@@ -104,7 +104,7 @@ func TestConcurrentAdd(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				r.Add(Defect{Code: IMBGridGap, Component: Comm, Severity: Minor, Detail: "same"})
-				r.Add(Defect{Code: GAQuarantine, Component: Compute, Severity: Minor, Detail: "same"})
+				r.Add(Defect{Code: MissingCounterGroup, Component: Compute, Severity: Minor, Detail: "same"})
 			}
 		}()
 	}

@@ -13,7 +13,6 @@ import (
 
 	swapp "repro"
 	"repro/internal/cluster"
-	"repro/internal/faultinject"
 )
 
 // maxBatchItems bounds one /v1/batch submission. The batch endpoint is an
@@ -95,11 +94,6 @@ type batchWork struct {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/batch", 1)
-	if err := faultinject.Fire("server.handler"); err != nil {
-		s.obs.Count("server.errors", 1)
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeError(w, http.StatusMethodNotAllowed, errors.New("/v1/batch requires POST"))

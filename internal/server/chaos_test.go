@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,15 +72,20 @@ func TestInjectedEvalPanicBecomes500(t *testing.T) {
 }
 
 // TestHandlerPanicRecovered proves the recovery middleware catches panics
-// raised outside the evaluation path too.
+// raised outside the evaluation path too: it wraps a handler that panics
+// on its first request and serves the API after.
 func TestHandlerPanicRecovered(t *testing.T) {
-	defer faultinject.Disarm()
-	if err := faultinject.Arm("server.handler=panic#1"); err != nil {
-		t.Fatal(err)
-	}
-	eval := &stubEval{}
 	scope := obs.New("test")
-	_, ts := newTestServer(t, Config{Workers: 1, Obs: scope}, eval)
+	s := New(Config{Workers: 1, Obs: scope, Eval: (&stubEval{}).fn})
+	api := s.Handler()
+	var panicked atomic.Bool
+	ts := httptest.NewServer(s.recovered(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if panicked.CompareAndSwap(false, true) {
+			panic("handler dies")
+		}
+		api.ServeHTTP(w, r)
+	})))
+	t.Cleanup(ts.Close)
 
 	resp := postEval(t, ts.URL, chaosBody)
 	if resp.StatusCode != http.StatusInternalServerError {

@@ -297,11 +297,6 @@ func (s *Server) handleEval(spec endpointSpec) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.obs.Count("server.requests", 1)
 		s.obs.Count(reqCounter, 1)
-		if err := faultinject.Fire("server.handler"); err != nil {
-			s.obs.Count("server.errors", 1)
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", spec.endpoint))
@@ -512,6 +507,7 @@ func (s *Server) runEval(ctx context.Context, op string, req swapp.Request) (res
 			res, err = nil, fmt.Errorf("server: evaluation panicked: %v", v)
 		}
 	}()
+	// Armed by TestInjectedEvalPanicBecomes500, serve-smoke and swappd's TestInjectedPanicRoundTrip.
 	if err := faultinject.Fire("server.eval"); err != nil {
 		return nil, err
 	}
