@@ -25,11 +25,10 @@ fmt:
 # breaker construction, newPeerSet's — nothing breaks the evaluation's circuit;
 # a GA that starts no goroutine and imports no internal/par: a search
 # scores serially on its ensemble member's goroutine, and the ensemble is the pool;
-# one faultinject.Enabled( call, swappd's startup warning — no engine
-# policy branches on whether fault injection is armed; and faultinject
-# imported only by swappd's main and the files that hold a fault point
-# (server.eval, core.project, the WAL's): a point belongs where the world
-# can fail, not in pure code such as the GA or the data decoders.
+# no os.Getenv or os.LookupEnv — every setting is a flag or a field. One
+# check is over tests: every alternative in CHAOS_RUN names at least one
+# Test or Fuzz function, so a renamed or deleted test cannot leave
+# `make chaos` selecting nothing for it.
 # The standing check these greps cannot make is a test: TestNoTestOnlyExports
 # (root package, run by `make test`, skipped under -short) type-checks the
 # module and fails on every exported internal/ symbol no non-test file uses,
@@ -52,13 +51,14 @@ invariants:
 	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'newBreaker(' $(INVARIANT_SRC) | grep -vF 'func newBreaker('); \
 	n=$$(printf '%s' "$$hits" | grep -c .); \
 	if [ "$$n" -ne 1 ] || ! printf '%s' "$$hits" | grep -q '^internal/server/peer.go:'; then echo "invariants: newBreaker( at $$n sites, want 1, newPeerSet's:"; echo "$$hits"; fail=1; fi; \
-	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' 'faultinject.Enabled(' $(INVARIANT_SRC)); \
-	n=$$(printf '%s' "$$hits" | grep -c .); \
-	if [ "$$n" -ne 1 ] || ! printf '%s' "$$hits" | grep -q '^cmd/swappd/main.go:'; then echo "invariants: faultinject.Enabled( at $$n sites, want 1, swappd's warning:"; echo "$$hits"; fail=1; fi; \
 	hits=$$(grep -rnE --include='*.go' --exclude='*_test.go' -e '^[[:space:]]*go[[:space:]]+[A-Za-z_(]' -e '"repro/internal/par"' internal/ga); \
 	if [ -n "$$hits" ]; then echo "invariants: a go statement or an internal/par import in non-test internal/ga:"; echo "$$hits"; fail=1; fi; \
-	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' '"repro/internal/faultinject"' $(INVARIANT_SRC) | grep -v -e '^cmd/swappd/main.go:' -e '^internal/server/server.go:' -e '^internal/core/project.go:' -e '^internal/durable/wal.go:'); \
-	if [ -n "$$hits" ]; then echo "invariants: faultinject imported outside swappd's main and the fault points' files:"; echo "$$hits"; fail=1; fi; \
+	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' -e 'os.Getenv' -e 'os.LookupEnv' $(INVARIANT_SRC)); \
+	if [ -n "$$hits" ]; then echo "invariants: an environment read in non-test Go:"; echo "$$hits"; fail=1; fi; \
+	names=$$(grep -rhoE --include='*_test.go' '^func (Test|Fuzz)[A-Za-z0-9_]+' . | sed 's/^func //'); \
+	for alt in $$(printf '%s' '$(CHAOS_RUN)' | tr '|' ' '); do \
+		printf '%s\n' "$$names" | grep -qE -- "$$alt" || { echo "invariants: make chaos's -run alternative '$$alt' names no Test or Fuzz function"; fail=1; }; \
+	done; \
 	exit $$fail
 
 # -shuffle=on randomises test (and subtest) execution order, so hidden
@@ -147,9 +147,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 # End-to-end smoke of the swappd service: start it, health-check, one
-# real cached /v1/project round-trip (second call must hit), clean drain —
-# then again with -faults arming an evaluation panic: 500, stay up, and the
-# client's identical second request is served (nothing retries in place).
+# real cached /v1/project round-trip (second call must hit), /v1/validate
+# and /v1/surrogate once each, an expired deadline (504), /metrics.json,
+# clean drain. A panicking evaluation is TestEvalPanicRoundTrip's: the
+# same run() in-process.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
@@ -184,15 +185,18 @@ crash-smoke:
 prodcover:
 	./scripts/prodcover.sh
 
-# Fault-tolerance suite under the race detector with shuffled order:
-# injected faults, recovered panics, peer breaker trips, failed evaluations
-# that refuse no later request, the ring's seeded
+# Fault-tolerance suite under the race detector with shuffled order: the
+# WAL under failed writes, syncs and reads (the kernel's own errors: a
+# file-size limit, a read-only handle, a pipe, a directory), recovered
+# panics, peer breaker trips, failed evaluations that refuse no later
+# request, failed projections that publish nothing, the ring's seeded
 # kill/cut/rejoin schedules (TestRingChaosSchedules: bytes, per-replica
 # evaluation counts and their sum over the schedules all asserted),
 # degraded-input projections. Fast — the heavy grids are elsewhere.
+# `make invariants` checks that each alternative names a test.
+CHAOS_RUN = Chaos|Fault|Panic|Breaker|RefuseNothing|NeverPublishes|Degraded|Lenient|Dropped|GridGap
 chaos:
-	$(GO) test -race -shuffle=on -timeout 600s \
-		-run 'Chaos|Fault|Inject|Panic|Breaker|RefuseNothing|Degraded|Lenient|Dropped|GridGap' ./...
+	$(GO) test -race -shuffle=on -timeout 600s -run '$(CHAOS_RUN)' ./...
 
 # Statement coverage of the -short suite, and the one coverage gate (CI runs
 # this target): below 82.3 % fails, 2 points under the 84.3 % the suite

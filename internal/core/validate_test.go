@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -14,7 +15,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/nas"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -115,6 +115,14 @@ func TestValidateErrorPrecedence(t *testing.T) {
 	small.TotalCores = ck / 2
 	broken := *pipe
 	broken.Target = &small
+	// Copies whose projection fails: with no target SPEC results before the
+	// GA search (no surrogate pool), with no IMB tables after it.
+	noSpec := *pipe
+	noSpec.SpecTarget = nil
+	brokenNoSpec := broken
+	brokenNoSpec.SpecTarget = nil
+	brokenNoIMB := broken
+	brokenNoIMB.IMBBase, brokenNoIMB.IMBTarget = nil, nil
 
 	// Warm the simulator's coroutine free list at the widest this test
 	// runs, so each case's baseline already counts its parked goroutines.
@@ -151,20 +159,15 @@ func TestValidateErrorPrecedence(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run("projection-first/workers="+strconv.Itoa(workers), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
-			if err := faultinject.Arm("core.project=error"); err != nil {
-				t.Fatal(err)
-			}
-			defer faultinject.Disarm()
 			// Against the real target the measured run would succeed; against
 			// the broken one both tasks fail. Either way the projection's
 			// error is the answer, on every call.
-			for _, p := range []*core.Pipeline{pipe, &broken} {
+			for _, p := range []*core.Pipeline{&noSpec, &brokenNoSpec} {
 				for call := 0; call < 20; call++ {
 					sc := obs.New("test")
 					_, err := withWorkers(p, workers, sc).ValidateCtx(context.Background(), app, ck)
-					var ie *faultinject.InjectedError
-					if !errors.As(err, &ie) || ie.Point != "core.project" {
-						t.Fatalf("call %d on %s: err = %v, want the projection's injected error", call, p.Target.Name, err)
+					if err == nil || !strings.Contains(err.Error(), "surrogate pool too small") {
+						t.Fatalf("call %d on %s: err = %v, want the projection's", call, p.Target.Name, err)
 					}
 					if workers == 1 {
 						for _, name := range spans(t, sc) {
@@ -180,19 +183,14 @@ func TestValidateErrorPrecedence(t *testing.T) {
 
 		t.Run("projection-fails-last/workers="+strconv.Itoa(workers), func(t *testing.T) {
 			// The broken target's measured run fails at once; the projection
-			// sleeps past the deadline and fails on it later. The later,
-			// lower-index error is still the answer.
+			// fails only after its GA search. The later, lower-index error is
+			// still the answer.
 			baseline := runtime.NumGoroutine()
-			if err := faultinject.Arm("core.project=delay:20ms"); err != nil {
-				t.Fatal(err)
-			}
-			defer faultinject.Disarm()
+			want := fmt.Sprintf("core: pipeline has no IMB tables for %d ranks", ck)
 			for call := 0; call < 5; call++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-				_, err := withWorkers(&broken, workers, nil).ValidateCtx(ctx, app, ck)
-				cancel()
-				if !errors.Is(err, context.DeadlineExceeded) {
-					t.Fatalf("call %d: err = %v, want the projection's context.DeadlineExceeded", call, err)
+				_, err := withWorkers(&brokenNoIMB, workers, nil).ValidateCtx(context.Background(), app, ck)
+				if err == nil || err.Error() != want {
+					t.Fatalf("call %d: err = %v, want the projection's %q", call, err, want)
 				}
 			}
 			settled(t, baseline)

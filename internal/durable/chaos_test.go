@@ -2,164 +2,82 @@ package durable
 
 import (
 	"bytes"
-	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
-// TestChaosWALShortWrite: an injected partial write fails the append,
-// leaves a torn frame on disk, and the next Open truncates it away —
-// every fully-acknowledged record survives.
-func TestChaosWALShortWrite(t *testing.T) {
-	defer faultinject.Disarm()
-	dir := t.TempDir()
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, w, []byte("acked-1"), []byte("acked-2"))
-	if err := faultinject.Arm("durable.wal.append=shortwrite:5#1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]byte("torn-record")); err == nil {
-		t.Fatal("short write reported success")
-	}
-	faultinject.Disarm()
-	w.Close()
-	sc := obs.New("wal")
-	got, w2 := replayAll(t, dir, Options{Obs: sc})
-	defer w2.Close()
-	if len(got) != 2 || !bytes.Equal(got[0], []byte("acked-1")) || !bytes.Equal(got[1], []byte("acked-2")) {
-		t.Fatalf("survivors = %q, want the two acked records", got)
-	}
-	if n := walCount(sc, "truncated"); n != 1 {
-		t.Errorf("truncated = %d, want 1", n)
-	}
-	// The recovered log keeps working.
-	appendAll(t, w2, []byte("after-recovery"))
-}
-
-// TestChaosWALENOSPC: a full disk fails the append cleanly — nothing is
-// written, the error surfaces, and the log stays consistent without even
-// needing recovery.
-func TestChaosWALENOSPC(t *testing.T) {
-	defer faultinject.Disarm()
+// TestChaosWALWriteError: a write the kernel refuses fails the append. A
+// read-only handle in place of the segment's makes it so, and also makes
+// cutting the segment back fail, so the log cannot know where its end is:
+// it must refuse every later append rather than acknowledge one, even
+// with its own handle back. Reopened, it holds what was acknowledged and
+// takes appends again.
+func TestChaosWALWriteError(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendAll(t, w, []byte("before"))
-	if err := faultinject.Arm("durable.wal.append=enospc#2"); err != nil {
+	ro, err := os.Open(filepath.Join(dir, segName(1)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		if err := w.Append([]byte("lost")); err == nil {
-			t.Fatal("enospc append reported success")
-		}
+	own := w.f
+	w.f = ro
+	if err := w.Append([]byte("lost")); err == nil {
+		t.Fatal("a write on a read-only handle reported success")
 	}
-	faultinject.Disarm()
-	appendAll(t, w, []byte("after"))
+	w.f = own
+	ro.Close()
+	if err := w.Append([]byte("refused")); err == nil {
+		t.Fatal("an append after an uncut failed write was acknowledged")
+	}
 	w.Close()
 	sc := obs.New("wal")
 	got, w2 := replayAll(t, dir, Options{Obs: sc})
 	defer w2.Close()
-	if len(got) != 2 || !bytes.Equal(got[0], []byte("before")) || !bytes.Equal(got[1], []byte("after")) {
-		t.Fatalf("replay = %q, want [before after] with no torn frames", got)
+	if len(got) != 1 || !bytes.Equal(got[0], []byte("before")) {
+		t.Fatalf("replay = %q, want [before]", got)
 	}
 	if tr, c := walCount(sc, "truncated"), walCount(sc, "corrupt"); tr != 0 || c != 0 {
-		t.Errorf("enospc left damage behind: %d truncated, %d corrupt", tr, c)
+		t.Errorf("the failed write left damage behind: %d truncated, %d corrupt", tr, c)
 	}
+	appendAll(t, w2, []byte("after"))
 }
 
-// TestChaosWALCorruptWrite: a silently corrupted write is accepted at
-// append time (the disk lied) but caught by CRC32C on the next Open —
-// the damaged record and everything after it are discarded.
-func TestChaosWALCorruptWrite(t *testing.T) {
-	defer faultinject.Disarm()
-	dir := t.TempDir()
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendAll(t, w, []byte("clean-1"))
-	if err := faultinject.Arm("durable.wal.append=corrupt#1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append([]byte("bit-rotted")); err != nil {
-		t.Fatalf("corrupt mode must report success (silent corruption): %v", err)
-	}
-	faultinject.Disarm()
-	appendAll(t, w, []byte("shadowed"))
-	w.Close()
-	sc := obs.New("wal")
-	got, w2 := replayAll(t, dir, Options{Obs: sc})
-	defer w2.Close()
-	if len(got) != 1 || !bytes.Equal(got[0], []byte("clean-1")) {
-		t.Fatalf("replay = %q, want only clean-1", got)
-	}
-	if c, tr := walCount(sc, "corrupt"), walCount(sc, "truncated"); c != 1 || tr != 1 {
-		t.Errorf("corrupt, truncated = %d, %d; want 1 corrupt + 1 truncated", c, tr)
-	}
-}
-
-// TestChaosWALReplayCorruptInjection: bit flips injected on the replay
-// read path are rejected by checksum, counted, and cut the scan — the
-// reader can never be handed a record that fails verification.
-func TestChaosWALReplayCorruptInjection(t *testing.T) {
-	defer faultinject.Disarm()
-	dir := t.TempDir()
-	w, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		appendAll(t, w, []byte(fmt.Sprintf("record-%d", i)))
-	}
-	w.Close()
-	// Fire on the third frame scanned at Open.
-	if err := faultinject.Arm("durable.wal.replay=corrupt#1"); err != nil {
-		t.Fatal(err)
-	}
-	// Consume the injection budget on frames 1-2 passing clean? No:
-	// #1 fires on the first pass — the first frame scanned. The log is
-	// cut to zero records.
-	sc := obs.New("wal")
-	got, w2 := replayAll(t, dir, Options{Obs: sc})
-	defer w2.Close()
-	faultinject.Disarm()
-	if len(got) != 0 {
-		t.Fatalf("replayed %q past an injected flip", got)
-	}
-	if c, tr := walCount(sc, "corrupt"), walCount(sc, "truncated"); c != 1 || tr != 1 {
-		t.Errorf("corrupt, truncated = %d, %d; want 1 corrupt + 1 truncated", c, tr)
-	}
-}
-
-// TestChaosWALSyncFailure: an injected fsync error surfaces to the
-// caller instead of being swallowed.
+// TestChaosWALSyncFailure: a failed fsync surfaces through Append instead
+// of being swallowed. The write end of a pipe takes the write and rejects
+// the fsync (EINVAL).
 func TestChaosWALSyncFailure(t *testing.T) {
-	defer faultinject.Disarm()
 	w, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	if err := faultinject.Arm("durable.wal.sync=error#1"); err != nil {
+	r, pw, err := os.Pipe()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append([]byte("x")); err == nil {
+	defer r.Close()
+	own := w.f
+	w.f = pw
+	err = w.Append([]byte("x"))
+	w.f = own
+	pw.Close()
+	if err == nil {
 		t.Fatal("sync failure did not surface through Append")
 	}
 }
 
 // TestChaosWALReplayError: a replay whose read fails returns the error and
 // delivers nothing, and the log is untouched — the next replay delivers
-// every record.
+// every record. A directory in the segment's place fails the read
+// (EISDIR), whatever the process's privileges.
 func TestChaosWALReplayError(t *testing.T) {
-	defer faultinject.Disarm()
 	dir := t.TempDir()
 	w, err := Open(dir, Options{})
 	if err != nil {
@@ -167,12 +85,23 @@ func TestChaosWALReplayError(t *testing.T) {
 	}
 	defer w.Close()
 	appendAll(t, w, []byte("a"), []byte("b"))
-	if err := faultinject.Arm("durable.wal.replay=error#1"); err != nil {
+	seg := filepath.Join(dir, segName(1))
+	if err := os.Rename(seg, seg+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(seg, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	var got []string
 	collect := func(rec []byte) error { got = append(got, string(rec)); return nil }
-	if err := w.Replay(collect); err == nil || len(got) != 0 {
+	err = w.Replay(collect)
+	if err := os.Remove(seg); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(seg+".aside", seg); err != nil {
+		t.Fatal(err)
+	}
+	if err == nil || len(got) != 0 {
 		t.Fatalf("failed replay: err %v, delivered %q; want an error and nothing", err, got)
 	}
 	if err := w.Replay(collect); err != nil || len(got) != 2 {

@@ -1,6 +1,6 @@
 // Package durable is swappd's crash-durability layer: a CRC32C-framed,
-// segment-rotated, append-only write-ahead log. Its one user is the job
-// journal (internal/cluster), the only thing swappd keeps on disk:
+// append-only write-ahead log. Its one user is the job journal
+// (internal/cluster), the only thing swappd keeps on disk:
 // characterisation is never persisted, so a restart is a cold start.
 //
 // Frame format, little-endian:
@@ -9,9 +9,12 @@
 //
 // where crc is CRC32C (Castagnoli) over the body. Records are opaque
 // bytes to this package. A log is a directory of segment files
-// (wal-00000001.seg, wal-00000002.seg, …) appended in order and rotated
-// at a size threshold, so compaction and replay never hold more than the
-// frame under the cursor in memory.
+// (wal-00000001.seg, wal-00000002.seg, …) read in order; appends go to
+// the newest, and Compact replaces them all with one. Nothing rotates:
+// only Compact frees disk space, so a segment per size threshold would
+// spread the same bytes over more files. A log that an earlier, rotating
+// build left still replays. Compaction and replay never hold more than
+// the frame under the cursor in memory.
 //
 // Torn-tail semantics: Open scans every segment front to back and
 // truncates the log at the FIRST bad frame — a short header, a short
@@ -22,12 +25,13 @@
 // truth, the tail never happened. Replay after Open therefore sees only
 // verified records.
 //
-// Durability knobs: SyncEvery batches fsyncs (0 means fsync every
-// append); rotation always syncs the finished segment. The package is
-// fault-injectable at "durable.wal.append", "durable.wal.sync", and
-// "durable.wal.replay" — including the I/O-shaped modes (shortwrite,
-// enospc, corrupt) — so chaos tests can prove recovery under partial
-// writes, full disks, and bit flips.
+// A failed append leaves nothing behind: a partial write is cut back
+// before Append returns, so a torn frame never sits in the middle of the
+// log ahead of later acknowledged records. If that cut fails too, the
+// log refuses every later append until it is reopened.
+//
+// Durability knob: SyncEvery batches fsyncs (0 means fsync every
+// append).
 package durable
 
 import (
@@ -42,7 +46,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -53,9 +56,6 @@ const (
 	// treated as corruption, not an allocation request — replay of
 	// hostile or damaged bytes must never OOM.
 	MaxRecordBytes = 16 << 20
-	// DefaultSegmentBytes is the rotation threshold when Options leaves
-	// it zero.
-	DefaultSegmentBytes = 4 << 20
 
 	segPrefix = "wal-"
 	segSuffix = ".seg"
@@ -70,9 +70,6 @@ type Options struct {
 	// has passed since the last sync. 0 — the default — syncs every
 	// append (maximum durability, the safe default).
 	SyncEvery time.Duration
-	// SegmentBytes rotates to a fresh segment once the current one
-	// reaches this size. 0 means DefaultSegmentBytes.
-	SegmentBytes int64
 	// Obs, when non-nil, receives the log's counters: durable.wal_records
 	// (records appended by this process), _replayed (records delivered to
 	// Replay callbacks), _truncated (Open cut the log at a bad frame) and
@@ -95,6 +92,7 @@ type WAL struct {
 	lastSync time.Time
 	dirty    bool // unsynced appends pending
 	closed   bool
+	broken   error // a failed append whose torn bytes could not be cut: every later append fails with it
 }
 
 // segName formats a segment file name.
@@ -103,9 +101,6 @@ func segName(i int) string { return fmt.Sprintf("%s%08d%s", segPrefix, i, segSuf
 // Open opens (or creates) the log in dir, scans every segment, truncates
 // the torn tail if one is found, and positions the log for appending.
 func Open(dir string, opts Options) (*WAL, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: create wal dir: %w", err)
 	}
@@ -227,10 +222,6 @@ func (w *WAL) readFrames(path string, fn func(rec []byte) error) (valid int64, r
 			}
 			return valid, "", fmt.Errorf("durable: read segment: %w", err)
 		}
-		// A bit flipped in the read: TestChaosWALReplayCorruptInjection.
-		if fault := faultinject.FireIO("durable.wal.replay"); fault != nil && fault.Mode == faultinject.ModeCorrupt {
-			body[int(length)/2] ^= 1
-		}
 		if crc32.Checksum(body, castagnoli) != want {
 			w.opts.Obs.Count("durable.wal_corrupt", 1)
 			return valid, "checksum mismatch", nil
@@ -248,16 +239,12 @@ func (w *WAL) readFrames(path string, fn func(rec []byte) error) (valid int64, r
 // It must only be called on a freshly Opened log, before new appends are
 // interleaved with the replay read. fn's slice is only valid for the
 // duration of the call. Open's scan already cut the log at its first bad
-// frame; one that appears since (or is injected) ends the replay there —
-// the chain is broken — without an error.
+// frame; one that appears since ends the replay there — the chain is
+// broken — without an error. A read that fails is an error.
 func (w *WAL) Replay(fn func(rec []byte) error) error {
 	w.mu.Lock()
 	segs := append([]int(nil), w.segments...)
 	w.mu.Unlock()
-	// A read that fails before any record: TestChaosWALReplayError.
-	if err := faultinject.Fire("durable.wal.replay"); err != nil {
-		return err
-	}
 	deliver := func(rec []byte) error {
 		w.opts.Obs.Count("durable.wal_replayed", 1)
 		return fn(rec)
@@ -286,51 +273,30 @@ func (w *WAL) Append(rec []byte) error {
 	if w.closed {
 		return errors.New("durable: wal is closed")
 	}
-	// A slow or failing write: TestDoneIsJournalledBeforeItIsSeen arms a delay.
-	if err := faultinject.Fire("durable.wal.append"); err != nil {
-		return err
+	if w.broken != nil {
+		return w.broken
 	}
 	frame := make([]byte, frameHeader+len(rec))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(rec)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(rec, castagnoli))
 	copy(frame[frameHeader:], rec)
-	// A torn, full or corrupted disk: TestChaosWALShortWrite, ENOSPC and CorruptWrite.
-	if fault := faultinject.FireIO("durable.wal.append"); fault != nil {
-		switch fault.Mode {
-		case faultinject.ModeENOSPC:
-			return fmt.Errorf("durable: append: %w", fault)
-		case faultinject.ModeShortWrite:
-			// The crash shape: a prefix of the frame reaches the disk,
-			// then the write fails. The torn tail stays in the file for
-			// the next Open to truncate.
-			n := fault.N
-			if n > len(frame) {
-				n = len(frame)
-			}
-			if n > 0 {
-				if _, err := w.f.Write(frame[:n]); err != nil {
-					return fmt.Errorf("durable: append: %w", err)
-				}
-				w.size += int64(n)
-			}
-			return fmt.Errorf("durable: append: %w", fault)
-		case faultinject.ModeCorrupt:
-			// Silent media corruption: the write "succeeds", one bit
-			// lies. Flip inside the body so the checksum catches it.
-			frame[frameHeader+len(rec)/2] ^= 1
-		}
-	}
 	if _, err := w.f.Write(frame); err != nil {
+		// Part of the frame may be on disk. Left there, it would end the
+		// next Open's scan, and every record appended after it — each
+		// acknowledged — would be dropped with it: cut the segment back to
+		// its last whole frame.
+		rerr := w.f.Truncate(w.size)
+		if rerr == nil {
+			_, rerr = w.f.Seek(w.size, io.SeekStart)
+		}
+		if rerr != nil {
+			w.broken = fmt.Errorf("durable: append refused: a failed write's bytes could not be cut: %w", rerr)
+		}
 		return fmt.Errorf("durable: append: %w", err)
 	}
 	w.size += int64(len(frame))
 	w.dirty = true
 	w.opts.Obs.Count("durable.wal_records", 1)
-	if w.size >= w.opts.SegmentBytes {
-		if err := w.rotateLocked(); err != nil {
-			return err
-		}
-	}
 	if w.opts.SyncEvery <= 0 || time.Since(w.lastSync) >= w.opts.SyncEvery {
 		return w.syncLocked()
 	}
@@ -341,36 +307,11 @@ func (w *WAL) syncLocked() error {
 	if !w.dirty {
 		return nil
 	}
-	// A failing fsync: TestChaosWALSyncFailure.
-	if err := faultinject.Fire("durable.wal.sync"); err != nil {
-		return err
-	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("durable: sync: %w", err)
 	}
 	w.dirty = false
 	w.lastSync = time.Now()
-	return nil
-}
-
-// rotateLocked seals the current segment (fsync + close) and starts the
-// next one.
-func (w *WAL) rotateLocked() error {
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("durable: rotate sync: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		return fmt.Errorf("durable: rotate close: %w", err)
-	}
-	w.dirty = false
-	w.seg++
-	f, err := os.OpenFile(filepath.Join(w.dir, segName(w.seg)), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("durable: rotate open: %w", err)
-	}
-	w.f, w.size = f, 0
-	w.segments = append(w.segments, w.seg)
-	syncDir(w.dir)
 	return nil
 }
 

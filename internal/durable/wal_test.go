@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -210,30 +212,44 @@ func TestWALZeroFilledTail(t *testing.T) {
 	}
 }
 
-// TestWALRotationAndLaterSegmentsDropped: the log rotates at the size
-// threshold, replays across segments in order, and a tear in an early
-// segment discards every later segment (the chain is broken).
+// writeSegment writes recs, framed, as segment i of the log in dir — the
+// later segments a build that rotated its log left behind.
+func writeSegment(t *testing.T, dir string, i int, recs ...[]byte) {
+	t.Helper()
+	var buf []byte
+	for _, rec := range recs {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec)))
+		buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(rec, castagnoli))
+		buf = append(buf, rec...)
+	}
+	if err := os.WriteFile(filepath.Join(dir, segName(i)), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALRotationAndLaterSegmentsDropped: a log of several segments, as a
+// rotating build left it, replays across them in order and appends to the
+// newest, and a tear in an early segment discards every later segment
+// (the chain is broken).
 func TestWALRotationAndLaterSegmentsDropped(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want [][]byte
-	for i := 0; i < 12; i++ {
-		rec := []byte(fmt.Sprintf("record-%02d-padding-padding", i))
-		want = append(want, rec)
+	for seg := 1; seg <= 4; seg++ {
+		var recs [][]byte
+		for i := 0; i < 3; i++ {
+			recs = append(recs, []byte(fmt.Sprintf("segment-%d-record-%d", seg, i)))
+		}
+		writeSegment(t, dir, seg, recs...)
+		want = append(want, recs...)
 	}
-	appendAll(t, w, want...)
-	w.Close()
-	segs, err := listSegments(dir)
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 3 {
-		t.Fatalf("expected rotation to produce >= 3 segments, got %v", segs)
-	}
-	got, w2 := replayAll(t, dir, Options{SegmentBytes: 64})
+	appendAll(t, w, []byte("appended"))
+	want = append(want, []byte("appended"))
+	w.Close()
+	got, w2 := replayAll(t, dir, Options{})
 	if len(got) != len(want) {
 		t.Fatalf("replayed %d records across segments, want %d", len(got), len(want))
 	}
@@ -245,27 +261,19 @@ func TestWALRotationAndLaterSegmentsDropped(t *testing.T) {
 	w2.Close()
 
 	// Damage the second segment's first frame: everything from that
-	// frame on — including segments 3+ — is unreachable.
-	raw, err := os.ReadFile(filepath.Join(dir, segName(segs[1])))
+	// frame on — including segments 3 and 4 — is unreachable.
+	raw, err := os.ReadFile(filepath.Join(dir, segName(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[frameHeader+2] ^= 0x01
-	if err := os.WriteFile(filepath.Join(dir, segName(segs[1])), raw, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, segName(2)), raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got2, w3 := replayAll(t, dir, Options{SegmentBytes: 64})
+	got2, w3 := replayAll(t, dir, Options{})
 	defer w3.Close()
-	inFirst := 0
-	for off := int64(0); ; inFirst++ {
-		off += frameHeader + int64(len(want[inFirst]))
-		if off >= 64 {
-			inFirst++
-			break
-		}
-	}
-	if len(got2) != inFirst {
-		t.Fatalf("replayed %d records after mid-chain damage, want %d (first segment only)", len(got2), inFirst)
+	if len(got2) != 3 {
+		t.Fatalf("replayed %d records after mid-chain damage, want 3 (first segment only)", len(got2))
 	}
 	after, err := listSegments(dir)
 	if err != nil {
@@ -278,13 +286,14 @@ func TestWALRotationAndLaterSegmentsDropped(t *testing.T) {
 
 func TestWALCompact(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(dir, Options{SegmentBytes: 64})
+	for seg := 1; seg <= 3; seg++ {
+		writeSegment(t, dir, seg, []byte(fmt.Sprintf("old-record-%d", seg)))
+	}
+	w, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		appendAll(t, w, []byte(fmt.Sprintf("old-record-%02d-padding", i)))
-	}
+	appendAll(t, w, []byte("old-appended"))
 	keep := [][]byte{[]byte("kept-1"), []byte("kept-2")}
 	if err := w.Compact(keep); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,7 +16,6 @@ import (
 
 	swapp "repro"
 	"repro/internal/cluster"
-	"repro/internal/faultinject"
 	"repro/internal/obs"
 )
 
@@ -32,22 +32,25 @@ func postEval(t *testing.T, url string, body string) *http.Response {
 
 const chaosBody = `{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":16}`
 
-// TestInjectedEvalPanicBecomes500 is the serving half of the acceptance
-// scenario: a panic inside one evaluation becomes a clean 500, the panic
-// is counted, the error is not cached, and the identical follow-up
-// request succeeds — the daemon survives its pipeline blowing up.
-func TestInjectedEvalPanicBecomes500(t *testing.T) {
-	defer faultinject.Disarm()
-	if err := faultinject.Arm("server.eval=panic#1"); err != nil {
-		t.Fatal(err)
-	}
-	eval := &stubEval{}
+// TestEvalPanicBecomes500 is the serving half of the acceptance scenario:
+// a panic inside one evaluation becomes a clean 500, the panic is counted,
+// the error is not cached, and the identical follow-up request succeeds —
+// the daemon survives its pipeline blowing up.
+func TestEvalPanicBecomes500(t *testing.T) {
+	var calls atomic.Int64
 	scope := obs.New("test")
-	_, ts := newTestServer(t, Config{Workers: 2, Obs: scope}, eval)
+	s := New(Config{Workers: 2, Obs: scope, Eval: func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		if calls.Add(1) == 1 {
+			panic("evaluation blows up")
+		}
+		return stubResult(req), nil
+	}})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 
 	resp := postEval(t, ts.URL, chaosBody)
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("injected panic: status %d, want 500", resp.StatusCode)
+		t.Fatalf("panicked evaluation: status %d, want 500", resp.StatusCode)
 	}
 	var apiErr apiError
 	if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
@@ -60,14 +63,13 @@ func TestInjectedEvalPanicBecomes500(t *testing.T) {
 		t.Errorf("server.panics = %v, want 1", got)
 	}
 
-	// The fault is exhausted (#1) and the error was not cached: the same
-	// request now evaluates cleanly.
+	// The error was not cached: the same request now evaluates cleanly.
 	resp2 := postEval(t, ts.URL, chaosBody)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("follow-up after panic: status %d, want 200", resp2.StatusCode)
 	}
-	if eval.calls.Load() != 1 {
-		t.Errorf("eval ran %d times, want 1 (panic fired before the stub)", eval.calls.Load())
+	if n := calls.Load(); n != 2 {
+		t.Errorf("%d evaluations, want 2: the panicked one and the follow-up", n)
 	}
 }
 
@@ -173,12 +175,15 @@ func TestPanickingLeaderReleasesFollowers(t *testing.T) {
 // nothing more: the next valid request is evaluated and answered 200, and so
 // is a job submitted after them.
 func TestFailuresRefuseNothing(t *testing.T) {
-	defer faultinject.Disarm()
-	if err := faultinject.Arm("server.eval=error#10"); err != nil {
-		t.Fatal(err)
-	}
-	eval := &stubEval{}
-	_, ts := newTestServer(t, Config{Workers: 1}, eval)
+	var calls atomic.Int64
+	s := New(Config{Workers: 1, Eval: func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		if calls.Add(1) <= 10 {
+			return nil, errors.New("evaluation fails")
+		}
+		return stubResult(req), nil
+	}})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
 
 	// Distinct ranks, each a valid request, dodge the cache and singleflight.
 	for i := 1; i <= 10; i++ {
@@ -194,8 +199,8 @@ func TestFailuresRefuseNothing(t *testing.T) {
 	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone {
 		t.Errorf("job after ten failures = %s (%q), want done", final.State, final.Error)
 	}
-	if n := eval.calls.Load(); n != 2 {
-		t.Errorf("%d evaluations reached the evaluator, want the request's and the job's", n)
+	if n := calls.Load(); n != 12 {
+		t.Errorf("%d evaluations, want 12: ten failures, then the request's and the job's", n)
 	}
 }
 

@@ -43,7 +43,6 @@ import (
 	swapp "repro"
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/faultinject"
 	"repro/internal/lru"
 	"repro/internal/nas"
 	"repro/internal/obs"
@@ -507,10 +506,6 @@ func (s *Server) runEval(ctx context.Context, op string, req swapp.Request) (res
 			res, err = nil, fmt.Errorf("server: evaluation panicked: %v", v)
 		}
 	}()
-	// Armed by TestInjectedEvalPanicBecomes500, serve-smoke and swappd's TestInjectedPanicRoundTrip.
-	if err := faultinject.Fire("server.eval"); err != nil {
-		return nil, err
-	}
 	return s.eval(ctx, op, req)
 }
 

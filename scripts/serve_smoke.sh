@@ -3,8 +3,8 @@
 # build it, start it on a free port, check /healthz, run one real
 # /v1/project round-trip twice, assert the second answer comes from the
 # cache with an identical body, ask /v1/validate and /v1/surrogate once
-# each for the same request, read /metrics.json, then drain with SIGTERM
-# and require a clean exit.
+# each for the same request, let one request's deadline expire (504), read
+# /metrics.json, then drain with SIGTERM and require a clean exit.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -60,6 +60,14 @@ grep -q '"measured_total_seconds"' "$tmp/validate.json" || {
 curl -fsS -X POST "http://$addr/v1/surrogate" -d "$req" -o "$tmp/surrogate.json"
 grep -q '"speedup_ratio"' "$tmp/surrogate.json" && ! grep -q '"total_seconds"' "$tmp/surrogate.json" || {
     echo "serve-smoke: /v1/surrogate response is not the compute section alone" >&2; exit 1; }
+# A deadline that expires before its evaluation ends is a 504 with a JSON
+# error body (a target not yet characterised takes far longer than 1 ms).
+status=$(curl -sS -o "$tmp/late.json" -w '%{http_code}' -X POST "http://$addr/v1/project" \
+    -d '{"target":"bgp","bench":"LU-MZ","class":"C","ranks":16,"timeout_ms":1}')
+[ "$status" = 504 ] || {
+    echo "serve-smoke: an expired deadline returned $status, want 504" >&2; exit 1; }
+grep -q '"error"' "$tmp/late.json" || {
+    echo "serve-smoke: the 504 body carries no error" >&2; exit 1; }
 curl -fsS "http://$addr/metrics.json" -o "$tmp/metrics.json"
 grep -q '"server.cache.result_hits"' "$tmp/metrics.json" || {
     echo "serve-smoke: /metrics.json does not count the cache hit" >&2; exit 1; }
@@ -69,44 +77,4 @@ wait "$pid" || { echo "serve-smoke: drain exited non-zero" >&2; exit 1; }
 pid=""
 grep -q drained "$tmp/err.log" || {
     echo "serve-smoke: missing drain log" >&2; exit 1; }
-echo "serve-smoke: ok (cached round-trip, validate, surrogate, metrics + clean drain)"
-
-# Second act: fault injection. Restart with one armed evaluation panic;
-# the first request must 500 without killing the daemon, health must stay
-# green, and the identical retry must evaluate normally.
-"$tmp/swappd" -addr 127.0.0.1:0 -faults 'server.eval=panic#1' \
-    >"$tmp/out2.log" 2>"$tmp/err2.log" &
-pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^swappd listening on //p' "$tmp/out2.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "serve-smoke: faulted swappd never reported its address" >&2
-    cat "$tmp/err2.log" >&2
-    exit 1
-fi
-echo "serve-smoke: faulted swappd on $addr"
-grep -q 'FAULT INJECTION ARMED' "$tmp/err2.log" || {
-    echo "serve-smoke: missing armed warning on stderr" >&2; exit 1; }
-
-status=$(curl -sS -o "$tmp/fault.json" -w '%{http_code}' \
-    -X POST "http://$addr/v1/project" -d "$req")
-[ "$status" = 500 ] || {
-    echo "serve-smoke: injected panic returned $status, want 500" >&2; exit 1; }
-grep -qi panic "$tmp/fault.json" || {
-    echo "serve-smoke: 500 body does not mention the panic" >&2; exit 1; }
-
-curl -fsS "http://$addr/healthz" >/dev/null || {
-    echo "serve-smoke: daemon unhealthy after injected panic" >&2; exit 1; }
-curl -fsS -X POST "http://$addr/v1/project" -d "$req" -o "$tmp/retry.json"
-grep -q '"total_seconds"' "$tmp/retry.json" || {
-    echo "serve-smoke: retry after exhausted fault is not a projection" >&2; exit 1; }
-
-kill -TERM "$pid"
-wait "$pid" || { echo "serve-smoke: faulted drain exited non-zero" >&2; exit 1; }
-pid=""
-echo "serve-smoke: ok (injected panic contained, retry served, clean drain)"
+echo "serve-smoke: ok (cached round-trip, validate, surrogate, expired deadline, metrics + clean drain)"
