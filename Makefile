@@ -174,8 +174,11 @@ crash-smoke:
 # GOFLAGS='-cover -coverpkg=./...' and GOCOVERDIR exported, runs one fixed
 # scenario — figures -all -csv -metrics; swapp with no flags and
 # swapp -bench SP-MZ -class D -ranks 128 -target bgp -validate -trace;
-# imbrun, nasrun -threads 2, specrun -noise; the four examples; and the three
-# smoke scripts unedited, whose own go build picks up the exported GOFLAGS —
+# the published-data round trip (imbrun and specrun documents into
+# swapp -validate, cmp'd against the same request with no files, then a
+# count-8 base table that grades it B); nasrun -threads 2; the four
+# examples; and the three smoke scripts unedited, whose own go build picks
+# up the exported GOFLAGS —
 # then lists the internal/ functions at 0.0 % (go tool covdata func). Every
 # one must be in scripts/prodcover_allowlist.txt with a reason; an unlisted
 # one, a listed one that is reached now, an entry with no reason, or an

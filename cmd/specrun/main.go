@@ -1,10 +1,12 @@
 // Command specrun runs the synthetic SPEC CPU2006 suite on a simulated
-// machine in throughput mode and prints runtimes and headline counters —
-// the "published benchmark data" side of SWAPP.
+// machine in throughput mode, with the measurement noise every projection
+// sees, and prints the results as the persist document that swapp's
+// -spec-base and -spec-target read — the "published benchmark data" side
+// of SWAPP.
 //
 // Usage:
 //
-//	specrun -machine westmere-x5670
+//	specrun -machine westmere-x5670 > spec-westmere-x5670.json
 package main
 
 import (
@@ -14,42 +16,27 @@ import (
 	"strings"
 
 	"repro/internal/arch"
+	"repro/internal/persist"
 	"repro/internal/spec"
-	"repro/internal/units"
 )
 
 func main() {
-	var (
-		machine = flag.String("machine", arch.Hydra, "machine: "+strings.Join(arch.Names(), ", "))
-		noise   = flag.Bool("noise", false, "add measurement noise to the counters")
-	)
+	machine := flag.String("machine", arch.Hydra, "machine: "+strings.Join(arch.Names(), ", "))
 	flag.Parse()
 
 	m, err := arch.Get(*machine)
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("SPEC CPU2006 (throughput mode) on %s\n\n", m)
-	results, err := spec.RunSuite(m, *noise)
+	results, err := spec.RunSuite(m, true)
 	if err != nil {
 		fatal("%v", err)
 	}
-	fmt.Printf("%-18s %6s %10s %8s %8s %10s %10s\n",
-		"benchmark", "suite", "runtime", "CPI", "stall%", "L3/instr", "BW GB/s")
-	for _, name := range spec.SortedNames(results) {
-		r := results[name]
-		b, _ := spec.ByName(name)
-		fmt.Printf("%-18s %6s %10s %8.2f %7.1f%% %10.4f %10.2f\n",
-			name, suiteTag(b.Group), units.FormatSeconds(r.ST.Runtime),
-			r.ST.CPI, 100*r.ST.CPIStallTotal/r.ST.CPI, r.ST.DataFromL3, r.ST.MemBWGBs)
+	b, err := persist.MarshalSpec(m.Name, results)
+	if err != nil {
+		fatal("%v", err)
 	}
-}
-
-func suiteTag(g spec.SuiteGroup) string {
-	if g == spec.CINT {
-		return "int"
-	}
-	return "fp"
+	fmt.Printf("%s\n", b)
 }
 
 func fatal(format string, args ...any) {

@@ -2,15 +2,55 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/imb"
 	"repro/internal/persist"
 	"repro/internal/spec"
 )
+
+// writeSpec writes machine's noisy SPEC suite, as specrun prints it, into
+// dir and returns the path.
+func writeSpec(t *testing.T, dir, machine string) string {
+	t.Helper()
+	results, err := spec.RunSuite(arch.MustGet(machine), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := persist.MarshalSpec(machine, results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "spec-"+machine+".json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// writeIMB writes machine's full IMB table at ranks, as imbrun prints it,
+// into dir and returns the path.
+func writeIMB(t *testing.T, dir, machine string, ranks int) string {
+	t.Helper()
+	tab, err := imb.Run(arch.MustGet(machine), ranks, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := persist.MarshalIMB(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, fmt.Sprintf("imb-%s-%d.json", machine, ranks))
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // TestBadInputPaths pins the CLI contract for broken invocations: one
 // actionable line on stderr naming the problem file, exit 1, and nothing
@@ -22,6 +62,9 @@ func TestBadInputPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	missing := filepath.Join(dir, "does-not-exist.json")
+	specBGP := writeSpec(t, dir, arch.BlueGene)
+	imbBGP := writeIMB(t, dir, arch.BlueGene, 4)
+	imbP6 := writeIMB(t, dir, arch.Power6, 4)
 
 	cases := []struct {
 		name string
@@ -35,6 +78,13 @@ func TestBadInputPaths(t *testing.T) {
 		{"corrupt spec", []string{"-spec-base", garbage}, garbage},
 		{"corrupt imb", []string{"-imb-base", garbage}, garbage},
 		{"second imb path bad", []string{"-imb-base", garbage + "," + missing}, garbage},
+		// A document for another machine than its flag's, or a second
+		// table at one count, would silently project something else.
+		{"spec target for another machine", []string{"-spec-target", specBGP}, "not the target machine power6-575"},
+		{"spec base for another machine", []string{"-spec-base", specBGP}, "not the base machine hydra"},
+		{"imb target for another machine", []string{"-imb-target", imbBGP}, "not the target machine power6-575"},
+		{"imb base for another machine", []string{"-imb-base", imbP6}, "not the base machine hydra"},
+		{"two imb tables at one count", []string{"-imb-target", imbP6 + "," + imbP6}, "a second target table at 4 ranks"},
 		{"unwritable trace", []string{"-trace", filepath.Join(dir, "no", "such", "dir", "t.json")}, "trace"},
 		// Request errors name no file; the library already prefixes them.
 		{"one rank", []string{"-ranks", "1"}, "ranks must be at least 2"},
@@ -69,39 +119,42 @@ func TestBadInputPaths(t *testing.T) {
 }
 
 // TestPublishedDataMatchesMeasured proves the -spec-*/-imb-* flags feed
-// the pipeline the same numbers it would measure itself: a projection
-// from published (persisted) base SPEC data is byte-identical to the
-// self-measured one. This is the paper's workflow — projecting from
-// published target data — holding the determinism contract.
+// the pipeline the same numbers it would measure itself: a -validate
+// projection from published documents — both machines' SPEC suites and
+// their full IMB tables at every count the request gathers — is
+// byte-identical to the self-measured one, whose IMB tables are the sparse
+// served ones. This is the paper's workflow — projecting from published
+// data — holding the determinism contract; make prodcover runs the same
+// round trip on BT-MZ.C@64 through imbrun and specrun.
 func TestPublishedDataMatchesMeasured(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full pipelines in -short mode")
 	}
-	results, err := spec.RunSuite(arch.MustGet(arch.Hydra), true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blob, err := persist.MarshalSpec(arch.Hydra, results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "spec-hydra.json")
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	imbFlag := func(machine string) string {
+		var paths []string
+		for _, c := range []int{4, 8, 16} { // LU-MZ.C@16's counts (core's TestCharCountsFor)
+			paths = append(paths, writeIMB(t, dir, machine, c))
+		}
+		return strings.Join(paths, ",")
 	}
 
-	base := []string{"-bench", "LU-MZ", "-class", "C", "-ranks", "16"}
+	req := []string{"-bench", "LU-MZ", "-class", "C", "-ranks", "16", "-target", arch.Power6, "-validate"}
 	var measured, published bytes.Buffer
 	var stderr bytes.Buffer
-	if code := run(base, &measured, &stderr); code != 0 {
+	if code := run(req, &measured, &stderr); code != 0 {
 		t.Fatalf("measured run failed: %s", stderr.String())
 	}
 	stderr.Reset()
-	if code := run(append(base, "-spec-base", path), &published, &stderr); code != 0 {
+	files := []string{
+		"-spec-base", writeSpec(t, dir, arch.Hydra), "-spec-target", writeSpec(t, dir, arch.Power6),
+		"-imb-base", imbFlag(arch.Hydra), "-imb-target", imbFlag(arch.Power6),
+	}
+	if code := run(append(req, files...), &published, &stderr); code != 0 {
 		t.Fatalf("published-data run failed: %s", stderr.String())
 	}
 	if measured.String() != published.String() {
-		t.Errorf("published SPEC data changed the projection:\n-- measured --\n%s\n-- published --\n%s",
+		t.Errorf("published data changed the projection:\n-- measured --\n%s\n-- published --\n%s",
 			measured.String(), published.String())
 	}
 	// Clean published data must not surface a quality section.

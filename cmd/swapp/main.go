@@ -62,7 +62,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	data, err := loadData(*specBase, *specTgt, *imbBase, *imbTgt)
+	data, err := loadData(*base, *target, *specBase, *specTgt, *imbBase, *imbTgt)
 	if err != nil {
 		fmt.Fprintf(stderr, "swapp: %v\n", err)
 		return 1
@@ -143,14 +143,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 // Counts or suites not supplied are measured by the pipeline as usual. The
 // lenient decoders are used on purpose: partial or damaged published data
 // degrades the projection (recorded in its Quality block) instead of
-// refusing to run, while unreadable files fail fast with the path in the
-// message.
-func loadData(specBase, specTarget, imbBase, imbTarget string) (*core.PipelineData, error) {
+// refusing to run, while unreadable files, a document for another machine
+// than the one its flag names, and a second IMB table at one count fail
+// fast with the path in the message.
+func loadData(base, target, specBase, specTarget, imbBase, imbTarget string) (*core.PipelineData, error) {
 	if specBase == "" && specTarget == "" && imbBase == "" && imbTarget == "" {
 		return nil, nil
 	}
 	data := &core.PipelineData{}
-	loadSpec := func(path string, dst *map[string]spec.Result) error {
+	loadSpec := func(path, want, role string, dst *map[string]spec.Result) error {
 		if path == "" {
 			return nil
 		}
@@ -158,15 +159,18 @@ func loadData(specBase, specTarget, imbBase, imbTarget string) (*core.PipelineDa
 		if err != nil {
 			return fmt.Errorf("cannot read SPEC data: %v", err)
 		}
-		_, results, defects, err := persist.UnmarshalSpecLenient(b)
+		machine, results, defects, err := persist.UnmarshalSpecLenient(b)
 		if err != nil {
 			return fmt.Errorf("cannot load SPEC data %s: %v", path, err)
+		}
+		if machine != want {
+			return fmt.Errorf("SPEC data %s is for %s, not the %s machine %s", path, machine, role, want)
 		}
 		*dst = results
 		data.Defects = append(data.Defects, defects...)
 		return nil
 	}
-	loadIMB := func(paths string, dst *map[int]*imb.Table) error {
+	loadIMB := func(paths, want, role string, dst *map[int]*imb.Table) error {
 		if paths == "" {
 			return nil
 		}
@@ -180,22 +184,28 @@ func loadData(specBase, specTarget, imbBase, imbTarget string) (*core.PipelineDa
 			if err != nil {
 				return fmt.Errorf("cannot load IMB data %s: %v", path, err)
 			}
+			if t.Machine != want {
+				return fmt.Errorf("IMB data %s is for %s, not the %s machine %s", path, t.Machine, role, want)
+			}
+			if m[t.Ranks] != nil {
+				return fmt.Errorf("IMB data %s: a second %s table at %d ranks", path, role, t.Ranks)
+			}
 			m[t.Ranks] = t
 			data.Defects = append(data.Defects, defects...)
 		}
 		*dst = m
 		return nil
 	}
-	if err := loadSpec(specBase, &data.SpecBase); err != nil {
+	if err := loadSpec(specBase, base, "base", &data.SpecBase); err != nil {
 		return nil, err
 	}
-	if err := loadSpec(specTarget, &data.SpecTarget); err != nil {
+	if err := loadSpec(specTarget, target, "target", &data.SpecTarget); err != nil {
 		return nil, err
 	}
-	if err := loadIMB(imbBase, &data.IMBBase); err != nil {
+	if err := loadIMB(imbBase, base, "base", &data.IMBBase); err != nil {
 		return nil, err
 	}
-	if err := loadIMB(imbTarget, &data.IMBTarget); err != nil {
+	if err := loadIMB(imbTarget, target, "target", &data.IMBTarget); err != nil {
 		return nil, err
 	}
 	return data, nil

@@ -25,8 +25,6 @@ import (
 // TestNoTestOnlyExports reports them.
 var testOnlyAllowlist = map[string]string{
 	"rng.(*Source).Perm":               "the core, ga and mpi tests draw seeded permutations through it",
-	"persist.MarshalIMB":               "core's simulator pin hashes its bytes and cmd/swapp's bad-path test writes a fixture with it",
-	"persist.MarshalSpec":              "core's simulator pin hashes its bytes and cmd/swapp's bad-path test writes a fixture with it",
 	"core.DebugMemberDistances":        "kept for the surrogate-coverage diagnostic of ROADMAP item 8 (c)",
 	"lru.(*Cache).Len":                 "the core layer and server result-cache tests read a cache's exact occupancy through it; the _size gauges hold only the size at the last fill's end",
 	"workload.(*Signature).ScaledWork": "the hpm tests scale a signature's work through it",

@@ -237,15 +237,6 @@ func Names() []string {
 	return out
 }
 
-// All returns the registered machines sorted by name.
-func All() []*Machine {
-	var out []*Machine
-	for _, n := range Names() {
-		out = append(out, registry[n])
-	}
-	return out
-}
-
 // Short names of the Table 2 machines.
 const (
 	Hydra    = "hydra"          // base machine: TAMU Hydra, POWER5+ 575, HPS Federation

@@ -67,7 +67,8 @@ func TestTable2Values(t *testing.T) {
 }
 
 func TestModelSanity(t *testing.T) {
-	for _, m := range All() {
+	for _, name := range Names() {
+		m := MustGet(name)
 		if m.Proc.ClockGHz <= 0 || m.Proc.IssueWidth <= 0 || m.Proc.BaseCPI <= 0 {
 			t.Errorf("%s: nonsense core parameters", m.Name)
 		}
@@ -152,7 +153,8 @@ func TestBlueGeneCollectiveTree(t *testing.T) {
 	if d[0]*d[1]*d[2] != bg.Nodes() {
 		t.Errorf("torus dims %v do not cover %d nodes", d, bg.Nodes())
 	}
-	for _, m := range All() {
+	for _, name := range Names() {
+		m := MustGet(name)
 		if m.Name != BlueGene && m.Net.HasCollectiveTree {
 			t.Errorf("%s should not have a collective tree", m.Name)
 		}

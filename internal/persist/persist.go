@@ -1,8 +1,9 @@
 // Package persist serializes the artifacts SWAPP exchanges between sites:
 // IMB parameter tables and SPEC results ("published benchmark data" for a
-// target machine one cannot access) and application MPI profiles. The paper
-// assumes exactly this workflow — projections are made from *published*
-// target data — so the wire format is part of the system.
+// target machine one cannot access). The paper assumes exactly this
+// workflow — projections are made from *published* target data — so the
+// wire format is part of the system: cmd/imbrun and cmd/specrun print it,
+// and cmd/swapp's -imb-* and -spec-* flags read it.
 //
 // The format is plain JSON, stable across runs (maps are serialized as
 // sorted arrays), and round-trips exactly for the quantities the

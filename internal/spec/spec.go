@@ -96,16 +96,6 @@ var suite = []*Benchmark{
 	{sig("482.sphinx3", 1.3, 0.25, 0.41, 0.08, 0.018, 1.9, 180*units.MiB, 0.68, 0.25, 1.1), CFP},
 }
 
-// ByName finds a benchmark by its SPEC name.
-func ByName(name string) (*Benchmark, error) {
-	for _, b := range suite {
-		if b.Name() == name {
-			return b, nil
-		}
-	}
-	return nil, fmt.Errorf("spec: unknown benchmark %q", name)
-}
-
 // Result is one benchmark observation on one machine: ST and SMT throughput
 // runs with their counters (the paper collects both modes, §4).
 type Result struct {

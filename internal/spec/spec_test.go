@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -9,6 +10,16 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/units"
 )
+
+// byName finds a benchmark by its SPEC name.
+func byName(name string) (*Benchmark, error) {
+	for _, b := range suite {
+		if b.Name() == name {
+			return b, nil
+		}
+	}
+	return nil, fmt.Errorf("spec: unknown benchmark %q", name)
+}
 
 func TestSuiteComposition(t *testing.T) {
 	var cint, cfp int
@@ -47,14 +58,14 @@ func TestAllSignaturesValid(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	b, err := ByName("429.mcf")
+	b, err := byName("429.mcf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b.Group != CINT {
 		t.Error("mcf is CINT")
 	}
-	if _, err := ByName("999.nope"); err == nil {
+	if _, err := byName("999.nope"); err == nil {
 		t.Error("unknown name must error")
 	}
 }
@@ -70,7 +81,7 @@ func TestNamesOrdered(t *testing.T) {
 
 func TestRunBenchmark(t *testing.T) {
 	m := arch.MustGet(arch.Hydra)
-	b, _ := ByName("470.lbm")
+	b, _ := byName("470.lbm")
 	r, err := RunBenchmark(b, m, false, "")
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +100,7 @@ func TestRunBenchmark(t *testing.T) {
 
 func TestRunBenchmarkNoSMTMachine(t *testing.T) {
 	m := arch.MustGet(arch.BlueGene) // SMTWays == 1
-	b, _ := ByName("453.povray")
+	b, _ := byName("453.povray")
 	r, err := RunBenchmark(b, m, false, "")
 	if err != nil {
 		t.Fatal(err)
@@ -143,8 +154,8 @@ func TestSuiteSpansBehaviourSpace(t *testing.T) {
 
 func TestRelativeBehaviourAcrossPool(t *testing.T) {
 	m := arch.MustGet(arch.Hydra)
-	mcf, _ := ByName("429.mcf")
-	povray, _ := ByName("453.povray")
+	mcf, _ := byName("429.mcf")
+	povray, _ := byName("453.povray")
 	rm, err := RunBenchmark(mcf, m, false, "")
 	if err != nil {
 		t.Fatal(err)

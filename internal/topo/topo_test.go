@@ -126,7 +126,8 @@ func TestAverageHops(t *testing.T) {
 }
 
 func TestForBuildsFromMachines(t *testing.T) {
-	for _, m := range arch.All() {
+	for _, name := range arch.Names() {
+		m := arch.MustGet(name)
 		tp := For(m)
 		if tp.Nodes() < m.Nodes() {
 			t.Errorf("%s: topology smaller than machine (%d < %d)", m.Name, tp.Nodes(), m.Nodes())

@@ -2,11 +2,18 @@
 # prodcover.sh — which internal/ functions no production entry point runs.
 # Build every main under cmd/ and examples/ with integration coverage over
 # the whole module, run one fixed scenario — `figures -all`, `swapp` with no
-# flags and with a class-D `-validate -trace` request, `imbrun`, `nasrun
-# -threads 2`, `specrun -noise`, the four examples and the three smoke
-# scripts, unedited (their own `go build` picks up the exported GOFLAGS and
-# their daemons write into the exported GOCOVERDIR) — and list the internal/
-# functions at 0.0 %. Each must be named in scripts/prodcover_allowlist.txt
+# flags and with a class-D `-validate -trace` request, the published-data
+# round trip (below), `nasrun -threads 2`, the four examples and the three
+# smoke scripts, unedited (their own `go build` picks up the exported
+# GOFLAGS and their daemons write into the exported GOCOVERDIR) — and list
+# the internal/ functions at 0.0 %.
+#
+# The round trip: `imbrun` writes hydra's and power6-575's full IMB tables
+# at every count a BT-MZ.C@64 request gathers (16, 32, 64, 128) and
+# `specrun` both SPEC suites; `swapp -validate` on those four inputs must
+# print the same bytes as the same request with no files, whose served IMB
+# tables are sparse. A second run adds hydra's 8-rank table to -imb-base,
+# which power6-575 lacks, and must grade the projection B. Each must be named in scripts/prodcover_allowlist.txt
 # with a reason. Fails on an internal/ package no main links, on an
 # unreached function the allowlist does not name, on an entry for a function
 # that is reached now (or gone), and on an entry with no reason.
@@ -26,13 +33,38 @@ mkdir -p "$GOCOVERDIR" "$tmp/bin" "$tmp/csv"
 go build -o "$tmp/bin/" ./cmd/... ./examples/...
 bin=$tmp/bin
 
-echo "prodcover: figures, swapp, imbrun, nasrun, specrun, examples"
+echo "prodcover: figures, swapp, imbrun, specrun, nasrun, examples"
 "$bin/figures" -all -csv "$tmp/csv" -metrics >/dev/null 2>&1
 "$bin/swapp" >/dev/null
 "$bin/swapp" -bench SP-MZ -class D -ranks 128 -target bgp -validate -trace "$tmp/trace.json" >/dev/null
-"$bin/imbrun" >/dev/null
+
+pub=$tmp/pub
+mkdir -p "$pub"
+for m in hydra power6-575; do
+    "$bin/specrun" -machine "$m" >"$pub/spec-$m.json"
+    for c in 16 32 64 128; do
+        "$bin/imbrun" -machine "$m" -ranks "$c" >"$pub/imb-$m-$c.json"
+    done
+done
+"$bin/imbrun" -machine hydra -ranks 8 >"$pub/imb-hydra-8.json"
+imbs() { echo "$pub/imb-$1-16.json,$pub/imb-$1-32.json,$pub/imb-$1-64.json,$pub/imb-$1-128.json"; }
+req=(-bench BT-MZ -class C -ranks 64 -target power6-575 -validate)
+files=(-spec-base "$pub/spec-hydra.json" -spec-target "$pub/spec-power6-575.json" -imb-target "$(imbs power6-575)")
+"$bin/swapp" "${req[@]}" >"$tmp/measured.txt"
+"$bin/swapp" "${req[@]}" "${files[@]}" -imb-base "$(imbs hydra)" >"$tmp/published.txt"
+if ! cmp "$tmp/measured.txt" "$tmp/published.txt"; then
+    echo "prodcover: swapp from imbrun/specrun documents differs from the same request measured in-process:"
+    diff "$tmp/measured.txt" "$tmp/published.txt" || true
+    exit 1
+fi
+"$bin/swapp" "${req[@]}" "${files[@]}" -imb-base "$(imbs hydra),$pub/imb-hydra-8.json" >"$tmp/graded.txt"
+if ! grep -q 'quality: grade B' "$tmp/graded.txt" || ! grep -q 'missing-imb-count' "$tmp/graded.txt"; then
+    echo "prodcover: a base IMB table at a count the target lacks did not grade the projection B:"
+    cat "$tmp/graded.txt"
+    exit 1
+fi
+
 "$bin/nasrun" -threads 2 >/dev/null
-"$bin/specrun" -noise >/dev/null
 for ex in customapp procurement quickstart scalingstudy; do
     "$bin/$ex" >/dev/null
 done

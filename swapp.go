@@ -57,9 +57,6 @@ const (
 	ClassD = nas.ClassD
 )
 
-// Machines lists the modelled systems (sorted by short name).
-func Machines() []*arch.Machine { return arch.All() }
-
 // MachineNames lists the modelled systems' short names.
 func MachineNames() []string { return arch.Names() }
 
