@@ -83,12 +83,13 @@ race:
 # BenchmarkSpawnRun's allocs/op the cost of a one-shot 64-process kernel,
 # BenchmarkResetRun's (~0) the same kernel reused through Reset. The third is
 # one application run on the simulator (nas BenchmarkRun: BT-MZ.C@16 on Hydra,
-# profiler on): its B/op and allocs/op are what every run costs the heap,
-# and stay flat in the run's timesteps because a wait frees its requests. The
+# profiler on): its B/op and allocs/op (~277) are what every run costs the
+# heap, and stay flat in the run's timesteps because a wait frees its
+# requests, and in its ranks because a run allocates per world. The
 # fourth is the profiler's: BenchmarkProfilerHostCost is one steady-state
 # event (0 allocs), BenchmarkProfilerFirstSightings a fresh profiler fed a
-# recorded BT-MZ.C@64 stream and frozen — its allocs/op grow with (routine,
-# size) keys, not ranks. The fifth is the serving layer: the peer-hop number
+# recorded BT-MZ.C@64 stream and frozen — its allocs/op (~67) grow with
+# (routine, size) keys, not ranks. The fifth is the serving layer: the peer-hop number
 # (one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
 # in-process ring) and one 64-item all-hit /v1/batch through the handler.
 # The sixth is the validation's: BenchmarkValidateOverlap validates a
@@ -100,8 +101,8 @@ race:
 # against; its allocs/op do not grow with Generations. The eighth is one whole
 # IMB table at 64 ranks on hydra and on power6-575 (imb BenchmarkRun): ns/op is
 # the simulator's cost of one full table (~45 and ~80 ms on a 2-CPU Xeon), and
-# B/op and allocs/op what a table costs the heap on one reused world (489 and
-# 499 allocs/op). Beside it, imb BenchmarkSuite is
+# B/op and allocs/op what a table costs the heap on one reused world (426 and
+# 436 allocs/op). Beside it, imb BenchmarkSuite is
 # the largest row of a cold request's budget: one gather's served tables at
 # 128, 64, 32 and 16 ranks through one suite per machine (hydra, power6-575,
 # westmere-x5670, bgp), measuring only what prices NAS-MZ's routines and
@@ -109,7 +110,9 @@ race:
 # that bracket its messages (16 KiB-1 MiB), each pairwise group shape once —
 # the Bcast and Reduce cells are netmodel's closed forms; simulations/op
 # counts the worlds and groups it ran (hydra 56, power6-575 84,
-# westmere-x5670 196, bgp 112).
+# westmere-x5670 196, bgp 112). The ninth is the §5 pair (EXPERIMENTS.md):
+# one NAS-MZ run on hydra with the profiler (BenchmarkProfileOverhead) and
+# without (BenchmarkRunUnprofiled), at LU-MZ.C@16 and at BT-MZ.D@128.
 bench:
 	$(GO) test -run '^$$' -bench 'RunSerial|ScoreAll|EnforceSparsity|TopK' -benchmem ./internal/ga
 	$(GO) test -run '^$$' -bench 'Handoff|TimedFire|SpawnRun|ResetRun' -benchmem ./internal/des
@@ -119,6 +122,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'ValidateOverlap' -benchtime 20x ./internal/core
 	$(GO) test -run '^$$' -bench 'Kernel$$|Search$$' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkRun$$|BenchmarkSuite$$' -benchmem ./internal/imb
+	$(GO) test -run '^$$' -bench 'ProfileOverhead|RunUnprofiled' -benchmem .
 
 # The repo's standing benchmark (BENCHMARK.json): four in-process workloads
 # plus the per-layer budget; see bench/README.md.

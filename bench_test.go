@@ -148,33 +148,51 @@ func BenchmarkSummary(b *testing.B) {
 
 // --- §5 overhead claim --------------------------------------------------------
 
-func BenchmarkProfileOverhead(b *testing.B) {
-	// The paper claims ≤0.05 % profiling overhead. In the simulator the
-	// profile costs zero *simulated* time by construction; this bench
-	// measures the host-side cost of running LU-MZ with the profiler
-	// attached (compare BenchmarkRunUnprofiled).
+// overheadCases are the jobs of the §5 pairs: LU-MZ.C@16, the cheapest
+// pipeline run, and BT-MZ.D@128, the largest profile a request builds.
+var overheadCases = []nas.Config{
+	{Bench: nas.LU, Class: nas.ClassC, Ranks: 16},
+	{Bench: nas.BT, Class: nas.ClassD, Ranks: 128},
+}
+
+// benchOverhead runs each overhead case on hydra, laid out once, through
+// run.
+func benchOverhead(b *testing.B, run func(inst *nas.Instance, m *arch.Machine) error) {
 	base := arch.MustGet(arch.Hydra)
-	cfg := nas.Config{Bench: nas.LU, Class: nas.ClassC, Ranks: 16}
-	for i := 0; i < b.N; i++ {
-		if _, err := nas.Run(cfg, base); err != nil {
-			b.Fatal(err)
-		}
+	for _, cfg := range overheadCases {
+		b.Run(fmt.Sprintf("%s@%d", cfg.Name(), cfg.Ranks), func(b *testing.B) {
+			inst, err := nas.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := run(inst, base); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
+// BenchmarkProfileOverhead is one run with the profiler attached. The paper
+// claims ≤0.05 % profiling overhead. In the simulator the profile costs
+// zero *simulated* time by construction; this bench and its baseline,
+// BenchmarkRunUnprofiled, measure the host-side cost.
+func BenchmarkProfileOverhead(b *testing.B) {
+	benchOverhead(b, func(inst *nas.Instance, m *arch.Machine) error {
+		_, err := inst.Run(m)
+		return err
+	})
+}
+
+// BenchmarkRunUnprofiled is BenchmarkProfileOverhead's baseline: the
+// identical job with no observer attached.
 func BenchmarkRunUnprofiled(b *testing.B) {
-	// Baseline for BenchmarkProfileOverhead: the identical job with no
-	// observer attached.
-	base := arch.MustGet(arch.Hydra)
-	inst, err := nas.New(nas.Config{Bench: nas.LU, Class: nas.ClassC, Ranks: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := inst.RunObserved(base, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchOverhead(b, func(inst *nas.Instance, m *arch.Machine) error {
+		_, err := inst.RunObserved(m, nil)
+		return err
+	})
 }
 
 // --- Eq. 1 / multi-Sendrecv -----------------------------------------------------

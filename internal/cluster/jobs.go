@@ -371,7 +371,10 @@ func (m *Manager) attempt(ctx context.Context, run RunFunc, tap Tap) (result []b
 // dropped.
 const historyCap = 256
 
-// record stores one progress snapshot: history tail, live fan-out.
+// record stores one progress snapshot: history tail, live fan-out. An
+// entry of history is never written again once appended — trimming moves
+// the window's start and append writes only past its end — so events point
+// into it and readers need no lock.
 func (m *Manager) record(j *Job, s Snapshot) {
 	j.mu.Lock()
 	j.snapshots++
@@ -379,8 +382,7 @@ func (m *Manager) record(j *Job, s Snapshot) {
 	if len(j.history) > historyCap {
 		j.history = j.history[len(j.history)-historyCap:]
 	}
-	snap := s
-	ev := Event{Type: "progress", Snapshot: &snap}
+	ev := Event{Type: "progress", Snapshot: &j.history[len(j.history)-1]}
 	for _, ch := range j.subs {
 		select {
 		case ch <- ev:
@@ -432,10 +434,9 @@ func (j *Job) Result() ([]byte, bool) {
 // channel is closed).
 func (j *Job) Subscribe() (<-chan Event, func()) {
 	j.mu.Lock()
-	replay := append([]Snapshot(nil), j.history...)
-	ch := make(chan Event, len(replay)+64)
-	for i := range replay {
-		ch <- Event{Type: "progress", Snapshot: &replay[i]}
+	ch := make(chan Event, len(j.history)+64)
+	for i := range j.history {
+		ch <- Event{Type: "progress", Snapshot: &j.history[i]}
 	}
 	if j.finished {
 		ch <- Event{Type: "done", State: j.state}

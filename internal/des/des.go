@@ -297,6 +297,9 @@ func (p *Proc) Name() string {
 	return fmt.Sprintf("%s%d", p.kind, p.nameID)
 }
 
+// ID returns the id SpawnKind was given, or -1 for a process Spawn named.
+func (p *Proc) ID() int { return int(p.nameID) }
+
 // Now returns the current virtual time.
 func (p *Proc) Now() units.Seconds { return p.k.now }
 

@@ -258,9 +258,11 @@ func Run(sig *workload.Signature, cfg Config) (Counters, error) {
 	// handles non-monotone capacities (BG/P's tiny L2 below its L1).
 	reuse := 1 - sig.StreamFraction
 	memAccess := sig.MemFraction
-	walk := func(coverage func(units.Bytes) float64) (fromLevel []float64, fromMem float64) {
+	// walk fills fromLevel (zeroed, one entry per cache level) and returns
+	// the share served by memory. Run is called once per rank per run, so
+	// the levels live on the stack up to four caches.
+	walk := func(fromLevel []float64, coverage func(units.Bytes) float64) (fromMem float64) {
 		covCum := 0.0
-		fromLevel = make([]float64, len(p.Caches))
 		for i, lvl := range p.Caches {
 			eff := lvl.EffectivePerCore() / units.Bytes(threadShare)
 			cov := coverage(eff)
@@ -269,10 +271,15 @@ func Run(sig *workload.Signature, cfg Config) (Counters, error) {
 				covCum = cov
 			}
 		}
-		return fromLevel, 1 - covCum
+		return 1 - covCum
 	}
-	levelR, memR := walk(sig.Coverage)
-	levelS, memS := walk(sig.StreamCoverage)
+	var bufR, bufS [4]float64
+	levelR, levelS := bufR[:], bufS[:]
+	if n := len(p.Caches); n > len(bufR) {
+		levelR, levelS = make([]float64, n), make([]float64, n)
+	}
+	memR := walk(levelR, sig.Coverage)
+	memS := walk(levelS, sig.StreamCoverage)
 	blend := func(r, st float64) float64 { return reuse*r + sig.StreamFraction*st }
 
 	// L1 hits are part of completion CPI; reloads start at L2.

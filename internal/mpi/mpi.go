@@ -233,9 +233,10 @@ type World struct {
 	// back to it at its wait (release).
 	reqs des.Arena[Request]
 
-	ranks   []Rank        // the rank handles, reused by every Run
-	program func(r *Rank) // what the current Run executes on every rank
-	ran     bool          // Run has been called since NewWorld or Reset
+	ranks   []Rank            // the rank handles, reused by every Run
+	program func(r *Rank)     // what the current Run executes on every rank
+	start   func(p *des.Proc) // every rank process's body: runs program on its rank
+	ran     bool              // Run has been called since NewWorld or Reset
 
 	obs Observer
 }
@@ -304,11 +305,14 @@ func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 		lists := matchSlab[2*i*matchListSeed : (2*i+2)*matchListSeed]
 		w.posted[i] = lists[:0:matchListSeed]
 		w.unexpected[i] = lists[matchListSeed:matchListSeed:len(lists)]
-		rank.start = func(p *des.Proc) {
-			rank.proc = p
-			w.program(rank)
-			rank.flush()
-		}
+	}
+	// One process body for the whole world: a rank process finds its
+	// handle by the id it was spawned with.
+	w.start = func(p *des.Proc) {
+		rank := &w.ranks[p.ID()]
+		rank.proc = p
+		w.program(rank)
+		rank.flush()
 	}
 	return w, nil
 }
@@ -353,7 +357,7 @@ func (w *World) run(ids []int, program func(r *Rank)) (units.Seconds, error) {
 		if ids != nil {
 			id = ids[i]
 		}
-		w.kernel.SpawnKind("rank", id, w.ranks[id].start)
+		w.kernel.SpawnKind("rank", id, w.start)
 	}
 	if err := w.kernel.Run(); err != nil {
 		return 0, err
@@ -398,10 +402,9 @@ func (w *World) newSignal(kind string) *des.Signal {
 
 // Rank is the per-process MPI handle.
 type Rank struct {
-	w     *World
-	id    int
-	proc  *des.Proc
-	start func(p *des.Proc) // the process body: runs w.program on this rank
+	w    *World
+	id   int
+	proc *des.Proc
 
 	collSeq int
 	q       queue // posts Isend and Irecv queued, not yet made

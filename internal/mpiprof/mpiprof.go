@@ -11,10 +11,15 @@
 // virtual clock) and its host-time overhead is measured by a bench.
 //
 // The profiler accumulates job-wide: it allocates per (routine, message
-// size) key, not per rank. Only the floats whose summation order the
-// profile must reproduce are kept per rank — each task's compute and
-// communication time, and each key's elapsed time — and Profile sums them
-// in rank order once, when it freezes the result.
+// size) key, not per rank or per event. Only the floats whose summation
+// order the profile must reproduce are kept per rank — each task's compute
+// and communication time, and each key's elapsed time — and Profile sums
+// them in rank order once, when it freezes the result. A key's peer
+// offsets count into a dense column, one counter per ring distance
+// 0..ranks/2; per-rank and offset columns are carved from slabs of up to
+// sixteen. An event finds its routine by scanning the handful a
+// job calls and its size in that routine's map, so a steady-state event
+// allocates nothing and hashes one integer.
 package mpiprof
 
 import (
@@ -69,42 +74,39 @@ func (tp *TaskProfile) Total() units.Seconds { return tp.Compute + tp.Comm }
 // no events after Profile.
 type Profiler struct {
 	tasks    []TaskProfile
-	index    map[mpi.Routine]int // routine → routines slot
-	routines []routineAcc        // in first-sighting order
-	keys     map[sizeKey]int     // (routine slot, bytes) → sizes slot
-	sizes    []sizeAcc           // in first-sighting order
-	slab     []units.Seconds     // backs the next per-rank columns
-}
-
-type sizeKey struct {
-	routine int // routines slot
-	bytes   units.Bytes
+	routines []routineAcc    // in first-sighting order, found by scanning
+	sizes    []sizeAcc       // in first-sighting order
+	slab     []units.Seconds // backs the next per-rank columns
+	offSlab  []uint32        // backs the next offset columns
 }
 
 type routineAcc struct {
 	routine mpi.Routine
 	calls   int
-	elapsed []units.Seconds // per rank, each in event order
+	elapsed []units.Seconds     // per rank, each in event order
+	keys    map[units.Bytes]int // message size → sizes slot
 }
 
 type sizeAcc struct {
-	key      sizeKey
+	routine  int // routines slot
+	bytes    units.Bytes
 	calls    int
 	messages int
 	elapsed  []units.Seconds // per rank, each in event order
-	offsets  []OffsetCount   // first-sighting order until Profile sorts it
+	// offsets[d] counts the messages at wrapped ring distance d, for d in
+	// [0, ranks/2]; nil until the key's first peer. Four bytes a counter
+	// hold 2³² messages per (key, distance), more than a simulated job
+	// sends, at half the bytes of an int column.
+	offsets []uint32
 }
 
-// slabColumns is how many per-rank columns one slab allocation backs.
+// slabColumns is the most per-rank (or offset) columns one slab
+// allocation backs.
 const slabColumns = 16
 
 // New creates a profiler for a job of the given rank count.
 func New(ranks int) *Profiler {
-	p := &Profiler{
-		tasks: make([]TaskProfile, ranks),
-		index: map[mpi.Routine]int{},
-		keys:  map[sizeKey]int{},
-	}
+	p := &Profiler{tasks: make([]TaskProfile, ranks)}
 	for i := range p.tasks {
 		p.tasks[i].Rank = i
 	}
@@ -122,6 +124,20 @@ func (p *Profiler) column() []units.Seconds {
 	return c
 }
 
+// offsetColumn returns a zeroed offset histogram, one counter per ring
+// distance 0..ranks/2, carved from its own slab. A slab backs as many
+// columns as the profiler has keys, up to slabColumns, so a profile with a
+// handful of point-to-point keys strands few columns.
+func (p *Profiler) offsetColumn() []uint32 {
+	n := len(p.tasks)/2 + 1
+	if len(p.offSlab) < n {
+		p.offSlab = make([]uint32, min(slabColumns, len(p.sizes))*n)
+	}
+	c := p.offSlab[:n:n]
+	p.offSlab = p.offSlab[n:]
+	return c
+}
+
 // OnCompute implements mpi.Observer.
 func (p *Profiler) OnCompute(rank int, dt units.Seconds) {
 	p.tasks[rank].Compute += dt
@@ -130,26 +146,23 @@ func (p *Profiler) OnCompute(rank int, dt units.Seconds) {
 // OnRoutine implements mpi.Observer.
 func (p *Profiler) OnRoutine(rank int, ev mpi.RoutineEvent) {
 	p.tasks[rank].Comm += ev.Elapsed
-	ri, ok := p.index[ev.Routine]
-	if !ok {
-		ri = len(p.routines)
-		p.index[ev.Routine] = ri
-		p.routines = append(p.routines, routineAcc{routine: ev.Routine, elapsed: p.column()})
-	}
+	ri := p.routineSlot(ev.Routine)
 	ra := &p.routines[ri]
 	ra.calls++
 	ra.elapsed[rank] += ev.Elapsed
-	k := sizeKey{ri, ev.Bytes}
-	si, ok := p.keys[k]
+	si, ok := ra.keys[ev.Bytes]
 	if !ok {
 		si = len(p.sizes)
-		p.keys[k] = si
-		p.sizes = append(p.sizes, sizeAcc{key: k, elapsed: p.column()})
+		ra.keys[ev.Bytes] = si
+		p.sizes = append(p.sizes, sizeAcc{routine: ri, bytes: ev.Bytes, elapsed: p.column()})
 	}
 	sa := &p.sizes[si]
 	sa.calls++
 	sa.messages += ev.Count
 	sa.elapsed[rank] += ev.Elapsed
+	if len(ev.Peers) > 0 && sa.offsets == nil {
+		sa.offsets = p.offsetColumn()
+	}
 	for _, peer := range ev.Peers {
 		off := peer - rank
 		if off < 0 {
@@ -158,19 +171,20 @@ func (p *Profiler) OnRoutine(rank int, ev mpi.RoutineEvent) {
 		if wrapped := len(p.tasks) - off; wrapped < off {
 			off = wrapped
 		}
-		sa.count(off)
+		sa.offsets[off]++
 	}
 }
 
-// count adds one message at ring distance off to the histogram.
-func (sa *sizeAcc) count(off int) {
-	for i := range sa.offsets {
-		if sa.offsets[i].Offset == off {
-			sa.offsets[i].Count++
-			return
+// routineSlot is rt's routines slot, added at its first sighting. A job
+// calls a handful of routines, so a scan beats hashing the name.
+func (p *Profiler) routineSlot(rt mpi.Routine) int {
+	for i := range p.routines {
+		if p.routines[i].routine == rt {
+			return i
 		}
 	}
-	sa.offsets = append(sa.offsets, OffsetCount{Offset: off, Count: 1})
+	p.routines = append(p.routines, routineAcc{routine: rt, elapsed: p.column(), keys: map[units.Bytes]int{}})
+	return len(p.routines) - 1
 }
 
 // sum adds a per-rank column in rank order.
@@ -209,11 +223,11 @@ func (p *Profiler) Profile(app, machine string, makespan units.Seconds) *Profile
 		sizeOrder[i] = i
 	}
 	slices.SortFunc(sizeOrder, func(a, b int) int {
-		ka, kb := p.sizes[a].key, p.sizes[b].key
-		if c := cmp.Compare(pos[ka.routine], pos[kb.routine]); c != 0 {
+		sa, sb := &p.sizes[a], &p.sizes[b]
+		if c := cmp.Compare(pos[sa.routine], pos[sb.routine]); c != 0 {
 			return c
 		}
-		return cmp.Compare(ka.bytes, kb.bytes)
+		return cmp.Compare(sa.bytes, sb.bytes)
 	})
 
 	pf := &Profile{
@@ -229,16 +243,35 @@ func (p *Profiler) Profile(app, machine string, makespan units.Seconds) *Profile
 		pf.perRank[i] = ra.elapsed
 	}
 	// A routine's sizes are contiguous in sizeOrder, so each aggregate's
-	// Sizes is a window of one backing slice, extended entry by entry.
+	// Sizes is a window of one backing slice, extended entry by entry; the
+	// non-zero bins of every offset column compact, already ascending, into
+	// one more.
+	bins := 0
+	for i := range p.sizes {
+		for _, n := range p.sizes[i].offsets {
+			if n != 0 {
+				bins++
+			}
+		}
+	}
+	offsets := make([]OffsetCount, 0, bins)
 	entries := make([]SizeEntry, len(sizeOrder))
 	for i, slot := range sizeOrder {
 		sa := &p.sizes[slot]
-		slices.SortFunc(sa.offsets, func(a, b OffsetCount) int { return cmp.Compare(a.Offset, b.Offset) })
-		entries[i] = SizeEntry{
-			Bytes: sa.key.bytes, Calls: sa.calls, Messages: sa.messages,
-			Elapsed: sum(sa.elapsed), Offsets: sa.offsets,
+		first := len(offsets)
+		for off, n := range sa.offsets {
+			if n != 0 {
+				offsets = append(offsets, OffsetCount{Offset: off, Count: int(n)})
+			}
 		}
-		agg := &pf.aggs[pos[sa.key.routine]]
+		entries[i] = SizeEntry{
+			Bytes: sa.bytes, Calls: sa.calls, Messages: sa.messages,
+			Elapsed: sum(sa.elapsed),
+		}
+		if len(offsets) > first {
+			entries[i].Offsets = offsets[first:len(offsets):len(offsets)]
+		}
+		agg := &pf.aggs[pos[sa.routine]]
 		agg.Sizes = entries[i-len(agg.Sizes) : i+1 : i+1]
 	}
 	return pf

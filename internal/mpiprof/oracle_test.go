@@ -113,6 +113,27 @@ func randomStream(seed uint64, ranks, n int) []event {
 	return rec.events
 }
 
+// edgeStream reaches every edge of a dense offset histogram: each rank
+// messages itself (offset 0), the rank ranks/2 ahead (the largest offset,
+// reached from the other side on an odd ring) and its neighbours, under
+// point-to-point routines at one shared and one per-rank size.
+func edgeStream(ranks int) []event {
+	var rec recorder
+	for r := 0; r < ranks; r++ {
+		peers := []int{r, (r + ranks/2) % ranks, (r + (ranks+1)/2) % ranks, (r + 1) % ranks, (r + ranks - 1) % ranks}
+		for i, rt := range []mpi.Routine{mpi.RoutineIsend, mpi.RoutineWaitall, mpi.RoutineSendrecv} {
+			size := units.Bytes(1024)
+			if i == 1 {
+				size = units.Bytes(8 * (r + 1))
+			}
+			rec.OnRoutine(r, mpi.RoutineEvent{Routine: rt, Bytes: size, Count: len(peers), Elapsed: 1e-6 * float64(r+i+1), Peers: peers})
+		}
+		rec.OnRoutine(r, mpi.RoutineEvent{Routine: mpi.RoutineAllreduce, Bytes: 8, Count: 1, Elapsed: 1e-5})
+		rec.OnCompute(r, 1e-3)
+	}
+	return rec.events
+}
+
 // profileBoth feeds one stream to the profiler and to the reference.
 func profileBoth(ranks int, events []event, makespan units.Seconds) (*mpiprof.Profile, *refProfile) {
 	p, ref := mpiprof.New(ranks), newRef(ranks)
@@ -210,6 +231,12 @@ func TestProfilerMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	for _, ranks := range []int{1, 2, 3, 4, 17, 64, 127, 128} {
+		got, want := profileBoth(ranks, edgeStream(ranks), 1)
+		if msg := matchReference(got, want); msg != "" {
+			t.Fatalf("edge stream, %d ranks: %s", ranks, msg)
+		}
+	}
 	for _, b := range nas.Benchmarks() {
 		for _, ranks := range []int{16, 64} {
 			cfg := nas.Config{Bench: b, Class: nas.ClassC, Ranks: ranks}
@@ -233,6 +260,13 @@ func FuzzProfilerMatchesReference(f *testing.F) {
 	f.Add([]byte{15, 0, 1, 2, 3, 40, 9, 1, 2})
 	f.Add([]byte{127, 2, 5, 3, 0x35, 200, 3, 1, 2, 3, 12, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte("\x3f the quick brown fox jumps over the lazy dog 0123456789"))
+	// A 1-rank job messaging itself: offset 0 is the whole histogram.
+	f.Add([]byte{0, 0, 0, 5, 2<<3 | 1, 9, 3, 0, 0})
+	// 17 ranks (odd): rank 3 waits on itself and on ranks 11 and 12, both
+	// ranks/2 = 8 away; rank 16 sendrecvs with rank 7, 8 away across the wrap.
+	f.Add([]byte{16, 2, 3, 7, 3<<3 | 2, 40, 5, 3, 11, 12, 5, 16, 9, 2<<3 | 1, 17, 6, 7, 0})
+	// 64 ranks: peers exactly ranks/2 = 32 away, from below and from above.
+	f.Add([]byte{63, 1, 0, 4, 1 << 3, 21, 4, 32, 0, 40, 4, 1 << 3, 22, 4, 8, 12, 5, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -350,6 +350,34 @@ func TestRunAllocationFlatInSteps(t *testing.T) {
 	}
 }
 
+// TestRunAllocatesPerWorld: a profiled run allocates per world, not per
+// rank or per message — one process body for all ranks, one slab of request
+// lists, the compute model's cache levels on the stack and the profiler's
+// offset histograms in dense slab columns — so BT-MZ.C at 128 ranks
+// allocates within a small constant of the run at 16. Before, each rank
+// cost a closure, a request list and two cache-level slices, and each
+// (routine, size) key an offset list grown by append: 544 allocations at
+// 16 ranks and 1 199 at 128.
+func TestRunAllocatesPerWorld(t *testing.T) {
+	m := arch.MustGet(arch.Hydra)
+	allocs := func(ranks int) float64 {
+		inst, err := New(Config{Bench: BT, Class: ClassC, Ranks: ranks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := inst.Run(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	a16, a128 := allocs(16), allocs(128)
+	t.Logf("BT-MZ.C on hydra: %.0f allocations at 16 ranks, %.0f at 128", a16, a128)
+	if a128 > a16+50 {
+		t.Errorf("a run allocates with ranks: %.0f objects at 16 ranks, %.0f at 128", a16, a128)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	inst, _ := New(Config{Bench: BT, Class: ClassC, Ranks: 256})
 	if _, err := inst.Run(arch.MustGet(arch.Power6)); err == nil {

@@ -95,6 +95,19 @@ func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seco
 	// The per-rank key is osjitter|<config>|<machine>|<rank>; all but the
 	// rank is formatted once per run.
 	jitterKey := "osjitter|" + inst.Cfg.String() + "|" + m.Name + "|"
+	// One request slice per rank, all carved from one slab and refilled
+	// every step: Waitall keeps neither the slice nor, once it returns,
+	// the requests.
+	posts := 0
+	for id := range inst.sends {
+		posts += len(inst.recvs[id]) + len(inst.sends[id])
+	}
+	slab := make([]*mpi.Request, posts)
+	reqLists := make([][]*mpi.Request, ranks)
+	for id := range reqLists {
+		n := len(inst.recvs[id]) + len(inst.sends[id])
+		reqLists[id], slab = slab[:0:n], slab[n:]
+	}
 	makespan, err := world.Run(func(r *mpi.Rank) {
 		id := r.ID()
 		// Per-rank OS-noise stream: every timestep's compute wiggles a
@@ -105,9 +118,7 @@ func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seco
 		for i := 0; i < 3; i++ {
 			r.Bcast(0, 24)
 		}
-		// One request slice per rank, refilled every step: Waitall keeps
-		// neither the slice nor, once it returns, the requests.
-		reqs := make([]*mpi.Request, 0, len(inst.recvs[id])+len(inst.sends[id]))
+		reqs := reqLists[id]
 		for step := 0; step < spec.Steps; step++ {
 			// Boundary exchange: post receives, fire sends, wait.
 			reqs = reqs[:0]

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -159,7 +160,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // serveJobEvents streams a job's progress as Server-Sent Events: the
 // retained history replays first, then live snapshots, then exactly one
 // terminal "done" event closes the stream. Each event is one `data:` line
-// holding the cluster.Event JSON.
+// holding the cluster.Event JSON. Every frame is built in one reused
+// buffer by one encoder, so a stream allocates the same whatever number
+// of events reaches it.
 func (s *Server) serveJobEvents(w http.ResponseWriter, r *http.Request, job *cluster.Job) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
@@ -174,17 +177,31 @@ func (s *Server) serveJobEvents(w http.ResponseWriter, r *http.Request, job *clu
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
+	// ev outlives the loop so that Encode(&ev) boxes one pointer per
+	// stream, not one per event.
+	var (
+		frame bytes.Buffer
+		enc   = json.NewEncoder(&frame)
+		ev    cluster.Event
+		open  bool
+	)
 	for {
 		select {
-		case ev, open := <-events:
+		case ev, open = <-events:
 			if !open {
 				return
 			}
-			b, err := json.Marshal(ev)
-			if err != nil {
+			// "event: T\ndata: JSON\n\n": Encode ends the JSON with the
+			// first of the two newlines.
+			frame.Reset()
+			frame.WriteString("event: ")
+			frame.WriteString(ev.Type)
+			frame.WriteString("\ndata: ")
+			if enc.Encode(&ev) != nil {
 				continue
 			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b)
+			frame.WriteByte('\n')
+			_, _ = w.Write(frame.Bytes())
 			flusher.Flush()
 			if ev.Type == "done" {
 				return

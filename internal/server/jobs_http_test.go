@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -340,5 +342,91 @@ func TestComputedJobFillsResultCache(t *testing.T) {
 	}
 	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, sync) {
 		t.Errorf("job result differs from the hit it produced:\njob:  %s\nsync: %s", got, sync)
+	}
+}
+
+// sseSink is an http.ResponseWriter and http.Flusher that keeps a stream's
+// bytes only when keep is set, so measuring a stream costs no growing
+// buffer.
+type sseSink struct {
+	header http.Header
+	keep   bool
+	body   bytes.Buffer
+}
+
+func (w *sseSink) Header() http.Header { return w.header }
+func (w *sseSink) WriteHeader(int)     {}
+func (w *sseSink) Flush()              {}
+func (w *sseSink) Write(b []byte) (int, error) {
+	if w.keep {
+		w.body.Write(b)
+	}
+	return len(b), nil
+}
+
+// TestJobEventsAllocateFlat: every frame of a job's event stream is built in
+// one reused buffer by one encoder, so replaying a finished job's 256
+// snapshots allocates within a constant of replaying 8 — before, each frame
+// cost json.Marshal's result and fmt's boxed arguments, and how many frames
+// a live subscriber received depended on timing. The frames are byte for
+// byte the json.Marshal framing clients parse.
+func TestJobEventsAllocateFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race, so json's encode state allocates per frame")
+	}
+	snapshots := map[int]int{16: 8, 32: 256} // by request rank count
+	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		for g := 0; g < snapshots[req.Ranks]; g++ {
+			if req.OnGAProgress != nil {
+				req.OnGAProgress(g%3, g, float64(g)/7)
+			}
+		}
+		return stubResult(req), nil
+	}
+	s := New(Config{Workers: 2, Eval: eval})
+	ts := newHTTPServer(t, s)
+	jobs := map[int]*cluster.Job{}
+	for ranks, n := range snapshots {
+		body := fmt.Sprintf(`{"request":{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":%d}}`, ranks)
+		st := submitJob(t, ts.URL, body)
+		if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone || final.Snapshots != n {
+			t.Fatalf("job at %d ranks ended %s with %d snapshots, want done with %d", ranks, final.State, final.Snapshots, n)
+		}
+		job, err := s.jobs.Get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs[n] = job
+	}
+	r := httptest.NewRequest(http.MethodGet, "/v1/jobs/x/events", nil)
+
+	for n, job := range jobs {
+		want := &bytes.Buffer{}
+		frame := func(ev cluster.Event) {
+			b, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(want, "event: %s\ndata: %s\n\n", ev.Type, b)
+		}
+		for _, snap := range job.Status().Progress {
+			frame(cluster.Event{Type: "progress", Snapshot: &snap})
+		}
+		frame(cluster.Event{Type: "done", State: cluster.JobDone})
+		got := &sseSink{header: http.Header{}, keep: true}
+		s.serveJobEvents(got, r, job)
+		if !bytes.Equal(got.body.Bytes(), want.Bytes()) {
+			t.Fatalf("%d-snapshot stream:\n%s\nwant:\n%s", n, got.body.Bytes(), want.Bytes())
+		}
+	}
+
+	allocs := func(n int) float64 {
+		w := &sseSink{header: http.Header{}}
+		return testing.AllocsPerRun(20, func() { s.serveJobEvents(w, r, jobs[n]) })
+	}
+	a8, a256 := allocs(8), allocs(256)
+	t.Logf("streaming a finished job: %.0f allocations at 8 snapshots, %.0f at 256", a8, a256)
+	if a256 > a8+4 {
+		t.Errorf("a stream allocates per event: %.0f objects for 8 snapshots, %.0f for 256", a8, a256)
 	}
 }
