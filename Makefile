@@ -83,7 +83,7 @@ race:
 # BenchmarkSpawnRun's allocs/op the cost of a one-shot 64-process kernel,
 # BenchmarkResetRun's (~0) the same kernel reused through Reset. The third is
 # one application run on the simulator (nas BenchmarkRun: BT-MZ.C@16 on Hydra,
-# profiler on): its B/op and allocs/op (~277) are what every run costs the
+# profiler on): its B/op and allocs/op (~256) are what every run costs the
 # heap, and stay flat in the run's timesteps because a wait frees its
 # requests, and in its ranks because a run allocates per world. The
 # fourth is the profiler's: BenchmarkProfilerHostCost is one steady-state
@@ -101,8 +101,9 @@ race:
 # against; its allocs/op do not grow with Generations. The eighth is one whole
 # IMB table at 64 ranks on hydra and on power6-575 (imb BenchmarkRun): ns/op is
 # the simulator's cost of one full table (~45 and ~80 ms on a 2-CPU Xeon), and
-# B/op and allocs/op what a table costs the heap on one reused world (426 and
-# 436 allocs/op). Beside it, imb BenchmarkSuite is
+# B/op and allocs/op what a table costs the heap on one reused world (104 and
+# 114 allocs/op: one program per table, not a closure per measurement).
+# Beside it, imb BenchmarkSuite is
 # the largest row of a cold request's budget: one gather's served tables at
 # 128, 64, 32 and 16 ranks through one suite per machine (hydra, power6-575,
 # westmere-x5670, bgp), measuring only what prices NAS-MZ's routines and
@@ -135,18 +136,19 @@ benchmark:
 # the single endpoints' APIRequest — IMB's grouped tables against whole-world simulation
 # (any machine, any rank count, any size span) and the MPI profiler against its
 # per-rank-map reference (any event stream): native corpora plus 10s of mutation per
-# target. This is the one list of fuzz targets; CI runs `make fuzz`. The
-# batch inputs are kilobytes of JSON: left at its default the minimiser
-# spends the whole smoke shrinking the first interesting one byte by byte.
+# target. This is the one list of fuzz targets; CI runs `make fuzz`. Every
+# line caps the minimiser at 1s: left at its 60s default it can spend a
+# target's whole 10s shrinking one input (the batch inputs are kilobytes of
+# JSON, and FuzzProfilerMatchesReference stalled there at 0 execs/s).
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzGroupedTable$$' -fuzztime 10s ./internal/imb
-	$(GO) test -run '^$$' -fuzz '^FuzzProfilerMatchesReference$$' -fuzztime 10s ./internal/mpiprof
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMBLenient$$' -fuzztime 10s ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpecLenient$$' -fuzztime 10s ./internal/persist
-	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s ./internal/durable
-	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzGroupedTable$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/imb
+	$(GO) test -run '^$$' -fuzz '^FuzzProfilerMatchesReference$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mpiprof
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMBLenient$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpecLenient$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/persist
+	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/durable
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalRecover$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzBatchRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 

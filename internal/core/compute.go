@@ -84,19 +84,24 @@ func groupContributions(c *hpm.Counters) [6]float64 {
 	return g
 }
 
-// metricScales returns per-dimension normalisation factors for the
-// 26-entry character vector, from the benchmark pool's spread on the base
-// machine: each dimension is divided by the pool's mean magnitude so that
-// distances compare like with like.
-func metricScales(specBase map[string]spec.Result) []float64 {
-	n := 2 * hpm.NumMetrics
-	scales := make([]float64, n)
+// characterVector writes the 26-entry character vector of an ST/SMT
+// counter pair into dst: the ST metric vector, then the SMT one — the
+// behaviour coordinates surrogate matching compares.
+func characterVector(dst []float64, st, smt *hpm.Counters) {
+	copy(dst, st.Vector())
+	copy(dst[hpm.NumMetrics:], smt.Vector())
+}
+
+// metricScales writes into scales the per-dimension normalisation factors
+// for the 26-entry character vector, from the benchmark pool's spread on
+// the base machine: each dimension is divided by the pool's mean magnitude
+// so that distances compare like with like. vecs holds the pool's base
+// character vectors end to end, in sorted order: float accumulation order
+// must be stable for the pipeline to be deterministic.
+func metricScales(scales, vecs []float64) {
+	n := len(scales)
 	var count float64
-	// Sorted iteration: float accumulation order must be stable for the
-	// pipeline to be deterministic.
-	for _, name := range spec.SortedNames(specBase) {
-		r := specBase[name]
-		v := r.CharacterVector()
+	for v := vecs; len(v) > 0; v = v[n:] {
 		for i := 0; i < n; i++ {
 			scales[i] += math.Abs(v[i])
 		}
@@ -108,16 +113,6 @@ func metricScales(specBase map[string]spec.Result) []float64 {
 			scales[i] = 1e-9
 		}
 	}
-	return scales
-}
-
-// normalize divides a character vector by the pool scales.
-func normalize(v, scales []float64) []float64 {
-	out := make([]float64, len(v))
-	for i := range v {
-		out[i] = v[i] / scales[i]
-	}
-	return out
 }
 
 // adjustWeightsToTarget implements §2.3 step 4: the base-machine group
@@ -125,28 +120,19 @@ func normalize(v, scales []float64) []float64 {
 // metric dimension we correlate the pool's (normalised) base-machine metric
 // with the pool's base→target log-speedup; dimensions that explain how the
 // target diverges from the base gain weight.
-func adjustWeightsToTarget(groupW [6]float64, specBase, specTarget map[string]spec.Result, scales []float64) [6]float64 {
-	n := 2 * hpm.NumMetrics
-	names := spec.SortedNames(specBase)
-	// Assemble metric matrix and speedup vector over the pool.
-	var speedups []float64
-	metric := make([][]float64, 0, len(names))
-	for _, name := range names {
-		rb := specBase[name]
-		rt, ok := specTarget[name]
-		if !ok {
-			continue
-		}
-		cv := rb.CharacterVector()
-		metric = append(metric, normalize(cv, scales))
-		speedups = append(speedups, math.Log(rt.ST.Runtime/rb.ST.Runtime))
+func adjustWeightsToTarget(groupW [6]float64, s surrogateSpace, specBase, specTarget map[string]spec.Result) [6]float64 {
+	const n = 2 * hpm.NumMetrics
+	// The speedup vector and one metric column, reused per dimension.
+	buf := make([]float64, 2*len(s.names))
+	speedups, col := buf[:len(s.names)], buf[len(s.names):]
+	for i, name := range s.names {
+		speedups[i] = math.Log(specTarget[name].ST.Runtime / specBase[name].ST.Runtime)
 	}
 	// Per-dimension |correlation| with log speedup.
-	corr := make([]float64, n)
-	for j := 0; j < n; j++ {
-		col := make([]float64, len(metric))
-		for i := range metric {
-			col[i] = metric[i][j]
+	var corr [n]float64
+	for j := range corr {
+		for i, v := range s.pool {
+			col[i] = v[j]
 		}
 		corr[j] = math.Abs(correlation(col, speedups))
 	}
@@ -252,34 +238,57 @@ type surrogateSpace struct {
 // ratio. On complete data the intersection IS the base pool, so this is the
 // identity there; a shrunk pool was already recorded as a MissingSpecBench
 // defect when the pipeline analysed its data.
+//
+// It makes one pass over the base pool, and one allocation holds every
+// vector it builds: the base character vectors, the scales taken from
+// them, the pool's normalised vectors and the application's.
 func (p *Pipeline) surrogateSpaceAt(app *AppModel, ci int) (surrogateSpace, error) {
 	cp, ok := app.Counters[ci]
 	if !ok {
 		return surrogateSpace{}, fmt.Errorf("core: no counters at %d ranks for %s", ci, app.Name())
 	}
-	s := surrogateSpace{cp: cp, scales: metricScales(p.SpecBase)}
-	for _, name := range spec.SortedNames(p.SpecBase) {
-		if _, ok := p.SpecTarget[name]; ok {
-			s.names = append(s.names, name)
+	const n = 2 * hpm.NumMetrics
+	base := spec.SortedNames(p.SpecBase)
+	slab := make([]float64, (2*len(base)+2)*n)
+	vecs, slab := slab[:len(base)*n], slab[len(base)*n:]
+	for i, name := range base {
+		r := p.SpecBase[name]
+		characterVector(vecs[i*n:], &r.ST, &r.SMT)
+	}
+	s := surrogateSpace{cp: cp, scales: slab[:n:n], names: base[:0], pool: make([][]float64, 0, len(base))}
+	metricScales(s.scales, vecs)
+	slab = slab[n:]
+	for i, name := range base {
+		if _, ok := p.SpecTarget[name]; !ok {
+			continue
 		}
+		row := slab[:n:n]
+		slab = slab[n:]
+		normalize(row, vecs[i*n:(i+1)*n], s.scales)
+		s.names = append(s.names, name)
+		s.pool = append(s.pool, row)
 	}
 	if len(s.names) < 2 {
 		return surrogateSpace{}, fmt.Errorf("core: surrogate pool too small: base and target share %d benchmarks", len(s.names))
 	}
-	s.pool = make([][]float64, len(s.names))
-	for i, name := range s.names {
-		rb := p.SpecBase[name]
-		s.pool[i] = normalize(rb.CharacterVector(), s.scales)
-	}
-	s.appVec = normalize(cp.CharacterVector(), s.scales)
+	s.appVec = slab[:n:n]
+	characterVector(s.appVec, &cp.ST, &cp.SMT)
+	normalize(s.appVec, s.appVec, s.scales)
 	return s, nil
+}
+
+// normalize writes v divided by the pool scales into dst, which may be v.
+func normalize(dst, v, scales []float64) {
+	for i := range v {
+		dst[i] = v[i] / scales[i]
+	}
 }
 
 // groupWeights is §2.3 steps 2–4 for the characterisation s: relate the
 // metric groups to base-machine runtime, rank them, and adjust the ranking
 // to the target.
 func (p *Pipeline) groupWeights(s surrogateSpace) [6]float64 {
-	return adjustWeightsToTarget(groupContributions(&s.cp.ST), p.SpecBase, p.SpecTarget, s.scales)
+	return adjustWeightsToTarget(groupContributions(&s.cp.ST), s, p.SpecBase, p.SpecTarget)
 }
 
 // computeSurrogate is the §2.3 implementation, with its span attached

@@ -101,8 +101,8 @@ func TestCharacterizeApp(t *testing.T) {
 		if cp == nil || cp.ST.Runtime <= 0 {
 			t.Fatalf("missing counters at %d", c)
 		}
-		if len(cp.CharacterVector()) != 26 {
-			t.Fatalf("character vector length %d", len(cp.CharacterVector()))
+		if n := len(cp.ST.Vector()) + len(cp.SMT.Vector()); n != 26 {
+			t.Fatalf("character vector length %d", n)
 		}
 	}
 	// Strong scaling: per-task compute shrinks with core count.

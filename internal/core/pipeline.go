@@ -429,12 +429,6 @@ type CounterPair struct {
 	SMT   hpm.Counters
 }
 
-// CharacterVector concatenates the ST and SMT metric vectors, matching
-// spec.Result.CharacterVector's layout.
-func (cp *CounterPair) CharacterVector() []float64 {
-	return append(cp.ST.Vector(), cp.SMT.Vector()...)
-}
-
 // AppModel is everything SWAPP knows about an application: base-machine
 // MPI profiles and hardware counters at several core counts. It never
 // contains target-machine measurements.

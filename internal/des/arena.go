@@ -1,5 +1,7 @@
 package des
 
+import "slices"
+
 // Arena hands out zeroed records of one type, carved from chunks: one
 // allocation per arenaChunk records instead of one each. It is how the
 // kernel mints its Signals and Procs, and how a simulator built on the
@@ -55,6 +57,10 @@ func (a *Arena[T]) New() *T {
 func (a *Arena[T]) Free(r *T) {
 	var zero T
 	*r = zero
+	if len(a.dead) == cap(a.dead) {
+		// Room for a chunk's worth more, not a doubling from one.
+		a.dead = slices.Grow(a.dead, arenaChunk)
+	}
 	a.dead = append(a.dead, r)
 }
 

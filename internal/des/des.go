@@ -136,9 +136,12 @@ type Kernel struct {
 	events []event       // binary min-heap on (at, seq): events due after the time they took their seq at
 	fifo   []due         // pushed for the current time, in push order, from head on
 	head   int
-	procs  []*Proc
 	live   int
 	failed error
+
+	// procs and lastProc are the first and last process spawned since the
+	// last Reset, linked through Proc.next in spawn order.
+	procs, lastProc *Proc
 
 	// Signals and Procs are carved from kernel-owned arenas; Reset rewinds
 	// them. Waiters beyond a signal's first go on a list from lists, which
@@ -165,8 +168,7 @@ func NewKernel() *Kernel { return &Kernel{} }
 func (k *Kernel) Reset() {
 	clear(k.events)
 	clear(k.fifo)
-	clear(k.procs)
-	k.events, k.fifo, k.procs = k.events[:0], k.fifo[:0], k.procs[:0]
+	k.events, k.fifo, k.procs, k.lastProc = k.events[:0], k.fifo[:0], nil, nil
 	k.now, k.seq, k.cur, k.last = 0, 0, 0, 0
 	k.head, k.live, k.failed, k.abandoning = 0, 0, nil, false
 	k.free = k.free[:0]
@@ -279,6 +281,7 @@ type Proc struct {
 	fn   func(*Proc)
 	co   *coro   // the coroutine running fn: set at first wake, nil once done
 	step Stepper // what the kernel runs at this process's wakes while it holds; see Hold
+	next *Proc   // the process spawned after this one
 
 	nameID int32 // -1: kind IS the full name; else rendered as kind+nameID
 	state  procState
@@ -675,7 +678,12 @@ func (k *Kernel) spawn(kind string, nameID int, fn func(*Proc)) *Proc {
 		state:  stateReady,
 		fn:     fn,
 	}
-	k.procs = append(k.procs, p)
+	if k.lastProc == nil {
+		k.procs = p
+	} else {
+		k.lastProc.next = p
+	}
+	k.lastProc = p
 	k.live++
 	// First resume at t=0, in spawn order.
 	k.fifo = append(k.fifo, due{proc: p})
@@ -731,7 +739,7 @@ func (k *Kernel) Run() error {
 // blockedReport lists still-blocked processes and what they wait on.
 func (k *Kernel) blockedReport() string {
 	var lines []string
-	for _, p := range k.procs {
+	for p := k.procs; p != nil; p = p.next {
 		if p.state == stateBlocked || p.state == stateReady {
 			lines = append(lines, fmt.Sprintf("  %s: waiting on %s", p.Name(), p.waitReason()))
 		}
@@ -746,7 +754,7 @@ func (k *Kernel) blockedReport() string {
 // started has nothing to unwind.
 func (k *Kernel) abandonBlocked() {
 	k.abandoning = true
-	for _, p := range k.procs {
+	for p := k.procs; p != nil; p = p.next {
 		switch p.state {
 		case stateBlocked:
 			k.wake(p)

@@ -391,7 +391,7 @@ func TestTimeBackwardsAbandonsParkedProcesses(t *testing.T) {
 	if !unwound {
 		t.Error("parked process was not unwound")
 	}
-	for _, p := range k.procs {
+	for p := k.procs; p != nil; p = p.next {
 		if p.state != stateDone || p.co != nil {
 			t.Errorf("%s left in state %d holding coroutine %p", p.Name(), p.state, p.co)
 		}
@@ -478,9 +478,9 @@ func TestResetAfterEveryEnding(t *testing.T) {
 	for i := 0; i < 4*len(endings); i++ {
 		runEndingOn(t, k, i)
 		k.Reset()
-		if k.Now() != 0 || k.live != 0 || len(k.procs) != 0 || len(k.events) != 0 || len(k.fifo) != 0 || k.failed != nil {
-			t.Fatalf("after ending %s, Reset left now=%v live=%d procs=%d heap=%d fifo=%d failed=%v",
-				endings[i%len(endings)].name, k.Now(), k.live, len(k.procs), len(k.events), len(k.fifo), k.failed)
+		if k.Now() != 0 || k.live != 0 || k.procs != nil || len(k.events) != 0 || len(k.fifo) != 0 || k.failed != nil {
+			t.Fatalf("after ending %s, Reset left now=%v live=%d procs=%p heap=%d fifo=%d failed=%v",
+				endings[i%len(endings)].name, k.Now(), k.live, k.procs, len(k.events), len(k.fifo), k.failed)
 		}
 	}
 	// Spawned but never run: Reset drops the processes without starting them.
@@ -691,6 +691,30 @@ func TestArenaFreeHandsRecordsBack(t *testing.T) {
 	var b Arena[Signal]
 	if n := testing.AllocsPerRun(1000, func() { b.Free(b.New()) }); n != 0 {
 		t.Errorf("New after Free allocated %.0f times per pair, want 0", n)
+	}
+}
+
+// TestArenaFreeGrowsByTheChunk pins the free list's growth: a run that
+// frees n records, none handed out again in between, grows it at most once
+// per arenaChunk of them — not once per doubling from one, which a
+// one-shot world paid again in every run.
+func TestArenaFreeGrowsByTheChunk(t *testing.T) {
+	for _, n := range []int{1, arenaChunk, arenaChunk + 1, 10 * arenaChunk} {
+		var a Arena[Signal]
+		recs := make([]*Signal, n)
+		for i := range recs {
+			recs[i] = a.New()
+		}
+		grows, c := 0, cap(a.dead)
+		for _, r := range recs {
+			a.Free(r)
+			if cap(a.dead) != c {
+				grows, c = grows+1, cap(a.dead)
+			}
+		}
+		if want := (n + arenaChunk - 1) / arenaChunk; grows > want {
+			t.Errorf("freeing %d records grew the free list %d times, want at most %d", n, grows, want)
+		}
 	}
 }
 

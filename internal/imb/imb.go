@@ -16,6 +16,13 @@
 // multi-Sendrecv additionally parameterises the non-blocking path per
 // Eq. 1: issuing x successions of Isend/Irecv followed by a Waitall and
 // fitting T(x) = T_LibraryOverhead + x·T_inFlight over x.
+//
+// A measurement is a cell — benchmark, pairing, in-flight depth x and
+// message size — and cell.run is every benchmark's body, chosen by the
+// cell's benchmark. A table builds one program, which runs the cell being
+// measured, and hands it to every measurement, so what a table allocates
+// does not grow with its measurements, and a measurement the suite's memo
+// answers allocates nothing.
 package imb
 
 import (
@@ -46,7 +53,7 @@ const iterations = 4
 
 // multiXs are the in-flight depths multi-Sendrecv sweeps for the Eq. 1 fit,
 // maxMultiX the largest.
-var multiXs = []int{1, 2, 4, maxMultiX}
+var multiXs = [...]int{1, 2, 4, maxMultiX}
 
 const maxMultiX = 8
 
@@ -436,28 +443,37 @@ func (s *Suite) Table(ranks int, sizes []units.Bytes) (*Table, error) {
 }
 
 // table builds one table of the suite's benchmarks over any way of taking
-// one measurement.
+// one measurement. Every measurement runs the one program the table builds,
+// which runs whichever cell is being measured (cell.run).
 func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Table, error) {
 	if sizes == nil {
 		sizes = DefaultSizes()
+	}
+	has := func(b benchmark) bool { return s.sel&b != 0 }
+	first, last := s.span(sizes)
+	// simulated is how many sizes the simulated benchmarks measure: the
+	// span, and the grid's last size.
+	simulated := last - first + 1
+	if last < len(sizes)-1 {
+		simulated++
 	}
 	t := &Table{
 		Machine: s.m.Name,
 		Ranks:   ranks,
 		Sizes:   sizes,
 		PerOp:   map[mpi.Routine]map[units.Bytes]units.Seconds{},
-		NBIntra: NBFit{InFlight: map[units.Bytes]units.Seconds{}},
-		NBInter: NBFit{InFlight: map[units.Bytes]units.Seconds{}},
+		NBIntra: NBFit{InFlight: make(map[units.Bytes]units.Seconds, simulated)},
+		NBInter: NBFit{InFlight: make(map[units.Bytes]units.Seconds, simulated)},
 	}
-	has := func(b benchmark) bool { return s.sel&b != 0 }
 	multiNode := s.m.NodesFor(ranks) > 1
 	md := netmodel.New(s.m)
 	distantGroups := s.planGroups(md, ranks, distant)
 	adjacentGroups := s.planGroups(md, ranks, adjacent)
 
-	put := func(rt mpi.Routine, size units.Bytes, v units.Seconds) {
+	// put records one cell of a routine that has n of them.
+	put := func(rt mpi.Routine, n int, size units.Bytes, v units.Seconds) {
 		if t.PerOp[rt] == nil {
-			t.PerOp[rt] = map[units.Bytes]units.Seconds{}
+			t.PerOp[rt] = make(map[units.Bytes]units.Seconds, n)
 		}
 		t.PerOp[rt][size] = v
 	}
@@ -466,92 +482,67 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 	for _, c := range []struct {
 		b    benchmark
 		rt   mpi.Routine
-		cost func(units.Bytes, int) units.Seconds
+		cost func(*netmodel.Model, units.Bytes, int) units.Seconds
 	}{
-		{bcast, mpi.RoutineBcast, md.Bcast},
-		{reduce, mpi.RoutineReduce, md.Reduce},
-		{allreduce, mpi.RoutineAllreduce, md.Allreduce},
+		{bcast, mpi.RoutineBcast, (*netmodel.Model).Bcast},
+		{reduce, mpi.RoutineReduce, (*netmodel.Model).Reduce},
+		{allreduce, mpi.RoutineAllreduce, (*netmodel.Model).Allreduce},
 	} {
 		if has(c.b) {
 			for _, size := range sizes {
-				put(c.rt, size, c.cost(size, ranks))
+				put(c.rt, len(sizes), size, c.cost(md, size, ranks))
 			}
 		}
 	}
 
-	first, last := s.span(sizes)
+	var cur cell
+	program := func(r *mpi.Rank) { cur.run(r, ranks) }
+	run := func(c cell, groups []group) (units.Seconds, error) {
+		cur = c
+		return measure(c, groups, program)
+	}
 	for i, size := range sizes {
 		if (i < first || i > last) && i != len(sizes)-1 {
 			continue
 		}
 		// --- blocking point-to-point: PingPong (half round trip). ---
 		if has(pingPong) {
-			pp, err := measure(cell{bench: pingPong, pair: distant, size: size}, distantGroups, func(r *mpi.Rank) {
-				partner := pairDistant(r.ID(), ranks)
-				if partner < 0 {
-					return
-				}
-				for i := 0; i < iterations; i++ {
-					if r.ID() < partner {
-						r.Send(partner, size, i)
-						r.Recv(partner, size, i)
-					} else {
-						r.Recv(partner, size, i)
-						r.Send(partner, size, i)
-					}
-				}
-			})
+			pp, err := run(cell{bench: pingPong, pair: distant, size: size}, distantGroups)
 			if err != nil {
 				return nil, err
 			}
-			put(mpi.RoutineSend, size, pp/(2*iterations))
-			put(mpi.RoutineRecv, size, pp/(2*iterations))
+			put(mpi.RoutineSend, simulated, size, pp/(2*iterations))
+			put(mpi.RoutineRecv, simulated, size, pp/(2*iterations))
 		}
 
 		// --- PingPing: both partners send simultaneously. It is also
 		// the inter fit's x = 1 point. ---
 		var pping units.Seconds
 		if has(pingPing) || has(multiSendrecv) && multiNode {
-			el, err := measure(cell{bench: pingPing, pair: distant, size: size}, distantGroups, func(r *mpi.Rank) {
-				partner := pairDistant(r.ID(), ranks)
-				if partner < 0 {
-					return
-				}
-				for i := 0; i < iterations; i++ {
-					send := r.Isend(partner, size, i)
-					recv := r.Irecv(partner, size, i)
-					r.Waitall(send, recv)
-				}
-			})
+			el, err := run(cell{bench: pingPing, pair: distant, size: size}, distantGroups)
 			if err != nil {
 				return nil, err
 			}
 			pping = el / iterations
 			if has(pingPing) {
-				put(PingPing, size, pping)
+				put(PingPing, simulated, size, pping)
 			}
 		}
 
 		// --- Sendrecv ring. ---
 		if has(sendrecv) {
-			sr, err := measure(cell{bench: sendrecv, size: size}, nil, func(r *mpi.Rank) {
-				next := (r.ID() + 1) % r.Size()
-				prev := (r.ID() + r.Size() - 1) % r.Size()
-				for i := 0; i < iterations; i++ {
-					r.Sendrecv(next, size, prev, size, i)
-				}
-			})
+			sr, err := run(cell{bench: sendrecv, size: size}, nil)
 			if err != nil {
 				return nil, err
 			}
-			put(mpi.RoutineSendrecv, size, sr/iterations)
+			put(mpi.RoutineSendrecv, simulated, size, sr/iterations)
 		}
 
 		// --- multi-Sendrecv: x in-flight Isend/Irecv pairs + Waitall,
 		// measured for same-node pairs and (when the job spans nodes)
 		// cross-node pairs — IMB's intra/inter cluster modes. ---
 		if has(multiSendrecv) {
-			a, b, err := multiSendrecvFit(measure, adjacentGroups, ranks, size, adjacent, nil)
+			a, b, err := multiSendrecvFit(run, adjacentGroups, size, adjacent, nil)
 			if err != nil {
 				return nil, fmt.Errorf("imb: multi-Sendrecv intra fit at %d B: %w", size, err)
 			}
@@ -560,7 +551,7 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 			if multiNode {
 				// PingPing is the inter fit's x = 1 point: the same program
 				// (Isend, Irecv, Waitall, tag i) on the same distant groups.
-				a, b, err = multiSendrecvFit(measure, distantGroups, ranks, size, distant, []float64{pping})
+				a, b, err = multiSendrecvFit(run, distantGroups, size, distant, []float64{pping})
 				if err != nil {
 					return nil, fmt.Errorf("imb: multi-Sendrecv inter fit at %d B: %w", size, err)
 				}
@@ -571,6 +562,49 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 	}
 
 	return t, nil
+}
+
+// run is cell c's benchmark body on rank r of a world of ranks ranks:
+// iterations rounds of PingPong (a round trip with the partner), PingPing
+// or multi-Sendrecv (x Isend/Irecv pairs with the partner, then a Waitall;
+// PingPing is x = 1), or the Sendrecv ring.
+func (c cell) run(r *mpi.Rank, ranks int) {
+	if c.bench == sendrecv {
+		next := (r.ID() + 1) % ranks
+		prev := (r.ID() + ranks - 1) % ranks
+		for i := 0; i < iterations; i++ {
+			r.Sendrecv(next, c.size, prev, c.size, i)
+		}
+		return
+	}
+	partner := c.pair.partner(r.ID(), ranks)
+	if partner < 0 {
+		return
+	}
+	if c.bench == pingPong {
+		for i := 0; i < iterations; i++ {
+			if r.ID() < partner {
+				r.Send(partner, c.size, i)
+				r.Recv(partner, c.size, i)
+			} else {
+				r.Recv(partner, c.size, i)
+				r.Send(partner, c.size, i)
+			}
+		}
+		return
+	}
+	x := max(c.x, 1)
+	// On the stack: Waitall does not keep its slice, and this body runs
+	// once per rank per measurement.
+	var buf [2 * maxMultiX]*mpi.Request
+	for i := 0; i < iterations; i++ {
+		reqs := buf[:0]
+		for j := 0; j < x; j++ {
+			reqs = append(reqs, r.Isend(partner, c.size, i*x+j))
+			reqs = append(reqs, r.Irecv(partner, c.size, i*x+j))
+		}
+		r.Waitall(reqs...)
+	}
 }
 
 // pairDistant pairs rank i with i±half (IMB's cross-cluster pattern: on a
@@ -712,38 +746,21 @@ func (s *Suite) shapeID(shape []int) int {
 // with the given pairing, and its groups, and returns the Eq. 1
 // (overhead, in-flight) fit. known holds the per-iteration times of the
 // sweep's first depths where another benchmark has already measured them.
-func multiSendrecvFit(measure measureFunc, groups []group, ranks int, size units.Bytes, pair pairing, known []float64) (a, b units.Seconds, err error) {
-	xTimes := make([]float64, 0, len(multiXs))
-	xTimes = append(xTimes, known...)
-	for _, x := range multiXs[len(known):] {
-		x := x
-		el, err := measure(cell{bench: multiSendrecv, pair: pair, x: x, size: size}, groups, func(r *mpi.Rank) {
-			partner := pair.partner(r.ID(), ranks)
-			if partner < 0 {
-				return
-			}
-			// On the stack: Waitall does not keep its slice, and this
-			// body runs once per rank per measurement.
-			var buf [2 * maxMultiX]*mpi.Request
-			for i := 0; i < iterations; i++ {
-				reqs := buf[:0]
-				for j := 0; j < x; j++ {
-					reqs = append(reqs, r.Isend(partner, size, i*x+j))
-					reqs = append(reqs, r.Irecv(partner, size, i*x+j))
-				}
-				r.Waitall(reqs...)
-			}
-		})
+func multiSendrecvFit(run func(cell, []group) (units.Seconds, error), groups []group, size units.Bytes, pair pairing, known []float64) (a, b units.Seconds, err error) {
+	var xs, xTimes [len(multiXs)]float64
+	copy(xTimes[:], known)
+	for i, x := range multiXs {
+		xs[i] = float64(x)
+		if i < len(known) {
+			continue
+		}
+		el, err := run(cell{bench: multiSendrecv, pair: pair, x: x, size: size}, groups)
 		if err != nil {
 			return 0, 0, err
 		}
-		xTimes = append(xTimes, el/iterations)
+		xTimes[i] = el / iterations
 	}
-	xs := make([]float64, len(multiXs))
-	for i, x := range multiXs {
-		xs[i] = float64(x)
-	}
-	a, b, err = stats.LinearFit(xs, xTimes)
+	a, b, err = stats.LinearFit(xs[:], xTimes[:])
 	if err != nil {
 		return 0, 0, err
 	}

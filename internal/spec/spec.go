@@ -97,21 +97,15 @@ var suite = []*Benchmark{
 }
 
 // Result is one benchmark observation on one machine: ST and SMT throughput
-// runs with their counters (the paper collects both modes, §4).
+// runs with their counters (the paper collects both modes, §4, to observe
+// the benchmark under different cache and bandwidth pressure). Their metric
+// vectors, ST then SMT, are its coordinates in surrogate matching.
 type Result struct {
 	Bench   string
 	Machine string
 
 	ST  hpm.Counters
 	SMT hpm.Counters
-}
-
-// CharacterVector concatenates the ST and SMT metric vectors — the
-// behaviour coordinates used for surrogate matching. The paper motivates
-// the two modes as observing the benchmark under different cache/bandwidth
-// pressure.
-func (r *Result) CharacterVector() []float64 {
-	return append(r.ST.Vector(), r.SMT.Vector()...)
 }
 
 // RunBenchmark executes one benchmark on a machine in throughput mode

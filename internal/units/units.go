@@ -68,12 +68,13 @@ func Pow2Sizes(min, max Bytes) []Bytes {
 	if min < 1 || min > max {
 		panic(fmt.Sprintf("units: bad Pow2Sizes range [%d,%d]", min, max))
 	}
-	var out []Bytes
-	for s := min; s <= max; s *= 2 {
-		out = append(out, s)
-		if s > max/2 { // avoid overflow on the doubling
-			break
-		}
+	n := 1
+	for s := min; s <= max/2; s *= 2 { // s ≤ max/2: the doubling cannot overflow
+		n++
+	}
+	out := make([]Bytes, n)
+	for i, s := 0, min; i < n; i, s = i+1, s*2 {
+		out[i] = s
 	}
 	return out
 }
