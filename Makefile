@@ -134,15 +134,18 @@ benchmark:
 # lenient ones that read swapp's -spec-*/-imb-* files), the WAL scanner,
 # the job-journal replay, the two HTTP request decoders — /v1/batch and
 # the single endpoints' APIRequest — IMB's grouped tables against whole-world simulation
-# (any machine, any rank count, any size span) and the MPI profiler against its
-# per-rank-map reference (any event stream): native corpora plus 10s of mutation per
-# target. This is the one list of fuzz targets; CI runs `make fuzz`. Every
+# (any machine, any rank count, any size span), the MPI profiler against its
+# per-rank-map reference (any event stream) and the simulator's match table
+# against the per-destination scan it replaced (any post sequence): native
+# corpora plus 10s of mutation per target. This is the one list of fuzz
+# targets; CI runs `make fuzz`. Every
 # line caps the minimiser at 1s: left at its 60s default it can spend a
 # target's whole 10s shrinking one input (the batch inputs are kilobytes of
 # JSON, and FuzzProfilerMatchesReference stalled there at 0 execs/s).
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupedTable$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/imb
 	$(GO) test -run '^$$' -fuzz '^FuzzProfilerMatchesReference$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mpiprof
+	$(GO) test -run '^$$' -fuzz '^FuzzMatchTable$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMB$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSpec$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/persist
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalIMBLenient$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/persist

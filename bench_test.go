@@ -149,9 +149,12 @@ func BenchmarkSummary(b *testing.B) {
 // --- §5 overhead claim --------------------------------------------------------
 
 // overheadCases are the jobs of the §5 pairs: LU-MZ.C@16, the cheapest
-// pipeline run, and BT-MZ.D@128, the largest profile a request builds.
+// pipeline run, BT-MZ.D@16, the run whose messages wait longest unmatched
+// (up to 250 on one rank), and BT-MZ.D@128, the largest profile a request
+// builds.
 var overheadCases = []nas.Config{
 	{Bench: nas.LU, Class: nas.ClassC, Ranks: 16},
+	{Bench: nas.BT, Class: nas.ClassD, Ranks: 16},
 	{Bench: nas.BT, Class: nas.ClassD, Ranks: 128},
 }
 

@@ -298,16 +298,18 @@ func TestReusedWorldMatchesFreshWorlds(t *testing.T) {
 // place of one closure per rank to 318, 429 and 422. One program per table
 // in place of a closure per measurement, fits on the stack, presized cell
 // maps, a free list grown by the chunk and processes linked through
-// themselves in place of a growing slice took them to 93, 106 and 99: the
-// bounds sit ~5 % above those, so match lists that start empty again
-// (~+47 at hydra@16), or a closure per measurement (+131), fail here.
-// BG/P at 128 ranks has the most groups.
+// themselves in place of a growing slice took them to 93, 106 and 99, and
+// one match table per world in place of per-rank match lists and peer
+// scratch, with the NICs in one slab, to 89, 102 and 95 (91, 106 and 97
+// under -race): the bounds sit ~5 % above those, so a closure per
+// measurement (+131), or a world that allocates per rank again, fails
+// here. BG/P at 128 ranks has the most groups.
 func TestIMBRunAllocs(t *testing.T) {
 	for _, c := range []struct {
 		machine string
 		ranks   int
 		max     float64
-	}{{arch.Hydra, 16, 98}, {arch.Hydra, 128, 112}, {arch.BlueGene, 128, 104}} {
+	}{{arch.Hydra, 16, 93}, {arch.Hydra, 128, 107}, {arch.BlueGene, 128, 100}} {
 		m := arch.MustGet(c.machine)
 		allocs := testing.AllocsPerRun(3, func() {
 			if _, err := Run(m, c.ranks, nil); err != nil {

@@ -22,7 +22,7 @@
 //
 // A World runs one program. To run another on the same machine and rank
 // count, Reset it rather than building a new one: the world keeps its rank
-// handles, request arena, match lists and kernel, and a benchmark suite's
+// handles, request arena, match table and kernel, and a benchmark suite's
 // few hundred measurements cost the allocations of one. A World has a
 // single owner — whoever calls Run calls Reset — and Reset kills every
 // Request (and the kernel's every Proc and Signal) handed out before it.
@@ -61,6 +61,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/des"
@@ -121,14 +122,17 @@ type RoutineEvent struct {
 	// only). The profile uses them to model the communication pattern —
 	// which peer distances the application talks to — so a projection can
 	// split intra-node from inter-node traffic under any node geometry.
-	// The slice is backed by per-rank scratch: it is valid only for the
-	// duration of the OnRoutine call and must not be retained.
+	// The slice is backed by one scratch per world, shared by its ranks:
+	// observer calls are synchronous and a world runs one rank at a time,
+	// so it is valid only for the duration of the OnRoutine call and must
+	// not be retained.
 	Peers []int
 }
 
 // Observer receives simulation activity; implementations must be cheap and
-// must not block. Event slices (RoutineEvent.Peers) are reused between
-// calls and must not be retained past the callback.
+// must not block. Event slices (RoutineEvent.Peers) are the world's one
+// scratch, reused by every call on every rank, and must not be retained
+// past the callback.
 type Observer interface {
 	// OnCompute reports dt of application compute on a rank.
 	OnCompute(rank int, dt units.Seconds)
@@ -136,41 +140,176 @@ type Observer interface {
 	OnRoutine(rank int, ev RoutineEvent)
 }
 
-// pending is a posted-but-unmatched operation on a matchList: a receive
-// waiting for its send, or a send that arrived before its receive.
+// pending is a posted-but-unmatched operation in a world's match table: a
+// receive waiting for its send, or a send that arrived before its receive.
+// Its destination, source and tag are its table slot's key. It is kept to
+// 32 bytes (TestPendingSize): every unmatched message writes one.
 type pending struct {
-	src, tag int
-	post     units.Seconds // when the operation was posted (after overhead)
-	req      *Request      // nil on an eager send's entry: nothing reads it again
+	post units.Seconds // when the operation was posted (after overhead)
+	req  *Request      // nil on an eager send's entry: nothing reads it again
 
 	// Sends only.
 	arrival units.Seconds // eager: when the payload lands at the destination
 	eager   bool
+
+	send bool  // a send's entry; a key's entries are all of one kind
+	next int32 // the next entry of its FIFO (the newest's is the oldest), or of the free list
 }
 
-// matchList holds one destination rank's unmatched receives, or its
-// unmatched sends, in post order. Matching is what MPI libraries do: scan
-// for the oldest entry with the wanted (source, tag). Entries are values, so
-// an unmatched operation costs no allocation and a scan reads one run of
-// memory. The lists are short: a lookup reads 0.5 entries on average in an
-// IMB table, 1–3 in the class-C applications and 28 in the worst job the
-// pipeline runs (BT-MZ.D on 16 ranks, 250 entries at its longest), where
-// it still beats the map of queues it replaced. DESIGN.md §12.
-type matchList []pending
+// matchKey is what an operation matches on: its destination, source and
+// tag. The simulator has no wildcard receive.
+type matchKey struct {
+	dst, src, tag int32
+}
 
-// take removes and returns the oldest entry posted for (src, tag).
-func (l *matchList) take(src, tag int) (pending, bool) {
-	q := *l
-	for i := range q {
-		if q[i].src == src && q[i].tag == tag {
-			p := q[i]
-			copy(q[i:], q[i+1:])
-			q[len(q)-1] = pending{} // clear pointers for the GC
-			*l = q[:len(q)-1]
-			return p, true
+// hash folds k into one word and multiplies it by 2^64/φ, which carries
+// every bit of the word into the top ones; a table of 2^b slots takes the
+// top b. The fold is one-to-one while ranks and tags stay below 2^21;
+// past that it only spreads keys less evenly.
+func (k matchKey) hash() uint64 {
+	return (uint64(uint32(k.dst))<<42 ^ uint64(uint32(k.src))<<21 ^ uint64(uint32(k.tag))) * 0x9e3779b97f4a7c15
+}
+
+// matchSlot is one key's FIFO in a matchTable: its newest entry in the
+// table's pool, whose link is the oldest, so one index holds both ends.
+// tail 0 marks an empty slot.
+type matchSlot struct {
+	key  matchKey
+	tail int32
+}
+
+// matchTable is a world's unmatched operations: one FIFO per (destination,
+// source, tag), in post order. That is all matching needs. With no
+// wildcard receive, an operation can only match the oldest of the other
+// kind waiting on its own key, and nothing reads the order across keys.
+// A key never holds both kinds at once: an operation that finds the other
+// kind waiting matches it, so it queues only behind its own kind. Matching
+// or queuing therefore costs one probe, however many operations wait.
+//
+// The slots are open-addressed with linear probing and at most half full;
+// an emptied key's slot is refilled by shifting its probe run back, so no
+// lookup walks past a dead slot. The FIFOs are circular lists linked
+// through one pool of entries with a free list; pool[0] is the nil entry.
+// DESIGN.md §12.
+type matchTable struct {
+	slots []matchSlot // len a power of two
+	shift uint        // 64 - log2(len(slots))
+	keys  int         // slots in use
+	pool  []pending
+	free  int32 // the first free pool entry, 0 if none
+}
+
+// newMatchTable returns a table sized for a world of size ranks: one key
+// per rank fits without a rehash.
+func newMatchTable(size int) matchTable {
+	var t matchTable
+	t.alloc(2 * size)
+	t.pool = make([]pending, 1, len(t.slots))
+	return t
+}
+
+// alloc gives t empty slots, at least n and a power of two.
+func (t *matchTable) alloc(n int) {
+	b := uint(1)
+	for 1<<b < n {
+		b++
+	}
+	t.slots, t.shift, t.keys = make([]matchSlot, 1<<b), 64-b, 0
+}
+
+// reset empties t, keeping its memory.
+func (t *matchTable) reset() {
+	clear(t.slots)
+	t.keys, t.pool, t.free = 0, t.pool[:1], 0
+}
+
+// find returns the slot holding k, or the empty slot that ends its probe
+// run.
+func (t *matchTable) find(k matchKey) int {
+	mask := len(t.slots) - 1
+	i := int(k.hash() >> t.shift)
+	for t.slots[i].tail != 0 && t.slots[i].key != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// match finds what an operation of kind send on k meets. If the oldest
+// operation of the other kind — a receive for a send, a send for a
+// receive — waits on k, match unlinks its entry and returns it, matched,
+// for the caller to take. Otherwise it queues a new entry, zero but for
+// its kind and link, behind k's others of the operation's kind and returns
+// that, for the caller to fill in the pool (kind and link are the
+// table's). Entries are handed out by index, not copied in or out, so a
+// match moves no more than the fields its caller reads or writes.
+func (t *matchTable) match(k matchKey, send bool) (e int32, matched bool) {
+	i := t.find(k)
+	last := t.slots[i].tail
+	if last != 0 && t.pool[last].send != send {
+		e = t.pool[last].next
+		if e == last {
+			t.remove(i)
+		} else {
+			t.pool[last].next = t.pool[e].next
+		}
+		return e, true
+	}
+	if e = t.free; e != 0 {
+		t.free = t.pool[e].next
+	} else {
+		e = int32(len(t.pool))
+		t.pool = append(t.pool, pending{})
+	}
+	t.pool[e].send = send
+	if last != 0 {
+		t.pool[e].next, t.pool[last].next = t.pool[last].next, e
+		t.slots[i].tail = e
+		return e, false
+	}
+	t.pool[e].next = e
+	if 2*(t.keys+1) > len(t.slots) {
+		t.grow()
+		i = t.find(k)
+	}
+	t.slots[i] = matchSlot{key: k, tail: e}
+	t.keys++
+	return e, false
+}
+
+// take returns matched entry e and frees it.
+func (t *matchTable) take(e int32) pending {
+	p := t.pool[e]
+	t.pool[e] = pending{next: t.free} // no pointer kept for the GC
+	t.free = e
+	return p
+}
+
+// grow doubles t's slots and rehashes its keys into them.
+func (t *matchTable) grow() {
+	old, keys := t.slots, t.keys
+	t.alloc(2 * len(old))
+	for _, s := range old {
+		if s.tail != 0 {
+			t.slots[t.find(s.key)] = s
 		}
 	}
-	return pending{}, false
+	t.keys = keys
+}
+
+// remove empties slot i and shifts back the rest of its probe run: an
+// entry moves into the hole unless its home lies cyclically after the hole
+// and at or before the entry itself.
+func (t *matchTable) remove(i int) {
+	mask := len(t.slots) - 1
+	for j := (i + 1) & mask; t.slots[j].tail != 0; j = (j + 1) & mask {
+		home := int(t.slots[j].key.hash() >> t.shift)
+		if (j-home)&mask >= (j-i)&mask {
+			t.slots[i] = t.slots[j]
+			i = j
+		}
+	}
+	t.slots[i] = matchSlot{}
+	t.keys--
 }
 
 // Request is a non-blocking operation handle. It is dead once a wait on it
@@ -217,13 +356,15 @@ type World struct {
 	// adapters, so inter-node traffic serializes per node — the dominant
 	// contention effect when 16 tasks share one HPS/InfiniBand adapter.
 	// Intra-node (shared-memory) messages bypass the NIC.
+	// The three are carved from one slab, nic.
+	nic     []units.Seconds
 	txFree  []units.Seconds // per-node NIC injection availability
 	rxFree  []units.Seconds // per-node NIC reception availability
 	shmFree []units.Seconds // per-node shared-memory transport availability
 
-	// Point-to-point matching state, indexed by destination rank.
-	posted     []matchList // receives waiting for their send
-	unexpected []matchList // sends that arrived before their receive
+	// Point-to-point matching state: receives waiting for their send, and
+	// sends that arrived before their receive.
+	match matchTable
 
 	colls   [2]collOp // the collective of sequence number seq is colls[seq&1]
 	signals int       // unique signal naming
@@ -238,21 +379,9 @@ type World struct {
 	start   func(p *des.Proc) // every rank process's body: runs program on its rank
 	ran     bool              // Run has been called since NewWorld or Reset
 
-	obs Observer
+	obs   Observer
+	peers []int // backs RoutineEvent.Peers for every rank (see Observer)
 }
-
-// peerScratchSeed is the per-rank starting capacity (in peers) of the
-// scratch slice backing RoutineEvent.Peers; Waitall grows it only when a
-// single call waits on more requests than this.
-const peerScratchSeed = 32
-
-// matchListSeed is the starting capacity (in entries) of every rank's
-// posted and unexpected lists, carved from one slab per world; a list
-// grows past it only when more operations than this wait unmatched on one
-// rank at once. Eight is measured (DESIGN.md §12): the LU-MZ runs and
-// SP-MZ.C@128 never grow a list, and sixteen, which removes most of the
-// growth left, costs a cold projection more bytes than it saves.
-const matchListSeed = 8
 
 // NewWorld creates a job of size ranks on machine m with one task per
 // core, densely packed onto nodes.
@@ -280,31 +409,24 @@ func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 	}
 	model := netmodel.NewPlaced(m, m.CoresPerNode/threadsPerRank)
 	nodes := (size + model.RanksPerNode - 1) / model.RanksPerNode
+	// A world allocates per world, not per rank: one slab for the NICs,
+	// one for all rank handles, and the match table's slots and pool;
+	// process names render lazily via SpawnKind.
+	nic := make([]units.Seconds, 3*nodes)
 	w := &World{
-		Machine:    m,
-		Model:      model,
-		kernel:     des.NewKernel(),
-		size:       size,
-		txFree:     make([]units.Seconds, nodes),
-		rxFree:     make([]units.Seconds, nodes),
-		shmFree:    make([]units.Seconds, nodes),
-		posted:     make([]matchList, size),
-		unexpected: make([]matchList, size),
-		ranks:      make([]Rank, size),
+		Machine: m,
+		Model:   model,
+		kernel:  des.NewKernel(),
+		size:    size,
+		nic:     nic,
+		txFree:  nic[:nodes:nodes],
+		rxFree:  nic[nodes : 2*nodes : 2*nodes],
+		shmFree: nic[2*nodes:],
+		match:   newMatchTable(size),
+		ranks:   make([]Rank, size),
 	}
-	// One allocation for all rank handles, one for all their peer
-	// scratches and one for the starting capacity of all their match
-	// lists; process names render lazily via SpawnKind.
-	peerSlab := make([]int, size*peerScratchSeed)
-	matchSlab := make([]pending, 2*size*matchListSeed)
 	for i := range w.ranks {
-		rank := &w.ranks[i]
-		rank.w = w
-		rank.id = i
-		rank.peerScratch = peerSlab[i*peerScratchSeed : i*peerScratchSeed : (i+1)*peerScratchSeed]
-		lists := matchSlab[2*i*matchListSeed : (2*i+2)*matchListSeed]
-		w.posted[i] = lists[:0:matchListSeed]
-		w.unexpected[i] = lists[matchListSeed:matchListSeed:len(lists)]
+		w.ranks[i] = Rank{w: w, id: i}
 	}
 	// One process body for the whole world: a rank process finds its
 	// handle by the id it was spawned with.
@@ -377,12 +499,8 @@ func (w *World) run(ids []int, program func(r *Rank)) (units.Seconds, error) {
 // be collected while it runs (see des.Arena).
 func (w *World) Reset() {
 	w.kernel.Reset()
-	clear(w.txFree)
-	clear(w.rxFree)
-	clear(w.shmFree)
-	for i := range w.posted {
-		w.posted[i], w.unexpected[i] = w.posted[i][:0], w.unexpected[i][:0]
-	}
+	clear(w.nic)
+	w.match.reset()
 	w.colls = [2]collOp{}
 	w.signals = 0
 	w.reqs.Rewind()
@@ -408,10 +526,6 @@ type Rank struct {
 
 	collSeq int
 	q       queue // posts Isend and Irecv queued, not yet made
-
-	// peerScratch backs RoutineEvent.Peers for this rank's observer
-	// events; observers may not retain it (see Observer).
-	peerScratch []int
 }
 
 // queue is a rank's posts that Isend and Irecv have queued and nobody has
@@ -454,12 +568,12 @@ func (r *Rank) report(rt Routine, bytes units.Bytes, count int, elapsed units.Se
 	}
 }
 
-// reportP2P is report with the peer rank attached. The peers slice is the
-// rank's scratch — valid only inside the observer call.
-func (r *Rank) reportP2P(rt Routine, bytes units.Bytes, count int, elapsed units.Seconds, peer int) {
-	if r.w.obs != nil {
-		r.peerScratch = append(r.peerScratch[:0], peer)
-		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: rt, Bytes: bytes, Count: count, Elapsed: elapsed, Peers: r.peerScratch})
+// reportP2P is report with the peer ranks attached. The peers slice is the
+// world's scratch — valid only inside the observer call.
+func (r *Rank) reportP2P(rt Routine, bytes units.Bytes, count int, elapsed units.Seconds, peers ...int) {
+	if w := r.w; w.obs != nil {
+		w.peers = append(w.peers[:0], peers...)
+		w.obs.OnRoutine(r.id, RoutineEvent{Routine: rt, Bytes: bytes, Count: count, Elapsed: elapsed, Peers: w.peers})
 	}
 }
 
@@ -617,13 +731,13 @@ func (r *Rank) makeSend(req *Request, dst int, rendezvous bool) {
 	w := r.w
 	now := w.kernel.Now()
 	req.done = w.newSignal("send")
-	rq, matched := w.posted[dst].take(r.id, int(req.tag))
-	send := pending{src: r.id, tag: int(req.tag), post: now, req: req}
+	e, matched := w.match.match(matchKey{dst: int32(dst), src: int32(r.id), tag: req.tag}, true)
 	if rendezvous {
 		if matched {
-			w.completeRendezvous(dst, send, rq)
+			w.completeRendezvous(r.id, dst, pending{post: now, req: req}, w.match.take(e))
 		} else {
-			w.unexpected[dst] = append(w.unexpected[dst], send)
+			q := &w.match.pool[e]
+			q.post, q.req = now, req
 		}
 	} else {
 		// Eager: the payload flies now; the send completes once the
@@ -631,12 +745,12 @@ func (r *Rank) makeSend(req *Request, dst int, rendezvous bool) {
 		arrival, injected := w.launchTransfer(r.id, dst, req.size, now)
 		w.fireAt(req.done, injected)
 		if matched {
-			w.fireAt(rq.req.done, arrival)
+			w.fireAt(w.match.take(e).req.done, arrival)
 		} else {
 			// The receive that takes this entry reads only its arrival,
 			// and req may be released at its wait before then.
-			send.arrival, send.eager, send.req = arrival, true, nil
-			w.unexpected[dst] = append(w.unexpected[dst], send)
+			q := &w.match.pool[e]
+			q.post, q.arrival, q.eager = now, arrival, true
 		}
 	}
 	if !r.q.quiet {
@@ -649,18 +763,18 @@ func (r *Rank) makeRecv(req *Request, src int) {
 	w := r.w
 	now := w.kernel.Now()
 	req.done = w.newSignal("recv")
-	tag := int(req.tag)
-	recv := pending{src: src, tag: tag, post: now, req: req}
-	if send, ok := w.unexpected[r.id].take(src, tag); !ok {
-		w.posted[r.id] = append(w.posted[r.id], recv)
-	} else if send.eager {
+	e, matched := w.match.match(matchKey{dst: int32(r.id), src: int32(src), tag: req.tag}, false)
+	if !matched {
+		q := &w.match.pool[e]
+		q.post, q.req = now, req
+	} else if send := w.match.take(e); send.eager {
 		done := send.arrival
 		if now > done {
 			done = now
 		}
 		w.fireAt(req.done, done)
 	} else {
-		w.completeRendezvous(r.id, send, recv)
+		w.completeRendezvous(src, r.id, send, pending{post: now, req: req})
 	}
 	if !r.q.quiet {
 		r.reportP2P(RoutineIrecv, req.size, 1, now-r.q.start, src)
@@ -668,16 +782,16 @@ func (r *Rank) makeRecv(req *Request, src int) {
 }
 
 // completeRendezvous schedules the handshake + transfer for a matched
-// rendezvous pair and fires both requests at arrival.
-func (w *World) completeRendezvous(dst int, send, recv pending) {
+// rendezvous pair from src to dst and fires both requests at arrival.
+func (w *World) completeRendezvous(src, dst int, send, recv pending) {
 	size := send.req.size
-	cost := w.Model.P2P(send.src, dst, size)
+	cost := w.Model.P2P(src, dst, size)
 	both := send.post
 	if recv.post > both {
 		both = recv.post
 	}
 	ready := both + cost.Handshake
-	arrival, _ := w.launchTransfer(send.src, dst, size, ready)
+	arrival, _ := w.launchTransfer(src, dst, size, ready)
 	w.fireAt(send.req.done, arrival)
 	w.fireAt(recv.req.done, arrival)
 }
@@ -710,20 +824,20 @@ func (r *Rank) Waitall(reqs ...*Request) {
 			r.proc.WaitSignal(rq.done)
 		}
 	}
-	var bytes units.Bytes
-	peers := r.peerScratch[:0]
-	for _, rq := range reqs {
-		bytes += rq.size
-		peer, _ := rq.remote()
-		peers = append(peers, peer)
-	}
-	r.peerScratch = peers
-	mean := units.Bytes(0)
-	if len(reqs) > 0 {
-		mean = bytes / units.Bytes(len(reqs))
-	}
-	if r.w.obs != nil {
-		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineWaitall, Bytes: mean, Count: len(reqs), Elapsed: r.proc.Now() - start, Peers: peers})
+	if w := r.w; w.obs != nil {
+		var bytes units.Bytes
+		peers := slices.Grow(w.peers[:0], len(reqs))
+		for _, rq := range reqs {
+			bytes += rq.size
+			peer, _ := rq.remote()
+			peers = append(peers, peer)
+		}
+		w.peers = peers
+		mean := units.Bytes(0)
+		if len(reqs) > 0 {
+			mean = bytes / units.Bytes(len(reqs))
+		}
+		w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineWaitall, Bytes: mean, Count: len(reqs), Elapsed: r.proc.Now() - start, Peers: peers})
 	}
 	for _, rq := range reqs {
 		r.w.release(rq)
@@ -775,10 +889,7 @@ func (r *Rank) Sendrecv(dst int, sendSize units.Bytes, src int, recvSize units.B
 	rreq := r.enqueue(from, recvSize, tag)
 	r.q.quiet = true
 	r.wait()
-	if r.w.obs != nil {
-		r.peerScratch = append(r.peerScratch[:0], dst, src)
-		r.w.obs.OnRoutine(r.id, RoutineEvent{Routine: RoutineSendrecv, Bytes: sendSize, Count: 2, Elapsed: r.proc.Now() - start, Peers: r.peerScratch})
-	}
+	r.reportP2P(RoutineSendrecv, sendSize, 2, r.proc.Now()-start, dst, src)
 	r.w.release(sreq)
 	r.w.release(rreq)
 }

@@ -595,9 +595,18 @@ func TestRequestSize(t *testing.T) {
 
 // pendingCounts returns how many sends and receives sit unmatched.
 func (w *World) pendingCounts() (sends, recvs int) {
-	for i := range w.posted {
-		sends += len(w.unexpected[i])
-		recvs += len(w.posted[i])
+	t := &w.match
+	for _, s := range t.slots {
+		for e := s.tail; e != 0; {
+			if t.pool[e].send {
+				sends++
+			} else {
+				recvs++
+			}
+			if e = t.pool[e].next; e == s.tail {
+				break
+			}
+		}
 	}
 	return sends, recvs
 }
@@ -711,7 +720,7 @@ func TestResetAfterAnyEnding(t *testing.T) {
 		{"a deadlocked run", func(r *Rank) {
 			r.Barrier()
 			if r.ID() == 0 {
-				r.Isend(1, units.MiB, 7) // rendezvous: stays on the match list
+				r.Isend(1, units.MiB, 7) // rendezvous: stays in the match table
 				r.Recv(1, 64, 0)         // nobody sends
 			}
 		}, "deadlock"},

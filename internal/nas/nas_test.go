@@ -357,7 +357,10 @@ func TestRunAllocationFlatInSteps(t *testing.T) {
 // allocates within a small constant of the run at 16. Before, each rank
 // cost a closure, a request list and two cache-level slices, and each
 // (routine, size) key an offset list grown by append: 544 allocations at
-// 16 ranks and 1 199 at 128.
+// 16 ranks and 1 199 at 128. Per-rank match lists and peer scratch kept a
+// gap of ~42 (213 against 255); with one match table per world it is ~19
+// (136 against 155, 146 against 167 under -race), what the table's growth
+// to the larger world's unmatched messages costs.
 func TestRunAllocatesPerWorld(t *testing.T) {
 	m := arch.MustGet(arch.Hydra)
 	allocs := func(ranks int) float64 {
@@ -373,7 +376,7 @@ func TestRunAllocatesPerWorld(t *testing.T) {
 	}
 	a16, a128 := allocs(16), allocs(128)
 	t.Logf("BT-MZ.C on hydra: %.0f allocations at 16 ranks, %.0f at 128", a16, a128)
-	if a128 > a16+50 {
+	if a128 > a16+30 {
 		t.Errorf("a run allocates with ranks: %.0f objects at 16 ranks, %.0f at 128", a16, a128)
 	}
 }
