@@ -185,7 +185,7 @@ crash-smoke:
 # swapp -bench SP-MZ -class D -ranks 128 -target bgp -validate -trace;
 # the published-data round trip (imbrun and specrun documents into
 # swapp -validate, cmp'd against the same request with no files, then a
-# count-8 base table that grades it B); nasrun -threads 2; the four
+# count-8 base table that grades it B); nasrun with no flags; the four
 # examples; and the three smoke scripts unedited, whose own go build picks
 # up the exported GOFLAGS —
 # then lists the internal/ functions at 0.0 % (go tool covdata func). Every

@@ -23,7 +23,6 @@ func main() {
 		bench   = flag.String("bench", "BT-MZ", "benchmark: BT-MZ, SP-MZ or LU-MZ")
 		class   = flag.String("class", "C", "problem class: C or D")
 		ranks   = flag.Int("ranks", 16, "MPI task count")
-		threads = flag.Int("threads", 1, "OpenMP threads per rank (hybrid mode)")
 		machine = flag.String("machine", arch.Hydra, "machine: "+strings.Join(arch.Names(), ", "))
 	)
 	flag.Parse()
@@ -35,7 +34,7 @@ func main() {
 	if len(*class) != 1 {
 		fatal("class must be a single letter")
 	}
-	cfg := nas.Config{Bench: nas.Benchmark(*bench), Class: nas.Class((*class)[0]), Ranks: *ranks, Threads: *threads}
+	cfg := nas.Config{Bench: nas.Benchmark(*bench), Class: nas.Class((*class)[0]), Ranks: *ranks}
 	inst, err := nas.New(cfg)
 	if err != nil {
 		fatal("%v", err)

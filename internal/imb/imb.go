@@ -697,7 +697,7 @@ func (s *Suite) planGroups(md *netmodel.Model, ranks int, pair pairing) []group 
 			}
 			nodeAt[n] = len(gnodes)
 			gnodes = append(gnodes, n)
-			for id := n * md.RanksPerNode; id < min((n+1)*md.RanksPerNode, ranks); id++ {
+			for id := n * md.M.CoresPerNode; id < min((n+1)*md.M.CoresPerNode, ranks); id++ {
 				pos[id] = len(members)
 				members = append(members, id)
 			}

@@ -11,11 +11,12 @@
 //     lib + x·T_inFlight, the paper's Eq. 1 with x > 1.
 //   - Blocking point-to-point (Send/Recv/Sendrecv) built on the same
 //     machinery.
-//   - Collectives (Bcast/Reduce/Allreduce/Allgather/Alltoall/Barrier)
-//     with synchronizing semantics: all ranks enter, the operation costs
-//     netmodel's algorithm price from the last arrival, all leave
-//     together. This is why blocking collectives show near-zero WaitTime
-//     in profiles, matching the paper's observation.
+//   - Collectives (Bcast/Reduce/Allreduce, and Allgather/Alltoall/Barrier
+//     in this package's tests only) with synchronizing semantics: all
+//     ranks enter, the operation costs netmodel's algorithm price from the
+//     last arrival, all leave together. This is why blocking collectives
+//     show near-zero WaitTime in profiles, matching the paper's
+//     observation.
 //
 // An Observer hook receives every compute advance and routine completion;
 // internal/mpiprof builds the paper's MPI profile from it.
@@ -386,36 +387,20 @@ type World struct {
 // NewWorld creates a job of size ranks on machine m with one task per
 // core, densely packed onto nodes.
 func NewWorld(m *arch.Machine, size int) (*World, error) {
-	return NewWorldHybrid(m, size, 1)
-}
-
-// NewWorldHybrid creates a hybrid MPI/OpenMP job: every rank owns
-// threadsPerRank cores, so fewer ranks share each node (and its NIC).
-// This implements the paper's stated future-work direction.
-func NewWorldHybrid(m *arch.Machine, size, threadsPerRank int) (*World, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("mpi: world size %d < 1", size)
 	}
-	if threadsPerRank < 1 {
-		return nil, fmt.Errorf("mpi: threads per rank %d < 1", threadsPerRank)
+	if size > m.TotalCores {
+		return nil, fmt.Errorf("mpi: %d ranks exceed %s's %d cores", size, m.Name, m.TotalCores)
 	}
-	if threadsPerRank > m.CoresPerNode {
-		return nil, fmt.Errorf("mpi: %d threads exceed %s's %d cores per node",
-			threadsPerRank, m.Name, m.CoresPerNode)
-	}
-	if size*threadsPerRank > m.TotalCores {
-		return nil, fmt.Errorf("mpi: %d ranks × %d threads exceed %s's %d cores",
-			size, threadsPerRank, m.Name, m.TotalCores)
-	}
-	model := netmodel.NewPlaced(m, m.CoresPerNode/threadsPerRank)
-	nodes := (size + model.RanksPerNode - 1) / model.RanksPerNode
+	nodes := (size + m.CoresPerNode - 1) / m.CoresPerNode
 	// A world allocates per world, not per rank: one slab for the NICs,
 	// one for all rank handles, and the match table's slots and pool;
 	// process names render lazily via SpawnKind.
 	nic := make([]units.Seconds, 3*nodes)
 	w := &World{
 		Machine: m,
-		Model:   model,
+		Model:   netmodel.New(m),
 		kernel:  des.NewKernel(),
 		size:    size,
 		nic:     nic,

@@ -62,25 +62,10 @@ type Config struct {
 	Bench Benchmark
 	Class Class
 	Ranks int
-	// Threads is the OpenMP thread count per MPI rank (0 or 1 = pure
-	// MPI, the paper's validated configuration; >1 is the hybrid
-	// MPI/OpenMP mode the paper names as future work).
-	Threads int
-}
-
-// ThreadsPerRank normalises Threads (0 means 1).
-func (c Config) ThreadsPerRank() int {
-	if c.Threads < 1 {
-		return 1
-	}
-	return c.Threads
 }
 
 // String implements fmt.Stringer.
 func (c Config) String() string {
-	if c.ThreadsPerRank() > 1 {
-		return fmt.Sprintf("%s.%s×%d×%dT", c.Bench, c.Class, c.Ranks, c.ThreadsPerRank())
-	}
 	return fmt.Sprintf("%s.%s×%d", c.Bench, c.Class, c.Ranks)
 }
 
@@ -114,14 +99,6 @@ type Spec struct {
 
 	// Convergence check cadence (steps between Reduce calls).
 	CheckEvery int
-
-	// SerialFraction is the share of per-step compute that does not
-	// parallelise across OpenMP threads (Amdahl term of the hybrid
-	// extension).
-	SerialFraction float64
-	// OMPOverhead is the per-extra-thread relative cost of the OpenMP
-	// runtime (fork/join, barriers) per step.
-	OMPOverhead float64
 }
 
 // Zones is the total zone count.
@@ -186,8 +163,6 @@ func SpecFor(b Benchmark, c Class) (*Spec, error) {
 		return nil, fmt.Errorf("nas: unknown benchmark %q", b)
 	}
 	s.BytesPerPoint = 296 // ≈7 arrays × 5 variables × 8 B + metadata
-	s.SerialFraction = 0.03
-	s.OMPOverhead = 0.01
 	return s, nil
 }
 

@@ -47,27 +47,20 @@ func (inst *Instance) Run(m *arch.Machine) (*RunResult, error) {
 // profiler's host-side overhead (the paper's §5 claim).
 func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seconds, error) {
 	ranks := inst.Cfg.Ranks
-	threads := inst.Cfg.ThreadsPerRank()
-	if ranks*threads > m.TotalCores {
-		return 0, fmt.Errorf("nas: %s needs %d cores; %s has %d",
-			inst.Cfg, ranks*threads, m.Name, m.TotalCores)
+	world, err := mpi.NewWorld(m, ranks)
+	if err != nil {
+		return 0, err
+	}
+	if obs != nil {
+		world.SetObserver(obs)
 	}
 
-	// Per-rank per-step compute time on this machine. Each rank's zones
-	// are worked by `threads` OpenMP threads on its cores (one process
-	// per core in the paper's pure-MPI configuration); every hardware
-	// thread contends for node bandwidth.
-	active := m.CoresPerNode
-	if busy := ranks * threads; busy < active {
-		active = busy
-	}
+	// Per-rank per-step compute time on this machine: one process per
+	// core, and every busy core of a node contends for its bandwidth.
+	active := min(m.CoresPerNode, ranks)
 	stepTime := make([]units.Seconds, ranks)
 	for r := 0; r < ranks; r++ {
-		sig := inst.rankStepSignature(r)
-		if threads > 1 {
-			sig = inst.threadSignature(sig, threads)
-		}
-		c, err := hpm.Run(sig, hpm.Config{
+		c, err := hpm.Run(inst.rankStepSignature(r), hpm.Config{
 			Machine:            m,
 			Mode:               hpm.ST,
 			ActiveTasksPerNode: active,
@@ -76,18 +69,6 @@ func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seco
 			return 0, fmt.Errorf("nas: compute model for rank %d: %w", r, err)
 		}
 		stepTime[r] = c.Runtime
-		if threads > 1 {
-			// OpenMP runtime overhead per step (fork/join, barriers).
-			stepTime[r] *= 1 + inst.Spec.OMPOverhead*float64(threads-1)
-		}
-	}
-
-	world, err := mpi.NewWorldHybrid(m, ranks, threads)
-	if err != nil {
-		return 0, err
-	}
-	if obs != nil {
-		world.SetObserver(obs)
 	}
 
 	spec := inst.Spec

@@ -53,9 +53,6 @@ func New(cfg Config) (*Instance, error) {
 	if cfg.Ranks < 1 {
 		return nil, fmt.Errorf("nas: %s needs at least 1 rank", cfg)
 	}
-	if cfg.Threads < 0 {
-		return nil, fmt.Errorf("nas: %s has negative thread count", cfg)
-	}
 	if cfg.Ranks > spec.Zones() {
 		return nil, fmt.Errorf("nas: %s has only %d zones; cannot use %d ranks",
 			cfg.Name(), spec.Zones(), cfg.Ranks)
@@ -281,21 +278,4 @@ func (inst *Instance) MeanRankSignature() *workload.Signature {
 		sig.Footprint = 1
 	}
 	return sig
-}
-
-// threadSignature derives the kernel one OpenMP thread of a hybrid rank
-// executes: the parallel share of the instructions split T ways (plus the
-// serial share replicated on the master — Amdahl), over 1/T of the rank's
-// footprint. The critical path is the master thread's, so the rank's step
-// time is this signature's runtime.
-func (inst *Instance) threadSignature(rankSig *workload.Signature, threads int) *workload.Signature {
-	s := inst.Spec
-	c := *rankSig
-	serial := s.SerialFraction
-	c.Instructions = rankSig.Instructions * (serial + (1-serial)/float64(threads))
-	c.Footprint = rankSig.Footprint / units.Bytes(threads)
-	if c.Footprint < 1 {
-		c.Footprint = 1
-	}
-	return &c
 }

@@ -29,34 +29,17 @@ type Model struct {
 	M    *arch.Machine
 	Topo topo.Topology
 
-	// RanksPerNode is the dense-packing width: CoresPerNode for the
-	// paper's one-task-per-core placement, fewer under hybrid
-	// MPI/OpenMP (each rank occupies several cores with its threads).
-	RanksPerNode int
-
 	avgHops map[int]float64 // node count → average hop distance
 }
 
 // New builds the cost model for a machine with one task per core.
 func New(m *arch.Machine) *Model {
-	return NewPlaced(m, m.CoresPerNode)
+	return &Model{M: m, Topo: topo.For(m), avgHops: map[int]float64{}}
 }
 
-// NewPlaced builds the cost model with ranksPerNode tasks per node (the
-// hybrid MPI/OpenMP placement: ranksPerNode = cores / threads).
-func NewPlaced(m *arch.Machine, ranksPerNode int) *Model {
-	if ranksPerNode < 1 {
-		ranksPerNode = 1
-	}
-	if ranksPerNode > m.CoresPerNode {
-		ranksPerNode = m.CoresPerNode
-	}
-	return &Model{M: m, Topo: topo.For(m), RanksPerNode: ranksPerNode, avgHops: map[int]float64{}}
-}
-
-// NodeOf maps a rank to its node under dense packing (fill a node before
-// the next).
-func (md *Model) NodeOf(rank int) int { return rank / md.RanksPerNode }
+// NodeOf maps a rank to its node under dense packing, one task per core
+// (fill a node before the next).
+func (md *Model) NodeOf(rank int) int { return rank / md.M.CoresPerNode }
 
 // Intra reports whether two ranks share a node.
 func (md *Model) Intra(src, dst int) bool { return md.NodeOf(src) == md.NodeOf(dst) }
@@ -106,7 +89,7 @@ func (md *Model) jobNodes(ranks int) int {
 	if ranks <= 0 {
 		return 0
 	}
-	return (ranks + md.RanksPerNode - 1) / md.RanksPerNode
+	return (ranks + md.M.CoresPerNode - 1) / md.M.CoresPerNode
 }
 
 // alphaBeta returns the effective per-stage latency α (seconds) and

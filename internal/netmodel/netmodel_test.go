@@ -183,37 +183,6 @@ func TestInFlightAndTotal(t *testing.T) {
 	}
 }
 
-func TestHybridPlacement(t *testing.T) {
-	m := arch.MustGet(arch.Hydra) // 16 cores/node
-	md := NewPlaced(m, 4)         // 4 threads per rank
-	if md.RanksPerNode != 4 {
-		t.Fatalf("RanksPerNode = %d", md.RanksPerNode)
-	}
-	if md.NodeOf(3) != 0 || md.NodeOf(4) != 1 {
-		t.Error("hybrid NodeOf broken")
-	}
-	if !md.Intra(0, 3) || md.Intra(3, 4) {
-		t.Error("hybrid Intra broken")
-	}
-	// Clamping.
-	if NewPlaced(m, 0).RanksPerNode != 1 {
-		t.Error("zero ranks per node must clamp to 1")
-	}
-	if NewPlaced(m, 99).RanksPerNode != m.CoresPerNode {
-		t.Error("excess ranks per node must clamp to cores per node")
-	}
-	// The same rank count spans more nodes under hybrid placement; once
-	// the span crosses a fat-tree leaf (128 ranks → 32 nodes vs 8), the
-	// longer average distance makes collectives costlier.
-	pure := New(m)
-	if md.jobNodes(128) <= pure.jobNodes(128) {
-		t.Error("hybrid placement must span more nodes")
-	}
-	if md.Bcast(4096, 128) <= pure.Bcast(4096, 128) {
-		t.Error("hybrid placement spans more nodes; collectives must cost more")
-	}
-}
-
 // InFlight is the network-only transfer time of the message (excluding
 // library overhead and any rendezvous stall).
 func (c P2PCost) InFlight() units.Seconds { return c.Latency + c.Serialize }

@@ -3,7 +3,7 @@
 # Build every main under cmd/ and examples/ with integration coverage over
 # the whole module, run one fixed scenario — `figures -all`, `swapp` with no
 # flags and with a class-D `-validate -trace` request, the published-data
-# round trip (below), `nasrun -threads 2`, the four examples and the three
+# round trip (below), `nasrun` with no flags, the four examples and the three
 # smoke scripts, unedited (their own `go build` picks up the exported
 # GOFLAGS and their daemons write into the exported GOCOVERDIR) — and list
 # the internal/ functions at 0.0 %.
@@ -64,7 +64,7 @@ if ! grep -q 'quality: grade B' "$tmp/graded.txt" || ! grep -q 'missing-imb-coun
     exit 1
 fi
 
-"$bin/nasrun" -threads 2 >/dev/null
+"$bin/nasrun" >/dev/null
 for ex in customapp procurement quickstart scalingstudy; do
     "$bin/$ex" >/dev/null
 done
