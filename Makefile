@@ -83,13 +83,13 @@ race:
 # BenchmarkSpawnRun's allocs/op the cost of a one-shot 64-process kernel,
 # BenchmarkResetRun's (~0) the same kernel reused through Reset. The third is
 # one application run on the simulator (nas BenchmarkRun: BT-MZ.C@16 on Hydra,
-# profiler on): its B/op and allocs/op (~256) are what every run costs the
+# profiler on): its B/op and allocs/op (~111) are what every run costs the
 # heap, and stay flat in the run's timesteps because a wait frees its
 # requests, and in its ranks because a run allocates per world. The
 # fourth is the profiler's: BenchmarkProfilerHostCost is one steady-state
 # event (0 allocs), BenchmarkProfilerFirstSightings a fresh profiler fed a
-# recorded BT-MZ.C@64 stream and frozen — its allocs/op (~67) grow with
-# (routine, size) keys, not ranks. The fifth is the serving layer: the peer-hop number
+# recorded BT-MZ.C@64 stream and frozen — its allocs/op (47, pinned by
+# TestFirstSightingsAllocs) grow with (routine, size) keys, not ranks. The fifth is the serving layer: the peer-hop number
 # (one grouped /v1/batch against primed owners on a 2-, 4- and 8-replica
 # in-process ring) and one 64-item all-hit /v1/batch through the handler.
 # The sixth is the validation's: BenchmarkValidateOverlap validates a

@@ -408,7 +408,7 @@ func (s *Suite) Table(ranks int, sizes []units.Bytes) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.table(ranks, sizes, func(c cell, groups []group, program func(r *mpi.Rank)) (units.Seconds, error) {
+	return s.table(ranks, sizes, w.Model, func(c cell, groups []group, program func(r *mpi.Rank)) (units.Seconds, error) {
 		if groups == nil {
 			s.sims.Add(1)
 			w.Reset()
@@ -443,9 +443,10 @@ func (s *Suite) Table(ranks int, sizes []units.Bytes) (*Table, error) {
 }
 
 // table builds one table of the suite's benchmarks over any way of taking
-// one measurement. Every measurement runs the one program the table builds,
-// which runs whichever cell is being measured (cell.run).
-func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Table, error) {
+// one measurement, pricing its collectives and planning its groups with md,
+// a cost model of a ranks-task job. Every measurement runs the one program
+// the table builds, which runs whichever cell is being measured (cell.run).
+func (s *Suite) table(ranks int, sizes []units.Bytes, md *netmodel.Model, measure measureFunc) (*Table, error) {
 	if sizes == nil {
 		sizes = DefaultSizes()
 	}
@@ -466,7 +467,6 @@ func (s *Suite) table(ranks int, sizes []units.Bytes, measure measureFunc) (*Tab
 		NBInter: NBFit{InFlight: make(map[units.Bytes]units.Seconds, simulated)},
 	}
 	multiNode := s.m.NodesFor(ranks) > 1
-	md := netmodel.New(s.m)
 	distantGroups := s.planGroups(md, ranks, distant)
 	adjacentGroups := s.planGroups(md, ranks, adjacent)
 

@@ -12,6 +12,7 @@ import (
 	"repro/internal/arch"
 	"repro/internal/mpi"
 	"repro/internal/nas"
+	"repro/internal/netmodel"
 	"repro/internal/units"
 )
 
@@ -256,7 +257,7 @@ func measureFresh(m *arch.Machine, ranks int) measureFunc {
 
 // run is the full suite over any way of taking one measurement.
 func run(m *arch.Machine, ranks int, sizes []units.Bytes, measure measureFunc) (*Table, error) {
-	return NewSuite(m, Demand{}).table(ranks, sizes, measure)
+	return NewSuite(m, Demand{}).table(ranks, sizes, netmodel.New(m, ranks), measure)
 }
 
 // TestReusedWorldMatchesFreshWorlds holds Run, which resets one world

@@ -44,11 +44,11 @@ func TestCollectivesAreClosedForm(t *testing.T) {
 	sizes := units.Pow2Sizes(4, units.MiB) // imb.DefaultSizes
 	for _, name := range arch.Names() {
 		m := arch.MustGet(name)
-		md := netmodel.New(m) // as imb's tables price them
 		for _, ranks := range []int{2, 3, 4, 8, 13, 16, 32, 64, 128} {
 			if ranks > m.TotalCores {
 				continue
 			}
+			md := netmodel.New(m, ranks) // as imb's tables price them
 			check := func(name string, size units.Bytes, want units.Seconds, op func(r *Rank)) {
 				t.Helper()
 				w, err := NewWorld(m, ranks)

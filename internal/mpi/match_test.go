@@ -97,7 +97,8 @@ func FuzzMatchTable(f *testing.F) {
 	}
 	f.Add(ramp)
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		mt := newMatchTable(1)
+		var mt matchTable
+		mt.reserve(1)
 		scan := scanMatcher{lists: map[int32]*[2]scanList{}}
 		most := 0
 		for id, op := range ops {
@@ -150,10 +151,11 @@ func TestPendingSize(t *testing.T) {
 	}
 }
 
-// TestNewWorldAllocatesPerWorld: a world carves its NICs, rank handles and
-// match table from slabs, so building one for 128 ranks makes the
-// allocations one for 16 does: 10, where separate NIC slices, per-rank
-// match lists and peer scratch made 14.
+// TestNewWorldAllocatesPerWorld: a world carves its NICs and rank handles
+// from slabs, and makes its match table at its first Run, so building one
+// for 128 ranks makes the allocations one for 16 does: 8, where separate
+// NIC slices, per-rank match lists and peer scratch made 14, and the
+// table's slots and pool made at once 10.
 func TestNewWorldAllocatesPerWorld(t *testing.T) {
 	allocs := func(size int) float64 {
 		return testing.AllocsPerRun(10, func() {
@@ -162,7 +164,7 @@ func TestNewWorldAllocatesPerWorld(t *testing.T) {
 			}
 		})
 	}
-	if small, large := allocs(16), allocs(128); small != large || large > 10 {
-		t.Errorf("NewWorld made %.0f allocations at 16 ranks and %.0f at 128, want the same and at most 10", small, large)
+	if small, large := allocs(16), allocs(128); small != large || large > 8 {
+		t.Errorf("NewWorld made %.0f allocations at 16 ranks and %.0f at 128, want the same and at most 8", small, large)
 	}
 }

@@ -200,13 +200,17 @@ type matchTable struct {
 	free  int32 // the first free pool entry, 0 if none
 }
 
-// newMatchTable returns a table sized for a world of size ranks: one key
-// per rank fits without a rehash.
-func newMatchTable(size int) matchTable {
-	var t matchTable
-	t.alloc(2 * size)
-	t.pool = make([]pending, 1, len(t.slots))
-	return t
+// reserve makes room in t for n entries under as many keys without a
+// rehash or a pool growth, keeping what it holds.
+func (t *matchTable) reserve(n int) {
+	if 2*n > len(t.slots) {
+		t.resize(2 * n)
+	}
+	if cap(t.pool) < n+1 {
+		pool := make([]pending, max(len(t.pool), 1), n+1)
+		copy(pool, t.pool)
+		t.pool = pool
+	}
 }
 
 // alloc gives t empty slots, at least n and a power of two.
@@ -221,7 +225,7 @@ func (t *matchTable) alloc(n int) {
 // reset empties t, keeping its memory.
 func (t *matchTable) reset() {
 	clear(t.slots)
-	t.keys, t.pool, t.free = 0, t.pool[:1], 0
+	t.keys, t.pool, t.free = 0, t.pool[:min(len(t.pool), 1)], 0
 }
 
 // find returns the slot holding k, or the empty slot that ends its probe
@@ -269,7 +273,7 @@ func (t *matchTable) match(k matchKey, send bool) (e int32, matched bool) {
 	}
 	t.pool[e].next = e
 	if 2*(t.keys+1) > len(t.slots) {
-		t.grow()
+		t.resize(2 * len(t.slots))
 		i = t.find(k)
 	}
 	t.slots[i] = matchSlot{key: k, tail: e}
@@ -285,10 +289,10 @@ func (t *matchTable) take(e int32) pending {
 	return p
 }
 
-// grow doubles t's slots and rehashes its keys into them.
-func (t *matchTable) grow() {
+// resize gives t at least n slots and rehashes its keys into them.
+func (t *matchTable) resize(n int) {
 	old, keys := t.slots, t.keys
-	t.alloc(2 * len(old))
+	t.alloc(n)
 	for _, s := range old {
 		if s.tail != 0 {
 			t.slots[t.find(s.key)] = s
@@ -353,6 +357,13 @@ type World struct {
 	kernel *des.Kernel
 	size   int
 
+	// The two parts of a message's price its post reads: the library
+	// overhead every post pays, and the size from which a send waits for
+	// its receive. The rest of a price is worked out once, when the
+	// message launches (Model.P2P).
+	lib        units.Seconds
+	rendezvous units.Bytes
+
 	// NICs belong to nodes, not ranks: every rank on a node shares its
 	// adapters, so inter-node traffic serializes per node — the dominant
 	// contention effect when 16 tasks share one HPS/InfiniBand adapter.
@@ -395,20 +406,22 @@ func NewWorld(m *arch.Machine, size int) (*World, error) {
 	}
 	nodes := (size + m.CoresPerNode - 1) / m.CoresPerNode
 	// A world allocates per world, not per rank: one slab for the NICs,
-	// one for all rank handles, and the match table's slots and pool;
-	// process names render lazily via SpawnKind.
+	// one for all rank handles, and, at its first Run, the match table's
+	// slots and pool; process names render lazily via SpawnKind.
 	nic := make([]units.Seconds, 3*nodes)
+	md := netmodel.New(m, size)
 	w := &World{
-		Machine: m,
-		Model:   netmodel.New(m),
-		kernel:  des.NewKernel(),
-		size:    size,
-		nic:     nic,
-		txFree:  nic[:nodes:nodes],
-		rxFree:  nic[nodes : 2*nodes : 2*nodes],
-		shmFree: nic[2*nodes:],
-		match:   newMatchTable(size),
-		ranks:   make([]Rank, size),
+		Machine:    m,
+		Model:      md,
+		kernel:     des.NewKernel(),
+		size:       size,
+		lib:        md.P2P(0, 0, 0).LibOverhead,
+		rendezvous: m.Net.RendezvousB,
+		nic:        nic,
+		txFree:     nic[:nodes:nodes],
+		rxFree:     nic[nodes : 2*nodes : 2*nodes],
+		shmFree:    nic[2*nodes:],
+		ranks:      make([]Rank, size),
 	}
 	for i := range w.ranks {
 		w.ranks[i] = Rank{w: w, id: i}
@@ -426,6 +439,14 @@ func NewWorld(m *arch.Machine, size int) (*World, error) {
 
 // SetObserver installs the profiling hook. Must be called before Run.
 func (w *World) SetObserver(o Observer) { w.obs = o }
+
+// Reserve makes room in the world's match table for n operations waiting
+// unmatched at once — a receive posted before its send, or a send before
+// its receive — so that a program that never has more waiting runs without
+// growing the table. A program that has more still runs: the table doubles
+// as it fills. Without a Reserve, the table starts with room for one
+// operation per rank.
+func (w *World) Reserve(n int) { w.match.reserve(n) }
 
 // Run executes program on every rank and drives the simulation to
 // completion, returning the job's makespan (the virtual time when the last
@@ -455,6 +476,9 @@ func (w *World) run(ids []int, program func(r *Rank)) (units.Seconds, error) {
 	}
 	w.ran = true
 	w.program = program
+	if w.match.slots == nil {
+		w.match.reserve(w.size)
+	}
 	n := len(ids)
 	if ids == nil {
 		n = w.size
@@ -564,27 +588,25 @@ func (r *Rank) reportP2P(rt Routine, bytes units.Bytes, count int, elapsed units
 
 // --- point-to-point ------------------------------------------------------
 
-// launchTransfer prices and schedules the wire movement of a matched (or
-// eager) message, returning its arrival time at the destination. ready is
-// when the payload may start injecting (sender ready; for rendezvous also
-// after the handshake). Inter-node messages serialize on the shared
-// per-node NICs at both ends; intra-node messages go through shared
-// memory and contend only with themselves.
-func (w *World) launchTransfer(src, dst int, size units.Bytes, ready units.Seconds) (arrival, injected units.Seconds) {
-	cost := w.Model.P2P(src, dst, size)
-	if w.Model.Intra(src, dst) {
+// launchTransfer schedules the wire movement of a matched (or eager)
+// message of price cost from node srcNode to node dstNode, returning its
+// arrival time at the destination. ready is when the payload may start
+// injecting (sender ready; for rendezvous also after the handshake).
+// Inter-node messages serialize on the shared per-node NICs at both ends;
+// intra-node messages go through shared memory and contend only with
+// themselves.
+func (w *World) launchTransfer(srcNode, dstNode int, cost netmodel.P2PCost, ready units.Seconds) (arrival, injected units.Seconds) {
+	if srcNode == dstNode {
 		// Shared-memory transport: the node's memory bus is one
 		// resource; concurrent intra-node copies serialize on it.
-		node := w.Model.NodeOf(src)
 		start := ready
-		if w.shmFree[node] > start {
-			start = w.shmFree[node]
+		if w.shmFree[srcNode] > start {
+			start = w.shmFree[srcNode]
 		}
 		injected = start + cost.Serialize
-		w.shmFree[node] = injected
+		w.shmFree[srcNode] = injected
 		return injected + cost.Latency, injected
 	}
-	srcNode, dstNode := w.Model.NodeOf(src), w.Model.NodeOf(dst)
 	txStart := ready
 	if w.txFree[srcNode] > txStart {
 		txStart = w.txFree[srcNode]
@@ -680,24 +702,18 @@ func (s *poster) Step(p *des.Proc) bool { return (*Rank)(s).step(p) }
 func (r *Rank) step(p *des.Proc) bool {
 	q := &r.q
 	for rq := q.cursor; rq != nil; rq = q.cursor {
-		peer, send := rq.remote()
-		src, dst := r.id, peer
-		if !send {
-			src, dst = peer, r.id
-		}
-		cost := r.w.Model.P2P(src, dst, rq.size)
 		if !q.slept {
 			q.start = p.Now()
-			if !p.Sleep(cost.LibOverhead) {
+			if !p.Sleep(r.w.lib) {
 				q.slept = true
 				return false
 			}
 		}
 		q.slept, q.cursor = false, rq.next
-		if send {
-			r.makeSend(rq, dst, cost.Rendezvous)
+		if peer, send := rq.remote(); send {
+			r.makeSend(rq, peer)
 		} else {
-			r.makeRecv(rq, src)
+			r.makeRecv(rq, peer)
 		}
 		q.start = p.Now()
 	}
@@ -712,12 +728,12 @@ func (r *Rank) step(p *des.Proc) bool {
 }
 
 // makeSend makes a queued send of req to dst.
-func (r *Rank) makeSend(req *Request, dst int, rendezvous bool) {
+func (r *Rank) makeSend(req *Request, dst int) {
 	w := r.w
 	now := w.kernel.Now()
 	req.done = w.newSignal("send")
 	e, matched := w.match.match(matchKey{dst: int32(dst), src: int32(r.id), tag: req.tag}, true)
-	if rendezvous {
+	if req.size >= w.rendezvous {
 		if matched {
 			w.completeRendezvous(r.id, dst, pending{post: now, req: req}, w.match.take(e))
 		} else {
@@ -727,7 +743,8 @@ func (r *Rank) makeSend(req *Request, dst int, rendezvous bool) {
 	} else {
 		// Eager: the payload flies now; the send completes once the
 		// NIC has swallowed it (independent of the receiver).
-		arrival, injected := w.launchTransfer(r.id, dst, req.size, now)
+		a, b := w.Model.NodeOf(r.id), w.Model.NodeOf(dst)
+		arrival, injected := w.launchTransfer(a, b, w.Model.P2P(a, b, req.size), now)
 		w.fireAt(req.done, injected)
 		if matched {
 			w.fireAt(w.match.take(e).req.done, arrival)
@@ -769,14 +786,14 @@ func (r *Rank) makeRecv(req *Request, src int) {
 // completeRendezvous schedules the handshake + transfer for a matched
 // rendezvous pair from src to dst and fires both requests at arrival.
 func (w *World) completeRendezvous(src, dst int, send, recv pending) {
-	size := send.req.size
-	cost := w.Model.P2P(src, dst, size)
+	a, b := w.Model.NodeOf(src), w.Model.NodeOf(dst)
+	cost := w.Model.P2P(a, b, send.req.size)
 	both := send.post
 	if recv.post > both {
 		both = recv.post
 	}
 	ready := both + cost.Handshake
-	arrival, _ := w.launchTransfer(src, dst, size, ready)
+	arrival, _ := w.launchTransfer(a, b, cost, ready)
 	w.fireAt(send.req.done, arrival)
 	w.fireAt(recv.req.done, arrival)
 }

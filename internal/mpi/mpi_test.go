@@ -9,6 +9,8 @@ import (
 	"unsafe"
 
 	"repro/internal/arch"
+	"repro/internal/netmodel"
+	"repro/internal/topo"
 	"repro/internal/units"
 )
 
@@ -763,4 +765,73 @@ func TestResetAfterAnyEnding(t *testing.T) {
 func (r *Rank) Now() units.Seconds {
 	r.flush()
 	return r.proc.Now()
+}
+
+// refP2P is the point-to-point price as it was computed for every message
+// before worlds priced from a node-pair table: the hop count looked up per
+// call, src and dst rank indices.
+func refP2P(m *arch.Machine, tp topo.Topology, src, dst int, size units.Bytes) netmodel.P2PCost {
+	net := &m.Net
+	lib := net.LibOverheadUS * 1e-6
+	srcNode, dstNode := src/m.CoresPerNode, dst/m.CoresPerNode
+	if srcNode == dstNode {
+		return netmodel.P2PCost{
+			LibOverhead: lib,
+			Latency:     net.IntraLatencyUS * 1e-6,
+			Serialize:   float64(size) / (net.IntraBandwidthGBs * 1e9),
+			Rendezvous:  size >= net.RendezvousB,
+			Handshake:   2 * net.IntraLatencyUS * 1e-6,
+		}
+	}
+	hops := tp.Hops(srcNode, dstNode)
+	lat := (net.LatencyUS + float64(hops)*net.PerHopUS) * 1e-6
+	return netmodel.P2PCost{
+		LibOverhead: lib,
+		Latency:     lat,
+		Serialize:   float64(size) / (net.BandwidthGBs * 1e9),
+		Rendezvous:  size >= net.RendezvousB,
+		Handshake:   2 * lat,
+	}
+}
+
+// TestPricesMatchPerMessageFormula holds a world's message prices, read
+// from its node-pair table, to the per-message formula they replace, bit
+// for bit: on every machine, at every world size a projection builds (16 to
+// 128 ranks, 512 for class D, and a partial last node), for every ordered
+// pair of the world's nodes, at every size of IMB's grid and NAS-MZ's
+// message span, and at each side of the rendezvous threshold. The two
+// constants a post reads are held to the same formula.
+func TestPricesMatchPerMessageFormula(t *testing.T) {
+	same := func(a, b units.Seconds) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, name := range arch.Names() {
+		m := arch.MustGet(name)
+		tp := topo.For(m)
+		// imb.DefaultSizes, then nas.MessageSpan's two ends.
+		sizes := append(units.Pow2Sizes(4, units.MiB), 0, 20160, 1109760, m.Net.RendezvousB-1, m.Net.RendezvousB)
+		for _, ranks := range []int{2, 13, 16, 32, 64, 128, 512} {
+			if ranks > m.TotalCores {
+				continue
+			}
+			w, err := NewWorld(m, ranks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refP2P(m, tp, 0, 0, 0)
+			if !same(w.lib, want.LibOverhead) || w.rendezvous != m.Net.RendezvousB {
+				t.Fatalf("%s@%d: a post reads overhead %v and threshold %d, want %v and %d", name, ranks, w.lib, w.rendezvous, want.LibOverhead, m.Net.RendezvousB)
+			}
+			nodes := w.Model.NodeOf(ranks-1) + 1
+			for a := 0; a < nodes; a++ {
+				for b := 0; b < nodes; b++ {
+					for _, size := range sizes {
+						got, want := w.Model.P2P(a, b, size), refP2P(m, tp, a*m.CoresPerNode, b*m.CoresPerNode, size)
+						if !same(got.LibOverhead, want.LibOverhead) || !same(got.Latency, want.Latency) ||
+							!same(got.Serialize, want.Serialize) || got.Rendezvous != want.Rendezvous || !same(got.Handshake, want.Handshake) {
+							t.Fatalf("%s@%d: node %d → %d at %d B priced %+v, want %+v", name, ranks, a, b, size, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
 }

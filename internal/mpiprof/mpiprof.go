@@ -17,14 +17,23 @@
 // them in rank order once, when it freezes the result. A key's peer
 // offsets count into a dense column, one counter per ring distance
 // 0..ranks/2; per-rank and offset columns are carved from slabs of up to
-// sixteen. An event finds its routine by scanning the handful a
-// job calls and its size in that routine's map, so a steady-state event
-// allocates nothing and hashes one integer.
+// sixteen.
+//
+// A rank's calls between two computes — a step — repeat step after step,
+// so from its second step on the profiler keeps the keys of each rank's
+// last step, its trace, and a cursor into it that a compute rewinds. An
+// event is nearly always the key at its cursor, and checking that is one
+// comparison. Only an event that is not — a first sighting, or a step that
+// differs from the rank's last — is looked up, in one open-addressed
+// (routine, size) index per profiler, and written into the trace at the
+// cursor. So a steady-state event allocates nothing, hashes nothing and
+// scans nothing.
 package mpiprof
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -74,21 +83,25 @@ func (tp *TaskProfile) Total() units.Seconds { return tp.Compute + tp.Comm }
 // no events after Profile.
 type Profiler struct {
 	tasks    []TaskProfile
-	routines []routineAcc    // in first-sighting order, found by scanning
+	cursors  []cursor        // per rank
+	traced   int             // ranks with a trace
+	routines []routineAcc    // in first-sighting order
 	sizes    []sizeAcc       // in first-sighting order
+	index    []int32         // open-addressed (routine, bytes) → sizes slot + 1, 0 if empty; len a power of two
+	shift    uint            // 64 - log2(len(index))
 	slab     []units.Seconds // backs the next per-rank columns
 	offSlab  []uint32        // backs the next offset columns
+	keySlab  []int32         // backs the next traces
 }
 
 type routineAcc struct {
 	routine mpi.Routine
 	calls   int
-	elapsed []units.Seconds     // per rank, each in event order
-	keys    map[units.Bytes]int // message size → sizes slot
+	elapsed []units.Seconds // per rank, each in event order
 }
 
 type sizeAcc struct {
-	routine  int // routines slot
+	routine  int32 // routines slot
 	bytes    units.Bytes
 	calls    int
 	messages int
@@ -104,9 +117,31 @@ type sizeAcc struct {
 // allocation backs.
 const slabColumns = 16
 
+// cursor is where a rank is in its step.
+type cursor struct {
+	// trace holds the sizes slot + 1 of each event of the rank's last
+	// step, 0 where none has been seen; nil until a step of the rank's
+	// ends within traceMax calls, when it is made as long as that step.
+	trace []int32
+	pos   int // events since the rank's last compute
+}
+
+const (
+	// indexSlots is the size of a profiler's first index: a NAS-MZ job
+	// at few ranks has a dozen keys or so, and the index doubles from
+	// here.
+	indexSlots = 16
+	// traceMax is the longest step a rank's trace is made for. A NAS-MZ
+	// rank calls one routine a message and one Waitall a step, a few
+	// hundred calls at most; a rank that computes only after thousands of
+	// calls is looked up event by event until a step of its ends within
+	// this, rather than have a trace that long made for every rank.
+	traceMax = 1024
+)
+
 // New creates a profiler for a job of the given rank count.
 func New(ranks int) *Profiler {
-	p := &Profiler{tasks: make([]TaskProfile, ranks)}
+	p := &Profiler{tasks: make([]TaskProfile, ranks), cursors: make([]cursor, ranks)}
 	for i := range p.tasks {
 		p.tasks[i].Rank = i
 	}
@@ -141,22 +176,33 @@ func (p *Profiler) offsetColumn() []uint32 {
 // OnCompute implements mpi.Observer.
 func (p *Profiler) OnCompute(rank int, dt units.Seconds) {
 	p.tasks[rank].Compute += dt
+	c := &p.cursors[rank]
+	if c.trace == nil && c.pos > 0 && c.pos <= traceMax {
+		c.trace = p.traceColumn(c.pos)
+	}
+	c.pos = 0
+}
+
+// traceColumn returns a zeroed trace of n events carved from a slab. A
+// slab is sized for every rank still without a trace to take one of n:
+// the ranks of an SPMD job step alike.
+func (p *Profiler) traceColumn(n int) []int32 {
+	if len(p.keySlab) < n {
+		p.keySlab = make([]int32, n*(len(p.tasks)-p.traced))
+	}
+	p.traced++
+	c := p.keySlab[:n:n]
+	p.keySlab = p.keySlab[n:]
+	return c
 }
 
 // OnRoutine implements mpi.Observer.
 func (p *Profiler) OnRoutine(rank int, ev mpi.RoutineEvent) {
 	p.tasks[rank].Comm += ev.Elapsed
-	ri := p.routineSlot(ev.Routine)
-	ra := &p.routines[ri]
+	sa := &p.sizes[p.slot(rank, ev.Routine, ev.Bytes)]
+	ra := &p.routines[sa.routine]
 	ra.calls++
 	ra.elapsed[rank] += ev.Elapsed
-	si, ok := ra.keys[ev.Bytes]
-	if !ok {
-		si = len(p.sizes)
-		ra.keys[ev.Bytes] = si
-		p.sizes = append(p.sizes, sizeAcc{routine: ri, bytes: ev.Bytes, elapsed: p.column()})
-	}
-	sa := &p.sizes[si]
 	sa.calls++
 	sa.messages += ev.Count
 	sa.elapsed[rank] += ev.Elapsed
@@ -175,16 +221,92 @@ func (p *Profiler) OnRoutine(rank int, ev mpi.RoutineEvent) {
 	}
 }
 
-// routineSlot is rt's routines slot, added at its first sighting. A job
-// calls a handful of routines, so a scan beats hashing the name.
-func (p *Profiler) routineSlot(rt mpi.Routine) int {
-	for i := range p.routines {
-		if p.routines[i].routine == rt {
-			return i
+// slot is the sizes slot of an event of rt at bytes on rank: the key at
+// the rank's cursor when that is (rt, bytes), else the index's, added at
+// its first sighting and written into the trace at the cursor.
+func (p *Profiler) slot(rank int, rt mpi.Routine, bytes units.Bytes) int {
+	c := &p.cursors[rank]
+	pos := c.pos
+	c.pos++
+	if pos < len(c.trace) {
+		if k := int(c.trace[pos]) - 1; k >= 0 && p.is(k, rt, bytes) {
+			return k
+		}
+		// A step may lack a call the trace has, such as a periodic
+		// check: the rank's cursor then skips it for the rest of the step.
+		if pos+1 < len(c.trace) {
+			if k := int(c.trace[pos+1]) - 1; k >= 0 && p.is(k, rt, bytes) {
+				c.pos++
+				return k
+			}
 		}
 	}
-	p.routines = append(p.routines, routineAcc{routine: rt, elapsed: p.column(), keys: map[units.Bytes]int{}})
-	return len(p.routines) - 1
+	si := p.lookup(p.routineSlot(rt), bytes)
+	if pos < len(c.trace) {
+		c.trace[pos] = int32(si + 1)
+	}
+	return si
+}
+
+// is reports whether sizes slot si is the key (rt, bytes).
+func (p *Profiler) is(si int, rt mpi.Routine, bytes units.Bytes) bool {
+	sa := &p.sizes[si]
+	return sa.bytes == bytes && p.routines[sa.routine].routine == rt
+}
+
+// lookup is the sizes slot of (routine slot ri, bytes), added at its first
+// sighting. The index is open-addressed with linear probing and at most
+// half full.
+func (p *Profiler) lookup(ri int32, bytes units.Bytes) int {
+	if p.index == nil {
+		p.resize(indexSlots)
+	}
+	i := p.find(ri, bytes)
+	if e := p.index[i]; e != 0 {
+		return int(e) - 1
+	}
+	si := len(p.sizes)
+	p.sizes = append(p.sizes, sizeAcc{routine: ri, bytes: bytes, elapsed: p.column()})
+	p.index[i] = int32(si + 1)
+	if 2*len(p.sizes) > len(p.index) {
+		p.resize(2 * len(p.index))
+	}
+	return si
+}
+
+// find returns the index slot holding (ri, bytes), or the empty slot that
+// ends its probe run.
+func (p *Profiler) find(ri int32, bytes units.Bytes) int {
+	mask := len(p.index) - 1
+	i := int((uint64(bytes)<<4 ^ uint64(ri)) * 0x9e3779b97f4a7c15 >> p.shift)
+	for e := p.index[i]; e != 0; e = p.index[i] {
+		if sa := &p.sizes[e-1]; sa.routine == ri && sa.bytes == bytes {
+			break
+		}
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// resize gives the index n slots, a power of two, and re-enters every key.
+func (p *Profiler) resize(n int) {
+	p.index, p.shift = make([]int32, n), uint(64-bits.TrailingZeros(uint(n)))
+	for si := range p.sizes {
+		p.index[p.find(p.sizes[si].routine, p.sizes[si].bytes)] = int32(si + 1)
+	}
+}
+
+// routineSlot is rt's routines slot, added at its first sighting. A job
+// calls a handful of routines, and only an event its rank's trace did not
+// expect scans them.
+func (p *Profiler) routineSlot(rt mpi.Routine) int32 {
+	for i := range p.routines {
+		if p.routines[i].routine == rt {
+			return int32(i)
+		}
+	}
+	p.routines = append(p.routines, routineAcc{routine: rt, elapsed: p.column()})
+	return int32(len(p.routines) - 1)
 }
 
 // sum adds a per-rank column in rank order.

@@ -134,6 +134,54 @@ func edgeStream(ranks int) []event {
 	return rec.events
 }
 
+// cursorStream is a stepped job whose (routine, size) keys outnumber the
+// profiler's first index many times over, so the index grows while ranks
+// are mid-step, and whose ranks' steps are interleaved event by event, as
+// the simulator interleaves them. Each rank repeats its own sequence of
+// point-to-point calls step after step and computes between steps, except
+// that rank 0 starts every third step with an extra Allreduce, which its
+// trace sometimes has and sometimes lacks, and that the last rank's
+// sequence changes for good midway, at one position in the middle and in
+// its order. It returns the stream and how many distinct keys it has.
+func cursorStream(ranks int) ([]event, int) {
+	const steps, calls = 8, 128
+	p2p := []mpi.Routine{mpi.RoutineIsend, mpi.RoutineIrecv, mpi.RoutineWaitall, mpi.RoutineSend, mpi.RoutineRecv, mpi.RoutineSendrecv}
+	keys := map[string]bool{}
+	var rec recorder
+	for step := 0; step < steps; step++ {
+		for i := -1; i < calls; i++ {
+			for r := 0; r < ranks; r++ {
+				if i < 0 {
+					if r == 0 && step%3 == 1 {
+						rec.OnRoutine(r, mpi.RoutineEvent{Routine: mpi.RoutineAllreduce, Bytes: 8, Count: 1, Elapsed: 1e-5})
+					}
+					continue
+				}
+				at := i
+				if r == ranks-1 && step >= steps/2 {
+					at = calls - 1 - i // the changed rank runs its calls backwards...
+					if i == calls/2 {
+						at = 2 * calls // ...with one it never made before
+					}
+				}
+				// Every fourth call's key is shared by all ranks, the
+				// rest are the rank's own.
+				rt, size := p2p[at%len(p2p)], units.Bytes(8*(1+at+r*3*calls))
+				if at%4 == 0 {
+					size = units.Bytes(8 * (1 + at))
+				}
+				keys[fmt.Sprint(rt, size)] = true
+				peers := []int{(r + at) % ranks, (r + 1) % ranks}
+				rec.OnRoutine(r, mpi.RoutineEvent{Routine: rt, Bytes: size, Count: len(peers), Elapsed: 1e-7 * float64(1+(step*calls+i+r)%13), Peers: peers})
+			}
+		}
+		for r := 0; r < ranks; r++ {
+			rec.OnCompute(r, 1e-3)
+		}
+	}
+	return rec.events, len(keys)
+}
+
 // profileBoth feeds one stream to the profiler and to the reference.
 func profileBoth(ranks int, events []event, makespan units.Seconds) (*mpiprof.Profile, *refProfile) {
 	p, ref := mpiprof.New(ranks), newRef(ranks)
@@ -237,6 +285,16 @@ func TestProfilerMatchesReference(t *testing.T) {
 			t.Fatalf("edge stream, %d ranks: %s", ranks, msg)
 		}
 	}
+	for _, ranks := range []int{3, 7, 17} {
+		events, keys := cursorStream(ranks)
+		if keys < 300 {
+			t.Fatalf("cursor stream, %d ranks: %d keys, want at least 300", ranks, keys)
+		}
+		got, want := profileBoth(ranks, events, 1)
+		if msg := matchReference(got, want); msg != "" {
+			t.Fatalf("cursor stream, %d ranks: %s", ranks, msg)
+		}
+	}
 	for _, b := range nas.Benchmarks() {
 		for _, ranks := range []int{16, 64} {
 			cfg := nas.Config{Bench: b, Class: nas.ClassC, Ranks: ranks}
@@ -302,6 +360,23 @@ func FuzzProfilerMatchesReference(f *testing.F) {
 
 // profileSink keeps the benchmarked profile live.
 var profileSink *mpiprof.Profile
+
+// TestFirstSightingsAllocs pins the object count of
+// BenchmarkProfilerFirstSightings: a fresh profiler fed a recorded
+// BT-MZ.C@64 stream on Hydra and frozen makes 47 allocations, where a size
+// map per routine made 67.
+func TestFirstSightingsAllocs(t *testing.T) {
+	cfg := nas.Config{Bench: nas.BT, Class: nas.ClassC, Ranks: 64}
+	events, makespan := recordRun(t, cfg)
+	allocs := testing.AllocsPerRun(3, func() {
+		p := mpiprof.New(cfg.Ranks)
+		replay(events, p)
+		profileSink = p.Profile(cfg.String(), arch.Hydra, makespan)
+	})
+	if allocs > 47 {
+		t.Errorf("profiling a recorded BT-MZ.C@64 stream made %.0f allocations, want at most 47", allocs)
+	}
+}
 
 // BenchmarkProfilerFirstSightings is what a profile costs the heap: a
 // fresh profiler per iteration fed a recorded BT-MZ.C@64 event stream on

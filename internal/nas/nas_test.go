@@ -358,9 +358,12 @@ func TestRunAllocationFlatInSteps(t *testing.T) {
 // cost a closure, a request list and two cache-level slices, and each
 // (routine, size) key an offset list grown by append: 544 allocations at
 // 16 ranks and 1 199 at 128. Per-rank match lists and peer scratch kept a
-// gap of ~42 (213 against 255); with one match table per world it is ~19
-// (136 against 155, 146 against 167 under -race), what the table's growth
-// to the larger world's unmatched messages costs.
+// gap of ~42 (213 against 255); one match table per world made it ~19
+// (136 against 155), most of it the table's growth to the larger world's
+// unmatched messages. With the table sized once for a step's messages and
+// the profiler's keys in one index, the runs cost 106 and 127 (119 and
+// 142 under -race): the gap left is the kernel's and the profiler's slabs
+// for more processes and keys.
 func TestRunAllocatesPerWorld(t *testing.T) {
 	m := arch.MustGet(arch.Hydra)
 	allocs := func(ranks int) float64 {
@@ -376,7 +379,7 @@ func TestRunAllocatesPerWorld(t *testing.T) {
 	}
 	a16, a128 := allocs(16), allocs(128)
 	t.Logf("BT-MZ.C on hydra: %.0f allocations at 16 ranks, %.0f at 128", a16, a128)
-	if a128 > a16+30 {
+	if a128 > a16+25 {
 		t.Errorf("a run allocates with ranks: %.0f objects at 16 ranks, %.0f at 128", a16, a128)
 	}
 }

@@ -83,6 +83,9 @@ func (inst *Instance) RunObserved(m *arch.Machine, obs mpi.Observer) (units.Seco
 	for id := range inst.sends {
 		posts += len(inst.recvs[id]) + len(inst.sends[id])
 	}
+	// A step's posts are half sends, half receives, and one of each pair
+	// waits for the other: the match table is sized for that many once.
+	world.Reserve(posts / 2)
 	slab := make([]*mpi.Request, posts)
 	reqLists := make([][]*mpi.Request, ranks)
 	for id := range reqLists {

@@ -24,25 +24,44 @@ import (
 	"repro/internal/units"
 )
 
-// Model prices traffic on one machine.
+// Model prices one job's traffic on one machine. A message's price depends
+// only on its size and the nodes at its two ends, so New works out the
+// in-flight latency of every ordered pair of the job's nodes once, and
+// pricing a message reads its pair's entry rather than counting hops.
 type Model struct {
 	M    *arch.Machine
 	Topo topo.Topology
 
-	avgHops map[int]float64 // node count → average hop distance
+	nodes int             // the job's nodes
+	lat   []units.Seconds // in-flight latency by (source node, destination node), source-major
+	avgN  int             // the node count avg is for; 0 until a collective spans nodes
+	avg   float64         // average hop distance over the first avgN nodes
 }
 
-// New builds the cost model for a machine with one task per core.
-func New(m *arch.Machine) *Model {
-	return &Model{M: m, Topo: topo.For(m), avgHops: map[int]float64{}}
+// New builds the cost model of a job of ranks tasks on machine m, one task
+// per core packed densely. Its collectives may be priced at any rank count;
+// its point-to-point messages only between the job's nodes.
+func New(m *arch.Machine, ranks int) *Model {
+	md := &Model{M: m, Topo: topo.For(m)}
+	md.nodes = md.jobNodes(ranks)
+	md.lat = make([]units.Seconds, md.nodes*md.nodes)
+	net := &m.Net
+	for a := 0; a < md.nodes; a++ {
+		for b := 0; b < md.nodes; b++ {
+			lat := net.IntraLatencyUS * 1e-6
+			if a != b {
+				hops := md.Topo.Hops(a, b)
+				lat = (net.LatencyUS + float64(hops)*net.PerHopUS) * 1e-6
+			}
+			md.lat[a*md.nodes+b] = lat
+		}
+	}
+	return md
 }
 
 // NodeOf maps a rank to its node under dense packing, one task per core
 // (fill a node before the next).
 func (md *Model) NodeOf(rank int) int { return rank / md.M.CoresPerNode }
-
-// Intra reports whether two ranks share a node.
-func (md *Model) Intra(src, dst int) bool { return md.NodeOf(src) == md.NodeOf(dst) }
 
 // P2PCost decomposes one message's cost per Eq. 1.
 type P2PCost struct {
@@ -60,25 +79,20 @@ type P2PCost struct {
 	Handshake  units.Seconds
 }
 
-// P2P prices one message of size bytes from src to dst (rank indices).
+// P2P prices one message of size bytes from node src to node dst of the
+// job (NodeOf gives a rank's node). A message within one node goes through
+// shared memory, and one between nodes over the network.
 func (md *Model) P2P(src, dst int, size units.Bytes) P2PCost {
 	net := &md.M.Net
-	lib := net.LibOverheadUS * 1e-6
-	if md.Intra(src, dst) {
-		return P2PCost{
-			LibOverhead: lib,
-			Latency:     net.IntraLatencyUS * 1e-6,
-			Serialize:   float64(size) / (net.IntraBandwidthGBs * 1e9),
-			Rendezvous:  size >= net.RendezvousB,
-			Handshake:   2 * net.IntraLatencyUS * 1e-6,
-		}
+	bw := net.BandwidthGBs
+	if src == dst {
+		bw = net.IntraBandwidthGBs
 	}
-	hops := md.Topo.Hops(md.NodeOf(src), md.NodeOf(dst))
-	lat := (net.LatencyUS + float64(hops)*net.PerHopUS) * 1e-6
+	lat := md.lat[src*md.nodes+dst]
 	return P2PCost{
-		LibOverhead: lib,
+		LibOverhead: net.LibOverheadUS * 1e-6,
 		Latency:     lat,
-		Serialize:   float64(size) / (net.BandwidthGBs * 1e9),
+		Serialize:   float64(size) / (bw * 1e9),
 		Rendezvous:  size >= net.RendezvousB,
 		Handshake:   2 * lat,
 	}
@@ -101,12 +115,10 @@ func (md *Model) alphaBeta(ranks int) (alpha, beta float64) {
 		return (net.IntraLatencyUS + net.LibOverheadUS) * 1e-6,
 			1 / (net.IntraBandwidthGBs * 1e9)
 	}
-	avg, ok := md.avgHops[n]
-	if !ok {
-		avg = topo.AverageHops(md.Topo, n)
-		md.avgHops[n] = avg
+	if md.avgN != n {
+		md.avgN, md.avg = n, topo.AverageHops(md.Topo, n)
 	}
-	alpha = (net.LatencyUS + avg*net.PerHopUS + net.LibOverheadUS) * 1e-6
+	alpha = (net.LatencyUS + md.avg*net.PerHopUS + net.LibOverheadUS) * 1e-6
 	beta = 1 / (net.BandwidthGBs * 1e9)
 	return
 }

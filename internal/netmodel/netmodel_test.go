@@ -8,22 +8,23 @@ import (
 	"repro/internal/units"
 )
 
-func model(name string) *Model { return New(arch.MustGet(name)) }
+// model is the cost model of a 256-task job on the named machine.
+func model(name string) *Model { return New(arch.MustGet(name), 256) }
 
 func TestNodeOfDensePacking(t *testing.T) {
 	md := model(arch.Hydra) // 16 cores/node
 	if md.NodeOf(0) != 0 || md.NodeOf(15) != 0 || md.NodeOf(16) != 1 {
 		t.Error("dense packing broken")
 	}
-	if !md.Intra(3, 12) || md.Intra(15, 16) {
-		t.Error("Intra broken")
+	if md.NodeOf(3) != md.NodeOf(12) || md.NodeOf(15) == md.NodeOf(16) {
+		t.Error("node sharing broken")
 	}
 }
 
 func TestP2PIntraVsInter(t *testing.T) {
 	md := model(arch.Power6)
-	intra := md.P2P(0, 1, 1024)
-	inter := md.P2P(0, 40, 1024) // 32 cores/node → rank 40 is node 1
+	intra := md.P2P(0, 0, 1024)
+	inter := md.P2P(0, md.NodeOf(40), 1024) // 32 cores/node → rank 40 is node 1
 	if intra.Latency >= inter.Latency {
 		t.Error("intra-node latency must beat inter-node")
 	}
@@ -37,8 +38,8 @@ func TestP2PIntraVsInter(t *testing.T) {
 
 func TestP2PEagerVsRendezvous(t *testing.T) {
 	md := model(arch.Westmere) // rendezvous at 16 KiB
-	small := md.P2P(0, 20, 1*units.KiB)
-	big := md.P2P(0, 20, 64*units.KiB)
+	small := md.P2P(0, 1, 1*units.KiB)
+	big := md.P2P(0, 1, 64*units.KiB)
 	if small.Rendezvous {
 		t.Error("1 KiB must be eager")
 	}
@@ -60,7 +61,7 @@ func TestP2PMonotoneProperty(t *testing.T) {
 		if s1 > s2 {
 			s1, s2 = s2, s1
 		}
-		src, dst := int(a)%64, int(b)%64
+		src, dst := int(a)%64, int(b)%64 // nodes of the 256-task job
 		c1 := md.P2P(src, dst, units.Bytes(s1))
 		c2 := md.P2P(src, dst, units.Bytes(s2))
 		if c1.LibOverhead < 0 || c1.Latency < 0 || c1.Serialize < 0 {
@@ -74,9 +75,9 @@ func TestP2PMonotoneProperty(t *testing.T) {
 }
 
 func TestTorusDistanceAffectsLatency(t *testing.T) {
-	md := model(arch.BlueGene)    // 4 cores/node, torus 8×8×16
-	near := md.P2P(0, 4, 1024)    // node 0 → node 1 (1 hop)
-	far := md.P2P(0, 4*4+2, 1024) // node 0 → node 4 (4 hops on x)
+	md := model(arch.BlueGene) // 4 cores/node, torus 8×8×16
+	near := md.P2P(0, 1, 1024) // 1 hop
+	far := md.P2P(0, 4, 1024)  // 4 hops on x
 	if near.Latency >= far.Latency {
 		t.Errorf("torus latency must grow with hops: near=%v far=%v", near.Latency, far.Latency)
 	}
@@ -170,7 +171,7 @@ func TestAlltoallCongestionOnTorus(t *testing.T) {
 
 func TestInFlightAndTotal(t *testing.T) {
 	md := model(arch.Hydra)
-	c := md.P2P(0, 32, 8*units.KiB)
+	c := md.P2P(0, 2, 8*units.KiB)
 	if c.InFlight() != c.Latency+c.Serialize {
 		t.Error("InFlight definition broken")
 	}
