@@ -130,8 +130,8 @@ bench:
 benchmark:
 	$(GO) run ./bench
 
-# Short mutation pass over the persistence decoders (strict, and the
-# lenient ones that read swapp's -spec-*/-imb-* files), the WAL scanner,
+# Short mutation pass over the persistence decoders (the one decoder per
+# document that reads swapp's -spec-*/-imb-* files), the WAL scanner,
 # the job-journal replay, the two HTTP request decoders — /v1/batch and
 # the single endpoints' APIRequest — IMB's grouped tables against whole-world simulation
 # (any machine, any rank count, any size span), the MPI profiler against its
@@ -204,9 +204,10 @@ prodcover:
 # request, failed projections that publish nothing, the ring's seeded
 # kill/cut/rejoin schedules (TestRingChaosSchedules: bytes, per-replica
 # evaluation counts and their sum over the schedules all asserted),
-# degraded-input projections. Fast — the heavy grids are elsewhere.
+# degraded-input projections, and malformed published documents the
+# decoders refuse. Fast — the heavy grids are elsewhere.
 # `make invariants` checks that each alternative names a test.
-CHAOS_RUN = Chaos|Fault|Panic|Breaker|RefuseNothing|NeverPublishes|Degraded|Lenient|Dropped|GridGap
+CHAOS_RUN = Chaos|Fault|Panic|Breaker|RefuseNothing|NeverPublishes|Degraded|RefusesMalformed|Dropped|GridGap
 chaos:
 	$(GO) test -race -shuffle=on -timeout 600s -run '$(CHAOS_RUN)' ./...
 

@@ -55,9 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		quiet   = fs.Bool("q", false, "suppress progress output")
 		workers = fs.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS, 1 = serial); output is identical either way")
 
-		traceOut  = fs.String("trace", "", "write a JSON span trace (spans + metrics) to this file")
-		metrics   = fs.Bool("metrics", false, "print collected metrics to stderr on exit")
-		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof, expvar and metrics on this address (e.g. localhost:6060)")
+		traceOut = fs.String("trace", "", "write a JSON span trace (spans + metrics) to this file")
+		metrics  = fs.Bool("metrics", false, "print collected metrics to stderr on exit")
 	)
 	fs.Var(&figs, "fig", "figure number to regenerate (repeatable, 3–9)")
 	if err := fs.Parse(args); err != nil {
@@ -97,16 +96,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Observability root: nil (zero-cost no-op) unless requested. Figures
 	// are byte-identical either way.
 	var scope *obs.Scope
-	if *traceOut != "" || *metrics || *debugAddr != "" {
+	if *traceOut != "" || *metrics {
 		scope = obs.New("figures")
-	}
-	if *debugAddr != "" {
-		addr, stop, err := obs.ServeDebug(*debugAddr, scope)
-		if err != nil {
-			return fail("debug server: %v", err)
-		}
-		defer stop()
-		fmt.Fprintf(stderr, "figures: debug server on http://%s/debug/pprof/\n", addr)
 	}
 
 	r := figures.NewRunner()

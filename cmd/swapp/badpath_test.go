@@ -65,6 +65,28 @@ func TestBadInputPaths(t *testing.T) {
 	specBGP := writeSpec(t, dir, arch.BlueGene)
 	imbBGP := writeIMB(t, dir, arch.BlueGene, 4)
 	imbP6 := writeIMB(t, dir, arch.Power6, 4)
+	// Malformed documents, each imbrun's or specrun's output with a value
+	// no run writes: the decoder refuses them rather than dropping or
+	// zero-pricing the entry.
+	noFits := editDoc(t, imbP6, "no-fits.json", func(doc map[string]any) {
+		for _, fit := range []string{"nb_intra", "nb_inter"} {
+			doc[fit].(map[string]any)["in_flight"] = []any{}
+		}
+	})
+	emptySend := editDoc(t, imbP6, "empty-send.json", func(doc map[string]any) {
+		for _, r := range doc["per_op"].([]any) {
+			if r := r.(map[string]any); r["routine"] == "MPI_Send" {
+				r["samples"] = []any{}
+			}
+		}
+	})
+	zeroRuntimes := editDoc(t, writeSpec(t, dir, arch.Power6), "zero-runtimes.json", func(doc map[string]any) {
+		for i, r := range doc["results"].([]any) {
+			if i%3 == 0 { // 10 of the 29 rows
+				r.(map[string]any)["st"].(map[string]any)["Runtime"] = 0
+			}
+		}
+	})
 
 	cases := []struct {
 		name string
@@ -85,6 +107,9 @@ func TestBadInputPaths(t *testing.T) {
 		{"imb target for another machine", []string{"-imb-target", imbBGP}, "not the target machine power6-575"},
 		{"imb base for another machine", []string{"-imb-base", imbP6}, "not the base machine hydra"},
 		{"two imb tables at one count", []string{"-imb-target", imbP6 + "," + imbP6}, "a second target table at 4 ranks"},
+		{"empty in_flight fits", []string{"-imb-target", noFits}, "nb_intra.in_flight has no samples"},
+		{"empty per_op routine", []string{"-imb-target", emptySend}, "per_op.MPI_Send has no samples"},
+		{"zero ST runtime", []string{"-spec-target", zeroRuntimes}, "400.perlbench.st: runtime 0 is not positive"},
 		{"unwritable trace", []string{"-trace", filepath.Join(dir, "no", "such", "dir", "t.json")}, "trace"},
 		// Request errors name no file; the library already prefixes them.
 		{"one rank", []string{"-ranks", "1"}, "ranks must be at least 2"},

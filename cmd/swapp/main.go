@@ -11,7 +11,6 @@
 //
 //	-trace out.json   write a hierarchical JSON span trace + metrics
 //	-metrics          print the metric registry to stderr on exit
-//	-debug-addr :0    serve /debug/pprof, /debug/vars, /metrics, /trace.json
 package main
 
 import (
@@ -38,20 +37,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("swapp", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		bench     = fs.String("bench", "BT-MZ", "benchmark: BT-MZ, SP-MZ or LU-MZ")
-		class     = fs.String("class", "C", "problem class: C or D")
-		ranks     = fs.Int("ranks", 64, "target core count Ck")
-		target    = fs.String("target", swapp.TargetPower6, "target machine: "+strings.Join(swapp.MachineNames(), ", "))
-		base      = fs.String("base", swapp.BaseHydra, "base machine")
-		validate  = fs.Bool("validate", false, "also run the application on the target and report the error")
-		workers   = fs.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS, 1 = serial); the projection is identical either way")
-		traceOut  = fs.String("trace", "", "write a JSON span trace (spans + metrics) to this file")
-		metrics   = fs.Bool("metrics", false, "print collected metrics to stderr on exit")
-		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof, expvar and metrics on this address (e.g. localhost:6060)")
-		specBase  = fs.String("spec-base", "", "published SPEC results for the base machine (JSON, see internal/persist)")
-		specTgt   = fs.String("spec-target", "", "published SPEC results for the target machine")
-		imbBase   = fs.String("imb-base", "", "published IMB tables for the base machine (JSON, comma-separated for multiple core counts)")
-		imbTgt    = fs.String("imb-target", "", "published IMB tables for the target machine")
+		bench    = fs.String("bench", "BT-MZ", "benchmark: BT-MZ, SP-MZ or LU-MZ")
+		class    = fs.String("class", "C", "problem class: C or D")
+		ranks    = fs.Int("ranks", 64, "target core count Ck")
+		target   = fs.String("target", swapp.TargetPower6, "target machine: "+strings.Join(swapp.MachineNames(), ", "))
+		base     = fs.String("base", swapp.BaseHydra, "base machine")
+		validate = fs.Bool("validate", false, "also run the application on the target and report the error")
+		workers  = fs.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS, 1 = serial); the projection is identical either way")
+		traceOut = fs.String("trace", "", "write a JSON span trace (spans + metrics) to this file")
+		metrics  = fs.Bool("metrics", false, "print collected metrics to stderr on exit")
+		specBase = fs.String("spec-base", "", "published SPEC results for the base machine (JSON, see internal/persist)")
+		specTgt  = fs.String("spec-target", "", "published SPEC results for the target machine")
+		imbBase  = fs.String("imb-base", "", "published IMB tables for the base machine (JSON, comma-separated for multiple core counts)")
+		imbTgt   = fs.String("imb-target", "", "published IMB tables for the target machine")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -83,17 +81,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The observability root: nil (zero-cost no-op) unless requested.
 	var scope *obs.Scope
-	if *traceOut != "" || *metrics || *debugAddr != "" {
+	if *traceOut != "" || *metrics {
 		scope = obs.New("swapp")
-	}
-	if *debugAddr != "" {
-		addr, stop, err := obs.ServeDebug(*debugAddr, scope)
-		if err != nil {
-			fmt.Fprintf(stderr, "swapp: debug server: %v\n", err)
-			return 1
-		}
-		defer stop()
-		fmt.Fprintf(stderr, "swapp: debug server on http://%s/debug/pprof/\n", addr)
 	}
 
 	req := swapp.Request{
@@ -140,12 +129,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // loadData reads published benchmark data files into a pipeline pre-seed.
-// Counts or suites not supplied are measured by the pipeline as usual. The
-// lenient decoders are used on purpose: partial or damaged published data
-// degrades the projection (recorded in its Quality block) instead of
-// refusing to run, while unreadable files, a document for another machine
-// than the one its flag names, and a second IMB table at one count fail
-// fast with the path in the message.
+// Counts or suites not supplied are measured by the pipeline as usual. A
+// partial document (entries left out, see internal/persist) degrades the
+// projection, recorded in its Quality block; an unreadable or malformed
+// file, a document for another machine than the one its flag names, and a
+// second IMB table at one count fail fast with the path in the message.
 func loadData(base, target, specBase, specTarget, imbBase, imbTarget string) (*core.PipelineData, error) {
 	if specBase == "" && specTarget == "" && imbBase == "" && imbTarget == "" {
 		return nil, nil
@@ -159,7 +147,7 @@ func loadData(base, target, specBase, specTarget, imbBase, imbTarget string) (*c
 		if err != nil {
 			return fmt.Errorf("cannot read SPEC data: %v", err)
 		}
-		machine, results, defects, err := persist.UnmarshalSpecLenient(b)
+		machine, results, defects, err := persist.UnmarshalSpec(b)
 		if err != nil {
 			return fmt.Errorf("cannot load SPEC data %s: %v", path, err)
 		}
@@ -180,7 +168,7 @@ func loadData(base, target, specBase, specTarget, imbBase, imbTarget string) (*c
 			if err != nil {
 				return fmt.Errorf("cannot read IMB data: %v", err)
 			}
-			t, defects, err := persist.UnmarshalIMBLenient(b)
+			t, defects, err := persist.UnmarshalIMB(b)
 			if err != nil {
 				return fmt.Errorf("cannot load IMB data %s: %v", path, err)
 			}

@@ -101,9 +101,9 @@ func (p *Pipeline) ProjectComm(app *AppModel, ck int, computeRatio float64) (*Co
 }
 
 // projectComm is the implementation, with its span attached under parent.
-// Degraded-mode fallbacks — unpriceable routines, grid-gap extrapolation,
-// count substitution, a missing compute ratio — are recorded on rec
-// (nil-safe).
+// Degraded-mode fallbacks — unpriceable routines, grid-gap extrapolation —
+// are recorded on rec (nil-safe). A compute ratio that is not finite and
+// positive is an error: the wait-scale blend has nothing to scale by.
 func (p *Pipeline) projectComm(parent *obs.Scope, app *AppModel, ck int, computeRatio float64, rec *quality.Report) (*CommProjection, error) {
 	sp := parent.Child(fmt.Sprintf("core.comm.%s@%d", app.Name(), ck))
 	defer sp.End()
@@ -111,7 +111,10 @@ func (p *Pipeline) projectComm(parent *obs.Scope, app *AppModel, ck int, compute
 	if !ok {
 		return nil, fmt.Errorf("core: no base profile at %d ranks for %s", ck, app.Name())
 	}
-	baseT, targetT, err := p.imbAt(ck, rec)
+	if math.IsNaN(computeRatio) || math.IsInf(computeRatio, 0) || computeRatio <= 0 {
+		return nil, fmt.Errorf("core: compute ratio %v for %s@%d is not finite and positive", computeRatio, app.Name(), ck)
+	}
+	baseT, targetT, err := p.imbAt(ck)
 	if err != nil {
 		return nil, err
 	}
@@ -141,17 +144,7 @@ func (p *Pipeline) projectComm(parent *obs.Scope, app *AppModel, ck int, compute
 	if baseTransferSum > 0 {
 		commRatio = targetTransferSum / baseTransferSum
 	}
-	if math.IsNaN(computeRatio) || math.IsInf(computeRatio, 0) || computeRatio <= 0 {
-		// No usable compute ratio to blend with (a degraded compute
-		// projection): carry base WaitTime over unscaled.
-		rec.Add(quality.Defect{
-			Code: quality.WaitScaleDefault, Component: quality.Comm, Severity: quality.Minor,
-			Detail: fmt.Sprintf("no usable compute ratio (%v) for the wait-scale blend; WaitScale defaulted to 1", computeRatio),
-		})
-		out.WaitScale = 1
-	} else {
-		out.WaitScale = waitBlend*computeRatio + (1-waitBlend)*commRatio
-	}
+	out.WaitScale = waitBlend*computeRatio + (1-waitBlend)*commRatio
 
 	// Second pass: Eq. 4 wait extraction and Eq. 5 target assembly. The
 	// transfer portion of the profiled elapsed maps to the target by the

@@ -68,23 +68,17 @@ func TestNewPipelineGathersData(t *testing.T) {
 			t.Errorf("IMB tables missing at %d ranks", c)
 		}
 	}
-	// An unprepared core count falls back to the nearest shared count and
-	// records an IMBCountFallback defect on the report.
-	rec := quality.NewReport()
-	bt, tt, err := p.imbAt(999, rec)
-	if err != nil {
-		t.Fatalf("imbAt(999) with fallback counts: %v", err)
+	// A count the pipeline was not built for is an error, not the
+	// nearest count's tables; so is a count one side lacks.
+	if bt, tt, err := p.imbAt(16); err != nil || bt.Ranks != 16 || tt.Ranks != 16 {
+		t.Errorf("imbAt(16) = %v, %v, %v", bt, tt, err)
 	}
-	if bt == nil || tt == nil || bt.Ranks != 16 || tt.Ranks != 16 {
-		t.Errorf("imbAt(999) must substitute the nearest count (16), got base=%+v target=%+v", bt, tt)
+	if _, _, err := p.imbAt(999); err == nil || !strings.Contains(err.Error(), "no IMB tables for 999 ranks") {
+		t.Errorf("imbAt(999) err = %v, want no IMB tables for 999 ranks", err)
 	}
-	if rec.Empty() {
-		t.Error("count fallback must record a quality defect")
-	}
-	// With no shared count at all, the fallback has nothing to offer.
-	empty := &Pipeline{IMBBase: map[int]*imb.Table{}, IMBTarget: map[int]*imb.Table{}}
-	if _, _, err := empty.imbAt(4, nil); err == nil {
-		t.Error("imbAt on an empty pipeline must error")
+	oneSided := &Pipeline{IMBBase: p.IMBBase, IMBTarget: map[int]*imb.Table{16: p.IMBTarget[16]}}
+	if _, _, err := oneSided.imbAt(8); err == nil {
+		t.Error("imbAt on a count only the base holds must error")
 	}
 }
 
@@ -631,7 +625,7 @@ func TestServedTablesPriceEveryRoutine(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, d := range proj.Quality.Defects() {
-					if d.Code == quality.MissingIMBRoutine || d.Code == quality.DroppedMPIRoutine {
+					if d.Code == quality.DroppedMPIRoutine {
 						t.Errorf("%s.%s@%d: %s", b, c, ranks, d)
 					}
 				}

@@ -85,23 +85,22 @@ func TestGridGapRecordsDefect(t *testing.T) {
 	}
 }
 
-// TestWaitScaleDefault proves a broken compute ratio falls back to
-// WaitScale = 1 with a defect instead of propagating NaN.
-func TestWaitScaleDefault(t *testing.T) {
+// TestUnusableComputeRatioIsAnError: a compute ratio that is not finite
+// and positive leaves the wait-scale blend nothing to scale by, so the
+// communication projection refuses it rather than carrying base WaitTime
+// over unscaled.
+func TestUnusableComputeRatioIsAnError(t *testing.T) {
 	const ranks = 4
 	p := synthPipeline(ranks, 1e-4, 5e-5)
 	app := synthApp(mpi.RoutineBcast, ranks, 1e-3)
 	for _, ratio := range []float64{math.NaN(), math.Inf(1), 0, -2} {
 		rec := quality.NewReport()
 		comm, err := p.projectComm(nil, app, ranks, ratio, rec)
-		if err != nil {
-			t.Fatalf("ratio %v: %v", ratio, err)
+		if err == nil || !strings.Contains(err.Error(), "is not finite and positive") {
+			t.Errorf("ratio %v: comm %+v, err %v; want an error", ratio, comm, err)
 		}
-		if comm.WaitScale != 1 {
-			t.Errorf("ratio %v: WaitScale = %v, want 1", ratio, comm.WaitScale)
-		}
-		if !defectCodes(rec)[quality.WaitScaleDefault] {
-			t.Errorf("ratio %v: missing WaitScaleDefault defect", ratio)
+		if !rec.Empty() {
+			t.Errorf("ratio %v: recorded %v", ratio, rec.Defects())
 		}
 	}
 }

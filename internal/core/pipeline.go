@@ -89,8 +89,8 @@ type PipelineData struct {
 	IMBBase    map[int]*imb.Table
 	IMBTarget  map[int]*imb.Table
 
-	// Defects carries the loader's findings (see persist's lenient
-	// decoders) into the pipeline's quality ledger.
+	// Defects carries the decoders' findings on partial documents (see
+	// internal/persist) into the pipeline's quality ledger.
 	Defects []quality.Defect
 }
 
@@ -349,7 +349,7 @@ func (p *Pipeline) analyzeData(dataDefects []quality.Defect) []quality.Defect {
 		if p.IMBTarget[c] == nil {
 			ds = append(ds, quality.Defect{
 				Code: quality.MissingIMBCount, Component: quality.Data, Severity: quality.Minor,
-				Detail: fmt.Sprintf("target has no IMB tables at %d ranks; lookups fall back to the nearest shared count", c),
+				Detail: fmt.Sprintf("target has no IMB table at %d ranks, so the base's goes unused", c),
 			})
 		}
 	}
@@ -357,7 +357,7 @@ func (p *Pipeline) analyzeData(dataDefects []quality.Defect) []quality.Defect {
 		if p.IMBBase[c] == nil {
 			ds = append(ds, quality.Defect{
 				Code: quality.MissingIMBCount, Component: quality.Data, Severity: quality.Minor,
-				Detail: fmt.Sprintf("base has no IMB tables at %d ranks; lookups fall back to the nearest shared count", c),
+				Detail: fmt.Sprintf("base has no IMB table at %d ranks, so the target's goes unused", c),
 			})
 		}
 	}
@@ -388,37 +388,15 @@ func uniqueSorted(xs []int) []int {
 	return out
 }
 
-// imbAt fetches a machine-pair's IMB tables for a core count. When the
-// pipeline was not prepared for that count it substitutes the nearest
-// count both machines hold — recording an IMBCountFallback defect on rec —
-// and errors only when no shared count exists at all.
-func (p *Pipeline) imbAt(c int, rec *quality.Report) (baseT, targetT *imb.Table, err error) {
-	baseT, ok1 := p.IMBBase[c]
-	targetT, ok2 := p.IMBTarget[c]
-	if ok1 && ok2 {
-		return baseT, targetT, nil
-	}
-	var shared []int
-	for cc, t := range p.IMBBase {
-		if t != nil && p.IMBTarget[cc] != nil {
-			shared = append(shared, cc)
-		}
-	}
-	if len(shared) == 0 {
+// imbAt fetches a machine-pair's IMB tables for a core count. A pipeline
+// holds tables at every count it was built for, on both sides, so a count
+// it lacks is an error: there is no nearer table to guess with.
+func (p *Pipeline) imbAt(c int) (baseT, targetT *imb.Table, err error) {
+	baseT, targetT = p.IMBBase[c], p.IMBTarget[c]
+	if baseT == nil || targetT == nil {
 		return nil, nil, fmt.Errorf("core: pipeline has no IMB tables for %d ranks", c)
 	}
-	sort.Ints(shared)
-	best := shared[0]
-	for _, cc := range shared {
-		if abs(cc-c) < abs(best-c) {
-			best = cc
-		}
-	}
-	rec.Add(quality.Defect{
-		Code: quality.IMBCountFallback, Component: quality.Comm, Severity: quality.Major,
-		Detail: fmt.Sprintf("no IMB tables at %d ranks; substituted the tables at %d ranks", c, best),
-	})
-	return p.IMBBase[best], p.IMBTarget[best], nil
+	return baseT, targetT, nil
 }
 
 // CounterPair is one application characterisation observation: ST and SMT

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"expvar"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync"
@@ -30,7 +29,6 @@ func publishExpvar(s *Scope) {
 //	/debug/vars     expvar (includes swapp.metrics)
 //	/metrics        the scope's metric snapshot, plain text
 //	/metrics.json   the same snapshot as JSON
-//	/trace.json     a live snapshot of the span tree + metrics
 func DebugHandler(s *Scope) http.Handler {
 	publishExpvar(s)
 	mux := http.NewServeMux()
@@ -47,10 +45,6 @@ func DebugHandler(s *Scope) http.Handler {
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		writeJSON(w, s.Metrics())
-	})
-	mux.HandleFunc("/trace.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = s.WriteTrace(w)
 	})
 	return mux
 }
@@ -70,17 +64,4 @@ func jsonIndent(w io.Writer, v any) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
-}
-
-// ServeDebug starts an HTTP debug server for the scope on addr (host:port;
-// :0 picks a free port). It returns the bound address and a stop function.
-// Intended for the CLIs' -debug-addr flag on long evaluation runs.
-func ServeDebug(addr string, s *Scope) (bound string, stop func() error, err error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: DebugHandler(s)}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }

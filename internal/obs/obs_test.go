@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -178,15 +179,12 @@ func TestWriteTraceJSON(t *testing.T) {
 func TestDebugServer(t *testing.T) {
 	s := New("srv")
 	s.Count("reqs", 3)
-	addr, stop, err := ServeDebug("127.0.0.1:0", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = stop() }()
+	srv := httptest.NewServer(DebugHandler(s))
+	defer srv.Close()
 
 	get := func(path string) string {
 		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
@@ -210,15 +208,16 @@ func TestDebugServer(t *testing.T) {
 	} else if v, _ := m.Counter("reqs"); v != 3 {
 		t.Errorf("/metrics.json reqs = %d", v)
 	}
-	var doc TraceJSON
-	if err := json.Unmarshal([]byte(get("/trace.json")), &doc); err != nil {
-		t.Errorf("/trace.json not JSON: %v", err)
-	}
 	if body := get("/debug/vars"); !strings.Contains(body, "swapp.metrics") {
 		t.Errorf("/debug/vars missing swapp.metrics:\n%s", body)
 	}
 	if body := get("/debug/pprof/cmdline"); body == "" {
 		t.Error("/debug/pprof/cmdline empty")
+	}
+	if resp, err := http.Get(srv.URL + "/trace.json"); err != nil {
+		t.Fatal(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/trace.json = %d, want 404: -trace writes the span tree", resp.StatusCode)
 	}
 }
 

@@ -8,6 +8,17 @@
 // The format is plain JSON, stable across runs (maps are serialized as
 // sorted arrays), and round-trips exactly for the quantities the
 // projection consumes.
+//
+// Each document kind has one decoder, UnmarshalIMB or UnmarshalSpec, and
+// one rule: a document is well-formed if imbrun or specrun could have
+// written it with whole entries left out. A malformed document — bad JSON,
+// a non-finite or negative value, a nameless or repeated entry, a broken
+// size grid, a routine or fit with no samples, a SPEC row with no runtime
+// — is refused with an error; nothing is dropped or guessed at. A partial
+// one decodes, with a quality.Defect for each gap the decoder can see: a
+// single-size grid, or a SPEC row without its SMT column (the ST counters
+// stand in). Entries left out altogether — counts, routines, benchmarks,
+// grid sizes — are found by the projection that reads them (internal/core).
 package persist
 
 import (
@@ -19,6 +30,7 @@ import (
 	"repro/internal/hpm"
 	"repro/internal/imb"
 	"repro/internal/mpi"
+	"repro/internal/quality"
 	"repro/internal/spec"
 	"repro/internal/units"
 )
@@ -87,12 +99,76 @@ func MarshalIMB(t *imb.Table) ([]byte, error) {
 	return json.MarshalIndent(j, "", "  ")
 }
 
-// checkSamples validates one sweep: sizes non-negative (MPI_Barrier has no
-// message size and is recorded at 0 bytes) and strictly increasing, seconds
-// finite and non-negative. The ordering matters — downstream interpolation
+// UnmarshalIMB decodes an IMB table document. It refuses a malformed one:
+// an incomplete header, a size grid that is not positive and strictly
+// increasing, a nameless or repeated routine, a routine or non-blocking fit
+// with no samples, and negative or non-finite seconds. A single-size grid
+// is partial: the table decodes with an imb-single-point-grid defect.
+func UnmarshalIMB(data []byte) (*imb.Table, []quality.Defect, error) {
+	var j imbTableJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return nil, nil, fmt.Errorf("persist: bad IMB table: %w", err)
+	}
+	if j.Machine == "" || j.Ranks < 2 || len(j.Sizes) == 0 {
+		return nil, nil, fmt.Errorf("persist: incomplete IMB table (machine %q, %d ranks, %d sizes)",
+			j.Machine, j.Ranks, len(j.Sizes))
+	}
+	prev := units.Bytes(0)
+	for i, s := range j.Sizes {
+		if s <= prev {
+			return nil, nil, fmt.Errorf("persist: IMB size grid entry %d: sizes must be positive and strictly increasing (%d after %d)",
+				i, s, prev)
+		}
+		prev = s
+	}
+	if err := checkNBFit("nb_intra", j.NBIntra); err != nil {
+		return nil, nil, err
+	}
+	if err := checkNBFit("nb_inter", j.NBInter); err != nil {
+		return nil, nil, err
+	}
+	t := &imb.Table{
+		Machine: j.Machine,
+		Ranks:   j.Ranks,
+		Sizes:   j.Sizes,
+		PerOp:   make(map[mpi.Routine]map[units.Bytes]units.Seconds, len(j.PerOp)),
+		NBIntra: imb.NBFit{Overhead: j.NBIntra.Overhead, InFlight: mapOf(j.NBIntra.InFlight)},
+		NBInter: imb.NBFit{Overhead: j.NBInter.Overhead, InFlight: mapOf(j.NBInter.InFlight)},
+	}
+	for _, rs := range j.PerOp {
+		if rs.Routine == "" {
+			return nil, nil, fmt.Errorf("persist: IMB per_op entry without a routine name")
+		}
+		if _, dup := t.PerOp[rs.Routine]; dup {
+			return nil, nil, fmt.Errorf("persist: duplicate IMB per_op entry for %s", rs.Routine)
+		}
+		if err := checkSamples("per_op."+string(rs.Routine), rs.Samples); err != nil {
+			return nil, nil, err
+		}
+		t.PerOp[rs.Routine] = mapOf(rs.Samples)
+	}
+	var defects []quality.Defect
+	if len(j.Sizes) == 1 {
+		defects = append(defects, quality.Defect{
+			Code: quality.IMBSinglePointGrid, Component: quality.Data, Severity: quality.Major,
+			Detail: fmt.Sprintf("%s/%d IMB grid has a single size (%s): every off-size lookup is a constant extrapolation",
+				j.Machine, j.Ranks, units.FormatBytes(j.Sizes[0])),
+		})
+	}
+	return t, defects, nil
+}
+
+// checkSamples validates one sweep: at least one sample (a partial table
+// leaves a routine out rather than empty, and a fit has no "not measured"
+// form), sizes non-negative (MPI_Barrier has no message size and is
+// recorded at 0 bytes) and strictly increasing, seconds finite and
+// non-negative. The ordering matters — downstream interpolation
 // binary-searches the sorted sample list, and duplicates would silently
 // collapse when rebuilt into a map.
 func checkSamples(what string, es []sizeEntry) error {
+	if len(es) == 0 {
+		return fmt.Errorf("persist: %s has no samples", what)
+	}
 	prev := units.Bytes(-1)
 	for i, e := range es {
 		if e.Bytes < 0 || e.Bytes <= prev {
@@ -145,6 +221,49 @@ func MarshalSpec(machine string, results map[string]spec.Result) ([]byte, error)
 	return json.MarshalIndent(j, "", "  ")
 }
 
+// UnmarshalSpec decodes a SPEC result document. It refuses a malformed
+// one: an incomplete header, a nameless or repeated benchmark, a negative or
+// non-finite counter, and an ST runtime that is not positive (the runtime
+// is what the projection scales by). A row whose SMT column is all zero is
+// partial: the ST counters stand in, with a missing-counter-group defect.
+func UnmarshalSpec(data []byte) (machine string, results map[string]spec.Result, defects []quality.Defect, err error) {
+	var j specSuiteJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return "", nil, nil, fmt.Errorf("persist: bad SPEC results: %w", err)
+	}
+	if j.Machine == "" || len(j.Results) == 0 {
+		return "", nil, nil, fmt.Errorf("persist: incomplete SPEC results")
+	}
+	results = make(map[string]spec.Result, len(j.Results))
+	for _, r := range j.Results {
+		if r.Bench == "" {
+			return "", nil, nil, fmt.Errorf("persist: SPEC result without a name")
+		}
+		if _, dup := results[r.Bench]; dup {
+			return "", nil, nil, fmt.Errorf("persist: duplicate SPEC result for %s", r.Bench)
+		}
+		if err := checkCounters(r.Bench+".st", &r.ST); err != nil {
+			return "", nil, nil, err
+		}
+		if r.ST.Runtime <= 0 {
+			return "", nil, nil, fmt.Errorf("persist: %s.st: runtime %v is not positive", r.Bench, r.ST.Runtime)
+		}
+		if err := checkCounters(r.Bench+".smt", &r.SMT); err != nil {
+			return "", nil, nil, err
+		}
+		if zeroCounters(&r.SMT) {
+			defects = append(defects, quality.Defect{
+				Code: quality.MissingCounterGroup, Component: quality.Data, Severity: quality.Minor,
+				Detail: fmt.Sprintf("%s on %s: SMT counter group absent, ST substituted (hyperthreading scaling degrades to 1x)",
+					r.Bench, j.Machine),
+			})
+			r.SMT = r.ST
+		}
+		results[r.Bench] = spec.Result{Bench: r.Bench, Machine: r.Machine, ST: r.ST, SMT: r.SMT}
+	}
+	return j.Machine, results, defects, nil
+}
+
 // checkCounters validates one counter observation: every metric of the
 // canonical vector plus the derived totals must be finite and non-negative
 // (counter rates cannot be negative; NaN/Inf would silently corrupt the
@@ -157,4 +276,15 @@ func checkCounters(what string, c *hpm.Counters) error {
 		}
 	}
 	return nil
+}
+
+// zeroCounters reports an all-zero observation — the shape of a counter
+// group the collector never populated.
+func zeroCounters(c *hpm.Counters) bool {
+	for _, v := range append(c.Vector(), c.Instructions, c.CPI, c.Runtime) {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }

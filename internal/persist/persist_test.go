@@ -20,9 +20,12 @@ func TestIMBRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalIMB(data)
+	back, ds, err := UnmarshalIMB(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(ds) != 0 {
+		t.Errorf("imbrun's table decoded with defects: %v", ds)
 	}
 	if back.Machine != orig.Machine || back.Ranks != orig.Ranks {
 		t.Fatal("labels lost")
@@ -71,10 +74,10 @@ func TestIMBDeterministicEncoding(t *testing.T) {
 }
 
 func TestIMBUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalIMB([]byte("{")); err == nil {
+	if _, _, err := UnmarshalIMB([]byte("{")); err == nil {
 		t.Error("syntax error must fail")
 	}
-	if _, err := UnmarshalIMB([]byte(`{"machine":"","ranks":0}`)); err == nil {
+	if _, _, err := UnmarshalIMB([]byte(`{"machine":"","ranks":0}`)); err == nil {
 		t.Error("incomplete table must fail")
 	}
 }
@@ -88,9 +91,12 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machine, back, err := UnmarshalSpec(data)
+	machine, back, ds, err := UnmarshalSpec(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(ds) != 0 {
+		t.Errorf("specrun's suite decoded with defects: %v", ds)
 	}
 	if machine != arch.Power6 || len(back) != len(results) {
 		t.Fatalf("suite lost: %s, %d results", machine, len(back))
@@ -113,10 +119,10 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestSpecUnmarshalRejectsGarbage(t *testing.T) {
-	if _, _, err := UnmarshalSpec([]byte("[]")); err == nil {
+	if _, _, _, err := UnmarshalSpec([]byte("[]")); err == nil {
 		t.Error("wrong shape must fail")
 	}
-	if _, _, err := UnmarshalSpec([]byte(`{"machine":"x","results":[{"bench":""}]}`)); err == nil {
+	if _, _, _, err := UnmarshalSpec([]byte(`{"machine":"x","results":[{"bench":""}]}`)); err == nil {
 		t.Error("nameless result must fail")
 	}
 }

@@ -1,11 +1,12 @@
 // Package quality is SWAPP's data-fidelity ledger. The framework's whole
-// premise is producing projections from imperfect, externally-sourced
-// inputs — published SPEC tables, IMB sweeps, hardware-counter profiles —
-// that in practice arrive truncated, partially missing, or noisy. Instead
-// of failing on the first defect, the engine records what was wrong and
-// which documented fallback it substituted, and every projection carries
-// the resulting Report so a caller can tell a full-fidelity answer from a
-// degraded one.
+// premise is producing projections from externally-sourced inputs —
+// published SPEC tables and IMB sweeps — that in practice arrive partial:
+// a count, a routine, a benchmark, a grid size or a counter group left
+// out. Malformed inputs are refused where they are decoded
+// (internal/persist); for partial ones the engine records what was missing
+// and which documented fallback it substituted, and every projection
+// carries the resulting Report so a caller can tell a full-fidelity answer
+// from a degraded one.
 //
 // A Defect names one concrete problem (a taxonomy Code), the projection
 // component it degrades (compute, communication, or the shared input
@@ -32,7 +33,11 @@ import (
 type Code string
 
 // The defect taxonomy. Codes are part of the wire format: once published
-// they may gain siblings but must not be renamed.
+// they may gain siblings but must not be renamed, and a deleted code is
+// retired, never reused. Retired: corrupt-entry, duplicate-entry and
+// missing-imb-routine (malformed documents are refused, not salvaged),
+// imb-count-fallback (a pipeline holds every count it projects at) and
+// wait-scale-default (an unusable compute ratio is an error).
 const (
 	// MissingSpecBench: a benchmark present in the base-machine SPEC pool
 	// has no counterpart on the target. Fallback: the surrogate pool
@@ -47,28 +52,13 @@ const (
 	// IMBSinglePointGrid: an IMB table carries a single size sample; all
 	// size dependence is lost and every lookup returns that sample.
 	IMBSinglePointGrid Code = "imb-single-point-grid"
-	// MissingIMBRoutine: a routine sweep was absent or empty in a loaded
-	// IMB table.
-	MissingIMBRoutine Code = "missing-imb-routine"
 	// MissingIMBCount: one side of the machine pair has no IMB table at a
 	// core count the other side covers.
 	MissingIMBCount Code = "missing-imb-count"
-	// IMBCountFallback: the projection needed IMB tables at a core count
-	// the pipeline does not hold and substituted the nearest held count.
-	IMBCountFallback Code = "imb-count-fallback"
 	// DroppedMPIRoutine: a profiled MPI routine could not be priced on the
 	// benchmark tables. Fallback: its elapsed time is treated as pure
 	// WaitTime and scaled by the wait-scale factor.
 	DroppedMPIRoutine Code = "dropped-mpi-routine"
-	// WaitScaleDefault: the wait-scale blend had no usable compute ratio
-	// and defaulted to 1 (base WaitTime carried over unscaled).
-	WaitScaleDefault Code = "wait-scale-default"
-	// DuplicateEntry: a loaded artifact repeated a key (benchmark,
-	// routine); the first occurrence won.
-	DuplicateEntry Code = "duplicate-entry"
-	// CorruptEntry: a loaded artifact entry carried non-finite or negative
-	// values and was dropped.
-	CorruptEntry Code = "corrupt-entry"
 )
 
 // Component names the projection component a defect degrades.
@@ -198,7 +188,7 @@ func (r *Report) Grade() Grade {
 }
 
 // ComponentGrade grades one projection component. Data defects count
-// against every component: corrupt shared inputs degrade whatever is
+// against every component: partial shared inputs degrade whatever is
 // computed from them.
 func (r *Report) ComponentGrade(c Component) Grade {
 	return gradeOf(r.Defects(), c)

@@ -41,14 +41,14 @@ func TestDefectsSortedDeterministically(t *testing.T) {
 	// Insert in a scrambled order; Defects must sort by component, then
 	// severity (major first), code, detail.
 	r := NewReport()
-	r.Add(Defect{Code: WaitScaleDefault, Component: Comm, Severity: Minor, Detail: "z"})
+	r.Add(Defect{Code: IMBGridGap, Component: Comm, Severity: Minor, Detail: "z"})
 	r.Add(Defect{Code: DroppedMPIRoutine, Component: Comm, Severity: Major, Detail: "a"})
 	r.Add(Defect{Code: MissingSpecBench, Component: Data, Severity: Minor, Detail: "m"})
 	r.Add(Defect{Code: MissingCounterGroup, Component: Compute, Severity: Minor, Detail: "q"})
 	// Components sort lexically (comm < compute < data), severity major
 	// first within a component.
 	ds := r.Defects()
-	want := []Code{DroppedMPIRoutine, WaitScaleDefault, MissingCounterGroup, MissingSpecBench}
+	want := []Code{DroppedMPIRoutine, IMBGridGap, MissingCounterGroup, MissingSpecBench}
 	if len(ds) != len(want) {
 		t.Fatalf("got %d defects, want %d", len(ds), len(want))
 	}
@@ -60,7 +60,7 @@ func TestDefectsSortedDeterministically(t *testing.T) {
 	// Within a component, major sorts before minor.
 	r2 := NewReport()
 	r2.Add(Defect{Code: IMBGridGap, Component: Comm, Severity: Minor, Detail: "a"})
-	r2.Add(Defect{Code: MissingIMBRoutine, Component: Comm, Severity: Major, Detail: "b"})
+	r2.Add(Defect{Code: DroppedMPIRoutine, Component: Comm, Severity: Major, Detail: "b"})
 	ds2 := r2.Defects()
 	if ds2[0].Severity != Major {
 		t.Errorf("major must sort first within a component, got %v", ds2)
@@ -86,7 +86,7 @@ func TestGrades(t *testing.T) {
 	}
 
 	majorData := NewReport()
-	majorData.Add(Defect{Code: CorruptEntry, Component: Data, Severity: Major})
+	majorData.Add(Defect{Code: IMBSinglePointGrid, Component: Data, Severity: Major})
 	// Data defects degrade every component.
 	for _, c := range []Component{Compute, Comm} {
 		if g := majorData.ComponentGrade(c); g != GradeC {

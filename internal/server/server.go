@@ -219,7 +219,7 @@ func (s *Server) Close() {
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Handler returns the API mux. The obs debug surface (pprof, expvar,
-// /metrics, /trace.json) is mounted alongside the API when Obs is set.
+// /metrics, /metrics.json) is mounted alongside the API when Obs is set.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, spec := range endpoints {
@@ -243,7 +243,7 @@ func (s *Server) Handler() http.Handler {
 	})
 	if s.obs.Enabled() {
 		debug := obs.DebugHandler(s.obs)
-		for _, p := range []string{"/debug/", "/metrics", "/metrics.json", "/trace.json"} {
+		for _, p := range []string{"/debug/", "/metrics", "/metrics.json"} {
 			mux.Handle(p, debug)
 		}
 	}

@@ -597,6 +597,16 @@ func TestDebugSurfaceMounted(t *testing.T) {
 	if v, ok := m.Counter("server.requests"); !ok || v < 1 {
 		t.Errorf("debug surface does not see server.requests: %+v", m.Counters)
 	}
+	// The server opens no span per request, so a live trace would only
+	// ever show an empty root: it is not served.
+	tr, err := http.Get(ts.URL + "/trace.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.Body.Close()
+	if tr.StatusCode != http.StatusNotFound {
+		t.Errorf("/trace.json = %d, want 404", tr.StatusCode)
+	}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
