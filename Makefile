@@ -174,7 +174,8 @@ cluster-smoke:
 # Durability smoke: swappd with -data-dir, one async job SIGKILLed while
 # running and another SIGTERMed; each restart on the same dir must replay
 # the journal, re-run the job under its original ID from a cold store, and
-# finish byte-identical to an uninterrupted control run.
+# finish byte-identical to an uninterrupted control run, whose event stream
+# must be exactly one done event.
 crash-smoke:
 	./scripts/crash_smoke.sh
 
@@ -185,7 +186,8 @@ crash-smoke:
 # swapp -bench SP-MZ -class D -ranks 128 -target bgp -validate -trace;
 # the published-data round trip (imbrun and specrun documents into
 # swapp -validate, cmp'd against the same request with no files, then a
-# count-8 base table that grades it B); nasrun with no flags; the four
+# target SPEC document three benchmarks short that grades it B); nasrun
+# with no flags; the four
 # examples; and the three smoke scripts unedited, whose own go build picks
 # up the exported GOFLAGS —
 # then lists the internal/ functions at 0.0 % (go tool covdata func). Every

@@ -87,6 +87,13 @@ func TestBadInputPaths(t *testing.T) {
 			}
 		}
 	})
+	// Every ST runtime positive and finite, so the decoder accepts it, yet
+	// each speedup over hydra's underflows to 0.
+	tinyRuntimes := editDoc(t, writeSpec(t, dir, arch.Power6), "tiny-runtimes.json", func(doc map[string]any) {
+		for _, r := range doc["results"].([]any) {
+			r.(map[string]any)["st"].(map[string]any)["Runtime"] = 5e-324
+		}
+	})
 
 	cases := []struct {
 		name string
@@ -110,6 +117,7 @@ func TestBadInputPaths(t *testing.T) {
 		{"empty in_flight fits", []string{"-imb-target", noFits}, "nb_intra.in_flight has no samples"},
 		{"empty per_op routine", []string{"-imb-target", emptySend}, "per_op.MPI_Send has no samples"},
 		{"zero ST runtime", []string{"-spec-target", zeroRuntimes}, "400.perlbench.st: runtime 0 is not positive"},
+		{"underflowing SPEC ratio", []string{"-spec-target", tinyRuntimes}, "SPEC 400.perlbench: ST runtime 5e-324 s on power6-575 over"},
 		{"unwritable trace", []string{"-trace", filepath.Join(dir, "no", "such", "dir", "t.json")}, "trace"},
 		// Request errors name no file; the library already prefixes them.
 		{"one rank", []string{"-ranks", "1"}, "ranks must be at least 2"},

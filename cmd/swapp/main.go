@@ -104,8 +104,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	scope.End()
 	if err != nil {
-		// The library's request errors already carry the prefix.
-		fmt.Fprintf(stderr, "swapp: %s\n", strings.TrimPrefix(err.Error(), "swapp: "))
+		// The library's request errors already carry the prefix. A
+		// projection that fails on published data names the documents.
+		msg := strings.TrimPrefix(err.Error(), "swapp: ")
+		var docs []string
+		for _, d := range [][2]string{{"-spec-base", *specBase}, {"-spec-target", *specTgt}, {"-imb-base", *imbBase}, {"-imb-target", *imbTgt}} {
+			if d[1] != "" {
+				docs = append(docs, d[0]+" "+d[1])
+			}
+		}
+		if len(docs) > 0 {
+			msg += " (published data: " + strings.Join(docs, ", ") + ")"
+		}
+		fmt.Fprintf(stderr, "swapp: %s\n", msg)
 		return 1
 	}
 

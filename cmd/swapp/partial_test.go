@@ -50,7 +50,10 @@ func keep(list any, ok func(map[string]any) bool) []any {
 // written with whole entries left out still projects — exit 0 — and its
 // report grades the projection and names the one defect the gap causes.
 // Each case is LU-MZ.C@16 onto power6-575 with one such document; between
-// them they reach every quality code.
+// them they reach every quality code. A case with no grade is a gap the
+// request never reads: a base table at a count the target lacks is one no
+// projection at 16 ranks looks at, so the report is the no-file run's,
+// byte for byte, with no quality section.
 func TestPartialDocumentsDegrade(t *testing.T) {
 	dir := t.TempDir()
 	specHydra := writeSpec(t, dir, arch.Hydra)
@@ -91,21 +94,33 @@ func TestPartialDocumentsDegrade(t *testing.T) {
 				f["in_flight"] = keep(f["in_flight"], at64k)
 			}
 		})}, "C", quality.IMBSinglePointGrid},
-		{"a base table at a count the target lacks", []string{"-imb-base", imbHydra32}, "B", quality.MissingIMBCount},
+		{"a base table at a count the target lacks", []string{"-imb-base", imbHydra32}, "", ""},
 		{"MPI_Reduce left out", []string{"-imb-target", editDoc(t, imbP6, "imb-no-reduce.json", func(doc map[string]any) {
 			doc["per_op"] = keep(doc["per_op"], func(r map[string]any) bool { return r["routine"] != "MPI_Reduce" })
 		})}, "C", quality.DroppedMPIRoutine},
 	}
+	project := func(t *testing.T, extra []string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		args := append([]string{"-bench", "LU-MZ", "-class", "C", "-ranks", "16", "-target", arch.Power6}, extra...)
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("exit %d, want 0 (stderr: %q)", code, stderr.String())
+		}
+		return stdout.String()
+	}
+	noFile := project(t, nil)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var stdout, stderr bytes.Buffer
-			args := append([]string{"-bench", "LU-MZ", "-class", "C", "-ranks", "16", "-target", arch.Power6}, tc.args...)
-			if code := run(args, &stdout, &stderr); code != 0 {
-				t.Fatalf("exit %d, want 0 (stderr: %q)", code, stderr.String())
+			out := project(t, tc.args)
+			if tc.grade == "" {
+				if out != noFile {
+					t.Errorf("an unread document changed the report:\n%s\nwant the no-file run's:\n%s", out, noFile)
+				}
+				return
 			}
-			_, q, ok := strings.Cut(stdout.String(), "\nquality: ")
+			_, q, ok := strings.Cut(out, "\nquality: ")
 			if !ok {
-				t.Fatalf("no quality section:\n%s", stdout.String())
+				t.Fatalf("no quality section:\n%s", out)
 			}
 			lines := strings.Split(strings.TrimRight(q, "\n"), "\n")
 			if !strings.HasPrefix(lines[0], "grade "+tc.grade+" ") {

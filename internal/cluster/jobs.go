@@ -22,40 +22,20 @@ const (
 	JobFailed  JobState = "failed"
 )
 
-// Snapshot is one per-generation progress observation from a running GA
-// search: which ensemble member, which generation, and the best fitness so
-// far.
-type Snapshot struct {
-	Member      int     `json:"member"`
-	Generation  int     `json:"generation"`
-	BestFitness float64 `json:"best_fitness"`
-}
-
-// Event is one item on a job's subscription stream.
+// Event is the one item on a job's event stream: Type "done", written
+// once the job has ended, whether it succeeded or failed, with the State
+// it ended in.
 type Event struct {
-	// Type is "progress" while the job runs, then exactly one terminal
-	// "done" event, whether the job succeeded or failed.
-	Type string `json:"type"`
-	// Snapshot accompanies progress events.
-	Snapshot *Snapshot `json:"snapshot,omitempty"`
-	// State accompanies the terminal event.
+	Type  string   `json:"type"`
 	State JobState `json:"state,omitempty"`
-}
-
-// Tap receives a running job's observations. The callback is safe for
-// concurrent use and strictly passive.
-type Tap struct {
-	// Progress receives one snapshot per evolved GA generation per member.
-	Progress func(Snapshot)
 }
 
 // RunFunc executes a job's evaluation, from scratch: an evaluation is a pure
 // function of the job's payload, so a journal-recovered job — or a client
-// resubmitting a failed one — just runs it again. tap's callback must be
-// called from at most the run's own goroutines. The returned bytes are the
+// resubmitting a failed one — just runs it again. The returned bytes are the
 // job's result document, served verbatim. The manager sets no deadline: ctx
 // ends only when Close cancels it, and a run bounds itself.
-type RunFunc func(ctx context.Context, tap Tap) ([]byte, error)
+type RunFunc func(ctx context.Context) ([]byte, error)
 
 // ErrJobQueueFull rejects a submission when the backlog is at capacity.
 var ErrJobQueueFull = errors.New("cluster: job queue full")
@@ -92,10 +72,9 @@ type ManagerConfig struct {
 	Obs *obs.Scope
 }
 
-// Manager owns the replica's async jobs: bounded admission, background
-// execution with panic containment, and per-generation progress fan-out. A
-// job is one attempt: nothing a second run of a pure function could change
-// is worth re-running it in place for.
+// Manager owns the replica's async jobs: bounded admission and background
+// execution with panic containment. A job is one attempt: nothing a second
+// run of a pure function could change is worth re-running it in place for.
 type Manager struct {
 	cfg ManagerConfig
 	obs *obs.Scope
@@ -136,8 +115,8 @@ func NewManager(cfg ManagerConfig) *Manager {
 	return m
 }
 
-// Job is one asynchronous evaluation. All fields are guarded by mu; read
-// through Status / WaitDone / Subscribe.
+// Job is one asynchronous evaluation. mu guards its state, result and
+// error; read them through Status, Result and Done.
 type Job struct {
 	ID string
 	Op string
@@ -145,16 +124,12 @@ type Job struct {
 	// keeps so a restarted replica can resubmit the job verbatim.
 	Payload []byte
 
-	mu        sync.Mutex
-	state     JobState
-	history   []Snapshot
-	snapshots int // total observed, including evicted
-	finished  bool
-	result    []byte
-	errMsg    string
-	done      chan struct{}
-	subs      map[int]chan Event
-	nextSub   int
+	mu       sync.Mutex
+	state    JobState
+	finished bool
+	result   []byte
+	errMsg   string
+	done     chan struct{}
 }
 
 // JobStatus is the JSON-ready view of a job, served by GET /v1/jobs/{id}.
@@ -162,11 +137,7 @@ type JobStatus struct {
 	ID    string   `json:"id"`
 	Op    string   `json:"op"`
 	State JobState `json:"state"`
-	// Snapshots counts every progress observation; Progress is the
-	// retained tail.
-	Snapshots int        `json:"snapshots"`
-	Progress  []Snapshot `json:"progress,omitempty"`
-	Error     string     `json:"error,omitempty"`
+	Error string   `json:"error,omitempty"`
 	// HasResult reports a retrievable result document (see the manager's
 	// Result accessor); the document itself is served by the jobs API.
 	HasResult bool `json:"has_result"`
@@ -216,7 +187,6 @@ func (m *Manager) SubmitJob(spec JobSpec, run RunFunc) (*Job, error) {
 		Payload: spec.Payload,
 		state:   JobQueued,
 		done:    make(chan struct{}),
-		subs:    map[int]chan Event{},
 	}
 	m.mu.Lock()
 	if existing, ok := m.jobs[id]; ok {
@@ -294,21 +264,19 @@ func (m *Manager) execute(j *Job, run RunFunc) {
 	j.state = JobRunning
 	j.mu.Unlock()
 
-	result, err := m.attempt(m.ctx, run, Tap{Progress: func(s Snapshot) { m.record(j, s) }})
+	result, err := m.attempt(m.ctx, run)
 	if err != nil && m.ctx.Err() != nil {
 		err = errShutdown
 	}
 	m.finish(j, result, err)
 }
 
-// finish publishes a job's terminal state, sends every subscriber the
-// stream's single terminal event and closes it. All subscriber sends and
-// closes happen under j.mu (non-blocking on buffered channels), so a
-// concurrent Subscribe can never observe a half-closed stream.
+// finish publishes a job's terminal state and then closes j.done, which is
+// what every reader of the job's end waits on (Done).
 //
-// The done record is written before any of that: whoever sees the job end
-// may stop the replica at once, and what a client saw finished must not
-// run again on the next start. A job Close cancelled gets no done record:
+// The done record is written before either: whoever sees the job end may
+// stop the replica at once, and what a client saw finished must not run
+// again on the next start. A job Close cancelled gets no done record:
 // the journal is left holding exactly what kill -9 would have left — a
 // submit with no terminal state — so the next start on the same journal
 // re-runs it under its original ID.
@@ -328,24 +296,6 @@ func (m *Manager) finish(j *Job, result []byte, err error) {
 	} else {
 		j.result = result
 	}
-	for _, ch := range j.subs {
-		// A full channel is a slow consumer: it loses its oldest queued
-		// progress event, never the terminal one — a stream that closes
-		// without "done" reads as a job that vanished. Every send happens
-		// under j.mu, so once one event is out the send cannot block.
-		done := Event{Type: "done", State: state}
-		select {
-		case ch <- done:
-		default:
-			select {
-			case <-ch:
-			default:
-			}
-			ch <- done
-		}
-		close(ch)
-	}
-	j.subs = map[int]chan Event{}
 	j.mu.Unlock()
 
 	if state == JobFailed {
@@ -358,38 +308,13 @@ func (m *Manager) finish(j *Job, result []byte, err error) {
 
 // attempt runs the evaluation with panic containment: a panicking worker
 // becomes a failed job, not a dead manager goroutine.
-func (m *Manager) attempt(ctx context.Context, run RunFunc, tap Tap) (result []byte, err error) {
+func (m *Manager) attempt(ctx context.Context, run RunFunc) (result []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			result, err = nil, fmt.Errorf("cluster: job worker panicked: %v", v)
 		}
 	}()
-	return run(ctx, tap)
-}
-
-// historyCap bounds the progress snapshots a job retains; the oldest are
-// dropped.
-const historyCap = 256
-
-// record stores one progress snapshot: history tail, live fan-out. An
-// entry of history is never written again once appended — trimming moves
-// the window's start and append writes only past its end — so events point
-// into it and readers need no lock.
-func (m *Manager) record(j *Job, s Snapshot) {
-	j.mu.Lock()
-	j.snapshots++
-	j.history = append(j.history, s)
-	if len(j.history) > historyCap {
-		j.history = j.history[len(j.history)-historyCap:]
-	}
-	ev := Event{Type: "progress", Snapshot: &j.history[len(j.history)-1]}
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default: // slow subscriber: drop rather than stall the search
-		}
-	}
-	j.mu.Unlock()
+	return run(ctx)
 }
 
 // Get returns the job with the given id.
@@ -407,13 +332,10 @@ func (m *Manager) Get(id string) (*Job, error) {
 func (j *Job) Status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	st := JobStatus{
-		ID: j.ID, Op: j.Op, State: j.state,
-		Snapshots: j.snapshots, Error: j.errMsg,
+	return JobStatus{
+		ID: j.ID, Op: j.Op, State: j.state, Error: j.errMsg,
 		HasResult: j.result != nil,
 	}
-	st.Progress = append(st.Progress, j.history...)
-	return st
 }
 
 // Result returns the finished result document, or false while the job has
@@ -427,42 +349,15 @@ func (j *Job) Result() ([]byte, bool) {
 	return j.result, true
 }
 
-// Subscribe attaches a live event stream: the retained history replays
-// first (as progress events), then live snapshots, then exactly one
-// terminal "done" event before close — unless the job already finished, in
-// which case the stream is history + terminal. cancel detaches early (the
-// channel is closed).
-func (j *Job) Subscribe() (<-chan Event, func()) {
-	j.mu.Lock()
-	ch := make(chan Event, len(j.history)+64)
-	for i := range j.history {
-		ch <- Event{Type: "progress", Snapshot: &j.history[i]}
-	}
-	if j.finished {
-		ch <- Event{Type: "done", State: j.state}
-		close(ch)
-		j.mu.Unlock()
-		return ch, func() {}
-	}
-	id := j.nextSub
-	j.nextSub++
-	j.subs[id] = ch
-	j.mu.Unlock()
-	cancel := func() {
-		j.mu.Lock()
-		if c, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(c)
-		}
-		j.mu.Unlock()
-	}
-	return ch, cancel
-}
+// Done is closed once the job has ended — after its done record, if it
+// gets one (see finish), is in the journal; Status then reports its
+// terminal state.
+func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Close is the manager's one way down: submissions stop (ErrJobsClosed)
-// and every unfinished job — running or still
-// queued — is cancelled. Each ends failed with "replica shut down before
-// the job finished", its subscribers get the ordinary terminal event, and
-// no done record is journalled for it (see finish). Close does not wait for
-// the cancelled runs to unwind. Idempotent.
+// and every unfinished job — running or still queued — is cancelled. Each
+// ends failed with "replica shut down before the job finished", its Done
+// closes as for any job, and no done record is journalled for it (see
+// finish). Close does not wait for the cancelled runs to unwind.
+// Idempotent.
 func (m *Manager) Close() { m.cancel() }

@@ -9,41 +9,40 @@ import (
 )
 
 // blockUntilCancelled is a job body that parks until its context ends.
-func blockUntilCancelled(ctx context.Context, tap Tap) ([]byte, error) {
+func blockUntilCancelled(ctx context.Context) ([]byte, error) {
 	<-ctx.Done()
 	return nil, ctx.Err()
 }
 
 // TestDoneIsJournalledBeforeItIsSeen: whoever sees a job end may stop the
-// replica at once (the benchmark's job probe does), so by the time the
-// stream says done the journal already holds the done record, fsynced
-// (the test journal syncs every record).
+// replica at once (the benchmark's job probe does), so by the time Done is
+// closed — what the event stream waits on before it says done — the journal
+// already holds the done record, fsynced (the test journal syncs every
+// record).
 func TestDoneIsJournalledBeforeItIsSeen(t *testing.T) {
 	wal := obs.New("wal")
 	jl := openTestJournal(t, t.TempDir(), wal)
 	defer jl.Close()
 	m := NewManager(ManagerConfig{Journal: jl})
 	release := make(chan struct{})
-	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context) ([]byte, error) {
 		<-release
 		return []byte("ok"), nil
 	})
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
 	}
-	ch, cancel := j.Subscribe()
-	defer cancel()
 	close(release)
-	events := drainEvents(t, ch)
-	if n := walCount(wal, "records"); n != 2 || len(events) == 0 || events[len(events)-1].Type != "done" {
-		t.Fatalf("when the stream closed (%d events) the journal held %d records, want the submit and the done", len(events), n)
+	waitDone(t, j)
+	if n := walCount(wal, "records"); n != 2 {
+		t.Fatalf("when Done closed the journal held %d records, want the submit and the done", n)
 	}
 }
 
 // TestCloseFailsUnfinishedJobs pins the one way down: Close cancels the
 // running job and the queued one alike, each ends failed with the shutdown
-// message, each stream gets exactly one ordinary done event and closes,
-// retention treats them as any finished job — and the journal is left as
+// message and closes its Done as any job does, retention treats them as any
+// finished job — and the journal is left as
 // kill -9 would have left it, both submits and no done, so Recover returns
 // both in submission order.
 func TestCloseFailsUnfinishedJobs(t *testing.T) {
@@ -54,10 +53,9 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxActive: 1, Retain: 1, Journal: jl, Obs: scope})
 
 	started := make(chan struct{})
-	running, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
-		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 4})
+	running, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context) ([]byte, error) {
 		close(started)
-		return blockUntilCancelled(ctx, tap)
+		return blockUntilCancelled(ctx)
 	})
 	if err != nil {
 		t.Fatalf("SubmitJob: %v", err)
@@ -70,30 +68,15 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 	if st := queued.Status(); st.State != JobQueued {
 		t.Fatalf("second job is %s, want queued behind MaxActive 1", st.State)
 	}
-	runCh, runCancel := running.Subscribe()
-	defer runCancel()
-	queuedCh, queuedCancel := queued.Subscribe()
-	defer queuedCancel()
 
 	m.Close()
 	m.Close() // idempotent
 
-	for _, tc := range []struct {
-		job      *Job
-		ch       <-chan Event
-		progress int
-	}{{running, runCh, 1}, {queued, queuedCh, 0}} {
-		waitDone(t, tc.job)
-		st := tc.job.Status()
+	for _, j := range []*Job{running, queued} {
+		waitDone(t, j)
+		st := j.Status()
 		if st.State != JobFailed || st.Error != "replica shut down before the job finished" {
-			t.Errorf("%s: state = %s error = %q, want failed with the shutdown message", tc.job.ID, st.State, st.Error)
-		}
-		events := drainEvents(t, tc.ch)
-		if len(events) != tc.progress+1 {
-			t.Fatalf("%s: events = %+v, want %d progress + one done", tc.job.ID, events, tc.progress)
-		}
-		if term := events[len(events)-1]; term.Type != "done" || term.State != JobFailed {
-			t.Errorf("%s: terminal event = %+v, want done/failed", tc.job.ID, term)
+			t.Errorf("%s: state = %s error = %q, want failed with the shutdown message", j.ID, st.State, st.Error)
 		}
 	}
 	if n, _ := scope.Metrics().Counter("jobs.failed"); n != 2 {
@@ -130,7 +113,7 @@ func TestCloseFailsUnfinishedJobs(t *testing.T) {
 // journal it, or every restart would re-run a job that can only fail again.
 func TestOwnFailuresStillJournalDone(t *testing.T) {
 	for name, run := range map[string]RunFunc{
-		"fails": func(ctx context.Context, tap Tap) ([]byte, error) {
+		"fails": func(ctx context.Context) ([]byte, error) {
 			return nil, errors.New("no such machine")
 		},
 	} {
@@ -164,7 +147,7 @@ func TestOwnFailuresStillJournalDone(t *testing.T) {
 // resurrected numeric IDs so fresh submissions can never collide.
 func TestJobSpecIDPreservation(t *testing.T) {
 	m := NewManager(ManagerConfig{})
-	quick := func(ctx context.Context, tap Tap) ([]byte, error) {
+	quick := func(ctx context.Context) ([]byte, error) {
 		return []byte("ok"), nil
 	}
 	j, err := m.SubmitJob(JobSpec{ID: "job-7", Op: "project"}, quick)
@@ -192,7 +175,7 @@ func TestJobSpecIDPreservation(t *testing.T) {
 // TestManagerJournalLifecycle wires a real journal through the manager: a
 // submission is journalled as it happens, recovery mid-run sees the pending
 // job, the terminal record retires it, and a clean job costs exactly two
-// records however much progress it streams.
+// records.
 func TestManagerJournalLifecycle(t *testing.T) {
 	wal := obs.New("wal")
 	jl := openTestJournal(t, t.TempDir(), wal)
@@ -200,10 +183,7 @@ func TestManagerJournalLifecycle(t *testing.T) {
 	m := NewManager(ManagerConfig{Journal: jl})
 	recorded := make(chan struct{})
 	release := make(chan struct{})
-	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
-		for gen := 0; gen < 8; gen++ {
-			tap.Progress(Snapshot{Member: 1, Generation: gen, BestFitness: 1})
-		}
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context) ([]byte, error) {
 		close(recorded)
 		<-release
 		return []byte("ok"), nil

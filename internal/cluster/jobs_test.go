@@ -8,56 +8,47 @@ import (
 	"time"
 )
 
-// drainEvents collects events from a subscription until the channel closes
-// or the timeout fires.
-func drainEvents(t *testing.T, ch <-chan Event) []Event {
-	t.Helper()
-	var got []Event
-	deadline := time.After(5 * time.Second)
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return got
-			}
-			got = append(got, ev)
-		case <-deadline:
-			t.Fatalf("subscription did not close; got %d events so far", len(got))
-		}
-	}
-}
-
 func waitDone(t *testing.T, j *Job) {
 	t.Helper()
 	select {
-	case <-j.done:
+	case <-j.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("job did not finish")
 	}
 }
 
+// TestJobSubmitProgressResult follows one job's progress through its
+// states: running while its evaluation runs, with Done open and no result;
+// then done, Done closed, the result its run returned.
 func TestJobSubmitProgressResult(t *testing.T) {
 	m := NewManager(ManagerConfig{})
-	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
-		for gen := 0; gen < 4; gen++ {
-			tap.Progress(Snapshot{Member: 0, Generation: gen, BestFitness: float64(10 - gen)})
-		}
+	started, release := make(chan struct{}), make(chan struct{})
+	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context) ([]byte, error) {
+		close(started)
+		<-release
 		return []byte(`{"ok":true}` + "\n"), nil
 	})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
+	<-started
+	if st := j.Status(); st.State != JobRunning || st.HasResult {
+		t.Errorf("mid-run status = %+v, want running with no result", st)
+	}
+	select {
+	case <-j.Done():
+		t.Fatal("Done closed while the job runs")
+	default:
+	}
+	if _, ok := j.Result(); ok {
+		t.Error("a running job exposes a result")
+	}
+	close(release)
 	waitDone(t, j)
 
 	st := j.Status()
-	if st.State != JobDone {
-		t.Fatalf("state = %s (error %q), want done", st.State, st.Error)
-	}
-	if st.Snapshots != 4 || len(st.Progress) != 4 {
-		t.Errorf("snapshots = %d progress = %d, want 4, 4", st.Snapshots, len(st.Progress))
-	}
-	if st.Progress[3].BestFitness != 7 {
-		t.Errorf("last snapshot fitness = %v, want 7", st.Progress[3].BestFitness)
+	if st.State != JobDone || !st.HasResult {
+		t.Fatalf("status = %+v, want done with a result", st)
 	}
 	body, ok := j.Result()
 	if !ok || string(body) != `{"ok":true}`+"\n" {
@@ -79,10 +70,8 @@ func TestJobSubmitProgressResult(t *testing.T) {
 func TestJobPanicFailsThenResubmitRuns(t *testing.T) {
 	m := NewManager(ManagerConfig{})
 	runs := 0
-	run := func(ctx context.Context, tap Tap) ([]byte, error) {
+	run := func(ctx context.Context) ([]byte, error) {
 		runs++
-		tap.Progress(Snapshot{Member: 1, Generation: 0, BestFitness: 5})
-		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 9})
 		if runs == 1 {
 			panic("worker blew up")
 		}
@@ -97,8 +86,8 @@ func TestJobPanicFailsThenResubmitRuns(t *testing.T) {
 	if st.State != JobFailed || st.Error != "cluster: job worker panicked: worker blew up" {
 		t.Fatalf("state = %s (error %q), want failed with the panic's message", st.State, st.Error)
 	}
-	if runs != 1 || st.Snapshots != 2 {
-		t.Errorf("the panicking job ran %d times and streamed %d snapshots, want 1 and 2: nothing is retried in place", runs, st.Snapshots)
+	if runs != 1 {
+		t.Errorf("the panicking job ran %d times, want once: nothing is retried in place", runs)
 	}
 	if _, ok := j.Result(); ok {
 		t.Error("failed job must not expose a result")
@@ -109,89 +98,39 @@ func TestJobPanicFailsThenResubmitRuns(t *testing.T) {
 		t.Fatalf("Submit after a panic: %v", err)
 	}
 	waitDone(t, again)
-	if got, ok := again.Result(); !ok || string(got) != "the projection" || again.Status().Snapshots != 2 {
-		t.Errorf("resubmitted job = %q, %v with %d snapshots (%+v), want the projection and its own 2", got, ok, again.Status().Snapshots, again.Status())
+	if got, ok := again.Result(); !ok || string(got) != "the projection" {
+		t.Errorf("resubmitted job = %q, %v (%+v), want the projection", got, ok, again.Status())
 	}
 }
 
-// Subscribers attached mid-run replay history, then receive live events,
-// then exactly one done event before close. Late subscribers get the same
-// logical stream from history alone.
-func TestJobSubscribeReplayAndLive(t *testing.T) {
-	m := NewManager(ManagerConfig{})
-	release := make(chan struct{})
-	started := make(chan struct{})
-	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
-		tap.Progress(Snapshot{Member: 0, Generation: 0, BestFitness: 2})
-		close(started)
-		<-release
-		tap.Progress(Snapshot{Member: 0, Generation: 1, BestFitness: 1})
-		return []byte("ok"), nil
-	})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	<-started
-	ch, cancel := j.Subscribe()
-	defer cancel()
-	close(release)
-	events := drainEvents(t, ch)
-
-	var progress, done int
-	for _, ev := range events {
-		switch ev.Type {
-		case "progress":
-			progress++
-		case "done":
-			done++
-			if ev.State != JobDone {
-				t.Errorf("done state = %s, want done", ev.State)
-			}
-		}
-	}
-	if progress != 2 || done != 1 {
-		t.Fatalf("events = %d progress + %d done, want 2 + 1 (total %d)", progress, done, len(events))
-	}
-
-	waitDone(t, j)
-	late, lateCancel := j.Subscribe()
-	defer lateCancel()
-	lateEvents := drainEvents(t, late)
-	if len(lateEvents) != 3 || lateEvents[2].Type != "done" {
-		t.Fatalf("late subscription = %d events (last %+v), want history + done", len(lateEvents), lateEvents[len(lateEvents)-1])
-	}
-}
-
-// A subscriber that falls behind loses progress events, never the terminal
-// one: a job reporting more snapshots than the stream buffers while nobody
-// reads still ends the stream with done.
+// TestJobSlowSubscriberStillGetsDone: however late a reader comes to a job's
+// end, it sees it. A reader waiting on Done before the job ends and one that
+// first looks long after are both released, and both then read the terminal
+// state — for a job that succeeded and for one that failed.
 func TestJobSlowSubscriberStillGetsDone(t *testing.T) {
 	m := NewManager(ManagerConfig{})
-	subscribed := make(chan struct{})
-	started := make(chan struct{})
-	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
-		close(started)
-		<-subscribed
-		for gen := 0; gen < 200; gen++ {
-			tap.Progress(Snapshot{Generation: gen})
+	for want, runErr := range map[JobState]error{JobDone: nil, JobFailed: errors.New("no such machine")} {
+		release := make(chan struct{})
+		j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context) ([]byte, error) {
+			<-release
+			return []byte("ok"), runErr
+		})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
 		}
-		return []byte("ok"), nil
-	})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	<-started
-	ch, cancel := j.Subscribe()
-	defer cancel()
-	close(subscribed)
-	waitDone(t, j) // nothing has read the stream yet
-	events := drainEvents(t, ch)
-	var last Event
-	if len(events) > 0 {
-		last = events[len(events)-1]
-	}
-	if last.Type != "done" || last.State != JobDone {
-		t.Fatalf("a slow subscriber's %d events end with %+v, want done", len(events), last)
+		early := make(chan JobState)
+		go func() {
+			<-j.Done()
+			early <- j.Status().State
+		}()
+		close(release)
+		if got := <-early; got != want {
+			t.Errorf("a reader waiting before the end saw %s, want %s", got, want)
+		}
+		waitDone(t, j)
+		if got := j.Status().State; got != want {
+			t.Errorf("a reader arriving after the end saw %s, want %s", got, want)
+		}
 	}
 }
 
@@ -202,7 +141,7 @@ func TestJobSlowSubscriberStillGetsDone(t *testing.T) {
 func TestJobQueueFull(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxActive: 1, MaxQueued: 1})
 	block := make(chan struct{})
-	run := func(ctx context.Context, tap Tap) ([]byte, error) {
+	run := func(ctx context.Context) ([]byte, error) {
 		<-block
 		return []byte("ok"), nil
 	}
@@ -229,7 +168,7 @@ func TestJobRetentionEviction(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxActive: 1, MaxQueued: 8, Retain: 2})
 	var ids []string
 	for i := 0; i < 4; i++ {
-		j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
+		j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context) ([]byte, error) {
 			return []byte("ok"), nil
 		})
 		if err != nil {
@@ -246,62 +185,75 @@ func TestJobRetentionEviction(t *testing.T) {
 	}
 }
 
-// Concurrent progress reporting, subscription churn, and status polling
-// must be race-free (this test earns its keep under -race).
+// TestJobConcurrentProgressChaos: jobs progressing side by side while
+// submitters, Status pollers and Done waiters work concurrently, and Close
+// lands in the middle, must be race-free (this test earns its keep under
+// -race). Every admitted job ends exactly once: done if its run returned
+// before Close, failed with the shutdown message if Close cut it short.
 func TestJobConcurrentProgressChaos(t *testing.T) {
-	m := NewManager(ManagerConfig{})
-	const members, gens = 4, 100 // more snapshots than historyCap
-	j, err := m.SubmitJob(JobSpec{Op: "project"}, func(ctx context.Context, tap Tap) ([]byte, error) {
-		var wg sync.WaitGroup
-		for mem := 0; mem < members; mem++ {
-			wg.Add(1)
-			go func(mem int) {
-				defer wg.Done()
-				for gen := 0; gen < gens; gen++ {
-					tap.Progress(Snapshot{Member: mem, Generation: gen, BestFitness: float64(gen)})
-				}
-			}(mem)
-		}
-		wg.Wait()
-		return []byte("ok"), nil
-	})
-	if err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
+	m := NewManager(ManagerConfig{MaxActive: 2, MaxQueued: 64})
+	var (
+		mu   sync.Mutex
+		jobs []*Job
+		wg   sync.WaitGroup
+	)
+	for sub := 0; sub < 4; sub++ {
 		wg.Add(1)
-		go func() {
+		go func(sub int) {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+			for i := 0; i < 8; i++ {
+				run := func(ctx context.Context) ([]byte, error) { return []byte("ok"), nil }
+				if (sub+i)%3 == 0 {
+					run = blockUntilCancelled
 				}
-				ch, cancel := j.Subscribe()
-				select {
-				case <-ch:
-				default:
+				j, err := m.SubmitJob(JobSpec{Op: "project"}, run)
+				if err != nil {
+					if !errors.Is(err, ErrJobsClosed) && !errors.Is(err, ErrJobQueueFull) {
+						t.Errorf("Submit: %v", err)
+					}
+					continue
 				}
-				cancel()
-				_ = j.Status()
+				mu.Lock()
+				jobs = append(jobs, j)
+				mu.Unlock()
+				wg.Add(2)
+				go func() { // a status poller
+					defer wg.Done()
+					for {
+						select {
+						case <-j.Done():
+							return
+						default:
+							_ = j.Status()
+							_, _ = m.Get(j.ID)
+						}
+					}
+				}()
+				go func() { // an event stream's wait
+					defer wg.Done()
+					<-j.Done()
+					_ = j.Status()
+				}()
 			}
-		}()
+		}(sub)
 	}
-	waitDone(t, j)
-	close(stop)
+	time.Sleep(5 * time.Millisecond)
+	m.Close()
 	wg.Wait()
 
-	st := j.Status()
-	if st.State != JobDone {
-		t.Fatalf("state = %s, want done", st.State)
+	if len(jobs) == 0 {
+		t.Fatal("no submission was admitted")
 	}
-	if st.Snapshots != members*gens {
-		t.Errorf("snapshots = %d, want %d", st.Snapshots, members*gens)
-	}
-	if len(st.Progress) != historyCap {
-		t.Errorf("retained history = %d, want historyCap %d", len(st.Progress), historyCap)
+	for _, j := range jobs {
+		waitDone(t, j)
+		switch st := j.Status(); st.State {
+		case JobDone:
+		case JobFailed:
+			if st.Error != "replica shut down before the job finished" {
+				t.Errorf("%s failed with %q, want the shutdown message", j.ID, st.Error)
+			}
+		default:
+			t.Errorf("%s ended %s", j.ID, st.State)
+		}
 	}
 }

@@ -213,7 +213,7 @@ func TestJournalRecoversLegacyFormat(t *testing.T) {
 		t.Fatalf("compacted journal replayed %d records → %+v, want job-7 alone", n, again)
 	}
 	m := NewManager(ManagerConfig{Journal: jl2})
-	j, err := m.SubmitJob(again[0], func(ctx context.Context, tap Tap) ([]byte, error) {
+	j, err := m.SubmitJob(again[0], func(ctx context.Context) ([]byte, error) {
 		return []byte("ok"), nil
 	})
 	if err != nil {

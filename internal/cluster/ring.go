@@ -1,7 +1,7 @@
 // Package cluster is the scale-out substrate behind a sharded swappd
 // deployment: a consistent-hash ring that assigns normalised request
-// groups to replicas, and an async job manager for expensive GA searches
-// with per-generation progress snapshots, each job one attempt.
+// groups to replicas, and an async job manager that runs one request in the
+// background, each job one attempt.
 //
 // The ring answers one question deterministically on every replica: in which
 // order do the replicas take a (base, target) request group? All replicas are

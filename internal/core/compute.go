@@ -237,7 +237,10 @@ type surrogateSpace struct {
 // base-only benchmark has no target runtime and cannot contribute to the
 // ratio. On complete data the intersection IS the base pool, so this is the
 // identity there; a shrunk pool was already recorded as a MissingSpecBench
-// defect when the pipeline analysed its data.
+// defect when the pipeline analysed its data. A pool benchmark whose
+// target/base ST runtime ratio is not finite and positive is refused by
+// name: its log speedup (adjustWeightsToTarget) would turn every
+// metric-group weight NaN, and the search would find no surrogate.
 //
 // It makes one pass over the base pool, and one allocation holds every
 // vector it builds: the base character vectors, the scales taken from
@@ -259,8 +262,14 @@ func (p *Pipeline) surrogateSpaceAt(app *AppModel, ci int) (surrogateSpace, erro
 	metricScales(s.scales, vecs)
 	slab = slab[n:]
 	for i, name := range base {
-		if _, ok := p.SpecTarget[name]; !ok {
+		t, ok := p.SpecTarget[name]
+		if !ok {
 			continue
+		}
+		tr, br := t.ST.Runtime, p.SpecBase[name].ST.Runtime
+		if ratio := tr / br; !(ratio > 0) || math.IsInf(ratio, 1) {
+			return surrogateSpace{}, fmt.Errorf("core: SPEC %s: ST runtime %g s on %s over %g s on %s is not a finite positive ratio",
+				name, tr, p.Target.Name, br, p.Base.Name)
 		}
 		row := slab[:n:n]
 		slab = slab[n:]
@@ -347,12 +356,6 @@ func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *
 				return kern.Objective(genome, scratch)
 			},
 			Obs: ms,
-		}
-		if p.onGAProgress != nil {
-			member := e
-			cfg.OnGeneration = func(gen int, best float64) {
-				p.onGAProgress(member, gen, best)
-			}
 		}
 		res, err := ga.Run(cfg)
 		if err != nil {

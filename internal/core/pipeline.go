@@ -63,7 +63,7 @@ type Pipeline struct {
 	IMBTarget map[int]*imb.Table
 
 	// Defects records data problems found while assembling the benchmark
-	// data (pool mismatches, count gaps, loader fallbacks). Every
+	// data (pool mismatches, loader fallbacks). Every
 	// projection through this pipeline inherits them into its Quality
 	// report; empty for data gathered by running the benchmarks in-process.
 	Defects []quality.Defect
@@ -72,9 +72,6 @@ type Pipeline struct {
 	// and profiling resolve through (see Store). nil when the caller gave
 	// none or supplied external Data.
 	store *Store
-	// onGAProgress taps the surrogate search's per-generation progress
-	// (see Options.OnGAProgress).
-	onGAProgress func(member, gen int, best float64)
 }
 
 // PipelineData supplies pre-measured benchmark data to NewPipeline instead
@@ -114,13 +111,6 @@ type Options struct {
 	// without a store. Ignored when Data supplies external benchmark data —
 	// degraded inputs must never populate the clean content-addressed keys.
 	Store *Store
-	// OnGAProgress, when non-nil, observes the surrogate search: it is
-	// called once per evolved GA generation per ensemble member of every
-	// projection through this pipeline, with the member index, generation
-	// and running best fitness. Strictly passive:
-	// projections are byte-identical with the callback set or nil. Members
-	// run concurrently, so the callback must be safe for concurrent calls.
-	OnGAProgress func(member, gen int, best float64)
 }
 
 // NewPipeline gathers benchmark data for a machine pair at the given job
@@ -152,14 +142,13 @@ func NewPipelineCtx(ctx context.Context, base, target *arch.Machine, rankCounts 
 // all.
 func newPipeline(ctx context.Context, base, target *arch.Machine, rankCounts []int, opts Options, nasOnly bool) (*Pipeline, error) {
 	p := &Pipeline{
-		Base:         base,
-		Target:       target,
-		Workers:      opts.Workers,
-		Obs:          opts.Obs,
-		IMBBase:      map[int]*imb.Table{},
-		IMBTarget:    map[int]*imb.Table{},
-		store:        opts.Store,
-		onGAProgress: opts.OnGAProgress,
+		Base:      base,
+		Target:    target,
+		Workers:   opts.Workers,
+		Obs:       opts.Obs,
+		IMBBase:   map[int]*imb.Table{},
+		IMBTarget: map[int]*imb.Table{},
+		store:     opts.Store,
 	}
 	var dataDefects []quality.Defect
 	if d := opts.Data; d != nil {
@@ -314,6 +303,8 @@ func gatherIMB(ctx context.Context, st *Store, s *imb.Suite, m *arch.Machine, co
 // problems the projections will have to work around, merging them with the
 // loader-reported defects. On cleanly gathered data it returns exactly
 // dataDefects (nil in-process), keeping the full-fidelity path untouched.
+// IMB counts need no check: newPipeline gathers every count it was asked
+// for on both sides, so a supplied table at any other count is never read.
 func (p *Pipeline) analyzeData(dataDefects []quality.Defect) []quality.Defect {
 	ds := append([]quality.Defect(nil), dataDefects...)
 
@@ -343,35 +334,7 @@ func (p *Pipeline) analyzeData(dataDefects []quality.Defect) []quality.Defect {
 				len(missing), len(baseNames), strings.Join(shown, ", ")),
 		})
 	}
-
-	// IMB core counts present on one side only.
-	for _, c := range sortedCounts(p.IMBBase) {
-		if p.IMBTarget[c] == nil {
-			ds = append(ds, quality.Defect{
-				Code: quality.MissingIMBCount, Component: quality.Data, Severity: quality.Minor,
-				Detail: fmt.Sprintf("target has no IMB table at %d ranks, so the base's goes unused", c),
-			})
-		}
-	}
-	for _, c := range sortedCounts(p.IMBTarget) {
-		if p.IMBBase[c] == nil {
-			ds = append(ds, quality.Defect{
-				Code: quality.MissingIMBCount, Component: quality.Data, Severity: quality.Minor,
-				Detail: fmt.Sprintf("base has no IMB table at %d ranks, so the target's goes unused", c),
-			})
-		}
-	}
 	return ds
-}
-
-// sortedCounts lists an IMB table map's core counts ascending.
-func sortedCounts(m map[int]*imb.Table) []int {
-	out := make([]int, 0, len(m))
-	for c := range m {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // uniqueSorted returns the distinct values of xs in ascending order.

@@ -13,6 +13,10 @@
 // independently seeded ensemble members side by side. Every genome handed
 // to the evaluator is scored (fitness is pure, so the few duplicates just
 // score the same again).
+//
+// Nothing observes a run while it evolves: what it did is its Result —
+// the best genome and the running best per generation (History) — and,
+// when Config.Obs is set, the metrics it records.
 package ga
 
 import (
@@ -53,13 +57,6 @@ type Config struct {
 	// called from one goroutine at a time, so it may reuse scratch. Run
 	// recovers nothing: a panic in Fitness leaves Run as that panic.
 	Fitness func(genome []float64) float64
-	// OnGeneration, when non-nil, observes the run: it is called once per
-	// evolved generation — after the generation's children are scored —
-	// with the generation index and the running best fitness. It is called
-	// from Run's own goroutine, strictly passive: the evolution is
-	// byte-identical with the callback set or nil. This is the progress
-	// tap for async job streaming.
-	OnGeneration func(gen int, best float64)
 	// Obs, when non-nil, receives a "ga.run" span and the run's metrics
 	// (ga.evaluations, ga.generations, ga.best_fitness,
 	// ga.generation_seconds). Observability never alters the evolution:
@@ -263,9 +260,6 @@ func Run(cfg Config) (*Result, error) {
 			best.fitness = b.fitness
 		}
 		res.History = append(res.History, best.fitness)
-		if cfg.OnGeneration != nil {
-			cfg.OnGeneration(gen, best.fitness)
-		}
 		if obsOn {
 			// Per-generation stats: wall time and running best, both
 			// order-independent aggregates.

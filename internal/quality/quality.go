@@ -36,8 +36,10 @@ type Code string
 // they may gain siblings but must not be renamed, and a deleted code is
 // retired, never reused. Retired: corrupt-entry, duplicate-entry and
 // missing-imb-routine (malformed documents are refused, not salvaged),
-// imb-count-fallback (a pipeline holds every count it projects at) and
-// wait-scale-default (an unusable compute ratio is an error).
+// imb-count-fallback (a pipeline holds every count it projects at),
+// wait-scale-default (an unusable compute ratio is an error) and
+// missing-imb-count (a table at a count the request never reads is not
+// read, so it degrades nothing).
 const (
 	// MissingSpecBench: a benchmark present in the base-machine SPEC pool
 	// has no counterpart on the target. Fallback: the surrogate pool
@@ -52,9 +54,6 @@ const (
 	// IMBSinglePointGrid: an IMB table carries a single size sample; all
 	// size dependence is lost and every lookup returns that sample.
 	IMBSinglePointGrid Code = "imb-single-point-grid"
-	// MissingIMBCount: one side of the machine pair has no IMB table at a
-	// core count the other side covers.
-	MissingIMBCount Code = "missing-imb-count"
 	// DroppedMPIRoutine: a profiled MPI routine could not be priced on the
 	// benchmark tables. Fallback: its elapsed time is treated as pure
 	// WaitTime and scaled by the wait-scale factor.

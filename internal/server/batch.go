@@ -196,7 +196,7 @@ func answeredEntry(doc []byte) batchEntry {
 func (s *Server) computeBatchItem(parent context.Context, wk batchWork) batchEntry {
 	ctx, cancel := context.WithTimeout(parent, s.timeoutFor(wk.body))
 	defer cancel()
-	doc, _, err := s.compute(ctx, digest(wk.spec.op, wk.req), wk.spec, wk.req, nil)
+	doc, _, err := s.compute(ctx, digest(wk.spec.op, wk.req), wk.spec, wk.req)
 	if err != nil {
 		return batchEntry{Status: s.errorStatus(err), Error: err.Error()}
 	}

@@ -3,11 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,7 +17,7 @@ import (
 )
 
 // jobBodyLU is the async-job submission used by the durability tests: a
-// real (small) projection whose GA search streams per-generation progress.
+// real (small) projection.
 const jobBodyLU = `{"op":"project","request":{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":16}}`
 
 // resultBytes fetches a finished job's result document.
@@ -40,14 +40,14 @@ func resultBytes(t *testing.T, url, id string) []byte {
 
 // TestDurableCrashRecoveryByteIdentical is the down-and-back acceptance arc,
 // in process, for both ways a replica stops. A real projection job is
-// interrupted mid-GA-search; a fresh server opens the same data dir,
+// interrupted while it runs; a fresh server opens the same data dir,
 // resurrects the job under its original ID, re-runs it from its journalled
 // payload — from a cold store, as a fresh replica would — and produces a
 // result document byte-identical to an uninterrupted run.
 //
 //	kill   the eval wedges for good, which is what SIGKILL looks like to
 //	       the data dir: a submit record, no terminal state, no Close.
-//	close  SIGTERM's path: Close cancels the search, the job ends failed
+//	close  SIGTERM's path: Close cancels the run, the job ends failed
 //	       on the stopping replica — and the data dir looks the same.
 func TestDurableCrashRecoveryByteIdentical(t *testing.T) {
 	if testing.Short() {
@@ -82,31 +82,22 @@ func TestDurableCrashRecoveryByteIdentical(t *testing.T) {
 }
 
 // interruptMidSearch starts a durable server on dir, submits jobBodyLU and
-// returns once the job's GA search has reported its first generation and
-// parked there. The search stays parked until its context is cancelled
-// (Close) or the test ends.
+// returns once the job's evaluation has started and parked, before its
+// projection. It stays parked until its context is cancelled (Close) or the
+// test ends, and then fails: the park stands for a run cut short.
 func interruptMidSearch(t *testing.T, dir string) (s *Server, url, id string) {
 	t.Helper()
 	block := make(chan struct{})
 	t.Cleanup(func() { close(block) })
 	wedged := make(chan struct{})
-	var once sync.Once
 	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		req.OnGAProgress = func(member, gen int, best float64) {
-			once.Do(func() { close(wedged) })
-			select {
-			case <-block:
-			case <-ctx.Done():
-			}
+		close(wedged)
+		select {
+		case <-block:
+			return nil, errors.New("parked evaluation released")
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		res, err := swapp.ProjectContext(ctx, req)
-		if err == nil {
-			// The GA does not watch ctx: a search released by Close runs
-			// on to a result, which would race the job's own cancelled
-			// wait. The wedge stands for a search Close cut short.
-			err = ctx.Err()
-		}
-		return res, err
 	}
 	s, err := NewDurable(Config{Workers: 2, EvalWorkers: 8, DataDir: dir, Eval: eval})
 	if err != nil {
@@ -117,7 +108,7 @@ func interruptMidSearch(t *testing.T, dir string) (s *Server, url, id string) {
 	select {
 	case <-wedged:
 	case <-time.After(30 * time.Second):
-		t.Fatal("the job never reached its GA search")
+		t.Fatal("the job's evaluation never started")
 	}
 	return s, ts.URL, st.ID
 }
@@ -308,8 +299,8 @@ func TestDurableDataDirHoldsOnlyJournal(t *testing.T) {
 	ts := newHTTPServer(t, s)
 	projectBytes(t, ts.URL, reqBT)
 	st := submitJob(t, ts.URL, jobBodyLU)
-	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone || final.Snapshots == 0 {
-		t.Fatalf("job = %s (%q) with %d snapshots, want done and computed", final.State, final.Error, final.Snapshots)
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone {
+		t.Fatalf("job = %s (%q), want done", final.State, final.Error)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,9 +24,9 @@ type jobRequest struct {
 
 // handleJobSubmit serves POST /v1/jobs: validate the embedded request,
 // enqueue it on the job manager, and answer 202 with the job's status
-// document. The job resolves in the background (see jobRun), per-generation
-// GA progress recorded as snapshots when it computes. It is one attempt: a
-// failed or panicked evaluation ends the job failed, and its client resubmits.
+// document. The job resolves in the background (see jobRun). It is one
+// attempt: a failed or panicked evaluation ends the job failed, and its
+// client resubmits.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
 	s.obs.Count("server.requests./v1/jobs", 1)
@@ -85,29 +84,21 @@ func (jreq jobRequest) resolve() (op string, spec endpointSpec, req swapp.Reques
 }
 
 // jobRun builds the background run function for one submitted job: the
-// path every delivery takes, minus the owner hop — held, else compute with
-// the GA progress tap wired to the job's streams, under the request's own
-// deadline (timeoutFor) from the moment the job takes a slot. A job whose
-// result this replica holds therefore finishes at once, with no progress
-// events and the endpoint's bytes; a computed job leaves its result in the
+// path every delivery takes, minus the owner hop — held, else compute,
+// under the request's own deadline (timeoutFor) from the moment the job
+// takes a slot. A job whose result this replica holds therefore finishes at
+// once with the endpoint's bytes; a computed job leaves its result in the
 // LRU for the next caller; and jobs share the sync path's admission pool,
-// deadline and single-flight (a job that joins an evaluation already running
-// streams no progress either).
+// deadline and single-flight.
 func (s *Server) jobRun(spec endpointSpec, req swapp.Request, timeout time.Duration) cluster.RunFunc {
 	key := digest(spec.op, req)
-	return func(ctx context.Context, tap cluster.Tap) ([]byte, error) {
+	return func(ctx context.Context) ([]byte, error) {
 		if doc, ok := s.held(key, spec); ok {
 			return doc, nil
 		}
-		var progress progressFunc
-		if tap.Progress != nil {
-			progress = func(member, gen int, best float64) {
-				tap.Progress(cluster.Snapshot{Member: member, Generation: gen, BestFitness: best})
-			}
-		}
 		ctx, cancel := context.WithTimeout(ctx, timeout)
 		defer cancel()
-		doc, _, err := s.compute(ctx, key, spec, req, progress)
+		doc, _, err := s.compute(ctx, key, spec, req)
 		return doc, err
 	}
 }
@@ -115,7 +106,7 @@ func (s *Server) jobRun(spec endpointSpec, req swapp.Request, timeout time.Durat
 // handleJob serves the per-job GETs:
 //
 //	GET /v1/jobs/{id}         status document
-//	GET /v1/jobs/{id}/events  Server-Sent Events progress stream
+//	GET /v1/jobs/{id}/events  Server-Sent Events: one done event at the end
 //	GET /v1/jobs/{id}/result  the finished document, verbatim
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	s.obs.Count("server.requests", 1)
@@ -157,57 +148,29 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveJobEvents streams a job's progress as Server-Sent Events: the
-// retained history replays first, then live snapshots, then exactly one
-// terminal "done" event closes the stream. Each event is one `data:` line
-// holding the cluster.Event JSON. Every frame is built in one reused
-// buffer by one encoder, so a stream allocates the same whatever number
-// of events reaches it.
+// serveJobEvents answers a job's event stream: the headers at once, then —
+// when the job ends, or at once if it already has — its one event, "done",
+// whose data is the cluster.Event JSON. A client that hangs up first gets
+// nothing more.
 func (s *Server) serveJobEvents(w http.ResponseWriter, r *http.Request, job *cluster.Job) {
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("streaming unsupported"))
 		return
 	}
-	events, cancel := job.Subscribe()
-	defer cancel()
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
-	// ev outlives the loop so that Encode(&ev) boxes one pointer per
-	// stream, not one per event.
-	var (
-		frame bytes.Buffer
-		enc   = json.NewEncoder(&frame)
-		ev    cluster.Event
-		open  bool
-	)
-	for {
-		select {
-		case ev, open = <-events:
-			if !open {
-				return
-			}
-			// "event: T\ndata: JSON\n\n": Encode ends the JSON with the
-			// first of the two newlines.
-			frame.Reset()
-			frame.WriteString("event: ")
-			frame.WriteString(ev.Type)
-			frame.WriteString("\ndata: ")
-			if enc.Encode(&ev) != nil {
-				continue
-			}
-			frame.WriteByte('\n')
-			_, _ = w.Write(frame.Bytes())
-			flusher.Flush()
-			if ev.Type == "done" {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
+	select {
+	case <-job.Done():
+	case <-r.Context().Done():
+		return
 	}
+	// Two strings always marshal.
+	data, _ := json.Marshal(cluster.Event{Type: "done", State: job.Status().State})
+	fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
+	flusher.Flush()
 }

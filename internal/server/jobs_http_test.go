@@ -1,14 +1,16 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -65,106 +67,78 @@ func waitJobDone(t *testing.T, url, id string) cluster.JobStatus {
 	}
 }
 
-// TestJobsSubmitProgressSSEResult is the async round-trip: submit a
-// projection job whose evaluation reports per-generation GA progress, watch
-// the SSE stream replay and finish with exactly one done event, then fetch
-// the result document and find it byte-identical to the synchronous
-// endpoint's body.
-func TestJobsSubmitProgressSSEResult(t *testing.T) {
-	const gens = 4
-	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		for g := 0; g < gens; g++ {
-			if req.OnGAProgress != nil {
-				req.OnGAProgress(0, g, float64(10-g))
-			}
-		}
-		return stubResult(req), nil
-	}
-	s := New(Config{Workers: 2, Eval: eval})
-	ts := newHTTPServer(t, s)
+// doneFrame is the one frame a job's event stream carries, for a job that
+// ended in state.
+func doneFrame(state cluster.JobState) string {
+	return `event: done` + "\n" + `data: {"type":"done","state":"` + string(state) + `"}` + "\n\n"
+}
 
-	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
-	final := waitJobDone(t, ts.URL, st.ID)
-	if final.State != cluster.JobDone {
-		t.Fatalf("job state = %s (%s), want done", final.State, final.Error)
-	}
-	if final.Snapshots != gens || len(final.Progress) != gens {
-		t.Errorf("job recorded %d snapshots (%d retained), want %d", final.Snapshots, len(final.Progress), gens)
-	}
-	for g, snap := range final.Progress {
-		if snap.Member != 0 || snap.Generation != g || snap.BestFitness != float64(10-g) {
-			t.Errorf("snapshot %d = %+v", g, snap)
-		}
-	}
-
-	// SSE on a finished job: history replay then one done event.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/events")
+// openEvents GETs a job's event stream and returns once its headers are in,
+// having checked them; the caller reads the body.
+func openEvents(t *testing.T, url, id string) *http.Response {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/jobs/" + id + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "text/event-stream" {
+		resp.Body.Close()
+		t.Fatalf("events: status %d, Content-Type %q; want 200 text/event-stream", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+	return resp
+}
+
+// readEvents reads an event stream to its end.
+func readEvents(t *testing.T, resp *http.Response) string {
+	t.Helper()
 	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("events Content-Type = %q", ct)
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var progress, done int
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var ev cluster.Event
-		if err := json.Unmarshal([]byte(line[len("data: "):]), &ev); err != nil {
-			t.Fatalf("bad SSE payload %q: %v", line, err)
-		}
-		switch ev.Type {
-		case "progress":
-			progress++
-			if ev.Snapshot == nil {
-				t.Error("progress event without snapshot")
-			}
-		case "done":
-			done++
-			if ev.State != cluster.JobDone {
-				t.Errorf("done event state = %s", ev.State)
-			}
-		}
+	return string(b)
+}
+
+// TestJobsSubmitProgressSSEResult is the async round-trip: submit a
+// projection job, follow its progress — running while its evaluation runs,
+// its event stream open with nothing on it — until the stream's one done
+// frame ends it, then fetch the result document and find it byte-identical
+// to the synchronous endpoint's body.
+func TestJobsSubmitProgressSSEResult(t *testing.T) {
+	eval := &stubEval{gate: make(chan struct{})}
+	_, ts := newTestServer(t, Config{Workers: 2}, eval)
+
+	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
+	waitFor(t, func() bool { return jobStatus(t, ts.URL, st.ID).State == cluster.JobRunning })
+	live := openEvents(t, ts.URL, st.ID)
+	close(eval.gate)
+	if got := readEvents(t, live); got != doneFrame(cluster.JobDone) {
+		t.Errorf("a stream opened while the job ran = %q, want the one done frame %q", got, doneFrame(cluster.JobDone))
 	}
-	if progress != gens || done != 1 {
-		t.Errorf("SSE stream had %d progress + %d done events, want %d + 1", progress, done, gens)
+	if final := jobStatus(t, ts.URL, st.ID); final.State != cluster.JobDone || !final.HasResult {
+		t.Fatalf("job after its stream ended = %+v, want done with a result", final)
 	}
 
 	// The result document is the endpoint's body, verbatim.
 	_, _, want := post(t, ts.URL+"/v1/project", reqBT)
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + st.ID + "/result")
-	if err != nil {
-		t.Fatal(err)
+	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, want) {
+		t.Errorf("job result differs from the synchronous endpoint:\njob:  %s\nsync: %s", got, want)
 	}
-	defer resp.Body.Close()
-	var got bytes.Buffer
-	if _, err := got.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != 200 || !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("job result (status %d) differs from the synchronous endpoint:\njob:  %s\nsync: %s",
-			resp.StatusCode, got.Bytes(), want)
+	if n := eval.calls.Load(); n != 1 {
+		t.Errorf("job then request ran %d evaluations, want 1", n)
 	}
 }
 
 // TestJobPanicFailsThenResubmitByteIdentical: a job is one attempt. An
-// evaluation that reports progress then panics mid-search ends its job failed
-// with the panic's message — contained: the daemon serves on, and the failed
-// attempt cached nothing. Recovery is the client's: resubmitting the same
-// request runs it from scratch to exactly the synchronous endpoint's bytes.
+// evaluation that panics ends its job failed with the panic's message —
+// contained: the daemon serves on, and the failed attempt cached nothing.
+// Recovery is the client's: resubmitting the same request runs it from
+// scratch to exactly the synchronous endpoint's bytes.
 func TestJobPanicFailsThenResubmitByteIdentical(t *testing.T) {
 	var runs atomic.Int64
 	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		if req.OnGAProgress != nil { // a job's run, not the synchronous control
-			req.OnGAProgress(1, 0, 9)
-			req.OnGAProgress(0, 0, 8)
-			if runs.Add(1) == 1 {
-				panic("injected worker fault")
-			}
+		if runs.Add(1) == 1 { // the first job's run
+			panic("injected worker fault")
 		}
 		return stubResult(req), nil
 	}
@@ -186,8 +160,8 @@ func TestJobPanicFailsThenResubmitByteIdentical(t *testing.T) {
 	// The same request again is a new job, which finds nothing held, runs
 	// from scratch and serves exactly the synchronous endpoint's bytes.
 	again := submitJob(t, ts.URL, `{"op":"project","request":`+reqBT+`}`)
-	if final := waitJobDone(t, ts.URL, again.ID); final.State != cluster.JobDone || final.Snapshots != 2 {
-		t.Fatalf("resubmitted job = %s with %d snapshots (%s), want done with its own 2", final.State, final.Snapshots, final.Error)
+	if final := waitJobDone(t, ts.URL, again.ID); final.State != cluster.JobDone || runs.Load() != 2 {
+		t.Fatalf("resubmitted job = %s (%s) after %d evaluations, want done after its own", final.State, final.Error, runs.Load())
 	}
 	code, hdr, want := post(t, ts.URL+"/v1/project", reqBT)
 	if code != 200 || hdr.Get("X-Cache") != "hit" {
@@ -282,38 +256,26 @@ func TestJobsQueueFullRejects(t *testing.T) {
 	}
 }
 
-// progressEval is a stub evaluation that reports gens GA generations when
-// its caller tapped the search — which only a computing job does.
-func progressEval(gens int, calls *atomic.Int64) EvalFunc {
-	return func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		calls.Add(1)
-		for g := 0; g < gens && req.OnGAProgress != nil; g++ {
-			req.OnGAProgress(0, g, float64(10-g))
-		}
-		return stubResult(req), nil
-	}
-}
-
 // TestJobForHeldResultFinishesWithoutProgress: a job takes the path the
 // synchronous endpoints take, so a result this replica already holds is the
-// job's result — no second evaluation, no progress to stream, the endpoint's
-// bytes.
+// job's result — no second evaluation, done at once, the endpoint's bytes,
+// and the stream's one done frame.
 func TestJobForHeldResultFinishesWithoutProgress(t *testing.T) {
-	var calls atomic.Int64
-	s := New(Config{Workers: 2, Eval: progressEval(4, &calls)})
-	ts := newHTTPServer(t, s)
+	eval := &stubEval{}
+	_, ts := newTestServer(t, Config{Workers: 2}, eval)
 
 	code, hdr, want := post(t, ts.URL+"/v1/project", reqBT)
 	if code != 200 || hdr.Get("X-Cache") != "miss" {
 		t.Fatalf("priming request: status %d, X-Cache %q", code, hdr.Get("X-Cache"))
 	}
 	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
-	final := waitJobDone(t, ts.URL, st.ID)
-	if final.State != cluster.JobDone || final.Snapshots != 0 {
-		t.Errorf("job for a held result = %s with %d snapshots (%s), want done, 0",
-			final.State, final.Snapshots, final.Error)
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone {
+		t.Errorf("job for a held result = %s (%s), want done", final.State, final.Error)
 	}
-	if n := calls.Load(); n != 1 {
+	if got := readEvents(t, openEvents(t, ts.URL, st.ID)); got != doneFrame(cluster.JobDone) {
+		t.Errorf("held job's stream = %q, want %q", got, doneFrame(cluster.JobDone))
+	}
+	if n := eval.calls.Load(); n != 1 {
 		t.Errorf("the job re-ran a held result: %d evaluations, want 1", n)
 	}
 	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, want) {
@@ -324,20 +286,18 @@ func TestJobForHeldResultFinishesWithoutProgress(t *testing.T) {
 // TestComputedJobFillsResultCache: what a job computes it leaves in the
 // result LRU, so the follow-up synchronous request is a hit.
 func TestComputedJobFillsResultCache(t *testing.T) {
-	const gens = 4
-	var calls atomic.Int64
-	s := New(Config{Workers: 2, Eval: progressEval(gens, &calls)})
-	ts := newHTTPServer(t, s)
+	eval := &stubEval{}
+	_, ts := newTestServer(t, Config{Workers: 2}, eval)
 
 	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
-	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone || final.Snapshots != gens {
-		t.Fatalf("computing job = %s with %d snapshots (%s), want done with %d", final.State, final.Snapshots, final.Error, gens)
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone {
+		t.Fatalf("computing job = %s (%s), want done", final.State, final.Error)
 	}
 	code, hdr, sync := post(t, ts.URL+"/v1/project", reqBT)
 	if code != 200 || hdr.Get("X-Cache") != "hit" {
 		t.Errorf("request after the job: status %d, X-Cache %q, want a hit", code, hdr.Get("X-Cache"))
 	}
-	if n := calls.Load(); n != 1 {
+	if n := eval.calls.Load(); n != 1 {
 		t.Errorf("job then request ran %d evaluations, want 1", n)
 	}
 	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, sync) {
@@ -345,88 +305,78 @@ func TestComputedJobFillsResultCache(t *testing.T) {
 	}
 }
 
-// sseSink is an http.ResponseWriter and http.Flusher that keeps a stream's
-// bytes only when keep is set, so measuring a stream costs no growing
-// buffer.
-type sseSink struct {
-	header http.Header
-	keep   bool
-	body   bytes.Buffer
-}
-
-func (w *sseSink) Header() http.Header { return w.header }
-func (w *sseSink) WriteHeader(int)     {}
-func (w *sseSink) Flush()              {}
-func (w *sseSink) Write(b []byte) (int, error) {
-	if w.keep {
-		w.body.Write(b)
-	}
-	return len(b), nil
-}
-
-// TestJobEventsAllocateFlat: every frame of a job's event stream is built in
-// one reused buffer by one encoder, so replaying a finished job's 256
-// snapshots allocates within a constant of replaying 8 — before, each frame
-// cost json.Marshal's result and fmt's boxed arguments, and how many frames
-// a live subscriber received depended on timing. The frames are byte for
-// byte the json.Marshal framing clients parse.
-func TestJobEventsAllocateFlat(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race, so json's encode state allocates per frame")
-	}
-	snapshots := map[int]int{16: 8, 32: 256} // by request rank count
+// TestJobEventsAreOneDoneFrame pins the event stream: 200 text/event-stream
+// at once, then exactly one frame, the done frame, when the job ends —
+// whether the stream was opened while the job was queued, running, or after
+// it finished or failed. A client that hangs up before the end returns the
+// handler with nothing written after the headers.
+func TestJobEventsAreOneDoneFrame(t *testing.T) {
+	gate := make(chan struct{})
 	eval := func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
-		for g := 0; g < snapshots[req.Ranks]; g++ {
-			if req.OnGAProgress != nil {
-				req.OnGAProgress(g%3, g, float64(g)/7)
-			}
+		if req.Ranks == 64 {
+			return nil, errors.New("no such machine")
+		}
+		select {
+		case <-gate:
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
 		return stubResult(req), nil
 	}
-	s := New(Config{Workers: 2, Eval: eval})
+	s := New(Config{Workers: 2, Eval: eval, JobsMaxActive: 1})
 	ts := newHTTPServer(t, s)
-	jobs := map[int]*cluster.Job{}
-	for ranks, n := range snapshots {
-		body := fmt.Sprintf(`{"request":{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":%d}}`, ranks)
-		st := submitJob(t, ts.URL, body)
-		if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone || final.Snapshots != n {
-			t.Fatalf("job at %d ranks ended %s with %d snapshots, want done with %d", ranks, final.State, final.Snapshots, n)
-		}
-		job, err := s.jobs.Get(st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[n] = job
-	}
-	r := httptest.NewRequest(http.MethodGet, "/v1/jobs/x/events", nil)
-
-	for n, job := range jobs {
-		want := &bytes.Buffer{}
-		frame := func(ev cluster.Event) {
-			b, err := json.Marshal(ev)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(want, "event: %s\ndata: %s\n\n", ev.Type, b)
-		}
-		for _, snap := range job.Status().Progress {
-			frame(cluster.Event{Type: "progress", Snapshot: &snap})
-		}
-		frame(cluster.Event{Type: "done", State: cluster.JobDone})
-		got := &sseSink{header: http.Header{}, keep: true}
-		s.serveJobEvents(got, r, job)
-		if !bytes.Equal(got.body.Bytes(), want.Bytes()) {
-			t.Fatalf("%d-snapshot stream:\n%s\nwant:\n%s", n, got.body.Bytes(), want.Bytes())
-		}
+	// Cleanups run last-first: a failed test releases the gated jobs, and
+	// with them their streams, before the listener waits on its handlers.
+	release := sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	body := func(ranks int) string {
+		return fmt.Sprintf(`{"request":{"target":"power6-575","bench":"BT-MZ","class":"C","ranks":%d}}`, ranks)
 	}
 
-	allocs := func(n int) float64 {
-		w := &sseSink{header: http.Header{}}
-		return testing.AllocsPerRun(20, func() { s.serveJobEvents(w, r, jobs[n]) })
+	running := submitJob(t, ts.URL, body(16))
+	waitFor(t, func() bool { return jobStatus(t, ts.URL, running.ID).State == cluster.JobRunning })
+	queued := submitJob(t, ts.URL, body(32))
+	if st := jobStatus(t, ts.URL, queued.ID); st.State != cluster.JobQueued {
+		t.Fatalf("second job is %s, want queued behind JobsMaxActive 1", st.State)
 	}
-	a8, a256 := allocs(8), allocs(256)
-	t.Logf("streaming a finished job: %.0f allocations at 8 snapshots, %.0f at 256", a8, a256)
-	if a256 > a8+4 {
-		t.Errorf("a stream allocates per event: %.0f objects for 8 snapshots, %.0f for 256", a8, a256)
+	whileRunning := openEvents(t, ts.URL, running.ID)
+	whileQueued := openEvents(t, ts.URL, queued.ID)
+
+	// A client that hangs up mid-run: the handler returns, and the stream
+	// holds no frame.
+	job, err := s.jobs.Get(running.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, hangUp := context.WithCancel(context.Background())
+	r := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+running.ID+"/events", nil).WithContext(ctx)
+	w := httptest.NewRecorder()
+	returned := make(chan struct{})
+	go func() {
+		s.serveJobEvents(w, r, job)
+		close(returned)
+	}()
+	hangUp()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the events handler outlived its client")
+	}
+	if w.Code != http.StatusOK || w.Body.Len() != 0 {
+		t.Errorf("hung-up stream: status %d, body %q; want 200 and no frame", w.Code, w.Body.String())
+	}
+
+	release()
+	for name, resp := range map[string]*http.Response{"running": whileRunning, "queued": whileQueued} {
+		if got := readEvents(t, resp); got != doneFrame(cluster.JobDone) {
+			t.Errorf("stream opened while %s = %q, want %q", name, got, doneFrame(cluster.JobDone))
+		}
+	}
+	failed := submitJob(t, ts.URL, body(64))
+	waitJobDone(t, ts.URL, failed.ID)
+	for id, state := range map[string]cluster.JobState{running.ID: cluster.JobDone, failed.ID: cluster.JobFailed} {
+		if got := readEvents(t, openEvents(t, ts.URL, id)); got != doneFrame(state) {
+			t.Errorf("stream of %s job %s = %q, want %q", state, id, got, doneFrame(state))
+		}
 	}
 }

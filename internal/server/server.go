@@ -323,7 +323,7 @@ func (s *Server) handleEval(spec endpointSpec) http.HandlerFunc {
 		}
 		if !ok {
 			ctx, cancel := context.WithTimeout(r.Context(), s.timeoutFor(body))
-			doc, oc, err = s.compute(ctx, key, spec, req, nil)
+			doc, oc, err = s.compute(ctx, key, spec, req)
 			cancel()
 		}
 		s.obs.Observe("server.request_seconds", time.Since(start).Seconds())
@@ -391,9 +391,6 @@ const (
 	outcomeMiss outcome = "miss" // evaluated, or joined an evaluation, for this caller
 )
 
-// progressFunc is the GA's per-generation tap (swapp.Request.OnGAProgress).
-type progressFunc func(member, generation int, best float64)
-
 // held answers from what this replica already has — its result LRU, one
 // read — on the caller's goroutine: no context, no timer, no admission, no
 // allocation. A replica holds only what it computed itself; ownership
@@ -410,10 +407,9 @@ func (s *Server) held(key cacheKey, spec endpointSpec) ([]byte, bool) {
 }
 
 // compute is the one miss arm: evaluate (or join whoever already is) and
-// render through the entry's memoised slot. progress, when non-nil, taps the
-// GA search if this caller ends up leading the evaluation.
-func (s *Server) compute(ctx context.Context, key cacheKey, spec endpointSpec, req swapp.Request, progress progressFunc) ([]byte, outcome, error) {
-	e, oc, err := s.evaluate(ctx, spec.op, key, req, progress)
+// render through the entry's memoised slot.
+func (s *Server) compute(ctx context.Context, key cacheKey, spec endpointSpec, req swapp.Request) ([]byte, outcome, error) {
+	e, oc, err := s.evaluate(ctx, spec.op, key, req)
 	if err != nil {
 		return nil, "", err
 	}
@@ -455,14 +451,14 @@ func (s *Server) render(key cacheKey, spec endpointSpec, e entry, oc outcome) ([
 // gave up on its own caller's behalf — the client hung up, its timeout_ms ran
 // out — has said nothing about the request, so a follower whose own context
 // is still alive asks again, and may lead.
-func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request, progress progressFunc) (entry, outcome, error) {
+func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request) (entry, outcome, error) {
 	for {
 		e, flight, leader := s.cache.Lookup(key)
 		if flight == nil {
 			return e, outcomeHit, nil
 		}
 		if leader {
-			e, err := s.lead(ctx, op, key, req, progress)
+			e, err := s.lead(ctx, op, key, req)
 			return e, outcomeMiss, err
 		}
 		// Someone is already computing this result; wait for them under
@@ -475,10 +471,9 @@ func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swap
 }
 
 // lead runs the evaluation its caller was elected to lead: pass admission
-// control, run it through the shared layered store with the caller's
-// progress tap, and finish the flight — whatever happens — so every
-// follower is released.
-func (s *Server) lead(ctx context.Context, op string, key cacheKey, req swapp.Request, progress progressFunc) (entry, error) {
+// control, run it through the shared layered store, and finish the flight —
+// whatever happens — so every follower is released.
+func (s *Server) lead(ctx context.Context, op string, key cacheKey, req swapp.Request) (entry, error) {
 	if err := s.admit(ctx); err != nil {
 		s.cache.Finish(key, entry{}, err)
 		return entry{}, err
@@ -486,7 +481,6 @@ func (s *Server) lead(ctx context.Context, op string, key cacheKey, req swapp.Re
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(1)))
 	req.Workers = s.cfg.EvalWorkers
 	req.Store = s.store
-	req.OnGAProgress = progress
 	res, err := s.runEval(ctx, op, req)
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(-1)))
 	<-s.sem

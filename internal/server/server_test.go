@@ -230,7 +230,7 @@ func TestEvaluateElectsOneLeader(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, _, err := s.evaluate(context.Background(), opProject, key, req, nil); err != nil {
+				if _, _, err := s.evaluate(context.Background(), opProject, key, req); err != nil {
 					t.Errorf("round %d: %v", round, err)
 				}
 			}()

@@ -4,7 +4,7 @@
 #
 #   1. run two control jobs (two targets) on a plain in-memory instance and
 #      keep their result bytes as the references, following the first one's
-#      event stream (GET /v1/jobs/{id}/events) to its terminal "done",
+#      event stream (GET /v1/jobs/{id}/events) to its one event, "done",
 #   2. start a replica with -data-dir, submit the same job, wait until it is
 #      running with its submission in the WAL (a cold BT-MZ.D@128 job is
 #      ~0.5 s on two cores — enough to catch, where BT-MZ.C@64, ~0.2 s now
@@ -123,16 +123,17 @@ await_running() {
 # --- Control: the same jobs, uninterrupted, in memory ----------------------
 start_daemon control
 ctrl_id=$(submit_job)
-# The event stream ends after its one terminal event: progress events (a
-# replay of those already sent, then live ones), then "done" with the state.
+# The event stream holds one event, written when the job ends: "done" with
+# the state it ended in.
 curl -fsS -N -m 120 "http://$addr/v1/jobs/$ctrl_id/events" -o "$tmp/control.events"
-tail -n 3 "$tmp/control.events" | grep -q '^data: {"type":"done","state":"done"}$' || {
-    echo "crash-smoke: control job's event stream did not end in a done event with state done" >&2
-    tail -n 3 "$tmp/control.events" >&2
+if [ "$(grep -c '^event:' "$tmp/control.events")" -ne 1 ] ||
+    [ "$(grep -A1 '^event:' "$tmp/control.events")" != $'event: done\ndata: {"type":"done","state":"done"}' ]; then
+    echo "crash-smoke: control job's event stream is not one done event with state done:" >&2
+    cat "$tmp/control.events" >&2
     exit 1
-}
+fi
 wait_done "$ctrl_id" 1
-echo "crash-smoke: control job's event stream ended in done ($(grep -c '^event: progress' "$tmp/control.events") progress events)"
+echo "crash-smoke: control job's event stream is its one done event"
 curl -fsS -m 10 "http://$addr/v1/jobs/$ctrl_id/result" -o "$tmp/control.json"
 ctrl2_id=$(submit_job "$job2")
 wait_done "$ctrl2_id" 300

@@ -93,13 +93,6 @@ type Request struct {
 	// byte-identical with or without a store — and ignored when Data
 	// supplies external benchmark data.
 	Store *core.Store
-	// OnGAProgress, when non-nil, taps the GA surrogate search's
-	// per-generation progress (member index, generation, running best
-	// fitness). It fires whenever the request is computed, with or
-	// without a Store: the search runs in every projection. Strictly
-	// passive; must be safe for concurrent calls (ensemble members run in
-	// parallel).
-	OnGAProgress func(member, gen int, best float64)
 }
 
 // withDefaults validates and fills the request.
@@ -228,8 +221,7 @@ func ProjectAndValidateContext(ctx context.Context, req Request) (*Result, error
 // prepare runs core's preparation step for a request.
 func prepare(ctx context.Context, req Request) (*core.Pipeline, *core.AppModel, error) {
 	return core.Prepare(ctx, arch.MustGet(req.Base), arch.MustGet(req.Target), req.Bench, req.Class, req.Ranks,
-		core.Options{Workers: req.Workers, Obs: req.Obs, Data: req.Data,
-			Store: req.Store, OnGAProgress: req.OnGAProgress})
+		core.Options{Workers: req.Workers, Obs: req.Obs, Data: req.Data, Store: req.Store})
 }
 
 // NewEvaluation returns a figures.Runner for regenerating the paper's full

@@ -4,10 +4,10 @@ import (
 	"context"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 func TestMachines(t *testing.T) {
@@ -100,7 +100,8 @@ func TestProjectAndValidateEndToEnd(t *testing.T) {
 }
 
 // TestComputedProjectionReportsGAProgress: a request that is computed runs
-// its own GA search and reports it to its own OnGAProgress, even when a
+// its own whole GA search and reports it on its own Obs — three ensemble
+// members of 64 + 120×62 scored genomes, 22 512 evaluations — even when a
 // shared Store already holds every artifact an earlier request of the same
 // cell filled.
 func TestComputedProjectionReportsGAProgress(t *testing.T) {
@@ -111,21 +112,12 @@ func TestComputedProjectionReportsGAProgress(t *testing.T) {
 	if _, err := ProjectContext(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	gens := map[int]int{}
-	req.OnGAProgress = func(member, gen int, best float64) {
-		mu.Lock()
-		gens[member]++
-		mu.Unlock()
-	}
+	req.Obs = obs.New("warm")
 	if _, err := ProjectAndValidateContext(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	const ensemble = 3
-	for m := 0; m < ensemble; m++ {
-		if gens[m] < 1 {
-			t.Errorf("ensemble member %d reported %d generations, want ≥ 1 (all: %v)", m, gens[m], gens)
-		}
+	if n, _ := req.Obs.Metrics().Counter("ga.evaluations"); n != 22512 {
+		t.Errorf("the computed request counted %d GA evaluations, want 22512", n)
 	}
 }
 
