@@ -18,7 +18,9 @@ fmt:
 # Standing greps over non-test Go under internal/ cmd/ swapp.go, printing the
 # offending lines: no ticker (nothing in the process runs on a timer of its
 # own); exactly one site each for the result-cache lookup, admission, the
-# evaluation call, the store's wiring and the outgoing peer request; one
+# evaluation call, the endpoint renderer's call (the flight leader's: the
+# result cache holds the served document), the store's wiring and the
+# outgoing peer request; one
 # definition of the characterisation-count policy (core's); sync.Once
 # only where it runs something once and caches no value (internal/par,
 # internal/obs/http.go) — a cached value belongs in an lru.Cache; one
@@ -38,7 +40,7 @@ invariants:
 	@fail=0; \
 	hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' -e 'time.NewTicker' -e 'time.Tick(' $(INVARIANT_SRC)); \
 	if [ -n "$$hits" ]; then echo "invariants: a ticker in non-test Go:"; echo "$$hits"; fail=1; fi; \
-	for pat in 's.cache.Lookup(' 's.admit(' 's.runEval(' 'Store = s.store' 'http.NewRequest'; do \
+	for pat in 's.cache.Lookup(' 's.admit(' 's.runEval(' 'spec.render(' 'Store = s.store' 'http.NewRequest'; do \
 		hits=$$(grep -rnF --include='*.go' --exclude='*_test.go' -e "$$pat" $(INVARIANT_SRC)); \
 		n=$$(printf '%s' "$$hits" | grep -c .); \
 		if [ "$$n" -ne 1 ]; then echo "invariants: '$$pat' at $$n sites, want 1:"; echo "$$hits"; fail=1; fi; \
@@ -156,9 +158,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalRequest$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 
 # End-to-end smoke of the swappd service: start it, health-check, one
-# real cached /v1/project round-trip (second call must hit), /v1/validate
-# and /v1/surrogate once each, an expired deadline (504), /metrics.json,
-# clean drain. A panicking evaluation is TestEvalPanicRoundTrip's: the
+# real cached /v1/project round-trip (second call must hit, its compute
+# section carrying the Eq. 2 ratio), /v1/validate once, /v1/surrogate a
+# 404, an expired deadline (504), /metrics.json, clean drain. A panicking evaluation is TestEvalPanicRoundTrip's: the
 # same run() in-process.
 serve-smoke:
 	./scripts/serve_smoke.sh

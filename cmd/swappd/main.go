@@ -9,7 +9,7 @@
 //
 // Endpoints (see internal/server and DESIGN.md §10):
 //
-//	POST /v1/project /v1/validate /v1/surrogate /v1/batch /v1/jobs
+//	POST /v1/project /v1/validate /v1/batch /v1/jobs
 //	GET  /v1/jobs/{id} /v1/jobs/{id}/events /v1/jobs/{id}/result
 //	GET  /healthz /readyz /metrics /metrics.json /debug/pprof/
 //
@@ -176,9 +176,10 @@ func splitPeers(s string) []string {
 
 // newHTTPServer hardens the listener against slow or hostile clients: a
 // stalled request line, drip-fed body, or oversized header set cannot pin
-// a connection goroutine forever. WriteTimeout stays unset on purpose —
-// evaluations legitimately take minutes and the per-request deadline
-// already bounds them.
+// a connection goroutine forever. WriteTimeout stays unset on purpose: a
+// job's /events stream stays open until the job ends, which no fixed write
+// deadline can bound. Evaluations themselves take about a second at most,
+// and the per-request deadline bounds them.
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,

@@ -88,6 +88,11 @@ type Manager struct {
 	// also refuses further submissions.
 	ctx    context.Context
 	cancel context.CancelFunc
+	// runs counts the jobs admitted and not yet ended, from admission to
+	// the return of their execute goroutine; Close waits for it. A job is
+	// added under mu, and Close cancels under mu, so no job is added
+	// once Close waits.
+	runs sync.WaitGroup
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -161,9 +166,6 @@ type JobSpec struct {
 // spec whose ID is already live returns the existing job unchanged — the
 // idempotence journal recovery leans on.
 func (m *Manager) SubmitJob(spec JobSpec, run RunFunc) (*Job, error) {
-	if m.ctx.Err() != nil {
-		return nil, ErrJobsClosed
-	}
 	if m.queued.Add(1) > int64(m.cfg.MaxQueued+m.cfg.MaxActive) {
 		m.queued.Add(-1)
 		return nil, ErrJobQueueFull
@@ -189,11 +191,17 @@ func (m *Manager) SubmitJob(spec JobSpec, run RunFunc) (*Job, error) {
 		done:    make(chan struct{}),
 	}
 	m.mu.Lock()
+	if m.ctx.Err() != nil {
+		m.mu.Unlock()
+		m.queued.Add(-1)
+		return nil, ErrJobsClosed
+	}
 	if existing, ok := m.jobs[id]; ok {
 		m.mu.Unlock()
 		m.queued.Add(-1)
 		return existing, nil
 	}
+	m.runs.Add(1)
 	m.jobs[j.ID] = j
 	m.order = append(m.order, j.ID)
 	m.evictLocked()
@@ -246,6 +254,7 @@ func (m *Manager) execute(j *Job, run RunFunc) {
 	// The backlog counter decrements only when the job finishes, so the
 	// admission bound (MaxActive+MaxQueued unfinished jobs) is exact — a
 	// submission can never sneak past it by racing a slot acquisition.
+	defer m.runs.Done()
 	defer func() {
 		m.queued.Add(-1)
 		m.obs.Gauge("jobs.queued", float64(m.queued.Load()))
@@ -358,6 +367,16 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // and every unfinished job — running or still queued — is cancelled. Each
 // ends failed with "replica shut down before the job finished", its Done
 // closes as for any job, and no done record is journalled for it (see
-// finish). Close does not wait for the cancelled runs to unwind.
-// Idempotent.
-func (m *Manager) Close() { m.cancel() }
+// finish). A run that returns a result despite the cancellation ends done
+// and journals it as any finished job does.
+//
+// Close returns once every job has ended, so nothing is journalled after
+// it: the journal can be closed next without dropping a done record a
+// client has seen. Every run honours its context at the engine's stage
+// boundaries, so the wait lasts at most one stage. Idempotent.
+func (m *Manager) Close() {
+	m.mu.Lock()
+	m.cancel()
+	m.mu.Unlock()
+	m.runs.Wait()
+}

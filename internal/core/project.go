@@ -105,6 +105,9 @@ func (p *Pipeline) project(ctx context.Context, parent *obs.Scope, app *AppModel
 	}
 
 	if _, profiled := app.Profiles[ck]; profiled {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		comm, err := p.projectComm(sp, app, ck, comp.SpeedupRatio(), rec)
 		if err != nil {
 			return nil, err

@@ -5,7 +5,7 @@
 // user:
 //
 //   - At most max entries; inserting beyond that evicts the least recently
-//     used. Get, a Lookup hit and Finish refresh recency; Update does not.
+//     used. Get, a Lookup hit and Finish refresh recency.
 //   - Values enter only through a flight: Lookup elects the leader, Finish
 //     caches what it produced.
 //   - Lookup decides hit, join or lead in one critical section, so a key
@@ -77,20 +77,6 @@ func (c *Cache[K, V]) Get(k K) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.get(k)
-}
-
-// Update calls fn on the value cached under k, in place and under the
-// cache's lock, and reports whether k was cached; an absent (or evicted)
-// key is left absent and fn is not called. Recency is untouched. fn must
-// not call back into the cache.
-func (c *Cache[K, V]) Update(k K, fn func(v *V)) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.entries[k]
-	if ok {
-		fn(&n.val)
-	}
-	return ok
 }
 
 // Lookup resolves k: the cached value (f nil), the flight already producing

@@ -55,24 +55,19 @@ func TestLookupElectsOneLeader(t *testing.T) {
 }
 
 // put inserts as the cache's users do, through a flight: lead one for k
-// and finish it with v; if k is cached, the Lookup is a hit that refreshes
-// it and Update overwrites it in place. It returns the entry count.
+// and finish it with v. k must be neither cached nor in flight. It returns
+// the entry count.
 func put[K comparable, V any](t *testing.T, c *Cache[K, V], k K, v V) int {
 	t.Helper()
-	_, f, leader := c.Lookup(k)
-	switch {
-	case leader:
-		return c.Finish(k, v, nil)
-	case f != nil:
-		t.Fatalf("put(%v): a flight is already running", k)
+	if _, f, leader := c.Lookup(k); !leader {
+		t.Fatalf("put(%v): cached or in flight (flight %v)", k, f)
 	}
-	c.Update(k, func(p *V) { *p = v })
-	return c.Len()
+	return c.Finish(k, v, nil)
 }
 
 // TestEvictionOrder: the least recently used entry goes first; Get, a
-// Lookup hit and Finish refresh recency, Update does not; an evicted key is
-// absent to Update and comes back through a new flight.
+// Lookup hit and Finish refresh recency; an evicted key comes back through
+// a new flight.
 func TestEvictionOrder(t *testing.T) {
 	c := New[string, int](3)
 	put(t, c, "a", 1)
@@ -81,25 +76,21 @@ func TestEvictionOrder(t *testing.T) {
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing before any eviction")
 	} // a c b
-	if !c.Update("b", func(v *int) { *v = 20 }) {
-		t.Fatal("Update missed a cached key")
-	} // unchanged: a c b
 	if n := put(t, c, "d", 4); n != 3 { // evicts b: d a c
 		t.Fatalf("Finish returned %d entries, want 3", n)
 	}
 	if _, ok := c.Get("b"); ok {
-		t.Error("Update refreshed recency: b outlived c")
-	}
-	if c.Update("b", func(*int) { t.Error("Update ran fn for an evicted key") }) {
-		t.Error("Update reported an evicted key as cached")
+		t.Error("b outlived a and c, both used after it")
 	}
 	if v, f, _ := c.Lookup("c"); f != nil || v != 3 { // c d a
 		t.Fatalf("Lookup(c) = %d, flight %v; want the cached 3", v, f)
 	}
-	put(t, c, "b", 2)  // evicts a: b c d
-	put(t, c, "d", 40) // a hit, overwritten in place: d b c
-	put(t, c, "e", 5)  // evicts c: e d b
-	for key, want := range map[string]int{"b": 2, "d": 40, "e": 5} {
+	put(t, c, "b", 2) // evicts a: b c d
+	if v, ok := c.Get("d"); !ok || v != 4 {
+		t.Fatalf("Get(d) = %d, %t; want the cached 4", v, ok)
+	} // d b c
+	put(t, c, "e", 5) // evicts c: e d b
+	for key, want := range map[string]int{"b": 2, "d": 4, "e": 5} {
 		if v, ok := c.Get(key); !ok || v != want {
 			t.Errorf("Get(%s) = %d, %t; want %d", key, v, ok, want)
 		}
@@ -179,9 +170,13 @@ func TestWaiterLeavesOnItsOwnContext(t *testing.T) {
 	}
 }
 
+// errChurn is the failure TestConcurrentChurn's failing leaders finish with.
+var errChurn = errors.New("churn")
+
 // TestConcurrentChurn drives every method from many goroutines over more
-// keys than fit. Under -race this proves the locking; the assertions prove
-// the bound and that a key only ever yields a value stored under it.
+// keys than fit, with failed flights among the filled ones. Under -race
+// this proves the locking; the assertions prove the bound and that a key
+// only ever yields a value stored under it.
 func TestConcurrentChurn(t *testing.T) {
 	const max = 4
 	c := New[int, int](max)
@@ -199,7 +194,13 @@ func TestConcurrentChurn(t *testing.T) {
 						return
 					}
 				case 1:
-					c.Update(k, func(v *int) { *v = k * 10 })
+					// A leader that fails: its waiters get the error and
+					// nothing is cached.
+					if _, f, leader := c.Lookup(k); leader {
+						c.Finish(k, 0, errChurn)
+					} else if f != nil {
+						f.Wait(context.Background())
+					}
 				default:
 					v, f, leader := c.Lookup(k)
 					if leader {
@@ -207,7 +208,10 @@ func TestConcurrentChurn(t *testing.T) {
 						continue
 					}
 					if f != nil {
-						v, _ = f.Wait(context.Background())
+						var err error
+						if v, err = f.Wait(context.Background()); err == errChurn {
+							continue
+						}
 					}
 					if v != k*10 {
 						t.Errorf("key %d yielded %d", k, v)

@@ -114,9 +114,9 @@ type ValidationJSON struct {
 // maps, and map iteration order must never reach an output.
 var ClassOrder = []mpi.Class{mpi.ClassP2PNB, mpi.ClassP2PB, mpi.ClassCollective}
 
-// NewProjectionJSON converts a projection (and optional validation) into
+// newProjectionJSON converts a projection (and optional validation) into
 // its wire form. All per-class maps are iterated in ClassOrder.
-func NewProjectionJSON(p *core.Projection, v *core.Validation) *ProjectionJSON {
+func newProjectionJSON(p *core.Projection, v *core.Validation) *ProjectionJSON {
 	out := &ProjectionJSON{
 		App:            p.App,
 		Target:         p.Target,
@@ -203,8 +203,8 @@ func NewProjectionJSON(p *core.Projection, v *core.Validation) *ProjectionJSON {
 
 // MarshalProjection renders the wire form with a trailing newline — the
 // exact bytes swappd serves, shared with tests that pin API/CLI parity.
-// Marshalling goes through the pooled encoder (see MarshalJSONLine) so the
+// Marshalling goes through the pooled encoder (see marshalJSONLine) so the
 // serving path reuses encode buffers; the bytes are unchanged.
 func MarshalProjection(p *core.Projection, v *core.Validation) ([]byte, error) {
-	return MarshalJSONLine(NewProjectionJSON(p, v))
+	return marshalJSONLine(newProjectionJSON(p, v))
 }

@@ -66,7 +66,7 @@ func sampleProjection() (*core.Projection, *core.Validation) {
 
 func TestProjectionJSONShape(t *testing.T) {
 	proj, v := sampleProjection()
-	j := NewProjectionJSON(proj, v)
+	j := newProjectionJSON(proj, v)
 
 	if j.App != "BT-MZ.C" || j.Target != "power6-575" || j.Ranks != 16 {
 		t.Errorf("identity fields wrong: %+v", j)
@@ -107,7 +107,7 @@ func TestProjectionJSONShape(t *testing.T) {
 		}
 	}
 	// Without a validation the section is omitted entirely.
-	bare, err := json.Marshal(NewProjectionJSON(proj, nil))
+	bare, err := json.Marshal(newProjectionJSON(proj, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

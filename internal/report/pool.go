@@ -21,12 +21,12 @@ var encPool = sync.Pool{New: func() any {
 	return es
 }}
 
-// MarshalJSONLine renders v as compact JSON with a trailing newline — the
+// marshalJSONLine renders v as compact JSON with a trailing newline — the
 // wire framing every swappd endpoint uses — through a pooled encoder.
 // json.Encoder escapes and compacts exactly like json.Marshal, so the
 // bytes are identical to json.Marshal(v) + "\n". The returned slice is a
 // fresh copy the caller owns.
-func MarshalJSONLine(v any) ([]byte, error) {
+func marshalJSONLine(v any) ([]byte, error) {
 	es := encPool.Get().(*encodeState)
 	es.buf.Reset()
 	if err := es.enc.Encode(v); err != nil {

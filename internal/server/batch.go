@@ -20,29 +20,39 @@ import (
 // each piece fits the admission machinery.
 const maxBatchItems = 256
 
-// endpointSpec describes one evaluation endpoint for dispatch by name —
-// the batch and jobs APIs select op, cache slot, and renderer from it.
+// endpointSpec describes one evaluation endpoint: its op (the evaluation
+// and the cache-key prefix), its path, and the renderer of the document it
+// serves. An op names exactly one endpoint, so an op's cache entries hold
+// that endpoint's documents.
 type endpointSpec struct {
 	op       string
 	endpoint string
-	ep       int
 	render   func(*swapp.Result) ([]byte, error)
 }
 
-// endpoints maps a batch/job "op" name to its endpoint. "project" and
-// "surrogate" share an evaluation op (and thus a result-cache entry) but
-// render differently.
+// endpoints maps an op name to its endpoint.
 var endpoints = map[string]endpointSpec{
-	"project":   {opProject, "/v1/project", epProject, renderProject},
-	"validate":  {opValidate, "/v1/validate", epValidate, renderValidate},
-	"surrogate": {opProject, "/v1/surrogate", epSurrogate, renderSurrogate},
+	opProject:  {opProject, "/v1/project", renderProject},
+	opValidate: {opValidate, "/v1/validate", renderValidate},
+}
+
+// endpointFor resolves the op of a batch item or a job submission; an
+// empty op is "project".
+func endpointFor(op string) (endpointSpec, error) {
+	if op == "" {
+		op = opProject
+	}
+	spec, ok := endpoints[op]
+	if !ok {
+		return endpointSpec{}, fmt.Errorf("unknown op %q", op)
+	}
+	return spec, nil
 }
 
 // batchItem is one request inside a batch: an operation name plus the
 // usual single-endpoint body.
 type batchItem struct {
-	// Op selects the endpoint: "project" (default), "validate", or
-	// "surrogate".
+	// Op selects the endpoint: "project" (default) or "validate".
 	Op string `json:"op,omitempty"`
 	APIRequest
 }
@@ -62,8 +72,8 @@ type batchEntry struct {
 	Body   json.RawMessage `json:"body,omitempty"`
 	Error  string          `json:"error,omitempty"`
 
-	// rendered marks a Body this process's own renderers produced (the
-	// result cache's memoised bytes). It never crosses the wire: an entry
+	// rendered marks a Body this process's own renderers produced (a
+	// result-cache document). It never crosses the wire: an entry
 	// decoded from a peer's reply has it false.
 	rendered bool
 }
@@ -115,13 +125,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	entries := make([]batchEntry, len(breq.Requests))
 	groups := map[string][]batchWork{}
 	for i, item := range breq.Requests {
-		op := item.Op
-		if op == "" {
-			op = "project"
-		}
-		spec, ok := endpoints[op]
-		if !ok {
-			entries[i] = batchEntry{Index: i, Status: http.StatusBadRequest, Error: fmt.Sprintf("unknown op %q", item.Op)}
+		spec, err := endpointFor(item.Op)
+		if err != nil {
+			entries[i] = batchEntry{Index: i, Status: http.StatusBadRequest, Error: err.Error()}
 			continue
 		}
 		req, err := evalRequest(item.APIRequest)
@@ -151,7 +157,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			open := members[:0]
 			for _, wk := range members {
-				if doc, ok := s.held(digest(wk.spec.op, wk.req), wk.spec); ok {
+				if doc, ok := s.held(digest(wk.spec.op, wk.req)); ok {
 					entries[wk.idx] = answeredEntry(doc)
 				} else {
 					open = append(open, wk)
@@ -263,8 +269,7 @@ func (s *Server) forwardBatchGroup(r *http.Request, gkey string, members []batch
 	sub := batchRequest{Requests: make([]batchItem, len(members))}
 	timeout := time.Duration(0)
 	for i, wk := range members {
-		op := wk.spec.endpoint[len("/v1/"):]
-		sub.Requests[i] = batchItem{Op: op, APIRequest: wk.body}
+		sub.Requests[i] = batchItem{Op: wk.spec.op, APIRequest: wk.body}
 		if t := s.timeoutFor(wk.body); t > timeout {
 			timeout = t
 		}

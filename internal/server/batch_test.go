@@ -69,7 +69,7 @@ func TestBatchAmortisesCharacterisation(t *testing.T) {
 	items := []struct{ op, body string }{
 		{"project", lu},
 		{"validate", lu},
-		{"surrogate", lu},
+		{"project", lu}, // a duplicate: it joins the first item's evaluation
 		{"project", `{"target":"power6-575","bench":"LU-MZ","class":"C","ranks":8}`},
 	}
 	_, _, first := post(t, ctlTS.URL+"/v1/project", lu)
@@ -130,13 +130,13 @@ func TestBatchSharesResultCacheWithEndpoints(t *testing.T) {
 		t.Fatalf("first individual request X-Cache = %q", hdr.Get("X-Cache"))
 	}
 	other := `{"target":"bgp","bench":"SP-MZ","class":"C","ranks":16}`
-	code, _, body := post(t, ts.URL+"/v1/batch", batchBody(t, other, reqBT, `{"op":"surrogate",`+reqBT[1:]))
+	code, _, body := post(t, ts.URL+"/v1/batch", batchBody(t, other, reqBT, `{"op":"project",`+reqBT[1:]))
 	if code != 200 {
 		t.Fatalf("batch status = %d: %s", code, body)
 	}
 	resp := decodeBatch(t, body)
 	if n := eval.calls.Load(); n != 2 {
-		t.Errorf("individual request plus a batch of it, its surrogate and one new request ran %d evaluations, want 2", n)
+		t.Errorf("individual request plus a batch of it, it again under its explicit op and one new request ran %d evaluations, want 2", n)
 	}
 	if !bytes.Equal(resp.Results[1].Body, bytes.TrimSuffix(individual, []byte("\n"))) {
 		t.Error("cached batch entry differs from the individual response")
@@ -158,6 +158,7 @@ func TestBatchItemErrorsAreEntries(t *testing.T) {
 		reqBT,
 		`{"target":"power6-575","bench":"BT-MZ","class":"CD","ranks":16}`, // bad class
 		`{"op":"teleport",`+reqBT[1:],                                     // unknown op
+		`{"op":"surrogate",`+reqBT[1:],                                    // the retired /v1/surrogate's op
 	))
 	if code != 200 {
 		t.Fatalf("batch status = %d: %s", code, body)
@@ -166,10 +167,13 @@ func TestBatchItemErrorsAreEntries(t *testing.T) {
 	if resp.Results[0].Status != 200 {
 		t.Errorf("healthy entry status = %d (%s)", resp.Results[0].Status, resp.Results[0].Error)
 	}
-	for _, i := range []int{1, 2} {
+	for _, i := range []int{1, 2, 3} {
 		if resp.Results[i].Status != 400 || resp.Results[i].Error == "" {
 			t.Errorf("entry %d = status %d error %q, want a 400 with a message", i, resp.Results[i].Status, resp.Results[i].Error)
 		}
+	}
+	if got := resp.Results[3].Error; got != `unknown op "surrogate"` {
+		t.Errorf("a surrogate item's error = %q, want unknown op", got)
 	}
 }
 
@@ -251,7 +255,6 @@ func TestRenderedBytesAreCanonical(t *testing.T) {
 func TestBatchResponseMatchesEncodingJSON(t *testing.T) {
 	project := renderedBody(t, renderProject)
 	validate := renderedBody(t, renderValidate)
-	surrogate := renderedBody(t, renderSurrogate)
 	many := make([]batchEntry, maxBatchItems)
 	for i := range many {
 		many[i] = batchEntry{Index: i, Status: 200, Body: project, rendered: i%2 == 0}
@@ -261,7 +264,7 @@ func TestBatchResponseMatchesEncodingJSON(t *testing.T) {
 		"spliced": {
 			{Index: 0, Status: 200, Body: project, rendered: true},
 			{Index: 1, Status: 200, Body: validate, rendered: true},
-			{Index: 2, Status: 200, Body: surrogate, rendered: true},
+			{Index: 2, Status: 200, Body: project, rendered: true},
 		},
 		"untrusted": {
 			{Index: 0, Status: 200, Body: json.RawMessage(" {\t\"a\" : [ 1 , 2 ] ,\n \"b\" : \"<x>&\u2028\u2029\" } \n")},
@@ -314,7 +317,7 @@ func newHitBatch(tb testing.TB) (serve func()) {
 	for _, target := range []string{"power6-575", "bgp", "westmere-x5670"} {
 		for i, bench := range []string{"BT-MZ", "SP-MZ", "LU-MZ"} {
 			keys = append(keys, fmt.Sprintf(`{"op":%q,"target":%q,"bench":%q,"class":"C","ranks":16}`,
-				[]string{"project", "validate", "surrogate"}[i], target, bench))
+				[]string{"project", "validate", "project"}[i], target, bench))
 		}
 	}
 	items := make([]string, 64)

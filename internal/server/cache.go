@@ -37,23 +37,8 @@ func digest(op string, req swapp.Request) cacheKey {
 	return sha256.Sum256(b)
 }
 
-// Endpoint indices for the per-endpoint rendered-bytes slots. /v1/project
-// and /v1/surrogate share one result entry (same op) but render it
-// differently, so each endpoint owns a slot.
-const (
-	epProject = iota
-	epValidate
-	epSurrogate
-	numEndpoints
-)
-
-// resultCache is the result store: finished evaluations by content address,
-// duplicate in-flight ones collapsed onto one leader.
-type resultCache = lru.Cache[cacheKey, entry]
-
-// entry is one resultCache value: the result, immutable once published,
-// plus its rendered wire bytes per endpoint (see Server.render).
-type entry struct {
-	res      *swapp.Result
-	rendered [numEndpoints][]byte
-}
+// resultCache is the result store: each finished evaluation's served
+// document by content address, duplicate in-flight ones collapsed onto one
+// leader. The leader renders the document once (see Server.runEval); every
+// later reader shares the slice read-only.
+type resultCache = lru.Cache[cacheKey, []byte]

@@ -85,7 +85,7 @@ func (s *Server) resubmitRecovered(spec cluster.JobSpec) bool {
 	if err := json.Unmarshal(spec.Payload, &jreq); err != nil {
 		return false
 	}
-	_, epSpec, req, err := jreq.resolve()
+	epSpec, req, err := jreq.resolve()
 	if err != nil {
 		return false
 	}

@@ -81,6 +81,37 @@ func TestDurableCrashRecoveryByteIdentical(t *testing.T) {
 	})
 }
 
+// TestDurableCloseWaitsForRuns: a run that ends on its own while Close runs
+// — here one that answers its cancellation with a finished result — ends
+// done, and its done record reaches the journal before Close closes it: the
+// next start on the same dir recovers nothing and has dropped no record. A
+// job its client saw finished is never run again.
+func TestDurableCloseWaitsForRuns(t *testing.T) {
+	dir := t.TempDir()
+	started := make(chan struct{})
+	scope := obs.New("test")
+	s, err := NewDurable(Config{Workers: 1, DataDir: dir, Obs: scope, Eval: func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		close(started)
+		<-ctx.Done()
+		return stubResult(req), nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := newHTTPServer(t, s)
+	st := submitJob(t, ts.URL, `{"request":`+reqBT+`}`)
+	<-started
+	s.Close()
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone {
+		t.Fatalf("the job ended %s (%q), want done: its run returned a result", final.State, final.Error)
+	}
+	if n := counter(scope, "jobs.journal_drops"); n != 0 {
+		t.Errorf("jobs.journal_drops = %d, want 0: the done record came after the journal closed", n)
+	}
+	s2, _ := restartOn(t, dir, 0)
+	s2.Close()
+}
+
 // interruptMidSearch starts a durable server on dir, submits jobBodyLU and
 // returns once the job's evaluation has started and parked, before its
 // projection. It stays parked until its context is cancelled (Close) or the

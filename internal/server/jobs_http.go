@@ -16,8 +16,8 @@ import (
 // jobRequest is the POST /v1/jobs body: an operation name plus the usual
 // evaluation request.
 type jobRequest struct {
-	// Op selects the endpoint semantics: "project" (default), "validate",
-	// or "surrogate".
+	// Op selects the endpoint semantics: "project" (default) or
+	// "validate".
 	Op      string     `json:"op,omitempty"`
 	Request APIRequest `json:"request"`
 }
@@ -39,19 +39,19 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if decodeBody(w, r, maxRequestBytes, "job request", &jreq) != 0 {
 		return
 	}
-	op, spec, req, err := jreq.resolve()
+	spec, req, err := jreq.resolve()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The job carries a re-marshalled submission body: the journal keeps it,
 	// and a restarted replica re-runs the job from it.
-	payload, err := json.Marshal(jobRequest{Op: op, Request: jreq.Request})
+	payload, err := json.Marshal(jobRequest{Op: spec.op, Request: jreq.Request})
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	job, err := s.jobs.SubmitJob(cluster.JobSpec{Op: op, Payload: payload}, s.jobRun(spec, req, s.timeoutFor(jreq.Request)))
+	job, err := s.jobs.SubmitJob(cluster.JobSpec{Op: spec.op, Payload: payload}, s.jobRun(spec, req, s.timeoutFor(jreq.Request)))
 	if err != nil {
 		// A full queue drains, so the client is told to come back; a
 		// replica that is shutting down is not worth retrying.
@@ -67,20 +67,16 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(job.Status())
 }
 
-// resolve turns a decoded submission into what running it needs: the op
-// with its default applied, the endpoint semantics, and the validated
-// evaluation request. Fresh submissions and journal recovery share it.
-func (jreq jobRequest) resolve() (op string, spec endpointSpec, req swapp.Request, err error) {
-	op = jreq.Op
-	if op == "" {
-		op = "project"
+// resolve turns a decoded submission into what running it needs: the
+// endpoint semantics (its op, default applied) and the validated evaluation
+// request. Fresh submissions and journal recovery share it.
+func (jreq jobRequest) resolve() (endpointSpec, swapp.Request, error) {
+	spec, err := endpointFor(jreq.Op)
+	if err != nil {
+		return endpointSpec{}, swapp.Request{}, err
 	}
-	spec, ok := endpoints[op]
-	if !ok {
-		return "", endpointSpec{}, swapp.Request{}, fmt.Errorf("unknown op %q", jreq.Op)
-	}
-	req, err = evalRequest(jreq.Request)
-	return op, spec, req, err
+	req, err := evalRequest(jreq.Request)
+	return spec, req, err
 }
 
 // jobRun builds the background run function for one submitted job: the
@@ -93,7 +89,7 @@ func (jreq jobRequest) resolve() (op string, spec endpointSpec, req swapp.Reques
 func (s *Server) jobRun(spec endpointSpec, req swapp.Request, timeout time.Duration) cluster.RunFunc {
 	key := digest(spec.op, req)
 	return func(ctx context.Context) ([]byte, error) {
-		if doc, ok := s.held(key, spec); ok {
+		if doc, ok := s.held(key); ok {
 			return doc, nil
 		}
 		ctx, cancel := context.WithTimeout(ctx, timeout)

@@ -189,8 +189,10 @@ func TestJobsAPIValidation(t *testing.T) {
 	ts := newHTTPServer(t, s)
 	defer close(gate)
 
-	if code, _, _ := post(t, ts.URL+"/v1/jobs", `{"op":"teleport","request":`+reqBT+`}`); code != 400 {
-		t.Errorf("unknown op accepted with %d", code)
+	for _, op := range []string{"teleport", "surrogate"} {
+		if code, _, _ := post(t, ts.URL+"/v1/jobs", `{"op":"`+op+`","request":`+reqBT+`}`); code != 400 {
+			t.Errorf("unknown op %q accepted with %d", op, code)
+		}
 	}
 	if code, _, _ := post(t, ts.URL+"/v1/jobs", `{"request":{"target":"power6-575","bench":"BT-MZ","class":"CD","ranks":16}}`); code != 400 {
 		t.Errorf("bad class accepted with %d", code)

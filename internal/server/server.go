@@ -8,7 +8,6 @@
 //
 //	POST /v1/project    full projection (compute + communication), JSON
 //	POST /v1/validate   projection plus the measured run and signed errors
-//	POST /v1/surrogate  the Eq. 2 compute surrogate only
 //	GET  /healthz       liveness (always 200 while the process serves)
 //	GET  /readyz        readiness (503 once draining)
 //
@@ -20,8 +19,9 @@
 // whose deadline expires — waiting or evaluating — returns 504 promptly.
 //
 // Caching is layered to match the pipeline's reuse structure. The result
-// LRU (above) answers exact repeats, including the rendered wire bytes so
-// a hit never re-marshals. Beneath it a core.Store — shared across every
+// LRU (above) answers exact repeats: it holds each answer's served
+// document, rendered once by the evaluation that produced it, so a hit never
+// re-marshals. Beneath it a core.Store — shared across every
 // evaluation — caches per-machine benchmark characterisations and per-app
 // profiles, so requests that differ only in target machine or core count
 // ("shared-base warm" traffic) skip the expensive stages they have in
@@ -49,8 +49,8 @@ import (
 	"repro/internal/report"
 )
 
-// EvalFunc runs one evaluation. op is "project" (shared by /v1/project and
-// /v1/surrogate) or "validate". The production function dispatches to
+// EvalFunc runs one evaluation. op is "project" or "validate", the name of
+// the endpoint that serves it. The production function dispatches to
 // swapp.ProjectContext / swapp.ProjectAndValidateContext; tests inject
 // stubs to exercise the serving machinery without the pipeline's cost.
 type EvalFunc func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error)
@@ -181,7 +181,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		obs:   cfg.Obs,
 		eval:  cfg.Eval,
-		cache: lru.New[cacheKey, entry](cfg.CacheSize),
+		cache: lru.New[cacheKey, []byte](cfg.CacheSize),
 		store: core.NewStore(core.StoreConfig{Obs: cfg.Obs, MetricPrefix: "server.cache"}),
 		sem:   make(chan struct{}, cfg.Workers),
 	}
@@ -200,11 +200,13 @@ func New(cfg Config) *Server {
 }
 
 // Close is the replica's one way down: it stops accepting async job
-// submissions, cancels every unfinished job (each ends failed, with no
-// terminal record — see cluster.Manager.Close) and flushes and closes the
-// durable job journal. What it leaves in DataDir is what
-// kill -9 would have left, so NewDurable on the same directory is the one
-// way back from either: unfinished jobs re-run under their original IDs.
+// submissions, cancels every unfinished job and waits for their runs to
+// return (each cancelled job ends failed, with no terminal record — see
+// cluster.Manager.Close), then flushes and closes the durable job journal,
+// so a job that ended on its own meanwhile has its done record in it. What
+// it leaves in DataDir is what kill -9 would have left, so NewDurable on the
+// same directory is the one way back from either: unfinished jobs re-run
+// under their original IDs.
 // Without a DataDir the client resubmits to any live replica. Serving
 // endpoints are unaffected (the HTTP listener's Shutdown handles those).
 // Idempotent.
@@ -313,7 +315,7 @@ func (s *Server) handleEval(spec endpointSpec) http.HandlerFunc {
 
 		key := digest(spec.op, req)
 		start := time.Now()
-		doc, ok := s.held(key, spec)
+		doc, ok := s.held(key)
 		oc, peer := outcomeHit, ""
 		// Peer-aware mode: a group owned by another replica is forwarded
 		// there (unless this request was itself forwarded — the loop
@@ -396,111 +398,97 @@ const (
 // allocation. A replica holds only what it computed itself; ownership
 // (peer.go) only decides where a miss is filled. Every delivery — single
 // endpoint, batch member, async job — asks here before anything else.
-func (s *Server) held(key cacheKey, spec endpointSpec) ([]byte, bool) {
-	e, ok := s.cache.Get(key)
-	if !ok {
-		return nil, false
+func (s *Server) held(key cacheKey) ([]byte, bool) {
+	doc, ok := s.cache.Get(key)
+	if ok {
+		s.obs.Count("server.cache.result_hits", 1)
 	}
-	// A result that will not render is not held: compute reports why.
-	doc, err := s.render(key, spec, e, outcomeHit)
-	return doc, err == nil
+	return doc, ok
 }
 
 // compute is the one miss arm: evaluate (or join whoever already is) and
-// render through the entry's memoised slot.
+// count the result cache's verdict on the document it delivers — every
+// delivered document counts once, as a hit or a miss.
 func (s *Server) compute(ctx context.Context, key cacheKey, spec endpointSpec, req swapp.Request) ([]byte, outcome, error) {
-	e, oc, err := s.evaluate(ctx, spec.op, key, req)
+	doc, oc, err := s.evaluate(ctx, spec, key, req)
 	if err != nil {
 		return nil, "", err
-	}
-	doc, err := s.render(key, spec, e, oc)
-	if err != nil {
-		return nil, "", fmt.Errorf("server: rendering %s: %w", spec.endpoint, err)
-	}
-	return doc, oc, nil
-}
-
-// render returns the wire bytes of a finished result for spec's endpoint
-// and counts the result cache's verdict on it. The bytes are rendered at
-// most once per (entry, endpoint) and served as-is on every later hit, so
-// the hot path never re-marshals a projection. Rendering runs outside the
-// cache's lock (it is a pure function of the immutable result); concurrent
-// first renders produce identical bytes, so last-write-wins is benign, and
-// an entry evicted meanwhile is rendered uncached.
-func (s *Server) render(key cacheKey, spec endpointSpec, e entry, oc outcome) ([]byte, error) {
-	doc := e.rendered[spec.ep]
-	if doc == nil {
-		var err error
-		if doc, err = spec.render(e.res); err != nil {
-			return nil, err
-		}
-		s.cache.Update(key, func(e *entry) { e.rendered[spec.ep] = doc })
 	}
 	if oc == outcomeHit {
 		s.obs.Count("server.cache.result_hits", 1)
 	} else {
 		s.obs.Count("server.cache.result_misses", 1)
 	}
-	return doc, nil
+	return doc, oc, nil
 }
 
-// evaluate resolves one (op, request) under its precomputed cache key:
-// return a finished result, join an in-flight evaluation, or lead one.
+// evaluate resolves one endpoint's request under its precomputed cache key:
+// return a finished document, join an in-flight evaluation, or lead one.
 //
 // A leader's failure fails its followers, with one exception: a leader that
 // gave up on its own caller's behalf — the client hung up, its timeout_ms ran
 // out — has said nothing about the request, so a follower whose own context
 // is still alive asks again, and may lead.
-func (s *Server) evaluate(ctx context.Context, op string, key cacheKey, req swapp.Request) (entry, outcome, error) {
+func (s *Server) evaluate(ctx context.Context, spec endpointSpec, key cacheKey, req swapp.Request) ([]byte, outcome, error) {
 	for {
-		e, flight, leader := s.cache.Lookup(key)
+		doc, flight, leader := s.cache.Lookup(key)
 		if flight == nil {
-			return e, outcomeHit, nil
+			return doc, outcomeHit, nil
 		}
 		if leader {
-			e, err := s.lead(ctx, op, key, req)
-			return e, outcomeMiss, err
+			doc, err := s.lead(ctx, spec, key, req)
+			return doc, outcomeMiss, err
 		}
 		// Someone is already computing this result; wait for them under
 		// our own deadline.
-		e, err := flight.Wait(ctx)
+		doc, err := flight.Wait(ctx)
 		if gaveUp := errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded); !gaveUp || ctx.Err() != nil {
-			return e, outcomeMiss, err
+			return doc, outcomeMiss, err
 		}
 	}
 }
 
 // lead runs the evaluation its caller was elected to lead: pass admission
-// control, run it through the shared layered store, and finish the flight —
-// whatever happens — so every follower is released.
-func (s *Server) lead(ctx context.Context, op string, key cacheKey, req swapp.Request) (entry, error) {
+// control, run it through the shared layered store, and finish the flight
+// with its document — whatever happens — so every follower is released. A
+// result that will not render finishes the flight with that error, so
+// nothing is cached and the next caller evaluates again.
+func (s *Server) lead(ctx context.Context, spec endpointSpec, key cacheKey, req swapp.Request) ([]byte, error) {
 	if err := s.admit(ctx); err != nil {
-		s.cache.Finish(key, entry{}, err)
-		return entry{}, err
+		s.cache.Finish(key, nil, err)
+		return nil, err
 	}
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(1)))
 	req.Workers = s.cfg.EvalWorkers
 	req.Store = s.store
-	res, err := s.runEval(ctx, op, req)
+	doc, err := s.runEval(ctx, spec, req)
 	s.obs.Gauge("server.inflight", float64(s.inflight.Add(-1)))
 	<-s.sem
-	e := entry{res: res}
-	s.obs.Gauge("server.cache.result_size", float64(s.cache.Finish(key, e, err)))
-	return e, err
+	s.obs.Gauge("server.cache.result_size", float64(s.cache.Finish(key, doc, err)))
+	return doc, err
 }
 
-// runEval runs one evaluation with panic isolation: a panic anywhere in
-// the pipeline becomes an error here, before the worker slot is released
-// and the singleflight call is finished — a panicking leader must not
-// leak its slot or leave joined waiters blocked forever.
-func (s *Server) runEval(ctx context.Context, op string, req swapp.Request) (res *swapp.Result, err error) {
+// runEval runs one evaluation and renders its endpoint's document, with
+// panic isolation: a panic anywhere in the pipeline or the renderer becomes
+// an error here, before the worker slot is released and the singleflight
+// call is finished — a panicking leader must not leak its slot or leave
+// joined waiters blocked forever. This is the one place a document is
+// rendered.
+func (s *Server) runEval(ctx context.Context, spec endpointSpec, req swapp.Request) (doc []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.obs.Count("server.panics", 1)
-			res, err = nil, fmt.Errorf("server: evaluation panicked: %v", v)
+			doc, err = nil, fmt.Errorf("server: evaluation panicked: %v", v)
 		}
 	}()
-	return s.eval(ctx, op, req)
+	res, err := s.eval(ctx, spec.op, req)
+	if err != nil {
+		return nil, err
+	}
+	if doc, err = spec.render(res); err != nil {
+		return nil, fmt.Errorf("server: rendering %s: %w", spec.endpoint, err)
+	}
+	return doc, nil
 }
 
 // admit takes a worker slot, waiting in the bounded admission queue. The
@@ -529,23 +517,6 @@ func renderProject(res *swapp.Result) ([]byte, error) {
 // renderValidate is the /v1/validate body: projection plus measured run.
 func renderValidate(res *swapp.Result) ([]byte, error) {
 	return report.MarshalProjection(res.Projection, res.Validation)
-}
-
-// surrogateResponse is the /v1/surrogate body: request identity plus the
-// Eq. 2 compute component only.
-type surrogateResponse struct {
-	App     string              `json:"app"`
-	Target  string              `json:"target"`
-	Ranks   int                 `json:"ranks"`
-	Compute *report.ComputeJSON `json:"compute"`
-}
-
-// renderSurrogate extracts the compute section from a projection.
-func renderSurrogate(res *swapp.Result) ([]byte, error) {
-	j := report.NewProjectionJSON(res.Projection, nil)
-	return report.MarshalJSONLine(surrogateResponse{
-		App: j.App, Target: j.Target, Ranks: j.Ranks, Compute: j.Compute,
-	})
 }
 
 // Bounds on what a handler will read of a request body before refusing it

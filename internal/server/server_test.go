@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -142,30 +143,91 @@ func TestCacheHitSecondRequest(t *testing.T) {
 	}
 }
 
-func TestSurrogateEndpointSharesProjectCache(t *testing.T) {
+// TestComputeSectionIsReadFromProject: a client after the Eq. 2 compute
+// surrogate alone reads the compute section of /v1/project's document —
+// there is no endpoint that serves it apart — and a batch item and a job
+// for the same request read that one cached document: one evaluation.
+func TestComputeSectionIsReadFromProject(t *testing.T) {
 	eval := &stubEval{}
 	_, ts := newTestServer(t, Config{Workers: 2}, eval)
-	code, _, body := post(t, ts.URL+"/v1/surrogate", reqBT)
+	code, _, body := post(t, ts.URL+"/v1/project", reqBT)
 	if code != 200 {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var sr struct {
-		App     string          `json:"app"`
-		Compute json.RawMessage `json:"compute"`
+	var doc struct {
+		App     string `json:"app"`
+		Compute *struct {
+			Surrogate    []json.RawMessage `json:"surrogate"`
+			SpeedupRatio float64           `json:"speedup_ratio"`
+		} `json:"compute"`
 	}
-	if err := json.Unmarshal(body, &sr); err != nil {
-		t.Fatalf("surrogate body: %v", err)
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("project body: %v", err)
 	}
-	if sr.App != "BT-MZ.C" || len(sr.Compute) == 0 {
-		t.Errorf("surrogate body incomplete: %s", body)
+	if doc.App != "BT-MZ.C" || doc.Compute == nil || len(doc.Compute.Surrogate) == 0 || doc.Compute.SpeedupRatio != 0.5 {
+		t.Errorf("project body carries no complete compute section: %s", body)
 	}
-	if bytes.Contains(body, []byte(`"comm"`)) {
-		t.Error("surrogate response must not carry the comm section")
+	if code, _, _ := post(t, ts.URL+"/v1/surrogate", reqBT); code != http.StatusNotFound {
+		t.Errorf("POST /v1/surrogate = %d, want 404", code)
 	}
-	// Same op and key as /v1/project: no second evaluation.
-	post(t, ts.URL+"/v1/project", reqBT)
+
+	_, _, batch := post(t, ts.URL+"/v1/batch", batchBody(t, `{"op":"project",`+reqBT[1:]))
+	if got := decodeBatch(t, batch).Results[0].Body; !bytes.Equal(got, bytes.TrimSuffix(body, []byte("\n"))) {
+		t.Errorf("batch item differs from /v1/project:\nbatch:   %s\nproject: %s", got, body)
+	}
+	st := submitJob(t, ts.URL, `{"op":"project","request":`+reqBT+`}`)
+	if final := waitJobDone(t, ts.URL, st.ID); final.State != cluster.JobDone {
+		t.Fatalf("job = %s (%q), want done", final.State, final.Error)
+	}
+	if got := resultBytes(t, ts.URL, st.ID); !bytes.Equal(got, body) {
+		t.Errorf("job result differs from /v1/project:\njob:     %s\nproject: %s", got, body)
+	}
 	if n := eval.calls.Load(); n != 1 {
-		t.Errorf("project after surrogate ran %d evaluations, want 1", n)
+		t.Errorf("a request, its batch item and its job ran %d evaluations, want 1", n)
+	}
+}
+
+// TestUnrenderableResultIsNotCached: a result whose document will not
+// render is the evaluation's failure — a 500 naming the rendering — so
+// nothing is cached and an identical request evaluates again.
+func TestUnrenderableResultIsNotCached(t *testing.T) {
+	var calls atomic.Int64
+	scope := obs.New("test")
+	s := New(Config{Workers: 1, Obs: scope, Eval: func(ctx context.Context, op string, req swapp.Request) (*swapp.Result, error) {
+		calls.Add(1)
+		res := stubResult(req)
+		res.Projection.Gamma = math.NaN()
+		return res, nil
+	}})
+	ts := newHTTPServer(t, s)
+	for i := 1; i <= 2; i++ {
+		code, _, body := post(t, ts.URL+"/v1/project", reqBT)
+		var e apiError
+		if err := json.Unmarshal(body, &e); err != nil || code != http.StatusInternalServerError ||
+			!strings.HasPrefix(e.Error, "server: rendering /v1/project: ") || !strings.Contains(e.Error, "NaN") {
+			t.Errorf("request %d = %d %s, want a 500 naming the rendering of the NaN", i, code, body)
+		}
+		if n := s.cache.Len(); n != 0 {
+			t.Errorf("request %d left %d cached entries, want 0", i, n)
+		}
+		if n := calls.Load(); n != int64(i) {
+			t.Errorf("after request %d: %d evaluations, want %d", i, n, i)
+		}
+	}
+	sized := false
+	for _, g := range scope.Metrics().Gauges {
+		if g.Name == "server.cache.result_size" {
+			sized = true
+			if g.Value != 0 {
+				t.Errorf("server.cache.result_size = %v, want 0", g.Value)
+			}
+		}
+	}
+	if !sized {
+		t.Error("server.cache.result_size was never set")
+	}
+	if hits, misses := counter(scope, "server.cache.result_hits"), counter(scope, "server.cache.result_misses"); hits != 0 || misses != 0 {
+		t.Errorf("result cache counted %d hits and %d misses for two refused requests, want none", hits, misses)
 	}
 }
 
@@ -230,7 +292,7 @@ func TestEvaluateElectsOneLeader(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, _, err := s.evaluate(context.Background(), opProject, key, req); err != nil {
+				if _, _, err := s.evaluate(context.Background(), endpoints[opProject], key, req); err != nil {
 					t.Errorf("round %d: %v", round, err)
 				}
 			}()
@@ -494,6 +556,11 @@ func TestBadRequests(t *testing.T) {
 	if n := eval.calls.Load(); n != 0 {
 		t.Errorf("bad requests reached the evaluator %d times", n)
 	}
+	// The compute section alone has no endpoint of its own: a client reads
+	// it from /v1/project's document.
+	if code, _, body := post(t, ts.URL+"/v1/surrogate", reqBT); code != http.StatusNotFound {
+		t.Errorf("POST /v1/surrogate: status %d, want 404 (body %s)", code, body)
+	}
 	if code, _, _ := post(t, ts.URL+"/healthz", ""); code != http.StatusOK {
 		t.Error("healthz should tolerate POST via mux default — expected 200")
 	}
@@ -523,7 +590,6 @@ func TestOversizeBodiesRefused(t *testing.T) {
 	}{
 		{"/v1/project", reqBT, maxRequestBytes, http.StatusOK},
 		{"/v1/validate", reqBT, maxRequestBytes, http.StatusOK},
-		{"/v1/surrogate", reqBT, maxRequestBytes, http.StatusOK},
 		{"/v1/jobs", job, maxRequestBytes, http.StatusAccepted},
 		{"/v1/batch", batchBody(t, reqBT), maxBatchBytes, http.StatusOK},
 	} {
@@ -547,7 +613,7 @@ func TestOversizeBodiesRefused(t *testing.T) {
 		t.Errorf("a batch of %d empty items got %d %.120s, want 413", maxBatchBytes/3+1, code, out)
 	}
 	if n := eval.calls.Load(); n != 2 {
-		t.Errorf("the evaluator ran %d times, want 2: the five bodies that fit are one projection and one validation", n)
+		t.Errorf("the evaluator ran %d times, want 2: the four bodies that fit are one projection and one validation", n)
 	}
 }
 

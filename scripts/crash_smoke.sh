@@ -72,9 +72,11 @@ else:
 ' "$1" "$2" || echo 0
 }
 
-submit_job() { # submit_job [body] -> job id on stdout
+submit_job() { # submit_job [body] -> job id on stdout; no interpreter start-up
+    # either: a cold job runs for a few tenths of a second, and await_running's
+    # first poll must come well inside them
     curl -fsS -m 10 -X POST "http://$addr/v1/jobs" -d "${1:-$job}" |
-        python3 -c 'import json, sys; print(json.load(sys.stdin)["id"])'
+        grep -o '"id":"[^"]*"' | head -1 | cut -d'"' -f4
 }
 
 job_state() { # job_state <id> — no interpreter start-up: await_running polls it

@@ -2,9 +2,10 @@
 # serve_smoke.sh — end-to-end smoke test of the swappd projection service:
 # build it, start it on a free port, check /healthz, run one real
 # /v1/project round-trip twice, assert the second answer comes from the
-# cache with an identical body, ask /v1/validate and /v1/surrogate once
-# each for the same request, let one request's deadline expire (504), read
-# /metrics.json, then drain with SIGTERM and require a clean exit.
+# cache with an identical body whose compute section carries the Eq. 2
+# ratio, ask /v1/validate once for the same request, check /v1/surrogate is
+# gone (404), let one request's deadline expire (504), read /metrics.json,
+# then drain with SIGTERM and require a clean exit.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -51,15 +52,18 @@ grep -qi '^x-cache: hit' "$tmp/second.hdr" || {
 cmp -s "$tmp/first.json" "$tmp/second.json" || {
     echo "serve-smoke: cached body differs from the original" >&2; exit 1; }
 
-# The other two evaluation endpoints on the same request: /v1/validate adds
-# the measured run on the target, /v1/surrogate is the projection's Eq. 2
-# compute section alone (it shares /v1/project's cache entry).
+# A client after the Eq. 2 compute surrogate alone reads the compute
+# section of the cached /v1/project document: there is no endpoint for it.
+grep -q '"compute":{[^}]*"speedup_ratio"' "$tmp/second.json" || {
+    echo "serve-smoke: the cached projection's compute section has no speedup_ratio" >&2; exit 1; }
+status=$(curl -sS -o /dev/null -w '%{http_code}' -X POST "http://$addr/v1/surrogate" -d "$req")
+[ "$status" = 404 ] || {
+    echo "serve-smoke: /v1/surrogate answered $status, want 404" >&2; exit 1; }
+# The other evaluation endpoint on the same request: /v1/validate adds the
+# measured run on the target.
 curl -fsS -X POST "http://$addr/v1/validate" -d "$req" -o "$tmp/validate.json"
 grep -q '"measured_total_seconds"' "$tmp/validate.json" || {
     echo "serve-smoke: /v1/validate response carries no measured run" >&2; exit 1; }
-curl -fsS -X POST "http://$addr/v1/surrogate" -d "$req" -o "$tmp/surrogate.json"
-grep -q '"speedup_ratio"' "$tmp/surrogate.json" && ! grep -q '"total_seconds"' "$tmp/surrogate.json" || {
-    echo "serve-smoke: /v1/surrogate response is not the compute section alone" >&2; exit 1; }
 # A deadline that expires before its evaluation ends is a 504 with a JSON
 # error body (a target not yet characterised takes far longer than 1 ms).
 status=$(curl -sS -o "$tmp/late.json" -w '%{http_code}' -X POST "http://$addr/v1/project" \
@@ -77,4 +81,4 @@ wait "$pid" || { echo "serve-smoke: drain exited non-zero" >&2; exit 1; }
 pid=""
 grep -q drained "$tmp/err.log" || {
     echo "serve-smoke: missing drain log" >&2; exit 1; }
-echo "serve-smoke: ok (cached round-trip, validate, surrogate, expired deadline, metrics + clean drain)"
+echo "serve-smoke: ok (cached round-trip with its compute section, validate, surrogate 404, expired deadline, metrics + clean drain)"
