@@ -13,10 +13,11 @@
 //	GET  /v1/jobs/{id} /v1/jobs/{id}/events /v1/jobs/{id}/result
 //	GET  /healthz /readyz /metrics /metrics.json /debug/pprof/
 //
-// With -self and -peers set, replicas form a consistent-hash ring and
-// forward what they do not hold to each (base, target) group's owning
-// replica (see DESIGN.md §10.3); a dead peer's groups go to the next replica
-// in ring order, the same one from every entry point.
+// With -self and -peers set, replicas order themselves for each (base,
+// target) group by rendezvous hashing and forward what they do not hold to
+// the group's owning replica (see DESIGN.md §10.3); a dead peer's groups go
+// to the next replica in the group's order, the same one from every entry
+// point.
 //
 // With -data-dir set, every job submission is journalled there; the
 // journal is all the directory holds. A replica stops one way — SIGTERM
@@ -71,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 		evalWorkers = fs.Int("eval-workers", 0, "engine worker pool per evaluation (0 = GOMAXPROCS); does not affect the numbers")
 		grace       = fs.Duration("grace", 30*time.Second, "drain deadline after SIGTERM/SIGINT")
 		self        = fs.String("self", "", "this replica's advertised base URL in peer-aware mode (e.g. http://10.0.0.1:8080)")
-		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables consistent-hash request routing (an unreachable replica is routed past, and found again, on its own)")
+		peers       = fs.String("peers", "", "comma-separated base URLs of the other replicas; with -self, enables rendezvous-hash request routing (an unreachable replica is routed past, and found again, on its own)")
 		jobsActive  = fs.Int("jobs-active", 0, "max concurrently running async jobs (0 = default 2)")
 		jobsQueued  = fs.Int("jobs-queued", 0, "async jobs waiting beyond the running ones (0 = default 4x active)")
 		jobsRetain  = fs.Int("jobs-retain", 0, "finished async jobs kept for polling (0 = default 64)")

@@ -15,10 +15,10 @@ func testKeys(n int) []string {
 	return keys
 }
 
-// owner is the node owning key: the first of its preference order, "" on an
-// empty ring.
-func owner(r *Ring, key string) string {
-	if order := r.Preference(key); len(order) > 0 {
+// owner is the node owning key: the first of its preference order, "" with
+// no nodes.
+func owner(nodes []string, key string) string {
+	if order := Preference(nodes, key); len(order) > 0 {
 		return order[0]
 	}
 	return ""
@@ -26,13 +26,11 @@ func owner(r *Ring, key string) string {
 
 // Every replica must compute identical ownership from identical membership,
 // regardless of the order the peer list was written in — that is the whole
-// routing-determinism contract.
+// routing-determinism contract. (A listed duplicate changes no owner either;
+// the server's newPeerSet collapses them, TestPeerSetMembership.)
 func TestRingDeterministicAcrossPermutations(t *testing.T) {
-	a := NewRing([]string{"http://a:1", "http://b:2", "http://c:3"})
-	b := NewRing([]string{"http://c:3", "http://a:1", "http://b:2", "http://a:1"})
-	if len(a.Nodes()) != 3 || len(b.Nodes()) != 3 {
-		t.Fatalf("membership = %d, %d; want 3, 3 (deduplicated)", len(a.Nodes()), len(b.Nodes()))
-	}
+	a := []string{"http://a:1", "http://b:2", "http://c:3"}
+	b := []string{"http://c:3", "http://a:1", "http://b:2", "http://a:1"}
 	for _, k := range testKeys(200) {
 		if owner(a, k) != owner(b, k) {
 			t.Fatalf("owner(%q) differs across permutations: %q vs %q", k, owner(a, k), owner(b, k))
@@ -42,14 +40,14 @@ func TestRingDeterministicAcrossPermutations(t *testing.T) {
 
 // Leaving one node out must move only the keys that node owned, each to the
 // node its preference order names second; every other key keeps its owner
-// (the consistent-hashing minimal-movement property, which is what lets a
-// caller skip an unreachable node without a ring being rebuilt).
+// (the minimal-movement property, which is what lets a caller skip an
+// unreachable node without anything being rebuilt).
 func TestRingMinimalMovementOnNodeLoss(t *testing.T) {
-	full := NewRing([]string{"http://a:1", "http://b:2", "http://c:3"})
-	without := NewRing([]string{"http://a:1", "http://c:3"})
+	full := []string{"http://a:1", "http://b:2", "http://c:3"}
+	without := []string{"http://a:1", "http://c:3"}
 	moved := 0
 	for _, k := range testKeys(500) {
-		order := full.Preference(k)
+		order := Preference(full, k)
 		before, after := order[0], owner(without, k)
 		if before == "http://b:2" {
 			if after != order[1] {
@@ -69,9 +67,9 @@ func TestRingMinimalMovementOnNodeLoss(t *testing.T) {
 
 // TestPreferenceWalkIsTheRebuiltRing is the proof the server's routing leans
 // on: over seeded memberships of 1–8 nodes, every dead subset and 1 000 keys,
-// the first preferred node outside the dead set is exactly the owner on a
-// ring built from the survivors; the order holds each member once; and it
-// does not depend on how the membership was written down.
+// the first preferred node outside the dead set is exactly the owner among
+// the survivors; the order holds each member once; and it does not depend on
+// how the membership was written down.
 func TestPreferenceWalkIsTheRebuiltRing(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	keys := testKeys(1000)
@@ -80,14 +78,12 @@ func TestPreferenceWalkIsTheRebuiltRing(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("http://10.0.%d.%d:%d", rng.Intn(256), rng.Intn(256), 1024+rng.Intn(60000))
 		}
-		full := NewRing(nodes)
 		shuffled := append([]string(nil), nodes...)
 		rng.Shuffle(n, func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		permuted := NewRing(append(shuffled, nodes[0]))
 
 		orders := make([][]string, len(keys))
 		for i, k := range keys {
-			order := full.Preference(k)
+			order := Preference(nodes, k)
 			orders[i] = order
 			if len(order) != n {
 				t.Fatalf("n=%d key %q: order %v has %d entries, want each of the %d members once", n, k, order, len(order), n)
@@ -99,8 +95,8 @@ func TestPreferenceWalkIsTheRebuiltRing(t *testing.T) {
 				}
 				seen[node] = true
 			}
-			if !slices.Equal(order, permuted.Preference(k)) {
-				t.Fatalf("n=%d key %q: order depends on how the membership was listed: %v vs %v", n, k, order, permuted.Preference(k))
+			if permuted := Preference(shuffled, k); !slices.Equal(order, permuted) {
+				t.Fatalf("n=%d key %q: order depends on how the membership was listed: %v vs %v", n, k, order, permuted)
 			}
 		}
 		// Every dead subset, the empty one (the owner itself) and the full
@@ -115,7 +111,6 @@ func TestPreferenceWalkIsTheRebuiltRing(t *testing.T) {
 					survivors = append(survivors, node)
 				}
 			}
-			rebuilt := NewRing(survivors)
 			for i, k := range keys {
 				walked := ""
 				for _, node := range orders[i] {
@@ -124,25 +119,25 @@ func TestPreferenceWalkIsTheRebuiltRing(t *testing.T) {
 						break
 					}
 				}
-				if want := owner(rebuilt, k); walked != want {
-					t.Fatalf("n=%d dead=%b key %q: the walk lands on %q, a ring over the survivors on %q", n, dead, k, walked, want)
+				if want := owner(survivors, k); walked != want {
+					t.Fatalf("n=%d dead=%b key %q: the walk lands on %q, the survivors' own order on %q", n, dead, k, walked, want)
 				}
 			}
 		}
 	}
-	if got := NewRing(nil).Preference("k"); len(got) != 0 {
-		t.Errorf("empty ring preference = %v, want none", got)
+	if got := Preference(nil, "k"); len(got) != 0 {
+		t.Errorf("preference over no nodes = %v, want none", got)
 	}
 }
 
-// The vnode spread must keep ownership roughly even: with 3 nodes no node
+// The scores must spread ownership roughly evenly: with 3 nodes no node
 // should own more than half of a large keyset.
 func TestRingDistribution(t *testing.T) {
-	r := NewRing([]string{"http://a:1", "http://b:2", "http://c:3"})
+	nodes := []string{"http://a:1", "http://b:2", "http://c:3"}
 	counts := map[string]int{}
 	keys := testKeys(3000)
 	for _, k := range keys {
-		counts[owner(r, k)]++
+		counts[owner(nodes, k)]++
 	}
 	for node, n := range counts {
 		if n == 0 || n > len(keys)/2 {
@@ -155,13 +150,13 @@ func TestRingDistribution(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if o := owner(NewRing(nil), "k"); o != "" {
-		t.Errorf("empty ring owner = %q, want \"\"", o)
+	if o := owner(nil, "k"); o != "" {
+		t.Errorf("owner over no nodes = %q, want \"\"", o)
 	}
-	one := NewRing([]string{"http://solo:1"})
+	one := []string{"http://solo:1"}
 	for _, k := range testKeys(10) {
 		if owner(one, k) != "http://solo:1" {
-			t.Fatal("single-node ring must own everything")
+			t.Fatal("a single node must own everything")
 		}
 	}
 }
@@ -178,8 +173,8 @@ func TestGroupKeyCollisionFree(t *testing.T) {
 	}
 }
 
-// TestGroupKeyBytesPinned: ring ownership hashes GroupKey's bytes, so they
-// must stay what fmt's %q|%q produced when every deployed ring was built —
+// TestGroupKeyBytesPinned: ownership hashes GroupKey's bytes, so they must
+// stay what fmt's %q|%q produced when every deployed replica was built —
 // for names that need quoting as much as for the ones in the machine table.
 func TestGroupKeyBytesPinned(t *testing.T) {
 	names := []string{"", "hydra", "power6-575", `hy"dra`, `back\slash`, "tab\tnl\n\x00\x7f", "π-cluster ☃", "\xff\xfe", " ",

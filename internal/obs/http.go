@@ -6,31 +6,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarOnce guards the process-wide expvar publication: expvar.Publish
-// panics on duplicate names, and tests may start several debug servers.
-var expvarOnce sync.Once
-
-// publishExpvar exposes the scope's metric snapshot under the standard
-// /debug/vars endpoint as one composite var. Later calls for other scopes
-// are no-ops — expvar is process-global, so the first long-running scope
-// wins; dedicated /metrics endpoints exist per server.
-func publishExpvar(s *Scope) {
-	expvarOnce.Do(func() {
-		expvar.Publish("swapp.metrics", expvar.Func(func() any { return s.Metrics() }))
-	})
-}
 
 // DebugHandler serves the long-run debugging surface for a scope:
 //
 //	/debug/pprof/*  net/http/pprof profiles
-//	/debug/vars     expvar (includes swapp.metrics)
+//	/debug/vars     expvar: the Go runtime's own vars, not the scope's
 //	/metrics        the scope's metric snapshot, plain text
 //	/metrics.json   the same snapshot as JSON
 func DebugHandler(s *Scope) http.Handler {
-	publishExpvar(s)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

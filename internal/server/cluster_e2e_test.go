@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -63,8 +64,8 @@ func (c *clusterReplica) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // boot builds the replica's Server — again, empty, after a simulated restart
-// — knowing the full membership, and points its peers at their listeners,
-// which is a no-op unless the ring's names are not URLs.
+// — knowing the full membership, and, when the ring's names are not URLs,
+// sends its peer calls to their listeners.
 func (c *clusterReplica) boot(reps []*clusterReplica, clock *testClock) {
 	var peers []string
 	for _, rep := range reps {
@@ -74,12 +75,36 @@ func (c *clusterReplica) boot(reps []*clusterReplica, clock *testClock) {
 	}
 	c.srv = New(Config{Workers: 4, Obs: c.scope, Eval: c.eval.fn,
 		Self: c.name, Peers: peers, nowFn: clock.now})
+	routes := listenerRoutes{}
 	for _, rep := range reps {
-		if rep != c {
-			c.srv.peers.peers[rep.name].url = rep.url
+		if rep.name != rep.url {
+			routes[rep.name] = rep.url
 		}
 	}
+	if len(routes) > 0 {
+		c.srv.peers.http = &http.Client{Transport: routes}
+	}
 	c.handler.Store(c.srv.Handler())
+}
+
+// listenerRoutes is a peer client's transport in a test cluster: a call
+// addressed to a ring name goes to that replica's listener, through the
+// production peer transport.
+type listenerRoutes map[string]string // ring name -> listener URL
+
+func (m listenerRoutes) RoundTrip(r *http.Request) (*http.Response, error) {
+	for name, url := range m {
+		if rest, ok := strings.CutPrefix(r.URL.String(), name); ok && strings.HasPrefix(rest, "/") {
+			to, err := neturl.Parse(url + rest)
+			if err != nil {
+				return nil, err
+			}
+			r = r.Clone(r.Context())
+			r.URL, r.Host = to, ""
+			break
+		}
+	}
+	return peerHTTP.Transport.RoundTrip(r)
 }
 
 // newCluster starts n peer-wired replicas whose ring names are their
@@ -139,7 +164,7 @@ func preferenceOf(t *testing.T, reps []*clusterReplica, body string) []*clusterR
 	}
 	var order []*clusterReplica
 	req := requestOf(t, body)
-	for _, name := range cluster.NewRing(names).Preference(cluster.GroupKey(req.Base, req.Target)) {
+	for _, name := range cluster.Preference(names, cluster.GroupKey(req.Base, req.Target)) {
 		order = append(order, byName[name])
 	}
 	return order
@@ -243,10 +268,10 @@ func TestClusterRoutingDeterminism(t *testing.T) {
 		t.Errorf("cluster ran %d evaluations for %d distinct requests", total, len(requests))
 	}
 	// And the memberships agree.
-	want := fmt.Sprint(reps[0].srv.peers.ring.Nodes())
+	want := fmt.Sprint(reps[0].srv.peers.nodes)
 	for i, rep := range reps[1:] {
-		if fmt.Sprint(rep.srv.peers.ring.Nodes()) != want {
-			t.Errorf("replica %d sees membership %v, replica 0 sees %v", i+1, rep.srv.peers.ring.Nodes(), want)
+		if fmt.Sprint(rep.srv.peers.nodes) != want {
+			t.Errorf("replica %d sees membership %v, replica 0 sees %v", i+1, rep.srv.peers.nodes, want)
 		}
 	}
 }

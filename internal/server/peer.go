@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
 	swapp "repro"
@@ -53,45 +54,36 @@ var peerHTTP = &http.Client{Transport: peerTransport((&net.Dialer{KeepAlive: 30 
 // reply is a failed call, not a heap's worth of bytes.
 const maxPeerReplyBytes = 8 << 20
 
-// remote is one other replica: where it listens, and the breaker every call
-// to it goes through.
-type remote struct {
-	url     string
-	breaker *breaker
-}
-
 // peerSet is a replica's view of the cluster, fixed at construction: the
-// ring every replica with the same -peers computes identically, and one
+// membership every replica with the same -peers lists identically, and one
 // breaker per peer. The breaker is the only failure detector there is: three
 // failed calls open it, an open breaker fails fast for its cooldown, and the
 // one call it then lets through — a real forward — is how a returning peer is
 // found again.
 //
-// A group's preference order (cluster.Ring.Preference) is a preference, not
-// a correctness requirement: every projection is a pure function of its
-// request, so the bytes are identical wherever they are computed. Its value
-// is concentration: every replica that cannot reach a group's owner asks the
-// same next node, whose layered store then fills once per group and whose
-// result LRU then answers every later ask (the peer cache fill).
+// A group's preference order (cluster.Preference over nodes) is a
+// preference, not a correctness requirement: every projection is a pure
+// function of its request, so the bytes are identical wherever they are
+// computed. Its value is concentration: every replica that cannot reach a
+// group's owner asks the same next node, whose layered store then fills once
+// per group and whose result LRU then answers every later ask (the peer
+// cache fill).
 type peerSet struct {
 	self  string
-	ring  *cluster.Ring
+	nodes []string // the peers and self: sorted, each once
 	http  *http.Client
-	peers map[string]*remote // by ring name; read-only after newPeerSet
+	peers map[string]*breaker // by peer address; read-only after newPeerSet
 }
 
 // newPeerSet wires a breaker for every peer address except self. nowFn is the
 // breakers' clock (injectable in tests).
 func newPeerSet(self string, peers []string, nowFn func() time.Time) *peerSet {
-	p := &peerSet{
-		self:  self,
-		ring:  cluster.NewRing(append(append([]string(nil), peers...), self)),
-		http:  peerHTTP,
-		peers: map[string]*remote{},
-	}
-	for _, addr := range p.ring.Nodes() {
+	nodes := append(slices.Clone(peers), self)
+	slices.Sort(nodes)
+	p := &peerSet{self: self, nodes: slices.Compact(nodes), http: peerHTTP, peers: map[string]*breaker{}}
+	for _, addr := range p.nodes {
 		if addr != self {
-			p.peers[addr] = &remote{url: addr, breaker: newBreaker(3, 5*time.Second, nowFn)}
+			p.peers[addr] = newBreaker(3, 5*time.Second, nowFn)
 		}
 	}
 	return p
@@ -116,21 +108,21 @@ var errDestination = errors.New("server: call failed at its destination")
 // waiting; the caller's own cancellation or deadline is no verdict on the
 // peer. Every peer call is a forward and is marked as one (forwardedHeader).
 func (p *peerSet) post(ctx context.Context, addr, path string, payload []byte) (body []byte, hdr http.Header, err error) {
-	to := p.peers[addr]
-	if !to.breaker.allow() {
+	brk := p.peers[addr]
+	if !brk.allow() {
 		return nil, nil, errBreakerOpen
 	}
 	defer func() {
 		switch {
 		case err == nil:
-			to.breaker.record(nil)
+			brk.record(nil)
 		case ctx.Err() != nil:
-			to.breaker.record(ctx.Err())
+			brk.record(ctx.Err())
 		default:
-			to.breaker.record(errDestination)
+			brk.record(errDestination)
 		}
 	}()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, to.url+path, bytes.NewReader(payload))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+path, bytes.NewReader(payload))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,10 +151,10 @@ func (p *peerSet) post(ctx context.Context, addr, path string, payload []byte) (
 // the order — nobody ahead of it answered, or nobody is ahead — means compute
 // here: ok is false. Every other candidate gets one call — an open breaker
 // fails it fast — and a failure counts a fallback and moves on at once, so an
-// unreachable owner's groups land on the node a ring rebuilt without it would
-// have named, from every entry point alike.
+// unreachable owner's groups land on the owner Preference names over the
+// survivors, from every entry point alike.
 func (s *Server) forward(ctx context.Context, groupKey, path string, payload []byte) (body []byte, hdr http.Header, peer string, ok bool) {
-	for _, addr := range s.peers.ring.Preference(groupKey) {
+	for _, addr := range cluster.Preference(s.peers.nodes, groupKey) {
 		if addr == s.peers.self {
 			break
 		}

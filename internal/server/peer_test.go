@@ -9,11 +9,28 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// TestPeerSetMembership: the membership a replica routes over is its peers
+// and itself, each once and sorted, however -peers was written — so every
+// replica hands cluster.Preference the same set, and a peer listed twice
+// (or self listed as a peer) gets one breaker, not two.
+func TestPeerSetMembership(t *testing.T) {
+	a := newPeerSet("http://a:1", []string{"http://b:2", "http://c:3"}, time.Now)
+	b := newPeerSet("http://b:2", []string{"http://c:3", "http://a:1", "http://b:2", "http://a:1"}, time.Now)
+	want := []string{"http://a:1", "http://b:2", "http://c:3"}
+	if !slices.Equal(a.nodes, want) || !slices.Equal(b.nodes, want) {
+		t.Fatalf("membership = %v, %v; want %v (deduplicated, sorted)", a.nodes, b.nodes, want)
+	}
+	if len(b.peers) != 2 || b.peers["http://b:2"] != nil {
+		t.Fatalf("replica b has breakers for %d peers, want 2 and none for itself", len(b.peers))
+	}
+}
 
 // TestPeerCallIsOneAttempt holds the one call a replica makes to a peer to its
 // contract: a 2xx reply comes back verbatim, body and headers; anything else
@@ -67,7 +84,7 @@ func TestPeerCallIsOneAttempt(t *testing.T) {
 				ts.Close()
 			}
 			p := newPeerSet("http://self", []string{ts.URL}, time.Now)
-			brk := p.peers[ts.URL].breaker
+			brk := p.peers[ts.URL]
 			for i := 0; tc.open && i < brk.threshold; i++ {
 				brk.record(errDestination)
 			}

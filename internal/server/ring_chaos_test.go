@@ -93,11 +93,10 @@ func newChaosModel(reps []*clusterReplica) *chaosModel {
 	for i, rep := range reps {
 		names[i] = rep.name
 	}
-	ring := cluster.NewRing(names)
 	m := &chaosModel{cutAt: -1, alive: make([]bool, n), evals: make([]int64, n), brk: make([][]modelBreaker, n)}
 	for _, target := range chaosTargets {
 		var order []int
-		for _, name := range ring.Preference(cluster.GroupKey("hydra", target)) {
+		for _, name := range cluster.Preference(names, cluster.GroupKey("hydra", target)) {
 			order = append(order, slices.Index(names, name))
 		}
 		m.pref = append(m.pref, order)
@@ -109,7 +108,7 @@ func newChaosModel(reps []*clusterReplica) *chaosModel {
 	}
 	// The breaker's two numbers are the server's to choose, not the model's.
 	for _, p := range reps[0].srv.peers.peers {
-		m.threshold, m.cooldown = p.breaker.threshold, p.breaker.cooldown
+		m.threshold, m.cooldown = p.threshold, p.cooldown
 	}
 	return m
 }
@@ -308,10 +307,10 @@ type chaosRing struct {
 func newChaosRing(t *testing.T, n int) *chaosRing {
 	names := make([]string, n)
 	for i := range names {
-		// Never dialled — boot points every peer at its listener —
+		// Never dialled — boot sends every peer call to its listener —
 		// and loopback if it ever were. Under these names the three groups
-		// have three owners on the 3-ring (orders 210, 021, 120) and two on
-		// the 4-ring (3210, 3021, 1203).
+		// have two owners on the 3-ring (orders 012, 021, 102) and three on
+		// the 4-ring (3012, 0231, 1302).
 		names[i] = fmt.Sprintf("http://127.0.0.1:9/member-%d", i)
 	}
 	r := &chaosRing{t: t, asked: map[int]bool{}}
@@ -434,17 +433,20 @@ func (r *chaosRing) total() (n int64) {
 // asserting their sum — the number a change to routing is judged on, so such
 // a change states its price in this file's diff. The history, over the same
 // 48 schedules (117 kills, 51 cuts, 44 restarts): 1 075 and 948 under gossip
-// membership, 942 with every result pushed to its ring successor (PR 21), and
+// membership, 942 with every result pushed to its ring successor (PR 21),
 // 1 146 since that push was deleted — 1.74 warm recomputes per kill, about a
 // tenth of one cold characterisation fill, which is what an owner's death now
-// costs and all it costs. Every fourth seed is fault-free, and every eighth
-// also job-free: there the ring must run exactly one evaluation per distinct
-// key, plus one per job submitted where its key was not held. -short runs four
+// costs and all it costs — and 1 110 since rendezvous hashing replaced the
+// 64-vnode ring: the same rules over other owners, so the same seeds kill
+// other replicas. Every fourth seed is fault-free, and every eighth also
+// job-free: there the ring must run exactly one evaluation per distinct key,
+// plus one per job submitted at a replica that neither held nor owned its
+// key (a job at the owner is the key's one evaluation). -short runs four
 // seeds per ring size.
 func TestRingChaosSchedules(t *testing.T) {
-	seeds, want := 24, int64(1146)
+	seeds, want := 24, int64(1110)
 	if testing.Short() {
-		seeds, want = 4, 199
+		seeds, want = 4, 196
 	}
 	ran, sum := 0, int64(0)
 	for _, n := range []int{3, 4} {
@@ -473,7 +475,9 @@ func chaosSchedule(t *testing.T, n, seed int) int64 {
 	deliveries, jobFills := 0, int64(0)
 	for step := 0; step < 40; step++ {
 		s := r.model.next(rng, faults, jobs)
-		if s.op == "job" && !r.model.held(s.at, s.keys[0]) {
+		// A job at its key's owner that does not hold the key is the key's
+		// one evaluation: every later ask reaches the owner and hits.
+		if s.op == "job" && !r.model.held(s.at, s.keys[0]) && r.model.pref[chaosGroup(s.keys[0])][0] != s.at {
 			jobFills++
 		}
 		if len(s.keys) > 0 {
@@ -492,7 +496,7 @@ func chaosSchedule(t *testing.T, n, seed int) int64 {
 	}
 	if !faults {
 		if got, want := r.total(), int64(len(r.asked))+jobFills; got != want {
-			t.Errorf("a fault-free schedule ran %d evaluations, want %d: one per distinct key and one per job for a key its replica did not hold (%d)", got, want, jobFills)
+			t.Errorf("a fault-free schedule ran %d evaluations, want %d: one per distinct key and one per job for a key its replica neither held nor owned (%d)", got, want, jobFills)
 		}
 	}
 	t.Logf("eval.calls total %d (per replica %v) for %d deliveries and a sweep of all %d keys at every live replica; faults=%t jobs=%t",

@@ -96,13 +96,13 @@ type Config struct {
 	Obs *obs.Scope
 	// Self is this replica's advertised base URL (e.g.
 	// "http://127.0.0.1:8080") and Peers the other replicas' base URLs.
-	// When both are set the server runs peer-aware: a consistent-hash ring
+	// When both are set the server runs peer-aware: rendezvous hashing
 	// over the full membership gives each (base, target) group an order of
 	// preference among the replicas, and a request this replica does not
 	// hold is forwarded to the first of them that answers — concentrating
 	// each group's layered-store fills on one replica — or computed here
-	// once the order reaches this replica. The ring is fixed; a per-peer
-	// breaker is what routes past a dead replica and finds it again.
+	// once the order reaches this replica. The membership is fixed; a
+	// per-peer breaker is what routes past a dead replica and finds it again.
 	// Forwarded requests carry X-Swapp-Forwarded and are always computed
 	// where they land (no multi-hop routing).
 	Self  string

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # cluster_smoke.sh — end-to-end smoke test of swappd's peer-aware mode: the
 # preference walk past a dead replica, which recomputes what it held
-# (DESIGN.md §10.3). Build swappd, start three replicas wired into one
-# consistent-hash ring, run a grouped /v1/batch round-trip through one node,
+# (DESIGN.md §10.3). Build swappd, start three replicas wired to each other
+# (rendezvous-hash routing), run a grouped /v1/batch round-trip through one node,
 # then:
 #
-#   1. compute one result on its ring owner (found via X-Swapp-Peer),
+#   1. compute one result on its group's owner (found via X-Swapp-Peer),
 #   2. SIGKILL that owner and, at once, require both survivors to answer its
 #      exact bytes by recomputation — the first ask an X-Cache: miss, every
 #      one after it a hit, each cmp-equal to the pre-kill body,
@@ -22,8 +22,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 pids=()
+reserve=()
 cleanup() {
-    for pid in "${pids[@]:-}"; do
+    for pid in "${pids[@]:-}" "${reserve[@]:-}"; do
         [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
     done
     rm -rf "$tmp"
@@ -33,19 +34,28 @@ trap cleanup EXIT
 go build -o "$tmp/swappd" ./cmd/swappd
 
 # Peer-aware mode needs every replica's address up front, so reserve three
-# free ports before starting anything (bind-then-close; the race window is
-# harmless on a loopback smoke box).
-read -r p1 p2 p3 < <(python3 - <<'EOF'
-import socket
-socks = [socket.socket() for _ in range(3)]
-for s in socks:
-    s.bind(("127.0.0.1", 0))
-print(*(s.getsockname()[1] for s in socks))
-for s in socks:
-    s.close()
-EOF
-)
-ports=("" "$p1" "$p2" "$p3")
+# free ports before starting anything: start swappd on :0 three times, read
+# the ports it reports and stop it again (bind-then-close; the race window
+# is harmless on a loopback smoke box).
+for k in 1 2 3; do
+    "$tmp/swappd" -addr 127.0.0.1:0 >"$tmp/port$k.log" 2>/dev/null &
+    reserve+=($!)
+done
+ports=("")
+for k in 1 2 3; do
+    port=""
+    for _ in $(seq 1 100); do
+        port=$(sed -n 's/^swappd listening on 127\.0\.0\.1://p' "$tmp/port$k.log")
+        [ -n "$port" ] && break
+        sleep 0.1
+    done
+    [ -n "$port" ] || { echo "cluster-smoke: swappd reported no free port" >&2; exit 1; }
+    ports+=("$port")
+done
+kill -TERM "${reserve[@]}"
+wait "${reserve[@]}" 2>/dev/null || true
+reserve=()
+p1=${ports[1]}; p2=${ports[2]}; p3=${ports[3]}
 u1="http://127.0.0.1:$p1"; u2="http://127.0.0.1:$p2"; u3="http://127.0.0.1:$p3"
 urls=("" "$u1" "$u2" "$u3")
 
@@ -77,15 +87,13 @@ wait_healthy() { # wait_healthy <port>
     wait_for 100 "replica on port $1 to become healthy" healthy "$1"
 }
 metric() { # metric <base-url> <counters|gauges> <name> -> integer value (0 when absent)
-    curl -fsS -m 5 "$1/debug/vars" 2>/dev/null | python3 -c '
-import json, sys
-doc = json.load(sys.stdin)
-for m in doc.get("swapp.metrics", {}).get(sys.argv[1], []):
-    if m["name"] == sys.argv[2]:
-        print(int(m["value"])); break
-else:
-    print(0)
-' "$2" "$3" || echo 0
+    # Read from /metrics, the replica's text snapshot: a "<section>:" line,
+    # then one indented "<name> <value>" line per metric.
+    { curl -fsS -m 5 "$1/metrics" 2>/dev/null || true; } |
+        awk -v sec="$2:" -v name="$3" '
+            /^[a-z]/ { in_sec = ($1 == sec) }
+            in_sec && $1 == name { printf "%d\n", $2; found = 1; exit }
+            END { if (!found) print 0 }'
 }
 
 start_replica 1; start_replica 2; start_replica 3
@@ -93,24 +101,23 @@ wait_healthy "$p1"; wait_healthy "$p2"; wait_healthy "$p3"
 echo "cluster-smoke: 3 replicas up ($u1 $u2 $u3)"
 
 # Four requests hashing to two (base, target) groups: the batch endpoint
-# must dedupe the characterisation work per group and the ring must route
-# each group to its owner.
+# must dedupe the characterisation work per group and route each group to
+# its owner.
 batch='{"requests":[
   {"target":"power6-575","bench":"BT-MZ","class":"C","ranks":16},
   {"target":"power6-575","bench":"SP-MZ","class":"C","ranks":16},
   {"target":"bgp","bench":"BT-MZ","class":"C","ranks":16},
   {"target":"bgp","bench":"LU-MZ","class":"C","ranks":16}]}'
 
-check_batch() { # check_batch <body-file>
-    python3 - "$1" <<'EOF'
-import json, sys
-doc = json.load(open(sys.argv[1]))
-results = doc["results"]
-assert len(results) == 4, f"{len(results)} results, want 4"
-bad = [r for r in results if r["status"] != 200]
-assert not bad, f"failed entries: {bad}"
-assert doc["groups"] == 2, f'{doc["groups"]} groups, want 2'
-EOF
+check_batch() { # check_batch <body-file>: four entries, each a 200, in two groups
+    # The assembler writes each entry as {"index":N,"status":S,... and ends
+    # the document with ],"groups":G}.
+    local entries
+    entries=$(grep -o '{"index":[0-9]*,"status":[0-9]*' "$1" | tr '\n' ' ')
+    [ "$entries" = '{"index":0,"status":200 {"index":1,"status":200 {"index":2,"status":200 {"index":3,"status":200 ' ] || {
+        echo "cluster-smoke: batch entries are [$entries], want indexes 0-3, each status 200" >&2; exit 1; }
+    grep -q '\],"groups":2}$' "$1" || {
+        echo "cluster-smoke: batch reply is not in 2 groups: $(tail -c 40 "$1")" >&2; exit 1; }
 }
 
 curl -fsS -m 120 -X POST "$u1/v1/batch" -d "$batch" -o "$tmp/batch1.json"

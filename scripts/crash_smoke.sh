@@ -15,13 +15,15 @@
 #      to resurrect the job under its original ID (jobs.recovered >= 1),
 #      re-run it from its journalled payload, and finish with a result
 #      document byte-identical to the control run,
-#   4. submit the second job (another base and target, so every table and
-#      profile it needs is cold: ~0.6 s, where a second target alone is
-#      ~0.2 s and can finish between two polls) and SIGTERM the replica
-#      while it is running: the drain must
-#      exit 0 well inside -grace without waiting for the job,
-#   5. restart once more: the same job ID must finish done, byte-identical
-#      to its control — the same way back as after the kill -9. A restart
+#   4. on that replica, which runs one job at a time (-jobs-active 1),
+#      submit a cold job A and then the second job B (another base and
+#      target, so every profile it needs is cold), and SIGTERM the replica
+#      once A is running and B queued behind it, both journalled: B needs a
+#      whole cold run after A ends, so it cannot finish before the signal.
+#      The drain must exit 0 well inside -grace without waiting for A,
+#   5. restart once more: B's ID must finish done, byte-identical to its
+#      control — the same way back as after the kill -9 — and A is reported
+#      as recovered, or as done before the signal (then it is gone). A restart
 #      is a cold start (the data dir holds only the journal), so the
 #      printed time of the first job's request on this process is a cold
 #      time. The times are printed.
@@ -42,6 +44,9 @@ go build -o "$tmp/swappd" ./cmd/swappd
 req='{"target":"power6-575","bench":"BT-MZ","class":"D","ranks":128}'
 job="{\"op\":\"project\",\"request\":$req}"
 job2='{"op":"project","request":{"base":"westmere-x5670","target":"bgp","bench":"BT-MZ","class":"D","ranks":128}}'
+# The SIGTERM leg's first job, run ahead of job2 on a one-job replica: cold
+# there (neither machine is characterised on it), and never compared.
+jobA='{"op":"project","request":{"base":"bgp","target":"westmere-x5670","bench":"BT-MZ","class":"D","ranks":128}}'
 
 start_daemon() { # start_daemon <logname> [extra swappd args...]
     local log=$1; shift
@@ -61,15 +66,13 @@ start_daemon() { # start_daemon <logname> [extra swappd args...]
 }
 
 metric() { # metric <counters|gauges> <name> -> integer value (0 when absent)
-    curl -fsS -m 5 "http://$addr/debug/vars" 2>/dev/null | python3 -c '
-import json, sys
-doc = json.load(sys.stdin)
-for m in doc.get("swapp.metrics", {}).get(sys.argv[1], []):
-    if m["name"] == sys.argv[2]:
-        print(int(m["value"])); break
-else:
-    print(0)
-' "$1" "$2" || echo 0
+    # Read from /metrics, the scope's text snapshot: a "<section>:" line, then
+    # one indented "<name> <value>" line per metric. No interpreter start-up.
+    { curl -fsS -m 5 "http://$addr/metrics" 2>/dev/null || true; } |
+        awk -v sec="$1:" -v name="$2" '
+            /^[a-z]/ { in_sec = ($1 == sec) }
+            in_sec && $1 == name { printf "%d\n", $2; found = 1; exit }
+            END { if (!found) print 0 }'
 }
 
 submit_job() { # submit_job [body] -> job id on stdout; no interpreter start-up
@@ -157,7 +160,8 @@ pid=""
 echo "crash-smoke: SIGKILLed mid-job with $records journal record(s)"
 
 # --- Recovery: same data dir ------------------------------------------------
-start_daemon recover -data-dir "$tmp/data"
+# One job at a time, so the SIGTERM leg's second job waits behind its first.
+start_daemon recover -data-dir "$tmp/data" -jobs-active 1
 recovered=$(metric counters jobs.recovered)
 [ "$recovered" -ge 1 ] || {
     echo "crash-smoke: jobs.recovered = $recovered, want >= 1" >&2
@@ -179,8 +183,27 @@ cmp -s "$tmp/control.json" "$tmp/recovered.json" || {
 echo "crash-smoke: kill -9 arc ok (journal replay, same ID re-run, byte-identical result)"
 
 # --- SIGTERM mid-job: the same way down, minus the violence ----------------
+# Job A runs and job2 (B) waits behind it on this one-job replica; the signal
+# comes once a poll has seen exactly that with both submissions journalled.
+# B then cannot finish before the signal — it needs a whole cold run after A
+# ends — so at least B is left for the restart to recover. A may end on its
+# own in the ms before the signal; which it did is reported after the restart.
+records0=$(metric counters durable.wal_records)
+a_id=$(submit_job "$jobA")
 term_id=$(submit_job "$job2")
-await_running "$term_id" >/dev/null
+a_state="" state="" records=0
+for _ in $(seq 1 500); do
+    records=$(metric counters durable.wal_records)
+    a_state=$(job_state "$a_id")
+    state=$(job_state "$term_id")
+    [ "$a_state" = running ] && [ "$state" = queued ] && [ "$records" -ge $((records0 + 2)) ] && break
+    [ "$a_state" = queued ] || [ "$a_state" = running ] || break
+    sleep 0.01
+done
+[ "$a_state" = running ] && [ "$state" = queued ] && [ "$records" -ge $((records0 + 2)) ] || {
+    echo "crash-smoke: job A is '$a_state' and job $term_id '$state' with $((records - records0)) new journal record(s); want running, queued and >= 2" >&2
+    exit 1
+}
 t0=$(now_ms)
 kill -TERM "$pid" && wait "$pid" || {
     echo "crash-smoke: SIGTERM drain with a job running exited non-zero" >&2
@@ -193,7 +216,7 @@ drain_ms=$(($(now_ms) - t0))
     echo "crash-smoke: drain took ${drain_ms} ms; it must not wait for the running job" >&2
     exit 1
 }
-echo "crash-smoke: SIGTERMed with job $term_id running; drained and exited 0 in ${drain_ms} ms"
+echo "crash-smoke: SIGTERMed with job $a_id running and job $term_id queued; drained and exited 0 in ${drain_ms} ms"
 
 # --- And the same way back ---------------------------------------------------
 t0=$(now_ms)
@@ -206,6 +229,14 @@ recovered=$(metric counters jobs.recovered)
 }
 wait_done "$term_id" 300
 echo "crash-smoke: job $term_id re-run after SIGTERM: restart to done in $(($(now_ms) - t0)) ms"
+# A finished result lives only in memory, so a job A that ended before the
+# signal answers 404 here; one the signal cancelled was recovered.
+if a_state=$(job_state "$a_id" 2>/dev/null); then
+    wait_done "$a_id" 300
+    echo "crash-smoke: job A ($a_id) was running at the signal: recovered and re-run (jobs.recovered = $recovered)"
+else
+    echo "crash-smoke: job A ($a_id) ended done before the signal: not recovered, its result gone with the process (jobs.recovered = $recovered)"
+fi
 curl -fsS -m 10 "http://$addr/v1/jobs/$term_id/result" -o "$tmp/restarted.json"
 cmp -s "$tmp/control2.json" "$tmp/restarted.json" || {
     echo "crash-smoke: result after SIGTERM and restart differs from the uninterrupted control" >&2
