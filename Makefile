@@ -98,9 +98,12 @@ race:
 # prepared LU-MZ.C@16 pipeline at Workers 1 and at the default back to back
 # and reports their wall-clock ratio as `overlap` (skipped at GOMAXPROCS=1).
 # The seventh is the search at its production shape: BenchmarkKernel is one
-# objective call (0 allocs), BenchmarkSearch one ga.Run with the surrogate
-# search's Config over that objective — the baseline to profile the search
-# against; its allocs/op do not grow with Generations. The eighth is one whole
+# objective call (0 allocs), BenchmarkSearch one unsliced search with the
+# surrogate search's Config over that objective — the baseline to profile the
+# search against; its allocs/op do not grow with Generations — and
+# BenchmarkEnsemble the three-member ensemble as generation slices on the
+# pool: at workers=1 about three BenchmarkSearch times, at workers=2 about
+# 1.5 (whole members on two workers would take 2). The eighth is one whole
 # IMB table at 64 ranks on hydra and on power6-575 (imb BenchmarkRun): ns/op is
 # the simulator's cost of one full table (~45 and ~80 ms on a 2-CPU Xeon), and
 # B/op and allocs/op what a table costs the heap on one reused world (104 and
@@ -123,7 +126,7 @@ bench:
 	$(GO) test -run '^$$' -bench 'ProfilerHostCost|ProfilerFirstSightings' -benchmem ./internal/mpiprof
 	$(GO) test -run '^$$' -bench 'RingBatch|BatchHit' -benchmem ./internal/server
 	$(GO) test -run '^$$' -bench 'ValidateOverlap' -benchtime 20x ./internal/core
-	$(GO) test -run '^$$' -bench 'Kernel$$|Search$$' -benchmem ./internal/core
+	$(GO) test -run '^$$' -bench 'Kernel$$|Search$$|Ensemble' -benchmem ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkRun$$|BenchmarkSuite$$' -benchmem ./internal/imb
 	$(GO) test -run '^$$' -bench 'ProfileOverhead|RunUnprofiled' -benchmem .
 

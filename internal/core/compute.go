@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/ga"
 	"repro/internal/hpm"
@@ -311,62 +312,155 @@ func (p *Pipeline) computeSurrogate(ctx context.Context, parent *obs.Scope, app 
 	return p.searchSurrogate(ctx, parent, app, ci, s, p.groupWeights(s))
 }
 
+// The GA ensemble: how many independently seeded searches a surrogate
+// search combines, how many generations each runs, and how many slices
+// of generations each is cut into for the pool.
+const (
+	ensemble             = 3
+	surrogateGenerations = 120
+	gaSlices             = 4
+)
+
 // searchSurrogate is §2.3 step 5 and Eq. 2: the GA surrogate search over
 // s under the metric-group weights groupW, and the projected compute time.
-// ctx is checked before each GA ensemble member, the expensive stage of
-// the compute projection.
+// ctx is checked before each slice of the GA ensemble, the expensive stage
+// of the compute projection.
 func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *AppModel, ci int, s surrogateSpace, groupW [6]float64) (*ComputeProjection, error) {
-	names := s.names
-	// Fitness: the weighted mix must match the app's behaviour, and —
-	// because performance ratios do not mix linearly the way metrics do —
-	// each member must itself behave like the app (the paper's surrogate
-	// is "benchmarks that have similar behavior as the HPC application",
-	// not an arbitrary combination that cancels to the right average).
-	// The objective is compiled once into an EvalKernel (see kernel.go)
-	// shared read-only by the whole ensemble; each member's objective
-	// closes over a scratch row of its own, so members never share state.
-	const memberPenalty = 1.0
-	kern := NewEvalKernel(s.pool, s.appVec, metricWeights(groupW), memberPenalty)
-
-	// The GA is stochastic; an ensemble of independent runs stabilises
-	// the projected ratio. The best-fitness genome is reported as the
-	// surrogate; the ratio is the fitness-weighted ensemble mean. The
-	// members are independently seeded, so they run concurrently on the
-	// pipeline's pool; their results are combined serially in member
-	// order, keeping the floating-point accumulation — and therefore the
-	// projection — identical to the serial path.
 	sp := parent.Child(fmt.Sprintf("core.compute.%s@%d", app.Name(), ci))
 	defer sp.End()
-	const ensemble = 3
-	members := make([]*ga.Result, ensemble)
-	err := par.ForEachW(par.Workers(p.Workers), ensemble, func(w, e int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ms := sp.ChildW(fmt.Sprintf("ga.member.%d", e), w)
-		defer ms.End()
-		// The kernel is shared read-only across the ensemble; the scratch
-		// row is this member's own, and its GA scores serially.
-		scratch := kern.NewScratch()
-		cfg := ga.Config{
-			GenomeLen: len(names),
-			MaxActive: surrogateMaxSize,
-			Seed:      fmt.Sprintf("surrogate|%s|%s|%d|%d", app.Name(), p.Target.Name, ci, e),
-			Fitness: func(genome []float64) float64 {
-				return kern.Objective(genome, scratch)
-			},
-			Obs: ms,
-		}
-		res, err := ga.Run(cfg)
-		if err != nil {
-			return err
-		}
-		members[e] = res
-		return nil
-	})
+	members, err := searchEnsemble(ctx, par.Workers(p.Workers), p.ensembleConfigs(app, ci, s, groupW, sp))
 	if err != nil {
 		return nil, err
 	}
+	proj, err := p.combineEnsemble(app, ci, s.names, groupW, members)
+	if err != nil {
+		return nil, err
+	}
+	sp.Count("core.compute_projections", 1)
+	sp.Observe("core.compute_ratio", proj.SpeedupRatio())
+	return proj, nil
+}
+
+// ensembleConfigs is each ensemble member's GA configuration. Fitness: the
+// weighted mix must match the app's behaviour, and — because performance
+// ratios do not mix linearly the way metrics do — each member must itself
+// behave like the app (the paper's surrogate is "benchmarks that have
+// similar behavior as the HPC application", not an arbitrary combination
+// that cancels to the right average). The objective is compiled once into
+// an EvalKernel (see kernel.go) shared read-only by the whole ensemble;
+// each member's objective closes over a scratch row of its own, so
+// members never share state.
+func (p *Pipeline) ensembleConfigs(app *AppModel, ci int, s surrogateSpace, groupW [6]float64, sp *obs.Scope) [ensemble]ga.Config {
+	const memberPenalty = 1.0
+	kern := NewEvalKernel(s.pool, s.appVec, metricWeights(groupW), memberPenalty)
+	var cfgs [ensemble]ga.Config
+	for e := range cfgs {
+		scratch := kern.NewScratch()
+		cfgs[e] = ga.Config{
+			GenomeLen:   len(s.names),
+			MaxActive:   surrogateMaxSize,
+			Generations: surrogateGenerations,
+			Seed:        fmt.Sprintf("surrogate|%s|%s|%d|%d", app.Name(), p.Target.Name, ci, e),
+			Fitness: func(genome []float64) float64 {
+				return kern.Objective(genome, scratch)
+			},
+			Obs: sp,
+		}
+	}
+	return cfgs
+}
+
+// searchEnsemble runs one GA search per configuration on workers
+// goroutines and returns the results in member order. The members are
+// independently seeded, so only their slices' order within a member
+// matters: each search's generations are cut into gaSlices slices, and
+// the ensemble·gaSlices slices are one par.ForEachW index space,
+// slice-major (index = slice·ensemble + member). That is McNaughton's
+// wrap-around schedule: three members take 1.5 member-times on two
+// workers and one on three or more, where whole members would take two
+// on two. A slice waits for its member's previous slice, which has a
+// lower index; ForEachW hands indices out in ascending order, so that
+// slice is running or done, and the pool cannot deadlock. ctx is checked
+// before each slice, so a deadline stops the search within one slice. At
+// one worker the slices run in index order on the calling goroutine.
+func searchEnsemble(ctx context.Context, workers int, cfgs [ensemble]ga.Config) ([ensemble]*ga.Result, error) {
+	r := &ensembleRun{cfgs: cfgs}
+	r.advanced.L = &r.mu
+	var res [ensemble]*ga.Result
+	if err := par.ForEachW(workers, ensemble*gaSlices, func(_, i int) error {
+		return r.slice(ctx, i)
+	}); err != nil {
+		return res, err
+	}
+	// Every slice has run: the searches end serially, in member order.
+	for m, s := range r.searches {
+		res[m] = s.Result()
+	}
+	return res, nil
+}
+
+// ensembleRun is the state searchEnsemble's slices share: each member's
+// search and how many of its slices have finished, and whether a slice
+// has failed. advanced is broadcast whenever a slice ends.
+type ensembleRun struct {
+	cfgs     [ensemble]ga.Config
+	mu       sync.Mutex
+	advanced sync.Cond
+	searches [ensemble]*ga.Search
+	done     [ensemble]int
+	failed   bool
+}
+
+// slice runs slice i/ensemble of member i%ensemble once the member's
+// previous slice has finished. Only the slice that fails returns its
+// error: a slice that finds the ensemble failed returns nil at once, so
+// ForEachW reports the failure itself.
+func (r *ensembleRun) slice(ctx context.Context, i int) error {
+	slice, m := i/ensemble, i%ensemble
+	r.mu.Lock()
+	for r.done[m] < slice && !r.failed {
+		r.advanced.Wait()
+	}
+	failed := r.failed
+	r.mu.Unlock()
+	if failed {
+		return nil
+	}
+	// A slice that errors, is cancelled or panics fails the ensemble, and
+	// the broadcast ends every wait.
+	finished := false
+	defer func() {
+		r.mu.Lock()
+		if finished {
+			r.done[m]++
+		} else {
+			r.failed = true
+		}
+		r.mu.Unlock()
+		r.advanced.Broadcast()
+	}()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if slice == 0 {
+		s, err := ga.Start(r.cfgs[m])
+		if err != nil {
+			return err
+		}
+		r.searches[m] = s
+	}
+	r.searches[m].Evolve((surrogateGenerations + gaSlices - 1) / gaSlices)
+	finished = true
+	return nil
+}
+
+// combineEnsemble is Eq. 2 over the ensemble's results. The GA is
+// stochastic; an ensemble of independent runs stabilises the projected
+// ratio. The best-fitness genome is reported as the surrogate, and the
+// ratio is the fitness-weighted ensemble mean. The members are combined serially in
+// member order, so the floating-point accumulation — and therefore the
+// projection — is the same at any worker count.
+func (p *Pipeline) combineEnsemble(app *AppModel, ci int, names []string, groupW [6]float64, members [ensemble]*ga.Result) (*ComputeProjection, error) {
 	var bestGenome []float64
 	bestFitness := math.Inf(1)
 	var ratioSum, ratioWeight float64
@@ -433,8 +527,6 @@ func (p *Pipeline) searchSurrogate(ctx context.Context, parent *obs.Scope, app *
 		GroupWeights: groupW,
 		Ranking:      rankingOf(groupW),
 	}
-	sp.Count("core.compute_projections", 1)
-	sp.Observe("core.compute_ratio", proj.SpeedupRatio())
 	return proj, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/ga"
@@ -54,28 +55,45 @@ func BenchmarkKernel(b *testing.B) {
 }
 
 // BenchmarkSearch is one surrogate search at the production shape: the
-// ga.Config computeSurrogate builds — defaults for population and
-// generations, MaxActive surrogateMaxSize — scoring BenchmarkKernel's
-// objective. Its allocs/op are the search's own and do not grow with
-// Generations (ga.TestRunAllocsFlatInGenerations).
+// ga.Config ensembleConfigs builds — defaults for the population,
+// surrogateGenerations generations, MaxActive surrogateMaxSize — scoring
+// BenchmarkKernel's objective, run unsliced. Its allocs/op are the
+// search's own and do not grow with Generations
+// (ga.TestRunAllocsFlatInGenerations).
 func BenchmarkSearch(b *testing.B) {
 	kern, _ := benchKernelFixture(29, 52)
+	cfg := benchSearchConfig(kern, "bench-search")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		unslicedSearch(b, cfg)
+	}
+}
+
+// benchSearchConfig is the ga.Config of one member of the production
+// search over kern's objective, with a scratch row of its own.
+func benchSearchConfig(kern *EvalKernel, seed string) ga.Config {
 	scratch := kern.NewScratch()
-	cfg := ga.Config{
-		GenomeLen: 29,
-		MaxActive: surrogateMaxSize,
-		Seed:      "bench-search",
+	return ga.Config{
+		GenomeLen:   29,
+		MaxActive:   surrogateMaxSize,
+		Generations: surrogateGenerations,
+		Seed:        seed,
 		Fitness: func(genome []float64) float64 {
 			return kern.Objective(genome, scratch)
 		},
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ga.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
+}
+
+// unslicedSearch runs a search in one stretch: Start, every generation,
+// Result.
+func unslicedSearch(tb testing.TB, cfg ga.Config) *ga.Result {
+	s, err := ga.Start(cfg)
+	if err != nil {
+		tb.Fatal(err)
 	}
+	s.Evolve(math.MaxInt)
+	return s.Result()
 }
 
 // TestKernelObjectiveZeroAllocs pins the GA's inner loop at zero

@@ -7,12 +7,15 @@
 // blend crossover, Gaussian mutation with activate/deactivate moves for
 // sparsity control, and elitism — fully deterministic under a string seed.
 //
-// Run is serial: each generation's children are generated from the seeded
-// RNG first, then scored in order on Run's own goroutine, so Fitness may
-// keep scratch of its own. Parallelism lives one level up: core runs
-// independently seeded ensemble members side by side. Every genome handed
-// to the evaluator is scored (fitness is pure, so the few duplicates just
-// score the same again).
+// A search is serial: each generation's children are generated from the
+// seeded RNG first, then scored in order on the goroutine that called
+// Start or Evolve, so Fitness may keep scratch of its own. A search runs
+// in stretches — Start, any number of Evolve calls, Result — and the
+// split never changes a draw or a score. Parallelism lives one level up:
+// core cuts each independently seeded ensemble member into slices of
+// generations and schedules the slices of all members on its pool. Every
+// genome handed to the evaluator is scored (fitness is pure, so the few
+// duplicates just score the same again).
 //
 // Nothing observes a run while it evolves: what it did is its Result —
 // the best genome and the running best per generation (History) — and,
@@ -54,11 +57,13 @@ type Config struct {
 	Seed string
 	// Fitness scores a genome; lower is better; required. Genomes are
 	// always non-negative. It must be a pure function of the genome. It is
-	// called from one goroutine at a time, so it may reuse scratch. Run
-	// recovers nothing: a panic in Fitness leaves Run as that panic.
+	// called from one goroutine at a time, so it may reuse scratch. A
+	// search recovers nothing: a panic in Fitness leaves Start or Evolve
+	// as that panic.
 	Fitness func(genome []float64) float64
-	// Obs, when non-nil, receives a "ga.run" span and the run's metrics
-	// (ga.evaluations, ga.generations, ga.best_fitness,
+	// Obs, when non-nil, receives a "ga.run" span per stretch of the run
+	// (Start with the first Evolve, then each later Evolve) and the run's
+	// metrics (ga.evaluations, ga.generations, ga.best_fitness,
 	// ga.generation_seconds). Observability never alters the evolution:
 	// the result is byte-identical with Obs set or nil.
 	Obs *obs.Scope
@@ -154,125 +159,172 @@ func (e *evaluator) scoreAll(genomes [][]float64) []float64 {
 	return e.out
 }
 
-// Run evolves a population and returns the best genome found.
-func Run(cfg Config) (*Result, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	sp := cfg.Obs.Child("ga.run")
-	defer sp.End()
-
-	src := rng.New("ga|", cfg.Seed)
-	// Every buffer is sized here, once: a run's allocations do not grow
-	// with its generations.
-	res := &Result{History: make([]float64, 0, cfg.Generations+1)}
-	sparsityScratch := make([]gene, 0, cfg.GenomeLen)
-	var elite topKScratch
-	// The initial population is the largest batch, so out is sized once.
-	ev := &evaluator{fn: cfg.Fitness, obs: sp, out: make([]float64, cfg.PopSize)}
+// Search is a run in progress: Start builds and scores its initial
+// population, each Evolve runs more generations, and Result ends it. The
+// draws and scores are those of one uninterrupted run however its
+// generations are split, so a caller may run a search in stretches, and
+// on different goroutines, as long as each call starts after the previous
+// one has returned.
+type Search struct {
+	cfg  Config
+	src  rng.Source
+	res  Result
+	ev   evaluator
+	span *obs.Scope // the open "ga.run" span, nil between stretches
+	gen  int        // generations run so far
 
 	// Genomes live in two flat ping-pong arenas: each generation's
 	// population is carved out of one arena while its parents occupy the
 	// other, so a whole run's populations cost two allocations instead of
 	// PopSize×Generations. The running best outlives its generation, so it
 	// lives in a buffer of its own, which becomes res.Best.
-	var arenas [2][]float64
-	arenas[0] = make([]float64, cfg.PopSize*cfg.GenomeLen)
-	arenas[1] = make([]float64, cfg.PopSize*cfg.GenomeLen)
-	carve := func(arena int, i int) []float64 {
-		g := arenas[arena][i*cfg.GenomeLen : (i+1)*cfg.GenomeLen]
-		for j := range g {
-			g[j] = 0
-		}
-		return g
-	}
-	cur := 0
+	arenas   [2][]float64
+	cur      int
+	pop      []individual
+	next     []individual
+	children [][]float64
+	best     individual
+	sparsity []gene
+	elite    topKScratch
+}
 
-	genomes := make([][]float64, cfg.PopSize)
-	pop := make([]individual, cfg.PopSize)
-	perm := make([]int, cfg.GenomeLen)
+// Start validates cfg, then builds and scores the initial population. It
+// opens the run's first "ga.run" span, which the first Evolve closes.
+func Start(cfg Config) (*Search, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	// Every buffer is sized here, once: a run's allocations do not grow
+	// with its generations.
+	s := &Search{
+		cfg:  cfg,
+		src:  *rng.New("ga|", cfg.Seed),
+		res:  Result{History: make([]float64, 0, cfg.Generations+1)},
+		span: cfg.Obs.Child("ga.run"),
+		// The initial population is the largest batch, so out is sized once.
+		ev:       evaluator{fn: cfg.Fitness, obs: cfg.Obs, out: make([]float64, cfg.PopSize)},
+		arenas:   [2][]float64{make([]float64, cfg.PopSize*cfg.GenomeLen), make([]float64, cfg.PopSize*cfg.GenomeLen)},
+		pop:      make([]individual, cfg.PopSize),
+		next:     make([]individual, 0, cfg.PopSize),
+		children: make([][]float64, cfg.PopSize),
+		sparsity: make([]gene, 0, cfg.GenomeLen),
+	}
 	// Initial population: sparse random genomes from the seeded RNG,
 	// scored as one batch.
+	genomes := s.children
+	perm := make([]int, cfg.GenomeLen)
 	for i := range genomes {
-		g := carve(cur, i)
+		g := s.carve(s.cur, i)
 		active := cfg.MaxActive
 		if active <= 0 || active > cfg.GenomeLen {
 			active = cfg.GenomeLen
 		}
 		// Activate a random subset with random weights.
-		n := 1 + src.Intn(active)
-		src.PermInto(perm)
+		n := 1 + s.src.Intn(active)
+		s.src.PermInto(perm)
 		for _, idx := range perm[:n] {
-			g[idx] = src.Float64()
+			g[idx] = s.src.Float64()
 		}
 		genomes[i] = g
 	}
-	fits := ev.scoreAll(genomes)
-	for i := range pop {
-		pop[i] = individual{genome: genomes[i], fitness: fits[i]}
+	for i, f := range s.ev.scoreAll(genomes) {
+		s.pop[i] = individual{genome: genomes[i], fitness: f}
 	}
-
 	// The running best's arena slot will be overwritten two generations
 	// later; this clone is the one buffer it is copied into from now on.
-	b0 := bestOf(pop)
-	best := individual{genome: clone(b0.genome), fitness: b0.fitness}
-	res.History = append(res.History, best.fitness)
+	b0 := bestOf(s.pop)
+	s.best = individual{genome: clone(b0.genome), fitness: b0.fitness}
+	s.res.History = append(s.res.History, s.best.fitness)
+	return s, nil
+}
 
-	next := make([]individual, 0, cfg.PopSize)
-	children := make([][]float64, 0, cfg.PopSize)
-	obsOn := sp.Enabled()
-	for gen := 0; gen < cfg.Generations; gen++ {
-		var genStart time.Time
-		if obsOn {
-			genStart = time.Now()
-		}
-		nextArena := 1 - cur
-		next = next[:0]
-		// Elitism: copy the best unchanged — their fitness travels with
-		// them, so elites are never re-scored.
-		for _, e := range elite.topK(pop, cfg.Elites) {
-			g := carve(nextArena, len(next))
-			copy(g, e.genome)
-			next = append(next, individual{genome: g, fitness: e.fitness})
-		}
-		// Generate every child first, then score them as a batch.
-		children = children[:0]
-		for len(next)+len(children) < cfg.PopSize {
-			a := tournament(pop, cfg.TournamentK, src)
-			b := tournament(pop, cfg.TournamentK, src)
-			child := carve(nextArena, len(next)+len(children))
-			copy(child, a.genome)
-			if src.Float64() < *cfg.CrossoverRate {
-				blend(child, b.genome, src)
-			}
-			mutate(child, cfg, src)
-			sparsityScratch = enforceSparsityScratch(child, cfg.MaxActive, sparsityScratch[:0])
-			children = append(children, child)
-		}
-		for i, f := range ev.scoreAll(children) {
-			next = append(next, individual{genome: children[i], fitness: f})
-		}
-		pop, next = next, pop
-		cur = nextArena
-		if b := bestOf(pop); b.fitness < best.fitness {
-			copy(best.genome, b.genome)
-			best.fitness = b.fitness
-		}
-		res.History = append(res.History, best.fitness)
-		if obsOn {
-			// Per-generation stats: wall time and running best, both
-			// order-independent aggregates.
-			sp.Count("ga.generations", 1)
-			sp.Observe("ga.generation_seconds", time.Since(genStart).Seconds())
-			sp.Observe("ga.generation_best", best.fitness)
-		}
+// carve returns genome i of an arena, zeroed.
+func (s *Search) carve(arena, i int) []float64 {
+	g := s.arenas[arena][i*s.cfg.GenomeLen : (i+1)*s.cfg.GenomeLen]
+	clear(g)
+	return g
+}
+
+// Evolve runs up to n more generations, stopping at Config.Generations. It
+// runs inside a "ga.run" span, opening one if none is open, and closes it.
+// A panicking Fitness leaves Evolve as that panic.
+func (s *Search) Evolve(n int) {
+	if s.span == nil {
+		s.span = s.cfg.Obs.Child("ga.run")
 	}
-	res.Best = best.genome
-	res.BestFitness = best.fitness
-	res.Evaluations = ev.evals
-	sp.Observe("ga.best_fitness", res.BestFitness)
-	return res, nil
+	defer s.endSpan()
+	for ; n > 0 && s.gen < s.cfg.Generations; n-- {
+		s.generation()
+	}
+}
+
+// endSpan closes the open "ga.run" span, if any.
+func (s *Search) endSpan() {
+	s.span.End()
+	s.span = nil
+}
+
+// generation breeds, scores and installs one generation.
+func (s *Search) generation() {
+	cfg := &s.cfg
+	var genStart time.Time
+	obsOn := cfg.Obs.Enabled()
+	if obsOn {
+		genStart = time.Now()
+	}
+	nextArena := 1 - s.cur
+	next := s.next[:0]
+	// Elitism: copy the best unchanged — their fitness travels with
+	// them, so elites are never re-scored.
+	for _, e := range s.elite.topK(s.pop, cfg.Elites) {
+		g := s.carve(nextArena, len(next))
+		copy(g, e.genome)
+		next = append(next, individual{genome: g, fitness: e.fitness})
+	}
+	// Generate every child first, then score them as a batch.
+	children := s.children[:0]
+	for len(next)+len(children) < cfg.PopSize {
+		a := tournament(s.pop, cfg.TournamentK, &s.src)
+		b := tournament(s.pop, cfg.TournamentK, &s.src)
+		child := s.carve(nextArena, len(next)+len(children))
+		copy(child, a.genome)
+		if s.src.Float64() < *cfg.CrossoverRate {
+			blend(child, b.genome, &s.src)
+		}
+		mutate(child, *cfg, &s.src)
+		s.sparsity = enforceSparsityScratch(child, cfg.MaxActive, s.sparsity[:0])
+		children = append(children, child)
+	}
+	for i, f := range s.ev.scoreAll(children) {
+		next = append(next, individual{genome: children[i], fitness: f})
+	}
+	s.pop, s.next = next, s.pop
+	s.cur = nextArena
+	s.gen++
+	if b := bestOf(s.pop); b.fitness < s.best.fitness {
+		copy(s.best.genome, b.genome)
+		s.best.fitness = b.fitness
+	}
+	s.res.History = append(s.res.History, s.best.fitness)
+	if obsOn {
+		// Per-generation stats: wall time and running best, both
+		// order-independent aggregates.
+		cfg.Obs.Count("ga.generations", 1)
+		cfg.Obs.Observe("ga.generation_seconds", time.Since(genStart).Seconds())
+		cfg.Obs.Observe("ga.generation_best", s.best.fitness)
+	}
+}
+
+// Result ends the search and returns the best genome found in the
+// generations it ran. Call it once; the search is not evolved after.
+func (s *Search) Result() *Result {
+	s.endSpan()
+	s.res.Best = s.best.genome
+	s.res.BestFitness = s.best.fitness
+	s.res.Evaluations = s.ev.evals
+	s.cfg.Obs.Observe("ga.best_fitness", s.res.BestFitness)
+	return &s.res
 }
 
 // clone copies a genome.

@@ -19,6 +19,16 @@ func sphere(target []float64) func([]float64) float64 {
 	}
 }
 
+// Run is a search in one stretch: Start, every generation, Result.
+func Run(cfg Config) (*Result, error) {
+	s, err := Start(cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.Evolve(s.cfg.Generations)
+	return s.Result(), nil
+}
+
 func TestConfigValidation(t *testing.T) {
 	base := Config{GenomeLen: 4, Seed: "s", Fitness: sphere([]float64{0, 0, 0, 0})}
 	cases := []func(*Config){

@@ -196,11 +196,20 @@ var ringBatch = []string{
 // BenchmarkRingBatch is the peer-hop number: one grouped /v1/batch sent to
 // replica 0 of a 2-, 4- and 8-replica ring whose owners already hold every
 // result, so an iteration is grouping, forwarding and assembly — no
-// evaluation. As the ring grows more groups land off-node.
+// evaluation. The replicas have fixed ring names, as TestRingChaosSchedules'
+// do, so which of the batch's groups replica 0 owns, and with it the
+// benchmark's allocs/op, is the same on every run: under these names
+// replica 0 forwards one of the three groups on the 2-ring, two on the
+// 4-ring and all three, to two owners, on the 8-ring.
 func BenchmarkRingBatch(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
-			reps, _ := newCluster(b, n)
+			names := make([]string, n)
+			for i := range names {
+				// Never dialled: boot sends every peer call to its listener.
+				names[i] = fmt.Sprintf("http://127.0.0.1:9/member-%d", i)
+			}
+			reps, _ := startCluster(b, names)
 			body := batchBody(b, ringBatch...)
 			code, _, out := post(b, reps[0].url+"/v1/batch", body)
 			if code != 200 {
